@@ -1,7 +1,7 @@
 GO ?= go
 BENCHTIME ?= 1s
 
-.PHONY: build vet test race bench bench-json fuzz-smoke chaos-smoke obs-smoke flight-smoke verify
+.PHONY: build vet test race bench bench-json bench-smoke fuzz-smoke chaos-smoke obs-smoke flight-smoke verify
 
 build:
 	$(GO) build ./...
@@ -37,6 +37,12 @@ bench-json:
 	$(GO) test -run '^$$' -bench 'WarmFetch|HealthFold|Cache|Registry|MetricsContended|ExemplarRender|FlightAppend|FlightDisabled' -benchmem -benchtime $(BENCHTIME) \
 		./internal/realnet ./internal/obs ./internal/obs/flight ./internal/objcache ./internal/relay ./internal/registry \
 		| $(GO) run ./cmd/benchjson -out BENCH_10.json -extra registryload=registryload.json -extra obsoverhead=obsoverhead.json
+
+# The repo benchmark's own smoke test (1/50 of the fixed work, ~3 s).
+# bench/ is a nested module that `go build ./... && go test ./...` does
+# not reach, so this is what notices an API change breaking the harness.
+bench-smoke:
+	cd bench && $(GO) test ./...
 
 # Seed-corpus smoke for the wire-parser fuzz targets: runs each corpus
 # as regular tests plus a short randomized burst, so CI exercises the

@@ -1,7 +1,9 @@
 package registry
 
 import (
+	"context"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -79,6 +81,43 @@ func BenchmarkRegistryListDeltaSteadyState(b *testing.B) {
 		if len(d.Entries) != 0 {
 			b.Fatalf("unexpected delta: %d entries", len(d.Entries))
 		}
+	}
+}
+
+// The ceilings the benchmark above only archives, asserted: a quiet
+// poll of a 100k table allocates nothing, and a heartbeat on a pooled
+// connection — client and server side together — stays under 1 KB (it
+// was 4.3 KB while the client made a bufio.Writer per command).
+func TestSteadyStateAllocCeilings(t *testing.T) {
+	s, addr := startServer(t)
+	for i := 0; i < 100000; i++ {
+		s.RegisterHealth(fmt.Sprintf("relay-%06d", i), "10.0.0.1:1", time.Minute, 0.5)
+	}
+	since := s.Epoch()
+	if got := testing.AllocsPerRun(100, func() { s.ListDelta(since, 0) }); got != 0 {
+		t.Errorf("quiet ListDelta on 100k entries: %v allocs, want 0", got)
+	}
+
+	c := NewClient(addr, WithPooledConn())
+	defer c.Close()
+	ctx := context.Background()
+	heartbeat := func() {
+		if err := c.RegisterHealth(ctx, "relay-000042", "10.0.0.1:1", time.Minute, 0.5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	heartbeat() // dial
+	const rounds = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		heartbeat()
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / rounds; got >= 1024 {
+		t.Errorf("pooled wire RegisterHealth: %d B per heartbeat, want < 1024", got)
+	} else {
+		t.Logf("pooled wire RegisterHealth: %d B, %d allocs per heartbeat", got, (after.Mallocs-before.Mallocs)/rounds)
 	}
 }
 

@@ -28,8 +28,7 @@ import (
 //	defer c.Close()
 //	relays, err := c.ListRanked(ctx, 10)
 type Client struct {
-	addr      string
-	fallbacks []string
+	endpoints []string // the primary address, then the fallback peers
 	timeout   time.Duration
 	retries   int
 	backoff   time.Duration
@@ -38,6 +37,7 @@ type Client struct {
 	mu       sync.Mutex
 	conn     net.Conn
 	br       *bufio.Reader
+	bw       *bufio.Writer
 	connAddr string
 }
 
@@ -48,7 +48,7 @@ type ClientOption func(*Client)
 // dials fresh per call with a DefaultTimeout deadline and no retry —
 // the legacy free functions' behavior, minus their hard-coding.
 func NewClient(addr string, opts ...ClientOption) *Client {
-	c := &Client{addr: addr, timeout: DefaultTimeout, backoff: 100 * time.Millisecond}
+	c := &Client{endpoints: []string{addr}, timeout: DefaultTimeout, backoff: 100 * time.Millisecond}
 	for _, o := range opts {
 		o(c)
 	}
@@ -94,7 +94,7 @@ func WithPooledConn() ClientOption {
 // keeps them converged) this makes discovery and heartbeats survive a
 // registry loss.
 func WithFallbackPeers(addrs ...string) ClientOption {
-	return func(c *Client) { c.fallbacks = append(c.fallbacks, addrs...) }
+	return func(c *Client) { c.endpoints = append(c.endpoints, addrs...) }
 }
 
 // Close releases the pooled connection, if any.
@@ -108,7 +108,7 @@ func (c *Client) dropConnLocked() error {
 	var err error
 	if c.conn != nil {
 		err = c.conn.Close()
-		c.conn, c.br, c.connAddr = nil, nil, ""
+		c.conn, c.br, c.bw, c.connAddr = nil, nil, nil, ""
 	}
 	return err
 }
@@ -129,10 +129,9 @@ func (c *Client) deadline(ctx context.Context) time.Time {
 func (c *Client) do(ctx context.Context, roundTrip func(bw *bufio.Writer, br *bufio.Reader) error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	addrs := append([]string{c.addr}, c.fallbacks...)
 	var lastErr error
 	for attempt := 0; ; attempt++ {
-		for _, addr := range addrs {
+		for _, addr := range c.endpoints {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
@@ -146,7 +145,7 @@ func (c *Client) do(ctx context.Context, roundTrip func(bw *bufio.Writer, br *bu
 			lastErr = err
 		}
 		if attempt >= c.retries {
-			return fmt.Errorf("%w (tried %s): %v", ErrUnavailable, strings.Join(addrs, ", "), lastErr)
+			return fmt.Errorf("%w (tried %s): %v", ErrUnavailable, strings.Join(c.endpoints, ", "), lastErr)
 		}
 		timer := time.NewTimer(c.backoff << attempt)
 		select {
@@ -203,14 +202,15 @@ func (c *Client) dialLocked(ctx context.Context, addr string) error {
 	if err != nil {
 		return err
 	}
-	c.conn, c.br, c.connAddr = conn, bufio.NewReader(conn), addr
+	// Reader and writer live as long as the connection: a pooled client
+	// allocates neither per command.
+	c.conn, c.br, c.bw, c.connAddr = conn, bufio.NewReader(conn), bufio.NewWriter(conn), addr
 	return nil
 }
 
 func (c *Client) runLocked(ctx context.Context, roundTrip func(bw *bufio.Writer, br *bufio.Reader) error) error {
 	c.conn.SetDeadline(c.deadline(ctx))
-	bw := bufio.NewWriter(c.conn)
-	err := roundTrip(bw, c.br)
+	err := roundTrip(c.bw, c.br)
 	if err == nil && !c.pooled {
 		c.dropConnLocked()
 	}
@@ -234,22 +234,25 @@ func (c *Client) RegisterHealth(ctx context.Context, name, relayAddr string, ttl
 // six-field form always carries an explicit health token — the -1
 // sentinel when unreported — because metrics-addr is positional.
 func (c *Client) RegisterFull(ctx context.Context, name, relayAddr, metricsAddr string, ttl time.Duration, health float64) error {
-	if name == "" || relayAddr == "" || strings.ContainsAny(name+relayAddr+metricsAddr, " \t\r\n") {
+	if !validTokens(name, relayAddr, metricsAddr) {
 		return ErrBadName
 	}
 	if ttl <= 0 {
 		return ErrBadTTL
 	}
 	return c.do(ctx, func(bw *bufio.Writer, br *bufio.Reader) error {
-		switch {
-		case metricsAddr != "":
-			fmt.Fprintf(bw, "REGISTER %s %s %d %s %s\n", name, relayAddr, int(ttl.Seconds()),
-				formatHealth(health), metricsAddr)
-		case health == HealthUnreported:
-			fmt.Fprintf(bw, "REGISTER %s %s %d\n", name, relayAddr, int(ttl.Seconds()))
-		default:
-			fmt.Fprintf(bw, "REGISTER %s %s %d %s\n", name, relayAddr, int(ttl.Seconds()), formatHealth(health))
+		bw.WriteString("REGISTER ")
+		bw.WriteString(name)
+		bw.WriteByte(' ')
+		bw.WriteString(relayAddr)
+		bw.WriteByte(' ')
+		writeUint(bw, uint64(ttl.Seconds()))
+		if metricsAddr != "" || health != HealthUnreported {
+			bw.WriteByte(' ')
+			bw.Write(appendHealth(bw.AvailableBuffer(), health))
 		}
+		bw.WriteString(maddrSuffix(metricsAddr))
+		bw.WriteByte('\n')
 		if err := bw.Flush(); err != nil {
 			return err
 		}
@@ -267,7 +270,7 @@ func (c *Client) RegisterFull(ctx context.Context, name, relayAddr, metricsAddr 
 
 // List fetches the live relay set (name-sorted on the server).
 func (c *Client) List(ctx context.Context) ([]Entry, error) {
-	return c.list(ctx, "LIST\n", false)
+	return c.list(ctx, false, "LIST")
 }
 
 // ListRanked fetches up to k entries ranked healthiest-first (k <= 0
@@ -275,21 +278,17 @@ func (c *Client) List(ctx context.Context) ([]Entry, error) {
 // included, ranked last and flagged Down — filter them for candidate
 // sets, show them for operations.
 func (c *Client) ListRanked(ctx context.Context, k int) ([]Entry, error) {
-	cmd := "LISTH\n"
 	if k > 0 {
-		cmd = fmt.Sprintf("LISTH %d\n", k)
+		return c.list(ctx, true, "LISTH", uint64(k))
 	}
-	return c.list(ctx, cmd, true)
+	return c.list(ctx, true, "LISTH")
 }
 
-func (c *Client) list(ctx context.Context, cmd string, ranked bool) ([]Entry, error) {
+func (c *Client) list(ctx context.Context, ranked bool, verb string, args ...uint64) ([]Entry, error) {
 	var out []Entry
 	err := c.do(ctx, func(bw *bufio.Writer, br *bufio.Reader) error {
 		out = out[:0] // a retried round-trip must not duplicate entries
-		if _, err := bw.WriteString(cmd); err != nil {
-			return err
-		}
-		if err := bw.Flush(); err != nil {
+		if err := writeCommand(bw, verb, args...); err != nil {
 			return err
 		}
 		for {
@@ -322,27 +321,23 @@ func (c *Client) list(ctx context.Context, cmd string, ranked bool) ([]Entry, er
 // Steady-state clients should hold a RankedSet and call its Refresh
 // instead of re-applying deltas by hand.
 func (c *Client) ListDelta(ctx context.Context, since uint64, k int) (Delta, error) {
-	cmd := fmt.Sprintf("LISTD %d\n", since)
 	if k > 0 {
-		cmd = fmt.Sprintf("LISTD %d %d\n", since, k)
+		return c.delta(ctx, parseDeltaLine, "LISTD", since, uint64(k))
 	}
-	return c.delta(ctx, cmd, parseDeltaLine)
+	return c.delta(ctx, parseDeltaLine, "LISTD", since)
 }
 
 // syncPull fetches a peer sync delta (SeenEpoch-keyed, absolute
 // LastSeen/TTL) — the PeerSync transport.
 func (c *Client) syncPull(ctx context.Context, since uint64) (Delta, error) {
-	return c.delta(ctx, fmt.Sprintf("SYNCD %d\n", since), parseSyncLine)
+	return c.delta(ctx, parseSyncLine, "SYNCD", since)
 }
 
-func (c *Client) delta(ctx context.Context, cmd string, parseLine func(string) (DeltaEntry, error)) (Delta, error) {
+func (c *Client) delta(ctx context.Context, parseLine func(string) (DeltaEntry, error), verb string, args ...uint64) (Delta, error) {
 	var d Delta
 	err := c.do(ctx, func(bw *bufio.Writer, br *bufio.Reader) error {
 		d = Delta{}
-		if _, err := bw.WriteString(cmd); err != nil {
-			return err
-		}
-		if err := bw.Flush(); err != nil {
+		if err := writeCommand(bw, verb, args...); err != nil {
 			return err
 		}
 		header, err := br.ReadString('\n')
@@ -383,10 +378,7 @@ func (c *Client) delta(ctx context.Context, cmd string, parseLine func(string) (
 // cheap "anything new?" probe peers and monitors use.
 func (c *Client) Epoch(ctx context.Context) (epoch, digest uint64, err error) {
 	err = c.do(ctx, func(bw *bufio.Writer, br *bufio.Reader) error {
-		if _, werr := bw.WriteString("EPOCH\n"); werr != nil {
-			return werr
-		}
-		if werr := bw.Flush(); werr != nil {
+		if werr := writeCommand(bw, "EPOCH"); werr != nil {
 			return werr
 		}
 		line, rerr := br.ReadString('\n')

@@ -2,7 +2,6 @@ package registry
 
 import (
 	"context"
-	"runtime"
 	"sync"
 )
 
@@ -12,7 +11,10 @@ import (
 // last-synced epoch, plus tombstones for deletes, so a steady-state
 // client re-pulls a handful of lines (often zero — pure heartbeat
 // refreshes don't move ChangeEpoch) instead of the full 100k-entry
-// list. Clients hold the mirror in a RankedSet and rank locally.
+// list. Clients hold the mirror in a RankedSet and rank locally. The
+// server pays for a poll in proportion to what changed: it locks each
+// shard, reads the shard's change watermark, and walks only the shards
+// stamped since the client's epoch (or in which TTL expiry is due).
 
 // DeltaEntry is one change in a delta: an upserted entry, or a delete
 // (Deleted set, only Name meaningful).
@@ -40,53 +42,54 @@ type Delta struct {
 func (s *Server) ListDelta(since uint64, k int) Delta {
 	s.init()
 	// Snapshot the epoch before visiting shards: a mutation stamps its
-	// epoch while holding the owning shard's lock, so any change at or
-	// below this snapshot is either already published or will be
-	// published before our per-shard lock acquisition returns.
+	// epoch — on the entry and on the shard's watermark — while holding
+	// the owning shard's lock, so any change at or below this snapshot is
+	// either already published or will be published before our per-shard
+	// lock acquisition returns. That is why the watermark is read under
+	// the lock and why there is no lock-free since == cur exit.
 	cur := s.epoch.Load()
-	if since == 0 || since > cur || since < s.deltaFloor.Load() {
-		d := Delta{Since: since, Epoch: cur, Full: true}
-		for _, e := range s.rankedAll(k) {
-			d.Entries = append(d.Entries, DeltaEntry{Entry: e})
-		}
-		return d
+	if s.needsFull(since, cur) {
+		return s.fullDelta(since, cur, k)
 	}
 	d := Delta{Since: since, Epoch: cur}
-	now := s.now()
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		s.sweepShard(sh, now)
-		for _, e := range sh.entries {
+	s.scan(func(sh *shard) bool { return sh.lastChange <= since },
+		func(e Entry) {
 			if e.ChangeEpoch > since {
 				d.Entries = append(d.Entries, DeltaEntry{Entry: e})
 			}
-		}
-		for name, t := range sh.tombs {
+		}, func(name string, t tombstone) {
 			if t.Epoch > since {
 				d.Entries = append(d.Entries, DeltaEntry{Entry: Entry{Name: name}, Deleted: true})
 			}
-		}
-		sh.mu.Unlock()
-		// Yield between shards (as collect does): an incremental delta
-		// sweeps the whole table, and the striped layout's shard
-		// boundaries are what let writers slip in mid-scan.
-		runtime.Gosched()
+		})
+	// Expiry applied by the scan may itself have pruned a tombstone the
+	// client still needed (raising the floor past since); an incremental
+	// answer would then silently drop a delete.
+	if s.needsFull(since, cur) {
+		return s.fullDelta(since, cur, k)
 	}
-	// The sweeps above may themselves have pruned a tombstone the client
-	// still needed (raising the floor past since); an incremental answer
-	// would then silently drop a delete, so fall back to a full snapshot.
-	if since < s.deltaFloor.Load() {
-		d = Delta{Since: since, Epoch: cur, Full: true}
-		for _, e := range s.rankedAll(k) {
-			d.Entries = append(d.Entries, DeltaEntry{Entry: e})
-		}
-		return d
-	}
-	// Sweeping may also have stamped epochs past the snapshot (down-marks,
+	// It may also have stamped epochs past the snapshot (down-marks,
 	// tombstones). Those entries are included above (their epoch > since)
 	// but the client must not advance past changes other shards stamped
 	// concurrently, so the returned epoch stays the pre-scan snapshot;
 	// anything newer arrives with the next poll.
+	return d
+}
+
+// needsFull reports whether a delta from since cannot be served
+// incrementally at epoch cur: a first sync, a cursor from another or a
+// restarted server, or one older than the tombstone horizon.
+func (s *Server) needsFull(since, cur uint64) bool {
+	return since == 0 || since > cur || since < s.deltaFloor.Load()
+}
+
+// fullDelta is the LISTD answer when needsFull: the ranked snapshot.
+func (s *Server) fullDelta(since, cur uint64, k int) Delta {
+	ranked := s.rankedAll(k)
+	d := Delta{Since: since, Epoch: cur, Full: true, Entries: make([]DeltaEntry, len(ranked))}
+	for i, e := range ranked {
+		d.Entries[i].Entry = e
+	}
 	return d
 }
 

@@ -102,8 +102,33 @@ func TestDeltaSyncPropertyReconstructsFullView(t *testing.T) {
 			for i := range mirrors {
 				mirrors[i] = NewRankedSet()
 			}
+			// A peer on the same clock pulls SYNCD deltas on its own
+			// cadence, so the SeenEpoch watermark is skipped over by the
+			// same interleavings (a skipped heartbeat would let the peer's
+			// copy lapse while the source's stays live).
+			peer := Server{NumShards: 8, Clock: func() time.Time { return now }}
+			var cursor uint64
+			pull := func() {
+				d := s.SyncDelta(cursor)
+				peer.Merge(d.Entries)
+				cursor = d.Epoch
+				// Nothing was skipped: the peer now holds every source entry
+				// under the same LastSeen, as an entry or (when its own expiry
+				// got there first) as the tombstone of that entry.
+				held, buried := heldLastSeen(&peer)
+				live, _ := heldLastSeen(&s)
+				for name, seen := range live {
+					if !held[name].Equal(seen) && !buried[name].Equal(seen) {
+						t.Fatalf("pull to epoch %d missed %s: source saw it %v, peer holds %v (tombstone %v)",
+							cursor, name, seen, held[name], buried[name])
+					}
+				}
+			}
 
 			for step := 0; step < 400; step++ {
+				// Every step is a distinct instant: the peer merges
+				// last-writer-wins on LastSeen, and ties keep the local copy.
+				now = now.Add(time.Millisecond)
 				name := names[rng.Intn(len(names))]
 				switch rng.Intn(10) {
 				case 0, 1, 2, 3: // heartbeat / register
@@ -124,6 +149,9 @@ func TestDeltaSyncPropertyReconstructsFullView(t *testing.T) {
 						m.Apply(s.ListDelta(m.Epoch(), 0))
 					}
 				}
+				if step%7 == 0 {
+					pull()
+				}
 			}
 
 			// Final sync for every mirror, then compare against the truth.
@@ -143,8 +171,45 @@ func TestDeltaSyncPropertyReconstructsFullView(t *testing.T) {
 					}
 				}
 			}
+
+			// The peer: bring both tables to their expiry fixed point at the
+			// final time (down-marking and tombstoning take a sweep each),
+			// pull once more, and the two must hold the same entries.
+			for i := 0; i < 2; i++ {
+				s.Sweep()
+				peer.Sweep()
+			}
+			pull()
+			want, got := s.ListAll(), peer.ListAll()
+			if len(got) != len(want) {
+				t.Fatalf("peer holds %d entries, want %d\n got=%+v\nwant=%+v", len(got), len(want), got, want)
+			}
+			for j := range want {
+				g, w := got[j], want[j]
+				if g.Name != w.Name || g.Addr != w.Addr || g.Health != w.Health || g.Down != w.Down || !g.LastSeen.Equal(w.LastSeen) {
+					t.Fatalf("peer diverged at %q:\n got %+v\nwant %+v", w.Name, g, w)
+				}
+			}
 		})
 	}
+}
+
+// heldLastSeen reads, without applying expiry, the LastSeen of every
+// entry and of every tombstone s holds.
+func heldLastSeen(s *Server) (entries, tombs map[string]time.Time) {
+	s.init()
+	entries, tombs = map[string]time.Time{}, map[string]time.Time{}
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		for name, e := range sh.entries {
+			entries[name] = e.LastSeen
+		}
+		for name, t := range sh.tombs {
+			tombs[name] = t.LastSeen
+		}
+		sh.mu.Unlock()
+	}
+	return entries, tombs
 }
 
 func TestRankedSetTopMatchesServerRanking(t *testing.T) {
@@ -161,5 +226,58 @@ func TestRankedSetTopMatchesServerRanking(t *testing.T) {
 	st := m.Stats()
 	if st.Refreshes != 1 || st.Fulls != 1 || st.Entries != 3 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// Watermark soundness under concurrency: a writer making material
+// changes on random names while a reader applies deltas from its own
+// epoch. Once the writer stops, one more delta must bring the mirror
+// level with the table. A shard watermark stored outside the shard lock
+// (or read outside it) lets a poll skip a shard whose stamp is at or
+// below the epoch it returns — the change is then lost for good, and
+// the race detector sees the unsynchronised access.
+func TestListDeltaWatermarkUnderConcurrentWrites(t *testing.T) {
+	s := Server{NumShards: 8}
+	const names = 64
+	for i := 0; i < names; i++ {
+		s.RegisterHealth(fmt.Sprintf("relay-%d", i), "h:1", time.Hour, 0)
+	}
+	m := NewRankedSet()
+	m.Apply(s.ListDelta(0, 0))
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rng := rand.New(rand.NewSource(1))
+		for i := 1; i <= 20000; i++ {
+			// Distinct from the entry's previous health: always material.
+			s.RegisterHealth(fmt.Sprintf("relay-%d", rng.Intn(names)), "h:1", time.Hour, float64(i)/20000)
+		}
+	}()
+	for polling := true; polling; {
+		select {
+		case <-done:
+			polling = false
+		default:
+		}
+		d := s.ListDelta(m.Epoch(), 0)
+		if d.Full {
+			t.Fatalf("incremental poll from epoch %d fell back to a full snapshot", d.Since)
+		}
+		m.Apply(d)
+	}
+	// The last loop iteration began after the writer finished.
+	if got, want := m.Epoch(), s.Epoch(); got != want {
+		t.Fatalf("mirror at epoch %d, server at %d", got, want)
+	}
+	want, got := s.rankedAll(0), m.All()
+	if len(got) != len(want) {
+		t.Fatalf("mirror holds %d entries, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Name != want[i].Name || got[i].Health != want[i].Health {
+			t.Fatalf("mirror diverged at rank %d: got %s %v, want %s %v",
+				i, got[i].Name, got[i].Health, want[i].Name, want[i].Health)
+		}
 	}
 }

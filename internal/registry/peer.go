@@ -23,47 +23,40 @@ import (
 func (s *Server) SyncDelta(since uint64) Delta {
 	s.init()
 	cur := s.epoch.Load()
-	now := s.now()
-	if since == 0 || since > cur || since < s.deltaFloor.Load() {
-		d := Delta{Since: since, Epoch: cur, Full: true}
-		for _, e := range s.collect(func(Entry) bool { return true }) {
-			d.Entries = append(d.Entries, DeltaEntry{Entry: e})
-		}
-		// A full sync must carry deletes too: a peer may hold entries we
-		// tombstoned while it was partitioned from us.
-		for _, sh := range s.shards {
-			sh.mu.Lock()
-			for name, t := range sh.tombs {
-				d.Entries = append(d.Entries, DeltaEntry{
-					Entry: Entry{Name: name, LastSeen: t.LastSeen}, Deleted: true,
-				})
-			}
-			sh.mu.Unlock()
-		}
-		return d
+	if s.needsFull(since, cur) {
+		return s.fullSync(since, cur)
 	}
 	d := Delta{Since: since, Epoch: cur}
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		s.sweepShard(sh, now)
-		for _, e := range sh.entries {
+	s.scan(func(sh *shard) bool { return sh.lastSeen <= since },
+		func(e Entry) {
 			if e.seenEpoch > since {
 				d.Entries = append(d.Entries, DeltaEntry{Entry: e})
 			}
-		}
-		for name, t := range sh.tombs {
+		}, func(name string, t tombstone) {
 			if t.Epoch > since {
-				d.Entries = append(d.Entries, DeltaEntry{
-					Entry: Entry{Name: name, LastSeen: t.LastSeen}, Deleted: true,
-				})
+				d.Entries = append(d.Entries, deletedSince(name, t))
 			}
-		}
-		sh.mu.Unlock()
-	}
-	if since < s.deltaFloor.Load() {
-		return s.SyncDelta(0) // a needed tombstone was pruned mid-scan
+		})
+	if s.needsFull(since, cur) {
+		return s.fullSync(since, cur) // a needed tombstone was pruned mid-scan
 	}
 	return d
+}
+
+// fullSync is the SYNCD answer when needsFull: every entry, and every
+// delete too — a peer may hold entries we tombstoned while it was
+// partitioned from us.
+func (s *Server) fullSync(since, cur uint64) Delta {
+	d := Delta{Since: since, Epoch: cur, Full: true}
+	s.scan(nil, func(e Entry) { d.Entries = append(d.Entries, DeltaEntry{Entry: e}) },
+		func(name string, t tombstone) { d.Entries = append(d.Entries, deletedSince(name, t)) })
+	return d
+}
+
+// deletedSince is the sync record of a tombstone: the delete and the
+// LastSeen it supersedes.
+func deletedSince(name string, t tombstone) DeltaEntry {
+	return DeltaEntry{Entry: Entry{Name: name, LastSeen: t.LastSeen}, Deleted: true}
 }
 
 // Merge folds a peer's sync delta into the table, last-writer-wins on
@@ -88,11 +81,8 @@ func (s *Server) Merge(entries []DeltaEntry) int {
 				continue // heartbeat newer than the delete: the relay re-registered
 			}
 			delete(sh.entries, de.Name)
-			sh.tombs[de.Name] = tombstone{
-				Epoch:    s.epoch.Add(1),
-				LastSeen: de.LastSeen,
-				Keep:     now.Add(tombstoneKeep),
-			}
+			keep := now.Add(tombstoneKeep)
+			sh.tombs[de.Name] = tombstone{Epoch: s.stamp(sh, true, keep), LastSeen: de.LastSeen, Keep: keep}
 			applied++
 			sh.mu.Unlock()
 			continue
@@ -114,13 +104,12 @@ func (s *Server) Merge(entries []DeltaEntry) int {
 			MetricsAddr: de.MetricsAddr,
 		}
 		e.Down = e.Expires.Before(now)
-		epoch := s.epoch.Add(1)
-		e.seenEpoch = epoch
-		if existed && old.Addr == e.Addr && old.Health == e.Health &&
-			old.MetricsAddr == e.MetricsAddr && old.Down == e.Down {
-			e.ChangeEpoch = old.ChangeEpoch
-		} else {
-			e.ChangeEpoch = epoch
+		material := !existed || old.Addr != e.Addr || old.Health != e.Health ||
+			old.MetricsAddr != e.MetricsAddr || old.Down != e.Down
+		e.seenEpoch = s.stamp(sh, material, e.due())
+		e.ChangeEpoch = old.ChangeEpoch
+		if material {
+			e.ChangeEpoch = e.seenEpoch
 		}
 		sh.entries[de.Name] = e
 		applied++

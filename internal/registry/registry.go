@@ -19,7 +19,9 @@
 //   - The table is sharded: entries stripe across NumShards partitions by
 //     FNV-1a hash of the relay name, each behind its own mutex, so a
 //     REGISTER storm stops serializing on one lock and full-table scans
-//     (LISTH at 100k entries) hold only one shard at a time.
+//     (LISTH at 100k entries) hold only one shard at a time. Each shard
+//     keeps a change watermark and a next-expiry time: a delta poll walks
+//     only shards changed since its cursor or holding a lapsed entry.
 //
 //   - Mutations are epoch-versioned: every change bumps a registry-wide
 //     epoch, and LISTD serves only the entries changed since the epoch a
@@ -69,8 +71,9 @@
 package registry
 
 import (
+	"cmp"
 	"errors"
-	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -189,6 +192,7 @@ type Server struct {
 
 	initOnce sync.Once
 	shards   []*shard
+	walks    atomic.Int64 // walkShard calls: tests show a quiet poll makes none
 
 	lat obs.LatencyRecorder
 }
@@ -241,7 +245,7 @@ func (s *Server) RegisterHealth(name, addr string, ttl time.Duration, health flo
 // RegisterFull is RegisterHealth plus the registrant's observability
 // endpoint (empty when it serves none).
 func (s *Server) RegisterFull(name, addr string, ttl time.Duration, health float64, metricsAddr string) error {
-	if name == "" || addr == "" || strings.ContainsAny(name+addr+metricsAddr, " \t\r\n") {
+	if !validTokens(name, addr, metricsAddr) {
 		return ErrBadName
 	}
 	if ttl <= 0 {
@@ -267,16 +271,24 @@ func (s *Server) RegisterFull(name, addr string, ttl time.Duration, health float
 		Expires: now.Add(ttl), LastSeen: now, TTL: ttl,
 		Health: health, MetricsAddr: metricsAddr,
 	}
-	epoch := s.epoch.Add(1)
-	e.seenEpoch = epoch
-	if existed && old.Addr == addr && old.Health == health &&
-		old.MetricsAddr == metricsAddr && !old.Down {
-		e.ChangeEpoch = old.ChangeEpoch // pure refresh: nothing a client sees moved
-	} else {
-		e.ChangeEpoch = epoch
+	// A pure refresh moves nothing a client sees: it keeps its ChangeEpoch.
+	material := !existed || old.Addr != addr || old.Health != health ||
+		old.MetricsAddr != metricsAddr || old.Down
+	e.seenEpoch = s.stamp(sh, material, e.Expires)
+	e.ChangeEpoch = old.ChangeEpoch
+	if material {
+		e.ChangeEpoch = e.seenEpoch
 	}
 	sh.entries[name] = e
 	return nil
+}
+
+// validTokens reports whether name and addr are non-empty and no token
+// (the optional metrics address included) contains whitespace.
+func validTokens(name, addr, metricsAddr string) bool {
+	const space = " \t\r\n"
+	return name != "" && addr != "" && !strings.ContainsAny(name, space) &&
+		!strings.ContainsAny(addr, space) && !strings.ContainsAny(metricsAddr, space)
 }
 
 // Remove deletes an entry by name (idempotent), leaving a tombstone so
@@ -291,17 +303,14 @@ func (s *Server) Remove(name string) {
 		return
 	}
 	delete(sh.entries, name)
-	sh.tombs[name] = tombstone{
-		Epoch:    s.epoch.Add(1),
-		LastSeen: now,
-		Keep:     now.Add(tombstoneKeep),
-	}
+	keep := now.Add(tombstoneKeep)
+	sh.tombs[name] = tombstone{Epoch: s.stamp(sh, true, keep), LastSeen: now, Keep: keep}
 }
 
 // List returns the live entries sorted by name. Entries whose TTL
 // lapsed are excluded (marked down, then forgotten after the grace).
 func (s *Server) List() []Entry {
-	out := s.collect(func(e Entry) bool { return !e.Down })
+	out := s.collect(0, true)
 	sortByName(out)
 	return out
 }
@@ -309,7 +318,7 @@ func (s *Server) List() []Entry {
 // ListAll returns every tracked entry — live and down — sorted by name,
 // for the /debug/vars view.
 func (s *Server) ListAll() []Entry {
-	out := s.collect(func(Entry) bool { return true })
+	out := s.collect(0, false)
 	sortByName(out)
 	return out
 }
@@ -318,9 +327,9 @@ func (s *Server) ListAll() []Entry {
 // reported health descending (unreported ranks last), ties by name.
 // k <= 0 means all.
 func (s *Server) ListRanked(k int) []Entry {
-	out := s.collect(func(e Entry) bool { return !e.Down })
+	out := s.collect(k, true)
 	sortRanked(out)
-	return truncate(out, k)
+	return out
 }
 
 // rankedAll is the LISTH/LISTD-full view: live entries ranked
@@ -328,65 +337,81 @@ func (s *Server) ListRanked(k int) []Entry {
 // ranked after every live one — operators see outages from the CLI
 // instead of a hard-coded "up" column.
 func (s *Server) rankedAll(k int) []Entry {
-	out := s.collect(func(Entry) bool { return true })
+	out := s.collect(k, false)
 	sortRanked(out)
-	return truncate(out, k)
+	return out
 }
 
-// collect sweeps and gathers matching entries across all shards, locking
-// one shard at a time. Shard boundaries double as scheduling points: a
-// full-table scan yields between shards so concurrent writers interleave
-// instead of queueing behind the whole scan — the indivisible hold is
-// exactly what a single-mutex table cannot avoid.
-func (s *Server) collect(keep func(Entry) bool) []Entry {
-	s.init()
-	now := s.now()
+// collect gathers the entries (only the live ones if liveOnly) across
+// all shards, in no order. With k > 0 it retains only the k that rank
+// first, in a bounded heap with the worst retained entry at the root,
+// so a top-10 of a 100k table neither materialises nor sorts the table.
+func (s *Server) collect(k int, liveOnly bool) []Entry {
 	var out []Entry
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		s.sweepShard(sh, now)
-		for _, e := range sh.entries {
-			if keep(e) {
-				out = append(out, e)
+	s.scan(nil, func(e Entry) {
+		switch {
+		case liveOnly && e.Down:
+		case k <= 0 || len(out) < k:
+			out = append(out, e)
+			if len(out) == k { // full: from here on a heap, ordered once
+				for i := k/2 - 1; i >= 0; i-- {
+					siftDown(out, i)
+				}
 			}
+		case rankCmp(&e, &out[0]) < 0:
+			out[0] = e
+			siftDown(out, 0)
 		}
-		sh.mu.Unlock()
-		runtime.Gosched()
-	}
+	}, nil)
 	return out
+}
+
+// siftDown restores below index i the heap order in which no entry
+// ranks after its parent, so that h[0] is the one that ranks last.
+func siftDown(h []Entry, i int) {
+	for {
+		c := 2*i + 1
+		if c+1 < len(h) && rankCmp(&h[c], &h[c+1]) < 0 {
+			c++ // the child that ranks later
+		}
+		if c >= len(h) || rankCmp(&h[i], &h[c]) >= 0 {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // Sweep applies TTL expiry across the table without collecting entries:
 // lapsed entries are marked down, down entries past their grace become
 // tombstones, and expired tombstones are pruned (raising the delta
-// floor). List/ListRanked/ListDelta sweep as they read; long-running
-// servers may also call Sweep from a ticker so epochs advance even when
-// nobody is reading.
+// floor). Every read applies the expiry that is due in the shards it
+// visits; long-running servers may also call Sweep from a ticker so
+// epochs advance even when nobody is reading.
 func (s *Server) Sweep() {
-	s.init()
-	now := s.now()
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		s.sweepShard(sh, now)
-		sh.mu.Unlock()
-	}
+	s.scan(func(*shard) bool { return true }, nil, nil)
 }
 
 func sortByName(out []Entry) {
-	sortSlice(out, func(a, b Entry) bool { return a.Name < b.Name })
+	slices.SortFunc(out, func(a, b Entry) int { return cmp.Compare(a.Name, b.Name) })
 }
 
-// sortRanked orders by: live before down, health descending, name.
+// sortRanked orders by rankCmp: live before down, health descending, name.
 func sortRanked(out []Entry) {
-	sortSlice(out, func(a, b Entry) bool {
-		if a.Down != b.Down {
-			return !a.Down
+	slices.SortFunc(out, func(a, b Entry) int { return rankCmp(&a, &b) })
+}
+
+func rankCmp(a, b *Entry) int {
+	if a.Down != b.Down {
+		if a.Down {
+			return 1
 		}
-		if a.Health != b.Health {
-			return a.Health > b.Health
-		}
-		return a.Name < b.Name
-	})
+		return -1
+	}
+	if c := cmp.Compare(b.Health, a.Health); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Name, b.Name)
 }
 
 func truncate(out []Entry, k int) []Entry {
@@ -396,8 +421,11 @@ func truncate(out []Entry, k int) []Entry {
 	return out
 }
 
-// formatHealth renders a health score for the wire.
+// formatHealth renders a health score for the wire; appendHealth does
+// the same into a caller's buffer.
 func formatHealth(h float64) string { return strconv.FormatFloat(h, 'g', 6, 64) }
+
+func appendHealth(dst []byte, h float64) []byte { return strconv.AppendFloat(dst, h, 'g', 6, 64) }
 
 // stateWord renders the entry's state column.
 func stateWord(down bool) string {

@@ -2,6 +2,9 @@ package registry
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -174,5 +177,38 @@ func TestStartHeartbeatFailsFastOnBadRegistry(t *testing.T) {
 	}
 	if hb.OK() || hb.Err() == nil {
 		t.Fatalf("state after failure: ok=%v err=%v", hb.OK(), hb.Err())
+	}
+}
+
+// The bounded heap behind ListRanked(k) must pick exactly what the full
+// sort would: for random tables with health ties, unreported health and
+// down entries, the top k is the first k of the full ranking.
+func TestListRankedTopKMatchesFullSort(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s, now := clockServer(time.Unix(1000, 0))
+		s.NumShards = 1 + rng.Intn(8)
+		n := 2 + rng.Intn(60)
+		for i := 0; i < n; i++ {
+			ttl := time.Hour
+			if rng.Intn(4) == 0 {
+				ttl = time.Second // lapses below: down, ranked after every live entry
+			}
+			health := float64(rng.Intn(4)) / 3 // few values: many ties, broken by name
+			if rng.Intn(5) == 0 {
+				health = HealthUnreported
+			}
+			s.RegisterHealth(fmt.Sprintf("relay-%d", rng.Intn(1000)), "x:1", ttl, health)
+		}
+		*now = now.Add(time.Minute)
+		same := func(a, b Entry) bool { return a.Name == b.Name && a.Health == b.Health && a.Down == b.Down }
+		for _, list := range []func(int) []Entry{s.ListRanked, s.rankedAll} {
+			full := list(0)
+			for _, k := range []int{1, 10, len(full) - 1, len(full), len(full) + 5} {
+				if got, want := list(k), truncate(full, k); !slices.EqualFunc(got, want, same) {
+					t.Fatalf("seed %d, k=%d of %d:\n got %+v\nwant %+v", seed, k, len(full), got, want)
+				}
+			}
+		}
 	}
 }

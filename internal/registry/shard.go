@@ -1,7 +1,7 @@
 package registry
 
 import (
-	"sort"
+	"runtime"
 	"strconv"
 	"sync"
 	"time"
@@ -14,7 +14,10 @@ import (
 // shards one at a time and never stall writers on more than 1/NumShards
 // of the table. Epochs are claimed from the server-wide counter while
 // holding the owning shard's lock — see Server.epoch for why readers
-// cannot miss a stamped change.
+// cannot miss a stamped change. Each shard also remembers the newest
+// epoch stamped in it and the earliest time TTL expiry could touch it,
+// so delta scans skip the shards their cursor has already passed and no
+// scan applies expiry before something in the shard can have lapsed.
 
 // tombstoneKeep is how long a delete is remembered so delta clients and
 // peers that sync within it see the removal; pruning a tombstone raises
@@ -30,18 +33,51 @@ type tombstone struct {
 	Keep     time.Time
 }
 
+// never is the due time of a shard in which nothing can lapse.
+var never = time.Unix(1<<62, 0)
+
 // shard is one table partition. All fields are guarded by mu.
 type shard struct {
 	mu      sync.Mutex
 	entries map[string]Entry
 	tombs   map[string]tombstone
+
+	// lastChange is the highest ChangeEpoch or tombstone epoch ever
+	// stamped here, lastSeen the highest seenEpoch: LISTD skips a shard
+	// whose lastChange has not passed the client's cursor, SYNCD one
+	// whose lastSeen has not. Read under mu — the lock hold in which the
+	// writer claimed the epoch — so the Server.epoch argument covers the
+	// watermark exactly as it covers the entries.
+	lastChange, lastSeen uint64
+	// nextDue is a lower bound on the earliest time TTL expiry could
+	// change anything here (see Entry.due; a tombstone's is its Keep).
+	// Inserts lower it; a heartbeat that pushes an Expires later leaves
+	// it stale-early, which is safe: the sweep it triggers finds nothing
+	// and, like every sweep, recomputes it exactly.
+	nextDue time.Time
 }
 
 func newShard() *shard {
 	return &shard{
 		entries: make(map[string]Entry),
 		tombs:   make(map[string]tombstone),
+		nextDue: never,
 	}
+}
+
+// stamp claims the next epoch for a mutation of sh and records it in
+// the shard's watermarks; due is when expiry could first touch what the
+// mutation wrote. Every mutation goes through here, holding sh.mu.
+func (s *Server) stamp(sh *shard, material bool, due time.Time) uint64 {
+	epoch := s.epoch.Add(1)
+	sh.lastSeen = epoch
+	if material {
+		sh.lastChange = epoch
+	}
+	if due.Before(sh.nextDue) {
+		sh.nextDue = due
+	}
+	return epoch
 }
 
 // shardFor maps a relay name to its owning shard.
@@ -64,37 +100,90 @@ func fnv32(s string) uint32 {
 	return h
 }
 
-// sweepShard applies TTL expiry under sh.mu: lapsed entries are marked
-// down (a material change — clients need to see the outage), down
-// entries past their grace become tombstones, and expired tombstones
-// are pruned, raising the delta floor past their epochs.
-func (s *Server) sweepShard(sh *shard, now time.Time) {
+// due is the earliest time expiry could next change e: its TTL lapse
+// while it is live, the end of its grace once it is down.
+func (e Entry) due() time.Time {
+	if e.Down {
+		return e.Expires.Add(downGraceFactor * e.TTL)
+	}
+	return e.Expires
+}
+
+// scan visits the table one shard at a time under the shard's lock,
+// walking a shard unless clean (nil: never) vouches that it holds
+// nothing the caller wants and no TTL expiry is due in it. Shard
+// boundaries double as scheduling points: the scan yields after each
+// walk so concurrent writers interleave instead of queueing behind the
+// whole scan — the hold a single-mutex table cannot avoid.
+func (s *Server) scan(clean func(*shard) bool, entry func(Entry), tomb func(string, tombstone)) {
+	s.init()
+	now := s.now()
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		if clean != nil && clean(sh) && now.Before(sh.nextDue) {
+			sh.mu.Unlock()
+			continue
+		}
+		s.walkShard(sh, now, entry, tomb)
+		sh.mu.Unlock()
+		runtime.Gosched()
+	}
+}
+
+// walkShard passes sh's entries and tombstones to the (optional)
+// visitors in one walk under sh.mu, applying TTL expiry in that same
+// walk when it is due: lapsed entries are marked down (a material
+// change — clients need to see the outage), down entries past their
+// grace become tombstones, and expired tombstones are pruned, raising
+// the delta floor past their epochs. Visitors see the swept state.
+func (s *Server) walkShard(sh *shard, now time.Time, entry func(Entry), tomb func(string, tombstone)) {
+	s.walks.Add(1)
+	sweep := !now.Before(sh.nextDue)
+	due := never
 	for name, e := range sh.entries {
-		if e.Down {
-			if now.After(e.Expires.Add(downGraceFactor * e.TTL)) {
+		if sweep {
+			if now.After(e.due()) && e.Down {
 				delete(sh.entries, name)
 				sh.tombs[name] = tombstone{
-					Epoch:    s.epoch.Add(1),
+					Epoch:    s.stamp(sh, true, never),
 					LastSeen: e.LastSeen,
 					Keep:     now.Add(tombstoneKeep),
 				}
+				continue
 			}
-			continue
+			if now.After(e.due()) {
+				e.Down = true
+				e.ChangeEpoch = s.stamp(sh, true, never)
+				e.seenEpoch = e.ChangeEpoch
+				sh.entries[name] = e
+				s.Downs.Add(1)
+			}
+			if d := e.due(); d.Before(due) {
+				due = d
+			}
 		}
-		if e.Expires.Before(now) {
-			e.Down = true
-			epoch := s.epoch.Add(1)
-			e.ChangeEpoch = epoch
-			e.seenEpoch = epoch
-			sh.entries[name] = e
-			s.Downs.Add(1)
+		if entry != nil {
+			entry(e)
 		}
 	}
+	if !sweep && tomb == nil {
+		return
+	}
 	for name, t := range sh.tombs {
-		if now.After(t.Keep) {
+		if sweep && now.After(t.Keep) {
 			delete(sh.tombs, name)
 			s.raiseFloor(t.Epoch)
+			continue
 		}
+		if t.Keep.Before(due) {
+			due = t.Keep
+		}
+		if tomb != nil {
+			tomb(name, t)
+		}
+	}
+	if sweep {
+		sh.nextDue = due
 	}
 }
 
@@ -127,22 +216,24 @@ type Stats struct {
 	PerShard   []ShardStats `json:"per_shard"`
 }
 
-// Stats sweeps and snapshots per-shard occupancy and digests.
+// Stats snapshots per-shard occupancy and digests (applying any expiry
+// that is due on the way).
 func (s *Server) Stats() Stats {
 	s.init()
 	now := s.now()
 	st := Stats{Shards: len(s.shards)}
 	for _, sh := range s.shards {
+		var ss ShardStats
 		sh.mu.Lock()
-		s.sweepShard(sh, now)
-		ss := ShardStats{Entries: len(sh.entries), Tombstones: len(sh.tombs), Digest: shardDigest(sh)}
-		for _, e := range sh.entries {
+		s.walkShard(sh, now, func(e Entry) {
 			if e.Down {
 				st.Down++
 			} else {
 				st.Live++
 			}
-		}
+			ss.Digest ^= entryDigest(e)
+		}, nil)
+		ss.Entries, ss.Tombstones = len(sh.entries), len(sh.tombs)
 		sh.mu.Unlock()
 		st.Tombstones += ss.Tombstones
 		st.Digest ^= ss.Digest
@@ -204,8 +295,3 @@ func entryDigest(e Entry) uint64 {
 }
 
 func strconv64(v int64) string { return strconv.FormatInt(v, 10) }
-
-// sortSlice sorts entries with the given less function.
-func sortSlice(out []Entry, less func(a, b Entry) bool) {
-	sort.Slice(out, func(i, j int) bool { return less(out[i], out[j]) })
-}

@@ -149,3 +149,117 @@ func TestSweepDownThenTombstone(t *testing.T) {
 		t.Fatal("pruning did not raise the delta floor")
 	}
 }
+
+// Due-time sweeps must be exact where it shows: an entry whose TTL
+// lapses is reported down by the first poll after its Expires — with no
+// Sweep in between, no writer, and the client's cursor already at the
+// server's epoch, which is the poll a "nothing was stamped, so nothing
+// changed" shortcut would answer wrongly.
+func TestListDeltaReportsLapseWithoutSweep(t *testing.T) {
+	s, now := clockServer(time.Unix(1000, 0))
+	s.NumShards = 4
+	for i := 0; i < 16; i++ {
+		s.Register(fmt.Sprintf("r%d", i), "x:1", time.Hour)
+	}
+	s.Register("short", "x:1", 10*time.Second)
+	m := NewRankedSet()
+	m.Apply(s.ListDelta(0, 0))
+
+	*now = now.Add(10 * time.Second) // exactly Expires: not yet lapsed
+	if d := s.ListDelta(m.Epoch(), 0); d.Full || len(d.Entries) != 0 {
+		t.Fatalf("poll at Expires = %+v, want empty", d)
+	}
+	if m.Epoch() != s.Epoch() {
+		t.Fatalf("cursor %d behind epoch %d before the lapse", m.Epoch(), s.Epoch())
+	}
+	*now = now.Add(time.Nanosecond)
+	d := s.ListDelta(m.Epoch(), 0)
+	if d.Full || len(d.Entries) != 1 || d.Entries[0].Name != "short" || !d.Entries[0].Down {
+		t.Fatalf("first poll after the lapse = %+v, want short down", d)
+	}
+}
+
+// A heartbeat that pushes Expires later leaves the shard's due time
+// stale-early; the sweep that fires at the old Expires must find
+// nothing, and the entry must still lapse at the new one.
+func TestRefreshedEntryOutlivesItsOldExpiry(t *testing.T) {
+	s, now := clockServer(time.Unix(1000, 0))
+	s.Register("a", "x:1", 10*time.Second)
+	m := NewRankedSet()
+	m.Apply(s.ListDelta(0, 0))
+	*now = now.Add(8 * time.Second)
+	s.Register("a", "x:1", 10*time.Second) // Expires: 1010 -> 1018
+	*now = now.Add(3 * time.Second)        // 1011: past the old Expires
+	if d := s.ListDelta(m.Epoch(), 0); d.Full || len(d.Entries) != 0 {
+		t.Fatalf("poll past the old Expires = %+v, want empty", d)
+	}
+	if got := s.List(); len(got) != 1 {
+		t.Fatalf("refreshed entry not live: %+v", got)
+	}
+	*now = now.Add(8 * time.Second) // 1019: past the new one
+	if d := s.ListDelta(m.Epoch(), 0); len(d.Entries) != 1 || !d.Entries[0].Down {
+		t.Fatalf("poll past the new Expires = %+v, want a down", d)
+	}
+}
+
+// Tombstone pruning still happens with nobody calling Sweep: the poll
+// whose own expiry pass prunes a tombstone the client needed sees the
+// raised floor after its scan and answers with a full snapshot.
+func TestPollPrunesTombstoneAndFallsBackToFull(t *testing.T) {
+	s, now := clockServer(time.Unix(1000, 0))
+	s.Register("keep", "x:1", 24*time.Hour)
+	s.Register("gone", "y:1", time.Minute)
+	m := NewRankedSet()
+	m.Apply(s.ListDelta(0, 0))
+	cursor := m.Epoch()
+	s.Remove("gone")
+	*now = now.Add(tombstoneKeep + time.Second)
+	d := s.ListDelta(cursor, 0)
+	if !d.Full || s.deltaFloor.Load() <= cursor {
+		t.Fatalf("floor=%d cursor=%d delta=%+v, want a full snapshot from a raised floor", s.deltaFloor.Load(), cursor, d)
+	}
+	m.Apply(d)
+	if got := m.All(); len(got) != 1 || got[0].Name != "keep" {
+		t.Fatalf("mirror after the fallback = %+v, want only keep", got)
+	}
+	if st := s.Stats(); st.Tombstones != 0 {
+		t.Fatalf("tombstone not pruned: %+v", st)
+	}
+}
+
+// A quiet poll walks no entries: every shard is skipped on its watermark
+// and due time. A changed poll walks exactly the shards that changed.
+func TestQuietPollWalksNoShard(t *testing.T) {
+	var s Server
+	for i := 0; i < 5000; i++ {
+		s.RegisterHealth(fmt.Sprintf("relay-%05d", i), "10.0.0.1:1", time.Minute, 0.5)
+	}
+	since := s.Epoch()
+	s.RegisterHealth("relay-00007", "10.0.0.1:1", time.Minute, 0.5) // pure refresh
+	walks := s.walks.Load()
+	if d := s.ListDelta(since, 0); d.Full || len(d.Entries) != 0 {
+		t.Fatalf("quiet delta = %+v", d)
+	}
+	if got := s.walks.Load() - walks; got != 0 {
+		t.Fatalf("quiet ListDelta walked %d shards, want 0", got)
+	}
+	if d := s.SyncDelta(since); d.Full || len(d.Entries) != 1 {
+		t.Fatalf("sync delta after a refresh = %+v, want the one refreshed entry", d)
+	}
+	if got := s.walks.Load() - walks; got != 1 {
+		t.Fatalf("SyncDelta after one refresh walked %d shards, want 1", got)
+	}
+	s.RegisterHealth("relay-00007", "10.0.0.1:1", time.Minute, 0.6)
+	walks = s.walks.Load()
+	if d := s.ListDelta(since, 0); d.Full || len(d.Entries) != 1 {
+		t.Fatalf("changed delta = %+v", d)
+	}
+	if got := s.walks.Load() - walks; got != 1 {
+		t.Fatalf("ListDelta after one change walked %d shards, want 1", got)
+	}
+	walks = s.walks.Load()
+	s.Sweep()
+	if got := s.walks.Load() - walks; got != 0 {
+		t.Fatalf("Sweep with nothing due walked %d shards, want 0", got)
+	}
+}

@@ -189,46 +189,38 @@ func (s *Server) handle(conn net.Conn) {
 				fmt.Fprintf(bw, "ERR %v\n", err)
 			} else {
 				s.Registrations.Add(1)
-				fmt.Fprintf(bw, "OK\n")
+				bw.WriteString("OK\n")
 			}
 		case reqList:
 			s.Lists.Add(1)
 			for _, e := range s.List() {
 				fmt.Fprintf(bw, "%s %s\n", e.Name, e.Addr)
 			}
-			fmt.Fprintf(bw, ".\n")
+			bw.WriteString(".\n")
 		case reqListH:
 			s.Lists.Add(1)
 			for _, e := range s.rankedAll(req.K) {
-				fmt.Fprintf(bw, "%s %s %s %s%s\n", e.Name, e.Addr, formatHealth(e.Health),
-					stateWord(e.Down), maddrSuffix(e.MetricsAddr))
+				writeEntryLine(bw, "", e)
 			}
-			fmt.Fprintf(bw, ".\n")
+			bw.WriteString(".\n")
 		case reqListD:
 			s.DeltaLists.Add(1)
 			d := s.ListDelta(req.Since, req.K)
-			if d.Full {
-				s.FullDeltas.Add(1)
-			}
-			writeEpochLine(bw, d)
+			s.writeEpochLine(bw, d)
 			for _, de := range d.Entries {
 				if de.Deleted {
 					fmt.Fprintf(bw, "- %s\n", de.Name)
 				} else {
-					fmt.Fprintf(bw, "+ %s %s %s %s%s\n", de.Name, de.Addr, formatHealth(de.Health),
-						stateWord(de.Down), maddrSuffix(de.MetricsAddr))
+					writeEntryLine(bw, "+ ", de.Entry)
 				}
 			}
-			fmt.Fprintf(bw, ".\n")
+			bw.WriteString(".\n")
 		case reqEpoch:
 			fmt.Fprintf(bw, "EPOCH %d %d\n", s.Epoch(), s.Digest())
 		case reqSyncD:
 			s.Syncs.Add(1)
 			d := s.SyncDelta(req.Since)
-			if d.Full {
-				s.FullDeltas.Add(1)
-			}
-			writeEpochLine(bw, d)
+			s.writeEpochLine(bw, d)
 			for _, de := range d.Entries {
 				if de.Deleted {
 					fmt.Fprintf(bw, "- %s %d\n", de.Name, de.LastSeen.UnixNano())
@@ -237,7 +229,7 @@ func (s *Server) handle(conn net.Conn) {
 						de.LastSeen.UnixNano(), int64(de.TTL), maddrSuffix(de.MetricsAddr))
 				}
 			}
-			fmt.Fprintf(bw, ".\n")
+			bw.WriteString(".\n")
 		}
 		if bw.Flush() != nil {
 			return
@@ -246,12 +238,47 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-func writeEpochLine(bw *bufio.Writer, d Delta) {
+// writeEpochLine writes a LISTD/SYNCD header, counting full fallbacks.
+func (s *Server) writeEpochLine(bw *bufio.Writer, d Delta) {
+	bw.WriteString("EPOCH ")
+	writeUint(bw, d.Epoch)
 	if d.Full {
-		fmt.Fprintf(bw, "EPOCH %d full\n", d.Epoch)
-	} else {
-		fmt.Fprintf(bw, "EPOCH %d\n", d.Epoch)
+		s.FullDeltas.Add(1)
+		bw.WriteString(" full")
 	}
+	bw.WriteByte('\n')
+}
+
+// writeEntryLine writes one LISTH body line, or with prefix "+ " one
+// LISTD upsert: "name addr health state [maddr]". Write errors stick to
+// the writer and surface at the caller's Flush.
+func writeEntryLine(bw *bufio.Writer, prefix string, e Entry) {
+	bw.WriteString(prefix)
+	bw.WriteString(e.Name)
+	bw.WriteByte(' ')
+	bw.WriteString(e.Addr)
+	bw.WriteByte(' ')
+	bw.Write(appendHealth(bw.AvailableBuffer(), e.Health))
+	bw.WriteByte(' ')
+	bw.WriteString(stateWord(e.Down))
+	bw.WriteString(maddrSuffix(e.MetricsAddr))
+	bw.WriteByte('\n')
+}
+
+func writeUint(bw *bufio.Writer, v uint64) {
+	bw.Write(strconv.AppendUint(bw.AvailableBuffer(), v, 10))
+}
+
+// writeCommand writes one request line — the verb, then each argument
+// after a space — into the connection's writer and flushes it.
+func writeCommand(bw *bufio.Writer, verb string, args ...uint64) error {
+	bw.WriteString(verb)
+	for _, a := range args {
+		bw.WriteByte(' ')
+		writeUint(bw, a)
+	}
+	bw.WriteByte('\n')
+	return bw.Flush()
 }
 
 // --- Response-line parsers (client side) ---
