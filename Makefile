@@ -1,7 +1,7 @@
 GO ?= go
 BENCHTIME ?= 1s
 
-.PHONY: build vet test race bench bench-json bench-smoke fuzz-smoke chaos-smoke obs-smoke flight-smoke verify
+.PHONY: build vet test race bench bench-json bench-smoke fuzz-smoke chaos-smoke obs-smoke flight-smoke stress verify
 
 build:
 	$(GO) build ./...
@@ -90,6 +90,16 @@ flight-smoke:
 	$(GO) test -race -count=1 ./internal/realnet/ ./internal/relay/ -run 'Flight'
 	$(GO) test -race -count=1 ./internal/obs/ -run 'SLOObjectiveOne|SLOOnFastBurn|HealthOnTransition'
 	$(GO) test -race -count=1 ./internal/daemon/ -run 'AllDaemonMetricsPagesLint'
+
+# The determinism tier: the packages whose tests read what a request
+# leaves behind (spans, wide events, histograms, health folds, cache and
+# byte counters) twenty times over under the race detector, then the
+# repo benchmark's smoke test ten times. Everything those tests read
+# either lands before the final byte or is waited for with WaitIdle, so
+# one failure here is a bug, not a flake.
+stress:
+	$(GO) test -race -count=20 ./internal/relay/ ./internal/realnet/ ./internal/obs/flight/ ./internal/obs/
+	cd bench && $(GO) test -count=10 ./...
 
 # The CI tier: static checks plus the full suite under the race detector.
 verify: vet race

@@ -278,7 +278,7 @@ func BenchmarkExtensionMultipathStriping(b *testing.B) {
 // scale with object size, because every body flows through a recycled
 // fixed-size buffer rather than being materialized.
 func BenchmarkClientLoopbackStream(b *testing.B) {
-	origin := relay.NewOrigin()
+	origin := relay.NewOriginServer()
 	origin.Put("bench.bin", 8<<20)
 	ol, err := origin.ServeAddr("127.0.0.1:0")
 	if err != nil {

@@ -19,7 +19,7 @@ import (
 // promptly over the direct path: chaos on one candidate never wedges
 // the client.
 func TestChaosClientRoutesAroundFaultyRelay(t *testing.T) {
-	origin := relay.NewOrigin()
+	origin := relay.NewOriginServer()
 	origin.Put("big.bin", 96_000)
 	ol, err := origin.ServeAddr("127.0.0.1:0")
 	if err != nil {

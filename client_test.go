@@ -105,6 +105,12 @@ func TestClientProbeBytesOption(t *testing.T) {
 	if tr.lastBytes != 12_345 {
 		t.Fatalf("probe size %d, want 12345", tr.lastBytes)
 	}
+	// The sequential form probes direct and every candidate, one at a
+	// time, at the same configured size.
+	seq := c.ProbeSequential(context.Background(), repro.Object{Server: "s", Name: "o", Size: 1_000_000}, []string{"r"})
+	if len(seq) != 2 || tr.lastBytes != 12_345 {
+		t.Fatalf("%d sequential probe results of %d bytes, want 2 of 12345", len(seq), tr.lastBytes)
+	}
 }
 
 // stuckTransport only completes transfers through context death.
@@ -163,28 +169,11 @@ func TestClientTimeoutBoundsStuckTransfer(t *testing.T) {
 	}
 }
 
-func TestDeprecatedFreeFunctionsStillWork(t *testing.T) {
-	tr := &fakeTransport{rate: 1e6}
-	obj := repro.Object{Server: "s", Name: "o", Size: 200_000}
-	out := repro.SelectAndFetch(tr, obj, []string{"r"}, repro.Config{ProbeBytes: 50_000})
-	if out.Err != nil {
-		t.Fatalf("deprecated SelectAndFetch failed: %v", out.Err)
-	}
-	probes := repro.Probe(&fakeTransport{rate: 1e6}, obj, 50_000, []string{"r"})
-	if len(probes) != 2 {
-		t.Fatalf("%d probe results, want 2", len(probes))
-	}
-	seq := repro.ProbeSequential(&fakeTransport{rate: 1e6}, obj, 50_000, []string{"r"})
-	if len(seq) != 2 {
-		t.Fatalf("%d sequential probe results, want 2", len(seq))
-	}
-}
-
 // TestClientPoolOptions checks WithPoolSize/WithIdleTTL reach the real
 // transport and that the pool reports reuse through the facade — a
 // second fetch on the same path must ride the first one's connection.
 func TestClientPoolOptions(t *testing.T) {
-	origin := relay.NewOrigin()
+	origin := relay.NewOriginServer()
 	origin.Put("big.bin", 1_000_000)
 	ol, err := origin.ServeAddr("127.0.0.1:0")
 	if err != nil {
@@ -236,7 +225,7 @@ func (p *progressRecorder) TransferProgress(e repro.ProgressEvent) {
 // end to end: a client-attached ProgressObserver sees the streamed bytes,
 // and the built-in metrics snapshot counts them.
 func TestClientStreamsProgressEvents(t *testing.T) {
-	origin := relay.NewOrigin()
+	origin := relay.NewOriginServer()
 	origin.Put("big.bin", 2_000_000)
 	ol, err := origin.ServeAddr("127.0.0.1:0")
 	if err != nil {
@@ -274,7 +263,7 @@ func TestClientStreamsProgressEvents(t *testing.T) {
 // repeat fetches are served from the cache without origin traffic, and
 // CacheStats surfaces the re-exported snapshot.
 func TestClientCacheOptions(t *testing.T) {
-	origin := relay.NewOrigin()
+	origin := relay.NewOriginServer()
 	origin.Put("big.bin", 1_000_000)
 	ol, err := origin.ServeAddr("127.0.0.1:0")
 	if err != nil {

@@ -99,7 +99,7 @@ func main() {
 	var engine *flight.Engine
 	origin := relay.NewOriginServer(
 		relay.WithHealthMonitor(obs.NewHealthMonitor(obs.HealthConfig{
-			Clock: obs.WallClock(),
+			Clock:        obs.WallClock(),
 			OnTransition: func(path string, tr obs.HealthTransition) { engine.FireHealth(path, tr) },
 		})),
 		relay.WithSpans(spans),
@@ -199,6 +199,10 @@ func main() {
 	<-ctx.Done()
 	logger.Info("shutting down", "bytes_served", origin.BytesServed.Load())
 	l.Close()
+	// Requests still streaming record their serve span when they finish;
+	// a second interrupt ends the wait the default way.
+	stop()
+	origin.WaitIdle()
 	if *tracePath != "" {
 		if err := writeSpans(*tracePath, spans); err != nil {
 			logger.Error("span archive failed", "path", *tracePath, "err", err)

@@ -52,7 +52,7 @@ func main() {
 		spans = obs.NewSpanCollector(0)
 	}
 
-	origin := relay.NewOrigin()
+	origin := relay.NewOriginServer()
 	origin.Spans = spans
 	origin.Put("large.bin", *size)
 	ol, err := origin.ServeAddr("127.0.0.1:0")

@@ -327,6 +327,11 @@ func main() {
 	logger.Info("shutting down", "requests", r.Requests.Load(),
 		"bytes_relayed", r.BytesRelayed.Load())
 	l.Close()
+	// Forwards still streaming finish their records — spans, wide events —
+	// before those are archived. The signal handler is released first, so
+	// a second interrupt ends a wait on a wedged transfer the default way.
+	stop()
+	r.WaitIdle()
 	if *tracePath != "" {
 		if err := writeSpans(*tracePath, spans); err != nil {
 			logger.Error("span archive failed", "path", *tracePath, "err", err)

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,7 +19,7 @@ import (
 )
 
 func main() {
-	origin := relay.NewOrigin()
+	origin := relay.NewOriginServer()
 	const objSize = 2_000_000
 	origin.Put("large.bin", objSize)
 	ol, err := origin.ServeAddr("127.0.0.1:0")
@@ -55,7 +56,7 @@ func main() {
 
 	fmt.Println("paths: direct 3 Mb/s, r1 4 Mb/s, r2 5 Mb/s")
 
-	sel := repro.SelectAndFetch(tr, obj, cands, repro.Config{ProbeBytes: 150_000})
+	sel := repro.New(tr, repro.WithProbeBytes(150_000)).SelectAndFetch(context.Background(), obj, cands)
 	if sel.Err != nil {
 		log.Fatal(sel.Err)
 	}

@@ -19,7 +19,7 @@ import (
 
 func main() {
 	// Origin with a 1.5 MB object.
-	origin := relay.NewOrigin()
+	origin := relay.NewOriginServer()
 	const objSize = 1_500_000
 	origin.Put("large.bin", objSize)
 	ol, err := origin.ServeAddr("127.0.0.1:0")

@@ -149,7 +149,7 @@ func scrapeJSON(t *testing.T, addr, path string, v any) {
 // rolling window, and the damped state machine must walk healthy ->
 // degraded -> down (collapse, then kill) without flapping.
 func TestHealthTelemetryTracksInducedDegradation(t *testing.T) {
-	origin := relay.NewOrigin()
+	origin := relay.NewOriginServer()
 	origin.Put("big.bin", 96_000)
 	ol, err := origin.ServeAddr("127.0.0.1:0")
 	if err != nil {

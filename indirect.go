@@ -35,8 +35,6 @@
 package repro
 
 import (
-	"context"
-
 	"repro/internal/core"
 	"repro/internal/objcache"
 	"repro/internal/obs"
@@ -297,33 +295,6 @@ const Direct = core.Direct
 // DefaultProbeBytes is the paper's probe size x (100 KB).
 const DefaultProbeBytes = core.DefaultProbeBytes
 
-// SelectAndFetch probes the direct path and all candidates, selects the
-// winner, and fetches the remainder of obj over it.
-//
-// Deprecated: use [New] and [Client.SelectAndFetch], which take a
-// context and support per-operation timeouts and retry. This wrapper
-// runs a one-off Client under context.Background.
-func SelectAndFetch(t Transport, obj Object, candidates []string, cfg Config) Outcome {
-	return New(t, WithConfig(cfg)).SelectAndFetch(context.Background(), obj, candidates)
-}
-
-// Probe races an x-byte range request on the direct path and every
-// candidate concurrently.
-//
-// Deprecated: use [Client.Probe], which takes a context and carries the
-// probe size in the client's configuration.
-func Probe(t Transport, obj Object, x int64, candidates []string) []ProbeResult {
-	return New(t, WithProbeBytes(x)).Probe(context.Background(), obj, candidates)
-}
-
-// ProbeSequential probes candidates one at a time (contention-free).
-//
-// Deprecated: use [Client.ProbeSequential], which takes a context and
-// carries the probe size in the client's configuration.
-func ProbeSequential(t Transport, obj Object, x int64, candidates []string) []ProbeResult {
-	return New(t, WithProbeBytes(x)).ProbeSequential(context.Background(), obj, candidates)
-}
-
 // Choose applies the selection rule to probe results.
 func Choose(probes []ProbeResult, rule Rule) Path {
 	return core.Choose(probes, rule)
@@ -344,11 +315,3 @@ func NewTracker() *Tracker { return core.NewTracker() }
 
 // NewMonitor returns an empty background path monitor.
 func NewMonitor() *Monitor { return core.NewMonitor() }
-
-// SelectMonitored performs a probe-free transfer using the monitor's
-// table, feeding the outcome back into it.
-//
-// Deprecated: use [Client.SelectMonitored], which takes a context.
-func SelectMonitored(t Transport, obj Object, candidates []string, m *Monitor) Outcome {
-	return New(t).SelectMonitored(context.Background(), obj, candidates, m)
-}

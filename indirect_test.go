@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"testing"
 
 	"repro"
@@ -12,7 +13,7 @@ import (
 // quickstart does: origin + relays on loopback, shaped paths, one
 // select-and-fetch.
 func TestFacadeEndToEnd(t *testing.T) {
-	origin := relay.NewOrigin()
+	origin := relay.NewOriginServer()
 	origin.Put("large.bin", 600_000)
 	ol, err := origin.ServeAddr("127.0.0.1:0")
 	if err != nil {
@@ -42,7 +43,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	// The probe must exceed the shaper's 64 KB token burst for the rate
 	// difference to show (the same reason the paper's probe must exceed
 	// slow start).
-	out := repro.SelectAndFetch(tr, obj, []string{"campus"}, repro.Config{ProbeBytes: 150_000})
+	out := repro.New(tr, repro.WithProbeBytes(150_000)).SelectAndFetch(context.Background(), obj, []string{"campus"})
 	if out.Err != nil {
 		t.Fatal(out.Err)
 	}
@@ -78,7 +79,7 @@ func TestFacadeHelpers(t *testing.T) {
 }
 
 func TestFacadeMultipath(t *testing.T) {
-	origin := relay.NewOrigin()
+	origin := relay.NewOriginServer()
 	origin.Put("large.bin", 600_000)
 	ol, err := origin.ServeAddr("127.0.0.1:0")
 	if err != nil {
@@ -129,7 +130,7 @@ func TestFacadeMonitor(t *testing.T) {
 }
 
 func TestFacadeDownloader(t *testing.T) {
-	origin := relay.NewOrigin()
+	origin := relay.NewOriginServer()
 	origin.Put("large.bin", 500_000)
 	ol, err := origin.ServeAddr("127.0.0.1:0")
 	if err != nil {

@@ -64,7 +64,7 @@ func serveDaemon(t *testing.T, d *Daemon) string {
 // /debug/paths, and /debug/slo must parse as JSON alongside.
 func TestAllDaemonMetricsPagesLint(t *testing.T) {
 	// Origin with a health monitor keyed by object.
-	origin := relay.NewOrigin()
+	origin := relay.NewOriginServer()
 	origin.Put("obj.bin", 1<<20)
 	origin.Health = obs.NewHealthMonitor(obs.HealthConfig{Window: 10, Buckets: 10, Clock: obs.WallClock()})
 	ol, err := origin.ServeAddr("127.0.0.1:0")
@@ -100,7 +100,7 @@ func TestAllDaemonMetricsPagesLint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer gl.Close()
-	if err := registry.RegisterHealth(gl.Addr().String(), "r1", rl.Addr().String(), time.Minute, 0.9); err != nil {
+	if err := registry.NewClient(gl.Addr().String()).RegisterHealth(context.Background(), "r1", rl.Addr().String(), time.Minute, 0.9); err != nil {
 		t.Fatal(err)
 	}
 

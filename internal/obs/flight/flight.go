@@ -21,10 +21,11 @@
 //     health →down transitions and, rate-limited per path, snapshots a
 //     debug bundle of all of the above.
 //
-// Everything is nil-safe in the style of obs.ActiveSpan: a nil
-// *Recorder starts nil *Transfer handles, and every method on both
-// no-ops, so the uninstrumented hot path pays one pointer comparison
-// per site and allocates nothing.
+// The transfer path writes none of this directly. It marks one Record
+// per transfer (record.go); the record's single Finish feeds the wide
+// event here alongside the spans, the latency histogram and the health
+// fold. A nil *Recorder is the disabled state: a record started without
+// one keeps no row, and every read method below returns nothing.
 package flight
 
 import (
@@ -33,12 +34,11 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Phase is one named slice of a transfer's lifetime, measured between
-// consecutive Transfer.Phase marks (the same boundaries the span
-// children use: dial, request-write, ttfb, stream, ...).
+// consecutive Record.Phase marks (the span children are cut at the same
+// marks: dial, request-write, ttfb, stream, ...).
 type Phase struct {
 	Name string  `json:"name"`
 	Secs float64 `json:"secs"`
@@ -116,7 +116,7 @@ type Recorder struct {
 	next   int
 	full   bool
 	seq    uint64
-	active map[uint64]*Transfer
+	active map[uint64]*trail
 
 	archCh      chan []byte
 	archDropped atomic.Uint64
@@ -130,7 +130,7 @@ func NewRecorder(cfg Config) *Recorder {
 	r := &Recorder{
 		cfg:    cfg,
 		ring:   make([]Event, cfg.Ring),
-		active: make(map[uint64]*Transfer),
+		active: make(map[uint64]*trail),
 	}
 	if cfg.Archive != nil {
 		r.archCh = make(chan []byte, cfg.ArchiveQueue)
@@ -162,26 +162,17 @@ func (r *Recorder) CloseArchive() {
 	<-r.archDone
 }
 
-// Start opens an in-flight transfer handle. A nil recorder returns a
-// nil handle, on which every method no-ops.
-func (r *Recorder) Start(service, path, object string) *Transfer {
+// begin gives a record's trail its sequence number and lists it in the
+// in-flight table. A nil recorder lists nothing.
+func (r *Recorder) begin(t *trail) {
 	if r == nil {
-		return nil
+		return
 	}
-	t := &Transfer{
-		rec:     r,
-		service: service,
-		path:    path,
-		object:  object,
-		begin:   time.Now(),
-	}
-	t.phaseAt = t.begin
 	r.mu.Lock()
 	r.seq++
 	t.id = r.seq
 	r.active[t.id] = t
 	r.mu.Unlock()
-	return t
 }
 
 // finish moves a transfer's event into the ring and hands it to the
@@ -360,9 +351,9 @@ func (r *Recorder) Active() []ActiveTransfer {
 	if r == nil {
 		return nil
 	}
-	now := time.Now()
+	now := clock()
 	r.mu.Lock()
-	live := make([]*Transfer, 0, len(r.active))
+	live := make([]*trail, 0, len(r.active))
 	for _, t := range r.active {
 		live = append(live, t)
 	}
@@ -378,163 +369,4 @@ func (r *Recorder) Active() []ActiveTransfer {
 		}
 	}
 	return out
-}
-
-// Transfer is one in-flight transfer's handle: the transfer path marks
-// phases and progress on it, and Finish folds it into the wide-event
-// ring. Phase/trace/cache/finish calls come from the one goroutine that
-// owns the transfer (like obs.ActiveSpan); bytes and the snapshot
-// reader may race them, so everything the snapshot reads is behind the
-// handle's mutex or atomic. A nil *Transfer no-ops everywhere.
-type Transfer struct {
-	rec     *Recorder
-	id      uint64
-	service string
-	begin   time.Time
-
-	bytes atomic.Int64
-
-	mu      sync.Mutex
-	path    string
-	object  string
-	trace   string
-	phase   string
-	phaseAt time.Time
-	phases  []Phase
-	cache   string
-	retries int
-	warm    bool
-	done    bool
-}
-
-func (t *Transfer) snapshot(now time.Time) ActiveTransfer {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return ActiveTransfer{
-		ID: t.id, Service: t.service, Path: t.path, Object: t.object,
-		Trace: t.trace, Phase: t.phase, Bytes: t.bytes.Load(),
-		AgeSecs: now.Sub(t.begin).Seconds(),
-		Retries: t.retries, Warm: t.warm,
-	}
-}
-
-// Phase marks a phase transition, closing the previous phase's
-// duration. Nil-safe.
-func (t *Transfer) Phase(name string) {
-	if t == nil {
-		return
-	}
-	now := time.Now()
-	t.mu.Lock()
-	t.closePhase(now)
-	t.phase = name
-	t.phaseAt = now
-	t.mu.Unlock()
-}
-
-// closePhase folds the elapsed current phase into the phase list.
-// Caller holds t.mu.
-func (t *Transfer) closePhase(now time.Time) {
-	if t.phase == "" {
-		return
-	}
-	secs := now.Sub(t.phaseAt).Seconds()
-	// Retried phases repeat (dial, ttfb, ...): accumulate into the last
-	// entry of the same name rather than growing without bound.
-	if n := len(t.phases); n > 0 && t.phases[n-1].Name == t.phase {
-		t.phases[n-1].Secs += secs
-		return
-	}
-	t.phases = append(t.phases, Phase{Name: t.phase, Secs: secs})
-}
-
-// StoreBytes records the payload bytes delivered so far. Nil-safe.
-func (t *Transfer) StoreBytes(n int64) {
-	if t == nil {
-		return
-	}
-	t.bytes.Store(n)
-}
-
-// AddBytes adds to the payload bytes delivered so far. Nil-safe.
-func (t *Transfer) AddBytes(n int64) {
-	if t == nil {
-		return
-	}
-	t.bytes.Add(n)
-}
-
-// SetTrace links the transfer to its trace ID (hex form). Nil-safe.
-func (t *Transfer) SetTrace(trace string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.trace = trace
-	t.mu.Unlock()
-}
-
-// SetCache records the cache disposition ("hit", "shared", "miss").
-// Nil-safe.
-func (t *Transfer) SetCache(state string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.cache = state
-	t.mu.Unlock()
-}
-
-// Retry counts one cold re-attempt. Nil-safe.
-func (t *Transfer) Retry() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.retries++
-	t.mu.Unlock()
-}
-
-// SetWarm marks the transfer as a warm continuation. Nil-safe.
-func (t *Transfer) SetWarm() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.warm = true
-	t.mu.Unlock()
-}
-
-// Finish closes the transfer with its outcome and folds the wide event
-// into the recorder. Only the first Finish takes effect. Nil-safe.
-func (t *Transfer) Finish(class, errText string) {
-	if t == nil {
-		return
-	}
-	now := time.Now()
-	t.mu.Lock()
-	if t.done {
-		t.mu.Unlock()
-		return
-	}
-	t.done = true
-	t.closePhase(now)
-	ev := Event{
-		Seq:      t.id,
-		Wall:     now.UnixNano(),
-		Service:  t.service,
-		Path:     t.path,
-		Object:   t.object,
-		Trace:    t.trace,
-		Class:    class,
-		Err:      errText,
-		Duration: now.Sub(t.begin).Seconds(),
-		Bytes:    t.bytes.Load(),
-		Cache:    t.cache,
-		Retries:  t.retries,
-		Warm:     t.warm,
-		Phases:   t.phases,
-	}
-	t.mu.Unlock()
-	t.rec.finish(t.id, ev)
 }

@@ -8,24 +8,34 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
+
+// start opens a record that feeds only the recorder.
+func start(r *Recorder, service, path, object string) *Record {
+	rec := new(Record)
+	rec.Start(Spec{Flight: r, Service: service, Path: path, Object: object})
+	return rec
+}
 
 // record runs one whole transfer through the recorder with the given
 // identity and outcome.
-func record(r *Recorder, path, object, class string) {
-	t := r.Start("client", path, object)
+func record(r *Recorder, path, object string, class obs.ErrClass) {
+	t := start(r, "client", path, object)
 	t.Phase("dial")
 	t.Phase("stream")
 	t.StoreBytes(100)
-	t.Finish(class, "")
+	t.Outcome(class, "")
+	t.Finish()
 }
 
 func TestRecorderRingRotationAndFilter(t *testing.T) {
 	r := NewRecorder(Config{Ring: 4})
-	record(r, "direct", "a.bin", "ok")
-	record(r, "relay:r1", "a.bin", "ok")
-	record(r, "direct", "b.bin", "refused")
-	record(r, "relay:r1", "b.bin", "ok")
+	record(r, "direct", "a.bin", obs.ClassOK)
+	record(r, "relay:r1", "a.bin", obs.ClassOK)
+	record(r, "direct", "b.bin", obs.ClassFailed)
+	record(r, "relay:r1", "b.bin", obs.ClassOK)
 
 	evs := r.Events(Filter{})
 	if len(evs) != 4 {
@@ -43,8 +53,8 @@ func TestRecorderRingRotationAndFilter(t *testing.T) {
 	}
 
 	// Two more finishes rotate the two oldest out of the 4-slot ring.
-	record(r, "direct", "c.bin", "ok")
-	record(r, "direct", "d.bin", "ok")
+	record(r, "direct", "c.bin", obs.ClassOK)
+	record(r, "direct", "d.bin", obs.ClassOK)
 	if got := r.Dropped(); got != 2 {
 		t.Fatalf("Dropped = %d after rotation, want 2", got)
 	}
@@ -55,7 +65,7 @@ func TestRecorderRingRotationAndFilter(t *testing.T) {
 	}
 
 	// Filters are conjunctive and exact.
-	if evs := r.Events(Filter{Path: "direct", Class: "refused"}); len(evs) != 1 || evs[0].Object != "b.bin" {
+	if evs := r.Events(Filter{Path: "direct", Class: "failed"}); len(evs) != 1 || evs[0].Object != "b.bin" {
 		t.Fatalf("path+class filter = %+v", evs)
 	}
 	if evs := r.Events(Filter{Path: "direct", N: 1}); len(evs) != 1 || evs[0].Object != "d.bin" {
@@ -71,26 +81,29 @@ func TestRecorderRingRotationAndFilter(t *testing.T) {
 
 func TestRecorderEventFields(t *testing.T) {
 	r := NewRecorder(Config{Ring: 8})
-	tr := r.Start("relay", "127.0.0.1:9999", "obj.bin")
-	tr.SetTrace("deadbeef")
+	trace := obs.NewTraceID()
+	tr := new(Record)
+	tr.Start(Spec{Flight: r, Service: "relay", Path: "127.0.0.1:9999", Object: "obj.bin",
+		Warm: true, Parent: obs.SpanContext{Trace: trace, Span: obs.NewSpanID()}})
 	tr.SetCache("miss")
-	tr.SetWarm()
-	tr.Retry()
+	tr.Retry(time.Millisecond, errors.New("connection reset"))
 	tr.Phase("dial")
 	tr.Phase("ttfb")
 	tr.Phase("dial") // a retry revisits an earlier phase name
 	tr.Phase("stream")
 	tr.AddBytes(40)
 	tr.AddBytes(2)
-	tr.Finish("reset", "connection reset")
-	tr.Finish("ok", "") // only the first Finish counts
+	tr.Outcome(obs.ClassFailed, "connection reset")
+	tr.Finish()
+	tr.Outcome(obs.ClassOK, "")
+	tr.Finish() // only the first Finish counts
 
-	evs := r.Events(Filter{Trace: "deadbeef"})
+	evs := r.Events(Filter{Trace: trace.String()})
 	if len(evs) != 1 {
 		t.Fatalf("trace filter found %d events", len(evs))
 	}
 	ev := evs[0]
-	if ev.Service != "relay" || ev.Class != "reset" || ev.Err != "connection reset" ||
+	if ev.Service != "relay" || ev.Class != "failed" || ev.Err != "connection reset" ||
 		ev.Cache != "miss" || !ev.Warm || ev.Retries != 1 || ev.Bytes != 42 {
 		t.Fatalf("event fields wrong: %+v", ev)
 	}
@@ -107,8 +120,8 @@ func TestRecorderEventFields(t *testing.T) {
 
 func TestActiveTable(t *testing.T) {
 	r := NewRecorder(Config{})
-	old := r.Start("client", "direct", "a.bin")
-	young := r.Start("client", "relay:r1", "b.bin")
+	old := start(r, "client", "direct", "a.bin")
+	young := start(r, "client", "relay:r1", "b.bin")
 	young.Phase("ttfb")
 	young.StoreBytes(7)
 
@@ -123,8 +136,8 @@ func TestActiveTable(t *testing.T) {
 		t.Fatalf("live row wrong: %+v", act[1])
 	}
 
-	old.Finish("ok", "")
-	young.Finish("ok", "")
+	old.Finish()
+	young.Finish()
 	if act := r.Active(); len(act) != 0 {
 		t.Fatalf("Active after finish = %+v", act)
 	}
@@ -172,7 +185,7 @@ func TestArchiveNeverBlocksTransferPath(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 10; i++ {
-			record(r, "direct", "a.bin", "ok")
+			record(r, "direct", "a.bin", obs.ClassOK)
 		}
 	}()
 	select {
@@ -200,7 +213,7 @@ func (failingSink) Write([]byte) (int, error) { return 0, errors.New("disk full"
 
 func TestArchiveWriteFailuresCount(t *testing.T) {
 	r := NewRecorder(Config{Ring: 8, Archive: failingSink{}})
-	record(r, "direct", "a.bin", "ok")
+	record(r, "direct", "a.bin", obs.ClassOK)
 	r.CloseArchive()
 	if r.ArchiveDropped() != 1 {
 		t.Fatalf("ArchiveDropped = %d, want 1", r.ArchiveDropped())
@@ -217,8 +230,8 @@ func TestArchiveLines(t *testing.T) {
 		return len(p), nil
 	})
 	r := NewRecorder(Config{Ring: 8, Archive: sink})
-	record(r, "direct", "a.bin", "ok")
-	record(r, "relay:r1", "b.bin", "refused")
+	record(r, "direct", "a.bin", obs.ClassOK)
+	record(r, "relay:r1", "b.bin", obs.ClassFailed)
 	r.CloseArchive()
 
 	lines := strings.Split(strings.TrimSpace(string(buf)), "\n")
@@ -229,7 +242,7 @@ func TestArchiveLines(t *testing.T) {
 	if err := json.Unmarshal([]byte(lines[1]), &ev); err != nil {
 		t.Fatalf("archive line not JSON: %v", err)
 	}
-	if ev.Path != "relay:r1" || ev.Class != "refused" {
+	if ev.Path != "relay:r1" || ev.Class != "failed" {
 		t.Fatalf("archived event = %+v", ev)
 	}
 }
@@ -240,19 +253,22 @@ func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
 func TestNilRecorderAndTransferNoOp(t *testing.T) {
 	var r *Recorder
-	tr := r.Start("client", "direct", "a.bin")
-	if tr != nil {
-		t.Fatal("nil recorder returned a live handle")
-	}
-	// Every handle method must be callable on nil.
+	tr := start(r, "client", "direct", "a.bin")
+	// A record started with nothing attached stays closed; every method
+	// must still be callable on it.
 	tr.Phase("dial")
+	tr.PhaseAttr("addr", "x")
+	tr.SetAttr("path", "direct")
 	tr.StoreBytes(1)
 	tr.AddBytes(1)
-	tr.SetTrace("ff")
 	tr.SetCache("hit")
-	tr.Retry()
-	tr.SetWarm()
-	tr.Finish("ok", "")
+	tr.Retry(time.Millisecond, errors.New("x"))
+	tr.Abort(obs.ClassCanceled)
+	tr.Progress(0, 1, 2)
+	tr.Finish()
+	if tr.Tracing() || tr.Context().Valid() {
+		t.Fatal("closed record claims to trace")
+	}
 	if r.Seen() != 0 || r.Dropped() != 0 || r.ArchiveDropped() != 0 {
 		t.Fatal("nil recorder counted something")
 	}
@@ -270,7 +286,7 @@ func TestRecorderConcurrentUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				record(r, "direct", "a.bin", "ok")
+				record(r, "direct", "a.bin", obs.ClassOK)
 			}
 		}()
 	}
@@ -311,12 +327,13 @@ func BenchmarkFlightAppend(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr := r.Start("client", "direct", "a.bin")
+		var tr Record
+		tr.Start(Spec{Flight: r, Service: "client", Path: "direct", Object: "a.bin"})
 		tr.Phase("dial")
 		tr.Phase("ttfb")
 		tr.Phase("stream")
 		tr.StoreBytes(1 << 20)
-		tr.Finish("ok", "")
+		tr.Finish()
 	}
 }
 
@@ -327,11 +344,12 @@ func BenchmarkFlightDisabled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr := r.Start("client", "direct", "a.bin")
+		var tr Record
+		tr.Start(Spec{Flight: r, Service: "client", Path: "direct", Object: "a.bin"})
 		tr.Phase("dial")
 		tr.Phase("ttfb")
 		tr.Phase("stream")
 		tr.StoreBytes(1 << 20)
-		tr.Finish("ok", "")
+		tr.Finish()
 	}
 }

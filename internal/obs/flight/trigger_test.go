@@ -188,10 +188,11 @@ func TestBundleContentAndStitchedTraces(t *testing.T) {
 	span := spans.StartSpan(obs.SpanContext{}, "client", "transfer")
 	trace := span.Context().Trace.String()
 	span.End(obs.ClassFailed, "connection reset")
-	tr := rec.Start("client", "pathA", "obj.bin")
-	tr.SetTrace(trace)
-	tr.Finish("reset", "connection reset")
-	record(rec, "pathB", "other.bin", "ok")
+	tr := new(Record)
+	tr.Start(Spec{Flight: rec, Service: "client", Path: "pathA", Object: "obj.bin", Parent: span.Context()})
+	tr.Outcome(obs.ClassFailed, "connection reset")
+	tr.Finish()
+	record(rec, "pathB", "other.bin", obs.ClassOK)
 
 	e := NewEngine(TriggerConfig{
 		Recorder: rec,

@@ -236,7 +236,7 @@ type pathHealth struct {
 // and keeps a damped health state per path. It implements Observer (and
 // is safe for concurrent use), so attaching it to a Client or a
 // core.Config is one line; daemons without an event stream feed it
-// directly through Observe/ObserveRetry.
+// directly through Observe.
 type HealthMonitor struct {
 	cfg HealthConfig
 
@@ -569,14 +569,6 @@ func (m *HealthMonitor) Observe(key string, class ErrClass, latency float64, byt
 	t := m.now()
 	m.mu.Unlock()
 	m.fold(key, t, class, latency, bytes, false)
-}
-
-// ObserveRetry records one retry on key at the monitor's clock.
-func (m *HealthMonitor) ObserveRetry(key string) {
-	m.mu.Lock()
-	t := m.now()
-	m.mu.Unlock()
-	m.fold(key, t, ClassFailed, 0, 0, true)
 }
 
 // --- Snapshots --------------------------------------------------------

@@ -337,15 +337,6 @@ func histSnapshot(h *stats.Histogram) HistogramSnapshot {
 	return s
 }
 
-// HistogramSnapshotOf copies an arbitrary stats histogram into the
-// snapshot form (quantiles included, sum estimated from bin centers).
-// The daemons use it to expose their server-side latency histograms
-// through the same /metrics renderer the client metrics use. The caller
-// provides any locking the histogram needs.
-func HistogramSnapshotOf(h *stats.Histogram) HistogramSnapshot {
-	return histSnapshot(h)
-}
-
 // LatencyRecorder is a self-initializing request-latency histogram for
 // the daemons' /metrics endpoints: [0, 20) s at 0.1 s resolution,
 // matching the client probe-latency geometry so the two views line up.

@@ -13,7 +13,7 @@ import (
 // grows from 64 KB to 16 MB, because bodies flow through a recycled
 // 64 KB buffer instead of being materialized.
 func benchWarmFetch(b *testing.B, size int64) {
-	origin := relay.NewOrigin()
+	origin := relay.NewOriginServer()
 	origin.Put("bench.bin", 32<<20)
 	ol, err := origin.ServeAddr("127.0.0.1:0")
 	if err != nil {

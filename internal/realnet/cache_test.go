@@ -11,7 +11,7 @@ import (
 // client-side cache, no shaping.
 func cacheTestbed(t *testing.T, cacheBytes int64) (*Transport, *relay.Origin) {
 	t.Helper()
-	origin := relay.NewOrigin()
+	origin := relay.NewOriginServer()
 	origin.Put("big.bin", 2_000_000)
 	ol, err := origin.ServeAddr("127.0.0.1:0")
 	if err != nil {

@@ -25,7 +25,7 @@ import (
 // error, and in particular no ErrProbeTimeout charged to a path that is
 // perfectly healthy.
 func TestWarmFetchSurvivesSeveredPool(t *testing.T) {
-	origin := relay.NewOrigin()
+	origin := relay.NewOriginServer()
 	origin.Put("obj.bin", 1<<20)
 	ol, err := origin.ServeAddr("127.0.0.1:0")
 	if err != nil {
@@ -80,7 +80,7 @@ func TestWarmFetchSurvivesSeveredPool(t *testing.T) {
 // leftover expiry fired on the first read and surfaced as a spurious
 // ErrProbeTimeout.
 func TestWarmFetchClearsLingeringDeadline(t *testing.T) {
-	origin := relay.NewOrigin()
+	origin := relay.NewOriginServer()
 	origin.Put("obj.bin", 1<<20)
 	ol, err := origin.ServeAddr("127.0.0.1:0")
 	if err != nil {
@@ -122,7 +122,7 @@ func TestWarmFetchClearsLingeringDeadline(t *testing.T) {
 // fresh dial instead of surfacing the socket error (or worse, writing
 // into a dead conn and misclassifying the fallout as a probe timeout).
 func TestWarmFetchSurvivesDeadPooledConn(t *testing.T) {
-	origin := relay.NewOrigin()
+	origin := relay.NewOriginServer()
 	origin.Put("obj.bin", 1<<20)
 	ol, err := origin.ServeAddr("127.0.0.1:0")
 	if err != nil {

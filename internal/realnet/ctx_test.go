@@ -12,12 +12,13 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/relay"
 	"repro/internal/shaper"
 )
 
 func TestCancelClosesTransferPromptly(t *testing.T) {
-	origin := relay.NewOrigin()
+	origin := relay.NewOriginServer()
 	origin.Put("big.bin", 8_000_000)
 	ol, err := origin.ServeAddr("127.0.0.1:0")
 	if err != nil {
@@ -27,9 +28,11 @@ func TestCancelClosesTransferPromptly(t *testing.T) {
 
 	d := shaper.NewDialer()
 	d.SetProfile(ol.Addr().String(), shaper.PathProfile{DownloadBps: 1e6}) // 8 MB would take ~64s
+	m := obs.NewMetrics()
 	tr := &Transport{
-		Servers: map[string]string{"origin": ol.Addr().String()},
-		Dial:    d.Dial,
+		Servers:  map[string]string{"origin": ol.Addr().String()},
+		Dial:     d.Dial,
+		Observer: m,
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -48,13 +51,13 @@ func TestCancelClosesTransferPromptly(t *testing.T) {
 	if elapsed > 3*time.Second {
 		t.Fatalf("Wait took %v after cancellation; conn not closed?", elapsed)
 	}
-	if tr.Canceled.Load() == 0 {
+	if m.Snapshot().Aborts == 0 {
 		t.Fatal("cancellation not accounted")
 	}
 }
 
 func TestProbeRaceCancelsLosingConnections(t *testing.T) {
-	origin := relay.NewOrigin()
+	origin := relay.NewOriginServer()
 	origin.Put("big.bin", 400_000)
 	ol, err := origin.ServeAddr("127.0.0.1:0")
 	if err != nil {
@@ -81,14 +84,16 @@ func TestProbeRaceCancelsLosingConnections(t *testing.T) {
 	// are canceled when the winner commits, the whole operation finishes
 	// long before that.
 	d.SetProfile(sl.Addr().String(), shaper.PathProfile{DownloadBps: 0.25e6})
+	m := obs.NewMetrics()
 	tr := &Transport{
 		Servers: map[string]string{"origin": ol.Addr().String()},
 		Relays: map[string]string{
 			"fast": fl.Addr().String(),
 			"slow": sl.Addr().String(),
 		},
-		Dial:   d.Dial,
-		Verify: true,
+		Dial:     d.Dial,
+		Verify:   true,
+		Observer: m,
 	}
 
 	obj := core.Object{Server: "origin", Name: "big.bin", Size: 400_000}
@@ -106,13 +111,13 @@ func TestProbeRaceCancelsLosingConnections(t *testing.T) {
 	if elapsed > 4*time.Second {
 		t.Fatalf("operation took %v; losing probes drained instead of being canceled", elapsed)
 	}
-	if tr.Canceled.Load() == 0 {
+	if m.Snapshot().Aborts == 0 {
 		t.Fatal("no loser cancellation accounted")
 	}
 }
 
 func TestColdDialRetryWithBackoff(t *testing.T) {
-	origin := relay.NewOrigin()
+	origin := relay.NewOriginServer()
 	origin.Put("big.bin", 100_000)
 	ol, err := origin.ServeAddr("127.0.0.1:0")
 	if err != nil {
@@ -127,11 +132,13 @@ func TestColdDialRetryWithBackoff(t *testing.T) {
 		}
 		return net.Dial(network, addr)
 	}
+	m := obs.NewMetrics()
 	tr := &Transport{
 		Servers:      map[string]string{"origin": ol.Addr().String()},
 		Dial:         flaky,
 		MaxRetries:   2,
 		RetryBackoff: time.Millisecond,
+		Observer:     m,
 	}
 
 	obj := core.Object{Server: "origin", Name: "big.bin", Size: 100_000}
@@ -140,7 +147,7 @@ func TestColdDialRetryWithBackoff(t *testing.T) {
 	if err := h.Result().Err; err != nil {
 		t.Fatalf("transfer failed despite retries: %v", err)
 	}
-	if got := tr.Retries.Load(); got != 2 {
+	if got := m.Snapshot().Retries; got != 2 {
 		t.Fatalf("Retries = %d, want 2", got)
 	}
 	if got := dials.Load(); got != 3 {
@@ -149,18 +156,20 @@ func TestColdDialRetryWithBackoff(t *testing.T) {
 }
 
 func TestRetriesExhausted(t *testing.T) {
+	m := obs.NewMetrics()
 	tr := &Transport{
 		Servers:      map[string]string{"origin": "127.0.0.1:1"},
 		Dial:         func(string, string) (net.Conn, error) { return nil, fmt.Errorf("down") },
 		MaxRetries:   1,
 		RetryBackoff: time.Millisecond,
+		Observer:     m,
 	}
 	h := tr.Start(core.Object{Server: "origin", Name: "x", Size: 10}, core.Path{}, 0, 10)
 	tr.Wait(h)
 	if h.Result().Err == nil {
 		t.Fatal("expected error once retries are exhausted")
 	}
-	if got := tr.Retries.Load(); got != 1 {
+	if got := m.Snapshot().Retries; got != 1 {
 		t.Fatalf("Retries = %d, want 1", got)
 	}
 }
@@ -304,7 +313,7 @@ func (p *killableProxy) kill() {
 }
 
 func TestDownloaderFailsOverWhenRelayKilledMidFetch(t *testing.T) {
-	origin := relay.NewOrigin()
+	origin := relay.NewOriginServer()
 	origin.Put("big.bin", 2_000_000)
 	ol, err := origin.ServeAddr("127.0.0.1:0")
 	if err != nil {
@@ -374,7 +383,7 @@ func TestDownloaderFailsOverWhenRelayKilledMidFetch(t *testing.T) {
 }
 
 func TestWaitAnyReturnsOnCancellation(t *testing.T) {
-	origin := relay.NewOrigin()
+	origin := relay.NewOriginServer()
 	origin.Put("big.bin", 8_000_000)
 	ol, err := origin.ServeAddr("127.0.0.1:0")
 	if err != nil {

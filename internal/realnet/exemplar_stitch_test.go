@@ -90,6 +90,10 @@ func TestExemplarResolvesToStitchedTrace(t *testing.T) {
 		fetch("small.bin", smallSize)
 	}
 	fetch("large.bin", largeSize)
+	// Latency observations and spans land when each hop's record
+	// finishes, after the client already holds the last byte.
+	r.WaitIdle()
+	origin.WaitIdle()
 
 	// Scrape the relay in OpenMetrics mode over real HTTP.
 	status, hdr, body, err := httpx.Get(ctx, nil, ml.Addr().String(), "/metrics",

@@ -29,7 +29,7 @@ func fetchOnce(t *testing.T, tr *Transport, obj core.Object) {
 // phase durations for the transfer's real stages, delivered bytes,
 // outcome class, and the trace ID linking it to the span timeline.
 func TestFlightWideEventOnFetch(t *testing.T) {
-	origin := relay.NewOrigin()
+	origin := relay.NewOriginServer()
 	origin.Put("obj.bin", 100_000)
 	ol, err := origin.ServeAddr("127.0.0.1:0")
 	if err != nil {
@@ -99,7 +99,7 @@ func TestFlightWideEventOnFetch(t *testing.T) {
 // TestFlightEventRecordsRetriesAndWarm asserts the retry counter and
 // the warm (pooled-connection) flag land on the wide event.
 func TestFlightEventRecordsRetriesAndWarm(t *testing.T) {
-	origin := relay.NewOrigin()
+	origin := relay.NewOriginServer()
 	origin.Put("obj.bin", 50_000)
 	ol, err := origin.ServeAddr("127.0.0.1:0")
 	if err != nil {
@@ -149,7 +149,7 @@ func TestFlightEventRecordsRetriesAndWarm(t *testing.T) {
 // recorded as cache "hit" with the delivered bytes, without a dial
 // phase (the network was never touched).
 func TestFlightEventRecordsClientCacheHit(t *testing.T) {
-	origin := relay.NewOrigin()
+	origin := relay.NewOriginServer()
 	origin.Put("obj.bin", 60_000)
 	ol, err := origin.ServeAddr("127.0.0.1:0")
 	if err != nil {

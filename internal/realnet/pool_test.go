@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/relay"
 	"repro/internal/shaper"
 )
@@ -47,11 +48,13 @@ func TestHugeMaxRetriesDoesNotPanic(t *testing.T) {
 	}
 	addr := l.Addr().String()
 	l.Close() // nothing listens here anymore
+	m := obs.NewMetrics()
 	tr := &Transport{
 		Servers:      map[string]string{"origin": addr},
 		MaxRetries:   math.MaxInt32,
 		RetryBackoff: time.Nanosecond,
 		DialTimeout:  20 * time.Millisecond,
+		Observer:     m,
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
@@ -64,7 +67,7 @@ func TestHugeMaxRetriesDoesNotPanic(t *testing.T) {
 	if !errors.Is(res.Err, core.ErrProbeTimeout) && !errors.Is(res.Err, core.ErrCanceled) {
 		t.Fatalf("err = %v, want the typed context error", res.Err)
 	}
-	if tr.Retries.Load() == 0 {
+	if m.Snapshot().Retries == 0 {
 		t.Fatal("no retries recorded before the deadline")
 	}
 }
@@ -74,7 +77,7 @@ func TestHugeMaxRetriesDoesNotPanic(t *testing.T) {
 // was drained must return the connection to the pool, so the next warm
 // fetch rides the same TCP connection.
 func TestStatusErrorKeepsConnWarm(t *testing.T) {
-	origin := relay.NewOrigin()
+	origin := relay.NewOriginServer()
 	origin.Put("big.bin", 1_000_000)
 	ol, err := origin.ServeAddr("127.0.0.1:0")
 	if err != nil {
@@ -119,7 +122,7 @@ func TestStatusErrorKeepsConnWarm(t *testing.T) {
 // TestPoolBoundsIdlePerPath parks more connections than the per-path cap
 // allows and checks the surplus is discarded, not accumulated.
 func TestPoolBoundsIdlePerPath(t *testing.T) {
-	origin := relay.NewOrigin()
+	origin := relay.NewOriginServer()
 	origin.Put("big.bin", 1_000_000)
 	ol, err := origin.ServeAddr("127.0.0.1:0")
 	if err != nil {
@@ -157,7 +160,7 @@ func TestPoolBoundsIdlePerPath(t *testing.T) {
 // TestPoolTTLEvictsIdleConns parks a connection under a tiny TTL and
 // waits for the background sweeper to drop it.
 func TestPoolTTLEvictsIdleConns(t *testing.T) {
-	origin := relay.NewOrigin()
+	origin := relay.NewOriginServer()
 	origin.Put("big.bin", 1_000_000)
 	ol, err := origin.ServeAddr("127.0.0.1:0")
 	if err != nil {
@@ -211,7 +214,7 @@ func (d *countingDialer) Dial(network, addr string) (net.Conn, error) {
 // chunks per dialed connection, with the reuse counter showing the warm
 // continuations hitting the pool.
 func TestMultipathChunksReusePooledConns(t *testing.T) {
-	origin := relay.NewOrigin()
+	origin := relay.NewOriginServer()
 	origin.Put("big.bin", 1_500_000)
 	ol, err := origin.ServeAddr("127.0.0.1:0")
 	if err != nil {
@@ -265,7 +268,7 @@ func TestMultipathChunksReusePooledConns(t *testing.T) {
 // accounting: a transfer killed mid-stream reports how many bytes
 // actually arrived.
 func TestPartialDeliveryRecorded(t *testing.T) {
-	origin := relay.NewOrigin()
+	origin := relay.NewOriginServer()
 	origin.Put("big.bin", 4_000_000)
 	ol, err := origin.ServeAddr("127.0.0.1:0")
 	if err != nil {
@@ -346,7 +349,7 @@ func corruptingProxy(t *testing.T, upstream string, flipAt int64) net.Listener {
 // the stream loop: a byte flipped deep in the body fails the transfer
 // with a content-mismatch error.
 func TestMidStreamCorruptionDetected(t *testing.T) {
-	origin := relay.NewOrigin()
+	origin := relay.NewOriginServer()
 	origin.Put("big.bin", 1_000_000)
 	ol, err := origin.ServeAddr("127.0.0.1:0")
 	if err != nil {
@@ -381,7 +384,7 @@ func TestMidStreamCorruptionDetected(t *testing.T) {
 // TestPoolCloseDiscards checks Close semantics: parked connections are
 // evicted and later finishers are discarded instead of parked.
 func TestPoolCloseDiscards(t *testing.T) {
-	origin := relay.NewOrigin()
+	origin := relay.NewOriginServer()
 	origin.Put("big.bin", 1_000_000)
 	ol, err := origin.ServeAddr("127.0.0.1:0")
 	if err != nil {

@@ -30,9 +30,7 @@ import (
 	"net"
 	"reflect"
 	"strconv"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -109,37 +107,29 @@ type Transport struct {
 	// them until evicted. Only meaningful with CacheBytes set.
 	CacheTTL time.Duration
 
+	// Observer, Spans and Flight are the sinks every transfer's record
+	// (flight.Record) feeds; all nil (the default) leaves the record
+	// closed, every site on the hot path a nil check, and the allocation
+	// profile unchanged.
+	//
 	// Observer receives transport-level events: RetryScheduled for every
-	// cold re-attempt (with the chosen backoff) and TransferAborted for
-	// every context-death teardown. Nil disables emission. The engine's
+	// cold re-attempt (with the chosen backoff), TransferAborted for every
+	// context-death teardown, and stream progress. The engine's
 	// probe/selection events are configured separately (core.Config);
-	// pointing both at the same Metrics collector gives one unified view.
+	// pointing both at the same Metrics collector gives one unified view,
+	// whose Retries and Aborts are the counts of those events.
 	Observer obs.Observer
-
-	// Spans collects distributed-tracing spans. When set, every transfer
-	// records a "transfer" span (parented on the span context carried by
-	// its context, typically the engine's root or race span) with
-	// per-phase children — dial, request-write, ttfb, stream, verify — and
-	// stamps the transfer span's context into the request's x-trace header
-	// so relay and origin continue the same trace. Nil (the default)
-	// disables tracing; every span site then reduces to a nil check, so
-	// the hot path's allocation profile is unchanged.
+	// Spans collects distributed-tracing spans: a "transfer" span per
+	// transfer (parented on the span context carried by its context,
+	// typically the engine's root or race span) with per-phase children —
+	// dial, request-write, ttfb, stream, verify — and the transfer span's
+	// context stamped into the request's x-trace header so relay and
+	// origin continue the same trace.
 	Spans *obs.SpanCollector
-
-	// Flight, when set, records one wide event per transfer into the
-	// flight recorder's bounded ring (phases, bytes, cache state, retries,
-	// trace ID) and exposes in-flight transfers to its active table. Nil
-	// (the default) disables recording; every hook reduces to a nil check
-	// on the handle, so the hot path's allocation profile is unchanged.
+	// Flight records one wide event per transfer into the flight
+	// recorder's bounded ring (phases, bytes, cache state, retries, trace
+	// ID) and lists in-flight transfers in its active table.
 	Flight *flight.Recorder
-
-	// Retries counts retry attempts performed across all transfers.
-	// It is kept in lockstep with the RetryScheduled events for callers
-	// that only want the number, not the stream.
-	Retries atomic.Int64
-	// Canceled counts transfers that ended by cancellation or deadline,
-	// in lockstep with the TransferAborted events.
-	Canceled atomic.Int64
 
 	startOnce sync.Once
 	start     time.Time
@@ -170,59 +160,28 @@ func (t *Transport) init() {
 	t.startOnce.Do(func() { t.start = time.Now() })
 }
 
-func (t *Transport) dialTimeout() time.Duration {
+// orDefault resolves a knob that follows the Transport convention: a
+// positive value is itself, zero means def, negative disables (zero).
+func orDefault[T int | time.Duration](v, def T) T {
 	switch {
-	case t.DialTimeout > 0:
-		return t.DialTimeout
-	case t.DialTimeout < 0:
+	case v > 0:
+		return v
+	case v < 0:
 		return 0
 	}
-	return DefaultDialTimeout
+	return def
 }
 
-func (t *Transport) maxRetries() int {
-	switch {
-	case t.MaxRetries > 0:
-		return t.MaxRetries
-	case t.MaxRetries < 0:
-		return 0
-	}
-	return DefaultMaxRetries
-}
-
-func (t *Transport) retryBackoff() time.Duration {
-	if t.RetryBackoff > 0 {
-		return t.RetryBackoff
-	}
-	return DefaultRetryBackoff
-}
-
-func (t *Transport) maxIdlePerPath() int {
-	switch {
-	case t.MaxIdlePerPath > 0:
-		return t.MaxIdlePerPath
-	case t.MaxIdlePerPath < 0:
-		return 0
-	}
-	return DefaultMaxIdlePerPath
-}
-
-func (t *Transport) idleTTL() time.Duration {
-	switch {
-	case t.IdleTTL > 0:
-		return t.IdleTTL
-	case t.IdleTTL < 0:
-		return 0
-	}
-	return DefaultIdleTTL
-}
+func (t *Transport) dialTimeout() time.Duration { return orDefault(t.DialTimeout, DefaultDialTimeout) }
+func (t *Transport) maxRetries() int            { return orDefault(t.MaxRetries, DefaultMaxRetries) }
 
 // idlePool returns the transport's connection pool, building it from the
 // MaxIdlePerPath/IdleTTL fields on first use (so they must be set before
 // the first transfer, like every other Transport field).
 func (t *Transport) idlePool() *connPool {
 	t.poolOnce.Do(func() {
-		t.pool = newConnPool(t.maxIdlePerPath(), t.idleTTL(), t.poolEvent)
+		t.pool = newConnPool(orDefault(t.MaxIdlePerPath, DefaultMaxIdlePerPath),
+			orDefault(t.IdleTTL, DefaultIdleTTL), t.poolEvent)
 	})
 	return t.pool
 }
@@ -250,16 +209,14 @@ func (t *Transport) objCache() *objcache.Cache {
 		if t.CacheBytes <= 0 {
 			return
 		}
-		var verify objcache.VerifyFunc
+		var verify relay.VerifyFunc
 		if t.Verify {
-			verify = func(key string, off int64, data []byte) bool {
-				return relay.VerifyRange(objectNameFromCacheKey(key), off, data)
-			}
+			verify = relay.VerifyRange
 		}
 		t.cache = objcache.New(objcache.Config{
 			MaxBytes: t.CacheBytes,
 			TTL:      t.CacheTTL,
-			Verify:   verify,
+			Verify:   relay.KeyVerifier(verify),
 		})
 	})
 	return t.cache
@@ -280,15 +237,6 @@ func (t *Transport) CacheStats() objcache.Stats {
 // shares one cache entry, which is the point of caching above the
 // path-selection layer.
 func objCacheKey(obj core.Object) string { return obj.Server + "/" + obj.Name }
-
-// objectNameFromCacheKey recovers the object name for serve-time
-// re-verification: everything after the first '/'.
-func objectNameFromCacheKey(key string) string {
-	if i := strings.IndexByte(key, '/'); i >= 0 {
-		return key[i+1:]
-	}
-	return key
-}
 
 // StatusError reports a non-success HTTP response. It is permanent from
 // the transport's point of view: the server answered, so the request is
@@ -318,10 +266,10 @@ type handle struct {
 	mu  sync.Mutex
 	res core.FetchResult
 
-	// progress is the payload bytes delivered by the current attempt,
-	// updated from the stream loop and folded into the result on failure
+	// rec is the transfer's record. Its byte count is the payload
+	// delivered by the current attempt, folded into the result on failure
 	// so callers can account for partial delivery.
-	progress atomic.Int64
+	rec flight.Record
 
 	connMu   sync.Mutex
 	conn     net.Conn
@@ -351,7 +299,7 @@ func (h *handle) finish(end float64, err error) {
 		h.res.End = end
 		h.res.Err = err
 		if err != nil {
-			h.res.Delivered = h.progress.Load()
+			h.res.Delivered = h.rec.Bytes()
 		}
 		h.mu.Unlock()
 		close(h.done)
@@ -416,37 +364,32 @@ func (t *Transport) startFetch(ctx context.Context, obj core.Object, path core.P
 	h := &handle{done: make(chan struct{})}
 	h.res = core.FetchResult{Path: path, Offset: off, Bytes: n, Start: t.Now()}
 
-	var tspan *obs.ActiveSpan
+	var parent obs.SpanContext
 	if t.Spans != nil {
-		parent, _ := obs.SpanFromContext(ctx)
-		tspan = t.Spans.StartSpan(parent, "client", "transfer")
-		tspan.SetAttr("path", obsPathID(obj, path).Label())
-		tspan.SetAttr("object", obj.Name)
-		if warm {
-			tspan.SetAttr("warm", "true")
-		}
+		parent, _ = obs.SpanFromContext(ctx)
 	}
-	ft := t.Flight.Start("client", obsPathID(obj, path).Label(), obj.Name)
-	if warm {
-		ft.SetWarm()
-	}
-	if tspan != nil {
-		ft.SetTrace(tspan.Context().Trace.String())
-	}
+	id := obs.PathID{Server: obj.Server, Object: obj.Name, Via: path.Via}
+	rec := &h.rec
+	rec.Start(flight.Spec{
+		Spans: t.Spans, Flight: t.Flight, Observer: t.Observer,
+		Service: "client", Phase: "transfer", Path: id.Label(), Object: obj.Name,
+		Warm: warm, Parent: parent, ID: id, Epoch: t.start})
+	rec.SetAttr("path", id.Label())
+	rec.SetAttr("object", obj.Name)
 
 	ctx, cancelCtx := t.transferContext(ctx)
 	go func() {
 		defer cancelCtx()
 		var err error
 		flight.DoLabeled(ctx, "fetch", func(ctx context.Context) {
-			err = t.fetch(ctx, h, obj, path, off, n, warm, tspan, ft)
+			err = t.fetch(ctx, h, obj, path, off, n, warm)
 		})
-		// The fetch goroutine owns the span (and the wide event): even when
-		// the watcher below publishes a cancellation first, fetch returns
-		// the typed error moments later (the closed socket unwinds its
-		// read), so both still end exactly once with the right class.
-		tspan.End(core.ErrClassOf(err), errString(err))
-		ft.Finish(core.ErrClassOf(err).String(), errString(err))
+		// The fetch goroutine owns the record: even when the watcher below
+		// publishes a cancellation first, fetch returns the typed error
+		// moments later (the closed socket unwinds its read), so the record
+		// still finishes exactly once with the right class.
+		rec.Outcome(core.ErrClassOf(err), errString(err))
+		rec.Finish()
 		h.finish(t.Now(), err)
 	}()
 	// The watcher makes cancellation prompt: the instant ctx dies it
@@ -456,32 +399,13 @@ func (t *Transport) startFetch(ctx context.Context, obj core.Object, path core.P
 		select {
 		case <-ctx.Done():
 			h.cancel()
-			t.Canceled.Add(1)
 			err := core.CtxErr(ctx)
-			if o := t.Observer; o != nil {
-				o.TransferAborted(obs.Abort{
-					Path: obsPathID(obj, path), Time: t.Now(), Class: core.ErrClassOf(err),
-				})
-			}
+			rec.Abort(core.ErrClassOf(err))
 			h.finish(t.Now(), err)
 		case <-h.done:
 		}
 	}()
 	return h
-}
-
-// obsPathID is the event identity of a transfer on this transport.
-func obsPathID(obj core.Object, p core.Path) obs.PathID {
-	return obs.PathID{Server: obj.Server, Object: obj.Name, Via: p.Via}
-}
-
-// childSpan opens a per-phase child of a transfer span; nil in, nil out,
-// so phase sites need no enabled-checks of their own.
-func (t *Transport) childSpan(parent *obs.ActiveSpan, phase string) *obs.ActiveSpan {
-	if parent == nil {
-		return nil
-	}
-	return t.Spans.StartSpan(parent.Context(), "client", phase)
 }
 
 func errString(err error) string {
@@ -572,7 +496,10 @@ const maxRetryDelay = 5 * time.Second
 // doubles per attempt up to maxRetryDelay, with ±50% jitter so
 // synchronized clients do not stampede a recovering node.
 func (t *Transport) retryDelay(attempt int) time.Duration {
-	d := t.retryBackoff()
+	d := t.RetryBackoff
+	if d <= 0 {
+		d = DefaultRetryBackoff
+	}
 	for i := 1; i < attempt && d < maxRetryDelay; i++ {
 		d *= 2
 	}
@@ -582,18 +509,12 @@ func (t *Transport) retryDelay(attempt int) time.Duration {
 	return d/2 + time.Duration(rand.Int63n(int64(d)))
 }
 
-// scheduleRetry counts a retry, announces it (with the chosen backoff)
-// to the observer, and sleeps the backoff out — returning early with the
-// typed error if ctx dies first.
-func (t *Transport) scheduleRetry(ctx context.Context, obj core.Object, path core.Path, attempt int, cause error) error {
-	t.Retries.Add(1)
+// scheduleRetry counts a retry on the record (which announces it, with
+// the chosen backoff, to the observer) and sleeps the backoff out —
+// returning early with the typed error if ctx dies first.
+func (t *Transport) scheduleRetry(ctx context.Context, rec *flight.Record, attempt int, cause error) error {
 	d := t.retryDelay(attempt)
-	if o := t.Observer; o != nil {
-		o.RetryScheduled(obs.Retry{
-			Path: obsPathID(obj, path), Time: t.Now(),
-			Attempt: attempt, Backoff: d.Seconds(), Err: cause.Error(),
-		})
-	}
+	rec.Retry(d, cause)
 	timer := time.NewTimer(d)
 	defer timer.Stop()
 	select {
@@ -613,20 +534,15 @@ func (t *Transport) scheduleRetry(ctx context.Context, obj core.Object, path cor
 // leave the connection in a known-good state park it for the next warm
 // continuation — including status-error responses whose body was fully
 // drained, since the server answered cleanly.
-func (t *Transport) fetch(ctx context.Context, h *handle, obj core.Object, path core.Path, off, n int64, warm bool, tspan *obs.ActiveSpan, ft *flight.Transfer) error {
+func (t *Transport) fetch(ctx context.Context, h *handle, obj core.Object, path core.Path, off, n int64, warm bool) error {
+	rec := &h.rec
 	if c := t.objCache(); c != nil {
 		if data, ok := c.Get(objCacheKey(obj), off, n); ok {
 			// Fully covered by cached spans: the transfer completes without
 			// touching the network (and without consulting path health — a
 			// local hit says nothing about any path).
-			if tspan != nil {
-				tspan.SetAttr("cache", "hit")
-			}
-			ft.SetCache("hit")
-			delivered := int64(len(data))
-			ft.StoreBytes(delivered)
-			h.progress.Store(delivered)
-			t.emitProgress(obj, path, off, delivered, delivered, n)
+			rec.SetCache("hit")
+			rec.Progress(off, int64(len(data)), n)
 			return nil
 		}
 	}
@@ -659,12 +575,10 @@ func (t *Transport) fetch(ctx context.Context, h *handle, obj core.Object, path 
 			return err
 		}
 		if pc == nil {
-			dspan := t.childSpan(tspan, "dial")
-			dspan.SetAttr("addr", dialAddr)
-			ft.Phase("dial")
+			rec.Phase("dial")
+			rec.PhaseAttr("addr", dialAddr)
 			conn, err := t.dialConn(ctx, dialAddr)
 			if err != nil {
-				dspan.End(core.ErrClassOf(err), err.Error())
 				if cerr := core.CtxErr(ctx); cerr != nil {
 					return cerr
 				}
@@ -672,13 +586,11 @@ func (t *Transport) fetch(ctx context.Context, h *handle, obj core.Object, path 
 					return fmt.Errorf("realnet: dial %s: %w", dialAddr, err)
 				}
 				retries++
-				ft.Retry()
-				if berr := t.scheduleRetry(ctx, obj, path, retries, err); berr != nil {
+				if berr := t.scheduleRetry(ctx, rec, retries, err); berr != nil {
 					return berr
 				}
 				continue
 			}
-			dspan.EndOK()
 			pc = &pooledConn{conn: conn, br: bufio.NewReader(conn)}
 		}
 		h.setConn(pc.conn)
@@ -695,22 +607,16 @@ func (t *Transport) fetch(ctx context.Context, h *handle, obj core.Object, path 
 			reused = false
 			continue
 		}
-		h.progress.Store(0)
-		reusable, err := t.doRange(pc, h, obj, path, target, host, off, n, tspan, ft)
+		rec.StoreBytes(0)
+		reusable, err := t.doRange(pc, rec, obj, target, host, off, n)
 		h.setConn(nil)
 		if err != nil {
 			var se *StatusError
 			if errors.As(err, &se) {
 				// The server answered; a reusable connection survives the
 				// failure (the old code closed it here, burning a warm
-				// connection on every 404). Parking requires clearing the
-				// transfer deadline — a connection that refuses is dead and
-				// must not reach the pool with a stale deadline armed.
-				if reusable && pc.conn.SetDeadline(time.Time{}) == nil {
-					t.idlePool().park(key, pc)
-				} else {
-					pc.conn.Close()
-				}
+				// connection on every 404).
+				t.release(key, pc, reusable)
 				return err
 			}
 			pc.conn.Close()
@@ -738,20 +644,25 @@ func (t *Transport) fetch(ctx context.Context, h *handle, obj core.Object, path 
 				return err
 			}
 			retries++
-			ft.Retry()
-			if berr := t.scheduleRetry(ctx, obj, path, retries, err); berr != nil {
+			if berr := t.scheduleRetry(ctx, rec, retries, err); berr != nil {
 				return berr
 			}
 			continue
 		}
-		// Same park-site guard as above: only a connection whose deadline
-		// cleanly cleared may re-enter the pool.
-		if reusable && pc.conn.SetDeadline(time.Time{}) == nil {
-			t.idlePool().park(key, pc)
-		} else {
-			pc.conn.Close()
-		}
+		t.release(key, pc, reusable)
 		return nil
+	}
+}
+
+// release parks a connection a transfer left in a known-good state, and
+// closes any other. Parking requires clearing the transfer deadline — a
+// connection that refuses is dead and must not reach the pool with a
+// stale deadline armed.
+func (t *Transport) release(key string, pc *pooledConn, reusable bool) {
+	if reusable && pc.conn.SetDeadline(time.Time{}) == nil {
+		t.idlePool().park(key, pc)
+	} else {
+		pc.conn.Close()
 	}
 }
 
@@ -773,34 +684,28 @@ var streamBufs = sync.Pool{
 
 // doRange issues one keep-alive range request on an open connection and
 // streams the body: each buffer-full is verified (when Verify is set)
-// and counted into the handle's progress as it arrives, so nothing
-// proportional to n is ever held in memory. It reports whether the
-// connection remains usable for another request.
-func (t *Transport) doRange(pc *pooledConn, h *handle, obj core.Object, path core.Path, target, host string, off, n int64, tspan *obs.ActiveSpan, ft *flight.Transfer) (reusable bool, err error) {
+// and counted into the record as it arrives, so nothing proportional to
+// n is ever held in memory. It reports whether the connection remains
+// usable for another request.
+func (t *Transport) doRange(pc *pooledConn, rec *flight.Record, obj core.Object, target, host string, off, n int64) (reusable bool, err error) {
 	req := httpx.NewGet(target, host)
 	delete(req.Header, "connection") // keep-alive
 	req.SetRange(off, n)
-	if tspan != nil {
+	if sc := rec.Context(); sc.Valid() {
 		// The transfer span's context goes on the wire, so the relay's
 		// forward span (and through it the origin's serve span) nests under
 		// this transfer in the stitched timeline.
-		req.Header[obs.TraceHeader] = tspan.Context().Header()
+		req.Header[obs.TraceHeader] = sc.Header()
 	}
-	wspan := t.childSpan(tspan, "request-write")
-	ft.Phase("request-write")
+	rec.Phase("request-write")
 	if err := req.Write(pc.conn); err != nil {
-		wspan.End(obs.ClassFailed, err.Error())
 		return false, err
 	}
-	wspan.EndOK()
-	fspan := t.childSpan(tspan, "ttfb")
-	ft.Phase("ttfb")
+	rec.Phase("ttfb")
 	resp, err := httpx.ReadResponse(pc.br)
 	if err != nil {
-		fspan.End(obs.ClassFailed, err.Error())
 		return false, err
 	}
-	fspan.EndOK()
 	keep := resp.Header["connection"] != "close"
 	if resp.Status != 200 && resp.Status != 206 {
 		// Drain a bounded error body so the connection stays usable, then
@@ -833,16 +738,17 @@ func (t *Transport) doRange(pc *pooledConn, h *handle, obj core.Object, path cor
 	}
 	buf := streamBufs.Get().([]byte)
 	defer streamBufs.Put(buf)
-	sspan := t.childSpan(tspan, "stream")
-	ft.Phase("stream")
+	rec.Phase("stream")
 	// Verification interleaves with streaming, so its cost is measured as
-	// cumulative busy time and recorded as one after-the-fact span spanning
-	// first check to stream end (with the busy total as an attribute) —
-	// timed only when tracing, so the untraced path makes no clock calls.
+	// cumulative busy time and recorded as one after-the-fact span nested
+	// under the stream phase, first check to stream end (with the busy
+	// total as an attribute) — timed only when tracing, so the untraced
+	// path makes no clock calls.
+	tracing := rec.Tracing()
 	var verifyStart time.Time
 	var verifyBusy time.Duration
 	var delivered int64
-	for delivered < n {
+	for delivered < n && err == nil {
 		chunk := int64(len(buf))
 		if rest := n - delivered; rest < chunk {
 			chunk = rest
@@ -851,79 +757,48 @@ func (t *Transport) doRange(pc *pooledConn, h *handle, obj core.Object, path cor
 		if m > 0 {
 			if v != nil {
 				var t0 time.Time
-				if tspan != nil {
+				if tracing {
 					t0 = time.Now()
 					if verifyStart.IsZero() {
 						verifyStart = t0
 					}
 				}
 				good := v.Verify(buf[:m])
-				if tspan != nil {
+				if tracing {
 					verifyBusy += time.Since(t0)
 				}
 				if !good {
-					err := fmt.Errorf("realnet: content mismatch for %s at %d", obj.Name, v.Offset())
-					t.endStream(sspan, verifyStart, verifyBusy, delivered, obs.ClassFailed, err.Error())
-					return false, err
+					err = fmt.Errorf("realnet: content mismatch for %s at %d", obj.Name, v.Offset())
+					break
 				}
 			}
 			if fill != nil {
 				fill = append(fill, buf[:m]...)
 			}
 			delivered += int64(m)
-			h.progress.Store(delivered)
-			ft.StoreBytes(delivered)
-			t.emitProgress(obj, path, off, int64(m), delivered, n)
+			rec.Progress(off, int64(m), n)
 		}
-		if rerr != nil {
-			if rerr == io.EOF || rerr == io.ErrUnexpectedEOF {
-				err := fmt.Errorf("realnet: short read %d of %d bytes", delivered, n)
-				t.endStream(sspan, verifyStart, verifyBusy, delivered, obs.ClassFailed, err.Error())
-				return false, err
-			}
-			t.endStream(sspan, verifyStart, verifyBusy, delivered, obs.ClassFailed, rerr.Error())
-			return false, rerr
+		if rerr == io.EOF || rerr == io.ErrUnexpectedEOF {
+			rerr = fmt.Errorf("realnet: short read %d of %d bytes", delivered, n)
+		}
+		err = rerr
+	}
+	if tracing {
+		rec.PhaseAttr("bytes", strconv.FormatInt(delivered, 10))
+		if !verifyStart.IsZero() {
+			rec.Overlap("verify", verifyStart,
+				map[string]string{"busy_ns": strconv.FormatInt(int64(verifyBusy), 10)})
 		}
 	}
-	t.endStream(sspan, verifyStart, verifyBusy, delivered, obs.ClassOK, "")
+	if err != nil {
+		return false, err
+	}
 	if fill != nil {
 		cache.Put(objCacheKey(obj), off, fill)
 	}
 	// Reusable only if the response was exactly the requested range: an
 	// unknown-length body leaves the stream position undefined.
 	return keep && resp.ContentLength == n, nil
-}
-
-// endStream closes a stream span and records the companion verify span
-// (first check to stream end, cumulative busy time attached). No-op when
-// the stream span is nil, i.e. tracing is off.
-func (t *Transport) endStream(sspan *obs.ActiveSpan, verifyStart time.Time, verifyBusy time.Duration, delivered int64, class obs.ErrClass, errText string) {
-	if sspan == nil {
-		return
-	}
-	sspan.SetAttr("bytes", strconv.FormatInt(delivered, 10))
-	sc := sspan.Context()
-	sspan.End(class, errText)
-	if !verifyStart.IsZero() {
-		t.Spans.Record(obs.Span{
-			Trace: sc.Trace, Parent: sc.Span,
-			Service: "client", Phase: "verify",
-			Start:    verifyStart.UnixNano(),
-			Duration: int64(time.Since(verifyStart)),
-			Class:    obs.ClassOK.String(),
-			Attrs:    map[string]string{"busy_ns": strconv.FormatInt(int64(verifyBusy), 10)},
-		})
-	}
-}
-
-// emitProgress reports one stream chunk to the observer.
-func (t *Transport) emitProgress(obj core.Object, path core.Path, off, chunk, delivered, total int64) {
-	if o := t.Observer; o != nil {
-		obs.EmitProgress(o, obs.Progress{
-			Path: obsPathID(obj, path), Time: t.Now(),
-			Offset: off, Chunk: chunk, Delivered: delivered, Total: total,
-		})
-	}
 }
 
 // Wait blocks until all handles complete. A handle whose context is

@@ -14,7 +14,7 @@ import (
 // "slow" is slower than direct.
 func testbed(t *testing.T) (*Transport, func()) {
 	t.Helper()
-	origin := relay.NewOrigin()
+	origin := relay.NewOriginServer()
 	origin.Put("big.bin", 2_000_000)
 	ol, err := origin.ServeAddr("127.0.0.1:0")
 	if err != nil {
@@ -197,7 +197,7 @@ func TestMiniCampaignSelectionTracksConditions(t *testing.T) {
 	// bandwidth flips between fast and slow across rounds; the selection
 	// must follow it. This exercises the paper's whole loop (probe,
 	// select, fetch, account) over live sockets.
-	origin := relay.NewOrigin()
+	origin := relay.NewOriginServer()
 	origin.Put("big.bin", 500_000)
 	ol, err := origin.ServeAddr("127.0.0.1:0")
 	if err != nil {
@@ -246,7 +246,7 @@ func TestMiniCampaignSelectionTracksConditions(t *testing.T) {
 }
 
 func TestWarmReuseSkipsHandshake(t *testing.T) {
-	origin := relay.NewOrigin()
+	origin := relay.NewOriginServer()
 	origin.Put("big.bin", 1_000_000)
 	ol, err := origin.ServeAddr("127.0.0.1:0")
 	if err != nil {
@@ -291,7 +291,7 @@ func TestWarmReuseSkipsHandshake(t *testing.T) {
 }
 
 func TestWarmReuseThroughRelay(t *testing.T) {
-	origin := relay.NewOrigin()
+	origin := relay.NewOriginServer()
 	origin.Put("big.bin", 1_000_000)
 	ol, err := origin.ServeAddr("127.0.0.1:0")
 	if err != nil {
@@ -327,7 +327,7 @@ func TestWarmReuseThroughRelay(t *testing.T) {
 }
 
 func TestWarmFallsBackWhenConnStale(t *testing.T) {
-	origin := relay.NewOrigin()
+	origin := relay.NewOriginServer()
 	origin.Put("big.bin", 1_000_000)
 	ol, err := origin.ServeAddr("127.0.0.1:0")
 	if err != nil {

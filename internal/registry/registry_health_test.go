@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -107,18 +108,19 @@ func TestWireRegisterHealthAndListRanked(t *testing.T) {
 	defer l.Close()
 	addr := l.Addr().String()
 
-	if err := RegisterHealth(addr, "good", "127.0.0.1:1", time.Minute, 0.95); err != nil {
+	c, ctx := NewClient(addr), context.Background()
+	if err := c.RegisterHealth(ctx, "good", "127.0.0.1:1", time.Minute, 0.95); err != nil {
 		t.Fatal(err)
 	}
-	if err := RegisterHealth(addr, "bad", "127.0.0.1:2", time.Minute, 0.2); err != nil {
+	if err := c.RegisterHealth(ctx, "bad", "127.0.0.1:2", time.Minute, 0.2); err != nil {
 		t.Fatal(err)
 	}
-	if err := Register(addr, "plain", "127.0.0.1:3", time.Minute); err != nil {
+	if err := c.Register(ctx, "plain", "127.0.0.1:3", time.Minute); err != nil {
 		t.Fatal(err)
 	}
 
 	// Plain LIST is unchanged: name-sorted, no health on the wire.
-	plain, err := List(addr)
+	plain, err := c.List(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +128,7 @@ func TestWireRegisterHealthAndListRanked(t *testing.T) {
 		t.Fatalf("LIST = %+v", plain)
 	}
 
-	ranked, err := ListRanked(addr, 2)
+	ranked, err := c.ListRanked(ctx, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,11 +152,11 @@ func TestStartHeartbeatReportsHealthAndState(t *testing.T) {
 	}
 	defer l.Close()
 
-	stop := make(chan struct{})
-	defer close(stop)
+	ctx, stop := context.WithCancel(context.Background())
+	defer stop()
 	score := 0.77
-	hb, err := StartHeartbeat(l.Addr().String(), "r1", "127.0.0.1:9", 30*time.Second,
-		func() float64 { return score }, stop)
+	hb, err := NewClient(l.Addr().String()).StartHeartbeat(ctx, "r1", "127.0.0.1:9", 30*time.Second,
+		func() float64 { return score })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,9 +171,9 @@ func TestStartHeartbeatReportsHealthAndState(t *testing.T) {
 }
 
 func TestStartHeartbeatFailsFastOnBadRegistry(t *testing.T) {
-	stop := make(chan struct{})
-	defer close(stop)
-	hb, err := StartHeartbeat("127.0.0.1:1", "r1", "127.0.0.1:9", time.Minute, nil, stop)
+	ctx, stop := context.WithCancel(context.Background())
+	defer stop()
+	hb, err := NewClient("127.0.0.1:1").StartHeartbeat(ctx, "r1", "127.0.0.1:9", time.Minute, nil)
 	if err == nil {
 		t.Fatal("expected connection error")
 	}

@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -90,13 +91,13 @@ func TestWireProtocol(t *testing.T) {
 	defer l.Close()
 	addr := l.Addr().String()
 
-	if err := Register(addr, "campus", "10.0.0.2:8081", time.Minute); err != nil {
+	if err := NewClient(addr).Register(context.Background(), "campus", "10.0.0.2:8081", time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if err := Register(addr, "isp", "10.0.0.3:8081", time.Minute); err != nil {
+	if err := NewClient(addr).Register(context.Background(), "isp", "10.0.0.3:8081", time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	got, err := List(addr)
+	got, err := NewClient(addr).List(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +116,11 @@ func TestWireRejectsBadRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if err := Register(l.Addr().String(), "x y", "addr", time.Minute); err == nil {
+	if err := NewClient(l.Addr().String()).Register(context.Background(), "x y", "addr", time.Minute); err == nil {
 		t.Fatal("space-containing name accepted over the wire")
 	}
 	// Zero TTL is rejected server-side.
-	if err := Register(l.Addr().String(), "x", "addr", 100*time.Millisecond); err != nil {
+	if err := NewClient(l.Addr().String()).Register(context.Background(), "x", "addr", 100*time.Millisecond); err != nil {
 		// sub-second truncates to 0s -> rejected: that is correct.
 		if !errors.Is(err, ErrRejected) {
 			t.Fatalf("unexpected error %v", err)
@@ -143,7 +144,7 @@ func TestConcurrentRegistration(t *testing.T) {
 		name := string(rune('a' + i))
 		go func() {
 			defer wg.Done()
-			errs <- Register(l.Addr().String(), name, "h:1", time.Minute)
+			errs <- NewClient(l.Addr().String()).Register(context.Background(), name, "h:1", time.Minute)
 		}()
 	}
 	wg.Wait()
@@ -153,7 +154,7 @@ func TestConcurrentRegistration(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, _ := List(l.Addr().String()); len(got) != 20 {
+	if got, _ := NewClient(l.Addr().String()).List(context.Background()); len(got) != 20 {
 		t.Fatalf("registered %d of 20", len(got))
 	}
 }
@@ -165,14 +166,14 @@ func TestHeartbeatKeepsAlive(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	stop := make(chan struct{})
-	defer close(stop)
-	if err := Heartbeat(l.Addr().String(), "hb", "h:1", 2*time.Second, stop); err != nil {
+	ctx, stop := context.WithCancel(context.Background())
+	defer stop()
+	if _, err := NewClient(l.Addr().String()).StartHeartbeat(ctx, "hb", "h:1", 2*time.Second, nil); err != nil {
 		t.Fatal(err)
 	}
 	// After > TTL with heartbeats every TTL/3, the entry must survive.
 	time.Sleep(2500 * time.Millisecond)
-	got, err := List(l.Addr().String())
+	got, err := NewClient(l.Addr().String()).List(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,9 +183,9 @@ func TestHeartbeatKeepsAlive(t *testing.T) {
 }
 
 func TestHeartbeatFailsFastOnDeadRegistry(t *testing.T) {
-	stop := make(chan struct{})
-	defer close(stop)
-	if err := Heartbeat("127.0.0.1:1", "x", "h:1", time.Minute, stop); err == nil {
+	ctx, stop := context.WithCancel(context.Background())
+	defer stop()
+	if _, err := NewClient("127.0.0.1:1").StartHeartbeat(ctx, "x", "h:1", time.Minute, nil); err == nil {
 		t.Fatal("heartbeat to dead registry should fail immediately")
 	}
 }

@@ -45,7 +45,7 @@ func BenchmarkVerifier1M(b *testing.B) {
 }
 
 func BenchmarkLoopbackFetch64K(b *testing.B) {
-	o := NewOrigin()
+	o := NewOriginServer()
 	o.Put("big.bin", 1<<20)
 	l, err := o.ServeAddr("127.0.0.1:0")
 	if err != nil {
@@ -62,7 +62,7 @@ func BenchmarkLoopbackFetch64K(b *testing.B) {
 }
 
 func BenchmarkLoopbackRelayedFetch64K(b *testing.B) {
-	o := NewOrigin()
+	o := NewOriginServer()
 	o.Put("big.bin", 1<<20)
 	ol, err := o.ServeAddr("127.0.0.1:0")
 	if err != nil {

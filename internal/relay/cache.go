@@ -1,15 +1,13 @@
 package relay
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
-	"io"
+	"math"
 	"net"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/httpx"
 	"repro/internal/objcache"
@@ -19,12 +17,14 @@ import (
 
 // This file is the relay's cached forwarding path. With a cache
 // attached (relay.New + WithCache), GET requests are tried against the
-// cached spans first; misses open a singleflight fill that streams the
-// origin's response to the client while teeing the bytes into the
-// cache, and every concurrent miss for the same object/range waits on
-// that one fill instead of hitting the origin again. Requests the cache
-// cannot express (non-explicit range forms, ranges larger than the
-// whole cache, HEAD) fall back to the plain forwarding path untouched.
+// cached spans first; a miss opens a singleflight fill and runs the
+// relay's one upstream exchange (forward, in relay.go) with that fill
+// attached, streaming the origin's response to the client while teeing
+// the bytes into the cache, and every concurrent miss for the same
+// object/range waits on that one fill instead of hitting the origin
+// again. Requests the cache cannot express (non-explicit range forms,
+// ranges larger than the whole cache, HEAD) fall back to the plain
+// forwarding path untouched.
 
 // errUncacheable marks a fill whose body could not be retained (no
 // declared length, or larger than the cache); waiters fall back to
@@ -42,79 +42,67 @@ func (r *Relay) cacheRange(key, rg string) (off, want int64, whole, ok bool) {
 		}
 		return 0, objcache.SizeUnknown, true, true
 	}
-	spec, cut := strings.CutPrefix(rg, "bytes=")
-	if !cut || strings.ContainsAny(spec, ", ") {
-		return 0, 0, false, false
+	dash := strings.IndexByte(rg, '-')
+	if dash <= len("bytes=") || dash == len(rg)-1 || strings.ContainsAny(rg, ", ") {
+		return 0, 0, false, false // suffix, open-ended or a list: let the origin decide
 	}
-	dash := strings.IndexByte(spec, '-')
-	if dash <= 0 || dash == len(spec)-1 {
-		return 0, 0, false, false // suffix or open-ended: let the origin decide
+	// Against a known size the window is clamped as the origin would clamp
+	// it, and an unsatisfiable one is left to the origin's authoritative 416.
+	size, known := r.cache.Size(key)
+	if !known {
+		size = math.MaxInt64
 	}
-	a, errA := strconv.ParseInt(spec[:dash], 10, 64)
-	b, errB := strconv.ParseInt(spec[dash+1:], 10, 64)
-	if errA != nil || errB != nil || a < 0 || b < a {
-		return 0, 0, false, false
-	}
-	off, want = a, b-a+1
-	if size, known := r.cache.Size(key); known {
-		if off >= size {
-			return 0, 0, false, false // unsatisfiable: the origin's 416 is authoritative
-		}
-		if off+want > size {
-			want = size - off // origin clamps; look up what it would serve
-		}
-	}
-	return off, want, false, true
+	off, want, err := httpx.ParseRange(rg, size)
+	return off, want, false, err == nil
 }
 
 // serveCached is the cache-first request path. handled=false means the
 // cache could not take the request (unsupported range form, oversized
 // range, or a failed shared fill) and the caller must forward plainly.
-// healthAddr is empty for hits and shared fills: they never touched
-// the upstream path, so they say nothing about its health.
-func (r *Relay) serveCached(conn net.Conn, req *httpx.Request, fspan *obs.ActiveSpan, ft *flight.Transfer, upstreamAddr, path string) (handled, again bool, class obs.ErrClass, detail, healthAddr string, n int64) {
+// Hits and shared fills never touch the upstream path, so they leave
+// rec without a fold key: they say nothing about its health.
+func (r *Relay) serveCached(conn net.Conn, req *httpx.Request, rec *flight.Record, upstreamAddr, path string) (handled, again bool) {
 	key := cacheKey(upstreamAddr, path)
 	off, want, whole, ok := r.cacheRange(key, req.Header["range"])
 	if !ok {
-		return false, false, obs.ClassOK, "", "", 0
+		return false, false
 	}
 	if want != objcache.SizeUnknown {
 		if want > r.cache.Capacity() {
-			return false, false, obs.ClassOK, "", "", 0
+			return false, false
 		}
 		if data, hit := r.cache.Get(key, off, want); hit {
-			again, class, detail, n = r.writeCached(conn, ft, key, data, off, whole, "hit")
-			return true, again, class, detail, "", n
+			return true, r.writeCached(conn, rec, key, data, off, whole, "hit")
 		}
 	}
 	fl, leader := r.cache.StartFlight(key, off, want)
-	if !leader {
-		ft.Phase("shared-wait")
-		data, err := fl.Wait(context.Background())
-		if err != nil {
-			// The leader's fetch failed or was uncacheable; fetch for
-			// ourselves over the plain path.
-			return false, false, obs.ClassOK, "", "", 0
-		}
-		if whole && want == objcache.SizeUnknown {
-			want = int64(len(data))
-		}
-		if int64(len(data)) > want {
-			data = data[:want]
-		}
-		again, class, detail, n = r.writeCached(conn, ft, key, data, off, whole, "shared")
-		return true, again, class, detail, "", n
+	if leader {
+		// The miss leader is the plain exchange with the fill attached.
+		return true, r.forward(conn, req, rec, upstreamAddr, path, &fill{fl: fl, key: key, off: off})
 	}
-	return r.fillForward(conn, req, fspan, ft, upstreamAddr, path, key, fl, off, want, whole)
+	rec.Phase("shared-wait")
+	data, err := fl.Wait(context.Background())
+	if err != nil {
+		// The leader's fetch failed or was uncacheable; fetch for
+		// ourselves over the plain path.
+		return false, false
+	}
+	if whole && want == objcache.SizeUnknown {
+		want = int64(len(data))
+	}
+	if int64(len(data)) > want {
+		data = data[:want]
+	}
+	return true, r.writeCached(conn, rec, key, data, off, whole, "shared")
 }
 
 // writeCached serves data (the bytes of [off, off+len)) straight from
 // memory, with the response shape the origin would have used: 200 for
 // whole-object requests, 206 with Content-Range for ranged ones. The
 // x-cache header says how the bytes were obtained.
-func (r *Relay) writeCached(conn net.Conn, ft *flight.Transfer, key string, data []byte, off int64, whole bool, how string) (again bool, class obs.ErrClass, detail string, n int64) {
-	ft.SetCache(how)
-	ft.Phase("write")
+func (r *Relay) writeCached(conn net.Conn, rec *flight.Record, key string, data []byte, off int64, whole bool, how string) (again bool) {
+	rec.SetCache(how)
+	rec.Phase("write")
 	header := map[string]string{
 		"content-length": strconv.Itoa(len(data)),
 		"accept-ranges":  "bytes",
@@ -129,17 +117,22 @@ func (r *Relay) writeCached(conn net.Conn, ft *flight.Transfer, key string, data
 		}
 		header["content-range"] = fmt.Sprintf("bytes %d-%d/%s", off, off+int64(len(data))-1, total)
 	}
-	if err := httpx.WriteResponseHead(conn, status, reason, header); err != nil {
-		return false, obs.ClassCanceled, "client: " + err.Error(), 0
+	err := httpx.WriteResponseHead(conn, status, reason, header)
+	if err == nil {
+		// Counted before the write that releases the bytes; a short write
+		// takes the rest back.
+		n := int64(len(data))
+		r.BytesRelayed.Add(n)
+		var m int
+		m, err = conn.Write(data)
+		r.BytesRelayed.Add(int64(m) - n)
+		rec.StoreBytes(int64(m))
 	}
-	m, err := conn.Write(data)
-	n = int64(m)
-	ft.StoreBytes(n)
-	r.BytesRelayed.Add(n)
 	if err != nil {
-		return false, obs.ClassCanceled, "client: " + err.Error(), n
+		rec.Outcome(obs.ClassCanceled, "client: "+err.Error())
+		return false
 	}
-	return true, obs.ClassOK, "", n
+	return true
 }
 
 // parseContentRange extracts (first-byte offset, total size) from a
@@ -169,212 +162,28 @@ func parseContentRange(h string) (off, size int64) {
 	return off, size
 }
 
-// fillForward is the cache-miss leader: it performs the upstream fetch
-// (mirroring the plain forwarding path), streams the response to the
-// client, and tees the body into the flight so the cache warms and
-// every waiter is served from this one origin fetch. If the client
-// hangs up mid-stream the fill keeps draining the upstream — the
-// waiters and the cache still get their bytes.
-func (r *Relay) fillForward(conn net.Conn, req *httpx.Request, fspan *obs.ActiveSpan, ft *flight.Transfer, upstreamAddr, path, key string, fl *objcache.Flight, off, want int64, whole bool) (handled, again bool, class obs.ErrClass, detail, healthAddr string, n int64) {
-	handled = true
-	healthAddr = upstreamAddr
-	ft.SetCache("miss")
-
-	dial := r.Dial
-	if dial == nil {
-		dial = net.Dial
-	}
-	dspan := r.childSpan(fspan, "dial")
-	dspan.SetAttr("addr", upstreamAddr)
-	ft.Phase("dial")
-	upstream, err := dial("tcp", upstreamAddr)
-	if err != nil {
-		dspan.End(obs.ClassFailed, err.Error())
-		fl.Complete(nil, err)
-		httpx.WriteResponseHead(conn, 502, "Bad Gateway",
-			map[string]string{"content-length": "0"})
-		return handled, true, obs.ClassFailed, err.Error(), healthAddr, 0
-	}
-	dspan.EndOK()
-	defer upstream.Close()
-
-	fwd := httpx.NewGet(path, upstreamAddr)
-	for k, v := range req.Header {
-		if strings.HasPrefix(k, "x-") {
-			fwd.Header[k] = v
-		}
-	}
-	if !whole {
-		fwd.SetRange(off, want)
-	}
-	if fspan != nil {
-		fwd.Header[obs.TraceHeader] = fspan.Context().Header()
-	}
-	tspan := r.childSpan(fspan, "ttfb")
-	ft.Phase("ttfb")
-	if err := fwd.Write(upstream); err != nil {
-		tspan.End(obs.ClassFailed, err.Error())
-		fl.Complete(nil, err)
-		httpx.WriteResponseHead(conn, 502, "Bad Gateway",
-			map[string]string{"content-length": "0"})
-		return handled, true, obs.ClassFailed, err.Error(), healthAddr, 0
-	}
-	if r.UpstreamStall > 0 {
-		upstream.SetReadDeadline(time.Now().Add(r.UpstreamStall))
-	}
-	resp, err := httpx.ReadResponse(bufio.NewReader(upstream))
-	if err != nil {
-		tspan.End(obs.ClassFailed, err.Error())
-		fl.Complete(nil, err)
-		httpx.WriteResponseHead(conn, 502, "Bad Gateway",
-			map[string]string{"content-length": "0"})
-		return handled, true, obs.ClassFailed, err.Error(), healthAddr, 0
-	}
-	tspan.EndOK()
-	if fspan != nil {
-		fspan.SetAttr("status", strconv.Itoa(resp.Status))
-	}
-
-	if resp.Status != 200 && resp.Status != 206 {
-		// Error responses are forwarded, never cached; waiters refetch.
-		fl.Complete(nil, &statusError{resp.Status, resp.Reason})
-		if resp.ContentLength < 0 {
-			resp.Header["connection"] = "close"
-		}
-		if werr := httpx.WriteResponseHead(conn, resp.Status, resp.Reason, resp.Header); werr != nil {
-			return handled, false, obs.ClassCanceled, "client: " + werr.Error(), healthAddr, 0
-		}
-		var werr, rerr error
-		n, werr, rerr = copyStream(conn, resp.Body, ft)
-		r.BytesRelayed.Add(n)
-		switch {
-		case werr != nil:
-			return handled, false, obs.ClassCanceled, "client: " + werr.Error(), healthAddr, n
-		case rerr != nil:
-			return handled, false, obs.ClassFailed, rerr.Error(), healthAddr, n
-		}
-		return handled, resp.ContentLength >= 0, obs.ClassStatus, resp.Reason, healthAddr, n
-	}
-
-	// Learn the object's geometry from the response: a 206's
-	// Content-Range carries the actual offset and the full size, a 200's
-	// Content-Length is the full size.
+// learn records the object's geometry from a 200/206 — a 206's
+// Content-Range carries the actual offset and the full size, a 200's
+// Content-Length is the full size — and opens f's tee buffer when the
+// body can be kept. A body without a declared length, one bigger than
+// the whole cache, or a 206 whose actual offset differs from the one
+// the flight was opened at streams through unteed; the flight then
+// reports uncacheable and waiters fetch for themselves.
+func (r *Relay) learn(f *fill, resp *httpx.Response) {
 	actualOff := int64(0)
 	if resp.Status == 206 {
 		croff, total := parseContentRange(resp.Header["content-range"])
+		actualOff = f.off
 		if croff >= 0 {
 			actualOff = croff
-		} else {
-			actualOff = off
 		}
 		if total >= 0 {
-			r.cache.SetSize(key, total)
+			r.cache.SetSize(f.key, total)
 		}
 	} else if resp.ContentLength >= 0 {
-		r.cache.SetSize(key, resp.ContentLength)
+		r.cache.SetSize(f.key, resp.ContentLength)
 	}
-
-	// A body without a declared length, one bigger than the whole cache,
-	// or a 206 whose actual offset differs from the one the flight was
-	// opened at streams through without teeing; the flight reports
-	// uncacheable and waiters fetch for themselves.
-	tee := resp.ContentLength >= 0 && resp.ContentLength <= r.cache.Capacity() && actualOff == off
-	if resp.ContentLength < 0 {
-		resp.Header["connection"] = "close"
+	if resp.ContentLength > 0 && resp.ContentLength <= r.cache.Capacity() && actualOff == f.off {
+		f.buf = make([]byte, 0, resp.ContentLength)
 	}
-	resp.Header["x-cache"] = "miss"
-	headErr := httpx.WriteResponseHead(conn, resp.Status, resp.Reason, resp.Header)
-	if headErr != nil && !tee {
-		fl.Complete(nil, errUncacheable)
-		return handled, false, obs.ClassCanceled, "client: " + headErr.Error(), healthAddr, 0
-	}
-
-	sspan := r.childSpan(fspan, "stream")
-	ft.Phase("stream")
-	var fill []byte
-	if tee {
-		fill = make([]byte, 0, resp.ContentLength)
-	}
-	body := io.Reader(resp.Body)
-	if r.UpstreamStall > 0 {
-		// Same stall guard as the plain path: a fill that goes silent
-		// must fail (waiters refetch) rather than wedge the flight.
-		body = &stallGuard{conn: upstream, d: r.UpstreamStall, r: body}
-	}
-	buf := relayBufs.Get().([]byte)
-	defer relayBufs.Put(buf)
-	clientErr := headErr
-	var got int64
-	var rerr error
-	for {
-		nr, err := body.Read(buf)
-		if nr > 0 {
-			got += int64(nr)
-			if tee {
-				fill = append(fill, buf[:nr]...)
-			}
-			if clientErr == nil {
-				nw, werr := conn.Write(buf[:nr])
-				n += int64(nw)
-				ft.AddBytes(int64(nw))
-				if werr != nil {
-					clientErr = werr
-					if !tee {
-						break // nothing to salvage for the cache: stop
-					}
-				}
-			}
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			rerr = err
-			break
-		}
-	}
-	r.BytesRelayed.Add(n)
-	if sspan != nil {
-		sspan.SetAttr("bytes", strconv.FormatInt(n, 10))
-	}
-
-	complete := rerr == nil && (resp.ContentLength < 0 || got == resp.ContentLength)
-	switch {
-	case !complete:
-		ferr := rerr
-		if ferr == nil {
-			ferr = fmt.Errorf("relay: short upstream body %d of %d bytes", got, resp.ContentLength)
-		}
-		fl.Complete(nil, ferr)
-	case tee:
-		fl.Complete(fill, nil)
-	default:
-		fl.Complete(nil, errUncacheable)
-	}
-
-	switch {
-	case clientErr != nil:
-		sspan.End(obs.ClassCanceled, "client: "+clientErr.Error())
-		return handled, false, obs.ClassCanceled, "client: " + clientErr.Error(), healthAddr, n
-	case rerr != nil:
-		sspan.End(obs.ClassFailed, rerr.Error())
-		return handled, false, obs.ClassFailed, rerr.Error(), healthAddr, n
-	case !complete:
-		err := fmt.Errorf("relay: short upstream body %d of %d bytes", got, resp.ContentLength)
-		sspan.End(obs.ClassFailed, err.Error())
-		return handled, false, obs.ClassFailed, err.Error(), healthAddr, n
-	}
-	sspan.EndOK()
-	return handled, resp.ContentLength >= 0, obs.ClassOK, "", healthAddr, n
-}
-
-// statusError carries an upstream error status through a flight so
-// waiters know the fill failed for a non-transport reason.
-type statusError struct {
-	status int
-	reason string
-}
-
-func (e *statusError) Error() string {
-	return fmt.Sprintf("relay: upstream status %d %s", e.status, e.reason)
 }

@@ -5,7 +5,7 @@ import "testing"
 // benchRelayPair starts an origin and a cached relay on loopback.
 func benchRelayPair(b *testing.B, cacheBytes int64) (originAddr, relayAddr string) {
 	b.Helper()
-	o := NewOrigin()
+	o := NewOriginServer()
 	o.Put("bench.bin", 1<<30)
 	ol, err := o.ServeAddr("127.0.0.1:0")
 	if err != nil {

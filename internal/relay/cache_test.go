@@ -55,6 +55,8 @@ func TestCachedRelayServesRepeatsWithoutOrigin(t *testing.T) {
 	if !VerifyRange("big.bin", 0, body) {
 		t.Fatal("first (miss) fetch returned wrong bytes")
 	}
+	r.WaitIdle()
+	o.WaitIdle()
 	conns := o.Conns.Load()
 	egress := o.BytesServed.Load()
 
@@ -75,6 +77,7 @@ func TestCachedRelayServesRepeatsWithoutOrigin(t *testing.T) {
 	if got := o.BytesServed.Load(); got != egress {
 		t.Fatalf("cached fetches cost %d origin bytes", got-egress)
 	}
+	r.WaitIdle()
 	s := r.Cache().Stats()
 	if s.Hits != 3 || s.Misses != 1 || s.Fills != 1 {
 		t.Fatalf("cache counters: %+v", s)
@@ -93,6 +96,7 @@ func TestCachedRelayWholeObjectLearnsSize(t *testing.T) {
 	if how != "miss" || len(body) != 8192 || !VerifyRange("small.bin", 0, body) {
 		t.Fatalf("first whole-object fetch: x-cache=%q, %d bytes", how, len(body))
 	}
+	r.WaitIdle()
 	conns := o.Conns.Load()
 
 	// The 200's Content-Length recorded the extent, so the repeat — still

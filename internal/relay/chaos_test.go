@@ -19,9 +19,9 @@ import (
 // awaiting bytes that would never come, and folding a spurious OK into
 // the relay's path health.
 
-// chaosRelay wires origin → faultproxy → relay and returns the relay's
-// address, the origin's address (the health key), and the proxy.
-func chaosRelay(t *testing.T, objSize int64, schedule string, opts ...Option) (relayAddr, originAddr string, p *faultproxy.Proxy, mon *obs.HealthMonitor) {
+// chaosRelay wires origin → faultproxy → relay and returns the relay,
+// its address, the origin's address (the health key), and the proxy.
+func chaosRelay(t *testing.T, objSize int64, schedule string, opts ...Option) (r *Relay, relayAddr, originAddr string, p *faultproxy.Proxy, mon *obs.HealthMonitor) {
 	t.Helper()
 	origin := NewOriginServer()
 	origin.Put("obj.bin", objSize)
@@ -51,13 +51,13 @@ func chaosRelay(t *testing.T, objSize int64, schedule string, opts ...Option) (r
 			return net.Dial(network, proxyAddr)
 		}),
 	}, opts...)
-	r := New(opts...)
+	r = New(opts...)
 	rl, err := r.ServeAddr("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { rl.Close() })
-	return rl.Addr().String(), originAddr, p, mon
+	return r, rl.Addr().String(), originAddr, p, mon
 }
 
 // shortGet issues one whole-object GET through the relay with a hard
@@ -96,7 +96,7 @@ func TestForwardShortUpstreamBody(t *testing.T) {
 	const objSize = 64 << 10
 	// The origin's FIN lands 8 KB into the response stream: a clean
 	// early close, not a reset — exactly the case EOF semantics hide.
-	relayAddr, originAddr, _, mon := chaosRelay(t, objSize, "conn=* phase=body@8192 close")
+	r, relayAddr, originAddr, _, mon := chaosRelay(t, objSize, "conn=* phase=body@8192 close")
 
 	clen, body, conn, elapsed := shortGet(t, relayAddr, originAddr, "obj.bin", 5*time.Second)
 	defer conn.Close()
@@ -126,8 +126,8 @@ func TestForwardShortUpstreamBody(t *testing.T) {
 
 	// And the truncation folds as an upstream transport failure — never
 	// an OK sample.
-	ph := waitForFold(t, mon, originAddr, func(ph obs.PathHealth) bool { return ph.Failed >= 1 })
-	if ph.Ok != 0 {
+	ph := foldedHealth(t, r, mon, originAddr)
+	if ph.Ok != 0 || ph.Failed < 1 {
 		t.Fatalf("health folded ok=%d failed=%d, want the truncation as a failure", ph.Ok, ph.Failed)
 	}
 }
@@ -136,7 +136,7 @@ func TestForwardUpstreamStallGuard(t *testing.T) {
 	const objSize = 64 << 10
 	// The origin goes silent 8 KB in, far longer than the relay's stall
 	// guard: the relay must fail the forward, not wedge its handler.
-	relayAddr, originAddr, _, mon := chaosRelay(t, objSize,
+	r, relayAddr, originAddr, _, mon := chaosRelay(t, objSize,
 		"conn=* phase=body@8192 stall=30s", WithUpstreamStall(250*time.Millisecond))
 
 	_, body, conn, elapsed := shortGet(t, relayAddr, originAddr, "obj.bin", 10*time.Second)
@@ -147,15 +147,15 @@ func TestForwardUpstreamStallGuard(t *testing.T) {
 	if elapsed > 2*time.Second {
 		t.Fatalf("stalled forward released the client after %v, want ~the stall guard", elapsed)
 	}
-	ph := waitForFold(t, mon, originAddr, func(ph obs.PathHealth) bool { return ph.Failed >= 1 })
-	if ph.Ok != 0 {
+	ph := foldedHealth(t, r, mon, originAddr)
+	if ph.Ok != 0 || ph.Failed < 1 {
 		t.Fatalf("health folded ok=%d failed=%d, want the stall as a failure", ph.Ok, ph.Failed)
 	}
 }
 
 func TestFillForwardTruncationNeverPoisonsCache(t *testing.T) {
 	const objSize = 32 << 10
-	relayAddr, originAddr, p, _ := chaosRelay(t, objSize,
+	_, relayAddr, originAddr, p, _ := chaosRelay(t, objSize,
 		"conn=1 phase=body@4096 close",
 		WithCache(1<<20), WithVerifier(VerifyRange))
 
@@ -180,7 +180,7 @@ func TestCachedRelayNeverServesCorruptSpan(t *testing.T) {
 	const objSize = 32 << 10
 	// Conn 1 (the cache fill) delivers a corrupted range; the serve-time
 	// verifier must keep the poisoned span from ever reaching a client.
-	relayAddr, originAddr, p, _ := chaosRelay(t, objSize,
+	_, relayAddr, originAddr, p, _ := chaosRelay(t, objSize,
 		"conn=1 phase=body@4096 corrupt=64",
 		WithCache(1<<20), WithVerifier(VerifyRange))
 

@@ -13,7 +13,7 @@ import (
 // miss → hit, forwarding phases, and the trace ID continued from the
 // client's x-trace header.
 func TestRelayFlightWideEvents(t *testing.T) {
-	origin := NewOrigin()
+	origin := NewOriginServer()
 	origin.Put("obj.bin", 200_000)
 	ol, err := origin.ServeAddr("127.0.0.1:0")
 	if err != nil {
@@ -43,12 +43,20 @@ func TestRelayFlightWideEvents(t *testing.T) {
 		}
 	}
 
+	r.WaitIdle() // wide events and spans land at the record's Finish
 	evs := rec.Events(flight.Filter{Path: upstream})
 	if len(evs) != 2 {
 		t.Fatalf("recorded %d wide events for upstream %s, want 2: %+v",
 			len(evs), upstream, rec.Events(flight.Filter{}))
 	}
-	hit, miss := evs[0], evs[1] // newest first
+	// Rows are in finish order, and the hit can finish first: its request
+	// may be served the moment the first client holds its last byte,
+	// while the miss's handler is still closing its record. Seq is start
+	// order.
+	hit, miss := evs[0], evs[1]
+	if hit.Seq < miss.Seq {
+		hit, miss = miss, hit
+	}
 	if miss.Cache != "miss" || hit.Cache != "hit" {
 		t.Fatalf("cache dispositions = %q then %q, want miss then hit", miss.Cache, hit.Cache)
 	}
@@ -97,7 +105,7 @@ func TestRelayFlightWideEvents(t *testing.T) {
 // TestRelayFlightEventOnFailure asserts a failing forward records its
 // outcome class, and a malformed request still produces an event.
 func TestRelayFlightEventOnFailure(t *testing.T) {
-	origin := NewOrigin()
+	origin := NewOriginServer()
 	origin.Put("obj.bin", 1000)
 	ol, err := origin.ServeAddr("127.0.0.1:0")
 	if err != nil {
@@ -116,6 +124,7 @@ func TestRelayFlightEventOnFailure(t *testing.T) {
 	if _, err := FetchVia(nil, rl.Addr().String(), ol.Addr().String(), "missing.bin", 0, 10); err == nil {
 		t.Fatal("forward of a missing object succeeded")
 	}
+	r.WaitIdle()
 	evs := rec.Events(flight.Filter{Path: ol.Addr().String()})
 	if len(evs) != 1 {
 		t.Fatalf("events = %+v", rec.Events(flight.Filter{}))

@@ -5,28 +5,22 @@ import (
 	"io"
 	"net"
 	"testing"
-	"time"
 
 	"repro/internal/httpx"
 	"repro/internal/obs"
 )
 
-// waitForFold polls until the relay's monitor shows the predicate true
-// for the upstream path (the health fold happens after the response is
-// written, so the test must not race it).
-func waitForFold(t *testing.T, m *obs.HealthMonitor, key string, pred func(obs.PathHealth) bool) obs.PathHealth {
+// foldedHealth waits for the relay to finish every request it is in the
+// middle of (the health fold lands at the record's Finish, after the
+// response is written) and returns the monitor's view of the upstream.
+func foldedHealth(t *testing.T, r *Relay, m *obs.HealthMonitor, key string) obs.PathHealth {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if ph, ok := m.PathHealth(key); ok && pred(ph) {
-			return ph
-		}
-		if time.Now().After(deadline) {
-			ph, _ := m.PathHealth(key)
-			t.Fatalf("condition never held for %q: %+v", key, ph)
-		}
-		time.Sleep(10 * time.Millisecond)
+	r.WaitIdle()
+	ph, ok := m.PathHealth(key)
+	if !ok {
+		t.Fatalf("no health recorded for %q", key)
 	}
+	return ph
 }
 
 // TestClientDisconnectIsNotPathFailure pins the health-feed
@@ -34,7 +28,7 @@ func waitForFold(t *testing.T, m *obs.HealthMonitor, key string, pred func(obs.P
 // happens on every reaped losing probe — must not count as a failure of
 // the upstream path. Only upstream trouble (e.g. a dead origin) may.
 func TestClientDisconnectIsNotPathFailure(t *testing.T) {
-	origin := NewOrigin()
+	origin := NewOriginServer()
 	origin.Put("big.bin", 8<<20)
 	ol, err := origin.ServeAddr("127.0.0.1:0")
 	if err != nil {
@@ -71,7 +65,7 @@ func TestClientDisconnectIsNotPathFailure(t *testing.T) {
 
 	// The disconnect folds as canceled: not a sample, so the path stays
 	// unknown with no failures on the books.
-	ph := waitForFold(t, r.Health, up, func(ph obs.PathHealth) bool { return true })
+	ph := foldedHealth(t, r, r.Health, up)
 	if ph.Failed != 0 {
 		t.Fatalf("client disconnect counted as upstream failure: %+v", ph)
 	}
@@ -83,8 +77,8 @@ func TestClientDisconnectIsNotPathFailure(t *testing.T) {
 	if _, err := FetchVia(nil, rl.Addr().String(), up, "big.bin", 0, 4096); err != nil {
 		t.Fatal(err)
 	}
-	ph = waitForFold(t, r.Health, up, func(ph obs.PathHealth) bool { return ph.Ok >= 1 })
-	if ph.Failed != 0 || ph.State != obs.HealthHealthy {
+	ph = foldedHealth(t, r, r.Health, up)
+	if ph.Ok != 1 || ph.Failed != 0 || ph.State != obs.HealthHealthy {
 		t.Fatalf("successful fetch: %+v, want 1 ok / healthy", ph)
 	}
 
@@ -93,8 +87,8 @@ func TestClientDisconnectIsNotPathFailure(t *testing.T) {
 	if _, err := FetchVia(nil, rl.Addr().String(), up, "big.bin", 0, 4096); err == nil {
 		t.Fatal("fetch through dead origin succeeded")
 	}
-	ph = waitForFold(t, r.Health, up, func(ph obs.PathHealth) bool { return ph.Failed >= 1 })
-	if ph.Ok != 1 {
+	ph = foldedHealth(t, r, r.Health, up)
+	if ph.Failed != 1 || ph.Ok != 1 {
 		t.Fatalf("after upstream death: %+v, want the earlier ok preserved", ph)
 	}
 }

@@ -122,17 +122,10 @@ func New(opts ...Option) *Relay {
 	}
 	r := &Relay{Dial: o.dial, Spans: o.spans, Health: o.health, UpstreamStall: o.upstreamStall, Flight: o.flight}
 	if o.cacheBytes > 0 {
-		var verify objcache.VerifyFunc
-		if o.verify != nil {
-			v := o.verify
-			verify = func(key string, off int64, data []byte) bool {
-				return v(objectNameFromKey(key), off, data)
-			}
-		}
 		r.cache = objcache.New(objcache.Config{
 			MaxBytes: o.cacheBytes,
 			TTL:      o.cacheTTL,
-			Verify:   verify,
+			Verify:   KeyVerifier(o.verify),
 		})
 	}
 	return r
@@ -161,11 +154,16 @@ func (r *Relay) Cache() *objcache.Cache { return r.cache }
 // origins never aliases.
 func cacheKey(upstreamAddr, path string) string { return upstreamAddr + path }
 
-// objectNameFromKey recovers the object name a cache key refers to,
-// for serve-time re-verification: everything after the first '/'.
-func objectNameFromKey(key string) string {
-	if i := strings.IndexByte(key, '/'); i >= 0 {
-		return key[i+1:]
+// KeyVerifier adapts v to an object cache keyed "<where>/<object name>"
+// — the relay's cacheKey, the client's server/name — for serve-time
+// re-verification: the name is everything after the first '/'. A nil v
+// stays nil (no verification).
+func KeyVerifier(v VerifyFunc) objcache.VerifyFunc {
+	if v == nil {
+		return nil
 	}
-	return key
+	return func(key string, off int64, data []byte) bool {
+		_, name, _ := strings.Cut(key, "/")
+		return v(name, off, data)
+	}
 }

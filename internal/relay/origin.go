@@ -14,15 +14,11 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/httpx"
 	"repro/internal/obs"
+	"repro/internal/obs/flight"
 )
-
-// keepAliveIdle is how long a connection may sit idle between requests
-// before the server drops it.
-const keepAliveIdle = 60 * time.Second
 
 // FillRange writes the deterministic content of object name at [off,
 // off+len(p)) into p. Content is a cheap position-dependent pattern, so
@@ -45,14 +41,7 @@ func FillRange(name string, off int64, p []byte) {
 // VerifyRange reports whether p matches the canonical content of object
 // name at offset off.
 func VerifyRange(name string, off int64, p []byte) bool {
-	want := make([]byte, len(p))
-	FillRange(name, off, want)
-	for i := range p {
-		if p[i] != want[i] {
-			return false
-		}
-	}
-	return true
+	return NewVerifier(name, off).Verify(p)
 }
 
 // Origin is an origin server holding synthetic objects of declared sizes.
@@ -77,21 +66,18 @@ type Origin struct {
 	// flat across requests).
 	Conns atomic.Int64
 
-	lat obs.LatencyRecorder
+	lat  obs.LatencyRecorder
+	busy inflight
 }
 
 // LatencySnapshot returns the distribution of request serving times,
 // ready for Prometheus exposition.
 func (o *Origin) LatencySnapshot() obs.HistogramSnapshot { return o.lat.Snapshot() }
 
-// NewOrigin returns an empty origin server.
-//
-// Deprecated: use NewOriginServer, the options-first constructor; this
-// wrapper remains for existing callers and is equivalent to
-// NewOriginServer() with no options.
-func NewOrigin() *Origin {
-	return NewOriginServer()
-}
+// WaitIdle blocks until no request is between its head being read and
+// its record being finished: counters, spans, latency and health then
+// reflect every response a client has fully received.
+func (o *Origin) WaitIdle() { o.busy.wait() }
 
 // Put registers an object.
 func (o *Origin) Put(name string, size int64) {
@@ -116,62 +102,29 @@ func (o *Origin) Size(name string) (int64, bool) {
 // "connection: close" or hangs up — which is what lets the remainder of
 // a selected transfer continue on the winning probe's warm connection.
 func (o *Origin) Serve(l net.Listener) error {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		go o.handle(conn)
-	}
-}
-
-func (o *Origin) handle(conn net.Conn) {
-	defer conn.Close()
-	o.Conns.Add(1)
-	br := bufio.NewReader(conn)
-	for {
-		// Idle keep-alive connections lapse so they cannot accumulate.
-		conn.SetReadDeadline(time.Now().Add(keepAliveIdle))
-		req, err := httpx.ReadRequest(br)
-		if err != nil {
-			return
-		}
-		conn.SetReadDeadline(time.Time{})
-		if !o.serveOne(conn, req) {
-			return
-		}
-		if req.Header["connection"] == "close" {
-			return
-		}
-	}
+	return acceptLoop(l, func(conn net.Conn) {
+		o.Conns.Add(1)
+		o.busy.keepAlive(conn, o.serveOne)
+	})
 }
 
 // serveOne answers a single request; it reports whether the connection
-// can serve another. When tracing, the exchange records a terminal
-// "serve" span under whatever trace the request's x-trace header names.
+// can serve another. The exchange is one record: a terminal "serve"
+// span under whatever trace the request's x-trace header names (parsed
+// even with span recording off — the latency histogram's exemplars want
+// it), the latency observation, and the health fold keyed by object.
 func (o *Origin) serveOne(conn net.Conn, req *httpx.Request) bool {
-	start := time.Now()
-	// Parse the trace header unconditionally: the latency histogram's
-	// exemplars want the trace even when span recording is off.
 	parent, _ := obs.ParseTraceHeader(req.Header[obs.TraceHeader])
-	var span *obs.ActiveSpan
-	if o.Spans != nil {
-		span = o.Spans.StartSpan(parent, "origin", "serve")
-	}
-	again, class, detail, object, sent := o.serve(conn, req, span)
-	span.End(class, detail)
-	elapsed := time.Since(start)
-	o.lat.ObserveTrace(elapsed, parent.Trace)
-	if o.Health != nil {
-		o.Health.Observe(object, class, elapsed.Seconds(), sent)
-	}
+	var rec flight.Record
+	rec.Start(flight.Spec{
+		Spans: o.Spans, Latency: &o.lat, Health: o.Health,
+		Service: "origin", Phase: "serve", Parent: parent})
+	again := o.serve(conn, req, &rec)
+	rec.Finish()
 	return again
 }
 
-func (o *Origin) serve(conn net.Conn, req *httpx.Request, span *obs.ActiveSpan) (again bool, class obs.ErrClass, detail, object string, sent int64) {
+func (o *Origin) serve(conn net.Conn, req *httpx.Request, rec *flight.Record) (again bool) {
 	name := req.Target
 	if _, path, ok := req.AbsoluteTarget(); ok {
 		name = path
@@ -179,11 +132,13 @@ func (o *Origin) serve(conn net.Conn, req *httpx.Request, span *obs.ActiveSpan) 
 	if len(name) > 0 && name[0] == '/' {
 		name = name[1:]
 	}
-	span.SetAttr("object", name)
+	rec.SetAttr("object", name)
+	rec.FoldKey(name)
 	size, ok := o.Size(name)
 	if !ok {
+		rec.Outcome(obs.ClassStatus, "not found")
 		return httpx.WriteResponseHead(conn, 404, "Not Found",
-			map[string]string{"content-length": "0"}) == nil, obs.ClassStatus, "not found", name, 0
+			map[string]string{"content-length": "0"}) == nil
 	}
 	off, n, err := httpx.ParseRange(req.Header["range"], size)
 	if err != nil {
@@ -191,8 +146,9 @@ func (o *Origin) serve(conn net.Conn, req *httpx.Request, span *obs.ActiveSpan) 
 		if errors.Is(err, httpx.ErrUnsatisfiable) {
 			status, reason = 416, "Range Not Satisfiable"
 		}
+		rec.Outcome(obs.ClassStatus, reason)
 		return httpx.WriteResponseHead(conn, status, reason,
-			map[string]string{"content-length": "0"}) == nil, obs.ClassStatus, reason, name, 0
+			map[string]string{"content-length": "0"}) == nil
 	}
 
 	header := map[string]string{
@@ -205,56 +161,66 @@ func (o *Origin) serve(conn net.Conn, req *httpx.Request, span *obs.ActiveSpan) 
 		header["content-range"] = httpx.ContentRange(off, n, size)
 	}
 	if err := httpx.WriteResponseHead(conn, status, reason, header); err != nil {
-		return false, obs.ClassFailed, err.Error(), name, 0
+		rec.Outcome(obs.ClassFailed, err.Error())
+		return false
 	}
 	if req.Method == "HEAD" {
-		return true, obs.ClassOK, "", name, 0
+		return true
 	}
 
-	sent, werr := WriteRange(conn, name, off, n, nil)
-	o.BytesServed.Add(sent)
-	if span != nil { // gate the FormatInt: no formatting on the untraced path
-		span.SetAttr("bytes", strconv.FormatInt(sent, 10))
+	sent, werr := writeRange(conn, name, off, n, nil, &o.BytesServed)
+	rec.StoreBytes(sent)
+	if rec.Tracing() { // gate the FormatInt: no formatting on the untraced path
+		rec.SetAttr("bytes", strconv.FormatInt(sent, 10))
 	}
 	if werr != nil {
-		return false, obs.ClassFailed, werr.Error(), name, sent
+		rec.Outcome(obs.ClassFailed, werr.Error())
+		return false
 	}
-	return true, obs.ClassOK, "", name, sent
+	return true
 }
 
 // ServeAddr starts the origin on addr (e.g. "127.0.0.1:0") and returns the
 // listener; callers close it to stop.
-func (o *Origin) ServeAddr(addr string) (net.Listener, error) {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	go o.Serve(l)
-	return l, nil
-}
+func (o *Origin) ServeAddr(addr string) (net.Listener, error) { return listenAndServe(addr, o.Serve) }
 
-// Head asks the origin (or a relay, with an absolute-form target built by
-// the caller) for an object's size without transferring content.
-func Head(dial func(network, addr string) (net.Conn, error), addr, name string) (int64, error) {
+// get sends req to addr over a fresh connection (dial nil = net.Dial)
+// and returns the body of a 200/206 answer — nil for a HEAD — with the
+// response head.
+func get(dial func(network, addr string) (net.Conn, error), addr string, req *httpx.Request) (*httpx.Response, []byte, error) {
 	if dial == nil {
 		dial = net.Dial
 	}
 	conn, err := dial("tcp", addr)
 	if err != nil {
-		return 0, err
+		return nil, nil, err
 	}
 	defer conn.Close()
-	req := httpx.NewGet("/"+name, addr)
-	req.Method = "HEAD"
 	if err := req.Write(conn); err != nil {
-		return 0, err
+		return nil, nil, err
 	}
 	resp, err := httpx.ReadResponse(bufio.NewReader(conn))
 	if err != nil {
-		return 0, err
+		return nil, nil, err
 	}
-	if resp.Status != 200 {
-		return 0, fmt.Errorf("relay: head status %d", resp.Status)
+	if resp.Status != 200 && resp.Status != 206 {
+		return nil, nil, fmt.Errorf("relay: status %d %s", resp.Status, resp.Reason)
+	}
+	if req.Method == "HEAD" {
+		return resp, nil, nil
+	}
+	body, err := io.ReadAll(resp.Body)
+	return resp, body, err
+}
+
+// Head asks the origin (or a relay, with an absolute-form target built by
+// the caller) for an object's size without transferring content.
+func Head(dial func(network, addr string) (net.Conn, error), addr, name string) (int64, error) {
+	req := httpx.NewGet("/"+name, addr)
+	req.Method = "HEAD"
+	resp, _, err := get(dial, addr, req)
+	if err != nil {
+		return 0, err
 	}
 	if resp.ContentLength < 0 {
 		return 0, errors.New("relay: head response missing content-length")
@@ -266,27 +232,20 @@ func Head(dial func(network, addr string) (net.Conn, error), addr, name string) 
 // from addr over a fresh connection, optionally via dial (nil = net.Dial),
 // returning the body.
 func Fetch(dial func(network, addr string) (net.Conn, error), addr, name string, off, n int64) ([]byte, error) {
-	if dial == nil {
-		dial = net.Dial
-	}
-	conn, err := dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
 	req := httpx.NewGet("/"+name, addr)
 	if off != 0 || n >= 0 {
 		req.SetRange(off, n)
 	}
-	if err := req.Write(conn); err != nil {
-		return nil, err
-	}
-	resp, err := httpx.ReadResponse(bufio.NewReader(conn))
-	if err != nil {
-		return nil, err
-	}
-	if resp.Status != 200 && resp.Status != 206 {
-		return nil, fmt.Errorf("relay: fetch status %d", resp.Status)
-	}
-	return io.ReadAll(resp.Body)
+	_, body, err := get(dial, addr, req)
+	return body, err
+}
+
+// FetchVia downloads [off, off+n) of object name from originAddr through
+// the relay at relayAddr, optionally with a custom dialer for the
+// client-to-relay hop.
+func FetchVia(dial func(network, addr string) (net.Conn, error), relayAddr, originAddr, name string, off, n int64) ([]byte, error) {
+	req := httpx.NewGet("http://"+originAddr+"/"+name, originAddr)
+	req.SetRange(off, n)
+	_, body, err := get(dial, relayAddr, req)
+	return body, err
 }

@@ -3,7 +3,6 @@ package relay
 import (
 	"bufio"
 	"context"
-	"errors"
 	"io"
 	"net"
 	"strconv"
@@ -66,155 +65,136 @@ type Relay struct {
 	// with WithCache sets it; a zero Relay forwards exactly as before.
 	cache *objcache.Cache
 
-	lat obs.LatencyRecorder
+	lat  obs.LatencyRecorder
+	busy inflight
 }
 
 // LatencySnapshot returns the distribution of request handling times,
 // ready for Prometheus exposition.
 func (r *Relay) LatencySnapshot() obs.HistogramSnapshot { return r.lat.Snapshot() }
 
+// WaitIdle blocks until no request is between its head being read and
+// its record being finished: counters, spans, wide events, latency and
+// health then reflect every response a client has fully received.
+// relayd's shutdown waits on it before archiving.
+func (r *Relay) WaitIdle() { r.busy.wait() }
+
 // Serve accepts and forwards until the listener closes.
 func (r *Relay) Serve(l net.Listener) error {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		go r.handle(conn)
-	}
+	return acceptLoop(l, func(conn net.Conn) { r.busy.keepAlive(conn, r.forwardOne) })
 }
 
 // ServeAddr starts the relay on addr and returns its listener.
-func (r *Relay) ServeAddr(addr string) (net.Listener, error) {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	go r.Serve(l)
-	return l, nil
-}
+func (r *Relay) ServeAddr(addr string) (net.Listener, error) { return listenAndServe(addr, r.Serve) }
 
-func (r *Relay) handle(conn net.Conn) {
-	defer conn.Close()
-	br := bufio.NewReader(conn)
-	for {
-		conn.SetReadDeadline(time.Now().Add(keepAliveIdle))
-		req, err := httpx.ReadRequest(br)
-		if err != nil {
-			return
-		}
-		conn.SetReadDeadline(time.Time{})
-		if !r.forwardOne(conn, req) {
-			return
-		}
-		if req.Header["connection"] == "close" {
-			return
-		}
-	}
-}
-
-// forwardOne relays a single request upstream; it reports whether the
-// client connection can carry another request. When tracing, the whole
-// exchange is wrapped in a "forward" span continuing the client's trace
-// (a missing or malformed x-trace header simply roots a fresh one).
+// forwardOne relays a single request; it reports whether the client
+// connection can carry another. The whole exchange is one record: a
+// "forward" span continuing the client's trace (a missing or malformed
+// x-trace header roots a fresh one), the wide event keyed like Health by
+// the upstream address, the latency observation and the health fold all
+// come out of its Finish. Malformed targets still get an event (path "",
+// object = raw target) — the anomaly log should show garbage too.
 func (r *Relay) forwardOne(conn net.Conn, req *httpx.Request) bool {
 	r.Requests.Add(1)
-	start := time.Now()
+	upstreamAddr, path, ok := req.AbsoluteTarget()
+	object := req.Target
+	if ok {
+		object = strings.TrimPrefix(path, "/")
+	}
 	// The trace header is parsed even when span recording is off: the
 	// latency histogram's exemplars link buckets to traces, and a traced
 	// client deserves that link whether or not this relay keeps spans.
-	parent, hasTrace := obs.ParseTraceHeader(req.Header[obs.TraceHeader])
-	var fspan *obs.ActiveSpan
-	if r.Spans != nil {
-		fspan = r.Spans.StartSpan(parent, "relay", "forward")
-		fspan.SetAttr("target", req.Target)
-	}
-	var ft *flight.Transfer
-	if r.Flight != nil {
-		// The wide event is keyed like Health: by the upstream address the
-		// request names. Malformed targets still get an event (path "",
-		// object = raw target) — the anomaly log should show garbage too.
-		addr, opath, ok := req.AbsoluteTarget()
-		if ok {
-			ft = r.Flight.Start("relay", addr, strings.TrimPrefix(opath, "/"))
-		} else {
-			ft = r.Flight.Start("relay", "", req.Target)
-		}
-		switch {
-		case fspan != nil:
-			ft.SetTrace(fspan.Context().Trace.String())
-		case hasTrace:
-			ft.SetTrace(parent.Trace.String())
-		}
-	}
-	var (
-		again    bool
-		class    obs.ErrClass
-		detail   string
-		upstream string
-		n        int64
-	)
+	parent, _ := obs.ParseTraceHeader(req.Header[obs.TraceHeader])
+	var rec flight.Record
+	rec.Start(flight.Spec{
+		Spans: r.Spans, Flight: r.Flight, Latency: &r.lat, Health: r.Health,
+		Service: "relay", Phase: "forward", Path: upstreamAddr, Object: object, Parent: parent})
+	rec.SetAttr("target", req.Target)
+	var again bool
 	flight.DoLabeled(context.Background(), "forward", func(context.Context) {
-		again, class, detail, upstream, n = r.forward(conn, req, fspan, ft)
+		again = r.serve(conn, req, &rec, upstreamAddr, path, ok)
 	})
-	fspan.End(class, detail)
-	ft.Finish(class.String(), detail)
-	elapsed := time.Since(start)
-	r.lat.ObserveTrace(elapsed, parent.Trace)
-	if r.Health != nil && upstream != "" {
-		// Malformed requests never name an upstream; they say nothing
-		// about any path and are not folded.
-		r.Health.Observe(upstream, class, elapsed.Seconds(), n)
-	}
+	rec.Finish()
 	return again
 }
 
-// childSpan opens a per-phase child of the forward span; nil in, nil out.
-func (r *Relay) childSpan(parent *obs.ActiveSpan, phase string) *obs.ActiveSpan {
-	if parent == nil {
-		return nil
-	}
-	return r.Spans.StartSpan(parent.Context(), "relay", phase)
-}
-
-// forward does the actual relaying and classifies the outcome for the
-// forward span and the health monitor (addr is the upstream the request
-// named, "" when malformed; n the body bytes forwarded). Upstream
-// connections are per-request; the client-facing connection stays warm.
-func (r *Relay) forward(conn net.Conn, req *httpx.Request, fspan *obs.ActiveSpan, ft *flight.Transfer) (again bool, class obs.ErrClass, detail, addr string, n int64) {
-	upstreamAddr, path, ok := req.AbsoluteTarget()
+// serve answers one request — from the cache when it can, through
+// forward otherwise — leaving the outcome on rec.
+func (r *Relay) serve(conn net.Conn, req *httpx.Request, rec *flight.Record, upstreamAddr, path string, ok bool) (again bool) {
 	if !ok {
 		httpx.WriteResponseHead(conn, 400, "Bad Request: relay requires absolute-form target",
 			map[string]string{"content-length": "0"})
-		return true, obs.ClassStatus, "non-absolute target", "", 0
+		rec.Outcome(obs.ClassStatus, "non-absolute target")
+		return true
 	}
-
 	if r.cache != nil && req.Method == "GET" {
-		handled, cagain, cclass, cdetail, caddr, cn := r.serveCached(conn, req, fspan, ft, upstreamAddr, path)
-		if handled {
-			return cagain, cclass, cdetail, caddr, cn
+		if handled, again := r.serveCached(conn, req, rec, upstreamAddr, path); handled {
+			return again
 		}
 		// Not cacheable (or a failed shared fill): plain path below.
 	}
+	return r.forward(conn, req, rec, upstreamAddr, path, nil)
+}
 
+// fill is the cache side of an upstream exchange: the singleflight this
+// request leads. Whichever comes first completes it, once — the last
+// upstream byte landing in buf, or forward returning without it.
+type fill struct {
+	fl   *objcache.Flight
+	key  string
+	off  int64
+	buf  []byte // the teed body; nil until learn finds the response cacheable
+	done bool
+}
+
+// teeing reports whether the body being streamed is also filling f.
+func (f *fill) teeing() bool { return f != nil && f.buf != nil }
+
+func (f *fill) complete(data []byte, err error) {
+	if f == nil || f.done {
+		return
+	}
+	f.done = true
+	f.fl.Complete(data, err)
+}
+
+// badGateway answers a request whose upstream leg failed before any
+// response byte reached the client; the connection stays usable.
+func badGateway(conn net.Conn, rec *flight.Record, f *fill, err error) bool {
+	rec.Outcome(obs.ClassFailed, err.Error())
+	f.complete(nil, err)
+	httpx.WriteResponseHead(conn, 502, "Bad Gateway",
+		map[string]string{"content-length": "0"})
+	return true
+}
+
+// forward is the relay's one upstream exchange: dial, rewrite, wait for
+// the response head, stream the body to the client, and leave the
+// outcome on rec, folded under the upstream address. It reports whether
+// the client connection can carry another request. Upstream connections
+// are per-request; the client-facing connection stays warm.
+//
+// With f set this request leads a cache fill: a cacheable body is teed
+// into f and committed the moment its last byte is in hand — before that
+// byte is released to the client, so whoever asks next finds a hit — and
+// keeps draining for the fill's waiters even if this client hangs up.
+// Every other way out releases the waiters to fetch for themselves.
+func (r *Relay) forward(conn net.Conn, req *httpx.Request, rec *flight.Record, upstreamAddr, path string, f *fill) (again bool) {
+	rec.FoldKey(upstreamAddr)
+	if f != nil {
+		rec.SetCache("miss")
+		defer f.complete(nil, errUncacheable)
+	}
 	dial := r.Dial
 	if dial == nil {
 		dial = net.Dial
 	}
-	dspan := r.childSpan(fspan, "dial")
-	dspan.SetAttr("addr", upstreamAddr)
-	ft.Phase("dial")
+	rec.Phase("dial")
+	rec.PhaseAttr("addr", upstreamAddr)
 	upstream, err := dial("tcp", upstreamAddr)
 	if err != nil {
-		dspan.End(obs.ClassFailed, err.Error())
-		httpx.WriteResponseHead(conn, 502, "Bad Gateway",
-			map[string]string{"content-length": "0"})
-		return true, obs.ClassFailed, err.Error(), upstreamAddr, 0
+		return badGateway(conn, rec, f, err)
 	}
-	dspan.EndOK()
 	defer upstream.Close()
 
 	// Rewrite to origin form, preserving the method (GET/HEAD), the Range
@@ -232,104 +212,74 @@ func (r *Relay) forward(conn net.Conn, req *httpx.Request, fspan *obs.ActiveSpan
 	if rg := req.Header["range"]; rg != "" {
 		fwd.Header["range"] = rg
 	}
-	if fspan != nil {
+	if sc := rec.Context(); sc.Valid() {
 		// With tracing on, the upstream request carries the forward span's
 		// context so the origin's serve span nests under this hop (with it
 		// off, the client's own x-trace passed through unmodified above).
-		fwd.Header[obs.TraceHeader] = fspan.Context().Header()
+		fwd.Header[obs.TraceHeader] = sc.Header()
 	}
-	tspan := r.childSpan(fspan, "ttfb")
-	ft.Phase("ttfb")
+	rec.Phase("ttfb")
 	if err := fwd.Write(upstream); err != nil {
-		tspan.End(obs.ClassFailed, err.Error())
-		httpx.WriteResponseHead(conn, 502, "Bad Gateway",
-			map[string]string{"content-length": "0"})
-		return true, obs.ClassFailed, err.Error(), upstreamAddr, 0
+		return badGateway(conn, rec, f, err)
 	}
-
-	ubr := bufio.NewReader(upstream)
 	if r.UpstreamStall > 0 {
 		// The guard also covers time-to-first-byte: a server that
 		// accepts and never answers is the same pathology as one that
 		// stalls mid-body.
 		upstream.SetReadDeadline(time.Now().Add(r.UpstreamStall))
 	}
-	resp, err := httpx.ReadResponse(ubr)
+	resp, err := httpx.ReadResponse(bufio.NewReader(upstream))
 	if err != nil {
-		tspan.End(obs.ClassFailed, err.Error())
-		httpx.WriteResponseHead(conn, 502, "Bad Gateway",
-			map[string]string{"content-length": "0"})
-		return true, obs.ClassFailed, err.Error(), upstreamAddr, 0
+		return badGateway(conn, rec, f, err)
 	}
-	tspan.EndOK()
-	if fspan != nil { // gate the Itoa: no formatting on the untraced path
-		fspan.SetAttr("status", strconv.Itoa(resp.Status))
+	if rec.Tracing() { // gate the Itoa: no formatting on the untraced path
+		rec.SetAttr("status", strconv.Itoa(resp.Status))
+	}
+	served := resp.Status == 200 || resp.Status == 206
+	if f != nil && served {
+		// Error responses are forwarded, never cached; waiters refetch.
+		r.learn(f, resp)
+		resp.Header["x-cache"] = "miss"
 	}
 	if resp.ContentLength < 0 {
 		// Without a length the body is delimited by upstream close; the
 		// client connection cannot be reused afterwards.
 		resp.Header["connection"] = "close"
 	}
-	if err := httpx.WriteResponseHead(conn, resp.Status, resp.Reason, resp.Header); err != nil {
+	clientErr := httpx.WriteResponseHead(conn, resp.Status, resp.Reason, resp.Header)
+	var got int64
+	var upErr error
+	if clientErr == nil || f.teeing() {
+		rec.Phase("stream")
+		got, clientErr, upErr = r.copyStream(conn, upstream, resp, rec, f, clientErr)
+		if rec.Tracing() {
+			rec.PhaseAttr("bytes", strconv.FormatInt(rec.Bytes(), 10))
+		}
+	}
+	switch {
+	case clientErr != nil:
 		// Downstream write failure: the client went away (e.g. a losing
 		// probe reaped mid-response). That says nothing about the
 		// upstream path, so it folds as canceled, not failed.
-		return false, obs.ClassCanceled, "client: " + err.Error(), upstreamAddr, 0
-	}
-	sspan := r.childSpan(fspan, "stream")
-	ft.Phase("stream")
-	body := resp.Body
-	if r.UpstreamStall > 0 {
-		body = &stallGuard{conn: upstream, d: r.UpstreamStall, r: body}
-	}
-	var werr, rerr error
-	n, werr, rerr = copyStream(conn, body, ft)
-	r.BytesRelayed.Add(n)
-	if sspan != nil {
-		sspan.SetAttr("bytes", strconv.FormatInt(n, 10))
-	}
-	if werr != nil {
-		sspan.End(obs.ClassCanceled, "client: "+werr.Error())
-		return false, obs.ClassCanceled, "client: " + werr.Error(), upstreamAddr, n
-	}
-	if rerr != nil {
-		sspan.End(obs.ClassFailed, rerr.Error())
-		return false, obs.ClassFailed, rerr.Error(), upstreamAddr, n
-	}
-	if resp.ContentLength >= 0 && n < resp.ContentLength {
+		rec.Outcome(obs.ClassCanceled, "client: "+clientErr.Error())
+		return false
+	case upErr != nil:
+		rec.Outcome(obs.ClassFailed, upErr.Error())
+		return false
+	case resp.ContentLength >= 0 && got < resp.ContentLength:
 		// The upstream closed mid-body: its LimitReader surfaces the early
 		// FIN as a clean EOF, but the client was promised ContentLength
 		// bytes. Report the truncation as an upstream transport failure and
 		// close the client connection, so the client sees a short read
 		// immediately instead of hanging on a keep-alive conn that will
-		// never carry the rest. (The cache fill path has the same
-		// completeness check; this is the plain-forward twin.)
-		detail = "upstream: short body " + strconv.FormatInt(n, 10) +
-			"/" + strconv.FormatInt(resp.ContentLength, 10)
-		sspan.End(obs.ClassFailed, detail)
-		return false, obs.ClassFailed, detail, upstreamAddr, n
+		// never carry the rest.
+		rec.Outcome(obs.ClassFailed, "upstream: short body "+strconv.FormatInt(got, 10)+
+			"/"+strconv.FormatInt(resp.ContentLength, 10))
+		return false
+	case !served:
+		rec.Outcome(obs.ClassStatus, resp.Reason)
 	}
-	sspan.EndOK()
-	if resp.Status != 200 && resp.Status != 206 {
-		return resp.ContentLength >= 0, obs.ClassStatus, resp.Reason, upstreamAddr, n
-	}
-	return resp.ContentLength >= 0, obs.ClassOK, "", upstreamAddr, n
-}
-
-// stallGuard re-arms a read deadline on the upstream connection before
-// every body read: progress resets the clock, silence longer than d
-// surfaces as a timeout error from the read. A stall detector, not a
-// transfer cap — an arbitrarily large body is fine as long as bytes keep
-// arriving.
-type stallGuard struct {
-	conn net.Conn
-	d    time.Duration
-	r    io.Reader
-}
-
-func (g *stallGuard) Read(p []byte) (int, error) {
-	g.conn.SetReadDeadline(time.Now().Add(g.d))
-	return g.r.Read(p)
+	return resp.ContentLength >= 0
 }
 
 // relayBufs recycles forward-stream buffers across requests.
@@ -337,56 +287,58 @@ var relayBufs = sync.Pool{
 	New: func() any { return make([]byte, 32<<10) },
 }
 
-// copyStream pumps src to dst like io.Copy but reports read (upstream)
-// and write (downstream) failures separately: the relay's health
-// telemetry must not blame the upstream path when the downstream client
-// hung up. A non-nil flight handle sees the byte count live, so the
-// in-flight inspector shows a wedged stream's progress while it hangs.
-func copyStream(dst io.Writer, src io.Reader, ft *flight.Transfer) (n int64, werr, rerr error) {
+// copyStream pumps the upstream body to the client and reports read
+// (upstream) and write (downstream) failures separately: the relay's
+// health telemetry must not blame the upstream path when the downstream
+// client hung up. Every chunk is counted — into BytesRelayed and rec,
+// where the in-flight inspector sees it — before the write that
+// releases it, so a client holding the last byte never reads a stale
+// counter; a short write takes the undelivered part back.
+//
+// A teeing fill also gets every chunk, commits once the whole body is in
+// hand, and keeps the loop draining the upstream after the client is
+// gone (headErr, or a failed write); without one a lost client ends the
+// copy.
+//
+// With UpstreamStall set, every read re-arms a deadline on the upstream
+// connection: progress resets the clock, silence longer than that
+// surfaces as a timeout from the read. A stall detector, not a transfer
+// cap — an arbitrarily large body is fine as long as bytes keep arriving.
+func (r *Relay) copyStream(dst, upstream net.Conn, resp *httpx.Response, rec *flight.Record, f *fill, headErr error) (got int64, werr, rerr error) {
+	werr = headErr
 	buf := relayBufs.Get().([]byte)
 	defer relayBufs.Put(buf)
 	for {
-		nr, err := src.Read(buf)
+		if r.UpstreamStall > 0 {
+			upstream.SetReadDeadline(time.Now().Add(r.UpstreamStall))
+		}
+		nr, err := resp.Body.Read(buf)
 		if nr > 0 {
-			nw, err := dst.Write(buf[:nr])
-			n += int64(nw)
-			ft.AddBytes(int64(nw))
-			if err != nil {
-				return n, err, nil
+			got += int64(nr)
+			if f.teeing() {
+				f.buf = append(f.buf, buf[:nr]...)
+				if got == resp.ContentLength {
+					f.complete(f.buf, nil)
+				}
+			}
+			if werr == nil {
+				r.BytesRelayed.Add(int64(nr))
+				rec.AddBytes(int64(nr))
+				var nw int
+				if nw, werr = dst.Write(buf[:nr]); nw < nr {
+					r.BytesRelayed.Add(int64(nw - nr))
+					rec.AddBytes(int64(nw - nr))
+				}
+			}
+			if werr != nil && !f.teeing() {
+				return got, werr, nil // nothing to salvage for a cache: stop
 			}
 		}
 		if err == io.EOF {
-			return n, nil, nil
+			return got, werr, nil
 		}
 		if err != nil {
-			return n, nil, err
+			return got, werr, err
 		}
 	}
-}
-
-// FetchVia downloads [off, off+n) of object name from originAddr through
-// the relay at relayAddr, optionally with a custom dialer for the
-// client-to-relay hop.
-func FetchVia(dial func(network, addr string) (net.Conn, error), relayAddr, originAddr, name string, off, n int64) ([]byte, error) {
-	if dial == nil {
-		dial = net.Dial
-	}
-	conn, err := dial("tcp", relayAddr)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	req := httpx.NewGet("http://"+originAddr+"/"+name, originAddr)
-	req.SetRange(off, n)
-	if err := req.Write(conn); err != nil {
-		return nil, err
-	}
-	resp, err := httpx.ReadResponse(bufio.NewReader(conn))
-	if err != nil {
-		return nil, err
-	}
-	if resp.Status != 200 && resp.Status != 206 {
-		return nil, errors.New("relay: upstream status " + resp.Reason)
-	}
-	return io.ReadAll(resp.Body)
 }

@@ -8,7 +8,7 @@ import (
 
 func startOrigin(t *testing.T) (*Origin, string) {
 	t.Helper()
-	o := NewOrigin()
+	o := NewOriginServer()
 	o.Put("big.bin", 1_000_000)
 	l, err := o.ServeAddr("127.0.0.1:0")
 	if err != nil {
@@ -105,6 +105,7 @@ func TestFetchViaRelay(t *testing.T) {
 	if !VerifyRange("big.bin", 2048, body) {
 		t.Fatal("relayed content mismatch")
 	}
+	r.WaitIdle()
 	if r.BytesRelayed.Load() != 4096 {
 		t.Fatalf("relay accounted %d bytes, want 4096", r.BytesRelayed.Load())
 	}
@@ -131,7 +132,7 @@ func TestRelayRejectsOriginForm(t *testing.T) {
 }
 
 func TestOriginFullObjectNoRange(t *testing.T) {
-	o := NewOrigin()
+	o := NewOriginServer()
 	o.Put("small.bin", 1234)
 	l, err := o.ServeAddr("127.0.0.1:0")
 	if err != nil {
@@ -151,7 +152,7 @@ func TestOriginPutNegativePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewOrigin().Put("x", -1)
+	NewOriginServer().Put("x", -1)
 }
 
 func TestOriginUnsatisfiableRange(t *testing.T) {

@@ -3,6 +3,7 @@ package relay
 import (
 	"bytes"
 	"io"
+	"sync/atomic"
 )
 
 // streamChunk is the generation/verification granularity of the streaming
@@ -18,6 +19,14 @@ const streamChunk = 32 << 10
 // origin server and tests produce arbitrarily large ranges in constant
 // memory.
 func WriteRange(w io.Writer, name string, off, n int64, buf []byte) (int64, error) {
+	return writeRange(w, name, off, n, buf, nil)
+}
+
+// writeRange is WriteRange that also keeps a served-bytes counter: each
+// chunk is counted before the write that releases it, so a reader that
+// already holds the last byte never sees a stale count, and a short
+// write takes the undelivered part back.
+func writeRange(w io.Writer, name string, off, n int64, buf []byte, served *atomic.Int64) (int64, error) {
 	if len(buf) == 0 {
 		buf = make([]byte, streamChunk)
 	}
@@ -28,7 +37,13 @@ func WriteRange(w io.Writer, name string, off, n int64, buf []byte) (int64, erro
 			chunk = rest
 		}
 		FillRange(name, off+written, buf[:chunk])
+		if served != nil {
+			served.Add(chunk)
+		}
 		m, err := w.Write(buf[:chunk])
+		if served != nil && int64(m) < chunk {
+			served.Add(int64(m) - chunk)
+		}
 		written += int64(m)
 		if err != nil {
 			return written, err

@@ -102,7 +102,7 @@ func TestVerifierAgreesWithVerifyRange(t *testing.T) {
 }
 
 func TestOriginStreamsLargeRange(t *testing.T) {
-	o := NewOrigin()
+	o := NewOriginServer()
 	o.Put("huge.bin", 64<<20)
 	l, err := o.ServeAddr("127.0.0.1:0")
 	if err != nil {

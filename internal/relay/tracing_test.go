@@ -113,6 +113,7 @@ func TestRelayRewritesTraceWhenTracing(t *testing.T) {
 	})
 
 	hdr := <-got
+	r.WaitIdle() // the forward span lands at the record's Finish
 	up, ok := obs.ParseTraceHeader(hdr[obs.TraceHeader])
 	if !ok {
 		t.Fatalf("upstream x-trace unparseable: %q", hdr[obs.TraceHeader])
@@ -161,6 +162,7 @@ func TestRelaySpanPhases(t *testing.T) {
 	if err != nil || len(body) != 4096 {
 		t.Fatalf("fetch: %d bytes, %v", len(body), err)
 	}
+	r.WaitIdle()
 
 	byPhase := map[string]obs.Span{}
 	for _, s := range spans.Spans() {

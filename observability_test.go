@@ -22,7 +22,7 @@ import (
 // utilization counts must exactly match what the returned Outcomes
 // say happened.
 func TestClientSnapshotMatchesOutcomes(t *testing.T) {
-	origin := relay.NewOrigin()
+	origin := relay.NewOriginServer()
 	origin.Put("large.bin", 600_000)
 	ol, err := origin.ServeAddr("127.0.0.1:0")
 	if err != nil {
@@ -149,7 +149,7 @@ func simOutcome(o repro.Observer) repro.Outcome {
 
 	obj := repro.Object{Server: "eBay", Name: "large.bin", Size: 4_000_000}
 	cfg := repro.Config{ProbeBytes: repro.DefaultProbeBytes, Observer: o}
-	return repro.SelectAndFetch(world, obj, []string{"Berkeley", "Princeton"}, cfg)
+	return repro.New(world, repro.WithConfig(cfg)).SelectAndFetch(context.Background(), obj, []string{"Berkeley", "Princeton"})
 }
 
 // TestSimulatorDeterministicUnderObservation asserts observation is

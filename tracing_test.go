@@ -21,7 +21,7 @@ import (
 // ending with the canceled class.
 func TestCrossProcessTraceStitches(t *testing.T) {
 	originSpans := repro.NewSpanCollector(256)
-	origin := relay.NewOrigin()
+	origin := relay.NewOriginServer()
 	origin.Spans = originSpans
 	origin.Put("large.bin", 600_000)
 	ol, err := origin.ServeAddr("127.0.0.1:0")
@@ -77,7 +77,11 @@ func TestCrossProcessTraceStitches(t *testing.T) {
 	}
 
 	// Merge the three processes' collectors — exactly what fetch -stitch
-	// -merge does with the daemons' archives — and stitch.
+	// -merge does with the daemons' archives — and stitch. Relay and
+	// origin record a request's spans when its record finishes, after the
+	// client has its bytes (or has hung up, for the reaped loser).
+	r.WaitIdle()
+	origin.WaitIdle()
 	all := append(clientSpans.Spans(), relaySpans.Spans()...)
 	all = append(all, originSpans.Spans()...)
 	ids := repro.TraceIDs(all)
@@ -231,7 +235,7 @@ func phaseKeys(m map[string][]repro.Span) []string {
 // WithSpans must leave every collector untouched and expose a nil
 // Spans() accessor, keeping the hot path span-free.
 func TestTracingDisabledRecordsNothing(t *testing.T) {
-	origin := relay.NewOrigin()
+	origin := relay.NewOriginServer()
 	origin.Put("o.bin", 64_000)
 	ol, err := origin.ServeAddr("127.0.0.1:0")
 	if err != nil {
