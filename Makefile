@@ -1,7 +1,7 @@
 GO ?= go
 BENCHTIME ?= 1s
 
-.PHONY: build vet test race bench bench-json bench-smoke fuzz-smoke chaos-smoke obs-smoke flight-smoke stress verify
+.PHONY: build vet test race bench bench-json bench-smoke bench-pair fuzz-smoke chaos-smoke obs-smoke flight-smoke stress verify
 
 build:
 	$(GO) build ./...
@@ -44,14 +44,28 @@ bench-json:
 bench-smoke:
 	cd bench && $(GO) test ./...
 
-# Seed-corpus smoke for the wire-parser fuzz targets: runs each corpus
-# as regular tests plus a short randomized burst, so CI exercises the
-# parsers' crash-freedom invariants without an open-ended fuzz session.
+# Parent-vs-change comparison of one workload of the repo benchmark:
+# REF is archived into a throw-away directory, each tree runs its own
+# bench/run.sh, the two alternate over seeds 41.. and the table gives
+# median [quartiles] per end-to-end metric beside its BENCHMARK.json
+# bound. e.g. `make bench-pair WORKLOAD=bulk_select PAIRS=10`.
+WORKLOAD ?=
+PAIRS ?= 5
+REF ?= HEAD~1
+bench-pair:
+	bash scripts/benchpair.sh "$(WORKLOAD)" "$(PAIRS)" "$(REF)"
+
+# Seed-corpus smoke for the fuzz targets (the wire parsers and the
+# synthetic content definition): runs each corpus as regular tests plus
+# a short randomized burst, so CI exercises their invariants without an
+# open-ended fuzz session.
 fuzz-smoke:
 	$(GO) test ./internal/registry/ -run '^Fuzz' -fuzz FuzzParseRequest -fuzztime 10s
 	$(GO) test ./internal/registry/ -run '^Fuzz' -count=1
 	$(GO) test ./internal/faultproxy/ -run '^Fuzz' -fuzz FuzzParseSchedule -fuzztime 10s
 	$(GO) test ./internal/faultproxy/ -run '^Fuzz' -count=1
+	$(GO) test ./internal/relay/ -run '^Fuzz' -fuzz FuzzContentSplit -fuzztime 10s
+	$(GO) test ./internal/relay/ -run '^Fuzz' -count=1
 
 # The chaos tier: the fault-injection regression tests under the race
 # detector (packet faults on the simulator, connection faults through

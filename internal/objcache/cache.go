@@ -41,8 +41,12 @@ type Config struct {
 	// Clock returns the current time (nil = time.Now); injectable for
 	// expiry tests.
 	Clock func() time.Time
-	// Verify, when set, re-checks every span before Get serves it; a
-	// failing span is dropped and the lookup degrades to a miss.
+	// Verify, when set, re-checks every span before Get serves it and
+	// every shared fill before Flight.Wait hands it to a waiter; a
+	// failing span is dropped and the lookup degrades to a miss, a
+	// failing fill to errCorruptFill. Get calls it under the cache's
+	// lock, Wait from each waiter's goroutine: it must be safe for
+	// concurrent use.
 	Verify VerifyFunc
 }
 
@@ -365,7 +369,8 @@ type Stats struct {
 
 	// Evictions/EvictedBytes count spans dropped for capacity,
 	// Expirations spans dropped by TTL, VerifyFailures spans dropped
-	// because serve-time re-verification caught corruption.
+	// and shared fills refused because serve-time re-verification
+	// caught corruption.
 	Evictions      int64 `json:"evictions"`
 	EvictedBytes   int64 `json:"evicted_bytes"`
 	Expirations    int64 `json:"expirations"`

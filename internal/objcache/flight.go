@@ -2,8 +2,13 @@ package objcache
 
 import (
 	"context"
+	"errors"
 	"strconv"
 )
+
+// errCorruptFill is what Wait returns when the leader's bytes fail the
+// cache's Verify hook: the waiter must fetch for itself.
+var errCorruptFill = errors.New("objcache: shared fill failed verification")
 
 // Flight is one in-progress fill of an object range: the first request
 // to miss becomes the leader and fetches from the origin; every
@@ -61,7 +66,9 @@ func (f *Flight) Complete(data []byte, err error) {
 // Wait blocks until the leader completes the fill (returning its bytes
 // or its error) or ctx dies first. A canceled waiter detaches without
 // disturbing the fill — the leader keeps streaming and the cache still
-// warms for everyone after.
+// warms for everyone after. With a Verify hook configured the leader's
+// bytes get the check Get gives a hit before a waiter is handed them: a
+// poisoned fill counts a verify failure and returns errCorruptFill.
 func (f *Flight) Wait(ctx context.Context) ([]byte, error) {
 	f.c.mu.Lock()
 	f.c.flightWaiters++
@@ -75,6 +82,12 @@ func (f *Flight) Wait(ctx context.Context) ([]byte, error) {
 	case <-f.done:
 		if f.err != nil {
 			return nil, f.err
+		}
+		if verify := f.c.cfg.Verify; verify != nil && !verify(f.key, f.off, f.data) {
+			f.c.mu.Lock()
+			f.c.verifyFailures++
+			f.c.mu.Unlock()
+			return nil, errCorruptFill
 		}
 		f.c.mu.Lock()
 		f.c.sharedFills++

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -112,5 +113,32 @@ func TestWaiterCanceledWhileFillContinues(t *testing.T) {
 	s := c.Stats()
 	if s.CanceledWaits != 1 || s.FlightWaiters != 0 {
 		t.Fatalf("cancel counters: %+v", s)
+	}
+}
+
+// A waiter must get the check a hit gets: a fill the Verify hook
+// rejects is refused, counted, and never counted as shared.
+func TestWaiterRefusesFillThatFailsVerification(t *testing.T) {
+	c := New(Config{
+		MaxBytes: 1 << 20,
+		Verify:   func(key string, off int64, data []byte) bool { return data[0] == 0 },
+	})
+	fl, _ := c.StartFlight("o", 0, 100)
+	errc := make(chan error, 1)
+	go func() {
+		_, err := fl.Wait(context.Background())
+		errc <- err
+	}()
+	for c.Stats().FlightWaiters != 1 {
+		runtime.Gosched()
+	}
+	poisoned := pattern(0, 100)
+	poisoned[0] = 0xff
+	fl.Complete(poisoned, nil)
+	if err := <-errc; !errors.Is(err, errCorruptFill) {
+		t.Fatalf("waiter on a poisoned fill returned %v, want errCorruptFill", err)
+	}
+	if s := c.Stats(); s.VerifyFailures != 1 || s.SharedFills != 0 {
+		t.Fatalf("counters after a refused fill: %+v", s)
 	}
 }

@@ -723,9 +723,10 @@ func (t *Transport) doRange(pc *pooledConn, rec *flight.Record, obj core.Object,
 		return false, fmt.Errorf("realnet: oversized body %d for %d-byte range", resp.ContentLength, n)
 	}
 
-	var v *relay.Verifier
+	// Held by value: a verifier is the name's seed and a position.
+	var v relay.Verifier
 	if t.Verify {
-		v = relay.NewVerifier(obj.Name, off)
+		v = *relay.NewVerifier(obj.Name, off)
 	}
 	// With caching on, the stream tees into a fill buffer so the range
 	// lands in the cache as a side effect of delivery. With it off (or
@@ -755,7 +756,7 @@ func (t *Transport) doRange(pc *pooledConn, rec *flight.Record, obj core.Object,
 		}
 		m, rerr := io.ReadFull(resp.Body, buf[:chunk])
 		if m > 0 {
-			if v != nil {
+			if t.Verify {
 				var t0 time.Time
 				if tracing {
 					t0 = time.Now()

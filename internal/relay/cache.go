@@ -58,7 +58,8 @@ func (r *Relay) cacheRange(key, rg string) (off, want int64, whole, ok bool) {
 
 // serveCached is the cache-first request path. handled=false means the
 // cache could not take the request (unsupported range form, oversized
-// range, or a failed shared fill) and the caller must forward plainly.
+// range, or a failed or poisoned shared fill) and the caller must
+// forward plainly.
 // Hits and shared fills never touch the upstream path, so they leave
 // rec without a fold key: they say nothing about its health.
 func (r *Relay) serveCached(conn net.Conn, req *httpx.Request, rec *flight.Record, upstreamAddr, path string) (handled, again bool) {
@@ -83,8 +84,9 @@ func (r *Relay) serveCached(conn net.Conn, req *httpx.Request, rec *flight.Recor
 	rec.Phase("shared-wait")
 	data, err := fl.Wait(context.Background())
 	if err != nil {
-		// The leader's fetch failed or was uncacheable; fetch for
-		// ourselves over the plain path.
+		// The leader's fetch failed, was uncacheable, or delivered bytes
+		// the serve-time verifier refused (Wait checks a shared fill as
+		// Get checks a hit); fetch for ourselves over the plain path.
 		return false, false
 	}
 	if whole && want == objcache.SizeUnknown {

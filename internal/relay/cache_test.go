@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"io"
 	"net"
+	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -150,13 +152,7 @@ func TestSingleflightCollapsesRelayMisses(t *testing.T) {
 			errs <- err
 		}()
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for r.Cache().Stats().FlightWaiters != clients-1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("waiters never converged: %+v", r.Cache().Stats())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	awaitWaiters(t, r, clients-1)
 	close(gate)
 	wg.Wait()
 	close(errs)
@@ -172,6 +168,119 @@ func TestSingleflightCollapsesRelayMisses(t *testing.T) {
 	s := r.Cache().Stats()
 	if s.SharedFills != clients-1 || s.ActiveFlights != 0 {
 		t.Fatalf("flight counters: %+v", s)
+	}
+}
+
+// awaitWaiters yields until n requests are parked on another's fill.
+func awaitWaiters(t *testing.T, r *Relay, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for r.Cache().Stats().FlightWaiters != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("waiters never converged: %+v", r.Cache().Stats())
+		}
+		runtime.Gosched()
+	}
+}
+
+// poisonedOnce is a stub upstream whose first connection holds its
+// answer until gate closes and then serves the range with one bit
+// flipped; every later connection serves it intact.
+func poisonedOnce(t *testing.T, name string, n int64, gate <-chan struct{}) (addr string) {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	serve := func(conn net.Conn, poisoned bool) {
+		defer conn.Close()
+		if _, err := httpx.ReadRequest(bufio.NewReader(conn)); err != nil {
+			return
+		}
+		body := make([]byte, n)
+		FillRange(name, 0, body)
+		if poisoned {
+			<-gate
+			body[n/2] ^= 0x10
+		}
+		httpx.WriteResponseHead(conn, 206, "Partial Content", map[string]string{
+			"content-length": strconv.FormatInt(n, 10),
+			"content-range":  httpx.ContentRange(0, n, n),
+		})
+		conn.Write(body)
+	}
+	go func() {
+		for first := true; ; first = false {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			go serve(conn, first)
+		}
+	}()
+	return l.Addr().String()
+}
+
+// A request that joins a fill still in flight is handed the leader's
+// buffer, not a cached span, so it needs the serve-time check too: the
+// waiter on a poisoned fill must refetch, never answer "x-cache: shared"
+// with the corrupt bytes.
+func TestWaiterOnPoisonedFillIsNotServedIt(t *testing.T) {
+	const name, n = "obj.bin", int64(32 << 10)
+	gate := make(chan struct{})
+	upstream := poisonedOnce(t, name, n, gate)
+	r, relayAddr := startCachedRelay(t, 1<<20, WithVerifier(VerifyRange))
+
+	fetch := func() (reply, error) {
+		conn, err := net.Dial("tcp", relayAddr)
+		if err != nil {
+			return reply{}, err
+		}
+		defer conn.Close()
+		req := httpx.NewGet("http://"+upstream+"/"+name, upstream)
+		req.SetRange(0, n)
+		if err := req.Write(conn); err != nil {
+			return reply{}, err
+		}
+		resp, err := httpx.ReadResponse(bufio.NewReader(conn))
+		if err != nil {
+			return reply{}, err
+		}
+		body, err := io.ReadAll(resp.Body)
+		return reply{header: resp.Header, body: body}, err
+	}
+
+	leader := make(chan reply, 1)
+	go func() {
+		got, _ := fetch()
+		leader <- got
+	}()
+	for r.Cache().Stats().ActiveFlights != 1 {
+		runtime.Gosched()
+	}
+	waiter := make(chan reply, 1)
+	go func() {
+		got, err := fetch()
+		got.failed = err != nil
+		waiter <- got
+	}()
+	awaitWaiters(t, r, 1)
+	close(gate)
+
+	if got := <-leader; VerifyRange(name, 0, got.body) {
+		t.Fatal("the poisoned fill reached its leader intact; the stub upstream broke")
+	}
+	// Canonical bytes or an error, never the corrupt span.
+	if got := <-waiter; !got.failed {
+		canonical := int64(len(got.body)) == n && VerifyRange(name, 0, got.body)
+		if how := got.header["x-cache"]; how == "shared" || !canonical {
+			t.Fatalf("waiter got %d bytes, x-cache %q, canonical=%v: served the poisoned fill",
+				len(got.body), how, canonical)
+		}
+	}
+	if s := r.Cache().Stats(); s.VerifyFailures < 1 || s.SharedFills != 0 {
+		t.Fatalf("the refused fill left no trace: %+v", s)
 	}
 }
 

@@ -20,30 +20,6 @@ import (
 	"repro/internal/obs/flight"
 )
 
-// FillRange writes the deterministic content of object name at [off,
-// off+len(p)) into p. Content is a cheap position-dependent pattern, so
-// any byte range can be generated (and verified) without materializing
-// the object.
-func FillRange(name string, off int64, p []byte) {
-	var h uint64 = 1469598103934665603
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= 1099511628211
-	}
-	for i := range p {
-		pos := uint64(off + int64(i))
-		x := (pos + h) * 0x9e3779b97f4a7c15
-		x ^= x >> 29
-		p[i] = byte(x)
-	}
-}
-
-// VerifyRange reports whether p matches the canonical content of object
-// name at offset off.
-func VerifyRange(name string, off int64, p []byte) bool {
-	return NewVerifier(name, off).Verify(p)
-}
-
 // Origin is an origin server holding synthetic objects of declared sizes.
 type Origin struct {
 	mu      sync.RWMutex
