@@ -55,15 +55,18 @@ REF ?= HEAD~1
 bench-pair:
 	bash scripts/benchpair.sh "$(WORKLOAD)" "$(PAIRS)" "$(REF)"
 
-# Seed-corpus smoke for the fuzz targets (the wire parsers and the
-# synthetic content definition): runs each corpus as regular tests plus
-# a short randomized burst, so CI exercises their invariants without an
-# open-ended fuzz session.
+# Seed-corpus smoke for the fuzz targets (the wire parsers, the httpx
+# head parser and the synthetic content definition): runs each corpus as
+# regular tests plus a short randomized burst, so CI exercises their
+# invariants without an open-ended fuzz session.
 fuzz-smoke:
 	$(GO) test ./internal/registry/ -run '^Fuzz' -fuzz FuzzParseRequest -fuzztime 10s
 	$(GO) test ./internal/registry/ -run '^Fuzz' -count=1
 	$(GO) test ./internal/faultproxy/ -run '^Fuzz' -fuzz FuzzParseSchedule -fuzztime 10s
 	$(GO) test ./internal/faultproxy/ -run '^Fuzz' -count=1
+	$(GO) test ./internal/httpx/ -run '^Fuzz' -fuzz FuzzReadRequest -fuzztime 10s
+	$(GO) test ./internal/httpx/ -run '^Fuzz' -fuzz FuzzReadResponse -fuzztime 10s
+	$(GO) test ./internal/httpx/ -run '^Fuzz' -count=1
 	$(GO) test ./internal/relay/ -run '^Fuzz' -fuzz FuzzContentSplit -fuzztime 10s
 	$(GO) test ./internal/relay/ -run '^Fuzz' -count=1
 

@@ -5,19 +5,28 @@
 //
 // The paper's mechanism only ever issues two request shapes — "first x
 // bytes" and "bytes x through n−1" — and measures when the bytes arrive.
-// Hand-rolling the codec keeps each transfer on exactly one fresh TCP
-// connection with no pooling, pipelining, or hidden buffering between the
-// byte stream and the throughput clock, which is what the measurement
-// needs; net/http's transport machinery would get in the way.
+// Hand-rolling the codec keeps every connection in the caller's hands —
+// a probe dials its own, a warm continuation reuses exactly the one its
+// caller kept — with no pipelining, hidden pool or hidden buffering
+// between the byte stream and the throughput clock, which is what the
+// measurement needs; net/http's transport machinery would get in the way.
+//
+// A head costs what it carries: it is assembled in a recycled buffer and
+// written with one Write, and parsed line by line in place in the
+// reader's buffer, so reading one allocates the message, its header map
+// and the strings a caller can keep — and none of those for the names
+// and tokens the protocol itself uses.
 package httpx
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Protocol limits, generous for this use.
@@ -55,18 +64,49 @@ func NewGet(target, host string) *Request {
 
 // SetRange sets a single-range Range header for [off, off+n).
 func (r *Request) SetRange(off, n int64) {
-	r.Header["range"] = fmt.Sprintf("bytes=%d-%d", off, off+n-1)
+	b := append(make([]byte, 0, 48), "bytes="...)
+	b = strconv.AppendInt(b, off, 10)
+	b = append(b, '-')
+	b = strconv.AppendInt(b, off+n-1, 10)
+	r.Header["range"] = string(b)
 }
 
-// Write serializes the request.
+// Write serializes the request with a single write to w.
 func (r *Request) Write(w io.Writer) error {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s %s %s\r\n", r.Method, r.Target, r.Proto)
-	for k, v := range r.Header {
-		fmt.Fprintf(&b, "%s: %s\r\n", k, v)
+	bp := headBufs.Get().(*[]byte)
+	b := append((*bp)[:0], r.Method...)
+	b = append(b, ' ')
+	b = append(b, r.Target...)
+	b = append(b, ' ')
+	b = append(b, r.Proto...)
+	return writeHead(w, bp, appendHeader(b, r.Header))
+}
+
+// headBufs recycles the buffers heads are assembled in.
+var headBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// appendHeader ends the start line in b and appends the header fields
+// and the blank line that closes the head.
+func appendHeader(b []byte, header map[string]string) []byte {
+	b = append(b, "\r\n"...)
+	for k, v := range header {
+		b = append(b, k...)
+		b = append(b, ": "...)
+		b = append(b, v...)
+		b = append(b, "\r\n"...)
 	}
-	b.WriteString("\r\n")
-	_, err := io.WriteString(w, b.String())
+	return append(b, "\r\n"...)
+}
+
+// writeHead writes the assembled head b and hands its buffer back to
+// headBufs through bp, unless an outsized head grew it past what the
+// next one will need.
+func writeHead(w io.Writer, bp *[]byte, b []byte) error {
+	_, err := w.Write(b)
+	if cap(b) <= maxLineLen {
+		*bp = b
+		headBufs.Put(bp)
+	}
 	return err
 }
 
@@ -76,12 +116,13 @@ func ReadRequest(br *bufio.Reader) (*Request, error) {
 	if err != nil {
 		return nil, err
 	}
-	parts := strings.SplitN(line, " ", 3)
-	if len(parts) != 3 || parts[0] == "" || parts[1] == "" ||
-		!strings.HasPrefix(parts[2], "HTTP/1.") || len(parts[2]) <= len("HTTP/1.") {
+	method, rest, _ := bytes.Cut(line, space)
+	target, proto, ok := bytes.Cut(rest, space)
+	if !ok || len(method) == 0 || len(target) == 0 ||
+		!bytes.HasPrefix(proto, protoPrefix) || len(proto) <= len(protoPrefix) {
 		return nil, fmt.Errorf("%w: bad request line %q", ErrMalformed, line)
 	}
-	req := &Request{Method: parts[0], Target: parts[1], Proto: parts[2]}
+	req := &Request{Method: intern(method), Target: string(target), Proto: intern(proto)}
 	req.Header, err = readHeader(br)
 	return req, err
 }
@@ -112,18 +153,19 @@ type Response struct {
 
 	// Body reads exactly ContentLength bytes when it is >= 0.
 	Body io.Reader
+
+	limited io.LimitedReader // Body, when the length is declared
 }
 
-// WriteResponseHead serializes a response status line and headers.
+// WriteResponseHead serializes a response status line and headers with
+// a single write to w.
 func WriteResponseHead(w io.Writer, status int, reason string, header map[string]string) error {
-	var b strings.Builder
-	fmt.Fprintf(&b, "HTTP/1.1 %d %s\r\n", status, reason)
-	for k, v := range header {
-		fmt.Fprintf(&b, "%s: %s\r\n", k, v)
-	}
-	b.WriteString("\r\n")
-	_, err := io.WriteString(w, b.String())
-	return err
+	bp := headBufs.Get().(*[]byte)
+	b := append((*bp)[:0], "HTTP/1.1 "...)
+	b = strconv.AppendInt(b, int64(status), 10)
+	b = append(b, ' ')
+	b = append(b, reason...)
+	return writeHead(w, bp, appendHeader(b, header))
 }
 
 // ReadResponse parses a response head from br and wires up a bounded body
@@ -133,18 +175,16 @@ func ReadResponse(br *bufio.Reader) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	parts := strings.SplitN(line, " ", 3)
-	if len(parts) < 2 || !strings.HasPrefix(parts[0], "HTTP/1.") {
+	proto, rest, ok := bytes.Cut(line, space)
+	if !ok || !bytes.HasPrefix(proto, protoPrefix) {
 		return nil, fmt.Errorf("%w: bad status line %q", ErrMalformed, line)
 	}
-	status, err := strconv.Atoi(parts[1])
+	code, reason, _ := bytes.Cut(rest, space)
+	status, err := strconv.Atoi(string(code))
 	if err != nil {
-		return nil, fmt.Errorf("%w: bad status %q", ErrMalformed, parts[1])
+		return nil, fmt.Errorf("%w: bad status %q", ErrMalformed, code)
 	}
-	resp := &Response{Status: status, ContentLength: -1}
-	if len(parts) == 3 {
-		resp.Reason = parts[2]
-	}
+	resp := &Response{Status: status, Reason: intern(reason), ContentLength: -1}
 	if resp.Header, err = readHeader(br); err != nil {
 		return nil, err
 	}
@@ -154,7 +194,8 @@ func ReadResponse(br *bufio.Reader) (*Response, error) {
 			return nil, fmt.Errorf("%w: bad content-length %q", ErrMalformed, cl)
 		}
 		resp.ContentLength = n
-		resp.Body = io.LimitReader(br, n)
+		resp.limited = io.LimitedReader{R: br, N: n}
+		resp.Body = &resp.limited
 	} else {
 		resp.Body = br
 	}
@@ -213,18 +254,55 @@ func ParseRange(h string, size int64) (off, n int64, err error) {
 // ContentRange formats a Content-Range header value for [off, off+n) of
 // size.
 func ContentRange(off, n, size int64) string {
-	return fmt.Sprintf("bytes %d-%d/%d", off, off+n-1, size)
+	b := append(make([]byte, 0, 72), "bytes "...)
+	b = strconv.AppendInt(b, off, 10)
+	b = append(b, '-')
+	b = strconv.AppendInt(b, off+n-1, 10)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, size, 10)
+	return string(b)
 }
 
-func readLine(br *bufio.Reader) (string, error) {
-	line, err := br.ReadString('\n')
+var (
+	space       = []byte{' '}
+	protoPrefix = []byte("HTTP/1.")
+)
+
+// readLine returns the next line without its line ending. The bytes sit
+// in br's own buffer, good until the next read from br — or in a copy,
+// for a line that buffer cannot hold.
+func readLine(br *bufio.Reader) ([]byte, error) {
+	line, err := br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		line, err = readLongLine(br, line)
+	}
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if len(line) > maxLineLen {
-		return "", ErrLineTooLong
+		return nil, ErrLineTooLong
 	}
-	return strings.TrimRight(line, "\r\n"), nil
+	for n := len(line); n > 0 && (line[n-1] == '\n' || line[n-1] == '\r'); n-- {
+		line = line[:n-1]
+	}
+	return line, nil
+}
+
+// readLongLine finishes a line whose start filled br's buffer. It copies
+// no more than it takes to know the line is over maxLineLen; the rest of
+// such a line is read and dropped, so the verdict is the same wherever
+// the line ends: ErrLineTooLong at its newline, the read error before it.
+func readLongLine(br *bufio.Reader, start []byte) ([]byte, error) {
+	line := append([]byte(nil), start...)
+	for {
+		more, err := br.ReadSlice('\n')
+		if len(line) <= maxLineLen {
+			line = append(line, more...)
+		}
+		if err != bufio.ErrBufferFull {
+			return line, err
+		}
+	}
 }
 
 func readHeader(br *bufio.Reader) (map[string]string, error) {
@@ -234,17 +312,86 @@ func readHeader(br *bufio.Reader) (map[string]string, error) {
 		if err != nil {
 			return nil, err
 		}
-		if line == "" {
+		if len(line) == 0 {
 			return h, nil
 		}
 		if len(h) >= maxHeaderends {
 			return nil, ErrTooManyHeaders
 		}
-		i := strings.IndexByte(line, ':')
+		i := bytes.IndexByte(line, ':')
 		if i <= 0 {
 			return nil, fmt.Errorf("%w: header %q", ErrMalformed, line)
 		}
-		k := strings.ToLower(strings.TrimSpace(line[:i]))
-		h[k] = strings.TrimSpace(line[i+1:])
+		h[headerName(bytes.TrimSpace(line[:i]))] = intern(bytes.TrimSpace(line[i+1:]))
 	}
+}
+
+// headerName returns the lower-case form of a header name. Names are
+// ASCII in practice and lowered on the stack; anything else takes
+// strings.ToLower's Unicode route, which is what testdata/heads.golden
+// records for such names.
+func headerName(name []byte) string {
+	var low [32]byte
+	if len(name) > len(low) {
+		return strings.ToLower(string(name))
+	}
+	for i, c := range name {
+		if c >= 0x80 {
+			return strings.ToLower(string(name))
+		}
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		low[i] = c
+	}
+	return intern(low[:len(name)])
+}
+
+// intern returns b as a string: the constant, when b is one of the
+// protocol's own header names or tokens, so that only what a peer chose
+// — targets, addresses, ranges, lengths — is allocated.
+func intern(b []byte) string {
+	switch string(b) { // the compiler compares in place, without converting
+	case "GET":
+		return "GET"
+	case "HEAD":
+		return "HEAD"
+	case "HTTP/1.1":
+		return "HTTP/1.1"
+	case "OK":
+		return "OK"
+	case "Partial Content":
+		return "Partial Content"
+	case "host":
+		return "host"
+	case "connection":
+		return "connection"
+	case "range":
+		return "range"
+	case "content-length":
+		return "content-length"
+	case "content-range":
+		return "content-range"
+	case "accept-ranges":
+		return "accept-ranges"
+	case "content-type":
+		return "content-type"
+	case "accept":
+		return "accept"
+	case "x-cache":
+		return "x-cache"
+	case "x-trace":
+		return "x-trace"
+	case "close":
+		return "close"
+	case "bytes":
+		return "bytes"
+	case "hit":
+		return "hit"
+	case "miss":
+		return "miss"
+	case "shared":
+		return "shared"
+	}
+	return string(b)
 }

@@ -5,9 +5,12 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/bufpool"
 )
 
 func TestRequestRoundTrip(t *testing.T) {
@@ -188,5 +191,139 @@ func TestHeaderLimits(t *testing.T) {
 	b.WriteString("\r\n")
 	if _, err := ReadRequest(bufio.NewReader(strings.NewReader(b.String()))); err == nil {
 		t.Fatal("accepted over-long header block")
+	}
+}
+
+// TestHeadRoundTrips writes heads and reads them back: every field a
+// caller set survives the wire, whatever order the map yields it in.
+func TestHeadRoundTrips(t *testing.T) {
+	requests := []*Request{
+		NewGet("/obj.bin", "origin.example:80"),
+		{Method: "HEAD", Target: "http://10.0.0.1:8080/a/b.bin", Proto: "HTTP/1.0", Header: map[string]string{}},
+		{Method: "GET", Target: "/o", Proto: "HTTP/1.1", Header: map[string]string{
+			"host": "h:1", "range": "bytes=5-", "x-trace": "00f1-02-01", "x-empty": "", "x-colon": "a: b:c"}},
+	}
+	requests[0].SetRange(1<<40, 1<<20)
+	for _, want := range requests {
+		var wire bytes.Buffer
+		if err := want.Write(&wire); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadRequest(bufio.NewReader(&wire))
+		if err != nil {
+			t.Fatalf("%s %s: %v", want.Method, want.Target, err)
+		}
+		if got.Method != want.Method || got.Target != want.Target || got.Proto != want.Proto ||
+			!reflect.DeepEqual(got.Header, want.Header) {
+			t.Errorf("wrote %+v, read %+v", want, got)
+		}
+	}
+
+	responses := []Response{
+		{Status: 200, Reason: "OK", ContentLength: 3, Header: map[string]string{"content-length": "3", "accept-ranges": "bytes"}},
+		{Status: 206, Reason: "Partial Content", ContentLength: 3, Header: map[string]string{
+			"content-length": "3", "content-range": ContentRange(1<<40, 3, 1<<41), "x-cache": "miss"}},
+		{Status: 400, Reason: "Bad Request: relay requires absolute-form target", ContentLength: 0,
+			Header: map[string]string{"content-length": "0"}},
+		{Status: 200, Reason: "", ContentLength: -1, Header: map[string]string{"connection": "close"}},
+	}
+	for _, want := range responses {
+		var wire bytes.Buffer
+		if err := WriteResponseHead(&wire, want.Status, want.Reason, want.Header); err != nil {
+			t.Fatal(err)
+		}
+		wire.WriteString("abc")
+		got, err := ReadResponse(bufio.NewReader(&wire))
+		if err != nil {
+			t.Fatalf("%d %s: %v", want.Status, want.Reason, err)
+		}
+		if got.Status != want.Status || got.Reason != want.Reason || got.ContentLength != want.ContentLength ||
+			!reflect.DeepEqual(got.Header, want.Header) {
+			t.Errorf("wrote %+v, read %+v", want, got)
+		}
+		wantBody := "abc" // everything left, without a declared length
+		if want.ContentLength >= 0 {
+			wantBody = wantBody[:want.ContentLength]
+		}
+		if body, err := io.ReadAll(got.Body); err != nil || string(body) != wantBody {
+			t.Errorf("%d: body %q, %v; want %q", want.Status, body, err, wantBody)
+		}
+	}
+}
+
+// TestLongLineVerdictNeedsItsNewline pins where a long line is judged: at
+// its newline it is too long, but a read error before the newline wins —
+// and the parser holds no more of such a line than the limit.
+func TestLongLineVerdictNeedsItsNewline(t *testing.T) {
+	long := "GET /" + strings.Repeat("p", 1<<20)
+	if _, err := ReadRequest(bufio.NewReader(strings.NewReader(long + " HTTP/1.1\r\n\r\n"))); !errors.Is(err, ErrLineTooLong) {
+		t.Errorf("1 MiB request line: %v, want ErrLineTooLong", err)
+	}
+	if _, err := ReadRequest(bufio.NewReader(strings.NewReader(long))); err != io.EOF {
+		t.Errorf("1 MiB request line cut short: %v, want io.EOF", err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		ReadRequest(bufio.NewReaderSize(strings.NewReader(long), 16))
+	})
+	// The reader, its buffer, and the growth of a copy that stops at the limit.
+	if allocs > 16 {
+		t.Errorf("a 1 MiB line cost %v allocations: the copy is not bounded", allocs)
+	}
+}
+
+// TestCodecAllocCeilings is the codec's performance contract, enforced
+// where it cannot drift: writing a head allocates nothing once the
+// buffer pool is warm, and the head round trip the benchmark ladder
+// prices (httpx.codec_allocs_per_req) stays under its ceiling.
+func TestCodecAllocCeilings(t *testing.T) {
+	req := NewGet("http://127.0.0.1:8080/ladder.bin", "127.0.0.1:8080")
+	req.SetRange(0, 128<<10)
+	head := map[string]string{
+		"content-length": "131072",
+		"accept-ranges":  "bytes",
+		"content-range":  ContentRange(0, 128<<10, 1<<30),
+	}
+	var wire bytes.Buffer
+	if got := testing.AllocsPerRun(200, func() {
+		wire.Reset()
+		req.Write(&wire)
+	}); got != 0 && !bufpool.RaceEnabled {
+		t.Errorf("Request.Write: %v allocs, want 0", got)
+	}
+	if got := testing.AllocsPerRun(200, func() {
+		wire.Reset()
+		WriteResponseHead(&wire, 206, "Partial Content", head)
+	}); got != 0 && !bufpool.RaceEnabled {
+		t.Errorf("WriteResponseHead: %v allocs, want 0", got)
+	}
+
+	br := bufio.NewReader(&wire)
+	roundTrip := func() {
+		wire.Reset()
+		br.Reset(&wire)
+		req := NewGet("http://127.0.0.1:8080/ladder.bin", "127.0.0.1:8080")
+		req.SetRange(0, 128<<10)
+		if err := req.Write(&wire); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadRequest(br); err != nil {
+			t.Fatal(err)
+		}
+		head := map[string]string{
+			"content-length": "131072",
+			"accept-ranges":  "bytes",
+			"content-range":  ContentRange(0, 128<<10, 1<<30),
+		}
+		if err := WriteResponseHead(&wire, 206, "Partial Content", head); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadResponse(br); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := testing.AllocsPerRun(200, roundTrip); got > 20 {
+		t.Errorf("head round trip: %v allocs, want <= 20", got)
+	} else {
+		t.Logf("head round trip: %v allocs", got)
 	}
 }

@@ -418,3 +418,46 @@ func TestWaitAnyReturnsOnCancellation(t *testing.T) {
 	cancel2()
 	tr.Wait(h2)
 }
+
+// TestDialConnAbandonsCustomDial pins what dialConn promises of a dialer
+// that knows no context: a dead ctx returns at once, the dial timeout
+// bounds a ctx with no sooner deadline of its own, and a connection that
+// arrives after the caller gave up is closed, not leaked.
+func TestDialConnAbandonsCustomDial(t *testing.T) {
+	gate := make(chan struct{})
+	ours, theirs := net.Pipe()
+	defer theirs.Close()
+	tr := &Transport{
+		DialTimeout: 20 * time.Millisecond,
+		Dial: func(string, string) (net.Conn, error) {
+			<-gate
+			return ours, nil
+		},
+	}
+	// ctx expires sooner than the dial timeout would: its deadline is the
+	// bound, with no timer added.
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	if _, err := tr.dialConn(ctx, "ignored"); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("dial under an expiring ctx: %v, want DeadlineExceeded", err)
+	}
+	// No deadline on ctx: the dial timeout is.
+	start := time.Now()
+	if _, err := tr.dialConn(context.Background(), "ignored"); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("dial past DialTimeout: %v, want DeadlineExceeded", err)
+	}
+	if waited := time.Since(start); waited < 20*time.Millisecond || waited > 5*time.Second {
+		t.Fatalf("dial timeout fired after %v, want ~20ms", waited)
+	}
+	// A canceled ctx, then the dials complete late: the connection is closed.
+	ctx2, cancel2 := context.WithCancel(context.Background())
+	cancel2()
+	if _, err := tr.dialConn(ctx2, "ignored"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("dial under a canceled ctx: %v, want Canceled", err)
+	}
+	close(gate)
+	theirs.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := theirs.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("abandoned connection: read %v, want EOF from its close", err)
+	}
+}

@@ -109,7 +109,7 @@ func (p *connPool) take(key string) *pooledConn {
 	}
 	p.mu.Unlock()
 	for _, pc := range dead {
-		pc.conn.Close()
+		pc.close()
 		p.evicted.Add(1)
 		p.event(key, obs.PoolEvict)
 	}
@@ -129,7 +129,7 @@ func (p *connPool) park(key string, pc *pooledConn) {
 	p.mu.Lock()
 	if p.closed || p.maxIdle <= 0 || len(p.idle[key]) >= p.maxIdle {
 		p.mu.Unlock()
-		pc.conn.Close()
+		pc.close()
 		p.discarded.Add(1)
 		p.event(key, obs.PoolDiscard)
 		return
@@ -190,7 +190,7 @@ func (p *connPool) expire(now time.Time) {
 	}
 	p.mu.Unlock()
 	for _, v := range victims {
-		v.pc.conn.Close()
+		v.pc.close()
 		p.evicted.Add(1)
 		p.event(v.key, obs.PoolEvict)
 	}
@@ -214,7 +214,7 @@ func (p *connPool) close() {
 	}
 	for key, list := range idle {
 		for _, e := range list {
-			e.pc.conn.Close()
+			e.pc.close()
 			p.evicted.Add(1)
 			p.event(key, obs.PoolEvict)
 		}

@@ -33,6 +33,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/core"
 	"repro/internal/httpx"
 	"repro/internal/objcache"
@@ -150,6 +151,18 @@ type pooledConn struct {
 	br   *bufio.Reader
 }
 
+// close closes the connection and gives its reader back for the next
+// one. Only the connection's owner closes it this way — the fetch that
+// holds it, or the pool it is parked in — because the reader's next user
+// must be its only one; cancellation closes the bare conn instead.
+func (pc *pooledConn) close() {
+	pc.conn.Close()
+	if pc.br != nil {
+		bufpool.Put(pc.br)
+		pc.br = nil
+	}
+}
+
 // Now returns seconds since the transport's first use.
 func (t *Transport) Now() float64 {
 	t.init()
@@ -256,9 +269,8 @@ func (e *StatusError) ObsClass() obs.ErrClass { return obs.ClassStatus }
 
 // handle is an in-flight transfer. Its result is published exactly once
 // (through finish), by whichever comes first: the fetch goroutine
-// completing, or the context watcher observing cancellation. The watcher
-// also closes the transfer's active connection so blocked reads unwind
-// promptly — that close IS the cancellation on a real socket.
+// completing, or the context's death, which also closes the transfer's
+// active connection so blocked reads unwind promptly.
 type handle struct {
 	done chan struct{}
 	once sync.Once
@@ -378,32 +390,31 @@ func (t *Transport) startFetch(ctx context.Context, obj core.Object, path core.P
 	rec.SetAttr("object", obj.Name)
 
 	ctx, cancelCtx := t.transferContext(ctx)
+	// Cancellation is prompt: the instant ctx dies the transfer's
+	// connection is closed — that close IS the cancellation on a real
+	// socket — and the typed error is published, so Wait/WaitAny return
+	// without spinning until the socket unwinds. Registered with ctx, not
+	// parked on it: a transfer that finishes first costs no goroutine.
+	stop := context.AfterFunc(ctx, func() {
+		h.cancel()
+		err := core.CtxErr(ctx)
+		rec.Abort(core.ErrClassOf(err))
+		h.finish(t.Now(), err)
+	})
 	go func() {
 		defer cancelCtx()
 		var err error
 		flight.DoLabeled(ctx, "fetch", func(ctx context.Context) {
 			err = t.fetch(ctx, h, obj, path, off, n, warm)
 		})
-		// The fetch goroutine owns the record: even when the watcher below
-		// publishes a cancellation first, fetch returns the typed error
-		// moments later (the closed socket unwinds its read), so the record
-		// still finishes exactly once with the right class.
+		// The fetch goroutine owns the record: even when the cancellation
+		// above publishes first, fetch returns the typed error moments
+		// later (the closed socket unwinds its read), so the record still
+		// finishes exactly once with the right class.
 		rec.Outcome(core.ErrClassOf(err), errString(err))
 		rec.Finish()
 		h.finish(t.Now(), err)
-	}()
-	// The watcher makes cancellation prompt: the instant ctx dies it
-	// closes the transfer's connection and publishes the typed error, so
-	// Wait/WaitAny return without spinning until the socket unwinds.
-	go func() {
-		select {
-		case <-ctx.Done():
-			h.cancel()
-			err := core.CtxErr(ctx)
-			rec.Abort(core.ErrClassOf(err))
-			h.finish(t.Now(), err)
-		case <-h.done:
-		}
+		stop() // before cancelCtx: a finished transfer is not then canceled
 	}()
 	return h
 }
@@ -450,15 +461,18 @@ func (t *Transport) Close() {
 	t.idlePool().close()
 }
 
-// dialConn opens one connection, honouring ctx and the dial timeout.
+// dialConn opens one connection, honouring ctx and the dial timeout — as
+// a timer of its own only when ctx does not already expire sooner.
 // Custom dialers (which predate contexts) run on their own goroutine so
 // a dead ctx still returns promptly; a connection that arrives after
 // abandonment is closed, not leaked.
 func (t *Transport) dialConn(ctx context.Context, addr string) (net.Conn, error) {
 	if to := t.dialTimeout(); to > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, to)
-		defer cancel()
+		if dl, ok := ctx.Deadline(); !ok || time.Until(dl) > to {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, to)
+			defer cancel()
+		}
 	}
 	if t.Dial == nil {
 		var d net.Dialer
@@ -468,20 +482,21 @@ func (t *Transport) dialConn(ctx context.Context, addr string) (net.Conn, error)
 		c   net.Conn
 		err error
 	}
-	ch := make(chan dialed, 1)
+	ch := make(chan dialed)
 	go func() {
 		c, err := t.Dial("tcp", addr)
-		ch <- dialed{c, err}
+		select {
+		case ch <- dialed{c, err}:
+		case <-ctx.Done(): // nobody is waiting any more
+			if c != nil {
+				c.Close()
+			}
+		}
 	}()
 	select {
 	case d := <-ch:
 		return d.c, d.err
 	case <-ctx.Done():
-		go func() {
-			if d := <-ch; d.c != nil {
-				d.c.Close()
-			}
-		}()
 		return nil, ctx.Err()
 	}
 }
@@ -591,7 +606,7 @@ func (t *Transport) fetch(ctx context.Context, h *handle, obj core.Object, path 
 				}
 				continue
 			}
-			pc = &pooledConn{conn: conn, br: bufio.NewReader(conn)}
+			pc = &pooledConn{conn: conn, br: bufpool.Reader(conn)}
 		}
 		h.setConn(pc.conn)
 		// Arm the ctx deadline — or, when ctx has none, explicitly clear
@@ -602,7 +617,7 @@ func (t *Transport) fetch(ctx context.Context, h *handle, obj core.Object, path 
 		// that's the free keep-alive fallback, not an error.
 		dl, _ := ctx.Deadline()
 		if err := pc.conn.SetDeadline(dl); err != nil && reused {
-			pc.conn.Close()
+			pc.close()
 			pc = nil
 			reused = false
 			continue
@@ -619,7 +634,7 @@ func (t *Transport) fetch(ctx context.Context, h *handle, obj core.Object, path 
 				t.release(key, pc, reusable)
 				return err
 			}
-			pc.conn.Close()
+			pc.close()
 			pc = nil
 			if cerr := core.CtxErr(ctx); cerr != nil {
 				return cerr
@@ -662,7 +677,7 @@ func (t *Transport) release(key string, pc *pooledConn, reusable bool) {
 	if reusable && pc.conn.SetDeadline(time.Time{}) == nil {
 		t.idlePool().park(key, pc)
 	} else {
-		pc.conn.Close()
+		pc.close()
 	}
 }
 
@@ -803,8 +818,8 @@ func (t *Transport) doRange(pc *pooledConn, rec *flight.Record, obj core.Object,
 }
 
 // Wait blocks until all handles complete. A handle whose context is
-// canceled completes promptly (the watcher publishes the typed error and
-// closes the connection), so Wait never spins out a dead transfer.
+// canceled completes promptly (its context's death publishes the typed
+// error and closes the connection), so Wait never spins out a dead transfer.
 func (t *Transport) Wait(hs ...core.Handle) {
 	for _, h := range hs {
 		<-h.(*handle).done

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/core"
 	"repro/internal/relay"
 	"repro/internal/shaper"
@@ -324,6 +325,20 @@ func TestWarmReuseThroughRelay(t *testing.T) {
 	if got := r.Requests.Load(); got != 2 {
 		t.Fatalf("relay handled %d requests, want 2 (both on one client conn)", got)
 	}
+	// Warm means warm on both legs, as httpsim models it: the relay kept
+	// the probe's upstream connection for the continuation.
+	if got := origin.Conns.Load(); got != 1 {
+		t.Fatalf("origin saw %d connections, want the continuation on the probe's", got)
+	}
+	// A probe is cold end to end.
+	h3 := tr.Start(obj, core.Path{Via: "r"}, 0, 100_000)
+	tr.Wait(h3)
+	if err := h3.Result().Err; err != nil {
+		t.Fatal(err)
+	}
+	if got := origin.Conns.Load(); got != 2 {
+		t.Fatalf("origin saw %d connections after a second probe, want 2", got)
+	}
 }
 
 func TestWarmFallsBackWhenConnStale(t *testing.T) {
@@ -357,5 +372,41 @@ func TestWarmFallsBackWhenConnStale(t *testing.T) {
 	tr.Wait(h2)
 	if err := h2.Result().Err; err != nil {
 		t.Fatalf("stale-connection fallback failed: %v", err)
+	}
+}
+
+// TestWarmFetchAllocCeiling enforces the warm path's allocation budget
+// where it cannot drift (the benchmark ladder's
+// realnet.warm_allocs_per_fetch prices the same call): one verified warm
+// 128 KiB fetch, origin included, with the buffer pools warm.
+func TestWarmFetchAllocCeiling(t *testing.T) {
+	origin := relay.NewOriginServer()
+	origin.Put("big.bin", 1<<30)
+	ol, err := origin.ServeAddr("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ol.Close()
+	tr := &Transport{
+		Servers: map[string]string{"origin": ol.Addr().String()},
+		Verify:  true,
+	}
+	defer tr.Close()
+	obj := core.Object{Server: "origin", Name: "big.bin", Size: 1 << 30}
+	fetch := func() {
+		h := tr.StartWarm(obj, core.Path{}, 0, 128<<10)
+		tr.Wait(h)
+		if err := h.Result().Err; err != nil {
+			t.Fatal(err)
+		}
+	}
+	fetch() // dials; every measured fetch reuses the connection
+	if got := testing.AllocsPerRun(100, fetch); got > 32 && !bufpool.RaceEnabled {
+		t.Errorf("warm fetch: %v allocs, want <= 32", got)
+	} else {
+		t.Logf("warm fetch: %v allocs", got)
+	}
+	if s := tr.PoolStats(); s.Misses != 1 {
+		t.Fatalf("pool %+v: the measured fetches were not warm", s)
 	}
 }

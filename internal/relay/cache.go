@@ -62,7 +62,7 @@ func (r *Relay) cacheRange(key, rg string) (off, want int64, whole, ok bool) {
 // forward plainly.
 // Hits and shared fills never touch the upstream path, so they leave
 // rec without a fold key: they say nothing about its health.
-func (r *Relay) serveCached(conn net.Conn, req *httpx.Request, rec *flight.Record, upstreamAddr, path string) (handled, again bool) {
+func (r *Relay) serveCached(conn net.Conn, req *httpx.Request, rec *flight.Record, up *leg, upstreamAddr, path string) (handled, again bool) {
 	key := cacheKey(upstreamAddr, path)
 	off, want, whole, ok := r.cacheRange(key, req.Header["range"])
 	if !ok {
@@ -79,7 +79,7 @@ func (r *Relay) serveCached(conn net.Conn, req *httpx.Request, rec *flight.Recor
 	fl, leader := r.cache.StartFlight(key, off, want)
 	if leader {
 		// The miss leader is the plain exchange with the fill attached.
-		return true, r.forward(conn, req, rec, upstreamAddr, path, &fill{fl: fl, key: key, off: off})
+		return true, r.forward(conn, req, rec, up, upstreamAddr, path, &fill{fl: fl, key: key, off: off})
 	}
 	rec.Phase("shared-wait")
 	data, err := fl.Wait(context.Background())
@@ -113,11 +113,11 @@ func (r *Relay) writeCached(conn net.Conn, rec *flight.Record, key string, data 
 	status, reason := 200, "OK"
 	if !whole {
 		status, reason = 206, "Partial Content"
-		total := "*"
 		if size, known := r.cache.Size(key); known {
-			total = strconv.FormatInt(size, 10)
+			header["content-range"] = httpx.ContentRange(off, int64(len(data)), size)
+		} else {
+			header["content-range"] = fmt.Sprintf("bytes %d-%d/*", off, off+int64(len(data))-1)
 		}
-		header["content-range"] = fmt.Sprintf("bytes %d-%d/%s", off, off+int64(len(data))-1, total)
 	}
 	err := httpx.WriteResponseHead(conn, status, reason, header)
 	if err == nil {

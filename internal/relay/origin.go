@@ -6,7 +6,6 @@
 package relay
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -15,6 +14,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/bufpool"
 	"repro/internal/httpx"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
@@ -144,7 +144,9 @@ func (o *Origin) serve(conn net.Conn, req *httpx.Request, rec *flight.Record) (a
 		return true
 	}
 
-	sent, werr := writeRange(conn, name, off, n, nil, &o.BytesServed)
+	buf := relayBufs.Get().([]byte)
+	sent, werr := writeRange(conn, name, off, n, buf, &o.BytesServed)
+	relayBufs.Put(buf)
 	rec.StoreBytes(sent)
 	if rec.Tracing() { // gate the FormatInt: no formatting on the untraced path
 		rec.SetAttr("bytes", strconv.FormatInt(sent, 10))
@@ -175,7 +177,9 @@ func get(dial func(network, addr string) (net.Conn, error), addr string, req *ht
 	if err := req.Write(conn); err != nil {
 		return nil, nil, err
 	}
-	resp, err := httpx.ReadResponse(bufio.NewReader(conn))
+	br := bufpool.Reader(conn)
+	defer bufpool.Put(br)
+	resp, err := httpx.ReadResponse(br)
 	if err != nil {
 		return nil, nil, err
 	}

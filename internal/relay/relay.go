@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/httpx"
 	"repro/internal/objcache"
 	"repro/internal/obs"
@@ -18,10 +19,11 @@ import (
 )
 
 // Relay is the intermediate-node forwarding service: it accepts
-// absolute-form GET requests ("GET http://origin:port/name"), dials the
-// origin, forwards the (possibly ranged) request, and splices the
-// response back to the client — the overlay proxy of the paper's
-// methodology.
+// absolute-form GET requests ("GET http://origin:port/name"), forwards
+// the (possibly ranged) request to the origin — over a connection it
+// dials for the client connection's first request and keeps for its next
+// — and splices the response back to the client: the overlay proxy of
+// the paper's methodology.
 type Relay struct {
 	// Dial opens upstream connections; nil means net.Dial. Tests and the
 	// loopback example inject a shaping dialer here to emulate the
@@ -51,8 +53,8 @@ type Relay struct {
 	// UpstreamStall bounds how long the upstream may go silent while a
 	// response streams through: each upstream read re-arms a deadline of
 	// this length, so a slow-loris origin fails the request instead of
-	// wedging the handler goroutine (and the client) forever. Zero
-	// disables the guard.
+	// wedging the handler goroutine (and the client) forever. Between
+	// requests no deadline is armed. Zero disables the guard.
 	UpstreamStall time.Duration
 
 	// BytesRelayed counts response-body bytes forwarded to clients.
@@ -79,9 +81,16 @@ func (r *Relay) LatencySnapshot() obs.HistogramSnapshot { return r.lat.Snapshot(
 // relayd's shutdown waits on it before archiving.
 func (r *Relay) WaitIdle() { r.busy.wait() }
 
-// Serve accepts and forwards until the listener closes.
+// Serve accepts and forwards until the listener closes. Each client
+// connection owns its upstream leg, which dies with it.
 func (r *Relay) Serve(l net.Listener) error {
-	return acceptLoop(l, func(conn net.Conn) { r.busy.keepAlive(conn, r.forwardOne) })
+	return acceptLoop(l, func(conn net.Conn) {
+		var up leg
+		defer up.close()
+		r.busy.keepAlive(conn, func(conn net.Conn, req *httpx.Request) bool {
+			return r.forwardOne(conn, req, &up)
+		})
+	})
 }
 
 // ServeAddr starts the relay on addr and returns its listener.
@@ -94,7 +103,7 @@ func (r *Relay) ServeAddr(addr string) (net.Listener, error) { return listenAndS
 // the upstream address, the latency observation and the health fold all
 // come out of its Finish. Malformed targets still get an event (path "",
 // object = raw target) — the anomaly log should show garbage too.
-func (r *Relay) forwardOne(conn net.Conn, req *httpx.Request) bool {
+func (r *Relay) forwardOne(conn net.Conn, req *httpx.Request, up *leg) bool {
 	r.Requests.Add(1)
 	upstreamAddr, path, ok := req.AbsoluteTarget()
 	object := req.Target
@@ -112,7 +121,7 @@ func (r *Relay) forwardOne(conn net.Conn, req *httpx.Request) bool {
 	rec.SetAttr("target", req.Target)
 	var again bool
 	flight.DoLabeled(context.Background(), "forward", func(context.Context) {
-		again = r.serve(conn, req, &rec, upstreamAddr, path, ok)
+		again = r.serve(conn, req, &rec, up, upstreamAddr, path, ok)
 	})
 	rec.Finish()
 	return again
@@ -120,7 +129,7 @@ func (r *Relay) forwardOne(conn net.Conn, req *httpx.Request) bool {
 
 // serve answers one request — from the cache when it can, through
 // forward otherwise — leaving the outcome on rec.
-func (r *Relay) serve(conn net.Conn, req *httpx.Request, rec *flight.Record, upstreamAddr, path string, ok bool) (again bool) {
+func (r *Relay) serve(conn net.Conn, req *httpx.Request, rec *flight.Record, up *leg, upstreamAddr, path string, ok bool) (again bool) {
 	if !ok {
 		httpx.WriteResponseHead(conn, 400, "Bad Request: relay requires absolute-form target",
 			map[string]string{"content-length": "0"})
@@ -128,12 +137,12 @@ func (r *Relay) serve(conn net.Conn, req *httpx.Request, rec *flight.Record, ups
 		return true
 	}
 	if r.cache != nil && req.Method == "GET" {
-		if handled, again := r.serveCached(conn, req, rec, upstreamAddr, path); handled {
+		if handled, again := r.serveCached(conn, req, rec, up, upstreamAddr, path); handled {
 			return again
 		}
 		// Not cacheable (or a failed shared fill): plain path below.
 	}
-	return r.forward(conn, req, rec, upstreamAddr, path, nil)
+	return r.forward(conn, req, rec, up, upstreamAddr, path, nil)
 }
 
 // fill is the cache side of an upstream exchange: the singleflight this
@@ -168,41 +177,111 @@ func badGateway(conn net.Conn, rec *flight.Record, f *fill, err error) bool {
 	return true
 }
 
-// forward is the relay's one upstream exchange: dial, rewrite, wait for
-// the response head, stream the body to the client, and leave the
-// outcome on rec, folded under the upstream address. It reports whether
-// the client connection can carry another request. Upstream connections
-// are per-request; the client-facing connection stays warm.
+// leg is the upstream half of one client connection: the connection its
+// previous request was forwarded on, kept when that exchange ended
+// cleanly so that the next request to the same upstream continues on it
+// — the remainder of a selected transfer arrives on the winning probe's
+// client connection and finds both legs of the path warm. It is local to
+// the goroutine serving the client connection: never shared, never
+// pooled, so every new client connection — every probe — still dials,
+// and the race measures a path that is cold end to end.
+type leg struct {
+	addr string   // the upstream conn is open to
+	conn net.Conn // nil when there is no leg
+	br   *bufio.Reader
+}
+
+func (l *leg) close() {
+	if l.conn != nil {
+		l.conn.Close()
+		bufpool.Put(l.br)
+		*l = leg{}
+	}
+}
+
+// roundTrip sends fwd to the upstream at addr and reads the response
+// head, on up when it is open to addr and on a fresh dial otherwise. A
+// kept leg that fails before it yields a response head went stale while
+// it was parked — the upstream idled it out, or restarted — and is
+// replaced by one dial, the ordinary keep-alive fallback (realnet.fetch
+// has the same): it says nothing about the upstream path, and only the
+// outcome of the exchange that follows is folded.
+func (r *Relay) roundTrip(up *leg, addr string, fwd *httpx.Request, rec *flight.Record) (*httpx.Response, error) {
+	reused := up.conn != nil && up.addr == addr
+	if !reused {
+		up.close()
+	}
+	for {
+		if up.conn == nil {
+			dial := r.Dial
+			if dial == nil {
+				dial = net.Dial
+			}
+			rec.Phase("dial")
+			rec.PhaseAttr("addr", addr)
+			conn, err := dial("tcp", addr)
+			if err != nil {
+				return nil, err
+			}
+			*up = leg{addr: addr, conn: conn, br: bufpool.Reader(conn)}
+		}
+		rec.Phase("ttfb")
+		err := fwd.Write(up.conn)
+		if err == nil {
+			if r.UpstreamStall > 0 {
+				// The guard also covers time-to-first-byte: a server that
+				// accepts and never answers is the same pathology as one
+				// that stalls mid-body.
+				up.conn.SetReadDeadline(time.Now().Add(r.UpstreamStall))
+			}
+			var resp *httpx.Response
+			if resp, err = httpx.ReadResponse(up.br); err == nil {
+				return resp, nil
+			}
+		}
+		up.close()
+		if !reused {
+			return nil, err
+		}
+		reused = false
+	}
+}
+
+// forward is the relay's one upstream exchange: rewrite, send on the
+// client connection's leg, wait for the response head, stream the body
+// to the client, and leave the outcome on rec, folded under the upstream
+// address. It reports whether the client connection can carry another
+// request. The leg outlives the exchange only if it ended cleanly — the
+// whole declared body read, nobody asking to close, no error on either
+// side — so a response cut short, a probe canceled mid-body included,
+// always takes its leg with it: no byte of one response can reach
+// another.
 //
 // With f set this request leads a cache fill: a cacheable body is teed
 // into f and committed the moment its last byte is in hand — before that
 // byte is released to the client, so whoever asks next finds a hit — and
 // keeps draining for the fill's waiters even if this client hangs up.
 // Every other way out releases the waiters to fetch for themselves.
-func (r *Relay) forward(conn net.Conn, req *httpx.Request, rec *flight.Record, upstreamAddr, path string, f *fill) (again bool) {
+func (r *Relay) forward(conn net.Conn, req *httpx.Request, rec *flight.Record, up *leg, upstreamAddr, path string, f *fill) (again bool) {
 	rec.FoldKey(upstreamAddr)
 	if f != nil {
 		rec.SetCache("miss")
 		defer f.complete(nil, errUncacheable)
 	}
-	dial := r.Dial
-	if dial == nil {
-		dial = net.Dial
-	}
-	rec.Phase("dial")
-	rec.PhaseAttr("addr", upstreamAddr)
-	upstream, err := dial("tcp", upstreamAddr)
-	if err != nil {
-		return badGateway(conn, rec, f, err)
-	}
-	defer upstream.Close()
+	keep := false
+	defer func() {
+		if !keep {
+			up.close()
+		}
+	}()
 
 	// Rewrite to origin form, preserving the method (GET/HEAD), the Range
 	// header — the relay is transparent to the range-probing mechanism —
 	// and every extension ("x-*") header generically, so trace propagation
 	// and future extensions survive the hop without the relay naming them
-	// one by one. The upstream leg is one-shot.
+	// one by one.
 	fwd := httpx.NewGet(path, upstreamAddr)
+	delete(fwd.Header, "connection") // keep-alive
 	fwd.Method = req.Method
 	for k, v := range req.Header {
 		if strings.HasPrefix(k, "x-") {
@@ -218,17 +297,7 @@ func (r *Relay) forward(conn net.Conn, req *httpx.Request, rec *flight.Record, u
 		// off, the client's own x-trace passed through unmodified above).
 		fwd.Header[obs.TraceHeader] = sc.Header()
 	}
-	rec.Phase("ttfb")
-	if err := fwd.Write(upstream); err != nil {
-		return badGateway(conn, rec, f, err)
-	}
-	if r.UpstreamStall > 0 {
-		// The guard also covers time-to-first-byte: a server that
-		// accepts and never answers is the same pathology as one that
-		// stalls mid-body.
-		upstream.SetReadDeadline(time.Now().Add(r.UpstreamStall))
-	}
-	resp, err := httpx.ReadResponse(bufio.NewReader(upstream))
+	resp, err := r.roundTrip(up, upstreamAddr, fwd, rec)
 	if err != nil {
 		return badGateway(conn, rec, f, err)
 	}
@@ -241,6 +310,11 @@ func (r *Relay) forward(conn net.Conn, req *httpx.Request, rec *flight.Record, u
 		r.learn(f, resp)
 		resp.Header["x-cache"] = "miss"
 	}
+	if req.Method == "HEAD" {
+		// The answer to a HEAD declares the object's length in its head,
+		// forwarded as it came, and carries no body to wait for.
+		resp.ContentLength, resp.Body = 0, strings.NewReader("")
+	}
 	if resp.ContentLength < 0 {
 		// Without a length the body is delimited by upstream close; the
 		// client connection cannot be reused afterwards.
@@ -251,7 +325,7 @@ func (r *Relay) forward(conn net.Conn, req *httpx.Request, rec *flight.Record, u
 	var upErr error
 	if clientErr == nil || f.teeing() {
 		rec.Phase("stream")
-		got, clientErr, upErr = r.copyStream(conn, upstream, resp, rec, f, clientErr)
+		got, clientErr, upErr = r.copyStream(conn, up.conn, resp, rec, f, clientErr)
 		if rec.Tracing() {
 			rec.PhaseAttr("bytes", strconv.FormatInt(rec.Bytes(), 10))
 		}
@@ -279,7 +353,12 @@ func (r *Relay) forward(conn net.Conn, req *httpx.Request, rec *flight.Record, u
 	case !served:
 		rec.Outcome(obs.ClassStatus, resp.Reason)
 	}
-	return resp.ContentLength >= 0
+	again = resp.ContentLength >= 0
+	// The leg parks with no deadline armed: the stall guard times reads,
+	// not the wait for this client's next request.
+	keep = again && resp.Header["connection"] != "close" &&
+		(r.UpstreamStall <= 0 || up.conn.SetReadDeadline(time.Time{}) == nil)
+	return again
 }
 
 // relayBufs recycles forward-stream buffers across requests.

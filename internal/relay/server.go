@@ -1,12 +1,12 @@
 package relay
 
 import (
-	"bufio"
 	"errors"
 	"net"
 	"sync"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/httpx"
 )
 
@@ -87,7 +87,8 @@ func (f *inflight) wait() {
 // client asks for "connection: close", or it hangs up or idles out.
 func (f *inflight) keepAlive(conn net.Conn, one func(net.Conn, *httpx.Request) bool) {
 	defer conn.Close()
-	br := bufio.NewReader(conn)
+	br := bufpool.Reader(conn)
+	defer bufpool.Put(br)
 	for {
 		// Idle keep-alive connections lapse so they cannot accumulate.
 		conn.SetReadDeadline(time.Now().Add(keepAliveIdle))
