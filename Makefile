@@ -1,7 +1,6 @@
 GO ?= go
-BENCHTIME ?= 1s
 
-.PHONY: build vet test race bench bench-json bench-smoke bench-pair fuzz-smoke chaos-smoke obs-smoke flight-smoke stress verify
+.PHONY: build vet test race bench-smoke bench-pair doc-check fuzz-smoke chaos-smoke obs-smoke flight-smoke stress verify
 
 build:
 	$(GO) build ./...
@@ -14,29 +13,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-bench:
-	$(GO) test -bench=. -benchmem
-
-# Machine-readable benchmark artifact: the warm-fetch streaming contract
-# (flat allocs/op from 64 KB to 16 MB), the health-fold hot path, the
-# cache hit/miss paths (in-memory and relayed end to end), the registry
-# microbenchmarks (sharded vs single-mutex register, delta steady
-# state), and the observability hot paths (striped vs single-cell
-# counters under contention, worst-case exemplar render), as JSON for
-# CI archiving and cross-run comparison. The registryload experiment
-# (100k relays over live loopback TCP) and the observer-overhead
-# experiment (bare vs fully instrumented relay, ABBA CPU-time blocks)
-# run first and are embedded under extras; the obsoverhead experiment
-# also prices the flight recorder's always-on wide-event ring and
-# profiler cadence, and the FlightAppend benchmark pins the per-event
-# append cost the ring adds to every transfer.
-bench-json:
-	$(GO) run ./cmd/indirectlab -exp registryload -regload-json registryload.json
-	$(GO) run ./cmd/indirectlab -exp obsoverhead -obsoverhead-json obsoverhead.json
-	$(GO) test -run '^$$' -bench 'WarmFetch|HealthFold|Cache|Registry|MetricsContended|ExemplarRender|FlightAppend|FlightDisabled' -benchmem -benchtime $(BENCHTIME) \
-		./internal/realnet ./internal/obs ./internal/obs/flight ./internal/objcache ./internal/relay ./internal/registry \
-		| $(GO) run ./cmd/benchjson -out BENCH_10.json -extra registryload=registryload.json -extra obsoverhead=obsoverhead.json
 
 # The repo benchmark's own smoke test (1/50 of the fixed work, ~3 s).
 # bench/ is a nested module that `go build ./... && go test ./...` does
@@ -54,6 +30,11 @@ PAIRS ?= 5
 REF ?= HEAD~1
 bench-pair:
 	bash scripts/benchpair.sh "$(WORKLOAD)" "$(PAIRS)" "$(REF)"
+
+# Every `make <target>`, cmd/<x> and examples/<x> the documents name
+# exists.
+doc-check:
+	bash scripts/doccheck.sh
 
 # Seed-corpus smoke for the fuzz targets (the wire parsers, the httpx
 # head parser and the synthetic content definition): runs each corpus as
@@ -94,7 +75,6 @@ obs-smoke:
 	$(GO) test -race -count=1 ./internal/obs/ \
 		-run 'Striped|StripePicker|Exemplar|Tail|OpenMetrics|Accepts|ParseProm|MergeHistogram|Runtime|HistogramSum|HistogramEdges|HistogramReconstruction'
 	$(GO) test -race -count=1 ./internal/realnet/ -run 'ExemplarResolvesToStitchedTrace'
-	$(GO) test -race -count=1 ./internal/experiment/ -run 'RunObsOverhead'
 
 # The flight-recorder tier: the whole wide-event/profiler/trigger
 # package under the race detector (ring rotation, archive backpressure,
@@ -110,12 +90,15 @@ flight-smoke:
 
 # The determinism tier: the packages whose tests read what a request
 # leaves behind (spans, wide events, histograms, health folds, cache and
-# byte counters) twenty times over under the race detector, then the
-# repo benchmark's smoke test ten times. Everything those tests read
-# either lands before the final byte or is waited for with WaitIdle, so
-# one failure here is a bug, not a flake.
+# byte counters) and the fault proxy the chaos tests inject with, twenty
+# times over under the race detector; the facade's snapshot-vs-outcomes
+# accounting twenty times; then the repo benchmark's smoke test ten
+# times. Everything those tests read either lands before the final byte
+# or is waited for with WaitIdle, so one failure here is a bug, not a
+# flake.
 stress:
-	$(GO) test -race -count=20 ./internal/relay/ ./internal/realnet/ ./internal/obs/flight/ ./internal/obs/
+	$(GO) test -race -count=20 ./internal/relay/ ./internal/realnet/ ./internal/obs/flight/ ./internal/obs/ ./internal/faultproxy/
+	$(GO) test -count=20 . -run TestClientSnapshotMatchesOutcomes
 	cd bench && $(GO) test -count=10 ./...
 
 # The CI tier: static checks plus the full suite under the race detector.

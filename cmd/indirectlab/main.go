@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -35,12 +36,8 @@ type scale struct {
 	fig6Sizes      []int
 	table3Rounds   int
 	ablateRounds   int
-	registryRelays int
-	registryOps    int
 	chaosTransfers int
 	chaosSimXfers  int
-	obsRounds      int
-	obsRequests    int
 }
 
 var scales = map[string]scale{
@@ -51,12 +48,8 @@ var scales = map[string]scale{
 		fig6Sizes:      []int{1, 3, 10, 22, 35},
 		table3Rounds:   150,
 		ablateRounds:   30,
-		registryRelays: 10_000,
-		registryOps:    4000,
 		chaosTransfers: 8,
 		chaosSimXfers:  10,
-		obsRounds:      5,
-		obsRequests:    80,
 	},
 	"default": {
 		studyTransfers: 60,
@@ -65,12 +58,8 @@ var scales = map[string]scale{
 		fig6Sizes:      []int{1, 2, 3, 4, 5, 6, 8, 10, 12, 15, 20, 25, 30, 35},
 		table3Rounds:   500,
 		ablateRounds:   80,
-		registryRelays: 100_000,
-		registryOps:    16_000,
 		chaosTransfers: 16,
 		chaosSimXfers:  24,
-		obsRounds:      7,
-		obsRequests:    150,
 	},
 	"paper": {
 		studyTransfers: 100,
@@ -79,18 +68,34 @@ var scales = map[string]scale{
 		fig6Sizes:      []int{1, 2, 3, 4, 5, 6, 8, 10, 12, 15, 20, 25, 30, 35},
 		table3Rounds:   720,
 		ablateRounds:   150,
-		registryRelays: 100_000,
-		registryOps:    32_000,
 		chaosTransfers: 32,
 		chaosSimXfers:  48,
-		obsRounds:      11,
-		obsRequests:    300,
 	},
+}
+
+// expIDs is every value -exp accepts. "all" runs the ids up to and
+// including multipath; the rest run only when named.
+var expIDs = []string{"fig1", "fig2", "table1", "table2", "fig3", "fig4", "fig5", "fig6", "table3",
+	"ablate", "adaptive", "monitor", "healthrank", "multipath",
+	"seeds", "validate", "cacheegress", "chaos", "topo", "all"}
+
+// parseExps splits a comma-separated -exp value into the set of ids to
+// run, rejecting any id that is not in expIDs.
+func parseExps(s string) (map[string]bool, error) {
+	want := map[string]bool{}
+	for _, e := range strings.Split(s, ",") {
+		e = strings.TrimSpace(e)
+		if !slices.Contains(expIDs, e) {
+			return nil, fmt.Errorf("unknown experiment %q (%s)", e, strings.Join(expIDs, ", "))
+		}
+		want[e] = true
+	}
+	return want, nil
 }
 
 func main() {
 	var (
-		expFlag      = flag.String("exp", "all", "experiment id: fig1,fig2,table1,table2,fig3,fig4,fig5,fig6,table3,ablate,adaptive,monitor,healthrank,multipath,seeds,validate,cacheegress,registryload,chaos,obsoverhead,topo,all")
+		expFlag      = flag.String("exp", "all", "experiment ids, comma-separated: "+strings.Join(expIDs, ","))
 		seed         = flag.Uint64("seed", 42, "study seed (scenario + workloads)")
 		scaleFlag    = flag.String("scale", "default", "workload scale: quick, default, paper")
 		workers      = flag.Int("workers", 0, "parallel campaign workers (0 = GOMAXPROCS)")
@@ -98,10 +103,8 @@ func main() {
 		outCSV       = flag.String("csv", "", "export the Section 3 study records to this CSV file")
 		plotDir      = flag.String("plotdata", "", "write gnuplot-ready TSV series for each produced figure/table into this directory")
 		scenarioPath = flag.String("scenario", "", "JSON scenario config (see topo.ScenarioConfig); used by -exp topo")
-		regloadJSON  = flag.String("regload-json", "", "write the registryload result as JSON to this file")
 		chaosJSON    = flag.String("chaos-json", "", "write the chaos campaign result as JSON to this file")
 		chaosBundles = flag.String("chaos-bundle-dir", "", "persist each live fault class's anomaly debug bundles under this directory (CI artifact)")
-		obsJSON      = flag.String("obsoverhead-json", "", "write the observability-overhead result as JSON to this file")
 	)
 	flag.Parse()
 
@@ -122,9 +125,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	want := map[string]bool{}
-	for _, e := range strings.Split(*expFlag, ",") {
-		want[strings.TrimSpace(e)] = true
+	want, err := parseExps(*expFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 	all := want["all"]
 	w := os.Stdout
@@ -291,24 +295,6 @@ func main() {
 		report.CacheEgress(w, ce)
 		fmt.Fprintln(w)
 	}
-	if want["registryload"] {
-		var rl experiment.RegistryLoadResult
-		run("registry load (sharding + delta sync)", func() {
-			rl = experiment.RunRegistryLoad(experiment.RegistryLoadParams{
-				Relays:        sc.registryRelays,
-				Registrations: sc.registryOps,
-			})
-		})
-		report.RegistryLoad(w, rl)
-		fmt.Fprintln(w)
-		if *regloadJSON != "" {
-			archive(*regloadJSON, func(f *os.File) error {
-				enc := json.NewEncoder(f)
-				enc.SetIndent("", "  ")
-				return enc.Encode(rl)
-			})
-		}
-	}
 	if want["chaos"] {
 		var ch experiment.ChaosResult
 		run("chaos campaign (fault injection sweep)", func() {
@@ -326,24 +312,6 @@ func main() {
 				enc := json.NewEncoder(f)
 				enc.SetIndent("", "  ")
 				return enc.Encode(ch)
-			})
-		}
-	}
-	if want["obsoverhead"] {
-		var oo experiment.ObsOverheadResult
-		run("observability overhead (bare vs full plane)", func() {
-			oo = experiment.RunObsOverhead(experiment.ObsOverheadParams{
-				Rounds:           sc.obsRounds,
-				RequestsPerRound: sc.obsRequests,
-			})
-		})
-		report.ObsOverhead(w, oo)
-		fmt.Fprintln(w)
-		if *obsJSON != "" {
-			archive(*obsJSON, func(f *os.File) error {
-				enc := json.NewEncoder(f)
-				enc.SetIndent("", "  ")
-				return enc.Encode(oo)
 			})
 		}
 	}

@@ -24,9 +24,9 @@ type Proxy struct {
 	partitioned atomic.Bool
 	seq         atomic.Int64
 
-	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
+	mu      sync.Mutex
+	splices map[net.Conn]net.Conn // live splices, client → upstream
+	closed  bool
 }
 
 // Listen starts a proxy on addr (use "127.0.0.1:0" for an ephemeral
@@ -36,7 +36,7 @@ func Listen(addr, target string) (*Proxy, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Proxy{target: target, l: l, conns: make(map[net.Conn]struct{})}
+	p := &Proxy{target: target, l: l, splices: make(map[net.Conn]net.Conn)}
 	go p.serve()
 	return p, nil
 }
@@ -70,12 +70,15 @@ func (p *Proxy) Partitioned() bool { return p.partitioned.Load() }
 
 // Sever resets every live connection (both sides of every splice)
 // without touching the listener: the between-requests kill that turns
-// pooled keep-alive connections stale.
+// pooled keep-alive connections stale. The client side of a splice goes
+// first: once its upstream is gone the handler returns and closes the
+// client, and that FIN must not beat the RST — a severed body without a
+// length would read as a clean end.
 func (p *Proxy) Sever() {
 	p.mu.Lock()
-	conns := make([]net.Conn, 0, len(p.conns))
-	for c := range p.conns {
-		conns = append(conns, c)
+	conns := make([]net.Conn, 0, 2*len(p.splices))
+	for client, upstream := range p.splices {
+		conns = append(conns, client, upstream)
 	}
 	p.mu.Unlock()
 	for _, c := range conns {
@@ -130,22 +133,22 @@ func (p *Proxy) serve() {
 	}
 }
 
-// track registers a connection for Sever/Close; it reports false (and
-// resets the connection) if the proxy is already closed.
-func (p *Proxy) track(c net.Conn) bool {
+// track registers a splice for Sever/Close; it reports false (and
+// resets the client) if the proxy is already closed.
+func (p *Proxy) track(client, upstream net.Conn) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
-		rst(c)
+		rst(client)
 		return false
 	}
-	p.conns[c] = struct{}{}
+	p.splices[client] = upstream
 	return true
 }
 
-func (p *Proxy) untrack(c net.Conn) {
+func (p *Proxy) untrack(client net.Conn) {
 	p.mu.Lock()
-	delete(p.conns, c)
+	delete(p.splices, client)
 	p.mu.Unlock()
 }
 
@@ -187,11 +190,10 @@ func (p *Proxy) handle(client net.Conn, idx int64) {
 		return
 	}
 	defer upstream.Close()
-	if !p.track(client) || !p.track(upstream) {
+	if !p.track(client, upstream) {
 		return
 	}
 	defer p.untrack(client)
-	defer p.untrack(upstream)
 
 	// Client→upstream is a plain splice; the scripted faults live on the
 	// response stream, where the testbed's interesting bytes flow.

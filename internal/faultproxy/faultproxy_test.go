@@ -203,13 +203,16 @@ func TestProxyPartitionAndHeal(t *testing.T) {
 }
 
 func TestProxySeverKillsLiveConns(t *testing.T) {
-	// A slow origin: write half, pause, write the rest — so Sever lands
-	// mid-stream.
+	// The origin writes half a body and holds the connection open until
+	// the test ends, so every Sever lands mid-stream, and the body has no
+	// length: only a transport error tells the client it was cut short.
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
+	hold := make(chan struct{})
+	defer close(hold)
 	go func() {
 		for {
 			c, err := l.Accept()
@@ -219,26 +222,28 @@ func TestProxySeverKillsLiveConns(t *testing.T) {
 			go func(c net.Conn) {
 				defer c.Close()
 				c.Write(make([]byte, 1024))
-				time.Sleep(2 * time.Second)
-				c.Write(make([]byte, 1024))
+				<-hold
 			}(c)
 		}
 	}()
 	p := newProxy(t, l.Addr().String(), "")
 
-	errc := make(chan error, 1)
-	go func() {
-		_, err := fetch(t, p.Addr(), 10*time.Second)
-		errc <- err
-	}()
-	time.Sleep(200 * time.Millisecond) // let the first half arrive
-	p.Sever()
-	select {
-	case err := <-errc:
-		if err == nil {
-			t.Fatal("severed transfer completed cleanly")
+	half := make([]byte, 1024)
+	for i := 0; i < 300; i++ {
+		c, err := net.Dial("tcp", p.Addr())
+		if err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("severed transfer still hanging")
+		c.SetDeadline(time.Now().Add(5 * time.Second))
+		// The first half arriving means the splice is live and tracked.
+		if _, err := io.ReadFull(c, half); err != nil {
+			t.Fatalf("sever %d: first half: %v", i, err)
+		}
+		p.Sever()
+		_, err = io.Copy(io.Discard, c)
+		c.Close()
+		if err == nil {
+			t.Fatalf("sever %d: severed transfer completed cleanly", i)
+		}
 	}
 }

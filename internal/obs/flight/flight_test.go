@@ -318,38 +318,3 @@ func TestDoLabeledGate(t *testing.T) {
 		t.Fatal("DoLabeled skipped fn with the gate up")
 	}
 }
-
-// BenchmarkFlightAppend prices one whole wide-event append: start,
-// three phase marks, progress, finish into the ring. This is the
-// always-on per-transfer overhead the ISSUE budget bounds.
-func BenchmarkFlightAppend(b *testing.B) {
-	r := NewRecorder(Config{Ring: 512})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var tr Record
-		tr.Start(Spec{Flight: r, Service: "client", Path: "direct", Object: "a.bin"})
-		tr.Phase("dial")
-		tr.Phase("ttfb")
-		tr.Phase("stream")
-		tr.StoreBytes(1 << 20)
-		tr.Finish()
-	}
-}
-
-// BenchmarkFlightDisabled prices the nil-recorder hot path: every site
-// present, nothing recorded.
-func BenchmarkFlightDisabled(b *testing.B) {
-	var r *Recorder
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var tr Record
-		tr.Start(Spec{Flight: r, Service: "client", Path: "direct", Object: "a.bin"})
-		tr.Phase("dial")
-		tr.Phase("ttfb")
-		tr.Phase("stream")
-		tr.StoreBytes(1 << 20)
-		tr.Finish()
-	}
-}

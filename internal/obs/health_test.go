@@ -48,6 +48,15 @@ func TestHealthHealthyUnderSteadySuccess(t *testing.T) {
 	if ph.LatencyP50 <= 0 || ph.LatencyP99 < ph.LatencyP50 {
 		t.Fatalf("quantiles p50=%v p99=%v malformed", ph.LatencyP50, ph.LatencyP99)
 	}
+	// The fold runs once per transfer on every daemon: on a path the
+	// monitor already holds it allocates nothing.
+	now := 8.0
+	if got := testing.AllocsPerRun(1000, func() {
+		m.fold("relay-a", now, ClassOK, 0.05, 64<<10, false)
+		now += 0.01
+	}); got != 0 {
+		t.Fatalf("fold on a known path: %v allocs, want 0", got)
+	}
 }
 
 func TestHealthDegradesOnThroughputCollapseThenDown(t *testing.T) {
@@ -239,14 +248,6 @@ func TestHealthStateStrings(t *testing.T) {
 		if s.String() != want {
 			t.Fatalf("%d.String() = %q, want %q", s, s.String(), want)
 		}
-	}
-}
-
-func BenchmarkHealthFold(b *testing.B) {
-	m := NewHealthMonitor(HealthConfig{})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m.fold("path", float64(i)*0.01, ClassOK, 0.05, 64<<10, false)
 	}
 }
 

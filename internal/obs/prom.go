@@ -250,8 +250,8 @@ func (p *Prom) HistogramEdges(name, help string, edges []float64, counts []uint6
 // WriteProm renders the whole metrics snapshot as Prometheus families
 // under the given prefix (e.g. "indirect"): the counters, the per-path
 // utilization tallies as labeled counters, and both histograms with
-// explicit buckets. The fetch client and realbench expose exactly what
-// the daemons expose, one code path.
+// explicit buckets. The fetch client exposes exactly what the daemons
+// expose, one code path.
 func (s Snapshot) WriteProm(p *Prom, prefix string) {
 	c := func(name, help string, v int64) { p.Counter(prefix+"_"+name, help, float64(v)) }
 	c("probes_started_total", "Probes launched.", s.ProbesStarted)

@@ -176,38 +176,6 @@ func TestStripePickerSpreadsAndRecycles(t *testing.T) {
 	}
 }
 
-// BenchmarkMetricsContended pins the tentpole contention claim: the
-// per-P striped cells against the single shared atomic they replaced,
-// under RunParallel. On multi-core machines the striped variant must
-// scale (TestStripedSpeedupUnderContention asserts the ratio); the
-// benchmark itself also documents the single-threaded cost.
-func BenchmarkMetricsContended(b *testing.B) {
-	b.Run("striped", func(b *testing.B) {
-		s := newStripedCounters()
-		b.ReportAllocs()
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				s.add(cBytesStreamed, 1)
-			}
-		})
-		if got := s.load(cBytesStreamed); got != int64(b.N) {
-			b.Fatalf("folded %d, want %d", got, b.N)
-		}
-	})
-	b.Run("single", func(b *testing.B) {
-		var c atomic.Int64
-		b.ReportAllocs()
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				c.Add(1)
-			}
-		})
-		if c.Load() != int64(b.N) {
-			b.Fatalf("counted %d, want %d", c.Load(), b.N)
-		}
-	})
-}
-
 // TestStripedSpeedupUnderContention asserts the striped counters beat a
 // single shared cell by >=4x under parallel load. Cache-line
 // ping-ponging needs real cores to show up, so the test only runs at
@@ -240,26 +208,6 @@ func TestStripedSpeedupUnderContention(t *testing.T) {
 		striped.NsPerOp(), single.NsPerOp(), ratio)
 	if ratio < 4 {
 		t.Fatalf("striped counters only %.1fx faster than a single cell under contention, want >= 4x", ratio)
-	}
-}
-
-// BenchmarkExemplarRender prices an OpenMetrics scrape of a histogram
-// with every coarsened bucket carrying an exemplar — the worst-case
-// /metrics render the negotiation can produce.
-func BenchmarkExemplarRender(b *testing.B) {
-	var rec LatencyRecorder
-	for i := 0; i < 2000; i++ {
-		rec.ObserveTrace(time.Duration(i%2000)*10*time.Millisecond, NewTraceID())
-	}
-	snap := rec.Snapshot()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := NewOpenMetricsProm()
-		p.Histogram("bench_latency_seconds", "Bench.", snap)
-		if len(p.Bytes()) == 0 {
-			b.Fatal("empty render")
-		}
 	}
 }
 

@@ -127,6 +127,39 @@ func TestAbortEventMatchesCanceledCounter(t *testing.T) {
 	}
 }
 
+// TestFinishedTransferIsNotAborted asserts that a context canceled the
+// instant Wait returns — what SelectAndFetch's deferred cancel does —
+// finds the transfer already deregistered: a clean transfer emits no
+// TransferAborted.
+func TestFinishedTransferIsNotAborted(t *testing.T) {
+	origin := relay.NewOriginServer()
+	origin.Put("small.bin", 4096)
+	ol, err := origin.ServeAddr("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ol.Close()
+
+	m := obs.NewMetrics()
+	tr := &Transport{
+		Servers:  map[string]string{"origin": ol.Addr().String()},
+		Observer: m,
+	}
+	obj := core.Object{Server: "origin", Name: "small.bin", Size: 4096}
+	for i := 0; i < 200; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		h := tr.StartWarmCtx(ctx, obj, core.Path{}, 0, 4096)
+		tr.Wait(h)
+		cancel()
+		if err := h.Result().Err; err != nil {
+			t.Fatalf("fetch %d: %v", i, err)
+		}
+	}
+	if got := m.Snapshot().Aborts; got != 0 {
+		t.Fatalf("%d of 200 finished transfers were counted as aborted", got)
+	}
+}
+
 // TestStatusErrorClassifies asserts the transport's status-line error
 // reports itself as ClassStatus through the core classifier, including
 // when wrapped.

@@ -413,8 +413,11 @@ func (t *Transport) startFetch(ctx context.Context, obj core.Object, path core.P
 		// finishes exactly once with the right class.
 		rec.Outcome(core.ErrClassOf(err), errString(err))
 		rec.Finish()
+		// Deregistered before the result is published: the caller that
+		// Wait wakes may cancel ctx at once, and a finished transfer is not
+		// then canceled.
+		stop()
 		h.finish(t.Now(), err)
-		stop() // before cancelCtx: a finished transfer is not then canceled
 	}()
 	return h
 }

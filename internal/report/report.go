@@ -444,50 +444,6 @@ func CacheEgress(w io.Writer, r experiment.CacheEgressResult) {
 	fmt.Fprintln(w, "  each object leaves the origin once; every later request is served from relay memory")
 }
 
-// ObsOverhead renders the observability-plane pricing: bare relay vs
-// fully instrumented relay on the same interleaved loopback workload.
-func ObsOverhead(w io.Writer, r experiment.ObsOverheadResult) {
-	fmt.Fprintf(w, "Extension — observability overhead (%d clients x %d reqs x %d KB, %d interleaved rounds, live loopback TCP)\n",
-		r.Clients, r.RequestsPerRound, r.ObjectSize>>10, r.Rounds)
-	Table(w, []string{"Relay", "Best round s", "Median s", "Requests/s"}, [][]string{
-		{"bare (counters only)", fmt.Sprintf("%.3f", r.BareMinSecs),
-			fmt.Sprintf("%.3f", r.BareMedianSecs), fmt.Sprintf("%.0f", r.BareRPS)},
-		{"full plane (health+SLO+traces)", fmt.Sprintf("%.3f", r.ObservedMinSecs),
-			fmt.Sprintf("%.3f", r.ObservedMedianSecs), fmt.Sprintf("%.0f", r.ObservedRPS)},
-		{"+ flight wide-event ring", "-",
-			fmt.Sprintf("%.3f", r.FlightMedianSecs), "-"},
-	})
-	fmt.Fprintf(w, "  overhead %.2f%% (trimmed CPU-time ratio, mirrored blocks); tail retention kept %d traces, dropped %d; %d upstream paths tracked\n",
-		100*r.OverheadFrac, r.KeptTraces, r.DroppedTraces, r.Paths)
-	fmt.Fprintf(w, "  flight always-on %.2f%% = ring increment %.2f%% + profiler cycle %.3fs CPU amortised over %.0fs cadence (%.2f%%); %d wide events recorded\n",
-		100*r.AlwaysOnOverheadFrac, 100*r.FlightOverheadFrac,
-		r.ProfilerCycleCPUSecs, r.ProfilerCadenceSecs, 100*r.ProfilerOverheadFrac, r.FlightEvents)
-	fmt.Fprintln(w, "  the full observability plane must cost so little it never gets turned off")
-}
-
-// RegistryLoad renders the registry scale comparison: single-mutex vs
-// sharded REGISTER tail latency under concurrent full-table scans, and
-// delta-sync vs full-list bytes on the wire.
-func RegistryLoad(w io.Writer, r experiment.RegistryLoadResult) {
-	fmt.Fprintf(w, "Extension — registry at scale (%d relays, %d REGISTERs open-loop @ %.0f/s, live loopback TCP)\n",
-		r.Relays, r.Registrations, r.TargetRate)
-	row := func(label string, c experiment.RegistryLoadConfig) []string {
-		return []string{
-			label, fmt.Sprintf("%d", c.Shards),
-			fmt.Sprintf("%.2f", c.RegisterP50Ms), fmt.Sprintf("%.2f", c.RegisterP99Ms),
-			fmt.Sprintf("%.1f", c.ListP99Ms), fmt.Sprintf("%.1f", c.DeltaP99Ms),
-			fmt.Sprintf("%.0f", c.AchievedRate),
-		}
-	}
-	Table(w, []string{"Config", "Shards", "REGISTER p50 ms", "REGISTER p99 ms", "LISTH p99 ms", "LISTD p99 ms", "ops/s"}, [][]string{
-		row("single mutex", r.Baseline),
-		row("sharded", r.Sharded),
-	})
-	fmt.Fprintf(w, "  REGISTER p99 speedup %.1fx; full LISTH %d bytes vs steady-state LISTD %.0f bytes/poll (%.0fx smaller)\n",
-		r.P99Speedup, r.FullListBytes, r.DeltaPollBytes, r.DeltaSavings)
-	fmt.Fprintln(w, "  striped locks confine scan stalls; epoch deltas make a quiet poll one EPOCH line")
-}
-
 // Chaos renders the chaos campaign scorecard: one row per injected
 // fault class, with the health verdict the monitor converged to and the
 // safety counters that must stay zero.

@@ -180,21 +180,6 @@ func TestMaxWindowCap(t *testing.T) {
 	}
 }
 
-func BenchmarkTransfer4MB(b *testing.B) {
-	cfg := Config{BottleneckBps: 4e6, RTT: 0.1}
-	for i := 0; i < b.N; i++ {
-		Transfer(cfg, 4_000_000, nil)
-	}
-}
-
-func BenchmarkTransferLossy(b *testing.B) {
-	cfg := Config{BottleneckBps: 8e6, RTT: 0.05, Loss: 0.005}
-	rng := randx.New(1)
-	for i := 0; i < b.N; i++ {
-		Transfer(cfg, 4_000_000, rng)
-	}
-}
-
 func TestTwoFlowsShareRoughlyFairly(t *testing.T) {
 	// Two long identical transfers through one bottleneck: each should
 	// receive a comparable share, the behavior the fluid simulator's
