@@ -122,20 +122,15 @@ func main() {
 		logger.Info("serving object", "name", name, "bytes", size)
 	}
 
+	// The metrics half of the introspection surface exists before the
+	// engine does: a debug bundle snapshots the page /metrics serves.
+	d := &daemon.Daemon{Prefix: "origin", Prom: origin.WriteProm, Health: origin.Health}
 	engine = flight.NewEngine(flight.TriggerConfig{
 		Spans:    spans,
 		Profiler: prof,
 		Dir:      *bundleDir,
 		Window:   bundleWindow.Seconds(),
-		Metrics: func() []byte {
-			p := obs.NewProm()
-			p.Counter("origin_bytes_served_total", "Content bytes written to clients.", float64(origin.BytesServed.Load()))
-			p.Counter("origin_conns_total", "Connections accepted.", float64(origin.Conns.Load()))
-			p.Histogram("origin_request_latency_seconds", "Request serving times.", origin.LatencySnapshot())
-			origin.Health.Snapshot().WriteProm(p, "origin")
-			obs.WriteRuntimeProm(p)
-			return p.Bytes()
-		},
+		Metrics:  func() []byte { return d.MetricsPage(obs.NewProm()) },
 	})
 	defer engine.Close()
 
@@ -162,30 +157,19 @@ func main() {
 		return nil
 	})
 
-	d := &daemon.Daemon{
-		Prefix: "origin",
-		Vars: func() any {
-			return map[string]any{
-				"bytes_served":  origin.BytesServed.Load(),
-				"conns":         origin.Conns.Load(),
-				"spans_seen":    spans.Seen(),
-				"spans_dropped": spans.Dropped(),
-				"bundles":       engine.Stats(),
-				"profiler": map[string]any{
-					"cycles": prof.Cycles(), "failures": prof.Failures(), "disk_bytes": prof.DiskBytes(),
-				},
-			}
-		},
-		Prom: func(p *obs.Prom) {
-			p.Counter("origin_bytes_served_total", "Content bytes written to clients.", float64(origin.BytesServed.Load()))
-			p.Counter("origin_conns_total", "Connections accepted.", float64(origin.Conns.Load()))
-			p.Counter("origin_spans_total", "Tracing spans recorded.", float64(spans.Seen()))
-			p.Histogram("origin_request_latency_seconds", "Request serving times.", origin.LatencySnapshot())
-		},
-		Health:  origin.Health,
-		Bundles: engine,
-		Ready:   ready,
+	d.Vars = func() any {
+		return map[string]any{
+			"bytes_served":  origin.BytesServed.Load(),
+			"conns":         origin.Conns.Load(),
+			"spans_seen":    spans.Seen(),
+			"spans_dropped": spans.Dropped(),
+			"bundles":       engine.Stats(),
+			"profiler": map[string]any{
+				"cycles": prof.Cycles(), "failures": prof.Failures(), "disk_bytes": prof.DiskBytes(),
+			},
+		}
 	}
+	d.Bundles, d.Ready = engine, ready
 	d.ServeMetrics(ctx, *metrics, logger)
 	if *pprofAddr != "" {
 		go func() {

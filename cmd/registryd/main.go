@@ -160,18 +160,7 @@ func main() {
 			return out
 		},
 		Prom: func(p *obs.Prom) {
-			st := s.Stats()
-			p.Counter("registry_registrations_total", "Accepted REGISTER commands.", float64(s.Registrations.Load()))
-			p.Counter("registry_lists_total", "LIST and LISTH commands served.", float64(s.Lists.Load()))
-			p.Counter("registry_delta_lists_total", "LISTD commands served.", float64(s.DeltaLists.Load()))
-			p.Counter("registry_full_deltas_total", "Delta responses that fell back to a full snapshot.", float64(s.FullDeltas.Load()))
-			p.Counter("registry_syncs_total", "SYNCD peer pulls served.", float64(s.Syncs.Load()))
-			p.Counter("registry_downs_total", "Relays marked down after TTL lapse.", float64(s.Downs.Load()))
-			p.Gauge("registry_live_relays", "Relays currently registered and unexpired.", float64(st.Live))
-			p.Gauge("registry_down_relays", "Relays inside their post-expiry grace window.", float64(st.Down))
-			p.Gauge("registry_epoch", "Current registry mutation epoch.", float64(st.Epoch))
-			p.Gauge("registry_shards", "Table lock partitions.", float64(st.Shards))
-			p.Histogram("registry_command_latency_seconds", "Wire-command handling times.", s.LatencySnapshot())
+			s.WriteProm(p)
 			if ps != nil {
 				pulls := map[string]float64{}
 				applied := map[string]float64{}

@@ -160,6 +160,9 @@ func main() {
 	if *cacheBytes > 0 {
 		logger.Info("cache enabled", "capacity_bytes", *cacheBytes, "ttl", *cacheTTL)
 	}
+	// The metrics half of the introspection surface exists before the
+	// engine does: a debug bundle snapshots the page /metrics serves.
+	d := &daemon.Daemon{Prefix: "relay", Prom: r.WriteProm, Health: r.Health, SLO: slo}
 	if rec != nil {
 		engine = flight.NewEngine(flight.TriggerConfig{
 			Recorder: rec,
@@ -167,7 +170,7 @@ func main() {
 			Profiler: prof,
 			Dir:      *bundleDir,
 			Window:   bundleWindow.Seconds(),
-			Metrics:  func() []byte { return metricsPage(r, mon, slo, spans) },
+			Metrics:  func() []byte { return d.MetricsPage(obs.NewProm()) },
 		})
 		defer engine.Close()
 		logger.Info("flight recorder on", "ring", *flightRing, "archive", *flightArchive,
@@ -228,63 +231,40 @@ func main() {
 		logger.Info("registered", "name", *name, "registry", *regAddr, "ttl", *ttl)
 	}
 
-	d := &daemon.Daemon{
-		Prefix: "relay",
-		Vars: func() any {
-			v := map[string]any{
-				"requests":      r.Requests.Load(),
-				"bytes_relayed": r.BytesRelayed.Load(),
-				"spans_seen":    spans.Seen(),
-				"spans_dropped": spans.Dropped(),
+	d.Vars = func() any {
+		v := map[string]any{
+			"requests":      r.Requests.Load(),
+			"bytes_relayed": r.BytesRelayed.Load(),
+			"spans_seen":    spans.Seen(),
+			"spans_dropped": spans.Dropped(),
+		}
+		if ts, ok := spans.TailStats(); ok {
+			v["trace_tail"] = ts
+		}
+		if hb != nil {
+			v["registry_ok"] = hb.OK()
+			v["registry_last_ok"] = hb.LastOK().Format(time.RFC3339)
+		}
+		if c := r.Cache(); c != nil {
+			v["cache"] = c.Stats()
+		}
+		if rec != nil {
+			v["flight"] = map[string]any{
+				"seen":            rec.Seen(),
+				"dropped":         rec.Dropped(),
+				"archive_dropped": rec.ArchiveDropped(),
+				"bundles":         engine.Stats(),
 			}
-			if ts, ok := spans.TailStats(); ok {
-				v["trace_tail"] = ts
+		}
+		if prof != nil {
+			v["profiler"] = map[string]any{
+				"cycles": prof.Cycles(), "failures": prof.Failures(),
+				"disk_bytes": prof.DiskBytes(),
 			}
-			if hb != nil {
-				v["registry_ok"] = hb.OK()
-				v["registry_last_ok"] = hb.LastOK().Format(time.RFC3339)
-			}
-			if c := r.Cache(); c != nil {
-				v["cache"] = c.Stats()
-			}
-			if rec != nil {
-				v["flight"] = map[string]any{
-					"seen":            rec.Seen(),
-					"dropped":         rec.Dropped(),
-					"archive_dropped": rec.ArchiveDropped(),
-					"bundles":         engine.Stats(),
-				}
-			}
-			if prof != nil {
-				v["profiler"] = map[string]any{
-					"cycles": prof.Cycles(), "failures": prof.Failures(),
-					"disk_bytes": prof.DiskBytes(),
-				}
-			}
-			return v
-		},
-		Prom: func(p *obs.Prom) {
-			p.Counter("relay_requests_total", "Requests handled, including failures.", float64(r.Requests.Load()))
-			p.Counter("relay_bytes_relayed_total", "Response-body bytes forwarded to clients.", float64(r.BytesRelayed.Load()))
-			p.Counter("relay_spans_total", "Tracing spans recorded.", float64(spans.Seen()))
-			if ts, ok := spans.TailStats(); ok {
-				p.Counter("relay_traces_kept_total", "Traces the tail policy kept.", float64(ts.KeptTraces))
-				p.Counter("relay_traces_dropped_total", "Traces the tail policy dropped.", float64(ts.DroppedTraces))
-				p.Counter("relay_traces_forced_keep_total", "Traces force-kept (errored or slowest-decile roots).",
-					float64(ts.ForcedError+ts.ForcedSlow))
-				p.Gauge("relay_trace_bytes", "Estimated bytes of kept spans.", float64(ts.KeptBytes))
-			}
-			p.Histogram("relay_forward_latency_seconds", "Request forwarding times.", r.LatencySnapshot())
-			if c := r.Cache(); c != nil {
-				c.Stats().WriteProm(p, "relay")
-			}
-		},
-		Health:  r.Health,
-		SLO:     slo,
-		Flight:  rec,
-		Bundles: engine,
-		Ready:   ready,
+		}
+		return v
 	}
+	d.Flight, d.Bundles, d.Ready = rec, engine, ready
 	if c := r.Cache(); c != nil {
 		d.Cache = func() any { return c.Stats() }
 	}
@@ -345,27 +325,6 @@ func main() {
 	if archive != nil {
 		archive.Close()
 	}
-}
-
-// metricsPage renders the /metrics families a debug bundle snapshots:
-// the same health, SLO, and runtime views the live endpoint serves.
-func metricsPage(r *relay.Relay, mon *obs.HealthMonitor, slo *obs.SLOTracker, spans *obs.SpanCollector) []byte {
-	p := obs.NewProm()
-	p.Counter("relay_requests_total", "Requests handled, including failures.", float64(r.Requests.Load()))
-	p.Counter("relay_bytes_relayed_total", "Response-body bytes forwarded to clients.", float64(r.BytesRelayed.Load()))
-	p.Counter("relay_spans_total", "Tracing spans recorded.", float64(spans.Seen()))
-	p.Histogram("relay_forward_latency_seconds", "Request forwarding times.", r.LatencySnapshot())
-	if c := r.Cache(); c != nil {
-		c.Stats().WriteProm(p, "relay")
-	}
-	mon.Snapshot().WriteProm(p, "relay")
-	now := -1.0
-	if clk := mon.Config().Clock; clk != nil {
-		now = clk()
-	}
-	slo.Snapshot(now).WriteProm(p, "relay")
-	obs.WriteRuntimeProm(p)
-	return p.Bytes()
 }
 
 // aggregateHealth folds the per-origin path scores into the single

@@ -73,6 +73,24 @@ func (d *Daemon) sloNow() float64 {
 	return -1
 }
 
+// MetricsPage fills p with every family /metrics serves — the daemon's
+// own, then health, SLO and the Go runtime — and returns the rendered
+// page. The /metrics handler and a debug bundle's metrics snapshot both
+// come from here, so the two cannot drift.
+func (d *Daemon) MetricsPage(p *obs.Prom) []byte {
+	if d.Prom != nil {
+		d.Prom(p)
+	}
+	if d.Health != nil {
+		d.Health.Snapshot().WriteProm(p, d.Prefix)
+	}
+	if d.SLO != nil {
+		d.SLO.Snapshot(d.sloNow()).WriteProm(p, d.Prefix)
+	}
+	obs.WriteRuntimeProm(p)
+	return p.Bytes()
+}
+
 // Mux assembles the debug mux.
 func (d *Daemon) Mux() *httpx.Mux {
 	vars := d.Vars
@@ -89,17 +107,7 @@ func (d *Daemon) Mux() *httpx.Mux {
 		if req != nil && obs.AcceptsOpenMetrics(req.Header["accept"]) {
 			p = obs.NewOpenMetricsProm()
 		}
-		if d.Prom != nil {
-			d.Prom(p)
-		}
-		if d.Health != nil {
-			d.Health.Snapshot().WriteProm(p, d.Prefix)
-		}
-		if d.SLO != nil {
-			d.SLO.Snapshot(d.sloNow()).WriteProm(p, d.Prefix)
-		}
-		obs.WriteRuntimeProm(p)
-		return 200, map[string]string{"content-type": p.ContentType()}, p.Bytes()
+		return 200, map[string]string{"content-type": p.ContentType()}, d.MetricsPage(p)
 	})
 	if d.Health != nil {
 		mux.Handle("/debug/paths", httpx.JSONHandler(func() any {

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"io"
 	"net"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -56,33 +58,47 @@ func serveDaemon(t *testing.T, d *Daemon) string {
 	return l.Addr().String()
 }
 
-// TestAllDaemonMetricsPagesLint is the e2e exposition check: one
-// loopback run with a live origin, relay, and registry — assembled
-// through the same Daemon structs the cmd binaries use — drives real
-// transfers through the relay, then scrapes /metrics from all three
-// debug servers and passes every page through LintProm. /debug/vars,
-// /debug/paths, and /debug/slo must parse as JSON alongside.
-func TestAllDaemonMetricsPagesLint(t *testing.T) {
-	// Origin with a health monitor keyed by object.
-	origin := relay.NewOriginServer()
+// surfaces is one loopback origin, relay and registry with every
+// optional subsystem the binaries can turn on — tracing (tail retention
+// on the relay), cache, SLO, flight recorder, bundle engine — and the
+// three Daemons over them, each taking its families from the same
+// WriteProm method its cmd binary does.
+type surfaces struct {
+	origin                *relay.Origin
+	relay                 *relay.Relay
+	originAddr, relayAddr string
+	daemons               map[string]*Daemon
+}
+
+// startSurfaces brings the three servers up, registers the relay, and
+// pushes three direct and three relayed fetches of obj.bin through.
+func startSurfaces(t *testing.T) *surfaces {
+	t.Helper()
+	origin := relay.NewOriginServer(
+		relay.WithHealthMonitor(obs.NewHealthMonitor(obs.HealthConfig{Window: 10, Buckets: 10, Clock: obs.WallClock()})),
+		relay.WithSpans(obs.NewSpanCollector(0)),
+	)
 	origin.Put("obj.bin", 1<<20)
-	origin.Health = obs.NewHealthMonitor(obs.HealthConfig{Window: 10, Buckets: 10, Clock: obs.WallClock()})
 	ol, err := origin.ServeAddr("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ol.Close()
+	t.Cleanup(func() { ol.Close() })
 
-	// Relay with health + SLO + cache + flight recorder, built through
-	// the options API the relayd binary uses.
 	relaySLO := obs.NewSLOTracker(obs.SLOConfig{})
 	relayFlight := flight.NewRecorder(flight.Config{Ring: 64})
-	relayBundles := flight.NewEngine(flight.TriggerConfig{Recorder: relayFlight})
-	defer relayBundles.Close()
+	// As in relayd: the bundle engine snapshots the daemon's own page.
+	relayd := &Daemon{Prefix: "relay"}
+	relayBundles := flight.NewEngine(flight.TriggerConfig{
+		Recorder: relayFlight,
+		Metrics:  func() []byte { return relayd.MetricsPage(obs.NewProm()) },
+	})
+	t.Cleanup(relayBundles.Close)
 	r := relay.New(
 		relay.WithHealthMonitor(obs.NewHealthMonitor(obs.HealthConfig{
 			Window: 10, Buckets: 10, Clock: obs.WallClock(), SLO: relaySLO,
 		})),
+		relay.WithSpans(obs.NewTailSpanCollector(obs.TailConfig{KeepProb: 1})),
 		relay.WithCache(16<<20),
 		relay.WithVerifier(relay.VerifyRange),
 		relay.WithFlight(relayFlight),
@@ -91,76 +107,162 @@ func TestAllDaemonMetricsPagesLint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rl.Close()
+	t.Cleanup(func() { rl.Close() })
 
-	// Registry holding the relay.
 	reg := &registry.Server{}
 	gl, err := reg.ServeAddr("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer gl.Close()
+	t.Cleanup(func() { gl.Close() })
 	if err := registry.NewClient(gl.Addr().String()).RegisterHealth(context.Background(), "r1", rl.Addr().String(), time.Minute, 0.9); err != nil {
 		t.Fatal(err)
 	}
 
-	// Drive real traffic: direct fetches and relayed fetches, plus one
-	// relayed failure (unknown object) so error counters move.
+	*relayd = Daemon{
+		Prefix: "relay",
+		Vars: func() any {
+			return map[string]any{"requests": r.Requests.Load(), "bytes_relayed": r.BytesRelayed.Load()}
+		},
+		Prom:    r.WriteProm,
+		Health:  r.Health,
+		SLO:     relaySLO,
+		Cache:   func() any { return r.Cache().Stats() },
+		Flight:  relayFlight,
+		Bundles: relayBundles,
+	}
+	s := &surfaces{origin: origin, relay: r, originAddr: ol.Addr().String(), relayAddr: rl.Addr().String()}
 	for i := 0; i < 3; i++ {
-		if _, err := relay.Fetch(nil, ol.Addr().String(), "obj.bin", 0, 50000); err != nil {
+		if _, err := relay.Fetch(nil, s.originAddr, "obj.bin", 0, 50000); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := relay.FetchVia(nil, rl.Addr().String(), ol.Addr().String(), "obj.bin", 0, 50000); err != nil {
+		if _, err := relay.FetchVia(nil, s.relayAddr, s.originAddr, "obj.bin", 0, 50000); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := relay.FetchVia(nil, rl.Addr().String(), ol.Addr().String(), "missing.bin", 0, 10); err == nil {
-		t.Fatal("fetch of missing object succeeded")
-	}
-
-	// The three daemons, assembled exactly as the cmd binaries do.
-	daemons := map[string]*Daemon{
+	s.daemons = map[string]*Daemon{
 		"origind": {
 			Prefix: "origin",
 			Vars: func() any {
 				return map[string]any{"bytes_served": origin.BytesServed.Load(), "conns": origin.Conns.Load()}
 			},
-			Prom: func(p *obs.Prom) {
-				p.Counter("origin_bytes_served_total", "Content bytes written to clients.", float64(origin.BytesServed.Load()))
-				p.Histogram("origin_request_latency_seconds", "Request serving times.", origin.LatencySnapshot())
-			},
+			Prom:   origin.WriteProm,
 			Health: origin.Health,
 		},
-		"relayd": {
-			Prefix: "relay",
-			Vars: func() any {
-				return map[string]any{"requests": r.Requests.Load(), "bytes_relayed": r.BytesRelayed.Load()}
-			},
-			Prom: func(p *obs.Prom) {
-				p.Counter("relay_requests_total", "Requests handled.", float64(r.Requests.Load()))
-				p.Histogram("relay_forward_latency_seconds", "Request forwarding times.", r.LatencySnapshot())
-				r.Cache().Stats().WriteProm(p, "relay")
-			},
-			Health:  r.Health,
-			SLO:     relaySLO,
-			Cache:   func() any { return r.Cache().Stats() },
-			Flight:  relayFlight,
-			Bundles: relayBundles,
-		},
+		"relayd": relayd,
 		"registryd": {
 			Prefix: "registry",
 			Vars: func() any {
 				return map[string]any{"registrations": reg.Registrations.Load(), "live_relays": len(reg.List())}
 			},
-			Prom: func(p *obs.Prom) {
-				p.Counter("registry_registrations_total", "Accepted REGISTER commands.", float64(reg.Registrations.Load()))
-				p.Gauge("registry_live_relays", "Relays currently registered and unexpired.", float64(len(reg.List())))
-				p.Histogram("registry_command_latency_seconds", "Wire-command handling times.", reg.LatencySnapshot())
-			},
+			Prom: reg.WriteProm,
 		},
 	}
+	return s
+}
 
-	for name, d := range daemons {
+// idle waits until what the requests so far leave behind has landed.
+func (s *surfaces) idle() {
+	s.relay.WaitIdle()
+	s.origin.WaitIdle()
+}
+
+var loopbackPort = regexp.MustCompile(`127\.0\.0\.1:[0-9]+`)
+
+// skeleton reduces a classic /metrics page to what a scraper's
+// configuration depends on: every # HELP and # TYPE line verbatim and
+// every sample's name and label set, in order, with the value dropped
+// and loopback ports masked. The go_* histograms' bucket lines are left
+// out: their layout is the toolchain's, not this repo's.
+func skeleton(page []byte) string {
+	var out strings.Builder
+	for _, line := range strings.Split(strings.TrimSuffix(string(page), "\n"), "\n") {
+		if strings.HasPrefix(line, "go_") && strings.Contains(line, "_bucket{") {
+			continue
+		}
+		if !strings.HasPrefix(line, "#") {
+			if i := strings.LastIndexByte(line, ' '); i >= 0 {
+				line = line[:i]
+			}
+		}
+		out.WriteString(loopbackPort.ReplaceAllString(line, "127.0.0.1:PORT"))
+		out.WriteByte('\n')
+	}
+	return out.String()
+}
+
+// TestPromOMClassicByteCompatible (the daemon half; internal/obs has
+// the builder half) pins the classic /metrics of the three daemons to
+// skeletons scraped from the relayd, origind and registryd binaries on
+// loopback — tracing, cache, SLO and flight on, a few fetches through —
+// at the commit before the family definitions moved into WriteProm
+// methods. A family added, dropped, renamed, reworded, retyped or
+// reordered fails here; the goldens change only on purpose.
+func TestPromOMClassicByteCompatible(t *testing.T) {
+	s := startSurfaces(t)
+	s.idle()
+	for name, d := range s.daemons {
+		status, page := scrape(t, serveDaemon(t, d), "/metrics")
+		if status != 200 {
+			t.Fatalf("%s /metrics status %d", name, status)
+		}
+		want, err := os.ReadFile("testdata/metrics_" + d.Prefix + ".golden")
+		if err != nil {
+			t.Fatal(err)
+		}
+		diffSkeleton(t, name+" /metrics", page, want)
+		if d.Bundles == nil {
+			continue
+		}
+		// A debug bundle's metrics snapshot is the same page: Close
+		// drains the trigger before the bundle is read.
+		d.Bundles.Fire("test", s.originAddr, "")
+		d.Bundles.Close()
+		infos := d.Bundles.Bundles()
+		if len(infos) != 1 {
+			t.Fatalf("%s fired %d bundles, want 1", name, len(infos))
+		}
+		b, _ := d.Bundles.Bundle(infos[0].Name)
+		diffSkeleton(t, name+" bundle metrics", []byte(b.Metrics), want)
+	}
+}
+
+// diffSkeleton reports the first line where page's skeleton leaves the
+// golden one.
+func diffSkeleton(t *testing.T, what string, page, golden []byte) {
+	t.Helper()
+	got, want := strings.Split(skeleton(page), "\n"), strings.Split(string(golden), "\n")
+	for i := 0; i < len(got) || i < len(want); i++ {
+		var g, w string
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(want) {
+			w = want[i]
+		}
+		if g != w {
+			t.Errorf("%s skeleton line %d:\n got  %q\n want %q", what, i+1, g, w)
+			return
+		}
+	}
+}
+
+// TestAllDaemonMetricsPagesLint is the e2e exposition check: one
+// loopback run with a live origin, relay, and registry — assembled
+// through the same Daemon structs the cmd binaries use — drives real
+// transfers through the relay, then scrapes /metrics from all three
+// debug servers and passes every page through LintProm. /debug/vars,
+// /debug/paths, and /debug/slo must parse as JSON alongside.
+func TestAllDaemonMetricsPagesLint(t *testing.T) {
+	s := startSurfaces(t)
+	r, ol := s.relay, s.originAddr
+	// One relayed failure (unknown object) so error counters move.
+	if _, err := relay.FetchVia(nil, s.relayAddr, s.originAddr, "missing.bin", 0, 10); err == nil {
+		t.Fatal("fetch of missing object succeeded")
+	}
+	s.idle()
+
+	for name, d := range s.daemons {
 		addr := serveDaemon(t, d)
 
 		status, page := scrape(t, addr, "/metrics")
@@ -275,7 +377,7 @@ func TestAllDaemonMetricsPagesLint(t *testing.T) {
 
 	// The relay health monitor keyed its single upstream path.
 	hs := r.Health.Snapshot()
-	if _, ok := hs.Path(ol.Addr().String()); !ok {
-		t.Fatalf("relay health has no entry for origin %s: %+v", ol.Addr(), hs.Paths)
+	if _, ok := hs.Path(ol); !ok {
+		t.Fatalf("relay health has no entry for origin %s: %+v", ol, hs.Paths)
 	}
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -228,5 +229,59 @@ func TestWriteRuntimePromFamiliesAndLint(t *testing.T) {
 	WriteRuntimeProm(po)
 	if err := LintOpenMetrics(po.Bytes()); err != nil {
 		t.Fatalf("runtime families fail OM lint: %v", err)
+	}
+}
+
+// classicFixture feeds one family of every kind the builder renders,
+// from fixed inputs: the histogram is a literal snapshot (40 bins, so
+// the coarsening to 20 buckets runs) with under- and overflow and two
+// traced observations.
+func classicFixture(p *Prom) {
+	p.Counter("x_requests_total", "Requests handled, including failures.", 42)
+	p.Gauge("x_depth", "Queue depth.", 2.5)
+	p.LabeledCounter("x_by_route_total", "Requests by route.", "route",
+		map[string]float64{"direct": 7, "campus": 35})
+	p.LabeledGauge("x_health", "Health by route, a help with a \\ and a\nnewline.", "route",
+		map[string]float64{"direct": 1, `we"ird\`: 0.25, "127.0.0.1:8080": 1e-9})
+	p.Histogram("x_latency_seconds", "Request latency.", HistogramSnapshot{
+		Lo: 0, Hi: 20,
+		Bins: []int64{3, 0, 1, 4, 0, 0, 2, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 1,
+			0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 1},
+		Underflow: 1, Overflow: 2, Total: 27, Sum: 163.0625,
+		Exemplars: []Exemplar{
+			{Bin: 3, Value: 1.75, Trace: TraceID{0xab, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}, Time: 1_700_000_000_250_000_000},
+			{Bin: 32, Value: 16.125, Trace: TraceID{0xcd, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}, Time: 1_700_000_001_000_000_000},
+		},
+	})
+}
+
+// TestPromOMClassicByteCompatible (the builder half; internal/daemon
+// has the daemons' pages) pins the classic text format byte for byte to
+// testdata/classic.golden, and the OpenMetrics rendering of the same
+// inputs to exactly that page plus exemplar suffixes and # EOF. The
+// golden changes only when the exposition is meant to.
+func TestPromOMClassicByteCompatible(t *testing.T) {
+	want, err := os.ReadFile("testdata/classic.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	classic, om := renderBoth(classicFixture)
+	if string(classic) != string(want) {
+		t.Fatalf("classic page left the golden bytes:\n--- got ---\n%s\n--- want ---\n%s", classic, want)
+	}
+	if err := LintProm(classic); err != nil {
+		t.Fatalf("classic lint: %v", err)
+	}
+	if err := LintOpenMetrics(om); err != nil {
+		t.Fatalf("openmetrics lint: %v", err)
+	}
+	if got := stripOM(om) + "\n"; got != string(want) {
+		t.Fatalf("OM minus annotations differs from the golden page:\n%s", got)
+	}
+	if n := strings.Count(string(om), ` # {trace_id="`); n != 2 {
+		t.Fatalf("OM page carries %d exemplars, want 2:\n%s", n, om)
+	}
+	if !strings.HasSuffix(string(om), "# EOF\n") {
+		t.Fatal("OM page missing # EOF")
 	}
 }

@@ -50,6 +50,15 @@ type Origin struct {
 // ready for Prometheus exposition.
 func (o *Origin) LatencySnapshot() obs.HistogramSnapshot { return o.lat.Snapshot() }
 
+// WriteProm appends the origin's own families — what origind serves on
+// /metrics ahead of the health and runtime views its daemon adds.
+func (o *Origin) WriteProm(p *obs.Prom) {
+	p.Counter("origin_bytes_served_total", "Content bytes written to clients.", float64(o.BytesServed.Load()))
+	p.Counter("origin_conns_total", "Connections accepted.", float64(o.Conns.Load()))
+	p.Counter("origin_spans_total", "Tracing spans recorded.", float64(o.Spans.Seen()))
+	p.Histogram("origin_request_latency_seconds", "Request serving times.", o.lat.Snapshot())
+}
+
 // WaitIdle blocks until no request is between its head being read and
 // its record being finished: counters, spans, latency and health then
 // reflect every response a client has fully received.

@@ -75,6 +75,25 @@ type Relay struct {
 // ready for Prometheus exposition.
 func (r *Relay) LatencySnapshot() obs.HistogramSnapshot { return r.lat.Snapshot() }
 
+// WriteProm appends the relay's own families — what relayd serves on
+// /metrics ahead of the health, SLO and runtime views its daemon adds.
+func (r *Relay) WriteProm(p *obs.Prom) {
+	p.Counter("relay_requests_total", "Requests handled, including failures.", float64(r.Requests.Load()))
+	p.Counter("relay_bytes_relayed_total", "Response-body bytes forwarded to clients.", float64(r.BytesRelayed.Load()))
+	p.Counter("relay_spans_total", "Tracing spans recorded.", float64(r.Spans.Seen()))
+	if ts, ok := r.Spans.TailStats(); ok {
+		p.Counter("relay_traces_kept_total", "Traces the tail policy kept.", float64(ts.KeptTraces))
+		p.Counter("relay_traces_dropped_total", "Traces the tail policy dropped.", float64(ts.DroppedTraces))
+		p.Counter("relay_traces_forced_keep_total", "Traces force-kept (errored or slowest-decile roots).",
+			float64(ts.ForcedError+ts.ForcedSlow))
+		p.Gauge("relay_trace_bytes", "Estimated bytes of kept spans.", float64(ts.KeptBytes))
+	}
+	p.Histogram("relay_forward_latency_seconds", "Request forwarding times.", r.lat.Snapshot())
+	if r.cache != nil {
+		r.cache.Stats().WriteProm(p, "relay")
+	}
+}
+
 // WaitIdle blocks until no request is between its head being read and
 // its record being finished: counters, spans, wide events, latency and
 // health then reflect every response a client has fully received.
