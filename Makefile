@@ -31,8 +31,8 @@ REF ?= HEAD~1
 bench-pair:
 	bash scripts/benchpair.sh "$(WORKLOAD)" "$(PAIRS)" "$(REF)"
 
-# Every `make <target>`, cmd/<x> and examples/<x> the documents name
-# exists.
+# Every `make <target>`, cmd/<x>, examples/<x> and Test…/Fuzz… function
+# the documents name exists.
 doc-check:
 	bash scripts/doccheck.sh
 
@@ -73,7 +73,7 @@ chaos-smoke:
 obs-smoke:
 	$(GO) test -race -count=1 ./internal/obs/fleet/ ./internal/obs/slogx/
 	$(GO) test -race -count=1 ./internal/obs/ \
-		-run 'Striped|StripePicker|Exemplar|Tail|OpenMetrics|Accepts|ParseProm|MergeHistogram|Runtime|HistogramSum|HistogramEdges|HistogramReconstruction'
+		-run 'Striped|StripePicker|Exemplar|Tail|OpenMetrics|Accepts|ClassicByteCompatible|ParseProm|MergeHistogram|Runtime|HistogramSum|HistogramEdges|HistogramReconstruction'
 	$(GO) test -race -count=1 ./internal/realnet/ -run 'ExemplarResolvesToStitchedTrace'
 
 # The flight-recorder tier: the whole wide-event/profiler/trigger

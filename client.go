@@ -171,8 +171,8 @@ func WithCacheTTL(d time.Duration) Option {
 // selection-lifecycle event folds into the monitor's per-path rolling
 // windows, and Client.PathHealth/HealthMonitor read the damped health
 // view. A nil monitor is ignored (the hot path stays free of health
-// bookkeeping — the 62-alloc warm-fetch contract is pinned by
-// BenchmarkWarmFetch64K with no monitor attached).
+// bookkeeping — realnet's TestWarmFetchAllocCeiling pins a warm fetch
+// at 32 allocations with no monitor attached).
 func WithHealthMonitor(h *HealthMonitor) Option {
 	return func(c *Client) {
 		// The nil check must happen on the concrete pointer: appending a

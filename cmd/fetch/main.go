@@ -281,7 +281,6 @@ func main() {
 	showStats := flag.Bool("stats", false, "print the metrics snapshot (JSON) after the transfer")
 	showPaths := flag.Bool("paths", false, "track path health during the transfer and print the snapshot (JSON) after")
 	showProgress := flag.Bool("progress", false, "print live transfer progress for the remainder")
-	traceFile := flag.String("trace", "", "write the observer event trace as JSONL to this file")
 	spanFile := flag.String("spans", "", "record distributed-tracing spans and write them as JSONL to this file")
 	stitch := flag.Bool("stitch", false, "print the stitched span timeline after the transfer (implies span recording)")
 	fleetAddr := flag.String("fleet", "", "print the fleet snapshot from this registryd metrics address and exit")
@@ -384,11 +383,6 @@ func main() {
 	if *retries > 0 {
 		opts = append(opts, repro.WithRetry(*retries, 200*time.Millisecond))
 	}
-	var trace *repro.Tracer
-	if *traceFile != "" {
-		trace = repro.NewTracer(4096)
-		opts = append(opts, repro.WithObserver(trace))
-	}
 	var spans *repro.SpanCollector
 	if *spanFile != "" || *stitch || len(mergeFiles) > 0 {
 		spans = repro.NewSpanCollector(0)
@@ -410,23 +404,12 @@ func main() {
 	reportObs := func() {
 		if *showStats {
 			fmt.Printf("metrics snapshot:\n%s\n", client.Snapshot().JSON())
+			ps := tr.PoolStats()
+			fmt.Printf("connection pool: reuses %d, misses %d, parked %d, evicted %d, discarded %d, idle %d\n",
+				ps.Reuses, ps.Misses, ps.Parked, ps.Evicted, ps.Discarded, ps.Idle)
 		}
 		if *showPaths {
 			fmt.Printf("path health:\n%s\n", client.PathHealth().JSON())
-		}
-		if trace != nil {
-			f, err := os.Create(*traceFile)
-			if err != nil {
-				fatal("creating trace file", "path", *traceFile, "err", err)
-			}
-			werr := traceio.WriteEvents(f, "fetch "+*object, trace.Events())
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			if werr != nil {
-				fatal("writing trace", "path", *traceFile, "err", werr)
-			}
-			logger.Info("wrote event trace", "count", len(trace.Events()), "path", *traceFile)
 		}
 		if spans == nil {
 			return

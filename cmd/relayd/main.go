@@ -136,9 +136,8 @@ func main() {
 	})
 	var spans *obs.SpanCollector
 	if *tracePath != "" {
-		// Tail-based retention instead of the blind ring: error-class and
-		// slowest-decile traces always survive, boring ones draw against
-		// -trace-keep, all within -trace-budget bytes.
+		// Error-class and slowest-decile traces always survive, boring
+		// ones draw against -trace-keep, all within -trace-budget bytes.
 		spans = obs.NewTailSpanCollector(obs.TailConfig{
 			ByteBudget: *traceBudget,
 			KeepProb:   *traceKeep,
@@ -238,8 +237,8 @@ func main() {
 			"spans_seen":    spans.Seen(),
 			"spans_dropped": spans.Dropped(),
 		}
-		if ts, ok := spans.TailStats(); ok {
-			v["trace_tail"] = ts
+		if spans != nil {
+			v["trace_tail"] = spans.TailStats()
 		}
 		if hb != nil {
 			v["registry_ok"] = hb.OK()

@@ -22,6 +22,20 @@ import (
 	"repro/internal/topo"
 )
 
+// lifecycle prints the selection lifecycle as it happens. An observer
+// embeds BaseObserver and implements only the callbacks it wants.
+type lifecycle struct{ repro.BaseObserver }
+
+func say(t float64, what string, p repro.PathID) {
+	fmt.Printf("  t=%6.2fs %-14s %s\n", t, what, p.Label())
+}
+func (lifecycle) ProbeStarted(e repro.ProbeStartEvent)       { say(e.Time, "probe-start", e.Path) }
+func (lifecycle) ProbeFinished(e repro.ProbeEndEvent)        { say(e.Time, "probe-end", e.Path) }
+func (lifecycle) PathSelected(e repro.SelectionEvent)        { say(e.Time, "selection", e.Path) }
+func (lifecycle) ProbeCanceled(e repro.ProbeCancelEvent)     { say(e.Time, "probe-cancel", e.Path) }
+func (lifecycle) TransferStarted(e repro.TransferStartEvent) { say(e.Time, "transfer-start", e.Path) }
+func (lifecycle) TransferFinished(e repro.TransferEndEvent)  { say(e.Time, "transfer-end", e.Path) }
+
 func main() {
 	// A deterministic scenario: 22 international clients, 21 US
 	// intermediates, 4 origin servers, as in the paper's Tables IV/V.
@@ -45,21 +59,21 @@ func main() {
 	// The facade binds the transport to a probe/selection configuration.
 	// The simulator runs in virtual time, so wall-clock options like
 	// WithTimeout are omitted here; on a RealTransport they bound the
-	// transfer and cancel its connections. A Tracer attached with
-	// WithObserver records the selection lifecycle event by event (the
+	// transfer and cancel its connections. An observer attached with
+	// WithObserver sees the selection lifecycle event by event (the
 	// client's built-in Metrics collector aggregates regardless).
-	trace := repro.NewTracer(64)
 	c := repro.New(world,
 		repro.WithProbeBytes(repro.DefaultProbeBytes),
-		repro.WithObserver(trace))
+		repro.WithObserver(lifecycle{}))
 
 	obj := repro.Object{Server: "eBay", Name: "large.bin", Size: 4_000_000}
+	fmt.Println("selection lifecycle:")
 	out := c.SelectAndFetch(context.Background(), obj, []string{"Berkeley", "Princeton"})
 	if out.Err != nil {
 		panic(out.Err)
 	}
 
-	fmt.Printf("client %s downloading %d bytes from %s\n", client.Name, obj.Size, server.Name)
+	fmt.Printf("\nclient %s downloading %d bytes from %s\n", client.Name, obj.Size, server.Name)
 	fmt.Println("probe results (first 100 KB on every path):")
 	for _, p := range out.Probes {
 		fmt.Printf("  %-16s %6.2f Mb/s (finished at t=%.2fs)\n",
@@ -70,14 +84,10 @@ func main() {
 		out.Duration(), out.Throughput()/1e6)
 	fmt.Printf("probing overhead: %.2fs of the total\n", out.ProbeEnd-out.Start)
 
-	// What the observability layer saw: the traced lifecycle and the
-	// aggregated per-path counters (utilization = selected/probed).
-	fmt.Println("\nevent trace:")
-	for _, e := range trace.Events() {
-		fmt.Printf("  t=%6.2fs %-14s %s\n", e.Time, e.Kind, e.Path.Label())
-	}
+	// What the metrics collector aggregated: per-path counters
+	// (utilization = selected/probed).
 	snap := c.Snapshot()
-	fmt.Println("metrics:")
+	fmt.Println("\nmetrics:")
 	for _, label := range snap.PathLabels() {
 		ps := snap.Paths[label]
 		fmt.Printf("  %-16s probed %d, selected %d (utilization %.0f%%)\n",

@@ -114,12 +114,6 @@ type (
 	MetricsSnapshot = obs.Snapshot
 	// PathMetrics is one route's aggregated counters in a snapshot.
 	PathMetrics = obs.PathSnapshot
-	// Tracer retains the most recent events in a bounded ring buffer.
-	Tracer = obs.Tracer
-	// TraceEvent is the normalized, JSON-ready form of any event.
-	TraceEvent = obs.Event
-	// EventKind names a trace event's type.
-	EventKind = obs.Kind
 	// PathID identifies what an event was about (server, object, route).
 	PathID = obs.PathID
 	// ErrClass buckets transfer errors for observability.
@@ -138,18 +132,11 @@ type (
 	// ProgressEvent reports payload bytes flowing through a streaming
 	// transfer, one event per buffer chunk.
 	ProgressEvent = obs.Progress
-	// PoolEvent reports a connection-pool transition on one route.
-	PoolEvent = obs.Pool
-	// PoolOp names a connection-pool transition.
-	PoolOp = obs.PoolOp
 
 	// ProgressObserver is the optional Observer extension for
 	// byte-level transfer progress; implement it alongside Observer
 	// (embed BaseObserver for the rest) to receive ProgressEvents.
 	ProgressObserver = obs.ProgressObserver
-	// PoolObserver is the optional Observer extension for
-	// connection-pool lifecycle events.
-	PoolObserver = obs.PoolObserver
 
 	// Distributed-tracing types (attach a collector with WithSpans).
 	//
@@ -161,7 +148,8 @@ type (
 	SpanContext = obs.SpanContext
 	// Span is one completed timed phase of one request on one service.
 	Span = obs.Span
-	// SpanCollector buffers completed spans in a bounded ring.
+	// SpanCollector retains completed spans, whole traces at a time,
+	// within a byte budget.
 	SpanCollector = obs.SpanCollector
 	// TraceNode is one span plus its children in a stitched trace tree.
 	TraceNode = obs.TraceNode
@@ -206,15 +194,6 @@ const (
 	ClassFailed   = obs.ClassFailed
 )
 
-// Connection-pool transitions carried by PoolEvent.
-const (
-	PoolReuse   = obs.PoolReuse
-	PoolMiss    = obs.PoolMiss
-	PoolPark    = obs.PoolPark
-	PoolEvict   = obs.PoolEvict
-	PoolDiscard = obs.PoolDiscard
-)
-
 // Damped path-health states, best to worst.
 const (
 	HealthUnknown  = obs.HealthUnknown
@@ -223,34 +202,20 @@ const (
 	HealthDown     = obs.HealthDown
 )
 
-// Trace event kinds, one per Observer callback.
-const (
-	KindProbeStart    = obs.KindProbeStart
-	KindProbeEnd      = obs.KindProbeEnd
-	KindProbeCancel   = obs.KindProbeCancel
-	KindSelection     = obs.KindSelection
-	KindTransferStart = obs.KindTransferStart
-	KindTransferEnd   = obs.KindTransferEnd
-	KindRetry         = obs.KindRetry
-	KindAbort         = obs.KindAbort
-)
-
 // NewMetrics returns an empty standalone metrics collector (every Client
 // already carries one; this is for wiring into Config.Observer or core
 // downloaders directly).
 func NewMetrics() *Metrics { return obs.NewMetrics() }
 
-// NewTracer returns a tracer retaining the last capacity events
-// (a default of 1024 when capacity <= 0).
-func NewTracer(capacity int) *Tracer { return obs.NewTracer(capacity) }
-
 // MultiObserver fans events out to several observers; nil entries are
 // skipped.
 func MultiObserver(observers ...Observer) Observer { return obs.Multi(observers...) }
 
-// NewSpanCollector returns a span collector retaining the last capacity
-// spans (a default of 4096 when capacity <= 0). Wire it into a client
-// with WithSpans, or into daemons via RelaySpans/OriginSpans fields.
+// NewSpanCollector returns a span collector that keeps every trace
+// within a budget sized for about capacity spans (1 MiB when capacity
+// <= 0); under budget pressure errored and slow traces go last. Wire it
+// into a client with WithSpans, or into daemons via the Relay/Origin
+// Spans fields.
 func NewSpanCollector(capacity int) *SpanCollector { return obs.NewSpanCollector(capacity) }
 
 // NewHealthMonitor returns a path-health monitor with cfg's gaps filled

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // ctxTransport is a fake context-aware transport: per-path rates over a
@@ -152,6 +154,57 @@ func TestSelectAndFetchCtxCancelsLosers(t *testing.T) {
 		if h.ctx.Err() == nil {
 			t.Fatalf("loser %v context not canceled", h.res.Path)
 		}
+	}
+}
+
+// TestSelectAndFetchSpans: with a collector attached the operation is one
+// record — a "select" root with a "race" child that ends at the commit —
+// and the transport is handed the race span's context on every probe and
+// the root's on the remainder. A race nobody wins is where the operation
+// died.
+func TestSelectAndFetchSpans(t *testing.T) {
+	tr := newCtxTransport(1e6)
+	tr.rate["fast"] = 8e6
+	obj := Object{Server: "s", Name: "o", Size: 1_000_000}
+	spans := obs.NewSpanCollector(16)
+	out := SelectAndFetchCtx(context.Background(), tr, obj, []string{"fast"},
+		Config{ProbeBytes: 100_000, Spans: spans})
+	if out.Err != nil || out.Selected.Via != "fast" {
+		t.Fatalf("outcome = %+v", out)
+	}
+	got := spans.Spans()
+	if len(got) != 2 {
+		t.Fatalf("engine recorded %d spans, want race + select: %+v", len(got), got)
+	}
+	race, root := got[0], got[1]
+	if root.Service != "client" || root.Phase != "select" || !root.Parent.IsZero() || root.Class != "ok" ||
+		root.Attrs["object"] != "o" || root.Attrs["server"] != "s" || root.Attrs["selected"] != "fast" {
+		t.Fatalf("root span = %+v", root)
+	}
+	if race.Phase != "race" || race.Parent != root.ID || race.Trace != root.Trace || race.Class != "ok" ||
+		race.Attrs["selected"] != "fast" || race.Attrs["rule"] != "first-finished" {
+		t.Fatalf("race span = %+v under root %v", race, root.ID)
+	}
+	if len(tr.handles) != 3 {
+		t.Fatalf("%d transfers started, want 2 probes + remainder", len(tr.handles))
+	}
+	for i, h := range tr.handles {
+		want, what := race.ID, "probe"
+		if i == 2 {
+			want, what = root.ID, "remainder"
+		}
+		if sc, ok := obs.SpanFromContext(h.ctx); !ok || sc.Trace != root.Trace || sc.Span != want {
+			t.Fatalf("%s %d started under %+v, want span %v of trace %v", what, i, sc, want, root.Trace)
+		}
+	}
+
+	dead := obs.NewSpanCollector(16)
+	out = SelectAndFetchCtx(context.Background(), newCtxTransport(0), obj, nil, Config{Spans: dead})
+	got = dead.Spans()
+	if !errors.Is(out.Err, ErrAllPathsFailed) || len(got) != 2 ||
+		got[0].Phase != "race" || got[0].Class != "failed" || got[0].Err == "" ||
+		got[1].Phase != "select" || got[1].Class != "failed" {
+		t.Fatalf("all-failed outcome %v recorded %+v, want a failed race under a failed select", out.Err, got)
 	}
 }
 

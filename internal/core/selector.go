@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"repro/internal/obs"
+	"repro/internal/obs/flight"
 )
 
 // Rule is the probe-comparison rule used to select a path.
@@ -379,22 +380,22 @@ func SelectAndFetchCtx(ctx context.Context, t Transport, obj Object, candidates 
 	o := Outcome{Object: obj, Candidates: candidates, Start: t.Now()}
 	rest := obj.Size - x
 
-	// When tracing, the root "select" span covers the whole operation and
-	// the "race" child covers probe launch through selection commit. Probes
-	// run under the race span's context and the remainder under the root's,
-	// so a tracing transport nests its per-phase spans accordingly — one
-	// trace shows both candidate paths racing, the loser's cancellation,
-	// and the winner's continuation.
-	var root, race *obs.ActiveSpan
+	// When tracing, the operation is one record: its "select" span covers
+	// the whole operation and the "race" phase covers probe launch through
+	// selection commit. Probes run under the race span's context and the
+	// remainder under the root's, so a tracing transport nests its
+	// per-phase spans accordingly — one trace shows both candidate paths
+	// racing, the loser's cancellation, and the winner's continuation.
+	var rec flight.Record
 	raceCtx := ctx
 	if cfg.Spans != nil {
 		parent, _ := obs.SpanFromContext(ctx)
-		root = cfg.Spans.StartSpan(parent, "client", "select")
-		root.SetAttr("object", obj.Name)
-		root.SetAttr("server", obj.Server)
-		race = cfg.Spans.StartSpan(root.Context(), "client", "race")
-		ctx = obs.ContextWithSpan(ctx, root.Context())
-		raceCtx = obs.ContextWithSpan(ctx, race.Context())
+		rec.Start(flight.Spec{Spans: cfg.Spans, Service: "client", Phase: "select", Parent: parent})
+		rec.SetAttr("object", obj.Name)
+		rec.SetAttr("server", obj.Server)
+		rec.Phase("race")
+		ctx = obs.ContextWithSpan(ctx, rec.Context())
+		raceCtx = obs.ContextWithSpan(ctx, rec.PhaseContext())
 	}
 
 	if !cfg.Sequential && cfg.Rule == FirstFinished {
@@ -412,14 +413,8 @@ func SelectAndFetchCtx(ctx context.Context, t Transport, obj Object, candidates 
 			o.Selected = Path{Via: Direct} // every probe failed
 		}
 		emitSelection(cfg.Observer, t, obj, o.Selected, cfg.Rule.String(), len(paths), o.ProbeEnd-o.Start)
-		if race != nil {
-			race.SetAttr("selected", obsID(obj, o.Selected).Label())
-			race.SetAttr("rule", cfg.Rule.String())
-			if win >= 0 {
-				race.EndOK()
-			} else {
-				race.End(obs.ClassFailed, "every probe failed")
-			}
+		if rec.Tracing() {
+			commitRace(&rec, obsID(obj, o.Selected).Label(), cfg.Rule.String(), win >= 0)
 		}
 
 		// Cancel the losers immediately: the winner is committed, so the
@@ -467,10 +462,8 @@ func SelectAndFetchCtx(ctx context.Context, t Transport, obj Object, candidates 
 		o.ProbeEnd = t.Now()
 		o.Selected = Choose(o.Probes, cfg.Rule)
 		emitSelection(cfg.Observer, t, obj, o.Selected, cfg.Rule.String(), len(o.Probes), o.ProbeEnd-o.Start)
-		if race != nil {
-			race.SetAttr("selected", obsID(obj, o.Selected).Label())
-			race.SetAttr("rule", cfg.Rule.String())
-			race.EndOK()
+		if rec.Tracing() {
+			commitRace(&rec, obsID(obj, o.Selected).Label(), cfg.Rule.String(), true)
 		}
 		if rest > 0 {
 			// The remainder continues on the winning probe's connection
@@ -514,11 +507,22 @@ func SelectAndFetchCtx(ctx context.Context, t Transport, obj Object, candidates 
 	default:
 		o.End = o.ProbeEnd
 	}
-	if root != nil {
-		root.SetAttr("selected", obsID(obj, o.Selected).Label())
-		root.End(ErrClassOf(o.Err), errText(o.Err))
+	if rec.Tracing() {
+		rec.SetAttr("selected", obsID(obj, o.Selected).Label())
+		rec.Outcome(ErrClassOf(o.Err), errText(o.Err))
+		rec.Finish()
 	}
 	return o
+}
+
+// commitRace closes the race phase at the selection. A race nobody won
+// stays open, so Finish marks it as where the operation died.
+func commitRace(rec *flight.Record, selected, rule string, won bool) {
+	rec.PhaseAttr("selected", selected)
+	rec.PhaseAttr("rule", rule)
+	if won {
+		rec.Phase("")
+	}
 }
 
 // allFailed reports whether every probe in the race carried an error

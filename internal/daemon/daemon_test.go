@@ -87,13 +87,6 @@ func startSurfaces(t *testing.T) *surfaces {
 
 	relaySLO := obs.NewSLOTracker(obs.SLOConfig{})
 	relayFlight := flight.NewRecorder(flight.Config{Ring: 64})
-	// As in relayd: the bundle engine snapshots the daemon's own page.
-	relayd := &Daemon{Prefix: "relay"}
-	relayBundles := flight.NewEngine(flight.TriggerConfig{
-		Recorder: relayFlight,
-		Metrics:  func() []byte { return relayd.MetricsPage(obs.NewProm()) },
-	})
-	t.Cleanup(relayBundles.Close)
 	r := relay.New(
 		relay.WithHealthMonitor(obs.NewHealthMonitor(obs.HealthConfig{
 			Window: 10, Buckets: 10, Clock: obs.WallClock(), SLO: relaySLO,
@@ -119,18 +112,23 @@ func startSurfaces(t *testing.T) *surfaces {
 		t.Fatal(err)
 	}
 
-	*relayd = Daemon{
+	relayd := &Daemon{
 		Prefix: "relay",
 		Vars: func() any {
 			return map[string]any{"requests": r.Requests.Load(), "bytes_relayed": r.BytesRelayed.Load()}
 		},
-		Prom:    r.WriteProm,
-		Health:  r.Health,
-		SLO:     relaySLO,
-		Cache:   func() any { return r.Cache().Stats() },
-		Flight:  relayFlight,
-		Bundles: relayBundles,
+		Prom:   r.WriteProm,
+		Health: r.Health,
+		SLO:    relaySLO,
+		Cache:  func() any { return r.Cache().Stats() },
+		Flight: relayFlight,
 	}
+	// As in relayd: the bundle engine snapshots the daemon's own page.
+	relayd.Bundles = flight.NewEngine(flight.TriggerConfig{
+		Recorder: relayFlight,
+		Metrics:  func() []byte { return relayd.MetricsPage(obs.NewProm()) },
+	})
+	t.Cleanup(relayd.Bundles.Close)
 	s := &surfaces{origin: origin, relay: r, originAddr: ol.Addr().String(), relayAddr: rl.Addr().String()}
 	for i := 0; i < 3; i++ {
 		if _, err := relay.Fetch(nil, s.originAddr, "obj.bin", 0, 50000); err != nil {

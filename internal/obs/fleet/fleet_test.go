@@ -67,11 +67,7 @@ func startTestRelay(t *testing.T) *testRelay {
 	}
 	d := &daemon.Daemon{
 		Prefix: "relay",
-		Prom: func(p *obs.Prom) {
-			p.Counter("relay_requests_total", "Requests handled, including failures.", float64(r.Requests.Load()))
-			p.Counter("relay_bytes_relayed_total", "Response-body bytes forwarded to clients.", float64(r.BytesRelayed.Load()))
-			p.Histogram("relay_forward_latency_seconds", "Request forwarding times.", r.LatencySnapshot())
-		},
+		Prom:   r.WriteProm,
 		Health: health,
 	}
 	ml, err := net.Listen("tcp", "127.0.0.1:0")
@@ -154,6 +150,9 @@ func TestFleetAggregatorE2E(t *testing.T) {
 				t.Fatalf("%s fetch %d: status %d", name, i, status)
 			}
 		}
+		// The latency observation and the health fold land after the
+		// client has its last byte.
+		relays[name].relay.WaitIdle()
 	}
 
 	src := &staticSource{}
@@ -229,6 +228,7 @@ func TestFleetAggregatorE2E(t *testing.T) {
 			t.Fatal("fetch through a dead upstream succeeded")
 		}
 	}
+	relays["r0"].relay.WaitIdle()
 	clock.Advance(time.Second)
 	agg.ScrapeOnce(ctx)
 	snap = agg.Snapshot()
@@ -338,14 +338,7 @@ func TestFleetScrapeTolerates404Paths(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dl.Close()
-	d := &daemon.Daemon{
-		Prefix: "relay",
-		Prom: func(p *obs.Prom) {
-			p.Counter("relay_requests_total", "Requests.", float64(r.Requests.Load()))
-			p.Counter("relay_bytes_relayed_total", "Bytes.", float64(r.BytesRelayed.Load()))
-			p.Histogram("relay_forward_latency_seconds", "Latency.", r.LatencySnapshot())
-		},
-	}
+	d := &daemon.Daemon{Prefix: "relay", Prom: r.WriteProm}
 	ml, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

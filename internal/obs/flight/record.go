@@ -83,7 +83,7 @@ type trail struct {
 	begin time.Time
 	bytes atomic.Int64
 
-	phaseAt time.Time
+	phaseAt time.Time // when the open phase was (re-)entered; zero between phases
 	phases  []phase
 	attrs   map[string]string
 	cache   string
@@ -97,6 +97,7 @@ type trail struct {
 // right after itself (a retried dial) accumulates into the same entry.
 type phase struct {
 	name  string
+	id    obs.SpanID // minted when the phase opens, if spans are collected
 	start time.Time
 	dur   time.Duration
 	attrs map[string]string
@@ -142,7 +143,9 @@ func (r *Record) Context() obs.SpanContext {
 	return r.t.self
 }
 
-// Phase marks a phase transition, closing the previous phase.
+// Phase marks a phase transition, closing the previous phase. An empty
+// name closes it without opening another: what runs until the next mark
+// belongs to the parent span alone.
 func (r *Record) Phase(name string) {
 	t := r.t
 	if t == nil {
@@ -150,20 +153,41 @@ func (r *Record) Phase(name string) {
 	}
 	now := clock()
 	t.closePhase(now)
-	if n := len(t.phases); n == 0 || t.phases[n-1].name != name {
-		t.phases = append(t.phases, phase{name: name, start: now})
+	if name != "" {
+		if n := len(t.phases); n == 0 || t.phases[n-1].name != name {
+			p := phase{name: name, start: now}
+			if t.spec.Spans != nil {
+				p.id = obs.NewSpanID()
+			}
+			t.phases = append(t.phases, p)
+		}
+		t.phaseAt = now
 	}
-	t.phaseAt = now
 	t.mu.Lock()
 	t.phase = name
 	t.mu.Unlock()
 }
 
-// closePhase folds the time since the last mark into the current phase.
-func (t *trail) closePhase(now time.Time) {
-	if n := len(t.phases); n > 0 {
-		t.phases[n-1].dur += now.Sub(t.phaseAt)
+// PhaseContext returns the open phase's span context, for work started
+// beneath that phase rather than beneath the record: the phase's span ID
+// is minted when it opens, so children can name it before Finish writes
+// it. Zero when spans are not collected or no phase is open.
+func (r *Record) PhaseContext() obs.SpanContext {
+	if !r.Tracing() || r.t.phaseAt.IsZero() {
+		return obs.SpanContext{}
 	}
+	return obs.SpanContext{Trace: r.t.trace, Span: r.t.phases[len(r.t.phases)-1].id}
+}
+
+// closePhase folds the time since the last mark into the open phase,
+// and reports whether there was one.
+func (t *trail) closePhase(now time.Time) bool {
+	if t.phaseAt.IsZero() {
+		return false
+	}
+	t.phases[len(t.phases)-1].dur += now.Sub(t.phaseAt)
+	t.phaseAt = time.Time{}
+	return true
 }
 
 // SetAttr attaches a dimension to the parent span.
@@ -304,19 +328,19 @@ func (r *Record) Finish() {
 func died(class obs.ErrClass) bool { return class != obs.ClassOK && class != obs.ClassStatus }
 
 func (t *trail) finish(now time.Time, elapsed time.Duration, class obs.ErrClass, detail string, retries int) {
-	t.closePhase(now)
+	inPhase := t.closePhase(now)
 	if t.spec.Spans != nil {
 		// Children first, parent last: a tail-sampling collector decides a
 		// trace's fate when its root arrives.
 		for i := range t.phases {
 			p := &t.phases[i]
 			s := obs.Span{
-				Trace: t.trace, ID: obs.NewSpanID(), Parent: t.self.Span,
+				Trace: t.trace, ID: p.id, Parent: t.self.Span,
 				Service: t.spec.Service, Phase: p.name,
 				Start: p.start.UnixNano(), Duration: int64(p.dur),
 				Class: obs.ClassOK.String(), Attrs: p.attrs,
 			}
-			if i == len(t.phases)-1 && died(class) {
+			if i == len(t.phases)-1 && inPhase && died(class) {
 				s.Class, s.Err = class.String(), detail
 			}
 			for _, sub := range p.sub {

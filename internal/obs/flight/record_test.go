@@ -252,9 +252,71 @@ func TestRecordWithoutTraceContext(t *testing.T) {
 	}
 }
 
+// TestRecordPhaseContext: a phase's span ID is minted when the phase
+// opens and is the ID Finish writes, so work started under the phase's
+// context — the engine's probes under "race" — stitches beneath it, and
+// work started after Phase("") closed it hangs off the record's own span.
+// A phase closed before the record died is not where it died.
+func TestRecordPhaseContext(t *testing.T) {
+	advance := scriptClock(t)
+	spans := obs.NewSpanCollector(32)
+	child := func(parent obs.SpanContext, path string) {
+		var c Record
+		c.Start(Spec{Spans: spans, Service: "client", Phase: "transfer", Parent: parent})
+		c.SetAttr("path", path)
+		c.Finish()
+	}
+
+	var r Record
+	r.Start(Spec{Spans: spans, Service: "client", Phase: "select"})
+	if r.PhaseContext().Valid() {
+		t.Fatal("phase context before any phase opened")
+	}
+	r.Phase("race")
+	race := r.PhaseContext()
+	if !race.Valid() || race.Trace != r.Context().Trace || race.Span == r.Context().Span {
+		t.Fatalf("race context %+v under record %+v", race, r.Context())
+	}
+	child(race, "probe")
+	advance(30 * time.Millisecond)
+	if again := r.PhaseContext(); again != race {
+		t.Fatalf("phase context moved while the phase was open: %+v then %+v", race, again)
+	}
+	r.Phase("")
+	if r.PhaseContext().Valid() {
+		t.Fatal("phase context after the phase closed")
+	}
+	child(r.Context(), "remainder")
+	advance(70 * time.Millisecond)
+	r.Outcome(obs.ClassFailed, "remainder reset")
+	r.Finish()
+
+	roots := obs.StitchTrace(race.Trace, spans.Spans())
+	if len(roots) != 1 || roots[0].Span.Phase != "select" || roots[0].Span.Class != "failed" ||
+		roots[0].Span.Duration != int64(100*time.Millisecond) {
+		t.Fatalf("stitched roots = %+v", roots)
+	}
+	under := map[string]string{} // transfer path attr -> parent phase
+	roots[0].Walk(func(n *obs.TraceNode, depth int) {
+		for _, c := range n.Children {
+			if c.Span.Phase == "transfer" {
+				under[c.Span.Attrs["path"]] = n.Span.Phase
+			}
+		}
+		if n.Span.Phase == "race" && (n.Span.ID != race.Span || n.Span.Class != "ok" ||
+			n.Span.Duration != int64(30*time.Millisecond)) {
+			t.Fatalf("race span = %+v, want id %v, ok, 30ms", n.Span, race.Span)
+		}
+	})
+	if under["probe"] != "race" || under["remainder"] != "select" {
+		t.Fatalf("transfer parents = %v, want probe under race, remainder under select", under)
+	}
+}
+
 // TestDisabledRecordAllocatesNothing pins "disabled means free": with no
-// sink attached — and with only the sinks relay and origin always carry
-// — a whole record lifecycle stays on the stack.
+// sink attached a whole record lifecycle stays on the stack and reads no
+// clock, and with only the sinks relay and origin always carry it still
+// allocates nothing.
 func TestDisabledRecordAllocatesNothing(t *testing.T) {
 	lifecycle := func(s Spec) func() {
 		cause := errors.New("refused")
@@ -266,7 +328,11 @@ func TestDisabledRecordAllocatesNothing(t *testing.T) {
 			r.SetCache("miss")
 			r.Phase("dial")
 			r.PhaseAttr("addr", "up")
+			if r.PhaseContext().Valid() {
+				panic("a record collecting no spans handed out a phase context")
+			}
 			r.Retry(time.Millisecond, cause)
+			r.Phase("")
 			r.Phase("stream")
 			r.Progress(0, 1<<20, 1<<20)
 			r.Overlap("verify", time.Time{}, nil)
@@ -275,8 +341,14 @@ func TestDisabledRecordAllocatesNothing(t *testing.T) {
 			r.Finish()
 		}
 	}
+	reads := 0
+	clock = func() time.Time { reads++; return time.Now() }
+	t.Cleanup(func() { clock = time.Now })
 	if n := testing.AllocsPerRun(200, lifecycle(Spec{})); n != 0 {
 		t.Fatalf("record with nothing attached: %v allocs per transfer, want 0", n)
+	}
+	if reads != 0 {
+		t.Fatalf("record with nothing attached read the clock %d times, want 0", reads)
 	}
 	var lat obs.LatencyRecorder
 	mon := obs.NewHealthMonitor(obs.HealthConfig{Clock: obs.WallClock()})

@@ -185,11 +185,9 @@ func TestBundleContentAndStitchedTraces(t *testing.T) {
 	}
 
 	// One traced failing transfer on the firing path, one unrelated.
-	span := spans.StartSpan(obs.SpanContext{}, "client", "transfer")
-	trace := span.Context().Trace.String()
-	span.End(obs.ClassFailed, "connection reset")
 	tr := new(Record)
-	tr.Start(Spec{Flight: rec, Service: "client", Path: "pathA", Object: "obj.bin", Parent: span.Context()})
+	tr.Start(Spec{Spans: spans, Flight: rec, Service: "client", Phase: "transfer", Path: "pathA", Object: "obj.bin"})
+	trace := tr.Context().Trace.String()
 	tr.Outcome(obs.ClassFailed, "connection reset")
 	tr.Finish()
 	record(rec, "pathB", "other.bin", obs.ClassOK)

@@ -156,26 +156,9 @@ func (m *Metrics) TransferAborted(e Abort) { m.counters.add(cAborts, 1) }
 // the striped cells exist for.
 func (m *Metrics) TransferProgress(e Progress) { m.counters.add(cBytesStreamed, e.Chunk) }
 
-// PoolEvent tallies connection-pool transitions.
-func (m *Metrics) PoolEvent(e Pool) {
-	switch e.Op {
-	case PoolReuse:
-		m.counters.add(cPoolReuses, 1)
-	case PoolMiss:
-		m.counters.add(cPoolMisses, 1)
-	case PoolPark:
-		m.counters.add(cPoolParked, 1)
-	case PoolEvict:
-		m.counters.add(cPoolEvicted, 1)
-	case PoolDiscard:
-		m.counters.add(cPoolDiscarded, 1)
-	}
-}
-
 var (
 	_ Observer         = (*Metrics)(nil)
 	_ ProgressObserver = (*Metrics)(nil)
-	_ PoolObserver     = (*Metrics)(nil)
 )
 
 // PathSnapshot is one route's aggregated counters. Utilization is the
@@ -296,12 +279,6 @@ type Snapshot struct {
 	BytesDelivered int64 `json:"bytes_delivered"`
 	BytesStreamed  int64 `json:"bytes_streamed"`
 
-	PoolReuses    int64 `json:"pool_reuses"`
-	PoolMisses    int64 `json:"pool_misses"`
-	PoolParked    int64 `json:"pool_parked"`
-	PoolEvicted   int64 `json:"pool_evicted"`
-	PoolDiscarded int64 `json:"pool_discarded"`
-
 	// Paths maps the route label ("direct" or the relay name) to its
 	// tallies, the per-relay utilization table of the paper's Section V.
 	Paths map[string]PathSnapshot `json:"paths"`
@@ -390,11 +367,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		Aborts:             c.load(cAborts),
 		BytesDelivered:     c.load(cBytesDelivered),
 		BytesStreamed:      c.load(cBytesStreamed),
-		PoolReuses:         c.load(cPoolReuses),
-		PoolMisses:         c.load(cPoolMisses),
-		PoolParked:         c.load(cPoolParked),
-		PoolEvicted:        c.load(cPoolEvicted),
-		PoolDiscarded:      c.load(cPoolDiscarded),
 		Paths:              make(map[string]PathSnapshot),
 	}
 	m.pathMu.RLock()

@@ -7,12 +7,14 @@
 // engine, the real transport, and the daemons emit typed events at every
 // step of a race (probe start/finish, commit, loser cancellation, retry,
 // remainder transfer); this package defines those events, the Observer
-// interface that receives them, and two production sinks:
-//
-//   - Metrics: atomic counters and fixed-bucket histograms, snapshot-able
-//     as JSON — the live counterpart of the paper's measurement tables.
-//   - Tracer: a bounded ring of recent events for debugging and archival
-//     (dump via package traceio).
+// interface that receives them, and the production sinks: Metrics
+// (striped counters and fixed-bucket histograms, snapshot-able as JSON —
+// the live counterpart of the paper's measurement tables) and the
+// HealthMonitor (per-path rolling windows, health.go). An application's
+// own sink embeds Base and implements the callbacks it wants. What one
+// request did — phases, bytes, outcome, trace — is not an event log but
+// the transfer's record (package flight), which also derives every Span
+// the SpanCollector here retains.
 //
 // Observation is passive: observers see transport timestamps but never
 // advance any clock, so the virtual-time simulator produces bit-identical
@@ -180,7 +182,7 @@ type Progress struct {
 // ProgressObserver is an optional Observer extension for byte-level
 // progress. It is separate from Observer because progress events fire per
 // buffer chunk — orders of magnitude more often than lifecycle events —
-// and most observers (the Tracer in particular) should not pay for them.
+// and most observers should not pay for them.
 // Emitters deliver progress only to observers that also implement this
 // interface; use EmitProgress to do the type assertion in one place.
 type ProgressObserver interface {
@@ -192,62 +194,6 @@ type ProgressObserver interface {
 func EmitProgress(o Observer, e Progress) {
 	if po, ok := o.(ProgressObserver); ok {
 		po.TransferProgress(e)
-	}
-}
-
-// PoolOp names a connection-pool transition.
-type PoolOp uint8
-
-// Pool transitions: a warm fetch taking a parked connection (reuse) or
-// finding none usable (miss), a finished transfer parking its connection,
-// an idle connection dropped by TTL expiry or Close (evict), and a
-// connection turned away because the path's idle slots were full
-// (discard).
-const (
-	PoolReuse PoolOp = iota
-	PoolMiss
-	PoolPark
-	PoolEvict
-	PoolDiscard
-)
-
-func (op PoolOp) String() string {
-	switch op {
-	case PoolReuse:
-		return "reuse"
-	case PoolMiss:
-		return "miss"
-	case PoolPark:
-		return "park"
-	case PoolEvict:
-		return "evict"
-	case PoolDiscard:
-		return "discard"
-	}
-	return "unknown"
-}
-
-// Pool reports a connection-pool transition on one route. Key is the
-// route label ("direct" or the relay name), mirroring PathID.Label();
-// pool slots are per-path, not per-object, so there is no object identity
-// to carry.
-type Pool struct {
-	Key  string
-	Time float64
-	Op   PoolOp
-}
-
-// PoolObserver is an optional Observer extension for connection-pool
-// lifecycle events. Like ProgressObserver, it is separate so observers
-// that only care about selection lifecycle need not implement it.
-type PoolObserver interface {
-	PoolEvent(Pool)
-}
-
-// EmitPool delivers e to o when o implements PoolObserver.
-func EmitPool(o Observer, e Pool) {
-	if po, ok := o.(PoolObserver); ok {
-		po.PoolEvent(e)
 	}
 }
 
@@ -343,21 +289,13 @@ func (m multi) TransferAborted(e Abort) {
 	}
 }
 
-// multi implements the optional extensions too, forwarding to whichever
-// members implement them — so wrapping observers in Multi never hides
-// progress or pool events from a sink that wants them.
+// multi implements the optional extension too, forwarding to whichever
+// members implement it — so wrapping observers in Multi never hides
+// progress from a sink that wants it.
 func (m multi) TransferProgress(e Progress) {
 	for _, o := range m {
 		EmitProgress(o, e)
 	}
 }
-func (m multi) PoolEvent(e Pool) {
-	for _, o := range m {
-		EmitPool(o, e)
-	}
-}
 
-var (
-	_ ProgressObserver = multi(nil)
-	_ PoolObserver     = multi(nil)
-)
+var _ ProgressObserver = multi(nil)

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"sync"
 	"testing"
 )
@@ -140,50 +139,6 @@ func TestSnapshotPathLabelsOrder(t *testing.T) {
 	}
 }
 
-func TestTracerRingWraps(t *testing.T) {
-	tr := NewTracer(4)
-	for i := 0; i < 10; i++ {
-		tr.ProbeStarted(ProbeStart{Path: pid(fmt.Sprintf("r%d", i)), Time: float64(i)})
-	}
-	evs := tr.Events()
-	if len(evs) != 4 {
-		t.Fatalf("retained %d events, want 4", len(evs))
-	}
-	for i, e := range evs {
-		wantSeq := uint64(7 + i) // events 7..10 survive
-		if e.Seq != wantSeq || e.Path.Via != fmt.Sprintf("r%d", wantSeq-1) {
-			t.Fatalf("event %d = %+v, want seq %d", i, e, wantSeq)
-		}
-	}
-	if tr.Seen() != 10 || tr.Dropped() != 6 {
-		t.Fatalf("seen/dropped = %d/%d, want 10/6", tr.Seen(), tr.Dropped())
-	}
-}
-
-func TestTracerPartialFill(t *testing.T) {
-	tr := NewTracer(8)
-	playRace(tr)
-	evs := tr.Events()
-	if len(evs) != 8 {
-		t.Fatalf("retained %d events, want 8", len(evs))
-	}
-	// playRace emits 11 events; a cap-8 ring keeps seq 4..11, so the
-	// oldest survivor is the selection and the last the transfer end.
-	if evs[0].Kind != KindSelection || evs[7].Kind != KindTransferEnd {
-		t.Fatalf("unexpected event order: %v, %v", evs[0].Kind, evs[7].Kind)
-	}
-	if tr.Dropped() != 3 {
-		t.Fatalf("dropped = %d, want 3", tr.Dropped())
-	}
-}
-
-func TestTracerDefaultCap(t *testing.T) {
-	tr := NewTracer(0)
-	if len(tr.ring) != DefaultTraceCap {
-		t.Fatalf("default cap = %d", len(tr.ring))
-	}
-}
-
 func TestMultiFanoutAndNilCollapse(t *testing.T) {
 	if Multi() != nil || Multi(nil, nil) != nil {
 		t.Fatal("Multi of nothing should be nil")
@@ -192,33 +147,20 @@ func TestMultiFanoutAndNilCollapse(t *testing.T) {
 	if Multi(nil, m) != Observer(m) {
 		t.Fatal("Multi of one live observer should return it directly")
 	}
-	t1, t2 := NewTracer(16), NewTracer(16)
-	fan := Multi(t1, nil, t2)
-	playRace(fan)
-	if t1.Seen() != 11 || t2.Seen() != 11 {
-		t.Fatalf("fanout seen = %d/%d, want 11/11", t1.Seen(), t2.Seen())
+	m2 := NewMetrics()
+	playRace(Multi(m, nil, m2))
+	if s1, s2 := m.Snapshot(), m2.Snapshot(); s1.ProbesFinished != 3 || s2.ProbesFinished != 3 ||
+		s1.TransfersFinished != 1 || s2.TransfersFinished != 1 {
+		t.Fatalf("fanout lost events: %+v / %+v", s1, s2)
 	}
 }
 
 func TestBaseIsNoOp(t *testing.T) {
 	var b Base
 	playRace(b) // must not panic
-	// Base doesn't implement the optional extensions; Emit* must be no-ops
-	// against it rather than panic.
+	// Base doesn't implement the optional extension; EmitProgress must be
+	// a no-op against it rather than panic.
 	EmitProgress(b, Progress{Chunk: 1})
-	EmitPool(b, Pool{Op: PoolReuse})
-}
-
-func TestPoolOpStrings(t *testing.T) {
-	want := map[PoolOp]string{
-		PoolReuse: "reuse", PoolMiss: "miss", PoolPark: "park",
-		PoolEvict: "evict", PoolDiscard: "discard", PoolOp(99): "unknown",
-	}
-	for op, s := range want {
-		if op.String() != s {
-			t.Fatalf("%d.String() = %q, want %q", op, op.String(), s)
-		}
-	}
 }
 
 func TestMetricsStreamAndPoolCounters(t *testing.T) {
@@ -230,9 +172,6 @@ func TestMetricsStreamAndPoolCounters(t *testing.T) {
 			Delivered: int64(i+1) * chunk, Total: 1 << 20})
 	}
 	m.TransferFinished(TransferEnd{Path: pid("fast"), Class: ClassFailed, Err: "reset"})
-	for _, op := range []PoolOp{PoolMiss, PoolPark, PoolReuse, PoolPark, PoolEvict, PoolDiscard} {
-		EmitPool(m, Pool{Key: "fast", Op: op})
-	}
 
 	s := m.Snapshot()
 	if want := int64(64<<10 + 64<<10 + 10_000); s.BytesStreamed != want {
@@ -241,24 +180,17 @@ func TestMetricsStreamAndPoolCounters(t *testing.T) {
 	if s.BytesDelivered != 0 {
 		t.Fatalf("bytes delivered = %d, want 0 for a failed transfer", s.BytesDelivered)
 	}
-	if s.PoolReuses != 1 || s.PoolMisses != 1 || s.PoolParked != 2 ||
-		s.PoolEvicted != 1 || s.PoolDiscarded != 1 {
-		t.Fatalf("pool counters = reuse %d miss %d park %d evict %d discard %d",
-			s.PoolReuses, s.PoolMisses, s.PoolParked, s.PoolEvicted, s.PoolDiscarded)
-	}
 }
 
 // TestMultiForwardsOptionalEvents pins the fan-out contract: wrapping a
-// progress/pool-aware sink in Multi alongside a blind one must still
-// deliver the optional events to the aware sink.
+// progress-aware sink in Multi alongside a blind one must still deliver
+// progress to the aware sink.
 func TestMultiForwardsOptionalEvents(t *testing.T) {
 	m := NewMetrics()
-	fan := Multi(NewTracer(4), m) // tracer is blind to progress/pool
+	fan := Multi(Base{}, m) // Base is blind to progress
 	EmitProgress(fan, Progress{Path: pid("fast"), Chunk: 512})
-	EmitPool(fan, Pool{Key: "direct", Op: PoolMiss})
-	s := m.Snapshot()
-	if s.BytesStreamed != 512 || s.PoolMisses != 1 {
-		t.Fatalf("events lost in fan-out: streamed %d, misses %d", s.BytesStreamed, s.PoolMisses)
+	if s := m.Snapshot(); s.BytesStreamed != 512 {
+		t.Fatalf("progress lost in fan-out: streamed %d", s.BytesStreamed)
 	}
 }
 
@@ -266,8 +198,7 @@ func TestMultiForwardsOptionalEvents(t *testing.T) {
 // for: many goroutines emitting while others snapshot continuously.
 func TestMetricsConcurrentSnapshots(t *testing.T) {
 	m := NewMetrics()
-	tr := NewTracer(64)
-	fan := Multi(m, tr)
+	fan := Multi(m, NewMetrics())
 	const workers, rounds = 8, 200
 
 	var wg sync.WaitGroup
@@ -285,7 +216,6 @@ func TestMetricsConcurrentSnapshots(t *testing.T) {
 		defer close(snapDone)
 		for i := 0; i < 500; i++ {
 			_ = m.Snapshot()
-			_ = tr.Events()
 		}
 	}()
 	wg.Wait()

@@ -247,47 +247,6 @@ func (p *Prom) HistogramEdges(name, help string, edges []float64, counts []uint6
 	fmt.Fprintf(&p.b, "%s_count %d\n", name, total)
 }
 
-// WriteProm renders the whole metrics snapshot as Prometheus families
-// under the given prefix (e.g. "indirect"): the counters, the per-path
-// utilization tallies as labeled counters, and both histograms with
-// explicit buckets. The fetch client exposes exactly what the daemons
-// expose, one code path.
-func (s Snapshot) WriteProm(p *Prom, prefix string) {
-	c := func(name, help string, v int64) { p.Counter(prefix+"_"+name, help, float64(v)) }
-	c("probes_started_total", "Probes launched.", s.ProbesStarted)
-	c("probes_finished_total", "Probes completed, any outcome.", s.ProbesFinished)
-	c("probes_failed_total", "Probes failed with a non-cancellation error.", s.ProbesFailed)
-	c("probes_canceled_total", "Losing probes reaped by the engine.", s.ProbesCanceled)
-	c("selections_total", "Selection operations committed.", s.Selections)
-	c("selections_indirect_total", "Selections won by an indirect path.", s.SelectionsIndirect)
-	c("transfers_started_total", "Payload transfers issued.", s.TransfersStarted)
-	c("transfers_finished_total", "Payload transfers completed, any outcome.", s.TransfersFinished)
-	c("transfers_failed_total", "Payload transfers failed.", s.TransfersFailed)
-	c("retries_total", "Transport-level cold retries.", s.Retries)
-	c("aborts_total", "Transfers torn down by context death.", s.Aborts)
-	c("bytes_delivered_total", "Payload bytes of successful probes and transfers.", s.BytesDelivered)
-	c("bytes_streamed_total", "Payload bytes observed in flight, including failed attempts.", s.BytesStreamed)
-	c("pool_reuses_total", "Warm fetches served by a parked connection.", s.PoolReuses)
-	c("pool_misses_total", "Warm fetches that found no usable parked connection.", s.PoolMisses)
-
-	if len(s.Paths) > 0 {
-		probed := make(map[string]float64, len(s.Paths))
-		selected := make(map[string]float64, len(s.Paths))
-		bytes := make(map[string]float64, len(s.Paths))
-		for label, ps := range s.Paths {
-			probed[label] = float64(ps.Probed)
-			selected[label] = float64(ps.Selected)
-			bytes[label] = float64(ps.Bytes)
-		}
-		p.LabeledCounter(prefix+"_path_probed_total", "Times the route appeared in a race.", "route", probed)
-		p.LabeledCounter(prefix+"_path_selected_total", "Times the route won the commit.", "route", selected)
-		p.LabeledCounter(prefix+"_path_bytes_total", "Payload bytes delivered over the route.", "route", bytes)
-	}
-
-	p.Histogram(prefix+"_probe_latency_seconds", "Successful probe durations.", s.ProbeLatencySeconds)
-	p.Histogram(prefix+"_transfer_mbps", "Successful transfer throughputs in Mb/s.", s.TransferMbps)
-}
-
 // LintProm is the test suite's minimal validity check for the text
 // exposition format. It verifies that every line is a well-formed HELP,
 // TYPE, or sample line; that metric names are legal; that sample values

@@ -6,30 +6,6 @@ import (
 	"time"
 )
 
-func TestPromSnapshotRendersAndLints(t *testing.T) {
-	m := NewMetrics()
-	playRace(m)
-	p := NewProm()
-	m.Snapshot().WriteProm(p, "indirect")
-	out := p.Bytes()
-	if err := LintProm(out); err != nil {
-		t.Fatalf("lint: %v\n%s", err, out)
-	}
-	text := string(out)
-	for _, want := range []string{
-		"# TYPE indirect_selections_total counter",
-		"indirect_selections_total 1",
-		`indirect_path_selected_total{route="fast"} 1`,
-		"# TYPE indirect_probe_latency_seconds histogram",
-		`indirect_probe_latency_seconds_bucket{le="+Inf"} 1`,
-		"indirect_probe_latency_seconds_count 1",
-	} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("exposition missing %q:\n%s", want, text)
-		}
-	}
-}
-
 func TestPromHistogramBucketsCumulativeAndBounded(t *testing.T) {
 	var lat LatencyRecorder
 	for i := 0; i < 500; i++ {

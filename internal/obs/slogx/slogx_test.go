@@ -30,23 +30,21 @@ func logLine(t *testing.T, ctx context.Context, cfg Config, component, msg strin
 }
 
 func TestTraceFieldsInsideSpan(t *testing.T) {
-	col := obs.NewSpanCollector(8)
-	span := col.StartSpan(obs.SpanContext{}, "test", "work")
-	ctx := obs.ContextWithSpan(context.Background(), span.Context())
+	span := obs.SpanContext{Trace: obs.NewTraceID(), Span: obs.NewSpanID()}
+	ctx := obs.ContextWithSpan(context.Background(), span)
 
 	m := logLine(t, ctx, Config{Format: "json"}, "client", "hello")
 	trace, ok := m[TraceKey].(string)
-	if !ok || trace != span.Context().Trace.String() {
-		t.Fatalf("trace field = %v, want %s", m[TraceKey], span.Context().Trace)
+	if !ok || trace != span.Trace.String() {
+		t.Fatalf("trace field = %v, want %s", m[TraceKey], span.Trace)
 	}
 	sp, ok := m[SpanKey].(string)
-	if !ok || sp != span.Context().Span.String() {
-		t.Fatalf("span field = %v, want %s", m[SpanKey], span.Context().Span)
+	if !ok || sp != span.Span.String() {
+		t.Fatalf("span field = %v, want %s", m[SpanKey], span.Span)
 	}
 	if m[ComponentKey] != "client" || m["k"] != "v" {
 		t.Fatalf("attrs lost: %v", m)
 	}
-	span.EndOK()
 }
 
 func TestTraceFieldsAbsentOutsideSpan(t *testing.T) {

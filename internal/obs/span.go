@@ -10,8 +10,9 @@
 // three independent processes stitch into a single parent-child timeline
 // per operation.
 //
-// Tracing is strictly opt-in: a nil *SpanCollector disables every span
-// site (the helpers are nil-receiver no-ops), so the unobserved hot path
+// Spans are produced in one place, flight.Record's Finish, and retained
+// under one policy (tailspan.go). Tracing is strictly opt-in: with a nil
+// *SpanCollector a record stays closed, so the unobserved hot path
 // pays only pointer comparisons. Unlike selection events — which carry
 // transport-relative timestamps so the virtual-time simulator stays
 // passive — spans carry wall-clock times, because their whole point is
@@ -27,7 +28,6 @@ import (
 	"encoding/json"
 	"math/rand/v2"
 	"sync"
-	"time"
 )
 
 // TraceHeader is the request-header key that propagates the trace across
@@ -198,72 +198,33 @@ func (s Span) EndTime() int64 { return s.Start + s.Duration }
 // Context returns the propagation slice of the span.
 func (s Span) Context() SpanContext { return SpanContext{Trace: s.Trace, Span: s.ID} }
 
-// DefaultSpanCap is the SpanCollector ring size when none is given:
-// several hundred operations' worth of phases.
-const DefaultSpanCap = 4096
-
-// SpanCollector buffers completed spans in a bounded ring, oldest
-// overwritten first — the span-side sibling of the event Tracer. Safe
-// for concurrent use. A nil *SpanCollector is the disabled state: every
-// method (and every ActiveSpan it would have produced) no-ops.
+// SpanCollector retains completed spans under the tail policy of
+// tailspan.go: a trace is buffered until its local root ends, then kept
+// or dropped whole, and kept traces live within a byte budget. Safe for
+// concurrent use. A nil *SpanCollector is the disabled state: every
+// method no-ops.
 type SpanCollector struct {
 	mu   sync.Mutex
-	ring []Span
-	next int
 	seq  uint64
-	full bool
-
-	// tail, when set, replaces the ring with tail-based retention (see
-	// tailspan.go / NewTailSpanCollector). Exactly one of ring/tail is
-	// active.
-	tail *tailState
-}
-
-// NewSpanCollector returns a collector retaining the last capacity spans
-// (DefaultSpanCap when capacity <= 0).
-func NewSpanCollector(capacity int) *SpanCollector {
-	if capacity <= 0 {
-		capacity = DefaultSpanCap
-	}
-	return &SpanCollector{ring: make([]Span, capacity)}
+	tail tailState
 }
 
 func (c *SpanCollector) add(s Span) {
 	c.mu.Lock()
 	c.seq++
-	if c.tail != nil {
-		c.tail.addTail(s, c.seq)
-		c.mu.Unlock()
-		return
-	}
-	c.ring[c.next] = s
-	c.next++
-	if c.next == len(c.ring) {
-		c.next = 0
-		c.full = true
-	}
+	c.tail.add(s, c.seq)
 	c.mu.Unlock()
 }
 
-// Spans returns the retained spans, oldest first. Nil-safe.
+// Spans returns the retained spans: kept traces in arrival order, then
+// the traces still awaiting their root. Nil-safe.
 func (c *SpanCollector) Spans() []Span {
 	if c == nil {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.tail != nil {
-		return c.tail.tailSpans()
-	}
-	if !c.full {
-		out := make([]Span, c.next)
-		copy(out, c.ring[:c.next])
-		return out
-	}
-	out := make([]Span, 0, len(c.ring))
-	out = append(out, c.ring[c.next:]...)
-	out = append(out, c.ring[:c.next]...)
-	return out
+	return c.tail.spans()
 }
 
 // Seen returns how many spans the collector has ever received. Nil-safe.
@@ -276,50 +237,18 @@ func (c *SpanCollector) Seen() uint64 {
 	return c.seq
 }
 
-// Dropped returns how many spans newer ones have overwritten. Nil-safe.
+// Dropped returns how many spans the policy discarded. Nil-safe.
 func (c *SpanCollector) Dropped() uint64 {
 	if c == nil {
 		return 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.tail != nil {
-		return c.tail.stats.DroppedSpans
-	}
-	if !c.full {
-		return 0
-	}
-	return c.seq - uint64(len(c.ring))
+	return c.tail.stats.DroppedSpans
 }
 
-// StartSpan opens a span under parent (a zero or invalid parent roots a
-// fresh trace) and returns its in-flight handle. On a nil collector it
-// returns nil, which every ActiveSpan method treats as a no-op — span
-// sites need no enabled-check beyond the one that produced the handle.
-func (c *SpanCollector) StartSpan(parent SpanContext, service, phase string) *ActiveSpan {
-	if c == nil {
-		return nil
-	}
-	trace := parent.Trace
-	if trace.IsZero() {
-		trace = NewTraceID()
-	}
-	return &ActiveSpan{
-		c:     c,
-		begin: time.Now(),
-		span: Span{
-			Trace:   trace,
-			ID:      NewSpanID(),
-			Parent:  parent.Span,
-			Service: service,
-			Phase:   phase,
-		},
-	}
-}
-
-// Record adds an already-measured span under parent — for phases whose
-// interval is known only after the fact (the streaming verifier's
-// cumulative busy time). Nil-safe.
+// Record adds a completed span, minting the IDs and the ok class it
+// leaves unset. Nil-safe.
 func (c *SpanCollector) Record(s Span) {
 	if c == nil {
 		return
@@ -335,53 +264,6 @@ func (c *SpanCollector) Record(s Span) {
 	}
 	c.add(s)
 }
-
-// ActiveSpan is an in-flight span. It is not safe for concurrent use —
-// one goroutine owns a span from StartSpan to End, matching how the
-// transfer pipeline is structured. A nil *ActiveSpan no-ops everywhere.
-type ActiveSpan struct {
-	c     *SpanCollector
-	begin time.Time
-	span  Span
-	ended bool
-}
-
-// Context returns the span's propagation slice (zero when nil), ready
-// for ContextWithSpan or the x-trace header.
-func (a *ActiveSpan) Context() SpanContext {
-	if a == nil {
-		return SpanContext{}
-	}
-	return a.span.Context()
-}
-
-// SetAttr attaches one free-form dimension to the span.
-func (a *ActiveSpan) SetAttr(k, v string) {
-	if a == nil {
-		return
-	}
-	if a.span.Attrs == nil {
-		a.span.Attrs = make(map[string]string, 4)
-	}
-	a.span.Attrs[k] = v
-}
-
-// End closes the span with the outcome class (and failure detail) and
-// hands it to the collector. Only the first End takes effect.
-func (a *ActiveSpan) End(class ErrClass, errText string) {
-	if a == nil || a.ended {
-		return
-	}
-	a.ended = true
-	a.span.Start = a.begin.UnixNano()
-	a.span.Duration = int64(time.Since(a.begin))
-	a.span.Class = class.String()
-	a.span.Err = errText
-	a.c.add(a.span)
-}
-
-// EndOK closes the span successfully.
-func (a *ActiveSpan) EndOK() { a.End(ClassOK, "") }
 
 // spanCtxKey carries a SpanContext through a context.Context, linking
 // engine-level root spans to the transport-level phase spans beneath

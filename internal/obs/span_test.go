@@ -70,89 +70,14 @@ func FuzzParseTraceHeader(f *testing.F) {
 	})
 }
 
-func TestStartSpanParentage(t *testing.T) {
-	c := NewSpanCollector(16)
-	root := c.StartSpan(SpanContext{}, "client", "select")
-	if !root.Context().Valid() {
-		t.Fatal("root span has invalid context")
-	}
-	child := c.StartSpan(root.Context(), "client", "transfer")
-	if child.Context().Trace != root.Context().Trace {
-		t.Fatal("child did not inherit the parent's trace")
-	}
-	child.EndOK()
-	root.End(ClassFailed, "boom")
-
-	spans := c.Spans()
-	if len(spans) != 2 {
-		t.Fatalf("collected %d spans, want 2", len(spans))
-	}
-	// Spans land in End order: child first.
-	if spans[0].Parent != root.Context().Span {
-		t.Fatal("child's parent link is wrong")
-	}
-	if !spans[1].Parent.IsZero() {
-		t.Fatal("root span should have a zero parent")
-	}
-	if spans[0].Class != "ok" || spans[1].Class != "failed" || spans[1].Err != "boom" {
-		t.Fatalf("outcome fields wrong: %+v / %+v", spans[0], spans[1])
-	}
-}
-
-func TestSpanEndIsIdempotent(t *testing.T) {
-	c := NewSpanCollector(8)
-	s := c.StartSpan(SpanContext{}, "client", "dial")
-	s.EndOK()
-	s.End(ClassFailed, "late") // must not double-record or overwrite
-	spans := c.Spans()
-	if len(spans) != 1 {
-		t.Fatalf("double End recorded %d spans", len(spans))
-	}
-	if spans[0].Class != "ok" {
-		t.Fatalf("second End overwrote the outcome: %q", spans[0].Class)
-	}
-}
-
-func TestSpanCollectorRingDropsOldest(t *testing.T) {
-	c := NewSpanCollector(4)
-	var first SpanContext
-	for i := 0; i < 6; i++ {
-		s := c.StartSpan(SpanContext{}, "client", "p")
-		if i == 0 {
-			first = s.Context()
-		}
-		s.EndOK()
-	}
-	if c.Seen() != 6 || c.Dropped() != 2 {
-		t.Fatalf("seen/dropped = %d/%d, want 6/2", c.Seen(), c.Dropped())
-	}
-	for _, s := range c.Spans() {
-		if s.ID == first.Span {
-			t.Fatal("oldest span survived a full wrap")
-		}
-	}
-	if len(c.Spans()) != 4 {
-		t.Fatalf("retained %d spans, want 4", len(c.Spans()))
-	}
-}
-
 func TestNilCollectorIsNoOp(t *testing.T) {
 	var c *SpanCollector
 	if c.Spans() != nil || c.Seen() != 0 || c.Dropped() != 0 {
 		t.Fatal("nil collector leaks state")
 	}
-	s := c.StartSpan(SpanContext{}, "client", "select")
-	if s != nil {
-		t.Fatal("nil collector returned a live span")
+	if c.TailStats() != (TailStats{}) {
+		t.Fatal("nil collector reports retention counters")
 	}
-	// Every ActiveSpan method must be nil-safe: this is the disabled hot
-	// path.
-	s.SetAttr("k", "v")
-	if s.Context().Valid() {
-		t.Fatal("nil span has a valid context")
-	}
-	s.End(ClassFailed, "x")
-	s.EndOK()
 	c.Record(Span{})
 }
 
@@ -186,9 +111,7 @@ func TestSpanContextThroughContext(t *testing.T) {
 
 func TestSpanJSONRoundTrip(t *testing.T) {
 	c := NewSpanCollector(8)
-	s := c.StartSpan(SpanContext{}, "relay", "forward")
-	s.SetAttr("target", "http://o/x")
-	s.EndOK()
+	c.Record(Span{Service: "relay", Phase: "forward", Attrs: map[string]string{"target": "http://o/x"}})
 	orig := c.Spans()[0]
 	b, err := json.Marshal(orig)
 	if err != nil {

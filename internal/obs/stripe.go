@@ -1,14 +1,16 @@
-// Per-P striped metric cells: the scaling fix for the hot-path counter
-// contention ROADMAP item 3(b) calls out. A single atomic.Int64 shared
-// by every transfer goroutine ping-pongs its cache line between cores;
-// here each update lands on one of GOMAXPROCS cache-line-padded stripes
-// and a snapshot folds the stripes. Stripe affinity comes from a
+// Per-P striped metric cells: the scaling fix for hot-path counter
+// contention. A single atomic.Int64 shared by every transfer goroutine
+// ping-pongs its cache line between cores; here each update lands on one
+// of GOMAXPROCS cache-line-padded stripes and a snapshot folds the
+// stripes. TestStripedSpeedupUnderContention compares the two; no
+// BENCHMARK.json workload runs on more than one P, so no benchmark
+// metric prices the difference yet. Stripe affinity comes from a
 // sync.Pool of stripe indices: the pool's per-P local caches hand the
 // same index back to the same P in steady state, so cross-core sharing
 // only happens when goroutines migrate — without reaching into runtime
 // internals for a real P id. Boxing the indices is allocation-free
 // (small-integer interface values are statically allocated), which is
-// what keeps the warm-fetch allocs/op contract intact.
+// what keeps realnet's TestWarmFetchAllocCeiling intact.
 
 package obs
 
@@ -79,11 +81,6 @@ const (
 	cAborts
 	cBytesDelivered
 	cBytesStreamed
-	cPoolReuses
-	cPoolMisses
-	cPoolParked
-	cPoolEvicted
-	cPoolDiscarded
 	numCounters
 )
 

@@ -1,15 +1,16 @@
-// Tail-based span retention: keep the traces worth keeping, not the
-// traces that arrived last. The plain SpanCollector ring overwrites
-// blindly, so under load the interesting operations — the errors, the
-// slow tail the paper's analysis is about — are exactly the ones most
-// likely to be gone by the time anyone looks. The tail policy buffers
-// each trace until its local root span ends, then decides: error-class
-// roots and roots in the slowest decile of recent operations are always
-// kept, everything else survives with probability KeepProb. Kept traces
-// live within a byte budget; when it overflows, the oldest boring
-// (probabilistically kept) traces are evicted before any forced keep
-// is. Every decision is counted, so the collector can report exactly
-// how much it threw away and why it kept what it kept.
+// Tail-based span retention, the SpanCollector's one policy: keep the
+// traces worth keeping, not the traces that arrived last. A ring that
+// overwrites blindly loses, under load, exactly the interesting
+// operations — the errors, the slow tail the paper's analysis is about —
+// by the time anyone looks. The policy buffers each trace until its
+// local root span ends, then decides: error-class roots and roots in the
+// slowest decile of recent operations are always kept, everything else
+// survives with probability KeepProb (1 keeps every trace: what fetch,
+// origind and the tests run with). Kept traces live within a byte
+// budget; when it overflows, the oldest boring (probabilistically kept)
+// traces are evicted before any forced keep is. Every decision is
+// counted, so the collector can report exactly how much it threw away
+// and why it kept what it kept.
 
 package obs
 
@@ -93,8 +94,8 @@ type traceBuf struct {
 	boring bool   // kept only by the KeepProb draw, evicted first
 }
 
-// tailState is the retention machinery hanging off a SpanCollector
-// built by NewTailSpanCollector. Guarded by the collector's mutex.
+// tailState is a SpanCollector's retention machinery. Guarded by the
+// collector's mutex.
 type tailState struct {
 	cfg TailConfig
 
@@ -129,12 +130,11 @@ type tailState struct {
 	stats TailStats
 }
 
-// NewTailSpanCollector returns a SpanCollector whose retention is the
-// tail policy instead of the blind ring. The collector's public API is
-// unchanged: Spans returns kept plus still-pending spans, Seen counts
-// every span ever offered, Dropped counts spans the policy discarded.
+// NewTailSpanCollector returns a SpanCollector retaining under cfg.
+// Spans returns kept plus still-pending spans, Seen counts every span
+// ever offered, Dropped counts spans the policy discarded.
 func NewTailSpanCollector(cfg TailConfig) *SpanCollector {
-	return &SpanCollector{tail: &tailState{
+	return &SpanCollector{tail: tailState{
 		cfg:     cfg.withDefaults(),
 		pending: make(map[TraceID]*traceBuf),
 		kept:    make(map[TraceID]*traceBuf),
@@ -142,11 +142,22 @@ func NewTailSpanCollector(cfg TailConfig) *SpanCollector {
 	}}
 }
 
-// TailStats returns the tail policy's counters, or ok == false when the
-// collector is nil or ring-based.
-func (c *SpanCollector) TailStats() (TailStats, bool) {
-	if c == nil || c.tail == nil {
-		return TailStats{}, false
+// NewSpanCollector is the keep-every-trace spelling of the policy:
+// nothing is sampled away, and the byte budget is sized for about
+// capacity spans (the default budget when capacity <= 0). Error- and
+// slow-root traces are still the last the budget evicts.
+func NewSpanCollector(capacity int) *SpanCollector {
+	return NewTailSpanCollector(TailConfig{KeepProb: 1, ByteBudget: capacity * spanBudgetBytes})
+}
+
+// spanBudgetBytes is what NewSpanCollector budgets per span: a phase
+// span with a few attributes estimates (spanBytes) at 150–400 bytes.
+const spanBudgetBytes = 512
+
+// TailStats returns the policy's cumulative counters. Nil-safe.
+func (c *SpanCollector) TailStats() TailStats {
+	if c == nil {
+		return TailStats{}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -154,7 +165,7 @@ func (c *SpanCollector) TailStats() (TailStats, bool) {
 	st.KeptBytes = c.tail.keptSize
 	st.ByteBudget = c.tail.cfg.ByteBudget
 	st.Pending = len(c.tail.pending)
-	return st, true
+	return st
 }
 
 // spanBytes estimates a span's retained footprint: the struct plus its
@@ -168,8 +179,8 @@ func spanBytes(s Span) int {
 	return n
 }
 
-// addTail is the tail-mode intake, called with c.mu held.
-func (t *tailState) addTail(s Span, seq uint64) {
+// add is the collector's intake, called with c.mu held.
+func (t *tailState) add(s Span, seq uint64) {
 	if buf, ok := t.kept[s.Trace]; ok {
 		// Late span of an already-kept trace: keep it with its family.
 		buf.spans = append(buf.spans, s)
@@ -353,11 +364,11 @@ func (t *tailState) isSlow(d int64) bool {
 	return d >= t.slowThresh
 }
 
-// tailSpans returns kept-then-pending spans, each group ordered by the
+// spans returns kept-then-pending spans, each group ordered by the
 // trace's arrival sequence. Called with c.mu held; this is the cold
 // read path (debug pages, shutdown archives), so sorting here keeps the
 // per-request write path free of ordering work.
-func (t *tailState) tailSpans() []Span {
+func (t *tailState) spans() []Span {
 	keptBufs := make([]*traceBuf, 0, len(t.kept))
 	for _, buf := range t.kept {
 		keptBufs = append(keptBufs, buf)

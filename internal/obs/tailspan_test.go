@@ -40,10 +40,7 @@ func TestTailKeepProbZeroDropsBoring(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.Record(tailRoot(NewTraceID(), 100, ClassOK))
 	}
-	st, ok := c.TailStats()
-	if !ok {
-		t.Fatal("TailStats not ok on a tail collector")
-	}
+	st := c.TailStats()
 	if st.KeptTraces != 0 || st.DroppedTraces != 10 {
 		t.Fatalf("kept %d dropped %d, want 0/10", st.KeptTraces, st.DroppedTraces)
 	}
@@ -60,7 +57,7 @@ func TestTailKeepProbOneKeepsBoring(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.Record(tailRoot(NewTraceID(), 100, ClassOK))
 	}
-	st, _ := c.TailStats()
+	st := c.TailStats()
 	if st.KeptTraces != 10 || st.RandKept != 10 || st.DroppedTraces != 0 {
 		t.Fatalf("kept %d randKept %d dropped %d, want 10/10/0",
 			st.KeptTraces, st.RandKept, st.DroppedTraces)
@@ -77,7 +74,7 @@ func TestTailErrorRootAlwaysKept(t *testing.T) {
 	c.Record(tailChild(errTrace))
 	c.Record(tailRoot(errTrace, 100, ClassFailed))
 	c.Record(tailRoot(NewTraceID(), 100, ClassOK)) // boring, dropped
-	st, _ := c.TailStats()
+	st := c.TailStats()
 	if st.ForcedError != 1 || st.KeptTraces != 1 {
 		t.Fatalf("forcedError %d kept %d, want 1/1", st.ForcedError, st.KeptTraces)
 	}
@@ -106,11 +103,11 @@ func TestTailSlowDecileForcedKeep(t *testing.T) {
 
 	fast := NewTraceID()
 	c.Record(tailRoot(fast, 1000, ClassOK))
-	before, _ := c.TailStats()
+	before := c.TailStats()
 
 	slow := NewTraceID()
 	c.Record(tailRoot(slow, 500000, ClassOK))
-	after, _ := c.TailStats()
+	after := c.TailStats()
 
 	if after.ForcedSlow != before.ForcedSlow+1 {
 		t.Fatalf("slow root did not bump ForcedSlow (%d -> %d)", before.ForcedSlow, after.ForcedSlow)
@@ -144,7 +141,7 @@ func TestTailSlowThresholdSlidesWithWindow(t *testing.T) {
 		c.Record(tailRoot(NewTraceID(), d, ClassOK))
 	}
 	c.Record(tailRoot(NewTraceID(), 1000, ClassOK)) // slow vs single-digit window
-	st1, _ := c.TailStats()
+	st1 := c.TailStats()
 	if st1.ForcedSlow != 1 {
 		t.Fatalf("ForcedSlow %d after outlier, want 1", st1.ForcedSlow)
 	}
@@ -153,9 +150,9 @@ func TestTailSlowThresholdSlidesWithWindow(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		c.Record(tailRoot(NewTraceID(), 1000, ClassOK))
 	}
-	before, _ := c.TailStats()
+	before := c.TailStats()
 	c.Record(tailRoot(NewTraceID(), 500, ClassOK))
-	after, _ := c.TailStats()
+	after := c.TailStats()
 	if after.ForcedSlow != before.ForcedSlow {
 		t.Fatalf("500ns root forced-slow against a window of 1000s (%d -> %d)",
 			before.ForcedSlow, after.ForcedSlow)
@@ -177,7 +174,7 @@ func TestTailBudgetEvictsBoringBeforeForced(t *testing.T) {
 	c.Record(tailRoot(errT, 100, ClassFailed))
 	c.Record(tailRoot(boring2, 100, ClassOK))
 
-	st, _ := c.TailStats()
+	st := c.TailStats()
 	if st.Evicted != 1 {
 		t.Fatalf("Evicted %d, want 1", st.Evicted)
 	}
@@ -206,7 +203,7 @@ func TestTailBudgetEvictsForcedWhenNoBoringLeft(t *testing.T) {
 	first, second := NewTraceID(), NewTraceID()
 	c.Record(tailRoot(first, 100, ClassFailed))
 	c.Record(tailRoot(second, 100, ClassFailed))
-	st, _ := c.TailStats()
+	st := c.TailStats()
 	if st.Evicted != 1 {
 		t.Fatalf("Evicted %d, want 1 (the older forced keep)", st.Evicted)
 	}
@@ -223,9 +220,9 @@ func TestTailLateSpansFollowTheirTraceDecision(t *testing.T) {
 	c.Record(tailRoot(droppedT, 100, ClassOK)) // dropped
 	// Late arrivals after the decision:
 	c.Record(tailChild(kept))
-	before, _ := c.TailStats()
+	before := c.TailStats()
 	c.Record(tailChild(droppedT))
-	after, _ := c.TailStats()
+	after := c.TailStats()
 
 	if after.DroppedSpans != before.DroppedSpans+1 {
 		t.Fatalf("late span of a dropped trace not counted (%d -> %d)",
@@ -243,6 +240,22 @@ func TestTailLateSpansFollowTheirTraceDecision(t *testing.T) {
 	if keptSpans != 2 {
 		t.Fatalf("kept trace holds %d spans, want root + late child", keptSpans)
 	}
+
+	// Under the keep-everything constructor: the client's select root
+	// lands, then the cancelled loser's transfer span — its goroutine
+	// still unwinding when SelectAndFetch returned — and joins its family.
+	all := NewSpanCollector(16)
+	root := Span{Trace: NewTraceID(), ID: NewSpanID(), Service: "client", Phase: "select",
+		Duration: 100, Class: ClassOK.String()}
+	all.Record(root)
+	all.Record(Span{Trace: root.Trace, ID: NewSpanID(), Parent: root.ID, Service: "client",
+		Phase: "transfer", Class: ClassCanceled.String()})
+	if got := all.Spans(); len(got) != 2 || got[1].Parent != root.ID || all.Dropped() != 0 {
+		t.Fatalf("late loser did not join its kept trace: %+v (dropped %d)", got, all.Dropped())
+	}
+	if st := all.TailStats(); st.KeptTraces != 1 || st.Pending != 0 {
+		t.Fatalf("keep-everything stats = %+v, want one kept trace, none pending", st)
+	}
 }
 
 func TestTailPendingOverflowDropsOldest(t *testing.T) {
@@ -251,7 +264,7 @@ func TestTailPendingOverflowDropsOldest(t *testing.T) {
 	c.Record(tailChild(t1))
 	c.Record(tailChild(t2))
 	c.Record(tailChild(t3)) // overflow: t1 evicted undecided
-	st, _ := c.TailStats()
+	st := c.TailStats()
 	if st.Pending != 2 {
 		t.Fatalf("pending %d, want 2", st.Pending)
 	}
@@ -260,7 +273,7 @@ func TestTailPendingOverflowDropsOldest(t *testing.T) {
 	}
 	// t1's root arriving later is a span of a dropped trace.
 	c.Record(tailRoot(t1, 100, ClassFailed))
-	st2, _ := c.TailStats()
+	st2 := c.TailStats()
 	if st2.ForcedError != 0 {
 		t.Fatal("root of an overflow-dropped trace was decided anyway")
 	}
@@ -282,17 +295,6 @@ func TestTailSpansOrderKeptThenPending(t *testing.T) {
 	}
 }
 
-func TestTailStatsOnRingCollectorNotOK(t *testing.T) {
-	c := NewSpanCollector(16)
-	if _, ok := c.TailStats(); ok {
-		t.Fatal("ring collector reported tail stats")
-	}
-	var nilC *SpanCollector
-	if _, ok := nilC.TailStats(); ok {
-		t.Fatal("nil collector reported tail stats")
-	}
-}
-
 func TestTailEvictionQueueCompaction(t *testing.T) {
 	// Many keeps against a tiny budget exercise popKept's lazy skipping
 	// and prefix compaction; the invariants are that kept bytes stay
@@ -309,11 +311,11 @@ func TestTailEvictionQueueCompaction(t *testing.T) {
 			class = ClassFailed
 		}
 		c.Record(tailRoot(NewTraceID(), 100, class))
-		if st, _ := c.TailStats(); st.KeptBytes > st.ByteBudget {
+		if st := c.TailStats(); st.KeptBytes > st.ByteBudget {
 			t.Fatalf("iteration %d: kept bytes %d over budget %d", i, st.KeptBytes, st.ByteBudget)
 		}
 	}
-	st, _ := c.TailStats()
+	st := c.TailStats()
 	if st.KeptTraces != 500 {
 		t.Fatalf("KeptTraces %d, want 500 decisions kept", st.KeptTraces)
 	}
@@ -354,7 +356,7 @@ func TestTailConfigDefaults(t *testing.T) {
 func TestTailStatsJSONFieldNames(t *testing.T) {
 	c := NewTailSpanCollector(TailConfig{KeepProb: 1, Rand: keepAll()})
 	c.Record(tailRoot(NewTraceID(), 100, ClassOK))
-	st, _ := c.TailStats()
+	st := c.TailStats()
 	b := mustJSON(t, st)
 	for _, key := range []string{"kept_traces", "dropped_traces", "forced_error",
 		"forced_slow", "rand_kept", "evicted", "dropped_spans", "kept_bytes",

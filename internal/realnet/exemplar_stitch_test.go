@@ -54,13 +54,7 @@ func TestExemplarResolvesToStitchedTrace(t *testing.T) {
 	defer rl.Close()
 
 	// The relay's metrics endpoint, wired exactly as relayd wires it.
-	d := &daemon.Daemon{
-		Prefix: "relay",
-		Prom: func(p *obs.Prom) {
-			p.Counter("relay_requests_total", "Requests handled.", float64(r.Requests.Load()))
-			p.Histogram("relay_forward_latency_seconds", "Request forwarding times.", r.LatencySnapshot())
-		},
-	}
+	d := &daemon.Daemon{Prefix: "relay", Prom: r.WriteProm}
 	ml, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,6 +15,33 @@ import (
 	"repro/internal/relay"
 	"repro/internal/shaper"
 )
+
+// eventLog keeps the transport-level events the tests below read back.
+type eventLog struct {
+	obs.Base
+	mu      sync.Mutex
+	retries []obs.Retry
+	aborts  []obs.Abort
+}
+
+func (l *eventLog) RetryScheduled(e obs.Retry) {
+	l.mu.Lock()
+	l.retries = append(l.retries, e)
+	l.mu.Unlock()
+}
+
+func (l *eventLog) TransferAborted(e obs.Abort) {
+	l.mu.Lock()
+	l.aborts = append(l.aborts, e)
+	l.mu.Unlock()
+}
+
+// seen returns what has been logged so far.
+func (l *eventLog) seen() ([]obs.Retry, []obs.Abort) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]obs.Retry(nil), l.retries...), append([]obs.Abort(nil), l.aborts...)
+}
 
 // TestRetryEventsMatchCounter asserts that every cold re-attempt emits
 // one RetryScheduled event — with the attempt number and a positive
@@ -35,13 +63,13 @@ func TestRetryEventsMatchCounter(t *testing.T) {
 		return net.Dial(network, addr)
 	}
 	m := obs.NewMetrics()
-	trace := obs.NewTracer(32)
+	log := &eventLog{}
 	tr := &Transport{
 		Servers:      map[string]string{"origin": ol.Addr().String()},
 		Dial:         flaky,
 		MaxRetries:   2,
 		RetryBackoff: time.Millisecond,
-		Observer:     obs.Multi(m, trace),
+		Observer:     obs.Multi(m, log),
 	}
 
 	obj := core.Object{Server: "origin", Name: "big.bin", Size: 100_000}
@@ -54,14 +82,9 @@ func TestRetryEventsMatchCounter(t *testing.T) {
 	if got := m.Snapshot().Retries; got != 2 {
 		t.Fatalf("retry events = %d, want 2", got)
 	}
-	var retries []obs.Event
-	for _, e := range trace.Events() {
-		if e.Kind == obs.KindRetry {
-			retries = append(retries, e)
-		}
-	}
+	retries, _ := log.seen()
 	if len(retries) != 2 {
-		t.Fatalf("traced %d retry events, want 2: %v", len(retries), trace.Events())
+		t.Fatalf("observed %d retry events, want 2: %v", len(retries), retries)
 	}
 	for i, e := range retries {
 		if e.Attempt != i+1 {
@@ -94,11 +117,11 @@ func TestAbortEventMatchesCanceledCounter(t *testing.T) {
 	d := shaper.NewDialer()
 	d.SetProfile(ol.Addr().String(), shaper.PathProfile{DownloadBps: 1e6})
 	m := obs.NewMetrics()
-	trace := obs.NewTracer(16)
+	log := &eventLog{}
 	tr := &Transport{
 		Servers:  map[string]string{"origin": ol.Addr().String()},
 		Dial:     d.Dial,
-		Observer: obs.Multi(m, trace),
+		Observer: obs.Multi(m, log),
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -113,17 +136,8 @@ func TestAbortEventMatchesCanceledCounter(t *testing.T) {
 	if got := m.Snapshot().Aborts; got != 1 {
 		t.Fatalf("abort events = %d, want 1", got)
 	}
-	found := false
-	for _, e := range trace.Events() {
-		if e.Kind == obs.KindAbort {
-			found = true
-			if e.Class != obs.ClassCanceled.String() {
-				t.Fatalf("abort class = %q, want canceled", e.Class)
-			}
-		}
-	}
-	if !found {
-		t.Fatal("no abort event traced")
+	if _, aborts := log.seen(); len(aborts) != 1 || aborts[0].Class != obs.ClassCanceled {
+		t.Fatalf("observed aborts = %+v, want one of class canceled", aborts)
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // DefaultMaxIdlePerPath is how many idle keep-alive connections each path
@@ -42,12 +40,10 @@ type idleConn struct {
 // and the most remaining keep-alive budget). Connections idle longer than
 // ttl are dropped — lazily on take, and by a background sweeper that
 // starts with the first park and stops on close. All connection closes
-// and notify callbacks run outside the pool lock.
+// run outside the pool lock.
 type connPool struct {
 	maxIdle int
 	ttl     time.Duration
-	// notify reports each transition for observability; nil disables.
-	notify func(key string, op obs.PoolOp)
 
 	mu       sync.Mutex
 	idle     map[string][]idleConn
@@ -62,19 +58,12 @@ type connPool struct {
 	discarded atomic.Int64
 }
 
-func newConnPool(maxIdle int, ttl time.Duration, notify func(string, obs.PoolOp)) *connPool {
+func newConnPool(maxIdle int, ttl time.Duration) *connPool {
 	return &connPool{
 		maxIdle: maxIdle,
 		ttl:     ttl,
-		notify:  notify,
 		idle:    make(map[string][]idleConn),
 		stop:    make(chan struct{}),
-	}
-}
-
-func (p *connPool) event(key string, op obs.PoolOp) {
-	if p.notify != nil {
-		p.notify(key, op)
 	}
 }
 
@@ -111,15 +100,12 @@ func (p *connPool) take(key string) *pooledConn {
 	for _, pc := range dead {
 		pc.close()
 		p.evicted.Add(1)
-		p.event(key, obs.PoolEvict)
 	}
 	if got == nil {
 		p.misses.Add(1)
-		p.event(key, obs.PoolMiss)
 		return nil
 	}
 	p.reuses.Add(1)
-	p.event(key, obs.PoolReuse)
 	return got
 }
 
@@ -131,7 +117,6 @@ func (p *connPool) park(key string, pc *pooledConn) {
 		p.mu.Unlock()
 		pc.close()
 		p.discarded.Add(1)
-		p.event(key, obs.PoolDiscard)
 		return
 	}
 	p.idle[key] = append(p.idle[key], idleConn{pc: pc, since: time.Now()})
@@ -141,7 +126,6 @@ func (p *connPool) park(key string, pc *pooledConn) {
 	}
 	p.mu.Unlock()
 	p.parked.Add(1)
-	p.event(key, obs.PoolPark)
 	if startSweep {
 		go p.sweep()
 	}
@@ -167,17 +151,13 @@ func (p *connPool) sweep() {
 
 // expire drops every parked connection older than the TTL.
 func (p *connPool) expire(now time.Time) {
-	type victim struct {
-		key string
-		pc  *pooledConn
-	}
-	var victims []victim
+	var victims []*pooledConn
 	p.mu.Lock()
 	for key, list := range p.idle {
 		kept := list[:0]
 		for _, e := range list {
 			if p.expired(e, now) {
-				victims = append(victims, victim{key, e.pc})
+				victims = append(victims, e.pc)
 			} else {
 				kept = append(kept, e)
 			}
@@ -189,10 +169,9 @@ func (p *connPool) expire(now time.Time) {
 		}
 	}
 	p.mu.Unlock()
-	for _, v := range victims {
-		v.pc.close()
+	for _, pc := range victims {
+		pc.close()
 		p.evicted.Add(1)
-		p.event(v.key, obs.PoolEvict)
 	}
 }
 
@@ -212,11 +191,10 @@ func (p *connPool) close() {
 	if sweeping {
 		close(p.stop)
 	}
-	for key, list := range idle {
+	for _, list := range idle {
 		for _, e := range list {
 			e.pc.close()
 			p.evicted.Add(1)
-			p.event(key, obs.PoolEvict)
 		}
 	}
 }

@@ -419,7 +419,7 @@ func TestPoolCloseDiscards(t *testing.T) {
 // found on the take path are evicted, and take prefers the most recently
 // parked connection.
 func TestTakeSkipsExpiredLIFO(t *testing.T) {
-	p := newConnPool(4, 50*time.Millisecond, nil)
+	p := newConnPool(4, 50*time.Millisecond)
 	mk := func() (*pooledConn, net.Conn) {
 		a, b := net.Pipe()
 		return &pooledConn{conn: a, br: bufio.NewReader(a)}, b

@@ -194,16 +194,9 @@ func (t *Transport) maxRetries() int            { return orDefault(t.MaxRetries,
 func (t *Transport) idlePool() *connPool {
 	t.poolOnce.Do(func() {
 		t.pool = newConnPool(orDefault(t.MaxIdlePerPath, DefaultMaxIdlePerPath),
-			orDefault(t.IdleTTL, DefaultIdleTTL), t.poolEvent)
+			orDefault(t.IdleTTL, DefaultIdleTTL))
 	})
 	return t.pool
-}
-
-// poolEvent relays a pool transition to the observer.
-func (t *Transport) poolEvent(key string, op obs.PoolOp) {
-	if o := t.Observer; o != nil {
-		obs.EmitPool(o, obs.Pool{Key: poolLabel(key), Time: t.Now(), Op: op})
-	}
 }
 
 // PoolStats returns the connection pool's counters: how often warm
@@ -396,9 +389,12 @@ func (t *Transport) startFetch(ctx context.Context, obj core.Object, path core.P
 	// without spinning until the socket unwinds. Registered with ctx, not
 	// parked on it: a transfer that finishes first costs no goroutine.
 	stop := context.AfterFunc(ctx, func() {
-		h.cancel()
+		// Announced before the connection is closed: the close unwinds the
+		// fetch goroutine, whose own finish may be the one Wait sees, and
+		// the abort must already be counted by then.
 		err := core.CtxErr(ctx)
 		rec.Abort(core.ErrClassOf(err))
+		h.cancel()
 		h.finish(t.Now(), err)
 	})
 	go func() {
@@ -447,14 +443,6 @@ func pathKey(p core.Path) string {
 		return "\x00direct"
 	}
 	return p.Via
-}
-
-// poolLabel is pathKey's observable form, matching obs.PathID.Label().
-func poolLabel(key string) string {
-	if key == "\x00direct" {
-		return "direct"
-	}
-	return key
 }
 
 // Close releases all parked keep-alive connections and stops the pool's

@@ -81,7 +81,8 @@ func (r *Relay) WriteProm(p *obs.Prom) {
 	p.Counter("relay_requests_total", "Requests handled, including failures.", float64(r.Requests.Load()))
 	p.Counter("relay_bytes_relayed_total", "Response-body bytes forwarded to clients.", float64(r.BytesRelayed.Load()))
 	p.Counter("relay_spans_total", "Tracing spans recorded.", float64(r.Spans.Seen()))
-	if ts, ok := r.Spans.TailStats(); ok {
+	if r.Spans != nil {
+		ts := r.Spans.TailStats()
 		p.Counter("relay_traces_kept_total", "Traces the tail policy kept.", float64(ts.KeptTraces))
 		p.Counter("relay_traces_dropped_total", "Traces the tail policy dropped.", float64(ts.DroppedTraces))
 		p.Counter("relay_traces_forced_keep_total", "Traces force-kept (errored or slowest-decile roots).",

@@ -11,11 +11,10 @@ import (
 
 func sampleSpans() []obs.Span {
 	c := obs.NewSpanCollector(8)
-	root := c.StartSpan(obs.SpanContext{}, "client", "select")
-	child := c.StartSpan(root.Context(), "client", "transfer")
-	child.SetAttr("path", "r1")
-	child.End(obs.ClassCanceled, "context canceled")
-	root.EndOK()
+	root := obs.SpanContext{Trace: obs.NewTraceID(), Span: obs.NewSpanID()}
+	c.Record(obs.Span{Trace: root.Trace, Parent: root.Span, Service: "client", Phase: "transfer",
+		Class: obs.ClassCanceled.String(), Err: "context canceled", Attrs: map[string]string{"path": "r1"}})
+	c.Record(obs.Span{Trace: root.Trace, ID: root.Span, Service: "client", Phase: "select"})
 	return c.Spans()
 }
 
@@ -44,7 +43,7 @@ func TestSpansRoundTrip(t *testing.T) {
 			t.Fatalf("span %d outcome changed", i)
 		}
 	}
-	// Spans land in End order, so the transfer child is first.
+	// Spans land in arrival order, so the transfer child is first.
 	if got[0].Attrs["path"] != "r1" {
 		t.Fatal("attrs did not survive")
 	}
@@ -62,10 +61,10 @@ func TestSpansEmptyArchive(t *testing.T) {
 }
 
 func TestReadSpansRejectsWrongKind(t *testing.T) {
-	// An event archive is not a span archive; the kind field keeps the
+	// A record archive is not a span archive; the kind field keeps the
 	// two JSONL dialects from being confused.
 	var buf bytes.Buffer
-	if err := WriteEvents(&buf, "events", nil); err != nil {
+	if err := Write(&buf, "records", nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := ReadSpans(&buf); !errors.Is(err, ErrBadSchema) {

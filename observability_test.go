@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro"
@@ -14,6 +15,27 @@ import (
 	"repro/internal/simnet"
 	"repro/internal/topo"
 )
+
+// lifecycleLog is the tests' own typed observer: it keeps the probe
+// starts and counts the selections it is shown.
+type lifecycleLog struct {
+	repro.BaseObserver
+	mu          sync.Mutex
+	probeStarts []repro.ProbeStartEvent
+	selections  int
+}
+
+func (l *lifecycleLog) ProbeStarted(e repro.ProbeStartEvent) {
+	l.mu.Lock()
+	l.probeStarts = append(l.probeStarts, e)
+	l.mu.Unlock()
+}
+
+func (l *lifecycleLog) PathSelected(repro.SelectionEvent) {
+	l.mu.Lock()
+	l.selections++
+	l.mu.Unlock()
+}
 
 // TestClientSnapshotMatchesOutcomes is the acceptance check for the
 // observability layer on a real loopback network: a Client with
@@ -54,10 +76,10 @@ func TestClientSnapshotMatchesOutcomes(t *testing.T) {
 	}
 	defer tr.Close()
 
-	trace := repro.NewTracer(256)
+	log := &lifecycleLog{}
 	client := repro.New(tr,
 		repro.WithProbeBytes(150_000),
-		repro.WithObserver(trace))
+		repro.WithObserver(log))
 	tr.Observer = client.Observer()
 
 	obj := repro.Object{Server: "origin", Name: "large.bin", Size: 600_000}
@@ -118,15 +140,9 @@ func TestClientSnapshotMatchesOutcomes(t *testing.T) {
 		t.Fatalf("aborts %d exceed canceled probes %d", s.Aborts, s.ProbesCanceled)
 	}
 
-	// The tracer attached via WithObserver saw the same stream.
-	sel := 0
-	for _, e := range trace.Events() {
-		if e.Kind == repro.KindSelection {
-			sel++
-		}
-	}
-	if sel != runs {
-		t.Fatalf("tracer saw %d selections, want %d", sel, runs)
+	// The observer attached via WithObserver saw the same stream.
+	if log.selections != runs {
+		t.Fatalf("observer saw %d selections, want %d", log.selections, runs)
 	}
 }
 
@@ -154,13 +170,13 @@ func simOutcome(o repro.Observer) repro.Outcome {
 
 // TestSimulatorDeterministicUnderObservation asserts observation is
 // passive: two identically seeded virtual-time runs — one unobserved,
-// one with a Metrics collector and a Tracer attached — produce
+// one with a Metrics collector and a typed observer attached — produce
 // byte-identical outcomes.
 func TestSimulatorDeterministicUnderObservation(t *testing.T) {
 	bare := simOutcome(nil)
 	m := repro.NewMetrics()
-	trace := repro.NewTracer(64)
-	observed := simOutcome(repro.MultiObserver(m, trace))
+	log := &lifecycleLog{}
+	observed := simOutcome(repro.MultiObserver(m, log))
 
 	if got, want := fmt.Sprintf("%+v", observed), fmt.Sprintf("%+v", bare); got != want {
 		t.Fatalf("observed run diverged from bare run:\n got %s\nwant %s", got, want)
@@ -172,12 +188,10 @@ func TestSimulatorDeterministicUnderObservation(t *testing.T) {
 	if s := m.Snapshot(); s.Selections != 1 || s.ProbesStarted != 3 {
 		t.Fatalf("metrics missed the run: %+v", s)
 	}
-	if len(trace.Events()) == 0 {
-		t.Fatal("tracer recorded nothing")
-	}
-	// Virtual-time stamps in the trace are exact simulator times, not
+	// Virtual-time stamps on the events are exact simulator times, not
 	// wall-clock: the first probe starts at the post-warmup instant.
-	if ev := trace.Events()[0]; ev.Kind != repro.KindProbeStart || ev.Time < 300 {
-		t.Fatalf("first event = %+v, want a probe-start at t>=300s virtual", ev)
+	if len(log.probeStarts) != 3 || log.selections != 1 || log.probeStarts[0].Time < 300 {
+		t.Fatalf("observer saw %d selections and probe starts %+v, want 1 and 3 from t>=300s virtual",
+			log.selections, log.probeStarts)
 	}
 }
