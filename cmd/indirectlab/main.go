@@ -15,8 +15,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -93,20 +95,39 @@ func parseExps(s string) (map[string]bool, error) {
 	return want, nil
 }
 
-func main() {
+func main() { os.Exit(lab(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// lab is the command: it parses args, runs the experiments they name and
+// renders their report on w. Progress and diagnostics go to stderr. The
+// report is a function of the flags alone, which is what
+// TestQuickReportGolden pins.
+func lab(args []string, w, stderr io.Writer) int {
+	fs := flag.NewFlagSet("indirectlab", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		expFlag      = flag.String("exp", "all", "experiment ids, comma-separated: "+strings.Join(expIDs, ","))
-		seed         = flag.Uint64("seed", 42, "study seed (scenario + workloads)")
-		scaleFlag    = flag.String("scale", "default", "workload scale: quick, default, paper")
-		workers      = flag.Int("workers", 0, "parallel campaign workers (0 = GOMAXPROCS)")
-		outTrace     = flag.String("out", "", "archive the Section 3 study records to this JSONL file")
-		outCSV       = flag.String("csv", "", "export the Section 3 study records to this CSV file")
-		plotDir      = flag.String("plotdata", "", "write gnuplot-ready TSV series for each produced figure/table into this directory")
-		scenarioPath = flag.String("scenario", "", "JSON scenario config (see topo.ScenarioConfig); used by -exp topo")
-		chaosJSON    = flag.String("chaos-json", "", "write the chaos campaign result as JSON to this file")
-		chaosBundles = flag.String("chaos-bundle-dir", "", "persist each live fault class's anomaly debug bundles under this directory (CI artifact)")
+		expFlag      = fs.String("exp", "all", "experiment ids, comma-separated: "+strings.Join(expIDs, ","))
+		seed         = fs.Uint64("seed", 42, "study seed (scenario + workloads)")
+		scaleFlag    = fs.String("scale", "default", "workload scale: quick, default, paper")
+		workers      = fs.Int("workers", 0, "parallel campaign workers (0 = GOMAXPROCS)")
+		outTrace     = fs.String("out", "", "archive the Section 3 study records to this JSONL file")
+		outCSV       = fs.String("csv", "", "export the Section 3 study records to this CSV file")
+		plotDir      = fs.String("plotdata", "", "write gnuplot-ready TSV series for each produced figure/table into this directory")
+		scenarioPath = fs.String("scenario", "", "JSON scenario config (see topo.ScenarioConfig); used by -exp topo")
+		chaosJSON    = fs.String("chaos-json", "", "write the chaos campaign result as JSON to this file")
+		chaosBundles = fs.String("chaos-bundle-dir", "", "persist each live fault class's anomaly debug bundles under this directory (CI artifact)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	run := func(name string, fn func()) {
+		fmt.Fprintf(stderr, "running %s...", name)
+		start := time.Now()
+		fn()
+		fmt.Fprintf(stderr, " done (%v)\n", time.Since(start).Round(time.Millisecond))
+	}
 
 	plot := func(name string, fn func(*os.File) error) {
 		if *plotDir == "" {
@@ -121,17 +142,16 @@ func main() {
 
 	sc, ok := scales[*scaleFlag]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown scale %q (quick, default, paper)\n", *scaleFlag)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown scale %q (quick, default, paper)\n", *scaleFlag)
+		return 2
 	}
 
 	want, err := parseExps(*expFlag)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	all := want["all"]
-	w := os.Stdout
 
 	var study *experiment.StudyResult
 	needStudy := all || want["fig1"] || want["fig2"] || want["table1"] || want["fig4"] ||
@@ -331,21 +351,21 @@ func main() {
 		if *scenarioPath != "" {
 			f, err := os.Open(*scenarioPath)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "scenario: %v\n", err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "scenario: %v\n", err)
+				return 1
 			}
 			cfg, err := topo.LoadConfig(f)
 			f.Close()
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "scenario: %v\n", err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "scenario: %v\n", err)
+				return 1
 			}
 			if cfg.Seed == 0 {
 				cfg.Seed = *seed
 			}
 			if scen, err = cfg.Build(); err != nil {
-				fmt.Fprintf(os.Stderr, "scenario: %v\n", err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "scenario: %v\n", err)
+				return 1
 			}
 		} else {
 			scen = topo.NewScenario(topo.Params{Seed: *seed})
@@ -365,14 +385,7 @@ func main() {
 		report.Adaptive(w, results)
 		fmt.Fprintln(w)
 	}
-}
-
-// run prints a progress line around a long step.
-func run(name string, fn func()) {
-	fmt.Fprintf(os.Stderr, "running %s...", name)
-	start := time.Now()
-	fn()
-	fmt.Fprintf(os.Stderr, " done (%v)\n", time.Since(start).Round(time.Millisecond))
+	return 0
 }
 
 // archive writes a file via fn, exiting on failure.

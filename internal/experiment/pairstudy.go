@@ -229,9 +229,16 @@ type Fig5Result struct {
 
 // Fig5 aggregates intermediate utilizations across all clients.
 func Fig5(ps *PairStudyResult) Fig5Result {
+	// Clients in sorted order: each intermediate's utilizations feed a
+	// running accumulator, and a float sum depends on its order.
+	clients := make([]string, 0, len(ps.PerPair))
+	for c := range ps.PerPair {
+		clients = append(clients, c)
+	}
+	sort.Strings(clients)
 	perInter := make(map[string][]float64)
-	for _, m := range ps.PerPair {
-		for inter, recs := range m {
+	for _, c := range clients {
+		for inter, recs := range ps.PerPair[c] {
 			perInter[inter] = append(perInter[inter], UtilizationOf(recs)*100)
 		}
 	}

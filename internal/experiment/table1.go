@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"sort"
+
 	"repro/internal/core"
 	"repro/internal/stats"
 	"repro/internal/topo"
@@ -43,6 +45,7 @@ func Table1(study *StudyResult) Table1Result {
 			res.HighVarClients = append(res.HighVarClients, client)
 		}
 	}
+	sort.Strings(res.HighVarClients)
 	highVar := make(map[string]bool, len(res.HighVarClients))
 	for _, c := range res.HighVarClients {
 		highVar[c] = true
