@@ -257,14 +257,14 @@ func retryable(ctx context.Context, err error) bool {
 
 // SelectAndFetch runs the paper's full client operation under ctx: probe
 // the direct path and all candidates, commit to the winner (cancelling
-// the losing probes on context-aware transports), and fetch the
+// the losing probes; the simulator lets them drain), and fetch the
 // remainder over it. With WithRetry, an attempt that delivered nothing
 // is retried with backoff; an outcome that delivered the object is
 // returned as-is even if a losing probe failed.
 func (c *Client) SelectAndFetch(ctx context.Context, obj Object, candidates []string) Outcome {
 	for attempt := 0; ; attempt++ {
 		actx, cancel := c.attemptCtx(ctx)
-		out := core.SelectAndFetchCtx(actx, c.transport, obj, candidates, c.cfg)
+		out := core.SelectAndFetch(actx, c.transport, obj, candidates, c.cfg)
 		cancel()
 		failed := errors.Is(out.Err, ErrAllPathsFailed) || out.Remainder.Err != nil
 		if !failed || attempt >= c.retries || !retryable(ctx, out.Err) {
@@ -279,13 +279,13 @@ func (c *Client) SelectAndFetch(ctx context.Context, obj Object, candidates []st
 // Probe races an x-sized range request (the client's configured probe
 // size) on the direct path and every candidate concurrently.
 func (c *Client) Probe(ctx context.Context, obj Object, candidates []string) []ProbeResult {
-	return core.ProbeCtx(ctx, c.transport, obj, candidates, c.cfg)
+	return core.Probe(ctx, c.transport, obj, candidates, c.cfg)
 }
 
 // ProbeSequential probes the direct path and each candidate one at a
 // time, contention-free.
 func (c *Client) ProbeSequential(ctx context.Context, obj Object, candidates []string) []ProbeResult {
-	return core.ProbeSequentialCtx(ctx, c.transport, obj, candidates, c.cfg)
+	return core.ProbeSequential(ctx, c.transport, obj, candidates, c.cfg)
 }
 
 // Download fetches obj adaptively (segmented fetches, periodic re-races,
@@ -300,7 +300,7 @@ func (c *Client) Download(ctx context.Context, obj Object, candidates []string) 
 	}
 	for attempt := 0; ; attempt++ {
 		actx, cancel := c.attemptCtx(ctx)
-		res, err := dl.DownloadCtx(actx, obj, candidates)
+		res, err := dl.Download(actx, obj, candidates)
 		cancel()
 		if err == nil || attempt >= c.retries || !retryable(ctx, err) {
 			return res, err
@@ -317,7 +317,7 @@ func (c *Client) Multipath(ctx context.Context, obj Object, candidates []string)
 	mp := &core.MultipathDownloader{Transport: c.transport, Observer: c.cfg.Observer}
 	actx, cancel := c.attemptCtx(ctx)
 	defer cancel()
-	return mp.DownloadCtx(actx, obj, candidates)
+	return mp.Download(actx, obj, candidates)
 }
 
 // SelectMonitored performs a probe-free transfer under ctx using the
@@ -325,7 +325,7 @@ func (c *Client) Multipath(ctx context.Context, obj Object, candidates []string)
 func (c *Client) SelectMonitored(ctx context.Context, obj Object, candidates []string, m *Monitor) Outcome {
 	actx, cancel := c.attemptCtx(ctx)
 	defer cancel()
-	return core.SelectMonitoredCtx(actx, c.transport, obj, candidates, m, c.cfg)
+	return core.SelectMonitored(actx, c.transport, obj, candidates, m, c.cfg)
 }
 
 // Transport returns the transport the client is bound to.

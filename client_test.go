@@ -32,7 +32,7 @@ func (h *fakeHandle) Result() repro.FetchResult { return h.res }
 
 func (t *fakeTransport) Now() float64 { return t.now }
 
-func (t *fakeTransport) Start(obj repro.Object, path repro.Path, off, n int64) repro.Handle {
+func (t *fakeTransport) StartCtx(_ context.Context, obj repro.Object, path repro.Path, off, n int64) repro.Handle {
 	t.starts++
 	t.lastBytes = n
 	h := &fakeHandle{res: repro.FetchResult{Path: path, Offset: off, Bytes: n, Start: t.now}}
@@ -52,6 +52,24 @@ func (t *fakeTransport) Wait(hs ...repro.Handle) {
 		}
 		fh.done = true
 	}
+}
+
+func (t *fakeTransport) StartWarmCtx(ctx context.Context, obj repro.Object, path repro.Path, off, n int64) repro.Handle {
+	return t.StartCtx(ctx, obj, path, off, n)
+}
+
+// WaitAny completes the earliest-ending handle unless one is done already.
+func (t *fakeTransport) WaitAny(hs ...repro.Handle) int {
+	first := 0
+	for i, h := range hs {
+		if fh := h.(*fakeHandle); fh.done {
+			return i
+		} else if fh.res.End < hs[first].(*fakeHandle).res.End {
+			first = i
+		}
+	}
+	t.Wait(hs[first])
+	return first
 }
 
 func TestClientRetryRecoversFromOutage(t *testing.T) {
@@ -127,8 +145,8 @@ func (h *stuckHandle) Result() repro.FetchResult { return h.res }
 
 func (t *stuckTransport) Now() float64 { return 0 }
 
-func (t *stuckTransport) Start(obj repro.Object, path repro.Path, off, n int64) repro.Handle {
-	return t.StartCtx(context.Background(), obj, path, off, n)
+func (t *stuckTransport) StartWarmCtx(ctx context.Context, obj repro.Object, path repro.Path, off, n int64) repro.Handle {
+	return t.StartCtx(ctx, obj, path, off, n)
 }
 
 func (t *stuckTransport) StartCtx(ctx context.Context, obj repro.Object, path repro.Path, off, n int64) repro.Handle {
@@ -149,6 +167,11 @@ func (t *stuckTransport) Wait(hs ...repro.Handle) {
 		}
 		sh.done = true
 	}
+}
+
+func (t *stuckTransport) WaitAny(hs ...repro.Handle) int {
+	t.Wait(hs[0])
+	return 0
 }
 
 func TestClientTimeoutBoundsStuckTransfer(t *testing.T) {

@@ -442,7 +442,7 @@ func main() {
 			SegmentBytes: *segment,
 			Observer:     client.Observer(),
 		}
-		res, err := dl.DownloadCtx(ctx, obj, candidates)
+		res, err := dl.Download(ctx, obj, candidates)
 		if err != nil {
 			fatal("adaptive download failed", "err", err)
 		}

@@ -31,23 +31,19 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"net"
 	"os"
 	"os/signal"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	"repro/internal/daemon"
-	"repro/internal/httpx"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
 	"repro/internal/relay"
-	"repro/internal/traceio"
 )
 
 type objectList []string
@@ -61,12 +57,10 @@ func main() {
 	metrics := flag.String("metrics", "", "metrics endpoint address (empty = off)")
 	tracePath := flag.String("trace", "", "write span archive (JSONL) here on shutdown (empty = tracing off)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (empty = off)")
-	profileDir := flag.String("profile-dir", "", "continuous-profiler capture directory (empty = profiler off)")
-	profileEvery := flag.Duration("profile-every", 30*time.Second, "continuous-profiler capture cadence")
-	profileMax := flag.Int64("profile-max-bytes", 8<<20, "continuous-profiler on-disk ring budget")
 	bundleDir := flag.String("bundle-dir", "", "persist anomaly debug bundles here (empty = in-memory only)")
 	bundleWindow := flag.Duration("bundle-window", time.Minute, "per-path rate limit between debug bundles")
 	flag.Var(&objects, "object", "object spec name=size (repeatable)")
+	mkProf := daemon.ProfilerFlags()
 	mkLog := daemon.LogFlags()
 	flag.Parse()
 	logger := mkLog("origind")
@@ -74,20 +68,8 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	var prof *flight.Profiler
-	if *profileDir != "" {
-		p, err := flight.NewProfiler(flight.ProfilerConfig{
-			Dir: *profileDir, Every: *profileEvery, MaxBytes: *profileMax,
-		})
-		if err != nil {
-			logger.Error("profiler failed", "dir", *profileDir, "err", err)
-			os.Exit(1)
-		}
-		prof = p
-		prof.Start()
-		defer prof.Stop()
-		logger.Info("profiler running", "dir", *profileDir, "every", *profileEvery)
-	}
+	prof, stopProf := mkProf(logger)
+	defer stopProf()
 
 	var spans *obs.SpanCollector
 	if *tracePath != "" {
@@ -139,23 +121,8 @@ func main() {
 		logger.Error("listen failed", "addr", *listen, "err", err)
 		os.Exit(1)
 	}
-	var listenerUp atomic.Bool
-	listenerUp.Store(true)
-	go func() {
-		defer listenerUp.Store(false)
-		if err := origin.Serve(l); err != nil {
-			logger.Error("serve failed", "err", err)
-		}
-	}()
+	ready := daemon.ServeListener(l, origin.Serve, logger)
 	logger.Info("listening", "addr", l.Addr().String())
-
-	ready := httpx.NewReady()
-	ready.AddLive("listener", func() error {
-		if !listenerUp.Load() {
-			return errors.New("listener closed")
-		}
-		return nil
-	})
 
 	d.Vars = func() any {
 		return map[string]any{
@@ -171,14 +138,7 @@ func main() {
 	}
 	d.Bundles, d.Ready = engine, ready
 	d.ServeMetrics(ctx, *metrics, logger)
-	if *pprofAddr != "" {
-		go func() {
-			if err := httpx.ServePprof(ctx, *pprofAddr); err != nil {
-				logger.Error("pprof server failed", "err", err)
-			}
-		}()
-		logger.Info("pprof serving", "addr", *pprofAddr)
-	}
+	daemon.ServePprof(ctx, *pprofAddr, logger)
 
 	<-ctx.Done()
 	logger.Info("shutting down", "bytes_served", origin.BytesServed.Load())
@@ -187,23 +147,5 @@ func main() {
 	// a second interrupt ends the wait the default way.
 	stop()
 	origin.WaitIdle()
-	if *tracePath != "" {
-		if err := writeSpans(*tracePath, spans); err != nil {
-			logger.Error("span archive failed", "path", *tracePath, "err", err)
-		} else {
-			logger.Info("spans archived", "path", *tracePath, "count", len(spans.Spans()))
-		}
-	}
-}
-
-func writeSpans(path string, spans *obs.SpanCollector) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := traceio.WriteSpans(f, "origind", spans.Spans()); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	daemon.ArchiveSpans(*tracePath, "origind", spans, logger)
 }

@@ -39,18 +39,15 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"net"
 	"os"
 	"os/signal"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	"repro/internal/daemon"
-	"repro/internal/httpx"
 	"repro/internal/obs"
 	"repro/internal/obs/fleet"
 	"repro/internal/registry"
@@ -96,14 +93,7 @@ func main() {
 		logger.Error("listen failed", "addr", *listen, "err", err)
 		os.Exit(1)
 	}
-	var listenerUp atomic.Bool
-	listenerUp.Store(true)
-	go func() {
-		defer listenerUp.Store(false)
-		if err := s.Serve(l); err != nil {
-			logger.Error("serve failed", "err", err)
-		}
-	}()
+	ready := daemon.ServeListener(l, s.Serve, logger)
 	logger.Info("listening", "addr", l.Addr().String(), "shards", *shards, "peers", peers.String())
 
 	var ps *registry.PeerSync
@@ -127,14 +117,6 @@ func main() {
 		go agg.Run(ctx)
 		logger.Info("fleet aggregator running", "every", *fleetEvery)
 	}
-
-	ready := httpx.NewReady()
-	ready.AddLive("listener", func() error {
-		if !listenerUp.Load() {
-			return errors.New("listener closed")
-		}
-		return nil
-	})
 
 	d := &daemon.Daemon{
 		Prefix: "registry",
@@ -184,14 +166,7 @@ func main() {
 		d.Fleet = func() any { return agg.Snapshot() }
 	}
 	d.ServeMetrics(ctx, *metrics, logger)
-	if *pprofAddr != "" {
-		go func() {
-			if err := httpx.ServePprof(ctx, *pprofAddr); err != nil {
-				logger.Error("pprof server failed", "err", err)
-			}
-		}()
-		logger.Info("pprof serving", "addr", *pprofAddr)
-	}
+	daemon.ServePprof(ctx, *pprofAddr, logger)
 
 	// The stats logger stops with the signal context (ranging over the
 	// ticker would leak the goroutine past shutdown).

@@ -47,25 +47,21 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net"
 	"os"
 	"os/signal"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	"repro/internal/daemon"
-	"repro/internal/httpx"
 	"repro/internal/objcache"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
 	"repro/internal/registry"
 	"repro/internal/relay"
-	"repro/internal/traceio"
 )
 
 func main() {
@@ -82,14 +78,12 @@ func main() {
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (empty = off)")
 	flightRing := flag.Int("flight", 512, "flight-recorder wide-event ring size (0 = recorder off)")
 	flightArchive := flag.String("flight-archive", "", "append wide events as JSONL here (empty = no archive)")
-	profileDir := flag.String("profile-dir", "", "continuous-profiler capture directory (empty = profiler off)")
-	profileEvery := flag.Duration("profile-every", 30*time.Second, "continuous-profiler capture cadence")
-	profileMax := flag.Int64("profile-max-bytes", 8<<20, "continuous-profiler on-disk ring budget")
 	bundleDir := flag.String("bundle-dir", "", "persist anomaly debug bundles here (empty = in-memory only)")
 	bundleWindow := flag.Duration("bundle-window", time.Minute, "per-path rate limit between debug bundles")
 	cacheBytes := flag.Int64("cache-bytes", 0, "object cache capacity in bytes (0 = caching off)")
 	cacheTTL := flag.Duration("cache-ttl", 0, "expire cached spans this long after fill (0 = keep until evicted)")
 	upstreamStall := flag.Duration("upstream-stall", 30*time.Second, "fail a forward whose origin goes silent this long mid-response (0 = no guard)")
+	mkProf := daemon.ProfilerFlags()
 	mkLog := daemon.LogFlags()
 	flag.Parse()
 	logger := mkLog("relayd")
@@ -116,20 +110,8 @@ func main() {
 		}
 		rec = flight.NewRecorder(fcfg)
 	}
-	var prof *flight.Profiler
-	if *profileDir != "" {
-		p, err := flight.NewProfiler(flight.ProfilerConfig{
-			Dir: *profileDir, Every: *profileEvery, MaxBytes: *profileMax,
-		})
-		if err != nil {
-			logger.Error("profiler failed", "dir", *profileDir, "err", err)
-			os.Exit(1)
-		}
-		prof = p
-		prof.Start()
-		defer prof.Stop()
-		logger.Info("profiler running", "dir", *profileDir, "every", *profileEvery)
-	}
+	prof, stopProf := mkProf(logger)
+	defer stopProf()
 
 	slo := obs.NewSLOTracker(obs.SLOConfig{
 		OnFastBurn: func(path string, burn float64) { engine.FireBurn(path, burn) },
@@ -181,23 +163,8 @@ func main() {
 		logger.Error("listen failed", "addr", *listen, "err", err)
 		os.Exit(1)
 	}
-	var listenerUp atomic.Bool
-	listenerUp.Store(true)
-	go func() {
-		defer listenerUp.Store(false)
-		if err := r.Serve(l); err != nil {
-			logger.Error("serve failed", "err", err)
-		}
-	}()
+	ready := daemon.ServeListener(l, r.Serve, logger)
 	logger.Info("listening", "addr", l.Addr().String())
-
-	ready := httpx.NewReady()
-	ready.AddLive("listener", func() error {
-		if !listenerUp.Load() {
-			return errors.New("listener closed")
-		}
-		return nil
-	})
 
 	var hb *registry.HeartbeatState
 	if *regAddr != "" {
@@ -268,14 +235,7 @@ func main() {
 		d.Cache = func() any { return c.Stats() }
 	}
 	d.ServeMetrics(ctx, *metrics, logger)
-	if *pprofAddr != "" {
-		go func() {
-			if err := httpx.ServePprof(ctx, *pprofAddr); err != nil {
-				logger.Error("pprof server failed", "err", err)
-			}
-		}()
-		logger.Info("pprof serving", "addr", *pprofAddr)
-	}
+	daemon.ServePprof(ctx, *pprofAddr, logger)
 
 	// The stats logger stops with the signal context rather than ranging
 	// over the ticker forever, so it can't interleave a periodic line with
@@ -311,13 +271,7 @@ func main() {
 	// a second interrupt ends a wait on a wedged transfer the default way.
 	stop()
 	r.WaitIdle()
-	if *tracePath != "" {
-		if err := writeSpans(*tracePath, spans); err != nil {
-			logger.Error("span archive failed", "path", *tracePath, "err", err)
-		} else {
-			logger.Info("spans archived", "path", *tracePath, "count", len(spans.Spans()))
-		}
-	}
+	daemon.ArchiveSpans(*tracePath, "relayd", spans, logger)
 	if rec != nil {
 		rec.CloseArchive()
 	}
@@ -354,15 +308,3 @@ func aggregateHealth(m *obs.HealthMonitor, c *objcache.Cache) func() float64 {
 // warmthFloor bounds how much a cold cache can discount a relay's
 // self-reported health: path quality stays the dominant term.
 const warmthFloor = 0.85
-
-func writeSpans(path string, spans *obs.SpanCollector) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := traceio.WriteSpans(f, "relayd", spans.Spans()); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}

@@ -64,7 +64,7 @@ func main() {
 		sel.Selected, sel.Throughput()/1e6)
 
 	mp := &repro.MultipathDownloader{Transport: tr, ChunkBytes: 250_000}
-	res, err := mp.Download(obj, cands)
+	res, err := mp.Download(context.Background(), obj, cands)
 	if err != nil {
 		log.Fatal(err)
 	}

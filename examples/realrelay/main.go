@@ -7,12 +7,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/realnet"
+	"repro"
 	"repro/internal/relay"
 	"repro/internal/shaper"
 )
@@ -47,7 +47,7 @@ func main() {
 	d.SetProfile(addrs["slow"], shaper.PathProfile{DownloadBps: 2e6, Latency: 60 * time.Millisecond})
 	d.SetProfile(addrs["mid"], shaper.PathProfile{DownloadBps: 6e6, Latency: 35 * time.Millisecond})
 
-	tr := &realnet.Transport{
+	tr := &repro.RealTransport{
 		Servers: map[string]string{"origin": ol.Addr().String()},
 		Relays: map[string]string{
 			"fast": addrs["fast"],
@@ -58,11 +58,12 @@ func main() {
 		Verify: true,
 	}
 
-	obj := core.Object{Server: "origin", Name: "large.bin", Size: objSize}
+	client := repro.New(tr, repro.WithProbeBytes(64_000))
+
+	obj := repro.Object{Server: "origin", Name: "large.bin", Size: objSize}
 	fmt.Printf("downloading %d bytes, direct at 3 Mb/s; relays fast=12, mid=6, slow=2 Mb/s\n\n", objSize)
 	for i := 0; i < 5; i++ {
-		out := core.SelectAndFetch(tr, obj, []string{"fast", "slow", "mid"},
-			core.Config{ProbeBytes: 64_000})
+		out := client.SelectAndFetch(context.Background(), obj, []string{"fast", "slow", "mid"})
 		if out.Err != nil {
 			log.Fatalf("round %d: %v", i, out.Err)
 		}

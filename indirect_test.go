@@ -104,7 +104,7 @@ func TestFacadeMultipath(t *testing.T) {
 	defer tr.Close()
 	mp := &repro.MultipathDownloader{Transport: tr, ChunkBytes: 150_000}
 	obj := repro.Object{Server: "origin", Name: "large.bin", Size: 600_000}
-	res, err := mp.Download(obj, []string{"r"})
+	res, err := mp.Download(context.Background(), obj, []string{"r"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestFacadeDownloader(t *testing.T) {
 	defer tr.Close()
 	dl := &repro.Downloader{Transport: tr, ProbeBytes: 50_000, SegmentBytes: 200_000}
 	obj := repro.Object{Server: "origin", Name: "large.bin", Size: 500_000}
-	res, err := dl.Download(obj, nil)
+	res, err := dl.Download(context.Background(), obj, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

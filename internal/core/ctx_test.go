@@ -9,115 +9,13 @@ import (
 	"repro/internal/obs"
 )
 
-// ctxTransport is a fake context-aware transport: per-path rates over a
-// fake clock, with every handle remembering its context so tests can
-// observe which transfers the engine canceled.
-type ctxTransport struct {
-	now    float64
-	rate   map[string]float64
-	starts int
-
-	// onWait runs after each Wait/WaitAny completes (e.g. to cancel a
-	// context between sequential probes).
-	onWait func()
-
-	handles []*ctxHandle
-}
-
-type ctxHandle struct {
-	ctx  context.Context
-	res  FetchResult
-	done bool
-}
-
-func (h *ctxHandle) Done() bool          { return h.done }
-func (h *ctxHandle) Result() FetchResult { return h.res }
-
-func newCtxTransport(direct float64) *ctxTransport {
-	return &ctxTransport{rate: map[string]float64{Direct: direct}}
-}
-
-func (t *ctxTransport) Now() float64 { return t.now }
-
-func (t *ctxTransport) Start(obj Object, path Path, off, n int64) Handle {
-	return t.StartCtx(context.Background(), obj, path, off, n)
-}
-
-func (t *ctxTransport) StartCtx(ctx context.Context, obj Object, path Path, off, n int64) Handle {
-	t.starts++
-	h := &ctxHandle{ctx: ctx, res: FetchResult{Path: path, Offset: off, Bytes: n, Start: t.now}}
-	t.handles = append(t.handles, h)
-	if err := CtxErr(ctx); err != nil {
-		h.res.Err, h.res.End, h.done = err, t.now, true
-		return h
-	}
-	rate := t.rate[path.Via]
-	if rate <= 0 {
-		h.res.Err, h.res.End, h.done = errors.New("no such path"), t.now, true
-		return h
-	}
-	h.res.End = t.now + float64(n)*8/rate
-	return h
-}
-
-// finish completes one handle: canceled contexts fail it with the typed
-// error at the current fake time, live ones let it run to its End.
-func (t *ctxTransport) finish(h *ctxHandle) {
-	if h.done {
-		return
-	}
-	if err := CtxErr(h.ctx); err != nil {
-		h.res.Err, h.res.End = err, t.now
-	} else if h.res.End > t.now {
-		t.now = h.res.End
-	}
-	h.done = true
-}
-
-func (t *ctxTransport) Wait(hs ...Handle) {
-	for _, h := range hs {
-		t.finish(h.(*ctxHandle))
-	}
-	if t.onWait != nil {
-		t.onWait()
-	}
-}
-
-func (t *ctxTransport) WaitAny(hs ...Handle) int {
-	best, bestEnd := -1, 0.0
-	for i, h := range hs {
-		ch := h.(*ctxHandle)
-		if ch.done {
-			return i
-		}
-		if CtxErr(ch.ctx) != nil {
-			t.finish(ch)
-			return i
-		}
-		if best < 0 || ch.res.End < bestEnd {
-			best, bestEnd = i, ch.res.End
-		}
-	}
-	t.finish(hs[best].(*ctxHandle))
-	if t.onWait != nil {
-		t.onWait()
-	}
-	return best
-}
-
-var (
-	_ Transport      = (*ctxTransport)(nil)
-	_ AnyWaiter      = (*ctxTransport)(nil)
-	_ ContextStarter = (*ctxTransport)(nil)
-)
-
 func TestSelectAndFetchCtxCancelsLosers(t *testing.T) {
-	tr := newCtxTransport(1e6)
+	tr := newFake(1e6)
 	tr.rate["fast"] = 8e6
 	tr.rate["slow"] = 0.5e6
 	obj := Object{Server: "s", Name: "o", Size: 1_000_000}
 
-	out := SelectAndFetchCtx(context.Background(), tr, obj, []string{"fast", "slow"},
+	out := SelectAndFetch(context.Background(), tr, obj, []string{"fast", "slow"},
 		Config{ProbeBytes: 100_000})
 	if out.Err != nil {
 		t.Fatalf("outcome error despite delivered object: %v", out.Err)
@@ -163,11 +61,11 @@ func TestSelectAndFetchCtxCancelsLosers(t *testing.T) {
 // the root's on the remainder. A race nobody wins is where the operation
 // died.
 func TestSelectAndFetchSpans(t *testing.T) {
-	tr := newCtxTransport(1e6)
+	tr := newFake(1e6)
 	tr.rate["fast"] = 8e6
 	obj := Object{Server: "s", Name: "o", Size: 1_000_000}
 	spans := obs.NewSpanCollector(16)
-	out := SelectAndFetchCtx(context.Background(), tr, obj, []string{"fast"},
+	out := SelectAndFetch(context.Background(), tr, obj, []string{"fast"},
 		Config{ProbeBytes: 100_000, Spans: spans})
 	if out.Err != nil || out.Selected.Via != "fast" {
 		t.Fatalf("outcome = %+v", out)
@@ -199,7 +97,7 @@ func TestSelectAndFetchSpans(t *testing.T) {
 	}
 
 	dead := obs.NewSpanCollector(16)
-	out = SelectAndFetchCtx(context.Background(), newCtxTransport(0), obj, nil, Config{Spans: dead})
+	out = SelectAndFetch(context.Background(), newFake(0), obj, nil, Config{Spans: dead})
 	got = dead.Spans()
 	if !errors.Is(out.Err, ErrAllPathsFailed) || len(got) != 2 ||
 		got[0].Phase != "race" || got[0].Class != "failed" || got[0].Err == "" ||
@@ -209,11 +107,11 @@ func TestSelectAndFetchSpans(t *testing.T) {
 }
 
 func TestSelectAndFetchCtxCanceledUpFront(t *testing.T) {
-	tr := newCtxTransport(1e6)
+	tr := newFake(1e6)
 	tr.rate["r"] = 2e6
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	out := SelectAndFetchCtx(ctx, tr, Object{Server: "s", Name: "o", Size: 500_000},
+	out := SelectAndFetch(ctx, tr, Object{Server: "s", Name: "o", Size: 500_000},
 		[]string{"r"}, Config{ProbeBytes: 100_000})
 	if !errors.Is(out.Err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", out.Err)
@@ -224,11 +122,11 @@ func TestSelectAndFetchCtxCanceledUpFront(t *testing.T) {
 }
 
 func TestSelectAndFetchCtxDeadline(t *testing.T) {
-	tr := newCtxTransport(1e6)
+	tr := newFake(1e6)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	<-ctx.Done() // let the deadline expire
-	out := SelectAndFetchCtx(ctx, tr, Object{Server: "s", Name: "o", Size: 500_000},
+	out := SelectAndFetch(ctx, tr, Object{Server: "s", Name: "o", Size: 500_000},
 		nil, Config{ProbeBytes: 100_000})
 	if !errors.Is(out.Err, ErrProbeTimeout) {
 		t.Fatalf("err = %v, want ErrProbeTimeout", out.Err)
@@ -239,14 +137,14 @@ func TestSelectAndFetchCtxDeadline(t *testing.T) {
 }
 
 func TestProbeSequentialCtxStopsOnCancel(t *testing.T) {
-	tr := newCtxTransport(1e6)
+	tr := newFake(1e6)
 	tr.rate["a"] = 1e6
 	tr.rate["b"] = 1e6
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	tr.onWait = cancel // dies after the first probe completes
 
-	probes := ProbeSequentialCtx(ctx, tr, Object{Server: "s", Name: "o", Size: 500_000},
+	probes := ProbeSequential(ctx, tr, Object{Server: "s", Name: "o", Size: 500_000},
 		[]string{"a", "b"}, Config{ProbeBytes: 100_000})
 	if len(probes) != 3 {
 		t.Fatalf("%d probe results, want 3 (one per path)", len(probes))
@@ -266,24 +164,24 @@ func TestProbeSequentialCtxStopsOnCancel(t *testing.T) {
 }
 
 func TestDownloaderCtxCanceled(t *testing.T) {
-	tr := newCtxTransport(1e6)
+	tr := newFake(1e6)
 	tr.rate["r"] = 2e6
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	d := &Downloader{Transport: tr, ProbeBytes: 100_000, SegmentBytes: 250_000}
-	_, err := d.DownloadCtx(ctx, Object{Server: "s", Name: "o", Size: 1_000_000}, []string{"r"})
+	_, err := d.Download(ctx, Object{Server: "s", Name: "o", Size: 1_000_000}, []string{"r"})
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 }
 
 func TestMultipathCtxCanceled(t *testing.T) {
-	tr := newCtxTransport(1e6)
+	tr := newFake(1e6)
 	tr.rate["r"] = 2e6
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	mp := &MultipathDownloader{Transport: tr, ChunkBytes: 250_000}
-	_, err := mp.DownloadCtx(ctx, Object{Server: "s", Name: "o", Size: 1_000_000}, []string{"r"})
+	_, err := mp.Download(ctx, Object{Server: "s", Name: "o", Size: 1_000_000}, []string{"r"})
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -310,11 +208,11 @@ func TestCtxErrMapping(t *testing.T) {
 // the misbehaving-transport case: without context support the engine
 // would hang forever.
 type neverTransport struct {
-	ctxTransport
+	fakeTransport
 }
 
 func (t *neverTransport) StartCtx(ctx context.Context, obj Object, path Path, off, n int64) Handle {
-	h := t.ctxTransport.StartCtx(ctx, obj, path, off, n).(*ctxHandle)
+	h := t.fakeTransport.StartCtx(ctx, obj, path, off, n).(*fakeHandle)
 	if !h.done {
 		h.res.End = 1e18 // never reached except via ctx death
 	}
@@ -323,7 +221,7 @@ func (t *neverTransport) StartCtx(ctx context.Context, obj Object, path Path, of
 
 func (t *neverTransport) Wait(hs ...Handle) {
 	for _, h := range hs {
-		ch := h.(*ctxHandle)
+		ch := h.(*fakeHandle)
 		if ch.done {
 			continue
 		}
@@ -342,7 +240,7 @@ func TestProbeDeadlineOnStuckTransport(t *testing.T) {
 
 	done := make(chan []ProbeResult, 1)
 	go func() {
-		done <- ProbeCtx(ctx, tr, Object{Server: "s", Name: "o", Size: 500_000}, nil, Config{ProbeBytes: 100_000})
+		done <- Probe(ctx, tr, Object{Server: "s", Name: "o", Size: 500_000}, nil, Config{ProbeBytes: 100_000})
 	}()
 	select {
 	case probes := <-done:

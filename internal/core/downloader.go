@@ -114,15 +114,10 @@ func (d *Downloader) maxFailovers() int {
 
 // Download fetches obj adaptively over the direct path and the candidate
 // indirect paths. It returns a result describing every segment even when
-// the download ultimately fails.
-func (d *Downloader) Download(obj Object, candidates []string) (DownloadResult, error) {
-	return d.DownloadCtx(context.Background(), obj, candidates)
-}
-
-// DownloadCtx is Download under a context: cancellation or deadline
-// expiry stops issuing segments and returns the typed error (wrapping
+// the download ultimately fails. Cancellation or deadline expiry of ctx
+// stops issuing segments and returns the typed error (wrapping
 // ErrCanceled or ErrProbeTimeout) alongside the partial result.
-func (d *Downloader) DownloadCtx(ctx context.Context, obj Object, candidates []string) (DownloadResult, error) {
+func (d *Downloader) Download(ctx context.Context, obj Object, candidates []string) (DownloadResult, error) {
 	t := d.Transport
 	res := DownloadResult{Object: obj, Start: t.Now()}
 
@@ -183,7 +178,7 @@ func (d *Downloader) DownloadCtx(ctx context.Context, obj Object, candidates []s
 		}
 		// Segments continue the current path's established connection.
 		emitTransferStart(d.Observer, t, obj, current, offset, n, true)
-		h := startOnCtx(ctx, t, true, obj, current, offset, n)
+		h := t.StartWarmCtx(ctx, obj, current, offset, n)
 		t.Wait(h)
 		r := h.Result()
 		emitTransferEnd(d.Observer, obj, r, true)
@@ -240,18 +235,12 @@ func (d *Downloader) race(ctx context.Context, obj Object, off, n int64, paths [
 		return racers[0], 0, nil
 	}
 	raceStart := t.Now()
-	handles := make([]Handle, len(racers))
-	for i, p := range racers {
-		emitProbeStart(d.Observer, t, obj, p, off, n)
-		handles[i] = startCtx(ctx, t, obj, p, off, n)
-	}
+	handles := launch(ctx, t, d.Observer, obj, racers, off, n, nil)
 	t.Wait(handles...)
 
-	probes := make([]ProbeResult, len(racers))
+	probes := collect(d.Observer, obj, handles)
 	okCount := 0
-	for i, h := range handles {
-		probes[i] = ProbeResult{h.Result()}
-		emitProbeEnd(d.Observer, obj, probes[i].FetchResult)
+	for i := range probes {
 		if probes[i].Err != nil {
 			alive[racers[i]] = false
 		} else {

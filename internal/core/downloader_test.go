@@ -1,95 +1,17 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 )
 
-// dynTransport is a fake transport whose per-path rates can change over
-// (fake) time and whose paths can be killed, for exercising the adaptive
-// downloader.
-type dynTransport struct {
-	now  float64
-	rate map[string]float64
-	dead map[string]bool
-
-	// schedule maps a fake-time threshold to rate updates applied once
-	// the clock passes it.
-	schedule []scheduledChange
-	starts   int
-}
-
-type scheduledChange struct {
-	at    float64
-	path  string
-	rate  float64
-	kill  bool
-	fired bool
-}
-
-func newDyn(direct float64) *dynTransport {
-	return &dynTransport{
-		rate: map[string]float64{Direct: direct},
-		dead: map[string]bool{},
-	}
-}
-
-func (t *dynTransport) applySchedule() {
-	for i := range t.schedule {
-		s := &t.schedule[i]
-		if !s.fired && t.now >= s.at {
-			if s.kill {
-				t.dead[s.path] = true
-			} else {
-				t.rate[s.path] = s.rate
-			}
-			s.fired = true
-		}
-	}
-}
-
-func (t *dynTransport) Now() float64 { return t.now }
-
-func (t *dynTransport) Start(obj Object, path Path, off, n int64) Handle {
-	t.starts++
-	t.applySchedule()
-	h := &fakeHandle{res: FetchResult{Path: path, Offset: off, Bytes: n, Start: t.now}}
-	if t.dead[path.Via] {
-		h.res.Err = errors.New("path down")
-		h.res.End = t.now
-		h.done = true
-		return h
-	}
-	rate := t.rate[path.Via]
-	if rate <= 0 {
-		h.res.Err = errors.New("no such path")
-		h.res.End = t.now
-		h.done = true
-		return h
-	}
-	h.res.End = t.now + float64(n)*8/rate
-	return h
-}
-
-func (t *dynTransport) Wait(hs ...Handle) {
-	maxEnd := t.now
-	for _, h := range hs {
-		fh := h.(*fakeHandle)
-		if fh.res.End > maxEnd {
-			maxEnd = fh.res.End
-		}
-		fh.done = true
-	}
-	t.now = maxEnd
-	t.applySchedule()
-}
-
 func TestDownloaderStaysOnBestPath(t *testing.T) {
-	tr := newDyn(1e6)
+	tr := newFake(1e6)
 	tr.rate["A"] = 4e6
 	d := &Downloader{Transport: tr, ProbeBytes: 100_000, SegmentBytes: 500_000}
 	obj := Object{Server: "s", Name: "o", Size: 4_100_000}
-	res, err := d.Download(obj, []string{"A"})
+	res, err := d.Download(context.Background(), obj, []string{"A"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,14 +31,14 @@ func TestDownloaderStaysOnBestPath(t *testing.T) {
 }
 
 func TestDownloaderSwitchesWhenPathDegrades(t *testing.T) {
-	tr := newDyn(2e6)
+	tr := newFake(2e6)
 	tr.rate["A"] = 8e6
 	// A collapses shortly after the download starts; direct becomes the
 	// better path and the next re-race should move the download there.
 	tr.schedule = append(tr.schedule, scheduledChange{at: 0.5, path: "A", rate: 0.2e6})
 	d := &Downloader{Transport: tr, ProbeBytes: 100_000, SegmentBytes: 250_000, RefreshEvery: 2}
 	obj := Object{Server: "s", Name: "o", Size: 5_000_000}
-	res, err := d.Download(obj, []string{"A"})
+	res, err := d.Download(context.Background(), obj, []string{"A"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,12 +51,12 @@ func TestDownloaderSwitchesWhenPathDegrades(t *testing.T) {
 }
 
 func TestDownloaderFailsOverOnError(t *testing.T) {
-	tr := newDyn(1e6)
+	tr := newFake(1e6)
 	tr.rate["A"] = 8e6
 	tr.schedule = append(tr.schedule, scheduledChange{at: 0.5, path: "A", kill: true})
 	d := &Downloader{Transport: tr, ProbeBytes: 50_000, SegmentBytes: 400_000, RefreshEvery: 100}
 	obj := Object{Server: "s", Name: "o", Size: 4_000_000}
-	res, err := d.Download(obj, []string{"A"})
+	res, err := d.Download(context.Background(), obj, []string{"A"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +76,7 @@ func TestDownloaderFailsOverOnError(t *testing.T) {
 }
 
 func TestDownloaderAllPathsDead(t *testing.T) {
-	tr := newDyn(1e6)
+	tr := newFake(1e6)
 	tr.rate["A"] = 2e6
 	tr.schedule = append(tr.schedule,
 		scheduledChange{at: 0.3, path: "A", kill: true},
@@ -162,18 +84,18 @@ func TestDownloaderAllPathsDead(t *testing.T) {
 	)
 	d := &Downloader{Transport: tr, ProbeBytes: 50_000, SegmentBytes: 200_000}
 	obj := Object{Server: "s", Name: "o", Size: 4_000_000}
-	_, err := d.Download(obj, []string{"A"})
+	_, err := d.Download(context.Background(), obj, []string{"A"})
 	if !errors.Is(err, ErrAllPathsFailed) {
 		t.Fatalf("err = %v, want ErrAllPathsFailed", err)
 	}
 }
 
 func TestDownloaderTinyObject(t *testing.T) {
-	tr := newDyn(1e6)
+	tr := newFake(1e6)
 	tr.rate["A"] = 2e6
 	d := &Downloader{Transport: tr}
 	obj := Object{Server: "s", Name: "o", Size: 30_000} // below probe size
-	res, err := d.Download(obj, []string{"A"})
+	res, err := d.Download(context.Background(), obj, []string{"A"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,10 +105,10 @@ func TestDownloaderTinyObject(t *testing.T) {
 }
 
 func TestDownloaderNoCandidates(t *testing.T) {
-	tr := newDyn(1e6)
+	tr := newFake(1e6)
 	d := &Downloader{Transport: tr, SegmentBytes: 500_000}
 	obj := Object{Server: "s", Name: "o", Size: 2_000_000}
-	res, err := d.Download(obj, nil)
+	res, err := d.Download(context.Background(), obj, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,11 +118,11 @@ func TestDownloaderNoCandidates(t *testing.T) {
 }
 
 func TestDownloaderRefreshDisabled(t *testing.T) {
-	tr := newDyn(1e6)
+	tr := newFake(1e6)
 	tr.rate["A"] = 4e6
 	d := &Downloader{Transport: tr, ProbeBytes: 50_000, SegmentBytes: 100_000, RefreshEvery: -1}
 	obj := Object{Server: "s", Name: "o", Size: 2_000_000}
-	res, err := d.Download(obj, []string{"A"})
+	res, err := d.Download(context.Background(), obj, []string{"A"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,10 +138,10 @@ func TestDownloaderRefreshDisabled(t *testing.T) {
 }
 
 func TestDownloaderThroughputAccounting(t *testing.T) {
-	tr := newDyn(4e6)
+	tr := newFake(4e6)
 	d := &Downloader{Transport: tr, ProbeBytes: 100_000, SegmentBytes: 1_000_000, RefreshEvery: -1}
 	obj := Object{Server: "s", Name: "o", Size: 4_100_000}
-	res, err := d.Download(obj, nil)
+	res, err := d.Download(context.Background(), obj, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -30,7 +31,7 @@ func ExampleSelectAndFetch() {
 	inst.Warmup(300)
 
 	obj := core.Object{Server: "eBay", Name: "large.bin", Size: 4_000_000}
-	out := core.SelectAndFetch(world, obj, []string{"Berkeley", "Princeton"}, core.Config{})
+	out := core.SelectAndFetch(context.Background(), world, obj, []string{"Berkeley", "Princeton"}, core.Config{})
 	fmt.Println("selected:", out.Selected)
 	fmt.Println("probes run:", len(out.Probes))
 	fmt.Println("completed:", out.Err == nil)

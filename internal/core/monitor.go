@@ -133,20 +133,14 @@ func (m *Monitor) Ranked(server string, candidates []string) []Path {
 	return out
 }
 
-// Refresh probes the direct path and every candidate with x bytes of obj
-// (concurrently) and folds the measured throughputs into the monitor.
-// This is the background maintenance a monitored client runs between
-// transfers.
-func (m *Monitor) Refresh(t Transport, obj Object, x int64, candidates []string) {
-	m.RefreshCtx(context.Background(), t, obj, candidates, Config{ProbeBytes: x})
-}
-
-// RefreshCtx is Refresh under a context and config: an abandoned refresh
-// simply contributes no samples for the probes that did not complete, and
-// cfg's observer sees the refresh probes like any others.
-func (m *Monitor) RefreshCtx(ctx context.Context, t Transport, obj Object, candidates []string, cfg Config) {
-	probes := ProbeCtx(ctx, t, obj, candidates, cfg)
-	for _, p := range probes {
+// Refresh probes the direct path and every candidate with cfg's probe
+// size of obj (concurrently) and folds the measured throughputs into the
+// monitor. This is the background maintenance a monitored client runs
+// between transfers. An abandoned refresh simply contributes no samples
+// for the probes that did not complete, and cfg's observer sees the
+// refresh probes like any others.
+func (m *Monitor) Refresh(ctx context.Context, t Transport, obj Object, candidates []string, cfg Config) {
+	for _, p := range Probe(ctx, t, obj, candidates, cfg) {
 		if p.Err == nil {
 			m.Observe(obj.Server, p.Path, p.Throughput())
 		}
@@ -161,15 +155,10 @@ const MonitoredRule = "monitored"
 // from the monitor's table (falling back to the direct path when nothing
 // is known), fetches the whole object over it, and feeds the achieved
 // throughput back into the monitor. Compare with SelectAndFetch, which
-// pays an in-band probe race per transfer for fresh information.
-func SelectMonitored(t Transport, obj Object, candidates []string, m *Monitor) Outcome {
-	return SelectMonitoredCtx(context.Background(), t, obj, candidates, m, Config{})
-}
-
-// SelectMonitoredCtx is SelectMonitored under a context and config: the
-// single fetch observes ctx on context-aware transports, and cfg's
-// observer sees the selection (rule "monitored") and the transfer.
-func SelectMonitoredCtx(ctx context.Context, t Transport, obj Object, candidates []string, m *Monitor, cfg Config) Outcome {
+// pays an in-band probe race per transfer for fresh information. The
+// single fetch runs under ctx, and cfg's observer sees the selection
+// (rule "monitored") and the transfer.
+func SelectMonitored(ctx context.Context, t Transport, obj Object, candidates []string, m *Monitor, cfg Config) Outcome {
 	o := Outcome{Object: obj, Candidates: candidates, Start: t.Now()}
 	sel, _ := m.Best(obj.Server, candidates)
 	o.Selected = sel
@@ -177,7 +166,7 @@ func SelectMonitoredCtx(ctx context.Context, t Transport, obj Object, candidates
 	emitSelection(cfg.Observer, t, obj, sel, MonitoredRule, len(candidates)+1, 0)
 
 	emitTransferStart(cfg.Observer, t, obj, sel, 0, obj.Size, false)
-	h := startCtx(ctx, t, obj, sel, 0, obj.Size)
+	h := t.StartCtx(ctx, obj, sel, 0, obj.Size)
 	t.Wait(h)
 	o.Remainder = h.Result()
 	emitTransferEnd(cfg.Observer, obj, o.Remainder, false)

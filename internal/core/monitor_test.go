@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -96,7 +97,7 @@ func TestMonitorRefresh(t *testing.T) {
 	tr.rate["A"] = 4e6
 	m := NewMonitor()
 	obj := Object{Server: "s", Name: "o", Size: 4_000_000}
-	m.Refresh(tr, obj, 100_000, []string{"A"})
+	m.Refresh(context.Background(), tr, obj, []string{"A"}, Config{ProbeBytes: 100_000})
 	if v, ok := m.Estimate("s", Path{Via: "A"}); !ok || math.Abs(v-4e6) > 1 {
 		t.Fatalf("refresh estimate = %v %v", v, ok)
 	}
@@ -112,7 +113,7 @@ func TestSelectMonitoredUsesTableAndLearns(t *testing.T) {
 	obj := Object{Server: "s", Name: "o", Size: 2_000_000}
 
 	// Cold start: nothing known, falls back to direct, learns from it.
-	out := SelectMonitored(tr, obj, []string{"A"}, m)
+	out := SelectMonitored(context.Background(), tr, obj, []string{"A"}, m, Config{})
 	if !out.Selected.IsDirect() || out.Err != nil {
 		t.Fatalf("cold start outcome: %+v", out)
 	}
@@ -122,8 +123,8 @@ func TestSelectMonitoredUsesTableAndLearns(t *testing.T) {
 
 	// After a refresh, the faster relay is known and chosen, with no
 	// probing phase in the transfer itself.
-	m.Refresh(tr, obj, 100_000, []string{"A"})
-	out = SelectMonitored(tr, obj, []string{"A"}, m)
+	m.Refresh(context.Background(), tr, obj, []string{"A"}, Config{ProbeBytes: 100_000})
+	out = SelectMonitored(context.Background(), tr, obj, []string{"A"}, m, Config{})
 	if out.Selected.Via != "A" {
 		t.Fatalf("monitored selection = %v, want A", out.Selected)
 	}
@@ -138,7 +139,7 @@ func TestSelectMonitoredPropagatesError(t *testing.T) {
 	m := NewMonitor()
 	m.Observe("s", Path{Via: "A"}, 9e6) // stale belief in a dead path
 	obj := Object{Server: "s", Name: "o", Size: 1_000_000}
-	out := SelectMonitored(tr, obj, []string{"A"}, m)
+	out := SelectMonitored(context.Background(), tr, obj, []string{"A"}, m, Config{})
 	if out.Err == nil {
 		t.Fatal("dead path error not propagated")
 	}

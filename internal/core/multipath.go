@@ -78,16 +78,11 @@ type chunk struct {
 }
 
 // Download stripes obj across the direct path and the candidates. It
-// requires len(candidates) >= 1 (with none, use a plain fetch).
-func (d *MultipathDownloader) Download(obj Object, candidates []string) (MultipathResult, error) {
-	return d.DownloadCtx(context.Background(), obj, candidates)
-}
-
-// DownloadCtx is Download under a context: once ctx dies, no further
-// chunks are issued, outstanding chunks are reaped, and the typed error
-// (wrapping ErrCanceled or ErrProbeTimeout) is returned with the partial
-// result.
-func (d *MultipathDownloader) DownloadCtx(ctx context.Context, obj Object, candidates []string) (MultipathResult, error) {
+// requires len(candidates) >= 1 (with none, use a plain fetch). Once ctx
+// dies, no further chunks are issued, outstanding chunks are reaped, and
+// the typed error (wrapping ErrCanceled or ErrProbeTimeout) is returned
+// with the partial result.
+func (d *MultipathDownloader) Download(ctx context.Context, obj Object, candidates []string) (MultipathResult, error) {
 	t := d.Transport
 	res := MultipathResult{Object: obj, Start: t.Now()}
 
@@ -127,7 +122,13 @@ func (d *MultipathDownloader) DownloadCtx(ctx context.Context, obj Object, candi
 		c := queue[0]
 		queue = queue[1:]
 		emitTransferStart(d.Observer, t, obj, p, c.off, c.n, warm)
-		active = append(active, inflight{p, c, startOnCtx(ctx, t, warm, obj, p, c.off, c.n), warm})
+		var h Handle
+		if warm {
+			h = t.StartWarmCtx(ctx, obj, p, c.off, c.n)
+		} else {
+			h = t.StartCtx(ctx, obj, p, c.off, c.n)
+		}
+		active = append(active, inflight{p, c, h, warm})
 		return true
 	}
 	for _, p := range paths {
@@ -138,27 +139,13 @@ func (d *MultipathDownloader) DownloadCtx(ctx context.Context, obj Object, candi
 
 	for len(active) > 0 {
 		// Wait for any outstanding chunk.
-		idx := 0
-		if len(active) > 1 {
-			if aw, ok := t.(AnyWaiter); ok {
-				hs := make([]Handle, len(active))
-				for i, a := range active {
-					hs[i] = a.h
-				}
-				idx = aw.WaitAny(hs...)
-			} else {
-				t.Wait(active[0].h)
-			}
-		} else {
-			t.Wait(active[0].h)
+		hs := make([]Handle, len(active))
+		for i, a := range active {
+			hs[i] = a.h
 		}
+		idx := t.WaitAny(hs...)
 		done := active[idx]
 		active = append(active[:idx], active[idx+1:]...)
-		if !done.h.Done() {
-			// Fallback transports may return before this handle is done;
-			// wait it out.
-			t.Wait(done.h)
-		}
 
 		r := done.h.Result()
 		emitTransferEnd(d.Observer, obj, r, done.warm)

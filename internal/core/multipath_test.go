@@ -1,16 +1,17 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 )
 
 func TestMultipathCoversObject(t *testing.T) {
-	tr := &anyWaiterFake{newFake(2e6)}
+	tr := newFake(2e6)
 	tr.rate["A"] = 4e6
 	d := &MultipathDownloader{Transport: tr, ChunkBytes: 500_000}
 	obj := Object{Server: "s", Name: "o", Size: 3_200_000}
-	res, err := d.Download(obj, []string{"A"})
+	res, err := d.Download(context.Background(), obj, []string{"A"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,11 +25,11 @@ func TestMultipathCoversObject(t *testing.T) {
 }
 
 func TestMultipathFastPathCarriesMore(t *testing.T) {
-	tr := &anyWaiterFake{newFake(1e6)}
+	tr := newFake(1e6)
 	tr.rate["fast"] = 8e6
 	d := &MultipathDownloader{Transport: tr, ChunkBytes: 250_000}
 	obj := Object{Server: "s", Name: "o", Size: 8_000_000}
-	res, err := d.Download(obj, []string{"fast"})
+	res, err := d.Download(context.Background(), obj, []string{"fast"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,11 +49,11 @@ func TestMultipathFastPathCarriesMore(t *testing.T) {
 func TestMultipathAggregatesBandwidth(t *testing.T) {
 	// Two comparable, independent paths: the striped download should beat
 	// the better single path clearly.
-	tr := &anyWaiterFake{newFake(3e6)}
+	tr := newFake(3e6)
 	tr.rate["A"] = 3e6
 	d := &MultipathDownloader{Transport: tr, ChunkBytes: 250_000}
 	obj := Object{Server: "s", Name: "o", Size: 6_000_000}
-	res, err := d.Download(obj, []string{"A"})
+	res, err := d.Download(context.Background(), obj, []string{"A"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,14 +63,12 @@ func TestMultipathAggregatesBandwidth(t *testing.T) {
 }
 
 func TestMultipathSurvivesPathDeath(t *testing.T) {
-	tr := &dynTransport{
-		rate: map[string]float64{Direct: 2e6, "A": 2e6},
-		dead: map[string]bool{},
-	}
+	tr := newFake(2e6)
+	tr.rate["A"] = 2e6
 	tr.schedule = append(tr.schedule, scheduledChange{at: 1.0, path: "A", kill: true})
 	d := &MultipathDownloader{Transport: tr, ChunkBytes: 400_000}
 	obj := Object{Server: "s", Name: "o", Size: 6_000_000}
-	res, err := d.Download(obj, []string{"A"})
+	res, err := d.Download(context.Background(), obj, []string{"A"})
 	if err != nil {
 		t.Fatalf("multipath did not survive path death: %v", err)
 	}
@@ -86,28 +85,26 @@ func TestMultipathSurvivesPathDeath(t *testing.T) {
 }
 
 func TestMultipathAllPathsDead(t *testing.T) {
-	tr := &dynTransport{
-		rate: map[string]float64{Direct: 2e6, "A": 2e6},
-		dead: map[string]bool{},
-	}
+	tr := newFake(2e6)
+	tr.rate["A"] = 2e6
 	tr.schedule = append(tr.schedule,
 		scheduledChange{at: 0.5, path: Direct, kill: true},
 		scheduledChange{at: 0.5, path: "A", kill: true},
 	)
 	d := &MultipathDownloader{Transport: tr, ChunkBytes: 300_000, MaxFailures: 3}
 	obj := Object{Server: "s", Name: "o", Size: 8_000_000}
-	_, err := d.Download(obj, []string{"A"})
+	_, err := d.Download(context.Background(), obj, []string{"A"})
 	if !errors.Is(err, ErrAllPathsFailed) {
 		t.Fatalf("err = %v, want ErrAllPathsFailed", err)
 	}
 }
 
 func TestMultipathTinyObject(t *testing.T) {
-	tr := &anyWaiterFake{newFake(1e6)}
+	tr := newFake(1e6)
 	tr.rate["A"] = 1e6
 	d := &MultipathDownloader{Transport: tr}
 	obj := Object{Server: "s", Name: "o", Size: 100_000} // below one chunk
-	res, err := d.Download(obj, []string{"A"})
+	res, err := d.Download(context.Background(), obj, []string{"A"})
 	if err != nil {
 		t.Fatal(err)
 	}

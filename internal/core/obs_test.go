@@ -45,13 +45,13 @@ func (s *seqObserver) TransferFinished(e obs.TransferEnd) {
 // every probe reports an end (losers with the canceled class), and the
 // remainder finishes.
 func TestObserverSequenceFullRace(t *testing.T) {
-	tr := newCtxTransport(1e6)
+	tr := newFake(1e6)
 	tr.rate["fast"] = 8e6
 	tr.rate["slow"] = 0.5e6
 	obj := Object{Server: "s", Name: "o", Size: 1_000_000}
 	so := &seqObserver{}
 
-	out := SelectAndFetchCtx(context.Background(), tr, obj, []string{"fast", "slow"},
+	out := SelectAndFetch(context.Background(), tr, obj, []string{"fast", "slow"},
 		Config{ProbeBytes: 100_000, Observer: so})
 	if out.Err != nil || out.Selected.Via != "fast" {
 		t.Fatalf("outcome: sel=%v err=%v", out.Selected, out.Err)
@@ -84,12 +84,12 @@ func TestObserverSequenceFullRace(t *testing.T) {
 // probes start and end, then selection, then the remainder. No
 // cancellations.
 func TestObserverSequenceMaxThroughput(t *testing.T) {
-	tr := newCtxTransport(1e6)
+	tr := newFake(1e6)
 	tr.rate["fast"] = 8e6
 	obj := Object{Server: "s", Name: "o", Size: 500_000}
 	so := &seqObserver{}
 
-	out := SelectAndFetchCtx(context.Background(), tr, obj, []string{"fast"},
+	out := SelectAndFetch(context.Background(), tr, obj, []string{"fast"},
 		Config{ProbeBytes: 100_000, Rule: MaxThroughput, Observer: so})
 	if out.Err != nil || out.Selected.Via != "fast" {
 		t.Fatalf("outcome: sel=%v err=%v", out.Selected, out.Err)
@@ -113,7 +113,7 @@ func TestObserverSequenceMaxThroughput(t *testing.T) {
 // the returned Outcomes — the engine-level half of the acceptance
 // criterion.
 func TestMetricsMatchOutcomes(t *testing.T) {
-	tr := newCtxTransport(1e6)
+	tr := newFake(1e6)
 	tr.rate["fast"] = 8e6
 	tr.rate["slow"] = 0.5e6
 	m := obs.NewMetrics()
@@ -125,7 +125,7 @@ func TestMetricsMatchOutcomes(t *testing.T) {
 	selectedBy := map[string]int{}
 	for i := 0; i < runs; i++ {
 		obj := Object{Server: "s", Name: fmt.Sprintf("o%d", i), Size: 1_000_000}
-		out := SelectAndFetchCtx(context.Background(), tr, obj, cands, cfg)
+		out := SelectAndFetch(context.Background(), tr, obj, cands, cfg)
 		if out.Err != nil {
 			t.Fatalf("run %d: %v", i, out.Err)
 		}
@@ -165,14 +165,14 @@ func TestMetricsMatchOutcomes(t *testing.T) {
 // TestNilObserverUnchanged asserts a nil observer changes nothing about
 // the outcome (and exercises the zero-cost emission guards).
 func TestNilObserverUnchanged(t *testing.T) {
-	mk := func() *ctxTransport {
-		tr := newCtxTransport(1e6)
+	mk := func() *fakeTransport {
+		tr := newFake(1e6)
 		tr.rate["fast"] = 8e6
 		return tr
 	}
 	obj := Object{Server: "s", Name: "o", Size: 1_000_000}
-	a := SelectAndFetchCtx(context.Background(), mk(), obj, []string{"fast"}, Config{ProbeBytes: 100_000})
-	b := SelectAndFetchCtx(context.Background(), mk(), obj, []string{"fast"},
+	a := SelectAndFetch(context.Background(), mk(), obj, []string{"fast"}, Config{ProbeBytes: 100_000})
+	b := SelectAndFetch(context.Background(), mk(), obj, []string{"fast"},
 		Config{ProbeBytes: 100_000, Observer: obs.NewMetrics()})
 	if a.Selected != b.Selected || a.End != b.End || a.Throughput() != b.Throughput() {
 		t.Fatalf("observed run diverged: %+v vs %+v", a, b)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
@@ -74,11 +73,17 @@ type Config struct {
 	Spans *obs.SpanCollector
 }
 
-func (c Config) probeBytes() int64 {
-	if c.ProbeBytes > 0 {
-		return c.ProbeBytes
+// probeSize is the size of obj's probes: ProbeBytes, or the whole object
+// when it is smaller.
+func (c Config) probeSize(obj Object) int64 {
+	x := c.ProbeBytes
+	if x <= 0 {
+		x = DefaultProbeBytes
 	}
-	return DefaultProbeBytes
+	if x > obj.Size {
+		x = obj.Size
+	}
+	return x
 }
 
 // Outcome describes one complete select-and-fetch operation.
@@ -150,138 +155,80 @@ func probePaths(candidates []string) []Path {
 	return paths
 }
 
-// StartProbes launches an x-byte probe on the direct path and on every
-// candidate indirect path concurrently, returning the paths (index 0 is
-// direct) and their in-flight handles.
-func StartProbes(t Transport, obj Object, x int64, candidates []string) ([]Path, []Handle) {
-	paths, handles, _ := StartProbesCtx(context.Background(), t, obj, candidates, Config{ProbeBytes: x})
-	return paths, handles
-}
-
-// StartProbesCtx is StartProbes with per-probe cancellation: every probe
-// runs under its own child context of ctx, and the returned cancel
-// functions (one per handle) let the caller abandon individual probes —
-// the engine cancels the losers the moment a winner commits. On
-// transports without the ContextStarter extension the cancel functions
-// are inert and probes drain to completion. The probe size and observer
-// come from cfg; a ProbeStarted event is emitted per launched probe.
-func StartProbesCtx(ctx context.Context, t Transport, obj Object, candidates []string, cfg Config) ([]Path, []Handle, []context.CancelFunc) {
-	x := cfg.probeBytes()
-	if x > obj.Size {
-		x = obj.Size
-	}
-	paths := probePaths(candidates)
-	handles := make([]Handle, len(paths))
-	cancels := make([]context.CancelFunc, len(paths))
-	for i, p := range paths {
-		pctx, cancel := context.WithCancel(ctx)
-		emitProbeStart(cfg.Observer, t, obj, p, 0, x)
-		handles[i] = startCtx(pctx, t, obj, p, 0, x)
-		cancels[i] = cancel
-	}
-	return paths, handles, cancels
-}
-
-// Probe fetches the first x bytes of obj concurrently over the direct path
-// and over each candidate indirect path, returning the per-path results.
-// Order: index 0 is the direct probe, then one entry per candidate.
-func Probe(t Transport, obj Object, x int64, candidates []string) []ProbeResult {
-	return ProbeCtx(context.Background(), t, obj, candidates, Config{ProbeBytes: x})
-}
-
-// ProbeCtx is Probe under a context: cancellation or deadline expiry
-// fails the outstanding probes (on context-aware transports) instead of
-// waiting them out. The probe size and observer come from cfg; each probe
-// emits a ProbeStarted/ProbeFinished pair.
-func ProbeCtx(ctx context.Context, t Transport, obj Object, candidates []string, cfg Config) []ProbeResult {
-	paths := probePaths(candidates)
-	x := cfg.probeBytes()
-	if x > obj.Size {
-		x = obj.Size
-	}
+// launch starts an n-byte fetch at off on every path, announcing each as
+// a probe. With cancels non-nil each probe runs under its own child of
+// ctx, and cancels[i] abandons probe i alone.
+func launch(ctx context.Context, t Transport, o obs.Observer, obj Object, paths []Path, off, n int64, cancels []context.CancelFunc) []Handle {
 	handles := make([]Handle, len(paths))
 	for i, p := range paths {
-		emitProbeStart(cfg.Observer, t, obj, p, 0, x)
-		handles[i] = startCtx(ctx, t, obj, p, 0, x)
+		pctx := ctx
+		if cancels != nil {
+			pctx, cancels[i] = context.WithCancel(ctx)
+		}
+		emitProbeStart(o, t, obj, p, off, n)
+		handles[i] = t.StartCtx(pctx, obj, p, off, n)
 	}
-	t.Wait(handles...)
+	return handles
+}
+
+// collect reads finished probes' results, announcing each probe's end.
+func collect(o obs.Observer, obj Object, handles []Handle) []ProbeResult {
 	probes := make([]ProbeResult, len(handles))
 	for i, h := range handles {
 		probes[i] = ProbeResult{h.Result()}
-		emitProbeEnd(cfg.Observer, obj, probes[i].FetchResult)
+		emitProbeEnd(o, obj, probes[i].FetchResult)
 	}
 	return probes
 }
 
-// AwaitFirstSuccess blocks until a handle completes without error,
-// returning its index and the indices still outstanding. It returns
-// winner = -1 if every handle completed with an error. Transports
-// implementing AnyWaiter make this an early commit: the caller can act on
-// the winner while the losers are still transferring.
-func AwaitFirstSuccess(t Transport, hs []Handle) (winner int, pending []int) {
-	outstanding := make(map[int]Handle, len(hs))
-	for i, h := range hs {
-		outstanding[i] = h
+// Probe fetches the first x bytes of obj (cfg's probe size) concurrently
+// over the direct path and over each candidate indirect path, returning
+// the per-path results: index 0 is the direct probe, then one entry per
+// candidate. Cancellation or deadline expiry of ctx fails the outstanding
+// probes instead of waiting them out; cfg's observer sees a
+// ProbeStarted/ProbeFinished pair per probe.
+func Probe(ctx context.Context, t Transport, obj Object, candidates []string, cfg Config) []ProbeResult {
+	handles := launch(ctx, t, cfg.Observer, obj, probePaths(candidates), 0, cfg.probeSize(obj), nil)
+	t.Wait(handles...)
+	return collect(cfg.Observer, obj, handles)
+}
+
+// awaitFirstSuccess blocks until a probe completes without error,
+// returning its index and the indices of the losers, in probe order,
+// for the caller to cancel and reap: the caller acts on the winner while
+// they are still transferring (the paper's client "will then request the
+// remaining n−x bytes through the indirect path" the moment the first
+// probe completes). Probes that finished at the same instant are ranked
+// by End, then by index; one that failed is nobody's loser and is
+// dropped. winner is -1 if every probe failed.
+func awaitFirstSuccess(t Transport, hs []Handle) (winner int, losers []int) {
+	losers = make([]int, len(hs))
+	for i := range hs {
+		losers[i] = i
 	}
-	aw, hasAny := t.(AnyWaiter)
-	for len(outstanding) > 0 {
-		// Collect already-done handles first (validation failures are
-		// born done).
-		doneIdx := -1
-		for i, h := range outstanding {
-			if h.Done() {
-				doneIdx = i
-				break
+	wait := make([]Handle, 0, len(hs))
+	for {
+		winner = -1
+		for _, i := range losers {
+			if h := hs[i]; h.Done() && h.Result().Err == nil &&
+				(winner < 0 || h.Result().End < hs[winner].Result().End) {
+				winner = i
 			}
 		}
-		if doneIdx < 0 {
-			if hasAny {
-				rest := make([]Handle, 0, len(outstanding))
-				idxs := make([]int, 0, len(outstanding))
-				for i, h := range outstanding {
-					rest = append(rest, h)
-					idxs = append(idxs, i)
-				}
-				doneIdx = idxs[aw.WaitAny(rest...)]
-			} else {
-				// Fallback: wait everything out; the earliest successful
-				// End is the de-facto winner.
-				all := make([]Handle, 0, len(outstanding))
-				for _, h := range outstanding {
-					all = append(all, h)
-				}
-				t.Wait(all...)
-				continue
+		live := losers[:0]
+		wait = wait[:0]
+		for _, i := range losers {
+			if h := hs[i]; i != winner && !(h.Done() && h.Result().Err != nil) {
+				live = append(live, i)
+				wait = append(wait, h)
 			}
 		}
-		h := outstanding[doneIdx]
-		delete(outstanding, doneIdx)
-		if h.Result().Err == nil {
-			best := doneIdx
-			// Another handle may have finished at the same instant (or,
-			// on the wait-all fallback, all of them have); prefer the
-			// earliest successful End.
-			for i, o := range outstanding {
-				if o.Done() && o.Result().Err == nil && o.Result().End < h.Result().End {
-					best = i
-				}
-			}
-			if best != doneIdx {
-				outstanding[doneIdx] = h
-				h = outstanding[best]
-				delete(outstanding, best)
-				doneIdx = best
-			}
-			for i := range outstanding {
-				pending = append(pending, i)
-			}
-			// Map iteration order is random; losers must be reaped (and
-			// their cancellations observed) in probe order.
-			sort.Ints(pending)
-			return doneIdx, pending
+		losers = live
+		if winner >= 0 || len(losers) == 0 {
+			return winner, losers
 		}
+		t.WaitAny(wait...)
 	}
-	return -1, nil
 }
 
 // Choose applies the selection rule to probe results, returning the
@@ -319,20 +266,12 @@ func Choose(probes []ProbeResult, rule Rule) Path {
 // ProbeSequential fetches the first x bytes of obj over each path one at
 // a time: first the direct path, then each candidate in order. Each probe
 // gets the path to itself, so measurements do not contend with each other.
-// Result order matches Probe: direct first, then candidates.
-func ProbeSequential(t Transport, obj Object, x int64, candidates []string) []ProbeResult {
-	return ProbeSequentialCtx(context.Background(), t, obj, candidates, Config{ProbeBytes: x})
-}
-
-// ProbeSequentialCtx is ProbeSequential under a context. Once ctx dies,
-// the remaining probes are not issued: their results carry the typed
-// cancellation error instead, so the slice still has one entry per path.
-// Probes that were never issued emit no events.
-func ProbeSequentialCtx(ctx context.Context, t Transport, obj Object, candidates []string, cfg Config) []ProbeResult {
-	x := cfg.probeBytes()
-	if x > obj.Size {
-		x = obj.Size
-	}
+// Result order matches Probe: direct first, then candidates. Once ctx
+// dies the remaining probes are not issued: their results carry the typed
+// cancellation error instead, so the slice still has one entry per path,
+// and they emit no events.
+func ProbeSequential(ctx context.Context, t Transport, obj Object, candidates []string, cfg Config) []ProbeResult {
+	x := cfg.probeSize(obj)
 	paths := probePaths(candidates)
 	probes := make([]ProbeResult, len(paths))
 	for i, p := range paths {
@@ -341,11 +280,9 @@ func ProbeSequentialCtx(ctx context.Context, t Transport, obj Object, candidates
 			probes[i] = ProbeResult{FetchResult{Path: p, Bytes: x, Start: now, End: now, Err: err}}
 			continue
 		}
-		emitProbeStart(cfg.Observer, t, obj, p, 0, x)
-		h := startCtx(ctx, t, obj, p, 0, x)
-		t.Wait(h)
-		probes[i] = ProbeResult{h.Result()}
-		emitProbeEnd(cfg.Observer, obj, probes[i].FetchResult)
+		h := launch(ctx, t, cfg.Observer, obj, paths[i:i+1], 0, x, nil)
+		t.Wait(h...)
+		probes[i] = collect(cfg.Observer, obj, h)[0]
 	}
 	return probes
 }
@@ -353,32 +290,54 @@ func ProbeSequentialCtx(ctx context.Context, t Transport, obj Object, candidates
 // SelectAndFetch runs the paper's full client operation: probe the direct
 // path and all candidates with an x-byte range request, select the winner,
 // then fetch the remaining Size−x bytes over it. The returned Outcome
-// carries per-phase timings for improvement accounting.
+// carries per-phase timings for improvement accounting. It is Race and
+// Fetch in sequence; a caller with business at the commit point — the
+// campaigns start their control download there — calls the two itself.
 //
-// Under the FirstFinished rule the client commits the moment the first
-// probe completes — the remainder starts (warm, on the winner's
-// connection) while the losing probes are still draining, exactly as the
-// paper's client behaves. Under MaxThroughput (and sequential probing)
-// all probes are measured before the decision.
-func SelectAndFetch(t Transport, obj Object, candidates []string, cfg Config) Outcome {
-	return SelectAndFetchCtx(context.Background(), t, obj, candidates, cfg)
+// Cancellation or deadline expiry of ctx abandons the whole operation
+// with a typed error (ErrCanceled, ErrProbeTimeout).
+func SelectAndFetch(ctx context.Context, t Transport, obj Object, candidates []string, cfg Config) Outcome {
+	return Race(ctx, t, obj, candidates, cfg).Fetch()
 }
 
-// SelectAndFetchCtx is SelectAndFetch under a context. On context-aware
-// transports the losing probes are canceled the moment the winner
-// commits (their connections close within a round trip instead of
-// draining), and cancellation or deadline expiry of ctx itself abandons
-// the whole operation with a typed error (ErrCanceled, ErrProbeTimeout).
-// On transports without the extension — notably the virtual-time
-// simulator — losers drain to completion, contending for bandwidth
-// exactly as the paper's real probes did.
-func SelectAndFetchCtx(ctx context.Context, t Transport, obj Object, candidates []string, cfg Config) Outcome {
-	x := cfg.probeBytes()
-	if x > obj.Size {
-		x = obj.Size
-	}
-	o := Outcome{Object: obj, Candidates: candidates, Start: t.Now()}
-	rest := obj.Size - x
+// Commit is a select-and-fetch operation at its commit point: the probing
+// phase is over, the path is chosen and announced, and the losing probes
+// have been told to stop. Fetch, which must be called, finishes it.
+type Commit struct {
+	ctx context.Context // the operation's context, under its select span when tracing
+	t   Transport
+	cfg Config
+	out Outcome
+	won bool // the remainder is worth requesting
+
+	// Under early commit the probes are still the engine's to collect:
+	// the losers are in flight, each under its own cancel function.
+	handles []Handle
+	losers  []int
+	cancels []context.CancelFunc
+
+	rec flight.Record
+}
+
+// Race runs the probing phase of SelectAndFetch and commits. Under the
+// FirstFinished rule the client commits the moment the first probe
+// completes — the losing probes are canceled there and then (a transport
+// that tears transfers down closes their connections within a round
+// trip; on the virtual-time simulator they drain, contending for
+// bandwidth exactly as the paper's real probes did). Under MaxThroughput
+// (and sequential probing) all probes are measured before the decision.
+//
+// Race is a shell around race so that it inlines: in SelectAndFetch the
+// Commit then never leaves the stack.
+func Race(ctx context.Context, t Transport, obj Object, candidates []string, cfg Config) *Commit {
+	c := &Commit{t: t, cfg: cfg}
+	c.race(ctx, obj, candidates)
+	return c
+}
+
+func (c *Commit) race(ctx context.Context, obj Object, candidates []string) {
+	t, cfg, o := c.t, &c.cfg, &c.out
+	*o = Outcome{Object: obj, Candidates: candidates, Start: t.Now()}
 
 	// When tracing, the operation is one record: its "select" span covers
 	// the whole operation and the "race" phase covers probe launch through
@@ -386,95 +345,86 @@ func SelectAndFetchCtx(ctx context.Context, t Transport, obj Object, candidates 
 	// remainder under the root's, so a tracing transport nests its
 	// per-phase spans accordingly — one trace shows both candidate paths
 	// racing, the loser's cancellation, and the winner's continuation.
-	var rec flight.Record
 	raceCtx := ctx
 	if cfg.Spans != nil {
 		parent, _ := obs.SpanFromContext(ctx)
-		rec.Start(flight.Spec{Spans: cfg.Spans, Service: "client", Phase: "select", Parent: parent})
-		rec.SetAttr("object", obj.Name)
-		rec.SetAttr("server", obj.Server)
-		rec.Phase("race")
-		ctx = obs.ContextWithSpan(ctx, rec.Context())
-		raceCtx = obs.ContextWithSpan(ctx, rec.PhaseContext())
+		c.rec.Start(flight.Spec{Spans: cfg.Spans, Service: "client", Phase: "select", Parent: parent})
+		c.rec.SetAttr("object", obj.Name)
+		c.rec.SetAttr("server", obj.Server)
+		c.rec.Phase("race")
+		ctx = obs.ContextWithSpan(ctx, c.rec.Context())
+		raceCtx = obs.ContextWithSpan(ctx, c.rec.PhaseContext())
 	}
+	c.ctx = ctx
 
+	paths := probePaths(candidates)
 	if !cfg.Sequential && cfg.Rule == FirstFinished {
-		paths, handles, cancels := StartProbesCtx(raceCtx, t, obj, candidates, cfg)
-		defer func() {
-			for _, c := range cancels {
-				c()
-			}
-		}()
-		win, pending := AwaitFirstSuccess(t, handles)
-		o.ProbeEnd = t.Now()
-		if win >= 0 {
+		c.cancels = make([]context.CancelFunc, len(paths))
+		c.handles = launch(raceCtx, t, cfg.Observer, obj, paths, 0, cfg.probeSize(obj), c.cancels)
+		var win int
+		win, c.losers = awaitFirstSuccess(t, c.handles)
+		if c.won = win >= 0; c.won {
 			o.Selected = paths[win]
-		} else {
-			o.Selected = Path{Via: Direct} // every probe failed
-		}
-		emitSelection(cfg.Observer, t, obj, o.Selected, cfg.Rule.String(), len(paths), o.ProbeEnd-o.Start)
-		if rec.Tracing() {
-			commitRace(&rec, obsID(obj, o.Selected).Label(), cfg.Rule.String(), win >= 0)
-		}
-
-		// Cancel the losers immediately: the winner is committed, so the
-		// losing transfers are pure overhead. Context-aware transports
-		// tear them down within a round trip; others drain them below.
-		for _, i := range pending {
-			cancels[i]()
-			emitProbeCancel(cfg.Observer, t, obj, paths[i])
-		}
-
-		var rem Handle
-		if rest > 0 && win >= 0 {
-			emitTransferStart(cfg.Observer, t, obj, o.Selected, x, rest, true)
-			rem = startOnCtx(ctx, t, true, obj, o.Selected, x, rest)
-		}
-		// Reap the losers alongside the remainder. On transports that
-		// ignored the cancellation they still contend for bandwidth, as
-		// the paper's real probes did.
-		wait := make([]Handle, 0, len(pending)+1)
-		for _, i := range pending {
-			wait = append(wait, handles[i])
-		}
-		if rem != nil {
-			wait = append(wait, rem)
-		}
-		if len(wait) > 0 {
-			t.Wait(wait...)
-		}
-		o.Probes = make([]ProbeResult, len(handles))
-		for i, h := range handles {
-			o.Probes[i] = ProbeResult{h.Result()}
-			emitProbeEnd(cfg.Observer, obj, o.Probes[i].FetchResult)
-		}
-		if rem != nil {
-			o.Remainder = rem.Result()
-			emitTransferEnd(cfg.Observer, obj, o.Remainder, true)
 		}
 	} else {
 		if cfg.Sequential {
-			o.Probes = ProbeSequentialCtx(raceCtx, t, obj, candidates, cfg)
+			o.Probes = ProbeSequential(raceCtx, t, obj, candidates, *cfg)
 			cfg.Rule = MaxThroughput
 		} else {
-			o.Probes = ProbeCtx(raceCtx, t, obj, candidates, cfg)
+			o.Probes = Probe(raceCtx, t, obj, candidates, *cfg)
 		}
-		o.ProbeEnd = t.Now()
-		o.Selected = Choose(o.Probes, cfg.Rule)
-		emitSelection(cfg.Observer, t, obj, o.Selected, cfg.Rule.String(), len(o.Probes), o.ProbeEnd-o.Start)
-		if rec.Tracing() {
-			commitRace(&rec, obsID(obj, o.Selected).Label(), cfg.Rule.String(), true)
+		// With every probe failed Choose falls back to the direct path,
+		// and the remainder is still tried there.
+		o.Selected, c.won = Choose(o.Probes, cfg.Rule), true
+	}
+	o.ProbeEnd = t.Now()
+	emitSelection(cfg.Observer, t, obj, o.Selected, cfg.Rule.String(), len(paths), o.ProbeEnd-o.Start)
+	if c.rec.Tracing() {
+		// A race nobody won stays open, so Finish marks it as where the
+		// operation died.
+		c.rec.PhaseAttr("selected", obsID(obj, o.Selected).Label())
+		c.rec.PhaseAttr("rule", cfg.Rule.String())
+		if c.won {
+			c.rec.Phase("")
 		}
-		if rest > 0 {
-			// The remainder continues on the winning probe's connection
-			// (same path, same socket): warm when the transport supports
-			// it.
-			emitTransferStart(cfg.Observer, t, obj, o.Selected, x, rest, true)
-			h := startOnCtx(ctx, t, true, obj, o.Selected, x, rest)
-			t.Wait(h)
-			o.Remainder = h.Result()
-			emitTransferEnd(cfg.Observer, obj, o.Remainder, true)
-		}
+	}
+	// The winner is committed, so the losing transfers are pure overhead.
+	for _, i := range c.losers {
+		c.cancels[i]()
+		emitProbeCancel(cfg.Observer, t, obj, paths[i])
+	}
+}
+
+// Fetch finishes the operation: it requests the remainder on the winning
+// probe's connection (same path, same socket: warm), reaps the losing
+// probes beside it — on a transport that ignored their cancellation they
+// still contend for bandwidth, as the paper's real probes did — and
+// returns the Outcome.
+func (c *Commit) Fetch() Outcome {
+	t, cfg, o, ctx := c.t, &c.cfg, &c.out, c.ctx
+	obj := o.Object
+	x := cfg.probeSize(obj)
+
+	wait := make([]Handle, 0, len(c.losers)+1)
+	for _, i := range c.losers {
+		wait = append(wait, c.handles[i])
+	}
+	var rem Handle
+	if rest := obj.Size - x; rest > 0 && c.won {
+		emitTransferStart(cfg.Observer, t, obj, o.Selected, x, rest, true)
+		rem = t.StartWarmCtx(ctx, obj, o.Selected, x, rest)
+		wait = append(wait, rem)
+	}
+	t.Wait(wait...)
+	if c.handles != nil {
+		o.Probes = collect(cfg.Observer, obj, c.handles)
+	}
+	if rem != nil {
+		o.Remainder = rem.Result()
+		emitTransferEnd(cfg.Observer, obj, o.Remainder, true)
+	}
+	for _, cancel := range c.cancels {
+		cancel()
 	}
 
 	for _, p := range o.Probes {
@@ -507,22 +457,12 @@ func SelectAndFetchCtx(ctx context.Context, t Transport, obj Object, candidates 
 	default:
 		o.End = o.ProbeEnd
 	}
-	if rec.Tracing() {
-		rec.SetAttr("selected", obsID(obj, o.Selected).Label())
-		rec.Outcome(ErrClassOf(o.Err), errText(o.Err))
-		rec.Finish()
+	if c.rec.Tracing() {
+		c.rec.SetAttr("selected", obsID(obj, o.Selected).Label())
+		c.rec.Outcome(ErrClassOf(o.Err), errText(o.Err))
+		c.rec.Finish()
 	}
-	return o
-}
-
-// commitRace closes the race phase at the selection. A race nobody won
-// stays open, so Finish marks it as where the operation died.
-func commitRace(rec *flight.Record, selected, rule string, won bool) {
-	rec.PhaseAttr("selected", selected)
-	rec.PhaseAttr("rule", rule)
-	if won {
-		rec.Phase("")
-	}
+	return *o
 }
 
 // allFailed reports whether every probe in the race carried an error

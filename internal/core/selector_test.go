@@ -1,73 +1,18 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
 )
-
-// fakeTransport implements Transport with a fixed throughput per path and
-// an explicit clock, for testing the selection engine in isolation.
-type fakeTransport struct {
-	now  float64
-	rate map[string]float64 // bits/sec per Path.Via ("" = direct)
-	fail map[string]error
-}
-
-type fakeHandle struct {
-	res  FetchResult
-	done bool
-}
-
-func (h *fakeHandle) Done() bool          { return h.done }
-func (h *fakeHandle) Result() FetchResult { return h.res }
-
-func newFake(direct float64) *fakeTransport {
-	return &fakeTransport{
-		rate: map[string]float64{Direct: direct},
-		fail: map[string]error{},
-	}
-}
-
-func (t *fakeTransport) Now() float64 { return t.now }
-
-func (t *fakeTransport) Start(obj Object, path Path, off, n int64) Handle {
-	h := &fakeHandle{res: FetchResult{Path: path, Offset: off, Bytes: n, Start: t.now}}
-	if err := t.fail[path.Via]; err != nil {
-		h.res.Err = err
-		h.res.End = t.now
-		h.done = true
-		return h
-	}
-	rate, ok := t.rate[path.Via]
-	if !ok || rate <= 0 {
-		h.res.Err = errors.New("no such path")
-		h.res.End = t.now
-		h.done = true
-		return h
-	}
-	h.res.End = t.now + float64(n)*8/rate
-	return h
-}
-
-func (t *fakeTransport) Wait(hs ...Handle) {
-	maxEnd := t.now
-	for _, h := range hs {
-		fh := h.(*fakeHandle)
-		if fh.res.End > maxEnd {
-			maxEnd = fh.res.End
-		}
-		fh.done = true
-	}
-	t.now = maxEnd
-}
 
 func TestProbeOrderAndTiming(t *testing.T) {
 	tr := newFake(1e6)
 	tr.rate["A"] = 2e6
 	tr.rate["B"] = 0.5e6
 	obj := Object{Server: "s", Name: "o", Size: 4_000_000}
-	probes := Probe(tr, obj, 100_000, []string{"A", "B"})
+	probes := Probe(context.Background(), tr, obj, []string{"A", "B"}, Config{ProbeBytes: 100_000})
 	if len(probes) != 3 {
 		t.Fatalf("probes = %d, want 3 (direct + 2)", len(probes))
 	}
@@ -83,7 +28,7 @@ func TestProbeOrderAndTiming(t *testing.T) {
 func TestProbeClampsToObjectSize(t *testing.T) {
 	tr := newFake(1e6)
 	obj := Object{Server: "s", Name: "o", Size: 50_000}
-	probes := Probe(tr, obj, 100_000, nil)
+	probes := Probe(context.Background(), tr, obj, nil, Config{ProbeBytes: 100_000})
 	if probes[0].Bytes != 50_000 {
 		t.Fatalf("probe bytes = %d, want clamped to 50000", probes[0].Bytes)
 	}
@@ -94,7 +39,7 @@ func TestChooseFirstFinished(t *testing.T) {
 	tr.rate["fast"] = 3e6
 	tr.rate["slow"] = 0.2e6
 	obj := Object{Server: "s", Name: "o", Size: 4_000_000}
-	probes := Probe(tr, obj, 100_000, []string{"slow", "fast"})
+	probes := Probe(context.Background(), tr, obj, []string{"slow", "fast"}, Config{ProbeBytes: 100_000})
 	sel := Choose(probes, FirstFinished)
 	if sel.Via != "fast" {
 		t.Fatalf("selected %q, want fast", sel.Via)
@@ -105,7 +50,7 @@ func TestChooseMaxThroughput(t *testing.T) {
 	tr := newFake(2e6)
 	tr.rate["meh"] = 1e6
 	obj := Object{Server: "s", Name: "o", Size: 4_000_000}
-	probes := Probe(tr, obj, 100_000, []string{"meh"})
+	probes := Probe(context.Background(), tr, obj, []string{"meh"}, Config{ProbeBytes: 100_000})
 	if sel := Choose(probes, MaxThroughput); !sel.IsDirect() {
 		t.Fatalf("selected %v, want direct (it is faster)", sel)
 	}
@@ -116,7 +61,7 @@ func TestChooseSkipsFailedProbes(t *testing.T) {
 	tr.rate["good"] = 0.5e6
 	tr.fail["bad"] = errors.New("relay down")
 	obj := Object{Server: "s", Name: "o", Size: 4_000_000}
-	probes := Probe(tr, obj, 100_000, []string{"bad", "good"})
+	probes := Probe(context.Background(), tr, obj, []string{"bad", "good"}, Config{ProbeBytes: 100_000})
 	// bad "finishes" instantly but with an error; it must not win.
 	if sel := Choose(probes, FirstFinished); sel.Via == "bad" {
 		t.Fatal("failed probe won the race")
@@ -142,24 +87,24 @@ func TestSelectAndFetchIndirectWin(t *testing.T) {
 	tr := newFake(1e6)
 	tr.rate["A"] = 4e6
 	obj := Object{Server: "s", Name: "o", Size: 4_100_000}
-	out := SelectAndFetch(tr, obj, []string{"A"}, Config{})
+	out := SelectAndFetch(context.Background(), tr, obj, []string{"A"}, Config{})
 	if !out.SelectedIndirect() || out.Selected.Via != "A" {
 		t.Fatalf("selected %v, want via A", out.Selected)
 	}
 	if out.Err != nil {
 		t.Fatalf("unexpected error: %v", out.Err)
 	}
-	// Probe phase: 100KB on direct takes 0.8s (slowest probe); remainder
-	// 4MB at 4 Mb/s = 8s. Total 8.8s.
-	if math.Abs(out.Duration()-8.8) > 1e-9 {
-		t.Fatalf("duration = %v, want 8.8", out.Duration())
+	// Probe phase: 100KB on A takes 0.2s (the first probe home commits);
+	// remainder 4MB at 4 Mb/s = 8s. Total 8.2s.
+	if math.Abs(out.Duration()-8.2) > 1e-9 {
+		t.Fatalf("duration = %v, want 8.2", out.Duration())
 	}
-	wantTp := float64(obj.Size) * 8 / 8.8
+	wantTp := float64(obj.Size) * 8 / 8.2
 	if math.Abs(out.Throughput()-wantTp) > 1e-6 {
 		t.Fatalf("throughput = %v, want %v", out.Throughput(), wantTp)
 	}
-	if out.ProbeEnd != 0.8 {
-		t.Fatalf("probe end = %v, want 0.8", out.ProbeEnd)
+	if out.ProbeEnd != 0.2 {
+		t.Fatalf("probe end = %v, want 0.2", out.ProbeEnd)
 	}
 }
 
@@ -167,7 +112,7 @@ func TestSelectAndFetchDirectWin(t *testing.T) {
 	tr := newFake(5e6)
 	tr.rate["A"] = 1e6
 	obj := Object{Server: "s", Name: "o", Size: 2_000_000}
-	out := SelectAndFetch(tr, obj, []string{"A"}, Config{})
+	out := SelectAndFetch(context.Background(), tr, obj, []string{"A"}, Config{})
 	if out.SelectedIndirect() {
 		t.Fatalf("selected %v, want direct", out.Selected)
 	}
@@ -179,7 +124,7 @@ func TestSelectAndFetchTinyObject(t *testing.T) {
 	tr := newFake(1e6)
 	tr.rate["A"] = 2e6
 	obj := Object{Server: "s", Name: "o", Size: 60_000}
-	out := SelectAndFetch(tr, obj, []string{"A"}, Config{})
+	out := SelectAndFetch(context.Background(), tr, obj, []string{"A"}, Config{})
 	if out.Remainder.Bytes != 0 {
 		t.Fatalf("remainder bytes = %d, want 0", out.Remainder.Bytes)
 	}
@@ -192,7 +137,7 @@ func TestSelectAndFetchPropagatesError(t *testing.T) {
 	tr := newFake(1e6)
 	tr.fail["A"] = errors.New("relay down")
 	obj := Object{Server: "s", Name: "o", Size: 2_000_000}
-	out := SelectAndFetch(tr, obj, []string{"A"}, Config{})
+	out := SelectAndFetch(context.Background(), tr, obj, []string{"A"}, Config{})
 	if out.Err == nil {
 		t.Fatal("probe error not propagated")
 	}
@@ -202,11 +147,15 @@ func TestSelectAndFetchPropagatesError(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	if (Config{}).probeBytes() != DefaultProbeBytes {
+	big := Object{Size: 10 * DefaultProbeBytes}
+	if (Config{}).probeSize(big) != DefaultProbeBytes {
 		t.Fatal("default probe bytes wrong")
 	}
-	if (Config{ProbeBytes: 5}).probeBytes() != 5 {
+	if (Config{ProbeBytes: 5}).probeSize(big) != 5 {
 		t.Fatal("explicit probe bytes ignored")
+	}
+	if (Config{}).probeSize(Object{Size: 7}) != 7 {
+		t.Fatal("probe not clamped to the object")
 	}
 }
 
@@ -312,37 +261,13 @@ func TestOutcomeThroughputFailedRemainder(t *testing.T) {
 	}
 }
 
-// anyWaiterFake wraps fakeTransport with a WaitAny that completes the
-// earliest-ending pending handle, advancing the clock only to that point —
-// mimicking the simulator's behavior.
-type anyWaiterFake struct{ *fakeTransport }
-
-func (t *anyWaiterFake) WaitAny(hs ...Handle) int {
-	best, bestEnd := -1, 0.0
-	for i, h := range hs {
-		fh := h.(*fakeHandle)
-		if fh.done {
-			return i
-		}
-		if best < 0 || fh.res.End < bestEnd {
-			best, bestEnd = i, fh.res.End
-		}
-	}
-	fh := hs[best].(*fakeHandle)
-	fh.done = true
-	if fh.res.End > t.now {
-		t.now = fh.res.End
-	}
-	return best
-}
-
 func TestAwaitFirstSuccessEarlyCommit(t *testing.T) {
-	tr := &anyWaiterFake{newFake(1e6)}
+	tr := newFake(1e6)
 	tr.rate["fast"] = 8e6
 	tr.rate["slow"] = 0.1e6
 	obj := Object{Server: "s", Name: "o", Size: 4_000_000}
-	_, handles := StartProbes(tr, obj, 100_000, []string{"slow", "fast"})
-	win, pending := AwaitFirstSuccess(tr, handles)
+	handles := launch(context.Background(), tr, nil, obj, probePaths([]string{"slow", "fast"}), 0, 100_000, nil)
+	win, pending := awaitFirstSuccess(tr, handles)
 	if win != 2 {
 		t.Fatalf("winner index %d, want 2 (fast)", win)
 	}
@@ -357,51 +282,36 @@ func TestAwaitFirstSuccessEarlyCommit(t *testing.T) {
 }
 
 func TestAwaitFirstSuccessSkipsFailures(t *testing.T) {
-	tr := &anyWaiterFake{newFake(1e6)}
+	tr := newFake(1e6)
 	tr.fail["dead"] = errors.New("down")
 	tr.rate["ok"] = 0.5e6
 	obj := Object{Server: "s", Name: "o", Size: 1_000_000}
-	paths, handles := StartProbes(tr, obj, 100_000, []string{"dead", "ok"})
-	win, _ := AwaitFirstSuccess(tr, handles)
+	paths := probePaths([]string{"dead", "ok"})
+	handles := launch(context.Background(), tr, nil, obj, paths, 0, 100_000, nil)
+	win, _ := awaitFirstSuccess(tr, handles)
 	if win < 0 || paths[win].Via == "dead" {
 		t.Fatalf("winner = %d (%v); failed probe must not win", win, paths[win])
 	}
 }
 
 func TestAwaitFirstSuccessAllFailed(t *testing.T) {
-	tr := &anyWaiterFake{newFake(0)} // direct has no rate -> fails
+	tr := newFake(0) // direct has no rate -> fails
 	tr.fail["a"] = errors.New("down")
 	obj := Object{Server: "s", Name: "o", Size: 1_000_000}
-	_, handles := StartProbes(tr, obj, 100_000, []string{"a"})
-	win, pending := AwaitFirstSuccess(tr, handles)
-	if win != -1 || pending != nil {
+	handles := launch(context.Background(), tr, nil, obj, probePaths([]string{"a"}), 0, 100_000, nil)
+	win, pending := awaitFirstSuccess(tr, handles)
+	if win != -1 || len(pending) != 0 {
 		t.Fatalf("all-failed race returned %d, %v", win, pending)
-	}
-}
-
-func TestAwaitFirstSuccessFallbackWithoutAnyWaiter(t *testing.T) {
-	// Plain fakeTransport has no WaitAny: the fallback waits everything
-	// out and picks the earliest successful End.
-	tr := newFake(1e6)
-	tr.rate["fast"] = 8e6
-	obj := Object{Server: "s", Name: "o", Size: 4_000_000}
-	paths, handles := StartProbes(tr, obj, 100_000, []string{"fast"})
-	win, pending := AwaitFirstSuccess(tr, handles)
-	if paths[win].Via != "fast" {
-		t.Fatalf("fallback winner %v, want fast", paths[win])
-	}
-	if len(pending) != 1 {
-		t.Fatalf("pending = %v", pending)
 	}
 }
 
 func TestSelectAndFetchEarlyCommitDuration(t *testing.T) {
 	// With early commit, a pathologically slow loser must not delay the
 	// selecting process: duration = winner probe + remainder.
-	tr := &anyWaiterFake{newFake(0.05e6)} // direct is glacial
+	tr := newFake(0.05e6) // direct is glacial
 	tr.rate["good"] = 4e6
 	obj := Object{Server: "s", Name: "o", Size: 2_100_000}
-	out := SelectAndFetch(tr, obj, []string{"good"}, Config{ProbeBytes: 100_000})
+	out := SelectAndFetch(context.Background(), tr, obj, []string{"good"}, Config{ProbeBytes: 100_000})
 	if out.Err != nil {
 		t.Fatal(out.Err)
 	}
@@ -416,10 +326,10 @@ func TestSelectAndFetchEarlyCommitDuration(t *testing.T) {
 }
 
 func TestSelectAndFetchAllProbesFailed(t *testing.T) {
-	tr := &anyWaiterFake{newFake(0)}
+	tr := newFake(0)
 	tr.fail["a"] = errors.New("down")
 	obj := Object{Server: "s", Name: "o", Size: 2_000_000}
-	out := SelectAndFetch(tr, obj, []string{"a"}, Config{ProbeBytes: 100_000})
+	out := SelectAndFetch(context.Background(), tr, obj, []string{"a"}, Config{ProbeBytes: 100_000})
 	if out.Err == nil {
 		t.Fatal("all-failed select did not error")
 	}
@@ -431,23 +341,11 @@ func TestSelectAndFetchAllProbesFailed(t *testing.T) {
 	}
 }
 
-func TestStartOnFallsBackWithoutWarmStarter(t *testing.T) {
-	// fakeTransport does not implement WarmStarter: warm requests must
-	// silently fall back to Start.
-	tr := newFake(1e6)
-	obj := Object{Server: "s", Name: "o", Size: 1_000_000}
-	h := startOn(tr, true, obj, Path{}, 0, 100_000)
-	tr.Wait(h)
-	if h.Result().Err != nil {
-		t.Fatal(h.Result().Err)
-	}
-}
-
 func TestProbeSequentialOrderAndStagger(t *testing.T) {
 	tr := newFake(1e6)
 	tr.rate["A"] = 1e6
 	obj := Object{Server: "s", Name: "o", Size: 1_000_000}
-	probes := ProbeSequential(tr, obj, 100_000, []string{"A"})
+	probes := ProbeSequential(context.Background(), tr, obj, []string{"A"}, Config{ProbeBytes: 100_000})
 	if len(probes) != 2 {
 		t.Fatalf("probes = %d", len(probes))
 	}

@@ -6,8 +6,11 @@
 //
 // The package is transport-agnostic: the same selection engine drives the
 // virtual-time simulator (package httpsim) and the real TCP relay stack
-// (package realnet). Paths are identified by the intermediate's name, with
-// the empty string denoting the direct path.
+// (package realnet) through the five methods of Transport. The engine
+// exists once — Race runs an operation to its commit point and Fetch
+// finishes it; SelectAndFetch is the two in sequence — and every
+// operation is one context-first function. Paths are identified by the
+// intermediate's name, with the empty string denoting the direct path.
 package core
 
 import "context"
@@ -89,84 +92,31 @@ type Handle interface {
 
 // Transport moves object ranges over paths. Implementations decide what
 // "time" means: the simulator uses virtual seconds, the real stack uses
-// wall-clock seconds. Start never blocks; Wait blocks until every given
-// handle is done.
+// wall-clock seconds. This is the whole contract, and both transports
+// (httpsim.World, realnet.Transport) meet all of it: the root package's
+// TestTransportContract runs one table against the two.
 type Transport interface {
-	// Start begins transferring bytes [off, off+n) of obj over path.
-	Start(obj Object, path Path, off, n int64) Handle
+	// StartCtx begins transferring bytes [off, off+n) of obj over path on
+	// a fresh connection. It never blocks: a request that cannot be
+	// served, or a ctx that is already dead, yields a handle that is born
+	// done and carries the error (ErrCanceled / ErrProbeTimeout for a
+	// dead ctx). A transport whose transfers can be abandoned also fails
+	// the handle promptly when ctx dies mid-transfer and releases what
+	// the transfer holds (on the real stack, the TCP connection); the
+	// virtual-time simulator honours ctx at start only, because a context
+	// dies in wall-clock time and has no meaning in simulated seconds.
+	StartCtx(ctx context.Context, obj Object, path Path, off, n int64) Handle
+	// StartWarmCtx is StartCtx continuing on the path's established
+	// connection: after a probe wins, the client requests the remainder
+	// over the same connection, paying neither connection setup nor a
+	// fresh slow start.
+	StartWarmCtx(ctx context.Context, obj Object, path Path, off, n int64) Handle
 	// Wait blocks until all handles are done.
 	Wait(hs ...Handle)
+	// WaitAny blocks until at least one of the handles is done and
+	// returns its index. It is what lets the first-finished rule commit
+	// to the winning probe while the losers are still transferring.
+	WaitAny(hs ...Handle) int
 	// Now returns the transport's current time in seconds.
 	Now() float64
-}
-
-// AnyWaiter is an optional Transport extension that blocks until at least
-// one of the given handles is done, returning its index. It lets the
-// first-finished rule commit to the winning probe immediately instead of
-// waiting out the losers (which is what the paper's client does: "it will
-// then request the remaining n−x bytes through the indirect path" the
-// moment the first probe completes). Transports without it fall back to
-// waiting for all handles.
-type AnyWaiter interface {
-	WaitAny(hs ...Handle) int
-}
-
-// ContextStarter is an optional Transport extension for transports whose
-// transfers can be abandoned: StartCtx behaves like Start, but the
-// transfer observes ctx — cancellation or deadline expiry fails the
-// handle promptly (wrapping ErrCanceled / ErrProbeTimeout) and releases
-// whatever the transfer holds (on the real stack, the TCP connection).
-//
-// The extension is optional so the virtual-time simulator can stay
-// virtual-time-correct: wall-clock cancellation has no meaning in
-// simulated seconds, so the simulator only honours contexts that are
-// already dead when the transfer starts, and losing probes drain exactly
-// as the paper's real probes did.
-type ContextStarter interface {
-	StartCtx(ctx context.Context, obj Object, path Path, off, n int64) Handle
-}
-
-// WarmContextStarter combines ContextStarter with warm continuation: the
-// transfer reuses the path's established connection and observes ctx.
-type WarmContextStarter interface {
-	StartWarmCtx(ctx context.Context, obj Object, path Path, off, n int64) Handle
-}
-
-// WarmStarter is an optional Transport extension for transfers that
-// continue on an already-established connection: after a probe wins, the
-// client requests the remainder over the same connection, paying neither
-// connection setup nor a fresh slow start. The selection engine uses it
-// when the chosen path matches the probed one.
-type WarmStarter interface {
-	// StartWarm is Start minus connection establishment and slow start.
-	StartWarm(obj Object, path Path, off, n int64) Handle
-}
-
-// startOn begins a transfer on t, warm if the transport supports it and
-// warm continuation was requested.
-func startOn(t Transport, warm bool, obj Object, path Path, off, n int64) Handle {
-	return startOnCtx(context.Background(), t, warm, obj, path, off, n)
-}
-
-// startCtx begins a cold transfer, context-aware when the transport
-// supports it.
-func startCtx(ctx context.Context, t Transport, obj Object, path Path, off, n int64) Handle {
-	if cs, ok := t.(ContextStarter); ok {
-		return cs.StartCtx(ctx, obj, path, off, n)
-	}
-	return t.Start(obj, path, off, n)
-}
-
-// startOnCtx begins a transfer on t, preferring the richest extension the
-// transport offers: warm+ctx, then warm, then ctx, then plain Start.
-func startOnCtx(ctx context.Context, t Transport, warm bool, obj Object, path Path, off, n int64) Handle {
-	if warm {
-		if ws, ok := t.(WarmContextStarter); ok {
-			return ws.StartWarmCtx(ctx, obj, path, off, n)
-		}
-		if ws, ok := t.(WarmStarter); ok {
-			return ws.StartWarm(obj, path, off, n)
-		}
-	}
-	return startCtx(ctx, t, obj, path, off, n)
 }

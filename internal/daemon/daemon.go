@@ -2,25 +2,32 @@
 // relayd, and registryd: one place that assembles the debug mux
 // (/healthz, /readyz, /debug/vars, /metrics, /debug/stack, and — when
 // the subsystems are wired — /debug/paths, /debug/slo, /debug/cache,
-// /debug/registry, /debug/requests, /debug/active, /debug/bundle), and
-// the common logging
-// flag plumbing around internal/obs/slogx. The daemons declaring their
-// endpoints through this package means the e2e metrics test exercises
-// exactly the pages the binaries serve, not a parallel reimplementation.
+// /debug/registry, /debug/requests, /debug/active, /debug/bundle), the
+// common logging flag plumbing around internal/obs/slogx, and the start-up
+// and shutdown steps the three mains share (listener liveness, -pprof,
+// the continuous profiler's flags, the span archive). The daemons
+// declaring their endpoints through this package means the e2e metrics
+// test exercises exactly the pages the binaries serve, not a parallel
+// reimplementation.
 package daemon
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"log/slog"
+	"net"
 	"os"
 	"strings"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/httpx"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
 	"repro/internal/obs/slogx"
+	"repro/internal/traceio"
 )
 
 // Daemon describes one process's introspection surface.
@@ -237,4 +244,85 @@ func LogFlags() func(component string) *slog.Logger {
 			ComponentLevels: perComp,
 		})
 	}
+}
+
+// ServeListener runs serve(l) in the background and returns a check set
+// whose "listener" liveness check fails once serve has returned.
+func ServeListener(l net.Listener, serve func(net.Listener) error, logger *slog.Logger) *httpx.Ready {
+	var up atomic.Bool
+	up.Store(true)
+	go func() {
+		defer up.Store(false)
+		if err := serve(l); err != nil {
+			logger.Error("serve failed", "err", err)
+		}
+	}()
+	ready := httpx.NewReady()
+	ready.AddLive("listener", func() error {
+		if !up.Load() {
+			return errors.New("listener closed")
+		}
+		return nil
+	})
+	return ready
+}
+
+// ServePprof serves net/http/pprof on addr in the background until ctx
+// ends. No-op when addr is empty.
+func ServePprof(ctx context.Context, addr string, logger *slog.Logger) {
+	if addr == "" {
+		return
+	}
+	go func() {
+		if err := httpx.ServePprof(ctx, addr); err != nil {
+			logger.Error("pprof server failed", "err", err)
+		}
+	}()
+	logger.Info("pprof serving", "addr", addr)
+}
+
+// ProfilerFlags registers the continuous profiler's flags (-profile-dir,
+// -profile-every, -profile-max-bytes) on the default flag set and returns
+// a constructor to call after flag.Parse. With -profile-dir set it starts
+// the profiler and returns it with the function that stops it; otherwise
+// the profiler is nil and stop does nothing. It exits if the capture
+// directory cannot be used.
+func ProfilerFlags() func(logger *slog.Logger) (prof *flight.Profiler, stop func()) {
+	dir := flag.String("profile-dir", "", "continuous-profiler capture directory (empty = profiler off)")
+	every := flag.Duration("profile-every", 30*time.Second, "continuous-profiler capture cadence")
+	maxBytes := flag.Int64("profile-max-bytes", 8<<20, "continuous-profiler on-disk ring budget")
+	return func(logger *slog.Logger) (*flight.Profiler, func()) {
+		if *dir == "" {
+			return nil, func() {}
+		}
+		prof, err := flight.NewProfiler(flight.ProfilerConfig{Dir: *dir, Every: *every, MaxBytes: *maxBytes})
+		if err != nil {
+			logger.Error("profiler failed", "dir", *dir, "err", err)
+			os.Exit(1)
+		}
+		prof.Start()
+		logger.Info("profiler running", "dir", *dir, "every", *every)
+		return prof, prof.Stop
+	}
+}
+
+// ArchiveSpans writes the collector's spans to path as a JSONL archive
+// labelled with the daemon's name, logging the result. No-op when path is
+// empty (tracing off).
+func ArchiveSpans(path, name string, spans *obs.SpanCollector, logger *slog.Logger) {
+	if path == "" {
+		return
+	}
+	f, err := os.Create(path)
+	if err == nil {
+		err = traceio.WriteSpans(f, name, spans.Spans())
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		logger.Error("span archive failed", "path", path, "err", err)
+		return
+	}
+	logger.Info("spans archived", "path", path, "count", len(spans.Spans()))
 }

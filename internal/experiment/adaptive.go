@@ -1,10 +1,9 @@
 package experiment
 
 import (
+	"context"
+
 	"repro/internal/core"
-	"repro/internal/httpsim"
-	"repro/internal/randx"
-	"repro/internal/simnet"
 	"repro/internal/stats"
 	"repro/internal/topo"
 )
@@ -98,19 +97,12 @@ func RunAdaptive(p AdaptiveParams) []AdaptiveResult {
 
 func runAdaptiveClient(p AdaptiveParams, scen *topo.Scenario, client, server *topo.Node) AdaptiveResult {
 	cfg := p.Config.withDefaults()
-	eng := simnet.NewEngine()
-	net := simnet.NewNetwork(eng)
-	rng := randx.New(campaignSeed(p.Seed, label("adaptive", client.Name)))
 	inter := staticIntermediate(scen, client)
-	inst := scen.Instantiate(net, rng.Fork("instance"), client,
-		[]*topo.Node{server}, []*topo.Node{inter})
-	defer inst.Close()
-	world := httpsim.NewWorld(inst, []*topo.Node{server}, []*topo.Node{inter})
-	world.SetupRTTs = cfg.SetupRTTs
-	world.Put(server.Name, objectName, cfg.ObjectBytes)
-	inst.Warmup(cfg.Warmup)
+	world, obj, _ := newWorld(scen, campaignSeed(p.Seed, label("adaptive", client.Name)), cfg,
+		client, server, []*topo.Node{inter})
+	defer world.Inst.Close()
+	eng := world.Inst.Net.Engine()
 
-	obj := core.Object{Server: server.Name, Name: objectName, Size: cfg.ObjectBytes}
 	cands := []string{inter.Name}
 	dl := &core.Downloader{
 		Transport:    world,
@@ -126,7 +118,7 @@ func runAdaptiveClient(p AdaptiveParams, scen *topo.Scenario, client, server *to
 		start := world.Now()
 
 		// One-shot client (the paper's mechanism).
-		o := core.SelectAndFetch(world, obj, cands,
+		o := core.SelectAndFetch(context.Background(), world, obj, cands,
 			core.Config{ProbeBytes: cfg.ProbeBytes, Rule: cfg.Rule})
 		if o.Err == nil {
 			oneShot = append(oneShot, o.Throughput())
@@ -134,17 +126,13 @@ func runAdaptiveClient(p AdaptiveParams, scen *topo.Scenario, client, server *to
 		eng.RunUntil(world.Now() + 10)
 
 		// Adaptive client on the same paths, shortly after.
-		r, err := dl.Download(obj, cands)
+		r, err := dl.Download(context.Background(), obj, cands)
 		if err == nil {
 			adaptive = append(adaptive, r.Throughput())
 			switches += r.Switches
 		}
 
-		next := start + cfg.Period
-		if now := world.Now(); next < now+5 {
-			next = now + 5
-		}
-		eng.RunUntil(next)
+		nextRound(world, start, cfg.Period)
 	}
 
 	res := AdaptiveResult{Client: client.Name}

@@ -13,6 +13,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -159,22 +160,38 @@ type CampaignResult struct {
 // objectName is the synthetic large file every server exposes.
 const objectName = "large.bin"
 
+// newWorld builds the simulated world every driver runs in: a fresh
+// engine and network, the scenario instantiated for one client, server
+// and intermediate set from the seeded RNG, the study's object on the
+// server, and the stochastic link drivers warmed up. cfg has its defaults
+// applied. The caller closes world.Inst.
+func newWorld(scen *topo.Scenario, seed uint64, cfg Config, client, server *topo.Node, inters []*topo.Node) (*httpsim.World, core.Object, *randx.RNG) {
+	net := simnet.NewNetwork(simnet.NewEngine())
+	rng := randx.New(seed)
+	inst := scen.Instantiate(net, rng.Fork("instance"), client, []*topo.Node{server}, inters)
+	world := httpsim.NewWorld(inst, []*topo.Node{server}, inters)
+	world.SetupRTTs = cfg.SetupRTTs
+	world.Put(server.Name, objectName, cfg.ObjectBytes)
+	inst.Warmup(cfg.Warmup)
+	return world, core.Object{Server: server.Name, Name: objectName, Size: cfg.ObjectBytes}, rng
+}
+
+// nextRound runs the world on to the transfer period after the one that
+// began at start, and at least 5 s past now.
+func nextRound(world *httpsim.World, start, period float64) {
+	next := start + period
+	if now := world.Now(); next < now+5 {
+		next = now + 5
+	}
+	world.Inst.Net.Engine().RunUntil(next)
+}
+
 // RunCampaign executes one campaign to completion and returns its records.
 // It is deterministic in spec.Seed.
 func RunCampaign(spec CampaignSpec) CampaignResult {
 	cfg := spec.Config.withDefaults()
-	eng := simnet.NewEngine()
-	net := simnet.NewNetwork(eng)
-	rng := randx.New(spec.Seed)
-
-	inst := spec.Scenario.Instantiate(net, rng.Fork("instance"), spec.Client,
-		[]*topo.Node{spec.Server}, spec.Inters)
-	defer inst.Close()
-	world := httpsim.NewWorld(inst, []*topo.Node{spec.Server}, spec.Inters)
-	world.SetupRTTs = cfg.SetupRTTs
-	world.Put(spec.Server.Name, objectName, cfg.ObjectBytes)
-
-	inst.Warmup(cfg.Warmup)
+	world, obj, rng := newWorld(spec.Scenario, spec.Seed, cfg, spec.Client, spec.Server, spec.Inters)
+	defer world.Inst.Close()
 	polRng := rng.Fork("policy")
 	tracker := spec.Tracker
 	if tracker == nil {
@@ -184,69 +201,23 @@ func RunCampaign(spec CampaignSpec) CampaignResult {
 	for i, in := range spec.Inters {
 		full[i] = in.Name
 	}
-
-	obj := core.Object{Server: spec.Server.Name, Name: objectName, Size: cfg.ObjectBytes}
-	x := cfg.ProbeBytes
-	if x > obj.Size {
-		x = obj.Size
-	}
+	// The selecting process is the engine itself.
+	engine := core.Config{ProbeBytes: cfg.ProbeBytes, Rule: cfg.Rule, Sequential: cfg.SequentialProbes}
 
 	res := CampaignResult{Spec: spec, Tracker: tracker}
 	for i := 0; i < spec.Transfers; i++ {
 		roundStart := world.Now()
 		cands := spec.Policy.Candidates(full, polRng)
 
-		// Phase 1: probe race. Under the first-finished rule the client
-		// commits the moment the first probe completes (early commit);
-		// sequential probing measures each candidate in turn.
-		var probes []core.ProbeResult
-		var sel core.Path
-		var rem, ctrl core.Handle
-		if cfg.SequentialProbes || cfg.Rule == core.MaxThroughput {
-			// Max-throughput selection needs every probe measured before
-			// the decision; sequential probing implies it.
-			if cfg.SequentialProbes {
-				probes = core.ProbeSequential(world, obj, x, cands)
-			} else {
-				probes = core.Probe(world, obj, x, cands)
-			}
-			sel = core.Choose(probes, core.MaxThroughput)
-			ctrl = world.Start(obj, core.Path{Via: core.Direct}, 0, obj.Size)
-			if obj.Size > x {
-				rem = world.StartWarm(obj, sel, x, obj.Size-x)
-				world.Wait(ctrl, rem)
-			} else {
-				world.Wait(ctrl)
-			}
-		} else {
-			paths, handles := core.StartProbes(world, obj, x, cands)
-			win, pending := core.AwaitFirstSuccess(world, handles)
-			sel = core.Path{Via: core.Direct}
-			if win >= 0 {
-				sel = paths[win]
-			}
-			// Phase 2: the control process downloads the whole object
-			// directly while the selecting process fetches the remainder
-			// over the winner; losing probes drain alongside, contending
-			// for bandwidth as in the real deployment.
-			ctrl = world.Start(obj, core.Path{Via: core.Direct}, 0, obj.Size)
-			if obj.Size > x && win >= 0 {
-				rem = world.StartWarm(obj, sel, x, obj.Size-x)
-			}
-			wait := []core.Handle{ctrl}
-			for _, pi := range pending {
-				wait = append(wait, handles[pi])
-			}
-			if rem != nil {
-				wait = append(wait, rem)
-			}
-			world.Wait(wait...)
-			probes = make([]core.ProbeResult, len(handles))
-			for pi, h := range handles {
-				probes[pi] = core.ProbeResult{FetchResult: h.Result()}
-			}
-		}
-		tracker.Observe(cands, sel)
+		// The control process downloads the whole object directly from
+		// the instant the selecting process commits to a path, beside its
+		// remainder; losing probes drain alongside, contending for
+		// bandwidth as in the real deployment.
+		race := core.Race(context.Background(), world, obj, cands, engine)
+		ctrl := world.Start(obj, core.Path{Via: core.Direct}, 0, obj.Size)
+		out := race.Fetch()
+		world.Wait(ctrl)
+		tracker.Observe(cands, out.Selected)
 
 		rec := Record{
 			Client:     spec.Client.Name,
@@ -254,36 +225,22 @@ func RunCampaign(spec CampaignSpec) CampaignResult {
 			Server:     spec.Server.Name,
 			Time:       roundStart,
 			Candidates: cands,
-			Selected:   sel.Via,
+			Selected:   out.Selected.Via,
+			Err:        out.Err,
 		}
 		ctrlRes := ctrl.Result()
 		rec.DirectTp = ctrlRes.Throughput()
-		rec.ProbeDirectTp = probes[0].Throughput()
-		if cfg.ExcludeProbePhase {
-			if rem != nil {
-				rec.SelectedTp = rem.Result().Throughput()
-			} else {
-				rec.SelectedTp = rec.DirectTp
-			}
-		} else {
-			selEnd := world.Now()
-			if rem != nil {
-				selEnd = rem.Result().End
-			}
-			if dur := selEnd - roundStart; dur > 0 {
-				rec.SelectedTp = float64(obj.Size) * 8 / dur
-			}
+		rec.ProbeDirectTp = out.Probes[0].Throughput()
+		switch {
+		case !cfg.ExcludeProbePhase:
+			rec.SelectedTp = out.Throughput()
+		case out.Remainder.Bytes > 0:
+			rec.SelectedTp = out.Remainder.Throughput()
+		default:
+			rec.SelectedTp = rec.DirectTp
 		}
-		if rem != nil {
-			if rr := rem.Result(); rr.Err != nil {
-				rec.Err = rr.Err
-			}
-		}
-		for _, p := range probes {
-			if p.Err != nil {
-				rec.Err = p.Err
-			}
-			if p.Path.Via == sel.Via && p.Err == nil {
+		for _, p := range out.Probes {
+			if p.Path == out.Selected && p.Err == nil {
 				rec.ProbeBestTp = p.Throughput()
 			}
 		}
@@ -293,12 +250,7 @@ func RunCampaign(spec CampaignSpec) CampaignResult {
 		rec.Improvement = core.Improvement(rec.SelectedTp, rec.DirectTp)
 		res.Records = append(res.Records, rec)
 
-		// Schedule the next round.
-		next := roundStart + cfg.Period
-		if now := world.Now(); next < now+5 {
-			next = now + 5
-		}
-		eng.RunUntil(next)
+		nextRound(world, roundStart, cfg.Period)
 	}
 	return res
 }

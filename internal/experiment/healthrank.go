@@ -5,11 +5,9 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/httpsim"
 	"repro/internal/obs"
 	"repro/internal/randx"
 	"repro/internal/registry"
-	"repro/internal/simnet"
 	"repro/internal/topo"
 )
 
@@ -186,16 +184,9 @@ func RunHealthRank(p HealthRankParams) HealthRankResult {
 // normalized against the best peer — mirroring how an operator would
 // derive a ranking signal from /debug/paths.
 func seedHealth(p HealthRankParams, cfg Config, scen *topo.Scenario, client, server *topo.Node) map[string]float64 {
-	eng := simnet.NewEngine()
-	net := simnet.NewNetwork(eng)
-	rng := randx.New(campaignSeed(p.Seed, label("healthrank", p.Client, "seed")))
-
-	inst := scen.Instantiate(net, rng.Fork("instance"), client, []*topo.Node{server}, scen.Intermediates)
-	defer inst.Close()
-	world := httpsim.NewWorld(inst, []*topo.Node{server}, scen.Intermediates)
-	world.SetupRTTs = cfg.SetupRTTs
-	world.Put(server.Name, objectName, cfg.ObjectBytes)
-	inst.Warmup(cfg.Warmup)
+	world, obj, _ := newWorld(scen, campaignSeed(p.Seed, label("healthrank", p.Client, "seed")), cfg,
+		client, server, scen.Intermediates)
+	defer world.Inst.Close()
 
 	// The window must span the whole observation phase: the monitor ranks
 	// on everything seen, not a recent slice.
@@ -203,14 +194,13 @@ func seedHealth(p HealthRankParams, cfg Config, scen *topo.Scenario, client, ser
 		Window: 1e6, Buckets: 64, MaxSuccessAge: 1e6,
 		Clock: world.Now,
 	})
-	obj := core.Object{Server: server.Name, Name: objectName, Size: cfg.ObjectBytes}
 	for round := 0; round < p.SeedTransfers; round++ {
 		for _, in := range scen.Intermediates {
 			h := world.Start(obj, core.Path{Via: in.Name}, 0, p.SeedBytes)
 			world.Wait(h)
 			r := h.Result()
 			mon.Observe(in.Name, core.ErrClassOf(r.Err), r.Duration(), r.Bytes)
-			eng.RunUntil(world.Now() + 2)
+			world.Inst.Net.Engine().RunUntil(world.Now() + 2)
 		}
 	}
 

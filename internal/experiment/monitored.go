@@ -1,12 +1,10 @@
 package experiment
 
 import (
+	"context"
 	"strconv"
 
 	"repro/internal/core"
-	"repro/internal/httpsim"
-	"repro/internal/randx"
-	"repro/internal/simnet"
 	"repro/internal/topo"
 )
 
@@ -92,24 +90,17 @@ func RunMonitored(p MonitoredParams) []MonitoredResult {
 
 func runMonitoredClient(p MonitoredParams, scen *topo.Scenario, client, server *topo.Node) MonitoredResult {
 	cfg := p.Config.withDefaults()
-	eng := simnet.NewEngine()
-	net := simnet.NewNetwork(eng)
-	rng := randx.New(campaignSeed(p.Seed, label("monitored", client.Name, strconv.Itoa(p.RefreshEvery))))
-
 	// Candidate set: the client's best overlay pairs.
 	inters := bestPairs(scen, client, p.Candidates)
-	inst := scen.Instantiate(net, rng.Fork("instance"), client, []*topo.Node{server}, inters)
-	defer inst.Close()
-	world := httpsim.NewWorld(inst, []*topo.Node{server}, inters)
-	world.SetupRTTs = cfg.SetupRTTs
-	world.Put(server.Name, objectName, cfg.ObjectBytes)
-	inst.Warmup(cfg.Warmup)
+	world, obj, _ := newWorld(scen, campaignSeed(p.Seed, label("monitored", client.Name, strconv.Itoa(p.RefreshEvery))), cfg,
+		client, server, inters)
+	defer world.Inst.Close()
+	eng := world.Inst.Net.Engine()
 
 	cands := make([]string, len(inters))
 	for i, in := range inters {
 		cands[i] = in.Name
 	}
-	obj := core.Object{Server: server.Name, Name: objectName, Size: cfg.ObjectBytes}
 	mon := core.NewMonitor()
 
 	res := MonitoredResult{Client: client.Name, Rounds: p.Rounds}
@@ -121,12 +112,12 @@ func runMonitoredClient(p MonitoredParams, scen *topo.Scenario, client, server *
 
 		// Background refresh (out of band, between transfers).
 		if i%p.RefreshEvery == 0 {
-			mon.Refresh(world, obj, cfg.ProbeBytes, cands)
+			mon.Refresh(context.Background(), world, obj, cands, core.Config{ProbeBytes: cfg.ProbeBytes})
 		}
 
 		// Probing strategy with its own control.
 		ctrl := world.Start(obj, core.Path{}, 0, obj.Size)
-		probing := core.SelectAndFetch(world, obj, cands,
+		probing := core.SelectAndFetch(context.Background(), world, obj, cands,
 			core.Config{ProbeBytes: cfg.ProbeBytes, Rule: cfg.Rule})
 		world.Wait(ctrl)
 		if probing.Err == nil && ctrl.Result().Err == nil {
@@ -143,7 +134,7 @@ func runMonitoredClient(p MonitoredParams, scen *topo.Scenario, client, server *
 
 		// Monitored strategy with its own control.
 		ctrl2 := world.Start(obj, core.Path{}, 0, obj.Size)
-		monitored := core.SelectMonitored(world, obj, cands, mon)
+		monitored := core.SelectMonitored(context.Background(), world, obj, cands, mon, core.Config{})
 		world.Wait(ctrl2)
 		if monitored.Err == nil && ctrl2.Result().Err == nil {
 			imp := core.Improvement(monitored.Throughput(), ctrl2.Result().Throughput())
@@ -159,11 +150,7 @@ func runMonitoredClient(p MonitoredParams, scen *topo.Scenario, client, server *
 			res.Disagreements++
 		}
 
-		next := start + cfg.Period
-		if now := world.Now(); next < now+5 {
-			next = now + 5
-		}
-		eng.RunUntil(next)
+		nextRound(world, start, cfg.Period)
 	}
 
 	res.ProbingAvg = mean(probImps)

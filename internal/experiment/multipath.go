@@ -1,10 +1,9 @@
 package experiment
 
 import (
+	"context"
+
 	"repro/internal/core"
-	"repro/internal/httpsim"
-	"repro/internal/randx"
-	"repro/internal/simnet"
 	"repro/internal/topo"
 )
 
@@ -83,23 +82,16 @@ func RunMultipath(p MultipathParams) []MultipathResult {
 
 func runMultipathClient(p MultipathParams, scen *topo.Scenario, client, server *topo.Node) MultipathResult {
 	cfg := p.Config.withDefaults()
-	eng := simnet.NewEngine()
-	net := simnet.NewNetwork(eng)
-	rng := randx.New(campaignSeed(p.Seed, label("multipath", client.Name)))
-
 	inters := bestPairs(scen, client, p.Candidates)
-	inst := scen.Instantiate(net, rng.Fork("instance"), client, []*topo.Node{server}, inters)
-	defer inst.Close()
-	world := httpsim.NewWorld(inst, []*topo.Node{server}, inters)
-	world.SetupRTTs = cfg.SetupRTTs
-	world.Put(server.Name, objectName, cfg.ObjectBytes)
-	inst.Warmup(cfg.Warmup)
+	world, obj, _ := newWorld(scen, campaignSeed(p.Seed, label("multipath", client.Name)), cfg,
+		client, server, inters)
+	defer world.Inst.Close()
+	eng := world.Inst.Net.Engine()
 
 	cands := make([]string, len(inters))
 	for i, in := range inters {
 		cands[i] = in.Name
 	}
-	obj := core.Object{Server: server.Name, Name: objectName, Size: cfg.ObjectBytes}
 	mp := &core.MultipathDownloader{Transport: world, ChunkBytes: p.ChunkBytes}
 
 	res := MultipathResult{
@@ -114,7 +106,7 @@ func runMultipathClient(p MultipathParams, scen *topo.Scenario, client, server *
 
 		// Single-path selection with its control.
 		ctrl := world.Start(obj, core.Path{}, 0, obj.Size)
-		sel := core.SelectAndFetch(world, obj, cands,
+		sel := core.SelectAndFetch(context.Background(), world, obj, cands,
 			core.Config{ProbeBytes: cfg.ProbeBytes, Rule: cfg.Rule})
 		world.Wait(ctrl)
 		if sel.Err == nil && ctrl.Result().Err == nil {
@@ -125,7 +117,7 @@ func runMultipathClient(p MultipathParams, scen *topo.Scenario, client, server *
 
 		// Multipath striping with its control.
 		ctrl2 := world.Start(obj, core.Path{}, 0, obj.Size)
-		str, err := mp.Download(obj, cands)
+		str, err := mp.Download(context.Background(), obj, cands)
 		world.Wait(ctrl2)
 		if err == nil && ctrl2.Result().Err == nil {
 			strImps = append(strImps,
@@ -142,11 +134,7 @@ func runMultipathClient(p MultipathParams, scen *topo.Scenario, client, server *
 			}
 		}
 
-		next := start + cfg.Period
-		if now := world.Now(); next < now+5 {
-			next = now + 5
-		}
-		eng.RunUntil(next)
+		nextRound(world, start, cfg.Period)
 	}
 
 	res.SelectAvg = mean(selImps)

@@ -65,9 +65,6 @@ func (p *Proxy) SetPartitioned(v bool) {
 	}
 }
 
-// Partitioned reports the switch state.
-func (p *Proxy) Partitioned() bool { return p.partitioned.Load() }
-
 // Sever resets every live connection (both sides of every splice)
 // without touching the listener: the between-requests kill that turns
 // pooled keep-alive connections stale. The client side of a splice goes

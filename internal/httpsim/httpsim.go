@@ -2,8 +2,11 @@
 // servers holding objects of known size, range-request semantics (the
 // subset of HTTP the paper's mechanism needs), and relay forwarding via
 // intermediate nodes. Transfers become fluid flows in the simnet network
-// with TCP behaviour imposed by tcpmodel, and the package implements
-// core.Transport so the selection engine runs unmodified on top of it.
+// with TCP behaviour imposed by tcpmodel, and World implements the five
+// methods of core.Transport so the selection engine runs unmodified on top
+// of it — the same engine the real stack runs, which is what makes the
+// campaigns' numbers measurements of the deployed selector. A context is
+// honoured when a transfer starts and never after (see World.start).
 package httpsim
 
 import (
@@ -119,47 +122,42 @@ func (w *World) failed(obj core.Object, path core.Path, off, n int64, err error)
 	}
 }
 
-// Start begins a range transfer of [off, off+n) of obj over path. The
-// request is validated like an HTTP range request: the object must exist
-// and the range must be satisfiable. Invalid requests return an
-// already-done handle carrying the error, mirroring an immediate HTTP
-// error response.
+// Start begins a cold range transfer of [off, off+n) of obj over path,
+// under no context: what a driver's control process uses.
 func (w *World) Start(obj core.Object, path core.Path, off, n int64) core.Handle {
-	return w.start(obj, path, off, n, false)
+	return w.start(context.Background(), obj, path, off, n, false)
 }
 
-// StartWarm begins a transfer that continues an established connection:
-// no setup delay and no slow-start ramp (the congestion window is already
-// open). It implements core.WarmStarter.
-func (w *World) StartWarm(obj core.Object, path core.Path, off, n int64) core.Handle {
-	return w.start(obj, path, off, n, true)
-}
-
-// StartCtx implements core.ContextStarter as a shim: a context that is
-// already dead yields a born-failed handle with the typed error, and a
-// live one starts a normal transfer that then IGNORES later
-// cancellation. Mid-flight cancellation is deliberately not modelled —
-// contexts die in wall-clock time, transfers progress in virtual
-// seconds, and coupling the two would make results depend on host
-// scheduling. Losing probes therefore drain and contend for bandwidth,
-// exactly as the paper's real probes did.
+// StartCtx begins a range transfer of [off, off+n) of obj over path on a
+// fresh connection. See start for how the request and ctx are treated.
 func (w *World) StartCtx(ctx context.Context, obj core.Object, path core.Path, off, n int64) core.Handle {
-	if err := core.CtxErr(ctx); err != nil {
-		return w.failed(obj, path, off, n, err)
-	}
-	return w.start(obj, path, off, n, false)
+	return w.start(ctx, obj, path, off, n, false)
 }
 
-// StartWarmCtx is StartWarm with the same start-time-only context check
-// as StartCtx. It implements core.WarmContextStarter.
+// StartWarmCtx begins a transfer that continues an established
+// connection: no setup delay and no slow-start ramp (the congestion
+// window is already open).
 func (w *World) StartWarmCtx(ctx context.Context, obj core.Object, path core.Path, off, n int64) core.Handle {
+	return w.start(ctx, obj, path, off, n, true)
+}
+
+// start validates the request like an HTTP range request — the object
+// must exist and the range must be satisfiable — and an invalid one
+// returns an already-done handle carrying the error, mirroring an
+// immediate HTTP error response.
+//
+// A context is honoured at start only: one that is already dead yields a
+// born-failed handle with the typed error, and a live one starts a
+// normal transfer that then IGNORES later cancellation. Mid-flight
+// cancellation is deliberately not modelled — contexts die in wall-clock
+// time, transfers progress in virtual seconds, and coupling the two
+// would make results depend on host scheduling. Losing probes therefore
+// drain and contend for bandwidth, exactly as the paper's real probes
+// did.
+func (w *World) start(ctx context.Context, obj core.Object, path core.Path, off, n int64, warm bool) core.Handle {
 	if err := core.CtxErr(ctx); err != nil {
 		return w.failed(obj, path, off, n, err)
 	}
-	return w.start(obj, path, off, n, true)
-}
-
-func (w *World) start(obj core.Object, path core.Path, off, n int64, warm bool) core.Handle {
 	srv := w.servers[obj.Server]
 	if srv == nil {
 		return w.failed(obj, path, off, n, fmt.Errorf("%w: %s", ErrNoSuchServer, obj.Server))
@@ -212,8 +210,6 @@ func (w *World) start(obj core.Object, path core.Path, off, n int64, warm bool) 
 	return h
 }
 
-var _ core.WarmStarter = (*World)(nil)
-
 // Wait advances virtual time until every handle is done. It panics if the
 // event queue drains or the virtual-time budget is exhausted first, both
 // of which indicate a simulation bug rather than a slow transfer.
@@ -239,8 +235,7 @@ func (w *World) Wait(hs ...core.Handle) {
 }
 
 // WaitAny advances virtual time until at least one handle is done and
-// returns its index. It implements core.AnyWaiter, enabling the
-// first-finished early commit.
+// returns its index, enabling the first-finished early commit.
 func (w *World) WaitAny(hs ...core.Handle) int {
 	eng := w.Inst.Net.Engine()
 	deadline := eng.Now() + maxVirtualWait
@@ -259,9 +254,4 @@ func (w *World) WaitAny(hs ...core.Handle) int {
 	}
 }
 
-var (
-	_ core.Transport          = (*World)(nil)
-	_ core.AnyWaiter          = (*World)(nil)
-	_ core.ContextStarter     = (*World)(nil)
-	_ core.WarmContextStarter = (*World)(nil)
-)
+var _ core.Transport = (*World)(nil)

@@ -1,6 +1,7 @@
 package httpsim
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -118,7 +119,7 @@ func TestSelectAndFetchOnSimulatedWorld(t *testing.T) {
 	w, s := buildWorld(t, 6)
 	obj := core.Object{Server: s.Servers[0].Name, Name: "big.bin", Size: 4_000_000}
 	cands := []string{s.Intermediates[0].Name, s.Intermediates[1].Name}
-	out := core.SelectAndFetch(w, obj, cands, core.Config{})
+	out := core.SelectAndFetch(context.Background(), w, obj, cands, core.Config{})
 	if out.Err != nil {
 		t.Fatalf("select-and-fetch error: %v", out.Err)
 	}
@@ -235,7 +236,7 @@ func TestDownloaderSwitchesInSimWorld(t *testing.T) {
 		RefreshEvery: 1,
 	}
 	obj := core.Object{Server: servers[0].Name, Name: "big.bin", Size: 12_000_000}
-	res, err := dl.Download(obj, []string{inters[0].Name})
+	res, err := dl.Download(context.Background(), obj, []string{inters[0].Name})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,8 +112,8 @@ func (r *Ready) ReadyHandler() Handler { return r.checkHandler(true) }
 // NewReadyMux returns a mux with the standard introspection endpoints
 // wired to real state: /healthz (liveness checks), /readyz (liveness +
 // readiness checks), and /debug/vars (vars() as JSON). A nil ready
-// reports unconditionally healthy — the old NewVarsMux behavior — but
-// daemons should pass their real check set.
+// reports unconditionally healthy, but daemons should pass their real
+// check set.
 func NewReadyMux(vars func() any, ready *Ready) *Mux {
 	if ready == nil {
 		ready = NewReady()

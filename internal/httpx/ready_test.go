@@ -122,7 +122,7 @@ func TestReadyMultipleFailuresSorted(t *testing.T) {
 	}
 }
 
-func TestNewVarsMuxStaysUnconditional(t *testing.T) {
+func TestNilReadyStaysUnconditional(t *testing.T) {
 	addr := serveReadyMux(t, nil)
 	if status, body := getStatus(t, addr, "/healthz"); status != 200 || body != "ok\n" {
 		t.Fatalf("no-check /healthz = %d %q", status, body)

@@ -67,29 +67,6 @@ func JSONHandler(fn func() any) Handler {
 	}
 }
 
-// TextHandler serves a fixed plain-text body.
-func TextHandler(body string) Handler {
-	return func(*Request) (int, map[string]string, []byte) {
-		return 200, map[string]string{"content-type": "text/plain"}, []byte(body)
-	}
-}
-
-// PromHandler serves whatever fn returns as Prometheus text exposition
-// format (the /metrics idiom). fn runs per request, so it renders live
-// state.
-func PromHandler(fn func() []byte) Handler {
-	return func(*Request) (int, map[string]string, []byte) {
-		return 200, map[string]string{"content-type": "text/plain; version=0.0.4; charset=utf-8"}, fn()
-	}
-}
-
-// NewVarsMux returns a mux preloaded with the standard introspection
-// endpoints and no checks (unconditionally healthy). Daemons with real
-// readiness state should use NewReadyMux instead.
-func NewVarsMux(vars func() any) *Mux {
-	return NewReadyMux(vars, nil)
-}
-
 // StatusText returns the reason phrase for the status codes the server
 // emits.
 func StatusText(code int) string {

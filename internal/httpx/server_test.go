@@ -50,9 +50,9 @@ func startServer(t *testing.T, s *Server) (addr string, cancel func(), done chan
 
 func TestMuxRoutesAndErrors(t *testing.T) {
 	var hits atomic.Int64
-	mux := NewVarsMux(func() any {
+	mux := NewReadyMux(func() any {
 		return map[string]int64{"hits": hits.Add(1)}
-	})
+	}, nil)
 	addr, cancel, done := startServer(t, &Server{Mux: mux})
 	defer cancel()
 

@@ -54,16 +54,6 @@ func (ss serverSource) Targets() []Target { return entriesToTargets(ss.s.ListAll
 // deployment, where the aggregator and the table share a process.
 func ServerSource(s *registry.Server) Source { return serverSource{s} }
 
-// rankedSetSource adapts a client-side cached ranked set.
-type rankedSetSource struct{ rs *registry.RankedSet }
-
-func (rs rankedSetSource) Targets() []Target { return entriesToTargets(rs.rs.All()) }
-
-// RankedSetSource walks a delta-synced registry.RankedSet — for an
-// aggregator running away from the registry, keeping its fleet view
-// fresh over LISTD like any other discovery client.
-func RankedSetSource(rs *registry.RankedSet) Source { return rankedSetSource{rs} }
-
 func entriesToTargets(entries []registry.Entry) []Target {
 	out := make([]Target, 0, len(entries))
 	for _, e := range entries {

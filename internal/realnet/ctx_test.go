@@ -98,7 +98,7 @@ func TestProbeRaceCancelsLosingConnections(t *testing.T) {
 
 	obj := core.Object{Server: "origin", Name: "big.bin", Size: 400_000}
 	start := time.Now()
-	out := core.SelectAndFetchCtx(context.Background(), tr, obj, []string{"slow", "fast"},
+	out := core.SelectAndFetch(context.Background(), tr, obj, []string{"slow", "fast"},
 		core.Config{ProbeBytes: 200_000})
 	elapsed := time.Since(start)
 
@@ -228,7 +228,7 @@ func TestDeadPathsReturnTypedErrorWithinDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	start := time.Now()
-	out := core.SelectAndFetchCtx(ctx, tr, core.Object{Server: "origin", Name: "x", Size: 1000},
+	out := core.SelectAndFetch(ctx, tr, core.Object{Server: "origin", Name: "x", Size: 1000},
 		[]string{"r"}, core.Config{ProbeBytes: 500})
 	if !errors.Is(out.Err, core.ErrAllPathsFailed) {
 		t.Fatalf("err = %v, want ErrAllPathsFailed", out.Err)
@@ -362,7 +362,7 @@ func TestDownloaderFailsOverWhenRelayKilledMidFetch(t *testing.T) {
 		RefreshEvery: -1, // no voluntary re-races; only failure forces a switch
 	}
 	obj := core.Object{Server: "origin", Name: "big.bin", Size: 2_000_000}
-	res, err := dl.DownloadCtx(context.Background(), obj, []string{"r"})
+	res, err := dl.Download(context.Background(), obj, []string{"r"})
 	<-killed
 	if err != nil {
 		t.Fatalf("download did not survive the relay dying: %v", err)

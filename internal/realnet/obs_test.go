@@ -197,7 +197,7 @@ func TestRealRaceEmitsUnifiedStream(t *testing.T) {
 	tr.Observer = m
 	obj := core.Object{Server: "origin", Name: "big.bin", Size: 2_000_000}
 
-	out := core.SelectAndFetchCtx(context.Background(), tr, obj,
+	out := core.SelectAndFetch(context.Background(), tr, obj,
 		[]string{"fast", "slow"}, core.Config{ProbeBytes: 100_000, Observer: m})
 	if out.Err != nil {
 		t.Fatalf("race failed: %v", out.Err)

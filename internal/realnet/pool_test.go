@@ -244,7 +244,7 @@ func TestMultipathChunksReusePooledConns(t *testing.T) {
 
 	obj := core.Object{Server: "origin", Name: "big.bin", Size: 1_500_000}
 	dl := &core.MultipathDownloader{Transport: tr, ChunkBytes: 100_000}
-	res, err := dl.Download(obj, []string{"r1", "r2"})
+	res, err := dl.Download(context.Background(), obj, []string{"r1", "r2"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,11 +5,10 @@
 // which is the point: the library a downstream user deploys is the one
 // the experiments exercised.
 //
-// The transport is fully context-aware (core.ContextStarter and
-// core.WarmContextStarter): cancelling a transfer's context closes the
-// underlying connection, so a raced probe that lost is torn down within
-// a round trip, and a transfer against a stalled relay fails at its
-// deadline instead of hanging. Cold-connection failures are retried with
+// The transport is fully context-aware: cancelling a transfer's context
+// closes the underlying connection, so a raced probe that lost is torn
+// down within a round trip, and a transfer against a stalled relay fails
+// at its deadline instead of hanging. Cold-connection failures are retried with
 // exponential backoff and jitter, bounded by MaxRetries.
 //
 // Bodies stream through fixed 64 KB buffers — verified and counted
@@ -336,32 +335,33 @@ func (h *handle) cancel() {
 	}
 }
 
-// Start launches the range transfer on its own goroutine over a fresh
+// StartCtx launches the range transfer on its own goroutine over a fresh
 // connection (the cold path: TCP handshake + slow start included).
-func (t *Transport) Start(obj core.Object, path core.Path, off, n int64) core.Handle {
-	return t.startFetch(context.Background(), obj, path, off, n, false)
-}
-
-// StartCtx is Start observing ctx: cancellation or deadline expiry
-// closes the transfer's connection and fails the handle promptly with
-// core.ErrCanceled / core.ErrProbeTimeout. It implements
-// core.ContextStarter.
+// Cancellation or deadline expiry of ctx closes the transfer's connection
+// and fails the handle promptly with core.ErrCanceled /
+// core.ErrProbeTimeout.
 func (t *Transport) StartCtx(ctx context.Context, obj core.Object, path core.Path, off, n int64) core.Handle {
 	return t.startFetch(ctx, obj, path, off, n, false)
 }
 
-// StartWarm continues on the path's parked keep-alive connection when one
-// is available: no TCP handshake, and the kernel's congestion window is
-// already open — the real counterpart of the simulator's warm start. It
-// implements core.WarmStarter.
-func (t *Transport) StartWarm(obj core.Object, path core.Path, off, n int64) core.Handle {
-	return t.startFetch(context.Background(), obj, path, off, n, true)
-}
-
-// StartWarmCtx is StartWarm observing ctx. It implements
-// core.WarmContextStarter.
+// StartWarmCtx is StartCtx continuing on the path's parked keep-alive
+// connection when one is available: no TCP handshake, and the kernel's
+// congestion window is already open — the real counterpart of the
+// simulator's warm start.
 func (t *Transport) StartWarmCtx(ctx context.Context, obj core.Object, path core.Path, off, n int64) core.Handle {
 	return t.startFetch(ctx, obj, path, off, n, true)
+}
+
+// Start and StartWarm are StartCtx and StartWarmCtx under no context.
+// They are not part of core.Transport: the repo benchmark (bench/ladder.go,
+// bench/cache.go) times single cold and warm fetches through them, and
+// this package's tests use them the same way.
+func (t *Transport) Start(obj core.Object, path core.Path, off, n int64) core.Handle {
+	return t.startFetch(context.Background(), obj, path, off, n, false)
+}
+
+func (t *Transport) StartWarm(obj core.Object, path core.Path, off, n int64) core.Handle {
+	return t.startFetch(context.Background(), obj, path, off, n, true)
 }
 
 func (t *Transport) startFetch(ctx context.Context, obj core.Object, path core.Path, off, n int64, warm bool) core.Handle {
@@ -818,8 +818,7 @@ func (t *Transport) Wait(hs ...core.Handle) {
 }
 
 // WaitAny blocks until at least one handle completes and returns its
-// index, implementing core.AnyWaiter. Like Wait, it returns promptly for
-// canceled handles.
+// index. Like Wait, it returns promptly for canceled handles.
 func (t *Transport) WaitAny(hs ...core.Handle) int {
 	cases := make([]reflect.SelectCase, len(hs))
 	for i, h := range hs {
@@ -856,10 +855,4 @@ func (t *Transport) StatCtx(ctx context.Context, server, name string) (int64, er
 	}, addr, name)
 }
 
-var (
-	_ core.Transport          = (*Transport)(nil)
-	_ core.AnyWaiter          = (*Transport)(nil)
-	_ core.ContextStarter     = (*Transport)(nil)
-	_ core.WarmStarter        = (*Transport)(nil)
-	_ core.WarmContextStarter = (*Transport)(nil)
-)
+var _ core.Transport = (*Transport)(nil)

@@ -1,6 +1,7 @@
 package realnet
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -74,7 +75,7 @@ func TestSelectionPicksFastRelay(t *testing.T) {
 	tr, cleanup := testbed(t)
 	defer cleanup()
 	obj := core.Object{Server: "origin", Name: "big.bin", Size: 600_000}
-	out := core.SelectAndFetch(tr, obj, []string{"slow", "fast"}, core.Config{ProbeBytes: 100_000})
+	out := core.SelectAndFetch(context.Background(), tr, obj, []string{"slow", "fast"}, core.Config{ProbeBytes: 100_000})
 	if out.Err != nil {
 		t.Fatal(out.Err)
 	}
@@ -90,7 +91,7 @@ func TestSelectionPrefersDirectOverSlowRelay(t *testing.T) {
 	tr, cleanup := testbed(t)
 	defer cleanup()
 	obj := core.Object{Server: "origin", Name: "big.bin", Size: 400_000}
-	out := core.SelectAndFetch(tr, obj, []string{"slow"}, core.Config{ProbeBytes: 100_000})
+	out := core.SelectAndFetch(context.Background(), tr, obj, []string{"slow"}, core.Config{ProbeBytes: 100_000})
 	if out.Err != nil {
 		t.Fatal(out.Err)
 	}
@@ -161,7 +162,7 @@ func TestConcurrentProbesWallClock(t *testing.T) {
 	defer cleanup()
 	obj := core.Object{Server: "origin", Name: "big.bin", Size: 2_000_000}
 	start := time.Now()
-	probes := core.Probe(tr, obj, 50_000, []string{"fast", "slow"})
+	probes := core.Probe(context.Background(), tr, obj, []string{"fast", "slow"}, core.Config{ProbeBytes: 50_000})
 	elapsed := time.Since(start)
 	for _, p := range probes {
 		if p.Err != nil {
@@ -229,7 +230,7 @@ func TestMiniCampaignSelectionTracksConditions(t *testing.T) {
 			rate = 1e6
 		}
 		d.SetProfile(ol.Addr().String(), shaper.PathProfile{DownloadBps: rate})
-		out := core.SelectAndFetch(tr, obj, []string{"r"}, core.Config{ProbeBytes: 150_000})
+		out := core.SelectAndFetch(context.Background(), tr, obj, []string{"r"}, core.Config{ProbeBytes: 150_000})
 		if out.Err != nil {
 			t.Fatalf("round %d: %v", round, out.Err)
 		}

@@ -197,10 +197,6 @@ type Server struct {
 	lat obs.LatencyRecorder
 }
 
-// LatencySnapshot returns the distribution of wire-command handling
-// times, ready for Prometheus exposition.
-func (s *Server) LatencySnapshot() obs.HistogramSnapshot { return s.lat.Snapshot() }
-
 // WriteProm appends the table's own families — what registryd serves
 // on /metrics ahead of the peer-sync, fleet and runtime views.
 func (s *Server) WriteProm(p *obs.Prom) {

@@ -46,10 +46,6 @@ type Origin struct {
 	busy inflight
 }
 
-// LatencySnapshot returns the distribution of request serving times,
-// ready for Prometheus exposition.
-func (o *Origin) LatencySnapshot() obs.HistogramSnapshot { return o.lat.Snapshot() }
-
 // WriteProm appends the origin's own families — what origind serves on
 // /metrics ahead of the health and runtime views its daemon adds.
 func (o *Origin) WriteProm(p *obs.Prom) {

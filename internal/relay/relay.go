@@ -71,10 +71,6 @@ type Relay struct {
 	busy inflight
 }
 
-// LatencySnapshot returns the distribution of request handling times,
-// ready for Prometheus exposition.
-func (r *Relay) LatencySnapshot() obs.HistogramSnapshot { return r.lat.Snapshot() }
-
 // WriteProm appends the relay's own families — what relayd serves on
 // /metrics ahead of the health, SLO and runtime views its daemon adds.
 func (r *Relay) WriteProm(p *obs.Prom) {

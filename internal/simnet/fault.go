@@ -211,9 +211,6 @@ func (f *LinkFaults) EffectiveLoss() float64 {
 	return p
 }
 
-// InBurst reports whether the chain is currently in the bad state.
-func (f *LinkFaults) InBurst() bool { return f.bad }
-
 // SamplePacket draws the fate of one packet at the link's current fault
 // state: lost with the effective loss probability, else duplicated,
 // else reordered, else delivered. The sampler's RNG substream is

@@ -74,9 +74,6 @@ func (l *Link) SetCapacity(bps float64) {
 	l.net.reallocate()
 }
 
-// NumFlows returns the number of flows currently crossing the link.
-func (l *Link) NumFlows() int { return len(l.flows) }
-
 // Drive attaches a stochastic capacity process to the link: every interval
 // seconds of virtual time the process advances and the link capacity is
 // set to scale × process value. The driver runs until the engine stops

@@ -75,14 +75,6 @@ func (h *Histogram) BinCenter(i int) float64 {
 // overflow.
 func (h *Histogram) Total() int64 { return h.total }
 
-// Fraction returns the fraction of observations landing in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Bins[i]) / float64(h.total)
-}
-
 // FractionBetween returns the fraction of all observations with values in
 // [lo, hi), counting whole bins whose centers fall in the range plus under
 // or overflow when the range extends past the histogram edges.
