@@ -6,21 +6,30 @@
 // misses for the same object/range collapse into a single upstream fill
 // through the singleflight Flight API.
 //
-// The cache never hands out mutable state: span buffers are written
-// once at insertion (coalescing copies into a fresh buffer) and only
-// ever dropped afterwards, so a slice returned by Get stays valid and
-// immutable even if the span is evicted mid-read — the reader keeps the
-// buffer alive, the cache merely forgets it.
+// No buffer is rewritten while anyone it was handed to can still read
+// it. A span's bytes are written once, at insertion: Put copies, and a
+// fill handed over with PutOwned or Flight.Complete becomes the span as
+// it is unless it merges with a neighbour, when both are coalesced into
+// a new buffer. Readers come in two kinds. Read and a shared-fill Wait
+// pin the span while their callback runs. Get returns a slice with no
+// end to its use, so a span Get has served is never recycled: the
+// reader keeps that buffer alive and the cache merely forgets it. When
+// the cache drops a span nobody pins and Get never served — eviction,
+// trim, TTL expiry, a failed verify, a merge — its buffer goes onto a
+// small free list, and Buffer gives it to the next fill of exactly its
+// length. A miss that evicts therefore allocates nothing in proportion
+// to its size.
 //
 // Because cached content may sit in memory for a long time, serving can
 // be paranoid: an optional Verify hook re-checks every span before Get
-// returns it, and a span that fails verification is dropped and
+// or Read serves it, and a span that fails verification is dropped and
 // reported as a miss, so one flipped bit degrades to a refetch instead
 // of propagating corruption.
 package objcache
 
 import (
 	"container/list"
+	"slices"
 	"sync"
 	"time"
 )
@@ -41,12 +50,12 @@ type Config struct {
 	// Clock returns the current time (nil = time.Now); injectable for
 	// expiry tests.
 	Clock func() time.Time
-	// Verify, when set, re-checks every span before Get serves it and
-	// every shared fill before Flight.Wait hands it to a waiter; a
-	// failing span is dropped and the lookup degrades to a miss, a
-	// failing fill to errCorruptFill. Get calls it under the cache's
-	// lock, Wait from each waiter's goroutine: it must be safe for
-	// concurrent use.
+	// Verify, when set, re-checks every span before Get or Read serves
+	// it and every shared fill before Flight.Wait hands it to a waiter;
+	// a failing span is dropped and the lookup degrades to a miss, a
+	// failing fill to errCorruptFill. It runs with the span pinned and
+	// the cache's lock released, from each reader's goroutine: it must
+	// be safe for concurrent use.
 	Verify VerifyFunc
 }
 
@@ -59,21 +68,35 @@ type span struct {
 	off    int64
 	data   []byte
 	filled time.Time
+
+	// pins counts readers inside a Read or Wait callback, plus waiters
+	// of a landed fill that have not reached theirs yet. got marks a
+	// span Get served; dropped one the cache no longer indexes. A
+	// dropped span's buffer is recycled once pins is zero, unless got.
+	pins    int
+	got     bool
+	dropped bool
 }
 
-func (s span) end() int64 { return s.off + int64(len(s.data)) }
+func (s *span) end() int64 { return s.off + int64(len(s.data)) }
 
 // object is one cached object: its spans plus its declared full size
 // (SizeUnknown until some fill reveals it).
 type object struct {
 	key   string
-	spans []span
+	spans []*span
 	size  int64
 	elem  *list.Element
 }
 
 // SizeUnknown marks an object whose full size no fill has revealed yet.
 const SizeUnknown = -1
+
+// freeBuffers bounds the free list. At steady state each miss that
+// evicts frees one buffer and the next fill takes it back, so a few
+// cover concurrent fills; the cache holds at most this many buffers
+// beyond MaxBytes.
+const freeBuffers = 4
 
 // Cache is the bounded range-aware object cache. All methods are safe
 // for concurrent use.
@@ -85,6 +108,7 @@ type Cache struct {
 	lru     *list.List // front = most recently used
 	bytes   int64
 	flights map[string]*Flight
+	free    [][]byte // empty buffers of dropped spans nobody reads, oldest first
 
 	hits, misses, fills         int64
 	hitBytes, fillBytes         int64
@@ -129,6 +153,11 @@ func (c *Cache) obj(key string, create bool) *object {
 	return o
 }
 
+// lapsed reports whether s outlived the TTL by now.
+func (c *Cache) lapsed(s *span, now time.Time) bool {
+	return c.cfg.TTL > 0 && now.Sub(s.filled) > c.cfg.TTL
+}
+
 // expireLocked drops o's spans whose TTL lapsed. Callers hold c.mu.
 func (c *Cache) expireLocked(o *object, now time.Time) {
 	if c.cfg.TTL <= 0 {
@@ -136,9 +165,9 @@ func (c *Cache) expireLocked(o *object, now time.Time) {
 	}
 	kept := o.spans[:0]
 	for _, s := range o.spans {
-		if now.Sub(s.filled) > c.cfg.TTL {
-			c.bytes -= int64(len(s.data))
+		if c.lapsed(s, now) {
 			c.expirations++
+			c.dropSpanLocked(s)
 			continue
 		}
 		kept = append(kept, s)
@@ -146,14 +175,75 @@ func (c *Cache) expireLocked(o *object, now time.Time) {
 	o.spans = kept
 }
 
-// dropLocked forgets an object entirely. Callers hold c.mu.
-func (c *Cache) dropLocked(o *object, evicted bool) {
-	for _, s := range o.spans {
-		c.bytes -= int64(len(s.data))
-		if evicted {
-			c.evictions++
-			c.evictedBytes += int64(len(s.data))
+// dropSpanLocked stops counting a span the caller has just unindexed
+// and recycles its buffer if nobody can still read it. Callers hold
+// c.mu.
+func (c *Cache) dropSpanLocked(s *span) {
+	c.bytes -= int64(len(s.data))
+	s.dropped = true
+	c.releaseLocked(s)
+}
+
+// unpinLocked ends one reader's hold on s. Callers hold c.mu.
+func (c *Cache) unpinLocked(s *span) {
+	s.pins--
+	c.releaseLocked(s)
+}
+
+// releaseLocked puts s's buffer on the free list once s is dropped,
+// unpinned, and was never handed out by Get. Callers hold c.mu.
+func (c *Cache) releaseLocked(s *span) {
+	if s.dropped && s.pins == 0 && !s.got {
+		c.freeLocked(s.data)
+	}
+}
+
+// freeLocked keeps b for a later fill of its capacity, pushing out the
+// oldest free buffer when the list is full. Callers hold c.mu.
+func (c *Cache) freeLocked(b []byte) {
+	if len(c.free) == freeBuffers {
+		c.free = slices.Delete(c.free, 0, 1)
+	}
+	c.free = append(c.free, b[:0])
+}
+
+// takeLocked removes and returns a free buffer of capacity n, or nil.
+// Callers hold c.mu.
+func (c *Cache) takeLocked(n int64) []byte {
+	for i, b := range c.free {
+		if int64(cap(b)) == n {
+			c.free = slices.Delete(c.free, i, i+1)
+			return b
 		}
+	}
+	return nil
+}
+
+// Buffer returns an empty buffer of capacity n for a fill the caller
+// will hand over with PutOwned or Flight.Complete: a buffer of a span
+// the cache dropped and nobody reads any longer when one of exactly
+// that capacity is free, a new one otherwise.
+func (c *Cache) Buffer(n int64) []byte {
+	c.mu.Lock()
+	b := c.takeLocked(n)
+	c.mu.Unlock()
+	if b == nil {
+		b = make([]byte, 0, n)
+	}
+	return b
+}
+
+// evictSpanLocked drops s for capacity. Callers hold c.mu.
+func (c *Cache) evictSpanLocked(s *span) {
+	c.evictions++
+	c.evictedBytes += int64(len(s.data))
+	c.dropSpanLocked(s)
+}
+
+// dropLocked evicts an object entirely. Callers hold c.mu.
+func (c *Cache) dropLocked(o *object) {
+	for _, s := range o.spans {
+		c.evictSpanLocked(s)
 	}
 	o.spans = nil
 	c.lru.Remove(o.elem)
@@ -161,87 +251,131 @@ func (c *Cache) dropLocked(o *object, evicted bool) {
 }
 
 // evictLocked removes least-recently-used objects until the cache fits,
-// never touching keep (the object just filled). Callers hold c.mu.
-func (c *Cache) evictLocked(keep *object) {
+// never touching keep (the object just filled) but to trim it down to
+// fresh, its new span. Callers hold c.mu.
+func (c *Cache) evictLocked(keep *object, fresh *span) {
 	for c.bytes > c.cfg.MaxBytes && c.lru.Len() > 0 {
 		back := c.lru.Back().Value.(*object)
 		if back == keep {
 			// Only the freshly-filled object remains: shed its other
 			// spans before giving up (the fresh span itself is bounded
 			// by MaxBytes, so this always converges).
-			c.trimLocked(keep)
+			c.trimLocked(keep, fresh)
 			return
 		}
-		c.dropLocked(back, true)
+		c.dropLocked(back)
 	}
 }
 
-// trimLocked drops all but o's most recently filled span. Callers hold
-// c.mu.
-func (c *Cache) trimLocked(o *object) {
-	newest := -1
-	for i, s := range o.spans {
-		if newest < 0 || s.filled.After(o.spans[newest].filled) {
-			newest = i
+// trimLocked evicts all of o's spans but fresh. Callers hold c.mu.
+func (c *Cache) trimLocked(o *object, fresh *span) {
+	for _, s := range o.spans {
+		if s != fresh {
+			c.evictSpanLocked(s)
 		}
 	}
-	kept := o.spans[:0]
-	for i, s := range o.spans {
-		if i == newest {
-			kept = append(kept, s)
-			continue
-		}
-		c.bytes -= int64(len(s.data))
-		c.evictions++
-		c.evictedBytes += int64(len(s.data))
-	}
-	o.spans = kept
+	o.spans = append(o.spans[:0], fresh)
 }
 
 // Get returns the cached bytes of [off, off+n) of the object named key,
 // or reports a miss. A hit is served zero-copy from the single span
 // covering the range (coalescing guarantees there is exactly one); the
 // returned slice must be treated as read-only and stays valid across
-// concurrent eviction. With a Verify hook configured, the span is
-// re-checked first and dropped on mismatch (the lookup then misses).
+// concurrent eviction, because the cache never recycles a span Get
+// served. With a Verify hook configured, the span is re-checked first
+// and dropped on mismatch (the lookup then misses).
 func (c *Cache) Get(key string, off, n int64) ([]byte, bool) {
+	s, data := c.lookup(key, off, n, true)
+	return data, s != nil
+}
+
+// Read runs fn on the cached bytes of [off, off+n) of the object named
+// key and reports whether it did; false is a miss, with fn not called.
+// The hit is the one Get would serve, verified the same way, but the
+// span is only pinned while fn runs: fn must treat the slice as
+// read-only and must not keep it past its return, after which the
+// buffer may be recycled for another fill.
+func (c *Cache) Read(key string, off, n int64, fn func([]byte)) bool {
+	s, data := c.lookup(key, off, n, false)
+	if s == nil {
+		return false
+	}
+	fn(data)
+	c.mu.Lock()
+	c.unpinLocked(s)
+	c.mu.Unlock()
+	return true
+}
+
+// lookup finds the span covering [off, off+n) of key and counts the
+// lookup. A hit comes back marked got (for Get) or pinned (for Read)
+// before anyone else can drop it. With a Verify hook the span is
+// pinned across the check, which runs unlocked; a span that fails is
+// dropped if it is still indexed, and the lookup counts as a miss.
+func (c *Cache) lookup(key string, off, n int64, get bool) (*span, []byte) {
 	if n <= 0 {
-		return nil, false
+		return nil, nil
 	}
 	now := c.now()
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	o := c.obj(key, false)
-	if o == nil {
+	o, s := c.findLocked(key, off, n, now)
+	if s == nil {
 		c.misses++
-		return nil, false
+		c.mu.Unlock()
+		return nil, nil
 	}
-	c.expireLocked(o, now)
-	for i, s := range o.spans {
-		if s.off <= off && off+n <= s.end() {
-			data := s.data[off-s.off : off-s.off+n : off-s.off+n]
-			if c.cfg.Verify != nil && !c.cfg.Verify(key, off, data) {
-				// One flipped bit must not propagate: drop the whole
-				// span and let the caller refill from the origin.
-				c.bytes -= int64(len(s.data))
-				c.verifyFailures++
-				c.misses++
-				o.spans = append(o.spans[:i], o.spans[i+1:]...)
-				return nil, false
+	data := s.data[off-s.off : off-s.off+n : off-s.off+n]
+	s.pins++
+	if verify := c.cfg.Verify; verify != nil {
+		c.mu.Unlock()
+		good := verify(key, off, data)
+		c.mu.Lock()
+		if !good {
+			// One flipped bit must not propagate: drop the whole span
+			// and let the caller refill from the origin.
+			c.verifyFailures++
+			c.misses++
+			if i := slices.Index(o.spans, s); i >= 0 {
+				o.spans = slices.Delete(o.spans, i, i+1)
+				c.dropSpanLocked(s)
 			}
-			c.hits++
-			c.hitBytes += n
-			c.lru.MoveToFront(o.elem)
-			return data, true
+			c.unpinLocked(s)
+			c.mu.Unlock()
+			return nil, nil
 		}
 	}
-	c.misses++
-	return nil, false
+	c.hits++
+	c.hitBytes += n
+	c.lru.MoveToFront(o.elem) // a no-op if o was evicted meanwhile
+	if get {
+		s.got = true
+		s.pins-- // never recycled now, so there is nothing to release
+	}
+	c.mu.Unlock()
+	return s, data
 }
 
-// Contains reports whether [off, off+n) is fully cached, without
-// touching counters, verification, or recency.
+// findLocked returns key's object and its span covering [off, off+n),
+// expiring lapsed spans first; nil when there is none. Callers hold
+// c.mu.
+func (c *Cache) findLocked(key string, off, n int64, now time.Time) (*object, *span) {
+	o := c.obj(key, false)
+	if o == nil {
+		return nil, nil
+	}
+	c.expireLocked(o, now)
+	for _, s := range o.spans {
+		if s.off <= off && off+n <= s.end() {
+			return o, s
+		}
+	}
+	return o, nil
+}
+
+// Contains reports whether [off, off+n) is fully cached and unexpired,
+// without touching counters, verification, recency, or the spans.
 func (c *Cache) Contains(key string, off, n int64) bool {
+	now := c.now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	o := c.obj(key, false)
@@ -249,7 +383,7 @@ func (c *Cache) Contains(key string, off, n int64) bool {
 		return false
 	}
 	for _, s := range o.spans {
-		if s.off <= off && off+n <= s.end() {
+		if s.off <= off && off+n <= s.end() && !c.lapsed(s, now) {
 			return true
 		}
 	}
@@ -263,62 +397,84 @@ func (c *Cache) Contains(key string, off, n int64) bool {
 // Fills larger than the whole cache are ignored. Put evicts
 // least-recently-used objects until the cache fits again.
 func (c *Cache) Put(key string, off int64, p []byte) {
-	if len(p) == 0 || int64(len(p)) > c.cfg.MaxBytes {
-		return
-	}
+	c.put(key, off, p, false)
+}
+
+// PutOwned is Put for a buffer the caller hands over, typically one
+// Buffer returned, filled: when p touches no other span it becomes the
+// span itself, uncopied. The caller must not use p afterwards.
+func (c *Cache) PutOwned(key string, off int64, p []byte) {
+	c.put(key, off, p, true)
+}
+
+func (c *Cache) put(key string, off int64, p []byte, owned bool) {
 	now := c.now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.putLocked(key, off, p, now, owned, 0)
+}
+
+// putLocked inserts p as Put describes, keeping p itself when owned and
+// nothing merges, and returns the span now holding p's bytes, created
+// with pins already on it; nil when p is empty or larger than the whole
+// cache and nothing was stored. Callers hold c.mu.
+func (c *Cache) putLocked(key string, off int64, p []byte, now time.Time, owned bool, pins int) *span {
+	if len(p) == 0 || int64(len(p)) > c.cfg.MaxBytes {
+		return nil
+	}
 	o := c.obj(key, true)
 	c.expireLocked(o, now)
 
+	// Spans are sorted, disjoint and non-adjacent, so the ones p overlaps
+	// or touches are one run, o.spans[i:j].
 	lo, hi := off, off+int64(len(p))
-	var keep, merge []span
-	for _, s := range o.spans {
-		if s.end() < lo || s.off > hi {
-			keep = append(keep, s)
-			continue
-		}
-		merge = append(merge, s)
-		if s.off < lo {
-			lo = s.off
-		}
-		if s.end() > hi {
-			hi = s.end()
-		}
+	i := 0
+	for i < len(o.spans) && o.spans[i].end() < lo {
+		i++
+	}
+	j := i
+	for j < len(o.spans) && o.spans[j].off <= hi {
+		j++
+	}
+	merge := o.spans[i:j]
+	if len(merge) > 0 {
+		lo = min(lo, merge[0].off)
+		hi = max(hi, merge[len(merge)-1].end())
 	}
 	if hi-lo > c.cfg.MaxBytes {
 		// The coalesced run would outgrow the whole cache: keep only
 		// the fresh fill and discard the spans it touched.
 		for _, s := range merge {
-			c.bytes -= int64(len(s.data))
-			c.evictions++
-			c.evictedBytes += int64(len(s.data))
+			c.evictSpanLocked(s)
 		}
 		merge = nil
 		lo, hi = off, off+int64(len(p))
 	}
-	buf := make([]byte, hi-lo)
-	for _, s := range merge {
-		copy(buf[s.off-lo:], s.data)
-		c.bytes -= int64(len(s.data))
+	buf := p
+	if !owned || len(merge) > 0 {
+		if buf = c.takeLocked(hi - lo); buf == nil {
+			buf = make([]byte, hi-lo)
+		}
+		buf = buf[:hi-lo]
+		for _, s := range merge {
+			copy(buf[s.off-lo:], s.data)
+		}
+		copy(buf[off-lo:], p) // fresh bytes win on overlap
+		for _, s := range merge {
+			c.dropSpanLocked(s)
+		}
+		if owned {
+			c.freeLocked(p)
+		}
 	}
-	copy(buf[off-lo:], p) // fresh bytes win on overlap
+	fresh := &span{off: lo, data: buf, filled: now, pins: pins}
+	o.spans = slices.Replace(o.spans, i, j, fresh)
 	c.bytes += int64(len(buf))
 	c.fills++
 	c.fillBytes += int64(len(p))
-
-	// Re-insert sorted; keep already excludes everything merged.
-	at := len(keep)
-	for i, s := range keep {
-		if s.off > lo {
-			at = i
-			break
-		}
-	}
-	o.spans = append(keep[:at:at], append([]span{{off: lo, data: buf, filled: now}}, keep[at:]...)...)
 	c.lru.MoveToFront(o.elem)
-	c.evictLocked(o)
+	c.evictLocked(o, fresh)
+	return fresh
 }
 
 // SetSize records the object's full size, learned from an upstream
@@ -355,9 +511,9 @@ type Stats struct {
 	Objects int `json:"objects"`
 	Spans   int `json:"spans"`
 
-	// Hits/Misses count Get lookups; HitBytes the payload served from
-	// cache. SharedFills are lookups answered by waiting on another
-	// request's in-flight fill instead of fetching again.
+	// Hits/Misses count Get and Read lookups; HitBytes the payload
+	// served from cache. SharedFills are lookups answered by waiting on
+	// another request's in-flight fill instead of fetching again.
 	Hits        int64 `json:"hits"`
 	Misses      int64 `json:"misses"`
 	HitBytes    int64 `json:"hit_bytes"`
@@ -384,7 +540,7 @@ type Stats struct {
 	CanceledWaits int64 `json:"canceled_waits"`
 }
 
-// Lookups is the total Get traffic.
+// Lookups is the total Get and Read traffic.
 func (s Stats) Lookups() int64 { return s.Hits + s.Misses }
 
 // HitRate is Hits over Lookups, 0 before any traffic.

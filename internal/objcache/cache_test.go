@@ -122,8 +122,14 @@ func TestTTLExpiry(t *testing.T) {
 	c := New(Config{MaxBytes: 1 << 20, TTL: time.Minute, Clock: func() time.Time { return now }})
 	c.Put("o", 0, pattern(0, 100))
 	wantRange(t, c, "o", 0, 100)
+	if !c.Contains("o", 0, 100) {
+		t.Fatal("Contains missed a live span")
+	}
 
 	now = now.Add(2 * time.Minute)
+	if c.Contains("o", 0, 100) {
+		t.Fatal("Contains reported a lapsed span as cached")
+	}
 	wantMiss(t, c, "o", 0, 100)
 	s := c.Stats()
 	if s.Expirations != 1 || s.BytesCached != 0 {

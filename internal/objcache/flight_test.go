@@ -8,8 +8,38 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
+
+// join is a waiter's StartFlight: it must find fl open and not lead it.
+func join(t *testing.T, c *Cache, fl *Flight, key string, off, n int64) {
+	t.Helper()
+	if f2, leader := c.StartFlight(key, off, n); leader || f2 != fl {
+		t.Error("concurrent StartFlight did not join the open flight")
+	}
+}
+
+// awaitParked yields until n waiters are parked in Wait.
+func awaitParked(c *Cache, n int64) {
+	for c.Stats().FlightWaiters != n {
+		runtime.Gosched()
+	}
+}
+
+// wait joins fl, the flight for [0, 100) of "o", and waits on it from a
+// new goroutine, which sends Wait's error; fn must be served want.
+func wait(t *testing.T, ctx context.Context, c *Cache, fl *Flight, want []byte) <-chan error {
+	join(t, c, fl, "o", 0, 100)
+	errc := make(chan error, 1)
+	go func() {
+		err := fl.Wait(ctx, func(data []byte) {
+			if !bytes.Equal(data, want) {
+				t.Error("waiter served the wrong bytes")
+			}
+		})
+		errc <- err
+	}()
+	return errc
+}
 
 func TestSingleflightCollapsesConcurrentMisses(t *testing.T) {
 	c := New(Config{MaxBytes: 1 << 20})
@@ -18,11 +48,6 @@ func TestSingleflightCollapsesConcurrentMisses(t *testing.T) {
 	fl, leader := c.StartFlight("o", 0, 100)
 	if !leader {
 		t.Fatal("first StartFlight is not the leader")
-	}
-	for i := 0; i < 3; i++ {
-		if f2, l2 := c.StartFlight("o", 0, 100); l2 || f2 != fl {
-			t.Fatal("concurrent StartFlight did not join the open flight")
-		}
 	}
 	// A different range is a different flight.
 	other, l := c.StartFlight("o", 100, 100)
@@ -34,22 +59,22 @@ func TestSingleflightCollapsesConcurrentMisses(t *testing.T) {
 	var served int32
 	var wg sync.WaitGroup
 	for i := 0; i < waiters; i++ {
+		join(t, c, fl, "o", 0, 100)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			data, err := fl.Wait(context.Background())
-			if err == nil && bytes.Equal(data, pattern(0, 100)) {
-				atomic.AddInt32(&served, 1)
+			err := fl.Wait(context.Background(), func(data []byte) {
+				if bytes.Equal(data, pattern(0, 100)) {
+					atomic.AddInt32(&served, 1)
+				}
+			})
+			if err != nil {
+				t.Error(err)
 			}
 		}()
 	}
 	// Wait for every waiter to be parked before completing.
-	for {
-		if c.Stats().FlightWaiters == waiters {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	awaitParked(c, waiters)
 	fl.Complete(pattern(0, 100), nil)
 	wg.Wait()
 
@@ -69,14 +94,8 @@ func TestFlightFailureReleasesWaiters(t *testing.T) {
 	fl, _ := c.StartFlight("o", 0, 100)
 	boom := errors.New("origin down")
 
-	errc := make(chan error, 1)
-	go func() {
-		_, err := fl.Wait(context.Background())
-		errc <- err
-	}()
-	for c.Stats().FlightWaiters != 1 {
-		time.Sleep(time.Millisecond)
-	}
+	errc := wait(t, context.Background(), c, fl, nil)
+	awaitParked(c, 1)
 	fl.Complete(nil, boom)
 	if err := <-errc; !errors.Is(err, boom) {
 		t.Fatalf("waiter error = %v, want the leader's", err)
@@ -93,14 +112,8 @@ func TestWaiterCanceledWhileFillContinues(t *testing.T) {
 	fl, _ := c.StartFlight("o", 0, 100)
 
 	ctx, cancel := context.WithCancel(context.Background())
-	errc := make(chan error, 1)
-	go func() {
-		_, err := fl.Wait(ctx)
-		errc <- err
-	}()
-	for c.Stats().FlightWaiters != 1 {
-		time.Sleep(time.Millisecond)
-	}
+	errc := wait(t, ctx, c, fl, pattern(0, 100))
+	awaitParked(c, 1)
 	cancel()
 	if err := <-errc; !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled waiter returned %v", err)
@@ -124,14 +137,8 @@ func TestWaiterRefusesFillThatFailsVerification(t *testing.T) {
 		Verify:   func(key string, off int64, data []byte) bool { return data[0] == 0 },
 	})
 	fl, _ := c.StartFlight("o", 0, 100)
-	errc := make(chan error, 1)
-	go func() {
-		_, err := fl.Wait(context.Background())
-		errc <- err
-	}()
-	for c.Stats().FlightWaiters != 1 {
-		runtime.Gosched()
-	}
+	errc := wait(t, context.Background(), c, fl, nil)
+	awaitParked(c, 1)
 	poisoned := pattern(0, 100)
 	poisoned[0] = 0xff
 	fl.Complete(poisoned, nil)

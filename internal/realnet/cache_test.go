@@ -1,8 +1,11 @@
 package realnet
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
+	"repro/internal/bufpool"
 	"repro/internal/core"
 	"repro/internal/relay"
 )
@@ -58,6 +61,50 @@ func TestClientCacheServesRepeatWithoutNetwork(t *testing.T) {
 	}
 	if s.Warmth() <= 0 {
 		t.Fatalf("warmth = %v after hits", s.Warmth())
+	}
+}
+
+// A client-cache miss tees into a buffer the cache recycled and hands
+// it over uncopied: at steady state, with every fetch evicting, a miss
+// allocates a small fraction of its range (twice the range when the fill
+// was a fresh buffer copied again by Put).
+func TestClientCacheMissAllocCeiling(t *testing.T) {
+	if bufpool.RaceEnabled {
+		t.Skip("the race detector makes sync.Pool drop a quarter of what is Put: there is no ceiling to hold")
+	}
+	const n, objects, runs = 256 << 10, 8, 32
+	tr, origin := cacheTestbed(t, objects/2*n)
+	defer tr.Close()
+	for i := 0; i < objects; i++ {
+		origin.Put(fmt.Sprintf("m%d.bin", i), n)
+	}
+	next := 0
+	miss := func() {
+		obj := core.Object{Server: "origin", Name: fmt.Sprintf("m%d.bin", next%objects), Size: n}
+		next++
+		h := tr.StartWarm(obj, core.Path{}, 0, n)
+		tr.Wait(h)
+		if err := h.Result().Err; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2*objects; i++ {
+		miss() // fills the cache, its free list and the buffer pools
+	}
+	before := tr.CacheStats()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		miss()
+	}
+	runtime.ReadMemStats(&m1)
+	if s := tr.CacheStats(); s.Hits != before.Hits || s.Evictions-before.Evictions != runs {
+		t.Fatalf("cache %+v after %+v: the measured fetches were not evicting misses", s, before)
+	}
+	if per := float64(m1.TotalAlloc-m0.TotalAlloc) / runs; per > 0.1*n {
+		t.Errorf("client cache miss: %.0f bytes allocated per %d-byte miss, want < %d", per, n, n/10)
+	} else {
+		t.Logf("client cache miss: %.0f bytes allocated per %d-byte miss", per, n)
 	}
 }
 

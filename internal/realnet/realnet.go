@@ -543,12 +543,12 @@ func (t *Transport) scheduleRetry(ctx context.Context, rec *flight.Record, attem
 func (t *Transport) fetch(ctx context.Context, h *handle, obj core.Object, path core.Path, off, n int64, warm bool) error {
 	rec := &h.rec
 	if c := t.objCache(); c != nil {
-		if data, ok := c.Get(objCacheKey(obj), off, n); ok {
+		if c.Read(objCacheKey(obj), off, n, func([]byte) {}) {
 			// Fully covered by cached spans: the transfer completes without
 			// touching the network (and without consulting path health — a
 			// local hit says nothing about any path).
 			rec.SetCache("hit")
-			rec.Progress(off, int64(len(data)), n)
+			rec.Progress(off, n, n)
 			return nil
 		}
 	}
@@ -734,14 +734,15 @@ func (t *Transport) doRange(pc *pooledConn, rec *flight.Record, obj core.Object,
 	if t.Verify {
 		v = *relay.NewVerifier(obj.Name, off)
 	}
-	// With caching on, the stream tees into a fill buffer so the range
-	// lands in the cache as a side effect of delivery. With it off (or
-	// the range bigger than the whole cache) fill stays nil and the loop
-	// below is byte-for-byte the uncached one.
+	// With caching on, the stream tees into a fill buffer — one the cache
+	// recycled when it has one of this size — that is handed to the cache
+	// once the range is complete, so it lands there as a side effect of
+	// delivery. With it off (or the range bigger than the whole cache)
+	// fill stays nil and the loop below is byte-for-byte the uncached one.
 	var fill []byte
 	cache := t.objCache()
 	if cache != nil && n <= cache.Capacity() {
-		fill = make([]byte, 0, n)
+		fill = cache.Buffer(n)
 	}
 	buf := streamBufs.Get().([]byte)
 	defer streamBufs.Put(buf)
@@ -801,7 +802,7 @@ func (t *Transport) doRange(pc *pooledConn, rec *flight.Record, obj core.Object,
 		return false, err
 	}
 	if fill != nil {
-		cache.Put(objCacheKey(obj), off, fill)
+		cache.PutOwned(objCacheKey(obj), off, fill)
 	}
 	// Reusable only if the response was exactly the requested range: an
 	// unknown-length body leaves the stream position undefined.

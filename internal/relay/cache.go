@@ -72,8 +72,12 @@ func (r *Relay) serveCached(conn net.Conn, req *httpx.Request, rec *flight.Recor
 		if want > r.cache.Capacity() {
 			return false, false
 		}
-		if data, hit := r.cache.Get(key, off, want); hit {
-			return true, r.writeCached(conn, rec, key, data, off, whole, "hit")
+		// The span stays pinned, so its buffer cannot be recycled for
+		// another fill, until the bytes are written.
+		if r.cache.Read(key, off, want, func(data []byte) {
+			again = r.writeCached(conn, rec, key, data, off, whole, "hit")
+		}) {
+			return true, again
 		}
 	}
 	fl, leader := r.cache.StartFlight(key, off, want)
@@ -82,20 +86,22 @@ func (r *Relay) serveCached(conn net.Conn, req *httpx.Request, rec *flight.Recor
 		return true, r.forward(conn, req, rec, up, upstreamAddr, path, &fill{fl: fl, key: key, off: off})
 	}
 	rec.Phase("shared-wait")
-	data, err := fl.Wait(context.Background())
+	err := fl.Wait(context.Background(), func(data []byte) {
+		if whole && want == objcache.SizeUnknown {
+			want = int64(len(data))
+		}
+		if int64(len(data)) > want {
+			data = data[:want]
+		}
+		again = r.writeCached(conn, rec, key, data, off, whole, "shared")
+	})
 	if err != nil {
 		// The leader's fetch failed, was uncacheable, or delivered bytes
 		// the serve-time verifier refused (Wait checks a shared fill as
-		// Get checks a hit); fetch for ourselves over the plain path.
+		// Read checks a hit); fetch for ourselves over the plain path.
 		return false, false
 	}
-	if whole && want == objcache.SizeUnknown {
-		want = int64(len(data))
-	}
-	if int64(len(data)) > want {
-		data = data[:want]
-	}
-	return true, r.writeCached(conn, rec, key, data, off, whole, "shared")
+	return true, again
 }
 
 // writeCached serves data (the bytes of [off, off+len)) straight from
@@ -166,11 +172,12 @@ func parseContentRange(h string) (off, size int64) {
 
 // learn records the object's geometry from a 200/206 — a 206's
 // Content-Range carries the actual offset and the full size, a 200's
-// Content-Length is the full size — and opens f's tee buffer when the
-// body can be kept. A body without a declared length, one bigger than
-// the whole cache, or a 206 whose actual offset differs from the one
-// the flight was opened at streams through unteed; the flight then
-// reports uncacheable and waiters fetch for themselves.
+// Content-Length is the full size — and, when the body can be kept,
+// opens f's tee buffer, a recycled one if the cache has one that fits.
+// A body without a declared length, one bigger than the whole cache, or
+// a 206 whose actual offset differs from the one the flight was opened
+// at streams through unteed; the flight then reports uncacheable and
+// waiters fetch for themselves.
 func (r *Relay) learn(f *fill, resp *httpx.Response) {
 	actualOff := int64(0)
 	if resp.Status == 206 {
@@ -186,6 +193,6 @@ func (r *Relay) learn(f *fill, resp *httpx.Response) {
 		r.cache.SetSize(f.key, resp.ContentLength)
 	}
 	if resp.ContentLength > 0 && resp.ContentLength <= r.cache.Capacity() && actualOff == f.off {
-		f.buf = make([]byte, 0, resp.ContentLength)
+		f.buf = r.cache.Buffer(resp.ContentLength)
 	}
 }

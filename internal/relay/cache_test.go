@@ -2,6 +2,7 @@ package relay
 
 import (
 	"bufio"
+	"fmt"
 	"io"
 	"net"
 	"runtime"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/httpx"
 )
 
@@ -342,6 +344,86 @@ func TestCachelessRelayUnchangedByOptionsAPI(t *testing.T) {
 	}
 	if got := o.Conns.Load(); got != 2 {
 		t.Fatalf("cacheless relay reached the origin %d times, want every request", got)
+	}
+}
+
+// TestCacheMissAllocCeiling holds a cached relay's miss to what a plain
+// forward costs plus the bytes the cache keeps: with the free list
+// warm, the fill buffer is an evicted span's, handed to the cache
+// uncopied (the benchmark ladder's relay.cache_miss_alloc_KB_per_req
+// prices the same exchange; 258 KB per 128 KiB miss when it was copied).
+func TestCacheMissAllocCeiling(t *testing.T) {
+	if bufpool.RaceEnabled {
+		t.Skip("the race detector makes sync.Pool drop a quarter of what is Put: there is no ceiling to hold")
+	}
+	o, originAddr := startOrigin(t)
+	const n, objects, runs = 128 << 10, 8, 64
+	for i := 0; i < objects; i++ {
+		o.Put(fmt.Sprintf("m%d.bin", i), n)
+	}
+	// The relay holds half the objects and the client rotates through
+	// all of them on one connection: every fetch misses, fills, evicts.
+	_, relayAddr := startCachedRelay(t, objects/2*n)
+	c := dialKept(t, relayAddr)
+	next := 0
+	miss := func() {
+		name := fmt.Sprintf("m%d.bin", next%objects)
+		next++
+		c.send("GET", originAddr, name, 0, n)
+		resp, err := httpx.ReadResponse(c.br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := io.Copy(io.Discard, resp.Body); err != nil || got != n || resp.Header["x-cache"] != "miss" {
+			t.Fatalf("%s: %d bytes, %v, x-cache %q; want a %d-byte miss", name, got, err, resp.Header["x-cache"], n)
+		}
+	}
+	for i := 0; i < 2*objects; i++ {
+		miss() // fills the cache, the free list and the buffer pools
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		miss()
+	}
+	runtime.ReadMemStats(&after)
+	if kb := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024; kb > 16 {
+		t.Errorf("cached relay miss: %.1f KB allocated per 128 KiB miss, want <= 16", kb)
+	} else {
+		t.Logf("cached relay miss: %.1f KB allocated per 128 KiB miss", kb)
+	}
+}
+
+// Clients racing hits against misses that evict and refill: every
+// response must carry the canonical bytes, so a buffer recycled while a
+// hit was still writing it would show. No verifier, which would turn
+// such a hit into a refetch and hide it.
+func TestCachedRelayServesCanonicalBytesUnderChurn(t *testing.T) {
+	o, originAddr := startOrigin(t)
+	const n, objects, clients, fetches = 32 << 10, 8, 4, 40
+	for i := 0; i < objects; i++ {
+		o.Put(fmt.Sprintf("c%d.bin", i), n)
+	}
+	r, relayAddr := startCachedRelay(t, objects/2*n)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < fetches; i++ {
+				name := fmt.Sprintf("c%d.bin", (c+i*i)%objects)
+				body, err := FetchVia(nil, relayAddr, originAddr, name, 0, n)
+				if err != nil || int64(len(body)) != n || !VerifyRange(name, 0, body) {
+					t.Errorf("%s: %d bytes, %v: not the canonical content", name, len(body), err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	r.WaitIdle()
+	if s := r.Cache().Stats(); s.Hits == 0 || s.Evictions == 0 {
+		t.Fatalf("no churn to test: %+v", s)
 	}
 }
 

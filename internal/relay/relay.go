@@ -168,7 +168,7 @@ type fill struct {
 	fl   *objcache.Flight
 	key  string
 	off  int64
-	buf  []byte // the teed body; nil until learn finds the response cacheable
+	buf  []byte // the teed body, the cache's once complete; nil until learn finds it cacheable
 	done bool
 }
 
