@@ -90,9 +90,10 @@ flight-smoke:
 
 # The determinism tier: the packages whose tests read what a request
 # leaves behind (spans, wide events, histograms, health folds, cache and
-# byte counters), the fault proxy the chaos tests inject with, and the
+# byte counters), the fault proxy the chaos tests inject with, the
 # object cache's buffer-reuse invariant (no buffer rewritten while a
-# reader holds it), twenty times over under the race detector; the
+# reader holds it), the codec's recycled heads and the engine's shared
+# cancellation errors, twenty times over under the race detector; the
 # facade's snapshot-vs-outcomes
 # accounting twenty times; the quick report against its golden five
 # times (before the report was a function of -seed it differed one run in
@@ -100,7 +101,7 @@ flight-smoke:
 # tests read either lands before the final byte or is waited for with
 # WaitIdle, so one failure here is a bug, not a flake.
 stress:
-	$(GO) test -race -count=20 ./internal/relay/ ./internal/realnet/ ./internal/obs/flight/ ./internal/obs/ ./internal/faultproxy/ ./internal/objcache/
+	$(GO) test -race -count=20 ./internal/relay/ ./internal/realnet/ ./internal/obs/flight/ ./internal/obs/ ./internal/faultproxy/ ./internal/objcache/ ./internal/httpx/ ./internal/core/
 	$(GO) test -count=20 . -run TestClientSnapshotMatchesOutcomes
 	$(GO) test -count=5 ./cmd/indirectlab -run QuickReportGolden
 	cd bench && $(GO) test -count=10 ./...

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -201,6 +202,55 @@ func TestCtxErrMapping(t *testing.T) {
 	<-c2.Done()
 	if err := CtxErr(c2); !errors.Is(err, ErrProbeTimeout) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("deadline: %v", err)
+	}
+}
+
+// errCtx is a context whose Err is whatever the test says: a context
+// implementation other than the standard library's may report its own.
+type errCtx struct {
+	context.Context
+	err error
+}
+
+func (c errCtx) Err() error { return c.err }
+
+// TestCtxErrBuiltOnce pins the two shared translations: the same wrap
+// chain and the same bytes as wrapping afresh, and no allocation on a
+// dead context. Any other context error still gets wrapped.
+func TestCtxErrBuiltOnce(t *testing.T) {
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, cancel2 := context.WithDeadline(context.Background(), time.Unix(0, 0))
+	defer cancel2()
+	for _, c := range []struct {
+		ctx          context.Context
+		core, stdlib error
+		msg          string
+	}{
+		{canceled, ErrCanceled, context.Canceled, "core: transfer canceled: context canceled"},
+		{expired, ErrProbeTimeout, context.DeadlineExceeded, "core: transfer deadline exceeded: context deadline exceeded"},
+	} {
+		err := CtxErr(c.ctx)
+		if !errors.Is(err, c.core) || !errors.Is(err, c.stdlib) {
+			t.Errorf("%v: not both %v and %v", err, c.core, c.stdlib)
+		}
+		if err.Error() != c.msg {
+			t.Errorf("message %q, want %q", err.Error(), c.msg)
+		}
+		if n := testing.AllocsPerRun(100, func() { CtxErr(c.ctx) }); n != 0 {
+			t.Errorf("%v: %v allocs, want 0", err, n)
+		}
+	}
+
+	own := fmt.Errorf("shutting down: %w", context.Canceled)
+	err := CtxErr(errCtx{context.Background(), own})
+	if !errors.Is(err, ErrCanceled) || !errors.Is(err, own) ||
+		err.Error() != "core: transfer canceled: shutting down: context canceled" {
+		t.Errorf("a context's own error: %v", err)
+	}
+	late := fmt.Errorf("budget: %w", context.DeadlineExceeded)
+	if err := CtxErr(errCtx{context.Background(), late}); !errors.Is(err, ErrProbeTimeout) || !errors.Is(err, late) {
+		t.Errorf("a wrapped deadline: %v", err)
 	}
 }
 

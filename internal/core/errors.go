@@ -29,15 +29,29 @@ var (
 	ErrProbeTimeout = errors.New("core: transfer deadline exceeded")
 )
 
+// The two translations CtxErr hands out for the standard library's
+// context errors, built once: every losing probe of every race ends in
+// one of them, and a shared error value costs it nothing.
+var (
+	errDeadline = fmt.Errorf("%w: %w", ErrProbeTimeout, context.DeadlineExceeded)
+	errCanceled = fmt.Errorf("%w: %w", ErrCanceled, context.Canceled)
+)
+
 // CtxErr translates a context's termination into the package's typed
 // errors: DeadlineExceeded becomes ErrProbeTimeout, Canceled becomes
 // ErrCanceled. It returns nil while the context is live. Both the typed
 // sentinel and the underlying context error are in the wrap chain, so
-// errors.Is works against either.
+// errors.Is works against either. For the standard library's two
+// context errors the result is a shared value and allocates nothing; a
+// context reporting any other error gets it wrapped afresh.
 func CtxErr(ctx context.Context) error {
 	switch err := ctx.Err(); {
 	case err == nil:
 		return nil
+	case err == context.DeadlineExceeded:
+		return errDeadline
+	case err == context.Canceled:
+		return errCanceled
 	case errors.Is(err, context.DeadlineExceeded):
 		return fmt.Errorf("%w: %w", ErrProbeTimeout, err)
 	default:

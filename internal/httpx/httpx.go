@@ -13,9 +13,12 @@
 //
 // A head costs what it carries: it is assembled in a recycled buffer and
 // written with one Write, and parsed line by line in place in the
-// reader's buffer, so reading one allocates the message, its header map
-// and the strings a caller can keep — and none of those for the names
-// and tokens the protocol itself uses.
+// reader's buffer, so reading one allocates only the strings a caller
+// can keep — and none of those for the names and tokens the protocol
+// itself uses. The message and its header map come from a pool, and go
+// back to it when the owner that read the head calls Release; a caller
+// that hands the message on, or keeps it, leaves it to the collector, at
+// the cost of one message and one map.
 package httpx
 
 import (
@@ -110,7 +113,9 @@ func writeHead(w io.Writer, bp *[]byte, b []byte) error {
 	return err
 }
 
-// ReadRequest parses a request head from br. The caller owns any body.
+// ReadRequest parses a request head from br. The caller owns any body,
+// and the message: one that is finished with it on the goroutine that
+// read it may hand it back with Release.
 func ReadRequest(br *bufio.Reader) (*Request, error) {
 	line, err := readLine(br)
 	if err != nil {
@@ -122,9 +127,45 @@ func ReadRequest(br *bufio.Reader) (*Request, error) {
 		!bytes.HasPrefix(proto, protoPrefix) || len(proto) <= len(protoPrefix) {
 		return nil, fmt.Errorf("%w: bad request line %q", ErrMalformed, line)
 	}
-	req := &Request{Method: intern(method), Target: string(target), Proto: intern(proto)}
-	req.Header, err = readHeader(br)
-	return req, err
+	req := requests.Get().(*Request)
+	req.Method, req.Target, req.Proto = intern(method), string(target), intern(proto)
+	if req.Header == nil {
+		req.Header = make(map[string]string)
+	}
+	if err := readHeader(br, req.Header); err != nil {
+		req.Release()
+		return nil, err
+	}
+	return req, nil
+}
+
+// Parsed heads are recycled by their owner: ReadRequest and ReadResponse
+// take the message, with its emptied header map, from these pools, and
+// Release gives it back. A map is the bulk of what a head allocates and
+// keeps its buckets when cleared, so a recycled one costs nothing until
+// a head carries more fields than it did.
+var (
+	requests  = sync.Pool{New: func() any { return new(Request) }}
+	responses = sync.Pool{New: func() any { return new(Response) }}
+)
+
+// maxPooledHeader is the most header fields a message may hold and still
+// be recycled: the protocol's own heads carry under ten, and a map grown
+// for a peer's outsized head is left to the collector rather than kept
+// at that size for every head after it.
+const maxPooledHeader = 16
+
+// Release hands a message ReadRequest returned back for reuse. Only its
+// owner calls it — the one goroutine that read it — once neither the
+// message nor its header map is referenced any more; the strings read
+// out of it stay valid. Release on nil does nothing.
+func (r *Request) Release() {
+	if r == nil || len(r.Header) > maxPooledHeader {
+		return
+	}
+	clear(r.Header)
+	*r = Request{Header: r.Header}
+	requests.Put(r)
 }
 
 // AbsoluteTarget splits an absolute-form target into (hostport, path). It
@@ -169,7 +210,8 @@ func WriteResponseHead(w io.Writer, status int, reason string, header map[string
 }
 
 // ReadResponse parses a response head from br and wires up a bounded body
-// reader.
+// reader. Like ReadRequest's, the message may go back through Release
+// once its owner is done with it and its body.
 func ReadResponse(br *bufio.Reader) (*Response, error) {
 	line, err := readLine(br)
 	if err != nil {
@@ -184,13 +226,19 @@ func ReadResponse(br *bufio.Reader) (*Response, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: bad status %q", ErrMalformed, code)
 	}
-	resp := &Response{Status: status, Reason: intern(reason), ContentLength: -1}
-	if resp.Header, err = readHeader(br); err != nil {
+	resp := responses.Get().(*Response)
+	resp.Status, resp.Reason, resp.ContentLength = status, intern(reason), -1
+	if resp.Header == nil {
+		resp.Header = make(map[string]string)
+	}
+	if err := readHeader(br, resp.Header); err != nil {
+		resp.Release()
 		return nil, err
 	}
 	if cl, ok := resp.Header["content-length"]; ok {
 		n, err := strconv.ParseInt(cl, 10, 64)
 		if err != nil || n < 0 {
+			resp.Release()
 			return nil, fmt.Errorf("%w: bad content-length %q", ErrMalformed, cl)
 		}
 		resp.ContentLength = n
@@ -200,6 +248,17 @@ func ReadResponse(br *bufio.Reader) (*Response, error) {
 		resp.Body = br
 	}
 	return resp, nil
+}
+
+// Release hands a message ReadResponse returned back for reuse, on the
+// terms of Request.Release; its Body must not be read afterwards.
+func (r *Response) Release() {
+	if r == nil || len(r.Header) > maxPooledHeader {
+		return
+	}
+	clear(r.Header)
+	*r = Response{Header: r.Header}
+	responses.Put(r)
 }
 
 // ParseRange parses a single-range "bytes=a-b" header against an object of
@@ -305,22 +364,23 @@ func readLongLine(br *bufio.Reader, start []byte) ([]byte, error) {
 	}
 }
 
-func readHeader(br *bufio.Reader) (map[string]string, error) {
-	h := make(map[string]string)
+// readHeader parses header fields into h, which is empty, up to the
+// blank line that ends the head.
+func readHeader(br *bufio.Reader, h map[string]string) error {
 	for {
 		line, err := readLine(br)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if len(line) == 0 {
-			return h, nil
+			return nil
 		}
 		if len(h) >= maxHeaderends {
-			return nil, ErrTooManyHeaders
+			return ErrTooManyHeaders
 		}
 		i := bytes.IndexByte(line, ':')
 		if i <= 0 {
-			return nil, fmt.Errorf("%w: header %q", ErrMalformed, line)
+			return fmt.Errorf("%w: header %q", ErrMalformed, line)
 		}
 		h[headerName(bytes.TrimSpace(line[:i]))] = intern(bytes.TrimSpace(line[i+1:]))
 	}

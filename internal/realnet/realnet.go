@@ -22,7 +22,6 @@ package realnet
 import (
 	"bufio"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -426,13 +425,16 @@ func errString(err error) string {
 }
 
 // transferContext applies the transport's per-transfer deadline unless
-// the caller's context already expires sooner.
+// the caller's context already expires sooner. Only a deadline to apply
+// derives a context; otherwise the transfer runs under ctx itself, and
+// its cancellation watch registers there directly instead of on a layer
+// that costs a context and a registration with its parent per transfer.
 func (t *Transport) transferContext(ctx context.Context) (context.Context, context.CancelFunc) {
 	if t.TransferTimeout <= 0 {
-		return context.WithCancel(ctx)
+		return ctx, func() {}
 	}
 	if dl, ok := ctx.Deadline(); ok && time.Until(dl) <= t.TransferTimeout {
-		return context.WithCancel(ctx)
+		return ctx, func() {}
 	}
 	return context.WithTimeout(ctx, t.TransferTimeout)
 }
@@ -617,8 +619,7 @@ func (t *Transport) fetch(ctx context.Context, h *handle, obj core.Object, path 
 		reusable, err := t.doRange(pc, rec, obj, target, host, off, n)
 		h.setConn(nil)
 		if err != nil {
-			var se *StatusError
-			if errors.As(err, &se) {
+			if _, ok := err.(*StatusError); ok { // doRange returns it unwrapped
 				// The server answered; a reusable connection survives the
 				// failure (the old code closed it here, burning a warm
 				// connection on every 404).
@@ -683,9 +684,10 @@ const streamBufSize = 64 << 10
 const maxStatusDrain = 256 << 10
 
 // streamBufs recycles transfer buffers across fetches, so steady-state
-// transfers allocate nothing proportional to object size.
+// transfers allocate nothing proportional to object size. It holds
+// pointers: a slice put in an interface is boxed, an allocation per Put.
 var streamBufs = sync.Pool{
-	New: func() any { return make([]byte, streamBufSize) },
+	New: func() any { b := make([]byte, streamBufSize); return &b },
 }
 
 // doRange issues one keep-alive range request on an open connection and
@@ -712,6 +714,7 @@ func (t *Transport) doRange(pc *pooledConn, rec *flight.Record, obj core.Object,
 	if err != nil {
 		return false, err
 	}
+	defer resp.Release() // read and finished with here, on this goroutine
 	keep := resp.Header["connection"] != "close"
 	if resp.Status != 200 && resp.Status != 206 {
 		// Drain a bounded error body so the connection stays usable, then
@@ -744,8 +747,9 @@ func (t *Transport) doRange(pc *pooledConn, rec *flight.Record, obj core.Object,
 	if cache != nil && n <= cache.Capacity() {
 		fill = cache.Buffer(n)
 	}
-	buf := streamBufs.Get().([]byte)
-	defer streamBufs.Put(buf)
+	bp := streamBufs.Get().(*[]byte)
+	defer streamBufs.Put(bp)
+	buf := *bp
 	rec.Phase("stream")
 	// Verification interleaves with streaming, so its cost is measured as
 	// cumulative busy time and recorded as one after-the-fact span nested

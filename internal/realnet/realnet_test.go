@@ -381,7 +381,9 @@ func TestWarmFallsBackWhenConnStale(t *testing.T) {
 // realnet.warm_allocs_per_fetch prices the same call): one verified warm
 // fetch, origin included, with the buffer pools warm. The ceiling is the
 // same at 128 KiB and at 16 MiB: the body streams through pooled
-// buffers, so allocations do not scale with object size.
+// buffers, so allocations do not scale with object size. Measured: 15 at
+// both sizes, with the origin's request head and the client's response
+// head recycled by their readers.
 func TestWarmFetchAllocCeiling(t *testing.T) {
 	if bufpool.RaceEnabled {
 		t.Skip("the race detector makes sync.Pool drop a quarter of what is Put: there is no ceiling to hold")
@@ -413,13 +415,72 @@ func TestWarmFetchAllocCeiling(t *testing.T) {
 		runs int
 	}{{"128K", 128 << 10, 100}, {"16M", 16 << 20, 10}} {
 		got := testing.AllocsPerRun(c.runs, func() { fetch(c.size) })
-		if got > 32 {
-			t.Errorf("warm %s fetch: %v allocs, want <= 32", c.name, got)
+		if got > 20 {
+			t.Errorf("warm %s fetch: %v allocs, want <= 20", c.name, got)
 		} else {
 			t.Logf("warm %s fetch: %v allocs", c.name, got)
 		}
 	}
 	if s := tr.PoolStats(); s.Misses != 1 {
 		t.Fatalf("pool %+v: the measured fetches were not warm", s)
+	}
+}
+
+// TestSelectAndFetchAllocCeiling enforces the whole operation's
+// allocation budget: one 128 KiB core.SelectAndFetch racing a slowed
+// direct path against two relays, every hop in this process and counted
+// — three cold dials, the losers' cancellation, the relays' forwards, the
+// origin's serves, the warm remainder. The benchmark's small_select runs
+// the same operation through the facade. Measured: 227–228 allocations
+// per operation, on a 2-vCPU x86-64 Linux host with Go 1.24; the ceiling
+// is that plus 10 %.
+func TestSelectAndFetchAllocCeiling(t *testing.T) {
+	if bufpool.RaceEnabled {
+		t.Skip("the race detector makes sync.Pool drop a quarter of what is Put: there is no ceiling to hold")
+	}
+	const size = 128 << 10
+	origin := relay.NewOriginServer()
+	origin.Put("obj.bin", size)
+	ol, err := origin.ServeAddr("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ol.Close()
+	relays := map[string]string{}
+	for _, name := range []string{"r1", "r2"} {
+		rl, err := relay.New().ServeAddr("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rl.Close()
+		relays[name] = rl.Addr().String()
+	}
+	// The direct path is slowed so that a relay wins the races, as in the
+	// benchmark: on equal loopback paths the winner, and with it the count,
+	// would be a coin toss. (A direct win on a starved host only costs
+	// fewer allocations: it has no relay hop.)
+	d := shaper.NewDialer()
+	d.SetProfile(ol.Addr().String(), shaper.PathProfile{Latency: 20 * time.Millisecond, DownloadBps: 80e6})
+	tr := &Transport{
+		Servers: map[string]string{"origin": ol.Addr().String()},
+		Relays:  relays,
+		Dial:    d.Dial,
+		Verify:  true,
+	}
+	defer tr.Close()
+	obj := core.Object{Server: "origin", Name: "obj.bin", Size: size}
+	op := func() {
+		out := core.SelectAndFetch(context.Background(), tr, obj, []string{"r1", "r2"}, core.Config{})
+		if out.Err != nil {
+			t.Fatal(out.Err)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		op() // warm the pools
+	}
+	if got := testing.AllocsPerRun(200, op); got > 250 {
+		t.Errorf("SelectAndFetch: %v allocs per operation, want <= 250", got)
+	} else {
+		t.Logf("SelectAndFetch: %v allocs per operation", got)
 	}
 }

@@ -149,9 +149,9 @@ func (o *Origin) serve(conn net.Conn, req *httpx.Request, rec *flight.Record) (a
 		return true
 	}
 
-	buf := relayBufs.Get().([]byte)
-	sent, werr := writeRange(conn, name, off, n, buf, &o.BytesServed)
-	relayBufs.Put(buf)
+	bp := relayBufs.Get().(*[]byte)
+	sent, werr := writeRange(conn, name, off, n, *bp, &o.BytesServed)
+	relayBufs.Put(bp)
 	rec.StoreBytes(sent)
 	if rec.Tracing() { // gate the FormatInt: no formatting on the untraced path
 		rec.SetAttr("bytes", strconv.FormatInt(sent, 10))

@@ -317,6 +317,9 @@ func (r *Relay) forward(conn net.Conn, req *httpx.Request, rec *flight.Record, u
 	if err != nil {
 		return badGateway(conn, rec, f, err)
 	}
+	// Read here, and done with once the body has been copied.
+	defer resp.Release()
+
 	if rec.Tracing() { // gate the Itoa: no formatting on the untraced path
 		rec.SetAttr("status", strconv.Itoa(resp.Status))
 	}
@@ -377,9 +380,10 @@ func (r *Relay) forward(conn net.Conn, req *httpx.Request, rec *flight.Record, u
 	return again
 }
 
-// relayBufs recycles forward-stream buffers across requests.
+// relayBufs recycles forward-stream buffers across requests. It holds
+// pointers: a slice put in an interface is boxed, an allocation per Put.
 var relayBufs = sync.Pool{
-	New: func() any { return make([]byte, 32<<10) },
+	New: func() any { b := make([]byte, 32<<10); return &b },
 }
 
 // copyStream pumps the upstream body to the client and reports read
@@ -401,8 +405,9 @@ var relayBufs = sync.Pool{
 // cap — an arbitrarily large body is fine as long as bytes keep arriving.
 func (r *Relay) copyStream(dst, upstream net.Conn, resp *httpx.Response, rec *flight.Record, f *fill, headErr error) (got int64, werr, rerr error) {
 	werr = headErr
-	buf := relayBufs.Get().([]byte)
-	defer relayBufs.Put(buf)
+	bp := relayBufs.Get().(*[]byte)
+	defer relayBufs.Put(bp)
+	buf := *bp
 	for {
 		if r.UpstreamStall > 0 {
 			upstream.SetReadDeadline(time.Now().Add(r.UpstreamStall))

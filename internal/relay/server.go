@@ -85,6 +85,10 @@ func (f *inflight) wait() {
 // one, counting each in flight from the moment its head is read until
 // one returns. The loop ends when one reports the connection spent, the
 // client asks for "connection: close", or it hangs up or idles out.
+//
+// The loop owns each request it reads and releases it once one has
+// returned: one must not keep the message, or its header map, past its
+// return, nor hand it to another goroutine that would.
 func (f *inflight) keepAlive(conn net.Conn, one func(net.Conn, *httpx.Request) bool) {
 	defer conn.Close()
 	br := bufpool.Reader(conn)
@@ -100,7 +104,9 @@ func (f *inflight) keepAlive(conn net.Conn, one func(net.Conn, *httpx.Request) b
 		f.add()
 		again := one(conn, req)
 		f.done()
-		if !again || req.Header["connection"] == "close" {
+		closing := req.Header["connection"] == "close"
+		req.Release()
+		if !again || closing {
 			return
 		}
 	}
