@@ -43,8 +43,6 @@ doc-check:
 fuzz-smoke:
 	$(GO) test ./internal/registry/ -run '^Fuzz' -fuzz FuzzParseRequest -fuzztime 10s
 	$(GO) test ./internal/registry/ -run '^Fuzz' -count=1
-	$(GO) test ./internal/faultproxy/ -run '^Fuzz' -fuzz FuzzParseSchedule -fuzztime 10s
-	$(GO) test ./internal/faultproxy/ -run '^Fuzz' -count=1
 	$(GO) test ./internal/httpx/ -run '^Fuzz' -fuzz FuzzReadRequest -fuzztime 10s
 	$(GO) test ./internal/httpx/ -run '^Fuzz' -fuzz FuzzReadResponse -fuzztime 10s
 	$(GO) test ./internal/httpx/ -run '^Fuzz' -count=1
@@ -52,14 +50,14 @@ fuzz-smoke:
 	$(GO) test ./internal/relay/ -run '^Fuzz' -count=1
 
 # The chaos tier: the fault-injection regression tests under the race
-# detector (packet faults on the simulator, connection faults through
-# the loopback proxy, the bug-sweep regressions they pinned), then the
+# detector (packet faults on the simulator, connection faults on the
+# shaper's listener, the bug-sweep regressions they pinned), then the
 # full nine-class campaign with its JSON scorecard and the anomaly
 # debug bundles the flight trigger engine captured per live fault
 # class (archived as a CI artifact).
 chaos-smoke:
-	$(GO) test -race -count=1 ./internal/simnet/ ./internal/faultproxy/ \
-		-run 'Fault|Schedule|Proxy|Burst|SamplePacket'
+	$(GO) test -race -count=1 ./internal/simnet/ ./internal/shaper/ \
+		-run 'Fault|Listener|Burst'
 	$(GO) test -race -count=1 ./internal/relay/ ./internal/realnet/ ./internal/obs/ \
 		-run 'Chaos|WarmFetch|Forward|Taxonomy|FillForward|CachedRelay'
 	$(GO) test -race -count=1 . -run 'Chaos'
@@ -90,19 +88,19 @@ flight-smoke:
 
 # The determinism tier: the packages whose tests read what a request
 # leaves behind (spans, wide events, histograms, health folds, cache and
-# byte counters), the fault proxy the chaos tests inject with, the
+# byte counters), the shaper the chaos tests inject faults with, the
 # object cache's buffer-reuse invariant (no buffer rewritten while a
 # reader holds it), the codec's recycled heads and the engine's shared
 # cancellation errors, twenty times over under the race detector; the
-# facade's snapshot-vs-outcomes
-# accounting twenty times; the quick report against its golden five
+# whole root package (the facade's accounting and the live end-to-end
+# tests) ten times under it; the quick report against its golden five
 # times (before the report was a function of -seed it differed one run in
 # two); then the repo benchmark's smoke test ten times. Everything those
 # tests read either lands before the final byte or is waited for with
 # WaitIdle, so one failure here is a bug, not a flake.
 stress:
-	$(GO) test -race -count=20 ./internal/relay/ ./internal/realnet/ ./internal/obs/flight/ ./internal/obs/ ./internal/faultproxy/ ./internal/objcache/ ./internal/httpx/ ./internal/core/
-	$(GO) test -count=20 . -run TestClientSnapshotMatchesOutcomes
+	$(GO) test -race -count=20 ./internal/relay/ ./internal/realnet/ ./internal/obs/flight/ ./internal/obs/ ./internal/shaper/ ./internal/objcache/ ./internal/httpx/ ./internal/core/
+	$(GO) test -race -count=10 .
 	$(GO) test -count=5 ./cmd/indirectlab -run QuickReportGolden
 	cd bench && $(GO) test -count=10 ./...
 

@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/faultproxy"
 	"repro/internal/relay"
+	"repro/internal/shaper"
 )
 
 // TestChaosClientRoutesAroundFaultyRelay is the end-to-end chaos check
@@ -27,25 +27,19 @@ func TestChaosClientRoutesAroundFaultyRelay(t *testing.T) {
 	}
 	defer ol.Close()
 
-	r := &relay.Relay{}
-	rl, err := r.ServeAddr("127.0.0.1:0")
+	// The faults sit on the client->relay leg: every connection the relay
+	// accepts is reset 2 KB into its response stream, mid-probe.
+	rl, err := shaper.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rl.Close()
-
-	// The fault proxy sits on the client->relay leg: every connection
-	// through it is reset 2 KB into the response body, mid-probe.
-	px, err := faultproxy.Listen("127.0.0.1:0", rl.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer px.Close()
-	px.SetSchedule(faultproxy.MustParse("conn=* phase=body@2048 reset"))
+	rl.SetFaults(shaper.Fault{At: 2048, Do: shaper.Reset})
+	go (&relay.Relay{}).Serve(rl)
 
 	tr := &repro.RealTransport{
 		Servers: map[string]string{"origin": ol.Addr().String()},
-		Relays:  map[string]string{"r": px.Addr()},
+		Relays:  map[string]string{"r": rl.Addr().String()},
 		Verify:  true,
 	}
 	defer tr.Close()
@@ -95,9 +89,9 @@ func TestChaosClientRoutesAroundFaultyRelay(t *testing.T) {
 		t.Fatalf("direct path state = %v while carrying every fetch", hm.State("direct"))
 	}
 
-	// Heal: the proxy forwards cleanly again; continued operation must
-	// recover the verdict within a few windows.
-	px.SetSchedule(nil)
+	// Heal: the relay's connections run clean again; continued operation
+	// must recover the verdict within a few windows.
+	rl.SetFaults()
 	deadline = time.Now().Add(15 * time.Second)
 	for hm.State("r") != repro.HealthHealthy {
 		if time.Now().After(deadline) {

@@ -6,8 +6,6 @@ import (
 	"encoding/json"
 	"io"
 	"net"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,102 +15,6 @@ import (
 	"repro/internal/relay"
 	"repro/internal/shaper"
 )
-
-// throttleProxy forwards TCP to a target through an adjustable downstream
-// rate limit, and can be killed mid-run: the listener closes and every
-// spliced connection is severed. The throttle lives on the server side of
-// the client's connections, so installing a new rate degrades pooled
-// connections that are already established — exactly how a congested or
-// failing relay looks from the outside.
-type throttleProxy struct {
-	l       net.Listener
-	target  string
-	limiter atomic.Pointer[shaper.Bucket]
-
-	mu    sync.Mutex
-	conns []net.Conn
-}
-
-func newThrottleProxy(t *testing.T, target string) *throttleProxy {
-	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := &throttleProxy{l: l, target: target}
-	go p.serve()
-	return p
-}
-
-func (p *throttleProxy) addr() string { return p.l.Addr().String() }
-
-// setRate caps the downstream (proxy -> client) rate in bits/sec,
-// effective immediately on all current and future connections. The small
-// burst keeps even one probe-sized read from bypassing the cap.
-func (p *throttleProxy) setRate(bps float64) {
-	p.limiter.Store(shaper.NewBucket(bps/8, 8<<10))
-}
-
-func (p *throttleProxy) track(c net.Conn) {
-	p.mu.Lock()
-	p.conns = append(p.conns, c)
-	p.mu.Unlock()
-}
-
-func (p *throttleProxy) serve() {
-	for {
-		client, err := p.l.Accept()
-		if err != nil {
-			return
-		}
-		upstream, err := net.Dial("tcp", p.target)
-		if err != nil {
-			client.Close()
-			continue
-		}
-		p.track(client)
-		p.track(upstream)
-		go func() { io.Copy(upstream, client); upstream.Close() }()
-		go func() {
-			io.Copy(throttleWriter{client, p}, upstream)
-			client.Close()
-		}()
-	}
-}
-
-type throttleWriter struct {
-	w io.Writer
-	p *throttleProxy
-}
-
-func (t throttleWriter) Write(b []byte) (int, error) {
-	// Re-read the limiter per write so a rate installed mid-flight
-	// applies to in-progress splices; chunk so slow rates stay smooth.
-	written := 0
-	for written < len(b) {
-		chunk := b[written:]
-		if len(chunk) > 8<<10 {
-			chunk = chunk[:8<<10]
-		}
-		t.p.limiter.Load().Take(len(chunk))
-		n, err := t.w.Write(chunk)
-		written += n
-		if err != nil {
-			return written, err
-		}
-	}
-	return written, nil
-}
-
-// kill severs the proxy: no new connections, all spliced ones closed.
-func (p *throttleProxy) kill() {
-	p.l.Close()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, c := range p.conns {
-		c.Close()
-	}
-}
 
 // scrapeJSON GETs path from a debug server and decodes the JSON body.
 func scrapeJSON(t *testing.T, addr, path string, v any) {
@@ -150,30 +52,36 @@ func scrapeJSON(t *testing.T, addr, path string, v any) {
 // degraded -> down (collapse, then kill) without flapping.
 func TestHealthTelemetryTracksInducedDegradation(t *testing.T) {
 	origin := relay.NewOriginServer()
-	origin.Put("big.bin", 96_000)
+	origin.Put("big.bin", 512_000)
 	ol, err := origin.ServeAddr("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ol.Close()
 
-	r := &relay.Relay{}
-	rl, err := r.ServeAddr("127.0.0.1:0")
+	// The relay's listener is its path: a rate set on it reaches
+	// connections already open, and closing it kills the relay outright.
+	rl, err := shaper.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rl.Close()
-	proxy := newThrottleProxy(t, rl.Addr().String())
-	defer proxy.kill()
+	go (&relay.Relay{}).Serve(rl)
 
-	// Direct is modest; the relay path (through the proxy) starts
-	// unthrottled, so the healthy phase prefers it.
+	// Each path's throughput samples must agree, probe and remainder
+	// alike, or the monitor's fast/slow ratio reads noise: an unshaped
+	// 32 KB loopback probe times the scheduler, and a dialed connection's
+	// first 64 KiB pass as a burst. So every sample is rate-bound. The
+	// relay starts at 64 Mb/s (~70 per sample). Direct's probe is set by
+	// its 5 ms latency each way (~25 Mb/s) and its 480 KB remainder by
+	// its 16 Mb/s rate (~19), so the healthy phase prefers the relay.
+	rl.SetProfile(shaper.PathProfile{DownloadBps: 64e6})
 	d := shaper.NewDialer()
-	d.SetProfile(ol.Addr().String(), shaper.PathProfile{DownloadBps: 4e6})
+	d.SetProfile(ol.Addr().String(), shaper.PathProfile{DownloadBps: 16e6, Latency: 5 * time.Millisecond})
 
 	tr := &repro.RealTransport{
 		Servers: map[string]string{"origin": ol.Addr().String()},
-		Relays:  map[string]string{"r": proxy.addr()},
+		Relays:  map[string]string{"r": rl.Addr().String()},
 		Dial:    d.Dial,
 		Verify:  true,
 	}
@@ -204,7 +112,7 @@ func TestHealthTelemetryTracksInducedDegradation(t *testing.T) {
 	defer func() { dcancel(); <-done }()
 	debugAddr := dl.Addr().String()
 
-	obj := repro.Object{Server: "origin", Name: "big.bin", Size: 96_000}
+	obj := repro.Object{Server: "origin", Name: "big.bin", Size: 512_000}
 	// mustOK distinguishes the phases: while the relay is up every
 	// operation must succeed outright; once it is killed the outcome
 	// carries the failed probe's error by design, and the fetch itself
@@ -249,7 +157,7 @@ func TestHealthTelemetryTracksInducedDegradation(t *testing.T) {
 
 	// Phase B: collapse the relay path's throughput (requests still
 	// succeed). The telemetry must report degraded within one window.
-	proxy.setRate(1e6)
+	rl.SetProfile(shaper.PathProfile{DownloadBps: 1e6})
 	collapse := time.Now()
 	for {
 		round(true)
@@ -275,7 +183,7 @@ func TestHealthTelemetryTracksInducedDegradation(t *testing.T) {
 
 	// Phase C: kill the relay outright; failures plus staleness must
 	// drive the path down.
-	proxy.kill()
+	rl.Close()
 	killAt := time.Now()
 	for {
 		round(false)

@@ -7,12 +7,12 @@ import (
 	"path/filepath"
 	"time"
 
-	"repro/internal/faultproxy"
 	"repro/internal/httpx"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
 	"repro/internal/randx"
 	"repro/internal/relay"
+	"repro/internal/shaper"
 	"repro/internal/simnet"
 )
 
@@ -148,28 +148,28 @@ func RunChaos(p ChaosParams) ChaosResult {
 	lives := []struct {
 		name   string
 		expect []obs.HealthState
-		drive  func(px *faultproxy.Proxy) (heal func())
+		drive  func(ln *shaper.Listener) (heal func())
 		cache  bool
 	}{
 		{"partition", []obs.HealthState{obs.HealthDown},
-			func(px *faultproxy.Proxy) func() {
-				px.SetPartitioned(true)
-				return func() { px.SetPartitioned(false) }
+			func(ln *shaper.Listener) func() {
+				ln.Sever()
+				return faults(shaper.Fault{Do: shaper.Refuse})(ln)
 			}, false},
 		{"flap", []obs.HealthState{obs.HealthDegraded, obs.HealthDown},
-			func(px *faultproxy.Proxy) func() {
-				return px.Flap(120*time.Millisecond, 120*time.Millisecond)
+			func(ln *shaper.Listener) func() {
+				return faults(flap(ln.Accepted()+1, 4*p.Transfers)...)(ln)
 			}, false},
 		{"slow-loris", []obs.HealthState{obs.HealthDown},
-			scheduleFault("conn=* phase=body@4096 stall=30s"), false},
+			faults(shaper.Fault{At: 4096, Do: shaper.Stall, Dur: 30 * time.Second}), false},
 		{"mid-stream-reset", []obs.HealthState{obs.HealthDown},
-			scheduleFault("conn=* phase=body@4096 reset"), false},
+			faults(shaper.Fault{At: 4096, Do: shaper.Reset}), false},
 		// A corrupting path is invisible to the relay's transport health
 		// (the bytes flow fine); the defense is verification, so the
 		// expected verdict is healthy and the scorecard instead counts
 		// corrupt deliveries out of the cache.
 		{"corrupted-range", []obs.HealthState{obs.HealthHealthy},
-			scheduleFault("conn=* phase=body@1024 corrupt=512"), true},
+			faults(shaper.Fault{At: 1024, Do: shaper.Corrupt, Len: 512}), true},
 	}
 	for _, l := range lives {
 		res.Entries = append(res.Entries, runLiveChaos(l.name, p, l.expect, l.drive, l.cache))
@@ -184,11 +184,26 @@ func RunChaos(p ChaosParams) ChaosResult {
 	return res
 }
 
-func scheduleFault(rules string) func(px *faultproxy.Proxy) func() {
-	return func(px *faultproxy.Proxy) func() {
-		px.SetSchedule(faultproxy.MustParse(rules))
-		return func() { px.SetSchedule(nil) }
+// faults installs fs on the origin's listener; heal clears them.
+func faults(fs ...shaper.Fault) func(ln *shaper.Listener) func() {
+	return func(ln *shaper.Listener) func() {
+		ln.SetFaults(fs...)
+		return func() { ln.SetFaults() }
 	}
+}
+
+// flap is the flapping path as a pattern over accept order: of the n
+// connections from index first on, runs of two are refused and runs of
+// two let through. The path heals and fails faster than a damped health
+// monitor should chase, and every run sees the same sequence.
+func flap(first, n int) []shaper.Fault {
+	var fs []shaper.Fault
+	for i := 0; i < n; i++ {
+		if i/2%2 == 0 {
+			fs = append(fs, shaper.Fault{Conn: first + i, Do: shaper.Refuse})
+		}
+	}
+	return fs
 }
 
 // --- Simulator-side classes ------------------------------------------
@@ -314,24 +329,20 @@ func chaosFetch(relayAddr, originAddr, name string, size int64, deadline time.Du
 	return f
 }
 
-// runLiveChaos drives one connection-fault class on loopback TCP:
-// origin → fault proxy → relay, with the relay's own health monitor and
-// SLO tracker as the instruments under test.
-func runLiveChaos(class string, p ChaosParams, expect []obs.HealthState, drive func(px *faultproxy.Proxy) func(), withCache bool) ChaosEntry {
+// runLiveChaos drives one connection-fault class on loopback TCP: an
+// origin whose listener runs the faults, and a relay in front of it with
+// its own health monitor and SLO tracker as the instruments under test.
+func runLiveChaos(class string, p ChaosParams, expect []obs.HealthState, drive func(ln *shaper.Listener) func(), withCache bool) ChaosEntry {
 	e := ChaosEntry{Class: class, Mode: "live"}
 
 	origin := relay.NewOriginServer()
 	origin.Put("warm.bin", p.ObjectSize)
 	origin.Put("chaos.bin", p.ObjectSize)
-	ol, err := origin.ServeAddr("127.0.0.1:0")
+	ln, err := shaper.Listen("127.0.0.1:0")
 	must(err == nil, "origin listen: %v", err)
-	defer ol.Close()
-	originAddr := ol.Addr().String()
-
-	px, err := faultproxy.Listen("127.0.0.1:0", originAddr)
-	must(err == nil, "fault proxy listen: %v", err)
-	defer px.Close()
-	proxyAddr := px.Addr()
+	defer ln.Close()
+	go origin.Serve(ln)
+	originAddr := ln.Addr().String()
 
 	// The flight recorder rides along as an instrument under test: the
 	// relay records one wide event per forward, the tail span collector
@@ -366,9 +377,6 @@ func runLiveChaos(class string, p ChaosParams, expect []obs.HealthState, drive f
 		relay.WithSpans(spans),
 		relay.WithFlight(rec),
 		relay.WithUpstreamStall(300 * time.Millisecond),
-		relay.WithDialer(func(network, addr string) (net.Conn, error) {
-			return net.Dial(network, proxyAddr)
-		}),
 	}
 	if withCache {
 		opts = append(opts, relay.WithCache(4<<20), relay.WithVerifier(relay.VerifyRange))
@@ -399,7 +407,7 @@ func runLiveChaos(class string, p ChaosParams, expect []obs.HealthState, drive f
 		time.Sleep(40 * time.Millisecond)
 	}
 
-	heal := drive(px)
+	heal := drive(ln)
 
 	// Fault phase: keep fetching (each fetch folds an outcome, and only
 	// folds advance the verdict machinery) until the monitor converges

@@ -115,9 +115,10 @@ func TestMuxRoutesAndErrors(t *testing.T) {
 // is deliberately stuck and checks the drain path force-closes its
 // connection instead of hanging.
 func TestShutdownForceClosesStragglers(t *testing.T) {
-	release := make(chan struct{})
+	started, release := make(chan struct{}), make(chan struct{})
 	mux := NewMux()
 	mux.Handle("/slow", func(*Request) (int, map[string]string, []byte) {
+		close(started)
 		<-release
 		return 200, nil, []byte("late\n")
 	})
@@ -132,7 +133,7 @@ func TestShutdownForceClosesStragglers(t *testing.T) {
 	if err := NewGet("/slow", addr).Write(conn); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(20 * time.Millisecond) // let the handler start blocking
+	<-started
 
 	cancel()
 	time.AfterFunc(200*time.Millisecond, func() { close(release) })

@@ -8,8 +8,8 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/faultproxy"
 	"repro/internal/relay"
+	"repro/internal/shaper"
 )
 
 // Regression tests for the stale-pooled-connection bugs the chaos sweep
@@ -20,27 +20,23 @@ import (
 // later, lazier warm fetch short.
 
 // TestWarmFetchSurvivesSeveredPool kills the parked connection between
-// requests — the proxy RSTs both sides, the classic NAT/middlebox reap —
-// and checks the next warm fetch falls back to a fresh dial cleanly: no
+// requests — the origin's end RSTs, the classic NAT/middlebox reap — and
+// checks the next warm fetch falls back to a fresh dial cleanly: no
 // error, and in particular no ErrProbeTimeout charged to a path that is
-// perfectly healthy.
+// perfectly healthy. Whether the RST has reached the client's socket
+// when the warm fetch starts or lands under it, the outcome is the same.
 func TestWarmFetchSurvivesSeveredPool(t *testing.T) {
 	origin := relay.NewOriginServer()
 	origin.Put("obj.bin", 1<<20)
-	ol, err := origin.ServeAddr("127.0.0.1:0")
+	ln, err := shaper.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ol.Close()
-
-	p, err := faultproxy.Listen("127.0.0.1:0", ol.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
+	defer ln.Close()
+	go origin.Serve(ln)
 
 	tr := &Transport{
-		Servers: map[string]string{"origin": p.Addr()},
+		Servers: map[string]string{"origin": ln.Addr().String()},
 		Verify:  true,
 	}
 	defer tr.Close()
@@ -53,8 +49,7 @@ func TestWarmFetchSurvivesSeveredPool(t *testing.T) {
 	}
 
 	// The transfer parked its connection; sever it under the pool.
-	p.Sever()
-	time.Sleep(20 * time.Millisecond) // let the RST land in the socket
+	ln.Sever()
 
 	h2 := tr.StartWarm(obj, core.Path{}, 64<<10, 64<<10)
 	tr.Wait(h2)
@@ -67,8 +62,8 @@ func TestWarmFetchSurvivesSeveredPool(t *testing.T) {
 	if st := tr.PoolStats(); st.Reuses != 1 {
 		t.Fatalf("pool reuses = %d, want 1 (the severed conn must still be tried warm)", st.Reuses)
 	}
-	if got := p.Accepted(); got != 2 {
-		t.Fatalf("proxy accepted %d conns, want 2 (fallback must redial)", got)
+	if got := ln.Accepted(); got != 2 {
+		t.Fatalf("origin accepted %d conns, want 2 (fallback must redial)", got)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -238,80 +237,6 @@ func TestDeadPathsReturnTypedErrorWithinDeadline(t *testing.T) {
 	}
 }
 
-// killableProxy forwards TCP to a target and can be killed mid-flight:
-// the listener closes and every spliced connection is severed.
-type killableProxy struct {
-	l      net.Listener
-	target string
-	bytes  atomic.Int64
-
-	mu    sync.Mutex
-	conns []net.Conn
-}
-
-func newKillableProxy(t *testing.T, target string) *killableProxy {
-	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := &killableProxy{l: l, target: target}
-	go p.serve()
-	return p
-}
-
-func (p *killableProxy) addr() string { return p.l.Addr().String() }
-
-func (p *killableProxy) track(c net.Conn) {
-	p.mu.Lock()
-	p.conns = append(p.conns, c)
-	p.mu.Unlock()
-}
-
-func (p *killableProxy) serve() {
-	for {
-		client, err := p.l.Accept()
-		if err != nil {
-			return
-		}
-		upstream, err := net.Dial("tcp", p.target)
-		if err != nil {
-			client.Close()
-			continue
-		}
-		p.track(client)
-		p.track(upstream)
-		go func() { io.Copy(upstream, client); upstream.Close() }()
-		go func() {
-			// Count downstream bytes as they flow (the conns are parked
-			// for reuse, so waiting for EOF would count nothing).
-			io.Copy(countWriter{client, &p.bytes}, upstream)
-			client.Close()
-		}()
-	}
-}
-
-type countWriter struct {
-	w io.Writer
-	n *atomic.Int64
-}
-
-func (c countWriter) Write(b []byte) (int, error) {
-	n, err := c.w.Write(b)
-	c.n.Add(int64(n))
-	return n, err
-}
-
-// kill severs the proxy: no new connections, all spliced ones closed.
-func (p *killableProxy) kill() {
-	p.l.Close()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, c := range p.conns {
-		c.Close()
-	}
-}
-
 func TestDownloaderFailsOverWhenRelayKilledMidFetch(t *testing.T) {
 	origin := relay.NewOriginServer()
 	origin.Put("big.bin", 2_000_000)
@@ -320,40 +245,27 @@ func TestDownloaderFailsOverWhenRelayKilledMidFetch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ol.Close()
-	r := &relay.Relay{}
-	rl, err := r.ServeAddr("127.0.0.1:0")
+	// The relay's path dies mid-download: once a connection has carried
+	// 300 KB — past the 100 KB probe, inside the first 500 KB segment on
+	// the warm connection — it is reset.
+	rl, err := shaper.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rl.Close()
-	proxy := newKillableProxy(t, rl.Addr().String())
-	defer proxy.kill()
+	rl.SetFaults(shaper.Fault{At: 300_000, Do: shaper.Reset})
+	go (&relay.Relay{}).Serve(rl)
 
 	d := shaper.NewDialer()
 	d.SetProfile(ol.Addr().String(), shaper.PathProfile{DownloadBps: 4e6})
-	d.SetProfile(proxy.addr(), shaper.PathProfile{DownloadBps: 16e6})
+	d.SetProfile(rl.Addr().String(), shaper.PathProfile{DownloadBps: 16e6})
 	tr := &Transport{
 		Servers:      map[string]string{"origin": ol.Addr().String()},
-		Relays:       map[string]string{"r": proxy.addr()},
+		Relays:       map[string]string{"r": rl.Addr().String()},
 		Dial:         d.Dial,
 		Verify:       true,
 		RetryBackoff: time.Millisecond,
 	}
-
-	// Kill the relay once it has delivered the probe and the first
-	// segment (~600 KB), i.e. mid-download with the relay selected.
-	killed := make(chan struct{})
-	go func() {
-		defer close(killed)
-		deadline := time.Now().Add(20 * time.Second)
-		for proxy.bytes.Load() < 550_000 {
-			if time.Now().After(deadline) {
-				return
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		proxy.kill()
-	}()
 
 	dl := &core.Downloader{
 		Transport:    tr,
@@ -363,7 +275,6 @@ func TestDownloaderFailsOverWhenRelayKilledMidFetch(t *testing.T) {
 	}
 	obj := core.Object{Server: "origin", Name: "big.bin", Size: 2_000_000}
 	res, err := dl.Download(context.Background(), obj, []string{"r"})
-	<-killed
 	if err != nil {
 		t.Fatalf("download did not survive the relay dying: %v", err)
 	}

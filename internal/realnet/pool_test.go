@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"errors"
-	"io"
 	"math"
 	"net"
 	"strings"
@@ -300,67 +299,22 @@ func TestPartialDeliveryRecorded(t *testing.T) {
 	}
 }
 
-// corruptingProxy splices client<->origin, flipping one byte of the
-// server->client stream at the given position.
-func corruptingProxy(t *testing.T, upstream string, flipAt int64) net.Listener {
-	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		for {
-			c, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer c.Close()
-				up, err := net.Dial("tcp", upstream)
-				if err != nil {
-					return
-				}
-				defer up.Close()
-				go io.Copy(up, c)
-				var pos int64
-				buf := make([]byte, 4096)
-				for {
-					n, err := up.Read(buf)
-					if n > 0 {
-						if flipAt >= pos && flipAt < pos+int64(n) {
-							buf[flipAt-pos] ^= 0xff
-						}
-						pos += int64(n)
-						if _, werr := c.Write(buf[:n]); werr != nil {
-							return
-						}
-					}
-					if err != nil {
-						return
-					}
-				}
-			}()
-		}
-	}()
-	return l
-}
-
 // TestMidStreamCorruptionDetected checks the incremental verifier inside
 // the stream loop: a byte flipped deep in the body fails the transfer
 // with a content-mismatch error.
 func TestMidStreamCorruptionDetected(t *testing.T) {
 	origin := relay.NewOriginServer()
 	origin.Put("big.bin", 1_000_000)
-	ol, err := origin.ServeAddr("127.0.0.1:0")
+	ol, err := shaper.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ol.Close()
 	// Flip a byte ~500 KB into the stream (well past the response head).
-	proxy := corruptingProxy(t, ol.Addr().String(), 500_000)
-	defer proxy.Close()
+	ol.SetFaults(shaper.Fault{At: 500_000, Do: shaper.Corrupt, Len: 1})
+	go origin.Serve(ol)
 	tr := &Transport{
-		Servers:    map[string]string{"origin": proxy.Addr().String()},
+		Servers:    map[string]string{"origin": ol.Addr().String()},
 		Verify:     true,
 		MaxRetries: -1,
 	}

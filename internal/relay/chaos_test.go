@@ -7,9 +7,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/faultproxy"
 	"repro/internal/httpx"
 	"repro/internal/obs"
+	"repro/internal/shaper"
 )
 
 // Regression tests for the fault classes the chaos suite flushed out of
@@ -19,45 +19,30 @@ import (
 // awaiting bytes that would never come, and folding a spurious OK into
 // the relay's path health.
 
-// chaosRelay wires origin → faultproxy → relay and returns the relay,
-// its address, the origin's address (the health key), and the proxy.
-func chaosRelay(t *testing.T, objSize int64, schedule string, opts ...Option) (r *Relay, relayAddr, originAddr string, p *faultproxy.Proxy, mon *obs.HealthMonitor) {
+// chaosRelay serves an origin on a faulting listener, puts a relay in
+// front of it, and returns the relay, its address, the origin's address
+// (the health key), and the listener.
+func chaosRelay(t *testing.T, objSize int64, faults []shaper.Fault, opts ...Option) (r *Relay, relayAddr, originAddr string, ln *shaper.Listener, mon *obs.HealthMonitor) {
 	t.Helper()
 	origin := NewOriginServer()
 	origin.Put("obj.bin", objSize)
-	ol, err := origin.ServeAddr("127.0.0.1:0")
+	ln, err := shaper.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { ol.Close() })
-	originAddr = ol.Addr().String()
-
-	p, err = faultproxy.Listen("127.0.0.1:0", originAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { p.Close() })
-	if schedule != "" {
-		p.SetSchedule(faultproxy.MustParse(schedule))
-	}
+	t.Cleanup(func() { ln.Close() })
+	ln.SetFaults(faults...)
+	go origin.Serve(ln)
+	originAddr = ln.Addr().String()
 
 	mon = obs.NewHealthMonitor(obs.HealthConfig{Clock: obs.WallClock()})
-	proxyAddr := p.Addr()
-	opts = append([]Option{
-		WithHealthMonitor(mon),
-		// Route the upstream leg through the fault proxy regardless of
-		// the address the request names.
-		WithDialer(func(network, addr string) (net.Conn, error) {
-			return net.Dial(network, proxyAddr)
-		}),
-	}, opts...)
-	r = New(opts...)
+	r = New(append([]Option{WithHealthMonitor(mon)}, opts...)...)
 	rl, err := r.ServeAddr("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { rl.Close() })
-	return r, rl.Addr().String(), originAddr, p, mon
+	return r, rl.Addr().String(), originAddr, ln, mon
 }
 
 // shortGet issues one whole-object GET through the relay with a hard
@@ -96,7 +81,8 @@ func TestForwardShortUpstreamBody(t *testing.T) {
 	const objSize = 64 << 10
 	// The origin's FIN lands 8 KB into the response stream: a clean
 	// early close, not a reset — exactly the case EOF semantics hide.
-	r, relayAddr, originAddr, _, mon := chaosRelay(t, objSize, "conn=* phase=body@8192 close")
+	r, relayAddr, originAddr, _, mon := chaosRelay(t, objSize,
+		[]shaper.Fault{{At: 8192, Do: shaper.Close}})
 
 	clen, body, conn, elapsed := shortGet(t, relayAddr, originAddr, "obj.bin", 5*time.Second)
 	defer conn.Close()
@@ -104,7 +90,7 @@ func TestForwardShortUpstreamBody(t *testing.T) {
 		t.Fatalf("declared length %d, want %d", clen, objSize)
 	}
 	if int64(len(body)) >= objSize {
-		t.Fatalf("got the whole object (%d bytes) through a truncating proxy", len(body))
+		t.Fatalf("got the whole object (%d bytes) through a truncating path", len(body))
 	}
 	if elapsed > 2*time.Second {
 		t.Fatalf("short read took %v: client waited on a dead keep-alive conn", elapsed)
@@ -137,7 +123,8 @@ func TestForwardUpstreamStallGuard(t *testing.T) {
 	// The origin goes silent 8 KB in, far longer than the relay's stall
 	// guard: the relay must fail the forward, not wedge its handler.
 	r, relayAddr, originAddr, _, mon := chaosRelay(t, objSize,
-		"conn=* phase=body@8192 stall=30s", WithUpstreamStall(250*time.Millisecond))
+		[]shaper.Fault{{At: 8192, Do: shaper.Stall, Dur: 30 * time.Second}},
+		WithUpstreamStall(250*time.Millisecond))
 
 	_, body, conn, elapsed := shortGet(t, relayAddr, originAddr, "obj.bin", 10*time.Second)
 	defer conn.Close()
@@ -155,8 +142,8 @@ func TestForwardUpstreamStallGuard(t *testing.T) {
 
 func TestFillForwardTruncationNeverPoisonsCache(t *testing.T) {
 	const objSize = 32 << 10
-	_, relayAddr, originAddr, p, _ := chaosRelay(t, objSize,
-		"conn=1 phase=body@4096 close",
+	_, relayAddr, originAddr, ln, _ := chaosRelay(t, objSize,
+		[]shaper.Fault{{Conn: 1, At: 4096, Do: shaper.Close}},
 		WithCache(1<<20), WithVerifier(VerifyRange))
 
 	// First fetch rides the truncated fill; it must come back short or
@@ -166,7 +153,7 @@ func TestFillForwardTruncationNeverPoisonsCache(t *testing.T) {
 	}
 
 	// Heal the path; the refetch must serve complete, verified bytes.
-	p.SetSchedule(nil)
+	ln.SetFaults()
 	body, err := FetchVia(nil, relayAddr, originAddr, "obj.bin", 0, objSize)
 	if err != nil {
 		t.Fatalf("healed refetch: %v", err)
@@ -180,18 +167,18 @@ func TestCachedRelayNeverServesCorruptSpan(t *testing.T) {
 	const objSize = 32 << 10
 	// Conn 1 (the cache fill) delivers a corrupted range; the serve-time
 	// verifier must keep the poisoned span from ever reaching a client.
-	_, relayAddr, originAddr, p, _ := chaosRelay(t, objSize,
-		"conn=1 phase=body@4096 corrupt=64",
+	_, relayAddr, originAddr, ln, _ := chaosRelay(t, objSize,
+		[]shaper.Fault{{Conn: 1, At: 4096, Do: shaper.Corrupt, Len: 64}},
 		WithCache(1<<20), WithVerifier(VerifyRange))
 
 	first, err := FetchVia(nil, relayAddr, originAddr, "obj.bin", 0, objSize)
 	if err == nil && VerifyRange("obj.bin", 0, first) && int64(len(first)) == objSize {
-		t.Fatal("corrupting proxy delivered intact bytes; fault injection broke")
+		t.Fatal("corrupting path delivered intact bytes; fault injection broke")
 	}
 
 	// Heal the upstream; every subsequent fetch — whether it hits the
 	// cache or refills — must verify.
-	p.SetSchedule(nil)
+	ln.SetFaults()
 	for i := 0; i < 3; i++ {
 		body, err := FetchVia(nil, relayAddr, originAddr, "obj.bin", 0, objSize)
 		if err != nil {

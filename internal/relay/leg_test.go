@@ -298,18 +298,18 @@ func TestCanceledProbeTakesItsLegWithIt(t *testing.T) {
 func TestSeveredLegIsRedialledSilently(t *testing.T) {
 	const size = 1 << 20
 	rec := flight.NewRecorder(flight.Config{Ring: 16})
-	r, relayAddr, originAddr, p, mon := chaosRelay(t, size, "", WithFlight(rec))
+	r, relayAddr, originAddr, ln, mon := chaosRelay(t, size, nil, WithFlight(rec))
 
 	c := dialKept(t, relayAddr)
 	c.get(originAddr, "obj.bin", 0, 10_000)
 	c.get(originAddr, "obj.bin", 10_000, 10_000)
 	// The upstream restarts (or idles the leg out) between two requests.
-	p.Sever()
+	ln.Sever()
 	c.get(originAddr, "obj.bin", 20_000, 10_000)
 	r.WaitIdle()
 
-	if got := p.Accepted(); got != 2 {
-		t.Fatalf("proxy accepted %d connections, want the first leg and one redial", got)
+	if got := ln.Accepted(); got != 2 {
+		t.Fatalf("origin accepted %d connections, want the first leg and one redial", got)
 	}
 	ph, _ := mon.PathHealth(originAddr)
 	if ph.Ok != 3 || ph.Failed != 0 {

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/httpx"
 	"repro/internal/obs/flight"
+	"repro/internal/shaper"
 )
 
 // TestStateLandsBeforeTheFinalByte is the regression test for counters
@@ -107,27 +108,29 @@ func exchange(t *testing.T, relayAddr, originAddr, name, rg string, limit int64)
 // (canceled, never an upstream failure; the teeing fill drains on).
 func TestCachedAndPlainRelayAgree(t *testing.T) {
 	cases := []struct {
-		name, schedule string
-		size           int64
-		object, rg     string
-		limit          int64
-		class          string
-		cached         bool // the caching relay holds the object afterwards
+		name   string
+		faults []shaper.Fault
+		size   int64
+		object string
+		rg     string
+		limit  int64
+		class  string
+		cached bool // the caching relay holds the object afterwards
 	}{
 		{name: "ok ranged", size: 4 << 20, object: "obj.bin", rg: "bytes=1000-20999", limit: -1, class: "ok"},
 		{name: "ok whole", size: 4 << 20, object: "obj.bin", limit: -1, class: "ok", cached: true},
 		{name: "404", size: 4 << 20, object: "missing.bin", limit: -1, class: "status"},
-		{name: "short upstream body", size: 4 << 20, schedule: "conn=* phase=body@8192 close", object: "obj.bin", limit: -1, class: "failed"},
-		// The proxy paces the upstream in 4 KiB steps, so the client is gone
-		// long before the body could have fit into socket buffers.
-		{name: "client hang-up", size: 512 << 10, schedule: "conn=* phase=body@0 throttle=8000000", object: "obj.bin", limit: 16 << 10, class: "canceled", cached: true},
+		{name: "short upstream body", size: 4 << 20, faults: []shaper.Fault{{At: 8192, Do: shaper.Close}}, object: "obj.bin", limit: -1, class: "failed"},
+		// The throttle paces the upstream in 4 KiB steps, so the client is
+		// gone long before the body could have fit into socket buffers.
+		{name: "client hang-up", size: 512 << 10, faults: []shaper.Fault{{Do: shaper.Throttle, Rate: 8e6}}, object: "obj.bin", limit: 16 << 10, class: "canceled", cached: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var replies [2]reply
 			for i, opts := range [][]Option{nil, {WithCache(16 << 20)}} {
 				rec := flight.NewRecorder(flight.Config{Ring: 4})
-				r, relayAddr, originAddr, _, mon := chaosRelay(t, tc.size, tc.schedule, append(opts, WithFlight(rec))...)
+				r, relayAddr, originAddr, _, mon := chaosRelay(t, tc.size, tc.faults, append(opts, WithFlight(rec))...)
 				replies[i] = exchange(t, relayAddr, originAddr, tc.object, tc.rg, tc.limit)
 				r.WaitIdle()
 

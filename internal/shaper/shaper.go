@@ -1,21 +1,25 @@
-// Package shaper emulates heterogeneous wide-area paths on loopback by
-// wrapping net.Conn with a token-bucket rate limiter and optional one-way
-// latency injection. The real-network examples and integration tests use
-// it to give each relay path a different bandwidth, so the selection
-// engine has something real to choose between.
+// Package shaper stands in for a wide-area path on loopback. A Dialer
+// shapes a client's connections: a token-bucket rate and a one-way
+// latency per direction, so paths differ in speed. A Listener is the
+// server end of a path: what its accepted connections write passes the
+// path's profile and the faults scheduled for them, each keyed by the
+// connection's accept index and a byte offset in its outbound stream,
+// never by the wall clock. The code under test reads real RSTs, FINs
+// and expired deadlines, with no proxy hop in between.
 package shaper
 
 import (
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// Bucket is a token-bucket rate limiter over bytes. It is safe for
-// concurrent use.
-type Bucket struct {
+// bucket is a token-bucket rate limiter over bytes. It is safe for
+// concurrent use, and its rate may change while takers draw on it.
+type bucket struct {
 	mu     sync.Mutex
-	rate   float64 // tokens (bytes) per second
+	rate   float64 // tokens (bytes) per second; <= 0 is unlimited
 	burst  float64
 	tokens float64
 	last   time.Time
@@ -23,27 +27,33 @@ type Bucket struct {
 	sleep  func(time.Duration)
 }
 
-// NewBucket creates a bucket that refills at rate bytes/sec with the given
-// burst size. A non-positive rate means unlimited.
-func NewBucket(rate float64, burst int) *Bucket {
-	b := &Bucket{
-		rate:  rate,
-		burst: float64(burst),
-		now:   time.Now,
-		sleep: time.Sleep,
-	}
-	b.tokens = b.burst
+// newBucket creates a bucket that refills at rate bytes/sec with the
+// given burst size. A non-positive rate means unlimited.
+func newBucket(rate float64, burst int) *bucket {
+	b := &bucket{rate: rate, burst: float64(burst), tokens: float64(burst), now: time.Now, sleep: time.Sleep}
 	b.last = b.now()
 	return b
 }
 
-// Take consumes n tokens, sleeping until the bucket can supply them.
-func (b *Bucket) Take(n int) {
-	if b == nil || b.rate <= 0 || n <= 0 {
+// set changes the refill rate; a taker already waiting sees it on its
+// next pass.
+func (b *bucket) set(rate float64) {
+	b.mu.Lock()
+	b.rate = rate
+	b.mu.Unlock()
+}
+
+// take consumes n tokens, sleeping until the bucket can supply them.
+func (b *bucket) take(n int) {
+	if b == nil {
 		return
 	}
 	for n > 0 {
 		b.mu.Lock()
+		if b.rate <= 0 {
+			b.mu.Unlock()
+			return
+		}
 		now := b.now()
 		b.tokens += now.Sub(b.last).Seconds() * b.rate
 		b.last = now
@@ -73,57 +83,71 @@ func (b *Bucket) Take(n int) {
 	}
 }
 
-// Conn wraps a net.Conn, limiting read and write throughput with separate
-// buckets and delaying the first byte by Latency (a crude propagation
-// model, applied once per direction).
+// maxChunk bounds one shaped read or write, so slow rates stay smooth.
+const maxChunk = 32 << 10
+
+// Conn is one shaped connection. A Dialer's Conn shapes both directions
+// from the client's side, delaying the first byte each way by the
+// profile's latency. A Listener's Conn shapes what the server writes and
+// runs the faults scheduled for it there.
 type Conn struct {
 	net.Conn
-	ReadBucket  *Bucket
-	WriteBucket *Bucket
-	Latency     time.Duration
-
-	readDelayed, writeDelayed sync.Once
+	rb, wb                    *bucket
+	lat                       time.Duration
+	readDelayed, writeDelayed atomic.Bool
+	srv                       *served // a Listener's only; a pointer keeps a Dialer's Conn small
 }
 
 // Read applies latency-then-rate shaping to inbound bytes.
 func (c *Conn) Read(p []byte) (int, error) {
-	c.readDelayed.Do(func() {
-		if c.Latency > 0 {
-			time.Sleep(c.Latency)
-		}
-	})
-	// Shape in small chunks so rates stay smooth at slow speeds.
-	if len(p) > 32<<10 {
-		p = p[:32<<10]
+	if !c.readDelayed.Swap(true) {
+		time.Sleep(c.lat)
+	}
+	if len(p) > maxChunk {
+		p = p[:maxChunk]
 	}
 	n, err := c.Conn.Read(p)
 	if n > 0 {
-		c.ReadBucket.Take(n)
+		c.rb.take(n)
 	}
 	return n, err
 }
 
-// Write applies latency-then-rate shaping to outbound bytes.
+// Write applies latency-then-rate shaping to outbound bytes and, on a
+// Listener's connection, fires every fault the stream reaches.
 func (c *Conn) Write(p []byte) (int, error) {
-	c.writeDelayed.Do(func() {
-		if c.Latency > 0 {
-			time.Sleep(c.Latency)
-		}
-	})
+	if !c.writeDelayed.Swap(true) {
+		time.Sleep(c.lat)
+	}
 	written := 0
 	for written < len(p) {
 		chunk := p[written:]
-		if len(chunk) > 32<<10 {
-			chunk = chunk[:32<<10]
+		if len(chunk) > maxChunk {
+			chunk = chunk[:maxChunk]
 		}
-		c.WriteBucket.Take(len(chunk))
-		n, err := c.Conn.Write(chunk)
+		var n int
+		var err error
+		if c.srv != nil {
+			n, err = c.srv.write(chunk)
+		} else {
+			c.wb.take(len(chunk))
+			n, err = c.Conn.Write(chunk)
+		}
 		written += n
 		if err != nil {
 			return written, err
 		}
 	}
 	return written, nil
+}
+
+// Close closes the connection. A blackholed Listener connection keeps
+// its FIN back until the peer hangs up.
+func (c *Conn) Close() error {
+	if c.srv != nil {
+		return c.srv.close()
+	}
+	return c.Conn.Close()
 }
 
 // PathProfile describes the emulated path for one dial target.
@@ -165,18 +189,18 @@ func (d *Dialer) Dial(network, addr string) (net.Conn, error) {
 	if !ok {
 		return conn, nil
 	}
-	return Shape(conn, p), nil
+	return shape(conn, p), nil
 }
 
-// Shape wraps conn with the profile's rate limits and latency. Rates are
-// given in bits/sec to match the rest of the system; buckets meter bytes.
-func Shape(conn net.Conn, p PathProfile) net.Conn {
-	var rb, wb *Bucket
+// shape wraps a client's conn with the profile's rate limits and
+// latency. Profiles give rates in bits/sec; buckets meter bytes.
+func shape(conn net.Conn, p PathProfile) *Conn {
+	c := &Conn{Conn: conn, lat: p.Latency}
 	if p.DownloadBps > 0 {
-		rb = NewBucket(p.DownloadBps/8, 64<<10)
+		c.rb = newBucket(p.DownloadBps/8, 64<<10)
 	}
 	if p.UploadBps > 0 {
-		wb = NewBucket(p.UploadBps/8, 64<<10)
+		c.wb = newBucket(p.UploadBps/8, 64<<10)
 	}
-	return &Conn{Conn: conn, ReadBucket: rb, WriteBucket: wb, Latency: p.Latency}
+	return c
 }

@@ -11,26 +11,26 @@ func TestBucketRateEnforcement(t *testing.T) {
 	// Virtualized clock: inject now/sleep so the test is deterministic
 	// and instant.
 	var clock time.Duration
-	b := NewBucket(1000, 100) // 1000 bytes/sec, 100 burst
+	b := newBucket(1000, 100) // 1000 bytes/sec, 100 burst
 	b.now = func() time.Time { return time.Unix(0, int64(clock)) }
 	b.sleep = func(d time.Duration) { clock += d }
 	b.last = b.now()
 
-	b.Take(100) // burst drains instantly
+	b.take(100) // burst drains instantly
 	if clock != 0 {
 		t.Fatalf("burst should not sleep, slept %v", clock)
 	}
-	b.Take(500) // 500 bytes at 1000 B/s -> 0.5s
+	b.take(500) // 500 bytes at 1000 B/s -> 0.5s
 	if clock < 450*time.Millisecond || clock > 600*time.Millisecond {
 		t.Fatalf("took %v for 500 bytes at 1000 B/s, want ~0.5s", clock)
 	}
 }
 
 func TestBucketUnlimited(t *testing.T) {
-	b := NewBucket(0, 0)
+	b := newBucket(0, 0)
 	done := make(chan struct{})
 	go func() {
-		b.Take(1 << 30)
+		b.take(1 << 30)
 		close(done)
 	}()
 	select {
@@ -38,17 +38,17 @@ func TestBucketUnlimited(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("unlimited bucket blocked")
 	}
-	var nilBucket *Bucket
-	nilBucket.Take(100) // nil-safe
+	var nilBucket *bucket
+	nilBucket.take(100) // nil-safe
 }
 
 func TestBucketLargerThanBurst(t *testing.T) {
 	var clock time.Duration
-	b := NewBucket(10000, 100)
+	b := newBucket(10000, 100)
 	b.now = func() time.Time { return time.Unix(0, int64(clock)) }
 	b.sleep = func(d time.Duration) { clock += d }
 	b.last = b.now()
-	b.Take(1000) // 10x burst: must loop, ~0.09-0.1s
+	b.take(1000) // 10x burst: must loop, ~0.09-0.1s
 	if clock < 80*time.Millisecond || clock > 150*time.Millisecond {
 		t.Fatalf("took %v for 1000 bytes at 10000 B/s", clock)
 	}
@@ -77,7 +77,7 @@ func TestShapedPipeThroughput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn := Shape(raw, PathProfile{DownloadBps: 1e6})
+	conn := shape(raw, PathProfile{DownloadBps: 1e6})
 	defer conn.Close()
 	start := time.Now()
 	n, err := io.ReadFull(conn, make([]byte, size))
@@ -111,7 +111,7 @@ func TestShapedPipeRateBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn := Shape(raw, PathProfile{DownloadBps: 4e6}) // 500 kB/s
+	conn := shape(raw, PathProfile{DownloadBps: 4e6}) // 500 kB/s
 	defer conn.Close()
 	start := time.Now()
 	if _, err := io.ReadFull(conn, make([]byte, size)); err != nil {
@@ -193,7 +193,7 @@ func TestLatencyInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn := Shape(raw, PathProfile{Latency: 80 * time.Millisecond})
+	conn := shape(raw, PathProfile{Latency: 80 * time.Millisecond})
 	defer conn.Close()
 	start := time.Now()
 	if _, err := conn.Read(make([]byte, 1)); err != nil {

@@ -87,38 +87,12 @@ func (fp FaultProfile) efficiency(p float64) float64 {
 // halt.
 const minEfficiency = 1e-3
 
-// PacketFate is the outcome of one sampled packet on a faulted link.
-type PacketFate uint8
-
-// Packet fates, in the order SamplePacket's cascade checks them.
-const (
-	PacketDelivered PacketFate = iota
-	PacketLost
-	PacketDuplicated
-	PacketReordered
-)
-
-func (f PacketFate) String() string {
-	switch f {
-	case PacketLost:
-		return "lost"
-	case PacketDuplicated:
-		return "duplicated"
-	case PacketReordered:
-		return "reordered"
-	}
-	return "delivered"
-}
-
 // LinkFaults is an active fault process attached to a link by
-// InjectFaults. It owns two independent RNG substreams — one for the
-// burst chain, one for per-packet sampling — so sampling packets never
-// perturbs the chain's trajectory.
+// InjectFaults. Its burst chain draws from its own RNG substream.
 type LinkFaults struct {
 	link    *Link
 	prof    FaultProfile
 	chain   *randx.RNG
-	pkt     *randx.RNG
 	bad     bool
 	stopped bool
 }
@@ -127,9 +101,8 @@ type LinkFaults struct {
 // virtual time the burst chain advances, the link's Loss is set to the
 // composed per-packet loss (pricing new flows via the TCP model), and
 // the link's goodput efficiency is updated (slowing flows already in
-// progress). The returned LinkFaults exposes the current state and a
-// per-packet sampler; Stop detaches the driver and restores a clean
-// link.
+// progress). The returned LinkFaults exposes the current state; Stop
+// detaches the process and restores a clean link.
 func (l *Link) InjectFaults(prof FaultProfile, interval float64, rng *randx.RNG) *LinkFaults {
 	if interval <= 0 {
 		panic("simnet: InjectFaults requires interval > 0")
@@ -156,7 +129,6 @@ func (l *Link) InjectFaults(prof FaultProfile, interval float64, rng *randx.RNG)
 		link:  l,
 		prof:  prof,
 		chain: rng.Fork("simnet-fault-chain/" + l.Name),
-		pkt:   rng.Fork("simnet-fault-packet/" + l.Name),
 	}
 	var tick func()
 	tick = func() {
@@ -209,25 +181,6 @@ func (f *LinkFaults) EffectiveLoss() float64 {
 		p = 1 - (1-p)*(1-state)
 	}
 	return p
-}
-
-// SamplePacket draws the fate of one packet at the link's current fault
-// state: lost with the effective loss probability, else duplicated,
-// else reordered, else delivered. The sampler's RNG substream is
-// independent of the chain's, so distribution tests do not disturb the
-// fluid trajectory.
-func (f *LinkFaults) SamplePacket() PacketFate {
-	u := f.pkt.Float64()
-	p := f.EffectiveLoss()
-	switch {
-	case u < p:
-		return PacketLost
-	case u < p+(1-p)*f.prof.Dup:
-		return PacketDuplicated
-	case u < p+(1-p)*(f.prof.Dup+f.prof.Reorder):
-		return PacketReordered
-	}
-	return PacketDelivered
 }
 
 // Stop detaches the fault process and restores a clean link (zero loss,
