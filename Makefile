@@ -63,15 +63,16 @@ chaos-smoke:
 	$(GO) test -race -count=1 . -run 'Chaos'
 	$(GO) run ./cmd/indirectlab -exp chaos -scale quick -chaos-json chaos.json -chaos-bundle-dir chaos-bundles
 
-# The observability tier: the fleet aggregator e2e (three loopback
-# relays scraped over real HTTP, induced degradation, staleness), the
-# striped-counter and exemplar correctness suite, the tail-retention
-# policy tests, concurrent structured logging, and the scraped-exemplar
-# -> stitched-trace acceptance path — all under the race detector.
+# The observability tier: the fetch -fleet e2e (a live registry and
+# three loopback relays read over real HTTP, an induced upstream death,
+# a relay that stops answering), the striped-counter and exemplar
+# correctness suite, the tail-retention policy tests, concurrent
+# structured logging, and the scraped-exemplar -> stitched-trace
+# acceptance path — all under the race detector.
 obs-smoke:
-	$(GO) test -race -count=1 ./internal/obs/fleet/ ./internal/obs/slogx/
+	$(GO) test -race -count=1 ./cmd/fetch/ ./internal/obs/slogx/
 	$(GO) test -race -count=1 ./internal/obs/ \
-		-run 'Striped|StripePicker|Exemplar|Tail|OpenMetrics|Accepts|ClassicByteCompatible|ParseProm|MergeHistogram|Runtime|HistogramSum|HistogramEdges|HistogramReconstruction'
+		-run 'Striped|StripePicker|Exemplar|Tail|OpenMetrics|Accepts|ClassicByteCompatible|Runtime|HistogramSum|HistogramEdges'
 	$(GO) test -race -count=1 ./internal/realnet/ -run 'ExemplarResolvesToStitchedTrace'
 
 # The flight-recorder tier: the whole wide-event/profiler/trigger

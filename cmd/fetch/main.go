@@ -16,27 +16,30 @@
 // all gain). Relays the registry has marked down are excluded.
 // -paths attaches a health monitor to the client and prints the per-path
 // health snapshot (state, score, throughput EWMA) after the transfer.
-// -fleet <addr> skips the transfer entirely and prints the merged fleet
-// snapshot (per-relay freshness, fleet totals, worst paths) from an
-// aggregating registryd's metrics address.
+// -fleet <relay> skips the transfer entirely and prints the fleet as the
+// relays see themselves: per relay the registry's health and down state,
+// then the requests, bytes and per-path health read once from the
+// metrics address it reported, then the fleet's worst paths.
 // -bundle <relay> likewise skips the transfer and pulls the named
-// relay's anomaly debug bundles through the metrics address it reported
-// to the registry ("all" sweeps every relay in the fleet; a literal
-// host:port skips discovery); add -bundle-name to dump one bundle's
-// full JSON.
+// relay's anomaly debug bundles; add -bundle-name to dump one bundle's
+// full JSON. Both take "all" for every relay the registry lists, one
+// relay's name, or a literal metrics host:port (no discovery).
 // Result tables go to stdout; operational logging is structured (slog)
 // on stderr — see -log-format, -log-level, and -log-components.
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -45,8 +48,9 @@ import (
 	"repro"
 	"repro/internal/daemon"
 	"repro/internal/httpx"
-	"repro/internal/obs/fleet"
+	"repro/internal/obs"
 	"repro/internal/obs/flight"
+	"repro/internal/registry"
 	"repro/internal/traceio"
 )
 
@@ -98,108 +102,182 @@ func printStitched(all []repro.Span) {
 	}
 }
 
-// printFleet pulls /debug/fleet from an aggregating registryd's metrics
-// address and renders the whole-fleet view as a table.
-func printFleet(ctx context.Context, addr string, timeout time.Duration) {
-	status, _, body, err := httpx.Get(ctx, nil, addr, "/debug/fleet", nil, timeout)
-	if err != nil {
-		fatal("fleet snapshot failed", "addr", addr, "err", err)
-	}
-	if status != 200 {
-		fatal("fleet snapshot failed", "addr", addr, "status", status,
-			"hint", "is registryd running with -fleet-every?")
-	}
-	var snap fleet.Snapshot
-	if err := json.Unmarshal(body, &snap); err != nil {
-		fatal("decoding fleet snapshot", "addr", addr, "err", err)
-	}
-	fmt.Printf("fleet @ %s: %d relays (%d live, %d stale), %d scrapes (%d errors)\n",
-		snap.Time.Format(time.RFC3339), len(snap.Relays), snap.Live, snap.Stale,
-		snap.Scrapes, snap.ScrapeErrs)
-	for _, rs := range snap.Relays {
-		age := "never"
-		if rs.AgeSeconds >= 0 {
-			age = fmt.Sprintf("%.1fs", rs.AgeSeconds)
-		}
-		state := "live"
-		if rs.Stale {
-			state = "STALE"
-		}
-		health := "unreported"
-		if rs.Health >= 0 {
-			health = fmt.Sprintf("%.3f", rs.Health)
-		}
-		fmt.Printf("  %-12s %-21s %-5s age %-7s health %-10s %8.0f reqs %12.0f bytes  p99 %6.1fms\n",
-			rs.Name, rs.Addr, state, age, health,
-			rs.Requests, rs.BytesRelayed, rs.ForwardLatency.P99*1e3)
-		if rs.Err != "" {
-			fmt.Printf("  %-12s last scrape error: %s\n", "", rs.Err)
-		}
-	}
-	fmt.Printf("totals (live): %.0f requests, %.0f bytes relayed, forward p50/p90/p99 %.1f/%.1f/%.1f ms\n",
-		snap.Requests, snap.BytesRelayed,
-		snap.ForwardLatency.P50*1e3, snap.ForwardLatency.P90*1e3, snap.ForwardLatency.P99*1e3)
-	if len(snap.WorstPaths) > 0 {
-		fmt.Printf("worst paths:\n")
-		for _, wp := range snap.WorstPaths {
-			fmt.Printf("  %-12s %-24s %-9s score %.3f  success %.3f  p99 %6.1fms\n",
-				wp.Relay, wp.Path.Path, wp.Path.State, wp.Path.Score,
-				wp.Path.SuccessRate, wp.Path.LatencyP99*1e3)
-		}
-	}
-}
-
-// bundleTarget is one daemon whose flight-recorder bundles -bundle
-// pulls: a name for the report plus the metrics address to scrape.
-type bundleTarget struct{ name, addr string }
-
-// resolveBundleTargets turns the -bundle argument into metrics
-// addresses: a literal host:port is used as-is; otherwise the registry
-// is asked for the fleet and the argument names one relay — or "all"
-// for every relay that reported a metrics address.
-func resolveBundleTargets(ctx context.Context, arg, regAddr string, timeout time.Duration) []bundleTarget {
-	if strings.Contains(arg, ":") {
-		return []bundleTarget{{name: arg, addr: arg}}
-	}
-	if regAddr == "" {
-		fatal("-bundle with a relay name needs -registry (or pass a metrics host:port)")
-	}
+// newRegistryClient talks to the first of -registry's comma-separated
+// addresses; the others are peered registries tried on failure, so
+// discovery survives losing one.
+func newRegistryClient(regAddr string, timeout time.Duration) *repro.RegistryClient {
 	addrs := strings.Split(regAddr, ",")
-	rc := repro.NewRegistryClient(addrs[0],
+	return repro.NewRegistryClient(addrs[0],
 		repro.WithRegistryTimeout(timeout),
 		repro.WithRegistryRetry(1, 200*time.Millisecond),
 		repro.WithRegistryFallbackPeers(addrs[1:]...))
+}
+
+// resolveTargets turns a -fleet or -bundle argument into the registry
+// entries it names: a literal host:port is one entry whose metrics
+// address it is, with no discovery; otherwise the registry's LISTH
+// listing, narrowed to the named relay unless the argument is "all".
+func resolveTargets(ctx context.Context, arg, regAddr string, timeout time.Duration) ([]repro.RegistryEntry, error) {
+	if strings.Contains(arg, ":") {
+		return []repro.RegistryEntry{{Name: arg, MetricsAddr: arg, Health: registry.HealthUnreported}}, nil
+	}
+	if regAddr == "" {
+		return nil, fmt.Errorf("relay %q needs -registry (or pass a metrics host:port)", arg)
+	}
+	rc := newRegistryClient(regAddr, timeout)
 	defer rc.Close()
 	// LISTH, not LIST: only the ranked listing carries the metrics
 	// address a relay's heartbeat advertises.
 	entries, err := rc.ListRanked(ctx, 0)
-	if err != nil {
-		fatal("registry discovery failed", "registry", regAddr, "err", err)
+	if err != nil || arg == "all" {
+		return entries, err
 	}
-	var targets []bundleTarget
 	for _, e := range entries {
-		if arg != "all" && e.Name != arg {
-			continue
+		if e.Name == arg {
+			return []repro.RegistryEntry{e}, nil
 		}
+	}
+	return nil, fmt.Errorf("registry lists no relay %q", arg)
+}
+
+// getJSON GETs target from a daemon's metrics address and decodes the
+// JSON answer into v, returning the status.
+func getJSON(ctx context.Context, addr, target string, timeout time.Duration, v any) (int, error) {
+	status, _, body, err := httpx.Get(ctx, nil, addr, target, nil, timeout)
+	if err == nil && status != 200 {
+		err = fmt.Errorf("status %d", status)
+	}
+	if err == nil {
+		err = json.Unmarshal(body, v)
+	}
+	if err != nil {
+		return status, fmt.Errorf("%s: %w", target, err)
+	}
+	return status, nil
+}
+
+// relayView is one -fleet row: the registry's entry plus what the
+// relay's own debug pages answered.
+type relayView struct {
+	repro.RegistryEntry
+	vars struct {
+		Requests     float64 `json:"requests"`
+		BytesRelayed float64 `json:"bytes_relayed"`
+	}
+	paths []obs.PathHealth
+	err   error
+}
+
+// read fills the view from the relay's /debug/vars and /debug/paths. A
+// relay without a health monitor serves no /debug/paths (404): no path
+// view, not an error.
+func (v *relayView) read(ctx context.Context, timeout time.Duration) error {
+	if _, err := getJSON(ctx, v.MetricsAddr, "/debug/vars", timeout, &v.vars); err != nil {
+		return err
+	}
+	var hs obs.HealthSnapshot
+	if status, err := getJSON(ctx, v.MetricsAddr, "/debug/paths", timeout, &hs); err != nil && status != 404 {
+		return err
+	}
+	v.paths = hs.Paths
+	return nil
+}
+
+// readFleet reads every entry that has a metrics address, at most
+// fleetReaders at once, each GET bounded by timeout.
+func readFleet(ctx context.Context, entries []repro.RegistryEntry, timeout time.Duration) []relayView {
+	views := make([]relayView, len(entries))
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, fleetReaders)
+	for i, e := range entries {
+		views[i].RegistryEntry = e
 		if e.MetricsAddr == "" {
-			logger.Warn("relay reports no metrics address", "relay", e.Name)
 			continue
 		}
-		targets = append(targets, bundleTarget{name: e.Name, addr: e.MetricsAddr})
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(v *relayView) {
+			defer func() { <-sem; wg.Done() }()
+			v.err = v.read(ctx, timeout)
+		}(&views[i])
 	}
-	if len(targets) == 0 {
-		fatal("no matching relay with a metrics address", "bundle", arg, "registry", regAddr)
+	wg.Wait()
+	return views
+}
+
+// fleetReaders bounds the relays -fleet reads at once (a listing can be
+// the whole registry); fleetWorstPaths bounds the worst paths it prints.
+const (
+	fleetReaders    = 16
+	fleetWorstPaths = 10
+)
+
+// worstPath is one path as one relay's health monitor sees it.
+type worstPath struct {
+	relay string
+	obs.PathHealth
+}
+
+// printFleet renders the views: one row per relay, a totals line over
+// the relays that answered, and the lowest-scoring paths fleet-wide.
+func printFleet(w io.Writer, views []relayView) {
+	var requests, bytes float64
+	var answered int
+	var worst []worstPath
+	for _, v := range views {
+		health, state := "unreported", "up"
+		if v.Health >= 0 {
+			health = fmt.Sprintf("%.3f", v.Health)
+		}
+		if v.Down {
+			state = "DOWN"
+		}
+		fmt.Fprintf(w, "  %-12s %-21s %-4s health %-10s ", v.Name, v.Addr, state, health)
+		switch {
+		case v.MetricsAddr == "":
+			fmt.Fprintln(w, "no metrics address")
+			continue
+		case v.err != nil:
+			fmt.Fprintf(w, "error: %v\n", v.err)
+			continue
+		}
+		answered++
+		requests += v.vars.Requests
+		bytes += v.vars.BytesRelayed
+		fmt.Fprintf(w, "%8.0f reqs %12.0f bytes", v.vars.Requests, v.vars.BytesRelayed)
+		for _, p := range v.paths {
+			worst = append(worst, worstPath{v.Name, p})
+		}
+		if len(v.paths) > 0 {
+			p := slices.MinFunc(v.paths, func(a, b obs.PathHealth) int { return cmp.Compare(a.Score, b.Score) })
+			fmt.Fprintf(w, "  worst-path p99 %6.1fms", p.LatencyP99*1e3)
+		}
+		fmt.Fprintln(w)
 	}
-	return targets
+	fmt.Fprintf(w, "totals (%d of %d relays answered): %.0f requests, %.0f bytes relayed\n",
+		answered, len(views), requests, bytes)
+	slices.SortFunc(worst, func(a, b worstPath) int {
+		return cmp.Or(cmp.Compare(a.Score, b.Score), cmp.Compare(a.relay, b.relay), cmp.Compare(a.Path, b.Path))
+	})
+	if len(worst) > fleetWorstPaths {
+		worst = worst[:fleetWorstPaths]
+	}
+	if len(worst) > 0 {
+		fmt.Fprintln(w, "worst paths:")
+	}
+	for _, p := range worst {
+		fmt.Fprintf(w, "  %-12s %-24s %-9s score %.3f  success %.3f  p99 %6.1fms\n",
+			p.relay, p.Path, p.State, p.Score, p.SuccessRate, p.LatencyP99*1e3)
+	}
 }
 
 // printBundles pulls /debug/bundle from each target's flight recorder:
 // the retained-bundle listing per relay, or — with name set — one full
 // bundle as raw JSON (fleet-wide, the first relay holding it wins).
-func printBundles(ctx context.Context, targets []bundleTarget, name string, timeout time.Duration) {
+func printBundles(ctx context.Context, targets []repro.RegistryEntry, name string, timeout time.Duration) {
 	if name != "" {
 		for _, t := range targets {
-			status, _, body, err := httpx.Get(ctx, nil, t.addr, "/debug/bundle?name="+name, nil, timeout)
+			status, _, body, err := httpx.Get(ctx, nil, t.MetricsAddr, "/debug/bundle?name="+name, nil, timeout)
 			if err != nil || status != 200 {
 				continue
 			}
@@ -209,23 +287,16 @@ func printBundles(ctx context.Context, targets []bundleTarget, name string, time
 		fatal("no target holds bundle", "name", name)
 	}
 	for _, t := range targets {
-		status, _, body, err := httpx.Get(ctx, nil, t.addr, "/debug/bundle", nil, timeout)
-		if err != nil {
-			fatal("bundle listing failed", "target", t.addr, "err", err)
-		}
-		if status != 200 {
-			fatal("bundle listing failed", "target", t.addr, "status", status,
-				"hint", "is the daemon running with its flight recorder on?")
-		}
 		var listing struct {
 			Stats   flight.EngineStats  `json:"stats"`
 			Bundles []flight.BundleInfo `json:"bundles"`
 		}
-		if err := json.Unmarshal(body, &listing); err != nil {
-			fatal("decoding bundle listing", "target", t.addr, "err", err)
+		if _, err := getJSON(ctx, t.MetricsAddr, "/debug/bundle", timeout, &listing); err != nil {
+			fatal("bundle listing failed", "target", t.MetricsAddr, "err", err,
+				"hint", "is the daemon running with its flight recorder on?")
 		}
 		fmt.Printf("%s (%s): %d bundles  fired %d  suppressed %d  dropped %d  write-failures %d\n",
-			t.name, t.addr, len(listing.Bundles), listing.Stats.Fired,
+			t.Name, t.MetricsAddr, len(listing.Bundles), listing.Stats.Fired,
 			listing.Stats.Suppressed, listing.Stats.Dropped, listing.Stats.WriteFailures)
 		for _, b := range listing.Bundles {
 			fmt.Printf("  %-32s %-14s path %-24s at %8.1fs  %3d events  %d traces\n",
@@ -283,7 +354,7 @@ func main() {
 	showProgress := flag.Bool("progress", false, "print live transfer progress for the remainder")
 	spanFile := flag.String("spans", "", "record distributed-tracing spans and write them as JSONL to this file")
 	stitch := flag.Bool("stitch", false, "print the stitched span timeline after the transfer (implies span recording)")
-	fleetAddr := flag.String("fleet", "", "print the fleet snapshot from this registryd metrics address and exit")
+	fleetArg := flag.String("fleet", "", "print each relay's registry health, counters and paths (name via -registry, \"all\" for the fleet, or a metrics host:port) and exit")
 	bundleRelay := flag.String("bundle", "", "print debug bundles from this relay (name via -registry, \"all\" for the fleet, or a metrics host:port) and exit")
 	bundleName := flag.String("bundle-name", "", "with -bundle: print this one bundle as full JSON instead of the listing")
 	var mergeFiles relayList
@@ -293,21 +364,31 @@ func main() {
 	flag.Parse()
 	logger = mkLog("fetch")
 
-	// Fleet browsing: ask an aggregating registryd for its merged view of
-	// the relay fleet instead of transferring anything.
-	if *fleetAddr != "" {
+	// Fleet and bundle browsing read the relays' own debug pages, found
+	// through the registry, instead of transferring anything.
+	if *fleetArg != "" || *bundleRelay != "" {
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
-		printFleet(ctx, *fleetAddr, *regTimeout)
-		return
-	}
-
-	// Bundle browsing: pull the flight recorder's anomaly bundles off a
-	// relay (or the whole fleet) instead of transferring anything.
-	if *bundleRelay != "" {
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		targets := resolveBundleTargets(ctx, *bundleRelay, *regAddr, *regTimeout)
+		arg := cmp.Or(*fleetArg, *bundleRelay)
+		entries, err := resolveTargets(ctx, arg, *regAddr, *regTimeout)
+		if err != nil {
+			fatal("resolving relays", "arg", arg, "registry", *regAddr, "err", err)
+		}
+		if *fleetArg != "" {
+			printFleet(os.Stdout, readFleet(ctx, entries, *regTimeout))
+			return
+		}
+		var targets []repro.RegistryEntry
+		for _, e := range entries {
+			if e.MetricsAddr == "" {
+				logger.Warn("relay reports no metrics address", "relay", e.Name)
+				continue
+			}
+			targets = append(targets, e)
+		}
+		if len(targets) == 0 {
+			fatal("no matching relay with a metrics address", "bundle", arg, "registry", *regAddr)
+		}
 		printBundles(ctx, targets, *bundleName, *regTimeout)
 		return
 	}
@@ -342,14 +423,8 @@ func main() {
 	}
 	if *regAddr != "" {
 		// Health-ranked discovery narrows the probe race to the relays the
-		// registry believes are healthiest. The first address is the
-		// primary; any further comma-separated addresses are peered
-		// registries tried on failure, so discovery survives losing one.
-		addrs := strings.Split(*regAddr, ",")
-		rc := repro.NewRegistryClient(addrs[0],
-			repro.WithRegistryTimeout(*regTimeout),
-			repro.WithRegistryRetry(1, 200*time.Millisecond),
-			repro.WithRegistryFallbackPeers(addrs[1:]...))
+		// registry believes are healthiest.
+		rc := newRegistryClient(*regAddr, *regTimeout)
 		discovered, err := repro.DiscoverRelays(ctx, rc, *topK)
 		rc.Close()
 		if err != nil {

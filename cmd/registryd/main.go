@@ -25,16 +25,12 @@
 // /debug/vars, shard occupancy and peer sync cursors on /debug/registry,
 // Prometheus text format on /metrics (including the command-latency
 // histogram), liveness on /healthz, and readiness on /readyz (the
-// listener must be up). With -fleet-every set, the registry doubles as
-// the fleet observability plane: every relay whose heartbeat carries a
-// metrics address is scraped (/metrics and /debug/paths) each interval,
-// and the merged fleet snapshot — per-relay freshness, summed request
-// and byte counters, merged forward-latency histogram, and the top-K
-// worst paths anywhere in the fleet — is served as JSON on /debug/fleet
-// and as fleet_* families on /metrics. /debug/stack serves a plain-text
-// goroutine dump even with -pprof off. -pprof serves net/http/pprof on
-// a separate address. Logging is structured (slog); see -log-format,
-// -log-level, and -log-components.
+// listener must be up). A relay whose heartbeat carries a metrics
+// address is listed with it by LISTH, which is how fetch -fleet and
+// fetch -bundle find each relay's own debug pages. /debug/stack serves
+// a plain-text goroutine dump even with -pprof off. -pprof serves
+// net/http/pprof on a separate address. Logging is structured (slog);
+// see -log-format, -log-level, and -log-components.
 package main
 
 import (
@@ -49,7 +45,6 @@ import (
 
 	"repro/internal/daemon"
 	"repro/internal/obs"
-	"repro/internal/obs/fleet"
 	"repro/internal/registry"
 )
 
@@ -76,8 +71,6 @@ func main() {
 	shards := flag.Int("shards", registry.DefaultShards, "table lock partitions")
 	timeout := flag.Duration("timeout", registry.DefaultTimeout, "per-command connection deadline")
 	syncEvery := flag.Duration("sync-every", 5*time.Second, "peer anti-entropy interval")
-	fleetEvery := flag.Duration("fleet-every", 0, "fleet aggregator scrape interval (0 = off)")
-	fleetTopK := flag.Int("fleet-topk", 10, "worst paths kept in the fleet snapshot")
 	var peers peerList
 	flag.Var(&peers, "peer", "peer registryd address to sync against (repeatable, or comma-separated)")
 	mkLog := daemon.LogFlags()
@@ -100,22 +93,6 @@ func main() {
 	if len(peers) > 0 {
 		ps = registry.NewPeerSync(&s, peers, *syncEvery, *timeout, logger)
 		go ps.Run(ctx)
-	}
-
-	// The fleet aggregator turns the registry's vantage into a fleet-wide
-	// observability plane: every relay that heartbeats with a metrics
-	// address gets its /metrics and /debug/paths scraped each interval,
-	// and the merged snapshot is served on /debug/fleet and as fleet_*
-	// Prometheus families.
-	var agg *fleet.Aggregator
-	if *fleetEvery > 0 {
-		agg = fleet.New(fleet.Config{
-			Source: fleet.ServerSource(&s),
-			Every:  *fleetEvery,
-			TopK:   *fleetTopK,
-		})
-		go agg.Run(ctx)
-		logger.Info("fleet aggregator running", "every", *fleetEvery)
 	}
 
 	d := &daemon.Daemon{
@@ -156,14 +133,8 @@ func main() {
 				p.LabeledCounter("registry_peer_applied_total", "Peer sync records applied.", "peer", applied)
 				p.LabeledCounter("registry_peer_errors_total", "Peer sync failures.", "peer", errs)
 			}
-			if agg != nil {
-				agg.Snapshot().WriteProm(p)
-			}
 		},
 		Ready: ready,
-	}
-	if agg != nil {
-		d.Fleet = func() any { return agg.Snapshot() }
 	}
 	d.ServeMetrics(ctx, *metrics, logger)
 	daemon.ServePprof(ctx, *pprofAddr, logger)

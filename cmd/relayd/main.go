@@ -29,8 +29,8 @@
 // traces always kept, boring ones sampled at -trace-keep within
 // -trace-budget bytes) and archives the kept spans as JSONL on
 // shutdown. When both -registry and -metrics are set, heartbeats carry
-// the metrics address so the registry's fleet aggregator can scrape
-// this relay. -pprof serves
+// the metrics address, so fetch -fleet and fetch -bundle can find this
+// relay's debug pages through the registry. -pprof serves
 // net/http/pprof on a separate address. Logging is structured (slog);
 // see -log-format, -log-level, and -log-components.
 //
@@ -179,8 +179,9 @@ func main() {
 			registry.WithPooledConn(),
 			registry.WithFallbackPeers(addrs[1:]...))
 		defer rc.Close()
-		// The heartbeat advertises the metrics address so the registry's
-		// fleet aggregator knows where to scrape this relay.
+		// The heartbeat advertises the metrics address so clients that
+		// list the registry (fetch -fleet, -bundle) can reach this
+		// relay's debug pages.
 		hb, err = rc.StartHeartbeatFull(ctx, *name, l.Addr().String(), *metrics, *ttl,
 			aggregateHealth(r.Health, r.Cache()))
 		if err != nil {

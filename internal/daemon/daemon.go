@@ -55,9 +55,6 @@ type Daemon struct {
 	// registry.Stats snapshot — shard occupancy, epoch, delta floor,
 	// digest — plus peer sync cursors on a peered registryd).
 	Registry func() any
-	// Fleet, when set, builds the /debug/fleet payload (a
-	// fleet.Snapshot on an aggregating registryd).
-	Fleet func() any
 	// Flight, when set, adds the flight-recorder pages: /debug/requests
 	// (recent wide events, filterable by ?path=&class=&object=&trace=&n=)
 	// and /debug/active (in-flight transfers).
@@ -131,9 +128,6 @@ func (d *Daemon) Mux() *httpx.Mux {
 	}
 	if d.Registry != nil {
 		mux.Handle("/debug/registry", httpx.JSONHandler(d.Registry))
-	}
-	if d.Fleet != nil {
-		mux.Handle("/debug/fleet", httpx.JSONHandler(d.Fleet))
 	}
 	// /debug/stack is unconditional: a wedged daemon must be inspectable
 	// even when it was started without -pprof (and without a flight

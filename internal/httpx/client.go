@@ -1,8 +1,8 @@
 // A one-shot GET client over the codec, for the observability plane:
-// the fleet aggregator scraping relay /metrics and /debug/paths, and
-// fetch -fleet browsing the aggregate. One fresh connection per
-// request, the same shape the transfer paths use — no pooling to
-// confuse a scrape's timing with a transfer's.
+// fetch -fleet reading each relay's /debug/vars and /debug/paths,
+// fetch -bundle pulling /debug/bundle, and the tests scraping /metrics.
+// One fresh connection per request, the same shape the transfer paths
+// use — no pooling to confuse a scrape's timing with a transfer's.
 
 package httpx
 

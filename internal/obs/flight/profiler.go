@@ -29,24 +29,19 @@ type ProfilerConfig struct {
 	Dir string
 	// Every is the capture cadence (default 30s).
 	Every time.Duration
-	// CPUSeconds is each cycle's CPU-profile window (default 2s, capped
-	// below Every so cycles never overlap).
-	CPUSeconds float64
 	// MaxBytes bounds the on-disk ring: after each cycle the oldest
 	// captures are deleted until the directory's captures fit (default
 	// 8 MiB).
 	MaxBytes int64
 }
 
+// cpuWindow is each cycle's CPU-profile window, capped at half of Every
+// so cycles never overlap.
+const cpuWindow = 2 * time.Second
+
 func (c ProfilerConfig) withDefaults() ProfilerConfig {
 	if c.Every <= 0 {
 		c.Every = 30 * time.Second
-	}
-	if c.CPUSeconds <= 0 {
-		c.CPUSeconds = 2
-	}
-	if max := c.Every.Seconds() / 2; c.CPUSeconds > max {
-		c.CPUSeconds = max
 	}
 	if c.MaxBytes <= 0 {
 		c.MaxBytes = 8 << 20
@@ -161,8 +156,7 @@ func (p *Profiler) cycle(stop chan struct{}) error {
 		f.Close()
 		os.Remove(cpuPath)
 	} else {
-		window := time.Duration(p.cfg.CPUSeconds * float64(time.Second))
-		timer := time.NewTimer(window)
+		timer := time.NewTimer(min(cpuWindow, p.cfg.Every/2))
 		select {
 		case <-timer.C:
 		case <-stop:

@@ -49,11 +49,6 @@ type TriggerConfig struct {
 	// MaxBundles bounds the retained bundles, in memory and on disk
 	// (default 8; oldest evicted first).
 	MaxBundles int
-	// MaxEvents bounds the wide events captured per bundle (default 64).
-	MaxEvents int
-	// MaxTraces bounds the stitched traces captured per bundle
-	// (default 4).
-	MaxTraces int
 	// QueueLen bounds pending bundle builds (default 4); a full queue
 	// drops the trigger (counted) rather than blocking the firer.
 	QueueLen int
@@ -62,18 +57,19 @@ type TriggerConfig struct {
 	Clock func() float64
 }
 
+// A bundle captures at most bundleEvents wide events and bundleTraces
+// stitched traces of the firing path.
+const (
+	bundleEvents = 64
+	bundleTraces = 4
+)
+
 func (c TriggerConfig) withDefaults() TriggerConfig {
 	if c.Window <= 0 {
 		c.Window = 60
 	}
 	if c.MaxBundles <= 0 {
 		c.MaxBundles = 8
-	}
-	if c.MaxEvents <= 0 {
-		c.MaxEvents = 64
-	}
-	if c.MaxTraces <= 0 {
-		c.MaxTraces = 4
 	}
 	if c.QueueLen <= 0 {
 		c.QueueLen = 4
@@ -302,7 +298,7 @@ func (e *Engine) build(trig trigger) {
 		Detail: trig.detail,
 		At:     trig.at,
 		Wall:   time.Now().UnixNano(),
-		Events: e.cfg.Recorder.Events(Filter{Path: trig.path, N: e.cfg.MaxEvents}),
+		Events: e.cfg.Recorder.Events(Filter{Path: trig.path, N: bundleEvents}),
 	}
 	b.Goroutines = string(GoroutineDump())
 	b.Profiles = e.cfg.Profiler.Files()
@@ -360,7 +356,7 @@ func (e *Engine) stitchInto(b *Bundle) {
 			continue // trace rotated out of the span ring
 		}
 		b.TraceCount++
-		if len(b.Traces) < e.cfg.MaxTraces {
+		if len(b.Traces) < bundleTraces {
 			b.Traces = append(b.Traces, obs.FormatTrace(id, obs.StitchTrace(id, spans)))
 		}
 	}

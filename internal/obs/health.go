@@ -89,19 +89,6 @@ type HealthConfig struct {
 	// the default window).
 	Buckets int
 
-	// FastAlpha and SlowAlpha smooth the throughput EWMA pair (defaults
-	// 0.4 and 0.05): the fast average tracks the current rate, the slow
-	// one remembers the path's norm, and their ratio detects collapse
-	// without an absolute throughput target.
-	FastAlpha float64
-	SlowAlpha float64
-
-	// HealthyScore and DownScore bound the state bands: score >=
-	// HealthyScore is healthy (default 0.75), score < DownScore is down
-	// (default 0.35), between them degraded.
-	HealthyScore float64
-	DownScore    float64
-
 	// Hysteresis is how many consecutive evaluations must agree on a new
 	// state before the transition commits (default 2).
 	Hysteresis int
@@ -137,18 +124,6 @@ func (c HealthConfig) withDefaults() HealthConfig {
 	if c.Buckets <= 0 {
 		c.Buckets = 12
 	}
-	if c.FastAlpha <= 0 {
-		c.FastAlpha = 0.4
-	}
-	if c.SlowAlpha <= 0 {
-		c.SlowAlpha = 0.05
-	}
-	if c.HealthyScore <= 0 {
-		c.HealthyScore = 0.75
-	}
-	if c.DownScore <= 0 {
-		c.DownScore = 0.35
-	}
 	if c.Hysteresis <= 0 {
 		c.Hysteresis = 2
 	}
@@ -160,6 +135,17 @@ func (c HealthConfig) withDefaults() HealthConfig {
 	}
 	return c
 }
+
+// The throughput EWMA pair and the state bands. The fast average tracks
+// the current rate, the slow one remembers the path's norm, and their
+// ratio detects collapse without an absolute throughput target. A score
+// >= healthyScore is healthy, < downScore is down, between them degraded.
+const (
+	fastAlpha    = 0.4
+	slowAlpha    = 0.05
+	healthyScore = 0.75
+	downScore    = 0.35
+)
 
 // Latency histogram geometry: log2 bins from 0.1 ms up, so loopback
 // microseconds and dial-up tens of seconds both resolve. Bin i covers
@@ -218,7 +204,6 @@ type pathHealth struct {
 
 	lastSuccess float64
 	everSuccess bool
-	everSample  bool
 
 	state      HealthState
 	stateSince float64
@@ -323,6 +308,12 @@ func (m *HealthMonitor) fold(key string, t float64, class ErrClass, latency floa
 	if t > m.hiwater {
 		m.hiwater = t
 	}
+	if class == ClassCanceled && !retry {
+		// The caller abandoned the operation; that says nothing about the
+		// path. Not a sample, and no entry for a path never measured.
+		m.mu.Unlock()
+		return
+	}
 	p := m.path(key)
 	b := m.bucket(p, t)
 	switch {
@@ -339,15 +330,9 @@ func (m *HealthMonitor) fold(key string, t float64, class ErrClass, latency floa
 		}
 		p.lastSuccess = t
 		p.everSuccess = true
-	case class == ClassCanceled:
-		// The caller abandoned the operation; that says nothing about the
-		// path. Not a sample.
-		m.mu.Unlock()
-		return
 	default:
 		b.fail++
 	}
-	p.everSample = true
 	m.evaluate(key, p, m.now())
 	notices := m.takeNotices()
 	slo := m.cfg.SLO
@@ -365,8 +350,8 @@ func (m *HealthMonitor) foldEWMA(p *pathHealth, mbps float64) {
 		p.fast, p.slow, p.haveEWMA = mbps, mbps, true
 		return
 	}
-	p.fast += m.cfg.FastAlpha * (mbps - p.fast)
-	p.slow += m.cfg.SlowAlpha * (mbps - p.slow)
+	p.fast += fastAlpha * (mbps - p.fast)
+	p.slow += slowAlpha * (mbps - p.slow)
 }
 
 // windowStats aggregates the live buckets at time now.
@@ -460,9 +445,9 @@ func (m *HealthMonitor) scoreOf(p *pathHealth, w windowStats, now float64) float
 
 func (m *HealthMonitor) target(score float64) HealthState {
 	switch {
-	case score >= m.cfg.HealthyScore:
+	case score >= healthyScore:
 		return HealthHealthy
-	case score < m.cfg.DownScore:
+	case score < downScore:
 		return HealthDown
 	}
 	return HealthDegraded
@@ -474,12 +459,6 @@ func (m *HealthMonitor) target(score float64) HealthState {
 // current state — demanded-but-dwelling transitions count as suppressed
 // flaps.
 func (m *HealthMonitor) evaluate(key string, p *pathHealth, now float64) {
-	if !p.everSample {
-		// Only canceled operations so far: the path was never actually
-		// measured, so it stays unknown rather than scoring an empty
-		// window.
-		return
-	}
 	p.score = m.scoreOf(p, m.window(p, now), now)
 	want := m.target(p.score)
 	if p.state == HealthUnknown {
@@ -711,31 +690,6 @@ func (m *HealthMonitor) Score(key string) float64 {
 	m.mu.Unlock()
 	m.fireNotices(notices)
 	return score
-}
-
-// Healthiest returns up to k path keys ranked best-first: by state
-// (healthy before degraded before down), then score, then name — the
-// ordering registryd's health-ranked List applies to its relay set.
-func (m *HealthMonitor) Healthiest(k int) []string {
-	s := m.Snapshot()
-	sort.SliceStable(s.Paths, func(i, j int) bool {
-		a, b := s.Paths[i], s.Paths[j]
-		if a.State != b.State {
-			return a.State < b.State
-		}
-		if a.Score != b.Score {
-			return a.Score > b.Score
-		}
-		return a.Path < b.Path
-	})
-	if k > len(s.Paths) {
-		k = len(s.Paths)
-	}
-	out := make([]string, 0, k)
-	for _, p := range s.Paths[:k] {
-		out = append(out, p.Path)
-	}
-	return out
 }
 
 // WriteProm renders the health view as Prometheus gauges under prefix:

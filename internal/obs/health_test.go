@@ -77,7 +77,7 @@ func TestHealthDegradesOnThroughputCollapseThenDown(t *testing.T) {
 		t.Fatalf("after collapse state = %v (score %.3f), want degraded", got, m.Score("p"))
 	}
 	// Then the path starts failing outright: availability drives the
-	// score under DownScore.
+	// score under downScore.
 	for i := 0; i < 10; i++ {
 		m.fold("p", now+float64(i), ClassFailed, 0, 0, false)
 	}
@@ -145,10 +145,20 @@ func TestHealthStalenessDrivesScoreDown(t *testing.T) {
 }
 
 func TestHealthCanceledIsNotASample(t *testing.T) {
-	m := NewHealthMonitor(testHealthCfg())
-	m.TransferAborted(Abort{Path: PathID{}, Time: 1, Class: ClassCanceled})
-	if len(m.Snapshot().Paths) != 0 {
-		t.Fatal("canceled abort created a path entry")
+	// A canceled outcome says nothing about the path, whichever way it
+	// arrives: an event stream's abort, or a daemon's direct Observe of a
+	// reaped probe. Neither may leave an entry scoring 0.
+	for name, feed := range map[string]func(m *HealthMonitor){
+		"TransferAborted": func(m *HealthMonitor) {
+			m.TransferAborted(Abort{Path: PathID{}, Time: 1, Class: ClassCanceled})
+		},
+		"Observe": func(m *HealthMonitor) { m.Observe("origin", ClassCanceled, 0.01, 4096) },
+	} {
+		m := NewHealthMonitor(testHealthCfg())
+		feed(m)
+		if s := m.Snapshot(); len(s.Paths) != 0 {
+			t.Fatalf("canceled %s created a path entry: %+v", name, s.Paths)
+		}
 	}
 }
 
@@ -177,26 +187,6 @@ func TestHealthWindowRotatesOldSamples(t *testing.T) {
 	ph, _ := m.PathHealth("p")
 	if ph.Ok != 1 {
 		t.Fatalf("window ok = %d after rotation, want 1", ph.Ok)
-	}
-}
-
-func TestHealthiestRanksByStateThenScore(t *testing.T) {
-	m := NewHealthMonitor(testHealthCfg())
-	feedOK(m, "good", 0, 8, 0.05, 1<<20)
-	feedOK(m, "ok", 0, 8, 0.05, 1<<20)
-	for i := 0; i < 3; i++ { // a few failures: lower score
-		m.fold("ok", 8+float64(i), ClassFailed, 0, 0, false)
-	}
-	for i := 0; i < 10; i++ {
-		m.fold("bad", float64(i), ClassFailed, 0, 0, false)
-	}
-	got := m.Healthiest(3)
-	want := []string{"good", "ok", "bad"}
-	if len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
-		t.Fatalf("Healthiest = %v, want %v", got, want)
-	}
-	if k2 := m.Healthiest(2); len(k2) != 2 {
-		t.Fatalf("Healthiest(2) returned %d entries", len(k2))
 	}
 }
 

@@ -163,7 +163,7 @@ func TestBaseIsNoOp(t *testing.T) {
 	EmitProgress(b, Progress{Chunk: 1})
 }
 
-func TestMetricsStreamAndPoolCounters(t *testing.T) {
+func TestMetricsStreamCounters(t *testing.T) {
 	m := NewMetrics()
 	// A transfer that streams 3 chunks but ultimately fails: bytesStreamed
 	// counts all of it, bytesDelivered none.

@@ -1,10 +1,9 @@
 // Prometheus text-format exposition, hand-rolled over the package's own
 // snapshot types: counters, gauges, and cumulative histograms with
 // explicit buckets rendered from the fixed-bucket stats histograms. The
-// daemons serve the result on /metrics so any Prometheus-compatible
-// scraper can watch the relay fleet without this repo taking a client
-// dependency. LintProm is the matching minimal parser, used by the test
-// suite to keep the output well-formed.
+// daemons serve the result on /metrics for an outside Prometheus-
+// compatible scraper; nothing in this repo parses it back. LintProm is
+// the test suite's validity check on the output, not a parser.
 
 package obs
 

@@ -125,8 +125,8 @@ func TestExemplarRendersOnMatchingBucket(t *testing.T) {
 
 func TestHistogramSumExactFromStripedRecorder(t *testing.T) {
 	// The striped recorder keeps an exact running sum; the rendered _sum
-	// and a parse round-trip must reproduce it bit-for-bit. Quarter
-	// seconds are exactly representable, so no tolerance is needed.
+	// must reproduce it bit-for-bit. Quarter seconds are exactly
+	// representable, so no tolerance is needed.
 	var rec LatencyRecorder
 	durations := []time.Duration{
 		250 * time.Millisecond,
@@ -148,20 +148,6 @@ func TestHistogramSumExactFromStripedRecorder(t *testing.T) {
 	p.Histogram("t_latency_seconds", "T.", snap)
 	if !strings.Contains(string(p.Bytes()), "t_latency_seconds_sum 3.75\n") {
 		t.Fatalf("rendered _sum not exact:\n%s", p.Bytes())
-	}
-	fams, err := ParseProm(p.Bytes())
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	h, err := fams["t_latency_seconds"].Histogram()
-	if err != nil {
-		t.Fatalf("reconstruct: %v", err)
-	}
-	if h.Sum != want {
-		t.Fatalf("round-tripped sum %v, want exactly %v", h.Sum, want)
-	}
-	if h.Total != int64(len(durations)) {
-		t.Fatalf("round-tripped total %d, want %d", h.Total, len(durations))
 	}
 }
 

@@ -1,8 +1,8 @@
 // Go runtime health as Prometheus families, read from runtime/metrics:
 // heap footprint, GC cycle count and pause distribution, goroutine
 // count, and scheduler latency. Every daemon appends these to /metrics
-// so fleet dashboards can separate application regressions from
-// runtime pressure (a relay whose p99 collapsed because the heap is
+// so a scrape can separate application regressions from runtime
+// pressure (a relay whose p99 collapsed because the heap is
 // thrashing looks identical to one with a bad path until go_* says
 // otherwise).
 

@@ -102,33 +102,29 @@ func TestExemplarResolvesToStitchedTrace(t *testing.T) {
 		t.Fatalf("scrape not valid OpenMetrics: %v", err)
 	}
 
-	// The p99 lives in the slow transfer's bucket; find that bucket's
-	// exemplar in the exposition text.
-	fams, err := obs.ParseProm(body)
-	if err != nil {
-		t.Fatalf("scrape parse: %v", err)
+	// The p99 lives in the slow transfer's bucket; that bucket's line
+	// carries the exemplar.
+	const family = "relay_forward_latency_seconds"
+	count := sampleValue(t, string(body), family+"_count")
+	if count != 21 {
+		t.Fatalf("relay observed %v requests, want 21", count)
 	}
-	hist, err := fams["relay_forward_latency_seconds"].Histogram()
-	if err != nil {
-		t.Fatalf("latency family: %v", err)
+	p99 := p99Bucket(t, string(body), family, count)
+	if p99.lo < 1 {
+		t.Fatalf("p99 bucket (%v, %v]s not in the shaped slow range (>1s)", p99.lo, p99.le)
 	}
-	if hist.Total != 21 {
-		t.Fatalf("relay observed %d requests, want 21", hist.Total)
+	if p99.trace == "" {
+		t.Fatalf("p99 bucket carries no exemplar:\n%s", body)
 	}
-	if hist.P99 <= 1 {
-		t.Fatalf("p99 %.3fs not in the shaped slow bucket (>1s)", hist.P99)
-	}
-	traceHex, exemplarValue := exemplarOnBucketCovering(t, string(body),
-		"relay_forward_latency_seconds_bucket", hist.P99)
-	if exemplarValue <= 1 {
-		t.Fatalf("p99 exemplar value %.3fs, want the >1s slow request", exemplarValue)
+	if p99.value <= 1 {
+		t.Fatalf("p99 exemplar value %.3fs, want the >1s slow request", p99.value)
 	}
 
 	// The scraped trace ID must stitch — across all three processes'
 	// collectors — into one complete client -> relay -> origin tree.
 	var trace obs.TraceID
-	if err := json.Unmarshal([]byte(strconv.Quote(traceHex)), &trace); err != nil {
-		t.Fatalf("exemplar trace_id %q: %v", traceHex, err)
+	if err := json.Unmarshal([]byte(strconv.Quote(p99.trace)), &trace); err != nil {
+		t.Fatalf("exemplar trace_id %q: %v", p99.trace, err)
 	}
 	all := append(clientSpans.Spans(), relaySpans.Spans()...)
 	all = append(all, originSpans.Spans()...)
@@ -174,52 +170,61 @@ func TestExemplarResolvesToStitchedTrace(t *testing.T) {
 	}
 }
 
-// exemplarOnBucketCovering scans OpenMetrics text for the family's
-// bucket whose le edge covers quantile value q (the smallest edge >= q)
-// and returns that bucket's exemplar trace ID and value.
-func exemplarOnBucketCovering(t *testing.T, text, bucketName string, q float64) (traceHex string, value float64) {
+// sampleValue returns the value of the exposition's unlabeled sample
+// line for name.
+func sampleValue(t *testing.T, text, name string) float64 {
 	t.Helper()
-	bestLE := 0.0
 	for _, line := range strings.Split(text, "\n") {
-		if !strings.HasPrefix(line, bucketName+`{le="`) {
-			continue
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("sample %q: %v", line, err)
+			}
+			return f
 		}
-		rest := line[len(bucketName)+5:]
-		leStr, _, ok := strings.Cut(rest, `"`)
-		if !ok || leStr == "+Inf" {
-			continue
-		}
-		le, err := strconv.ParseFloat(leStr, 64)
-		if err != nil || le < q {
-			continue
-		}
-		if bestLE != 0 && le >= bestLE {
-			continue
-		}
-		// This is the lowest edge so far that still covers q; take its
-		// exemplar if it carries one.
-		_, ex, ok := strings.Cut(line, ` # {trace_id="`)
+	}
+	t.Fatalf("no %s sample:\n%s", name, text)
+	return 0
+}
+
+// bucket is one histogram bucket line of an OpenMetrics exposition: the
+// range (lo, le] it adds and its exemplar, if any.
+type bucket struct {
+	lo, le float64
+	trace  string // exemplar trace ID, "" without one
+	value  float64
+}
+
+// p99Bucket returns the first of family's buckets whose cumulative
+// count reaches 99% of count: the bucket the p99 lies in.
+func p99Bucket(t *testing.T, text, family string, count float64) bucket {
+	t.Helper()
+	b := bucket{}
+	for _, line := range strings.Split(text, "\n") {
+		rest, ok := strings.CutPrefix(line, family+`_bucket{le="`)
 		if !ok {
 			continue
 		}
-		hex, rest2, ok := strings.Cut(ex, `"}`)
-		if !ok {
-			continue
+		leStr, rest, _ := strings.Cut(rest, `"} `)
+		cumStr, ex, _ := strings.Cut(rest, ` # {trace_id="`)
+		le, err1 := strconv.ParseFloat(leStr, 64) // "+Inf" parses too
+		cum, err2 := strconv.ParseFloat(cumStr, 64)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("bucket line %q: %v %v", line, err1, err2)
 		}
-		fields := strings.Fields(rest2)
-		if len(fields) < 1 {
-			continue
+		b.le = le
+		if cum >= 0.99*count {
+			if hex, rest, ok := strings.Cut(ex, `"} `); ok {
+				v, _, _ := strings.Cut(rest, " ")
+				b.trace = hex
+				b.value, _ = strconv.ParseFloat(v, 64)
+			}
+			return b
 		}
-		v, err := strconv.ParseFloat(fields[0], 64)
-		if err != nil {
-			continue
-		}
-		bestLE, traceHex, value = le, hex, v
+		b.lo = le
 	}
-	if traceHex == "" {
-		t.Fatalf("no exemplar on any %s bucket covering %.3f:\n%s", bucketName, q, text)
-	}
-	return traceHex, value
+	t.Fatalf("no %s bucket holds 99%% of %v:\n%s", family, count, text)
+	return b
 }
 
 func keysOf(m map[string]obs.Span) []string {

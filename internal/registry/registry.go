@@ -54,7 +54,8 @@
 //
 // Names and addresses must be token-shaped (no whitespace). The
 // optional trailing metrics-addr token is the relay's observability
-// endpoint (its daemon HTTP address) — the fleet aggregator scrapes it;
+// endpoint (its daemon HTTP address), which LISTH hands to fetch -fleet
+// and fetch -bundle so they can read the relay's own debug pages;
 // six-field REGISTER accepts health -1 (unreported) so a relay can
 // advertise a metrics address without a score. Response lines omit the
 // token when the entry never reported one, keeping old clients'
@@ -140,7 +141,7 @@ type Entry struct {
 	Down bool
 	// MetricsAddr is the registrant's observability endpoint (daemon
 	// HTTP address serving /metrics and /debug/*), "" when unreported.
-	// The fleet aggregator scrapes it.
+	// LISTH carries it to fetch -fleet and fetch -bundle.
 	MetricsAddr string
 	// ChangeEpoch is the registry epoch of the entry's last material
 	// change (insert, address, health, metrics address, or up/down
@@ -198,7 +199,7 @@ type Server struct {
 }
 
 // WriteProm appends the table's own families — what registryd serves
-// on /metrics ahead of the peer-sync, fleet and runtime views.
+// on /metrics ahead of the peer-sync and runtime families.
 func (s *Server) WriteProm(p *obs.Prom) {
 	st := s.Stats()
 	p.Counter("registry_registrations_total", "Accepted REGISTER commands.", float64(s.Registrations.Load()))

@@ -63,21 +63,22 @@ func TestClientDisconnectIsNotPathFailure(t *testing.T) {
 	}
 	conn.Close()
 
-	// The disconnect folds as canceled: not a sample, so the path stays
-	// unknown with no failures on the books.
-	ph := foldedHealth(t, r, r.Health, up)
-	if ph.Failed != 0 {
-		t.Fatalf("client disconnect counted as upstream failure: %+v", ph)
+	// The disconnect folds as canceled: not a sample, so the path has no
+	// entry at all — nothing for the relay's self-reported health to
+	// average in.
+	r.WaitIdle()
+	if ph, ok := r.Health.PathHealth(up); ok {
+		t.Fatalf("client disconnect left a health entry: %+v", ph)
 	}
-	if ph.State != obs.HealthUnknown {
-		t.Fatalf("state = %v after only a client disconnect, want unknown", ph.State)
+	if st := r.Health.State(up); st != obs.HealthUnknown {
+		t.Fatalf("state = %v after only a client disconnect, want unknown", st)
 	}
 
 	// A complete fetch is a real (successful) sample.
 	if _, err := FetchVia(nil, rl.Addr().String(), up, "big.bin", 0, 4096); err != nil {
 		t.Fatal(err)
 	}
-	ph = foldedHealth(t, r, r.Health, up)
+	ph := foldedHealth(t, r, r.Health, up)
 	if ph.Ok != 1 || ph.Failed != 0 || ph.State != obs.HealthHealthy {
 		t.Fatalf("successful fetch: %+v, want 1 ok / healthy", ph)
 	}
