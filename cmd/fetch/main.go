@@ -271,17 +271,18 @@ func printFleet(w io.Writer, views []relayView) {
 	}
 }
 
-// printBundles pulls /debug/bundle from each target's flight recorder:
-// the retained-bundle listing per relay, or — with name set — one full
-// bundle as raw JSON (fleet-wide, the first relay holding it wins).
-func printBundles(ctx context.Context, targets []repro.RegistryEntry, name string, timeout time.Duration) {
+// printBundles pulls /debug/bundle from each target's flight recorder
+// and writes to w the retained-bundle listing per relay, or — with name
+// set — one full bundle as raw JSON (fleet-wide, the first relay holding
+// it wins).
+func printBundles(ctx context.Context, w io.Writer, targets []repro.RegistryEntry, name string, timeout time.Duration) {
 	if name != "" {
 		for _, t := range targets {
 			status, _, body, err := httpx.Get(ctx, nil, t.MetricsAddr, "/debug/bundle?name="+name, nil, timeout)
 			if err != nil || status != 200 {
 				continue
 			}
-			os.Stdout.Write(body)
+			w.Write(body)
 			return
 		}
 		fatal("no target holds bundle", "name", name)
@@ -295,11 +296,11 @@ func printBundles(ctx context.Context, targets []repro.RegistryEntry, name strin
 			fatal("bundle listing failed", "target", t.MetricsAddr, "err", err,
 				"hint", "is the daemon running with its flight recorder on?")
 		}
-		fmt.Printf("%s (%s): %d bundles  fired %d  suppressed %d  dropped %d  write-failures %d\n",
+		fmt.Fprintf(w, "%s (%s): %d bundles  fired %d  suppressed %d  dropped %d  write-failures %d\n",
 			t.Name, t.MetricsAddr, len(listing.Bundles), listing.Stats.Fired,
 			listing.Stats.Suppressed, listing.Stats.Dropped, listing.Stats.WriteFailures)
 		for _, b := range listing.Bundles {
-			fmt.Printf("  %-32s %-14s path %-24s at %8.1fs  %3d events  %d traces\n",
+			fmt.Fprintf(w, "  %-32s %-14s path %-24s at %8.1fs  %3d events  %d traces\n",
 				b.Name, b.Reason, b.Path, b.At, b.Events, b.TraceCount)
 		}
 	}
@@ -389,7 +390,7 @@ func main() {
 		if len(targets) == 0 {
 			fatal("no matching relay with a metrics address", "bundle", arg, "registry", *regAddr)
 		}
-		printBundles(ctx, targets, *bundleName, *regTimeout)
+		printBundles(ctx, os.Stdout, targets, *bundleName, *regTimeout)
 		return
 	}
 

@@ -7,12 +7,15 @@ import (
 	"net"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro"
 	"repro/internal/daemon"
 	"repro/internal/httpx"
 	"repro/internal/obs"
+	"repro/internal/obs/flight"
 	"repro/internal/registry"
 	"repro/internal/relay"
 )
@@ -268,5 +271,81 @@ func TestResolveTargets(t *testing.T) {
 	}
 	if _, err := resolveTargets(ctx, "a", "", time.Second); err == nil {
 		t.Fatal("a relay name without -registry resolved")
+	}
+}
+
+// TestPrintBundlesListing drives the -bundle listing against a loopback
+// relay wired as relayd wires it: the health monitor's transitions feed
+// the trigger engine, and the daemon serves the engine on /debug/bundle.
+// Two forwards succeed, the origin goes away, and two failed forwards walk
+// the upstream path healthy -> down, which fires one health-down bundle.
+// The listing must print the relay's header and that bundle's row.
+func TestPrintBundlesListing(t *testing.T) {
+	origin := relay.NewOriginServer()
+	origin.Put("b.bin", 4096)
+	ol, err := origin.ServeAddr("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	originAddr := ol.Addr().String()
+
+	// The monitor runs on a settable clock, so the failures land a whole
+	// window after the successes without the test sleeping.
+	var sec atomic.Int64
+	var engine *flight.Engine
+	rec := flight.NewRecorder(flight.Config{Ring: 16})
+	mon := obs.NewHealthMonitor(obs.HealthConfig{
+		Clock:        func() float64 { return float64(sec.Load()) },
+		OnTransition: func(path string, tr obs.HealthTransition) { engine.FireHealth(path, tr) },
+	})
+	engine = flight.NewEngine(flight.TriggerConfig{Recorder: rec})
+	r := relay.New(relay.WithHealthMonitor(mon), relay.WithFlight(rec))
+	dl, err := r.ServeAddr("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dl.Close()
+	d := &daemon.Daemon{Prefix: "relay", Prom: r.WriteProm, Health: mon, Flight: rec, Bundles: engine}
+	ml, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go (&httpx.Server{Mux: d.Mux()}).ServeListener(ctx, ml)
+
+	for i := 0; i < 2; i++ {
+		if _, err := relay.FetchVia(nil, dl.Addr().String(), originAddr, "b.bin", 0, 4096); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The successes fold (at t=0) before the clock moves on.
+	r.WaitIdle()
+	ol.Close()
+	sec.Store(100)
+	for i := 0; i < 2; i++ {
+		if _, err := relay.FetchVia(nil, dl.Addr().String(), originAddr, "b.bin", 0, 4096); err == nil {
+			t.Fatal("fetch through a closed origin succeeded")
+		}
+	}
+	// The folds (and with them the trigger) land after the last byte;
+	// Close then drains the engine's build queue.
+	r.WaitIdle()
+	engine.Close()
+
+	var out bytes.Buffer
+	target := repro.RegistryEntry{Name: "r1", MetricsAddr: ml.Addr().String()}
+	printBundles(ctx, &out, []repro.RegistryEntry{target}, "", 2*time.Second)
+	t.Logf("bundle listing:\n%s", out.String())
+	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+	wantHead := fmt.Sprintf("r1 (%s): 1 bundles  fired 1  suppressed 0  dropped 0  write-failures 0", ml.Addr())
+	if len(lines) != 2 || lines[0] != wantHead {
+		t.Fatalf("listing:\n%s\nwant the header %q and one row", out.String(), wantHead)
+	}
+	row := strings.Fields(lines[1])
+	// name, reason, "path", path, "at", time, events, "events", traces, "traces"
+	if len(row) != 10 || row[0] != "bundle-000001-health-down" || row[1] != "health-down" ||
+		row[3] != originAddr || row[6] != "4" || row[7] != "events" {
+		t.Fatalf("bundle row %q: want bundle-000001-health-down on %s with the path's 4 events", lines[1], originAddr)
 	}
 }

@@ -19,15 +19,14 @@
 // the raw material of the paper's §V utilization analysis) are served
 // as JSON on /debug/vars, Prometheus text format on /metrics (including
 // the forward-latency histogram and per-origin path-health gauges),
-// per-path health as JSON on /debug/paths, SLO burn windows on
-// /debug/slo, cache counters on /debug/cache (with -cache-bytes set),
-// liveness on /healthz, and readiness on /readyz (the
-// listener must be up and — when -registry is set — the registry still
-// accepting heartbeats). With -trace set, the relay records
-// forward/dial/ttfb/stream spans per request — continuing the client's
-// x-trace — under tail-based retention (errored and slowest-decile
-// traces always kept, boring ones sampled at -trace-keep within
-// -trace-budget bytes) and archives the kept spans as JSONL on
+// per-path health as JSON on /debug/paths, cache counters on
+// /debug/cache (with -cache-bytes set), liveness on /healthz, and
+// readiness on /readyz (the listener must be up and — when -registry is
+// set — the registry still accepting heartbeats). With -trace set, the
+// relay records forward/dial/ttfb/stream spans per request — continuing
+// the client's x-trace — under tail-based retention (errored and
+// slowest-decile traces always kept, boring ones sampled at -trace-keep
+// within -trace-budget bytes) and archives the kept spans as JSONL on
 // shutdown. When both -registry and -metrics are set, heartbeats carry
 // the metrics address, so fetch -fleet and fetch -bundle can find this
 // relay's debug pages through the registry. -pprof serves
@@ -36,13 +35,13 @@
 //
 // The flight recorder is on by default (-flight sets the wide-event
 // ring size, 0 disables): every forward lands one canonical record at
-// /debug/requests (JSONL-archivable via -flight-archive), in-flight
-// forwards show at /debug/active, and SLO fast-burn crossings or
-// health →down transitions snapshot a rate-limited debug bundle
-// (-bundle-window) to /debug/bundle and -bundle-dir. -profile-dir
-// turns on the continuous profiler: periodic CPU/heap/goroutine
-// captures in a byte-bounded on-disk ring, with pprof labels on the
-// forward hot path while it runs.
+// /debug/requests, in-flight forwards show at /debug/active, and a
+// path's health →down transition snapshots a rate-limited debug bundle
+// (-bundle-window) to /debug/bundle and -bundle-dir. The on-disk record
+// of forwards is the -trace span archive. -profile-dir turns on the
+// continuous profiler: periodic CPU/heap/goroutine captures in a
+// byte-bounded on-disk ring, with pprof labels on the forward hot path
+// while it runs.
 package main
 
 import (
@@ -77,7 +76,6 @@ func main() {
 	traceKeep := flag.Float64("trace-keep", 0.1, "probability a boring (no-error, not-slow) trace is kept")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (empty = off)")
 	flightRing := flag.Int("flight", 512, "flight-recorder wide-event ring size (0 = recorder off)")
-	flightArchive := flag.String("flight-archive", "", "append wide events as JSONL here (empty = no archive)")
 	bundleDir := flag.String("bundle-dir", "", "persist anomaly debug bundles here (empty = in-memory only)")
 	bundleWindow := flag.Duration("bundle-window", time.Minute, "per-path rate limit between debug bundles")
 	cacheBytes := flag.Int64("cache-bytes", 0, "object cache capacity in bytes (0 = caching off)")
@@ -92,30 +90,17 @@ func main() {
 	defer stop()
 
 	// The flight-recorder pieces are built before the relay so the health
-	// and SLO trigger hooks can close over the engine variable; the engine
-	// itself is assigned below, before the listener starts, so no traffic
-	// can fire a trigger against a half-built engine.
+	// trigger hook can close over the engine variable; the engine itself
+	// is assigned below, before the listener starts, so no traffic can
+	// fire a trigger against a half-built engine.
 	var engine *flight.Engine
 	var rec *flight.Recorder
-	var archive *os.File
 	if *flightRing > 0 {
-		fcfg := flight.Config{Ring: *flightRing}
-		if *flightArchive != "" {
-			f, err := os.Create(*flightArchive)
-			if err != nil {
-				logger.Error("flight archive failed", "path", *flightArchive, "err", err)
-				os.Exit(1)
-			}
-			archive, fcfg.Archive = f, f
-		}
-		rec = flight.NewRecorder(fcfg)
+		rec = flight.NewRecorder(flight.Config{Ring: *flightRing})
 	}
 	prof, stopProf := mkProf(logger)
 	defer stopProf()
 
-	slo := obs.NewSLOTracker(obs.SLOConfig{
-		OnFastBurn: func(path string, burn float64) { engine.FireBurn(path, burn) },
-	})
 	var spans *obs.SpanCollector
 	if *tracePath != "" {
 		// Error-class and slowest-decile traces always survive, boring
@@ -126,7 +111,7 @@ func main() {
 		})
 	}
 	mon := obs.NewHealthMonitor(obs.HealthConfig{
-		Clock: obs.WallClock(), SLO: slo,
+		Clock:        obs.WallClock(),
 		OnTransition: func(path string, tr obs.HealthTransition) { engine.FireHealth(path, tr) },
 	})
 	r := relay.New(
@@ -143,7 +128,7 @@ func main() {
 	}
 	// The metrics half of the introspection surface exists before the
 	// engine does: a debug bundle snapshots the page /metrics serves.
-	d := &daemon.Daemon{Prefix: "relay", Prom: r.WriteProm, Health: r.Health, SLO: slo}
+	d := &daemon.Daemon{Prefix: "relay", Prom: r.WriteProm, Health: r.Health}
 	if rec != nil {
 		engine = flight.NewEngine(flight.TriggerConfig{
 			Recorder: rec,
@@ -154,8 +139,7 @@ func main() {
 			Metrics:  func() []byte { return d.MetricsPage(obs.NewProm()) },
 		})
 		defer engine.Close()
-		logger.Info("flight recorder on", "ring", *flightRing, "archive", *flightArchive,
-			"bundle_dir", *bundleDir)
+		logger.Info("flight recorder on", "ring", *flightRing, "bundle_dir", *bundleDir)
 	}
 
 	l, err := net.Listen("tcp", *listen)
@@ -217,10 +201,9 @@ func main() {
 		}
 		if rec != nil {
 			v["flight"] = map[string]any{
-				"seen":            rec.Seen(),
-				"dropped":         rec.Dropped(),
-				"archive_dropped": rec.ArchiveDropped(),
-				"bundles":         engine.Stats(),
+				"seen":    rec.Seen(),
+				"dropped": rec.Dropped(),
+				"bundles": engine.Stats(),
 			}
 		}
 		if prof != nil {
@@ -273,12 +256,6 @@ func main() {
 	stop()
 	r.WaitIdle()
 	daemon.ArchiveSpans(*tracePath, "relayd", spans, logger)
-	if rec != nil {
-		rec.CloseArchive()
-	}
-	if archive != nil {
-		archive.Close()
-	}
 }
 
 // aggregateHealth folds the per-origin path scores into the single

@@ -173,16 +173,6 @@ type (
 	PathHealthInfo = obs.PathHealth
 	// HealthTransition is one committed health-state change.
 	HealthTransition = obs.HealthTransition
-
-	// SLO burn-window types.
-	//
-	// SLOTracker accumulates request outcomes against availability and
-	// latency objectives over fast/slow burn windows.
-	SLOTracker = obs.SLOTracker
-	// SLOConfig declares the objectives (zero value = defaults).
-	SLOConfig = obs.SLOConfig
-	// SLOSnapshot is a tracker's full state at one instant.
-	SLOSnapshot = obs.SLOSnapshot
 )
 
 // Observability error classes.
@@ -223,11 +213,6 @@ func NewSpanCollector(capacity int) *SpanCollector { return obs.NewSpanCollector
 // it into a client with WithHealthMonitor, or feed daemons through the
 // Relay/Origin Health fields.
 func NewHealthMonitor(cfg HealthConfig) *HealthMonitor { return obs.NewHealthMonitor(cfg) }
-
-// NewSLOTracker returns an SLO burn-window tracker with cfg's gaps
-// filled by defaults (99.5% availability, 95% under 1 s, 5 m/1 h
-// windows). Set it as a HealthConfig.SLO so health folds feed it.
-func NewSLOTracker(cfg SLOConfig) *SLOTracker { return obs.NewSLOTracker(cfg) }
 
 // HealthWallClock returns a wall clock (seconds since now) for
 // HealthConfig.Clock in long-running processes; leave Clock nil to run

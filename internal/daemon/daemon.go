@@ -1,7 +1,7 @@
 // Package daemon is the shared introspection scaffolding for origind,
 // relayd, and registryd: one place that assembles the debug mux
 // (/healthz, /readyz, /debug/vars, /metrics, /debug/stack, and — when
-// the subsystems are wired — /debug/paths, /debug/slo, /debug/cache,
+// the subsystems are wired — /debug/paths, /debug/cache,
 // /debug/registry, /debug/requests, /debug/active, /debug/bundle), the
 // common logging flag plumbing around internal/obs/slogx, and the start-up
 // and shutdown steps the three mains share (listener liveness, -pprof,
@@ -38,15 +38,11 @@ type Daemon struct {
 	// Vars builds the /debug/vars payload; nil serves an empty object.
 	Vars func() any
 	// Prom appends the daemon's own metric families to a scrape; the
-	// health and SLO families are appended automatically when those
-	// subsystems are set.
+	// health families are appended automatically when Health is set.
 	Prom func(p *obs.Prom)
 	// Health, when set, adds /debug/paths and the per-path health
 	// gauges to /metrics.
 	Health *obs.HealthMonitor
-	// SLO, when set, adds /debug/slo and the burn-rate families to
-	// /metrics.
-	SLO *obs.SLOTracker
 	// Cache, when set, builds the /debug/cache payload (an
 	// objcache.Stats snapshot); the cache's Prometheus families are the
 	// daemon's to append via Prom.
@@ -67,18 +63,8 @@ type Daemon struct {
 	Ready *httpx.Ready
 }
 
-// sloNow returns the wall-window time for SLO snapshots: the health
-// monitor's clock when both subsystems share one, else the tracker's
-// own event high-water (-1).
-func (d *Daemon) sloNow() float64 {
-	if d.Health != nil && d.Health.Config().Clock != nil && d.Health.SLO() == d.SLO {
-		return d.Health.Config().Clock()
-	}
-	return -1
-}
-
 // MetricsPage fills p with every family /metrics serves — the daemon's
-// own, then health, SLO and the Go runtime — and returns the rendered
+// own, then health and the Go runtime — and returns the rendered
 // page. The /metrics handler and a debug bundle's metrics snapshot both
 // come from here, so the two cannot drift.
 func (d *Daemon) MetricsPage(p *obs.Prom) []byte {
@@ -87,9 +73,6 @@ func (d *Daemon) MetricsPage(p *obs.Prom) []byte {
 	}
 	if d.Health != nil {
 		d.Health.Snapshot().WriteProm(p, d.Prefix)
-	}
-	if d.SLO != nil {
-		d.SLO.Snapshot(d.sloNow()).WriteProm(p, d.Prefix)
 	}
 	obs.WriteRuntimeProm(p)
 	return p.Bytes()
@@ -116,11 +99,6 @@ func (d *Daemon) Mux() *httpx.Mux {
 	if d.Health != nil {
 		mux.Handle("/debug/paths", httpx.JSONHandler(func() any {
 			return d.Health.Snapshot()
-		}))
-	}
-	if d.SLO != nil {
-		mux.Handle("/debug/slo", httpx.JSONHandler(func() any {
-			return d.SLO.Snapshot(d.sloNow())
 		}))
 	}
 	if d.Cache != nil {

@@ -60,7 +60,7 @@ func serveDaemon(t *testing.T, d *Daemon) string {
 
 // surfaces is one loopback origin, relay and registry with every
 // optional subsystem the binaries can turn on — tracing (tail retention
-// on the relay), cache, SLO, flight recorder, bundle engine — and the
+// on the relay), cache, flight recorder, bundle engine — and the
 // three Daemons over them, each taking its families from the same
 // WriteProm method its cmd binary does.
 type surfaces struct {
@@ -85,12 +85,9 @@ func startSurfaces(t *testing.T) *surfaces {
 	}
 	t.Cleanup(func() { ol.Close() })
 
-	relaySLO := obs.NewSLOTracker(obs.SLOConfig{})
 	relayFlight := flight.NewRecorder(flight.Config{Ring: 64})
 	r := relay.New(
-		relay.WithHealthMonitor(obs.NewHealthMonitor(obs.HealthConfig{
-			Window: 10, Buckets: 10, Clock: obs.WallClock(), SLO: relaySLO,
-		})),
+		relay.WithHealthMonitor(obs.NewHealthMonitor(obs.HealthConfig{Window: 10, Buckets: 10, Clock: obs.WallClock()})),
 		relay.WithSpans(obs.NewTailSpanCollector(obs.TailConfig{KeepProb: 1})),
 		relay.WithCache(16<<20),
 		relay.WithVerifier(relay.VerifyRange),
@@ -119,7 +116,6 @@ func startSurfaces(t *testing.T) *surfaces {
 		},
 		Prom:   r.WriteProm,
 		Health: r.Health,
-		SLO:    relaySLO,
 		Cache:  func() any { return r.Cache().Stats() },
 		Flight: relayFlight,
 	}
@@ -151,9 +147,11 @@ func startSurfaces(t *testing.T) *surfaces {
 		"registryd": {
 			Prefix: "registry",
 			Vars: func() any {
-				return map[string]any{"registrations": reg.Registrations.Load(), "live_relays": len(reg.List())}
+				return map[string]any{"registrations": reg.Registrations.Load(), "live_relays": len(reg.List()), "epoch": reg.Stats().Epoch}
 			},
-			Prom: reg.WriteProm,
+			// As in registryd, without peers.
+			Registry: func() any { return map[string]any{"table": reg.Stats()} },
+			Prom:     reg.WriteProm,
 		},
 	}
 	return s
@@ -192,7 +190,7 @@ func skeleton(page []byte) string {
 // TestPromOMClassicByteCompatible (the daemon half; internal/obs has
 // the builder half) pins the classic /metrics of the three daemons to
 // skeletons scraped from the relayd, origind and registryd binaries on
-// loopback — tracing, cache, SLO and flight on, a few fetches through —
+// loopback — tracing, cache and flight on, a few fetches through —
 // at the commit before the family definitions moved into WriteProm
 // methods. A family added, dropped, renamed, reworded, retyped or
 // reordered fails here; the goldens change only on purpose.
@@ -250,7 +248,7 @@ func diffSkeleton(t *testing.T, what string, page, golden []byte) {
 // through the same Daemon structs the cmd binaries use — drives real
 // transfers through the relay, then scrapes /metrics from all three
 // debug servers and passes every page through LintProm. /debug/vars,
-// /debug/paths, and /debug/slo must parse as JSON alongside.
+// /debug/paths, and /debug/registry must parse as JSON alongside.
 func TestAllDaemonMetricsPagesLint(t *testing.T) {
 	s := startSurfaces(t)
 	r, ol := s.relay, s.originAddr
@@ -276,9 +274,6 @@ func TestAllDaemonMetricsPagesLint(t *testing.T) {
 		if d.Health != nil && !strings.Contains(string(page), d.Prefix+"_path_health{") {
 			t.Fatalf("%s /metrics missing path health gauges:\n%s", name, page)
 		}
-		if d.SLO != nil && !strings.Contains(string(page), d.Prefix+"_slo_availability_burn_fast") {
-			t.Fatalf("%s /metrics missing SLO families:\n%s", name, page)
-		}
 
 		status, body := scrape(t, addr, "/debug/vars")
 		var decoded map[string]any
@@ -299,14 +294,19 @@ func TestAllDaemonMetricsPagesLint(t *testing.T) {
 				t.Fatalf("%s /debug/paths empty after live traffic", name)
 			}
 		}
-		if d.SLO != nil {
-			status, body := scrape(t, addr, "/debug/slo")
-			var snap obs.SLOSnapshot
-			if status != 200 || json.Unmarshal(body, &snap) != nil {
-				t.Fatalf("%s /debug/slo = %d %q", name, status, body)
+		if d.Registry != nil {
+			// The table's epoch is the one /debug/vars reports: both read
+			// the same registry, and nothing registers in between.
+			status, body := scrape(t, addr, "/debug/registry")
+			var page struct {
+				Table registry.Stats `json:"table"`
 			}
-			if snap.Total == 0 {
-				t.Fatalf("%s /debug/slo saw no requests", name)
+			if status != 200 || json.Unmarshal(body, &page) != nil {
+				t.Fatalf("%s /debug/registry = %d %q", name, status, body)
+			}
+			epoch, _ := decoded["epoch"].(float64)
+			if page.Table.Epoch == 0 || float64(page.Table.Epoch) != epoch {
+				t.Fatalf("%s /debug/registry table.epoch %d, /debug/vars epoch %v", name, page.Table.Epoch, decoded["epoch"])
 			}
 		}
 		// /debug/stack is unconditional on every daemon: a plain-text

@@ -23,9 +23,9 @@ import (
 // mid-stream reset, corrupted range) — is driven against the stack, and
 // for each class the campaign checks the properties the rest of the
 // repo depends on: the health monitor converges to the right verdict
-// within a window or two, the SLO tracker burns its error budget when
-// and only when requests actually fail, no fault wedges a transfer past
-// its deadline, and the relay cache never serves a corrupted span.
+// within a window or two (and its →down edge, the one anomaly trigger,
+// captures one debug bundle), no fault wedges a transfer past its
+// deadline, and the relay cache never serves a corrupted span.
 
 // ChaosParams configures the campaign.
 type ChaosParams struct {
@@ -89,10 +89,6 @@ type ChaosEntry struct {
 	// Recovered reports the monitor returning to healthy after the
 	// fault was lifted.
 	Recovered bool `json:"recovered"`
-	// BurnAlert reports the fast-window SLO availability burn exceeding
-	// 1 (budget burning faster than the objective allows) during the
-	// fault. Live classes only.
-	BurnAlert bool `json:"burn_alert"`
 	// MaxTransfer is the slowest transfer observed, in seconds (virtual
 	// for sim classes, wall-clock for live ones).
 	MaxTransfer float64 `json:"max_transfer_s"`
@@ -104,11 +100,10 @@ type ChaosEntry struct {
 	CorruptDeliveries int `json:"corrupt_deliveries"`
 	// Bundles is how many debug bundles the flight trigger engine
 	// captured during the phase (live classes only): exactly 1 for a
-	// hard-failing class — overlapping SLO-burn and health-down triggers
-	// on the one faulted path must collapse under the rate limit — and 0
-	// for a transport-clean one. BundleEvents and BundleTraces describe
-	// the first bundle: the faulted path's wide events and stitched
-	// traces it captured.
+	// hard-failing class — the faulted path's health-down edge, once
+	// within the rate limit — and 0 for a transport-clean one.
+	// BundleEvents and BundleTraces describe the first bundle: the
+	// faulted path's wide events and stitched traces it captured.
 	Bundles      int `json:"bundles,omitempty"`
 	BundleEvents int `json:"bundle_events,omitempty"`
 	BundleTraces int `json:"bundle_traces,omitempty"`
@@ -331,7 +326,7 @@ func chaosFetch(relayAddr, originAddr, name string, size int64, deadline time.Du
 
 // runLiveChaos drives one connection-fault class on loopback TCP: an
 // origin whose listener runs the faults, and a relay in front of it with
-// its own health monitor and SLO tracker as the instruments under test.
+// its own health monitor as the instrument under test.
 func runLiveChaos(class string, p ChaosParams, expect []obs.HealthState, drive func(ln *shaper.Listener) func(), withCache bool) ChaosEntry {
 	e := ChaosEntry{Class: class, Mode: "live"}
 
@@ -347,20 +342,15 @@ func runLiveChaos(class string, p ChaosParams, expect []obs.HealthState, drive f
 	// The flight recorder rides along as an instrument under test: the
 	// relay records one wide event per forward, the tail span collector
 	// keeps every trace at this scale (KeepProb 1), and the trigger
-	// engine watches the monitor and SLO hooks. The engine variable is
-	// assigned before the relay serves, so the nil-safe closures can
-	// never race a live trigger.
+	// engine watches the monitor's transitions. The engine variable is
+	// assigned before the relay serves, so the nil-safe closure can never
+	// race a live trigger.
 	var engine *flight.Engine
 	rec := flight.NewRecorder(flight.Config{Ring: 256})
 	spans := obs.NewTailSpanCollector(obs.TailConfig{ByteBudget: 1 << 20, KeepProb: 1})
 
-	clk := obs.WallClock()
-	slo := obs.NewSLOTracker(obs.SLOConfig{
-		FastWindow: 2, FastBuckets: 8, SlowWindow: 30, SlowBuckets: 15,
-		OnFastBurn: func(path string, burn float64) { engine.FireBurn(path, burn) },
-	})
 	mon := obs.NewHealthMonitor(obs.HealthConfig{
-		Clock: clk, Window: 2, Buckets: 4, SLO: slo,
+		Clock: obs.WallClock(), Window: 2, Buckets: 4,
 		OnTransition: func(path string, tr obs.HealthTransition) { engine.FireHealth(path, tr) },
 	})
 	bundleDir := ""
@@ -431,9 +421,6 @@ func runLiveChaos(class string, p ChaosParams, expect []obs.HealthState, drive f
 		}
 		if f.elapsed > p.Deadline+500*time.Millisecond {
 			e.DeadlineExceeded++
-		}
-		if burn := slo.Snapshot(clk()).AvailabilityFast.BurnRate; burn > 1 {
-			e.BurnAlert = true
 		}
 		time.Sleep(60 * time.Millisecond)
 	}

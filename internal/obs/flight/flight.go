@@ -1,6 +1,6 @@
 // Package flight is the diagnostics half of the observability plane:
 // where internal/obs answers "how is the system doing" in aggregate
-// (counters, health scores, burn rates), flight answers "what happened
+// (counters, histograms, health scores), flight answers "what happened
 // to THIS transfer" — and keeps enough recent context around that the
 // answer survives the anomaly that raised the question.
 //
@@ -9,7 +9,8 @@
 //   - the wide-event log (Recorder): one bounded-ring canonical record
 //     per finished transfer/forward — path, phase durations, bytes,
 //     cache disposition, retries, outcome class, trace ID — served
-//     filterable at /debug/requests and optionally archived as JSONL;
+//     filterable at /debug/requests (the span archive, not this ring, is
+//     the on-disk record of forwards);
 //   - the in-flight inspector (the Recorder's active table): what every
 //     live transfer is doing right now — current phase, bytes so far,
 //     age — at /debug/active, so a wedged transfer is visible while it
@@ -17,9 +18,9 @@
 //   - the continuous profiler (Profiler): periodic CPU/heap/goroutine
 //     captures into a byte-bounded on-disk ring, with pprof labels on
 //     the fetch/forward hot paths while a profiler is running;
-//   - the trigger engine (Engine): watches SLO fast-burn crossings and
-//     health →down transitions and, rate-limited per path, snapshots a
-//     debug bundle of all of the above.
+//   - the trigger engine (Engine): watches the health monitor's →down
+//     transitions and, rate-limited per path, snapshots a debug bundle of
+//     all of the above.
 //
 // The transfer path writes none of this directly. It marks one Record
 // per transfer (record.go); the record's single Finish feeds the wide
@@ -29,11 +30,9 @@
 package flight
 
 import (
-	"encoding/json"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // Phase is one named slice of a transfer's lifetime, measured between
@@ -87,21 +86,11 @@ type Event struct {
 type Config struct {
 	// Ring is how many finished events are retained (default 512).
 	Ring int
-	// Archive, when set, receives every finished event as one JSON line.
-	// Writes happen on a dedicated goroutine behind a bounded queue —
-	// a slow or failing sink drops events (counted) rather than ever
-	// blocking the transfer path.
-	Archive interface{ Write(p []byte) (int, error) }
-	// ArchiveQueue bounds the pending archive writes (default 256).
-	ArchiveQueue int
 }
 
 func (c Config) withDefaults() Config {
 	if c.Ring <= 0 {
 		c.Ring = 512
-	}
-	if c.ArchiveQueue <= 0 {
-		c.ArchiveQueue = 256
 	}
 	return c
 }
@@ -117,49 +106,16 @@ type Recorder struct {
 	full   bool
 	seq    uint64
 	active map[uint64]*trail
-
-	archCh      chan []byte
-	archDropped atomic.Uint64
-	archClose   sync.Once
-	archDone    chan struct{}
 }
 
 // NewRecorder returns a recorder with cfg's gaps filled by defaults.
 func NewRecorder(cfg Config) *Recorder {
 	cfg = cfg.withDefaults()
-	r := &Recorder{
+	return &Recorder{
 		cfg:    cfg,
 		ring:   make([]Event, cfg.Ring),
 		active: make(map[uint64]*trail),
 	}
-	if cfg.Archive != nil {
-		r.archCh = make(chan []byte, cfg.ArchiveQueue)
-		r.archDone = make(chan struct{})
-		go r.archiveLoop()
-	}
-	return r
-}
-
-// archiveLoop drains the archive queue onto the sink. Write errors are
-// counted as drops; the loop never stops mid-stream on one bad write.
-func (r *Recorder) archiveLoop() {
-	defer close(r.archDone)
-	for line := range r.archCh {
-		if _, err := r.cfg.Archive.Write(line); err != nil {
-			r.archDropped.Add(1)
-		}
-	}
-}
-
-// CloseArchive flushes and stops the archive goroutine (no-op without
-// an archive, or on a nil recorder). Call on shutdown before closing
-// the underlying sink.
-func (r *Recorder) CloseArchive() {
-	if r == nil || r.archCh == nil {
-		return
-	}
-	r.archClose.Do(func() { close(r.archCh) })
-	<-r.archDone
 }
 
 // begin gives a record's trail its sequence number and lists it in the
@@ -175,8 +131,7 @@ func (r *Recorder) begin(t *trail) {
 	r.mu.Unlock()
 }
 
-// finish moves a transfer's event into the ring and hands it to the
-// archive queue (non-blocking: a full queue drops and counts).
+// finish moves a transfer's event from the in-flight table into the ring.
 func (r *Recorder) finish(id uint64, ev Event) {
 	r.mu.Lock()
 	delete(r.active, id)
@@ -187,18 +142,6 @@ func (r *Recorder) finish(id uint64, ev Event) {
 		r.full = true
 	}
 	r.mu.Unlock()
-	if r.archCh != nil {
-		line, err := json.Marshal(ev)
-		if err != nil {
-			r.archDropped.Add(1)
-			return
-		}
-		select {
-		case r.archCh <- append(line, '\n'):
-		default:
-			r.archDropped.Add(1)
-		}
-	}
 }
 
 // Seen returns how many transfers the recorder has ever started.
@@ -228,15 +171,6 @@ func (r *Recorder) Dropped() uint64 {
 		return 0
 	}
 	return finished - uint64(len(r.ring))
-}
-
-// ArchiveDropped returns how many events the archive path dropped
-// (queue full, marshal or write failure). Nil-safe.
-func (r *Recorder) ArchiveDropped() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.archDropped.Load()
 }
 
 // Filter selects wide events; zero-valued fields match everything.

@@ -2,7 +2,6 @@ package flight
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"strings"
 	"sync"
@@ -157,100 +156,6 @@ func TestParseQuery(t *testing.T) {
 	}
 }
 
-// blockingSink wedges its first Write until released — the pathological
-// archive consumer.
-type blockingSink struct {
-	release chan struct{}
-	once    sync.Once
-	writes  int
-	mu      sync.Mutex
-}
-
-func (s *blockingSink) Write(p []byte) (int, error) {
-	s.once.Do(func() { <-s.release })
-	s.mu.Lock()
-	s.writes++
-	s.mu.Unlock()
-	return len(p), nil
-}
-
-func TestArchiveNeverBlocksTransferPath(t *testing.T) {
-	sink := &blockingSink{release: make(chan struct{})}
-	r := NewRecorder(Config{Ring: 8, Archive: sink, ArchiveQueue: 2})
-
-	// With the sink wedged, one event sits in Write, two fit in the
-	// queue, and everything beyond drops — but every Finish returns
-	// promptly.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 10; i++ {
-			record(r, "direct", "a.bin", obs.ClassOK)
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Finish blocked on a wedged archive sink")
-	}
-	if dropped := r.ArchiveDropped(); dropped == 0 {
-		t.Fatal("no archive drops counted despite a wedged sink")
-	}
-	close(sink.release)
-	r.CloseArchive()
-	delivered := int(r.Seen()) - int(r.ArchiveDropped())
-	sink.mu.Lock()
-	writes := sink.writes
-	sink.mu.Unlock()
-	if writes != delivered {
-		t.Fatalf("sink got %d writes, want %d (10 - %d dropped)", writes, delivered, r.ArchiveDropped())
-	}
-}
-
-type failingSink struct{}
-
-func (failingSink) Write([]byte) (int, error) { return 0, errors.New("disk full") }
-
-func TestArchiveWriteFailuresCount(t *testing.T) {
-	r := NewRecorder(Config{Ring: 8, Archive: failingSink{}})
-	record(r, "direct", "a.bin", obs.ClassOK)
-	r.CloseArchive()
-	if r.ArchiveDropped() != 1 {
-		t.Fatalf("ArchiveDropped = %d, want 1", r.ArchiveDropped())
-	}
-}
-
-func TestArchiveLines(t *testing.T) {
-	var mu sync.Mutex
-	var buf []byte
-	sink := writerFunc(func(p []byte) (int, error) {
-		mu.Lock()
-		buf = append(buf, p...)
-		mu.Unlock()
-		return len(p), nil
-	})
-	r := NewRecorder(Config{Ring: 8, Archive: sink})
-	record(r, "direct", "a.bin", obs.ClassOK)
-	record(r, "relay:r1", "b.bin", obs.ClassFailed)
-	r.CloseArchive()
-
-	lines := strings.Split(strings.TrimSpace(string(buf)), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("archive has %d lines, want 2:\n%s", len(lines), buf)
-	}
-	var ev Event
-	if err := json.Unmarshal([]byte(lines[1]), &ev); err != nil {
-		t.Fatalf("archive line not JSON: %v", err)
-	}
-	if ev.Path != "relay:r1" || ev.Class != "failed" {
-		t.Fatalf("archived event = %+v", ev)
-	}
-}
-
-type writerFunc func(p []byte) (int, error)
-
-func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
-
 func TestNilRecorderAndTransferNoOp(t *testing.T) {
 	var r *Recorder
 	tr := start(r, "client", "direct", "a.bin")
@@ -269,13 +174,12 @@ func TestNilRecorderAndTransferNoOp(t *testing.T) {
 	if tr.Tracing() || tr.Context().Valid() {
 		t.Fatal("closed record claims to trace")
 	}
-	if r.Seen() != 0 || r.Dropped() != 0 || r.ArchiveDropped() != 0 {
+	if r.Seen() != 0 || r.Dropped() != 0 {
 		t.Fatal("nil recorder counted something")
 	}
 	if r.Events(Filter{}) != nil || r.Active() != nil {
 		t.Fatal("nil recorder served rows")
 	}
-	r.CloseArchive()
 }
 
 func TestRecorderConcurrentUse(t *testing.T) {

@@ -1,15 +1,15 @@
-// The trigger engine: the piece that turns "the SLO is burning" or
-// "path X just went down" into a debug bundle captured at the moment it
-// mattered. Anomaly first, evidence second is too late — the wide
-// events, tail-kept spans, and profiles that explain a transition are
-// all in bounded rings that will have rotated by the time a human asks.
+// The trigger engine: the piece that turns "path X just went down" into
+// a debug bundle captured at the moment it mattered. Anomaly first,
+// evidence second is too late — the wide events, tail-kept spans, and
+// profiles that explain a transition are all in bounded rings that will
+// have rotated by the time a human asks.
 //
-// Triggers are rate-limited per path (overlapping SLO-burn and
-// health-down triggers on one path collapse into one bundle), and the
-// bundle build runs on a dedicated goroutine behind a bounded queue:
-// a fire from the transfer path is a map lookup and a non-blocking
-// channel send, and a failing bundle directory is a counter, never a
-// stall.
+// The one anomaly signal is the health monitor's →down edge. Triggers
+// are rate-limited per path (a path that goes down twice inside the
+// window yields one bundle), and the bundle build runs on a dedicated
+// goroutine behind a bounded queue: a fire from the transfer path is a
+// map lookup and a non-blocking channel send, and a failing bundle
+// directory is a counter, never a stall.
 
 package flight
 
@@ -87,11 +87,10 @@ type Bundle struct {
 	// Name is the bundle's identity ("bundle-000001-health-down"), also
 	// its file name (with .json) when persisted.
 	Name string `json:"name"`
-	// Reason is the trigger taxonomy entry: "health-down" or
-	// "slo-fast-burn".
+	// Reason is the trigger taxonomy entry: "health-down".
 	Reason string `json:"reason"`
 	// Path is the path key that fired; Detail the trigger's free-form
-	// context (the transition, the burn rate).
+	// context (the transition and its score).
 	Path   string `json:"path"`
 	Detail string `json:"detail,omitempty"`
 	// At is the trigger time on the engine clock; Wall the build time,
@@ -207,25 +206,14 @@ func (e *Engine) Fire(reason, path, detail string) {
 }
 
 // FireHealth adapts obs.HealthConfig.OnTransition: only →down
-// transitions trigger (degradations burn the SLO first; recovery is
-// good news). Nil-safe.
+// transitions trigger (a degraded path still delivers; recovery is good
+// news). Nil-safe.
 func (e *Engine) FireHealth(path string, tr obs.HealthTransition) {
 	if e == nil || tr.To != obs.HealthDown {
 		return
 	}
 	e.Fire("health-down", path,
 		fmt.Sprintf("%s->%s score=%.3f", tr.From, tr.To, tr.Score))
-}
-
-// FireBurn adapts obs.SLOConfig.OnFastBurn. Nil-safe.
-func (e *Engine) FireBurn(path string, burn float64) {
-	if e == nil {
-		return
-	}
-	if path == "" {
-		path = "(all)"
-	}
-	e.Fire("slo-fast-burn", path, fmt.Sprintf("fast availability burn %.1f", burn))
 }
 
 // Stats returns the engine's decision counters. Nil-safe.

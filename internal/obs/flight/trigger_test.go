@@ -52,7 +52,7 @@ func TestTriggerRateLimitWindow(t *testing.T) {
 	e.Fire("health-down", "pathA", "")
 	e.Fire("health-down", "pathA", "") // inside the window: suppressed
 	clock.Advance(59)
-	e.Fire("slo-fast-burn", "pathA", "") // still inside
+	e.Fire("manual", "pathA", "") // still inside, whatever the reason
 	clock.Advance(2)
 	e.Fire("health-down", "pathA", "") // window elapsed: fires
 
@@ -69,12 +69,12 @@ func TestTriggerOverlappingReasonsSamePathCollapse(t *testing.T) {
 	e := NewEngine(TriggerConfig{Recorder: rec, Window: 60, Clock: clock.Now})
 	defer e.Close()
 
-	// A path going down typically burns the SLO in the same breath: the
-	// two triggers must collapse into one bundle.
+	// The rate limit is keyed by path, not reason: a second trigger with
+	// another reason on a path that just fired collapses into its bundle.
 	e.FireHealth("pathA", obs.HealthTransition{From: obs.HealthDegraded, To: obs.HealthDown})
-	e.FireBurn("pathA", 14.2)
+	e.Fire("manual", "pathA", "operator request")
 	// A different path rate-limits independently.
-	e.FireBurn("pathB", 3.0)
+	e.Fire("manual", "pathB", "operator request")
 
 	s := e.Stats()
 	if s.Fired != 2 || s.Suppressed != 1 {
@@ -85,8 +85,8 @@ func TestTriggerOverlappingReasonsSamePathCollapse(t *testing.T) {
 	if len(bundles) != 2 {
 		t.Fatalf("retained %d bundles, want 2", len(bundles))
 	}
-	// Newest first: pathB's burn bundle, then pathA's health bundle.
-	if bundles[0].Path != "pathB" || bundles[0].Reason != "slo-fast-burn" {
+	// Newest first: pathB's manual bundle, then pathA's health bundle.
+	if bundles[0].Path != "pathB" || bundles[0].Reason != "manual" {
 		t.Fatalf("newest bundle = %+v", bundles[0])
 	}
 	if bundles[1].Path != "pathA" || bundles[1].Reason != "health-down" {
@@ -199,7 +199,7 @@ func TestBundleContentAndStitchedTraces(t *testing.T) {
 		Metrics:  func() []byte { return []byte("# metrics\n") },
 	})
 	defer e.Close()
-	e.Fire("slo-fast-burn", "pathA", "fast availability burn 14.0")
+	e.Fire("health-down", "pathA", "degraded->down score=0.120")
 	waitBuilt(t, e, 1)
 
 	name := e.Bundles()[0].Name
@@ -260,7 +260,6 @@ func TestNilEngineNoOp(t *testing.T) {
 	var e *Engine
 	e.Fire("health-down", "p", "")
 	e.FireHealth("p", obs.HealthTransition{To: obs.HealthDown})
-	e.FireBurn("p", 3)
 	if e.Stats() != (EngineStats{}) || e.Bundles() != nil {
 		t.Fatal("nil engine reported state")
 	}

@@ -106,10 +106,6 @@ type HealthConfig struct {
 	// event timestamp, which keeps simulator-fed monitors deterministic.
 	Clock func() float64
 
-	// SLO, when set, receives every success/failure fold so availability
-	// and latency objectives are tracked from the same stream.
-	SLO *SLOTracker
-
 	// OnTransition, when set, is called for every committed state change
 	// with the path key and the transition. It runs after the monitor's
 	// lock is released, so the callback may call back into the monitor
@@ -263,9 +259,6 @@ func NewHealthMonitor(cfg HealthConfig) *HealthMonitor {
 // Config returns the monitor's effective (default-filled) configuration.
 func (m *HealthMonitor) Config() HealthConfig { return m.cfg }
 
-// SLO returns the tracker receiving this monitor's folds, or nil.
-func (m *HealthMonitor) SLO() *SLOTracker { return m.cfg.SLO }
-
 func (m *HealthMonitor) bucketWidth() float64 {
 	return m.cfg.Window / float64(m.cfg.Buckets)
 }
@@ -335,13 +328,8 @@ func (m *HealthMonitor) fold(key string, t float64, class ErrClass, latency floa
 	}
 	m.evaluate(key, p, m.now())
 	notices := m.takeNotices()
-	slo := m.cfg.SLO
 	m.mu.Unlock()
-	// SLO fold and transition notices run unlocked: the SLO tracker has
-	// its own mutex, and OnTransition may read back into this monitor.
-	if slo != nil && !retry {
-		slo.ObservePathAt(key, t, class == ClassOK, latency)
-	}
+	// Notices run unlocked: OnTransition may read back into this monitor.
 	m.fireNotices(notices)
 }
 

@@ -191,10 +191,7 @@ func TestHealthWindowRotatesOldSamples(t *testing.T) {
 }
 
 func TestHealthSnapshotJSONAndProm(t *testing.T) {
-	slo := NewSLOTracker(SLOConfig{})
-	cfg := testHealthCfg()
-	cfg.SLO = slo
-	m := NewHealthMonitor(cfg)
+	m := NewHealthMonitor(testHealthCfg())
 	feedOK(m, "direct", 0, 4, 0.05, 64<<10)
 	m.fold("r1", 1, ClassFailed, 0, 0, false)
 
@@ -212,21 +209,22 @@ func TestHealthSnapshotJSONAndProm(t *testing.T) {
 
 	p := NewProm()
 	s.WriteProm(p, "test")
-	m.SLO().Snapshot(-1).WriteProm(p, "test")
 	page := p.Bytes()
 	if err := LintProm(page); err != nil {
 		t.Fatalf("prom lint: %v\n%s", err, page)
 	}
-	for _, want := range []string{"test_path_health{", "test_path_throughput_ewma_mbps{", "test_slo_availability_burn_fast"} {
+	for _, want := range []string{"test_path_health{", "test_path_throughput_ewma_mbps{"} {
 		if !strings.Contains(string(page), want) {
 			t.Fatalf("prom page missing %q:\n%s", want, page)
 		}
 	}
 
-	// The tracker saw the folds: 4 ok + 1 fail.
-	ss := slo.Snapshot(-1)
-	if ss.Total != 5 || ss.FailedTotal != 1 {
-		t.Fatalf("slo totals = %d/%d, want 5/1", ss.Total, ss.FailedTotal)
+	// The window counts every fold: 4 ok on direct, 1 failure on r1.
+	direct, _ := decoded.Path("direct")
+	r1, _ := decoded.Path("r1")
+	if direct.Ok != 4 || direct.Failed != 0 || r1.Ok != 0 || r1.Failed != 1 {
+		t.Fatalf("window counts direct %d/%d, r1 %d/%d; want 4/0 and 0/1",
+			direct.Ok, direct.Failed, r1.Ok, r1.Failed)
 	}
 }
 

@@ -72,7 +72,7 @@ type Relay struct {
 }
 
 // WriteProm appends the relay's own families — what relayd serves on
-// /metrics ahead of the health, SLO and runtime views its daemon adds.
+// /metrics ahead of the health and runtime views its daemon adds.
 func (r *Relay) WriteProm(p *obs.Prom) {
 	p.Counter("relay_requests_total", "Requests handled, including failures.", float64(r.Requests.Load()))
 	p.Counter("relay_bytes_relayed_total", "Response-body bytes forwarded to clients.", float64(r.BytesRelayed.Load()))

@@ -456,22 +456,21 @@ func Chaos(w io.Writer, r experiment.ChaosResult) {
 		if !e.VerdictOK {
 			verdict += " (WRONG)"
 		}
-		burn, bundles := "-", "-"
+		bundles := "-"
 		if e.Mode == "live" {
-			burn = fmt.Sprintf("%v", e.BurnAlert)
 			bundles = fmt.Sprintf("%d", e.Bundles)
 		}
 		rows = append(rows, []string{
 			e.Class, e.Mode,
 			fmt.Sprintf("%d", e.Transfers), fmt.Sprintf("%d", e.Failures),
-			verdict, fmt.Sprintf("%v", e.Recovered), burn, bundles,
+			verdict, fmt.Sprintf("%v", e.Recovered), bundles,
 			fmt.Sprintf("%.2f", e.MaxTransfer),
 			fmt.Sprintf("%d", e.DeadlineExceeded), fmt.Sprintf("%d", e.CorruptDeliveries),
 		})
 	}
-	Table(w, []string{"Fault", "Mode", "Xfers", "Fail", "Verdict", "Recovered", "Burn", "Bundles", "Max s", "Over-DL", "Corrupt"}, rows)
+	Table(w, []string{"Fault", "Mode", "Xfers", "Fail", "Verdict", "Recovered", "Bundles", "Max s", "Over-DL", "Corrupt"}, rows)
 	fmt.Fprintf(w, "  verdicts ok: %v; recovered: %v; deadline overruns %d; corrupt cache serves %d\n",
 		r.AllVerdictsOK, r.AllRecovered, r.TotalDeadlineExceeded, r.TotalCorruptDeliveries)
 	fmt.Fprintln(w, "  every fault class must degrade the verdict it should, heal when lifted, and never wedge or corrupt a transfer")
-	fmt.Fprintln(w, "  hard-failing live classes each capture exactly one rate-limited flight-recorder debug bundle")
+	fmt.Fprintln(w, "  hard-failing live classes each capture exactly one rate-limited health-down debug bundle")
 }

@@ -7,7 +7,10 @@
 # `-exp <id>` they name is in cmd/indirectlab's expIDs, and every -flag
 # written after fetch, relayd, registryd, origind or indirectlab (up to
 # the end of its backtick span or line) is defined by a flag.*("name"
-# in cmd/ or internal/daemon. ROADMAP.md and
+# in cmd/ or internal/daemon. Every |-separated name in a Makefile
+# recipe's -run pattern (anchors stripped) must be a substring of some Test…/Fuzz…
+# func, so a pattern naming a deleted test fails here instead of
+# silently matching nothing. ROADMAP.md and
 # CHANGES.md are history and are not scanned; bench/README.md joins when
 # a benchmark PR (the only kind that edits bench/) drops its sentence
 # about the make target this repo no longer has.
@@ -37,5 +40,9 @@ for doc in "${docs[@]}"; do
   for name in $(grep -ohE '\b(Test|Fuzz)[A-Z][A-Za-z0-9_]*' "$doc" | sort -u); do
     grep -q "^$name" <<<"$testfuncs" || { echo "$doc: $name: no such test"; bad=1; }
   done
+done
+for name in $(grep -E $'^\t' Makefile | grep -oE -- "-run ('[^']*'|[^[:space:]']+)" | sed -E "s/^-run //; s/'//g" |
+    tr '|' '\n' | tr -d '^$' | sort -u); do
+  grep -qF -- "$name" <<<"$testfuncs" || { echo "Makefile: -run $name: matches no test"; bad=1; }
 done
 exit $bad
