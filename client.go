@@ -46,10 +46,6 @@ type Client struct {
 	timeout   time.Duration
 	retries   int
 	backoff   time.Duration
-	poolSize  int
-	idleTTL   time.Duration
-	cacheSize int64
-	cacheTTL  time.Duration
 	metrics   *obs.Metrics
 	observers []obs.Observer
 	spans     *obs.SpanCollector
@@ -77,24 +73,8 @@ func New(t Transport, opts ...Option) *Client {
 	// Tracing wires through both layers: the engine opens root spans, the
 	// real transport records per-phase children and the wire header.
 	c.cfg.Spans = c.spans
-	// The pool knobs configure the real transport; other transports have
-	// no connection pool and ignore them.
-	if rt, ok := t.(*realnet.Transport); ok {
-		if c.poolSize != 0 {
-			rt.MaxIdlePerPath = c.poolSize
-		}
-		if c.idleTTL != 0 {
-			rt.IdleTTL = c.idleTTL
-		}
-		if c.cacheSize > 0 {
-			rt.CacheBytes = c.cacheSize
-		}
-		if c.cacheTTL != 0 {
-			rt.CacheTTL = c.cacheTTL
-		}
-		if c.spans != nil {
-			rt.Spans = c.spans
-		}
+	if rt, ok := t.(*realnet.Transport); ok && c.spans != nil {
+		rt.Spans = c.spans
 	}
 	return c
 }
@@ -136,43 +116,12 @@ func WithObserver(o Observer) Option {
 	}
 }
 
-// WithPoolSize bounds the idle keep-alive connections a RealTransport
-// parks per path (negative disables pooling). Only meaningful when the
-// client wraps a *RealTransport; other transports ignore it.
-func WithPoolSize(n int) Option {
-	return func(c *Client) { c.poolSize = n }
-}
-
-// WithIdleTTL sets how long a RealTransport keeps an idle pooled
-// connection before evicting it (negative disables expiry). Only
-// meaningful when the client wraps a *RealTransport.
-func WithIdleTTL(d time.Duration) Option {
-	return func(c *Client) { c.idleTTL = d }
-}
-
-// WithCacheSize gives a RealTransport a bounded client-side object
-// cache of the given byte capacity: every streamed range also fills
-// the cache, and a later fetch fully covered by cached spans completes
-// without touching the network. Zero (the default) disables caching —
-// the transfer path, including its allocation profile, is then
-// untouched. Only meaningful when the client wraps a *RealTransport.
-func WithCacheSize(bytes int64) Option {
-	return func(c *Client) { c.cacheSize = bytes }
-}
-
-// WithCacheTTL expires a RealTransport's cached spans this long after
-// their fill; 0 keeps them until evicted by capacity pressure. Only
-// meaningful together with WithCacheSize.
-func WithCacheTTL(d time.Duration) Option {
-	return func(c *Client) { c.cacheTTL = d }
-}
-
 // WithHealthMonitor attaches a path-health monitor to the client: every
 // selection-lifecycle event folds into the monitor's per-path rolling
 // windows, and Client.PathHealth/HealthMonitor read the damped health
 // view. A nil monitor is ignored (the hot path stays free of health
-// bookkeeping — realnet's TestWarmFetchAllocCeiling pins a warm fetch
-// at 32 allocations with no monitor attached).
+// bookkeeping — realnet's TestWarmFetchAllocCeiling holds a warm fetch
+// to at most 20 allocations with no monitor attached).
 func WithHealthMonitor(h *HealthMonitor) Option {
 	return func(c *Client) {
 		// The nil check must happen on the concrete pointer: appending a
@@ -362,15 +311,4 @@ func (c *Client) PathHealth() HealthSnapshot {
 		return HealthSnapshot{}
 	}
 	return c.health.Snapshot()
-}
-
-// CacheStats captures the client-side object cache's counters — hits,
-// misses, fills, evictions, byte gauges, and the derived warmth score —
-// when the client wraps a *RealTransport built with WithCacheSize. The
-// zero CacheStats (capacity 0) otherwise.
-func (c *Client) CacheStats() CacheStats {
-	if rt, ok := c.transport.(*realnet.Transport); ok {
-		return rt.CacheStats()
-	}
-	return CacheStats{}
 }

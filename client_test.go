@@ -192,10 +192,10 @@ func TestClientTimeoutBoundsStuckTransfer(t *testing.T) {
 	}
 }
 
-// TestClientPoolOptions checks WithPoolSize/WithIdleTTL reach the real
-// transport and that the pool reports reuse through the facade — a
-// second fetch on the same path must ride the first one's connection.
-func TestClientPoolOptions(t *testing.T) {
+// TestClientPoolReuseAcrossOperations checks that a client over a real
+// transport reuses its pool across operations — a second fetch on the
+// same path must ride the first one's connection.
+func TestClientPoolReuseAcrossOperations(t *testing.T) {
 	origin := relay.NewOriginServer()
 	origin.Put("big.bin", 1_000_000)
 	ol, err := origin.ServeAddr("127.0.0.1:0")
@@ -208,15 +208,8 @@ func TestClientPoolOptions(t *testing.T) {
 		Servers: map[string]string{"origin": ol.Addr().String()},
 		Verify:  true,
 	}
-	c := repro.New(tr,
-		repro.WithPoolSize(3),
-		repro.WithIdleTTL(10*time.Second),
-		repro.WithProbeBytes(50_000))
+	c := repro.New(tr, repro.WithProbeBytes(50_000))
 	defer tr.Close()
-	if tr.MaxIdlePerPath != 3 || tr.IdleTTL != 10*time.Second {
-		t.Fatalf("options not applied: MaxIdlePerPath=%d IdleTTL=%v",
-			tr.MaxIdlePerPath, tr.IdleTTL)
-	}
 
 	obj := repro.Object{Server: "origin", Name: "big.bin", Size: 300_000}
 	for i := 0; i < 2; i++ {
@@ -278,49 +271,5 @@ func TestClientStreamsProgressEvents(t *testing.T) {
 	}
 	if snap := c.Snapshot(); snap.BytesStreamed != obj.Size {
 		t.Fatalf("metrics streamed %d bytes, want %d", snap.BytesStreamed, obj.Size)
-	}
-}
-
-// TestClientCacheOptions checks the facade's cache wiring end to end:
-// WithCacheSize/WithCacheTTL configure the underlying RealTransport,
-// repeat fetches are served from the cache without origin traffic, and
-// CacheStats surfaces the re-exported snapshot.
-func TestClientCacheOptions(t *testing.T) {
-	origin := relay.NewOriginServer()
-	origin.Put("big.bin", 1_000_000)
-	ol, err := origin.ServeAddr("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ol.Close()
-
-	tr := &repro.RealTransport{
-		Servers: map[string]string{"origin": ol.Addr().String()},
-		Verify:  true,
-	}
-	c := repro.New(tr,
-		repro.WithCacheSize(4<<20),
-		repro.WithCacheTTL(time.Minute),
-		repro.WithProbeBytes(50_000))
-	defer tr.Close()
-	if tr.CacheBytes != 4<<20 || tr.CacheTTL != time.Minute {
-		t.Fatalf("options not applied: CacheBytes=%d CacheTTL=%v",
-			tr.CacheBytes, tr.CacheTTL)
-	}
-
-	obj := repro.Object{Server: "origin", Name: "big.bin", Size: 300_000}
-	if out := c.SelectAndFetch(context.Background(), obj, nil); out.Err != nil {
-		t.Fatal(out.Err)
-	}
-	egress := origin.BytesServed.Load()
-	if out := c.SelectAndFetch(context.Background(), obj, nil); out.Err != nil {
-		t.Fatal(out.Err)
-	}
-	if got := origin.BytesServed.Load(); got != egress {
-		t.Fatalf("repeat fetch cost %d origin bytes despite cache", got-egress)
-	}
-	var st repro.CacheStats = c.CacheStats()
-	if st.CapacityBytes != 4<<20 || st.Hits == 0 || st.Fills == 0 {
-		t.Fatalf("cache stats: %+v", st)
 	}
 }

@@ -36,7 +36,6 @@ package repro
 
 import (
 	"repro/internal/core"
-	"repro/internal/objcache"
 	"repro/internal/obs"
 	"repro/internal/realnet"
 )
@@ -97,10 +96,6 @@ type (
 	// RealPoolStats is a point-in-time view of a RealTransport's
 	// connection-pool counters (RealTransport.PoolStats).
 	RealPoolStats = realnet.PoolStats
-	// CacheStats is a point-in-time view of an object cache's counters
-	// and byte gauges (Client.CacheStats, RealTransport.CacheStats, and
-	// the relay daemon's /debug/cache page share this shape).
-	CacheStats = objcache.Stats
 
 	// Observer receives selection-lifecycle events (attach with
 	// WithObserver or Config.Observer).

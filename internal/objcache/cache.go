@@ -1,19 +1,18 @@
 // Package objcache is the bounded, range-aware object cache behind the
-// relay caching tier (and, optionally, the client transport): byte
-// ranges of named objects are stored as coalesced contiguous spans, the
-// whole cache is bounded by total bytes with least-recently-used
-// objects evicted first, entries can expire on a TTL, and concurrent
-// misses for the same object/range collapse into a single upstream fill
-// through the singleflight Flight API.
+// relay caching tier: byte ranges of named objects are stored as
+// coalesced contiguous spans, the whole cache is bounded by total bytes
+// with least-recently-used objects evicted first, entries can expire on
+// a TTL, and concurrent misses for the same object/range collapse into a
+// single upstream fill through the singleflight Flight API.
 //
 // No buffer is rewritten while anyone it was handed to can still read
 // it. A span's bytes are written once, at insertion: Put copies, and a
-// fill handed over with PutOwned or Flight.Complete becomes the span as
-// it is unless it merges with a neighbour, when both are coalesced into
-// a new buffer. Readers come in two kinds. Read and a shared-fill Wait
-// pin the span while their callback runs. Get returns a slice with no
-// end to its use, so a span Get has served is never recycled: the
-// reader keeps that buffer alive and the cache merely forgets it. When
+// fill handed over with Flight.Complete becomes the span as it is unless
+// it merges with a neighbour, when both are coalesced into a new buffer.
+// Readers come in two kinds. Read and a shared-fill Wait pin the span
+// while their callback runs. Get returns a slice with no end to its use,
+// so a span Get has served is never recycled: the reader keeps that
+// buffer alive and the cache merely forgets it. When
 // the cache drops a span nobody pins and Get never served — eviction,
 // trim, TTL expiry, a failed verify, a merge — its buffer goes onto a
 // small free list, and Buffer gives it to the next fill of exactly its
@@ -220,9 +219,9 @@ func (c *Cache) takeLocked(n int64) []byte {
 }
 
 // Buffer returns an empty buffer of capacity n for a fill the caller
-// will hand over with PutOwned or Flight.Complete: a buffer of a span
-// the cache dropped and nobody reads any longer when one of exactly
-// that capacity is free, a new one otherwise.
+// will hand over with Flight.Complete: a buffer of a span the cache
+// dropped and nobody reads any longer when one of exactly that capacity
+// is free, a new one otherwise.
 func (c *Cache) Buffer(n int64) []byte {
 	c.mu.Lock()
 	b := c.takeLocked(n)
@@ -397,21 +396,10 @@ func (c *Cache) Contains(key string, off, n int64) bool {
 // Fills larger than the whole cache are ignored. Put evicts
 // least-recently-used objects until the cache fits again.
 func (c *Cache) Put(key string, off int64, p []byte) {
-	c.put(key, off, p, false)
-}
-
-// PutOwned is Put for a buffer the caller hands over, typically one
-// Buffer returned, filled: when p touches no other span it becomes the
-// span itself, uncopied. The caller must not use p afterwards.
-func (c *Cache) PutOwned(key string, off int64, p []byte) {
-	c.put(key, off, p, true)
-}
-
-func (c *Cache) put(key string, off int64, p []byte, owned bool) {
 	now := c.now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.putLocked(key, off, p, now, owned, 0)
+	c.putLocked(key, off, p, now, false, 0)
 }
 
 // putLocked inserts p as Put describes, keeping p itself when owned and
@@ -501,7 +489,7 @@ func (c *Cache) Size(key string) (int64, bool) {
 }
 
 // Stats is a point-in-time view of the cache, JSON-ready for
-// /debug/cache and the facade's CacheStats.
+// /debug/cache.
 type Stats struct {
 	// CapacityBytes is the configured bound; BytesCached the payload
 	// currently held (a gauge).

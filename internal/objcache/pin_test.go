@@ -99,33 +99,40 @@ func TestGetServedBufferIsNeverRecycled(t *testing.T) {
 	}
 }
 
-// An owned fill that touches nothing is kept as the span; one that
-// merges is copied, the fresh bytes win, and the owned buffer goes back
-// to the free list without touching the span.
-func TestPutOwnedHandsOffUnlessItMerges(t *testing.T) {
+// A completed fill that touches nothing is kept as the span; one that
+// merges is copied, the fresh bytes win, and the handed-over buffer goes
+// back to the free list without touching the span.
+func TestCompleteHandsOffUnlessItMerges(t *testing.T) {
 	c := New(Config{MaxBytes: 1 << 10})
+	complete := func(key string, off int64, fill []byte) {
+		fl, leader := c.StartFlight(key, off, int64(len(fill)))
+		if !leader {
+			t.Fatalf("%s: no other fill is in flight, yet StartFlight joined one", key)
+		}
+		fl.Complete(fill, nil)
+	}
 	alone := append(c.Buffer(100), pattern(0, 100)...)
-	c.PutOwned("alone", 0, alone)
+	complete("alone", 0, alone)
 	if got, ok := c.Get("alone", 0, 100); !ok || ptr(got) != ptr(alone) {
-		t.Fatal("an owned fill that merges with nothing was copied")
+		t.Fatal("a completed fill that merges with nothing was copied")
 	}
 
 	c.Put("o", 0, pattern(0, 100))
 	fresh := append(c.Buffer(150), bytes.Repeat([]byte{0xAB}, 150)...)
-	c.PutOwned("o", 50, fresh) // overlaps [50, 100): coalesces to [0, 200)
+	complete("o", 50, fresh) // overlaps [50, 100): coalesces to [0, 200)
 	want := append(pattern(0, 50), bytes.Repeat([]byte{0xAB}, 150)...)
 	got, ok := c.Get("o", 0, 200)
 	if !ok || ptr(got) == ptr(fresh) || !bytes.Equal(got, want) {
-		t.Fatalf("merged owned fill: ok=%v, kept the owned buffer=%v, fresh bytes won=%v",
+		t.Fatalf("merged completed fill: ok=%v, kept the handed-over buffer=%v, fresh bytes won=%v",
 			ok, ok && ptr(got) == ptr(fresh), bytes.Equal(got, want))
 	}
 	reused := c.Buffer(150)
 	if ptr(reused) != ptr(fresh) {
-		t.Fatal("the merged owned buffer was not recycled")
+		t.Fatal("the merged handed-over buffer was not recycled")
 	}
 	reused = append(reused, make([]byte, 150)...)
 	if !bytes.Equal(got, want) {
-		t.Fatal("rewriting the recycled owned buffer changed the span")
+		t.Fatal("rewriting the recycled handed-over buffer changed the span")
 	}
 }
 

@@ -25,11 +25,12 @@ import (
 	"repro/internal/obs"
 )
 
-// TriggerConfig parameterizes an Engine. Recorder is required; the
-// other sources are optional and simply leave their bundle sections
-// empty.
+// TriggerConfig parameterizes an Engine. Every source is optional and
+// simply leaves its bundle section empty: origind, whose origins record
+// no wide events, builds its engine without a Recorder.
 type TriggerConfig struct {
-	// Recorder supplies the wide events (filtered to the firing path).
+	// Recorder, when set, supplies the wide events (filtered to the
+	// firing path).
 	Recorder *Recorder
 	// Spans, when set, supplies the tail-kept spans from which the
 	// bundle stitches the firing path's traces.

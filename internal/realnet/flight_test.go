@@ -145,43 +145,6 @@ func TestFlightEventRecordsRetriesAndWarm(t *testing.T) {
 	}
 }
 
-// TestFlightEventRecordsClientCacheHit asserts a client-cache hit is
-// recorded as cache "hit" with the delivered bytes, without a dial
-// phase (the network was never touched).
-func TestFlightEventRecordsClientCacheHit(t *testing.T) {
-	origin := relay.NewOriginServer()
-	origin.Put("obj.bin", 60_000)
-	ol, err := origin.ServeAddr("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ol.Close()
-
-	rec := flight.NewRecorder(flight.Config{Ring: 16})
-	tr := &Transport{
-		Servers:    map[string]string{"origin": ol.Addr().String()},
-		CacheBytes: 1 << 20,
-		Flight:     rec,
-	}
-	obj := core.Object{Server: "origin", Name: "obj.bin", Size: 60_000}
-	fetchOnce(t, tr, obj) // fill
-	fetchOnce(t, tr, obj) // hit
-
-	evs := rec.Events(flight.Filter{N: 1})
-	if len(evs) != 1 {
-		t.Fatalf("events = %+v", evs)
-	}
-	hit := evs[0]
-	if hit.Cache != "hit" || hit.Bytes != 60_000 || hit.Class != "ok" {
-		t.Fatalf("cache-hit event = %+v", hit)
-	}
-	for _, p := range hit.Phases {
-		if p.Name == "dial" {
-			t.Fatalf("cache hit dialed: %+v", hit.Phases)
-		}
-	}
-}
-
 // TestFlightEventOnFailure asserts a failing transfer records its error
 // class and detail.
 func TestFlightEventOnFailure(t *testing.T) {

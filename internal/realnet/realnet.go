@@ -34,7 +34,6 @@ import (
 	"repro/internal/bufpool"
 	"repro/internal/core"
 	"repro/internal/httpx"
-	"repro/internal/objcache"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
 	"repro/internal/relay"
@@ -95,17 +94,6 @@ type Transport struct {
 	// pool evicts it (DefaultIdleTTL when 0; negative disables expiry).
 	IdleTTL time.Duration
 
-	// CacheBytes, when positive, gives the client a bounded range-aware
-	// object cache: every streamed range also fills the cache (keyed by
-	// server/name, position-exact), and a later fetch fully covered by
-	// cached spans completes without touching the network at all. Zero
-	// (the default) disables caching and leaves the transfer path —
-	// including its allocation profile — untouched.
-	CacheBytes int64
-	// CacheTTL expires cached spans this long after their fill; 0 keeps
-	// them until evicted. Only meaningful with CacheBytes set.
-	CacheTTL time.Duration
-
 	// Observer, Spans and Flight are the sinks every transfer's record
 	// (flight.Record) feeds; all nil (the default) leaves the record
 	// closed, every site on the hot path a nil check, and the allocation
@@ -126,8 +114,8 @@ type Transport struct {
 	// origin continue the same trace.
 	Spans *obs.SpanCollector
 	// Flight records one wide event per transfer into the flight
-	// recorder's bounded ring (phases, bytes, cache state, retries, trace
-	// ID) and lists in-flight transfers in its active table.
+	// recorder's bounded ring (phases, bytes, retries, trace ID) and
+	// lists in-flight transfers in its active table.
 	Flight *flight.Recorder
 
 	startOnce sync.Once
@@ -137,11 +125,6 @@ type Transport struct {
 	// continuations reuse, built lazily from the fields above.
 	poolOnce sync.Once
 	pool     *connPool
-
-	// cache is the client-side object cache, built lazily from
-	// CacheBytes/CacheTTL on first use; nil when caching is disabled.
-	cacheOnce sync.Once
-	cache     *objcache.Cache
 }
 
 type pooledConn struct {
@@ -203,44 +186,6 @@ func (t *Transport) idlePool() *connPool {
 func (t *Transport) PoolStats() PoolStats {
 	return t.idlePool().stats()
 }
-
-// objCache returns the client-side object cache, building it from
-// CacheBytes/CacheTTL on first use (so, like every other Transport
-// field, they must be set before the first transfer); nil when caching
-// is disabled.
-func (t *Transport) objCache() *objcache.Cache {
-	t.cacheOnce.Do(func() {
-		if t.CacheBytes <= 0 {
-			return
-		}
-		var verify relay.VerifyFunc
-		if t.Verify {
-			verify = relay.VerifyRange
-		}
-		t.cache = objcache.New(objcache.Config{
-			MaxBytes: t.CacheBytes,
-			TTL:      t.CacheTTL,
-			Verify:   relay.KeyVerifier(verify),
-		})
-	})
-	return t.cache
-}
-
-// CacheStats returns the client-side cache's counters; the zero Stats
-// (capacity 0) when caching is disabled.
-func (t *Transport) CacheStats() objcache.Stats {
-	if c := t.objCache(); c != nil {
-		return c.Stats()
-	}
-	return objcache.Stats{}
-}
-
-// objCacheKey is the cache identity of an object on this client:
-// origin server name plus object name. Unlike the relay's key it is
-// address-independent — the same object fetched over different paths
-// shares one cache entry, which is the point of caching above the
-// path-selection layer.
-func objCacheKey(obj core.Object) string { return obj.Server + "/" + obj.Name }
 
 // StatusError reports a non-success HTTP response. It is permanent from
 // the transport's point of view: the server answered, so the request is
@@ -544,16 +489,6 @@ func (t *Transport) scheduleRetry(ctx context.Context, rec *flight.Record, attem
 // drained, since the server answered cleanly.
 func (t *Transport) fetch(ctx context.Context, h *handle, obj core.Object, path core.Path, off, n int64, warm bool) error {
 	rec := &h.rec
-	if c := t.objCache(); c != nil {
-		if c.Read(objCacheKey(obj), off, n, func([]byte) {}) {
-			// Fully covered by cached spans: the transfer completes without
-			// touching the network (and without consulting path health — a
-			// local hit says nothing about any path).
-			rec.SetCache("hit")
-			rec.Progress(off, n, n)
-			return nil
-		}
-	}
 	originAddr, ok := t.Servers[obj.Server]
 	if !ok {
 		return fmt.Errorf("realnet: unknown server %q", obj.Server)
@@ -737,16 +672,6 @@ func (t *Transport) doRange(pc *pooledConn, rec *flight.Record, obj core.Object,
 	if t.Verify {
 		v = *relay.NewVerifier(obj.Name, off)
 	}
-	// With caching on, the stream tees into a fill buffer — one the cache
-	// recycled when it has one of this size — that is handed to the cache
-	// once the range is complete, so it lands there as a side effect of
-	// delivery. With it off (or the range bigger than the whole cache)
-	// fill stays nil and the loop below is byte-for-byte the uncached one.
-	var fill []byte
-	cache := t.objCache()
-	if cache != nil && n <= cache.Capacity() {
-		fill = cache.Buffer(n)
-	}
 	bp := streamBufs.Get().(*[]byte)
 	defer streamBufs.Put(bp)
 	buf := *bp
@@ -784,9 +709,6 @@ func (t *Transport) doRange(pc *pooledConn, rec *flight.Record, obj core.Object,
 					break
 				}
 			}
-			if fill != nil {
-				fill = append(fill, buf[:m]...)
-			}
 			delivered += int64(m)
 			rec.Progress(off, int64(m), n)
 		}
@@ -804,9 +726,6 @@ func (t *Transport) doRange(pc *pooledConn, rec *flight.Record, obj core.Object,
 	}
 	if err != nil {
 		return false, err
-	}
-	if fill != nil {
-		cache.PutOwned(objCacheKey(obj), off, fill)
 	}
 	// Reusable only if the response was exactly the requested range: an
 	// unknown-length body leaves the stream position undefined.
@@ -836,13 +755,9 @@ func (t *Transport) WaitAny(hs ...core.Handle) int {
 	return chosen
 }
 
-// Stat discovers an object's size with a HEAD request to its origin, so
-// clients need not know sizes out of band.
-func (t *Transport) Stat(server, name string) (int64, error) {
-	return t.StatCtx(context.Background(), server, name)
-}
-
-// StatCtx is Stat observing ctx for the dial and the request.
+// StatCtx discovers an object's size with a HEAD request to its origin,
+// so clients need not know sizes out of band. ctx bounds the dial and
+// the request.
 func (t *Transport) StatCtx(ctx context.Context, server, name string) (int64, error) {
 	addr, ok := t.Servers[server]
 	if !ok {

@@ -179,17 +179,17 @@ func TestConcurrentProbesWallClock(t *testing.T) {
 func TestStat(t *testing.T) {
 	tr, cleanup := testbed(t)
 	defer cleanup()
-	size, err := tr.Stat("origin", "big.bin")
+	size, err := tr.StatCtx(context.Background(), "origin", "big.bin")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if size != 2_000_000 {
 		t.Fatalf("size = %d, want 2000000", size)
 	}
-	if _, err := tr.Stat("nope", "big.bin"); err == nil {
+	if _, err := tr.StatCtx(context.Background(), "nope", "big.bin"); err == nil {
 		t.Fatal("unknown server should fail")
 	}
-	if _, err := tr.Stat("origin", "ghost"); err == nil {
+	if _, err := tr.StatCtx(context.Background(), "origin", "ghost"); err == nil {
 		t.Fatal("unknown object should fail")
 	}
 }

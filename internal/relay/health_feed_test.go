@@ -93,3 +93,49 @@ func TestClientDisconnectIsNotPathFailure(t *testing.T) {
 		t.Fatalf("after upstream death: %+v, want the earlier ok preserved", ph)
 	}
 }
+
+// TestOriginClientHangUpIsNotObjectFailure is the origin's side of the
+// same classification: a client that reads part of a large body and
+// hangs up fails the origin's body write, and that must not count as a
+// failure of the object, or every abandoned fetch would walk its health
+// toward down.
+func TestOriginClientHangUpIsNotObjectFailure(t *testing.T) {
+	origin := NewOriginServer(WithHealthMonitor(obs.NewHealthMonitor(obs.HealthConfig{Clock: obs.WallClock()})))
+	origin.Put("big.bin", 64<<20) // far more than the socket buffers hold
+	ol, err := origin.ServeAddr("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ol.Close()
+
+	conn, err := net.Dial("tcp", ol.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := httpx.NewGet("/big.bin", ol.Addr().String()).Write(conn); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := httpx.ReadResponse(bufio.NewReader(conn))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadFull(resp.Body, make([]byte, 16<<10)); err != nil {
+		t.Fatal(err)
+	}
+	conn.Close()
+
+	origin.WaitIdle()
+	if ph, ok := origin.Health.PathHealth("big.bin"); ok && ph.Failed != 0 {
+		t.Fatalf("client hang-up folded as an object failure: %+v", ph)
+	}
+
+	// A complete fetch is still a real (successful) sample.
+	if _, err := Fetch(nil, ol.Addr().String(), "big.bin", 0, 4096); err != nil {
+		t.Fatal(err)
+	}
+	origin.WaitIdle()
+	ph, ok := origin.Health.PathHealth("big.bin")
+	if !ok || ph.Ok != 1 || ph.Failed != 0 {
+		t.Fatalf("after one complete fetch: %+v (recorded %v), want 1 ok / 0 failed", ph, ok)
+	}
+}

@@ -125,7 +125,7 @@ func New(opts ...Option) *Relay {
 		r.cache = objcache.New(objcache.Config{
 			MaxBytes: o.cacheBytes,
 			TTL:      o.cacheTTL,
-			Verify:   KeyVerifier(o.verify),
+			Verify:   keyVerifier(o.verify),
 		})
 	}
 	return r
@@ -154,11 +154,10 @@ func (r *Relay) Cache() *objcache.Cache { return r.cache }
 // origins never aliases.
 func cacheKey(upstreamAddr, path string) string { return upstreamAddr + path }
 
-// KeyVerifier adapts v to an object cache keyed "<where>/<object name>"
-// — the relay's cacheKey, the client's server/name — for serve-time
-// re-verification: the name is everything after the first '/'. A nil v
-// stays nil (no verification).
-func KeyVerifier(v VerifyFunc) objcache.VerifyFunc {
+// keyVerifier adapts v to the cache's keys (cacheKey, "<upstream
+// addr>/<object name>") for serve-time re-verification: the name is
+// everything after the first '/'. A nil v stays nil (no verification).
+func keyVerifier(v VerifyFunc) objcache.VerifyFunc {
 	if v == nil {
 		return nil
 	}

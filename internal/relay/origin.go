@@ -141,8 +141,11 @@ func (o *Origin) serve(conn net.Conn, req *httpx.Request, rec *flight.Record) (a
 		status, reason = 206, "Partial Content"
 		header["content-range"] = httpx.ContentRange(off, n, size)
 	}
+	// A failed write is the client going away (a losing probe reaped, a
+	// caller's deadline): it says nothing about the object, so it folds
+	// as canceled, as a relay's failed downstream write does.
 	if err := httpx.WriteResponseHead(conn, status, reason, header); err != nil {
-		rec.Outcome(obs.ClassFailed, err.Error())
+		rec.Outcome(obs.ClassCanceled, "client: "+err.Error())
 		return false
 	}
 	if req.Method == "HEAD" {
@@ -157,7 +160,7 @@ func (o *Origin) serve(conn net.Conn, req *httpx.Request, rec *flight.Record) (a
 		rec.SetAttr("bytes", strconv.FormatInt(sent, 10))
 	}
 	if werr != nil {
-		rec.Outcome(obs.ClassFailed, werr.Error())
+		rec.Outcome(obs.ClassCanceled, "client: "+werr.Error())
 		return false
 	}
 	return true

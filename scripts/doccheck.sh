@@ -10,7 +10,10 @@
 # in cmd/ or internal/daemon. Every |-separated name in a Makefile
 # recipe's -run pattern (anchors stripped) must be a substring of some Test…/Fuzz…
 # func, so a pattern naming a deleted test fails here instead of
-# silently matching nothing. ROADMAP.md and
+# silently matching nothing. Every repro.WithX, relay.WithX or
+# registry.WithX they name is a func of that package (the root *.go,
+# internal/relay, internal/registry), so a deleted option cannot linger
+# in a snippet. ROADMAP.md and
 # CHANGES.md are history and are not scanned; bench/README.md joins when
 # a benchmark PR (the only kind that edits bench/) drops its sentence
 # about the make target this repo no longer has.
@@ -36,6 +39,14 @@ for doc in "${docs[@]}"; do
   for name in $(grep -ohE '(^|[[:space:]`]|\.verify-bin/)(fetch|relayd|registryd|origind|indirectlab)[[:space:]]+-[^`]*' "$doc" |
       grep -oE '(^|[[:space:]])-[a-z][a-z0-9-]*' | sed -E 's/^[[:space:]]*-//' | sort -u); do
     grep -qx -- "$name" <<<"$flags" || { echo "$doc: -$name: no such flag"; bad=1; }
+  done
+  for ref in $(grep -ohE '\b(repro|relay|registry)\.With[A-Z][A-Za-z0-9_]*' "$doc" | sort -u); do
+    pkg=${ref%%.*} name=${ref#*.}
+    case $pkg in
+      repro) src=(*.go) ;;
+      *) src=(internal/"$pkg"/*.go) ;;
+    esac
+    grep -qE --exclude='*_test.go' "^func $name\b" "${src[@]}" || { echo "$doc: $ref: no such func"; bad=1; }
   done
   for name in $(grep -ohE '\b(Test|Fuzz)[A-Z][A-Za-z0-9_]*' "$doc" | sort -u); do
     grep -q "^$name" <<<"$testfuncs" || { echo "$doc: $name: no such test"; bad=1; }
