@@ -62,8 +62,6 @@ type (
 	Rule = core.Rule
 	// Policy chooses candidate intermediates per transfer.
 	Policy = core.Policy
-	// Tracker accumulates per-intermediate utilization statistics.
-	Tracker = core.Tracker
 
 	// StaticPolicy always proposes one fixed intermediate.
 	StaticPolicy = core.StaticPolicy
@@ -254,9 +252,6 @@ func Improvement(selected, direct float64) float64 {
 func Penalty(selected, direct float64) float64 {
 	return core.Penalty(selected, direct)
 }
-
-// NewTracker returns an empty utilization tracker.
-func NewTracker() *Tracker { return core.NewTracker() }
 
 // NewMonitor returns an empty background path monitor.
 func NewMonitor() *Monitor { return core.NewMonitor() }

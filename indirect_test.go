@@ -43,7 +43,8 @@ func TestFacadeEndToEnd(t *testing.T) {
 	// The probe must exceed the shaper's 64 KB token burst for the rate
 	// difference to show (the same reason the paper's probe must exceed
 	// slow start).
-	out := repro.New(tr, repro.WithProbeBytes(150_000)).SelectAndFetch(context.Background(), obj, []string{"campus"})
+	c := repro.New(tr, repro.WithProbeBytes(150_000))
+	out := c.SelectAndFetch(context.Background(), obj, []string{"campus"})
 	if out.Err != nil {
 		t.Fatal(out.Err)
 	}
@@ -52,6 +53,9 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 	if out.Throughput() <= 0 {
 		t.Fatal("no throughput")
+	}
+	if got := c.Metrics().Path("campus").Utilization; got != 1 {
+		t.Fatalf("campus utilization %v, want 1 (offered once, won once)", got)
 	}
 }
 
@@ -67,11 +71,6 @@ func TestFacadeHelpers(t *testing.T) {
 	}
 	if repro.DefaultProbeBytes != 100_000 {
 		t.Error("DefaultProbeBytes changed")
-	}
-	tr := repro.NewTracker()
-	tr.Observe([]string{"a"}, repro.Path{Via: "a"})
-	if tr.Utilization("a") != 1 {
-		t.Error("Tracker facade broken")
 	}
 	if repro.FirstFinished.String() != "first-finished" {
 		t.Error("rule constants broken")

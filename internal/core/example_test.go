@@ -51,16 +51,3 @@ func ExampleImprovement() {
 	// -50%
 	// 300%
 }
-
-// ExampleTracker shows utilization accounting across transfers.
-func ExampleTracker() {
-	tr := core.NewTracker()
-	tr.Observe([]string{"MIT", "Texas"}, core.Path{Via: "MIT"})
-	tr.Observe([]string{"MIT", "Texas"}, core.Path{Via: core.Direct})
-	tr.Observe([]string{"MIT"}, core.Path{Via: "MIT"})
-	fmt.Printf("MIT utilization: %.2f\n", tr.Utilization("MIT"))
-	fmt.Printf("Texas utilization: %.2f\n", tr.Utilization("Texas"))
-	// Output:
-	// MIT utilization: 0.67
-	// Texas utilization: 0.00
-}

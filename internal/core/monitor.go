@@ -1,9 +1,6 @@
 package core
 
-import (
-	"context"
-	"sort"
-)
+import "context"
 
 // Monitor maintains exponentially-weighted throughput estimates per path
 // from any observations the client makes (probes, transfers, background
@@ -18,11 +15,11 @@ import (
 // another, and one relay may shortcut the route to one origin while
 // detouring the route to a second.
 type Monitor struct {
-	// Alpha is the EWMA weight of a new sample (default 0.3).
-	Alpha float64
-
-	est map[pathKey]ewma
+	est map[pathKey]float64 // EWMA throughput, bits/sec
 }
+
+// monitorAlpha is the EWMA weight of a new sample.
+const monitorAlpha = 0.3
 
 // pathKey is the full identity of a measured path: the origin server and
 // the route to it.
@@ -31,21 +28,9 @@ type pathKey struct {
 	via    string
 }
 
-type ewma struct {
-	value float64
-	n     int64
-}
-
 // NewMonitor returns an empty monitor.
 func NewMonitor() *Monitor {
-	return &Monitor{est: make(map[pathKey]ewma)}
-}
-
-func (m *Monitor) alpha() float64 {
-	if m.Alpha > 0 && m.Alpha <= 1 {
-		return m.Alpha
-	}
-	return 0.3
+	return &Monitor{est: make(map[pathKey]float64)}
 }
 
 // Observe folds a throughput measurement (bits/sec) for the path to the
@@ -55,40 +40,17 @@ func (m *Monitor) Observe(server string, path Path, throughput float64) {
 		return
 	}
 	k := pathKey{server, path.Via}
-	e, ok := m.est[k]
-	if !ok {
-		m.est[k] = ewma{value: throughput, n: 1}
-		return
+	if e, ok := m.est[k]; ok {
+		throughput = (1-monitorAlpha)*e + monitorAlpha*throughput
 	}
-	a := m.alpha()
-	e.value = (1-a)*e.value + a*throughput
-	e.n++
-	m.est[k] = e
+	m.est[k] = throughput
 }
 
 // Estimate returns the current estimate (bits/sec) for the path to the
 // given origin server and whether that path has ever been observed.
 func (m *Monitor) Estimate(server string, path Path) (float64, bool) {
 	e, ok := m.est[pathKey{server, path.Via}]
-	return e.value, ok
-}
-
-// Samples returns how many observations back a path's estimate.
-func (m *Monitor) Samples(server string, path Path) int64 {
-	return m.est[pathKey{server, path.Via}].n
-}
-
-// Unknown returns the candidates (from the given set) that have no
-// estimate yet for the given origin server — the ones a cold-start
-// refresh must probe.
-func (m *Monitor) Unknown(server string, candidates []string) []string {
-	var out []string
-	for _, c := range candidates {
-		if _, ok := m.est[pathKey{server, c}]; !ok {
-			out = append(out, c)
-		}
-	}
-	return out
+	return e, ok
 }
 
 // Best returns the path with the highest estimate among the direct path
@@ -100,37 +62,11 @@ func (m *Monitor) Best(server string, candidates []string) (best Path, ok bool) 
 	best = Path{Via: Direct}
 	paths := append([]string{Direct}, candidates...)
 	for _, via := range paths {
-		if e, known := m.est[pathKey{server, via}]; known && (!ok || e.value > bestVal) {
-			best, bestVal, ok = Path{Via: via}, e.value, true
+		if e, known := m.est[pathKey{server, via}]; known && (!ok || e > bestVal) {
+			best, bestVal, ok = Path{Via: via}, e, true
 		}
 	}
 	return best, ok
-}
-
-// Ranked returns all known paths among direct + candidates toward the
-// given origin server, best first.
-func (m *Monitor) Ranked(server string, candidates []string) []Path {
-	type pe struct {
-		p Path
-		v float64
-	}
-	var known []pe
-	for _, via := range append([]string{Direct}, candidates...) {
-		if e, ok := m.est[pathKey{server, via}]; ok {
-			known = append(known, pe{Path{Via: via}, e.value})
-		}
-	}
-	sort.Slice(known, func(i, j int) bool {
-		if known[i].v != known[j].v {
-			return known[i].v > known[j].v
-		}
-		return known[i].p.Via < known[j].p.Via
-	})
-	out := make([]Path, len(known))
-	for i, k := range known {
-		out[i] = k.p
-	}
-	return out
 }
 
 // Refresh probes the direct path and every candidate with cfg's probe

@@ -160,6 +160,13 @@ func TestMetricsMatchOutcomes(t *testing.T) {
 			t.Fatalf("path %s utilization = %v, want %v", label, got, want)
 		}
 	}
+	var routeBytes int64
+	for _, ps := range s.Paths {
+		routeBytes += ps.Bytes
+	}
+	if routeBytes != s.BytesDelivered {
+		t.Fatalf("routes' bytes sum to %d, bytes delivered = %d", routeBytes, s.BytesDelivered)
+	}
 }
 
 // TestNilObserverUnchanged asserts a nil observer changes nothing about

@@ -1,8 +1,7 @@
 package core
 
 import (
-	"sort"
-
+	"repro/internal/obs"
 	"repro/internal/randx"
 )
 
@@ -55,16 +54,20 @@ func (p UniformRandomPolicy) Candidates(full []string, r *randx.RNG) []string {
 	return out
 }
 
+// weightFloor is added to every WeightedRandomPolicy weight so that
+// unexplored nodes stay discoverable.
+const weightFloor = 0.05
+
 // WeightedRandomPolicy proposes K intermediates sampled without
-// replacement with probability proportional to (utilization + Floor),
-// using the live Tracker statistics. This is the paper's Section 6
-// proposal: "if a client uses the utilization data to weight the
-// likelihood of a node appearing in the random set, the better nodes will
-// be chosen more often". Floor keeps unexplored nodes discoverable.
+// replacement with probability proportional to (utilization +
+// weightFloor), reading utilization from the path tally of Metrics — the
+// collector the engine reports into as its Config.Observer. This is the
+// paper's Section 6 proposal: "if a client uses the utilization data to
+// weight the likelihood of a node appearing in the random set, the better
+// nodes will be chosen more often". A nil Metrics draws uniformly.
 type WeightedRandomPolicy struct {
 	K       int
-	Tracker *Tracker
-	Floor   float64 // added to every weight; default 0.05 when zero
+	Metrics *obs.Metrics
 }
 
 // Candidates draws K distinct intermediates, weighted by utilization.
@@ -78,10 +81,6 @@ func (p WeightedRandomPolicy) Candidates(full []string, r *randx.RNG) []string {
 	if k <= 0 {
 		return nil
 	}
-	floor := p.Floor
-	if floor == 0 {
-		floor = 0.05
-	}
 	type cand struct {
 		name string
 		w    float64
@@ -89,9 +88,9 @@ func (p WeightedRandomPolicy) Candidates(full []string, r *randx.RNG) []string {
 	pool := make([]cand, len(full))
 	total := 0.0
 	for i, name := range full {
-		w := floor
-		if p.Tracker != nil {
-			w += p.Tracker.Utilization(name)
+		w := weightFloor
+		if p.Metrics != nil {
+			w += p.Metrics.Path(name).Utilization
 		}
 		pool[i] = cand{name, w}
 		total += w
@@ -113,69 +112,4 @@ func (p WeightedRandomPolicy) Candidates(full []string, r *randx.RNG) []string {
 		pool = pool[:len(pool)-1]
 	}
 	return out
-}
-
-// Tracker accumulates the paper's utilization statistics: how often each
-// intermediate appeared in a random set, and how often it was actually
-// selected for the transfer. It is not safe for concurrent use; parallel
-// workers keep private trackers and Merge them.
-type Tracker struct {
-	inSet  map[string]int64
-	chosen map[string]int64
-}
-
-// NewTracker returns an empty tracker.
-func NewTracker() *Tracker {
-	return &Tracker{inSet: make(map[string]int64), chosen: make(map[string]int64)}
-}
-
-// Observe records one transfer: the candidate set offered and the path
-// selected.
-func (t *Tracker) Observe(candidates []string, selected Path) {
-	for _, c := range candidates {
-		t.inSet[c]++
-	}
-	if !selected.IsDirect() {
-		t.chosen[selected.Via]++
-	}
-}
-
-// Utilization returns chosen/inSet for the intermediate — the Section 4
-// definition ("the ratio of the number of times it is selected for
-// transfer divided by the number of times that it appears in the random
-// set"). Unknown intermediates yield 0.
-func (t *Tracker) Utilization(name string) float64 {
-	n := t.inSet[name]
-	if n == 0 {
-		return 0
-	}
-	return float64(t.chosen[name]) / float64(n)
-}
-
-// InSet returns how many times the intermediate appeared in a candidate
-// set.
-func (t *Tracker) InSet(name string) int64 { return t.inSet[name] }
-
-// Chosen returns how many times the intermediate won the probe race.
-func (t *Tracker) Chosen(name string) int64 { return t.chosen[name] }
-
-// Names returns all intermediates ever offered, sorted for deterministic
-// iteration.
-func (t *Tracker) Names() []string {
-	names := make([]string, 0, len(t.inSet))
-	for n := range t.inSet {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Merge folds another tracker's counts into t.
-func (t *Tracker) Merge(o *Tracker) {
-	for n, c := range o.inSet {
-		t.inSet[n] += c
-	}
-	for n, c := range o.chosen {
-		t.chosen[n] += c
-	}
 }

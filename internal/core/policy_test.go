@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/obs"
 	"repro/internal/randx"
 )
 
@@ -66,81 +68,44 @@ func TestUniformRandomCoversAll(t *testing.T) {
 	}
 }
 
-func TestTrackerCounts(t *testing.T) {
-	tr := NewTracker()
-	tr.Observe([]string{"A", "B"}, Path{Via: "A"})
-	tr.Observe([]string{"A", "B"}, Path{Via: Direct})
-	tr.Observe([]string{"A"}, Path{Via: "A"})
-	if tr.InSet("A") != 3 || tr.InSet("B") != 2 {
-		t.Fatalf("inSet A=%d B=%d", tr.InSet("A"), tr.InSet("B"))
-	}
-	if tr.Chosen("A") != 2 || tr.Chosen("B") != 0 {
-		t.Fatalf("chosen A=%d B=%d", tr.Chosen("A"), tr.Chosen("B"))
-	}
-	if got := tr.Utilization("A"); got != 2.0/3 {
-		t.Fatalf("utilization A = %v", got)
-	}
-	if got := tr.Utilization("Z"); got != 0 {
-		t.Fatalf("unknown utilization = %v, want 0", got)
-	}
-}
-
-func TestTrackerNamesSorted(t *testing.T) {
-	tr := NewTracker()
-	tr.Observe([]string{"Z", "A", "M"}, Path{})
-	names := tr.Names()
-	if len(names) != 3 || names[0] != "A" || names[1] != "M" || names[2] != "Z" {
-		t.Fatalf("names = %v", names)
-	}
-}
-
-func TestTrackerMerge(t *testing.T) {
-	a, b := NewTracker(), NewTracker()
-	a.Observe([]string{"A"}, Path{Via: "A"})
-	b.Observe([]string{"A", "B"}, Path{Via: "B"})
-	a.Merge(b)
-	if a.InSet("A") != 2 || a.Chosen("B") != 1 {
-		t.Fatalf("merged: inSetA=%d chosenB=%d", a.InSet("A"), a.Chosen("B"))
-	}
-}
-
+// TestWeightedRandomPrefersUtilized closes the paper's Section 6 loop on
+// the engine: each round races direct against the one candidate the
+// policy draws, the race reports into the collector the policy reads, and
+// the relay that beats direct comes to dominate the draws.
 func TestWeightedRandomPrefersUtilized(t *testing.T) {
-	tr := NewTracker()
-	// "Texas" chosen 90% of its appearances; "UCLA" 1%.
-	for i := 0; i < 100; i++ {
-		sel := Path{Via: Direct}
-		if i < 90 {
-			sel = Path{Via: "Texas"}
-		}
-		tr.Observe([]string{"Texas"}, sel)
-		sel = Path{Via: Direct}
-		if i < 1 {
-			sel = Path{Via: "UCLA"}
-		}
-		tr.Observe([]string{"UCLA"}, sel)
-	}
-	p := WeightedRandomPolicy{K: 1, Tracker: tr}
+	tr := newFake(1e6)
+	tr.rate["fast"] = 8e6
+	tr.rate["slow"] = 0.5e6
+	m := obs.NewMetrics()
+	p := WeightedRandomPolicy{K: 1, Metrics: m}
+	cfg := Config{ProbeBytes: 100_000, Observer: m}
+	obj := Object{Server: "s", Name: "o", Size: 1_000_000}
 	r := randx.New(5)
-	full := []string{"Texas", "UCLA"}
-	texas := 0
-	const draws = 2000
-	for i := 0; i < draws; i++ {
-		got := p.Candidates(full, r)
-		if len(got) != 1 {
-			t.Fatalf("K=1 returned %d candidates", len(got))
+	full := []string{"fast", "slow"}
+	const rounds, late = 200, 100
+	fast := 0
+	for i := 0; i < rounds; i++ {
+		cands := p.Candidates(full, r)
+		if len(cands) != 1 {
+			t.Fatalf("K=1 returned %d candidates", len(cands))
 		}
-		if got[0] == "Texas" {
-			texas++
+		if out := SelectAndFetch(context.Background(), tr, obj, cands, cfg); out.Err != nil {
+			t.Fatalf("round %d: %v", i, out.Err)
+		}
+		if i >= rounds-late && cands[0] == "fast" {
+			fast++
 		}
 	}
-	// Weights: Texas 0.95, UCLA 0.06 -> Texas ~94%.
-	if frac := float64(texas) / draws; frac < 0.85 {
-		t.Fatalf("Texas drawn %.2f of the time, want >= 0.85", frac)
+	// "fast" wins every race it joins and "slow" none, so the weights
+	// settle at 1.05 : 0.05 and "fast" is drawn ~95% of the time; a
+	// uniform draw gives ~50%.
+	if frac := float64(fast) / late; frac < 0.85 {
+		t.Fatalf("fast drawn %.2f of the late rounds, want >= 0.85 (tally %+v)", frac, m.Snapshot().Paths)
 	}
 }
 
 func TestWeightedRandomDistinctAndComplete(t *testing.T) {
-	p := WeightedRandomPolicy{K: 3, Tracker: NewTracker()}
+	p := WeightedRandomPolicy{K: 3, Metrics: obs.NewMetrics()}
 	r := randx.New(6)
 	f := func(uint8) bool {
 		got := p.Candidates(fullSet, r)
@@ -167,7 +132,7 @@ func TestWeightedRandomDistinctAndComplete(t *testing.T) {
 	}
 }
 
-func TestWeightedRandomNilTrackerUniform(t *testing.T) {
+func TestWeightedRandomNilMetricsUniform(t *testing.T) {
 	p := WeightedRandomPolicy{K: 1}
 	r := randx.New(7)
 	counts := map[string]int{}
@@ -176,7 +141,7 @@ func TestWeightedRandomNilTrackerUniform(t *testing.T) {
 	}
 	for _, name := range fullSet {
 		if counts[name] < 700 || counts[name] > 1300 {
-			t.Fatalf("nil-tracker draw skewed: %s = %d", name, counts[name])
+			t.Fatalf("nil-metrics draw skewed: %s = %d", name, counts[name])
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"strconv"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/topo"
 )
@@ -194,17 +195,17 @@ func AblateWeightedPolicy(p AblationParams, setSize int) []AblationPoint {
 		})
 		labels = append(labels, "uniform")
 
-		tracker := core.NewTracker()
+		m := obs.NewMetrics()
 		specs = append(specs, CampaignSpec{
 			Scenario:  scen,
 			Client:    client,
 			Server:    server,
 			Inters:    scen.Intermediates,
-			Policy:    core.WeightedRandomPolicy{K: setSize, Tracker: tracker},
+			Policy:    core.WeightedRandomPolicy{K: setSize, Metrics: m},
 			Transfers: p.Rounds,
 			Seed:      campaignSeed(p.Seed, label("policy", "weighted", name)),
 			Config:    sec4Config(p.Config),
-			Tracker:   tracker,
+			Metrics:   m,
 		})
 		labels = append(labels, "weighted")
 	}

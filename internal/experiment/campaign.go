@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/httpsim"
+	"repro/internal/obs"
 	"repro/internal/randx"
 	"repro/internal/simnet"
 	"repro/internal/topo"
@@ -142,19 +143,19 @@ type CampaignSpec struct {
 	Seed      uint64
 	Config    Config
 
-	// Tracker, when non-nil, receives the campaign's utilization
-	// observations; passing the same tracker to a WeightedRandomPolicy
-	// closes the adaptation loop (the paper's Section 6 proposal). When
-	// nil a fresh tracker is created.
-	Tracker *core.Tracker
+	// Metrics is the collector the campaign's engine reports into; its
+	// path tally is the campaign's utilization table. Passing the same
+	// collector to a WeightedRandomPolicy closes the adaptation loop (the
+	// paper's Section 6 proposal). When nil a fresh collector is created.
+	Metrics *obs.Metrics
 }
 
-// CampaignResult bundles the per-transfer records with the utilization
-// tracker accumulated over the campaign.
+// CampaignResult bundles the per-transfer records with the collector the
+// campaign's engine reported into.
 type CampaignResult struct {
 	Spec    CampaignSpec
 	Records []Record
-	Tracker *core.Tracker
+	Metrics *obs.Metrics
 }
 
 // objectName is the synthetic large file every server exposes.
@@ -193,18 +194,18 @@ func RunCampaign(spec CampaignSpec) CampaignResult {
 	world, obj, rng := newWorld(spec.Scenario, spec.Seed, cfg, spec.Client, spec.Server, spec.Inters)
 	defer world.Inst.Close()
 	polRng := rng.Fork("policy")
-	tracker := spec.Tracker
-	if tracker == nil {
-		tracker = core.NewTracker()
+	m := spec.Metrics
+	if m == nil {
+		m = obs.NewMetrics()
 	}
 	full := make([]string, len(spec.Inters))
 	for i, in := range spec.Inters {
 		full[i] = in.Name
 	}
-	// The selecting process is the engine itself.
-	engine := core.Config{ProbeBytes: cfg.ProbeBytes, Rule: cfg.Rule, Sequential: cfg.SequentialProbes}
+	// The selecting process is the engine itself, reporting into m.
+	engine := core.Config{ProbeBytes: cfg.ProbeBytes, Rule: cfg.Rule, Sequential: cfg.SequentialProbes, Observer: m}
 
-	res := CampaignResult{Spec: spec, Tracker: tracker}
+	res := CampaignResult{Spec: spec, Metrics: m}
 	for i := 0; i < spec.Transfers; i++ {
 		roundStart := world.Now()
 		cands := spec.Policy.Candidates(full, polRng)
@@ -217,7 +218,6 @@ func RunCampaign(spec CampaignSpec) CampaignResult {
 		ctrl := world.Start(obj, core.Path{Via: core.Direct}, 0, obj.Size)
 		out := race.Fetch()
 		world.Wait(ctrl)
-		tracker.Observe(cands, out.Selected)
 
 		rec := Record{
 			Client:     spec.Client.Name,

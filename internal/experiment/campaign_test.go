@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -90,20 +91,44 @@ func TestRunCampaignDirectSelectionNearZeroImprovement(t *testing.T) {
 	}
 }
 
-func TestRunCampaignTrackerConsistent(t *testing.T) {
-	res := RunCampaign(smallSpec(5, 20))
-	inter := res.Spec.Inters[0].Name
-	if got := res.Tracker.InSet(inter); got != 20 {
-		t.Fatalf("tracker inSet = %d, want 20", got)
-	}
-	indirect := 0
-	for _, r := range res.Records {
-		if r.Indirect() {
-			indirect++
+// TestRunCampaignPathTallyMatchesRecords checks the campaign's
+// utilization table against its records, raced and with sequential
+// probes: every intermediate was probed once per round that offered it
+// and selected once per round it won.
+func TestRunCampaignPathTallyMatchesRecords(t *testing.T) {
+	for _, sequential := range []bool{false, true} {
+		scen := topo.NewScenario(topo.Params{Seed: 5})
+		spec := CampaignSpec{
+			Scenario:  scen,
+			Client:    scen.FindClient("Korea"),
+			Server:    scen.Servers[0],
+			Inters:    scen.Intermediates[:6],
+			Policy:    core.UniformRandomPolicy{K: 3},
+			Transfers: 20,
+			Seed:      5,
 		}
-	}
-	if got := res.Tracker.Chosen(inter); got != int64(indirect) {
-		t.Fatalf("tracker chosen = %d, records say %d", got, indirect)
+		spec.Config.SequentialProbes = sequential
+		res := RunCampaign(spec)
+		won := 0
+		for _, in := range spec.Inters {
+			offered, selected := 0, 0
+			for _, r := range res.Records {
+				if slices.Contains(r.Candidates, in.Name) {
+					offered++
+				}
+				if r.Selected == in.Name {
+					selected++
+				}
+			}
+			won += selected
+			if ps := res.Metrics.Path(in.Name); ps.Probed != int64(offered) || ps.Selected != int64(selected) {
+				t.Errorf("sequential=%v %s: tally probed %d, selected %d; records say %d, %d",
+					sequential, in.Name, ps.Probed, ps.Selected, offered, selected)
+			}
+		}
+		if won == 0 {
+			t.Errorf("sequential=%v: no round selected an intermediate", sequential)
+		}
 	}
 }
 

@@ -97,17 +97,18 @@ func Table3(p Table3Params) Table3Result {
 	}
 
 	res := Table3Result{Client: p.Client}
-	for _, name := range result.Tracker.Names() {
-		chosen := result.Tracker.Chosen(name)
-		if chosen == 0 {
+	snap := result.Metrics.Snapshot()
+	for _, name := range snap.PathLabels() {
+		ps := snap.Paths[name]
+		if name == "direct" || ps.Selected == 0 {
 			continue // the paper's table lists non-zero utilizations only
 		}
 		res.Rows = append(res.Rows, Table3Row{
 			Inter:       name,
-			Utilization: result.Tracker.Utilization(name) * 100,
+			Utilization: ps.Utilization * 100,
 			Improvement: stats.Mean(perInter[name]),
-			Offered:     result.Tracker.InSet(name),
-			Chosen:      chosen,
+			Offered:     ps.Probed,
+			Chosen:      ps.Selected,
 		})
 	}
 	sort.Slice(res.Rows, func(i, j int) bool {

@@ -82,21 +82,22 @@ func (m *Metrics) tally(label string) *pathTally {
 }
 
 // ProbeStarted counts the probe toward its route's appearance tally — the
-// denominator of the paper's Section V utilization ratio.
+// denominator of the route's utilization (see Path).
 func (m *Metrics) ProbeStarted(e ProbeStart) {
 	m.counters.add(cProbesStarted, 1)
 	m.tally(e.Path.Label()).probed.Add(1)
 }
 
 // ProbeFinished records the outcome: successful probes feed the latency
-// histogram and the delivered-byte count; failures (other than engine
-// cancellations, which ProbeCanceled already counted) feed the failure
-// tallies.
+// histogram and the delivered-byte counts, overall and per route;
+// failures (other than engine cancellations, which ProbeCanceled already
+// counted) feed the failure tallies.
 func (m *Metrics) ProbeFinished(e ProbeEnd) {
 	m.counters.add(cProbesFinished, 1)
 	switch e.Class {
 	case ClassOK:
 		m.counters.add(cBytesDelivered, e.Bytes)
+		m.tally(e.Path.Label()).bytes.Add(e.Bytes)
 		m.probeLatency.observe(e.Duration, TraceID{})
 	case ClassCanceled:
 		// The reap decision was counted by ProbeCanceled; nothing more.
@@ -112,8 +113,8 @@ func (m *Metrics) ProbeCanceled(e ProbeCancel) {
 	m.tally(e.Path.Label()).canceled.Add(1)
 }
 
-// PathSelected counts the commit — the numerator of the utilization
-// ratio for the winning route.
+// PathSelected counts the commit — the numerator of the winning route's
+// utilization.
 func (m *Metrics) PathSelected(e Selection) {
 	m.counters.add(cSelections, 1)
 	if e.Indirect {
@@ -161,8 +162,8 @@ var (
 	_ ProgressObserver = (*Metrics)(nil)
 )
 
-// PathSnapshot is one route's aggregated counters. Utilization is the
-// paper's Section V metric: times selected over times offered (raced).
+// PathSnapshot is one route's aggregated counters. Utilization is
+// Selected over Probed (see Metrics.Path).
 type PathSnapshot struct {
 	Probed      int64   `json:"probed"`
 	Selected    int64   `json:"selected"`
@@ -280,7 +281,7 @@ type Snapshot struct {
 	BytesStreamed  int64 `json:"bytes_streamed"`
 
 	// Paths maps the route label ("direct" or the relay name) to its
-	// tallies, the per-relay utilization table of the paper's Section V.
+	// tallies: the per-intermediate utilization table.
 	Paths map[string]PathSnapshot `json:"paths"`
 
 	ProbeLatencySeconds HistogramSnapshot `json:"probe_latency_seconds"`
@@ -371,22 +372,44 @@ func (m *Metrics) Snapshot() Snapshot {
 	}
 	m.pathMu.RLock()
 	for label, t := range m.paths {
-		ps := PathSnapshot{
-			Probed:   t.probed.Load(),
-			Selected: t.selected.Load(),
-			Canceled: t.canceled.Load(),
-			Failed:   t.failed.Load(),
-			Bytes:    t.bytes.Load(),
-		}
-		if ps.Probed > 0 {
-			ps.Utilization = float64(ps.Selected) / float64(ps.Probed)
-		}
-		s.Paths[label] = ps
+		s.Paths[label] = t.snapshot()
 	}
 	m.pathMu.RUnlock()
 	s.ProbeLatencySeconds = m.probeLatency.snapshot()
 	s.TransferMbps = m.transferTput.snapshot()
 	return s
+}
+
+// Path returns one route's tally, keyed by PathID.Label ("direct" or the
+// relay name). Its Utilization is the paper's utilization of an
+// intermediate, "the ratio of the number of times it is selected for
+// transfer divided by the number of times that it appears in the random
+// set": Selected over Probed. This tally is the one place it is counted;
+// the live client, Table III and the weighted random policy all read it.
+// A read never creates an entry: an unknown label returns the zero
+// snapshot.
+func (m *Metrics) Path(label string) PathSnapshot {
+	m.pathMu.RLock()
+	defer m.pathMu.RUnlock()
+	return m.paths[label].snapshot()
+}
+
+// snapshot reads the tally's counters; a nil tally reads as zero.
+func (t *pathTally) snapshot() PathSnapshot {
+	if t == nil {
+		return PathSnapshot{}
+	}
+	ps := PathSnapshot{
+		Probed:   t.probed.Load(),
+		Selected: t.selected.Load(),
+		Canceled: t.canceled.Load(),
+		Failed:   t.failed.Load(),
+		Bytes:    t.bytes.Load(),
+	}
+	if ps.Probed > 0 {
+		ps.Utilization = float64(ps.Selected) / float64(ps.Probed)
+	}
+	return ps
 }
 
 // PathLabels returns the snapshot's route labels, sorted, direct first —

@@ -79,6 +79,22 @@ func TestMetricsCountsOneRace(t *testing.T) {
 	if fast.Probed != 1 || fast.Selected != 1 || fast.Utilization != 1.0 {
 		t.Fatalf("fast tally = %+v", fast)
 	}
+	// The winner's bytes are its probe's plus its remainder's, so the
+	// routes' bytes add up to what was delivered.
+	if fast.Bytes != 1_000_000 || fast.Bytes != s.BytesDelivered {
+		t.Fatalf("fast bytes = %d, bytes delivered = %d, want both 1000000", fast.Bytes, s.BytesDelivered)
+	}
+	// Path reads the same tally, and reading an unknown route creates
+	// no entry.
+	if got := m.Path("fast"); got != fast {
+		t.Fatalf("Path(fast) = %+v, snapshot has %+v", got, fast)
+	}
+	if got := m.Path("nowhere"); got != (PathSnapshot{}) {
+		t.Fatalf("Path(nowhere) = %+v, want the zero snapshot", got)
+	}
+	if n := len(m.Snapshot().Paths); n != 3 {
+		t.Fatalf("snapshot has %d paths after reading an unknown one, want 3", n)
+	}
 	direct := s.Paths["direct"]
 	if direct.Probed != 1 || direct.Selected != 0 || direct.Canceled != 1 || direct.Utilization != 0 {
 		t.Fatalf("direct tally = %+v", direct)

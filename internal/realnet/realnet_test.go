@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/bufpool"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/relay"
 	"repro/internal/shaper"
 )
@@ -222,7 +223,7 @@ func TestMiniCampaignSelectionTracksConditions(t *testing.T) {
 		Verify:  true,
 	}
 	obj := core.Object{Server: "origin", Name: "big.bin", Size: 500_000}
-	tracker := core.NewTracker()
+	m := obs.NewMetrics()
 	for round := 0; round < 4; round++ {
 		directFast := round%2 == 0
 		rate := 12e6
@@ -230,11 +231,10 @@ func TestMiniCampaignSelectionTracksConditions(t *testing.T) {
 			rate = 1e6
 		}
 		d.SetProfile(ol.Addr().String(), shaper.PathProfile{DownloadBps: rate})
-		out := core.SelectAndFetch(context.Background(), tr, obj, []string{"r"}, core.Config{ProbeBytes: 150_000})
+		out := core.SelectAndFetch(context.Background(), tr, obj, []string{"r"}, core.Config{ProbeBytes: 150_000, Observer: m})
 		if out.Err != nil {
 			t.Fatalf("round %d: %v", round, out.Err)
 		}
-		tracker.Observe([]string{"r"}, out.Selected)
 		if directFast && out.SelectedIndirect() {
 			t.Errorf("round %d: picked relay while direct was 12 Mb/s", round)
 		}
@@ -242,7 +242,7 @@ func TestMiniCampaignSelectionTracksConditions(t *testing.T) {
 			t.Errorf("round %d: picked direct while it was 1 Mb/s", round)
 		}
 	}
-	if got := tracker.Utilization("r"); got != 0.5 {
+	if got := m.Path("r").Utilization; got != 0.5 {
 		t.Fatalf("relay utilization %.2f, want 0.50", got)
 	}
 }

@@ -10,10 +10,11 @@
 # in cmd/ or internal/daemon. Every |-separated name in a Makefile
 # recipe's -run pattern (anchors stripped) must be a substring of some Test…/Fuzz…
 # func, so a pattern naming a deleted test fails here instead of
-# silently matching nothing. Every repro.WithX, relay.WithX or
-# registry.WithX they name is a func of that package (the root *.go,
-# internal/relay, internal/registry), so a deleted option cannot linger
-# in a snippet. ROADMAP.md and
+# silently matching nothing. Every relay.WithX or registry.WithX they
+# name is a func of that package (internal/relay, internal/registry), and
+# every repro.X they name is declared in a non-test root *.go file (a
+# func, type, const or var, or an `X =` line of a grouped block), so a
+# deleted option or facade name cannot linger in a snippet. ROADMAP.md and
 # CHANGES.md are history and are not scanned; bench/README.md joins when
 # a benchmark PR (the only kind that edits bench/) drops its sentence
 # about the make target this repo no longer has.
@@ -40,13 +41,14 @@ for doc in "${docs[@]}"; do
       grep -oE '(^|[[:space:]])-[a-z][a-z0-9-]*' | sed -E 's/^[[:space:]]*-//' | sort -u); do
     grep -qx -- "$name" <<<"$flags" || { echo "$doc: -$name: no such flag"; bad=1; }
   done
-  for ref in $(grep -ohE '\b(repro|relay|registry)\.With[A-Z][A-Za-z0-9_]*' "$doc" | sort -u); do
+  for ref in $(grep -ohE '\b(relay|registry)\.With[A-Z][A-Za-z0-9_]*' "$doc" | sort -u); do
     pkg=${ref%%.*} name=${ref#*.}
-    case $pkg in
-      repro) src=(*.go) ;;
-      *) src=(internal/"$pkg"/*.go) ;;
-    esac
-    grep -qE --exclude='*_test.go' "^func $name\b" "${src[@]}" || { echo "$doc: $ref: no such func"; bad=1; }
+    grep -qE --exclude='*_test.go' "^func $name\b" internal/"$pkg"/*.go || { echo "$doc: $ref: no such func"; bad=1; }
+  done
+  for ref in $(grep -ohE '\brepro\.[A-Z][A-Za-z0-9_]*' "$doc" | sort -u); do
+    name=${ref#repro.}
+    grep -qE --exclude='*_test.go' "^((func|type|const|var) $name\b|"$'\t'"$name[[:space:]]*=)" ./*.go ||
+      { echo "$doc: $ref: not declared in package repro"; bad=1; }
   done
   for name in $(grep -ohE '\b(Test|Fuzz)[A-Z][A-Za-z0-9_]*' "$doc" | sort -u); do
     grep -q "^$name" <<<"$testfuncs" || { echo "$doc: $name: no such test"; bad=1; }
