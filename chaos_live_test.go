@@ -2,6 +2,7 @@ package repro_test
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -50,7 +51,6 @@ func TestChaosClientRoutesAroundFaultyRelay(t *testing.T) {
 		repro.WithRule(repro.MaxThroughput),
 		repro.WithTimeout(3*time.Second),
 		repro.WithHealthMonitor(hm))
-	tr.Observer = client.Observer()
 
 	obj := repro.Object{Server: "origin", Name: "big.bin", Size: 96_000}
 	round := func() time.Duration {
@@ -99,5 +99,65 @@ func TestChaosClientRoutesAroundFaultyRelay(t *testing.T) {
 			t.Fatalf("relay path never recovered after heal: %+v", ph)
 		}
 		round()
+	}
+}
+
+// TestDeadlineDeathFoldsOnce: a probe that dies at the operation's
+// deadline on a stalled relay is one transfer, so it is one health
+// sample and one abort — not a transport abort and an engine timeout
+// folded twice. And with the deadline gone, no remainder goes out on the
+// winner to time out there: the direct path, which carried every probe
+// it was asked to, folds no failure.
+func TestDeadlineDeathFoldsOnce(t *testing.T) {
+	origin := relay.NewOriginServer()
+	origin.Put("big.bin", 96_000)
+	ol, err := origin.ServeAddr("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ol.Close()
+
+	// Every relayed stream stalls 2 KB in: the relay's probe never
+	// finishes, and the MaxThroughput rule waits it out to the deadline.
+	rl, err := shaper.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rl.Close()
+	rl.SetFaults(shaper.Fault{At: 2048, Do: shaper.Blackhole})
+	go (&relay.Relay{}).Serve(rl)
+
+	tr := &repro.RealTransport{
+		Servers: map[string]string{"origin": ol.Addr().String()},
+		Relays:  map[string]string{"r": rl.Addr().String()},
+		Verify:  true,
+	}
+	defer tr.Close()
+	hm := repro.NewHealthMonitor(repro.HealthConfig{})
+	client := repro.New(tr,
+		repro.WithProbeBytes(32_000),
+		repro.WithRule(repro.MaxThroughput),
+		repro.WithTimeout(300*time.Millisecond),
+		repro.WithHealthMonitor(hm))
+
+	obj := repro.Object{Server: "origin", Name: "big.bin", Size: 96_000}
+	const ops = 5
+	for i := 0; i < ops; i++ {
+		out := client.SelectAndFetch(context.Background(), obj, []string{"r"})
+		if !errors.Is(out.Err, repro.ErrProbeTimeout) {
+			t.Fatalf("op %d: err = %v, want the deadline", i, out.Err)
+		}
+	}
+
+	r, _ := hm.PathHealth("r")
+	if r.Failed != ops {
+		t.Fatalf("relay health folded %d failures over %d deadline deaths: %+v", r.Failed, ops, r)
+	}
+	if got := client.Snapshot().Aborts; got != ops {
+		t.Fatalf("aborts = %d, want %d", got, ops)
+	}
+	d, _ := hm.PathHealth("direct")
+	if d.Failed != 0 || d.Ok < 1 {
+		t.Fatalf("direct health = %+v, want its probes ok and no failure", d)
 	}
 }

@@ -46,8 +46,6 @@ type Client struct {
 	timeout   time.Duration
 	retries   int
 	backoff   time.Duration
-	metrics   *obs.Metrics
-	observers []obs.Observer
 	spans     *obs.SpanCollector
 	health    *obs.HealthMonitor
 }
@@ -59,17 +57,20 @@ type Option func(*Client)
 // reproduces the paper's defaults: 100 KB probes, first-finished rule,
 // no timeout, no retry.
 //
-// Every Client carries a built-in Metrics collector — Metrics and
-// Snapshot read it — and WithObserver attaches further sinks alongside
-// it.
+// Every Client carries a Metrics collector — Metrics and Snapshot read
+// it — that folds each finished operation: its own, or the one a
+// WithConfig Config names. Nothing needs wiring into the transport.
 func New(t Transport, opts ...Option) *Client {
-	c := &Client{transport: t, metrics: obs.NewMetrics()}
+	c := &Client{transport: t}
 	for _, o := range opts {
 		o(c)
 	}
-	// Fan out to the built-in collector, anything WithConfig installed,
-	// and every WithObserver sink, in that order.
-	c.cfg.Observer = obs.Multi(append([]obs.Observer{c.metrics, c.cfg.Observer}, c.observers...)...)
+	if c.cfg.Metrics == nil {
+		c.cfg.Metrics = obs.NewMetrics()
+	}
+	if c.health != nil {
+		c.cfg.Metrics.Health = c.health
+	}
 	// Tracing wires through both layers: the engine opens root spans, the
 	// real transport records per-phase children and the wire header.
 	c.cfg.Spans = c.spans
@@ -98,38 +99,21 @@ func WithSequentialProbes() Option {
 }
 
 // WithConfig replaces the whole selection configuration at once; later
-// options still apply on top.
+// options still apply on top. A Config that names a Metrics makes that
+// collector the client's.
 func WithConfig(cfg Config) Option {
 	return func(c *Client) { c.cfg = cfg }
 }
 
-// WithObserver attaches an observer to the client: it receives every
-// selection-lifecycle event (probe start/finish, loser cancellation,
-// selection, transfers) from every operation, alongside the client's
-// built-in Metrics collector. May be given multiple times; observers are
-// invoked in registration order and must be safe for concurrent use.
-func WithObserver(o Observer) Option {
-	return func(c *Client) {
-		if o != nil {
-			c.observers = append(c.observers, o)
-		}
-	}
-}
-
-// WithHealthMonitor attaches a path-health monitor to the client: every
-// selection-lifecycle event folds into the monitor's per-path rolling
-// windows, and Client.PathHealth/HealthMonitor read the damped health
-// view. A nil monitor is ignored (the hot path stays free of health
-// bookkeeping — realnet's TestWarmFetchAllocCeiling holds a warm fetch
-// to at most 20 allocations with no monitor attached).
+// WithHealthMonitor attaches a path-health monitor to the client: it is
+// linked to the client's Metrics (Metrics.Health), so every finished
+// operation folds into the monitor's per-path rolling windows, and
+// Client.PathHealth/HealthMonitor read the damped health view. A nil
+// monitor is ignored.
 func WithHealthMonitor(h *HealthMonitor) Option {
 	return func(c *Client) {
-		// The nil check must happen on the concrete pointer: appending a
-		// typed-nil *HealthMonitor as an Observer would defeat obs.Multi's
-		// interface nil-skip and panic on the first event.
 		if h != nil {
 			c.health = h
-			c.observers = append(c.observers, h)
 		}
 	}
 }
@@ -245,7 +229,7 @@ func (c *Client) Download(ctx context.Context, obj Object, candidates []string) 
 		Transport:  c.transport,
 		ProbeBytes: c.cfg.ProbeBytes,
 		Rule:       c.cfg.Rule,
-		Observer:   c.cfg.Observer,
+		Metrics:    c.cfg.Metrics,
 	}
 	for attempt := 0; ; attempt++ {
 		actx, cancel := c.attemptCtx(ctx)
@@ -263,7 +247,7 @@ func (c *Client) Download(ctx context.Context, obj Object, candidates []string) 
 // Multipath stripes obj across the direct path and all candidates
 // concurrently (Bullet-style work stealing) under ctx.
 func (c *Client) Multipath(ctx context.Context, obj Object, candidates []string) (MultipathResult, error) {
-	mp := &core.MultipathDownloader{Transport: c.transport, Observer: c.cfg.Observer}
+	mp := &core.MultipathDownloader{Transport: c.transport, Metrics: c.cfg.Metrics}
 	actx, cancel := c.attemptCtx(ctx)
 	defer cancel()
 	return mp.Download(actx, obj, candidates)
@@ -280,20 +264,16 @@ func (c *Client) SelectMonitored(ctx context.Context, obj Object, candidates []s
 // Transport returns the transport the client is bound to.
 func (c *Client) Transport() Transport { return c.transport }
 
-// Metrics returns the client's built-in metrics collector, live: it keeps
-// accumulating as the client runs.
-func (c *Client) Metrics() *Metrics { return c.metrics }
-
-// Observer returns the client's composed observer — the built-in
-// metrics collector plus every WithObserver sink — for wiring into
-// transports (RealTransport.Observer) or downloaders constructed
-// outside the client, so they feed the same event stream.
-func (c *Client) Observer() Observer { return c.cfg.Observer }
+// Metrics returns the client's metrics collector, live: it keeps
+// accumulating as the client runs. A downloader constructed outside the
+// client records into the same tally (and health monitor) when given it
+// as its Metrics.
+func (c *Client) Metrics() *Metrics { return c.cfg.Metrics }
 
 // Snapshot captures the client's metrics at this instant — selection and
 // cancellation counts, per-path utilization tallies (the paper's §V
 // metric), latency/throughput histograms — ready for JSON rendering.
-func (c *Client) Snapshot() MetricsSnapshot { return c.metrics.Snapshot() }
+func (c *Client) Snapshot() MetricsSnapshot { return c.cfg.Metrics.Snapshot() }
 
 // Spans returns the span collector installed with WithSpans, or nil when
 // tracing is off.

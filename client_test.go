@@ -225,21 +225,9 @@ func TestClientPoolReuseAcrossOperations(t *testing.T) {
 	}
 }
 
-// progressRecorder is a facade-level ProgressObserver.
-type progressRecorder struct {
-	repro.BaseObserver
-	chunks atomic.Int64
-	bytes  atomic.Int64
-}
-
-func (p *progressRecorder) TransferProgress(e repro.ProgressEvent) {
-	p.chunks.Add(1)
-	p.bytes.Add(e.Chunk)
-}
-
-// TestClientStreamsProgressEvents checks the optional observer interface
-// end to end: a client-attached ProgressObserver sees the streamed bytes,
-// and the built-in metrics snapshot counts them.
+// TestClientStreamsProgressEvents checks the live hook end to end: the
+// transport's Progress callback sees every streamed byte, and the
+// client's metrics snapshot counts them without any wiring.
 func TestClientStreamsProgressEvents(t *testing.T) {
 	origin := relay.NewOriginServer()
 	origin.Put("big.bin", 2_000_000)
@@ -249,25 +237,28 @@ func TestClientStreamsProgressEvents(t *testing.T) {
 	}
 	defer ol.Close()
 
-	rec := &progressRecorder{}
+	var chunks, bytes atomic.Int64
 	tr := &repro.RealTransport{
 		Servers: map[string]string{"origin": ol.Addr().String()},
 		Verify:  true,
+		Progress: func(e repro.ProgressEvent) {
+			chunks.Add(1)
+			bytes.Add(e.Chunk)
+		},
 	}
-	c := repro.New(tr, repro.WithObserver(rec), repro.WithProbeBytes(50_000))
+	c := repro.New(tr, repro.WithProbeBytes(50_000))
 	defer tr.Close()
-	tr.Observer = c.Observer()
 
 	obj := repro.Object{Server: "origin", Name: "big.bin", Size: 2_000_000}
 	out := c.SelectAndFetch(context.Background(), obj, nil)
 	if out.Err != nil {
 		t.Fatal(out.Err)
 	}
-	if got := rec.bytes.Load(); got != obj.Size {
-		t.Fatalf("observer saw %d streamed bytes, want %d", got, obj.Size)
+	if got := bytes.Load(); got != obj.Size {
+		t.Fatalf("progress hook saw %d streamed bytes, want %d", got, obj.Size)
 	}
-	if rec.chunks.Load() < 2 {
-		t.Fatalf("only %d progress events for a 2 MB object", rec.chunks.Load())
+	if chunks.Load() < 2 {
+		t.Fatalf("only %d progress reports for a 2 MB object", chunks.Load())
 	}
 	if snap := c.Snapshot(); snap.BytesStreamed != obj.Size {
 		t.Fatalf("metrics streamed %d bytes, want %d", snap.BytesStreamed, obj.Size)

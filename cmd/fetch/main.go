@@ -307,17 +307,17 @@ func printBundles(ctx context.Context, w io.Writer, targets []repro.RegistryEntr
 }
 
 // progressPrinter renders a live progress line from the streaming
-// transport's per-chunk events. Probes are over in well under a refresh
-// interval, so only transfers larger than minTotal (the remainder) are
-// shown, throttled to one repaint per 200 ms plus a final 100% line.
+// transport's per-chunk reports (RealTransport.Progress). Probes are over
+// in well under a refresh interval, so only transfers larger than
+// minTotal (the remainder) are shown, throttled to one repaint per
+// 200 ms plus a final 100% line.
 type progressPrinter struct {
-	repro.BaseObserver
 	minTotal int64
 	mu       sync.Mutex
 	last     time.Time
 }
 
-func (p *progressPrinter) TransferProgress(e repro.ProgressEvent) {
+func (p *progressPrinter) print(e repro.ProgressEvent) {
 	if e.Total < p.minTotal {
 		return
 	}
@@ -469,12 +469,9 @@ func main() {
 			repro.NewHealthMonitor(repro.HealthConfig{Clock: repro.HealthWallClock()})))
 	}
 	if *showProgress {
-		opts = append(opts, repro.WithObserver(&progressPrinter{minTotal: *probe + 1}))
+		tr.Progress = (&progressPrinter{minTotal: *probe + 1}).print
 	}
 	client := repro.New(tr, opts...)
-	// The transport reports retries and aborts into the same stream the
-	// engine feeds, so the snapshot covers the whole pipeline.
-	tr.Observer = client.Observer()
 
 	// reportObs emits the observability artifacts the flags asked for.
 	reportObs := func() {
@@ -516,7 +513,7 @@ func main() {
 			Transport:    tr,
 			ProbeBytes:   *probe,
 			SegmentBytes: *segment,
-			Observer:     client.Observer(),
+			Metrics:      client.Metrics(),
 		}
 		res, err := dl.Download(ctx, obj, candidates)
 		if err != nil {

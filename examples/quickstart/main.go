@@ -14,6 +14,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"repro"
 	"repro/internal/httpsim"
@@ -22,19 +23,27 @@ import (
 	"repro/internal/topo"
 )
 
-// lifecycle prints the selection lifecycle as it happens. An observer
-// embeds BaseObserver and implements only the callbacks it wants.
-type lifecycle struct{ repro.BaseObserver }
-
-func say(t float64, what string, p repro.PathID) {
-	fmt.Printf("  t=%6.2fs %-14s %s\n", t, what, p.Label())
+// printLifecycle lists what the operation did, in time order, read off
+// its Outcome: every probe's start and end, the commit, and the
+// remainder.
+func printLifecycle(out repro.Outcome) {
+	type step struct {
+		t    float64
+		what string
+		path repro.Path
+	}
+	var steps []step
+	for _, p := range out.Probes {
+		steps = append(steps, step{p.Start, "probe-start", p.Path}, step{p.End, "probe-end", p.Path})
+	}
+	r := out.Remainder
+	steps = append(steps, step{out.ProbeEnd, "selection", out.Selected},
+		step{r.Start, "transfer-start", r.Path}, step{r.End, "transfer-end", r.Path})
+	sort.SliceStable(steps, func(i, j int) bool { return steps[i].t < steps[j].t })
+	for _, s := range steps {
+		fmt.Printf("  t=%6.2fs %-14s %s\n", s.t, s.what, s.path)
+	}
 }
-func (lifecycle) ProbeStarted(e repro.ProbeStartEvent)       { say(e.Time, "probe-start", e.Path) }
-func (lifecycle) ProbeFinished(e repro.ProbeEndEvent)        { say(e.Time, "probe-end", e.Path) }
-func (lifecycle) PathSelected(e repro.SelectionEvent)        { say(e.Time, "selection", e.Path) }
-func (lifecycle) ProbeCanceled(e repro.ProbeCancelEvent)     { say(e.Time, "probe-cancel", e.Path) }
-func (lifecycle) TransferStarted(e repro.TransferStartEvent) { say(e.Time, "transfer-start", e.Path) }
-func (lifecycle) TransferFinished(e repro.TransferEndEvent)  { say(e.Time, "transfer-end", e.Path) }
 
 func main() {
 	// A deterministic scenario: 22 international clients, 21 US
@@ -59,19 +68,17 @@ func main() {
 	// The facade binds the transport to a probe/selection configuration.
 	// The simulator runs in virtual time, so wall-clock options like
 	// WithTimeout are omitted here; on a RealTransport they bound the
-	// transfer and cancel its connections. An observer attached with
-	// WithObserver sees the selection lifecycle event by event (the
-	// client's built-in Metrics collector aggregates regardless).
-	c := repro.New(world,
-		repro.WithProbeBytes(repro.DefaultProbeBytes),
-		repro.WithObserver(lifecycle{}))
+	// transfer and cancel its connections. The client's built-in Metrics
+	// collector folds every finished operation.
+	c := repro.New(world, repro.WithProbeBytes(repro.DefaultProbeBytes))
 
 	obj := repro.Object{Server: "eBay", Name: "large.bin", Size: 4_000_000}
-	fmt.Println("selection lifecycle:")
 	out := c.SelectAndFetch(context.Background(), obj, []string{"Berkeley", "Princeton"})
 	if out.Err != nil {
 		panic(out.Err)
 	}
+	fmt.Println("selection lifecycle:")
+	printLifecycle(out)
 
 	fmt.Printf("\nclient %s downloading %d bytes from %s\n", client.Name, obj.Size, server.Name)
 	fmt.Println("probe results (first 100 KB on every path):")

@@ -97,7 +97,6 @@ func TestHealthTelemetryTracksInducedDegradation(t *testing.T) {
 		repro.WithProbeBytes(32_000),
 		repro.WithRule(repro.MaxThroughput),
 		repro.WithHealthMonitor(hm))
-	tr.Observer = client.Observer()
 
 	// Serve the client's health through the shared daemon mux and watch
 	// it exactly as an operator would: over HTTP.

@@ -95,41 +95,21 @@ type (
 	// connection-pool counters (RealTransport.PoolStats).
 	RealPoolStats = realnet.PoolStats
 
-	// Observer receives selection-lifecycle events (attach with
-	// WithObserver or Config.Observer).
-	Observer = obs.Observer
-	// BaseObserver is a no-op Observer for embedding.
-	BaseObserver = obs.Base
-	// Metrics aggregates events into counters, per-path utilization
-	// tallies, and histograms.
+	// Metrics folds finished operations into counters, per-path
+	// utilization tallies, and histograms.
 	Metrics = obs.Metrics
 	// MetricsSnapshot is a point-in-time view of a Metrics collector.
 	MetricsSnapshot = obs.Snapshot
 	// PathMetrics is one route's aggregated counters in a snapshot.
 	PathMetrics = obs.PathSnapshot
-	// PathID identifies what an event was about (server, object, route).
+	// PathID identifies what a transfer is about (server, object, route).
 	PathID = obs.PathID
 	// ErrClass buckets transfer errors for observability.
 	ErrClass = obs.ErrClass
 
-	// Typed observer-callback payloads.
-	ProbeStartEvent    = obs.ProbeStart
-	ProbeEndEvent      = obs.ProbeEnd
-	ProbeCancelEvent   = obs.ProbeCancel
-	SelectionEvent     = obs.Selection
-	TransferStartEvent = obs.TransferStart
-	TransferEndEvent   = obs.TransferEnd
-	RetryEvent         = obs.Retry
-	AbortEvent         = obs.Abort
-
 	// ProgressEvent reports payload bytes flowing through a streaming
-	// transfer, one event per buffer chunk.
+	// transfer, one per buffer chunk, to RealTransport.Progress.
 	ProgressEvent = obs.Progress
-
-	// ProgressObserver is the optional Observer extension for
-	// byte-level transfer progress; implement it alongside Observer
-	// (embed BaseObserver for the rest) to receive ProgressEvents.
-	ProgressObserver = obs.ProgressObserver
 
 	// Distributed-tracing types (attach a collector with WithSpans).
 	//
@@ -186,13 +166,9 @@ const (
 )
 
 // NewMetrics returns an empty standalone metrics collector (every Client
-// already carries one; this is for wiring into Config.Observer or core
+// already carries one; this is for wiring into Config.Metrics or
 // downloaders directly).
 func NewMetrics() *Metrics { return obs.NewMetrics() }
-
-// MultiObserver fans events out to several observers; nil entries are
-// skipped.
-func MultiObserver(observers ...Observer) Observer { return obs.Multi(observers...) }
 
 // NewSpanCollector returns a span collector that keeps every trace
 // within a budget sized for about capacity spans (1 MiB when capacity

@@ -36,10 +36,10 @@ type Downloader struct {
 	// (default 3).
 	MaxFailovers int
 
-	// Observer receives the download's lifecycle events: every re-race's
-	// probes and selection, and every segment as a transfer. Nil disables
-	// emission.
-	Observer obs.Observer
+	// Metrics folds the download's operations: every race as one (its
+	// probes and the selection), and every segment as one transfer. Nil
+	// records nothing.
+	Metrics *obs.Metrics
 }
 
 // Segment records one contiguous fetch within a download.
@@ -177,11 +177,10 @@ func (d *Downloader) Download(ctx context.Context, obj Object, candidates []stri
 			n = rest
 		}
 		// Segments continue the current path's established connection.
-		emitTransferStart(d.Observer, t, obj, current, offset, n, true)
 		h := t.StartWarmCtx(ctx, obj, current, offset, n)
 		t.Wait(h)
 		r := h.Result()
-		emitTransferEnd(d.Observer, obj, r, true)
+		fold(d.Metrics, nil, nil, nil, r)
 		if r.Err != nil {
 			if err := CtxErr(ctx); err != nil {
 				res.End = t.Now()
@@ -234,11 +233,10 @@ func (d *Downloader) race(ctx context.Context, obj Object, off, n int64, paths [
 	if n <= 0 {
 		return racers[0], 0, nil
 	}
-	raceStart := t.Now()
-	handles := launch(ctx, t, d.Observer, obj, racers, off, n, nil)
+	handles := launch(ctx, t, obj, racers, off, n, nil)
 	t.Wait(handles...)
 
-	probes := collect(d.Observer, obj, handles)
+	probes := collect(handles)
 	okCount := 0
 	for i := range probes {
 		if probes[i].Err != nil {
@@ -248,13 +246,14 @@ func (d *Downloader) race(ctx context.Context, obj Object, off, n int64, paths [
 		}
 	}
 	if okCount == 0 {
+		fold(d.Metrics, nil, probes, nil)
 		if err := CtxErr(ctx); err != nil {
 			return Path{}, 0, err
 		}
 		return Path{}, 0, fmt.Errorf("%w: race at offset %d", ErrAllPathsFailed, off)
 	}
 	winner := Choose(probes, d.Rule)
-	emitSelection(d.Observer, t, obj, winner, d.Rule.String(), len(racers), t.Now()-raceStart)
+	fold(d.Metrics, &winner, probes, nil)
 	for _, p := range probes {
 		if p.Path == winner && p.Err == nil {
 			res.Segments = append(res.Segments, Segment{

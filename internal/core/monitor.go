@@ -73,7 +73,7 @@ func (m *Monitor) Best(server string, candidates []string) (best Path, ok bool) 
 // size of obj (concurrently) and folds the measured throughputs into the
 // monitor. This is the background maintenance a monitored client runs
 // between transfers. An abandoned refresh simply contributes no samples
-// for the probes that did not complete, and cfg's observer sees the
+// for the probes that did not complete, and cfg's Metrics folds the
 // refresh probes like any others.
 func (m *Monitor) Refresh(ctx context.Context, t Transport, obj Object, candidates []string, cfg Config) {
 	for _, p := range Probe(ctx, t, obj, candidates, cfg) {
@@ -83,29 +83,23 @@ func (m *Monitor) Refresh(ctx context.Context, t Transport, obj Object, candidat
 	}
 }
 
-// MonitoredRule is the Selection.Rule value emitted for probe-free picks
-// from a Monitor's table.
-const MonitoredRule = "monitored"
-
 // SelectMonitored performs a probe-free transfer: it picks the best path
 // from the monitor's table (falling back to the direct path when nothing
 // is known), fetches the whole object over it, and feeds the achieved
 // throughput back into the monitor. Compare with SelectAndFetch, which
 // pays an in-band probe race per transfer for fresh information. The
-// single fetch runs under ctx, and cfg's observer sees the selection
-// (rule "monitored") and the transfer.
+// single fetch runs under ctx, and cfg's Metrics folds the selection
+// and the transfer as one operation.
 func SelectMonitored(ctx context.Context, t Transport, obj Object, candidates []string, m *Monitor, cfg Config) Outcome {
 	o := Outcome{Object: obj, Candidates: candidates, Start: t.Now()}
 	sel, _ := m.Best(obj.Server, candidates)
 	o.Selected = sel
 	o.ProbeEnd = o.Start // no probing phase
-	emitSelection(cfg.Observer, t, obj, sel, MonitoredRule, len(candidates)+1, 0)
 
-	emitTransferStart(cfg.Observer, t, obj, sel, 0, obj.Size, false)
 	h := t.StartCtx(ctx, obj, sel, 0, obj.Size)
 	t.Wait(h)
 	o.Remainder = h.Result()
-	emitTransferEnd(cfg.Observer, obj, o.Remainder, false)
+	fold(cfg.Metrics, &sel, nil, nil, o.Remainder)
 	o.Err = o.Remainder.Err
 	o.End = o.Remainder.End
 	if o.Err == nil {

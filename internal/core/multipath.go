@@ -26,9 +26,9 @@ type MultipathDownloader struct {
 	// its chunk is requeued for the surviving paths.
 	MaxFailures int
 
-	// Observer receives one TransferStarted/TransferFinished pair per
-	// chunk. Nil disables emission.
-	Observer obs.Observer
+	// Metrics folds the download as one operation with a transfer per
+	// chunk issued. Nil records nothing.
+	Metrics *obs.Metrics
 }
 
 // PathShare reports one path's contribution to a multipath download.
@@ -110,10 +110,11 @@ func (d *MultipathDownloader) Download(ctx context.Context, obj Object, candidat
 		path Path
 		c    chunk
 		h    Handle
-		warm bool
 	}
 	var active []inflight
 	dead := map[Path]bool{}
+	var chunks []FetchResult // every finished chunk, for the record
+	defer func() { fold(d.Metrics, nil, nil, nil, chunks...) }()
 
 	issue := func(p Path, warm bool) bool {
 		if len(queue) == 0 || ctx.Err() != nil {
@@ -121,14 +122,13 @@ func (d *MultipathDownloader) Download(ctx context.Context, obj Object, candidat
 		}
 		c := queue[0]
 		queue = queue[1:]
-		emitTransferStart(d.Observer, t, obj, p, c.off, c.n, warm)
 		var h Handle
 		if warm {
 			h = t.StartWarmCtx(ctx, obj, p, c.off, c.n)
 		} else {
 			h = t.StartCtx(ctx, obj, p, c.off, c.n)
 		}
-		active = append(active, inflight{p, c, h, warm})
+		active = append(active, inflight{p, c, h})
 		return true
 	}
 	for _, p := range paths {
@@ -148,14 +148,14 @@ func (d *MultipathDownloader) Download(ctx context.Context, obj Object, candidat
 		active = append(active[:idx], active[idx+1:]...)
 
 		r := done.h.Result()
-		emitTransferEnd(d.Observer, obj, r, done.warm)
+		chunks = append(chunks, r)
 		if r.Err != nil {
 			if err := CtxErr(ctx); err != nil {
 				// The operation was abandoned: reap what is still in
 				// flight and report the cancellation, not a path outage.
 				for _, a := range active {
 					t.Wait(a.h)
-					emitTransferEnd(d.Observer, obj, a.h.Result(), a.warm)
+					chunks = append(chunks, a.h.Result())
 				}
 				res.End = t.Now()
 				return res, err

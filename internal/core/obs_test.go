@@ -9,102 +9,118 @@ import (
 	"repro/internal/obs"
 )
 
-// seqObserver records every callback as a flat kind/label sequence for
-// order assertions.
-type seqObserver struct {
-	obs.Base
-	events []string
-}
-
-func (s *seqObserver) note(kind string, p obs.PathID, extra string) {
-	e := kind + ":" + p.Label()
-	if extra != "" {
-		e += ":" + extra
+// legSeq renders an operation's record as a flat kind:label[:class]
+// sequence for order assertions.
+func legSeq(op obs.Op) []string {
+	var seq []string
+	if op.Selected {
+		seq = append(seq, "selected:"+op.Route)
 	}
-	s.events = append(s.events, e)
+	for _, l := range op.Legs {
+		kind := "transfer"
+		if l.Probe {
+			kind = "probe"
+		}
+		e := kind + ":" + l.Route + ":" + l.Class.String()
+		if l.Reaped {
+			e += ":reaped"
+		}
+		seq = append(seq, e)
+	}
+	return seq
 }
 
-func (s *seqObserver) ProbeStarted(e obs.ProbeStart) { s.note("probe-start", e.Path, "") }
-func (s *seqObserver) ProbeFinished(e obs.ProbeEnd) {
-	s.note("probe-end", e.Path, e.Class.String())
-}
-func (s *seqObserver) ProbeCanceled(e obs.ProbeCancel) { s.note("cancel", e.Path, "") }
-func (s *seqObserver) PathSelected(e obs.Selection) {
-	s.note("selected", e.Path, fmt.Sprintf("%s:%d", e.Rule, e.Candidates))
-}
-func (s *seqObserver) TransferStarted(e obs.TransferStart) {
-	s.note("transfer-start", e.Path, fmt.Sprintf("warm=%v", e.Warm))
-}
-func (s *seqObserver) TransferFinished(e obs.TransferEnd) {
-	s.note("transfer-end", e.Path, e.Class.String())
-}
-
-// TestObserverSequenceFullRace asserts the exact event order of one
-// first-finished race on a context-aware transport: all probes start, the
-// winner is selected, the losers are canceled, the warm remainder runs,
-// every probe reports an end (losers with the canceled class), and the
-// remainder finishes.
+// TestObserverSequenceFullRace asserts the record of one first-finished
+// race on a context-aware transport: the winner is selected, every probe
+// is a leg in index order — the losers reaped, ending with the canceled
+// class — and the warm remainder follows them.
 func TestObserverSequenceFullRace(t *testing.T) {
 	tr := newFake(1e6)
 	tr.rate["fast"] = 8e6
 	tr.rate["slow"] = 0.5e6
 	obj := Object{Server: "s", Name: "o", Size: 1_000_000}
-	so := &seqObserver{}
 
-	out := SelectAndFetch(context.Background(), tr, obj, []string{"fast", "slow"},
-		Config{ProbeBytes: 100_000, Observer: so})
+	c := Race(context.Background(), tr, obj, []string{"fast", "slow"}, Config{ProbeBytes: 100_000})
+	out := c.Fetch()
 	if out.Err != nil || out.Selected.Via != "fast" {
 		t.Fatalf("outcome: sel=%v err=%v", out.Selected, out.Err)
 	}
 
+	op := c.record(nil)
 	want := []string{
-		"probe-start:direct",
-		"probe-start:fast",
-		"probe-start:slow",
-		"selected:fast:first-finished:3",
-		"cancel:direct",
-		"cancel:slow",
-		"transfer-start:fast:warm=true",
-		"probe-end:direct:canceled",
-		"probe-end:fast:ok",
-		"probe-end:slow:canceled",
-		"transfer-end:fast:ok",
+		"selected:fast",
+		"probe:direct:canceled:reaped",
+		"probe:fast:ok",
+		"probe:slow:canceled:reaped",
+		"transfer:fast:ok",
 	}
-	if len(so.events) != len(want) {
-		t.Fatalf("got %d events %v, want %d", len(so.events), so.events, len(want))
+	if fmt.Sprint(legSeq(op)) != fmt.Sprint(want) {
+		t.Fatalf("record = %v,\nwant %v", legSeq(op), want)
 	}
-	for i := range want {
-		if so.events[i] != want[i] {
-			t.Fatalf("event %d = %q, want %q (full: %v)", i, so.events[i], want[i], so.events)
-		}
+	// The reaped losers ended with their context's error; the remainder
+	// asked for what the probe left and ran from the commit to the end.
+	if !op.Legs[0].Aborted || !op.Legs[2].Aborted || op.Legs[1].Aborted {
+		t.Fatalf("aborted flags = %v %v %v, want losers only", op.Legs[0].Aborted, op.Legs[1].Aborted, op.Legs[2].Aborted)
+	}
+	if rem := op.Legs[3]; rem.Bytes != 900_000 || rem.Start != out.ProbeEnd || rem.End != out.End {
+		t.Fatalf("remainder leg = %+v, outcome %+v", rem, out)
 	}
 }
 
-// TestObserverSequenceMaxThroughput covers the measured branch: all
-// probes start and end, then selection, then the remainder. No
-// cancellations.
+// TestObserverSequenceMaxThroughput covers the measured branch: every
+// probe runs to its end, none is reaped, then the remainder.
 func TestObserverSequenceMaxThroughput(t *testing.T) {
 	tr := newFake(1e6)
 	tr.rate["fast"] = 8e6
 	obj := Object{Server: "s", Name: "o", Size: 500_000}
-	so := &seqObserver{}
 
-	out := SelectAndFetch(context.Background(), tr, obj, []string{"fast"},
-		Config{ProbeBytes: 100_000, Rule: MaxThroughput, Observer: so})
+	c := Race(context.Background(), tr, obj, []string{"fast"},
+		Config{ProbeBytes: 100_000, Rule: MaxThroughput})
+	out := c.Fetch()
 	if out.Err != nil || out.Selected.Via != "fast" {
 		t.Fatalf("outcome: sel=%v err=%v", out.Selected, out.Err)
 	}
 	want := []string{
-		"probe-start:direct",
-		"probe-start:fast",
-		"probe-end:direct:ok",
-		"probe-end:fast:ok",
-		"selected:fast:max-throughput:2",
-		"transfer-start:fast:warm=true",
-		"transfer-end:fast:ok",
+		"selected:fast",
+		"probe:direct:ok",
+		"probe:fast:ok",
+		"transfer:fast:ok",
 	}
-	if fmt.Sprint(so.events) != fmt.Sprint(want) {
-		t.Fatalf("events = %v,\nwant %v", so.events, want)
+	if got := legSeq(c.record(nil)); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("record = %v,\nwant %v", got, want)
+	}
+}
+
+// TestNoRemainderUnderDeadContext: when the operation's ctx dies during
+// the probing phase, the remainder is not requested — it carries the
+// typed error, starts and ends at that instant, and is no leg of the
+// record.
+func TestNoRemainderUnderDeadContext(t *testing.T) {
+	tr := newFake(1e6)
+	tr.rate["slow"] = 0.1e6
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// The context dies as the measured probes finish.
+	tr.onWait = cancel
+	obj := Object{Server: "s", Name: "o", Size: 500_000}
+
+	c := Race(ctx, tr, obj, []string{"slow"}, Config{ProbeBytes: 100_000, Rule: MaxThroughput})
+	starts := tr.starts
+	out := c.Fetch()
+	if tr.starts != starts {
+		t.Fatalf("%d transfers started after the context died", tr.starts-starts)
+	}
+	rem := out.Remainder
+	if !errors.Is(rem.Err, ErrCanceled) || rem.Start != rem.End || rem.Bytes != 400_000 {
+		t.Fatalf("remainder = %+v, want an un-issued 400000-byte range carrying ErrCanceled", rem)
+	}
+	if !errors.Is(out.Err, ErrCanceled) {
+		t.Fatalf("outcome err = %v, want the context's", out.Err)
+	}
+	for _, l := range c.record(nil).Legs {
+		if !l.Probe {
+			t.Fatalf("record has a %+v leg for a remainder never issued", l)
+		}
 	}
 }
 
@@ -117,7 +133,7 @@ func TestMetricsMatchOutcomes(t *testing.T) {
 	tr.rate["fast"] = 8e6
 	tr.rate["slow"] = 0.5e6
 	m := obs.NewMetrics()
-	cfg := Config{ProbeBytes: 100_000, Observer: m}
+	cfg := Config{ProbeBytes: 100_000, Metrics: m}
 	cands := []string{"fast", "slow"}
 
 	const runs = 5
@@ -132,7 +148,7 @@ func TestMetricsMatchOutcomes(t *testing.T) {
 		if out.SelectedIndirect() {
 			indirect++
 		}
-		selectedBy[obsID(obj, out.Selected).Label()]++
+		selectedBy[out.Selected.label()]++
 		for _, p := range out.Probes {
 			if errors.Is(p.Err, ErrCanceled) {
 				canceled++
@@ -169,8 +185,8 @@ func TestMetricsMatchOutcomes(t *testing.T) {
 	}
 }
 
-// TestNilObserverUnchanged asserts a nil observer changes nothing about
-// the outcome (and exercises the zero-cost emission guards).
+// TestNilObserverUnchanged asserts that recording into Metrics changes
+// nothing about the outcome (and exercises the nil-Metrics guard).
 func TestNilObserverUnchanged(t *testing.T) {
 	mk := func() *fakeTransport {
 		tr := newFake(1e6)
@@ -180,9 +196,38 @@ func TestNilObserverUnchanged(t *testing.T) {
 	obj := Object{Server: "s", Name: "o", Size: 1_000_000}
 	a := SelectAndFetch(context.Background(), mk(), obj, []string{"fast"}, Config{ProbeBytes: 100_000})
 	b := SelectAndFetch(context.Background(), mk(), obj, []string{"fast"},
-		Config{ProbeBytes: 100_000, Observer: obs.NewMetrics()})
+		Config{ProbeBytes: 100_000, Metrics: obs.NewMetrics()})
 	if a.Selected != b.Selected || a.End != b.End || a.Throughput() != b.Throughput() {
 		t.Fatalf("observed run diverged: %+v vs %+v", a, b)
+	}
+}
+
+// TestRecordingAllocatesNothing: folding an operation into Metrics —
+// with a health monitor linked — costs no allocation over not recording
+// it: the record is built on the stack and handed to concrete folds
+// that keep nothing it points to.
+func TestRecordingAllocatesNothing(t *testing.T) {
+	tr := newFake(1e6)
+	tr.rate["fast"] = 8e6
+	tr.rate["slow"] = 0.5e6
+	obj := Object{Server: "s", Name: "o", Size: 1_000_000}
+	m := obs.NewMetrics()
+	m.Health = obs.NewHealthMonitor(obs.HealthConfig{})
+	allocs := func(cfg Config) float64 {
+		cfg.ProbeBytes = 100_000
+		op := func() {
+			tr.handles = tr.handles[:0] // the fake remembers its handles; do not let that grow
+			SelectAndFetch(context.Background(), tr, obj, []string{"fast", "slow"}, cfg)
+		}
+		op() // the first fold creates the routes' entries
+		return testing.AllocsPerRun(100, op)
+	}
+	bare, recorded := allocs(Config{}), allocs(Config{Metrics: m})
+	if recorded != bare {
+		t.Fatalf("SelectAndFetch: %v allocs recorded into Metrics, %v unrecorded", recorded, bare)
+	}
+	if s := m.Snapshot(); s.Selections == 0 || m.Health.Snapshot().Paths == nil {
+		t.Fatal("the measured operations were not recorded")
 	}
 }
 

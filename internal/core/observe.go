@@ -2,14 +2,18 @@ package core
 
 import (
 	"errors"
+	"slices"
 
 	"repro/internal/obs"
 )
 
-// obsID converts an engine-level (object, path) pair into the plain-string
-// path identity observability events carry.
-func obsID(obj Object, p Path) obs.PathID {
-	return obs.PathID{Server: obj.Server, Object: obj.Name, Via: p.Via}
+// label is the route name records aggregate by: the relay name, or
+// "direct" for the default route (obs.PathID.Label).
+func (p Path) label() string {
+	if p.IsDirect() {
+		return "direct"
+	}
+	return p.Via
 }
 
 // Classer is implemented by error types that know their own observability
@@ -48,56 +52,46 @@ func errText(err error) string {
 	return err.Error()
 }
 
-// The emit helpers below centralize the nil check so an unobserved run
-// pays one pointer comparison per event site and builds no event structs.
-
-func emitProbeStart(o obs.Observer, t Transport, obj Object, p Path, off, n int64) {
-	if o == nil {
+// fold hands m the record of one finished operation (see record). The
+// legs are built in a stack buffer and Metrics is a concrete sink, so
+// recording allocates nothing the unrecorded operation does not. A nil m
+// records nothing.
+func fold(m *obs.Metrics, sel *Path, probes []ProbeResult, reaped []int, transfers ...FetchResult) {
+	if m == nil {
 		return
 	}
-	o.ProbeStarted(obs.ProbeStart{Path: obsID(obj, p), Time: t.Now(), Offset: off, Bytes: n})
+	var buf [8]obs.Leg
+	op := record(buf[:0], sel, probes, reaped, transfers...)
+	m.Fold(&op)
 }
 
-func emitProbeEnd(o obs.Observer, obj Object, r FetchResult) {
-	if o == nil {
-		return
+// record describes one finished operation, appending its legs to legs: a
+// probe leg per issued probe, in index order (those whose index is in
+// reaped were canceled as losers), then one per payload transfer. sel is
+// the route committed to, nil when the operation selected nothing.
+func record(legs []obs.Leg, sel *Path, probes []ProbeResult, reaped []int, transfers ...FetchResult) obs.Op {
+	op := obs.Op{Legs: legs}
+	if sel != nil {
+		op.Route, op.Selected = sel.label(), true
 	}
-	o.ProbeFinished(obs.ProbeEnd{
-		Path: obsID(obj, r.Path), Time: r.End, Offset: r.Offset, Bytes: r.Bytes,
-		Duration: r.Duration(), Class: ErrClassOf(r.Err), Err: errText(r.Err),
-	})
+	for i := range probes {
+		op.Legs = append(op.Legs, leg(&probes[i].FetchResult, true, slices.Contains(reaped, i)))
+	}
+	for i := range transfers {
+		op.Legs = append(op.Legs, leg(&transfers[i], false, false))
+	}
+	return op
 }
 
-func emitProbeCancel(o obs.Observer, t Transport, obj Object, p Path) {
-	if o == nil {
-		return
+// leg describes one finished transfer. It was aborted when it ended with
+// its context's typed error, ErrCanceled or ErrProbeTimeout (a transfer's
+// deadline is always its context's).
+func leg(r *FetchResult, probe, reaped bool) obs.Leg {
+	class := ErrClassOf(r.Err)
+	return obs.Leg{
+		Route: r.Path.label(), Probe: probe,
+		Start: r.Start, End: r.End, Bytes: r.Bytes, Class: class,
+		Reaped: reaped, Aborted: class == obs.ClassCanceled || class == obs.ClassTimeout,
+		Streamed: r.Streamed, Retries: r.Retries,
 	}
-	o.ProbeCanceled(obs.ProbeCancel{Path: obsID(obj, p), Time: t.Now()})
-}
-
-func emitSelection(o obs.Observer, t Transport, obj Object, sel Path, rule string, candidates int, probeDur float64) {
-	if o == nil {
-		return
-	}
-	o.PathSelected(obs.Selection{
-		Path: obsID(obj, sel), Time: t.Now(), Rule: rule,
-		Candidates: candidates, Indirect: !sel.IsDirect(), ProbeDuration: probeDur,
-	})
-}
-
-func emitTransferStart(o obs.Observer, t Transport, obj Object, p Path, off, n int64, warm bool) {
-	if o == nil {
-		return
-	}
-	o.TransferStarted(obs.TransferStart{Path: obsID(obj, p), Time: t.Now(), Offset: off, Bytes: n, Warm: warm})
-}
-
-func emitTransferEnd(o obs.Observer, obj Object, r FetchResult, warm bool) {
-	if o == nil {
-		return
-	}
-	o.TransferFinished(obs.TransferEnd{
-		Path: obsID(obj, r.Path), Time: r.End, Offset: r.Offset, Bytes: r.Bytes,
-		Duration: r.Duration(), Warm: warm, Class: ErrClassOf(r.Err), Err: errText(r.Err),
-	})
 }

@@ -61,7 +61,7 @@ const weightFloor = 0.05
 // WeightedRandomPolicy proposes K intermediates sampled without
 // replacement with probability proportional to (utilization +
 // weightFloor), reading utilization from the path tally of Metrics — the
-// collector the engine reports into as its Config.Observer. This is the
+// collector the engine folds into as its Config.Metrics. This is the
 // paper's Section 6 proposal: "if a client uses the utilization data to
 // weight the likelihood of a node appearing in the random set, the better
 // nodes will be chosen more often". A nil Metrics draws uniformly.

@@ -78,7 +78,7 @@ func TestWeightedRandomPrefersUtilized(t *testing.T) {
 	tr.rate["slow"] = 0.5e6
 	m := obs.NewMetrics()
 	p := WeightedRandomPolicy{K: 1, Metrics: m}
-	cfg := Config{ProbeBytes: 100_000, Observer: m}
+	cfg := Config{ProbeBytes: 100_000, Metrics: m}
 	obj := Object{Server: "s", Name: "o", Size: 1_000_000}
 	r := randx.New(5)
 	full := []string{"fast", "slow"}

@@ -52,14 +52,12 @@ type Config struct {
 	// rule, since finish order is meaningless for staggered starts.
 	Sequential bool
 
-	// Observer receives the operation's lifecycle events (probe
-	// start/finish, loser cancellation, selection, remainder transfer).
-	// Nil disables emission entirely; the engine then builds no event
-	// values, so the unobserved hot path pays only nil checks.
-	// Observation is passive — the observer sees transport timestamps but
-	// never advances any clock — so the virtual-time simulator produces
-	// identical results with or without one attached.
-	Observer obs.Observer
+	// Metrics folds the record of each finished operation (obs.Op): the
+	// probes and the remainder it issued, and the route it committed to.
+	// Nil records nothing. Recording is passive — the record carries
+	// transport timestamps and advances no clock — so the virtual-time
+	// simulator produces identical results with or without one attached.
+	Metrics *obs.Metrics
 
 	// Spans collects distributed-tracing spans. When set, each
 	// SelectAndFetch operation opens a root "select" span covering the
@@ -155,28 +153,26 @@ func probePaths(candidates []string) []Path {
 	return paths
 }
 
-// launch starts an n-byte fetch at off on every path, announcing each as
-// a probe. With cancels non-nil each probe runs under its own child of
-// ctx, and cancels[i] abandons probe i alone.
-func launch(ctx context.Context, t Transport, o obs.Observer, obj Object, paths []Path, off, n int64, cancels []context.CancelFunc) []Handle {
+// launch starts an n-byte fetch at off on every path. With cancels
+// non-nil each probe runs under its own child of ctx, and cancels[i]
+// abandons probe i alone.
+func launch(ctx context.Context, t Transport, obj Object, paths []Path, off, n int64, cancels []context.CancelFunc) []Handle {
 	handles := make([]Handle, len(paths))
 	for i, p := range paths {
 		pctx := ctx
 		if cancels != nil {
 			pctx, cancels[i] = context.WithCancel(ctx)
 		}
-		emitProbeStart(o, t, obj, p, off, n)
 		handles[i] = t.StartCtx(pctx, obj, p, off, n)
 	}
 	return handles
 }
 
-// collect reads finished probes' results, announcing each probe's end.
-func collect(o obs.Observer, obj Object, handles []Handle) []ProbeResult {
+// collect reads finished probes' results.
+func collect(handles []Handle) []ProbeResult {
 	probes := make([]ProbeResult, len(handles))
 	for i, h := range handles {
 		probes[i] = ProbeResult{h.Result()}
-		emitProbeEnd(o, obj, probes[i].FetchResult)
 	}
 	return probes
 }
@@ -185,12 +181,18 @@ func collect(o obs.Observer, obj Object, handles []Handle) []ProbeResult {
 // over the direct path and over each candidate indirect path, returning
 // the per-path results: index 0 is the direct probe, then one entry per
 // candidate. Cancellation or deadline expiry of ctx fails the outstanding
-// probes instead of waiting them out; cfg's observer sees a
-// ProbeStarted/ProbeFinished pair per probe.
+// probes instead of waiting them out; cfg's Metrics folds the probes as
+// one operation that selected nothing.
 func Probe(ctx context.Context, t Transport, obj Object, candidates []string, cfg Config) []ProbeResult {
-	handles := launch(ctx, t, cfg.Observer, obj, probePaths(candidates), 0, cfg.probeSize(obj), nil)
+	probes := probe(ctx, t, obj, candidates, cfg)
+	fold(cfg.Metrics, nil, probes, nil)
+	return probes
+}
+
+func probe(ctx context.Context, t Transport, obj Object, candidates []string, cfg Config) []ProbeResult {
+	handles := launch(ctx, t, obj, probePaths(candidates), 0, cfg.probeSize(obj), nil)
 	t.Wait(handles...)
-	return collect(cfg.Observer, obj, handles)
+	return collect(handles)
 }
 
 // awaitFirstSuccess blocks until a probe completes without error,
@@ -269,22 +271,31 @@ func Choose(probes []ProbeResult, rule Rule) Path {
 // Result order matches Probe: direct first, then candidates. Once ctx
 // dies the remaining probes are not issued: their results carry the typed
 // cancellation error instead, so the slice still has one entry per path,
-// and they emit no events.
+// and cfg's Metrics folds only the probes that were issued.
 func ProbeSequential(ctx context.Context, t Transport, obj Object, candidates []string, cfg Config) []ProbeResult {
+	probes, issued := probeSequential(ctx, t, obj, candidates, cfg)
+	fold(cfg.Metrics, nil, probes[:issued], nil)
+	return probes
+}
+
+// probeSequential is ProbeSequential unrecorded; the probes it issued
+// are the first issued entries.
+func probeSequential(ctx context.Context, t Transport, obj Object, candidates []string, cfg Config) (probes []ProbeResult, issued int) {
 	x := cfg.probeSize(obj)
 	paths := probePaths(candidates)
-	probes := make([]ProbeResult, len(paths))
+	probes = make([]ProbeResult, len(paths))
 	for i, p := range paths {
 		if err := CtxErr(ctx); err != nil {
 			now := t.Now()
 			probes[i] = ProbeResult{FetchResult{Path: p, Bytes: x, Start: now, End: now, Err: err}}
 			continue
 		}
-		h := launch(ctx, t, cfg.Observer, obj, paths[i:i+1], 0, x, nil)
+		h := launch(ctx, t, obj, paths[i:i+1], 0, x, nil)
 		t.Wait(h...)
-		probes[i] = collect(cfg.Observer, obj, h)[0]
+		probes[i] = collect(h)[0]
+		issued++
 	}
-	return probes
+	return probes, issued
 }
 
 // SelectAndFetch runs the paper's full client operation: probe the direct
@@ -301,14 +312,20 @@ func SelectAndFetch(ctx context.Context, t Transport, obj Object, candidates []s
 }
 
 // Commit is a select-and-fetch operation at its commit point: the probing
-// phase is over, the path is chosen and announced, and the losing probes
-// have been told to stop. Fetch, which must be called, finishes it.
+// phase is over, the path is chosen, and the losing probes have been told
+// to stop. Fetch, which must be called, finishes it.
 type Commit struct {
 	ctx context.Context // the operation's context, under its select span when tracing
 	t   Transport
 	cfg Config
 	out Outcome
 	won bool // the remainder is worth requesting
+
+	// issued counts the probes that went out (all of them, unless a
+	// sequential race outlived its ctx), and rem is whether the remainder
+	// did: what the operation's record holds.
+	issued int
+	rem    bool
 
 	// Under early commit the probes are still the engine's to collect:
 	// the losers are in flight, each under its own cancel function.
@@ -360,7 +377,8 @@ func (c *Commit) race(ctx context.Context, obj Object, candidates []string) {
 	paths := probePaths(candidates)
 	if !cfg.Sequential && cfg.Rule == FirstFinished {
 		c.cancels = make([]context.CancelFunc, len(paths))
-		c.handles = launch(raceCtx, t, cfg.Observer, obj, paths, 0, cfg.probeSize(obj), c.cancels)
+		c.handles = launch(raceCtx, t, obj, paths, 0, cfg.probeSize(obj), c.cancels)
+		c.issued = len(paths)
 		var win int
 		win, c.losers = awaitFirstSuccess(t, c.handles)
 		if c.won = win >= 0; c.won {
@@ -368,21 +386,21 @@ func (c *Commit) race(ctx context.Context, obj Object, candidates []string) {
 		}
 	} else {
 		if cfg.Sequential {
-			o.Probes = ProbeSequential(raceCtx, t, obj, candidates, *cfg)
+			o.Probes, c.issued = probeSequential(raceCtx, t, obj, candidates, *cfg)
 			cfg.Rule = MaxThroughput
 		} else {
-			o.Probes = Probe(raceCtx, t, obj, candidates, *cfg)
+			o.Probes = probe(raceCtx, t, obj, candidates, *cfg)
+			c.issued = len(paths)
 		}
 		// With every probe failed Choose falls back to the direct path,
 		// and the remainder is still tried there.
 		o.Selected, c.won = Choose(o.Probes, cfg.Rule), true
 	}
 	o.ProbeEnd = t.Now()
-	emitSelection(cfg.Observer, t, obj, o.Selected, cfg.Rule.String(), len(paths), o.ProbeEnd-o.Start)
 	if c.rec.Tracing() {
 		// A race nobody won stays open, so Finish marks it as where the
 		// operation died.
-		c.rec.PhaseAttr("selected", obsID(obj, o.Selected).Label())
+		c.rec.PhaseAttr("selected", o.Selected.label())
 		c.rec.PhaseAttr("rule", cfg.Rule.String())
 		if c.won {
 			c.rec.Phase("")
@@ -391,7 +409,6 @@ func (c *Commit) race(ctx context.Context, obj Object, candidates []string) {
 	// The winner is committed, so the losing transfers are pure overhead.
 	for _, i := range c.losers {
 		c.cancels[i]()
-		emitProbeCancel(cfg.Observer, t, obj, paths[i])
 	}
 }
 
@@ -399,7 +416,10 @@ func (c *Commit) race(ctx context.Context, obj Object, candidates []string) {
 // probe's connection (same path, same socket: warm), reaps the losing
 // probes beside it — on a transport that ignored their cancellation they
 // still contend for bandwidth, as the paper's real probes did — and
-// returns the Outcome.
+// returns the Outcome. When the operation's ctx died during the race —
+// a stalled probe waited out under MaxThroughput — no remainder is
+// requested: Outcome.Remainder carries the typed error, starting and
+// ending at that moment, as ProbeSequential's un-issued probes do.
 func (c *Commit) Fetch() Outcome {
 	t, cfg, o, ctx := c.t, &c.cfg, &c.out, c.ctx
 	obj := o.Object
@@ -411,17 +431,21 @@ func (c *Commit) Fetch() Outcome {
 	}
 	var rem Handle
 	if rest := obj.Size - x; rest > 0 && c.won {
-		emitTransferStart(cfg.Observer, t, obj, o.Selected, x, rest, true)
-		rem = t.StartWarmCtx(ctx, obj, o.Selected, x, rest)
-		wait = append(wait, rem)
+		if err := CtxErr(ctx); err != nil {
+			now := t.Now()
+			o.Remainder = FetchResult{Path: o.Selected, Offset: x, Bytes: rest, Start: now, End: now, Err: err}
+		} else {
+			rem = t.StartWarmCtx(ctx, obj, o.Selected, x, rest)
+			wait = append(wait, rem)
+			c.rem = true
+		}
 	}
 	t.Wait(wait...)
 	if c.handles != nil {
-		o.Probes = collect(cfg.Observer, obj, c.handles)
+		o.Probes = collect(c.handles)
 	}
 	if rem != nil {
 		o.Remainder = rem.Result()
-		emitTransferEnd(cfg.Observer, obj, o.Remainder, true)
 	}
 	for _, cancel := range c.cancels {
 		cancel()
@@ -458,11 +482,26 @@ func (c *Commit) Fetch() Outcome {
 		o.End = o.ProbeEnd
 	}
 	if c.rec.Tracing() {
-		c.rec.SetAttr("selected", obsID(obj, o.Selected).Label())
+		c.rec.SetAttr("selected", o.Selected.label())
 		c.rec.Outcome(ErrClassOf(o.Err), errText(o.Err))
 		c.rec.Finish()
 	}
+	if m := cfg.Metrics; m != nil {
+		var buf [8]obs.Leg
+		op := c.record(buf[:0])
+		m.Fold(&op)
+	}
 	return *o
+}
+
+// record describes the finished operation (see record): its issued
+// probes, the losers among them reaped, and the remainder if it went out.
+func (c *Commit) record(legs []obs.Leg) obs.Op {
+	o := &c.out
+	if c.rem {
+		return record(legs, &o.Selected, o.Probes[:c.issued], c.losers, o.Remainder)
+	}
+	return record(legs, &o.Selected, o.Probes[:c.issued], c.losers)
 }
 
 // allFailed reports whether every probe in the race carried an error

@@ -266,7 +266,7 @@ func TestAwaitFirstSuccessEarlyCommit(t *testing.T) {
 	tr.rate["fast"] = 8e6
 	tr.rate["slow"] = 0.1e6
 	obj := Object{Server: "s", Name: "o", Size: 4_000_000}
-	handles := launch(context.Background(), tr, nil, obj, probePaths([]string{"slow", "fast"}), 0, 100_000, nil)
+	handles := launch(context.Background(), tr, obj, probePaths([]string{"slow", "fast"}), 0, 100_000, nil)
 	win, pending := awaitFirstSuccess(tr, handles)
 	if win != 2 {
 		t.Fatalf("winner index %d, want 2 (fast)", win)
@@ -287,7 +287,7 @@ func TestAwaitFirstSuccessSkipsFailures(t *testing.T) {
 	tr.rate["ok"] = 0.5e6
 	obj := Object{Server: "s", Name: "o", Size: 1_000_000}
 	paths := probePaths([]string{"dead", "ok"})
-	handles := launch(context.Background(), tr, nil, obj, paths, 0, 100_000, nil)
+	handles := launch(context.Background(), tr, obj, paths, 0, 100_000, nil)
 	win, _ := awaitFirstSuccess(tr, handles)
 	if win < 0 || paths[win].Via == "dead" {
 		t.Fatalf("winner = %d (%v); failed probe must not win", win, paths[win])
@@ -298,7 +298,7 @@ func TestAwaitFirstSuccessAllFailed(t *testing.T) {
 	tr := newFake(0) // direct has no rate -> fails
 	tr.fail["a"] = errors.New("down")
 	obj := Object{Server: "s", Name: "o", Size: 1_000_000}
-	handles := launch(context.Background(), tr, nil, obj, probePaths([]string{"a"}), 0, 100_000, nil)
+	handles := launch(context.Background(), tr, obj, probePaths([]string{"a"}), 0, 100_000, nil)
 	win, pending := awaitFirstSuccess(tr, handles)
 	if win != -1 || len(pending) != 0 {
 		t.Fatalf("all-failed race returned %d, %v", win, pending)

@@ -53,6 +53,13 @@ type FetchResult struct {
 	Delivered  int64
 	Start, End float64 // transport timestamps, seconds
 	Err        error
+
+	// Streamed counts every payload byte that arrived, across cold
+	// retries and whether or not the transfer then succeeded; Retries
+	// holds the transport timestamps of those retries. Transports that
+	// neither stream nor retry (the simulator) leave both zero.
+	Streamed int64
+	Retries  []float64
 }
 
 // Duration returns the transfer duration in seconds.

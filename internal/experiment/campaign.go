@@ -203,7 +203,7 @@ func RunCampaign(spec CampaignSpec) CampaignResult {
 		full[i] = in.Name
 	}
 	// The selecting process is the engine itself, reporting into m.
-	engine := core.Config{ProbeBytes: cfg.ProbeBytes, Rule: cfg.Rule, Sequential: cfg.SequentialProbes, Observer: m}
+	engine := core.Config{ProbeBytes: cfg.ProbeBytes, Rule: cfg.Rule, Sequential: cfg.SequentialProbes, Metrics: m}
 
 	res := CampaignResult{Spec: spec, Metrics: m}
 	for i := 0; i < spec.Transfers; i++ {

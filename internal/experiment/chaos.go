@@ -213,11 +213,12 @@ func runSimChaos(class string, prof simnet.FaultProfile, p ChaosParams) ChaosEnt
 	net := simnet.NewNetwork(eng)
 	link := net.NewLink("wan", 8e6, 0.02, 0)
 	mon := obs.NewHealthMonitor(obs.HealthConfig{Window: 20, Buckets: 5})
-	pid := obs.PathID{Via: "wan"}
+	const route = "wan"
 	e := ChaosEntry{Class: class, Mode: "sim"}
 
-	// transfer runs one flow, aborting it at deadline (0 = none), and
-	// returns its duration (capped at the deadline) and whether it hit.
+	// transfer runs one flow, aborting it at deadline (0 = none), folds it
+	// into the monitor as a one-leg operation on engine time, and returns
+	// its duration and whether it hit the deadline.
 	transfer := func(deadline float64) (dur float64, timedOut bool) {
 		done := false
 		fl := net.StartFlow(simnet.FlowSpec{
@@ -234,6 +235,11 @@ func runSimChaos(class string, prof simnet.FaultProfile, p ChaosParams) ChaosEnt
 			defer tm.Cancel()
 		}
 		eng.RunWhile(func() bool { return !done && !timedOut })
+		leg := obs.Leg{Route: route, Start: fl.Start(), End: eng.Now(), Bytes: p.SimBytes}
+		if timedOut {
+			leg.Class, leg.Aborted = obs.ClassTimeout, true
+		}
+		mon.Fold(&obs.Op{Legs: []obs.Leg{leg}})
 		return fl.Duration(), timedOut
 	}
 
@@ -242,9 +248,7 @@ func runSimChaos(class string, prof simnet.FaultProfile, p ChaosParams) ChaosEnt
 	// below what a degraded link can meet.
 	var base float64
 	for i := 0; i < 4; i++ {
-		d, _ := transfer(0)
-		base = d
-		mon.TransferFinished(obs.TransferEnd{Path: pid, Time: eng.Now(), Bytes: p.SimBytes, Duration: d, Class: obs.ClassOK})
+		base, _ = transfer(0)
 	}
 	deadline := 1.6 * base
 
@@ -254,9 +258,6 @@ func runSimChaos(class string, prof simnet.FaultProfile, p ChaosParams) ChaosEnt
 		if timedOut {
 			d = deadline
 			e.Failures++
-			mon.TransferAborted(obs.Abort{Path: pid, Time: eng.Now(), Class: obs.ClassTimeout})
-		} else {
-			mon.TransferFinished(obs.TransferEnd{Path: pid, Time: eng.Now(), Bytes: p.SimBytes, Duration: d, Class: obs.ClassOK})
 		}
 		if d > e.MaxTransfer {
 			e.MaxTransfer = d
@@ -266,18 +267,17 @@ func runSimChaos(class string, prof simnet.FaultProfile, p ChaosParams) ChaosEnt
 		}
 		e.Transfers++
 	}
-	state := mon.State(pid.Label())
+	state := mon.State(route)
 	e.Verdict = state.String()
 	e.VerdictOK = state == obs.HealthDegraded || state == obs.HealthDown
 	faults.Stop()
 
 	// Recovery: clean transfers until the verdict heals (bounded by a
 	// few windows of virtual time).
-	for i := 0; i < 60 && mon.State(pid.Label()) != obs.HealthHealthy; i++ {
-		d, _ := transfer(0)
-		mon.TransferFinished(obs.TransferEnd{Path: pid, Time: eng.Now(), Bytes: p.SimBytes, Duration: d, Class: obs.ClassOK})
+	for i := 0; i < 60 && mon.State(route) != obs.HealthHealthy; i++ {
+		transfer(0)
 	}
-	e.Recovered = mon.State(pid.Label()) == obs.HealthHealthy
+	e.Recovered = mon.State(route) == obs.HealthHealthy
 	return e
 }
 

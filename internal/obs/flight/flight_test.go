@@ -2,11 +2,9 @@ package flight
 
 import (
 	"context"
-	"errors"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -85,7 +83,7 @@ func TestRecorderEventFields(t *testing.T) {
 	tr.Start(Spec{Flight: r, Service: "relay", Path: "127.0.0.1:9999", Object: "obj.bin",
 		Warm: true, Parent: obs.SpanContext{Trace: trace, Span: obs.NewSpanID()}})
 	tr.SetCache("miss")
-	tr.Retry(time.Millisecond, errors.New("connection reset"))
+	tr.Retry()
 	tr.Phase("dial")
 	tr.Phase("ttfb")
 	tr.Phase("dial") // a retry revisits an earlier phase name
@@ -167,9 +165,7 @@ func TestNilRecorderAndTransferNoOp(t *testing.T) {
 	tr.StoreBytes(1)
 	tr.AddBytes(1)
 	tr.SetCache("hit")
-	tr.Retry(time.Millisecond, errors.New("x"))
-	tr.Abort(obs.ClassCanceled)
-	tr.Progress(0, 1, 2)
+	tr.Retry()
 	tr.Finish()
 	if tr.Tracing() || tr.Context().Valid() {
 		t.Fatal("closed record claims to trace")

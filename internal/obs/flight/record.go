@@ -10,15 +10,14 @@ import (
 
 // Spec is what is fixed when a record opens: the sinks it feeds — the
 // collectors that already exist, each optional — and the transfer's
-// identity. A client transfer has Spans, Flight and Observer; a relay
-// forward Spans, Flight, Latency and Health; an origin serve Spans,
-// Latency and Health.
+// identity. A client transfer has Spans and Flight; a relay forward
+// Spans, Flight, Latency and Health; an origin serve Spans, Latency and
+// Health.
 type Spec struct {
-	Spans    *obs.SpanCollector
-	Flight   *Recorder
-	Latency  *obs.LatencyRecorder
-	Health   *obs.HealthMonitor
-	Observer obs.Observer
+	Spans   *obs.SpanCollector
+	Flight  *Recorder
+	Latency *obs.LatencyRecorder
+	Health  *obs.HealthMonitor
 
 	// Service and Phase name the parent span: client/transfer,
 	// relay/forward, origin/serve.
@@ -32,10 +31,6 @@ type Spec struct {
 	// span on the client, the x-trace header on relay and origin. Zero
 	// roots a fresh trace when spans are collected.
 	Parent obs.SpanContext
-	// ID and Epoch stamp the observer's events: the path identity, and the
-	// instant their transport-relative Time counts from.
-	ID    obs.PathID
-	Epoch time.Time
 }
 
 // clock is time.Now, replaced by the record's own tests so a scripted
@@ -47,8 +42,7 @@ var clock = time.Now
 // Finish derives everything the sinks keep — the parent span with one
 // child per phase, the wide event (and the /debug/active row while the
 // transfer runs), the exemplar-bearing latency observation, and the
-// health fold. The observer's retry, abort and progress events go out
-// through it too, at the moment they describe.
+// health fold.
 //
 // A Record is a value: on the handler's stack in relay and origin,
 // inside the transfer handle on the client. What the span collector and
@@ -56,7 +50,7 @@ var clock = time.Now
 // behind one pointer that Start leaves nil unless one of them is
 // attached, so with nothing attached every site is a nil check and
 // nothing is allocated. One goroutine owns a record from Start to
-// Finish; Bytes and Abort may be called from any.
+// Finish; Bytes may be called from any.
 type Record struct {
 	spec   Spec
 	begin  time.Time
@@ -107,7 +101,7 @@ type phase struct {
 // Start opens the record. With no sink attached it stays closed and
 // every later call, Finish included, does nothing.
 func (r *Record) Start(s Spec) {
-	if s.Spans == nil && s.Flight == nil && s.Latency == nil && s.Health == nil && s.Observer == nil {
+	if s.Spans == nil && s.Flight == nil && s.Latency == nil && s.Health == nil {
 		return
 	}
 	r.open = true
@@ -240,19 +234,6 @@ func (r *Record) AddBytes(n int64) { r.StoreBytes(r.bytes.Load() + n) }
 // Bytes returns the payload bytes delivered so far.
 func (r *Record) Bytes() int64 { return r.bytes.Load() }
 
-// Progress counts a chunk of the total bytes wanted, starting at offset
-// off of the object, as delivered, and reports it to an observer that
-// follows progress.
-func (r *Record) Progress(off, chunk, total int64) {
-	r.AddBytes(chunk)
-	if o := r.spec.Observer; o != nil {
-		obs.EmitProgress(o, obs.Progress{
-			Path: r.spec.ID, Time: clock().Sub(r.spec.Epoch).Seconds(),
-			Offset: off, Chunk: chunk, Delivered: r.bytes.Load(), Total: total,
-		})
-	}
-}
-
 // SetCache records the cache disposition ("hit", "shared", "miss").
 func (r *Record) SetCache(state string) {
 	if r.t != nil {
@@ -266,9 +247,8 @@ func (r *Record) SetCache(state string) {
 // malformed request, a cache hit) folds nowhere.
 func (r *Record) FoldKey(key string) { r.key, r.fold = key, true }
 
-// Retry counts one cold re-attempt and announces it, with the backoff
-// chosen before it, as RetryScheduled.
-func (r *Record) Retry(backoff time.Duration, cause error) {
+// Retry counts one cold re-attempt.
+func (r *Record) Retry() {
 	if !r.open {
 		return
 	}
@@ -277,23 +257,6 @@ func (r *Record) Retry(backoff time.Duration, cause error) {
 		t.mu.Lock()
 		t.retries = r.tries
 		t.mu.Unlock()
-	}
-	if o := r.spec.Observer; o != nil {
-		o.RetryScheduled(obs.Retry{
-			Path: r.spec.ID, Time: clock().Sub(r.spec.Epoch).Seconds(),
-			Attempt: r.tries, Backoff: backoff.Seconds(), Err: cause.Error(),
-		})
-	}
-}
-
-// Abort announces, as TransferAborted, that the transfer's context died.
-// It reads only what Start fixed, so the goroutine watching the context
-// may call it while the owner is still unwinding.
-func (r *Record) Abort(class obs.ErrClass) {
-	if o := r.spec.Observer; o != nil {
-		o.TransferAborted(obs.Abort{
-			Path: r.spec.ID, Time: clock().Sub(r.spec.Epoch).Seconds(), Class: class,
-		})
 	}
 }
 

@@ -1,7 +1,6 @@
 package flight
 
 import (
-	"errors"
 	"testing"
 	"time"
 
@@ -18,16 +17,6 @@ func scriptClock(t *testing.T) (advance func(time.Duration)) {
 	return func(d time.Duration) { now = now.Add(d) }
 }
 
-// eventLog is an Observer that keeps the transport-level events.
-type eventLog struct {
-	obs.Base
-	retries []obs.Retry
-	aborts  []obs.Abort
-}
-
-func (l *eventLog) RetryScheduled(e obs.Retry)  { l.retries = append(l.retries, e) }
-func (l *eventLog) TransferAborted(e obs.Abort) { l.aborts = append(l.aborts, e) }
-
 // step is one scripted call on a record: mark a phase (after the clock
 // has moved on by `after`), or schedule a retry.
 type step struct {
@@ -37,7 +26,7 @@ type step struct {
 }
 
 // TestRecordFeedsEverySinkConsistently drives scripted transfers into
-// all five sinks at once and asserts they tell one story: the phases
+// all four sinks at once and asserts they tell one story: the phases
 // tile the record's duration, the child spans are the wide event's
 // phases, only the phase the transfer died in is marked, and exemplar,
 // health fold and wide event agree on class, elapsed time and trace.
@@ -84,24 +73,20 @@ func TestRecordFeedsEverySinkConsistently(t *testing.T) {
 			rec := NewRecorder(Config{Ring: 4})
 			var lat obs.LatencyRecorder
 			mon := obs.NewHealthMonitor(obs.HealthConfig{Clock: func() float64 { return 0 }})
-			var log eventLog
 			parent := obs.SpanContext{Trace: obs.NewTraceID(), Span: obs.NewSpanID()}
-			id := obs.PathID{Server: "origin", Object: "obj.bin", Via: "r1"}
 
 			var r Record
-			epoch := clock()
-			advance(time.Second)
 			r.Start(Spec{
-				Spans: spans, Flight: rec, Latency: &lat, Health: mon, Observer: &log,
+				Spans: spans, Flight: rec, Latency: &lat, Health: mon,
 				Service: "client", Phase: "transfer", Path: "r1", Object: "obj.bin",
-				Parent: parent, ID: id, Epoch: epoch})
+				Parent: parent})
 			r.FoldKey("r1")
 			retries := 0
 			for _, s := range tc.steps {
 				advance(s.after)
 				if s.retry {
 					retries++
-					r.Retry(10*ms, errors.New("connection refused"))
+					r.Retry()
 					continue
 				}
 				r.Phase(s.phase)
@@ -188,35 +173,11 @@ func TestRecordFeedsEverySinkConsistently(t *testing.T) {
 				t.Fatalf("health = %+v, want ok=%d failed=%d", ph, wantOk, wantFailed)
 			}
 
-			// Observer events carry the path identity and the clock since
-			// the epoch.
-			if len(log.retries) != retries {
-				t.Fatalf("retry events = %+v", log.retries)
-			}
-			for i, e := range log.retries {
-				if e.Path != id || e.Attempt != i+1 || e.Backoff != 0.010 || e.Err == "" || e.Time < 1 {
-					t.Fatalf("retry event %d = %+v", i, e)
-				}
-			}
 		})
 	}
 }
 
 func near(a, b float64) bool { d := a - b; return d < 1e-9 && d > -1e-9 }
-
-// TestRecordAbortIsIndependentOfFinish: the context watcher announces
-// an abort while the owner is still unwinding, before or after Finish.
-func TestRecordAbortIsIndependentOfFinish(t *testing.T) {
-	var log eventLog
-	var r Record
-	r.Start(Spec{Observer: &log, ID: obs.PathID{Server: "o"}, Epoch: time.Now()})
-	r.Abort(obs.ClassCanceled)
-	r.Finish()
-	r.Abort(obs.ClassTimeout)
-	if len(log.aborts) != 2 || log.aborts[0].Class != obs.ClassCanceled || log.aborts[1].Path.Server != "o" {
-		t.Fatalf("abort events = %+v", log.aborts)
-	}
-}
 
 // TestRecordWithoutTraceContext: with no incoming trace and no span
 // collector, nothing invents one — the event and the exemplar stay
@@ -319,7 +280,6 @@ func TestRecordPhaseContext(t *testing.T) {
 // allocates nothing.
 func TestDisabledRecordAllocatesNothing(t *testing.T) {
 	lifecycle := func(s Spec) func() {
-		cause := errors.New("refused")
 		return func() {
 			var r Record
 			r.Start(s)
@@ -331,13 +291,12 @@ func TestDisabledRecordAllocatesNothing(t *testing.T) {
 			if r.PhaseContext().Valid() {
 				panic("a record collecting no spans handed out a phase context")
 			}
-			r.Retry(time.Millisecond, cause)
+			r.Retry()
 			r.Phase("")
 			r.Phase("stream")
-			r.Progress(0, 1<<20, 1<<20)
+			r.AddBytes(1 << 20)
 			r.Overlap("verify", time.Time{}, nil)
 			r.Outcome(obs.ClassFailed, "reset")
-			r.Abort(obs.ClassCanceled)
 			r.Finish()
 		}
 	}

@@ -1,5 +1,5 @@
 // Continuous path-health telemetry: the rolling per-path quality signal
-// that turns the event stream into something an operator (or the
+// that turns finished operations into something an operator (or the
 // registry) can rank paths by.
 //
 // The paper's Section V result — intermediate-node utilization tracks
@@ -7,25 +7,26 @@
 // nearly all gain — is only actionable if each path's recent quality is
 // known continuously. Detour and RON both built their overlays on
 // exactly this kind of long-running path monitor. HealthMonitor is that
-// backbone for this repo: it folds the selection-lifecycle events the
-// stack already emits (zero new instrumentation points on the hot path;
-// a nil monitor is never attached, so the unobserved path pays nothing)
-// into per-path rolling windows — a ring of fixed-duration buckets
+// backbone for this repo: it folds the operation records the engine
+// already hands its Metrics (zero new instrumentation points on the hot
+// path; a nil monitor is never linked, so the unobserved path pays
+// nothing) into per-path rolling windows — a ring of fixed-duration buckets
 // tracking success/failure/retry counts, latency quantiles, and a
 // throughput EWMA pair — and collapses each window into one health
 // score with hysteresis, so the healthy → degraded → down transitions
 // are damped rather than flapping with every sample.
 //
-// Time is float64 seconds throughout, matching event timestamps: fed
-// from an Observer stream the monitor runs on event time (which keeps
-// it deterministic on the virtual-time simulator), while daemons that
-// feed it directly install a wall-clock via HealthConfig.Clock.
+// Time is float64 seconds throughout, matching transport timestamps:
+// fed operation records the monitor runs on their time (which keeps it
+// deterministic on the virtual-time simulator), while daemons that feed
+// it directly install a wall-clock via HealthConfig.Clock.
 package obs
 
 import (
 	"encoding/json"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 )
@@ -102,8 +103,8 @@ type HealthConfig struct {
 	MaxSuccessAge float64
 
 	// Clock supplies "now" in seconds for direct Observe calls and
-	// snapshot aging. Nil means event time: the monitor's high-water
-	// event timestamp, which keeps simulator-fed monitors deterministic.
+	// snapshot aging. Nil means record time: the monitor's high-water
+	// sample timestamp, which keeps simulator-fed monitors deterministic.
 	Clock func() float64
 
 	// OnTransition, when set, is called for every committed state change
@@ -214,10 +215,10 @@ type pathHealth struct {
 }
 
 // HealthMonitor folds transfer outcomes into per-path rolling windows
-// and keeps a damped health state per path. It implements Observer (and
-// is safe for concurrent use), so attaching it to a Client or a
-// core.Config is one line; daemons without an event stream feed it
-// directly through Observe.
+// and keeps a damped health state per path. It is safe for concurrent
+// use: the engine's operations reach it through Fold, usually via the
+// Metrics.Health link, and daemons feed their own outcomes directly
+// through Observe.
 type HealthMonitor struct {
 	cfg HealthConfig
 
@@ -276,7 +277,9 @@ func (m *HealthMonitor) path(key string) *pathHealth {
 	p := m.paths[key]
 	if p == nil {
 		p = &pathHealth{buckets: make([]healthBucket, m.cfg.Buckets), state: HealthUnknown}
-		m.paths[key] = p
+		// A copy for the key, so a key read out of a caller's record never
+		// makes that record escape (see Fold).
+		m.paths[strings.Clone(key)] = p
 	}
 	return p
 }
@@ -482,51 +485,28 @@ func (m *HealthMonitor) evaluate(key string, p *pathHealth, now float64) {
 	p.transitions++
 	p.pendingN = 0
 	if m.cfg.OnTransition != nil {
-		m.notices = append(m.notices, healthNotice{path: key, tr: tr})
+		m.notices = append(m.notices, healthNotice{path: strings.Clone(key), tr: tr})
 	}
 }
 
-// --- Observer feeding -------------------------------------------------
+// --- Operation feeding ----------------------------------------------
 
-// ProbeStarted is a no-op: launches are not outcomes.
-func (m *HealthMonitor) ProbeStarted(ProbeStart) {}
-
-// ProbeFinished folds a probe outcome into its path's window.
-func (m *HealthMonitor) ProbeFinished(e ProbeEnd) {
-	m.fold(e.Path.Label(), e.Time, e.Class, e.Duration, e.Bytes, false)
-}
-
-// ProbeCanceled is a no-op: a reaped loser says nothing about the path.
-func (m *HealthMonitor) ProbeCanceled(ProbeCancel) {}
-
-// PathSelected is a no-op: selection counts live in Metrics.
-func (m *HealthMonitor) PathSelected(Selection) {}
-
-// TransferStarted is a no-op: launches are not outcomes.
-func (m *HealthMonitor) TransferStarted(TransferStart) {}
-
-// TransferFinished folds a payload-transfer outcome.
-func (m *HealthMonitor) TransferFinished(e TransferEnd) {
-	m.fold(e.Path.Label(), e.Time, e.Class, e.Duration, e.Bytes, false)
-}
-
-// RetryScheduled folds a transport retry (a half-weight failure signal).
-func (m *HealthMonitor) RetryScheduled(e Retry) {
-	m.fold(e.Path.Label(), e.Time, ClassFailed, 0, 0, true)
-}
-
-// TransferAborted folds deadline deaths as failures; caller
-// cancellations are ignored.
-func (m *HealthMonitor) TransferAborted(e Abort) {
-	if e.Class == ClassCanceled {
-		return
+// Fold folds one finished operation: each leg once, in the order the
+// engine issued them, at its own End — its cold retries first, at the
+// times they carry, as half-weight failure signals. Canceled legs (a
+// reaped loser, an abandoned operation) are not samples. Fold keeps
+// nothing op points to.
+func (m *HealthMonitor) Fold(op *Op) {
+	for i := range op.Legs {
+		l := &op.Legs[i]
+		for _, at := range l.Retries {
+			m.fold(l.Route, at, ClassFailed, 0, 0, true)
+		}
+		m.fold(l.Route, l.End, l.Class, l.End-l.Start, l.Bytes, false)
 	}
-	m.fold(e.Path.Label(), e.Time, e.Class, 0, 0, false)
 }
 
-var _ Observer = (*HealthMonitor)(nil)
-
-// --- Direct feeding (daemons without an event stream) ----------------
+// --- Direct feeding (daemons' own outcomes) -------------------------
 
 // Observe records one outcome on key at the monitor's clock: the relay
 // feeds forward outcomes per origin, the origin serve outcomes per
@@ -600,7 +580,7 @@ func (s HealthSnapshot) Path(key string) (PathHealth, bool) {
 
 // Snapshot captures every path's current health, re-evaluating each
 // state first so aging alone (a path gone quiet) is reflected without
-// waiting for its next event.
+// waiting for its next sample.
 func (m *HealthMonitor) Snapshot() HealthSnapshot {
 	m.mu.Lock()
 	now := m.now()

@@ -146,11 +146,11 @@ func TestHealthStalenessDrivesScoreDown(t *testing.T) {
 
 func TestHealthCanceledIsNotASample(t *testing.T) {
 	// A canceled outcome says nothing about the path, whichever way it
-	// arrives: an event stream's abort, or a daemon's direct Observe of a
-	// reaped probe. Neither may leave an entry scoring 0.
+	// arrives: an operation's reaped probe, or a daemon's direct Observe
+	// of a client hanging up. Neither may leave an entry scoring 0.
 	for name, feed := range map[string]func(m *HealthMonitor){
-		"TransferAborted": func(m *HealthMonitor) {
-			m.TransferAborted(Abort{Path: PathID{}, Time: 1, Class: ClassCanceled})
+		"Fold": func(m *HealthMonitor) {
+			m.Fold(&Op{Legs: []Leg{{Route: "direct", Probe: true, End: 1, Class: ClassCanceled, Reaped: true, Aborted: true}}})
 		},
 		"Observe": func(m *HealthMonitor) { m.Observe("origin", ClassCanceled, 0.01, 4096) },
 	} {
@@ -162,20 +162,27 @@ func TestHealthCanceledIsNotASample(t *testing.T) {
 	}
 }
 
+// TestHealthObserverFeeding folds operation records: each leg is one
+// sample at its End — a deadline death once, however the transport
+// announced it — and each retry one at the time it carries.
 func TestHealthObserverFeeding(t *testing.T) {
 	m := NewHealthMonitor(testHealthCfg())
-	via := "r1"
-	p := PathID{Via: via}
-	m.ProbeFinished(ProbeEnd{Path: p, Time: 1, Bytes: 50000, Duration: 0.1, Class: ClassOK})
-	m.TransferFinished(TransferEnd{Path: p, Time: 2, Bytes: 1 << 20, Duration: 0.5, Class: ClassOK})
-	m.RetryScheduled(Retry{Path: p, Time: 3, Attempt: 1})
-	m.TransferAborted(Abort{Path: p, Time: 4, Class: ClassTimeout})
-	ph, ok := m.PathHealth(p.Label())
+	m.Fold(&Op{Route: "r1", Selected: true, Legs: []Leg{
+		{Route: "r1", Probe: true, Start: 0.9, End: 1, Bytes: 50000, Class: ClassOK},
+		{Route: "r1", Start: 1.5, End: 2, Bytes: 1 << 20, Class: ClassOK},
+	}})
+	m.Fold(&Op{Legs: []Leg{
+		{Route: "r1", Start: 2.5, End: 4, Bytes: 1 << 20, Class: ClassTimeout, Aborted: true, Retries: []float64{3}},
+	}})
+	ph, ok := m.PathHealth("r1")
 	if !ok {
-		t.Fatalf("no entry for %q", p.Label())
+		t.Fatal("no entry for r1")
 	}
 	if ph.Ok != 2 || ph.Retries != 1 || ph.Failed != 1 {
 		t.Fatalf("counts ok=%d retry=%d fail=%d, want 2/1/1", ph.Ok, ph.Retries, ph.Failed)
+	}
+	if ph.LastSuccessAge != 2 {
+		t.Fatalf("last success age = %v, want 2 (the transfer ending at 2, seen from 4)", ph.LastSuccessAge)
 	}
 }
 

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,14 +27,19 @@ const (
 	transferMbpsBins               = 200
 )
 
-// Metrics aggregates events into per-P striped counters, per-path
-// utilization tallies, and fixed-bucket histograms. Counter and
+// Metrics folds finished operations into per-P striped counters,
+// per-path utilization tallies, and fixed-bucket histograms. Counter and
 // histogram updates land on cache-line-padded stripes (one per P, see
 // stripe.go) so concurrent transfer goroutines stop ping-ponging shared
 // cache lines; Snapshot folds the stripes. The per-path map takes a
 // read lock on the hot path (a write lock only the first time a path is
-// seen). Snapshot may be called concurrently with observation.
+// seen). Snapshot may be called concurrently with Fold.
 type Metrics struct {
+	// Health, when set, folds every operation Metrics folds: the one link
+	// through which a client's health monitor sees its operations. Set it
+	// before the first Fold.
+	Health *HealthMonitor
+
 	counters *stripedCounters
 
 	pathMu sync.RWMutex
@@ -76,91 +82,80 @@ func (m *Metrics) tally(label string) *pathTally {
 	defer m.pathMu.Unlock()
 	if t = m.paths[label]; t == nil {
 		t = &pathTally{}
-		m.paths[label] = t
+		// A copy for the key, so a label read out of a caller's record
+		// never makes that record escape (see Fold).
+		m.paths[strings.Clone(label)] = t
 	}
 	return t
 }
 
-// ProbeStarted counts the probe toward its route's appearance tally — the
-// denominator of the route's utilization (see Path).
-func (m *Metrics) ProbeStarted(e ProbeStart) {
-	m.counters.add(cProbesStarted, 1)
-	m.tally(e.Path.Label()).probed.Add(1)
-}
-
-// ProbeFinished records the outcome: successful probes feed the latency
-// histogram and the delivered-byte counts, overall and per route;
-// failures (other than engine cancellations, which ProbeCanceled already
-// counted) feed the failure tallies.
-func (m *Metrics) ProbeFinished(e ProbeEnd) {
-	m.counters.add(cProbesFinished, 1)
-	switch e.Class {
-	case ClassOK:
-		m.counters.add(cBytesDelivered, e.Bytes)
-		m.tally(e.Path.Label()).bytes.Add(e.Bytes)
-		m.probeLatency.observe(e.Duration, TraceID{})
-	case ClassCanceled:
-		// The reap decision was counted by ProbeCanceled; nothing more.
-	default:
-		m.counters.add(cProbesFailed, 1)
-		m.tally(e.Path.Label()).failed.Add(1)
+// Fold tallies one finished operation: its selection, then each leg.
+// A probe counts toward its route's appearances (the denominator of the
+// route's utilization, see Path) and a selection toward its wins.
+// Successful legs feed the delivered-byte counts, overall and per route,
+// and the latency (probes) or throughput (payload) histogram. A reaped
+// loser counts as canceled, whatever class it then ended with, and a
+// canceled probe is not a failure; a canceled payload transfer is.
+// bytesStreamed counts every byte that arrived, delivered or not, so its
+// gap to bytesDelivered measures wasted transfer work. With Health set,
+// the monitor folds the same record. Neither fold keeps op or anything it
+// points to, so a record built on the caller's stack stays there.
+func (m *Metrics) Fold(op *Op) {
+	c := m.counters
+	if op.Selected {
+		c.add(cSelections, 1)
+		if op.Route != "direct" {
+			c.add(cSelectionsIndirect, 1)
+		}
+		m.tally(op.Route).selected.Add(1)
+	}
+	for i := range op.Legs {
+		l := &op.Legs[i]
+		t := m.tally(l.Route)
+		if l.Probe {
+			c.add(cProbesStarted, 1)
+			c.add(cProbesFinished, 1)
+			t.probed.Add(1)
+			if l.Reaped {
+				c.add(cProbesCanceled, 1)
+				t.canceled.Add(1)
+			}
+		} else {
+			c.add(cTransfersStarted, 1)
+			c.add(cTransfersFinished, 1)
+		}
+		switch {
+		case l.Class == ClassOK:
+			c.add(cBytesDelivered, l.Bytes)
+			t.bytes.Add(l.Bytes)
+			if d := l.End - l.Start; l.Probe {
+				m.probeLatency.observe(d, TraceID{})
+			} else if d > 0 {
+				m.transferTput.observe(float64(l.Bytes)*8/d/1e6, TraceID{})
+			}
+		case l.Probe && l.Class == ClassCanceled:
+			// A reap (counted above) or an abandoned race: no failure.
+		case l.Probe:
+			c.add(cProbesFailed, 1)
+			t.failed.Add(1)
+		default:
+			c.add(cTransfersFailed, 1)
+			t.failed.Add(1)
+		}
+		if l.Aborted {
+			c.add(cAborts, 1)
+		}
+		if n := len(l.Retries); n > 0 {
+			c.add(cRetries, int64(n))
+		}
+		if l.Streamed > 0 {
+			c.add(cBytesStreamed, l.Streamed)
+		}
+	}
+	if m.Health != nil {
+		m.Health.Fold(op)
 	}
 }
-
-// ProbeCanceled counts a loser reaped by the engine.
-func (m *Metrics) ProbeCanceled(e ProbeCancel) {
-	m.counters.add(cProbesCanceled, 1)
-	m.tally(e.Path.Label()).canceled.Add(1)
-}
-
-// PathSelected counts the commit — the numerator of the winning route's
-// utilization.
-func (m *Metrics) PathSelected(e Selection) {
-	m.counters.add(cSelections, 1)
-	if e.Indirect {
-		m.counters.add(cSelectionsIndirect, 1)
-	}
-	m.tally(e.Path.Label()).selected.Add(1)
-}
-
-// TransferStarted counts a payload transfer being issued.
-func (m *Metrics) TransferStarted(e TransferStart) {
-	m.counters.add(cTransfersStarted, 1)
-}
-
-// TransferFinished records the payload outcome; successes feed the
-// throughput histogram.
-func (m *Metrics) TransferFinished(e TransferEnd) {
-	m.counters.add(cTransfersFinished, 1)
-	if e.Class != ClassOK {
-		m.counters.add(cTransfersFailed, 1)
-		m.tally(e.Path.Label()).failed.Add(1)
-		return
-	}
-	m.counters.add(cBytesDelivered, e.Bytes)
-	m.tally(e.Path.Label()).bytes.Add(e.Bytes)
-	if e.Duration > 0 {
-		m.transferTput.observe(float64(e.Bytes)*8/e.Duration/1e6, TraceID{})
-	}
-}
-
-// RetryScheduled counts a transport-level retry.
-func (m *Metrics) RetryScheduled(e Retry) { m.counters.add(cRetries, 1) }
-
-// TransferAborted counts a transport-level teardown by context death.
-func (m *Metrics) TransferAborted(e Abort) { m.counters.add(cAborts, 1) }
-
-// TransferProgress accumulates in-flight bytes. Unlike bytesDelivered
-// (credited only on success), bytesStreamed counts every byte that
-// arrived, so the gap between the two measures wasted transfer work.
-// This is the hottest callback — once per received chunk — and the one
-// the striped cells exist for.
-func (m *Metrics) TransferProgress(e Progress) { m.counters.add(cBytesStreamed, e.Chunk) }
-
-var (
-	_ Observer         = (*Metrics)(nil)
-	_ ProgressObserver = (*Metrics)(nil)
-)
 
 // PathSnapshot is one route's aggregated counters. Utilization is
 // Selected over Probed (see Metrics.Path).

@@ -15,9 +15,6 @@ func TestPathIDLabel(t *testing.T) {
 	if l := pid("campus").Label(); l != "campus" {
 		t.Fatalf("relay label = %q", l)
 	}
-	if !pid("").Direct() || pid("campus").Direct() {
-		t.Fatal("Direct() misclassifies")
-	}
 }
 
 func TestErrClassStrings(t *testing.T) {
@@ -32,28 +29,21 @@ func TestErrClassStrings(t *testing.T) {
 	}
 }
 
-// playRace drives one canonical selection race into an observer: three
-// probes start, the relay "fast" wins, two losers are canceled and then
-// finish with the canceled class, and the warm remainder completes.
-func playRace(o Observer) {
-	for _, via := range []string{"", "fast", "slow"} {
-		o.ProbeStarted(ProbeStart{Path: pid(via), Time: 0, Bytes: 100_000})
-	}
-	o.PathSelected(Selection{Path: pid("fast"), Time: 0.1, Rule: "first-finished",
-		Candidates: 3, Indirect: true, ProbeDuration: 0.1})
-	o.ProbeCanceled(ProbeCancel{Path: pid(""), Time: 0.1})
-	o.ProbeCanceled(ProbeCancel{Path: pid("slow"), Time: 0.1})
-	o.TransferStarted(TransferStart{Path: pid("fast"), Time: 0.1, Offset: 100_000, Bytes: 900_000, Warm: true})
-	o.ProbeFinished(ProbeEnd{Path: pid("fast"), Time: 0.1, Bytes: 100_000, Duration: 0.1, Class: ClassOK})
-	o.ProbeFinished(ProbeEnd{Path: pid(""), Time: 0.1, Bytes: 100_000, Duration: 0.1, Class: ClassCanceled, Err: "canceled"})
-	o.ProbeFinished(ProbeEnd{Path: pid("slow"), Time: 0.1, Bytes: 100_000, Duration: 0.1, Class: ClassCanceled, Err: "canceled"})
-	o.TransferFinished(TransferEnd{Path: pid("fast"), Time: 1.0, Offset: 100_000,
-		Bytes: 900_000, Duration: 0.9, Warm: true, Class: ClassOK})
+// race is the record of one canonical selection race: three probes, the
+// relay "fast" wins, the two losers are reaped and end with the canceled
+// class, and the warm remainder completes.
+func race() *Op {
+	return &Op{Route: "fast", Selected: true, Legs: []Leg{
+		{Route: "direct", Probe: true, Start: 0, End: 0.1, Bytes: 100_000, Class: ClassCanceled, Reaped: true, Aborted: true},
+		{Route: "fast", Probe: true, Start: 0, End: 0.1, Bytes: 100_000, Class: ClassOK},
+		{Route: "slow", Probe: true, Start: 0, End: 0.1, Bytes: 100_000, Class: ClassCanceled, Reaped: true, Aborted: true},
+		{Route: "fast", Start: 0.1, End: 1.0, Bytes: 900_000, Class: ClassOK},
+	}}
 }
 
 func TestMetricsCountsOneRace(t *testing.T) {
 	m := NewMetrics()
-	playRace(m)
+	m.Fold(race())
 	s := m.Snapshot()
 
 	if s.ProbesStarted != 3 || s.ProbesFinished != 3 {
@@ -70,6 +60,10 @@ func TestMetricsCountsOneRace(t *testing.T) {
 	}
 	if s.TransfersStarted != 1 || s.TransfersFinished != 1 || s.TransfersFailed != 0 {
 		t.Fatalf("transfers = %d/%d/%d", s.TransfersStarted, s.TransfersFinished, s.TransfersFailed)
+	}
+	// Each reaped loser ended with its context's error: one abort apiece.
+	if s.Aborts != 2 || s.Retries != 0 {
+		t.Fatalf("aborts/retries = %d/%d, want 2/0", s.Aborts, s.Retries)
 	}
 	if s.BytesDelivered != 100_000+900_000 {
 		t.Fatalf("bytes delivered = %d", s.BytesDelivered)
@@ -115,12 +109,10 @@ func TestMetricsCountsOneRace(t *testing.T) {
 
 func TestMetricsFailureClasses(t *testing.T) {
 	m := NewMetrics()
-	m.ProbeStarted(ProbeStart{Path: pid("dead")})
-	m.ProbeFinished(ProbeEnd{Path: pid("dead"), Class: ClassFailed, Err: "dial refused"})
-	m.TransferStarted(TransferStart{Path: pid("dead")})
-	m.TransferFinished(TransferEnd{Path: pid("dead"), Class: ClassTimeout, Err: "deadline"})
-	m.RetryScheduled(Retry{Path: pid("dead"), Attempt: 1, Backoff: 0.05})
-	m.TransferAborted(Abort{Path: pid("dead"), Class: ClassCanceled})
+	m.Fold(&Op{Legs: []Leg{
+		{Route: "dead", Probe: true, Class: ClassFailed},
+		{Route: "dead", Class: ClassTimeout, Aborted: true, Retries: []float64{0.05}},
+	}})
 
 	s := m.Snapshot()
 	if s.ProbesFailed != 1 || s.TransfersFailed != 1 || s.Retries != 1 || s.Aborts != 1 {
@@ -129,14 +121,14 @@ func TestMetricsFailureClasses(t *testing.T) {
 	if s.Paths["dead"].Failed != 2 {
 		t.Fatalf("dead tally failed = %d, want 2", s.Paths["dead"].Failed)
 	}
-	if s.BytesDelivered != 0 {
-		t.Fatalf("bytes delivered = %d, want 0", s.BytesDelivered)
+	if s.BytesDelivered != 0 || s.Selections != 0 {
+		t.Fatalf("bytes delivered = %d, selections = %d, want 0 and 0", s.BytesDelivered, s.Selections)
 	}
 }
 
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	m := NewMetrics()
-	playRace(m)
+	m.Fold(race())
 	var back Snapshot
 	if err := json.Unmarshal(m.Snapshot().JSON(), &back); err != nil {
 		t.Fatalf("snapshot JSON does not parse: %v", err)
@@ -148,46 +140,20 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 
 func TestSnapshotPathLabelsOrder(t *testing.T) {
 	m := NewMetrics()
-	playRace(m)
+	m.Fold(race())
 	labels := m.Snapshot().PathLabels()
 	if len(labels) != 3 || labels[0] != "direct" || labels[1] != "fast" || labels[2] != "slow" {
 		t.Fatalf("labels = %v", labels)
 	}
 }
 
-func TestMultiFanoutAndNilCollapse(t *testing.T) {
-	if Multi() != nil || Multi(nil, nil) != nil {
-		t.Fatal("Multi of nothing should be nil")
-	}
-	m := NewMetrics()
-	if Multi(nil, m) != Observer(m) {
-		t.Fatal("Multi of one live observer should return it directly")
-	}
-	m2 := NewMetrics()
-	playRace(Multi(m, nil, m2))
-	if s1, s2 := m.Snapshot(), m2.Snapshot(); s1.ProbesFinished != 3 || s2.ProbesFinished != 3 ||
-		s1.TransfersFinished != 1 || s2.TransfersFinished != 1 {
-		t.Fatalf("fanout lost events: %+v / %+v", s1, s2)
-	}
-}
-
-func TestBaseIsNoOp(t *testing.T) {
-	var b Base
-	playRace(b) // must not panic
-	// Base doesn't implement the optional extension; EmitProgress must be
-	// a no-op against it rather than panic.
-	EmitProgress(b, Progress{Chunk: 1})
-}
-
 func TestMetricsStreamCounters(t *testing.T) {
 	m := NewMetrics()
-	// A transfer that streams 3 chunks but ultimately fails: bytesStreamed
-	// counts all of it, bytesDelivered none.
-	for i, chunk := range []int64{64 << 10, 64 << 10, 10_000} {
-		EmitProgress(m, Progress{Path: pid("fast"), Chunk: chunk,
-			Delivered: int64(i+1) * chunk, Total: 1 << 20})
-	}
-	m.TransferFinished(TransferEnd{Path: pid("fast"), Class: ClassFailed, Err: "reset"})
+	// A transfer that streamed 64 KiB, was retried cold, streamed 74 KB
+	// more and ultimately failed: bytesStreamed counts all of it,
+	// bytesDelivered none.
+	m.Fold(&Op{Legs: []Leg{{Route: "fast", Bytes: 1 << 20, Class: ClassFailed,
+		Streamed: 64<<10 + 64<<10 + 10_000, Retries: []float64{0.2}}}})
 
 	s := m.Snapshot()
 	if want := int64(64<<10 + 64<<10 + 10_000); s.BytesStreamed != want {
@@ -198,23 +164,30 @@ func TestMetricsStreamCounters(t *testing.T) {
 	}
 }
 
-// TestMultiForwardsOptionalEvents pins the fan-out contract: wrapping a
-// progress-aware sink in Multi alongside a blind one must still deliver
-// progress to the aware sink.
-func TestMultiForwardsOptionalEvents(t *testing.T) {
+// TestFoldLeavesRecordOnStack: a record the caller built on its stack —
+// legs included — stays there, with a health monitor linked too.
+func TestFoldLeavesRecordOnStack(t *testing.T) {
 	m := NewMetrics()
-	fan := Multi(Base{}, m) // Base is blind to progress
-	EmitProgress(fan, Progress{Path: pid("fast"), Chunk: 512})
-	if s := m.Snapshot(); s.BytesStreamed != 512 {
-		t.Fatalf("progress lost in fan-out: streamed %d", s.BytesStreamed)
+	m.Health = NewHealthMonitor(HealthConfig{Clock: func() float64 { return 1 }})
+	route := string([]byte("fast")) // not a constant: a key the folds must copy
+	fold := func() {
+		var buf [4]Leg
+		op := Op{Route: route, Selected: true, Legs: buf[:0]}
+		op.Legs = append(op.Legs,
+			Leg{Route: route, Probe: true, End: 0.1, Bytes: 100_000, Class: ClassOK},
+			Leg{Route: route, Start: 0.1, End: 1, Bytes: 900_000, Class: ClassOK})
+		m.Fold(&op)
+	}
+	fold() // the first fold creates the route's entries
+	if n := testing.AllocsPerRun(100, fold); n != 0 {
+		t.Fatalf("Fold: %v allocs per record, want 0", n)
 	}
 }
 
-// TestMetricsConcurrentSnapshots is the race-detector pass the issue asks
-// for: many goroutines emitting while others snapshot continuously.
+// TestMetricsConcurrentSnapshots is the race-detector pass: many
+// goroutines folding while others snapshot continuously.
 func TestMetricsConcurrentSnapshots(t *testing.T) {
 	m := NewMetrics()
-	fan := Multi(m, NewMetrics())
 	const workers, rounds = 8, 200
 
 	var wg sync.WaitGroup
@@ -223,7 +196,7 @@ func TestMetricsConcurrentSnapshots(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				playRace(fan)
+				m.Fold(race())
 			}
 		}(w)
 	}

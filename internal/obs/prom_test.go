@@ -113,7 +113,7 @@ func TestHistogramQuantileEdgeCases(t *testing.T) {
 
 func TestMetricsSnapshotJSONCarriesQuantiles(t *testing.T) {
 	m := NewMetrics()
-	playRace(m)
+	m.Fold(race())
 	text := string(m.Snapshot().JSON())
 	for _, want := range []string{`"p50"`, `"p90"`, `"p99"`} {
 		if !strings.Contains(text, want) {

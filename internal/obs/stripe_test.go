@@ -230,7 +230,7 @@ func TestMetricsStripedCountersFoldInSnapshot(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < n; i++ {
-				m.TransferProgress(Progress{Chunk: 3})
+				m.Fold(&Op{Legs: []Leg{{Route: "direct", Streamed: 3}}})
 			}
 		}()
 	}

@@ -27,11 +27,9 @@ func TestCancelClosesTransferPromptly(t *testing.T) {
 
 	d := shaper.NewDialer()
 	d.SetProfile(ol.Addr().String(), shaper.PathProfile{DownloadBps: 1e6}) // 8 MB would take ~64s
-	m := obs.NewMetrics()
 	tr := &Transport{
-		Servers:  map[string]string{"origin": ol.Addr().String()},
-		Dial:     d.Dial,
-		Observer: m,
+		Servers: map[string]string{"origin": ol.Addr().String()},
+		Dial:    d.Dial,
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -50,8 +48,8 @@ func TestCancelClosesTransferPromptly(t *testing.T) {
 	if elapsed > 3*time.Second {
 		t.Fatalf("Wait took %v after cancellation; conn not closed?", elapsed)
 	}
-	if m.Snapshot().Aborts == 0 {
-		t.Fatal("cancellation not accounted")
+	if res.Streamed == 0 || res.Streamed >= 8_000_000 {
+		t.Fatalf("streamed %d bytes before the cancellation, want some but not all", res.Streamed)
 	}
 }
 
@@ -90,15 +88,14 @@ func TestProbeRaceCancelsLosingConnections(t *testing.T) {
 			"fast": fl.Addr().String(),
 			"slow": sl.Addr().String(),
 		},
-		Dial:     d.Dial,
-		Verify:   true,
-		Observer: m,
+		Dial:   d.Dial,
+		Verify: true,
 	}
 
 	obj := core.Object{Server: "origin", Name: "big.bin", Size: 400_000}
 	start := time.Now()
 	out := core.SelectAndFetch(context.Background(), tr, obj, []string{"slow", "fast"},
-		core.Config{ProbeBytes: 200_000})
+		core.Config{ProbeBytes: 200_000, Metrics: m})
 	elapsed := time.Since(start)
 
 	if out.Err != nil {
@@ -131,13 +128,11 @@ func TestColdDialRetryWithBackoff(t *testing.T) {
 		}
 		return net.Dial(network, addr)
 	}
-	m := obs.NewMetrics()
 	tr := &Transport{
 		Servers:      map[string]string{"origin": ol.Addr().String()},
 		Dial:         flaky,
 		MaxRetries:   2,
 		RetryBackoff: time.Millisecond,
-		Observer:     m,
 	}
 
 	obj := core.Object{Server: "origin", Name: "big.bin", Size: 100_000}
@@ -146,7 +141,7 @@ func TestColdDialRetryWithBackoff(t *testing.T) {
 	if err := h.Result().Err; err != nil {
 		t.Fatalf("transfer failed despite retries: %v", err)
 	}
-	if got := m.Snapshot().Retries; got != 2 {
+	if got := len(h.Result().Retries); got != 2 {
 		t.Fatalf("Retries = %d, want 2", got)
 	}
 	if got := dials.Load(); got != 3 {
@@ -155,20 +150,18 @@ func TestColdDialRetryWithBackoff(t *testing.T) {
 }
 
 func TestRetriesExhausted(t *testing.T) {
-	m := obs.NewMetrics()
 	tr := &Transport{
 		Servers:      map[string]string{"origin": "127.0.0.1:1"},
 		Dial:         func(string, string) (net.Conn, error) { return nil, fmt.Errorf("down") },
 		MaxRetries:   1,
 		RetryBackoff: time.Millisecond,
-		Observer:     m,
 	}
 	h := tr.Start(core.Object{Server: "origin", Name: "x", Size: 10}, core.Path{}, 0, 10)
 	tr.Wait(h)
 	if h.Result().Err == nil {
 		t.Fatal("expected error once retries are exhausted")
 	}
-	if got := m.Snapshot().Retries; got != 1 {
+	if got := len(h.Result().Retries); got != 1 {
 		t.Fatalf("Retries = %d, want 1", got)
 	}
 }

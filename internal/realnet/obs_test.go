@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -16,36 +15,10 @@ import (
 	"repro/internal/shaper"
 )
 
-// eventLog keeps the transport-level events the tests below read back.
-type eventLog struct {
-	obs.Base
-	mu      sync.Mutex
-	retries []obs.Retry
-	aborts  []obs.Abort
-}
-
-func (l *eventLog) RetryScheduled(e obs.Retry) {
-	l.mu.Lock()
-	l.retries = append(l.retries, e)
-	l.mu.Unlock()
-}
-
-func (l *eventLog) TransferAborted(e obs.Abort) {
-	l.mu.Lock()
-	l.aborts = append(l.aborts, e)
-	l.mu.Unlock()
-}
-
-// seen returns what has been logged so far.
-func (l *eventLog) seen() ([]obs.Retry, []obs.Abort) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]obs.Retry(nil), l.retries...), append([]obs.Abort(nil), l.aborts...)
-}
-
-// TestRetryEventsMatchCounter asserts that every cold re-attempt emits
-// one RetryScheduled event — with the attempt number and a positive
-// backoff — and that the metrics collector counts each.
+// TestRetryEventsMatchCounter asserts that every cold re-attempt is
+// carried in the transfer's result — at a transport time inside the
+// transfer — and that the engine's record of the probe hands each to the
+// metrics collector and, through its link, the health monitor.
 func TestRetryEventsMatchCounter(t *testing.T) {
 	origin := relay.NewOriginServer()
 	origin.Put("big.bin", 100_000)
@@ -62,49 +35,45 @@ func TestRetryEventsMatchCounter(t *testing.T) {
 		}
 		return net.Dial(network, addr)
 	}
-	m := obs.NewMetrics()
-	log := &eventLog{}
 	tr := &Transport{
 		Servers:      map[string]string{"origin": ol.Addr().String()},
 		Dial:         flaky,
 		MaxRetries:   2,
 		RetryBackoff: time.Millisecond,
-		Observer:     obs.Multi(m, log),
 	}
+	m := obs.NewMetrics()
+	m.Health = obs.NewHealthMonitor(obs.HealthConfig{})
 
+	// The whole object is the probe: one leg, no remainder.
 	obj := core.Object{Server: "origin", Name: "big.bin", Size: 100_000}
-	h := tr.Start(obj, core.Path{}, 0, 100_000)
-	tr.Wait(h)
-	if err := h.Result().Err; err != nil {
-		t.Fatalf("transfer failed despite retries: %v", err)
+	out := core.SelectAndFetch(context.Background(), tr, obj, nil, core.Config{ProbeBytes: 100_000, Metrics: m})
+	if out.Err != nil {
+		t.Fatalf("transfer failed despite retries: %v", out.Err)
 	}
 
+	p := out.Probes[0]
+	if len(p.Retries) != 2 {
+		t.Fatalf("result carries %d retries, want 2: %v", len(p.Retries), p.Retries)
+	}
+	prev := p.Start
+	for i, at := range p.Retries {
+		if at < prev || at > p.End {
+			t.Fatalf("retry %d at %v, outside the transfer [%v, %v] or out of order", i, at, p.Start, p.End)
+		}
+		prev = at
+	}
 	if got := m.Snapshot().Retries; got != 2 {
-		t.Fatalf("retry events = %d, want 2", got)
+		t.Fatalf("metrics retries = %d, want 2", got)
 	}
-	retries, _ := log.seen()
-	if len(retries) != 2 {
-		t.Fatalf("observed %d retry events, want 2: %v", len(retries), retries)
-	}
-	for i, e := range retries {
-		if e.Attempt != i+1 {
-			t.Fatalf("retry %d attempt = %d, want %d", i, e.Attempt, i+1)
-		}
-		if e.Backoff <= 0 {
-			t.Fatalf("retry %d has no backoff: %+v", i, e)
-		}
-		if e.Err == "" {
-			t.Fatalf("retry %d carries no cause", i)
-		}
-		if e.Path.Server != "origin" || !e.Path.Direct() {
-			t.Fatalf("retry %d path = %+v", i, e.Path)
-		}
+	if ph, _ := m.Health.PathHealth("direct"); ph.Retries != 2 || ph.Ok != 1 {
+		t.Fatalf("health = %+v, want 2 retries and 1 success", ph)
 	}
 }
 
 // TestAbortEventMatchesCanceledCounter asserts a context-death teardown
-// emits exactly one TransferAborted (class canceled), already counted
-// when Wait returns.
+// ends the transfer with the context's typed error, and that the engine
+// records that leg as one abort of class canceled — already in the
+// collector when the probe returns.
 func TestAbortEventMatchesCanceledCounter(t *testing.T) {
 	origin := relay.NewOriginServer()
 	origin.Put("big.bin", 8_000_000)
@@ -116,35 +85,30 @@ func TestAbortEventMatchesCanceledCounter(t *testing.T) {
 
 	d := shaper.NewDialer()
 	d.SetProfile(ol.Addr().String(), shaper.PathProfile{DownloadBps: 1e6})
-	m := obs.NewMetrics()
-	log := &eventLog{}
 	tr := &Transport{
-		Servers:  map[string]string{"origin": ol.Addr().String()},
-		Dial:     d.Dial,
-		Observer: obs.Multi(m, log),
+		Servers: map[string]string{"origin": ol.Addr().String()},
+		Dial:    d.Dial,
 	}
+	m := obs.NewMetrics()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	obj := core.Object{Server: "origin", Name: "big.bin", Size: 8_000_000}
-	h := tr.StartCtx(ctx, obj, core.Path{}, 0, 8_000_000)
 	time.AfterFunc(50*time.Millisecond, cancel)
-	tr.Wait(h)
+	probes := core.Probe(ctx, tr, obj, nil, core.Config{ProbeBytes: 8_000_000, Metrics: m})
 
-	if !errors.Is(h.Result().Err, core.ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled", h.Result().Err)
+	if err := probes[0].Err; !errors.Is(err, core.ErrCanceled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want ErrCanceled from the context", err)
 	}
-	if got := m.Snapshot().Aborts; got != 1 {
-		t.Fatalf("abort events = %d, want 1", got)
-	}
-	if _, aborts := log.seen(); len(aborts) != 1 || aborts[0].Class != obs.ClassCanceled {
-		t.Fatalf("observed aborts = %+v, want one of class canceled", aborts)
+	s := m.Snapshot()
+	if s.Aborts != 1 || s.ProbesFailed != 0 || s.Paths["direct"].Failed != 0 {
+		t.Fatalf("aborts %d, probes failed %d, direct %+v: want one abort, no failure", s.Aborts, s.ProbesFailed, s.Paths["direct"])
 	}
 }
 
 // TestFinishedTransferIsNotAborted asserts that a context canceled the
 // instant Wait returns — what SelectAndFetch's deferred cancel does —
-// finds the transfer already deregistered: a clean transfer emits no
-// TransferAborted.
+// finds the transfer already deregistered: the published result stays
+// clean, with every byte streamed.
 func TestFinishedTransferIsNotAborted(t *testing.T) {
 	origin := relay.NewOriginServer()
 	origin.Put("small.bin", 4096)
@@ -154,23 +118,16 @@ func TestFinishedTransferIsNotAborted(t *testing.T) {
 	}
 	defer ol.Close()
 
-	m := obs.NewMetrics()
-	tr := &Transport{
-		Servers:  map[string]string{"origin": ol.Addr().String()},
-		Observer: m,
-	}
+	tr := &Transport{Servers: map[string]string{"origin": ol.Addr().String()}}
 	obj := core.Object{Server: "origin", Name: "small.bin", Size: 4096}
 	for i := 0; i < 200; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		h := tr.StartWarmCtx(ctx, obj, core.Path{}, 0, 4096)
 		tr.Wait(h)
 		cancel()
-		if err := h.Result().Err; err != nil {
-			t.Fatalf("fetch %d: %v", i, err)
+		if r := h.Result(); r.Err != nil || r.Streamed != 4096 {
+			t.Fatalf("fetch %d after cancel: err %v, streamed %d of 4096", i, r.Err, r.Streamed)
 		}
-	}
-	if got := m.Snapshot().Aborts; got != 0 {
-		t.Fatalf("%d of 200 finished transfers were counted as aborted", got)
 	}
 }
 
@@ -187,18 +144,18 @@ func TestStatusErrorClassifies(t *testing.T) {
 	}
 }
 
-// TestRealRaceEmitsUnifiedStream wires one Metrics collector into BOTH
-// the engine config and the transport, runs a selection race on a real
-// loopback testbed, and checks the unified counters are coherent.
+// TestRealRaceEmitsUnifiedStream runs a selection race on a real
+// loopback testbed with a Metrics collector on the engine alone and
+// checks that its counters — the transport's aborts and streamed bytes
+// among them, carried by the results — are coherent.
 func TestRealRaceEmitsUnifiedStream(t *testing.T) {
 	tr, cleanup := testbed(t)
 	defer cleanup()
 	m := obs.NewMetrics()
-	tr.Observer = m
 	obj := core.Object{Server: "origin", Name: "big.bin", Size: 2_000_000}
 
 	out := core.SelectAndFetch(context.Background(), tr, obj,
-		[]string{"fast", "slow"}, core.Config{ProbeBytes: 100_000, Observer: m})
+		[]string{"fast", "slow"}, core.Config{ProbeBytes: 100_000, Metrics: m})
 	if out.Err != nil {
 		t.Fatalf("race failed: %v", out.Err)
 	}
@@ -214,11 +171,15 @@ func TestRealRaceEmitsUnifiedStream(t *testing.T) {
 	if s.Paths[label].Selected != 1 {
 		t.Fatalf("winner %q not tallied: %+v", label, s.Paths)
 	}
-	// Each engine-canceled loser tears its connection down, so transport
-	// aborts track engine cancels (a loser that squeaked in just before
-	// its cancellation can make aborts fall short, never exceed).
+	// Each engine-canceled loser tears its connection down, so aborts
+	// track engine cancels (a loser that squeaked in just before its
+	// cancellation can make aborts fall short, never exceed).
 	if s.Aborts > s.ProbesCanceled || s.Aborts == 0 {
-		t.Fatalf("engine canceled %d probes but transport aborted %d transfers",
+		t.Fatalf("engine canceled %d probes but %d transfers ended aborted",
 			s.ProbesCanceled, s.Aborts)
+	}
+	// Every delivered byte was streamed; the losers streamed some more.
+	if s.BytesStreamed < s.BytesDelivered || s.BytesDelivered < obj.Size {
+		t.Fatalf("streamed %d, delivered %d of %d", s.BytesStreamed, s.BytesDelivered, obj.Size)
 	}
 }

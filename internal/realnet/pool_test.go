@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/relay"
 	"repro/internal/shaper"
 )
@@ -47,13 +46,11 @@ func TestHugeMaxRetriesDoesNotPanic(t *testing.T) {
 	}
 	addr := l.Addr().String()
 	l.Close() // nothing listens here anymore
-	m := obs.NewMetrics()
 	tr := &Transport{
 		Servers:      map[string]string{"origin": addr},
 		MaxRetries:   math.MaxInt32,
 		RetryBackoff: time.Nanosecond,
 		DialTimeout:  20 * time.Millisecond,
-		Observer:     m,
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
@@ -66,7 +63,7 @@ func TestHugeMaxRetriesDoesNotPanic(t *testing.T) {
 	if !errors.Is(res.Err, core.ErrProbeTimeout) && !errors.Is(res.Err, core.ErrCanceled) {
 		t.Fatalf("err = %v, want the typed context error", res.Err)
 	}
-	if m.Snapshot().Retries == 0 {
+	if len(res.Retries) == 0 {
 		t.Fatal("no retries recorded before the deadline")
 	}
 }

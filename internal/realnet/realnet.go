@@ -29,6 +29,7 @@ import (
 	"reflect"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bufpool"
@@ -94,18 +95,18 @@ type Transport struct {
 	// pool evicts it (DefaultIdleTTL when 0; negative disables expiry).
 	IdleTTL time.Duration
 
-	// Observer, Spans and Flight are the sinks every transfer's record
-	// (flight.Record) feeds; all nil (the default) leaves the record
+	// Progress, when set, is called with every stream-buffer fill of
+	// every transfer, on the transfer's goroutine: the one live hook, for
+	// a consumer that shows a transfer while it runs. What a transfer did
+	// — its streamed bytes and retries — reaches the engine's record
+	// through its result instead.
+	Progress func(obs.Progress)
+
+	// Spans and Flight are the sinks every transfer's record
+	// (flight.Record) feeds; both nil (the default) leaves the record
 	// closed, every site on the hot path a nil check, and the allocation
 	// profile unchanged.
 	//
-	// Observer receives transport-level events: RetryScheduled for every
-	// cold re-attempt (with the chosen backoff), TransferAborted for every
-	// context-death teardown, and stream progress. The engine's
-	// probe/selection events are configured separately (core.Config);
-	// pointing both at the same Metrics collector gives one unified view,
-	// whose Retries and Aborts are the counts of those events.
-	Observer obs.Observer
 	// Spans collects distributed-tracing spans: a "transfer" span per
 	// transfer (parented on the span context carried by its context,
 	// typically the engine's root or race span) with per-phase children —
@@ -219,6 +220,12 @@ type handle struct {
 	// so callers can account for partial delivery.
 	rec flight.Record
 
+	// streamed counts payload bytes across every attempt; retries (under
+	// mu) holds when each cold re-attempt was scheduled. Both land in the
+	// result.
+	streamed atomic.Int64
+	retries  []float64
+
 	connMu   sync.Mutex
 	conn     net.Conn
 	canceled bool
@@ -249,6 +256,8 @@ func (h *handle) finish(end float64, err error) {
 		if err != nil {
 			h.res.Delivered = h.rec.Bytes()
 		}
+		h.res.Streamed = h.streamed.Load()
+		h.res.Retries = h.retries
 		h.mu.Unlock()
 		close(h.done)
 	})
@@ -317,13 +326,13 @@ func (t *Transport) startFetch(ctx context.Context, obj core.Object, path core.P
 	if t.Spans != nil {
 		parent, _ = obs.SpanFromContext(ctx)
 	}
-	id := obs.PathID{Server: obj.Server, Object: obj.Name, Via: path.Via}
+	label := obs.PathID{Via: path.Via}.Label()
 	rec := &h.rec
 	rec.Start(flight.Spec{
-		Spans: t.Spans, Flight: t.Flight, Observer: t.Observer,
-		Service: "client", Phase: "transfer", Path: id.Label(), Object: obj.Name,
-		Warm: warm, Parent: parent, ID: id, Epoch: t.start})
-	rec.SetAttr("path", id.Label())
+		Spans: t.Spans, Flight: t.Flight,
+		Service: "client", Phase: "transfer", Path: label, Object: obj.Name,
+		Warm: warm, Parent: parent})
+	rec.SetAttr("path", label)
 	rec.SetAttr("object", obj.Name)
 
 	ctx, cancelCtx := t.transferContext(ctx)
@@ -333,13 +342,8 @@ func (t *Transport) startFetch(ctx context.Context, obj core.Object, path core.P
 	// without spinning until the socket unwinds. Registered with ctx, not
 	// parked on it: a transfer that finishes first costs no goroutine.
 	stop := context.AfterFunc(ctx, func() {
-		// Announced before the connection is closed: the close unwinds the
-		// fetch goroutine, whose own finish may be the one Wait sees, and
-		// the abort must already be counted by then.
-		err := core.CtxErr(ctx)
-		rec.Abort(core.ErrClassOf(err))
 		h.cancel()
-		h.finish(t.Now(), err)
+		h.finish(t.Now(), core.CtxErr(ctx))
 	})
 	go func() {
 		defer cancelCtx()
@@ -462,12 +466,15 @@ func (t *Transport) retryDelay(attempt int) time.Duration {
 	return d/2 + time.Duration(rand.Int63n(int64(d)))
 }
 
-// scheduleRetry counts a retry on the record (which announces it, with
-// the chosen backoff, to the observer) and sleeps the backoff out —
-// returning early with the typed error if ctx dies first.
-func (t *Transport) scheduleRetry(ctx context.Context, rec *flight.Record, attempt int, cause error) error {
+// scheduleRetry notes a retry — on the record, and with its time for the
+// result — and sleeps the backoff out, returning early with the typed
+// error if ctx dies first.
+func (t *Transport) scheduleRetry(ctx context.Context, h *handle, attempt int) error {
 	d := t.retryDelay(attempt)
-	rec.Retry(d, cause)
+	h.rec.Retry()
+	h.mu.Lock()
+	h.retries = append(h.retries, t.Now())
+	h.mu.Unlock()
 	timer := time.NewTimer(d)
 	defer timer.Stop()
 	select {
@@ -529,7 +536,7 @@ func (t *Transport) fetch(ctx context.Context, h *handle, obj core.Object, path 
 					return fmt.Errorf("realnet: dial %s: %w", dialAddr, err)
 				}
 				retries++
-				if berr := t.scheduleRetry(ctx, rec, retries, err); berr != nil {
+				if berr := t.scheduleRetry(ctx, h, retries); berr != nil {
 					return berr
 				}
 				continue
@@ -551,7 +558,7 @@ func (t *Transport) fetch(ctx context.Context, h *handle, obj core.Object, path 
 			continue
 		}
 		rec.StoreBytes(0)
-		reusable, err := t.doRange(pc, rec, obj, target, host, off, n)
+		reusable, err := t.doRange(pc, h, obj, path, target, host, off, n)
 		h.setConn(nil)
 		if err != nil {
 			if _, ok := err.(*StatusError); ok { // doRange returns it unwrapped
@@ -578,15 +585,22 @@ func (t *Transport) fetch(ctx context.Context, h *handle, obj core.Object, path 
 				continue
 			}
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				// A connection deadline fired without the ctx (cold
-				// standalone timeout): surface it as the typed expiry.
+				// The connection's deadline is ctx's: past it, this is
+				// ctx's deadline noticed a moment before ctx's own timer.
+				// Report the death ctx is about to, so that once this
+				// transfer is done the operation sees its ctx dead, and
+				// starts no work (a remainder) under it.
+				if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
+					<-ctx.Done()
+					return core.CtxErr(ctx)
+				}
 				return fmt.Errorf("%w: %w", core.ErrProbeTimeout, err)
 			}
 			if retries >= t.maxRetries() {
 				return err
 			}
 			retries++
-			if berr := t.scheduleRetry(ctx, rec, retries, err); berr != nil {
+			if berr := t.scheduleRetry(ctx, h, retries); berr != nil {
 				return berr
 			}
 			continue
@@ -626,11 +640,13 @@ var streamBufs = sync.Pool{
 }
 
 // doRange issues one keep-alive range request on an open connection and
-// streams the body: each buffer-full is verified (when Verify is set)
-// and counted into the record as it arrives, so nothing proportional to
-// n is ever held in memory. It reports whether the connection remains
-// usable for another request.
-func (t *Transport) doRange(pc *pooledConn, rec *flight.Record, obj core.Object, target, host string, off, n int64) (reusable bool, err error) {
+// streams the body: each buffer-full is verified (when Verify is set),
+// counted into the record and the streamed total, and handed to the
+// Progress hook as it arrives, so nothing proportional to n is ever held
+// in memory. It reports whether the connection remains usable for
+// another request.
+func (t *Transport) doRange(pc *pooledConn, h *handle, obj core.Object, path core.Path, target, host string, off, n int64) (reusable bool, err error) {
+	rec := &h.rec
 	req := httpx.NewGet(target, host)
 	delete(req.Header, "connection") // keep-alive
 	req.SetRange(off, n)
@@ -710,7 +726,14 @@ func (t *Transport) doRange(pc *pooledConn, rec *flight.Record, obj core.Object,
 				}
 			}
 			delivered += int64(m)
-			rec.Progress(off, int64(m), n)
+			rec.AddBytes(int64(m))
+			h.streamed.Add(int64(m))
+			if t.Progress != nil {
+				t.Progress(obs.Progress{
+					Path: obs.PathID{Server: obj.Server, Object: obj.Name, Via: path.Via},
+					Time: t.Now(), Offset: off, Chunk: int64(m), Delivered: rec.Bytes(), Total: n,
+				})
+			}
 		}
 		if rerr == io.EOF || rerr == io.ErrUnexpectedEOF {
 			rerr = fmt.Errorf("realnet: short read %d of %d bytes", delivered, n)

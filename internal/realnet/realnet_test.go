@@ -231,7 +231,7 @@ func TestMiniCampaignSelectionTracksConditions(t *testing.T) {
 			rate = 1e6
 		}
 		d.SetProfile(ol.Addr().String(), shaper.PathProfile{DownloadBps: rate})
-		out := core.SelectAndFetch(context.Background(), tr, obj, []string{"r"}, core.Config{ProbeBytes: 150_000, Observer: m})
+		out := core.SelectAndFetch(context.Background(), tr, obj, []string{"r"}, core.Config{ProbeBytes: 150_000, Metrics: m})
 		if out.Err != nil {
 			t.Fatalf("round %d: %v", round, out.Err)
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 
 	"repro"
@@ -16,33 +15,12 @@ import (
 	"repro/internal/topo"
 )
 
-// lifecycleLog is the tests' own typed observer: it keeps the probe
-// starts and counts the selections it is shown.
-type lifecycleLog struct {
-	repro.BaseObserver
-	mu          sync.Mutex
-	probeStarts []repro.ProbeStartEvent
-	selections  int
-}
-
-func (l *lifecycleLog) ProbeStarted(e repro.ProbeStartEvent) {
-	l.mu.Lock()
-	l.probeStarts = append(l.probeStarts, e)
-	l.mu.Unlock()
-}
-
-func (l *lifecycleLog) PathSelected(repro.SelectionEvent) {
-	l.mu.Lock()
-	l.selections++
-	l.mu.Unlock()
-}
-
 // TestClientSnapshotMatchesOutcomes is the acceptance check for the
-// observability layer on a real loopback network: a Client with
-// WithObserver runs several select-and-fetch operations, and the
-// metrics snapshot's selection, cancellation, and per-relay
-// utilization counts must exactly match what the returned Outcomes
-// say happened.
+// observability layer on a real loopback network: a Client runs several
+// select-and-fetch operations with nothing wired into its transport, and
+// the metrics snapshot's selection, cancellation, per-relay utilization
+// and byte counts must exactly match what the returned Outcomes say
+// happened.
 func TestClientSnapshotMatchesOutcomes(t *testing.T) {
 	origin := relay.NewOriginServer()
 	origin.Put("large.bin", 600_000)
@@ -76,17 +54,14 @@ func TestClientSnapshotMatchesOutcomes(t *testing.T) {
 	}
 	defer tr.Close()
 
-	log := &lifecycleLog{}
-	client := repro.New(tr,
-		repro.WithProbeBytes(150_000),
-		repro.WithObserver(log))
-	tr.Observer = client.Observer()
+	client := repro.New(tr, repro.WithProbeBytes(150_000))
 
 	obj := repro.Object{Server: "origin", Name: "large.bin", Size: 600_000}
 	cands := []string{"campus", "isp"}
 
 	const runs = 3
 	indirect, canceled := 0, 0
+	var streamed int64
 	selectedBy := map[string]int{}
 	for i := 0; i < runs; i++ {
 		out := client.SelectAndFetch(context.Background(), obj, cands)
@@ -105,7 +80,9 @@ func TestClientSnapshotMatchesOutcomes(t *testing.T) {
 			if errors.Is(p.Err, repro.ErrCanceled) {
 				canceled++
 			}
+			streamed += p.Streamed
 		}
+		streamed += out.Remainder.Streamed
 	}
 
 	s := client.Snapshot()
@@ -131,24 +108,24 @@ func TestClientSnapshotMatchesOutcomes(t *testing.T) {
 			t.Fatalf("path %s utilization = %v, want %v", label, got, want)
 		}
 	}
-	// No retries happened, and the transport never aborted more
-	// connections than the engine canceled probes.
+	// No retries happened; the aborts are the probes that ended with
+	// their context's error — here, the canceled ones — never more than
+	// the engine reaped; and the streamed bytes are what the outcomes'
+	// transfers streamed.
 	if s.Retries != 0 {
 		t.Fatalf("unexpected retries: %d", s.Retries)
 	}
-	if s.Aborts > s.ProbesCanceled {
-		t.Fatalf("aborts %d exceed canceled probes %d", s.Aborts, s.ProbesCanceled)
+	if s.Aborts != int64(canceled) {
+		t.Fatalf("aborts %d, outcomes say %d", s.Aborts, canceled)
 	}
-
-	// The observer attached via WithObserver saw the same stream.
-	if log.selections != runs {
-		t.Fatalf("observer saw %d selections, want %d", log.selections, runs)
+	if s.BytesStreamed != streamed || s.BytesDelivered < runs*obj.Size {
+		t.Fatalf("streamed %d (outcomes say %d), delivered %d", s.BytesStreamed, streamed, s.BytesDelivered)
 	}
 }
 
 // simOutcome builds the quickstart's deterministic simulated world and
-// runs one select-and-fetch through it, optionally observed.
-func simOutcome(o repro.Observer) repro.Outcome {
+// runs one select-and-fetch through it, recording into m.
+func simOutcome(m *repro.Metrics) repro.Outcome {
 	scen := topo.NewScenario(topo.Params{Seed: 2007})
 	client := scen.FindClient("Korea")
 	server := scen.FindServer("eBay")
@@ -164,19 +141,19 @@ func simOutcome(o repro.Observer) repro.Outcome {
 	inst.Warmup(300)
 
 	obj := repro.Object{Server: "eBay", Name: "large.bin", Size: 4_000_000}
-	cfg := repro.Config{ProbeBytes: repro.DefaultProbeBytes, Observer: o}
+	cfg := repro.Config{ProbeBytes: repro.DefaultProbeBytes, Metrics: m}
 	return repro.New(world, repro.WithConfig(cfg)).SelectAndFetch(context.Background(), obj, []string{"Berkeley", "Princeton"})
 }
 
 // TestSimulatorDeterministicUnderObservation asserts observation is
-// passive: two identically seeded virtual-time runs — one unobserved,
-// one with a Metrics collector and a typed observer attached — produce
-// byte-identical outcomes.
+// passive: two identically seeded virtual-time runs — one folding into
+// the client's own collector, one into a collector with a health monitor
+// linked — produce byte-identical outcomes.
 func TestSimulatorDeterministicUnderObservation(t *testing.T) {
 	bare := simOutcome(nil)
 	m := repro.NewMetrics()
-	log := &lifecycleLog{}
-	observed := simOutcome(repro.MultiObserver(m, log))
+	m.Health = repro.NewHealthMonitor(repro.HealthConfig{})
+	observed := simOutcome(m)
 
 	if got, want := fmt.Sprintf("%+v", observed), fmt.Sprintf("%+v", bare); got != want {
 		t.Fatalf("observed run diverged from bare run:\n got %s\nwant %s", got, want)
@@ -188,10 +165,9 @@ func TestSimulatorDeterministicUnderObservation(t *testing.T) {
 	if s := m.Snapshot(); s.Selections != 1 || s.ProbesStarted != 3 {
 		t.Fatalf("metrics missed the run: %+v", s)
 	}
-	// Virtual-time stamps on the events are exact simulator times, not
-	// wall-clock: the first probe starts at the post-warmup instant.
-	if len(log.probeStarts) != 3 || log.selections != 1 || log.probeStarts[0].Time < 300 {
-		t.Fatalf("observer saw %d selections and probe starts %+v, want 1 and 3 from t>=300s virtual",
-			log.selections, log.probeStarts)
+	// The record carries exact simulator times, not wall-clock: the
+	// health monitor, on record time, reads the post-warmup instant.
+	if hs := m.Health.Snapshot(); len(hs.Paths) == 0 || hs.Time < 300 {
+		t.Fatalf("health snapshot %+v, want paths folded at t>=300s virtual", hs)
 	}
 }

@@ -6,7 +6,9 @@
 # build cache), the two sides alternate — parent first on even pairs,
 # change first on odd ones — over seeds 41, 42, ..., and every end-to-end
 # metric is reported as median [first .. third quartile] per side, with
-# the pairs the change won and the metric's BENCHMARK.json bound.
+# the pairs the change won and the metric's BENCHMARK.json bound. A last
+# `failed` row sums each side's failed and attempted operations over all
+# its runs: a change may not fail more operations than its parent.
 #
 #   scripts/benchpair.sh WORKLOAD [PAIRS=5] [REF=HEAD~1]
 #
@@ -31,13 +33,14 @@ sed -n 's/.*"name": *"\([^"]*\)".*"better": *"\([^"]*\)".*"bound": *\([0-9.]*\).
 	"$root/BENCHMARK.json" >"$work/metrics"
 
 # run SIDE TREE PAIR SEED appends "metric side pair value" rows for the
-# run's last line, the JSON result.
+# run's last line, the JSON result, and a "side failed attempted" row.
 run() {
 	local json m
 	json=$(cd "$2" && bash bench/run.sh --workload "$workload" --seed "$4" --trace 0 | tail -n 1)
 	while read -r m _; do
 		echo "$m $1 $3 $(grep -o "\"$m\":{\"value\":[^,}]*" <<<"$json" | sed 's/.*://')"
 	done <"$work/metrics" >>"$work/rows"
+	echo "$1 $(grep -o '"failed":[0-9]*' <<<"$json" | sed 's/.*://') $(grep -o '"attempted":[0-9]*' <<<"$json" | sed 's/.*://')" >>"$work/ops"
 	echo "  pair $3 seed $4 $1: $(grep -o '"ops_per_s":{"value":[^,}]*' <<<"$json" | sed 's/.*://') ops/s" >&2
 }
 
@@ -79,3 +82,5 @@ END {
 			m, p, c, med["parent"] ? med["change"] / med["parent"] : 0, wins, pairs, better[m], bound[m] * 100
 	}
 }' "$work/metrics" "$work/rows"
+awk '{ f[$1] += $2; a[$1] += $3 }
+END { printf "%-16s %-30s %-30s\n", "failed", f["parent"] "/" a["parent"] " ops", f["change"] "/" a["change"] " ops" }' "$work/ops"
