@@ -94,14 +94,16 @@ flight-smoke:
 # reader holds it), the codec's recycled heads and the engine's shared
 # cancellation errors, twenty times over under the race detector; the
 # whole root package (the facade's accounting and the live end-to-end
-# tests) ten times under it; the quick report against its golden five
+# tests) and the registry (delta polls through change-log trims beside
+# concurrent writers, TTL expiry, peer sync) ten times under it; the
+# quick report against its golden five
 # times (before the report was a function of -seed it differed one run in
 # two); then the repo benchmark's smoke test ten times. Everything those
 # tests read either lands before the final byte or is waited for with
 # WaitIdle, so one failure here is a bug, not a flake.
 stress:
 	$(GO) test -race -count=20 ./internal/relay/ ./internal/realnet/ ./internal/obs/flight/ ./internal/obs/ ./internal/shaper/ ./internal/objcache/ ./internal/httpx/ ./internal/core/
-	$(GO) test -race -count=10 .
+	$(GO) test -race -count=10 . ./internal/registry/
 	$(GO) test -count=5 ./cmd/indirectlab -run QuickReportGolden
 	cd bench && $(GO) test -count=10 ./...
 

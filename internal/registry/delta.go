@@ -13,8 +13,10 @@ import (
 // refreshes don't move ChangeEpoch) instead of the full 100k-entry
 // list. Clients hold the mirror in a RankedSet and rank locally. The
 // server pays for a poll in proportion to what changed: it locks each
-// shard, reads the shard's change watermark, and walks only the shards
-// stamped since the client's epoch (or in which TTL expiry is due).
+// shard, skips it when its change watermark has not passed the client's
+// epoch, and otherwise replays the shard's change log past that epoch.
+// Only a shard in which TTL expiry is due, or whose log no longer
+// reaches back to the client's epoch, is walked whole.
 
 // DeltaEntry is one change in a delta: an upserted entry, or a delete
 // (Deleted set, only Name meaningful).
@@ -42,26 +44,27 @@ type Delta struct {
 func (s *Server) ListDelta(since uint64, k int) Delta {
 	s.init()
 	// Snapshot the epoch before visiting shards: a mutation stamps its
-	// epoch — on the entry and on the shard's watermark — while holding
+	// epoch — on the entry and in the shard's change log — while holding
 	// the owning shard's lock, so any change at or below this snapshot is
 	// either already published or will be published before our per-shard
-	// lock acquisition returns. That is why the watermark is read under
-	// the lock and why there is no lock-free since == cur exit.
+	// lock acquisition returns. That is why the log is read under the
+	// lock and why there is no lock-free since == cur exit.
 	cur := s.epoch.Load()
 	if s.needsFull(since, cur) {
 		return s.fullDelta(since, cur, k)
 	}
 	d := Delta{Since: since, Epoch: cur}
-	s.scan(func(sh *shard) bool { return sh.lastChange <= since },
-		func(e Entry) {
-			if e.ChangeEpoch > since {
-				d.Entries = append(d.Entries, DeltaEntry{Entry: e})
-			}
-		}, func(name string, t tombstone) {
-			if t.Epoch > since {
-				d.Entries = append(d.Entries, DeltaEntry{Entry: Entry{Name: name}, Deleted: true})
-			}
-		})
+	entry := func(e Entry) {
+		if e.ChangeEpoch > since {
+			d.Entries = append(d.Entries, DeltaEntry{Entry: e})
+		}
+	}
+	tomb := func(name string, t tombstone) {
+		if t.Epoch > since {
+			d.Entries = append(d.Entries, DeltaEntry{Entry: Entry{Name: name}, Deleted: true})
+		}
+	}
+	s.scan(func(sh *shard) bool { return sh.replay(since, entry, tomb) }, entry, tomb)
 	// Expiry applied by the scan may itself have pruned a tombstone the
 	// client still needed (raising the floor past since); an incremental
 	// answer would then silently drop a delete.

@@ -2,6 +2,7 @@ package registry
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"sort"
 	"testing"
@@ -82,7 +83,11 @@ func TestListDeltaBelowFloorFallsBackToFull(t *testing.T) {
 // health changes, heartbeats, removals, and clock advances, a client
 // that applies LISTD deltas from any starting epoch converges to the
 // same view as a client that pulls the full list — the mirror never
-// silently diverges.
+// silently diverges. At every step, every poll a mirror could make (and
+// one from a cursor pinned at the start) answers exactly what reading
+// the shards says changed, on the source and on the peer that merges
+// from it, whether the poll replays a shard's change log or walks the
+// shard; midway one shard's log overflows between two polls.
 func TestDeltaSyncPropertyReconstructsFullView(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		seed := seed
@@ -107,11 +112,13 @@ func TestDeltaSyncPropertyReconstructsFullView(t *testing.T) {
 			// same interleavings (a skipped heartbeat would let the peer's
 			// copy lapse while the source's stays live).
 			peer := Server{NumShards: 8, Clock: func() time.Time { return now }}
+			peerMirror := NewRankedSet()
 			var cursor uint64
 			pull := func() {
 				d := s.SyncDelta(cursor)
 				peer.Merge(d.Entries)
 				cursor = d.Epoch
+				peerMirror.Apply(peer.ListDelta(peerMirror.Epoch(), 0))
 				// Nothing was skipped: the peer now holds every source entry
 				// under the same LastSeen, as an entry or (when its own expiry
 				// got there first) as the tombstone of that entry.
@@ -125,11 +132,32 @@ func TestDeltaSyncPropertyReconstructsFullView(t *testing.T) {
 				}
 			}
 
+			// pinned and peerPinned are the first nonzero epochs; replayed
+			// counts the changed polls answered without walking a shard.
+			var pinned, peerPinned uint64
+			replayed := 0
+			check := func(s *Server, since uint64) {
+				t.Helper()
+				if walked, changed := checkDelta(t, s, since); walked == 0 && changed {
+					replayed++
+				}
+			}
 			for step := 0; step < 400; step++ {
 				// Every step is a distinct instant: the peer merges
 				// last-writer-wins on LastSeen, and ties keep the local copy.
 				now = now.Add(time.Millisecond)
 				name := names[rng.Intn(len(names))]
+				if step == 200 {
+					// More material changes to one name than its shard's log
+					// holds: every cursor now lies below that shard's log
+					// floor, and the next polls walk it.
+					for i := 0; i <= logCap; i++ {
+						s.RegisterHealth(name, name+":1", 30*time.Second, float64(i%2))
+					}
+					if floor := s.shardFor(name).logFloor; floor <= pinned || floor <= mirrors[0].Epoch() {
+						t.Fatalf("log floor %d after an overflow, want above cursors %d and %d", floor, pinned, mirrors[0].Epoch())
+					}
+				}
 				switch rng.Intn(10) {
 				case 0, 1, 2, 3: // heartbeat / register
 					s.RegisterHealth(name, name+":1", 30*time.Second, float64(rng.Intn(3))/2)
@@ -152,6 +180,21 @@ func TestDeltaSyncPropertyReconstructsFullView(t *testing.T) {
 				if step%7 == 0 {
 					pull()
 				}
+				if pinned == 0 {
+					pinned = s.Epoch()
+				}
+				if peerPinned == 0 {
+					peerPinned = peer.Epoch()
+				}
+				for _, m := range mirrors {
+					check(&s, m.Epoch())
+				}
+				check(&s, pinned)
+				check(&peer, peerMirror.Epoch())
+				check(&peer, peerPinned)
+			}
+			if replayed == 0 {
+				t.Fatal("no changed poll was answered from the change logs alone")
 			}
 
 			// Final sync for every mirror, then compare against the truth.
@@ -192,6 +235,67 @@ func TestDeltaSyncPropertyReconstructsFullView(t *testing.T) {
 			}
 		})
 	}
+}
+
+// Every cursor from just below a trimmed log's floor gets the answer a
+// direct read of the shard gives. Each of the logCap+1 inserts is its
+// name's latest change, so a floor set below the last record the trim
+// dropped loses names.
+func TestListDeltaEveryCursorAcrossLogTrim(t *testing.T) {
+	s := Server{NumShards: 1}
+	for i := 0; i <= logCap; i++ {
+		s.Register(fmt.Sprintf("relay-%04d", i), "h:1", time.Hour)
+	}
+	floor := s.shards[0].logFloor
+	if floor == 0 {
+		t.Fatalf("%d material stamps did not trim a %d-record log", logCap+1, logCap)
+	}
+	for since := floor - 1; since <= s.Epoch(); since++ {
+		if walked, _ := checkDelta(t, &s, since); (walked != 0) != (since < floor) {
+			t.Fatalf("ListDelta(%d) walked %d shards with the log floor at %d", since, walked, floor)
+		}
+	}
+}
+
+// checkDelta asserts that s.ListDelta(since, 0) answers what reading
+// every shard's entries and tombstones under its lock says: each entry
+// and tombstone stamped after since, once — or, as a full snapshot, and
+// only when since needs one, every entry. It reports how many shards the
+// poll walked and whether it answered any change incrementally.
+func checkDelta(t *testing.T, s *Server, since uint64) (walked int64, changed bool) {
+	t.Helper()
+	walks := s.walks.Load()
+	d := s.ListDelta(since, 0)
+	walked = s.walks.Load() - walks
+	if d.Full && !s.needsFull(since, d.Epoch) {
+		t.Fatalf("ListDelta(%d) fell back to a full snapshot at epoch %d, floor %d", since, d.Epoch, s.deltaFloor.Load())
+	}
+	want := map[string]DeltaEntry{}
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		for name, e := range sh.entries {
+			if d.Full || e.ChangeEpoch > since {
+				want[name] = DeltaEntry{Entry: e}
+			}
+		}
+		for name, tb := range sh.tombs {
+			if !d.Full && tb.Epoch > since {
+				want[name] = DeltaEntry{Entry: Entry{Name: name}, Deleted: true}
+			}
+		}
+		sh.mu.Unlock()
+	}
+	got := map[string]DeltaEntry{}
+	for _, de := range d.Entries {
+		if _, dup := got[de.Name]; dup {
+			t.Fatalf("ListDelta(%d) answered %s twice", since, de.Name)
+		}
+		got[de.Name] = de
+	}
+	if !maps.Equal(got, want) {
+		t.Fatalf("ListDelta(%d) full=%v answered\n %+v\nthe shards hold\n %+v", since, d.Full, got, want)
+	}
+	return walked, !d.Full && len(got) > 0
 }
 
 // heldLastSeen reads, without applying expiry, the LastSeen of every

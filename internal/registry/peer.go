@@ -82,7 +82,7 @@ func (s *Server) Merge(entries []DeltaEntry) int {
 			}
 			delete(sh.entries, de.Name)
 			keep := now.Add(tombstoneKeep)
-			sh.tombs[de.Name] = tombstone{Epoch: s.stamp(sh, true, keep), LastSeen: de.LastSeen, Keep: keep}
+			sh.tombs[de.Name] = tombstone{Epoch: s.stamp(sh, de.Name, true, keep), LastSeen: de.LastSeen, Keep: keep}
 			applied++
 			sh.mu.Unlock()
 			continue
@@ -106,7 +106,7 @@ func (s *Server) Merge(entries []DeltaEntry) int {
 		e.Down = e.Expires.Before(now)
 		material := !existed || old.Addr != e.Addr || old.Health != e.Health ||
 			old.MetricsAddr != e.MetricsAddr || old.Down != e.Down
-		e.seenEpoch = s.stamp(sh, material, e.due())
+		e.seenEpoch = s.stamp(sh, de.Name, material, e.due())
 		e.ChangeEpoch = old.ChangeEpoch
 		if material {
 			e.ChangeEpoch = e.seenEpoch

@@ -20,8 +20,10 @@
 //     FNV-1a hash of the relay name, each behind its own mutex, so a
 //     REGISTER storm stops serializing on one lock and full-table scans
 //     (LISTH at 100k entries) hold only one shard at a time. Each shard
-//     keeps a change watermark and a next-expiry time: a delta poll walks
-//     only shards changed since its cursor or holding a lapsed entry.
+//     keeps a bounded log of its changes and a next-expiry time: a delta
+//     poll replays only the changes past its cursor, and walks a shard
+//     only when an entry in it has lapsed or its log no longer reaches
+//     back to the cursor.
 //
 //   - Mutations are epoch-versioned: every change bumps a registry-wide
 //     epoch, and LISTD serves only the entries changed since the epoch a
@@ -288,7 +290,7 @@ func (s *Server) RegisterFull(name, addr string, ttl time.Duration, health float
 	// A pure refresh moves nothing a client sees: it keeps its ChangeEpoch.
 	material := !existed || old.Addr != addr || old.Health != health ||
 		old.MetricsAddr != metricsAddr || old.Down
-	e.seenEpoch = s.stamp(sh, material, e.Expires)
+	e.seenEpoch = s.stamp(sh, name, material, e.Expires)
 	e.ChangeEpoch = old.ChangeEpoch
 	if material {
 		e.ChangeEpoch = e.seenEpoch
@@ -318,7 +320,7 @@ func (s *Server) Remove(name string) {
 	}
 	delete(sh.entries, name)
 	keep := now.Add(tombstoneKeep)
-	sh.tombs[name] = tombstone{Epoch: s.stamp(sh, true, keep), LastSeen: now, Keep: keep}
+	sh.tombs[name] = tombstone{Epoch: s.stamp(sh, name, true, keep), LastSeen: now, Keep: keep}
 }
 
 // List returns the live entries sorted by name. Entries whose TTL

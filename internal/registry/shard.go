@@ -2,6 +2,7 @@ package registry
 
 import (
 	"runtime"
+	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -14,10 +15,12 @@ import (
 // shards one at a time and never stall writers on more than 1/NumShards
 // of the table. Epochs are claimed from the server-wide counter while
 // holding the owning shard's lock — see Server.epoch for why readers
-// cannot miss a stamped change. Each shard also remembers the newest
-// epoch stamped in it and the earliest time TTL expiry could touch it,
-// so delta scans skip the shards their cursor has already passed and no
-// scan applies expiry before something in the shard can have lapsed.
+// cannot miss a stamped change. Each shard also logs its material
+// stamps and remembers the newest epoch stamped in it and the earliest
+// time TTL expiry could touch it, so a delta poll replays only what
+// changed past its cursor, skips the shards that cursor has already
+// passed, and no scan applies expiry before something in the shard can
+// have lapsed.
 
 // tombstoneKeep is how long a delete is remembered so delta clients and
 // peers that sync within it see the removal; pruning a tombstone raises
@@ -36,19 +39,34 @@ type tombstone struct {
 // never is the due time of a shard in which nothing can lapse.
 var never = time.Unix(1<<62, 0)
 
+// logCap bounds a shard's change log. A cursor that has fallen further
+// behind than the log reaches is answered by walking the shard instead.
+const logCap = 1024
+
+// change is one change-log record: a material stamp and the name it was
+// stamped on.
+type change struct {
+	epoch uint64
+	name  string
+}
+
 // shard is one table partition. All fields are guarded by mu.
 type shard struct {
 	mu      sync.Mutex
 	entries map[string]Entry
 	tombs   map[string]tombstone
 
-	// lastChange is the highest ChangeEpoch or tombstone epoch ever
-	// stamped here, lastSeen the highest seenEpoch: LISTD skips a shard
-	// whose lastChange has not passed the client's cursor, SYNCD one
-	// whose lastSeen has not. Read under mu — the lock hold in which the
-	// writer claimed the epoch — so the Server.epoch argument covers the
-	// watermark exactly as it covers the entries.
-	lastChange, lastSeen uint64
+	// log holds the material stamps made here (every ChangeEpoch and
+	// tombstone epoch), oldest first, and its tail is the change
+	// watermark; logFloor is the newest epoch trimmed from it. lastSeen
+	// is the highest seenEpoch. LISTD replays the log past the client's
+	// cursor, SYNCD skips a shard whose lastSeen has not passed its
+	// cursor. All are written and read under mu — the lock hold in which
+	// the writer claimed the epoch — so the Server.epoch argument covers
+	// them exactly as it covers the entries.
+	log      []change
+	logFloor uint64
+	lastSeen uint64
 	// nextDue is a lower bound on the earliest time TTL expiry could
 	// change anything here (see Entry.due; a tombstone's is its Keep).
 	// Inserts lower it; a heartbeat that pushes an Expires later leaves
@@ -65,19 +83,51 @@ func newShard() *shard {
 	}
 }
 
-// stamp claims the next epoch for a mutation of sh and records it in
-// the shard's watermarks; due is when expiry could first touch what the
-// mutation wrote. Every mutation goes through here, holding sh.mu.
-func (s *Server) stamp(sh *shard, material bool, due time.Time) uint64 {
+// stamp claims the next epoch for a mutation of name in sh and records
+// it in lastSeen and, when material, the change log (a full log first
+// drops its older half); due is when expiry could first
+// touch what the mutation wrote. Every mutation goes through here,
+// holding sh.mu.
+func (s *Server) stamp(sh *shard, name string, material bool, due time.Time) uint64 {
 	epoch := s.epoch.Add(1)
 	sh.lastSeen = epoch
 	if material {
-		sh.lastChange = epoch
+		if len(sh.log) == logCap {
+			sh.logFloor = sh.log[logCap/2-1].epoch
+			sh.log = append(sh.log[:0], sh.log[logCap/2:]...)
+		}
+		sh.log = append(sh.log, change{epoch, name})
 	}
 	if due.Before(sh.nextDue) {
 		sh.nextDue = due
 	}
 	return epoch
+}
+
+// replay passes to the visitors, once each, the current state of every
+// name changed in sh after since, reading only the log records past
+// since; a shard whose log tail is at or below since costs one
+// comparison. A record whose name has been stamped again since no
+// longer matches the name's entry or tombstone and is skipped: the newer
+// record stands for it. It reports false, passing nothing, when the log
+// no longer reaches back to since. Caller holds sh.mu and knows no
+// expiry is due in sh.
+func (sh *shard) replay(since uint64, entry func(Entry), tomb func(string, tombstone)) bool {
+	if n := len(sh.log); n == 0 || sh.log[n-1].epoch <= since {
+		return true // an empty log has never been trimmed
+	}
+	if since < sh.logFloor {
+		return false
+	}
+	i := sort.Search(len(sh.log), func(i int) bool { return sh.log[i].epoch > since })
+	for _, c := range sh.log[i:] {
+		if e, ok := sh.entries[c.name]; ok && e.ChangeEpoch == c.epoch {
+			entry(e)
+		} else if t, ok := sh.tombs[c.name]; ok && t.Epoch == c.epoch {
+			tomb(c.name, t)
+		}
+	}
+	return true
 }
 
 // shardFor maps a relay name to its owning shard.
@@ -110,17 +160,18 @@ func (e Entry) due() time.Time {
 }
 
 // scan visits the table one shard at a time under the shard's lock,
-// walking a shard unless clean (nil: never) vouches that it holds
-// nothing the caller wants and no TTL expiry is due in it. Shard
+// walking a shard unless no TTL expiry is due in it and served (nil:
+// never) answers for it without a walk — it holds nothing the caller
+// wants, or served passed that to the visitors itself. Shard
 // boundaries double as scheduling points: the scan yields after each
 // walk so concurrent writers interleave instead of queueing behind the
 // whole scan — the hold a single-mutex table cannot avoid.
-func (s *Server) scan(clean func(*shard) bool, entry func(Entry), tomb func(string, tombstone)) {
+func (s *Server) scan(served func(*shard) bool, entry func(Entry), tomb func(string, tombstone)) {
 	s.init()
 	now := s.now()
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		if clean != nil && clean(sh) && now.Before(sh.nextDue) {
+		if served != nil && now.Before(sh.nextDue) && served(sh) {
 			sh.mu.Unlock()
 			continue
 		}
@@ -145,7 +196,7 @@ func (s *Server) walkShard(sh *shard, now time.Time, entry func(Entry), tomb fun
 			if now.After(e.due()) && e.Down {
 				delete(sh.entries, name)
 				sh.tombs[name] = tombstone{
-					Epoch:    s.stamp(sh, true, never),
+					Epoch:    s.stamp(sh, name, true, never),
 					LastSeen: e.LastSeen,
 					Keep:     now.Add(tombstoneKeep),
 				}
@@ -153,7 +204,7 @@ func (s *Server) walkShard(sh *shard, now time.Time, entry func(Entry), tomb fun
 			}
 			if now.After(e.due()) {
 				e.Down = true
-				e.ChangeEpoch = s.stamp(sh, true, never)
+				e.ChangeEpoch = s.stamp(sh, name, true, never)
 				e.seenEpoch = e.ChangeEpoch
 				sh.entries[name] = e
 				s.Downs.Add(1)

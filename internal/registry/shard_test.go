@@ -2,6 +2,7 @@ package registry
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"testing"
 	"time"
@@ -228,9 +229,12 @@ func TestPollPrunesTombstoneAndFallsBackToFull(t *testing.T) {
 }
 
 // A quiet poll walks no entries: every shard is skipped on its watermark
-// and due time. A changed poll walks exactly the shards that changed.
+// and due time. A changed poll walks no shard either: it replays the
+// changed shard's log. A shard is walked only when its log no longer
+// reaches back to the cursor or expiry is due in it, and then that shard
+// alone.
 func TestQuietPollWalksNoShard(t *testing.T) {
-	var s Server
+	s, now := clockServer(time.Unix(1000, 0))
 	for i := 0; i < 5000; i++ {
 		s.RegisterHealth(fmt.Sprintf("relay-%05d", i), "10.0.0.1:1", time.Minute, 0.5)
 	}
@@ -249,13 +253,62 @@ func TestQuietPollWalksNoShard(t *testing.T) {
 	if got := s.walks.Load() - walks; got != 1 {
 		t.Fatalf("SyncDelta after one refresh walked %d shards, want 1", got)
 	}
-	s.RegisterHealth("relay-00007", "10.0.0.1:1", time.Minute, 0.6)
-	walks = s.walks.Load()
-	if d := s.ListDelta(since, 0); d.Full || len(d.Entries) != 1 {
-		t.Fatalf("changed delta = %+v", d)
+
+	// answer polls from since and returns each changed name's health and
+	// state ("deleted" for a delete) and how many shards the poll walked.
+	answer := func(since uint64) (map[string]string, int64) {
+		t.Helper()
+		walks := s.walks.Load()
+		d := s.ListDelta(since, 0)
+		if d.Full {
+			t.Fatalf("ListDelta(%d) fell back to a full snapshot", since)
+		}
+		got := map[string]string{}
+		for _, de := range d.Entries {
+			if _, dup := got[de.Name]; dup {
+				t.Fatalf("ListDelta(%d) answered %s twice", since, de.Name)
+			}
+			got[de.Name] = fmt.Sprintf("%g %s", de.Health, stateWord(de.Down))
+			if de.Deleted {
+				got[de.Name] = "deleted"
+			}
+		}
+		return got, s.walks.Load() - walks
 	}
-	if got := s.walks.Load() - walks; got != 1 {
-		t.Fatalf("ListDelta after one change walked %d shards, want 1", got)
+	s.RegisterHealth("relay-00007", "10.0.0.1:1", time.Minute, 0.6)
+	got, walked := answer(since)
+	if want := map[string]string{"relay-00007": "0.6 up"}; !maps.Equal(got, want) || walked != 0 {
+		t.Fatalf("changed ListDelta = %v walking %d shards, want %v walking 0", got, walked, want)
+	}
+
+	// Another shard's log overflows: since falls below that shard's floor,
+	// so that shard alone is walked, and every name changed since — the
+	// earlier change, a delete, the overflowing name — comes back once,
+	// at its latest state.
+	s.Remove("relay-00001")
+	other := "relay-00000"
+	for i := 1; s.shardFor(other) == s.shardFor("relay-00007") || s.shardFor(other) == s.shardFor("relay-00001"); i++ {
+		other = fmt.Sprintf("relay-%05d", i)
+	}
+	for i := 0; i <= logCap; i++ {
+		s.RegisterHealth(other, "10.0.0.1:1", time.Minute, float64(i%2))
+	}
+	if floor := s.shardFor(other).logFloor; floor <= since {
+		t.Fatalf("%d material stamps left %s's shard at log floor %d, want above %d", logCap+1, other, floor, since)
+	}
+	got, walked = answer(since)
+	want := map[string]string{"relay-00007": "0.6 up", "relay-00001": "deleted", other: "0 up"}
+	if !maps.Equal(got, want) || walked != 1 {
+		t.Fatalf("ListDelta from below one shard's log floor = %v walking %d shards, want %v walking 1", got, walked, want)
+	}
+
+	// Expiry due in one shard: that shard is walked even though the cursor
+	// is at the server's epoch, and the lapse is reported.
+	s.RegisterHealth("short", "10.0.0.1:1", 10*time.Second, 0.5)
+	*now = now.Add(11 * time.Second)
+	got, walked = answer(s.Epoch())
+	if want := map[string]string{"short": "0.5 down"}; !maps.Equal(got, want) || walked != 1 {
+		t.Fatalf("ListDelta after a lapse = %v walking %d shards, want %v walking 1", got, walked, want)
 	}
 	walks = s.walks.Load()
 	s.Sweep()

@@ -11,10 +11,11 @@ import (
 	"time"
 )
 
-// What a registry that has nothing new to say costs: a quiet poll of a
-// 100k table allocates nothing, and a heartbeat on a pooled connection —
-// client and server side together — stays under 1 KB (it was 4.3 KB
-// while the client made a bufio.Writer per command).
+// What a registry that has little or nothing new to say costs: a quiet
+// poll of a 100k table allocates nothing, a poll carrying 2 changes
+// walks no shard and allocates only its answer, and a heartbeat on a
+// pooled connection — client and server side together — stays under
+// 1 KB (it was 4.3 KB while the client made a bufio.Writer per command).
 func TestSteadyStateAllocCeilings(t *testing.T) {
 	s, addr := startServer(t)
 	for i := 0; i < 100000; i++ {
@@ -23,6 +24,19 @@ func TestSteadyStateAllocCeilings(t *testing.T) {
 	since := s.Epoch()
 	if got := testing.AllocsPerRun(100, func() { s.ListDelta(since, 0) }); got != 0 {
 		t.Errorf("quiet ListDelta on 100k entries: %v allocs, want 0", got)
+	}
+	s.RegisterHealth("relay-000007", "10.0.0.1:1", time.Minute, 0.6)
+	s.RegisterHealth("relay-099999", "10.0.0.1:1", time.Minute, 0.4)
+	walks := s.walks.Load()
+	if got := testing.AllocsPerRun(100, func() {
+		if d := s.ListDelta(since, 0); d.Full || len(d.Entries) != 2 {
+			t.Fatalf("2-change ListDelta = full %v, %d entries", d.Full, len(d.Entries))
+		}
+	}); got > 2 {
+		t.Errorf("2-change ListDelta on 100k entries: %v allocs, want <= 2 (its Entries slice)", got)
+	}
+	if got := s.walks.Load() - walks; got != 0 {
+		t.Errorf("2-change ListDelta on 100k entries walked %d shards, want 0", got)
 	}
 
 	c := NewClient(addr, WithPooledConn())
