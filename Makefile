@@ -60,25 +60,27 @@ chaos-smoke:
 	$(GO) test -race -count=1 ./internal/simnet/ ./internal/shaper/ \
 		-run 'Fault|Listener|Burst'
 	$(GO) test -race -count=1 ./internal/relay/ ./internal/realnet/ ./internal/obs/ \
-		-run 'Chaos|WarmFetch|Forward|Taxonomy|FillForward|CachedRelay'
+		-run 'WarmFetch|Forward|Taxonomy|FillForward|CachedRelay'
 	$(GO) test -race -count=1 . -run 'Chaos'
 	$(GO) run ./cmd/indirectlab -exp chaos -scale quick -chaos-json chaos.json -chaos-bundle-dir chaos-bundles
 
 # The observability tier: the fetch -fleet e2e (a live registry and
 # three loopback relays read over real HTTP, an induced upstream death,
 # a relay that stops answering), the striped-counter and exemplar
-# correctness suite, the tail-retention policy tests, concurrent
-# structured logging, and the scraped-exemplar -> stitched-trace
-# acceptance path — all under the race detector.
+# correctness suite, concurrent structured logging, and the
+# scraped-exemplar -> stitched-trace acceptance path — all under the
+# race detector. (The flight store's tail-rule tests run with the rest
+# of internal/obs/flight in flight-smoke.)
 obs-smoke:
 	$(GO) test -race -count=1 ./cmd/fetch/ ./internal/obs/slogx/
 	$(GO) test -race -count=1 ./internal/obs/ \
-		-run 'Striped|StripePicker|Exemplar|Tail|OpenMetrics|Accepts|ClassicByteCompatible|Runtime|HistogramSum|HistogramEdges'
+		-run 'Striped|StripePicker|Exemplar|OpenMetrics|Accepts|ClassicByteCompatible|Runtime|HistogramSum|HistogramEdges'
 	$(GO) test -race -count=1 ./internal/realnet/ -run 'ExemplarResolvesToStitchedTrace'
 
-# The flight-recorder tier: the whole wide-event/profiler/trigger
-# package under the race detector (ring rotation, trigger rate limiting,
-# bundle assembly), the realnet and relay wide-event integrations, the
+# The flight-recorder tier: the whole store/profiler/trigger package
+# under the race detector (ring rotation and the tail rule's eviction,
+# trigger rate limiting, bundle assembly, the span archive golden), the
+# realnet and relay wide-event integrations, the
 # health-transition callback that fires the bundles, and the daemon debug
 # surfaces (/debug/requests, /debug/active, /debug/bundle, /debug/stack).
 flight-smoke:

@@ -46,7 +46,7 @@ type Client struct {
 	timeout   time.Duration
 	retries   int
 	backoff   time.Duration
-	spans     *obs.SpanCollector
+	spans     *Recorder
 	health    *obs.HealthMonitor
 }
 
@@ -71,11 +71,12 @@ func New(t Transport, opts ...Option) *Client {
 	if c.health != nil {
 		c.cfg.Metrics.Health = c.health
 	}
-	// Tracing wires through both layers: the engine opens root spans, the
-	// real transport records per-phase children and the wire header.
-	c.cfg.Spans = c.spans
+	// Tracing wires one store through both layers: the engine's records
+	// are the root spans, the real transport's the per-phase children and
+	// the wire header.
+	c.cfg.Flight = c.spans
 	if rt, ok := t.(*realnet.Transport); ok && c.spans != nil {
-		rt.Spans = c.spans
+		rt.Flight = c.spans
 	}
 	return c
 }
@@ -118,14 +119,14 @@ func WithHealthMonitor(h *HealthMonitor) Option {
 	}
 }
 
-// WithSpans enables distributed tracing: the engine opens root spans per
-// operation in the collector and, when the client wraps a *RealTransport,
-// the transport records per-phase child spans and stamps the x-trace
-// header so relays and origins continue the trace. Spans carry wall-clock
-// times; on the virtual-time simulator the option only records engine
-// spans and should generally be left off.
-func WithSpans(sc *SpanCollector) Option {
-	return func(c *Client) { c.spans = sc }
+// WithSpans enables distributed tracing into rec (from NewRecorder):
+// every operation finishes a root "select" row there and, when the
+// client wraps a *RealTransport, every transfer a row with per-phase
+// child spans, its x-trace header stamped so relays and origins continue
+// the trace. Spans carry wall-clock times; on the virtual-time simulator
+// the option only records engine spans and should generally be left off.
+func WithSpans(rec *Recorder) Option {
+	return func(c *Client) { c.spans = rec }
 }
 
 // WithTimeout bounds each operation attempt: the attempt's context gets
@@ -275,9 +276,9 @@ func (c *Client) Metrics() *Metrics { return c.cfg.Metrics }
 // metric), latency/throughput histograms — ready for JSON rendering.
 func (c *Client) Snapshot() MetricsSnapshot { return c.cfg.Metrics.Snapshot() }
 
-// Spans returns the span collector installed with WithSpans, or nil when
-// tracing is off.
-func (c *Client) Spans() *SpanCollector { return c.spans }
+// Spans returns the store installed with WithSpans, or nil when tracing
+// is off.
+func (c *Client) Spans() *Recorder { return c.spans }
 
 // HealthMonitor returns the monitor installed with WithHealthMonitor,
 // or nil when health tracking is off.

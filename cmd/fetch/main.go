@@ -459,9 +459,9 @@ func main() {
 	if *retries > 0 {
 		opts = append(opts, repro.WithRetry(*retries, 200*time.Millisecond))
 	}
-	var spans *repro.SpanCollector
+	var spans *repro.Recorder
 	if *spanFile != "" || *stitch || len(mergeFiles) > 0 {
-		spans = repro.NewSpanCollector(0)
+		spans = repro.NewRecorder(0)
 		opts = append(opts, repro.WithSpans(spans))
 	}
 	if *showPaths {
@@ -487,6 +487,8 @@ func main() {
 		if spans == nil {
 			return
 		}
+		// A reaped loser's row lands after the operation returns.
+		spans.WaitIdle()
 		if *spanFile != "" {
 			f, err := os.Create(*spanFile)
 			if err != nil {

@@ -293,7 +293,7 @@ func TestPrintBundlesListing(t *testing.T) {
 	// window after the successes without the test sleeping.
 	var sec atomic.Int64
 	var engine *flight.Engine
-	rec := flight.NewRecorder(flight.Config{Ring: 16})
+	rec := flight.NewRecorder(16, false)
 	mon := obs.NewHealthMonitor(obs.HealthConfig{
 		Clock:        func() float64 { return float64(sec.Load()) },
 		OnTransition: func(path string, tr obs.HealthTransition) { engine.FireHealth(path, tr) },

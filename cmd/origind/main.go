@@ -12,11 +12,12 @@
 // gauges), per-object health as JSON on /debug/paths, liveness on
 // /healthz, and readiness on /readyz (the listener must be up). With
 // -trace set, the origin records a serve span per request — continuing
-// whatever trace the client or relay stamped in the x-trace header — and
-// archives them as JSONL on shutdown, ready for stitching with the other
-// processes' archives. -pprof serves net/http/pprof on a separate
-// address. Logging is structured (slog); see -log-format, -log-level,
-// and -log-components.
+// whatever trace the client or relay stamped in the x-trace header — in a
+// store of the last 512 requests (errored and slowest-decile traces are
+// overwritten last) and archives them as JSONL on shutdown, ready for
+// stitching with the other processes' archives. -pprof serves
+// net/http/pprof on a separate address. Logging is structured (slog);
+// see -log-format, -log-level, and -log-components.
 //
 // The flight-recorder pieces that apply to an origin are wired too:
 // /debug/stack always serves a plain-text goroutine dump, -profile-dir
@@ -26,7 +27,7 @@
 // rate-limited debug bundle (goroutine dump, freshest profiles, the
 // /metrics page) to /debug/bundle and -bundle-dir. Origins forward no
 // transfers, so bundles here carry no wide events — those live on the
-// relay and in the client.
+// relay and in the client; the -trace store is read only by the archive.
 package main
 
 import (
@@ -71,9 +72,9 @@ func main() {
 	prof, stopProf := mkProf(logger)
 	defer stopProf()
 
-	var spans *obs.SpanCollector
+	var rec *flight.Recorder
 	if *tracePath != "" {
-		spans = obs.NewSpanCollector(0)
+		rec = flight.NewRecorder(0, true)
 	}
 	// An object's serving health going down fires a debug bundle; the
 	// engine is assigned before the listener starts, so the nil-safe
@@ -84,7 +85,7 @@ func main() {
 			Clock:        obs.WallClock(),
 			OnTransition: func(path string, tr obs.HealthTransition) { engine.FireHealth(path, tr) },
 		})),
-		relay.WithSpans(spans),
+		relay.WithFlight(rec),
 	)
 	if len(objects) == 0 {
 		objects = objectList{"large.bin=4000000"}
@@ -108,7 +109,6 @@ func main() {
 	// engine does: a debug bundle snapshots the page /metrics serves.
 	d := &daemon.Daemon{Prefix: "origin", Prom: origin.WriteProm, Health: origin.Health}
 	engine = flight.NewEngine(flight.TriggerConfig{
-		Spans:    spans,
 		Profiler: prof,
 		Dir:      *bundleDir,
 		Window:   bundleWindow.Seconds(),
@@ -126,11 +126,9 @@ func main() {
 
 	d.Vars = func() any {
 		return map[string]any{
-			"bytes_served":  origin.BytesServed.Load(),
-			"conns":         origin.Conns.Load(),
-			"spans_seen":    spans.Seen(),
-			"spans_dropped": spans.Dropped(),
-			"bundles":       engine.Stats(),
+			"bytes_served": origin.BytesServed.Load(),
+			"conns":        origin.Conns.Load(),
+			"bundles":      engine.Stats(),
 			"profiler": map[string]any{
 				"cycles": prof.Cycles(), "failures": prof.Failures(), "disk_bytes": prof.DiskBytes(),
 			},
@@ -147,5 +145,5 @@ func main() {
 	// a second interrupt ends the wait the default way.
 	stop()
 	origin.WaitIdle()
-	daemon.ArchiveSpans(*tracePath, "origind", spans, logger)
+	daemon.ArchiveSpans(*tracePath, "origind", rec, logger)
 }

@@ -24,24 +24,22 @@
 // readiness on /readyz (the listener must be up and — when -registry is
 // set — the registry still accepting heartbeats). With -trace set, the
 // relay records forward/dial/ttfb/stream spans per request — continuing
-// the client's x-trace — under tail-based retention (errored and
-// slowest-decile traces always kept, boring ones sampled at -trace-keep
-// within -trace-budget bytes) and archives the kept spans as JSONL on
-// shutdown. When both -registry and -metrics are set, heartbeats carry
-// the metrics address, so fetch -fleet and fetch -bundle can find this
-// relay's debug pages through the registry. -pprof serves
-// net/http/pprof on a separate address. Logging is structured (slog);
-// see -log-format, -log-level, and -log-components.
+// the client's x-trace — in the flight store's rows and archives them as
+// JSONL on shutdown. When both -registry and -metrics are set,
+// heartbeats carry the metrics address, so fetch -fleet and fetch
+// -bundle can find this relay's debug pages through the registry.
+// -pprof serves net/http/pprof on a separate address. Logging is
+// structured (slog); see -log-format, -log-level, and -log-components.
 //
-// The flight recorder is on by default (-flight sets the wide-event
-// ring size, 0 disables): every forward lands one canonical record at
-// /debug/requests, in-flight forwards show at /debug/active, and a
-// path's health →down transition snapshots a rate-limited debug bundle
-// (-bundle-window) to /debug/bundle and -bundle-dir. The on-disk record
-// of forwards is the -trace span archive. -profile-dir turns on the
-// continuous profiler: periodic CPU/heap/goroutine captures in a
-// byte-bounded on-disk ring, with pprof labels on the forward hot path
-// while it runs.
+// The flight store is on by default (-flight rows, errored and
+// slowest-decile traces overwritten last; 0 turns it off unless -trace
+// needs it): every forward lands one row at /debug/requests, in-flight
+// forwards show at /debug/active, and a path's health →down transition
+// snapshots a rate-limited debug bundle (-bundle-window) to /debug/bundle
+// and -bundle-dir. The on-disk record is the -trace span archive.
+// -profile-dir turns on the continuous profiler: periodic
+// CPU/heap/goroutine captures in a byte-bounded on-disk ring, with pprof
+// labels on the forward hot path while it runs.
 package main
 
 import (
@@ -72,10 +70,8 @@ func main() {
 	name := flag.String("name", "relay", "relay name used when registering")
 	ttl := flag.Duration("ttl", time.Minute, "registration TTL")
 	tracePath := flag.String("trace", "", "write span archive (JSONL) here on shutdown (empty = tracing off)")
-	traceBudget := flag.Int("trace-budget", 1<<20, "tail-retention byte budget for kept traces")
-	traceKeep := flag.Float64("trace-keep", 0.1, "probability a boring (no-error, not-slow) trace is kept")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (empty = off)")
-	flightRing := flag.Int("flight", 512, "flight-recorder wide-event ring size (0 = recorder off)")
+	flightRing := flag.Int("flight", 512, "flight-store ring size (0 = recorder off, unless -trace needs it)")
 	bundleDir := flag.String("bundle-dir", "", "persist anomaly debug bundles here (empty = in-memory only)")
 	bundleWindow := flag.Duration("bundle-window", time.Minute, "per-path rate limit between debug bundles")
 	cacheBytes := flag.Int64("cache-bytes", 0, "object cache capacity in bytes (0 = caching off)")
@@ -95,28 +91,18 @@ func main() {
 	// fire a trigger against a half-built engine.
 	var engine *flight.Engine
 	var rec *flight.Recorder
-	if *flightRing > 0 {
-		rec = flight.NewRecorder(flight.Config{Ring: *flightRing})
+	if *flightRing > 0 || *tracePath != "" {
+		rec = flight.NewRecorder(*flightRing, *tracePath != "")
 	}
 	prof, stopProf := mkProf(logger)
 	defer stopProf()
 
-	var spans *obs.SpanCollector
-	if *tracePath != "" {
-		// Error-class and slowest-decile traces always survive, boring
-		// ones draw against -trace-keep, all within -trace-budget bytes.
-		spans = obs.NewTailSpanCollector(obs.TailConfig{
-			ByteBudget: *traceBudget,
-			KeepProb:   *traceKeep,
-		})
-	}
 	mon := obs.NewHealthMonitor(obs.HealthConfig{
 		Clock:        obs.WallClock(),
 		OnTransition: func(path string, tr obs.HealthTransition) { engine.FireHealth(path, tr) },
 	})
 	r := relay.New(
 		relay.WithHealthMonitor(mon),
-		relay.WithSpans(spans),
 		relay.WithCache(*cacheBytes),
 		relay.WithCacheTTL(*cacheTTL),
 		relay.WithVerifier(relay.VerifyRange),
@@ -132,7 +118,6 @@ func main() {
 	if rec != nil {
 		engine = flight.NewEngine(flight.TriggerConfig{
 			Recorder: rec,
-			Spans:    spans,
 			Profiler: prof,
 			Dir:      *bundleDir,
 			Window:   bundleWindow.Seconds(),
@@ -186,11 +171,6 @@ func main() {
 		v := map[string]any{
 			"requests":      r.Requests.Load(),
 			"bytes_relayed": r.BytesRelayed.Load(),
-			"spans_seen":    spans.Seen(),
-			"spans_dropped": spans.Dropped(),
-		}
-		if spans != nil {
-			v["trace_tail"] = spans.TailStats()
 		}
 		if hb != nil {
 			v["registry_ok"] = hb.OK()
@@ -255,7 +235,7 @@ func main() {
 	// a second interrupt ends a wait on a wedged transfer the default way.
 	stop()
 	r.WaitIdle()
-	daemon.ArchiveSpans(*tracePath, "relayd", spans, logger)
+	daemon.ArchiveSpans(*tracePath, "relayd", rec, logger)
 }
 
 // aggregateHealth folds the per-origin path scores into the single

@@ -37,6 +37,7 @@ package repro
 import (
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/obs/flight"
 	"repro/internal/realnet"
 )
 
@@ -111,7 +112,7 @@ type (
 	// transfer, one per buffer chunk, to RealTransport.Progress.
 	ProgressEvent = obs.Progress
 
-	// Distributed-tracing types (attach a collector with WithSpans).
+	// Distributed-tracing types (attach a store with WithSpans).
 	//
 	// TraceID identifies one end-to-end operation across processes.
 	TraceID = obs.TraceID
@@ -121,9 +122,9 @@ type (
 	SpanContext = obs.SpanContext
 	// Span is one completed timed phase of one request on one service.
 	Span = obs.Span
-	// SpanCollector retains completed spans, whole traces at a time,
-	// within a byte budget.
-	SpanCollector = obs.SpanCollector
+	// Recorder is the store of finished transfers: one row per transfer
+	// with its spans, errored and slow traces kept longest.
+	Recorder = flight.Recorder
 	// TraceNode is one span plus its children in a stitched trace tree.
 	TraceNode = obs.TraceNode
 	// HistogramSnapshot is a point-in-time histogram copy with quantiles.
@@ -170,12 +171,12 @@ const (
 // downloaders directly).
 func NewMetrics() *Metrics { return obs.NewMetrics() }
 
-// NewSpanCollector returns a span collector that keeps every trace
-// within a budget sized for about capacity spans (1 MiB when capacity
-// <= 0); under budget pressure errored and slow traces go last. Wire it
-// into a client with WithSpans, or into daemons via the Relay/Origin
-// Spans fields.
-func NewSpanCollector(capacity int) *SpanCollector { return obs.NewSpanCollector(capacity) }
+// NewRecorder returns a tracing store holding the last capacity finished
+// transfers (512 when capacity <= 0); when it is full, errored and slow
+// traces are overwritten last. Read its spans with Recorder.Spans. Wire
+// it into a client with WithSpans, or into daemons via the Relay/Origin
+// Flight fields.
+func NewRecorder(capacity int) *Recorder { return flight.NewRecorder(capacity, true) }
 
 // NewHealthMonitor returns a path-health monitor with cfg's gaps filled
 // by defaults (60 s window, 12 buckets, 2-evaluation hysteresis). Wire

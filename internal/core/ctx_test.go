@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/obs/flight"
 )
 
 func TestSelectAndFetchCtxCancelsLosers(t *testing.T) {
@@ -56,7 +57,7 @@ func TestSelectAndFetchCtxCancelsLosers(t *testing.T) {
 	}
 }
 
-// TestSelectAndFetchSpans: with a collector attached the operation is one
+// TestSelectAndFetchSpans: with a tracing store attached the operation is one
 // record — a "select" root with a "race" child that ends at the commit —
 // and the transport is handed the race span's context on every probe and
 // the root's on the remainder. A race nobody wins is where the operation
@@ -65,9 +66,9 @@ func TestSelectAndFetchSpans(t *testing.T) {
 	tr := newFake(1e6)
 	tr.rate["fast"] = 8e6
 	obj := Object{Server: "s", Name: "o", Size: 1_000_000}
-	spans := obs.NewSpanCollector(16)
+	spans := flight.NewRecorder(16, true)
 	out := SelectAndFetch(context.Background(), tr, obj, []string{"fast"},
-		Config{ProbeBytes: 100_000, Spans: spans})
+		Config{ProbeBytes: 100_000, Flight: spans})
 	if out.Err != nil || out.Selected.Via != "fast" {
 		t.Fatalf("outcome = %+v", out)
 	}
@@ -97,8 +98,8 @@ func TestSelectAndFetchSpans(t *testing.T) {
 		}
 	}
 
-	dead := obs.NewSpanCollector(16)
-	out = SelectAndFetch(context.Background(), newFake(0), obj, nil, Config{Spans: dead})
+	dead := flight.NewRecorder(16, true)
+	out = SelectAndFetch(context.Background(), newFake(0), obj, nil, Config{Flight: dead})
 	got = dead.Spans()
 	if !errors.Is(out.Err, ErrAllPathsFailed) || len(got) != 2 ||
 		got[0].Phase != "race" || got[0].Class != "failed" || got[0].Err == "" ||

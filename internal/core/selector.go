@@ -59,16 +59,14 @@ type Config struct {
 	// simulator produces identical results with or without one attached.
 	Metrics *obs.Metrics
 
-	// Spans collects distributed-tracing spans. When set, each
-	// SelectAndFetch operation opens a root "select" span covering the
-	// whole operation and a child "race" span covering probe launch to
-	// selection commit; the span context flows to the transport through
-	// the operation's context, so a tracing-aware transport (realnet)
-	// records its per-phase spans under the same trace. Nil — the default,
-	// and always the case on the virtual-time simulator — disables tracing
-	// entirely: spans carry wall-clock times and would be meaningless
-	// there.
-	Spans *obs.SpanCollector
+	// Flight, when set, is the store each SelectAndFetch operation's
+	// record finishes into; a tracing store makes it a root "select" span
+	// with a "race" child from probe launch to selection commit, whose
+	// context reaches the transport through the operation's context so a
+	// tracing-aware transport (realnet) records beneath it. Nil — the
+	// default, and always the case on the virtual-time simulator, where
+	// wall-clock spans would be meaningless — records nothing.
+	Flight *flight.Recorder
 }
 
 // probeSize is the size of obj's probes: ProbeBytes, or the whole object
@@ -356,16 +354,16 @@ func (c *Commit) race(ctx context.Context, obj Object, candidates []string) {
 	t, cfg, o := c.t, &c.cfg, &c.out
 	*o = Outcome{Object: obj, Candidates: candidates, Start: t.Now()}
 
-	// When tracing, the operation is one record: its "select" span covers
+	// With a store, the operation is one record: its "select" span covers
 	// the whole operation and the "race" phase covers probe launch through
 	// selection commit. Probes run under the race span's context and the
 	// remainder under the root's, so a tracing transport nests its
 	// per-phase spans accordingly — one trace shows both candidate paths
 	// racing, the loser's cancellation, and the winner's continuation.
 	raceCtx := ctx
-	if cfg.Spans != nil {
+	if cfg.Flight != nil {
 		parent, _ := obs.SpanFromContext(ctx)
-		c.rec.Start(flight.Spec{Spans: cfg.Spans, Service: "client", Phase: "select", Parent: parent})
+		c.rec.Start(flight.Spec{Flight: cfg.Flight, Service: "client", Phase: "select", Parent: parent})
 		c.rec.SetAttr("object", obj.Name)
 		c.rec.SetAttr("server", obj.Server)
 		c.rec.Phase("race")
@@ -397,7 +395,7 @@ func (c *Commit) race(ctx context.Context, obj Object, candidates []string) {
 		o.Selected, c.won = Choose(o.Probes, cfg.Rule), true
 	}
 	o.ProbeEnd = t.Now()
-	if c.rec.Tracing() {
+	if cfg.Flight != nil {
 		// A race nobody won stays open, so Finish marks it as where the
 		// operation died.
 		c.rec.PhaseAttr("selected", o.Selected.label())
@@ -481,7 +479,7 @@ func (c *Commit) Fetch() Outcome {
 	default:
 		o.End = o.ProbeEnd
 	}
-	if c.rec.Tracing() {
+	if cfg.Flight != nil {
 		c.rec.SetAttr("selected", o.Selected.label())
 		c.rec.Outcome(ErrClassOf(o.Err), errText(o.Err))
 		c.rec.Finish()

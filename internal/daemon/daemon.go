@@ -278,16 +278,17 @@ func ProfilerFlags() func(logger *slog.Logger) (prof *flight.Profiler, stop func
 	}
 }
 
-// ArchiveSpans writes the collector's spans to path as a JSONL archive
-// labelled with the daemon's name, logging the result. No-op when path is
-// empty (tracing off).
-func ArchiveSpans(path, name string, spans *obs.SpanCollector, logger *slog.Logger) {
+// ArchiveSpans writes the spans of the store's rows to path as a JSONL
+// archive labelled with the daemon's name, logging the result. No-op when
+// path is empty (tracing off).
+func ArchiveSpans(path, name string, rec *flight.Recorder, logger *slog.Logger) {
 	if path == "" {
 		return
 	}
+	spans := rec.Spans()
 	f, err := os.Create(path)
 	if err == nil {
-		err = traceio.WriteSpans(f, name, spans.Spans())
+		err = traceio.WriteSpans(f, name, spans)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
@@ -296,5 +297,5 @@ func ArchiveSpans(path, name string, spans *obs.SpanCollector, logger *slog.Logg
 		logger.Error("span archive failed", "path", path, "err", err)
 		return
 	}
-	logger.Info("spans archived", "path", path, "count", len(spans.Spans()))
+	logger.Info("spans archived", "path", path, "count", len(spans))
 }

@@ -59,8 +59,8 @@ func serveDaemon(t *testing.T, d *Daemon) string {
 }
 
 // surfaces is one loopback origin, relay and registry with every
-// optional subsystem the binaries can turn on — tracing (tail retention
-// on the relay), cache, flight recorder, bundle engine — and the
+// optional subsystem the binaries can turn on — tracing (into the flight
+// store on both), cache, flight recorder, bundle engine — and the
 // three Daemons over them, each taking its families from the same
 // WriteProm method its cmd binary does.
 type surfaces struct {
@@ -76,7 +76,7 @@ func startSurfaces(t *testing.T) *surfaces {
 	t.Helper()
 	origin := relay.NewOriginServer(
 		relay.WithHealthMonitor(obs.NewHealthMonitor(obs.HealthConfig{Window: 10, Buckets: 10, Clock: obs.WallClock()})),
-		relay.WithSpans(obs.NewSpanCollector(0)),
+		relay.WithFlight(flight.NewRecorder(0, true)),
 	)
 	origin.Put("obj.bin", 1<<20)
 	ol, err := origin.ServeAddr("127.0.0.1:0")
@@ -85,10 +85,9 @@ func startSurfaces(t *testing.T) *surfaces {
 	}
 	t.Cleanup(func() { ol.Close() })
 
-	relayFlight := flight.NewRecorder(flight.Config{Ring: 64})
+	relayFlight := flight.NewRecorder(64, true)
 	r := relay.New(
 		relay.WithHealthMonitor(obs.NewHealthMonitor(obs.HealthConfig{Window: 10, Buckets: 10, Clock: obs.WallClock()})),
-		relay.WithSpans(obs.NewTailSpanCollector(obs.TailConfig{KeepProb: 1})),
 		relay.WithCache(16<<20),
 		relay.WithVerifier(relay.VerifyRange),
 		relay.WithFlight(relayFlight),

@@ -340,14 +340,12 @@ func runLiveChaos(class string, p ChaosParams, expect []obs.HealthState, drive f
 	originAddr := ln.Addr().String()
 
 	// The flight recorder rides along as an instrument under test: the
-	// relay records one wide event per forward, the tail span collector
-	// keeps every trace at this scale (KeepProb 1), and the trigger
-	// engine watches the monitor's transitions. The engine variable is
-	// assigned before the relay serves, so the nil-safe closure can never
-	// race a live trigger.
+	// relay finishes one traced row per forward into the store (which
+	// holds every row at this scale), and the trigger engine watches the
+	// monitor's transitions. The engine variable is assigned before the
+	// relay serves, so the nil-safe closure can never race a live trigger.
 	var engine *flight.Engine
-	rec := flight.NewRecorder(flight.Config{Ring: 256})
-	spans := obs.NewTailSpanCollector(obs.TailConfig{ByteBudget: 1 << 20, KeepProb: 1})
+	rec := flight.NewRecorder(256, true)
 
 	mon := obs.NewHealthMonitor(obs.HealthConfig{
 		Clock: obs.WallClock(), Window: 2, Buckets: 4,
@@ -359,12 +357,10 @@ func runLiveChaos(class string, p ChaosParams, expect []obs.HealthState, drive f
 	}
 	engine = flight.NewEngine(flight.TriggerConfig{
 		Recorder: rec,
-		Spans:    spans,
 		Dir:      bundleDir,
 	})
 	opts := []relay.Option{
 		relay.WithHealthMonitor(mon),
-		relay.WithSpans(spans),
 		relay.WithFlight(rec),
 		relay.WithUpstreamStall(300 * time.Millisecond),
 	}

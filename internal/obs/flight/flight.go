@@ -6,11 +6,13 @@
 //
 // Four pieces:
 //
-//   - the wide-event log (Recorder): one bounded-ring canonical record
-//     per finished transfer/forward — path, phase durations, bytes,
-//     cache disposition, retries, outcome class, trace ID — served
-//     filterable at /debug/requests (the span archive, not this ring, is
-//     the on-disk record of forwards);
+//   - the store of finished transfers (Recorder): one bounded-ring
+//     canonical row per finished transfer/forward/serve — path, phase
+//     durations, bytes, cache disposition, retries, outcome class, trace
+//     ID and, when tracing, the row's spans — served filterable at
+//     /debug/requests, stitched into bundles, and archived by the
+//     daemons' -trace; under pressure it keeps errored and slow traces
+//     longest (tail.go);
 //   - the in-flight inspector (the Recorder's active table): what every
 //     live transfer is doing right now — current phase, bytes so far,
 //     age — at /debug/active, so a wedged transfer is visible while it
@@ -23,45 +25,61 @@
 //     all of the above.
 //
 // The transfer path writes none of this directly. It marks one Record
-// per transfer (record.go); the record's single Finish feeds the wide
-// event here alongside the spans, the latency histogram and the health
-// fold. A nil *Recorder is the disabled state: a record started without
-// one keeps no row, and every read method below returns nothing.
+// per transfer (record.go); the record's single Finish writes its row
+// here, then feeds the latency histogram and the health fold. A nil
+// *Recorder is the disabled state: a record started without one keeps
+// no row, and every read method below returns nothing.
 package flight
 
 import (
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
+
+	"repro/internal/obs"
 )
 
 // Phase is one named slice of a transfer's lifetime, measured between
-// consecutive Record.Phase marks (the span children are cut at the same
-// marks: dial, request-write, ttfb, stream, ...).
+// consecutive Record.Phase marks.
 type Phase struct {
 	Name string  `json:"name"`
 	Secs float64 `json:"secs"`
+	// Died marks the phase an error ended the transfer in.
+	Died bool `json:"died,omitempty"`
+	// When tracing, the phase is also a span: its ID, its start (ns after
+	// the record's), its attributes, and the work that overlapped it (the
+	// stream's verifier) as phases nested beneath.
+	Span  string            `json:"span,omitempty"`
+	Off   int64             `json:"off_ns,omitempty"`
+	Attrs map[string]string `json:"attrs,omitempty"`
+	Sub   []Phase           `json:"sub,omitempty"`
 }
 
 // Event is one wide event: the single canonical record of one finished
-// transfer (client side) or forward (relay side). One row holds every
-// dimension an investigation pivots on, so "show me the slow misses on
-// path X" is one filter pass instead of a join across subsystems.
+// transfer (client side), forward (relay side) or serve (origin side).
+// One row holds every dimension an investigation pivots on, so "show me
+// the slow misses on path X" is one filter pass instead of a join across
+// subsystems — and, when tracing, the row's spans are derived from it
+// (Recorder.Spans), so the timeline and the row cannot disagree.
 type Event struct {
 	// Seq is the recorder-assigned sequence number (1-based, monotonic).
 	Seq uint64 `json:"seq"`
 	// Wall is the finish time, Unix nanoseconds.
 	Wall int64 `json:"wall_ns"`
-	// Service is the recording process role: "client", "relay".
+	// Service is the recording process role: "client", "relay", "origin".
 	Service string `json:"svc"`
+	// Op names what the record timed, the name of its span: "transfer",
+	// "select", "forward", "serve".
+	Op string `json:"op,omitempty"`
 	// Path is the outcome's path key — obs.PathID.Label() on the client,
 	// the upstream address on the relay — matching the health monitor's
 	// fold key so wide events, health history, and triggers align.
 	Path string `json:"path"`
 	// Object is the object name ("" when the request never named one).
 	Object string `json:"object,omitempty"`
-	// Trace is the transfer's trace ID (32 hex digits) when tracing was
-	// on, linking this row to its stitched span timeline.
+	// Trace is the transfer's trace ID (32 hex digits) when it carried
+	// one, linking this row to its stitched span timeline.
 	Trace string `json:"trace,omitempty"`
 	// Class is the outcome's obs.ErrClass.String(); Err the failure
 	// detail.
@@ -80,42 +98,59 @@ type Event struct {
 	Warm bool `json:"warm,omitempty"`
 	// Phases are the measured phase durations, in transition order.
 	Phases []Phase `json:"phases,omitempty"`
+
+	// When tracing, the row is also a span: its ID and its parent's (16
+	// hex digits; no parent for a trace root), its wall-clock start (Unix
+	// nanoseconds) and its attributes.
+	Span   string            `json:"span,omitempty"`
+	Parent string            `json:"parent,omitempty"`
+	Start  int64             `json:"start_ns,omitempty"`
+	Attrs  map[string]string `json:"attrs,omitempty"`
 }
 
-// Config parameterizes a Recorder. The zero value gets defaults.
-type Config struct {
-	// Ring is how many finished events are retained (default 512).
-	Ring int
-}
-
-func (c Config) withDefaults() Config {
-	if c.Ring <= 0 {
-		c.Ring = 512
-	}
-	return c
-}
-
-// Recorder is the wide-event log plus the in-flight table. Safe for
-// concurrent use; a nil *Recorder disables every site.
+// Recorder is the one store of finished transfers — a bounded ring of
+// wide events, one row per record — plus the in-flight table. Built
+// tracing, every record it is attached to mints span identity and its
+// row carries the spans. When the ring is full a new row overwrites the
+// oldest row whose trace the tail rule has not forced (tail.go). Safe
+// for concurrent use; a nil *Recorder disables every site.
 type Recorder struct {
-	cfg Config
+	trace bool
 
-	mu     sync.Mutex
-	ring   []Event
-	next   int
-	full   bool
-	seq    uint64
-	active map[uint64]*trail
+	mu      sync.Mutex
+	idle    sync.Cond // signalled when active empties
+	ring    []row
+	seq     uint64 // records started
+	fin     uint64 // records finished
+	dropped uint64 // rows overwritten
+	active  map[uint64]*trail
+	tail    tail
 }
 
-// NewRecorder returns a recorder with cfg's gaps filled by defaults.
-func NewRecorder(cfg Config) *Recorder {
-	cfg = cfg.withDefaults()
-	return &Recorder{
-		cfg:    cfg,
-		ring:   make([]Event, cfg.Ring),
-		active: make(map[uint64]*trail),
+// row is one ring slot: a finished record's event, its place in finish
+// order (0 for a slot never written) and whether the tail rule keeps it.
+type row struct {
+	ev     Event
+	fin    uint64
+	forced bool
+}
+
+// NewRecorder returns a store holding the last ring finished records
+// (512 when ring <= 0). With trace set, the records attached to it
+// collect spans: they mint span identity, continue it on the wire, and
+// leave their spans in their rows.
+func NewRecorder(ring int, trace bool) *Recorder {
+	if ring <= 0 {
+		ring = 512
 	}
+	r := &Recorder{
+		trace:  trace,
+		ring:   make([]row, ring),
+		active: make(map[uint64]*trail),
+		tail:   tail{window: 256, minSlow: 20},
+	}
+	r.idle.L = &r.mu
+	return r
 }
 
 // begin gives a record's trail its sequence number and lists it in the
@@ -131,15 +166,29 @@ func (r *Recorder) begin(t *trail) {
 	r.mu.Unlock()
 }
 
-// finish moves a transfer's event from the in-flight table into the ring.
-func (r *Recorder) finish(id uint64, ev Event) {
+// finish moves a transfer's event from the in-flight table into the ring,
+// into the slot the tail rule gives up.
+func (r *Recorder) finish(id uint64, ev Event, elapsed int64) {
 	r.mu.Lock()
 	delete(r.active, id)
-	r.ring[r.next] = ev
-	r.next++
-	if r.next == len(r.ring) {
-		r.next = 0
-		r.full = true
+	r.fin++
+	r.store(ev, elapsed)
+	if len(r.active) == 0 {
+		r.idle.Broadcast()
+	}
+	r.mu.Unlock()
+}
+
+// WaitIdle blocks until no attached record is between Start and Finish:
+// every row and span of a transfer that has returned is then in the
+// store. Nil-safe.
+func (r *Recorder) WaitIdle() {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	for len(r.active) > 0 {
+		r.idle.Wait()
 	}
 	r.mu.Unlock()
 }
@@ -163,14 +212,22 @@ func (r *Recorder) Dropped() uint64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.full {
-		return 0
+	return r.dropped
+}
+
+// WriteProm appends the store's two families under prefix, answering
+// "how much has rotated out of /debug/requests, bundles and the -trace
+// archive?" and "how much of the ring do errored and slow traces pin?"
+// (at the cap, half the ring, they age out early). Nil-safe.
+func (r *Recorder) WriteProm(p *obs.Prom, prefix string) {
+	if r == nil {
+		return
 	}
-	finished := r.seq - uint64(len(r.active))
-	if finished < uint64(len(r.ring)) {
-		return 0
-	}
-	return finished - uint64(len(r.ring))
+	r.mu.Lock()
+	dropped, forced := r.dropped, r.tail.rows
+	r.mu.Unlock()
+	p.Counter(prefix+"_flight_dropped_total", "Finished records the flight store overwrote.", float64(dropped))
+	p.Gauge(prefix+"_flight_forced_rows", "Stored rows the tail rule keeps: errored or slowest-decile traces.", float64(forced))
 }
 
 // Filter selects wide events; zero-valued fields match everything.
@@ -217,7 +274,7 @@ func ParseQuery(target string) Filter {
 	return f
 }
 
-func (f Filter) match(ev Event) bool {
+func (f Filter) match(ev *Event) bool {
 	if f.Path != "" && ev.Path != f.Path {
 		return false
 	}
@@ -233,6 +290,20 @@ func (f Filter) match(ev Event) bool {
 	return true
 }
 
+// rows returns the stored rows that match, oldest finish first. Called
+// with r.mu held; this is the cold read path (debug pages, bundles,
+// archives), so ordering work stays off the per-record write.
+func (r *Recorder) rows(match func(*Event) bool) []*row {
+	var out []*row
+	for i := range r.ring {
+		if rw := &r.ring[i]; rw.fin != 0 && match(&rw.ev) {
+			out = append(out, rw)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].fin < out[j].fin })
+	return out
+}
+
 // Events returns the retained wide events matching f, newest first.
 // Nil-safe (nil recorder returns nil).
 func (r *Recorder) Events(f Filter) []Event {
@@ -241,25 +312,29 @@ func (r *Recorder) Events(f Filter) []Event {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := r.next
-	if r.full {
-		n = len(r.ring)
+	rows := r.rows(f.match)
+	out := make([]Event, 0, len(rows))
+	for i := len(rows) - 1; i >= 0 && (f.N <= 0 || len(out) < f.N); i-- {
+		out = append(out, rows[i].ev)
 	}
-	out := make([]Event, 0, n)
-	// Walk newest to oldest: the slot before next is the newest event.
-	for i := 0; i < n; i++ {
-		idx := r.next - 1 - i
-		if idx < 0 {
-			idx += len(r.ring)
-		}
-		ev := r.ring[idx]
-		if ev.Seq == 0 || !f.match(ev) {
-			continue
-		}
-		out = append(out, ev)
-		if f.N > 0 && len(out) >= f.N {
-			break
-		}
+	return out
+}
+
+// Spans returns the spans of every stored traced row, rows in finish
+// order — within a row its phases, each after the work that overlapped
+// it, then the row's own span. Nil-safe.
+func (r *Recorder) Spans() []obs.Span { return r.spans(nil) }
+
+// spans expands the stored traced rows that match (all, for nil).
+func (r *Recorder) spans(match func(*Event) bool) []obs.Span {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var out []obs.Span
+	for _, rw := range r.rows(func(ev *Event) bool { return ev.Span != "" && (match == nil || match(ev)) }) {
+		out = rw.ev.spans(out)
 	}
 	return out
 }
@@ -297,10 +372,6 @@ func (r *Recorder) Active() []ActiveTransfer {
 		out = append(out, t.snapshot(now))
 	}
 	// Oldest first by ID (IDs are start-ordered).
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].ID < out[j-1].ID; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }

@@ -28,7 +28,7 @@ func record(r *Recorder, path, object string, class obs.ErrClass) {
 }
 
 func TestRecorderRingRotationAndFilter(t *testing.T) {
-	r := NewRecorder(Config{Ring: 4})
+	r := NewRecorder(4, false)
 	record(r, "direct", "a.bin", obs.ClassOK)
 	record(r, "relay:r1", "a.bin", obs.ClassOK)
 	record(r, "direct", "b.bin", obs.ClassFailed)
@@ -77,7 +77,7 @@ func TestRecorderRingRotationAndFilter(t *testing.T) {
 }
 
 func TestRecorderEventFields(t *testing.T) {
-	r := NewRecorder(Config{Ring: 8})
+	r := NewRecorder(8, false)
 	trace := obs.NewTraceID()
 	tr := new(Record)
 	tr.Start(Spec{Flight: r, Service: "relay", Path: "127.0.0.1:9999", Object: "obj.bin",
@@ -116,7 +116,7 @@ func TestRecorderEventFields(t *testing.T) {
 }
 
 func TestActiveTable(t *testing.T) {
-	r := NewRecorder(Config{})
+	r := NewRecorder(0, false)
 	old := start(r, "client", "direct", "a.bin")
 	young := start(r, "client", "relay:r1", "b.bin")
 	young.Phase("ttfb")
@@ -179,14 +179,18 @@ func TestNilRecorderAndTransferNoOp(t *testing.T) {
 }
 
 func TestRecorderConcurrentUse(t *testing.T) {
-	r := NewRecorder(Config{Ring: 32})
+	r := NewRecorder(32, true)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				record(r, "direct", "a.bin", obs.ClassOK)
+				class := obs.ClassOK
+				if i%7 == 0 { // forced rows, so eviction skips some
+					class = obs.ClassFailed
+				}
+				record(r, "direct", "a.bin", class)
 			}
 		}()
 	}
@@ -194,11 +198,13 @@ func TestRecorderConcurrentUse(t *testing.T) {
 	// assertion.
 	for i := 0; i < 20; i++ {
 		r.Events(Filter{Path: "direct"})
+		r.Spans()
 		r.Active()
 	}
 	wg.Wait()
-	if r.Seen() != 400 {
-		t.Fatalf("Seen = %d, want 400", r.Seen())
+	r.WaitIdle()
+	if r.Seen() != 400 || r.Dropped() != 400-32 {
+		t.Fatalf("Seen = %d, Dropped = %d; want 400, 368", r.Seen(), r.Dropped())
 	}
 }
 

@@ -1,6 +1,9 @@
 package flight
 
 import (
+	"encoding/hex"
+	"maps"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -8,13 +11,12 @@ import (
 	"repro/internal/obs"
 )
 
-// Spec is what is fixed when a record opens: the sinks it feeds — the
-// collectors that already exist, each optional — and the transfer's
-// identity. A client transfer has Spans and Flight; a relay forward
-// Spans, Flight, Latency and Health; an origin serve Spans, Latency and
-// Health.
+// Spec is what is fixed when a record opens: the sinks it feeds, each
+// optional, and the transfer's identity. A client transfer has Flight; a
+// relay forward or an origin serve Flight, Latency and Health.
 type Spec struct {
-	Spans   *obs.SpanCollector
+	// Flight is the store the record's row finishes into; a tracing
+	// store also makes the record collect spans.
 	Flight  *Recorder
 	Latency *obs.LatencyRecorder
 	Health  *obs.HealthMonitor
@@ -39,18 +41,17 @@ var clock = time.Now
 
 // Record is the one per-transfer record: the transfer path marks phases,
 // bytes, cache disposition, retries and the outcome on it, and a single
-// Finish derives everything the sinks keep — the parent span with one
-// child per phase, the wide event (and the /debug/active row while the
-// transfer runs), the exemplar-bearing latency observation, and the
-// health fold.
+// Finish derives everything the sinks keep — the store's row (the wide
+// event, and when tracing its span with one child per phase; the
+// /debug/active row while the transfer runs), the exemplar-bearing
+// latency observation, and the health fold.
 //
 // A Record is a value: on the handler's stack in relay and origin,
-// inside the transfer handle on the client. What the span collector and
-// the flight recorder need — phase list, attributes, the live row — sits
-// behind one pointer that Start leaves nil unless one of them is
-// attached, so with nothing attached every site is a nil check and
-// nothing is allocated. One goroutine owns a record from Start to
-// Finish; Bytes may be called from any.
+// inside the transfer handle on the client. What the store needs —
+// phase list, attributes, the live row — sits behind one pointer that
+// Start leaves nil unless a store is attached, so with nothing attached
+// every site is a nil check and nothing is allocated. One goroutine owns
+// a record from Start to Finish; Bytes may be called from any.
 type Record struct {
 	spec   Spec
 	begin  time.Time
@@ -65,15 +66,15 @@ type Record struct {
 	t      *trail
 }
 
-// trail is the part of a record the span collector and the flight
-// recorder need: heap-allocated, because the recorder's active table
-// points at it while the transfer runs. The owner goroutine writes it;
-// mu covers the two fields the active table's snapshot reads besides.
+// trail is the part of a record the store needs: heap-allocated,
+// because the recorder's active table points at it while the transfer
+// runs. The owner goroutine writes it; mu covers the two fields the
+// active table's snapshot reads besides.
 type trail struct {
 	id    uint64
 	spec  Spec
 	trace obs.TraceID
-	self  obs.SpanContext // the parent span; zero unless spans are collected
+	self  obs.SpanContext // the record's span; zero unless spans are collected
 	begin time.Time
 	bytes atomic.Int64
 
@@ -95,24 +96,24 @@ type phase struct {
 	start time.Time
 	dur   time.Duration
 	attrs map[string]string
-	sub   []obs.Span
+	sub   []phase
 }
 
 // Start opens the record. With no sink attached it stays closed and
 // every later call, Finish included, does nothing.
 func (r *Record) Start(s Spec) {
-	if s.Spans == nil && s.Flight == nil && s.Latency == nil && s.Health == nil {
+	if s.Flight == nil && s.Latency == nil && s.Health == nil {
 		return
 	}
 	r.open = true
 	r.spec = s
 	r.begin = clock()
 	r.trace = s.Parent.Trace
-	if s.Spans == nil && s.Flight == nil {
+	if s.Flight == nil {
 		return
 	}
 	t := &trail{spec: s, begin: r.begin}
-	if s.Spans != nil {
+	if s.Flight.trace {
 		if r.trace.IsZero() {
 			r.trace = obs.NewTraceID()
 		}
@@ -125,7 +126,7 @@ func (r *Record) Start(s Spec) {
 
 // Tracing reports whether spans are being collected, for sites that
 // would otherwise format an attribute or read a clock for nothing.
-func (r *Record) Tracing() bool { return r.t != nil && r.spec.Spans != nil }
+func (r *Record) Tracing() bool { return r.t != nil && r.t.self.Valid() }
 
 // Context returns the record's own span context — what goes on the wire
 // in x-trace so the next hop nests under this one. Zero when spans are
@@ -150,7 +151,7 @@ func (r *Record) Phase(name string) {
 	if name != "" {
 		if n := len(t.phases); n == 0 || t.phases[n-1].name != name {
 			p := phase{name: name, start: now}
-			if t.spec.Spans != nil {
+			if t.self.Valid() {
 				p.id = obs.NewSpanID()
 			}
 			t.phases = append(t.phases, p)
@@ -211,10 +212,9 @@ func setAttr(m *map[string]string, k, v string) {
 func (r *Record) Overlap(name string, start time.Time, attrs map[string]string) {
 	if r.Tracing() && len(r.t.phases) > 0 {
 		p := &r.t.phases[len(r.t.phases)-1]
-		p.sub = append(p.sub, obs.Span{
-			Service: r.t.spec.Service, Phase: name,
-			Start: start.UnixNano(), Duration: int64(clock().Sub(start)),
-			Class: obs.ClassOK.String(), Attrs: attrs,
+		p.sub = append(p.sub, phase{
+			name: name, id: obs.NewSpanID(),
+			start: start, dur: clock().Sub(start), attrs: attrs,
 		})
 	}
 }
@@ -264,9 +264,9 @@ func (r *Record) Retry() {
 // finishes ok.
 func (r *Record) Outcome(class obs.ErrClass, detail string) { r.class, r.detail = class, detail }
 
-// Finish closes the record and feeds every sink from it: spans and the
-// wide event first, so a bundle the health fold triggers already holds
-// them, then latency, then health. Only the first Finish takes effect.
+// Finish closes the record and feeds every sink from it: the store's
+// row first, so a bundle the health fold triggers already holds it,
+// then latency, then health. Only the first Finish takes effect.
 func (r *Record) Finish() {
 	if !r.open {
 		return
@@ -292,54 +292,96 @@ func died(class obs.ErrClass) bool { return class != obs.ClassOK && class != obs
 
 func (t *trail) finish(now time.Time, elapsed time.Duration, class obs.ErrClass, detail string, retries int) {
 	inPhase := t.closePhase(now)
-	if t.spec.Spans != nil {
-		// Children first, parent last: a tail-sampling collector decides a
-		// trace's fate when its root arrives.
-		for i := range t.phases {
-			p := &t.phases[i]
-			s := obs.Span{
-				Trace: t.trace, ID: p.id, Parent: t.self.Span,
-				Service: t.spec.Service, Phase: p.name,
-				Start: p.start.UnixNano(), Duration: int64(p.dur),
-				Class: obs.ClassOK.String(), Attrs: p.attrs,
-			}
-			if i == len(t.phases)-1 && inPhase && died(class) {
-				s.Class, s.Err = class.String(), detail
-			}
-			for _, sub := range p.sub {
-				sub.Trace, sub.Parent = s.Trace, s.ID
-				t.spec.Spans.Record(sub)
-			}
-			t.spec.Spans.Record(s)
-		}
-		if t.spec.Warm {
-			setAttr(&t.attrs, "warm", "true")
-		}
-		if t.cache != "" {
-			setAttr(&t.attrs, "cache", t.cache)
-		}
-		t.spec.Spans.Record(obs.Span{
-			Trace: t.trace, ID: t.self.Span, Parent: t.spec.Parent.Span,
-			Service: t.spec.Service, Phase: t.spec.Phase,
-			Start: t.begin.UnixNano(), Duration: int64(elapsed),
-			Class: class.String(), Err: detail, Attrs: t.attrs,
-		})
+	tracing := t.self.Valid()
+	ev := Event{
+		Seq: t.id, Wall: now.UnixNano(),
+		Service: t.spec.Service, Op: t.spec.Phase, Path: t.spec.Path, Object: t.spec.Object,
+		Trace: traceHex(t.trace), Class: class.String(), Err: detail,
+		Duration: elapsed.Seconds(), Bytes: t.bytes.Load(),
+		Cache: t.cache, Retries: retries, Warm: t.spec.Warm,
 	}
-	if t.spec.Flight != nil {
-		ev := Event{
-			Seq: t.id, Wall: now.UnixNano(),
-			Service: t.spec.Service, Path: t.spec.Path, Object: t.spec.Object,
-			Trace: traceHex(t.trace), Class: class.String(), Err: detail,
-			Duration: elapsed.Seconds(), Bytes: t.bytes.Load(),
-			Cache: t.cache, Retries: retries, Warm: t.spec.Warm,
-		}
-		ev.Phases = make([]Phase, 0, len(t.phases))
-		for _, p := range t.phases {
-			ev.Phases = append(ev.Phases, Phase{Name: p.name, Secs: p.dur.Seconds()})
-		}
-		t.spec.Flight.finish(t.id, ev)
+	ev.Phases = make([]Phase, len(t.phases))
+	for i := range t.phases {
+		ev.Phases[i] = t.phases[i].row(t.begin, tracing)
 	}
+	if inPhase && died(class) {
+		ev.Phases[len(ev.Phases)-1].Died = true
+	}
+	if tracing {
+		ev.Span, ev.Start, ev.Attrs = t.self.Span.String(), t.begin.UnixNano(), t.attrs
+		if p := t.spec.Parent.Span; !p.IsZero() {
+			ev.Parent = p.String()
+		}
+	}
+	t.spec.Flight.finish(t.id, ev, int64(elapsed))
 }
+
+// row is the phase's part of the event; tracing, its span too, the start
+// an offset from the record's begin.
+func (p *phase) row(begin time.Time, tracing bool) Phase {
+	out := Phase{Name: p.name, Secs: p.dur.Seconds()}
+	if tracing {
+		out.Span, out.Off, out.Attrs = p.id.String(), p.start.UnixNano()-begin.UnixNano(), p.attrs
+		for i := range p.sub {
+			out.Sub = append(out.Sub, p.sub[i].row(begin, true))
+		}
+	}
+	return out
+}
+
+// spans appends the spans a traced row stands for, children before their
+// parent: each phase after the work that overlapped it, then the row's
+// own span.
+func (ev *Event) spans(out []obs.Span) []obs.Span {
+	var trace obs.TraceID
+	hex.Decode(trace[:], []byte(ev.Trace))
+	self := spanID(ev.Span)
+	span := func(p *Phase, parent obs.SpanID) obs.Span {
+		return obs.Span{
+			Trace: trace, ID: spanID(p.Span), Parent: parent,
+			Service: ev.Service, Phase: p.Name,
+			Start: ev.Start + p.Off, Duration: nanos(p.Secs),
+			Class: obs.ClassOK.String(), Attrs: p.Attrs,
+		}
+	}
+	for i := range ev.Phases {
+		p := &ev.Phases[i]
+		s := span(p, self)
+		for j := range p.Sub {
+			out = append(out, span(&p.Sub[j], s.ID))
+		}
+		if p.Died {
+			s.Class, s.Err = ev.Class, ev.Err
+		}
+		out = append(out, s)
+	}
+	attrs := ev.Attrs
+	if ev.Warm || ev.Cache != "" {
+		attrs = maps.Clone(attrs)
+		if ev.Warm {
+			setAttr(&attrs, "warm", "true")
+		}
+		if ev.Cache != "" {
+			setAttr(&attrs, "cache", ev.Cache)
+		}
+	}
+	return append(out, obs.Span{
+		Trace: trace, ID: self, Parent: spanID(ev.Parent),
+		Service: ev.Service, Phase: ev.Op,
+		Start: ev.Start, Duration: nanos(ev.Duration),
+		Class: ev.Class, Err: ev.Err, Attrs: attrs,
+	})
+}
+
+// spanID decodes a row's hex span ID; "" (no parent) is the zero ID.
+func spanID(h string) (id obs.SpanID) {
+	hex.Decode(id[:], []byte(h))
+	return id
+}
+
+// nanos turns a row's seconds back into the nanoseconds they were
+// measured in.
+func nanos(secs float64) int64 { return int64(math.Round(secs * 1e9)) }
 
 func traceHex(id obs.TraceID) string {
 	if id.IsZero() {

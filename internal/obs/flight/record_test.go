@@ -44,40 +44,39 @@ func TestRecordFeedsEverySinkConsistently(t *testing.T) {
 			name:  "ok",
 			steps: []step{{0, "dial", false}, {3 * ms, "ttfb", false}, {5 * ms, "stream", false}},
 			tail:  40 * ms, class: obs.ClassOK,
-			phases: []Phase{{"dial", 0.003}, {"ttfb", 0.005}, {"stream", 0.040}},
+			phases: []Phase{{Name: "dial", Secs: 0.003}, {Name: "ttfb", Secs: 0.005}, {Name: "stream", Secs: 0.040}},
 		},
 		{
 			name: "retried dial accumulates",
 			steps: []step{{0, "dial", false}, {2 * ms, "", true}, {10 * ms, "dial", false},
 				{4 * ms, "ttfb", false}, {1 * ms, "stream", false}},
 			tail: 7 * ms, class: obs.ClassOK,
-			phases: []Phase{{"dial", 0.016}, {"ttfb", 0.001}, {"stream", 0.007}},
+			phases: []Phase{{Name: "dial", Secs: 0.016}, {Name: "ttfb", Secs: 0.001}, {Name: "stream", Secs: 0.007}},
 		},
 		{
 			name:  "dies in ttfb",
 			steps: []step{{0, "dial", false}, {3 * ms, "ttfb", false}},
 			tail:  250 * ms, class: obs.ClassTimeout, detail: "i/o timeout",
-			phases: []Phase{{"dial", 0.003}, {"ttfb", 0.250}},
+			phases: []Phase{{Name: "dial", Secs: 0.003}, {Name: "ttfb", Secs: 0.250}},
 		},
 		{
 			name:  "status is not a death",
 			steps: []step{{0, "dial", false}, {1 * ms, "ttfb", false}, {2 * ms, "stream", false}},
 			tail:  1 * ms, class: obs.ClassStatus, detail: "Not Found",
-			phases: []Phase{{"dial", 0.001}, {"ttfb", 0.002}, {"stream", 0.001}},
+			phases: []Phase{{Name: "dial", Secs: 0.001}, {Name: "ttfb", Secs: 0.002}, {Name: "stream", Secs: 0.001}},
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			advance := scriptClock(t)
-			spans := obs.NewSpanCollector(32)
-			rec := NewRecorder(Config{Ring: 4})
+			rec := NewRecorder(4, true)
 			var lat obs.LatencyRecorder
 			mon := obs.NewHealthMonitor(obs.HealthConfig{Clock: func() float64 { return 0 }})
 			parent := obs.SpanContext{Trace: obs.NewTraceID(), Span: obs.NewSpanID()}
 
 			var r Record
 			r.Start(Spec{
-				Spans: spans, Flight: rec, Latency: &lat, Health: mon,
+				Flight: rec, Latency: &lat, Health: mon,
 				Service: "client", Phase: "transfer", Path: "r1", Object: "obj.bin",
 				Parent: parent})
 			r.FoldKey("r1")
@@ -127,7 +126,7 @@ func TestRecordFeedsEverySinkConsistently(t *testing.T) {
 
 			// The spans: children are the event's phases, in order, under
 			// the parent; only the last is marked, and only by a death.
-			got := spans.Spans()
+			got := rec.Spans()
 			if len(got) != len(tc.phases)+1 {
 				t.Fatalf("%d spans, want %d phases + parent: %+v", len(got), len(tc.phases), got)
 			}
@@ -179,32 +178,36 @@ func TestRecordFeedsEverySinkConsistently(t *testing.T) {
 
 func near(a, b float64) bool { d := a - b; return d < 1e-9 && d > -1e-9 }
 
-// TestRecordWithoutTraceContext: with no incoming trace and no span
-// collector, nothing invents one — the event and the exemplar stay
-// unlinked; with a collector, the fresh root trace links all three.
+// TestRecordWithoutTraceContext: with no incoming trace and a store that
+// does not trace, nothing invents one — the event and the exemplar stay
+// unlinked; with a tracing store, the fresh root trace links the row, its
+// span and the exemplar.
 func TestRecordWithoutTraceContext(t *testing.T) {
-	rec := NewRecorder(Config{Ring: 4})
+	rec := NewRecorder(4, false)
 	var r Record
 	r.Start(Spec{Flight: rec, Service: "relay", Path: "up"})
 	if r.Tracing() || r.Context().Valid() {
-		t.Fatal("record without a span collector claims a span context")
+		t.Fatal("record on a store that does not trace claims a span context")
 	}
 	r.Finish()
 	if ev := rec.Events(Filter{})[0]; ev.Trace != "" {
 		t.Fatalf("event invented trace %q", ev.Trace)
 	}
 
-	spans := obs.NewSpanCollector(4)
+	if rec.Spans() != nil {
+		t.Fatal("a store that does not trace derived spans")
+	}
+	store := NewRecorder(4, true)
 	var lat obs.LatencyRecorder
 	var traced Record
-	traced.Start(Spec{Spans: spans, Flight: rec, Latency: &lat, Service: "relay", Phase: "forward", Path: "up"})
+	traced.Start(Spec{Flight: store, Latency: &lat, Service: "relay", Phase: "forward", Path: "up"})
 	root := traced.Context()
 	if !traced.Tracing() || !root.Valid() {
-		t.Fatal("record with a span collector has no span context")
+		t.Fatal("record on a tracing store has no span context")
 	}
 	traced.Finish()
-	ev := rec.Events(Filter{N: 1})[0]
-	sp := spans.Spans()
+	ev := store.Events(Filter{N: 1})[0]
+	sp := store.Spans()
 	if len(sp) != 1 || !sp[0].Parent.IsZero() || sp[0].Trace != root.Trace || ev.Trace != root.Trace.String() {
 		t.Fatalf("root span %+v, event trace %q, want trace %v", sp, ev.Trace, root.Trace)
 	}
@@ -220,16 +223,16 @@ func TestRecordWithoutTraceContext(t *testing.T) {
 // A phase closed before the record died is not where it died.
 func TestRecordPhaseContext(t *testing.T) {
 	advance := scriptClock(t)
-	spans := obs.NewSpanCollector(32)
+	spans := NewRecorder(32, true)
 	child := func(parent obs.SpanContext, path string) {
 		var c Record
-		c.Start(Spec{Spans: spans, Service: "client", Phase: "transfer", Parent: parent})
+		c.Start(Spec{Flight: spans, Service: "client", Phase: "transfer", Parent: parent})
 		c.SetAttr("path", path)
 		c.Finish()
 	}
 
 	var r Record
-	r.Start(Spec{Spans: spans, Service: "client", Phase: "select"})
+	r.Start(Spec{Flight: spans, Service: "client", Phase: "select"})
 	if r.PhaseContext().Valid() {
 		t.Fatal("phase context before any phase opened")
 	}

@@ -1,6 +1,6 @@
 // The trigger engine: the piece that turns "path X just went down" into
 // a debug bundle captured at the moment it mattered. Anomaly first,
-// evidence second is too late — the wide events, tail-kept spans, and
+// evidence second is too late — the stored rows, their spans, and
 // profiles that explain a transition are all in bounded rings that will
 // have rotated by the time a human asks.
 //
@@ -30,11 +30,9 @@ import (
 // no wide events, builds its engine without a Recorder.
 type TriggerConfig struct {
 	// Recorder, when set, supplies the wide events (filtered to the
-	// firing path).
+	// firing path) and, from the rows of their traces, the stitched
+	// timelines.
 	Recorder *Recorder
-	// Spans, when set, supplies the tail-kept spans from which the
-	// bundle stitches the firing path's traces.
-	Spans *obs.SpanCollector
 	// Profiler, when set, lists its freshest captures in the bundle.
 	Profiler *Profiler
 	// Metrics, when set, snapshots the daemon's /metrics page into the
@@ -319,35 +317,21 @@ func (e *Engine) build(trig trigger) {
 }
 
 // stitchInto attaches the firing path's stitched traces: the distinct
-// trace IDs referenced by the bundle's wide events, rendered from the
-// span source's retained spans. Spans for a trace that rotated out
-// simply stitch to fewer (or zero) lines — evidence, not a guarantee.
+// traces referenced by the bundle's wide events, rendered from the
+// stored traced rows of those traces. A trace none of whose rows carry
+// spans (tracing off) stitches to nothing — evidence, not a guarantee.
 func (e *Engine) stitchInto(b *Bundle) {
-	if e.cfg.Spans == nil {
-		return
-	}
-	spans := e.cfg.Spans.Spans()
-	if len(spans) == 0 {
-		return
-	}
-	byHex := make(map[string]obs.TraceID, len(spans))
-	for _, s := range spans {
-		byHex[s.Trace.String()] = s.Trace
-	}
-	seen := make(map[string]bool)
+	want := make(map[string]bool)
 	for _, ev := range b.Events {
-		if ev.Trace == "" || seen[ev.Trace] {
-			continue
+		if ev.Trace != "" {
+			want[ev.Trace] = true
 		}
-		seen[ev.Trace] = true
-		id, ok := byHex[ev.Trace]
-		if !ok {
-			continue // trace rotated out of the span ring
-		}
-		b.TraceCount++
-		if len(b.Traces) < bundleTraces {
-			b.Traces = append(b.Traces, obs.FormatTrace(id, obs.StitchTrace(id, spans)))
-		}
+	}
+	spans := e.cfg.Recorder.spans(func(ev *Event) bool { return want[ev.Trace] })
+	ids := obs.TraceIDs(spans)
+	b.TraceCount = len(ids)
+	for i := len(ids) - 1; i >= 0 && len(b.Traces) < bundleTraces; i-- { // newest first
+		b.Traces = append(b.Traces, obs.FormatTrace(ids[i], obs.StitchTrace(ids[i], spans)))
 	}
 }
 

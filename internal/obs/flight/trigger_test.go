@@ -45,7 +45,7 @@ func waitBuilt(t *testing.T, e *Engine, want uint64) {
 
 func TestTriggerRateLimitWindow(t *testing.T) {
 	clock := &fakeClock{}
-	rec := NewRecorder(Config{Ring: 8})
+	rec := NewRecorder(8, false)
 	e := NewEngine(TriggerConfig{Recorder: rec, Window: 60, Clock: clock.Now})
 	defer e.Close()
 
@@ -65,7 +65,7 @@ func TestTriggerRateLimitWindow(t *testing.T) {
 
 func TestTriggerOverlappingReasonsSamePathCollapse(t *testing.T) {
 	clock := &fakeClock{}
-	rec := NewRecorder(Config{Ring: 8})
+	rec := NewRecorder(8, false)
 	e := NewEngine(TriggerConfig{Recorder: rec, Window: 60, Clock: clock.Now})
 	defer e.Close()
 
@@ -95,7 +95,7 @@ func TestTriggerOverlappingReasonsSamePathCollapse(t *testing.T) {
 }
 
 func TestFireHealthOnlyOnDown(t *testing.T) {
-	rec := NewRecorder(Config{Ring: 8})
+	rec := NewRecorder(8, false)
 	e := NewEngine(TriggerConfig{Recorder: rec})
 	defer e.Close()
 	e.FireHealth("p", obs.HealthTransition{From: obs.HealthDown, To: obs.HealthHealthy})
@@ -111,7 +111,7 @@ func TestBundleWriteFailureNeverBlocks(t *testing.T) {
 	if err := os.WriteFile(dir, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rec := NewRecorder(Config{Ring: 8})
+	rec := NewRecorder(8, false)
 	e := NewEngine(TriggerConfig{Recorder: rec, Dir: dir})
 	defer e.Close()
 
@@ -140,7 +140,7 @@ func TestFireNeverBlocksOnFullQueue(t *testing.T) {
 	// snapshot, then overflow the queue with distinct paths.
 	release := make(chan struct{})
 	var once sync.Once
-	rec := NewRecorder(Config{Ring: 8})
+	rec := NewRecorder(8, false)
 	e := NewEngine(TriggerConfig{
 		Recorder: rec,
 		QueueLen: 1,
@@ -174,8 +174,7 @@ func TestFireNeverBlocksOnFullQueue(t *testing.T) {
 }
 
 func TestBundleContentAndStitchedTraces(t *testing.T) {
-	rec := NewRecorder(Config{Ring: 16})
-	spans := obs.NewSpanCollector(0)
+	rec := NewRecorder(16, true)
 	prof, err := NewProfiler(ProfilerConfig{Dir: t.TempDir(), Every: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +185,7 @@ func TestBundleContentAndStitchedTraces(t *testing.T) {
 
 	// One traced failing transfer on the firing path, one unrelated.
 	tr := new(Record)
-	tr.Start(Spec{Spans: spans, Flight: rec, Service: "client", Phase: "transfer", Path: "pathA", Object: "obj.bin"})
+	tr.Start(Spec{Flight: rec, Service: "client", Phase: "transfer", Path: "pathA", Object: "obj.bin"})
 	trace := tr.Context().Trace.String()
 	tr.Outcome(obs.ClassFailed, "connection reset")
 	tr.Finish()
@@ -194,7 +193,6 @@ func TestBundleContentAndStitchedTraces(t *testing.T) {
 
 	e := NewEngine(TriggerConfig{
 		Recorder: rec,
-		Spans:    spans,
 		Profiler: prof,
 		Metrics:  func() []byte { return []byte("# metrics\n") },
 	})
@@ -227,7 +225,7 @@ func TestBundleContentAndStitchedTraces(t *testing.T) {
 func TestBundlePersistAndEviction(t *testing.T) {
 	dir := t.TempDir()
 	clock := &fakeClock{}
-	rec := NewRecorder(Config{Ring: 8})
+	rec := NewRecorder(8, false)
 	e := NewEngine(TriggerConfig{Recorder: rec, Dir: dir, MaxBundles: 2, Window: 1, Clock: clock.Now})
 	defer e.Close()
 

@@ -12,7 +12,7 @@
 // the HealthMonitor (per-path rolling windows, health.go), which a
 // Metrics links to so one fold feeds both. What one transfer did —
 // phases, bytes, outcome, trace — is the transfer's record (package
-// flight), which also derives every Span the SpanCollector here retains.
+// flight), whose row in the flight store also yields its Spans.
 //
 // Observation is passive: the record carries transport timestamps and
 // folding it never advances any clock, so the virtual-time simulator

@@ -10,9 +10,10 @@
 // three independent processes stitch into a single parent-child timeline
 // per operation.
 //
-// Spans are produced in one place, flight.Record's Finish, and retained
-// under one policy (tailspan.go). Tracing is strictly opt-in: with a nil
-// *SpanCollector a record stays closed, so the unobserved hot path
+// Spans are produced in one place, flight.Record's Finish, and kept in
+// one store: the flight.Recorder row of the record they time, from which
+// they are read back. Tracing is strictly opt-in: without a tracing
+// store a record mints no span identity, so the unobserved hot path
 // pays only pointer comparisons. Unlike selection events — which carry
 // transport-relative timestamps so the virtual-time simulator stays
 // passive — spans carry wall-clock times, because their whole point is
@@ -27,7 +28,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"math/rand/v2"
-	"sync"
 )
 
 // TraceHeader is the request-header key that propagates the trace across
@@ -168,7 +168,7 @@ func ParseTraceHeader(v string) (sc SpanContext, ok bool) {
 }
 
 // Span is one completed timed phase of one request on one service — the
-// unit a SpanCollector retains and traceio archives. Times are wall
+// unit stitching joins and traceio archives. Times are wall
 // clock (Unix nanoseconds) so spans from different processes on a
 // time-synchronized host merge into one timeline.
 type Span struct {
@@ -194,76 +194,6 @@ type Span struct {
 
 // EndTime returns the span's end in Unix nanoseconds.
 func (s Span) EndTime() int64 { return s.Start + s.Duration }
-
-// Context returns the propagation slice of the span.
-func (s Span) Context() SpanContext { return SpanContext{Trace: s.Trace, Span: s.ID} }
-
-// SpanCollector retains completed spans under the tail policy of
-// tailspan.go: a trace is buffered until its local root ends, then kept
-// or dropped whole, and kept traces live within a byte budget. Safe for
-// concurrent use. A nil *SpanCollector is the disabled state: every
-// method no-ops.
-type SpanCollector struct {
-	mu   sync.Mutex
-	seq  uint64
-	tail tailState
-}
-
-func (c *SpanCollector) add(s Span) {
-	c.mu.Lock()
-	c.seq++
-	c.tail.add(s, c.seq)
-	c.mu.Unlock()
-}
-
-// Spans returns the retained spans: kept traces in arrival order, then
-// the traces still awaiting their root. Nil-safe.
-func (c *SpanCollector) Spans() []Span {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.tail.spans()
-}
-
-// Seen returns how many spans the collector has ever received. Nil-safe.
-func (c *SpanCollector) Seen() uint64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.seq
-}
-
-// Dropped returns how many spans the policy discarded. Nil-safe.
-func (c *SpanCollector) Dropped() uint64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.tail.stats.DroppedSpans
-}
-
-// Record adds a completed span, minting the IDs and the ok class it
-// leaves unset. Nil-safe.
-func (c *SpanCollector) Record(s Span) {
-	if c == nil {
-		return
-	}
-	if s.Trace.IsZero() {
-		s.Trace = NewTraceID()
-	}
-	if s.ID.IsZero() {
-		s.ID = NewSpanID()
-	}
-	if s.Class == "" {
-		s.Class = ClassOK.String()
-	}
-	c.add(s)
-}
 
 // spanCtxKey carries a SpanContext through a context.Context, linking
 // engine-level root spans to the transport-level phase spans beneath

@@ -1,6 +1,6 @@
 // Trace stitching: assembling spans collected by independent processes
 // (client, relay, origin — merged from their JSONL archives or live
-// collectors) into per-trace parent-child trees, and rendering a tree as
+// stores) into per-trace parent-child trees, and rendering a tree as
 // a human-readable timeline.
 
 package obs

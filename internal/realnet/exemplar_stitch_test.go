@@ -13,6 +13,7 @@ import (
 	"repro/internal/daemon"
 	"repro/internal/httpx"
 	"repro/internal/obs"
+	"repro/internal/obs/flight"
 	"repro/internal/relay"
 	"repro/internal/shaper"
 )
@@ -27,8 +28,8 @@ import (
 // exists for: see a bad tail on a dashboard, follow its exemplar to the
 // exact request that caused it.
 func TestExemplarResolvesToStitchedTrace(t *testing.T) {
-	originSpans := obs.NewSpanCollector(256)
-	origin := relay.NewOriginServer(relay.WithSpans(originSpans))
+	originSpans := flight.NewRecorder(256, true)
+	origin := relay.NewOriginServer(relay.WithFlight(originSpans))
 	const smallSize, largeSize = int64(8 << 10), int64(2 << 20)
 	origin.Put("small.bin", smallSize)
 	origin.Put("large.bin", largeSize)
@@ -42,8 +43,8 @@ func TestExemplarResolvesToStitchedTrace(t *testing.T) {
 	// still forward in milliseconds, while the large one takes over a
 	// second — landing its trace alone in a tail bucket of the relay's
 	// [0,20)s latency histogram (1s coarse buckets on /metrics).
-	relaySpans := obs.NewSpanCollector(256)
-	r := relay.New(relay.WithSpans(relaySpans))
+	relaySpans := flight.NewRecorder(256, true)
+	r := relay.New(relay.WithFlight(relaySpans))
 	sh := shaper.NewDialer()
 	sh.SetProfile(ol.Addr().String(), shaper.PathProfile{DownloadBps: 12e6})
 	r.Dial = sh.Dial
@@ -64,11 +65,11 @@ func TestExemplarResolvesToStitchedTrace(t *testing.T) {
 	defer cancel()
 	go (&httpx.Server{Mux: d.Mux()}).ServeListener(ctx, ml)
 
-	clientSpans := obs.NewSpanCollector(256)
+	clientSpans := flight.NewRecorder(256, true)
 	tr := &Transport{
 		Servers: map[string]string{"origin": ol.Addr().String()},
 		Relays:  map[string]string{"r1": rl.Addr().String()},
-		Spans:   clientSpans,
+		Flight:  clientSpans,
 		Verify:  true,
 	}
 	fetch := func(name string, size int64) {
@@ -121,7 +122,7 @@ func TestExemplarResolvesToStitchedTrace(t *testing.T) {
 	}
 
 	// The scraped trace ID must stitch — across all three processes'
-	// collectors — into one complete client -> relay -> origin tree.
+	// stores — into one complete client -> relay -> origin tree.
 	var trace obs.TraceID
 	if err := json.Unmarshal([]byte(strconv.Quote(p99.trace)), &trace); err != nil {
 		t.Fatalf("exemplar trace_id %q: %v", p99.trace, err)

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/obs/flight"
 	"repro/internal/relay"
 )
@@ -37,12 +36,10 @@ func TestFlightWideEventOnFetch(t *testing.T) {
 	}
 	defer ol.Close()
 
-	rec := flight.NewRecorder(flight.Config{Ring: 16})
-	spans := obs.NewSpanCollector(0)
+	rec := flight.NewRecorder(16, true)
 	tr := &Transport{
 		Servers: map[string]string{"origin": ol.Addr().String()},
 		Flight:  rec,
-		Spans:   spans,
 	}
 	obj := core.Object{Server: "origin", Name: "obj.bin", Size: 100_000}
 	fetchOnce(t, tr, obj)
@@ -79,9 +76,9 @@ func TestFlightWideEventOnFetch(t *testing.T) {
 	if ev.Trace == "" {
 		t.Fatal("event carries no trace ID despite tracing on")
 	}
-	// The trace ID must resolve into the recorded span set.
+	// The trace ID must resolve into the spans the row carries.
 	found := false
-	for _, s := range spans.Spans() {
+	for _, s := range rec.Spans() {
 		if s.Trace.String() == ev.Trace {
 			found = true
 			break
@@ -114,7 +111,7 @@ func TestFlightEventRecordsRetriesAndWarm(t *testing.T) {
 		}
 		return net.Dial(network, addr)
 	}
-	rec := flight.NewRecorder(flight.Config{Ring: 16})
+	rec := flight.NewRecorder(16, false)
 	tr := &Transport{
 		Servers:      map[string]string{"origin": ol.Addr().String()},
 		Dial:         flaky,
@@ -148,7 +145,7 @@ func TestFlightEventRecordsRetriesAndWarm(t *testing.T) {
 // TestFlightEventOnFailure asserts a failing transfer records its error
 // class and detail.
 func TestFlightEventOnFailure(t *testing.T) {
-	rec := flight.NewRecorder(flight.Config{Ring: 16})
+	rec := flight.NewRecorder(16, false)
 	tr := &Transport{
 		Servers: map[string]string{"origin": "127.0.0.1:1"}, // nothing listens
 		Flight:  rec,

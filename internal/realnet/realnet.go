@@ -102,21 +102,12 @@ type Transport struct {
 	// through its result instead.
 	Progress func(obs.Progress)
 
-	// Spans and Flight are the sinks every transfer's record
-	// (flight.Record) feeds; both nil (the default) leaves the record
-	// closed, every site on the hot path a nil check, and the allocation
-	// profile unchanged.
-	//
-	// Spans collects distributed-tracing spans: a "transfer" span per
-	// transfer (parented on the span context carried by its context,
-	// typically the engine's root or race span) with per-phase children —
-	// dial, request-write, ttfb, stream, verify — and the transfer span's
-	// context stamped into the request's x-trace header so relay and
-	// origin continue the same trace.
-	Spans *obs.SpanCollector
-	// Flight records one wide event per transfer into the flight
-	// recorder's bounded ring (phases, bytes, retries, trace ID) and
-	// lists in-flight transfers in its active table.
+	// Flight is the store every transfer's record finishes into. A
+	// tracing store makes each row a "transfer" span under the span its
+	// context carries (the engine's select or race), with dial,
+	// request-write, ttfb, stream and verify children, and stamps x-trace
+	// so relay and origin continue the trace. Nil (the default) leaves the
+	// record closed and the hot path's allocations unchanged.
 	Flight *flight.Recorder
 
 	startOnce sync.Once
@@ -323,13 +314,13 @@ func (t *Transport) startFetch(ctx context.Context, obj core.Object, path core.P
 	h.res = core.FetchResult{Path: path, Offset: off, Bytes: n, Start: t.Now()}
 
 	var parent obs.SpanContext
-	if t.Spans != nil {
+	if t.Flight != nil {
 		parent, _ = obs.SpanFromContext(ctx)
 	}
 	label := obs.PathID{Via: path.Via}.Label()
 	rec := &h.rec
 	rec.Start(flight.Spec{
-		Spans: t.Spans, Flight: t.Flight,
+		Flight:  t.Flight,
 		Service: "client", Phase: "transfer", Path: label, Object: obj.Name,
 		Warm: warm, Parent: parent})
 	rec.SetAttr("path", label)

@@ -1,9 +1,12 @@
 package relay
 
 import (
+	"bufio"
+	"io"
+	"net"
 	"testing"
 
-	"repro/internal/obs"
+	"repro/internal/httpx"
 	"repro/internal/obs/flight"
 )
 
@@ -21,12 +24,10 @@ func TestRelayFlightWideEvents(t *testing.T) {
 	}
 	defer ol.Close()
 
-	rec := flight.NewRecorder(flight.Config{Ring: 16})
-	spans := obs.NewSpanCollector(0)
+	rec := flight.NewRecorder(16, true)
 	r := New(
 		WithCache(1<<20),
 		WithVerifier(VerifyRange),
-		WithSpans(spans),
 		WithFlight(rec),
 	)
 	rl, err := r.ServeAddr("127.0.0.1:0")
@@ -87,10 +88,10 @@ func TestRelayFlightWideEvents(t *testing.T) {
 			t.Fatalf("cache hit dialed upstream: %+v", hit.Phases)
 		}
 	}
-	// The events' traces resolve into the relay's span set.
+	// The events' traces resolve into the spans their rows carry.
 	for _, ev := range evs {
 		found := false
-		for _, s := range spans.Spans() {
+		for _, s := range rec.Spans() {
 			if s.Trace.String() == ev.Trace {
 				found = true
 				break
@@ -113,7 +114,7 @@ func TestRelayFlightEventOnFailure(t *testing.T) {
 	}
 	defer ol.Close()
 
-	rec := flight.NewRecorder(flight.Config{Ring: 16})
+	rec := flight.NewRecorder(16, false)
 	r := New(WithFlight(rec))
 	rl, err := r.ServeAddr("127.0.0.1:0")
 	if err != nil {
@@ -134,5 +135,58 @@ func TestRelayFlightEventOnFailure(t *testing.T) {
 	}
 	if evs[0].Object != "missing.bin" {
 		t.Fatalf("event object = %q", evs[0].Object)
+	}
+}
+
+// BenchmarkForwardRecorded prices the flight store on the forward path:
+// a 128 KiB loopback forward on a kept client connection with no store,
+// with a store, and with a tracing store. At steady state the ring is
+// full, so every forward also overwrites a row.
+func BenchmarkForwardRecorded(b *testing.B) {
+	_, originAddr := startOrigin(b)
+	const n = 128 << 10
+	for _, tc := range []struct {
+		name string
+		rec  *flight.Recorder
+	}{{"none", nil}, {"store", flight.NewRecorder(0, false)}, {"tracing", flight.NewRecorder(0, true)}} {
+		b.Run(tc.name, func(b *testing.B) {
+			l, err := New(WithFlight(tc.rec)).ServeAddr("127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer l.Close()
+			conn, err := net.Dial("tcp", l.Addr().String())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer conn.Close()
+			br := bufio.NewReader(conn)
+			get := func() {
+				req := httpx.NewGet("http://"+originAddr+"/big.bin", originAddr)
+				delete(req.Header, "connection")
+				req.SetRange(0, n)
+				if err := req.Write(conn); err != nil {
+					b.Fatal(err)
+				}
+				resp, err := httpx.ReadResponse(br)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if got, err := io.Copy(io.Discard, resp.Body); err != nil || got != n {
+					b.Fatalf("forward: %d of %d bytes, %v", got, n, err)
+				}
+			}
+			// Fill the ring and, at ~10% slow roots, the tail rule's cap
+			// of forced rows: the steady state overwrites and scans.
+			for i := 0; i < 3000; i++ {
+				get()
+			}
+			b.SetBytes(n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				get()
+			}
+		})
 	}
 }

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/httpx"
 	"repro/internal/obs"
+	"repro/internal/obs/flight"
 )
 
 // Tests for what the keep-alive loop owns: the request heads it reads
@@ -28,7 +29,7 @@ func TestRecycledHeadsStayWithTheirRequest(t *testing.T) {
 	const clients, perClient, size = 8, 2, 1_000_000
 	origin := NewOriginServer()
 	origin.Put("big.bin", size)
-	origin.Spans = obs.NewSpanCollector(4 * clients * perClient)
+	origin.Flight = flight.NewRecorder(clients*perClient, true)
 	ol, err := origin.ServeAddr("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +108,7 @@ func TestRecycledHeadsStayWithTheirRequest(t *testing.T) {
 	origin.WaitIdle()
 
 	served := map[obs.TraceID][]obs.Span{}
-	for _, s := range origin.Spans.Spans() {
+	for _, s := range origin.Flight.Spans() {
 		if s.Phase == "serve" {
 			served[s.Trace] = append(served[s.Trace], s)
 		}

@@ -82,7 +82,7 @@ func (d *legDialer) counts() (dials, live, maxLive int) {
 func legRelay(t *testing.T, d *legDialer, opts ...Option) (r *Relay, addr string, mon *obs.HealthMonitor, rec *flight.Recorder) {
 	t.Helper()
 	mon = obs.NewHealthMonitor(obs.HealthConfig{Clock: obs.WallClock()})
-	rec = flight.NewRecorder(flight.Config{Ring: 64})
+	rec = flight.NewRecorder(64, false)
 	r = New(append([]Option{WithDialer(d.dial), WithHealthMonitor(mon), WithFlight(rec)}, opts...)...)
 	l, err := r.ServeAddr("127.0.0.1:0")
 	if err != nil {
@@ -297,7 +297,7 @@ func TestCanceledProbeTakesItsLegWithIt(t *testing.T) {
 
 func TestSeveredLegIsRedialledSilently(t *testing.T) {
 	const size = 1 << 20
-	rec := flight.NewRecorder(flight.Config{Ring: 16})
+	rec := flight.NewRecorder(16, false)
 	r, relayAddr, originAddr, ln, mon := chaosRelay(t, size, nil, WithFlight(rec))
 
 	c := dialKept(t, relayAddr)

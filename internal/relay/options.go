@@ -29,7 +29,6 @@ type VerifyFunc func(name string, off int64, p []byte) bool
 // each constructor applies the subset that concerns it.
 type options struct {
 	dial          func(network, addr string) (net.Conn, error)
-	spans         *obs.SpanCollector
 	health        *obs.HealthMonitor
 	cacheBytes    int64
 	cacheTTL      time.Duration
@@ -46,12 +45,6 @@ type Option func(*options)
 // intermediate-to-origin path.
 func WithDialer(dial func(network, addr string) (net.Conn, error)) Option {
 	return func(o *options) { o.dial = dial }
-}
-
-// WithSpans enables distributed tracing: every request records spans
-// into sc, continuing the trace named by the client's x-trace header.
-func WithSpans(sc *obs.SpanCollector) Option {
-	return func(o *options) { o.spans = sc }
 }
 
 // WithHealthMonitor attaches a path-health monitor: one outcome per
@@ -87,10 +80,9 @@ func WithVerifier(v VerifyFunc) Option {
 	return func(o *options) { o.verify = v }
 }
 
-// WithFlight attaches a flight recorder: every forwarded request
-// records one wide event (phases, bytes, cache state, retries, trace
-// ID) into its bounded ring and appears in its in-flight table while
-// active. Nil (the default) costs nothing.
+// WithFlight attaches the store of finished transfers (Relay.Flight,
+// Origin.Flight): one row per request, and with a tracing store its
+// spans. Nil (the default) costs nothing.
 func WithFlight(rec *flight.Recorder) Option {
 	return func(o *options) { o.flight = rec }
 }
@@ -120,7 +112,7 @@ func New(opts ...Option) *Relay {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	r := &Relay{Dial: o.dial, Spans: o.spans, Health: o.health, UpstreamStall: o.upstreamStall, Flight: o.flight}
+	r := &Relay{Dial: o.dial, Health: o.health, UpstreamStall: o.upstreamStall, Flight: o.flight}
 	if o.cacheBytes > 0 {
 		r.cache = objcache.New(objcache.Config{
 			MaxBytes: o.cacheBytes,
@@ -132,7 +124,7 @@ func New(opts ...Option) *Relay {
 }
 
 // NewOriginServer constructs an empty origin server from options
-// (WithSpans, WithHealthMonitor; the others do not apply to origins).
+// (WithFlight, WithHealthMonitor; the others do not apply to origins).
 func NewOriginServer(opts ...Option) *Origin {
 	var o options
 	for _, opt := range opts {
@@ -140,7 +132,7 @@ func NewOriginServer(opts ...Option) *Origin {
 	}
 	return &Origin{
 		objects: make(map[string]int64),
-		Spans:   o.spans,
+		Flight:  o.flight,
 		Health:  o.health,
 	}
 }

@@ -25,11 +25,12 @@ type Origin struct {
 	mu      sync.RWMutex
 	objects map[string]int64
 
-	// Spans collects the origin's tracing spans. When set, every request
-	// records a terminal "serve" span, continuing the trace named by the
-	// x-trace request header (stamped by the client or rewritten by the
-	// relay) or rooting a fresh one. Nil disables tracing.
-	Spans *obs.SpanCollector
+	// Flight, when set, is the store every request's record finishes
+	// into. A tracing store makes each row a terminal "serve" span,
+	// continuing the trace named by the x-trace request header (stamped by
+	// the client or rewritten by the relay) or rooting a fresh one. Nil
+	// costs nothing.
+	Flight *flight.Recorder
 
 	// Health, when set, receives one outcome per request keyed by object
 	// name — the origin's serving-quality view, feeding /debug/paths.
@@ -51,7 +52,7 @@ type Origin struct {
 func (o *Origin) WriteProm(p *obs.Prom) {
 	p.Counter("origin_bytes_served_total", "Content bytes written to clients.", float64(o.BytesServed.Load()))
 	p.Counter("origin_conns_total", "Connections accepted.", float64(o.Conns.Load()))
-	p.Counter("origin_spans_total", "Tracing spans recorded.", float64(o.Spans.Seen()))
+	o.Flight.WriteProm(p, "origin")
 	p.Histogram("origin_request_latency_seconds", "Request serving times.", o.lat.Snapshot())
 }
 
@@ -98,7 +99,7 @@ func (o *Origin) serveOne(conn net.Conn, req *httpx.Request) bool {
 	parent, _ := obs.ParseTraceHeader(req.Header[obs.TraceHeader])
 	var rec flight.Record
 	rec.Start(flight.Spec{
-		Spans: o.Spans, Latency: &o.lat, Health: o.Health,
+		Flight: o.Flight, Latency: &o.lat, Health: o.Health,
 		Service: "origin", Phase: "serve", Parent: parent})
 	again := o.serve(conn, req, &rec)
 	rec.Finish()

@@ -129,7 +129,7 @@ func TestCachedAndPlainRelayAgree(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var replies [2]reply
 			for i, opts := range [][]Option{nil, {WithCache(16 << 20)}} {
-				rec := flight.NewRecorder(flight.Config{Ring: 4})
+				rec := flight.NewRecorder(4, false)
 				r, relayAddr, originAddr, _, mon := chaosRelay(t, tc.size, tc.faults, append(opts, WithFlight(rec))...)
 				replies[i] = exchange(t, relayAddr, originAddr, tc.object, tc.rg, tc.limit)
 				r.WaitIdle()

@@ -30,24 +30,18 @@ type Relay struct {
 	// intermediate-to-origin path.
 	Dial func(network, addr string) (net.Conn, error)
 
-	// Spans collects the relay's server-side tracing spans. When set,
-	// every forwarded request records a "forward" span — continuing the
-	// trace named by the client's x-trace header, or rooting a fresh one —
-	// with dial/ttfb/stream children for the upstream leg, and the
-	// forwarded request carries the forward span's context so the origin's
-	// serve span nests beneath it. Nil disables tracing.
-	Spans *obs.SpanCollector
-
 	// Health, when set, receives one outcome per forwarded request keyed
 	// by the upstream address — the relay's view of its origin paths,
 	// feeding /debug/paths and the health score it self-reports to the
 	// registry. Nil costs nothing.
 	Health *obs.HealthMonitor
 
-	// Flight, when set, records one wide event per forwarded request into
-	// the flight recorder (keyed by the upstream address like Health, with
-	// phase durations, bytes, cache state, and trace ID) and exposes
-	// in-flight forwards to its active table. Nil costs nothing.
+	// Flight, when set, is the store every forwarded request's record
+	// finishes into, keyed like Health by the upstream address. A tracing
+	// store makes each row a "forward" span continuing the client's
+	// x-trace (or rooting a fresh trace) with dial/ttfb/stream children,
+	// and the forwarded request carries the forward span's context so the
+	// origin's serve span nests beneath it. Nil costs nothing.
 	Flight *flight.Recorder
 
 	// UpstreamStall bounds how long the upstream may go silent while a
@@ -76,15 +70,7 @@ type Relay struct {
 func (r *Relay) WriteProm(p *obs.Prom) {
 	p.Counter("relay_requests_total", "Requests handled, including failures.", float64(r.Requests.Load()))
 	p.Counter("relay_bytes_relayed_total", "Response-body bytes forwarded to clients.", float64(r.BytesRelayed.Load()))
-	p.Counter("relay_spans_total", "Tracing spans recorded.", float64(r.Spans.Seen()))
-	if r.Spans != nil {
-		ts := r.Spans.TailStats()
-		p.Counter("relay_traces_kept_total", "Traces the tail policy kept.", float64(ts.KeptTraces))
-		p.Counter("relay_traces_dropped_total", "Traces the tail policy dropped.", float64(ts.DroppedTraces))
-		p.Counter("relay_traces_forced_keep_total", "Traces force-kept (errored or slowest-decile roots).",
-			float64(ts.ForcedError+ts.ForcedSlow))
-		p.Gauge("relay_trace_bytes", "Estimated bytes of kept spans.", float64(ts.KeptBytes))
-	}
+	r.Flight.WriteProm(p, "relay")
 	p.Histogram("relay_forward_latency_seconds", "Request forwarding times.", r.lat.Snapshot())
 	if r.cache != nil {
 		r.cache.Stats().WriteProm(p, "relay")
@@ -132,7 +118,7 @@ func (r *Relay) forwardOne(conn net.Conn, req *httpx.Request, up *leg) bool {
 	parent, _ := obs.ParseTraceHeader(req.Header[obs.TraceHeader])
 	var rec flight.Record
 	rec.Start(flight.Spec{
-		Spans: r.Spans, Flight: r.Flight, Latency: &r.lat, Health: r.Health,
+		Flight: r.Flight, Latency: &r.lat, Health: r.Health,
 		Service: "relay", Phase: "forward", Path: upstreamAddr, Object: object, Parent: parent})
 	rec.SetAttr("target", req.Target)
 	var again bool

@@ -6,7 +6,7 @@ import (
 	"testing/quick"
 )
 
-func startOrigin(t *testing.T) (*Origin, string) {
+func startOrigin(t testing.TB) (*Origin, string) {
 	t.Helper()
 	o := NewOriginServer()
 	o.Put("big.bin", 1_000_000)

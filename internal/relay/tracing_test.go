@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/httpx"
 	"repro/internal/obs"
+	"repro/internal/obs/flight"
 )
 
 // captureOrigin is a one-request fake origin that records the headers it
@@ -99,8 +100,8 @@ func TestRelayForwardsExtensionHeaders(t *testing.T) {
 // hop rather than beside it.
 func TestRelayRewritesTraceWhenTracing(t *testing.T) {
 	originAddr, got := captureOrigin(t)
-	spans := obs.NewSpanCollector(16)
-	r := &Relay{Spans: spans}
+	spans := flight.NewRecorder(16, true)
+	r := &Relay{Flight: spans}
 	l, err := r.ServeAddr("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -150,8 +151,8 @@ func TestRelayRewritesTraceWhenTracing(t *testing.T) {
 // server-side phase set with the children parented on the forward span.
 func TestRelaySpanPhases(t *testing.T) {
 	_, originAddr := startOrigin(t)
-	spans := obs.NewSpanCollector(16)
-	r := &Relay{Spans: spans}
+	spans := flight.NewRecorder(16, true)
+	r := &Relay{Flight: spans}
 	l, err := r.ServeAddr("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

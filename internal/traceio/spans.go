@@ -1,6 +1,6 @@
 // Span archives: the JSONL persistence of distributed-tracing spans,
 // sharing the header convention of the record archives. Each process —
-// fetch client, relayd, origind — writes its own collector's spans to its
+// fetch client, relayd, origind — writes its own store's spans to its
 // own file; readers merge any number of archives and stitch cross-process
 // timelines by trace ID.
 

@@ -8,9 +8,11 @@
 # written after fetch, relayd, registryd, origind or indirectlab (up to
 # the end of its backtick span or line) is defined by a flag.*("name"
 # in cmd/ or internal/daemon. Every |-separated name in a Makefile
-# recipe's -run pattern (anchors stripped) must be a substring of some Test…/Fuzz…
-# func, so a pattern naming a deleted test fails here instead of
-# silently matching nothing. Every relay.WithX or registry.WithX they
+# recipe's -run pattern (anchors stripped) must be a substring of some
+# Test…/Fuzz… func in one of the packages that recipe line names, so a
+# pattern naming a deleted or moved test fails here instead of silently
+# matching nothing. No doc cites a ROADMAP item by number: items are
+# renumbered as they land, so a doc names the question or metric. Every relay.WithX or registry.WithX they
 # name is a func of that package (internal/relay, internal/registry), and
 # every repro.X they name is declared in a non-test root *.go file (a
 # func, type, const or var, or an `X =` line of a grouped block), so a
@@ -53,9 +55,17 @@ for doc in "${docs[@]}"; do
   for name in $(grep -ohE '\b(Test|Fuzz)[A-Z][A-Za-z0-9_]*' "$doc" | sort -u); do
     grep -q "^$name" <<<"$testfuncs" || { echo "$doc: $name: no such test"; bad=1; }
   done
+  # A citation may wrap: "ROADMAP" ends one line, "item" starts the next.
+  tr '\n' ' ' <"$doc" | grep -qE 'ROADMAP[[:space:]]+item' &&
+    { echo "$doc: cites a ROADMAP item number; name the question or metric"; bad=1; }
 done
-for name in $(grep -E $'^\t' Makefile | grep -oE -- "-run ('[^']*'|[^[:space:]']+)" | sed -E "s/^-run //; s/'//g" |
-    tr '|' '\n' | tr -d '^$' | sort -u); do
-  grep -qF -- "$name" <<<"$testfuncs" || { echo "Makefile: -run $name: matches no test"; bad=1; }
-done
+# Recipe lines, continuations joined; the packages are the ./ arguments.
+while IFS= read -r line; do
+  pattern=$(grep -oE -- "-run ('[^']*'|[^[:space:]']+)" <<<"$line" | sed -E "s/^-run //; s/'//g") || continue
+  pkgs=$(tr -s ' \t' '\n' <<<"$line" | grep -E '^\.(/|$)' | sed -E 's#/?$#/#')
+  funcs=$(for pkg in $pkgs; do grep -hoE '^func (Test|Fuzz)[A-Za-z0-9_]*' "$pkg"*_test.go || true; done | awk '{print $2}')
+  for name in $(tr '|' '\n' <<<"$pattern" | tr -d '^$'); do
+    grep -qF -- "$name" <<<"$funcs" || { echo "Makefile: -run $name: matches no test in" $pkgs; bad=1; }
+  done
+done < <(sed -e ':a' -e '/\\$/N; s/\\\n//; ta' Makefile | grep -E $'^\t')
 exit $bad

@@ -20,9 +20,9 @@ import (
 // carried it, the origin's serve spans below, and the losing direct probe
 // ending with the canceled class.
 func TestCrossProcessTraceStitches(t *testing.T) {
-	originSpans := repro.NewSpanCollector(256)
+	originSpans := repro.NewRecorder(256)
 	origin := relay.NewOriginServer()
-	origin.Spans = originSpans
+	origin.Flight = originSpans
 	origin.Put("large.bin", 600_000)
 	ol, err := origin.ServeAddr("127.0.0.1:0")
 	if err != nil {
@@ -30,8 +30,8 @@ func TestCrossProcessTraceStitches(t *testing.T) {
 	}
 	defer ol.Close()
 
-	relaySpans := repro.NewSpanCollector(256)
-	r := &relay.Relay{Spans: relaySpans}
+	relaySpans := repro.NewRecorder(256)
+	r := &relay.Relay{Flight: relaySpans}
 	rl, err := r.ServeAddr("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +52,7 @@ func TestCrossProcessTraceStitches(t *testing.T) {
 	}
 	defer tr.Close()
 
-	clientSpans := repro.NewSpanCollector(256)
+	clientSpans := repro.NewRecorder(256)
 	client := repro.New(tr,
 		repro.WithProbeBytes(150_000),
 		repro.WithSpans(clientSpans))
@@ -68,7 +68,7 @@ func TestCrossProcessTraceStitches(t *testing.T) {
 
 	// The loser's span is ended by its fetch goroutine, which may still be
 	// unwinding its closed socket when SelectAndFetch returns (the watcher
-	// published the canceled result first). Wait for it briefly.
+	// published the canceled result first).
 	loser := awaitSpan(t, clientSpans, func(s repro.Span) bool {
 		return s.Phase == "transfer" && s.Class == "canceled" && s.Attrs["path"] == "direct"
 	})
@@ -76,7 +76,7 @@ func TestCrossProcessTraceStitches(t *testing.T) {
 		t.Fatal("canceled loser span carries no error detail")
 	}
 
-	// Merge the three processes' collectors — exactly what fetch -stitch
+	// Merge the three processes' stores — exactly what fetch -stitch
 	// -merge does with the daemons' archives — and stitch. Relay and
 	// origin record a request's spans when its record finishes, after the
 	// client has its bytes (or has hung up, for the reaped loser).
@@ -205,22 +205,20 @@ func TestCrossProcessTraceStitches(t *testing.T) {
 	}
 }
 
-// awaitSpan polls the collector until a span matching pred arrives, for
-// spans ended asynchronously after the operation returns.
-func awaitSpan(t *testing.T, c *repro.SpanCollector, pred func(repro.Span) bool) repro.Span {
+// awaitSpan waits until no transfer is open in the store — spans ended
+// asynchronously after the operation returns are then in it — and
+// returns the span matching pred.
+func awaitSpan(t *testing.T, rec *repro.Recorder, pred func(repro.Span) bool) repro.Span {
 	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		for _, s := range c.Spans() {
-			if pred(s) {
-				return s
-			}
+	rec.WaitIdle()
+	spans := rec.Spans()
+	for _, s := range spans {
+		if pred(s) {
+			return s
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("span never arrived; have %d spans", len(c.Spans()))
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
+	t.Fatalf("no matching span among the %d stored", len(spans))
+	return repro.Span{}
 }
 
 func phaseKeys(m map[string][]repro.Span) []string {
