@@ -1,12 +1,19 @@
 GO ?= go
 
-.PHONY: build vet test race bench-smoke bench-pair doc-check fuzz-smoke chaos-smoke obs-smoke flight-smoke stress verify
+.PHONY: build vet cross test race bench-smoke bench-pair doc-check fuzz-smoke chaos-smoke obs-smoke flight-smoke stress verify
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# The non-amd64 build: the content kernels' scalar fallback
+# (content_other.go) and everything else compile, and vet, where the
+# AVX-512 assembly is not built.
+cross:
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=386 $(GO) build ./...
 
 test:
 	$(GO) test ./...

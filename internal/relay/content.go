@@ -43,9 +43,9 @@ func headLen(pos uint64, n int) int {
 
 // fillContent writes the content at [pos, pos+len(p)) of the stream
 // seeded seed into p: the unaligned head byte by byte out of its one
-// word, the middle as one mix and one 8-byte store per word (four words
-// an iteration: the mixes are independent, and unrolled they overlap),
-// the tail out of its one word.
+// word; from the first word boundary on, 64-byte blocks by the vector
+// kernel where the processor has one; the rest by the scalar loop,
+// fillWords.
 //
 // It is kept out of line, as checkContent is: inlined into a caller
 // that holds other live values across the loop (writeRange did), the
@@ -61,6 +61,19 @@ func fillContent(seed, pos uint64, p []byte) {
 		p = p[h:]
 		k++
 	}
+	if blocks := len(p) >> 6; vectorWords && blocks > 0 {
+		fillBlocks(&p[0], blocks, k)
+		p = p[blocks<<6:]
+		k += uint64(blocks) << 3
+	}
+	fillWords(p, k)
+}
+
+// fillWords is the scalar middle and tail: it writes the content from
+// word k on into p, one mix and one 8-byte store per word (four words
+// an iteration: the mixes are independent, and unrolled they overlap),
+// the tail out of its one word.
+func fillWords(p []byte, k uint64) {
 	for len(p) >= 32 {
 		binary.LittleEndian.PutUint64(p[24:32], contentWord(k+3))
 		binary.LittleEndian.PutUint64(p[16:24], contentWord(k+2))
@@ -88,8 +101,8 @@ func putWord(p []byte, x uint64) {
 
 // checkContent reports whether p equals the content at [pos,
 // pos+len(p)) of the stream seeded seed, comparing against the
-// generator in place (8-byte loads, the same head/tail rule as
-// fillContent) instead of materialising the expected bytes.
+// generator in place instead of materialising the expected bytes: the
+// same head, block and tail split as fillContent.
 //
 //go:noinline
 func checkContent(seed, pos uint64, p []byte) bool {
@@ -101,6 +114,19 @@ func checkContent(seed, pos uint64, p []byte) bool {
 		p = p[h:]
 		k++
 	}
+	if blocks := len(p) >> 6; vectorWords && blocks > 0 {
+		if !checkBlocks(&p[0], blocks, k) {
+			return false
+		}
+		p = p[blocks<<6:]
+		k += uint64(blocks) << 3
+	}
+	return checkWords(p, k)
+}
+
+// checkWords is the scalar middle and tail of checkContent: 8-byte
+// loads against the generator from word k on, four words an iteration.
+func checkWords(p []byte, k uint64) bool {
 	for len(p) >= 32 {
 		d := binary.LittleEndian.Uint64(p[24:32]) ^ contentWord(k+3)
 		d |= binary.LittleEndian.Uint64(p[16:24]) ^ contentWord(k+2)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"io"
+	"math/rand/v2"
 	"testing"
 )
 
@@ -23,19 +24,20 @@ func refRange(name string, off uint64, n int) []byte {
 }
 
 // TestContentAlignmentMatrix walks every head/tail alignment: each start
-// offset 0..15 with each length 0..40 must come out of FillRange,
+// offset 0..15 with each length 0..300 must come out of FillRange,
 // WriteRange (through buffers that cut words in every way) and the
 // Verifier (under every two-way split) as the same bytes one whole fill
-// has there.
+// has there. Past 256 aligned bytes a range runs the vector kernel's
+// four-block loop, its one-block loop and the scalar tail.
 func TestContentAlignmentMatrix(t *testing.T) {
 	const name = "matrix.bin"
-	whole := make([]byte, 64)
+	whole := make([]byte, 320)
 	FillRange(name, 0, whole)
 	if want := refRange(name, 0, len(whole)); !bytes.Equal(whole, want) {
 		t.Fatalf("whole fill differs from the per-byte definition:\n got %x\nwant %x", whole, want)
 	}
 	for off := 0; off <= 15; off++ {
-		for n := 0; n <= 40; n++ {
+		for n := 0; n <= 300; n++ {
 			want := whole[off : off+n]
 			got := make([]byte, n+2) // one guard byte each side
 			FillRange(name, int64(off), got[1:1+n])
@@ -83,6 +85,9 @@ func FuzzContentSplit(f *testing.F) {
 	f.Add(int64(3), uint16(40), uint64(1), uint32(7))
 	f.Add(int64(1<<32-5), uint16(300), uint64(99), uint32(1234))
 	f.Add(int64(1<<40+7), uint16(4099), uint64(12345), uint32(4099*8-1))
+	// bit 3 of byte 149: past a 1-byte head and two whole 64-byte
+	// blocks, inside the third, which the vector kernel checks.
+	f.Add(int64(7), uint16(1500), uint64(5), uint32(149*8+3))
 	f.Add(int64(-1), uint16(65535), uint64(1<<63), uint32(1<<31))
 	f.Fuzz(func(t *testing.T, off int64, length uint16, splits uint64, flipBit uint32) {
 		const name = "fuzz.bin"
@@ -220,25 +225,134 @@ func TestContentGoldenVector(t *testing.T) {
 	}
 }
 
-// The data path makes and checks content in place: no call allocates.
+// The data path makes and checks content in place: no call allocates,
+// over a range long enough that the vector kernels, where the processor
+// has them, run over most of it.
 func TestContentPathAllocatesNothing(t *testing.T) {
-	body := make([]byte, 100_000)
+	const span = 100_000
+	if span < 64<<10 {
+		t.Fatalf("span %d is under 64 KiB", span)
+	}
+	body := make([]byte, span)
 	FillRange("alloc.bin", 5, body)
 	buf := make([]byte, 32<<10)
 	for _, c := range []struct {
 		what string
 		f    func() bool
 	}{
+		{"FillRange", func() bool { FillRange("alloc.bin", 5, body); return true }},
 		{"VerifyRange", func() bool { return VerifyRange("alloc.bin", 5, body) }},
 		{"NewVerifier.Verify", func() bool { return NewVerifier("alloc.bin", 5).Verify(body) }},
 		{"WriteRange with a caller buffer", func() bool {
-			n, err := WriteRange(io.Discard, "alloc.bin", 5, 100_000, buf)
-			return err == nil && n == 100_000
+			n, err := WriteRange(io.Discard, "alloc.bin", 5, span, buf)
+			return err == nil && n == span
 		}},
 	} {
 		ok := true
 		if allocs := testing.AllocsPerRun(20, func() { ok = ok && c.f() }); allocs != 0 || !ok {
 			t.Errorf("%s: %v allocs per call (ok=%v), want 0", c.what, allocs, ok)
 		}
+	}
+}
+
+// TestContentVectorMatchesScalar holds the AVX-512 block kernels to the
+// scalar loop they stand in for. Word indices are the seed plus pos>>3,
+// so the streams include one that wraps past 2^64 and windows beyond
+// 2^40. The block kernels must write and accept the scalar loop's bytes
+// and write nothing past their last block; fillContent and checkContent
+// must agree with the scalar loop at every head alignment 0..15 and
+// every length 0..2100; and a flip of any single bit of a 9-block
+// window (two four-register iterations and the one-block loop, so every
+// lane of every unrolled register) must fail checkBlocks.
+func TestContentVectorMatchesScalar(t *testing.T) {
+	if !vectorWords {
+		t.Skip("no AVX-512F/DQ with OS support: the content kernels run the scalar loop only")
+	}
+	t.Log("content kernels: AVX-512 block kernels for the aligned middle, scalar loop for the rest")
+	const maxLen, heads = 2100, 16
+	rng := rand.New(rand.NewPCG(39, 64))
+	for _, c := range []struct{ seed, base uint64 }{
+		{rng.Uint64(), 0},
+		{rng.Uint64(), 1<<40 + rng.Uint64()>>40<<3},
+		{^uint64(0) - 100, 0},         // wraps 808 bytes in
+		{1<<64 - 1<<37 - 40, 1 << 40}, // wraps 320 bytes in, beyond 2^40
+	} {
+		k := c.base>>3 + c.seed
+		ref := make([]byte, heads+maxLen)
+		fillWords(ref, k)
+		if !checkWords(ref, k) {
+			t.Fatalf("seed %#x: checkWords rejects fillWords' bytes", c.seed)
+		}
+
+		got := make([]byte, len(ref))
+		for blocks := 1; blocks*64 < len(ref); blocks++ {
+			got[blocks*64] = 0xa5
+			fillBlocks(&got[0], blocks, k)
+			if !bytes.Equal(got[:blocks*64], ref[:blocks*64]) || got[blocks*64] != 0xa5 {
+				t.Fatalf("seed %#x: fillBlocks(%d) differs from the scalar loop or wrote past its end", c.seed, blocks)
+			}
+			if !checkBlocks(&ref[0], blocks, k) {
+				t.Fatalf("seed %#x: checkBlocks(%d) rejects the scalar loop's bytes", c.seed, blocks)
+			}
+		}
+
+		for off := 0; off < heads; off++ {
+			pos := c.base + uint64(off)
+			for n := 0; n <= maxLen; n++ {
+				want := ref[off : off+n]
+				got[n] = 0xa5
+				fillContent(c.seed, pos, got[:n])
+				if !bytes.Equal(got[:n], want) || got[n] != 0xa5 {
+					t.Fatalf("seed %#x: fillContent(pos=%#x, n=%d) differs from the scalar loop", c.seed, pos, n)
+				}
+				if !checkContent(c.seed, pos, want) {
+					t.Fatalf("seed %#x: checkContent(pos=%#x, n=%d) rejects the scalar loop's bytes", c.seed, pos, n)
+				}
+			}
+		}
+
+		const window = 9
+		p := append([]byte(nil), ref[:window*64]...)
+		for bit := 0; bit < len(p)*8; bit++ {
+			p[bit/8] ^= 1 << (bit % 8)
+			if checkBlocks(&p[0], window, k) {
+				t.Fatalf("seed %#x: checkBlocks accepts a flip of bit %d (register %d, lane %d)", c.seed, bit, bit/512, bit/64%8)
+			}
+			p[bit/8] ^= 1 << (bit % 8)
+		}
+	}
+}
+
+var contentSink bool
+
+// BenchmarkContentKernels prices one 64 KiB pass of each content kernel,
+// scalar and vector, from a word boundary (the vector pair skips where
+// the processor has no AVX-512).
+func BenchmarkContentKernels(b *testing.B) {
+	const span, k = 64 << 10, 12345
+	p := make([]byte, span)
+	fillWords(p, k)
+	for _, c := range []struct {
+		name   string
+		vector bool
+		f      func() bool
+	}{
+		{"fill/scalar", false, func() bool { fillWords(p, k); return true }},
+		{"fill/vector", true, func() bool { fillBlocks(&p[0], span/64, k); return true }},
+		{"check/scalar", false, func() bool { return checkWords(p, k) }},
+		{"check/vector", true, func() bool { return checkBlocks(&p[0], span/64, k) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			if c.vector && !vectorWords {
+				b.Skip("no AVX-512F/DQ with OS support")
+			}
+			b.SetBytes(span)
+			for i := 0; i < b.N; i++ {
+				contentSink = c.f()
+			}
+			if !contentSink {
+				b.Fatal("the kernel rejected its own bytes")
+			}
+		})
 	}
 }
