@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet cross test race bench-smoke bench-pair doc-check fuzz-smoke chaos-smoke obs-smoke flight-smoke stress verify
+.PHONY: build vet cross test race bench-smoke relay-bench-smoke bench-pair doc-check fuzz-smoke chaos-smoke obs-smoke flight-smoke stress verify
 
 build:
 	$(GO) build ./...
@@ -26,6 +26,12 @@ race:
 # not reach, so this is what notices an API change breaking the harness.
 bench-smoke:
 	cd bench && $(GO) test ./...
+
+# One iteration of every benchmark in internal/relay (the forward path's
+# flight-store pricing, the writes that carry an 8 MiB response, the
+# content kernels), so none of them rots unbuilt and unrun.
+relay-bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/relay/
 
 # Parent-vs-change comparison of one workload of the repo benchmark:
 # REF is archived into a throw-away directory, each tree runs its own

@@ -12,10 +12,11 @@
 // measurement needs; net/http's transport machinery would get in the way.
 //
 // A head costs what it carries: it is assembled in a recycled buffer and
-// written with one Write, and parsed line by line in place in the
-// reader's buffer, so reading one allocates only the strings a caller
-// can keep — and none of those for the names and tokens the protocol
-// itself uses. The message and its header map come from a pool, and go
+// written with one Write, or appended to a server's buffer ahead of the
+// first body bytes it goes out with; it is parsed line by line in place
+// in the reader's buffer, so reading one allocates only the strings a
+// caller can keep — and none of those for the names and tokens the
+// protocol itself uses. The message and its header map come from a pool, and go
 // back to it when the owner that read the head calls Release; a caller
 // that hands the message on, or keeps it, leaves it to the collector, at
 // the cost of one message and one map.
@@ -202,11 +203,18 @@ type Response struct {
 // a single write to w.
 func WriteResponseHead(w io.Writer, status int, reason string, header map[string]string) error {
 	bp := headBufs.Get().(*[]byte)
-	b := append((*bp)[:0], "HTTP/1.1 "...)
+	return writeHead(w, bp, AppendResponseHead((*bp)[:0], status, reason, header))
+}
+
+// AppendResponseHead appends the serialized response head — status
+// line, headers, blank line — to b, so that a server can send the head
+// in the same write as the first bytes of its body.
+func AppendResponseHead(b []byte, status int, reason string, header map[string]string) []byte {
+	b = append(b, "HTTP/1.1 "...)
 	b = strconv.AppendInt(b, int64(status), 10)
 	b = append(b, ' ')
 	b = append(b, reason...)
-	return writeHead(w, bp, appendHeader(b, header))
+	return appendHeader(b, header)
 }
 
 // ReadResponse parses a response head from br and wires up a bounded body

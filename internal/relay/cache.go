@@ -8,6 +8,7 @@ import (
 	"net"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/httpx"
 	"repro/internal/objcache"
@@ -125,23 +126,38 @@ func (r *Relay) writeCached(conn net.Conn, rec *flight.Record, key string, data 
 			header["content-range"] = fmt.Sprintf("bytes %d-%d/*", off, off+int64(len(data))-1)
 		}
 	}
-	err := httpx.WriteResponseHead(conn, status, reason, header)
-	if err == nil {
-		// Counted before the write that releases the bytes; a short write
-		// takes the rest back.
-		n := int64(len(data))
-		r.BytesRelayed.Add(n)
-		var m int
-		m, err = conn.Write(data)
-		r.BytesRelayed.Add(int64(m) - n)
-		rec.StoreBytes(int64(m))
-	}
+	// The head and the span go out in one writev. Counted before the
+	// write that releases the bytes; a short write takes the rest back.
+	v := hitVecs.Get().(*hitVec)
+	v.head = httpx.AppendResponseHead(v.head[:0], status, reason, header)
+	v.iov = [2][]byte{v.head, data}
+	v.bufs = v.iov[:]
+	n := int64(len(data))
+	r.BytesRelayed.Add(n)
+	m, err := v.bufs.WriteTo(conn)
+	m = max(m-int64(len(v.head)), 0)
+	r.BytesRelayed.Add(m - n)
+	rec.StoreBytes(m)
+	v.iov, v.bufs = [2][]byte{}, nil // the span is the cache's, pinned only until now
+	hitVecs.Put(v)
 	if err != nil {
 		rec.Outcome(obs.ClassCanceled, "client: "+err.Error())
 		return false
 	}
 	return true
 }
+
+// hitVec is what a cached answer is written with: the buffer its head
+// is rendered in and the two-entry vector that sends head and span in
+// one writev. hitVecs recycles them, because a net.Buffers literal is
+// allocated on every write it makes.
+type hitVec struct {
+	head []byte
+	iov  [2][]byte
+	bufs net.Buffers
+}
+
+var hitVecs = sync.Pool{New: func() any { return new(hitVec) }}
 
 // parseContentRange extracts (first-byte offset, total size) from a
 // "bytes a-b/size" header; (-1, -1) when absent or malformed, and

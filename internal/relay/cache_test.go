@@ -432,3 +432,30 @@ var errWrongBytes = errVerify{}
 type errVerify struct{}
 
 func (errVerify) Error() string { return "relay: fetched bytes failed verification" }
+
+// TestCacheHitAllocCeiling holds a warm 128 KiB hit through a cached
+// relay, client included, to what it cost when the head and the span
+// went out in two writes: writing them in one writev must not cost an
+// allocation (a net.Buffers literal does; the vector is pooled).
+func TestCacheHitAllocCeiling(t *testing.T) {
+	_, originAddr := startOrigin(t)
+	const n = 128 << 10
+	_, relayAddr := startCachedRelay(t, 1<<20)
+	c := dialKept(t, relayAddr)
+	hit := func() {
+		c.send("GET", originAddr, "big.bin", 0, n)
+		resp, err := httpx.ReadResponse(c.br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := io.Copy(io.Discard, resp.Body); err != nil || got != n || resp.Header["x-cache"] != "hit" {
+			t.Fatalf("%d bytes, %v, x-cache %q; want a %d-byte hit", got, err, resp.Header["x-cache"], n)
+		}
+	}
+	c.get(originAddr, "big.bin", 0, n) // the fill
+	if got := testing.AllocsPerRun(100, hit); got > 12 && !bufpool.RaceEnabled {
+		t.Errorf("cached relay hit: %v allocs per request, want <= 12", got)
+	} else {
+		t.Logf("cached relay hit: %v allocs per request", got)
+	}
+}

@@ -145,16 +145,18 @@ func (o *Origin) serve(conn net.Conn, req *httpx.Request, rec *flight.Record) (a
 	// A failed write is the client going away (a losing probe reaped, a
 	// caller's deadline): it says nothing about the object, so it folds
 	// as canceled, as a relay's failed downstream write does.
-	if err := httpx.WriteResponseHead(conn, status, reason, header); err != nil {
-		rec.Outcome(obs.ClassCanceled, "client: "+err.Error())
-		return false
-	}
-	if req.Method == "HEAD" {
+	if req.Method == "HEAD" || n == 0 {
+		if err := httpx.WriteResponseHead(conn, status, reason, header); err != nil {
+			rec.Outcome(obs.ClassCanceled, "client: "+err.Error())
+			return false
+		}
 		return true
 	}
 
+	// The head goes out in the same write as the first chunk of content.
 	bp := relayBufs.Get().(*[]byte)
-	sent, werr := writeRange(conn, name, off, n, *bp, &o.BytesServed)
+	head := httpx.AppendResponseHead((*bp)[:0], status, reason, header)
+	sent, werr := writeRange(conn, name, off, n, *bp, len(head), &o.BytesServed)
 	relayBufs.Put(bp)
 	rec.StoreBytes(sent)
 	if rec.Tracing() { // gate the FormatInt: no formatting on the untraced path

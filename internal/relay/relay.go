@@ -7,7 +7,6 @@ import (
 	"net"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -325,12 +324,23 @@ func (r *Relay) forward(conn net.Conn, req *httpx.Request, rec *flight.Record, u
 		// client connection cannot be reused afterwards.
 		resp.Header["connection"] = "close"
 	}
-	clientErr := httpx.WriteResponseHead(conn, resp.Status, resp.Reason, resp.Header)
+	// The head goes out in the same write as the first body bytes when
+	// the leg's reader already holds some. It never waits on the
+	// upstream for them: with nothing buffered, no body, or a head
+	// larger than the room kept for one, it goes alone.
+	bp := relayBufs.Get().(*[]byte)
+	defer relayBufs.Put(bp)
+	head := httpx.AppendResponseHead((*bp)[:0], resp.Status, resp.Reason, resp.Header)
+	var clientErr error
+	if resp.ContentLength == 0 || up.br.Buffered() == 0 || len(head) > headRoom {
+		_, clientErr = conn.Write(head)
+		head = head[:0]
+	}
 	var got int64
 	var upErr error
 	if clientErr == nil || f.teeing() {
 		rec.Phase("stream")
-		got, clientErr, upErr = r.copyStream(conn, up.conn, resp, rec, f, clientErr)
+		got, clientErr, upErr = r.copyStream(conn, up.conn, resp, rec, f, *bp, len(head), clientErr)
 		if rec.Tracing() {
 			rec.PhaseAttr("bytes", strconv.FormatInt(rec.Bytes(), 10))
 		}
@@ -366,19 +376,17 @@ func (r *Relay) forward(conn net.Conn, req *httpx.Request, rec *flight.Record, u
 	return again
 }
 
-// relayBufs recycles forward-stream buffers across requests. It holds
-// pointers: a slice put in an interface is boxed, an allocation per Put.
-var relayBufs = sync.Pool{
-	New: func() any { b := make([]byte, 32<<10); return &b },
-}
-
-// copyStream pumps the upstream body to the client and reports read
-// (upstream) and write (downstream) failures separately: the relay's
-// health telemetry must not blame the upstream path when the downstream
-// client hung up. Every chunk is counted — into BytesRelayed and rec,
-// where the in-flight inspector sees it — before the write that
-// releases it, so a client holding the last byte never reads a stale
-// counter; a short write takes the undelivered part back.
+// copyStream pumps the upstream body to the client through buf, whose
+// first head bytes hold a response head still to be sent: it goes out
+// in the same write as the first body bytes, or alone if the first read
+// fails, so the client sees the head and then a short read just as if
+// it had been written first. Read (upstream) and write (downstream)
+// failures are reported separately: the relay's health telemetry must
+// not blame the upstream path when the downstream client hung up. Every
+// chunk is counted — into BytesRelayed and rec, where the in-flight
+// inspector sees it — before the write that releases it, so a client
+// holding the last byte never reads a stale counter; a short write
+// takes the undelivered part back.
 //
 // A teeing fill also gets every chunk, commits once the whole body is in
 // hand, and keeps the loop draining the upstream after the client is
@@ -389,20 +397,17 @@ var relayBufs = sync.Pool{
 // connection: progress resets the clock, silence longer than that
 // surfaces as a timeout from the read. A stall detector, not a transfer
 // cap — an arbitrarily large body is fine as long as bytes keep arriving.
-func (r *Relay) copyStream(dst, upstream net.Conn, resp *httpx.Response, rec *flight.Record, f *fill, headErr error) (got int64, werr, rerr error) {
+func (r *Relay) copyStream(dst, upstream net.Conn, resp *httpx.Response, rec *flight.Record, f *fill, buf []byte, head int, headErr error) (got int64, werr, rerr error) {
 	werr = headErr
-	bp := relayBufs.Get().(*[]byte)
-	defer relayBufs.Put(bp)
-	buf := *bp
 	for {
 		if r.UpstreamStall > 0 {
 			upstream.SetReadDeadline(time.Now().Add(r.UpstreamStall))
 		}
-		nr, err := resp.Body.Read(buf)
+		nr, err := resp.Body.Read(buf[head:])
 		if nr > 0 {
 			got += int64(nr)
 			if f.teeing() {
-				f.buf = append(f.buf, buf[:nr]...)
+				f.buf = append(f.buf, buf[head:head+nr]...)
 				if got == resp.ContentLength {
 					f.complete(f.buf, nil)
 				}
@@ -411,14 +416,19 @@ func (r *Relay) copyStream(dst, upstream net.Conn, resp *httpx.Response, rec *fl
 				r.BytesRelayed.Add(int64(nr))
 				rec.AddBytes(int64(nr))
 				var nw int
-				if nw, werr = dst.Write(buf[:nr]); nw < nr {
+				nw, werr = dst.Write(buf[:head+nr])
+				if nw = max(nw-head, 0); nw < nr {
 					r.BytesRelayed.Add(int64(nw - nr))
 					rec.AddBytes(int64(nw - nr))
 				}
 			}
+			head = 0
 			if werr != nil && !f.teeing() {
 				return got, werr, nil // nothing to salvage for a cache: stop
 			}
+		}
+		if err != nil && head > 0 && werr == nil {
+			_, werr = dst.Write(buf[:head]) // no body byte came to go with it
 		}
 		if err == io.EOF {
 			return got, werr, nil

@@ -2,13 +2,31 @@ package relay
 
 import (
 	"io"
+	"sync"
 	"sync/atomic"
 )
 
-// streamChunk is the generation granularity of WriteRange when the
-// caller brings no buffer: large enough to amortize the per-chunk write,
-// small enough that the scratch buffer stays cache-friendly.
-const streamChunk = 32 << 10
+// streamChunk is the size of the chunks every response body moves in
+// on the server side: the origin's generated content, the relay's
+// forward pump and the cached-miss tee. With the content kernels in
+// vector code, the syscalls per chunk are most of what a served byte
+// costs. At 128 KiB a bulk_select operation (an 8 MiB selected fetch;
+// client, relays and origin in one process) makes 228 read and 142
+// write syscalls, against 423 and 539 at 32 KiB. 256 KiB measured the
+// same as 128 KiB. 1 MiB was slower, and raised the benchmark's peak
+// resident set by 17 %.
+const streamChunk = 128 << 10
+
+// headRoom is what a relayBufs buffer holds beyond streamChunk: room
+// for a response head in front of a whole chunk, so that a response of
+// up to streamChunk bytes goes out in one write.
+const headRoom = 1 << 10
+
+// relayBufs recycles the buffers response bodies move through. It holds
+// pointers: a slice put in an interface is boxed, an allocation per Put.
+var relayBufs = sync.Pool{
+	New: func() any { b := make([]byte, streamChunk+headRoom); return &b },
+}
 
 // WriteRange streams the canonical content of object name at
 // [off, off+n) into w through buf, returning the bytes written (including
@@ -18,29 +36,29 @@ const streamChunk = 32 << 10
 // origin server and tests produce arbitrarily large ranges in constant
 // memory.
 func WriteRange(w io.Writer, name string, off, n int64, buf []byte) (int64, error) {
-	return writeRange(w, name, off, n, buf, nil)
+	return writeRange(w, name, off, n, buf, 0, nil)
 }
 
-// writeRange is WriteRange that also keeps a served-bytes counter: each
-// chunk is counted before the write that releases it, so a reader that
-// already holds the last byte never sees a stale count, and a short
-// write takes the undelivered part back.
-func writeRange(w io.Writer, name string, off, n int64, buf []byte, served *atomic.Int64) (int64, error) {
+// writeRange is WriteRange that sends buf[:head] — a response head the
+// caller rendered there — in the same write as the first chunk, and
+// keeps a served-bytes counter: each chunk is counted before the write
+// that releases it, so a reader that already holds the last byte never
+// sees a stale count, and a short write takes the undelivered part
+// back. The count it returns, like the counter, is of content bytes.
+func writeRange(w io.Writer, name string, off, n int64, buf []byte, head int, served *atomic.Int64) (int64, error) {
 	if len(buf) == 0 {
 		buf = make([]byte, streamChunk)
 	}
 	seed := contentSeed(name)
 	var written int64
 	for written < n {
-		chunk := int64(len(buf))
-		if rest := n - written; rest < chunk {
-			chunk = rest
-		}
-		fillContent(seed, uint64(off+written), buf[:chunk])
+		chunk := min(int64(len(buf)-head), n-written)
+		fillContent(seed, uint64(off+written), buf[head:head+int(chunk)])
 		if served != nil {
 			served.Add(chunk)
 		}
-		m, err := w.Write(buf[:chunk])
+		m, err := w.Write(buf[:head+int(chunk)])
+		m, head = max(m-head, 0), 0
 		if served != nil && int64(m) < chunk {
 			served.Add(int64(m) - chunk)
 		}
