@@ -110,7 +110,7 @@ flight-smoke:
 # cancellation errors, twenty times over under the race detector; the
 # whole root package (the facade's accounting and the live end-to-end
 # tests) and the registry (delta polls through change-log trims beside
-# concurrent writers, TTL expiry, peer sync) ten times under it; the
+# concurrent writers, TTL expiry, heartbeat fan-out) ten times under it; the
 # quick report against its golden five
 # times (before the report was a function of -seed it differed one run in
 # two); then the repo benchmark's smoke test ten times. Everything those

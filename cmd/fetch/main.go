@@ -10,7 +10,7 @@
 //	      -relay campus=127.0.0.1:8081 -relay isp=127.0.0.1:8082
 //
 // With -registry the relay set is discovered instead of listed by hand
-// (comma-separate peered registryd addresses to fail over when one is
+// (comma-separate several registryd addresses to fail over when one is
 // down); -top K narrows discovery to the K relays the registry ranks
 // healthiest (the paper's result: ~10 of 35 candidates capture nearly
 // all gain). Relays the registry has marked down are excluded.
@@ -103,8 +103,8 @@ func printStitched(all []repro.Span) {
 }
 
 // newRegistryClient talks to the first of -registry's comma-separated
-// addresses; the others are peered registries tried on failure, so
-// discovery survives losing one.
+// addresses; the others are registries tried on failure (relays
+// heartbeat every one), so discovery survives losing one.
 func newRegistryClient(regAddr string, timeout time.Duration) *repro.RegistryClient {
 	addrs := strings.Split(regAddr, ",")
 	return repro.NewRegistryClient(addrs[0],
@@ -347,7 +347,7 @@ func main() {
 	segment := flag.Int64("segment", 1_000_000, "adaptive mode: segment size in bytes")
 	timeout := flag.Duration("timeout", 0, "overall transfer deadline (0 = none)")
 	retries := flag.Int("retries", 0, "retry a transfer that delivered nothing up to N times")
-	regAddr := flag.String("registry", "", "discover relays from this registry; comma-separate peered registries to fail over (in addition to -relay flags)")
+	regAddr := flag.String("registry", "", "discover relays from this registry; comma-separate several to fail over (in addition to -relay flags)")
 	regTimeout := flag.Duration("registry-timeout", 5*time.Second, "per-request registry deadline")
 	topK := flag.Int("top", 0, "discover only the K healthiest relays, ranked by the registry (0 = all)")
 	showStats := flag.Bool("stats", false, "print the metrics snapshot (JSON) after the transfer")

@@ -9,20 +9,18 @@
 //
 // Usage:
 //
-//	registryd -listen 127.0.0.1:8070 -metrics 127.0.0.1:9070 \
-//	    -peer 127.0.0.1:8071 -sync-every 5s
+//	registryd -listen 127.0.0.1:8070 -metrics 127.0.0.1:9070
 //
 // The table stripes across -shards lock partitions, so heartbeat storms
-// from very large relay fleets don't serialize on one mutex. Each -peer
-// (repeatable) names another registryd to anti-entropy against: this
-// instance pulls SYNCD deltas from every peer each -sync-every and
-// merges them last-writer-wins, so a heartbeat reaching either peer is
-// visible on both within one interval and discovery survives a
-// registryd loss (point clients at both via fetch -registry a,b).
+// from very large relay fleets don't serialize on one mutex. Each
+// registryd is complete on its own and talks to no other: to survive a
+// registryd loss, run two and name both everywhere — relays heartbeat
+// to every address in relayd -registry a,b, and clients fail over
+// through fetch -registry a,b.
 //
 // With -metrics set, live counters (registrations, list and delta
 // queries, epoch, live and down relay counts) are served as JSON on
-// /debug/vars, shard occupancy and peer sync cursors on /debug/registry,
+// /debug/vars, shard occupancy on /debug/registry,
 // Prometheus text format on /metrics (including the command-latency
 // histogram), liveness on /healthz, and readiness on /readyz (the
 // listener must be up). A relay whose heartbeat carries a metrics
@@ -39,29 +37,12 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/daemon"
-	"repro/internal/obs"
 	"repro/internal/registry"
 )
-
-// peerList collects repeatable -peer flags (comma-separated values also
-// accepted).
-type peerList []string
-
-func (p *peerList) String() string { return strings.Join(*p, ",") }
-
-func (p *peerList) Set(v string) error {
-	for _, a := range strings.Split(v, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			*p = append(*p, a)
-		}
-	}
-	return nil
-}
 
 func main() {
 	listen := flag.String("listen", "127.0.0.1:8070", "listen address")
@@ -70,9 +51,6 @@ func main() {
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (empty = off)")
 	shards := flag.Int("shards", registry.DefaultShards, "table lock partitions")
 	timeout := flag.Duration("timeout", registry.DefaultTimeout, "per-command connection deadline")
-	syncEvery := flag.Duration("sync-every", 5*time.Second, "peer anti-entropy interval")
-	var peers peerList
-	flag.Var(&peers, "peer", "peer registryd address to sync against (repeatable, or comma-separated)")
 	mkLog := daemon.LogFlags()
 	flag.Parse()
 	logger := mkLog("registryd")
@@ -87,13 +65,7 @@ func main() {
 		os.Exit(1)
 	}
 	ready := daemon.ServeListener(l, s.Serve, logger)
-	logger.Info("listening", "addr", l.Addr().String(), "shards", *shards, "peers", peers.String())
-
-	var ps *registry.PeerSync
-	if len(peers) > 0 {
-		ps = registry.NewPeerSync(&s, peers, *syncEvery, *timeout, logger)
-		go ps.Run(ctx)
-	}
+	logger.Info("listening", "addr", l.Addr().String(), "shards", *shards)
 
 	d := &daemon.Daemon{
 		Prefix: "registry",
@@ -104,37 +76,15 @@ func main() {
 				"lists":         s.Lists.Load(),
 				"delta_lists":   s.DeltaLists.Load(),
 				"full_deltas":   s.FullDeltas.Load(),
-				"syncs":         s.Syncs.Load(),
 				"downs":         s.Downs.Load(),
 				"live_relays":   st.Live,
 				"down_relays":   st.Down,
 				"epoch":         st.Epoch,
 			}
 		},
-		Registry: func() any {
-			out := map[string]any{"table": s.Stats()}
-			if ps != nil {
-				out["peers"] = ps.Stats()
-			}
-			return out
-		},
-		Prom: func(p *obs.Prom) {
-			s.WriteProm(p)
-			if ps != nil {
-				pulls := map[string]float64{}
-				applied := map[string]float64{}
-				errs := map[string]float64{}
-				for _, pst := range ps.Stats() {
-					pulls[pst.Addr] = float64(pst.Pulls)
-					applied[pst.Addr] = float64(pst.Applied)
-					errs[pst.Addr] = float64(pst.Errors)
-				}
-				p.LabeledCounter("registry_peer_pulls_total", "Peer sync pulls completed.", "peer", pulls)
-				p.LabeledCounter("registry_peer_applied_total", "Peer sync records applied.", "peer", applied)
-				p.LabeledCounter("registry_peer_errors_total", "Peer sync failures.", "peer", errs)
-			}
-		},
-		Ready: ready,
+		Registry: func() any { return map[string]any{"table": s.Stats()} },
+		Prom:     s.WriteProm,
+		Ready:    ready,
 	}
 	d.ServeMetrics(ctx, *metrics, logger)
 	daemon.ServePprof(ctx, *pprofAddr, logger)

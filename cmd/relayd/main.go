@@ -22,8 +22,8 @@
 // per-path health as JSON on /debug/paths, cache counters on
 // /debug/cache (with -cache-bytes set), liveness on /healthz, and
 // readiness on /readyz (the listener must be up and — when -registry is
-// set — the registry still accepting heartbeats). With -trace set, the
-// relay records forward/dial/ttfb/stream spans per request — continuing
+// set — at least one registry still accepting heartbeats). With -trace
+// set, the relay records forward/dial/ttfb/stream spans per request — continuing
 // the client's x-trace — in the flight store's rows and archives them as
 // JSONL on shutdown. When both -registry and -metrics are set,
 // heartbeats carry the metrics address, so fetch -fleet and fetch
@@ -65,7 +65,7 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:8081", "listen address")
 	metrics := flag.String("metrics", "", "metrics endpoint address (empty = off)")
 	statsEvery := flag.Duration("stats", 30*time.Second, "stats log interval (0 = off)")
-	regAddr := flag.String("registry", "", "registry address to self-register with; comma-separate peered registries to fail over (optional)")
+	regAddr := flag.String("registry", "", "registry address to self-register with; comma-separate several to heartbeat every one (optional)")
 	regTimeout := flag.Duration("registry-timeout", 5*time.Second, "per-request registry deadline")
 	name := flag.String("name", "relay", "relay name used when registering")
 	ttl := flag.Duration("ttl", time.Minute, "registration TTL")
@@ -137,11 +137,11 @@ func main() {
 
 	var hb *registry.HeartbeatState
 	if *regAddr != "" {
-		// Heartbeats go through a pooled client: steady state is one
-		// round trip on a held-open connection, each tick re-resolving
-		// through the client (transparent redial, fallback peers) so one
-		// refused connection doesn't burn a tick. With peered registries
-		// listed, a heartbeat landing on either converges on both.
+		// Heartbeats go to every listed registry, each through its own
+		// pooled client: steady state is one round trip per registry on a
+		// held-open connection, and a registry that is down is retried
+		// every tick. Each registry then holds the relay on its own, and
+		// losing one leaves the relay discoverable through the others.
 		addrs := strings.Split(*regAddr, ",")
 		rc := registry.NewClient(addrs[0],
 			registry.WithTimeout(*regTimeout),
@@ -156,6 +156,9 @@ func main() {
 		if err != nil {
 			logger.Error("registration failed", "registry", *regAddr, "err", err)
 			os.Exit(1)
+		}
+		if err := hb.Err(); err != nil {
+			logger.Warn("registry unreachable; retrying every heartbeat", "err", err)
 		}
 		ready.AddReady("registry", func() error {
 			if hb.OK() {

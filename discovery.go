@@ -5,8 +5,8 @@ package repro
 // helper that turns a registry into the candidate map a RealTransport
 // wants. The registry side (registryd) shards its table and serves
 // epoch-keyed deltas, so these helpers hold up against very large relay
-// fleets; point the client at every peered registryd and discovery
-// survives losing one.
+// fleets; point the client at every registryd the relays heartbeat and
+// discovery survives losing one.
 //
 //	rc := repro.NewRegistryClient("10.0.0.5:8070",
 //	    repro.WithRegistryTimeout(3*time.Second),

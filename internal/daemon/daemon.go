@@ -48,8 +48,7 @@ type Daemon struct {
 	// daemon's to append via Prom.
 	Cache func() any
 	// Registry, when set, builds the /debug/registry payload (a
-	// registry.Stats snapshot — shard occupancy, epoch, delta floor,
-	// digest — plus peer sync cursors on a peered registryd).
+	// registry.Stats snapshot — shard occupancy, epoch, delta floor).
 	Registry func() any
 	// Flight, when set, adds the flight-recorder pages: /debug/requests
 	// (recent wide events, filterable by ?path=&class=&object=&trace=&n=)

@@ -148,7 +148,7 @@ func startSurfaces(t *testing.T) *surfaces {
 			Vars: func() any {
 				return map[string]any{"registrations": reg.Registrations.Load(), "live_relays": len(reg.List()), "epoch": reg.Stats().Epoch}
 			},
-			// As in registryd, without peers.
+			// As in registryd.
 			Registry: func() any { return map[string]any{"table": reg.Stats()} },
 			Prom:     reg.WriteProm,
 		},

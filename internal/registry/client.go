@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -90,9 +89,9 @@ func WithPooledConn() ClientOption {
 }
 
 // WithFallbackPeers adds peer registry addresses tried in order when
-// the primary is unreachable. With peered registryds (anti-entropy
-// keeps them converged) this makes discovery and heartbeats survive a
-// registry loss.
+// the primary is unreachable. Heartbeats do not fail over: StartHeartbeat
+// registers with the primary and every peer, so each registry holds the
+// whole fleet and discovery survives a registry loss.
 func WithFallbackPeers(addrs ...string) ClientOption {
 	return func(c *Client) { c.endpoints = append(c.endpoints, addrs...) }
 }
@@ -321,23 +320,14 @@ func (c *Client) list(ctx context.Context, ranked bool, verb string, args ...uin
 // Steady-state clients should hold a RankedSet and call its Refresh
 // instead of re-applying deltas by hand.
 func (c *Client) ListDelta(ctx context.Context, since uint64, k int) (Delta, error) {
+	args := []uint64{since}
 	if k > 0 {
-		return c.delta(ctx, parseDeltaLine, "LISTD", since, uint64(k))
+		args = append(args, uint64(k))
 	}
-	return c.delta(ctx, parseDeltaLine, "LISTD", since)
-}
-
-// syncPull fetches a peer sync delta (SeenEpoch-keyed, absolute
-// LastSeen/TTL) — the PeerSync transport.
-func (c *Client) syncPull(ctx context.Context, since uint64) (Delta, error) {
-	return c.delta(ctx, parseSyncLine, "SYNCD", since)
-}
-
-func (c *Client) delta(ctx context.Context, parseLine func(string) (DeltaEntry, error), verb string, args ...uint64) (Delta, error) {
 	var d Delta
 	err := c.do(ctx, func(bw *bufio.Writer, br *bufio.Reader) error {
 		d = Delta{}
-		if err := writeCommand(bw, verb, args...); err != nil {
+		if err := writeCommand(bw, "LISTD", args...); err != nil {
 			return err
 		}
 		header, err := br.ReadString('\n')
@@ -361,7 +351,7 @@ func (c *Client) delta(ctx context.Context, parseLine func(string) (DeltaEntry, 
 			if line == "." {
 				return nil
 			}
-			de, err := parseLine(line)
+			de, err := parseDeltaLine(line)
 			if err != nil {
 				return err
 			}
@@ -374,41 +364,16 @@ func (c *Client) delta(ctx context.Context, parseLine func(string) (DeltaEntry, 
 	return d, nil
 }
 
-// Epoch fetches the registry's current epoch and table digest — the
-// cheap "anything new?" probe peers and monitors use.
-func (c *Client) Epoch(ctx context.Context) (epoch, digest uint64, err error) {
-	err = c.do(ctx, func(bw *bufio.Writer, br *bufio.Reader) error {
-		if werr := writeCommand(bw, "EPOCH"); werr != nil {
-			return werr
-		}
-		line, rerr := br.ReadString('\n')
-		if rerr != nil {
-			return fmt.Errorf("%w: %v", errShortRead, rerr)
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 3 || fields[0] != "EPOCH" {
-			return fmt.Errorf("%w: %q", ErrBadEntry, strings.TrimSpace(line))
-		}
-		var perr error
-		if epoch, perr = strconv.ParseUint(fields[1], 10, 64); perr != nil {
-			return fmt.Errorf("%w: %q", ErrBadEntry, strings.TrimSpace(line))
-		}
-		if digest, perr = strconv.ParseUint(fields[2], 10, 64); perr != nil {
-			return fmt.Errorf("%w: %q", ErrBadEntry, strings.TrimSpace(line))
-		}
-		return nil
-	})
-	return epoch, digest, err
-}
-
-// StartHeartbeat registers name immediately (returning that first
-// error, so callers fail fast on misconfiguration) and then keeps it
-// registered every ttl/3 until ctx is done. Each tick re-resolves
-// through the client — pooled connections redial transparently and
-// fallback peers are tried — so one refused connection doesn't burn a
-// tick. health is sampled per tick (nil means unreported). The
-// returned HeartbeatState tracks whether the registry is still
-// accepting refreshes, feeding relayd's readiness check.
+// StartHeartbeat registers name with every registry the client names —
+// the primary and each fallback peer, through one client per registry
+// with this one's timeout, retry and pooling — and then refreshes each
+// every ttl/3 until ctx is done. It returns an error only when every
+// registry refused the first registration (so callers fail fast on
+// misconfiguration); a registry that was down keeps being tried on
+// every tick and holds the entry from its first success on. health is
+// sampled per registration (nil means unreported). The returned
+// HeartbeatState tracks whether any registry is still accepting
+// refreshes, feeding relayd's readiness check.
 func (c *Client) StartHeartbeat(ctx context.Context, name, relayAddr string, ttl time.Duration, health func() float64) (*HeartbeatState, error) {
 	return c.StartHeartbeatFull(ctx, name, relayAddr, "", ttl, health)
 }
@@ -416,31 +381,49 @@ func (c *Client) StartHeartbeat(ctx context.Context, name, relayAddr string, ttl
 // StartHeartbeatFull is StartHeartbeat with the registrant's
 // observability endpoint carried on every refresh ("" omits it).
 func (c *Client) StartHeartbeatFull(ctx context.Context, name, relayAddr, metricsAddr string, ttl time.Duration, health func() float64) (*HeartbeatState, error) {
-	report := func() error {
+	state := &HeartbeatState{errs: make([]error, len(c.endpoints))}
+	targets := make([]*Client, len(c.endpoints))
+	for i, addr := range c.endpoints {
+		targets[i] = &Client{endpoints: []string{addr}, timeout: c.timeout,
+			retries: c.retries, backoff: c.backoff, pooled: c.pooled}
+	}
+	report := func(i int) {
 		h := float64(HealthUnreported)
 		if health != nil {
 			h = health()
 		}
-		return c.RegisterFull(ctx, name, relayAddr, metricsAddr, ttl, h)
+		state.set(i, targets[i].RegisterFull(ctx, name, relayAddr, metricsAddr, ttl, h), time.Now())
 	}
-	state := &HeartbeatState{}
-	err := report()
-	state.set(err, time.Now())
-	if err != nil {
-		return state, err
+	var wg sync.WaitGroup
+	for i := range targets {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			report(i)
+		}()
 	}
-	go func() {
-		t := time.NewTicker(ttl / 3)
-		defer t.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-t.C:
-				state.set(report(), time.Now()) // retried next tick on error
-			}
+	wg.Wait()
+	if !state.OK() {
+		for _, t := range targets {
+			t.Close()
 		}
-	}()
+		return state, state.Err()
+	}
+	for i, t := range targets {
+		go func() {
+			defer t.Close()
+			tick := time.NewTicker(ttl / 3)
+			defer tick.Stop()
+			for {
+				select {
+				case <-ctx.Done():
+					return
+				case <-tick.C:
+					report(i) // retried next tick on error
+				}
+			}
+		}()
+	}
 	return state, nil
 }
 
@@ -449,38 +432,43 @@ func (c *Client) StartHeartbeatFull(ctx context.Context, name, relayAddr, metric
 type HeartbeatState struct {
 	mu     sync.Mutex
 	lastOK time.Time
-	err    error
-	ok     bool
+	errs   []error // per registry, the latest registration's outcome
 }
 
-func (h *HeartbeatState) set(err error, now time.Time) {
+func (h *HeartbeatState) set(i int, err error, now time.Time) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.err = err
-	h.ok = err == nil
+	h.errs[i] = err
 	if err == nil {
 		h.lastOK = now
 	}
 }
 
-// OK reports whether the most recent registration attempt succeeded.
+// OK reports whether at least one registry accepted its most recent
+// registration.
 func (h *HeartbeatState) OK() bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.ok
+	for _, err := range h.errs {
+		if err == nil {
+			return true
+		}
+	}
+	return false
 }
 
-// LastOK returns when the registry last accepted a registration (zero
-// if never).
+// LastOK returns when a registry last accepted a registration (zero if
+// never).
 func (h *HeartbeatState) LastOK() time.Time {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.lastOK
 }
 
-// Err returns the most recent registration error, nil after a success.
+// Err joins the most recent error of every registry that refused its
+// latest registration; nil when each one accepted.
 func (h *HeartbeatState) Err() error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.err
+	return errors.Join(h.errs...)
 }

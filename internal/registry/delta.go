@@ -5,10 +5,10 @@ import (
 	"sync"
 )
 
-// Epoch-versioned delta sync. Every mutation claims the next value of a
-// registry-wide epoch counter and stamps the touched entry; LISTD
-// replays only the entries whose ChangeEpoch passed the client's
-// last-synced epoch, plus tombstones for deletes, so a steady-state
+// Epoch-versioned delta sync. Every change a client can see claims the
+// next value of a registry-wide epoch counter and stamps the touched
+// entry; LISTD replays only the entries whose ChangeEpoch passed the
+// client's last-synced epoch, plus tombstones for deletes, so a steady-state
 // client re-pulls a handful of lines (often zero — pure heartbeat
 // refreshes don't move ChangeEpoch) instead of the full 100k-entry
 // list. Clients hold the mirror in a RankedSet and rank locally. The
@@ -80,10 +80,11 @@ func (s *Server) ListDelta(since uint64, k int) Delta {
 }
 
 // needsFull reports whether a delta from since cannot be served
-// incrementally at epoch cur: a first sync, a cursor from another or a
-// restarted server, or one older than the tombstone horizon.
+// incrementally at epoch cur: a cursor outside this server's epoch
+// space (a first sync's 0, a cursor from another or a restarted server)
+// or one older than the tombstone horizon.
 func (s *Server) needsFull(since, cur uint64) bool {
-	return since == 0 || since > cur || since < s.deltaFloor.Load()
+	return since > cur || since < s.deltaFloor.Load()
 }
 
 // fullDelta is the LISTD answer when needsFull: the ranked snapshot.

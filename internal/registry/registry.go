@@ -25,20 +25,22 @@
 //     only when an entry in it has lapsed or its log no longer reaches
 //     back to the cursor.
 //
-//   - Mutations are epoch-versioned: every change bumps a registry-wide
-//     epoch, and LISTD serves only the entries changed since the epoch a
-//     client last saw — steady-state clients keep a cached ranked set
-//     (RankedSet) and re-pull deltas instead of full lists. Entries carry
-//     two stamps: ChangeEpoch moves on material changes (address, health,
-//     up/down state) and feeds client deltas; SeenEpoch moves on every
-//     refresh and feeds peer anti-entropy, so a heartbeat that changes
-//     nothing costs LISTD clients zero lines but still tells peers the
-//     relay is alive.
+//   - Mutations are epoch-versioned: every material change (insert,
+//     address, health, metrics address, up/down state, delete) claims the
+//     next value of a registry-wide epoch, and LISTD serves only the
+//     entries changed since the epoch a client last saw — steady-state
+//     clients keep a cached ranked set (RankedSet) and re-pull deltas
+//     instead of full lists. A heartbeat that changes nothing claims no
+//     epoch and costs LISTD clients zero lines. Each server's epochs
+//     start at a random base, so a cursor from another registry or from
+//     before a restart falls outside this one's range and gets a full
+//     snapshot rather than a silently partial delta.
 //
-//   - Registries peer: PeerSync periodically pulls SYNCD deltas from
-//     each configured peer and merges them last-writer-wins on LastSeen,
-//     so discovery survives a registryd loss and a heartbeat reaching
-//     either peer converges on both.
+//   - Each registry is complete on its own: a relay heartbeats to every
+//     registry it is configured with (StartHeartbeat fans out to the
+//     client's primary and fallback addresses), and list clients fail
+//     over through WithFallbackPeers, so discovery survives a registryd
+//     loss without registries talking to each other.
 //
 // The wire protocol is line-based over TCP; a session may carry any
 // number of commands (clients can hold a pooled connection open):
@@ -49,10 +51,6 @@
 //	LISTD <epoch> [<k>]\n -> EPOCH <epoch> [full]\n
 //	                         + <name> <addr> <health> <up|down> [<metrics-addr>]\n
 //	                         - <name>\n ... .\n
-//	EPOCH\n               -> EPOCH <epoch> <digest>\n
-//	SYNCD <epoch>\n       -> EPOCH <epoch> [full]\n
-//	                         + <name> <addr> <health> <lastseen-ns> <ttl-ns> [<metrics-addr>]\n
-//	                         - <name> <lastseen-ns>\n ... .\n
 //
 // Names and addresses must be token-shaped (no whitespace). The
 // optional trailing metrics-addr token is the relay's observability
@@ -67,15 +65,14 @@
 // one and say so in the state column), truncated to k when given.
 // LISTD's epoch is the client's last-synced epoch (0 for a first pull);
 // the response replays adds/updates (+) and deletes (-) since then, or —
-// when the epoch is unknown, from a restarted server, or older than the
-// tombstone horizon — a full snapshot tagged "full". SYNCD is LISTD for
-// peers: keyed by SeenEpoch and carrying the absolute LastSeen/TTL a
-// last-writer-wins merge needs.
+// when the epoch is unknown, from another or a restarted server, or
+// older than the tombstone horizon — a full snapshot tagged "full".
 package registry
 
 import (
 	"cmp"
 	"errors"
+	"math/rand/v2"
 	"slices"
 	"strconv"
 	"strings"
@@ -128,8 +125,7 @@ type Entry struct {
 	Addr string
 	// Expires is when the entry lapses unless refreshed.
 	Expires time.Time
-	// LastSeen is when the last REGISTER for this name arrived (or, on a
-	// peered registry, when it arrived at whichever peer saw it last).
+	// LastSeen is when the last REGISTER for this name arrived.
 	LastSeen time.Time
 	// TTL is the registration's lifetime, as most recently reported.
 	TTL time.Duration
@@ -149,10 +145,6 @@ type Entry struct {
 	// change (insert, address, health, metrics address, or up/down
 	// transition) — the stamp LISTD deltas filter on.
 	ChangeEpoch uint64
-
-	// seenEpoch is the epoch of the entry's last refresh of any kind
-	// (material or pure heartbeat) — the stamp peer SYNCD filters on.
-	seenEpoch uint64
 }
 
 // Server is the registry service. The zero value is ready to use; set
@@ -175,22 +167,22 @@ type Server struct {
 	Lists atomic.Int64
 	// DeltaLists counts LISTD commands served over the wire.
 	DeltaLists atomic.Int64
-	// FullDeltas counts LISTD/SYNCD responses that had to fall back to a
-	// full snapshot (unknown or pre-horizon epoch).
+	// FullDeltas counts LISTD responses that had to fall back to a full
+	// snapshot (unknown or pre-horizon epoch).
 	FullDeltas atomic.Int64
-	// Syncs counts SYNCD commands served over the wire (peer pulls).
-	Syncs atomic.Int64
 	// Downs counts entries marked down by TTL expiry.
 	Downs atomic.Int64
 
 	// epoch is the registry-wide mutation counter; every change claims
 	// the next value while holding the owning shard's lock, so a reader
 	// that snapshots the epoch and then visits the shards cannot miss a
-	// change at or below its snapshot.
+	// change at or below its snapshot. It starts at the server's epoch
+	// base (see newEpochBase).
 	epoch atomic.Uint64
-	// deltaFloor is the highest epoch of any pruned tombstone: a delta
-	// request from below it could miss a delete, so it gets a full
-	// snapshot instead.
+	// deltaFloor is the lowest cursor a delta can be served from: the
+	// epoch base, raised to the epoch of every pruned tombstone. A delta
+	// request from below it is from another epoch space or could miss a
+	// delete, so it gets a full snapshot instead.
 	deltaFloor atomic.Uint64
 
 	initOnce sync.Once
@@ -201,14 +193,13 @@ type Server struct {
 }
 
 // WriteProm appends the table's own families — what registryd serves
-// on /metrics ahead of the peer-sync and runtime families.
+// on /metrics ahead of the runtime families.
 func (s *Server) WriteProm(p *obs.Prom) {
 	st := s.Stats()
 	p.Counter("registry_registrations_total", "Accepted REGISTER commands.", float64(s.Registrations.Load()))
 	p.Counter("registry_lists_total", "LIST and LISTH commands served.", float64(s.Lists.Load()))
 	p.Counter("registry_delta_lists_total", "LISTD commands served.", float64(s.DeltaLists.Load()))
 	p.Counter("registry_full_deltas_total", "Delta responses that fell back to a full snapshot.", float64(s.FullDeltas.Load()))
-	p.Counter("registry_syncs_total", "SYNCD peer pulls served.", float64(s.Syncs.Load()))
 	p.Counter("registry_downs_total", "Relays marked down after TTL lapse.", float64(s.Downs.Load()))
 	p.Gauge("registry_live_relays", "Relays currently registered and unexpired.", float64(st.Live))
 	p.Gauge("registry_down_relays", "Relays inside their post-expiry grace window.", float64(st.Down))
@@ -224,7 +215,7 @@ func (s *Server) now() time.Time {
 	return time.Now()
 }
 
-// init lays out the shard table on first use.
+// init lays out the shard table and draws the epoch base on first use.
 func (s *Server) init() {
 	s.initOnce.Do(func() {
 		n := s.NumShards
@@ -235,12 +226,36 @@ func (s *Server) init() {
 		for i := range s.shards {
 			s.shards[i] = newShard()
 		}
+		base := newEpochBase()
+		s.epoch.Store(base)
+		s.deltaFloor.Store(base)
 	})
 }
 
+// spaceSeed and spaces number the epoch spaces handed out: a random
+// start per process, then one new space per Server.
+var (
+	spaceSeed = rand.Uint64()
+	spaces    atomic.Uint64
+)
+
+// newEpochBase returns the first epoch of a fresh epoch space. A space
+// number of 20 bits sits above 32 bits of room for changes, so two
+// servers in one process never share a space, two processes (or a
+// registry and its restart) share one with probability 2^-20, and
+// epochs stay below 2^53, exact in the float64 registry_epoch gauge. A
+// cursor from another space is then below this server's delta floor or
+// above its epoch, and needsFull sends it a full snapshot.
+func newEpochBase() uint64 {
+	return ((spaceSeed+spaces.Add(1))%(1<<20) + 1) << 32
+}
+
 // Epoch returns the current registry epoch: the stamp of the most
-// recent mutation (0 before any).
-func (s *Server) Epoch() uint64 { return s.epoch.Load() }
+// recent mutation (the epoch base before any).
+func (s *Server) Epoch() uint64 {
+	s.init()
+	return s.epoch.Load()
+}
 
 // Register inserts or refreshes an entry with no health report.
 func (s *Server) Register(name, addr string, ttl time.Duration) error {
@@ -251,9 +266,8 @@ func (s *Server) Register(name, addr string, ttl time.Duration) error {
 // registrant's self-reported health score. A refresh clears any down
 // mark — the relay is back. Only material changes (a new entry, a new
 // address, health value, or metrics address, an up/down transition)
-// advance the entry's ChangeEpoch; a pure heartbeat refresh advances
-// SeenEpoch alone, so it is invisible to LISTD clients but still
-// propagates through peer sync.
+// claim an epoch and advance the entry's ChangeEpoch; a pure heartbeat
+// refresh claims none, so it is invisible to LISTD clients.
 func (s *Server) RegisterHealth(name, addr string, ttl time.Duration, health float64) error {
 	return s.RegisterFull(name, addr, ttl, health, "")
 }
@@ -280,22 +294,20 @@ func (s *Server) RegisterFull(name, addr string, ttl time.Duration, health float
 	sh := s.shardFor(name)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	delete(sh.tombs, name)
-	old, existed := sh.entries[name]
-	e := Entry{
-		Name: name, Addr: addr,
-		Expires: now.Add(ttl), LastSeen: now, TTL: ttl,
-		Health: health, MetricsAddr: metricsAddr,
+	e := sh.entries[name]
+	// A pure refresh moves nothing a client sees: it claims no epoch.
+	if e == nil || e.Addr != addr || e.Health != health ||
+		e.MetricsAddr != metricsAddr || e.Down {
+		if e == nil {
+			e = &Entry{Name: name}
+			sh.entries[name] = e
+			delete(sh.tombs, name)
+		}
+		e.Addr, e.Health, e.MetricsAddr, e.Down = addr, health, metricsAddr, false
+		e.ChangeEpoch = s.stamp(sh, name)
 	}
-	// A pure refresh moves nothing a client sees: it keeps its ChangeEpoch.
-	material := !existed || old.Addr != addr || old.Health != health ||
-		old.MetricsAddr != metricsAddr || old.Down
-	e.seenEpoch = s.stamp(sh, name, material, e.Expires)
-	e.ChangeEpoch = old.ChangeEpoch
-	if material {
-		e.ChangeEpoch = e.seenEpoch
-	}
-	sh.entries[name] = e
+	e.Expires, e.LastSeen, e.TTL = now.Add(ttl), now, ttl
+	sh.lowerDue(e.Expires) // a refresh may shorten the TTL
 	return nil
 }
 
@@ -308,7 +320,7 @@ func validTokens(name, addr, metricsAddr string) bool {
 }
 
 // Remove deletes an entry by name (idempotent), leaving a tombstone so
-// delta clients and peers learn about the delete.
+// delta clients learn about the delete.
 func (s *Server) Remove(name string) {
 	s.init()
 	now := s.now()
@@ -320,7 +332,8 @@ func (s *Server) Remove(name string) {
 	}
 	delete(sh.entries, name)
 	keep := now.Add(tombstoneKeep)
-	sh.tombs[name] = tombstone{Epoch: s.stamp(sh, name, true, keep), LastSeen: now, Keep: keep}
+	sh.tombs[name] = tombstone{Epoch: s.stamp(sh, name), Keep: keep}
+	sh.lowerDue(keep)
 }
 
 // List returns the live entries sorted by name. Entries whose TTL
@@ -437,10 +450,8 @@ func truncate(out []Entry, k int) []Entry {
 	return out
 }
 
-// formatHealth renders a health score for the wire; appendHealth does
-// the same into a caller's buffer.
-func formatHealth(h float64) string { return strconv.FormatFloat(h, 'g', 6, 64) }
-
+// appendHealth renders a health score for the wire into a caller's
+// buffer.
 func appendHealth(dst []byte, h float64) []byte { return strconv.AppendFloat(dst, h, 'g', 6, 64) }
 
 // stateWord renders the entry's state column.

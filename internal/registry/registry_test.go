@@ -160,25 +160,50 @@ func TestConcurrentRegistration(t *testing.T) {
 }
 
 func TestHeartbeatKeepsAlive(t *testing.T) {
-	var s Server
-	l, err := s.ServeAddr("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
+	s, addr, advance := startClockedServer(t)
 	ctx, stop := context.WithCancel(context.Background())
 	defer stop()
-	if _, err := NewClient(l.Addr().String()).StartHeartbeat(ctx, "hb", "h:1", 2*time.Second, nil); err != nil {
+	if _, err := NewClient(addr).StartHeartbeat(ctx, "hb", "h:1", 2*time.Second, nil); err != nil {
 		t.Fatal(err)
 	}
-	// After > TTL with heartbeats every TTL/3, the entry must survive.
-	time.Sleep(2500 * time.Millisecond)
-	got, err := NewClient(l.Addr().String()).List(context.Background())
+	// Past the first registration's TTL, with a heartbeat (every TTL/3)
+	// landing on the way, the entry must survive.
+	advance(1900 * time.Millisecond)
+	waitRefresh(t, s, "hb")
+	advance(time.Second)
+	got, err := NewClient(addr).List(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 || got[0].Name != "hb" {
 		t.Fatalf("heartbeat entry gone: %+v", got)
+	}
+}
+
+// A heartbeat that changes nothing claims no epoch, so Server.Epoch
+// stays put; it still pushes the entry's expiry, even to a shorter TTL.
+func TestPureRefreshClaimsNoEpoch(t *testing.T) {
+	s, now := clockServer(time.Unix(1000, 0))
+	s.RegisterFull("r", "x:1", time.Minute, 0.5, "m:1")
+	epoch := s.Epoch()
+	for i := 0; i < 3; i++ {
+		*now = now.Add(10 * time.Second)
+		s.RegisterFull("r", "x:1", time.Minute, 0.5, "m:1")
+	}
+	if got := s.Epoch(); got != epoch {
+		t.Fatalf("three pure refreshes moved the epoch %d -> %d", epoch, got)
+	}
+	s.RegisterFull("r", "x:1", 5*time.Second, 0.5, "m:1")
+	if got := s.Epoch(); got != epoch {
+		t.Fatalf("a refresh shortening the TTL moved the epoch %d -> %d", epoch, got)
+	}
+	*now = now.Add(6 * time.Second)
+	if d := s.ListDelta(epoch, 0); len(d.Entries) != 1 || !d.Entries[0].Down {
+		t.Fatalf("delta after the shortened TTL lapsed = %+v, want r down", d)
+	}
+	s.RegisterFull("r", "x:1", time.Minute, 0.6, "m:1")
+	if got := s.Epoch(); got != epoch+2 {
+		t.Fatalf("down-mark and health change moved the epoch %d -> %d, want +2", epoch, got)
 	}
 }
 

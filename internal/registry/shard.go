@@ -3,7 +3,6 @@ package registry
 import (
 	"runtime"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 )
@@ -11,29 +10,26 @@ import (
 // The table is striped into shards keyed by FNV-1a hash of the relay
 // name. A REGISTER touches exactly one shard, so a heartbeat storm from
 // 100k relays spreads its lock traffic across NumShards mutexes instead
-// of serializing on one; table scans (LISTH, LISTD, peer sync) visit
+// of serializing on one; table scans (LISTH, LISTD) visit
 // shards one at a time and never stall writers on more than 1/NumShards
 // of the table. Epochs are claimed from the server-wide counter while
 // holding the owning shard's lock — see Server.epoch for why readers
-// cannot miss a stamped change. Each shard also logs its material
-// stamps and remembers the newest epoch stamped in it and the earliest
-// time TTL expiry could touch it, so a delta poll replays only what
-// changed past its cursor, skips the shards that cursor has already
-// passed, and no scan applies expiry before something in the shard can
-// have lapsed.
+// cannot miss a stamped change. Each shard also logs its stamps (the
+// newest is its watermark) and remembers the earliest time TTL expiry
+// could touch it, so a delta poll replays only what changed past its
+// cursor, skips the shards that cursor has already passed, and no scan
+// applies expiry before something in the shard can have lapsed.
 
-// tombstoneKeep is how long a delete is remembered so delta clients and
-// peers that sync within it see the removal; pruning a tombstone raises
-// the server's delta floor, forcing older clients onto a full snapshot.
+// tombstoneKeep is how long a delete is remembered so delta clients
+// that sync within it see the removal; pruning a tombstone raises the
+// server's delta floor, forcing older clients onto a full snapshot.
 const tombstoneKeep = 10 * time.Minute
 
-// tombstone records a deleted entry: the epoch of the delete (for
-// LISTD/SYNCD filtering), the LastSeen it supersedes (for last-writer-
-// wins peer merges), and how long to remember it.
+// tombstone records a deleted entry: the epoch of the delete (for LISTD
+// filtering) and how long to remember it.
 type tombstone struct {
-	Epoch    uint64
-	LastSeen time.Time
-	Keep     time.Time
+	Epoch uint64
+	Keep  time.Time
 }
 
 // never is the due time of a shard in which nothing can lapse.
@@ -53,20 +49,17 @@ type change struct {
 // shard is one table partition. All fields are guarded by mu.
 type shard struct {
 	mu      sync.Mutex
-	entries map[string]Entry
+	entries map[string]*Entry // updated in place: a refresh copies no Entry
 	tombs   map[string]tombstone
 
-	// log holds the material stamps made here (every ChangeEpoch and
-	// tombstone epoch), oldest first, and its tail is the change
-	// watermark; logFloor is the newest epoch trimmed from it. lastSeen
-	// is the highest seenEpoch. LISTD replays the log past the client's
-	// cursor, SYNCD skips a shard whose lastSeen has not passed its
-	// cursor. All are written and read under mu — the lock hold in which
-	// the writer claimed the epoch — so the Server.epoch argument covers
-	// them exactly as it covers the entries.
+	// log holds the stamps made here (every ChangeEpoch and tombstone
+	// epoch), oldest first, and its tail is the change watermark;
+	// logFloor is the newest epoch trimmed from it. LISTD replays the log
+	// past the client's cursor. Both are written and read under mu — the
+	// lock hold in which the writer claimed the epoch — so the
+	// Server.epoch argument covers them exactly as it covers the entries.
 	log      []change
 	logFloor uint64
-	lastSeen uint64
 	// nextDue is a lower bound on the earliest time TTL expiry could
 	// change anything here (see Entry.due; a tombstone's is its Keep).
 	// Inserts lower it; a heartbeat that pushes an Expires later leaves
@@ -77,31 +70,31 @@ type shard struct {
 
 func newShard() *shard {
 	return &shard{
-		entries: make(map[string]Entry),
+		entries: make(map[string]*Entry),
 		tombs:   make(map[string]tombstone),
 		nextDue: never,
 	}
 }
 
-// stamp claims the next epoch for a mutation of name in sh and records
-// it in lastSeen and, when material, the change log (a full log first
-// drops its older half); due is when expiry could first
-// touch what the mutation wrote. Every mutation goes through here,
-// holding sh.mu.
-func (s *Server) stamp(sh *shard, name string, material bool, due time.Time) uint64 {
+// stamp claims the next epoch for a change to name in sh and records it
+// in the change log (a full log first drops its older half). Every
+// change a client can see goes through here, holding sh.mu.
+func (s *Server) stamp(sh *shard, name string) uint64 {
 	epoch := s.epoch.Add(1)
-	sh.lastSeen = epoch
-	if material {
-		if len(sh.log) == logCap {
-			sh.logFloor = sh.log[logCap/2-1].epoch
-			sh.log = append(sh.log[:0], sh.log[logCap/2:]...)
-		}
-		sh.log = append(sh.log, change{epoch, name})
+	if len(sh.log) == logCap {
+		sh.logFloor = sh.log[logCap/2-1].epoch
+		sh.log = append(sh.log[:0], sh.log[logCap/2:]...)
 	}
+	sh.log = append(sh.log, change{epoch, name})
+	return epoch
+}
+
+// lowerDue brings nextDue forward to due, when expiry could first touch
+// what a write just stored. Caller holds sh.mu.
+func (sh *shard) lowerDue(due time.Time) {
 	if due.Before(sh.nextDue) {
 		sh.nextDue = due
 	}
-	return epoch
 }
 
 // replay passes to the visitors, once each, the current state of every
@@ -122,7 +115,7 @@ func (sh *shard) replay(since uint64, entry func(Entry), tomb func(string, tombs
 	i := sort.Search(len(sh.log), func(i int) bool { return sh.log[i].epoch > since })
 	for _, c := range sh.log[i:] {
 		if e, ok := sh.entries[c.name]; ok && e.ChangeEpoch == c.epoch {
-			entry(e)
+			entry(*e)
 		} else if t, ok := sh.tombs[c.name]; ok && t.Epoch == c.epoch {
 			tomb(c.name, t)
 		}
@@ -195,18 +188,12 @@ func (s *Server) walkShard(sh *shard, now time.Time, entry func(Entry), tomb fun
 		if sweep {
 			if now.After(e.due()) && e.Down {
 				delete(sh.entries, name)
-				sh.tombs[name] = tombstone{
-					Epoch:    s.stamp(sh, name, true, never),
-					LastSeen: e.LastSeen,
-					Keep:     now.Add(tombstoneKeep),
-				}
+				sh.tombs[name] = tombstone{Epoch: s.stamp(sh, name), Keep: now.Add(tombstoneKeep)}
 				continue
 			}
 			if now.After(e.due()) {
 				e.Down = true
-				e.ChangeEpoch = s.stamp(sh, name, true, never)
-				e.seenEpoch = e.ChangeEpoch
-				sh.entries[name] = e
+				e.ChangeEpoch = s.stamp(sh, name)
 				s.Downs.Add(1)
 			}
 			if d := e.due(); d.Before(due) {
@@ -214,7 +201,7 @@ func (s *Server) walkShard(sh *shard, now time.Time, entry func(Entry), tomb fun
 			}
 		}
 		if entry != nil {
-			entry(e)
+			entry(*e)
 		}
 	}
 	if !sweep && tomb == nil {
@@ -250,9 +237,8 @@ func (s *Server) raiseFloor(epoch uint64) {
 
 // ShardStats describes one shard for /debug/registry.
 type ShardStats struct {
-	Entries    int    `json:"entries"`
-	Tombstones int    `json:"tombstones"`
-	Digest     uint64 `json:"digest"`
+	Entries    int `json:"entries"`
+	Tombstones int `json:"tombstones"`
 }
 
 // Stats is the point-in-time table view served on /debug/registry.
@@ -263,12 +249,11 @@ type Stats struct {
 	Live       int          `json:"live"`
 	Down       int          `json:"down"`
 	Tombstones int          `json:"tombstones"`
-	Digest     uint64       `json:"digest"`
 	PerShard   []ShardStats `json:"per_shard"`
 }
 
-// Stats snapshots per-shard occupancy and digests (applying any expiry
-// that is due on the way).
+// Stats snapshots per-shard occupancy (applying any expiry that is due
+// on the way).
 func (s *Server) Stats() Stats {
 	s.init()
 	now := s.now()
@@ -282,67 +267,13 @@ func (s *Server) Stats() Stats {
 			} else {
 				st.Live++
 			}
-			ss.Digest ^= entryDigest(e)
 		}, nil)
 		ss.Entries, ss.Tombstones = len(sh.entries), len(sh.tombs)
 		sh.mu.Unlock()
 		st.Tombstones += ss.Tombstones
-		st.Digest ^= ss.Digest
 		st.PerShard = append(st.PerShard, ss)
 	}
 	st.Epoch = s.epoch.Load()
 	st.DeltaFloor = s.deltaFloor.Load()
 	return st
 }
-
-// Digest returns an order-independent hash of the table's converged
-// state (name, address, health, last-seen, down). Two peers whose
-// digests match hold the same view; peer sync uses it to detect
-// divergence and tests use it to assert convergence.
-func (s *Server) Digest() uint64 {
-	s.init()
-	var d uint64
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		d ^= shardDigest(sh)
-		sh.mu.Unlock()
-	}
-	return d
-}
-
-// shardDigest XORs per-entry FNV-1a hashes (commutative, so map
-// iteration order is irrelevant). Caller holds sh.mu.
-func shardDigest(sh *shard) uint64 {
-	var d uint64
-	for _, e := range sh.entries {
-		d ^= entryDigest(e)
-	}
-	return d
-}
-
-func entryDigest(e Entry) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= prime64
-		}
-		h ^= 0xff // field separator
-		h *= prime64
-	}
-	mix(e.Name)
-	mix(e.Addr)
-	mix(formatHealth(e.Health))
-	mix(strconv64(e.LastSeen.UnixNano()))
-	mix(e.MetricsAddr)
-	if e.Down {
-		mix("down")
-	}
-	return h
-}
-
-func strconv64(v int64) string { return strconv.FormatInt(v, 10) }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"strconv"
 	"strings"
@@ -25,8 +26,6 @@ const (
 	reqList
 	reqListH
 	reqListD
-	reqEpoch
-	reqSyncD
 )
 
 // request is one parsed command line.
@@ -38,7 +37,7 @@ type request struct {
 	Health      float64       // REGISTER (HealthUnreported when omitted)
 	MetricsAddr string        // REGISTER ("" when omitted)
 	K           int           // LISTH/LISTD (0 = all)
-	Since       uint64        // LISTD/SYNCD
+	Since       uint64        // LISTD
 }
 
 // parseRequest decodes one command line (without trailing newline).
@@ -53,8 +52,9 @@ func parseRequest(line string) (request, error) {
 		if len(fields) < 4 || len(fields) > 6 {
 			return request{}, errors.New("usage: REGISTER name addr ttl [health [maddr]]")
 		}
-		ttlSec, err := strconv.Atoi(fields[3])
-		if err != nil || ttlSec <= 0 {
+		ttlSec, err := strconv.ParseInt(fields[3], 10, 64)
+		// A TTL longer than a time.Duration holds would wrap negative.
+		if err != nil || ttlSec <= 0 || ttlSec > math.MaxInt64/int64(time.Second) {
 			return request{}, errors.New("bad ttl")
 		}
 		r := request{
@@ -110,20 +110,6 @@ func parseRequest(line string) (request, error) {
 			r.K = k
 		}
 		return r, nil
-	case "EPOCH":
-		if len(fields) != 1 {
-			return request{}, errors.New("usage: EPOCH")
-		}
-		return request{Kind: reqEpoch}, nil
-	case "SYNCD":
-		if len(fields) != 2 {
-			return request{}, errors.New("usage: SYNCD epoch")
-		}
-		since, err := strconv.ParseUint(fields[1], 10, 64)
-		if err != nil {
-			return request{}, errors.New("bad epoch")
-		}
-		return request{Kind: reqSyncD, Since: since}, nil
 	default:
 		return request{}, fmt.Errorf("unknown command %q", fields[0])
 	}
@@ -215,21 +201,6 @@ func (s *Server) handle(conn net.Conn) {
 				}
 			}
 			bw.WriteString(".\n")
-		case reqEpoch:
-			fmt.Fprintf(bw, "EPOCH %d %d\n", s.Epoch(), s.Digest())
-		case reqSyncD:
-			s.Syncs.Add(1)
-			d := s.SyncDelta(req.Since)
-			s.writeEpochLine(bw, d)
-			for _, de := range d.Entries {
-				if de.Deleted {
-					fmt.Fprintf(bw, "- %s %d\n", de.Name, de.LastSeen.UnixNano())
-				} else {
-					fmt.Fprintf(bw, "+ %s %s %s %d %d%s\n", de.Name, de.Addr, formatHealth(de.Health),
-						de.LastSeen.UnixNano(), int64(de.TTL), maddrSuffix(de.MetricsAddr))
-				}
-			}
-			bw.WriteString(".\n")
 		}
 		if bw.Flush() != nil {
 			return
@@ -238,7 +209,7 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// writeEpochLine writes a LISTD/SYNCD header, counting full fallbacks.
+// writeEpochLine writes a LISTD header, counting full fallbacks.
 func (s *Server) writeEpochLine(bw *bufio.Writer, d Delta) {
 	bw.WriteString("EPOCH ")
 	writeUint(bw, d.Epoch)
@@ -323,8 +294,8 @@ func parseState(word string) (down bool, err error) {
 	}
 }
 
-// parseEpochLine decodes the "EPOCH <epoch> [full]" header of a
-// LISTD/SYNCD response.
+// parseEpochLine decodes the "EPOCH <epoch> [full]" header of a LISTD
+// response.
 func parseEpochLine(line string) (epoch uint64, full bool, err error) {
 	fields := strings.Fields(line)
 	if len(fields) < 2 || len(fields) > 3 || fields[0] != "EPOCH" {
@@ -354,50 +325,6 @@ func parseDeltaLine(line string) (DeltaEntry, error) {
 		e, err := parseListEntry(strings.Join(fields[1:], " "), true)
 		if err != nil {
 			return DeltaEntry{}, err
-		}
-		return DeltaEntry{Entry: e}, nil
-	default:
-		return DeltaEntry{}, fmt.Errorf("%w: %q", ErrBadEntry, line)
-	}
-}
-
-// parseSyncLine decodes one SYNCD body line:
-// "+ name addr health lastseen-ns ttl-ns [maddr]" or
-// "- name lastseen-ns".
-func parseSyncLine(line string) (DeltaEntry, error) {
-	fields := strings.Fields(line)
-	switch {
-	case len(fields) == 3 && fields[0] == "-":
-		ns, err := strconv.ParseInt(fields[2], 10, 64)
-		if err != nil {
-			return DeltaEntry{}, fmt.Errorf("%w: %q", ErrBadEntry, line)
-		}
-		return DeltaEntry{
-			Entry:   Entry{Name: fields[1], LastSeen: time.Unix(0, ns)},
-			Deleted: true,
-		}, nil
-	case (len(fields) == 6 || len(fields) == 7) && fields[0] == "+":
-		h, err := strconv.ParseFloat(fields[3], 64)
-		if err != nil || (h != HealthUnreported && (h < 0 || h > 1)) {
-			return DeltaEntry{}, fmt.Errorf("%w: %q", ErrBadEntry, line)
-		}
-		ns, err := strconv.ParseInt(fields[4], 10, 64)
-		if err != nil {
-			return DeltaEntry{}, fmt.Errorf("%w: %q", ErrBadEntry, line)
-		}
-		ttl, err := strconv.ParseInt(fields[5], 10, 64)
-		if err != nil || ttl <= 0 {
-			return DeltaEntry{}, fmt.Errorf("%w: %q", ErrBadEntry, line)
-		}
-		if strings.ContainsAny(fields[1]+fields[2], " \t\r\n") || fields[1] == "" || fields[2] == "" {
-			return DeltaEntry{}, fmt.Errorf("%w: %q", ErrBadEntry, line)
-		}
-		e := Entry{
-			Name: fields[1], Addr: fields[2], Health: h,
-			LastSeen: time.Unix(0, ns), TTL: time.Duration(ttl),
-		}
-		if len(fields) == 7 {
-			e.MetricsAddr = fields[6]
 		}
 		return DeltaEntry{Entry: e}, nil
 	default:
