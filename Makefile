@@ -44,9 +44,9 @@ REF ?= HEAD~1
 bench-pair:
 	bash scripts/benchpair.sh "$(WORKLOAD)" "$(PAIRS)" "$(REF)"
 
-# Every `make <target>`, cmd/<x>, examples/<x> and Test…/Fuzz… function
-# the documents name exists, and every name in a -run pattern below
-# still matches a test.
+# Every `make <target>`, cmd/<x>, examples/<x>, Test…/Fuzz… function and
+# package-qualified Go name (repro.X, obs.X, …) the documents name
+# exists, and every name in a -run pattern below still matches a test.
 doc-check:
 	bash scripts/doccheck.sh
 
@@ -80,12 +80,12 @@ chaos-smoke:
 # The observability tier: the fetch -fleet e2e (a live registry and
 # three loopback relays read over real HTTP, an induced upstream death,
 # a relay that stops answering), the striped-counter and exemplar
-# correctness suite, concurrent structured logging, and the
-# scraped-exemplar -> stitched-trace acceptance path — all under the
+# correctness suite, and the scraped-exemplar -> stitched-trace
+# acceptance path — all under the
 # race detector. (The flight store's tail-rule tests run with the rest
 # of internal/obs/flight in flight-smoke.)
 obs-smoke:
-	$(GO) test -race -count=1 ./cmd/fetch/ ./internal/obs/slogx/
+	$(GO) test -race -count=1 ./cmd/fetch/
 	$(GO) test -race -count=1 ./internal/obs/ \
 		-run 'Striped|StripePicker|Exemplar|OpenMetrics|Accepts|ClassicByteCompatible|Runtime|HistogramSum|HistogramEdges'
 	$(GO) test -race -count=1 ./internal/realnet/ -run 'ExemplarResolvesToStitchedTrace'

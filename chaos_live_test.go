@@ -45,7 +45,7 @@ func TestChaosClientRoutesAroundFaultyRelay(t *testing.T) {
 	}
 	defer tr.Close()
 
-	hm := repro.NewHealthMonitor(repro.HealthConfig{Window: 3, Buckets: 12, Hysteresis: 2, MinDwell: 0.3})
+	hm := repro.NewHealthMonitor(repro.HealthConfig{Window: 3, Buckets: 12})
 	client := repro.New(tr,
 		repro.WithProbeBytes(32_000),
 		repro.WithRule(repro.MaxThroughput),

@@ -92,13 +92,6 @@ func WithRule(r Rule) Option {
 	return func(c *Client) { c.cfg.Rule = r }
 }
 
-// WithSequentialProbes probes candidates one at a time instead of racing
-// them, keeping measurements contention-free at the cost of a longer
-// probing phase (implies the MaxThroughput rule).
-func WithSequentialProbes() Option {
-	return func(c *Client) { c.cfg.Sequential = true }
-}
-
 // WithConfig replaces the whole selection configuration at once; later
 // options still apply on top. A Config that names a Metrics makes that
 // collector the client's.

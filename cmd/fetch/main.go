@@ -25,7 +25,7 @@
 // full JSON. Both take "all" for every relay the registry lists, one
 // relay's name, or a literal metrics host:port (no discovery).
 // Result tables go to stdout; operational logging is structured (slog)
-// on stderr — see -log-format, -log-level, and -log-components.
+// on stderr — see -log-format and -log-level.
 package main
 
 import (

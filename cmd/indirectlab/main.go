@@ -245,9 +245,8 @@ func lab(args []string, w, stderr io.Writer) int {
 		var t3 experiment.Table3Result
 		run("table III campaign", func() {
 			t3 = experiment.Table3(experiment.Table3Params{
-				Seed:    *seed,
-				Rounds:  sc.table3Rounds,
-				Workers: *workers,
+				Seed:   *seed,
+				Rounds: sc.table3Rounds,
 			})
 		})
 		report.Table3(w, t3)
@@ -269,9 +268,8 @@ func lab(args []string, w, stderr io.Writer) int {
 		var results []experiment.MultipathResult
 		run("multipath comparison", func() {
 			results = experiment.RunMultipath(experiment.MultipathParams{
-				Seed:    *seed,
-				Rounds:  sc.ablateRounds,
-				Workers: *workers,
+				Seed:   *seed,
+				Rounds: sc.ablateRounds,
 			})
 		})
 		report.Multipath(w, results)
@@ -281,9 +279,8 @@ func lab(args []string, w, stderr io.Writer) int {
 		var results []experiment.MonitoredResult
 		run("monitoring comparison", func() {
 			results = experiment.RunMonitored(experiment.MonitoredParams{
-				Seed:    *seed,
-				Rounds:  sc.ablateRounds,
-				Workers: *workers,
+				Seed:   *seed,
+				Rounds: sc.ablateRounds,
 			})
 		})
 		report.Monitored(w, results)
@@ -377,9 +374,8 @@ func lab(args []string, w, stderr io.Writer) int {
 		var results []experiment.AdaptiveResult
 		run("adaptive comparison", func() {
 			results = experiment.RunAdaptive(experiment.AdaptiveParams{
-				Seed:    *seed,
-				Rounds:  sc.ablateRounds,
-				Workers: *workers,
+				Seed:   *seed,
+				Rounds: sc.ablateRounds,
 			})
 		})
 		report.Adaptive(w, results)

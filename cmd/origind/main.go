@@ -17,7 +17,7 @@
 // overwritten last) and archives them as JSONL on shutdown, ready for
 // stitching with the other processes' archives. -pprof serves
 // net/http/pprof on a separate address. Logging is structured (slog);
-// see -log-format, -log-level, and -log-components.
+// see -log-format and -log-level.
 //
 // The flight-recorder pieces that apply to an origin are wired too:
 // /debug/stack always serves a plain-text goroutine dump, -profile-dir

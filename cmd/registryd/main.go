@@ -28,7 +28,7 @@
 // fetch -bundle find each relay's own debug pages. /debug/stack serves
 // a plain-text goroutine dump even with -pprof off. -pprof serves
 // net/http/pprof on a separate address. Logging is structured (slog);
-// see -log-format, -log-level, and -log-components.
+// see -log-format and -log-level.
 package main
 
 import (

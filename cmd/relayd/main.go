@@ -29,7 +29,7 @@
 // heartbeats carry the metrics address, so fetch -fleet and fetch
 // -bundle can find this relay's debug pages through the registry.
 // -pprof serves net/http/pprof on a separate address. Logging is
-// structured (slog); see -log-format, -log-level, and -log-components.
+// structured (slog); see -log-format and -log-level.
 //
 // The flight store is on by default (-flight rows, errored and
 // slowest-decile traces overwritten last; 0 turns it off unless -trace

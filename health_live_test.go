@@ -91,7 +91,7 @@ func TestHealthTelemetryTracksInducedDegradation(t *testing.T) {
 	// MaxThroughput rule makes every probe run to completion: under the
 	// default first-finished rule the losing (collapsed) probe would be
 	// reaped as canceled, which is deliberately not a health sample.
-	hm := repro.NewHealthMonitor(repro.HealthConfig{Window: 3, Buckets: 12, Hysteresis: 2, MinDwell: 0.3})
+	hm := repro.NewHealthMonitor(repro.HealthConfig{Window: 3, Buckets: 12})
 	cfg := hm.Config() // default-filled (window, dwell)
 	client := repro.New(tr,
 		repro.WithProbeBytes(32_000),

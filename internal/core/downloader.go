@@ -32,15 +32,14 @@ type Downloader struct {
 	// Rule picks race winners (FirstFinished when unset).
 	Rule Rule
 
-	// MaxFailovers bounds how many path failures a download survives
-	// (default 3).
-	MaxFailovers int
-
 	// Metrics folds the download's operations: every race as one (its
 	// probes and the selection), and every segment as one transfer. Nil
 	// records nothing.
 	Metrics *obs.Metrics
 }
+
+// maxFailovers bounds how many path failures a download survives.
+const maxFailovers = 3
 
 // Segment records one contiguous fetch within a download.
 type Segment struct {
@@ -103,13 +102,6 @@ func (d *Downloader) refreshEvery() int {
 	default:
 		return 4
 	}
-}
-
-func (d *Downloader) maxFailovers() int {
-	if d.MaxFailovers > 0 {
-		return d.MaxFailovers
-	}
-	return 3
 }
 
 // Download fetches obj adaptively over the direct path and the candidate
@@ -190,12 +182,12 @@ func (d *Downloader) Download(ctx context.Context, obj Object, candidates []stri
 			failovers++
 			res.Failovers++
 			res.Switches++
-			if failovers > d.maxFailovers() {
+			if failovers > maxFailovers {
 				res.End = t.Now()
 				return res, fmt.Errorf("%w: too many failovers (last: %v)", ErrAllPathsFailed, r.Err)
 			}
 			// Re-race the survivors to pick a replacement.
-			next, raced, err := d.race(ctx, obj, offset, minI64(x, obj.Size-offset), paths, alive, &res)
+			next, raced, err := d.race(ctx, obj, offset, min(x, obj.Size-offset), paths, alive, &res)
 			if err != nil {
 				res.End = t.Now()
 				return res, err
@@ -263,11 +255,4 @@ func (d *Downloader) race(ctx context.Context, obj Object, off, n int64, paths [
 		}
 	}
 	return winner, n, nil
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

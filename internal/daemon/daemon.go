@@ -3,12 +3,11 @@
 // (/healthz, /readyz, /debug/vars, /metrics, /debug/stack, and — when
 // the subsystems are wired — /debug/paths, /debug/cache,
 // /debug/registry, /debug/requests, /debug/active, /debug/bundle), the
-// common logging flag plumbing around internal/obs/slogx, and the start-up
-// and shutdown steps the three mains share (listener liveness, -pprof,
-// the continuous profiler's flags, the span archive). The daemons
-// declaring their endpoints through this package means the e2e metrics
-// test exercises exactly the pages the binaries serve, not a parallel
-// reimplementation.
+// common logging flags, and the start-up and shutdown steps the three
+// mains share (listener liveness, -pprof, the continuous profiler's
+// flags, the span archive). The daemons declaring their endpoints
+// through this package means the e2e metrics test exercises exactly the
+// pages the binaries serve, not a parallel reimplementation.
 package daemon
 
 import (
@@ -16,6 +15,8 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"os"
@@ -26,7 +27,6 @@ import (
 	"repro/internal/httpx"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
-	"repro/internal/obs/slogx"
 	"repro/internal/traceio"
 )
 
@@ -190,31 +190,45 @@ func (d *Daemon) ServeMetrics(ctx context.Context, addr string, logger *slog.Log
 		"endpoints", "/debug/vars /metrics /healthz /readyz")
 }
 
-// LogFlags registers the shared logging flags (-log-format, -log-level,
-// -log-components) on the default flag set and returns a constructor to
-// call after flag.Parse: it builds the component-labeled root logger
-// (writing to stderr) or exits with a usage error on a bad flag value.
+// LogFlags registers the shared logging flags (-log-format, -log-level)
+// on the default flag set and returns a constructor to call after
+// flag.Parse: it builds the root logger, writing to stderr and labeled
+// component=<the binary's name>, or exits with a usage error on a bad
+// flag value.
 func LogFlags() func(component string) *slog.Logger {
 	format := flag.String("log-format", "text", "log encoding: text or json")
 	level := flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
-	components := flag.String("log-components", "", "per-component level overrides, e.g. registry=debug,relay=warn")
 	return func(component string) *slog.Logger {
-		lvl, err := slogx.ParseLevel(*level)
+		logger, err := newLogger(os.Stderr, *format, *level, component)
 		if err != nil {
 			slog.Error(err.Error())
 			os.Exit(2)
 		}
-		perComp, err := slogx.ParseComponentLevels(*components)
-		if err != nil {
-			slog.Error(err.Error())
-			os.Exit(2)
-		}
-		return slogx.New(os.Stderr, component, slogx.Config{
-			Format:          *format,
-			Level:           lvl,
-			ComponentLevels: perComp,
-		})
+		return logger
 	}
+}
+
+// newLogger builds the logger the -log-format and -log-level values
+// describe, writing to w and labeled with the component.
+func newLogger(w io.Writer, format, level, component string) (*slog.Logger, error) {
+	var lvl slog.Level
+	switch strings.ToLower(strings.TrimSpace(level)) {
+	case "", "info":
+	case "debug":
+		lvl = slog.LevelDebug
+	case "warn", "warning":
+		lvl = slog.LevelWarn
+	case "error":
+		lvl = slog.LevelError
+	default:
+		return nil, fmt.Errorf("unknown log level %q (want debug|info|warn|error)", level)
+	}
+	opts := &slog.HandlerOptions{Level: lvl}
+	var h slog.Handler = slog.NewTextHandler(w, opts)
+	if strings.ToLower(format) == "json" {
+		h = slog.NewJSONHandler(w, opts)
+	}
+	return slog.New(h).With("component", component), nil
 }
 
 // ServeListener runs serve(l) in the background and returns a check set

@@ -287,7 +287,11 @@ func probeOverhead(recs []Record) float64 {
 		// Round duration = size/selectedTp; probe duration approximated
 		// by probeBytes/probeBestTp is not recorded directly, so use the
 		// throughput deficit as the proxy: 1 - selected/best ceiling.
-		deficit := 1 - r.SelectedTp/maxF(r.ProbeBestTp, r.SelectedTp)
+		// Neither throughput is NaN (where the builtin max would differ
+		// from an a > b pick): each is a core Throughput, 0 or a byte
+		// count over a positive span of the simulator's clock, and
+		// TestCampaignThroughputsAreNumbers checks every rule's records.
+		deficit := 1 - r.SelectedTp/max(r.ProbeBestTp, r.SelectedTp)
 		sum += deficit * 100
 		n++
 	}
@@ -295,13 +299,6 @@ func probeOverhead(recs []Record) float64 {
 		return 0
 	}
 	return sum / float64(n)
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // AblateObjectSize sweeps the download size, showing why the paper

@@ -26,7 +26,6 @@ type AdaptiveParams struct {
 	SegmentBytes int64
 	RefreshEvery int
 	Config       Config
-	Workers      int
 }
 
 func (p AdaptiveParams) withDefaults() AdaptiveParams {

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -140,6 +141,26 @@ func TestRunCampaignSequentialProbes(t *testing.T) {
 	for i, r := range res.Records {
 		if r.Err != nil {
 			t.Fatalf("sequential round %d failed: %v", i, r.Err)
+		}
+	}
+}
+
+// TestCampaignThroughputsAreNumbers backs probeOverhead's builtin max,
+// which returns NaN where an a > b pick would not: under every selection
+// rule, sequential probing included, no record's selected or best-probe
+// throughput is NaN.
+func TestCampaignThroughputsAreNumbers(t *testing.T) {
+	for _, cfg := range []Config{
+		{Rule: core.FirstFinished},
+		{Rule: core.MaxThroughput},
+		{SequentialProbes: true, ExcludeProbePhase: true},
+	} {
+		spec := smallSpec(3, 10)
+		spec.Config = cfg
+		for i, r := range RunCampaign(spec).Records {
+			if math.IsNaN(r.SelectedTp) || math.IsNaN(r.ProbeBestTp) {
+				t.Fatalf("%+v round %d: selected %v, best probe %v", cfg, i, r.SelectedTp, r.ProbeBestTp)
+			}
 		}
 	}
 }

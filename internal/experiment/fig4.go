@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"math"
 	"sort"
 
 	"repro/internal/stats"
@@ -63,23 +64,16 @@ func Fig4(study *StudyResult, minSamples int) Fig4Result {
 		if mean > 0 {
 			s.SlopePerHourPct = stats.TrendSlopePerHour(s.Times, s.Tp) / mean * 100
 			for i := 1; i < len(s.Tp); i++ {
-				if abs(s.Tp[i]-s.Tp[i-1]) > 0.5*mean {
+				if math.Abs(s.Tp[i]-s.Tp[i-1]) > 0.5*mean {
 					s.JumpCount++
 				}
 			}
 		}
-		absSum += abs(s.SlopePerHourPct)
+		absSum += math.Abs(s.SlopePerHourPct)
 		res.Series = append(res.Series, s)
 	}
 	if len(res.Series) > 0 {
 		res.MeanAbsSlopePct = absSum / float64(len(res.Series))
 	}
 	return res
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/randx"
 	"repro/internal/registry"
+	"repro/internal/stats"
 	"repro/internal/topo"
 )
 
@@ -166,11 +167,11 @@ func RunHealthRank(p HealthRankParams) HealthRankResult {
 	}
 	results := RunAll(specs, p.Workers)
 
-	res.RankedAvg = mean(okImprovements(results[0].Records))
+	res.RankedAvg = stats.Mean(okImprovements(results[0].Records))
 	for _, r := range results[1:] {
-		res.RandomAvgs = append(res.RandomAvgs, mean(okImprovements(r.Records)))
+		res.RandomAvgs = append(res.RandomAvgs, stats.Mean(okImprovements(r.Records)))
 	}
-	res.RandomAvg = mean(res.RandomAvgs)
+	res.RandomAvg = stats.Mean(res.RandomAvgs)
 	return res
 }
 

@@ -5,6 +5,7 @@ import (
 	"strconv"
 
 	"repro/internal/core"
+	"repro/internal/stats"
 	"repro/internal/topo"
 )
 
@@ -27,7 +28,6 @@ type MonitoredParams struct {
 	RefreshEvery int
 	Candidates   int // candidate relays per client (default 3, best pairs)
 	Config       Config
-	Workers      int
 }
 
 func (p MonitoredParams) withDefaults() MonitoredParams {
@@ -153,8 +153,8 @@ func runMonitoredClient(p MonitoredParams, scen *topo.Scenario, client, server *
 		nextRound(world, start, cfg.Period)
 	}
 
-	res.ProbingAvg = mean(probImps)
-	res.MonitoredAvg = mean(monImps)
+	res.ProbingAvg = stats.Mean(probImps)
+	res.MonitoredAvg = stats.Mean(monImps)
 	if probInd > 0 {
 		res.ProbingPenalties = float64(probPen) / float64(probInd)
 	}
@@ -176,15 +176,4 @@ func bestPairs(scen *topo.Scenario, client *topo.Node, n int) []*topo.Node {
 		n = len(inters)
 	}
 	return inters[:n]
-}
-
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"repro/internal/core"
+	"repro/internal/stats"
 	"repro/internal/topo"
 )
 
@@ -23,7 +24,6 @@ type MultipathParams struct {
 	Candidates int      // relays striped over (default 2, best pairs)
 	ChunkBytes int64    // striping granularity (default 500 KB)
 	Config     Config
-	Workers    int
 }
 
 func (p MultipathParams) withDefaults() MultipathParams {
@@ -137,8 +137,8 @@ func runMultipathClient(p MultipathParams, scen *topo.Scenario, client, server *
 		nextRound(world, start, cfg.Period)
 	}
 
-	res.SelectAvg = mean(selImps)
-	res.StripeAvg = mean(strImps)
-	res.StripeSpread = mean(spreads)
+	res.SelectAvg = stats.Mean(selImps)
+	res.StripeAvg = stats.Mean(strImps)
+	res.StripeSpread = stats.Mean(spreads)
 	return res
 }

@@ -19,7 +19,6 @@ type Table3Params struct {
 	SetSize  int    // default 10 (the Figure 6 knee)
 	Rounds   int    // default 500
 	Config   Config
-	Workers  int
 }
 
 func (p Table3Params) withDefaults() Table3Params {

@@ -45,33 +45,26 @@ type TriggerConfig struct {
 	// fires for a path, further triggers on it are suppressed for this
 	// long (default 60).
 	Window float64
-	// MaxBundles bounds the retained bundles, in memory and on disk
-	// (default 8; oldest evicted first).
-	MaxBundles int
-	// QueueLen bounds pending bundle builds (default 4); a full queue
-	// drops the trigger (counted) rather than blocking the firer.
-	QueueLen int
 	// Clock supplies "now" in seconds for rate limiting (default: wall
 	// seconds since the engine was built).
 	Clock func() float64
 }
 
 // A bundle captures at most bundleEvents wide events and bundleTraces
-// stitched traces of the firing path.
+// stitched traces of the firing path. An engine retains at most
+// maxBundles bundles, in memory and on disk, evicting the oldest first,
+// and queues at most queueLen pending builds: a full queue drops the
+// trigger (counted) rather than blocking the firer.
 const (
 	bundleEvents = 64
 	bundleTraces = 4
+	maxBundles   = 8
+	queueLen     = 4
 )
 
 func (c TriggerConfig) withDefaults() TriggerConfig {
 	if c.Window <= 0 {
 		c.Window = 60
-	}
-	if c.MaxBundles <= 0 {
-		c.MaxBundles = 8
-	}
-	if c.QueueLen <= 0 {
-		c.QueueLen = 4
 	}
 	if c.Clock == nil {
 		start := time.Now()
@@ -165,7 +158,7 @@ func NewEngine(cfg TriggerConfig) *Engine {
 		cfg:  cfg.withDefaults(),
 		last: make(map[string]float64),
 	}
-	e.queue = make(chan trigger, e.cfg.QueueLen)
+	e.queue = make(chan trigger, queueLen)
 	e.done = make(chan struct{})
 	go e.worker()
 	return e
@@ -303,7 +296,7 @@ func (e *Engine) build(trig trigger) {
 	e.mu.Lock()
 	e.bundles = append(e.bundles, b)
 	var evicted []*Bundle
-	if n := len(e.bundles) - e.cfg.MaxBundles; n > 0 {
+	if n := len(e.bundles) - maxBundles; n > 0 {
 		evicted = append(evicted, e.bundles[:n]...)
 		e.bundles = append([]*Bundle(nil), e.bundles[n:]...)
 	}

@@ -137,13 +137,13 @@ func TestBundleWriteFailureNeverBlocks(t *testing.T) {
 
 func TestFireNeverBlocksOnFullQueue(t *testing.T) {
 	// Wedge the worker inside its first build via a blocking Metrics
-	// snapshot, then overflow the queue with distinct paths.
+	// snapshot, then overflow the queue with distinct paths: one build
+	// runs, queueLen wait, and the rest are dropped.
 	release := make(chan struct{})
 	var once sync.Once
 	rec := NewRecorder(8, false)
 	e := NewEngine(TriggerConfig{
 		Recorder: rec,
-		QueueLen: 1,
 		Metrics: func() []byte {
 			once.Do(func() { <-release })
 			return []byte("# snapshot\n")
@@ -153,7 +153,7 @@ func TestFireNeverBlocksOnFullQueue(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for i := 0; i < 10; i++ {
+		for i := 0; i < queueLen+4; i++ {
 			e.Fire("health-down", string(rune('a'+i)), "")
 		}
 	}()
@@ -226,23 +226,24 @@ func TestBundlePersistAndEviction(t *testing.T) {
 	dir := t.TempDir()
 	clock := &fakeClock{}
 	rec := NewRecorder(8, false)
-	e := NewEngine(TriggerConfig{Recorder: rec, Dir: dir, MaxBundles: 2, Window: 1, Clock: clock.Now})
+	e := NewEngine(TriggerConfig{Recorder: rec, Dir: dir, Window: 1, Clock: clock.Now})
 	defer e.Close()
 
-	for i := 0; i < 3; i++ {
+	// One build at a time: the queue holds fewer than maxBundles.
+	for i := 0; i < maxBundles+1; i++ {
 		e.Fire("health-down", "pathA", "")
 		clock.Advance(2)
+		waitBuilt(t, e, uint64(i+1))
 	}
-	waitBuilt(t, e, 3)
-	if n := len(e.Bundles()); n != 2 {
-		t.Fatalf("retained %d bundles, want 2", n)
+	if n := len(e.Bundles()); n != maxBundles {
+		t.Fatalf("retained %d bundles, want %d", n, maxBundles)
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 2 {
-		t.Fatalf("disk has %d bundle files, want 2 after eviction", len(entries))
+	if len(entries) != maxBundles {
+		t.Fatalf("disk has %d bundle files, want %d after eviction", len(entries), maxBundles)
 	}
 	// The persisted file is the bundle's JSON.
 	data, err := os.ReadFile(filepath.Join(dir, entries[0].Name()))

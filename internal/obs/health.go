@@ -90,14 +90,6 @@ type HealthConfig struct {
 	// the default window).
 	Buckets int
 
-	// Hysteresis is how many consecutive evaluations must agree on a new
-	// state before the transition commits (default 2).
-	Hysteresis int
-	// MinDwell is the minimum seconds a state holds before the next
-	// transition (default 2 bucket widths). A transition demanded before
-	// the dwell expires is suppressed and counted as a damped flap.
-	MinDwell float64
-
 	// MaxSuccessAge is how many seconds without a success drive the
 	// freshness factor (and with it the score) to zero (default Window).
 	MaxSuccessAge float64
@@ -121,12 +113,6 @@ func (c HealthConfig) withDefaults() HealthConfig {
 	if c.Buckets <= 0 {
 		c.Buckets = 12
 	}
-	if c.Hysteresis <= 0 {
-		c.Hysteresis = 2
-	}
-	if c.MinDwell <= 0 {
-		c.MinDwell = 2 * c.Window / float64(c.Buckets)
-	}
 	if c.MaxSuccessAge <= 0 {
 		c.MaxSuccessAge = c.Window
 	}
@@ -142,6 +128,15 @@ const (
 	slowAlpha    = 0.05
 	healthyScore = 0.75
 	downScore    = 0.35
+)
+
+// The transition damping: a new state must win hysteresis consecutive
+// evaluations before it commits, and a state holds at least dwellBuckets
+// bucket widths before the next transition. A transition demanded before
+// the dwell expires is suppressed and counted as a damped flap.
+const (
+	hysteresis   = 2
+	dwellBuckets = 2
 )
 
 // Latency histogram geometry: log2 bins from 0.1 ms up, so loopback
@@ -445,10 +440,10 @@ func (m *HealthMonitor) target(score float64) HealthState {
 }
 
 // evaluate recomputes the path's score and applies the hysteresis state
-// machine: a new target state must win Hysteresis consecutive
-// evaluations, and no transition commits before MinDwell seconds in the
-// current state — demanded-but-dwelling transitions count as suppressed
-// flaps.
+// machine: a new target state must win hysteresis consecutive
+// evaluations, and no transition commits before dwellBuckets bucket
+// widths in the current state — demanded-but-dwelling transitions count
+// as suppressed flaps.
 func (m *HealthMonitor) evaluate(key string, p *pathHealth, now float64) {
 	p.score = m.scoreOf(p, m.window(p, now), now)
 	want := m.target(p.score)
@@ -468,10 +463,10 @@ func (m *HealthMonitor) evaluate(key string, p *pathHealth, now float64) {
 		p.pending = want
 		p.pendingN = 1
 	}
-	if p.pendingN < m.cfg.Hysteresis {
+	if p.pendingN < hysteresis {
 		return
 	}
-	if now-p.stateSince < m.cfg.MinDwell {
+	if now-p.stateSince < dwellBuckets*m.bucketWidth() {
 		p.flapsSuppressed++
 		return
 	}

@@ -7,14 +7,9 @@ import (
 )
 
 // testHealthCfg is a small, fast-moving configuration: 10 s window in
-// 10 buckets, 2-sample hysteresis, 2 s dwell.
+// 10 buckets, so 2-sample hysteresis and a 2 s dwell.
 func testHealthCfg() HealthConfig {
-	return HealthConfig{
-		Window:     10,
-		Buckets:    10,
-		Hysteresis: 2,
-		MinDwell:   2,
-	}
+	return HealthConfig{Window: 10, Buckets: 10}
 }
 
 // feedOK folds n successes at 1 s spacing starting at t0, each moving
@@ -94,10 +89,8 @@ func TestHealthDegradesOnThroughputCollapseThenDown(t *testing.T) {
 }
 
 func TestHealthHysteresisDampsFlapping(t *testing.T) {
-	cfg := testHealthCfg()
-	cfg.Hysteresis = 3
-	cfg.MinDwell = 10 // covers the failure burst below
-	m := NewHealthMonitor(cfg)
+	// 5 s buckets: the 10 s dwell covers the failure burst below.
+	m := NewHealthMonitor(HealthConfig{Window: 30, Buckets: 6})
 	now := feedOK(m, "p", 0, 5, 0.05, 1<<20)
 	// One isolated failure is not enough evaluations to transition.
 	m.fold("p", now, ClassFailed, 0, 0, false)
@@ -122,6 +115,32 @@ func TestHealthHysteresisDampsFlapping(t *testing.T) {
 	}
 	if got := m.State("p"); got == HealthHealthy {
 		t.Fatalf("state still healthy after sustained post-dwell failures (score %.3f)", m.Score("p"))
+	}
+
+	// Past the dwell, hysteresis alone holds a state: the first evaluation
+	// that scores below healthy leaves the path healthy, the next commits.
+	// Read without evaluating: State and Score are evaluations too.
+	m = NewHealthMonitor(HealthConfig{Window: 30, Buckets: 6})
+	peek := func() (float64, HealthState) {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return m.paths["q"].score, m.paths["q"].state
+	}
+	now = feedOK(m, "q", 0, 12, 0.05, 1<<20)
+	demands := 0
+	for i := 0; i < 10 && demands < 2; i++ {
+		m.fold("q", now+float64(i)*0.1, ClassFailed, 0, 0, false)
+		score, state := peek()
+		if score >= healthyScore {
+			continue
+		}
+		demands++
+		if want := [...]HealthState{HealthHealthy, HealthDegraded}[demands-1]; state != want {
+			t.Fatalf("evaluation %d below healthy (score %.3f): state %v, want %v", demands, score, state, want)
+		}
+	}
+	if demands < 2 {
+		t.Fatal("ten failures never scored below healthy twice")
 	}
 }
 

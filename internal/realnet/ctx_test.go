@@ -123,16 +123,14 @@ func TestColdDialRetryWithBackoff(t *testing.T) {
 
 	var dials atomic.Int64
 	flaky := func(network, addr string) (net.Conn, error) {
-		if dials.Add(1) <= 2 {
+		if dials.Add(1) <= maxRetries {
 			return nil, fmt.Errorf("transient dial failure")
 		}
 		return net.Dial(network, addr)
 	}
 	tr := &Transport{
-		Servers:      map[string]string{"origin": ol.Addr().String()},
-		Dial:         flaky,
-		MaxRetries:   2,
-		RetryBackoff: time.Millisecond,
+		Servers: map[string]string{"origin": ol.Addr().String()},
+		Dial:    flaky,
 	}
 
 	obj := core.Object{Server: "origin", Name: "big.bin", Size: 100_000}
@@ -141,34 +139,39 @@ func TestColdDialRetryWithBackoff(t *testing.T) {
 	if err := h.Result().Err; err != nil {
 		t.Fatalf("transfer failed despite retries: %v", err)
 	}
-	if got := len(h.Result().Retries); got != 2 {
-		t.Fatalf("Retries = %d, want 2", got)
+	if got := len(h.Result().Retries); got != maxRetries {
+		t.Fatalf("Retries = %d, want %d", got, maxRetries)
 	}
-	if got := dials.Load(); got != 3 {
-		t.Fatalf("%d dial attempts, want 3", got)
+	if got := dials.Load(); got != maxRetries+1 {
+		t.Fatalf("%d dial attempts, want %d", got, maxRetries+1)
 	}
 }
 
 func TestRetriesExhausted(t *testing.T) {
+	var dials atomic.Int64
 	tr := &Transport{
-		Servers:      map[string]string{"origin": "127.0.0.1:1"},
-		Dial:         func(string, string) (net.Conn, error) { return nil, fmt.Errorf("down") },
-		MaxRetries:   1,
-		RetryBackoff: time.Millisecond,
+		Servers: map[string]string{"origin": "127.0.0.1:1"},
+		Dial: func(string, string) (net.Conn, error) {
+			dials.Add(1)
+			return nil, fmt.Errorf("down")
+		},
 	}
 	h := tr.Start(core.Object{Server: "origin", Name: "x", Size: 10}, core.Path{}, 0, 10)
 	tr.Wait(h)
 	if h.Result().Err == nil {
 		t.Fatal("expected error once retries are exhausted")
 	}
-	if got := len(h.Result().Retries); got != 1 {
-		t.Fatalf("Retries = %d, want 1", got)
+	if got := len(h.Result().Retries); got != maxRetries {
+		t.Fatalf("Retries = %d, want %d", got, maxRetries)
+	}
+	if got := dials.Load(); got != maxRetries+1 {
+		t.Fatalf("%d dial attempts, want %d", got, maxRetries+1)
 	}
 }
 
 func TestTransferTimeoutOnStalledServer(t *testing.T) {
-	// A server that accepts and then never responds: the per-transfer
-	// deadline must fail the fetch with the typed error, promptly.
+	// A server that accepts and then never responds: the transfer's
+	// context deadline must fail the fetch with the typed error, promptly.
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -184,13 +187,11 @@ func TestTransferTimeoutOnStalledServer(t *testing.T) {
 		}
 	}()
 
-	tr := &Transport{
-		Servers:         map[string]string{"origin": l.Addr().String()},
-		TransferTimeout: 150 * time.Millisecond,
-		MaxRetries:      -1,
-	}
+	tr := &Transport{Servers: map[string]string{"origin": l.Addr().String()}}
+	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
+	defer cancel()
 	start := time.Now()
-	h := tr.Start(core.Object{Server: "origin", Name: "x", Size: 1000}, core.Path{}, 0, 1000)
+	h := tr.StartCtx(ctx, core.Object{Server: "origin", Name: "x", Size: 1000}, core.Path{}, 0, 1000)
 	tr.Wait(h)
 	elapsed := time.Since(start)
 
@@ -213,9 +214,8 @@ func TestDeadPathsReturnTypedErrorWithinDeadline(t *testing.T) {
 	dead.Close()
 
 	tr := &Transport{
-		Servers:    map[string]string{"origin": addr},
-		Relays:     map[string]string{"r": addr},
-		MaxRetries: -1,
+		Servers: map[string]string{"origin": addr},
+		Relays:  map[string]string{"r": addr},
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -253,11 +253,10 @@ func TestDownloaderFailsOverWhenRelayKilledMidFetch(t *testing.T) {
 	d.SetProfile(ol.Addr().String(), shaper.PathProfile{DownloadBps: 4e6})
 	d.SetProfile(rl.Addr().String(), shaper.PathProfile{DownloadBps: 16e6})
 	tr := &Transport{
-		Servers:      map[string]string{"origin": ol.Addr().String()},
-		Relays:       map[string]string{"r": rl.Addr().String()},
-		Dial:         d.Dial,
-		Verify:       true,
-		RetryBackoff: time.Millisecond,
+		Servers: map[string]string{"origin": ol.Addr().String()},
+		Relays:  map[string]string{"r": rl.Addr().String()},
+		Dial:    d.Dial,
+		Verify:  true,
 	}
 
 	dl := &core.Downloader{
@@ -323,16 +322,47 @@ func TestWaitAnyReturnsOnCancellation(t *testing.T) {
 	tr.Wait(h2)
 }
 
+// TestDialContextBound pins the dial bound: a ctx with no deadline of its
+// own gets one dialTimeout from now, and a ctx that expires sooner keeps
+// its deadline.
+func TestDialContextBound(t *testing.T) {
+	before := time.Now()
+	ctx, cancel := dialContext(context.Background())
+	defer cancel()
+	dl, ok := ctx.Deadline()
+	if !ok {
+		t.Fatal("dial under a ctx with no deadline: no bound added")
+	}
+	if lo, hi := before.Add(dialTimeout), time.Now().Add(dialTimeout); dl.Before(lo) || dl.After(hi) {
+		t.Fatalf("dial deadline %v, want within [%v, %v]", dl, lo, hi)
+	}
+
+	sooner, cancelSooner := context.WithTimeout(context.Background(), time.Second)
+	defer cancelSooner()
+	want, _ := sooner.Deadline()
+	ctx2, cancel2 := dialContext(sooner)
+	defer cancel2()
+	if got, ok := ctx2.Deadline(); !ok || !got.Equal(want) {
+		t.Fatalf("dial deadline under a sooner ctx = %v, want %v unchanged", got, want)
+	}
+
+	later, cancelLater := context.WithTimeout(context.Background(), 10*dialTimeout)
+	defer cancelLater()
+	ctx3, cancel3 := dialContext(later)
+	defer cancel3()
+	if got, _ := ctx3.Deadline(); got.After(time.Now().Add(dialTimeout)) {
+		t.Fatalf("dial deadline under a later ctx = %v, want at most dialTimeout away", got)
+	}
+}
+
 // TestDialConnAbandonsCustomDial pins what dialConn promises of a dialer
-// that knows no context: a dead ctx returns at once, the dial timeout
-// bounds a ctx with no sooner deadline of its own, and a connection that
+// that knows no context: a dead ctx returns at once, and a connection that
 // arrives after the caller gave up is closed, not leaked.
 func TestDialConnAbandonsCustomDial(t *testing.T) {
 	gate := make(chan struct{})
 	ours, theirs := net.Pipe()
 	defer theirs.Close()
 	tr := &Transport{
-		DialTimeout: 20 * time.Millisecond,
 		Dial: func(string, string) (net.Conn, error) {
 			<-gate
 			return ours, nil
@@ -344,14 +374,6 @@ func TestDialConnAbandonsCustomDial(t *testing.T) {
 	defer cancel()
 	if _, err := tr.dialConn(ctx, "ignored"); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("dial under an expiring ctx: %v, want DeadlineExceeded", err)
-	}
-	// No deadline on ctx: the dial timeout is.
-	start := time.Now()
-	if _, err := tr.dialConn(context.Background(), "ignored"); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("dial past DialTimeout: %v, want DeadlineExceeded", err)
-	}
-	if waited := time.Since(start); waited < 20*time.Millisecond || waited > 5*time.Second {
-		t.Fatalf("dial timeout fired after %v, want ~20ms", waited)
 	}
 	// A canceled ctx, then the dials complete late: the connection is closed.
 	ctx2, cancel2 := context.WithCancel(context.Background())

@@ -5,7 +5,6 @@ import (
 	"net"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs/flight"
@@ -113,11 +112,9 @@ func TestFlightEventRecordsRetriesAndWarm(t *testing.T) {
 	}
 	rec := flight.NewRecorder(16, false)
 	tr := &Transport{
-		Servers:      map[string]string{"origin": ol.Addr().String()},
-		Dial:         flaky,
-		MaxRetries:   2,
-		RetryBackoff: time.Millisecond,
-		Flight:       rec,
+		Servers: map[string]string{"origin": ol.Addr().String()},
+		Dial:    flaky,
+		Flight:  rec,
 	}
 	obj := core.Object{Server: "origin", Name: "obj.bin", Size: 50_000}
 	fetchOnce(t, tr, obj)

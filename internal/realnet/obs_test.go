@@ -36,10 +36,8 @@ func TestRetryEventsMatchCounter(t *testing.T) {
 		return net.Dial(network, addr)
 	}
 	tr := &Transport{
-		Servers:      map[string]string{"origin": ol.Addr().String()},
-		Dial:         flaky,
-		MaxRetries:   2,
-		RetryBackoff: time.Millisecond,
+		Servers: map[string]string{"origin": ol.Addr().String()},
+		Dial:    flaky,
 	}
 	m := obs.NewMetrics()
 	m.Health = obs.NewHealthMonitor(obs.HealthConfig{})

@@ -6,17 +6,17 @@ import (
 	"time"
 )
 
-// DefaultMaxIdlePerPath is how many idle keep-alive connections each path
-// retains when MaxIdlePerPath is unset. Multipath striping issues several
-// concurrent warm chunks per path, so one slot (the old behavior) forced
-// all but one of them to dial cold.
-const DefaultMaxIdlePerPath = 4
-
-// DefaultIdleTTL is how long a parked connection may sit idle before the
-// pool evicts it when IdleTTL is unset. It stays comfortably under the
-// origin/relay keepAliveIdle (60 s) so the pool drops connections before
-// the far end does.
-const DefaultIdleTTL = 30 * time.Second
+// maxIdlePerPath is how many idle keep-alive connections each path
+// retains. Multipath striping issues several concurrent warm chunks per
+// path, so one slot would force all but one of them to dial cold.
+//
+// idleTTL is how long a parked connection may sit idle before the pool
+// evicts it. It stays comfortably under the origin/relay keepAliveIdle
+// (60 s) so the pool drops connections before the far end does.
+const (
+	maxIdlePerPath = 4
+	idleTTL        = 30 * time.Second
+)
 
 // PoolStats is a point-in-time view of the connection pool's counters.
 type PoolStats struct {
@@ -35,16 +35,13 @@ type idleConn struct {
 }
 
 // connPool is a bounded per-path pool of idle keep-alive connections.
-// Each path keeps at most maxIdle parked connections, taken LIFO (the
-// most recently parked connection has the widest-open congestion window
-// and the most remaining keep-alive budget). Connections idle longer than
-// ttl are dropped — lazily on take, and by a background sweeper that
-// starts with the first park and stops on close. All connection closes
-// run outside the pool lock.
+// Each path keeps at most maxIdlePerPath parked connections, taken LIFO
+// (the most recently parked connection has the widest-open congestion
+// window and the most remaining keep-alive budget). Connections idle
+// longer than idleTTL are dropped — lazily on take, and by a background
+// sweeper that starts with the first park and stops on close. All
+// connection closes run outside the pool lock.
 type connPool struct {
-	maxIdle int
-	ttl     time.Duration
-
 	mu       sync.Mutex
 	idle     map[string][]idleConn
 	closed   bool
@@ -58,17 +55,15 @@ type connPool struct {
 	discarded atomic.Int64
 }
 
-func newConnPool(maxIdle int, ttl time.Duration) *connPool {
+func newConnPool() *connPool {
 	return &connPool{
-		maxIdle: maxIdle,
-		ttl:     ttl,
-		idle:    make(map[string][]idleConn),
-		stop:    make(chan struct{}),
+		idle: make(map[string][]idleConn),
+		stop: make(chan struct{}),
 	}
 }
 
-func (p *connPool) expired(e idleConn, now time.Time) bool {
-	return p.ttl > 0 && now.Sub(e.since) > p.ttl
+func (e idleConn) expired(now time.Time) bool {
+	return now.Sub(e.since) > idleTTL
 }
 
 // take pops the path's most recently parked connection, dropping expired
@@ -84,7 +79,7 @@ func (p *connPool) take(key string) *pooledConn {
 		for len(list) > 0 && got == nil {
 			e := list[len(list)-1]
 			list = list[:len(list)-1]
-			if p.expired(e, now) {
+			if e.expired(now) {
 				dead = append(dead, e.pc)
 				continue
 			}
@@ -113,17 +108,15 @@ func (p *connPool) take(key string) *pooledConn {
 // closing it instead when the pool is closed or the path is full.
 func (p *connPool) park(key string, pc *pooledConn) {
 	p.mu.Lock()
-	if p.closed || p.maxIdle <= 0 || len(p.idle[key]) >= p.maxIdle {
+	if p.closed || len(p.idle[key]) >= maxIdlePerPath {
 		p.mu.Unlock()
 		pc.close()
 		p.discarded.Add(1)
 		return
 	}
 	p.idle[key] = append(p.idle[key], idleConn{pc: pc, since: time.Now()})
-	startSweep := p.ttl > 0 && !p.sweeping
-	if startSweep {
-		p.sweeping = true
-	}
+	startSweep := !p.sweeping
+	p.sweeping = true
 	p.mu.Unlock()
 	p.parked.Add(1)
 	if startSweep {
@@ -133,11 +126,7 @@ func (p *connPool) park(key string, pc *pooledConn) {
 
 // sweep evicts TTL-expired connections every half-TTL until close.
 func (p *connPool) sweep() {
-	interval := p.ttl / 2
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
-	}
-	tick := time.NewTicker(interval)
+	tick := time.NewTicker(idleTTL / 2)
 	defer tick.Stop()
 	for {
 		select {
@@ -156,7 +145,7 @@ func (p *connPool) expire(now time.Time) {
 	for key, list := range p.idle {
 		kept := list[:0]
 		for _, e := range list {
-			if p.expired(e, now) {
+			if e.expired(now) {
 				victims = append(victims, e.pc)
 			} else {
 				kept = append(kept, e)

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"errors"
-	"math"
 	"net"
 	"strings"
 	"sync/atomic"
@@ -15,58 +14,6 @@ import (
 	"repro/internal/relay"
 	"repro/internal/shaper"
 )
-
-// TestRetryDelayCapsLargeAttempts is the regression test for the backoff
-// overflow: the old shift-based doubling went negative for large attempt
-// numbers and fed rand.Int63n a non-positive argument, which panics. Every
-// attempt number must now yield a positive delay within the jittered cap.
-func TestRetryDelayCapsLargeAttempts(t *testing.T) {
-	for _, backoff := range []time.Duration{0, time.Millisecond, time.Second} {
-		tr := &Transport{RetryBackoff: backoff}
-		for _, attempt := range []int{1, 2, 10, 64, 200, 1000, math.MaxInt32} {
-			d := tr.retryDelay(attempt)
-			if d <= 0 {
-				t.Fatalf("backoff %v attempt %d: non-positive delay %v", backoff, attempt, d)
-			}
-			if max := maxRetryDelay + maxRetryDelay/2; d > max {
-				t.Fatalf("backoff %v attempt %d: delay %v above jittered cap %v", backoff, attempt, d, max)
-			}
-		}
-	}
-}
-
-// TestHugeMaxRetriesDoesNotPanic drives the real retry loop with an
-// effectively unbounded retry budget against a dead address: the transfer
-// must fail with the typed deadline error when its context expires, not
-// blow up inside the backoff computation.
-func TestHugeMaxRetriesDoesNotPanic(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := l.Addr().String()
-	l.Close() // nothing listens here anymore
-	tr := &Transport{
-		Servers:      map[string]string{"origin": addr},
-		MaxRetries:   math.MaxInt32,
-		RetryBackoff: time.Nanosecond,
-		DialTimeout:  20 * time.Millisecond,
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
-	defer cancel()
-	h := tr.StartCtx(ctx, core.Object{Server: "origin", Name: "x", Size: 10}, core.Path{}, 0, 10)
-	tr.Wait(h)
-	res := h.Result()
-	if res.Err == nil {
-		t.Fatal("fetch against a dead address succeeded?")
-	}
-	if !errors.Is(res.Err, core.ErrProbeTimeout) && !errors.Is(res.Err, core.ErrCanceled) {
-		t.Fatalf("err = %v, want the typed context error", res.Err)
-	}
-	if len(res.Retries) == 0 {
-		t.Fatal("no retries recorded before the deadline")
-	}
-}
 
 // TestStatusErrorKeepsConnWarm is the regression test for burning warm
 // connections on status errors: a 404 on a pooled connection whose body
@@ -125,17 +72,15 @@ func TestPoolBoundsIdlePerPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ol.Close()
-	tr := &Transport{
-		Servers:        map[string]string{"origin": ol.Addr().String()},
-		MaxIdlePerPath: 2,
-	}
+	tr := &Transport{Servers: map[string]string{"origin": ol.Addr().String()}}
 	defer tr.Close()
 	obj := core.Object{Server: "origin", Name: "big.bin", Size: 1_000_000}
 
-	// Four concurrent cold fetches: four connections finish and try to
-	// park, but only two slots exist.
+	// Two more concurrent cold fetches than the path has slots: every
+	// connection finishes and tries to park, and the last two are turned
+	// away.
 	var hs []core.Handle
-	for i := 0; i < 4; i++ {
+	for i := 0; i < maxIdlePerPath+2; i++ {
 		hs = append(hs, tr.Start(obj, core.Path{}, int64(i)*1000, 1000))
 	}
 	tr.Wait(hs...)
@@ -145,16 +90,19 @@ func TestPoolBoundsIdlePerPath(t *testing.T) {
 		}
 	}
 	st := tr.PoolStats()
-	if st.Idle != 2 {
-		t.Fatalf("idle connections = %d, want 2 (the cap)", st.Idle)
+	if st.Idle != maxIdlePerPath {
+		t.Fatalf("idle connections = %d, want %d (the cap)", st.Idle, maxIdlePerPath)
 	}
-	if st.Parked != 2 || st.Discarded != 2 {
-		t.Fatalf("parked/discarded = %d/%d, want 2/2", st.Parked, st.Discarded)
+	if st.Parked != maxIdlePerPath || st.Discarded != 2 {
+		t.Fatalf("parked/discarded = %d/%d, want %d/2", st.Parked, st.Discarded, maxIdlePerPath)
 	}
 }
 
-// TestPoolTTLEvictsIdleConns parks a connection under a tiny TTL and
-// waits for the background sweeper to drop it.
+// TestPoolTTLEvictsIdleConns parks a connection through the transport,
+// then runs the pool's expiry at synthetic times: inside the TTL the
+// connection stays, past it the connection is evicted. The sweeper that
+// runs the same expiry on a ticker starts with the first park and stops
+// on Close.
 func TestPoolTTLEvictsIdleConns(t *testing.T) {
 	origin := relay.NewOriginServer()
 	origin.Put("big.bin", 1_000_000)
@@ -163,10 +111,7 @@ func TestPoolTTLEvictsIdleConns(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ol.Close()
-	tr := &Transport{
-		Servers: map[string]string{"origin": ol.Addr().String()},
-		IdleTTL: 30 * time.Millisecond,
-	}
+	tr := &Transport{Servers: map[string]string{"origin": ol.Addr().String()}}
 	defer tr.Close()
 	obj := core.Object{Server: "origin", Name: "big.bin", Size: 1_000_000}
 	h := tr.Start(obj, core.Path{}, 0, 1000)
@@ -177,17 +122,28 @@ func TestPoolTTLEvictsIdleConns(t *testing.T) {
 	if st := tr.PoolStats(); st.Idle != 1 {
 		t.Fatalf("idle = %d right after parking, want 1", st.Idle)
 	}
+	p := tr.idlePool()
+	p.mu.Lock()
+	sweeping := p.sweeping
+	p.mu.Unlock()
+	if !sweeping {
+		t.Fatal("the first park started no sweeper")
+	}
 
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		st := tr.PoolStats()
-		if st.Evicted >= 1 && st.Idle == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("sweeper never evicted: %+v", st)
-		}
-		time.Sleep(5 * time.Millisecond)
+	p.expire(time.Now().Add(idleTTL / 2))
+	if st := tr.PoolStats(); st.Idle != 1 || st.Evicted != 0 {
+		t.Fatalf("inside the TTL: %+v, want the connection still parked", st)
+	}
+	p.expire(time.Now().Add(idleTTL + time.Second))
+	if st := tr.PoolStats(); st.Idle != 0 || st.Evicted != 1 {
+		t.Fatalf("past the TTL: %+v, want it evicted", st)
+	}
+
+	tr.Close()
+	select {
+	case <-p.stop:
+	default:
+		t.Fatal("Close left the sweeper running")
 	}
 }
 
@@ -274,15 +230,15 @@ func TestPartialDeliveryRecorded(t *testing.T) {
 	d := shaper.NewDialer()
 	d.SetProfile(ol.Addr().String(), shaper.PathProfile{DownloadBps: 4e6}) // 500 KB/s
 	tr := &Transport{
-		Servers:         map[string]string{"origin": ol.Addr().String()},
-		Dial:            d.Dial,
-		Verify:          true,
-		TransferTimeout: 400 * time.Millisecond,
-		MaxRetries:      -1,
+		Servers: map[string]string{"origin": ol.Addr().String()},
+		Dial:    d.Dial,
+		Verify:  true,
 	}
 	defer tr.Close()
 	obj := core.Object{Server: "origin", Name: "big.bin", Size: 4_000_000}
-	h := tr.Start(obj, core.Path{}, 0, 4_000_000) // ~8 s at 500 KB/s: the deadline wins
+	ctx, cancel := context.WithTimeout(context.Background(), 400*time.Millisecond)
+	defer cancel()
+	h := tr.StartCtx(ctx, obj, core.Path{}, 0, 4_000_000) // ~8 s at 500 KB/s: the deadline wins
 	tr.Wait(h)
 	res := h.Result()
 	if res.Err == nil {
@@ -307,13 +263,13 @@ func TestMidStreamCorruptionDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ol.Close()
-	// Flip a byte ~500 KB into the stream (well past the response head).
+	// Flip a byte ~500 KB into every connection's stream (well past the
+	// response head), so each retry meets the corruption too.
 	ol.SetFaults(shaper.Fault{At: 500_000, Do: shaper.Corrupt, Len: 1})
 	go origin.Serve(ol)
 	tr := &Transport{
-		Servers:    map[string]string{"origin": ol.Addr().String()},
-		Verify:     true,
-		MaxRetries: -1,
+		Servers: map[string]string{"origin": ol.Addr().String()},
+		Verify:  true,
 	}
 	defer tr.Close()
 	obj := core.Object{Server: "origin", Name: "big.bin", Size: 1_000_000}
@@ -325,6 +281,9 @@ func TestMidStreamCorruptionDetected(t *testing.T) {
 	}
 	if !strings.Contains(res.Err.Error(), "content mismatch") {
 		t.Fatalf("err = %v, want content mismatch", res.Err)
+	}
+	if len(res.Retries) != maxRetries {
+		t.Fatalf("retries = %d, want %d", len(res.Retries), maxRetries)
 	}
 	// The clean prefix was still counted as delivered progress.
 	if res.Delivered <= 0 || res.Delivered > 500_000 {
@@ -370,7 +329,7 @@ func TestPoolCloseDiscards(t *testing.T) {
 // found on the take path are evicted, and take prefers the most recently
 // parked connection.
 func TestTakeSkipsExpiredLIFO(t *testing.T) {
-	p := newConnPool(4, 50*time.Millisecond)
+	p := newConnPool()
 	mk := func() (*pooledConn, net.Conn) {
 		a, b := net.Pipe()
 		return &pooledConn{conn: a, br: bufio.NewReader(a)}, b

@@ -8,15 +8,16 @@
 // The transport is fully context-aware: cancelling a transfer's context
 // closes the underlying connection, so a raced probe that lost is torn
 // down within a round trip, and a transfer against a stalled relay fails
-// at its deadline instead of hanging. Cold-connection failures are retried with
-// exponential backoff and jitter, bounded by MaxRetries.
+// at its context's deadline instead of hanging. A dial is bounded at 10 s,
+// and a cold-connection failure is retried twice, with exponential backoff
+// and jitter.
 //
 // Bodies stream through fixed 64 KB buffers — verified and counted
 // chunk by chunk, never materialized — so a transfer's memory footprint
 // is constant regardless of range size. Warm continuations draw from a
-// bounded per-path pool of idle keep-alive connections (MaxIdlePerPath,
-// IdleTTL); probes always dial cold, preserving the cold-path latency
-// the paper's selection races measure.
+// per-path pool of at most 4 idle keep-alive connections, each dropped
+// after 30 s idle; probes always dial cold, preserving the cold-path
+// latency the paper's selection races measure.
 package realnet
 
 import (
@@ -40,17 +41,18 @@ import (
 	"repro/internal/relay"
 )
 
-// DefaultDialTimeout bounds connection establishment when the transport
-// does not specify one.
-const DefaultDialTimeout = 10 * time.Second
-
-// DefaultMaxRetries is how many extra cold attempts a transfer makes
-// after a transient failure when MaxRetries is unset.
-const DefaultMaxRetries = 2
-
-// DefaultRetryBackoff is the base backoff before the first retry; it
-// doubles per attempt, with jitter, when RetryBackoff is unset.
-const DefaultRetryBackoff = 50 * time.Millisecond
+// A transfer's fixed settings. dialTimeout bounds each connection attempt
+// whose context does not expire sooner. maxRetries is how many extra cold
+// attempts a transfer makes after a transient dial or I/O failure; HTTP
+// status errors are never retried, since the server answered and repeating
+// the question won't change it. retryBackoff is the delay before the first
+// retry; it doubles per attempt with ±50% jitter, so synchronized clients
+// do not stampede a recovering node.
+const (
+	dialTimeout  = 10 * time.Second
+	maxRetries   = 2
+	retryBackoff = 50 * time.Millisecond
+)
 
 // Transport fetches object ranges directly from origin servers or through
 // relay daemons.
@@ -66,34 +68,6 @@ type Transport struct {
 	// Verify checks received bytes against the canonical synthetic
 	// content and fails transfers on corruption.
 	Verify bool
-
-	// DialTimeout bounds each connection attempt (DefaultDialTimeout
-	// when 0; negative disables the bound).
-	DialTimeout time.Duration
-	// TransferTimeout is the per-transfer deadline applied to every
-	// Start whose context does not already carry an earlier one (0 = no
-	// deadline). Expiry fails the transfer with core.ErrProbeTimeout and
-	// closes its connection.
-	TransferTimeout time.Duration
-	// MaxRetries is how many extra cold attempts a transfer makes after
-	// a transient dial or I/O failure (DefaultMaxRetries when 0;
-	// negative disables retry). HTTP status errors are never retried —
-	// the server answered, repeating the question won't change it.
-	MaxRetries int
-	// RetryBackoff is the base delay before the first retry
-	// (DefaultRetryBackoff when 0); it doubles per attempt with ±50%
-	// jitter, capped at maxRetryDelay, so synchronized clients do not
-	// stampede a recovering node.
-	RetryBackoff time.Duration
-
-	// MaxIdlePerPath bounds the idle keep-alive connections parked per
-	// path (DefaultMaxIdlePerPath when 0; negative disables pooling).
-	// Probes always dial cold — the race measures cold-path latency, as
-	// in the paper — so only warm continuations draw from the pool.
-	MaxIdlePerPath int
-	// IdleTTL is how long a parked connection may sit idle before the
-	// pool evicts it (DefaultIdleTTL when 0; negative disables expiry).
-	IdleTTL time.Duration
 
 	// Progress, when set, is called with every stream-buffer fill of
 	// every transfer, on the transfer's goroutine: the one live hook, for
@@ -114,7 +88,7 @@ type Transport struct {
 	start     time.Time
 
 	// pool holds the per-path parked keep-alive connections that warm
-	// continuations reuse, built lazily from the fields above.
+	// continuations reuse, built on first use.
 	poolOnce sync.Once
 	pool     *connPool
 }
@@ -146,29 +120,9 @@ func (t *Transport) init() {
 	t.startOnce.Do(func() { t.start = time.Now() })
 }
 
-// orDefault resolves a knob that follows the Transport convention: a
-// positive value is itself, zero means def, negative disables (zero).
-func orDefault[T int | time.Duration](v, def T) T {
-	switch {
-	case v > 0:
-		return v
-	case v < 0:
-		return 0
-	}
-	return def
-}
-
-func (t *Transport) dialTimeout() time.Duration { return orDefault(t.DialTimeout, DefaultDialTimeout) }
-func (t *Transport) maxRetries() int            { return orDefault(t.MaxRetries, DefaultMaxRetries) }
-
-// idlePool returns the transport's connection pool, building it from the
-// MaxIdlePerPath/IdleTTL fields on first use (so they must be set before
-// the first transfer, like every other Transport field).
+// idlePool returns the transport's connection pool, built on first use.
 func (t *Transport) idlePool() *connPool {
-	t.poolOnce.Do(func() {
-		t.pool = newConnPool(orDefault(t.MaxIdlePerPath, DefaultMaxIdlePerPath),
-			orDefault(t.IdleTTL, DefaultIdleTTL))
-	})
+	t.poolOnce.Do(func() { t.pool = newConnPool() })
 	return t.pool
 }
 
@@ -326,7 +280,6 @@ func (t *Transport) startFetch(ctx context.Context, obj core.Object, path core.P
 	rec.SetAttr("path", label)
 	rec.SetAttr("object", obj.Name)
 
-	ctx, cancelCtx := t.transferContext(ctx)
 	// Cancellation is prompt: the instant ctx dies the transfer's
 	// connection is closed — that close IS the cancellation on a real
 	// socket — and the typed error is published, so Wait/WaitAny return
@@ -337,7 +290,6 @@ func (t *Transport) startFetch(ctx context.Context, obj core.Object, path core.P
 		h.finish(t.Now(), core.CtxErr(ctx))
 	})
 	go func() {
-		defer cancelCtx()
 		var err error
 		flight.DoLabeled(ctx, "fetch", func(ctx context.Context) {
 			err = t.fetch(ctx, h, obj, path, off, n, warm)
@@ -364,21 +316,6 @@ func errString(err error) string {
 	return err.Error()
 }
 
-// transferContext applies the transport's per-transfer deadline unless
-// the caller's context already expires sooner. Only a deadline to apply
-// derives a context; otherwise the transfer runs under ctx itself, and
-// its cancellation watch registers there directly instead of on a layer
-// that costs a context and a registration with its parent per transfer.
-func (t *Transport) transferContext(ctx context.Context) (context.Context, context.CancelFunc) {
-	if t.TransferTimeout <= 0 {
-		return ctx, func() {}
-	}
-	if dl, ok := ctx.Deadline(); ok && time.Until(dl) <= t.TransferTimeout {
-		return ctx, func() {}
-	}
-	return context.WithTimeout(ctx, t.TransferTimeout)
-}
-
 // pathKey identifies a path's connection-pool slots.
 func pathKey(p core.Path) string {
 	if p.IsDirect() {
@@ -394,19 +331,23 @@ func (t *Transport) Close() {
 	t.idlePool().close()
 }
 
+// dialContext bounds one dial: ctx itself when it expires within
+// dialTimeout, else ctx with dialTimeout's deadline added.
+func dialContext(ctx context.Context) (context.Context, context.CancelFunc) {
+	if dl, ok := ctx.Deadline(); ok && time.Until(dl) <= dialTimeout {
+		return ctx, func() {}
+	}
+	return context.WithTimeout(ctx, dialTimeout)
+}
+
 // dialConn opens one connection, honouring ctx and the dial timeout — as
 // a timer of its own only when ctx does not already expire sooner.
 // Custom dialers (which predate contexts) run on their own goroutine so
 // a dead ctx still returns promptly; a connection that arrives after
 // abandonment is closed, not leaked.
 func (t *Transport) dialConn(ctx context.Context, addr string) (net.Conn, error) {
-	if to := t.dialTimeout(); to > 0 {
-		if dl, ok := ctx.Deadline(); !ok || time.Until(dl) > to {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, to)
-			defer cancel()
-		}
-	}
+	ctx, cancel := dialContext(ctx)
+	defer cancel()
 	if t.Dial == nil {
 		var d net.Dialer
 		return d.DialContext(ctx, "tcp", addr)
@@ -434,26 +375,10 @@ func (t *Transport) dialConn(ctx context.Context, addr string) (net.Conn, error)
 	}
 }
 
-// maxRetryDelay caps the exponential backoff. Beyond keeping retries
-// responsive, the cap is a correctness fix: the old unbounded shift
-// overflowed time.Duration for large attempt numbers and fed a negative
-// argument to rand.Int63n, which panics.
-const maxRetryDelay = 5 * time.Second
-
 // retryDelay picks the backoff before retry attempt (1-based): the base
-// doubles per attempt up to maxRetryDelay, with ±50% jitter so
-// synchronized clients do not stampede a recovering node.
-func (t *Transport) retryDelay(attempt int) time.Duration {
-	d := t.RetryBackoff
-	if d <= 0 {
-		d = DefaultRetryBackoff
-	}
-	for i := 1; i < attempt && d < maxRetryDelay; i++ {
-		d *= 2
-	}
-	if d > maxRetryDelay {
-		d = maxRetryDelay
-	}
+// doubles per attempt, with ±50% jitter.
+func retryDelay(attempt int) time.Duration {
+	d := retryBackoff << (attempt - 1)
 	return d/2 + time.Duration(rand.Int63n(int64(d)))
 }
 
@@ -461,7 +386,7 @@ func (t *Transport) retryDelay(attempt int) time.Duration {
 // result — and sleeps the backoff out, returning early with the typed
 // error if ctx dies first.
 func (t *Transport) scheduleRetry(ctx context.Context, h *handle, attempt int) error {
-	d := t.retryDelay(attempt)
+	d := retryDelay(attempt)
 	h.rec.Retry()
 	h.mu.Lock()
 	h.retries = append(h.retries, t.Now())
@@ -523,7 +448,7 @@ func (t *Transport) fetch(ctx context.Context, h *handle, obj core.Object, path 
 				if cerr := core.CtxErr(ctx); cerr != nil {
 					return cerr
 				}
-				if retries >= t.maxRetries() {
+				if retries >= maxRetries {
 					return fmt.Errorf("realnet: dial %s: %w", dialAddr, err)
 				}
 				retries++
@@ -587,7 +512,7 @@ func (t *Transport) fetch(ctx context.Context, h *handle, obj core.Object, path 
 				}
 				return fmt.Errorf("%w: %w", core.ErrProbeTimeout, err)
 			}
-			if retries >= t.maxRetries() {
+			if retries >= maxRetries {
 				return err
 			}
 			retries++

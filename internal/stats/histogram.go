@@ -109,96 +109,6 @@ func (h *Histogram) Mode() int {
 	return best
 }
 
-// CDF describes an empirical cumulative distribution as sorted (x, F(x))
-// points.
-type CDF struct {
-	X []float64
-	F []float64
-}
-
-// EmpiricalCDF computes the empirical CDF of xs. The input is copied and
-// sorted; xs is unmodified.
-func EmpiricalCDF(xs []float64) CDF {
-	n := len(xs)
-	c := CDF{X: make([]float64, n), F: make([]float64, n)}
-	copy(c.X, xs)
-	sortFloat64s(c.X)
-	for i := range c.F {
-		c.F[i] = float64(i+1) / float64(n)
-	}
-	return c
-}
-
-// At returns F(x): the fraction of observations <= x.
-func (c CDF) At(x float64) float64 {
-	lo, hi := 0, len(c.X)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if c.X[mid] <= x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if len(c.X) == 0 {
-		return 0
-	}
-	return float64(lo) / float64(len(c.X))
-}
-
-func sortFloat64s(xs []float64) {
-	// Insertion sort for tiny inputs, heapsort otherwise; avoids pulling
-	// sort into this file's hot path... but clarity wins: delegate.
-	quickSort(xs, 0, len(xs)-1)
-}
-
-func quickSort(xs []float64, lo, hi int) {
-	for lo < hi {
-		if hi-lo < 12 {
-			for i := lo + 1; i <= hi; i++ {
-				for j := i; j > lo && xs[j] < xs[j-1]; j-- {
-					xs[j], xs[j-1] = xs[j-1], xs[j]
-				}
-			}
-			return
-		}
-		mid := lo + (hi-lo)/2
-		// Median-of-three pivot.
-		if xs[mid] < xs[lo] {
-			xs[mid], xs[lo] = xs[lo], xs[mid]
-		}
-		if xs[hi] < xs[lo] {
-			xs[hi], xs[lo] = xs[lo], xs[hi]
-		}
-		if xs[hi] < xs[mid] {
-			xs[hi], xs[mid] = xs[mid], xs[hi]
-		}
-		pivot := xs[mid]
-		i, j := lo, hi
-		for i <= j {
-			for xs[i] < pivot {
-				i++
-			}
-			for xs[j] > pivot {
-				j--
-			}
-			if i <= j {
-				xs[i], xs[j] = xs[j], xs[i]
-				i++
-				j--
-			}
-		}
-		// Recurse on the smaller side to bound stack depth.
-		if j-lo < hi-i {
-			quickSort(xs, lo, j)
-			lo = i
-		} else {
-			quickSort(xs, i, hi)
-			hi = j
-		}
-	}
-}
-
 // NaNFree reports whether xs contains no NaNs; experiment drivers assert
 // this on computed improvement samples before aggregation.
 func NaNFree(xs []float64) bool {

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -114,64 +113,6 @@ func TestHistogramPanicsOnBadGeometry(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func TestEmpiricalCDF(t *testing.T) {
-	c := EmpiricalCDF([]float64{3, 1, 2, 2})
-	if !sort.Float64sAreSorted(c.X) {
-		t.Fatal("CDF X not sorted")
-	}
-	if got := c.At(0); got != 0 {
-		t.Errorf("At(0)=%v, want 0", got)
-	}
-	if got := c.At(2); !almost(got, 0.75, 1e-12) {
-		t.Errorf("At(2)=%v, want 0.75", got)
-	}
-	if got := c.At(10); got != 1 {
-		t.Errorf("At(10)=%v, want 1", got)
-	}
-}
-
-func TestEmpiricalCDFMonotoneProperty(t *testing.T) {
-	c := EmpiricalCDF([]float64{5, 3, 8, 1, 9, 2, 2, 7})
-	f := func(a, b float64) bool {
-		if math.IsNaN(a) || math.IsNaN(b) {
-			return true
-		}
-		if a > b {
-			a, b = b, a
-		}
-		return c.At(a) <= c.At(b)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickSortMatchesStdlib(t *testing.T) {
-	f := func(xs []float64) bool {
-		clean := make([]float64, 0, len(xs))
-		for _, x := range xs {
-			if !math.IsNaN(x) {
-				clean = append(clean, x)
-			}
-		}
-		mine := make([]float64, len(clean))
-		std := make([]float64, len(clean))
-		copy(mine, clean)
-		copy(std, clean)
-		sortFloat64s(mine)
-		sort.Float64s(std)
-		for i := range mine {
-			if mine[i] != std[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -44,22 +44,3 @@ func (s *Scenario) Describe(w io.Writer) {
 		fmt.Fprintf(w, "  %-16s %.2f\n", v.name, v.q)
 	}
 }
-
-// DescribePairs writes the overlay pair means for one client, best first —
-// the information a static intermediate choice is based on.
-func (s *Scenario) DescribePairs(w io.Writer, client *Node) {
-	type pair struct {
-		inter string
-		mean  float64
-	}
-	var ps []pair
-	for _, in := range s.Intermediates {
-		ps = append(ps, pair{in.Name, s.PairMean(client, in)})
-	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].mean > ps[j].mean })
-	fmt.Fprintf(w, "overlay pairs for %s (direct eBay mean %.2f Mb/s):\n",
-		client.Name, s.ClientNet(client).DirectMean["eBay"]/1e6)
-	for _, p := range ps {
-		fmt.Fprintf(w, "  %-16s %5.2f Mb/s\n", p.inter, p.mean/1e6)
-	}
-}

@@ -358,14 +358,4 @@ func TestDescribe(t *testing.T) {
 			t.Errorf("Describe output missing %q", want)
 		}
 	}
-	b.Reset()
-	s.DescribePairs(&b, s.FindClient("Korea"))
-	if !strings.Contains(b.String(), "overlay pairs for Korea") {
-		t.Error("DescribePairs output missing title")
-	}
-	// Pairs are sorted descending.
-	lines := strings.Split(strings.TrimSpace(b.String()), "\n")[1:]
-	if len(lines) != 21 {
-		t.Fatalf("pair lines = %d, want 21", len(lines))
-	}
 }

@@ -12,11 +12,15 @@
 # Test…/Fuzz… func in one of the packages that recipe line names, so a
 # pattern naming a deleted or moved test fails here instead of silently
 # matching nothing. No doc cites a ROADMAP item by number: items are
-# renumbered as they land, so a doc names the question or metric. Every relay.WithX or registry.WithX they
-# name is a func of that package (internal/relay, internal/registry), and
-# every repro.X they name is declared in a non-test root *.go file (a
-# func, type, const or var, or an `X =` line of a grouped block), so a
-# deleted option or facade name cannot linger in a snippet. ROADMAP.md and
+# renumbered as they land, so a doc names the question or metric. Every
+# repro.X they name is declared in a non-test root *.go file (a func,
+# type, const or var, or an `X =` line of a grouped block), and every
+# <pkg>.X they name, for a package under internal/ (pkg is the
+# directory's last element), is declared in that package's non-test files
+# (a func, type, const or var, or a name opening a line of a grouped
+# const/var/type block; a method is not a package-level name). A trailing
+# * (relay.With*) asks only that some declared name start so. A deleted
+# option, type or facade name cannot linger in a snippet. ROADMAP.md and
 # CHANGES.md are history and are not scanned; bench/README.md joins when
 # a benchmark PR (the only kind that edits bench/) drops its sentence
 # about the make target this repo no longer has.
@@ -43,10 +47,6 @@ for doc in "${docs[@]}"; do
       grep -oE '(^|[[:space:]])-[a-z][a-z0-9-]*' | sed -E 's/^[[:space:]]*-//' | sort -u); do
     grep -qx -- "$name" <<<"$flags" || { echo "$doc: -$name: no such flag"; bad=1; }
   done
-  for ref in $(grep -ohE '\b(relay|registry)\.With[A-Z][A-Za-z0-9_]*' "$doc" | sort -u); do
-    pkg=${ref%%.*} name=${ref#*.}
-    grep -qE --exclude='*_test.go' "^func $name\b" internal/"$pkg"/*.go || { echo "$doc: $ref: no such func"; bad=1; }
-  done
   for ref in $(grep -ohE '\brepro\.[A-Z][A-Za-z0-9_]*' "$doc" | sort -u); do
     name=${ref#repro.}
     grep -qE --exclude='*_test.go' "^((func|type|const|var) $name\b|"$'\t'"$name[[:space:]]*=)" ./*.go ||
@@ -58,6 +58,27 @@ for doc in "${docs[@]}"; do
   # A citation may wrap: "ROADMAP" ends one line, "item" starts the next.
   tr '\n' ' ' <"$doc" | grep -qE 'ROADMAP[[:space:]]+item' &&
     { echo "$doc: cites a ROADMAP item number; name the question or metric"; bad=1; }
+done
+# The exported package-level names the given Go files declare.
+declared() {
+  awk '
+    /^(const|var|type) \($/ { grp = 1; next }
+    grp && /^\)/ { grp = 0; next }
+    grp && match($0, /^\t[A-Z][A-Za-z0-9_]*/) { print substr($0, 2, RLENGTH - 1); next }
+    match($0, /^(func|type|const|var) [A-Z][A-Za-z0-9_]*/) { n = substr($0, 1, RLENGTH); sub(/^[a-z]+ /, "", n); print n }
+  ' "$@" | sort -u
+}
+for dir in $(find internal -name '*.go' ! -name '*_test.go' -exec dirname {} + | sort -u); do
+  pkg=${dir##*/}
+  refs=$(grep -ohE "\b$pkg\.[A-Z][A-Za-z0-9_]*\*?" "${docs[@]}" /dev/null | sort -u) || continue
+  names=$(declared $(ls "$dir"/*.go | grep -v '_test\.go$'))
+  for ref in $refs; do
+    name=${ref#*.}
+    case $name in
+    *\*) grep -q "^${name%\*}" <<<"$names" ;;
+    *) grep -qx "$name" <<<"$names" ;;
+    esac || { echo "$(grep -lF "$ref" "${docs[@]}" | paste -sd ' '): $ref: not declared in $dir"; bad=1; }
+  done
 done
 # Recipe lines, continuations joined; the packages are the ./ arguments.
 while IFS= read -r line; do
