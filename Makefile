@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet cross test race bench-smoke relay-bench-smoke bench-pair doc-check fuzz-smoke chaos-smoke obs-smoke flight-smoke stress verify
+.PHONY: build vet cross test race bench-smoke relay-bench-smoke registry-bench-smoke bench-pair doc-check fuzz-smoke chaos-smoke obs-smoke flight-smoke stress verify
 
 build:
 	$(GO) build ./...
@@ -33,6 +33,12 @@ bench-smoke:
 relay-bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/relay/
 
+# One iteration of every benchmark in internal/registry (the full sync a
+# mirror starts from, the server's full answer, the mirror's and the
+# server's top ten, all on a 40k-relay table), so none of them rots.
+registry-bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/registry/
+
 # Parent-vs-change comparison of one workload of the repo benchmark:
 # REF is archived into a throw-away directory, each tree runs its own
 # bench/run.sh, the two alternate over seeds 41.. and the table gives
@@ -50,12 +56,14 @@ bench-pair:
 doc-check:
 	bash scripts/doccheck.sh
 
-# Seed-corpus smoke for the fuzz targets (the wire parsers, the httpx
+# Seed-corpus smoke for the fuzz targets (the wire parsers and their
+# agreement with the strings.Fields parsers they replaced, the httpx
 # head parser and the synthetic content definition): runs each corpus as
 # regular tests plus a short randomized burst, so CI exercises their
 # invariants without an open-ended fuzz session.
 fuzz-smoke:
 	$(GO) test ./internal/registry/ -run '^Fuzz' -fuzz FuzzParseRequest -fuzztime 10s
+	$(GO) test ./internal/registry/ -run '^Fuzz' -fuzz FuzzSplitMatchesFields -fuzztime 10s
 	$(GO) test ./internal/registry/ -run '^Fuzz' -count=1
 	$(GO) test ./internal/httpx/ -run '^Fuzz' -fuzz FuzzReadRequest -fuzztime 10s
 	$(GO) test ./internal/httpx/ -run '^Fuzz' -fuzz FuzzReadResponse -fuzztime 10s

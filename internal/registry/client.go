@@ -250,7 +250,7 @@ func (c *Client) RegisterFull(ctx context.Context, name, relayAddr, metricsAddr 
 			bw.WriteByte(' ')
 			bw.Write(appendHealth(bw.AvailableBuffer(), health))
 		}
-		bw.WriteString(maddrSuffix(metricsAddr))
+		bw.Write(appendMaddr(bw.AvailableBuffer(), metricsAddr))
 		bw.WriteByte('\n')
 		if err := bw.Flush(); err != nil {
 			return err
@@ -320,14 +320,36 @@ func (c *Client) list(ctx context.Context, ranked bool, verb string, args ...uin
 // Steady-state clients should hold a RankedSet and call its Refresh
 // instead of re-applying deltas by hand.
 func (c *Client) ListDelta(ctx context.Context, since uint64, k int) (Delta, error) {
-	args := []uint64{since}
-	if k > 0 {
-		args = append(args, uint64(k))
-	}
 	var d Delta
-	err := c.do(ctx, func(bw *bufio.Writer, br *bufio.Reader) error {
-		d = Delta{}
-		if err := writeCommand(bw, "LISTD", args...); err != nil {
+	err := c.listDelta(ctx, since, k, func(epoch uint64, full bool) {
+		d = Delta{Epoch: epoch, Full: full}
+	}, func(line string) error {
+		de, err := parseDeltaLine(line)
+		if err == nil {
+			d.Entries = append(d.Entries, de)
+		}
+		return err
+	})
+	if err != nil {
+		return Delta{}, err
+	}
+	return d, nil
+}
+
+// listDelta sends LISTD and passes the answer to the visitors as it is
+// read: head with the EPOCH line, then line with each body line,
+// trimmed (an error from line ends the answer with it). An attempt the
+// client retries calls head again, where the visitors start over; an
+// answer is complete only when listDelta returns nil.
+func (c *Client) listDelta(ctx context.Context, since uint64, k int, head func(epoch uint64, full bool), line func(string) error) error {
+	return c.do(ctx, func(bw *bufio.Writer, br *bufio.Reader) error {
+		var err error
+		if k > 0 {
+			err = writeCommand(bw, "LISTD", since, uint64(k))
+		} else {
+			err = writeCommand(bw, "LISTD", since)
+		}
+		if err != nil {
 			return err
 		}
 		header, err := br.ReadString('\n')
@@ -338,30 +360,24 @@ func (c *Client) ListDelta(ctx context.Context, since uint64, k int) (Delta, err
 		if rest, ok := strings.CutPrefix(header, "ERR "); ok {
 			return fmt.Errorf("%w: %s", ErrRejected, rest)
 		}
-		d.Epoch, d.Full, err = parseEpochLine(header)
+		epoch, full, err := parseEpochLine(header)
 		if err != nil {
 			return err
 		}
+		head(epoch, full)
 		for {
-			line, err := br.ReadString('\n')
+			l, err := br.ReadString('\n')
 			if err != nil {
 				return fmt.Errorf("%w: %v", errShortRead, err)
 			}
-			line = strings.TrimSpace(line)
-			if line == "." {
+			if l = strings.TrimSpace(l); l == "." {
 				return nil
 			}
-			de, err := parseDeltaLine(line)
-			if err != nil {
+			if err := line(l); err != nil {
 				return err
 			}
-			d.Entries = append(d.Entries, de)
 		}
 	})
-	if err != nil {
-		return Delta{}, err
-	}
-	return d, nil
 }
 
 // StartHeartbeat registers name with every registry the client names —

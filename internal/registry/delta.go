@@ -41,7 +41,28 @@ type Delta struct {
 // snapshot the same way LISTH's k does (healthiest-k, then down
 // entries); incremental responses are always complete and ignore k,
 // since a truncated delta would silently corrupt the client's mirror.
+// A full snapshot without k comes in shard order, not ranked, as the
+// wire streams it: a mirror ranks locally.
 func (s *Server) ListDelta(since uint64, k int) Delta {
+	d := s.changesSince(since)
+	if d.Full {
+		if k <= 0 {
+			d.Entries = make([]DeltaEntry, 0, s.size())
+		}
+		s.fullDelta(k, func(es []Entry) {
+			for i := range es {
+				d.Entries = append(d.Entries, DeltaEntry{Entry: es[i]})
+			}
+		})
+	}
+	return d
+}
+
+// changesSince answers a delta from since incrementally: the changes
+// past since, tagged with the epoch read before the scan. When that
+// cannot be done it returns Full set and no entries, and the caller
+// adds the snapshot (fullDelta).
+func (s *Server) changesSince(since uint64) Delta {
 	s.init()
 	// Snapshot the epoch before visiting shards: a mutation stamps its
 	// epoch — on the entry and in the shard's change log — while holding
@@ -50,13 +71,14 @@ func (s *Server) ListDelta(since uint64, k int) Delta {
 	// lock acquisition returns. That is why the log is read under the
 	// lock and why there is no lock-free since == cur exit.
 	cur := s.epoch.Load()
+	full := Delta{Since: since, Epoch: cur, Full: true}
 	if s.needsFull(since, cur) {
-		return s.fullDelta(since, cur, k)
+		return full
 	}
 	d := Delta{Since: since, Epoch: cur}
-	entry := func(e Entry) {
+	entry := func(e *Entry) {
 		if e.ChangeEpoch > since {
-			d.Entries = append(d.Entries, DeltaEntry{Entry: e})
+			d.Entries = append(d.Entries, DeltaEntry{Entry: *e})
 		}
 	}
 	tomb := func(name string, t tombstone) {
@@ -69,7 +91,7 @@ func (s *Server) ListDelta(since uint64, k int) Delta {
 	// client still needed (raising the floor past since); an incremental
 	// answer would then silently drop a delete.
 	if s.needsFull(since, cur) {
-		return s.fullDelta(since, cur, k)
+		return full
 	}
 	// It may also have stamped epochs past the snapshot (down-marks,
 	// tombstones). Those entries are included above (their epoch > since)
@@ -87,14 +109,17 @@ func (s *Server) needsFull(since, cur uint64) bool {
 	return since > cur || since < s.deltaFloor.Load()
 }
 
-// fullDelta is the LISTD answer when needsFull: the ranked snapshot.
-func (s *Server) fullDelta(since, cur uint64, k int) Delta {
-	ranked := s.rankedAll(k)
-	d := Delta{Since: since, Epoch: cur, Full: true, Entries: make([]DeltaEntry, len(ranked))}
-	for i, e := range ranked {
-		d.Entries[i].Entry = e
+// fullDelta passes the entries of a full snapshot to emit. With k > 0
+// they are LISTH's ranked top k, in one call. Otherwise they are the
+// whole table, live and down, one shard at a time in shard order
+// (eachShard): nothing the size of the table is built or sorted, and
+// the wire writes each shard while no lock is held.
+func (s *Server) fullDelta(k int, emit func([]Entry)) {
+	if k > 0 {
+		emit(s.rankedAll(k))
+		return
 	}
-	return d
+	s.eachShard(emit)
 }
 
 // RankedSet is the client-side cached view of a registry: a full pull
@@ -120,41 +145,85 @@ func NewRankedSet() *RankedSet {
 }
 
 // Refresh pulls the changes since the last call through c and applies
-// them to the mirror. It is safe for concurrent use with Top.
+// them to the mirror. It is safe for concurrent use with Top. A full
+// answer replaces the mirror only once it is complete: its lines are
+// held until the terminator and then parsed into a fresh map sized to
+// them, so a failed or cut sync leaves the mirror and its epoch as they
+// were, and an attempt the client retries starts over.
 func (r *RankedSet) Refresh(ctx context.Context, c *Client) error {
 	r.mu.Lock()
 	since := r.epoch
 	r.mu.Unlock()
-	d, err := c.ListDelta(ctx, since, 0)
+	var (
+		d     Delta
+		lines []string // of a full answer, parsed once it is complete
+	)
+	err := c.listDelta(ctx, since, 0, func(epoch uint64, full bool) {
+		d = Delta{Since: since, Epoch: epoch, Full: full, Entries: d.Entries[:0]}
+		lines = lines[:0]
+	}, func(line string) error {
+		if d.Full {
+			lines = append(lines, line)
+			return nil
+		}
+		de, err := parseDeltaLine(line)
+		if err == nil {
+			d.Entries = append(d.Entries, de)
+		}
+		return err
+	})
 	if err != nil {
 		return err
 	}
-	r.Apply(d)
+	if !d.Full {
+		r.Apply(d)
+		return nil
+	}
+	fresh := make(map[string]Entry, len(lines))
+	for _, line := range lines {
+		de, err := parseDeltaLine(line)
+		if err != nil {
+			return err
+		}
+		applyLine(fresh, &de)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.entries = fresh
+	r.fulls++
+	r.changes += int64(len(lines))
+	r.refreshes++
+	r.epoch = d.Epoch
 	return nil
 }
 
 // Apply folds one delta into the mirror (exported for tests and for
-// callers that transport deltas themselves).
+// callers that transport deltas themselves). A full delta replaces the
+// mirror with a map sized to it.
 func (r *RankedSet) Apply(d Delta) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.entries == nil {
-		r.entries = make(map[string]Entry)
+	if d.Full || r.entries == nil {
+		r.entries = make(map[string]Entry, len(d.Entries))
 	}
 	if d.Full {
-		clear(r.entries)
 		r.fulls++
 	}
-	for _, de := range d.Entries {
-		if de.Deleted {
-			delete(r.entries, de.Name)
-		} else {
-			r.entries[de.Name] = de.Entry
-		}
+	for i := range d.Entries {
+		applyLine(r.entries, &d.Entries[i])
 	}
 	r.changes += int64(len(d.Entries))
 	r.refreshes++
 	r.epoch = d.Epoch
+}
+
+// applyLine folds one delta line into a mirror's map.
+func applyLine(m map[string]Entry, de *DeltaEntry) {
+	if de.Deleted {
+		delete(m, de.Name)
+	} else {
+		m[de.Name] = de.Entry
+	}
 }
 
 // Epoch returns the epoch the mirror is synced to.
@@ -165,18 +234,25 @@ func (r *RankedSet) Epoch() uint64 {
 }
 
 // Top returns up to k live entries ranked healthiest-first from the
-// mirror (k <= 0 means all), mirroring Server.ListRanked.
+// mirror (k <= 0 means all), mirroring Server.ListRanked. With k > 0
+// it keeps only the k that rank first while it reads the mirror (topK),
+// so a top ten of a large mirror sorts ten entries.
 func (r *RankedSet) Top(k int) []Entry {
 	r.mu.Lock()
-	out := make([]Entry, 0, len(r.entries))
+	t := topK{k: k}
+	if k > 0 {
+		t.h = make([]Entry, 0, min(k, len(r.entries)))
+	} else {
+		t.h = make([]Entry, 0, len(r.entries))
+	}
 	for _, e := range r.entries {
 		if !e.Down {
-			out = append(out, e)
+			t.offer(&e)
 		}
 	}
 	r.mu.Unlock()
-	sortRanked(out)
-	return truncate(out, k)
+	sortRanked(t.h)
+	return t.h
 }
 
 // All returns every mirrored entry (live and down), ranked.

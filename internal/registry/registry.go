@@ -66,7 +66,10 @@
 // LISTD's epoch is the client's last-synced epoch (0 for a first pull);
 // the response replays adds/updates (+) and deletes (-) since then, or —
 // when the epoch is unknown, from another or a restarted server, or
-// older than the tombstone horizon — a full snapshot tagged "full".
+// older than the tombstone horizon — a full snapshot tagged "full". A
+// full snapshot without k is streamed one shard at a time, in shard
+// order and not ranked (the mirror ranks locally); with k it is LISTH's
+// ranked top k. LISTH itself is always ranked.
 package registry
 
 import (
@@ -312,11 +315,11 @@ func (s *Server) RegisterFull(name, addr string, ttl time.Duration, health float
 }
 
 // validTokens reports whether name and addr are non-empty and no token
-// (the optional metrics address included) contains whitespace.
+// (the optional metrics address included) contains a rune the wire
+// splits on (isSpace), so every accepted token reads back whole.
 func validTokens(name, addr, metricsAddr string) bool {
-	const space = " \t\r\n"
-	return name != "" && addr != "" && !strings.ContainsAny(name, space) &&
-		!strings.ContainsAny(addr, space) && !strings.ContainsAny(metricsAddr, space)
+	return name != "" && addr != "" && strings.IndexFunc(name, isSpace) < 0 &&
+		strings.IndexFunc(addr, isSpace) < 0 && strings.IndexFunc(metricsAddr, isSpace) < 0
 }
 
 // Remove deletes an entry by name (idempotent), leaving a tombstone so
@@ -361,10 +364,10 @@ func (s *Server) ListRanked(k int) []Entry {
 	return out
 }
 
-// rankedAll is the LISTH/LISTD-full view: live entries ranked
-// healthiest-first, then down-marked entries (still inside their grace)
-// ranked after every live one — operators see outages from the CLI
-// instead of a hard-coded "up" column.
+// rankedAll is the LISTH view: live entries ranked healthiest-first,
+// then down-marked entries (still inside their grace) ranked after
+// every live one — operators see outages from the CLI instead of a
+// hard-coded "up" column.
 func (s *Server) rankedAll(k int) []Entry {
 	out := s.collect(k, false)
 	sortRanked(out)
@@ -373,26 +376,46 @@ func (s *Server) rankedAll(k int) []Entry {
 
 // collect gathers the entries (only the live ones if liveOnly) across
 // all shards, in no order. With k > 0 it retains only the k that rank
-// first, in a bounded heap with the worst retained entry at the root,
-// so a top-10 of a 100k table neither materialises nor sorts the table.
+// first (see topK), so a top-10 of a 100k table neither materialises
+// nor sorts the table; with k <= 0 it sizes its slice to the table
+// first.
 func (s *Server) collect(k int, liveOnly bool) []Entry {
-	var out []Entry
-	s.scan(nil, func(e Entry) {
-		switch {
-		case liveOnly && e.Down:
-		case k <= 0 || len(out) < k:
-			out = append(out, e)
-			if len(out) == k { // full: from here on a heap, ordered once
-				for i := k/2 - 1; i >= 0; i-- {
-					siftDown(out, i)
-				}
-			}
-		case rankCmp(&e, &out[0]) < 0:
-			out[0] = e
-			siftDown(out, 0)
+	t := topK{k: k}
+	if k > 0 {
+		t.h = make([]Entry, 0, k)
+	} else {
+		t.h = make([]Entry, 0, s.size())
+	}
+	s.scan(nil, func(e *Entry) {
+		if !liveOnly || !e.Down {
+			t.offer(e)
 		}
 	}, nil)
-	return out
+	return t.h
+}
+
+// topK retains, of the entries offered to it, the k that rank first
+// (every one when k <= 0). Once k are held they form a heap with the
+// retained entry that ranks last at the root, so each further offer
+// costs one comparison unless it displaces the root.
+type topK struct {
+	k int
+	h []Entry
+}
+
+func (t *topK) offer(e *Entry) {
+	switch {
+	case t.k <= 0 || len(t.h) < t.k:
+		t.h = append(t.h, *e)
+		if len(t.h) == t.k { // full: from here on a heap, ordered once
+			for i := t.k/2 - 1; i >= 0; i-- {
+				siftDown(t.h, i)
+			}
+		}
+	case rankCmp(e, &t.h[0]) < 0:
+		t.h[0] = *e
+		siftDown(t.h, 0)
+	}
 }
 
 // siftDown restores below index i the heap order in which no entry
@@ -422,12 +445,40 @@ func (s *Server) Sweep() {
 }
 
 func sortByName(out []Entry) {
-	slices.SortFunc(out, func(a, b Entry) int { return cmp.Compare(a.Name, b.Name) })
+	sortEntries(out, func(a, b *Entry) int { return cmp.Compare(a.Name, b.Name) })
 }
 
 // sortRanked orders by rankCmp: live before down, health descending, name.
-func sortRanked(out []Entry) {
-	slices.SortFunc(out, func(a, b Entry) int { return rankCmp(&a, &b) })
+func sortRanked(out []Entry) { sortEntries(out, rankCmp) }
+
+// sortEntries sorts out by cmp, moving each entry once. It sorts a
+// permutation of indices instead of the entries themselves — a compare
+// reads two entries in place and a swap moves 4 bytes, where sorting
+// the 120-byte entries copied two per compare and three per swap — and
+// then places every entry in its slot by following the permutation's
+// cycles, holding one entry aside per cycle.
+func sortEntries(out []Entry, cmp func(a, b *Entry) int) {
+	perm := make([]int32, len(out))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortFunc(perm, func(a, b int32) int { return cmp(&out[a], &out[b]) })
+	for i := range perm {
+		if perm[i] < 0 || int(perm[i]) == i {
+			continue
+		}
+		held := out[i]
+		for j := i; ; {
+			src := int(perm[j]) // the entry that belongs at j
+			perm[j] = -1
+			if src == i {
+				out[j] = held
+				break
+			}
+			out[j] = out[src]
+			j = src
+		}
+	}
 }
 
 func rankCmp(a, b *Entry) int {
@@ -441,13 +492,6 @@ func rankCmp(a, b *Entry) int {
 		return c
 	}
 	return cmp.Compare(a.Name, b.Name)
-}
-
-func truncate(out []Entry, k int) []Entry {
-	if k > 0 && k < len(out) {
-		return out[:k]
-	}
-	return out
 }
 
 // appendHealth renders a health score for the wire into a caller's

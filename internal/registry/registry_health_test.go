@@ -214,3 +214,11 @@ func TestListRankedTopKMatchesFullSort(t *testing.T) {
 		}
 	}
 }
+
+// truncate is the first k of a ranking (all of it when k <= 0).
+func truncate(out []Entry, k int) []Entry {
+	if k > 0 && k < len(out) {
+		return out[:k]
+	}
+	return out
+}

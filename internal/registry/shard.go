@@ -2,6 +2,7 @@ package registry
 
 import (
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -105,7 +106,7 @@ func (sh *shard) lowerDue(due time.Time) {
 // record stands for it. It reports false, passing nothing, when the log
 // no longer reaches back to since. Caller holds sh.mu and knows no
 // expiry is due in sh.
-func (sh *shard) replay(since uint64, entry func(Entry), tomb func(string, tombstone)) bool {
+func (sh *shard) replay(since uint64, entry func(*Entry), tomb func(string, tombstone)) bool {
 	if n := len(sh.log); n == 0 || sh.log[n-1].epoch <= since {
 		return true // an empty log has never been trimmed
 	}
@@ -115,7 +116,7 @@ func (sh *shard) replay(since uint64, entry func(Entry), tomb func(string, tombs
 	i := sort.Search(len(sh.log), func(i int) bool { return sh.log[i].epoch > since })
 	for _, c := range sh.log[i:] {
 		if e, ok := sh.entries[c.name]; ok && e.ChangeEpoch == c.epoch {
-			entry(*e)
+			entry(e)
 		} else if t, ok := sh.tombs[c.name]; ok && t.Epoch == c.epoch {
 			tomb(c.name, t)
 		}
@@ -158,8 +159,10 @@ func (e Entry) due() time.Time {
 // wants, or served passed that to the visitors itself. Shard
 // boundaries double as scheduling points: the scan yields after each
 // walk so concurrent writers interleave instead of queueing behind the
-// whole scan — the hold a single-mutex table cannot avoid.
-func (s *Server) scan(served func(*shard) bool, entry func(Entry), tomb func(string, tombstone)) {
+// whole scan — the hold a single-mutex table cannot avoid. The entry
+// visitor reads the table in place, under the shard's lock: it copies
+// what it keeps.
+func (s *Server) scan(served func(*shard) bool, entry func(*Entry), tomb func(string, tombstone)) {
 	s.init()
 	now := s.now()
 	for _, sh := range s.shards {
@@ -180,7 +183,7 @@ func (s *Server) scan(served func(*shard) bool, entry func(Entry), tomb func(str
 // change — clients need to see the outage), down entries past their
 // grace become tombstones, and expired tombstones are pruned, raising
 // the delta floor past their epochs. Visitors see the swept state.
-func (s *Server) walkShard(sh *shard, now time.Time, entry func(Entry), tomb func(string, tombstone)) {
+func (s *Server) walkShard(sh *shard, now time.Time, entry func(*Entry), tomb func(string, tombstone)) {
 	s.walks.Add(1)
 	sweep := !now.Before(sh.nextDue)
 	due := never
@@ -201,7 +204,7 @@ func (s *Server) walkShard(sh *shard, now time.Time, entry func(Entry), tomb fun
 			}
 		}
 		if entry != nil {
-			entry(*e)
+			entry(e)
 		}
 	}
 	if !sweep && tomb == nil {
@@ -223,6 +226,39 @@ func (s *Server) walkShard(sh *shard, now time.Time, entry func(Entry), tomb fun
 	if sweep {
 		sh.nextDue = due
 	}
+}
+
+// eachShard passes the table to emit one shard at a time: each shard's
+// entries (live and down) are copied under its lock, applying the
+// expiry that is due as every walk does, and handed to emit after the
+// unlock, so however slowly emit drains them — a full LISTD written to
+// a slow client — no writer waits on it. The slice is reused for the
+// next shard.
+func (s *Server) eachShard(emit func([]Entry)) {
+	s.init()
+	now := s.now()
+	var buf []Entry
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		buf = slices.Grow(buf[:0], len(sh.entries))
+		s.walkShard(sh, now, func(e *Entry) { buf = append(buf, *e) }, nil)
+		sh.mu.Unlock()
+		emit(buf)
+		runtime.Gosched() // as scan does: writers interleave with the copy
+	}
+}
+
+// size counts the entries (live and down) the table holds, for sizing a
+// copy of it; entries may come and go before the copy is made.
+func (s *Server) size() int {
+	s.init()
+	n := 0
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		n += len(sh.entries)
+		sh.mu.Unlock()
+	}
+	return n
 }
 
 // raiseFloor lifts deltaFloor to at least epoch.
@@ -261,7 +297,7 @@ func (s *Server) Stats() Stats {
 	for _, sh := range s.shards {
 		var ss ShardStats
 		sh.mu.Lock()
-		s.walkShard(sh, now, func(e Entry) {
+		s.walkShard(sh, now, func(e *Entry) {
 			if e.Down {
 				st.Down++
 			} else {

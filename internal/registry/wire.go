@@ -9,6 +9,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
+	"unicode/utf8"
 )
 
 // The wire layer: a line-based protocol over TCP. Sessions carry any
@@ -43,7 +45,8 @@ type request struct {
 // parseRequest decodes one command line (without trailing newline).
 // The error text is what the server sends back after "ERR ".
 func parseRequest(line string) (request, error) {
-	fields := strings.Fields(line)
+	var buf [7]string // one more than the longest command
+	fields := splitFields(line, buf[:])
 	if len(fields) == 0 {
 		return request{}, errors.New("empty command")
 	}
@@ -185,20 +188,22 @@ func (s *Server) handle(conn net.Conn) {
 			bw.WriteString(".\n")
 		case reqListH:
 			s.Lists.Add(1)
-			for _, e := range s.rankedAll(req.K) {
-				writeEntryLine(bw, "", e)
-			}
+			writeEntries(bw, nil, "", s.rankedAll(req.K))
 			bw.WriteString(".\n")
 		case reqListD:
 			s.DeltaLists.Add(1)
-			d := s.ListDelta(req.Since, req.K)
+			d := s.changesSince(req.Since)
 			s.writeEpochLine(bw, d)
-			for _, de := range d.Entries {
-				if de.Deleted {
+			for i := range d.Entries {
+				if de := &d.Entries[i]; de.Deleted {
 					fmt.Fprintf(bw, "- %s\n", de.Name)
 				} else {
-					writeEntryLine(bw, "+ ", de.Entry)
+					writeEntryLine(bw, "+ ", &de.Entry)
 				}
+			}
+			if d.Full { // streamed: see fullDelta
+				var buf []byte
+				s.fullDelta(req.K, func(es []Entry) { buf = writeEntries(bw, buf, "+ ", es) })
 			}
 			bw.WriteString(".\n")
 		}
@@ -220,21 +225,48 @@ func (s *Server) writeEpochLine(bw *bufio.Writer, d Delta) {
 	bw.WriteByte('\n')
 }
 
-// writeEntryLine writes one LISTH body line, or with prefix "+ " one
-// LISTD upsert: "name addr health state [maddr]". Write errors stick to
-// the writer and surface at the caller's Flush.
-func writeEntryLine(bw *bufio.Writer, prefix string, e Entry) {
-	bw.WriteString(prefix)
-	bw.WriteString(e.Name)
-	bw.WriteByte(' ')
-	bw.WriteString(e.Addr)
-	bw.WriteByte(' ')
-	bw.Write(appendHealth(bw.AvailableBuffer(), e.Health))
-	bw.WriteByte(' ')
-	bw.WriteString(stateWord(e.Down))
-	bw.WriteString(maddrSuffix(e.MetricsAddr))
-	bw.WriteByte('\n')
+// appendEntryLine appends one LISTH body line, or with prefix "+ " one
+// LISTD upsert: "name addr health state [maddr]".
+func appendEntryLine(dst []byte, prefix string, e *Entry) []byte {
+	dst = append(dst, prefix...)
+	dst = append(dst, e.Name...)
+	dst = append(dst, ' ')
+	dst = append(dst, e.Addr...)
+	dst = append(dst, ' ')
+	dst = appendHealth(dst, e.Health)
+	dst = append(dst, ' ')
+	dst = append(dst, stateWord(e.Down)...)
+	dst = appendMaddr(dst, e.MetricsAddr)
+	return append(dst, '\n')
 }
+
+// writeEntryLine writes one entry line (appendEntryLine) into bw's
+// free space. Write errors stick to the writer and surface at the
+// caller's Flush.
+func writeEntryLine(bw *bufio.Writer, prefix string, e *Entry) {
+	bw.Write(appendEntryLine(bw.AvailableBuffer(), prefix, e))
+}
+
+// writeEntries writes es as entry lines through bw, formatted into buf
+// in chunks of about writeChunk bytes that each reach bw in one Write,
+// and returns buf for reuse. A chunk larger than bw's free space goes
+// on to the connection without being copied, so a long listing costs
+// one write per chunk, not one per 4 KiB of bw's buffer.
+func writeEntries(bw *bufio.Writer, buf []byte, prefix string, es []Entry) []byte {
+	buf = buf[:0]
+	for i := range es {
+		buf = appendEntryLine(buf, prefix, &es[i])
+		if len(buf) >= writeChunk || i == len(es)-1 {
+			bw.Write(buf)
+			buf = buf[:0]
+		}
+	}
+	return buf
+}
+
+// writeChunk is the size of writeEntries' chunks: eight of bw's
+// buffers per write, while the chunk stays small next to the table.
+const writeChunk = 32 << 10
 
 func writeUint(bw *bufio.Writer, v uint64) {
 	bw.Write(strconv.AppendUint(bw.AvailableBuffer(), v, 10))
@@ -252,33 +284,91 @@ func writeCommand(bw *bufio.Writer, verb string, args ...uint64) error {
 	return bw.Flush()
 }
 
+// isSpace is the wire's one whitespace definition: every line splits
+// on it (splitFields) and validTokens rejects a name or address that
+// holds it. It is what strings.Fields splits on.
+func isSpace(r rune) bool { return unicode.IsSpace(r) }
+
+// asciiSpace is isSpace for single-byte runes, as a table.
+var asciiSpace = func() (t [utf8.RuneSelf]bool) {
+	for c := range t {
+		t[c] = isSpace(rune(c))
+	}
+	return t
+}()
+
+// splitFields splits line around runs of isSpace, as strings.Fields
+// does, into dst: it fills at most len(dst) fields and returns them as
+// dst's prefix, so a caller whose dst is one longer than the longest
+// line it accepts sees every field of a line it accepts and too many
+// fields for one it does not. The fields are substrings of line;
+// nothing is allocated.
+func splitFields(line string, dst []string) []string {
+	n, start := 0, -1
+	for i := 0; i < len(line) && n < len(dst); {
+		space, size := false, 1
+		if c := line[i]; c < utf8.RuneSelf {
+			space = asciiSpace[c]
+		} else {
+			var r rune
+			r, size = utf8.DecodeRuneInString(line[i:])
+			space = isSpace(r)
+		}
+		switch {
+		case !space:
+			if start < 0 {
+				start = i
+			}
+		case start >= 0:
+			dst[n] = line[start:i]
+			n, start = n+1, -1
+		}
+		i += size
+	}
+	if start >= 0 && n < len(dst) {
+		dst[n] = line[start:]
+		n++
+	}
+	return dst[:n]
+}
+
 // --- Response-line parsers (client side) ---
 
 // parseListEntry decodes one LIST ("name addr") or LISTH
 // ("name addr health state [maddr]") body line.
 func parseListEntry(line string, ranked bool) (Entry, error) {
-	fields := strings.Fields(line)
-	e := Entry{Health: HealthUnreported}
+	var buf [6]string
+	fields := splitFields(line, buf[:])
 	switch {
-	case !ranked && len(fields) == 2:
-		e.Name, e.Addr = fields[0], fields[1]
-	case ranked && (len(fields) == 4 || len(fields) == 5):
-		e.Name, e.Addr = fields[0], fields[1]
-		h, err := strconv.ParseFloat(fields[2], 64)
-		if err != nil {
-			return Entry{}, fmt.Errorf("%w: %q", ErrBadEntry, line)
-		}
-		e.Health = h
-		down, err := parseState(fields[3])
-		if err != nil {
-			return Entry{}, fmt.Errorf("%w: %q", ErrBadEntry, line)
-		}
-		e.Down = down
-		if len(fields) == 5 {
-			e.MetricsAddr = fields[4]
-		}
+	case ranked:
+		return rankedEntry(fields, line)
+	case len(fields) == 2:
+		return Entry{Name: fields[0], Addr: fields[1], Health: HealthUnreported}, nil
 	default:
 		return Entry{}, fmt.Errorf("%w: %q", ErrBadEntry, line)
+	}
+}
+
+// rankedEntry decodes the fields of a LISTH line, or of a LISTD upsert
+// after its "+": "name addr health state [maddr]". line is the whole
+// line, for the error.
+func rankedEntry(fields []string, line string) (Entry, error) {
+	if len(fields) != 4 && len(fields) != 5 {
+		return Entry{}, fmt.Errorf("%w: %q", ErrBadEntry, line)
+	}
+	e := Entry{Name: fields[0], Addr: fields[1]}
+	h, err := strconv.ParseFloat(fields[2], 64)
+	if err != nil {
+		return Entry{}, fmt.Errorf("%w: %q", ErrBadEntry, line)
+	}
+	e.Health = h
+	down, err := parseState(fields[3])
+	if err != nil {
+		return Entry{}, fmt.Errorf("%w: %q", ErrBadEntry, line)
+	}
+	e.Down = down
+	if len(fields) == 5 {
+		e.MetricsAddr = fields[4]
 	}
 	return e, nil
 }
@@ -297,7 +387,8 @@ func parseState(word string) (down bool, err error) {
 // parseEpochLine decodes the "EPOCH <epoch> [full]" header of a LISTD
 // response.
 func parseEpochLine(line string) (epoch uint64, full bool, err error) {
-	fields := strings.Fields(line)
+	var buf [4]string
+	fields := splitFields(line, buf[:])
 	if len(fields) < 2 || len(fields) > 3 || fields[0] != "EPOCH" {
 		return 0, false, fmt.Errorf("%w: %q", ErrBadEntry, line)
 	}
@@ -317,27 +408,25 @@ func parseEpochLine(line string) (epoch uint64, full bool, err error) {
 // parseDeltaLine decodes one LISTD body line:
 // "+ name addr health state [maddr]" or "- name".
 func parseDeltaLine(line string) (DeltaEntry, error) {
-	fields := strings.Fields(line)
+	var buf [7]string
+	fields := splitFields(line, buf[:])
 	switch {
 	case len(fields) == 2 && fields[0] == "-":
 		return DeltaEntry{Entry: Entry{Name: fields[1]}, Deleted: true}, nil
-	case (len(fields) == 5 || len(fields) == 6) && fields[0] == "+":
-		e, err := parseListEntry(strings.Join(fields[1:], " "), true)
-		if err != nil {
-			return DeltaEntry{}, err
-		}
-		return DeltaEntry{Entry: e}, nil
+	case len(fields) > 0 && fields[0] == "+":
+		e, err := rankedEntry(fields[1:], line)
+		return DeltaEntry{Entry: e}, err
 	default:
 		return DeltaEntry{}, fmt.Errorf("%w: %q", ErrBadEntry, line)
 	}
 }
 
-// maddrSuffix renders the optional trailing metrics-addr token of a
-// response line: " <maddr>" when reported, "" otherwise — absent, not
-// a placeholder, so pre-extension clients' field counts still match.
-func maddrSuffix(maddr string) string {
+// appendMaddr appends the optional trailing metrics-addr token of a
+// line: " <maddr>" when reported, nothing otherwise — absent, not a
+// placeholder, so pre-extension clients' field counts still match.
+func appendMaddr(dst []byte, maddr string) []byte {
 	if maddr == "" {
-		return ""
+		return dst
 	}
-	return " " + maddr
+	return append(append(dst, ' '), maddr...)
 }
