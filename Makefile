@@ -35,7 +35,8 @@ relay-bench-smoke:
 
 # One iteration of every benchmark in internal/registry (the full sync a
 # mirror starts from, the server's full answer, the mirror's and the
-# server's top ten, all on a 40k-relay table), so none of them rots.
+# server's top ten, the wire's ranked listing, all on a 40k-relay
+# table), so none of them rots.
 registry-bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/registry/
 

@@ -115,7 +115,7 @@ func newRegistryClient(regAddr string, timeout time.Duration) *repro.RegistryCli
 
 // resolveTargets turns a -fleet or -bundle argument into the registry
 // entries it names: a literal host:port is one entry whose metrics
-// address it is, with no discovery; otherwise the registry's LISTH
+// address it is, with no discovery; otherwise the registry's ranked
 // listing, narrowed to the named relay unless the argument is "all".
 func resolveTargets(ctx context.Context, arg, regAddr string, timeout time.Duration) ([]repro.RegistryEntry, error) {
 	if strings.Contains(arg, ":") {
@@ -126,8 +126,6 @@ func resolveTargets(ctx context.Context, arg, regAddr string, timeout time.Durat
 	}
 	rc := newRegistryClient(regAddr, timeout)
 	defer rc.Close()
-	// LISTH, not LIST: only the ranked listing carries the metrics
-	// address a relay's heartbeat advertises.
 	entries, err := rc.ListRanked(ctx, 0)
 	if err != nil || arg == "all" {
 		return entries, err

@@ -66,7 +66,7 @@ func startTestRelay(t *testing.T, health *obs.HealthMonitor) *testRelay {
 // loopback relays that served real traffic plus one member without a
 // metrics address; r0 then forwards to a dead upstream, r1's metrics
 // listener is closed, and r2 runs without a health monitor. The table
-// must carry one row per LISTH entry, r1's error in its own row, totals
+// must carry one row per listed entry, r1's error in its own row, totals
 // over the relays that answered, and the dead path ranked worst.
 func TestFleetReadE2E(t *testing.T) {
 	origin := relay.NewOriginServer()
@@ -135,7 +135,7 @@ func TestFleetReadE2E(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(entries) != 4 {
-		t.Fatalf("LISTH listed %d entries, want 4", len(entries))
+		t.Fatalf("registry listed %d entries, want 4", len(entries))
 	}
 	views := readFleet(ctx, entries, 2*time.Second)
 	var out bytes.Buffer

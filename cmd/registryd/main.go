@@ -1,11 +1,12 @@
 // Command registryd runs the relay registry: relays register themselves
 // with TTL heartbeats (optionally carrying a self-reported health score),
 // and clients discover the live relay set from it — the operational
-// realization of the paper's "set of nodes available to a client". The
-// LISTH command returns the set ranked healthiest-first, so clients can
-// probe only the healthiest K (the paper's knee is ~10 of 35), and LISTD
-// serves epoch-keyed deltas so steady-state clients re-pull only what
-// changed instead of the full table.
+// realization of the paper's "set of nodes available to a client". Its
+// one listing command, LISTD, serves epoch-keyed deltas so steady-state
+// clients re-pull only what changed instead of the full table, and a
+// first pull ("LISTD 0 k") returns the set ranked healthiest-first, so
+// clients can probe only the healthiest K (the paper's knee is ~10 of
+// 35).
 //
 // Usage:
 //
@@ -18,13 +19,13 @@
 // to every address in relayd -registry a,b, and clients fail over
 // through fetch -registry a,b.
 //
-// With -metrics set, live counters (registrations, list and delta
-// queries, epoch, live and down relay counts) are served as JSON on
+// With -metrics set, live counters (registrations, LISTD queries,
+// epoch, live and down relay counts) are served as JSON on
 // /debug/vars, shard occupancy on /debug/registry,
 // Prometheus text format on /metrics (including the command-latency
 // histogram), liveness on /healthz, and readiness on /readyz (the
 // listener must be up). A relay whose heartbeat carries a metrics
-// address is listed with it by LISTH, which is how fetch -fleet and
+// address is listed with it by LISTD, which is how fetch -fleet and
 // fetch -bundle find each relay's own debug pages. /debug/stack serves
 // a plain-text goroutine dump even with -pprof off. -pprof serves
 // net/http/pprof on a separate address. Logging is structured (slog);
@@ -73,7 +74,6 @@ func main() {
 			st := s.Stats()
 			return map[string]any{
 				"registrations": s.Registrations.Load(),
-				"lists":         s.Lists.Load(),
 				"delta_lists":   s.DeltaLists.Load(),
 				"full_deltas":   s.FullDeltas.Load(),
 				"downs":         s.Downs.Load(),
@@ -98,7 +98,7 @@ func main() {
 			for {
 				select {
 				case <-ticker.C:
-					logger.Info("stats", "live_relays", len(s.List()),
+					logger.Info("stats", "live_relays", s.Stats().Live,
 						"registrations", s.Registrations.Load(),
 						"epoch", s.Epoch())
 				case <-ctx.Done():

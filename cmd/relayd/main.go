@@ -13,7 +13,8 @@
 // hit), concurrent misses for the same range collapse into one origin
 // fetch, and cached content is re-verified against the synthetic
 // catalog before every serve. Cache warmth folds into the health score
-// self-reported to the registry, so LISTH ranks warm relays first.
+// self-reported to the registry, so its ranked listing puts warm relays
+// first.
 //
 // With -metrics set, live counters (requests handled, bytes relayed —
 // the raw material of the paper's §V utilization analysis) are served
@@ -151,7 +152,7 @@ func main() {
 		// The heartbeat advertises the metrics address so clients that
 		// list the registry (fetch -fleet, -bundle) can reach this
 		// relay's debug pages.
-		hb, err = rc.StartHeartbeatFull(ctx, *name, l.Addr().String(), *metrics, *ttl,
+		hb, err = rc.StartHeartbeat(ctx, *name, l.Addr().String(), *metrics, *ttl,
 			aggregateHealth(r.Health, r.Cache()))
 		if err != nil {
 			logger.Error("registration failed", "registry", *regAddr, "err", err)
@@ -245,7 +246,7 @@ func main() {
 // scalar the relay self-reports to the registry: the mean score, or
 // unreported before any traffic (ranking a silent relay last is the
 // conservative choice). With a cache attached, warmth scales the score
-// within [warmthFloor, 1]: among equally healthy relays, LISTH ranks
+// within [warmthFloor, 1]: among equally healthy relays, the registry ranks
 // the ones that can serve from memory first, while even a stone-cold
 // cache only discounts a healthy path by 1-warmthFloor.
 func aggregateHealth(m *obs.HealthMonitor, c *objcache.Cache) func() float64 {

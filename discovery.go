@@ -24,7 +24,7 @@ import (
 // Registry discovery types, re-exported for downstream users.
 type (
 	// RegistryClient talks the registry wire protocol: context-aware
-	// Register/List/ListRanked/ListDelta/StartHeartbeat with configurable
+	// Register/ListRanked/ListDelta/StartHeartbeat with configurable
 	// timeouts, retries, connection pooling, and fallback peers.
 	RegistryClient = registry.Client
 	// RegistryClientOption configures NewRegistryClient.

@@ -3,6 +3,7 @@ package repro_test
 import (
 	"context"
 	"errors"
+	"maps"
 	"testing"
 	"time"
 
@@ -51,6 +52,48 @@ func TestDiscoverRelaysFacade(t *testing.T) {
 	}
 	if relays["warm"] != "10.0.0.1:8081" || relays["mid"] != "10.0.0.3:8081" {
 		t.Fatalf("top-2 should be warm+mid, got %v", relays)
+	}
+}
+
+// Relays named like the wire's own words are listed like any other: a
+// listing line cannot be taken for a rejection (ERR), a header (EPOCH)
+// or an acknowledgement (OK).
+func TestDiscoverRelaysNamedLikeWireWords(t *testing.T) {
+	s := &registry.Server{}
+	l, err := s.ServeAddr("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+	defer l.Close()
+
+	ctx := context.Background()
+	c := repro.NewRegistryClient(l.Addr().String(), repro.WithRegistryTimeout(2*time.Second))
+	defer c.Close()
+	want := map[string]string{"ERR": "10.9.9.9:1", "EPOCH": "10.9.9.9:2", "OK": "10.9.9.9:3"}
+	for name, addr := range want {
+		if err := c.RegisterHealth(ctx, name, addr, time.Minute, 0.99); err != nil {
+			t.Fatalf("register %s: %v", name, err)
+		}
+	}
+	for _, k := range []int{0, 3} {
+		entries, err := c.ListRanked(ctx, k)
+		if err != nil {
+			t.Fatalf("ListRanked(%d): %v", k, err)
+		}
+		got := make(map[string]string, len(entries))
+		for _, e := range entries {
+			got[e.Name] = e.Addr
+		}
+		if !maps.Equal(got, want) {
+			t.Fatalf("ListRanked(%d) = %v, want %v", k, got, want)
+		}
+		relays, err := repro.DiscoverRelays(ctx, c, k)
+		if err != nil {
+			t.Fatalf("DiscoverRelays(%d): %v", k, err)
+		}
+		if !maps.Equal(relays, want) {
+			t.Fatalf("DiscoverRelays(%d) = %v, want %v", k, relays, want)
+		}
 	}
 }
 

@@ -94,3 +94,27 @@ func BenchmarkListRanked10(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkWireListRanked is a one-shot ranked listing over the wire,
+// the read fetch -top, fetch -fleet and DiscoverRelays make: the whole
+// table (k=0) and the ten healthiest (k=10).
+func BenchmarkWireListRanked(b *testing.B) {
+	_, addr := benchTable()
+	c := NewClient(addr, WithPooledConn())
+	defer c.Close()
+	ctx := context.Background()
+	for _, k := range []int{0, 10} {
+		want := k
+		if k == 0 {
+			want = benchRelays
+		}
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if got, err := c.ListRanked(ctx, k); err != nil || len(got) != want {
+					b.Fatalf("ListRanked(%d) = %d entries, %v", k, len(got), err)
+				}
+			}
+		})
+	}
+}

@@ -267,56 +267,29 @@ func (c *Client) RegisterFull(ctx context.Context, name, relayAddr, metricsAddr 
 	})
 }
 
-// List fetches the live relay set (name-sorted on the server).
-func (c *Client) List(ctx context.Context) ([]Entry, error) {
-	return c.list(ctx, false, "LIST")
-}
-
 // ListRanked fetches up to k entries ranked healthiest-first (k <= 0
-// means all). Down-marked entries still inside their grace period are
+// means all) as one full LISTD answer, ranked here as the server ranks
+// them. Down-marked entries still inside their grace period are
 // included, ranked last and flagged Down — filter them for candidate
 // sets, show them for operations.
 func (c *Client) ListRanked(ctx context.Context, k int) ([]Entry, error) {
-	if k > 0 {
-		return c.list(ctx, true, "LISTH", uint64(k))
-	}
-	return c.list(ctx, true, "LISTH")
-}
-
-func (c *Client) list(ctx context.Context, ranked bool, verb string, args ...uint64) ([]Entry, error) {
 	var out []Entry
-	err := c.do(ctx, func(bw *bufio.Writer, br *bufio.Reader) error {
-		out = out[:0] // a retried round-trip must not duplicate entries
-		if err := writeCommand(bw, verb, args...); err != nil {
-			return err
+	err := c.listDelta(ctx, 0, k, func(uint64, bool) { out = out[:0] }, func(line string) error {
+		de, err := parseDeltaLine(line)
+		if err == nil {
+			out = append(out, de.Entry)
 		}
-		for {
-			line, err := br.ReadString('\n')
-			if err != nil {
-				return fmt.Errorf("%w: %v", errShortRead, err)
-			}
-			line = strings.TrimSpace(line)
-			if line == "." {
-				return nil
-			}
-			if rest, ok := strings.CutPrefix(line, "ERR "); ok {
-				return fmt.Errorf("%w: %s", ErrRejected, rest)
-			}
-			e, err := parseListEntry(line, ranked)
-			if err != nil {
-				return err
-			}
-			out = append(out, e)
-		}
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
+	sortRanked(out)
 	return out, nil
 }
 
 // ListDelta fetches the changes since epoch (0 = first sync, returns a
-// full snapshot). k bounds full snapshots only, as in LISTH.
+// full snapshot). k bounds full snapshots only, to the ranked top k.
 // Steady-state clients should hold a RankedSet and call its Refresh
 // instead of re-applying deltas by hand.
 func (c *Client) ListDelta(ctx context.Context, since uint64, k int) (Delta, error) {
@@ -386,17 +359,12 @@ func (c *Client) listDelta(ctx context.Context, since uint64, k int, head func(e
 // every ttl/3 until ctx is done. It returns an error only when every
 // registry refused the first registration (so callers fail fast on
 // misconfiguration); a registry that was down keeps being tried on
-// every tick and holds the entry from its first success on. health is
-// sampled per registration (nil means unreported). The returned
-// HeartbeatState tracks whether any registry is still accepting
-// refreshes, feeding relayd's readiness check.
-func (c *Client) StartHeartbeat(ctx context.Context, name, relayAddr string, ttl time.Duration, health func() float64) (*HeartbeatState, error) {
-	return c.StartHeartbeatFull(ctx, name, relayAddr, "", ttl, health)
-}
-
-// StartHeartbeatFull is StartHeartbeat with the registrant's
-// observability endpoint carried on every refresh ("" omits it).
-func (c *Client) StartHeartbeatFull(ctx context.Context, name, relayAddr, metricsAddr string, ttl time.Duration, health func() float64) (*HeartbeatState, error) {
+// every tick and holds the entry from its first success on. Every
+// refresh carries metricsAddr, the registrant's observability endpoint
+// ("" omits it), and health, sampled per registration (nil means
+// unreported). The returned HeartbeatState tracks whether any registry
+// is still accepting refreshes, feeding relayd's readiness check.
+func (c *Client) StartHeartbeat(ctx context.Context, name, relayAddr, metricsAddr string, ttl time.Duration, health func() float64) (*HeartbeatState, error) {
 	state := &HeartbeatState{errs: make([]error, len(c.endpoints))}
 	targets := make([]*Client, len(c.endpoints))
 	for i, addr := range c.endpoints {

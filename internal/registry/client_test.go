@@ -94,16 +94,16 @@ func TestClientRegisterListRanked(t *testing.T) {
 		t.Fatal("live entry parsed as down")
 	}
 
-	live, err := c.List(ctx)
+	top, err := c.ListRanked(ctx, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(live) != 3 || live[0].Name != "bad" {
-		t.Fatalf("list = %+v", live)
+	if len(top) != 2 || top[0].Name != "good" || top[1].Name != "bad" {
+		t.Fatalf("top 2 = %+v", top)
 	}
 }
 
-// LISTH must tell the truth about down entries: served during grace
+// The wire listing must tell the truth about down entries: served during grace
 // with state "down", ranked last, parsed into Entry.Down.
 func TestClientSeesDownState(t *testing.T) {
 	now := time.Unix(1000, 0)
@@ -133,6 +133,47 @@ func TestClientSeesDownState(t *testing.T) {
 	}
 	if got[1].Name != "dying" || !got[1].Down {
 		t.Fatalf("down entry must be served last with Down set: %+v", got[1])
+	}
+}
+
+// The one-shot wire listing is the server's ranked view: for every k,
+// ListRanked (one full LISTD answer, ranked by the client) returns what
+// rankedAll(k) holds, field for field and in order — an entry down
+// inside its grace last, unreported health below every score, equal
+// health broken by name, metrics addresses carried where reported.
+func TestWireListRankedMatchesRankedAll(t *testing.T) {
+	s, addr, advance := startClockedServer(t)
+	s.RegisterFull("lapsing", "10.0.0.1:1", time.Second, 0.99, "10.0.0.1:2")
+	advance(2 * time.Second) // lapsed, still inside its 2s grace
+	for i, r := range []struct {
+		name   string
+		health float64
+		maddr  string
+	}{
+		{"tie-b", 0.5, "10.0.1.2:2"}, {"tie-a", 0.5, ""}, {"best", 0.95, "10.0.1.3:2"},
+		{"mute", HealthUnreported, "10.0.1.4:2"}, {"mute-too", HealthUnreported, ""}, {"low", 0.125, ""},
+	} {
+		s.RegisterFull(r.name, fmt.Sprintf("10.0.1.%d:1", i), time.Minute, r.health, r.maddr)
+	}
+	c := NewClient(addr, WithPooledConn())
+	defer c.Close()
+	// wire keeps the fields a listing line carries.
+	wire := func(e Entry) Entry {
+		return Entry{Name: e.Name, Addr: e.Addr, Health: e.Health, Down: e.Down, MetricsAddr: e.MetricsAddr}
+	}
+	same := func(a, b Entry) bool { return wire(a) == wire(b) }
+	const n = 7
+	if all := s.rankedAll(0); len(all) != n || all[n-1].Name != "lapsing" || !all[n-1].Down {
+		t.Fatalf("table = %+v, want %d entries with lapsing down and last", all, n)
+	}
+	for _, k := range []int{0, 1, 3, n, n + 1} {
+		got, err := c.ListRanked(context.Background(), k)
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		if want := s.rankedAll(k); !slices.EqualFunc(got, want, same) {
+			t.Fatalf("k=%d:\n wire %+v\nserver %+v", k, got, want)
+		}
 	}
 }
 
@@ -179,7 +220,7 @@ func TestClientFallbackPeers(t *testing.T) {
 func TestClientUnavailable(t *testing.T) {
 	c := NewClient("127.0.0.1:1", WithTimeout(500*time.Millisecond))
 	defer c.Close()
-	_, err := c.List(context.Background())
+	_, err := c.ListRanked(context.Background(), 0)
 	if !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("want ErrUnavailable, got %v", err)
 	}
@@ -205,7 +246,7 @@ func TestClientContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := c.List(ctx)
+	_, err := c.ListRanked(ctx, 0)
 	if err == nil {
 		t.Fatal("expected error")
 	}
@@ -256,7 +297,7 @@ func TestClientStartHeartbeat(t *testing.T) {
 	// of the first registration's expiry, a heartbeat lands, and the
 	// clock moves past that expiry: the entry survives only because the
 	// ticker refreshed it.
-	hb, err := c.StartHeartbeat(ctx, "hb", "x:1", 1500*time.Millisecond, func() float64 { return 0.8 })
+	hb, err := c.StartHeartbeat(ctx, "hb", "x:1", "", 1500*time.Millisecond, func() float64 { return 0.8 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +354,7 @@ func TestPeerFailoverDiscovery(t *testing.T) {
 
 	relay := NewClient(addrA, WithPooledConn(), WithFallbackPeers(addrB))
 	defer relay.Close()
-	if _, err := relay.StartHeartbeat(ctx, "survivor-relay", "10.0.0.9:1", time.Minute, func() float64 { return 0.7 }); err != nil {
+	if _, err := relay.StartHeartbeat(ctx, "survivor-relay", "10.0.0.9:1", "10.0.0.9:2", time.Minute, func() float64 { return 0.7 }); err != nil {
 		t.Fatal(err)
 	}
 	for name, s := range map[string]*Server{"A": sA, "B": sB} {
@@ -331,7 +372,8 @@ func TestPeerFailoverDiscovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("discovery failed after losing a registry: %v", err)
 	}
-	if len(got) != 1 || got[0].Name != "survivor-relay" || got[0].Addr != "10.0.0.9:1" || got[0].Health != 0.7 {
+	if len(got) != 1 || got[0].Name != "survivor-relay" || got[0].Addr != "10.0.0.9:1" || got[0].Health != 0.7 ||
+		got[0].MetricsAddr != "10.0.0.9:2" {
 		t.Fatalf("survivor view = %+v", got)
 	}
 }
@@ -353,7 +395,7 @@ func TestHeartbeatReachesRegistryThatComesUp(t *testing.T) {
 
 	c := NewClient(addrA, WithPooledConn(), WithFallbackPeers(addrB))
 	defer c.Close()
-	hb, err := c.StartHeartbeat(ctx, "late", "10.0.0.9:1", time.Second, nil) // a tick every 333ms
+	hb, err := c.StartHeartbeat(ctx, "late", "10.0.0.9:1", "", time.Second, nil) // a tick every 333ms
 	if err != nil {
 		t.Fatalf("startup failed with one registry of two up: %v", err)
 	}
@@ -382,7 +424,7 @@ func TestHeartbeatFailsOnlyWhenEveryRegistryRefuses(t *testing.T) {
 	ctx, stop := context.WithCancel(context.Background())
 	defer stop()
 	c := NewClient("127.0.0.1:1", WithFallbackPeers("127.0.0.1:2"))
-	hb, err := c.StartHeartbeat(ctx, "r", "10.0.0.9:1", time.Minute, nil)
+	hb, err := c.StartHeartbeat(ctx, "r", "10.0.0.9:1", "", time.Minute, nil)
 	if err == nil || hb.OK() {
 		t.Fatalf("both registries down: err=%v ok=%v", err, hb.OK())
 	}

@@ -38,9 +38,9 @@ type Delta struct {
 }
 
 // ListDelta returns the changes since the given epoch. k bounds a full
-// snapshot the same way LISTH's k does (healthiest-k, then down
-// entries); incremental responses are always complete and ignore k,
-// since a truncated delta would silently corrupt the client's mirror.
+// snapshot to the ranked top k (healthiest-k, then down entries);
+// incremental responses are always complete and ignore k, since a
+// truncated delta would silently corrupt the client's mirror.
 // A full snapshot without k comes in shard order, not ranked, as the
 // wire streams it: a mirror ranks locally.
 func (s *Server) ListDelta(since uint64, k int) Delta {
@@ -110,7 +110,7 @@ func (s *Server) needsFull(since, cur uint64) bool {
 }
 
 // fullDelta passes the entries of a full snapshot to emit. With k > 0
-// they are LISTH's ranked top k, in one call. Otherwise they are the
+// they are the ranked top k (rankedAll), in one call. Otherwise they are the
 // whole table, live and down, one shard at a time in shard order
 // (eachShard): nothing the size of the table is built or sorted, and
 // the wire writes each shard while no lock is held.

@@ -27,7 +27,7 @@ func FuzzParseRequest(f *testing.F) {
 		"REGISTER campus 10.0.0.2:8081 60 -1",
 		"REGISTER a b 0",
 		"REGISTER a b -5 2",
-		"LIST",
+		"LIST", // not verbs: LIST and LISTH get "unknown command"
 		"LISTH",
 		"LISTH 5",
 		"LISTD 0",
@@ -55,46 +55,10 @@ func FuzzParseRequest(f *testing.F) {
 			if req.Health != HealthUnreported && (req.Health < 0 || req.Health > 1) {
 				t.Fatalf("parseRequest(%q) accepted out-of-range health: %+v", line, req)
 			}
-		case reqListH, reqListD:
+		case reqListD:
 			if req.K < 0 {
 				t.Fatalf("parseRequest(%q) accepted negative k: %+v", line, req)
 			}
-		}
-	})
-}
-
-func FuzzParseListEntry(f *testing.F) {
-	for _, seed := range []string{
-		"campus 10.0.0.2:8081",
-		"campus 10.0.0.2:8081 0.95 up",
-		"campus 10.0.0.2:8081 0.95 up 10.0.0.2:9081",
-		"campus 10.0.0.2:8081 -1 down",
-		"campus 10.0.0.2:8081 0.5 sideways",
-		"one",
-		"a b c d e f",
-	} {
-		f.Add(seed, true)
-		f.Add(seed, false)
-	}
-	f.Fuzz(func(t *testing.T, line string, ranked bool) {
-		e, err := parseListEntry(line, ranked)
-		if err != nil {
-			return
-		}
-		// Round-trip: re-encode the way the server does and re-parse.
-		var enc string
-		if ranked {
-			enc = e.Name + " " + e.Addr + " " + formatHealth(e.Health) + " " + stateWord(e.Down) +
-				string(appendMaddr(nil, e.MetricsAddr))
-		} else {
-			enc = e.Name + " " + e.Addr
-		}
-		e2, err := parseListEntry(enc, ranked)
-		if err != nil {
-			t.Fatalf("round-trip of %q -> %q failed: %v", line, enc, err)
-		}
-		if e2.Name != e.Name || e2.Addr != e.Addr || e2.Down != e.Down || e2.MetricsAddr != e.MetricsAddr {
-			t.Fatalf("round-trip changed meaning: %+v vs %+v", e, e2)
 		}
 	})
 }
@@ -127,7 +91,8 @@ func FuzzParseDeltaLine(f *testing.F) {
 		if err != nil {
 			t.Fatalf("round-trip of %q -> %q failed: %v", line, enc, err)
 		}
-		if de2.Name != de.Name || de2.Deleted != de.Deleted || de2.Addr != de.Addr || de2.MetricsAddr != de.MetricsAddr {
+		if de2.Name != de.Name || de2.Deleted != de.Deleted || de2.Addr != de.Addr || de2.Down != de.Down ||
+			de2.MetricsAddr != de.MetricsAddr {
 			t.Fatalf("round-trip changed meaning: %+v vs %+v", de, de2)
 		}
 	})
@@ -194,13 +159,6 @@ func FuzzSplitMatchesFields(f *testing.F) {
 		if req != wreq || fmt.Sprint(err) != fmt.Sprint(werr) {
 			t.Fatalf("parseRequest(%q) = %+v, %v; reference %+v, %v", line, req, err, wreq, werr)
 		}
-		for _, ranked := range []bool{false, true} {
-			e, err := parseListEntry(line, ranked)
-			we, werr := refParseListEntry(line, ranked)
-			if e != we || (err == nil) != (werr == nil) {
-				t.Fatalf("parseListEntry(%q, %v) = %+v, %v; reference %+v, %v", line, ranked, e, err, we, werr)
-			}
-		}
 		epoch, full, err := parseEpochLine(line)
 		wepoch, wfull, werr := refParseEpochLine(line)
 		if epoch != wepoch || full != wfull || (err == nil) != (werr == nil) {
@@ -250,24 +208,6 @@ func refParseRequest(line string) (request, error) {
 			r.MetricsAddr = fields[5]
 		}
 		return r, nil
-	case "LIST":
-		if len(fields) != 1 {
-			return request{}, errors.New("usage: LIST")
-		}
-		return request{Kind: reqList}, nil
-	case "LISTH":
-		if len(fields) > 2 {
-			return request{}, errors.New("usage: LISTH [k]")
-		}
-		r := request{Kind: reqListH}
-		if len(fields) == 2 {
-			k, err := strconv.Atoi(fields[1])
-			if err != nil || k < 0 {
-				return request{}, errors.New("bad k")
-			}
-			r.K = k
-		}
-		return r, nil
 	case "LISTD":
 		if len(fields) != 2 && len(fields) != 3 {
 			return request{}, errors.New("usage: LISTD epoch [k]")
@@ -288,32 +228,6 @@ func refParseRequest(line string) (request, error) {
 	default:
 		return request{}, fmt.Errorf("unknown command %q", fields[0])
 	}
-}
-func refParseListEntry(line string, ranked bool) (Entry, error) {
-	fields := strings.Fields(line)
-	e := Entry{Health: HealthUnreported}
-	switch {
-	case !ranked && len(fields) == 2:
-		e.Name, e.Addr = fields[0], fields[1]
-	case ranked && (len(fields) == 4 || len(fields) == 5):
-		e.Name, e.Addr = fields[0], fields[1]
-		h, err := strconv.ParseFloat(fields[2], 64)
-		if err != nil {
-			return Entry{}, fmt.Errorf("%w: %q", ErrBadEntry, line)
-		}
-		e.Health = h
-		down, err := parseState(fields[3])
-		if err != nil {
-			return Entry{}, fmt.Errorf("%w: %q", ErrBadEntry, line)
-		}
-		e.Down = down
-		if len(fields) == 5 {
-			e.MetricsAddr = fields[4]
-		}
-	default:
-		return Entry{}, fmt.Errorf("%w: %q", ErrBadEntry, line)
-	}
-	return e, nil
 }
 func refParseEpochLine(line string) (epoch uint64, full bool, err error) {
 	fields := strings.Fields(line)
@@ -338,9 +252,13 @@ func refParseDeltaLine(line string) (DeltaEntry, error) {
 	case len(fields) == 2 && fields[0] == "-":
 		return DeltaEntry{Entry: Entry{Name: fields[1]}, Deleted: true}, nil
 	case (len(fields) == 5 || len(fields) == 6) && fields[0] == "+":
-		e, err := refParseListEntry(strings.Join(fields[1:], " "), true)
-		if err != nil {
-			return DeltaEntry{}, err
+		h, err := strconv.ParseFloat(fields[3], 64)
+		if err != nil || (fields[4] != "up" && fields[4] != "down") {
+			return DeltaEntry{}, fmt.Errorf("%w: %q", ErrBadEntry, line)
+		}
+		e := Entry{Name: fields[1], Addr: fields[2], Health: h, Down: fields[4] == "down"}
+		if len(fields) == 6 {
+			e.MetricsAddr = fields[5]
 		}
 		return DeltaEntry{Entry: e}, nil
 	default:
@@ -378,7 +296,7 @@ func TestWireSurvivesGarbageThenWorks(t *testing.T) {
 	if resp := send("REGISTER x y -1"); !strings.HasPrefix(resp, "ERR") {
 		t.Fatalf("bad ttl got %q, want ERR", resp)
 	}
-	for _, verb := range []string{"SYNCD 7", "EPOCH"} {
+	for _, verb := range []string{"SYNCD 7", "EPOCH", "LIST", "LISTH 5"} {
 		if resp := send(verb); !strings.HasPrefix(resp, "ERR unknown command") {
 			t.Fatalf("%s got %q, want ERR unknown command", verb, resp)
 		}
@@ -388,5 +306,14 @@ func TestWireSurvivesGarbageThenWorks(t *testing.T) {
 	}
 	if got := s.List(); len(got) != 1 || got[0].Name != "ok" {
 		t.Fatalf("list = %+v", got)
+	}
+	// The listing verb still answers on the same session.
+	if resp := send("LISTD 0"); !strings.HasPrefix(resp, "EPOCH ") || !strings.HasSuffix(resp, " full") {
+		t.Fatalf("LISTD 0 after the rejections got %q, want a full EPOCH line", resp)
+	}
+	for _, want := range []string{"+ ok h:1 -1 up", "."} {
+		if line, err := br.ReadString('\n'); err != nil || strings.TrimSpace(line) != want {
+			t.Fatalf("LISTD 0 body line %q, %v; want %q", line, err, want)
+		}
 	}
 }

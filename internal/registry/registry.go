@@ -9,21 +9,21 @@
 // relay's self-measured health score (its HealthMonitor's view of its
 // upstream paths), the registry records last-seen times, marks entries
 // whose TTL lapses as down (holding them for a grace period before
-// forgetting them), and LISTH serves the candidate set ranked
-// healthiest-first — so a client probing only the top K exercises the
-// paper's §V observation that a small, well-chosen candidate subset
-// captures nearly all the attainable improvement.
+// forgetting them), and a one-shot listing serves the candidate set
+// ranked healthiest-first — so a client probing only the top K
+// exercises the paper's §V observation that a small, well-chosen
+// candidate subset captures nearly all the attainable improvement.
 //
 // Three mechanisms carry the scale:
 //
 //   - The table is sharded: entries stripe across NumShards partitions by
 //     FNV-1a hash of the relay name, each behind its own mutex, so a
 //     REGISTER storm stops serializing on one lock and full-table scans
-//     (LISTH at 100k entries) hold only one shard at a time. Each shard
-//     keeps a bounded log of its changes and a next-expiry time: a delta
-//     poll replays only the changes past its cursor, and walks a shard
-//     only when an entry in it has lapsed or its log no longer reaches
-//     back to the cursor.
+//     (a full LISTD at 100k entries) hold only one shard at a time. Each
+//     shard keeps a bounded log of its changes and a next-expiry time: a
+//     delta poll replays only the changes past its cursor, and walks a
+//     shard only when an entry in it has lapsed or its log no longer
+//     reaches back to the cursor.
 //
 //   - Mutations are epoch-versioned: every material change (insert,
 //     address, health, metrics address, up/down state, delete) claims the
@@ -42,34 +42,33 @@
 //     over through WithFallbackPeers, so discovery survives a registryd
 //     loss without registries talking to each other.
 //
-// The wire protocol is line-based over TCP; a session may carry any
-// number of commands (clients can hold a pooled connection open):
+// The wire protocol is line-based over TCP and has two commands; a
+// session may carry any number of them (clients can hold a pooled
+// connection open):
 //
 //	REGISTER <name> <addr> <ttl-seconds> [<health 0..1|-1> [<metrics-addr>]]\n -> OK\n
-//	LIST\n                -> <name> <addr>\n ... .\n
-//	LISTH [<k>]\n         -> <name> <addr> <health> <up|down> [<metrics-addr>]\n ... .\n
 //	LISTD <epoch> [<k>]\n -> EPOCH <epoch> [full]\n
 //	                         + <name> <addr> <health> <up|down> [<metrics-addr>]\n
 //	                         - <name>\n ... .\n
 //
 // Names and addresses must be token-shaped (no whitespace). The
 // optional trailing metrics-addr token is the relay's observability
-// endpoint (its daemon HTTP address), which LISTH hands to fetch -fleet
-// and fetch -bundle so they can read the relay's own debug pages;
-// six-field REGISTER accepts health -1 (unreported) so a relay can
-// advertise a metrics address without a score. Response lines omit the
-// token when the entry never reported one, keeping old clients'
-// field counts intact. LISTH
-// returns entries ranked by health (best first, unreported health ranks
-// below any reported score, down-marked entries rank after every live
-// one and say so in the state column), truncated to k when given.
-// LISTD's epoch is the client's last-synced epoch (0 for a first pull);
+// endpoint (its daemon HTTP address), which the listing hands to fetch
+// -fleet and fetch -bundle so they can read the relay's own debug
+// pages; six-field REGISTER accepts health -1 (unreported) so a relay
+// can advertise a metrics address without a score. Response lines omit
+// the token when the entry never reported one, keeping old clients'
+// field counts intact. LISTD's epoch is the client's last-synced epoch;
 // the response replays adds/updates (+) and deletes (-) since then, or —
-// when the epoch is unknown, from another or a restarted server, or
-// older than the tombstone horizon — a full snapshot tagged "full". A
-// full snapshot without k is streamed one shard at a time, in shard
-// order and not ranked (the mirror ranks locally); with k it is LISTH's
-// ranked top k. LISTH itself is always ranked.
+// when the epoch is 0, unknown, from another or a restarted server, or
+// older than the tombstone horizon — a full snapshot tagged "full",
+// live and down entries alike. A full snapshot without k is streamed
+// one shard at a time, in shard order and not ranked (the client ranks
+// locally); with k it is the ranked top k. A one-shot ranked listing is
+// therefore "LISTD 0 [k]" (Client.ListRanked): entries ranked by health
+// (best first, unreported health ranks below any reported score,
+// down-marked entries rank after every live one and say so in the state
+// column), truncated to k when given.
 package registry
 
 import (
@@ -109,8 +108,8 @@ const HealthUnreported = -1
 
 // downGraceFactor scales the TTL into the post-expiry grace period: an
 // entry whose TTL lapses is marked down and held for TTL×downGraceFactor
-// so operators (and LISTH) can see the outage before the registry
-// forgets the relay existed.
+// so operators (and the ranked listing) can see the outage before the
+// registry forgets the relay existed.
 const downGraceFactor = 2
 
 // DefaultShards is the table partition count when Server.NumShards is
@@ -136,13 +135,13 @@ type Entry struct {
 	// or HealthUnreported.
 	Health float64
 	// Down marks an entry whose TTL lapsed without a refresh; down
-	// entries are excluded from LIST/ListRanked, served with state
-	// "down" by LISTH/LISTD during the grace period, and dropped
-	// entirely once it passes.
+	// entries are excluded from List/ListRanked, served with state
+	// "down" by LISTD during the grace period, and dropped entirely
+	// once it passes.
 	Down bool
 	// MetricsAddr is the registrant's observability endpoint (daemon
 	// HTTP address serving /metrics and /debug/*), "" when unreported.
-	// LISTH carries it to fetch -fleet and fetch -bundle.
+	// LISTD carries it to fetch -fleet and fetch -bundle.
 	MetricsAddr string
 	// ChangeEpoch is the registry epoch of the entry's last material
 	// change (insert, address, health, metrics address, or up/down
@@ -166,8 +165,6 @@ type Server struct {
 	// Registrations counts accepted REGISTER commands received over the
 	// wire (in-process Register calls are not counted).
 	Registrations atomic.Int64
-	// Lists counts LIST and LISTH commands served over the wire.
-	Lists atomic.Int64
 	// DeltaLists counts LISTD commands served over the wire.
 	DeltaLists atomic.Int64
 	// FullDeltas counts LISTD responses that had to fall back to a full
@@ -200,7 +197,6 @@ type Server struct {
 func (s *Server) WriteProm(p *obs.Prom) {
 	st := s.Stats()
 	p.Counter("registry_registrations_total", "Accepted REGISTER commands.", float64(s.Registrations.Load()))
-	p.Counter("registry_lists_total", "LIST and LISTH commands served.", float64(s.Lists.Load()))
 	p.Counter("registry_delta_lists_total", "LISTD commands served.", float64(s.DeltaLists.Load()))
 	p.Counter("registry_full_deltas_total", "Delta responses that fell back to a full snapshot.", float64(s.FullDeltas.Load()))
 	p.Counter("registry_downs_total", "Relays marked down after TTL lapse.", float64(s.Downs.Load()))
@@ -364,7 +360,7 @@ func (s *Server) ListRanked(k int) []Entry {
 	return out
 }
 
-// rankedAll is the LISTH view: live entries ranked healthiest-first,
+// rankedAll is the ranked listing: live entries ranked healthiest-first,
 // then down-marked entries (still inside their grace) ranked after
 // every live one — operators see outages from the CLI instead of a
 // hard-coded "up" column.

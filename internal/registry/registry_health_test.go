@@ -119,28 +119,21 @@ func TestWireRegisterHealthAndListRanked(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Plain LIST is unchanged: name-sorted, no health on the wire.
-	plain, err := c.List(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plain) != 3 || plain[0].Name != "bad" {
-		t.Fatalf("LIST = %+v", plain)
-	}
-
 	ranked, err := c.ListRanked(ctx, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ranked) != 2 || ranked[0].Name != "good" || ranked[1].Name != "bad" {
-		t.Fatalf("LISTH 2 = %+v", ranked)
+		t.Fatalf("LISTD 0 2 = %+v", ranked)
 	}
 	if ranked[0].Health < 0.94 || ranked[0].Health > 0.96 {
 		t.Fatalf("health lost on the wire: %+v", ranked[0])
 	}
 
-	if s.Lists.Load() != 2 || s.Registrations.Load() != 3 {
-		t.Fatalf("wire counters lists=%d regs=%d, want 2/3", s.Lists.Load(), s.Registrations.Load())
+	// A one-shot listing is one full LISTD answer.
+	if s.DeltaLists.Load() != 1 || s.FullDeltas.Load() != 1 || s.Registrations.Load() != 3 {
+		t.Fatalf("wire counters delta lists=%d full=%d regs=%d, want 1/1/3",
+			s.DeltaLists.Load(), s.FullDeltas.Load(), s.Registrations.Load())
 	}
 }
 
@@ -155,7 +148,7 @@ func TestStartHeartbeatReportsHealthAndState(t *testing.T) {
 	ctx, stop := context.WithCancel(context.Background())
 	defer stop()
 	score := 0.77
-	hb, err := NewClient(l.Addr().String()).StartHeartbeat(ctx, "r1", "127.0.0.1:9", 30*time.Second,
+	hb, err := NewClient(l.Addr().String()).StartHeartbeat(ctx, "r1", "127.0.0.1:9", "", 30*time.Second,
 		func() float64 { return score })
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +166,7 @@ func TestStartHeartbeatReportsHealthAndState(t *testing.T) {
 func TestStartHeartbeatFailsFastOnBadRegistry(t *testing.T) {
 	ctx, stop := context.WithCancel(context.Background())
 	defer stop()
-	hb, err := NewClient("127.0.0.1:1").StartHeartbeat(ctx, "r1", "127.0.0.1:9", time.Minute, nil)
+	hb, err := NewClient("127.0.0.1:1").StartHeartbeat(ctx, "r1", "127.0.0.1:9", "", time.Minute, nil)
 	if err == nil {
 		t.Fatal("expected connection error")
 	}

@@ -97,7 +97,7 @@ func TestWireProtocol(t *testing.T) {
 	if err := NewClient(addr).Register(context.Background(), "isp", "10.0.0.3:8081", time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	got, err := NewClient(addr).List(context.Background())
+	got, err := NewClient(addr).ListRanked(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestConcurrentRegistration(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, _ := NewClient(l.Addr().String()).List(context.Background()); len(got) != 20 {
+	if got, _ := NewClient(l.Addr().String()).ListRanked(context.Background(), 0); len(got) != 20 {
 		t.Fatalf("registered %d of 20", len(got))
 	}
 }
@@ -163,7 +163,7 @@ func TestHeartbeatKeepsAlive(t *testing.T) {
 	s, addr, advance := startClockedServer(t)
 	ctx, stop := context.WithCancel(context.Background())
 	defer stop()
-	if _, err := NewClient(addr).StartHeartbeat(ctx, "hb", "h:1", 2*time.Second, nil); err != nil {
+	if _, err := NewClient(addr).StartHeartbeat(ctx, "hb", "h:1", "", 2*time.Second, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Past the first registration's TTL, with a heartbeat (every TTL/3)
@@ -171,11 +171,11 @@ func TestHeartbeatKeepsAlive(t *testing.T) {
 	advance(1900 * time.Millisecond)
 	waitRefresh(t, s, "hb")
 	advance(time.Second)
-	got, err := NewClient(addr).List(context.Background())
+	got, err := NewClient(addr).ListRanked(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || got[0].Name != "hb" {
+	if len(got) != 1 || got[0].Name != "hb" || got[0].Down {
 		t.Fatalf("heartbeat entry gone: %+v", got)
 	}
 }
@@ -210,7 +210,7 @@ func TestPureRefreshClaimsNoEpoch(t *testing.T) {
 func TestHeartbeatFailsFastOnDeadRegistry(t *testing.T) {
 	ctx, stop := context.WithCancel(context.Background())
 	defer stop()
-	if _, err := NewClient("127.0.0.1:1").StartHeartbeat(ctx, "x", "h:1", time.Minute, nil); err == nil {
+	if _, err := NewClient("127.0.0.1:1").StartHeartbeat(ctx, "x", "h:1", "", time.Minute, nil); err == nil {
 		t.Fatal("heartbeat to dead registry should fail immediately")
 	}
 }

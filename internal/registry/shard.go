@@ -11,9 +11,9 @@ import (
 // The table is striped into shards keyed by FNV-1a hash of the relay
 // name. A REGISTER touches exactly one shard, so a heartbeat storm from
 // 100k relays spreads its lock traffic across NumShards mutexes instead
-// of serializing on one; table scans (LISTH, LISTD) visit
-// shards one at a time and never stall writers on more than 1/NumShards
-// of the table. Epochs are claimed from the server-wide counter while
+// of serializing on one; table scans (a full LISTD) visit shards one
+// at a time and never stall writers on more than 1/NumShards of the
+// table. Epochs are claimed from the server-wide counter while
 // holding the owning shard's lock — see Server.epoch for why readers
 // cannot miss a stamped change. Each shard also logs its stamps (the
 // newest is its watermark) and remembers the earliest time TTL expiry

@@ -64,7 +64,8 @@ func TestSteadyStateAllocCeilings(t *testing.T) {
 
 // The protocol claim behind the delta listing, on the wire: against a
 // populated table a quiet LISTD answer is one EPOCH line and the
-// terminator, at least 10x smaller than the LISTH answer it replaces.
+// terminator, at least 10x smaller than the full LISTD 0 answer it
+// replaces.
 func TestQuietDeltaIsOneLineOnTheWire(t *testing.T) {
 	s, addr := startServer(t)
 	for i := 0; i < 1000; i++ {
@@ -97,15 +98,16 @@ func TestQuietDeltaIsOneLineOnTheWire(t *testing.T) {
 		}
 	}
 
-	listh, full := answer("LISTH\n")
-	if len(listh) != 1000 {
-		t.Fatalf("LISTH answered %d entries, want 1000", len(listh))
+	// The full answer is the EPOCH header and one line per entry.
+	snapshot, full := answer("LISTD 0\n")
+	if len(snapshot) != 1001 {
+		t.Fatalf("LISTD 0 answered %d lines, want the header and 1000 entries", len(snapshot))
 	}
 	quiet, delta := answer(fmt.Sprintf("LISTD %d\n", s.Epoch()))
 	if want := fmt.Sprintf("EPOCH %d", s.Epoch()); len(quiet) != 1 || quiet[0] != want {
 		t.Fatalf("quiet LISTD answered %q, want the one line %q", quiet, want)
 	}
 	if delta*10 > full {
-		t.Fatalf("quiet LISTD is %d bytes against LISTH's %d, want at least 10x smaller", delta, full)
+		t.Fatalf("quiet LISTD is %d bytes against LISTD 0's %d, want at least 10x smaller", delta, full)
 	}
 }

@@ -25,8 +25,6 @@ type reqKind int
 
 const (
 	reqRegister reqKind = iota
-	reqList
-	reqListH
 	reqListD
 )
 
@@ -38,7 +36,7 @@ type request struct {
 	TTL         time.Duration // REGISTER
 	Health      float64       // REGISTER (HealthUnreported when omitted)
 	MetricsAddr string        // REGISTER ("" when omitted)
-	K           int           // LISTH/LISTD (0 = all)
+	K           int           // LISTD (0 = all)
 	Since       uint64        // LISTD
 }
 
@@ -76,24 +74,6 @@ func parseRequest(line string) (request, error) {
 		}
 		if len(fields) == 6 {
 			r.MetricsAddr = fields[5]
-		}
-		return r, nil
-	case "LIST":
-		if len(fields) != 1 {
-			return request{}, errors.New("usage: LIST")
-		}
-		return request{Kind: reqList}, nil
-	case "LISTH":
-		if len(fields) > 2 {
-			return request{}, errors.New("usage: LISTH [k]")
-		}
-		r := request{Kind: reqListH}
-		if len(fields) == 2 {
-			k, err := strconv.Atoi(fields[1])
-			if err != nil || k < 0 {
-				return request{}, errors.New("bad k")
-			}
-			r.K = k
 		}
 		return r, nil
 	case "LISTD":
@@ -180,16 +160,6 @@ func (s *Server) handle(conn net.Conn) {
 				s.Registrations.Add(1)
 				bw.WriteString("OK\n")
 			}
-		case reqList:
-			s.Lists.Add(1)
-			for _, e := range s.List() {
-				fmt.Fprintf(bw, "%s %s\n", e.Name, e.Addr)
-			}
-			bw.WriteString(".\n")
-		case reqListH:
-			s.Lists.Add(1)
-			writeEntries(bw, nil, "", s.rankedAll(req.K))
-			bw.WriteString(".\n")
 		case reqListD:
 			s.DeltaLists.Add(1)
 			d := s.changesSince(req.Since)
@@ -198,12 +168,12 @@ func (s *Server) handle(conn net.Conn) {
 				if de := &d.Entries[i]; de.Deleted {
 					fmt.Fprintf(bw, "- %s\n", de.Name)
 				} else {
-					writeEntryLine(bw, "+ ", &de.Entry)
+					writeEntryLine(bw, &de.Entry)
 				}
 			}
 			if d.Full { // streamed: see fullDelta
 				var buf []byte
-				s.fullDelta(req.K, func(es []Entry) { buf = writeEntries(bw, buf, "+ ", es) })
+				s.fullDelta(req.K, func(es []Entry) { buf = writeEntries(bw, buf, es) })
 			}
 			bw.WriteString(".\n")
 		}
@@ -225,10 +195,10 @@ func (s *Server) writeEpochLine(bw *bufio.Writer, d Delta) {
 	bw.WriteByte('\n')
 }
 
-// appendEntryLine appends one LISTH body line, or with prefix "+ " one
-// LISTD upsert: "name addr health state [maddr]".
-func appendEntryLine(dst []byte, prefix string, e *Entry) []byte {
-	dst = append(dst, prefix...)
+// appendEntryLine appends one LISTD upsert line:
+// "+ name addr health state [maddr]".
+func appendEntryLine(dst []byte, e *Entry) []byte {
+	dst = append(dst, "+ "...)
 	dst = append(dst, e.Name...)
 	dst = append(dst, ' ')
 	dst = append(dst, e.Addr...)
@@ -243,8 +213,8 @@ func appendEntryLine(dst []byte, prefix string, e *Entry) []byte {
 // writeEntryLine writes one entry line (appendEntryLine) into bw's
 // free space. Write errors stick to the writer and surface at the
 // caller's Flush.
-func writeEntryLine(bw *bufio.Writer, prefix string, e *Entry) {
-	bw.Write(appendEntryLine(bw.AvailableBuffer(), prefix, e))
+func writeEntryLine(bw *bufio.Writer, e *Entry) {
+	bw.Write(appendEntryLine(bw.AvailableBuffer(), e))
 }
 
 // writeEntries writes es as entry lines through bw, formatted into buf
@@ -252,10 +222,10 @@ func writeEntryLine(bw *bufio.Writer, prefix string, e *Entry) {
 // and returns buf for reuse. A chunk larger than bw's free space goes
 // on to the connection without being copied, so a long listing costs
 // one write per chunk, not one per 4 KiB of bw's buffer.
-func writeEntries(bw *bufio.Writer, buf []byte, prefix string, es []Entry) []byte {
+func writeEntries(bw *bufio.Writer, buf []byte, es []Entry) []byte {
 	buf = buf[:0]
 	for i := range es {
-		buf = appendEntryLine(buf, prefix, &es[i])
+		buf = appendEntryLine(buf, &es[i])
 		if len(buf) >= writeChunk || i == len(es)-1 {
 			bw.Write(buf)
 			buf = buf[:0]
@@ -334,56 +304,6 @@ func splitFields(line string, dst []string) []string {
 
 // --- Response-line parsers (client side) ---
 
-// parseListEntry decodes one LIST ("name addr") or LISTH
-// ("name addr health state [maddr]") body line.
-func parseListEntry(line string, ranked bool) (Entry, error) {
-	var buf [6]string
-	fields := splitFields(line, buf[:])
-	switch {
-	case ranked:
-		return rankedEntry(fields, line)
-	case len(fields) == 2:
-		return Entry{Name: fields[0], Addr: fields[1], Health: HealthUnreported}, nil
-	default:
-		return Entry{}, fmt.Errorf("%w: %q", ErrBadEntry, line)
-	}
-}
-
-// rankedEntry decodes the fields of a LISTH line, or of a LISTD upsert
-// after its "+": "name addr health state [maddr]". line is the whole
-// line, for the error.
-func rankedEntry(fields []string, line string) (Entry, error) {
-	if len(fields) != 4 && len(fields) != 5 {
-		return Entry{}, fmt.Errorf("%w: %q", ErrBadEntry, line)
-	}
-	e := Entry{Name: fields[0], Addr: fields[1]}
-	h, err := strconv.ParseFloat(fields[2], 64)
-	if err != nil {
-		return Entry{}, fmt.Errorf("%w: %q", ErrBadEntry, line)
-	}
-	e.Health = h
-	down, err := parseState(fields[3])
-	if err != nil {
-		return Entry{}, fmt.Errorf("%w: %q", ErrBadEntry, line)
-	}
-	e.Down = down
-	if len(fields) == 5 {
-		e.MetricsAddr = fields[4]
-	}
-	return e, nil
-}
-
-func parseState(word string) (down bool, err error) {
-	switch word {
-	case "up":
-		return false, nil
-	case "down":
-		return true, nil
-	default:
-		return false, fmt.Errorf("bad state %q", word)
-	}
-}
-
 // parseEpochLine decodes the "EPOCH <epoch> [full]" header of a LISTD
 // response.
 func parseEpochLine(line string) (epoch uint64, full bool, err error) {
@@ -410,15 +330,21 @@ func parseEpochLine(line string) (epoch uint64, full bool, err error) {
 func parseDeltaLine(line string) (DeltaEntry, error) {
 	var buf [7]string
 	fields := splitFields(line, buf[:])
-	switch {
-	case len(fields) == 2 && fields[0] == "-":
+	if len(fields) == 2 && fields[0] == "-" {
 		return DeltaEntry{Entry: Entry{Name: fields[1]}, Deleted: true}, nil
-	case len(fields) > 0 && fields[0] == "+":
-		e, err := rankedEntry(fields[1:], line)
-		return DeltaEntry{Entry: e}, err
-	default:
-		return DeltaEntry{}, fmt.Errorf("%w: %q", ErrBadEntry, line)
 	}
+	if (len(fields) == 5 || len(fields) == 6) && fields[0] == "+" {
+		h, err := strconv.ParseFloat(fields[3], 64)
+		down := fields[4] == "down"
+		if err == nil && (down || fields[4] == "up") {
+			de := DeltaEntry{Entry: Entry{Name: fields[1], Addr: fields[2], Health: h, Down: down}}
+			if len(fields) == 6 {
+				de.MetricsAddr = fields[5]
+			}
+			return de, nil
+		}
+	}
+	return DeltaEntry{}, fmt.Errorf("%w: %q", ErrBadEntry, line)
 }
 
 // appendMaddr appends the optional trailing metrics-addr token of a
