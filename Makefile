@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet cross test race bench-smoke relay-bench-smoke registry-bench-smoke bench-pair doc-check fuzz-smoke chaos-smoke obs-smoke flight-smoke stress verify
+.PHONY: build vet cross test race bench-smoke relay-bench-smoke registry-bench-smoke obs-bench-smoke bench-pair doc-check fuzz-smoke chaos-smoke obs-smoke flight-smoke stress verify
 
 build:
 	$(GO) build ./...
@@ -39,6 +39,12 @@ relay-bench-smoke:
 # table), so none of them rots.
 registry-bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/registry/
+
+# One iteration of every benchmark in internal/obs (a client operation's
+# fold and a traced request-latency observation, each from 8 goroutines
+# on two Ps under -cpu 2), so none of them rots.
+obs-bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/obs/
 
 # Parent-vs-change comparison of one workload of the repo benchmark:
 # REF is archived into a throw-away directory, each tree runs its own
@@ -88,7 +94,7 @@ chaos-smoke:
 
 # The observability tier: the fetch -fleet e2e (a live registry and
 # three loopback relays read over real HTTP, an induced upstream death,
-# a relay that stops answering), the striped-counter and exemplar
+# a relay that stops answering), the counter, histogram and exemplar
 # correctness suite, and the scraped-exemplar -> stitched-trace
 # acceptance path — all under the
 # race detector. (The flight store's tail-rule tests run with the rest
@@ -96,7 +102,7 @@ chaos-smoke:
 obs-smoke:
 	$(GO) test -race -count=1 ./cmd/fetch/
 	$(GO) test -race -count=1 ./internal/obs/ \
-		-run 'Striped|StripePicker|Exemplar|OpenMetrics|Accepts|ClassicByteCompatible|Runtime|HistogramSum|HistogramEdges'
+		-run 'MetricsCounters|Histogram|Exemplar|OpenMetrics|Accepts|ClassicByteCompatible|Runtime'
 	$(GO) test -race -count=1 ./internal/realnet/ -run 'ExemplarResolvesToStitchedTrace'
 
 # The flight-recorder tier: the whole store/profiler/trigger package

@@ -27,32 +27,33 @@ const (
 	transferMbpsBins               = 200
 )
 
-// Metrics folds finished operations into per-P striped counters,
-// per-path utilization tallies, and fixed-bucket histograms. Counter and
-// histogram updates land on cache-line-padded stripes (one per P, see
-// stripe.go) so concurrent transfer goroutines stop ping-ponging shared
-// cache lines; Snapshot folds the stripes. The per-path map takes a
-// read lock on the hot path (a write lock only the first time a path is
-// seen). Snapshot may be called concurrently with Fold.
+// Metrics folds finished operations into atomic counters, per-path
+// utilization tallies, and fixed-bucket histograms. A fold is a handful
+// of atomic adds plus one short mutex hold per successful leg, small
+// beside the transfer work of any operation (BenchmarkMetricsFoldParallel
+// prices it under contention). The per-path map takes a read lock on the
+// hot path (a write lock only the first time a path is seen). Snapshot
+// may be called concurrently with Fold.
 type Metrics struct {
 	// Health, when set, folds every operation Metrics folds: the one link
 	// through which a client's health monitor sees its operations. Set it
 	// before the first Fold.
 	Health *HealthMonitor
 
-	counters *stripedCounters
+	probesStarted, probesFinished, probesFailed, probesCanceled atomic.Int64
+	selections, selectionsIndirect                              atomic.Int64
+	transfersStarted, transfersFinished, transfersFailed        atomic.Int64
+	retries, aborts                                             atomic.Int64
+	bytesDelivered, bytesStreamed                               atomic.Int64
 
 	pathMu sync.RWMutex
 	paths  map[string]*pathTally
 
-	probeLatency *stripedHistogram // successful probe durations, seconds
-	transferTput *stripedHistogram // successful transfer throughputs, Mb/s
+	probeLatency *histogram // successful probe durations, seconds
+	transferTput *histogram // successful transfer throughputs, Mb/s
 }
 
-// pathTally is one route's counters (keyed by PathID.Label()). The
-// tallies stay single-cell atomics: path cardinality times stripe count
-// would multiply memory for counters that are per-route, not
-// per-chunk-hot.
+// pathTally is one route's counters (keyed by PathID.Label()).
 type pathTally struct {
 	probed   atomic.Int64 // appeared in a race or refresh
 	selected atomic.Int64 // won the commit
@@ -64,10 +65,9 @@ type pathTally struct {
 // NewMetrics returns an empty collector.
 func NewMetrics() *Metrics {
 	return &Metrics{
-		counters:     newStripedCounters(),
 		paths:        make(map[string]*pathTally),
-		probeLatency: newStripedHistogram(probeLatencyLo, probeLatencyHi, probeLatencyBins),
-		transferTput: newStripedHistogram(transferMbpsLo, transferMbpsHi, transferMbpsBins),
+		probeLatency: newHistogram(probeLatencyLo, probeLatencyHi, probeLatencyBins),
+		transferTput: newHistogram(transferMbpsLo, transferMbpsHi, transferMbpsBins),
 	}
 }
 
@@ -101,11 +101,10 @@ func (m *Metrics) tally(label string) *pathTally {
 // the monitor folds the same record. Neither fold keeps op or anything it
 // points to, so a record built on the caller's stack stays there.
 func (m *Metrics) Fold(op *Op) {
-	c := m.counters
 	if op.Selected {
-		c.add(cSelections, 1)
+		m.selections.Add(1)
 		if op.Route != "direct" {
-			c.add(cSelectionsIndirect, 1)
+			m.selectionsIndirect.Add(1)
 		}
 		m.tally(op.Route).selected.Add(1)
 	}
@@ -113,20 +112,20 @@ func (m *Metrics) Fold(op *Op) {
 		l := &op.Legs[i]
 		t := m.tally(l.Route)
 		if l.Probe {
-			c.add(cProbesStarted, 1)
-			c.add(cProbesFinished, 1)
+			m.probesStarted.Add(1)
+			m.probesFinished.Add(1)
 			t.probed.Add(1)
 			if l.Reaped {
-				c.add(cProbesCanceled, 1)
+				m.probesCanceled.Add(1)
 				t.canceled.Add(1)
 			}
 		} else {
-			c.add(cTransfersStarted, 1)
-			c.add(cTransfersFinished, 1)
+			m.transfersStarted.Add(1)
+			m.transfersFinished.Add(1)
 		}
 		switch {
 		case l.Class == ClassOK:
-			c.add(cBytesDelivered, l.Bytes)
+			m.bytesDelivered.Add(l.Bytes)
 			t.bytes.Add(l.Bytes)
 			if d := l.End - l.Start; l.Probe {
 				m.probeLatency.observe(d, TraceID{})
@@ -136,20 +135,20 @@ func (m *Metrics) Fold(op *Op) {
 		case l.Probe && l.Class == ClassCanceled:
 			// A reap (counted above) or an abandoned race: no failure.
 		case l.Probe:
-			c.add(cProbesFailed, 1)
+			m.probesFailed.Add(1)
 			t.failed.Add(1)
 		default:
-			c.add(cTransfersFailed, 1)
+			m.transfersFailed.Add(1)
 			t.failed.Add(1)
 		}
 		if l.Aborted {
-			c.add(cAborts, 1)
+			m.aborts.Add(1)
 		}
 		if n := len(l.Retries); n > 0 {
-			c.add(cRetries, int64(n))
+			m.retries.Add(int64(n))
 		}
 		if l.Streamed > 0 {
-			c.add(cBytesStreamed, l.Streamed)
+			m.bytesStreamed.Add(l.Streamed)
 		}
 	}
 	if m.Health != nil {
@@ -179,9 +178,7 @@ type HistogramSnapshot struct {
 	Overflow  int64   `json:"overflow"`
 	Total     int64   `json:"total"`
 
-	// Sum is the sum of observed values: exact for the striped
-	// histograms (Metrics, LatencyRecorder), a bin-center estimate for
-	// snapshots taken from plain stats histograms, which carry no sum.
+	// Sum is the exact sum of observed values, kept as they are recorded.
 	Sum float64 `json:"sum"`
 
 	P50 float64 `json:"p50"`
@@ -254,8 +251,8 @@ func (s HistogramSnapshot) ExemplarNear(q float64) (Exemplar, bool) {
 
 // Snapshot is a consistent-enough point-in-time view of a Metrics
 // collector, ready for JSON serving (the daemons' /debug/vars endpoints)
-// or test assertions. Counters are folded across their stripes;
-// histograms are merged stripe by stripe under the stripe locks.
+// or test assertions. Each counter is read atomically on its own; each
+// histogram is copied under its lock.
 type Snapshot struct {
 	ProbesStarted  int64 `json:"probes_started"`
 	ProbesFinished int64 `json:"probes_finished"`
@@ -283,47 +280,19 @@ type Snapshot struct {
 	TransferMbps        HistogramSnapshot `json:"transfer_mbps"`
 }
 
-func histSnapshot(h *stats.Histogram) HistogramSnapshot {
-	s := HistogramSnapshot{
-		Lo: h.Lo, Hi: h.Hi,
-		Bins:      make([]int64, len(h.Bins)),
-		Underflow: h.Underflow, Overflow: h.Overflow,
-		Total: h.Total(),
-	}
-	copy(s.Bins, h.Bins)
-	// Plain stats histograms carry no running sum; estimate one from bin
-	// centers (under/overflow valued at the edges) so every snapshot has
-	// a usable Sum. The striped histograms overwrite this with the exact
-	// value.
-	width := 0.0
-	if len(h.Bins) > 0 {
-		width = (h.Hi - h.Lo) / float64(len(h.Bins))
-	}
-	sum := float64(h.Underflow)*h.Lo + float64(h.Overflow)*h.Hi
-	for i, n := range h.Bins {
-		sum += float64(n) * (h.Lo + (float64(i)+0.5)*width)
-	}
-	s.Sum = sum
-	s.P50 = s.Quantile(0.50)
-	s.P90 = s.Quantile(0.90)
-	s.P99 = s.Quantile(0.99)
-	return s
-}
-
 // LatencyRecorder is a self-initializing request-latency histogram for
 // the daemons' /metrics endpoints: [0, 20) s at 0.1 s resolution,
 // matching the client probe-latency geometry so the two views line up.
-// Observations land on per-P striped cells (see stripe.go), so many
-// handler goroutines recording concurrently no longer serialize on one
-// mutex or share cache lines. The zero value is ready to use.
+// An observation takes one short mutex hold; a request costs far more
+// than that. The zero value is ready to use.
 type LatencyRecorder struct {
 	once sync.Once
-	h    *stripedHistogram
+	h    *histogram
 }
 
 func (l *LatencyRecorder) init() {
 	l.once.Do(func() {
-		l.h = newStripedHistogram(probeLatencyLo, probeLatencyHi, probeLatencyBins)
+		l.h = newHistogram(probeLatencyLo, probeLatencyHi, probeLatencyBins)
 	})
 }
 
@@ -346,23 +315,113 @@ func (l *LatencyRecorder) Snapshot() HistogramSnapshot {
 	return l.h.snapshot()
 }
 
+// Exemplar links one histogram bin to the most recent traced
+// observation that landed in it: the trace ID is the handle that
+// resolves — through StitchTrace over the span archives — to the
+// cross-hop timeline explaining that bucket. Rendered on OpenMetrics
+// scrapes as bucket exemplars.
+type Exemplar struct {
+	// Bin is the snapshot bin index the observation landed in.
+	Bin int `json:"bin"`
+	// Value is the observed value.
+	Value float64 `json:"value"`
+	// Trace identifies the operation that produced the observation.
+	Trace TraceID `json:"trace"`
+	// Time is when the observation was recorded, Unix nanoseconds.
+	Time int64 `json:"time_unix_nano"`
+}
+
+// histogram is a fixed-bucket histogram with the exact running sum and,
+// per bin, the most recent traced observation, all under one mutex.
+type histogram struct {
+	mu  sync.Mutex
+	h   *stats.Histogram
+	sum float64
+	ex  []Exemplar // per-bin most recent, allocated on the first traced observation
+}
+
+func newHistogram(lo, hi float64, bins int) *histogram {
+	return &histogram{h: stats.NewHistogram(lo, hi, bins)}
+}
+
+// observe records one observation, optionally carrying the trace that
+// produced it (a zero trace records no exemplar). The exemplar's clock
+// is read before the lock, so two observations may take the lock out of
+// clock order; a slot keeps the later of the two.
+func (s *histogram) observe(v float64, trace TraceID) {
+	var now int64
+	if !trace.IsZero() {
+		now = time.Now().UnixNano()
+	}
+	s.mu.Lock()
+	s.h.Add(v)
+	s.sum += v
+	if !trace.IsZero() {
+		if bin := s.binOf(v); bin >= 0 {
+			if s.ex == nil {
+				s.ex = make([]Exemplar, len(s.h.Bins))
+			}
+			if e := &s.ex[bin]; e.Trace.IsZero() || e.Time <= now {
+				*e = Exemplar{Bin: bin, Value: v, Trace: trace, Time: now}
+			}
+		}
+	}
+	s.mu.Unlock()
+}
+
+// binOf maps a value to its bin index, -1 for under/overflow (exemplars
+// only attach to explicit buckets).
+func (s *histogram) binOf(v float64) int {
+	h := s.h
+	if v < h.Lo || v >= h.Hi {
+		return -1
+	}
+	i := int((v - h.Lo) / h.BinWidth())
+	if i >= len(h.Bins) {
+		i = len(h.Bins) - 1
+	}
+	return i
+}
+
+// snapshot copies the histogram, its sum and its exemplars under the
+// lock and computes the quantiles from the copy.
+func (s *histogram) snapshot() HistogramSnapshot {
+	s.mu.Lock()
+	snap := HistogramSnapshot{
+		Lo: s.h.Lo, Hi: s.h.Hi,
+		Bins:      append([]int64(nil), s.h.Bins...),
+		Underflow: s.h.Underflow, Overflow: s.h.Overflow,
+		Total: s.h.Total(),
+		Sum:   s.sum,
+	}
+	for _, e := range s.ex {
+		if !e.Trace.IsZero() {
+			snap.Exemplars = append(snap.Exemplars, e)
+		}
+	}
+	s.mu.Unlock()
+	snap.P50 = snap.Quantile(0.50)
+	snap.P90 = snap.Quantile(0.90)
+	snap.P99 = snap.Quantile(0.99)
+	return snap
+}
+
 // Snapshot captures the collector's current state.
 func (m *Metrics) Snapshot() Snapshot {
-	c := m.counters
 	s := Snapshot{
-		ProbesStarted:      c.load(cProbesStarted),
-		ProbesFinished:     c.load(cProbesFinished),
-		ProbesFailed:       c.load(cProbesFailed),
-		ProbesCanceled:     c.load(cProbesCanceled),
-		Selections:         c.load(cSelections),
-		SelectionsIndirect: c.load(cSelectionsIndirect),
-		TransfersStarted:   c.load(cTransfersStarted),
-		TransfersFinished:  c.load(cTransfersFinished),
-		TransfersFailed:    c.load(cTransfersFailed),
-		Retries:            c.load(cRetries),
-		Aborts:             c.load(cAborts),
-		BytesDelivered:     c.load(cBytesDelivered),
-		BytesStreamed:      c.load(cBytesStreamed),
+		ProbesStarted:      m.probesStarted.Load(),
+		ProbesFinished:     m.probesFinished.Load(),
+		ProbesFailed:       m.probesFailed.Load(),
+		ProbesCanceled:     m.probesCanceled.Load(),
+		Selections:         m.selections.Load(),
+		SelectionsIndirect: m.selectionsIndirect.Load(),
+		TransfersStarted:   m.transfersStarted.Load(),
+		TransfersFinished:  m.transfersFinished.Load(),
+		TransfersFailed:    m.transfersFailed.Load(),
+		Retries:            m.retries.Load(),
+		Aborts:             m.aborts.Load(),
+		BytesDelivered:     m.bytesDelivered.Load(),
+		BytesStreamed:      m.bytesStreamed.Load(),
 		Paths:              make(map[string]PathSnapshot),
 	}
 	m.pathMu.RLock()

@@ -7,7 +7,7 @@
 // each operation once, when it ends, as an Op: the transfers it issued
 // (probes and payload, with their times, classes, retries and streamed
 // bytes) and the route it committed to. Two sinks fold that record:
-// Metrics (striped counters and fixed-bucket histograms, snapshot-able
+// Metrics (atomic counters and fixed-bucket histograms, snapshot-able
 // as JSON — the live counterpart of the paper's measurement tables) and
 // the HealthMonitor (per-path rolling windows, health.go), which a
 // Metrics links to so one fold feeds both. What one transfer did —

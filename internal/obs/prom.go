@@ -142,8 +142,8 @@ func (p *Prom) LabeledGauge(name, help, label string, samples map[string]float64
 // Bucket edges are the snapshot's bin edges, coarsened to at most
 // promHistMaxBuckets explicit le bounds plus +Inf; underflow counts into
 // every bucket (an observation below Lo is ≤ any edge) and overflow only
-// into +Inf. The _sum comes straight from the snapshot — exact for
-// striped recorders, a bin-center estimate otherwise. In OpenMetrics
+// into +Inf. The _sum comes straight from the snapshot, and is exact:
+// every recorder keeps the running sum of what it observed. In OpenMetrics
 // mode each explicit bucket carries the most recent exemplar whose
 // observation landed in the bin range the coarsened bucket covers.
 func (p *Prom) Histogram(name, help string, h HistogramSnapshot) {
