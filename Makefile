@@ -128,13 +128,17 @@ flight-smoke:
 # concurrent writers, TTL expiry, heartbeat fan-out) ten times under it; the
 # quick report against its golden five
 # times (before the report was a function of -seed it differed one run in
-# two); then the repo benchmark's smoke test ten times. Everything those
+# two); RunCampaign and the extension experiments, whose
+# selecting processes keep per-campaign state under RunAll's workers,
+# three times under the race detector; then the repo benchmark's smoke
+# test ten times. Everything those
 # tests read either lands before the final byte or is waited for with
 # WaitIdle, so one failure here is a bug, not a flake.
 stress:
 	$(GO) test -race -count=20 ./internal/relay/ ./internal/realnet/ ./internal/obs/flight/ ./internal/obs/ ./internal/shaper/ ./internal/objcache/ ./internal/httpx/ ./internal/core/
 	$(GO) test -race -count=10 . ./internal/registry/
 	$(GO) test -count=5 ./cmd/indirectlab -run QuickReportGolden
+	$(GO) test -race -count=3 ./internal/experiment/ -run 'RunCampaign|RunAll|Adaptive|Monitored|Multipath|Background'
 	cd bench && $(GO) test -count=10 ./...
 
 # The CI tier: static checks plus the full suite under the race detector.

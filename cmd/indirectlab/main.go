@@ -268,8 +268,9 @@ func lab(args []string, w, stderr io.Writer) int {
 		var results []experiment.MultipathResult
 		run("multipath comparison", func() {
 			results = experiment.RunMultipath(experiment.MultipathParams{
-				Seed:   *seed,
-				Rounds: sc.ablateRounds,
+				Seed:    *seed,
+				Rounds:  sc.ablateRounds,
+				Workers: *workers,
 			})
 		})
 		report.Multipath(w, results)
@@ -279,8 +280,9 @@ func lab(args []string, w, stderr io.Writer) int {
 		var results []experiment.MonitoredResult
 		run("monitoring comparison", func() {
 			results = experiment.RunMonitored(experiment.MonitoredParams{
-				Seed:   *seed,
-				Rounds: sc.ablateRounds,
+				Seed:    *seed,
+				Rounds:  sc.ablateRounds,
+				Workers: *workers,
 			})
 		})
 		report.Monitored(w, results)
@@ -374,8 +376,9 @@ func lab(args []string, w, stderr io.Writer) int {
 		var results []experiment.AdaptiveResult
 		run("adaptive comparison", func() {
 			results = experiment.RunAdaptive(experiment.AdaptiveParams{
-				Seed:   *seed,
-				Rounds: sc.ablateRounds,
+				Seed:    *seed,
+				Rounds:  sc.ablateRounds,
+				Workers: *workers,
 			})
 		})
 		report.Adaptive(w, results)

@@ -8,8 +8,9 @@
 // in the paper's methodology — a control process that always uses the
 // direct path, and a selecting process that probes the direct and
 // candidate indirect paths, picks the winner, and fetches the remainder
-// over it. Campaigns are independent (each owns a simulator instance), so
-// the drivers fan them out across a worker pool.
+// over it (an extension experiment puts its own process in that place,
+// CampaignSpec.Select). Campaigns are independent (each owns a simulator
+// instance), so the experiments fan them out across a worker pool.
 package experiment
 
 import (
@@ -148,6 +149,14 @@ type CampaignSpec struct {
 	// collector to a WeightedRandomPolicy closes the adaptation loop (the
 	// paper's Section 6 proposal). When nil a fresh collector is created.
 	Metrics *obs.Metrics
+
+	// Select is the selecting process. It runs the process up to its
+	// commit point and returns finish, which completes it; the control
+	// download starts between the two. Nil means the paper's process,
+	// core.Race under Config reporting into Metrics, whose commit point
+	// is the end of its probe race. A process with no commit point does
+	// all its work in finish, so its control starts at the round start.
+	Select func(ctx context.Context, t core.Transport, obj core.Object, cands []string) (finish func() core.Outcome)
 }
 
 // CampaignResult bundles the per-transfer records with the collector the
@@ -177,16 +186,6 @@ func newWorld(scen *topo.Scenario, seed uint64, cfg Config, client, server *topo
 	return world, core.Object{Server: server.Name, Name: objectName, Size: cfg.ObjectBytes}, rng
 }
 
-// nextRound runs the world on to the transfer period after the one that
-// began at start, and at least 5 s past now.
-func nextRound(world *httpsim.World, start, period float64) {
-	next := start + period
-	if now := world.Now(); next < now+5 {
-		next = now + 5
-	}
-	world.Inst.Net.Engine().RunUntil(next)
-}
-
 // RunCampaign executes one campaign to completion and returns its records.
 // It is deterministic in spec.Seed.
 func RunCampaign(spec CampaignSpec) CampaignResult {
@@ -202,8 +201,15 @@ func RunCampaign(spec CampaignSpec) CampaignResult {
 	for i, in := range spec.Inters {
 		full[i] = in.Name
 	}
-	// The selecting process is the engine itself, reporting into m.
-	engine := core.Config{ProbeBytes: cfg.ProbeBytes, Rule: cfg.Rule, Sequential: cfg.SequentialProbes, Metrics: m}
+	sel := spec.Select
+	if sel == nil {
+		// The paper's selecting process is the engine itself, reporting
+		// into m.
+		engine := core.Config{ProbeBytes: cfg.ProbeBytes, Rule: cfg.Rule, Sequential: cfg.SequentialProbes, Metrics: m}
+		sel = func(ctx context.Context, t core.Transport, obj core.Object, cands []string) func() core.Outcome {
+			return core.Race(ctx, t, obj, cands, engine).Fetch
+		}
+	}
 
 	res := CampaignResult{Spec: spec, Metrics: m}
 	for i := 0; i < spec.Transfers; i++ {
@@ -211,12 +217,13 @@ func RunCampaign(spec CampaignSpec) CampaignResult {
 		cands := spec.Policy.Candidates(full, polRng)
 
 		// The control process downloads the whole object directly from
-		// the instant the selecting process commits to a path, beside its
-		// remainder; losing probes drain alongside, contending for
-		// bandwidth as in the real deployment.
-		race := core.Race(context.Background(), world, obj, cands, engine)
+		// the instant the selecting process commits, beside the rest of
+		// it: for the paper's process, the remainder on the probe winner,
+		// while losing probes drain alongside, contending for bandwidth
+		// as in the real deployment.
+		finish := sel(context.Background(), world, obj, cands)
 		ctrl := world.Start(obj, core.Path{Via: core.Direct}, 0, obj.Size)
-		out := race.Fetch()
+		out := finish()
 		world.Wait(ctrl)
 
 		rec := Record{
@@ -230,7 +237,9 @@ func RunCampaign(spec CampaignSpec) CampaignResult {
 		}
 		ctrlRes := ctrl.Result()
 		rec.DirectTp = ctrlRes.Throughput()
-		rec.ProbeDirectTp = out.Probes[0].Throughput()
+		if len(out.Probes) > 0 {
+			rec.ProbeDirectTp = out.Probes[0].Throughput()
+		}
 		switch {
 		case !cfg.ExcludeProbePhase:
 			rec.SelectedTp = out.Throughput()
@@ -250,7 +259,9 @@ func RunCampaign(spec CampaignSpec) CampaignResult {
 		rec.Improvement = core.Improvement(rec.SelectedTp, rec.DirectTp)
 		res.Records = append(res.Records, rec)
 
-		nextRound(world, roundStart, cfg.Period)
+		// The next round starts one period after this one began, and at
+		// least 5 s after this one ended.
+		world.Inst.Net.Engine().RunUntil(max(roundStart+cfg.Period, world.Now()+5))
 	}
 	return res
 }

@@ -1,13 +1,30 @@
 package experiment
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/httpsim"
 	"repro/internal/topo"
 )
+
+// raceSpec is a campaign whose rounds vary in winner and candidate set.
+func raceSpec() CampaignSpec {
+	scen := topo.NewScenario(topo.Params{Seed: 5})
+	return CampaignSpec{
+		Scenario:  scen,
+		Client:    scen.FindClient("Korea"),
+		Server:    scen.Servers[0],
+		Inters:    scen.Intermediates[:6],
+		Policy:    core.UniformRandomPolicy{K: 3},
+		Transfers: 20,
+		Seed:      5,
+	}
+}
 
 // smallSpec builds a quick single-intermediate campaign spec.
 func smallSpec(seed uint64, transfers int) CampaignSpec {
@@ -98,16 +115,7 @@ func TestRunCampaignDirectSelectionNearZeroImprovement(t *testing.T) {
 // and selected once per round it won.
 func TestRunCampaignPathTallyMatchesRecords(t *testing.T) {
 	for _, sequential := range []bool{false, true} {
-		scen := topo.NewScenario(topo.Params{Seed: 5})
-		spec := CampaignSpec{
-			Scenario:  scen,
-			Client:    scen.FindClient("Korea"),
-			Server:    scen.Servers[0],
-			Inters:    scen.Intermediates[:6],
-			Policy:    core.UniformRandomPolicy{K: 3},
-			Transfers: 20,
-			Seed:      5,
-		}
+		spec := raceSpec()
 		spec.Config.SequentialProbes = sequential
 		res := RunCampaign(spec)
 		won := 0
@@ -161,6 +169,105 @@ func TestCampaignThroughputsAreNumbers(t *testing.T) {
 			if math.IsNaN(r.SelectedTp) || math.IsNaN(r.ProbeBestTp) {
 				t.Fatalf("%+v round %d: selected %v, best probe %v", cfg, i, r.SelectedTp, r.ProbeBestTp)
 			}
+		}
+	}
+}
+
+// race is the paper's selecting process under the default Config, as a
+// Select value.
+func race(ctx context.Context, t core.Transport, obj core.Object, cands []string) func() core.Outcome {
+	return core.Race(ctx, t, obj, cands, core.Config{}).Fetch
+}
+
+// TestRunCampaignSelectRaceMatchesNil pins the hook's contract: a Select
+// that returns core.Race's Fetch is the nil Select, so the control starts
+// at the commit point whichever way the race is given.
+func TestRunCampaignSelectRaceMatchesNil(t *testing.T) {
+	explicit := raceSpec()
+	explicit.Select = race
+	got, want := RunCampaign(explicit).Records, RunCampaign(raceSpec()).Records
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("explicit core.Race records differ from nil Select:\n got  %+v\n want %+v", got, want)
+	}
+}
+
+// TestCampaignBackgroundIndependentOfSelector is the basis for pairing
+// two campaigns round by round: on one seed, the capacity of every link
+// of the direct and the indirect paths at each round start, and the round
+// start itself, are the same whether the selecting process races probes
+// or fetches the whole object on the first candidate. The racing arm is
+// core.Race behind the sampling hook, whose records must equal the nil
+// Select's.
+func TestCampaignBackgroundIndependentOfSelector(t *testing.T) {
+	scen := topo.NewScenario(topo.Params{Seed: 42})
+	client := scen.FindClient("India")
+	server := scen.FindServer("eBay")
+	inters := bestPairs(scen, client, 3)
+	spec := CampaignSpec{
+		Scenario:  scen,
+		Client:    client,
+		Server:    server,
+		Inters:    inters,
+		Policy:    core.UniformRandomPolicy{K: len(inters)},
+		Transfers: 15,
+		Seed:      campaignSeed(42, "background"),
+	}
+	// sampled runs spec with the selecting process proc, recording every
+	// path link's capacity at each round start.
+	sampled := func(proc func(ctx context.Context, t core.Transport, obj core.Object, cands []string) func() core.Outcome) ([][]float64, []Record) {
+		var trace [][]float64
+		s := spec
+		s.Select = func(ctx context.Context, t core.Transport, obj core.Object, cands []string) func() core.Outcome {
+			inst := t.(*httpsim.World).Inst
+			links := inst.DirectPath(server)
+			for _, in := range inters {
+				links = append(links, inst.IndirectPath(in, server)...)
+			}
+			caps := make([]float64, len(links))
+			for i, l := range links {
+				caps[i] = l.Capacity()
+			}
+			trace = append(trace, caps)
+			return proc(ctx, t, obj, cands)
+		}
+		return trace, RunCampaign(s).Records
+	}
+	forced := func(ctx context.Context, t core.Transport, obj core.Object, cands []string) func() core.Outcome {
+		return func() core.Outcome {
+			p := core.Path{Via: cands[0]}
+			h := t.StartCtx(ctx, obj, p, 0, obj.Size)
+			t.Wait(h)
+			r := h.Result()
+			return core.Outcome{Object: obj, Candidates: cands, Selected: p, Start: r.Start, End: r.End, Err: r.Err}
+		}
+	}
+
+	raceTrace, raceRecs := sampled(race)
+	forcedTrace, forcedRecs := sampled(forced)
+	if !reflect.DeepEqual(raceRecs, RunCampaign(spec).Records) {
+		t.Fatal("the sampled race's records differ from the nil Select's")
+	}
+	if len(raceTrace) != spec.Transfers || len(forcedTrace) != spec.Transfers {
+		t.Fatalf("sampled %d and %d rounds, want %d", len(raceTrace), len(forcedTrace), spec.Transfers)
+	}
+	differ := 0
+	for i := range raceTrace {
+		if raceRecs[i].Time != forcedRecs[i].Time {
+			t.Errorf("round %d starts at %v racing, %v forced", i, raceRecs[i].Time, forcedRecs[i].Time)
+		}
+		for j := range raceTrace[i] {
+			if raceTrace[i][j] != forcedTrace[i][j] {
+				differ++
+			}
+		}
+	}
+	if differ > 0 {
+		t.Errorf("%d of %d link capacity samples depend on the selecting process", differ, spec.Transfers*len(raceTrace[0]))
+	}
+	// A process that runs no probes leaves the probe columns at zero.
+	for i, r := range forcedRecs {
+		if r.Err != nil || r.ProbeDirectTp != 0 || r.ProbeBestTp != 0 || r.SelectedTp <= 0 {
+			t.Fatalf("forced round %d: %+v", i, r)
 		}
 	}
 }

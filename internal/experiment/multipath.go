@@ -10,43 +10,22 @@ import (
 
 // The multipath experiment contrasts the paper's select-one-path design
 // with mesh-style striping across paths (the Bullet direction from the
-// related work): chunks of the object are pulled over the direct path and
-// the candidate relays concurrently with work stealing. Striping can
-// aggregate bandwidth — but all of a client's paths share its access
+// related work): 500 KB chunks of the object are pulled over the direct
+// path and the candidate relays concurrently with work stealing. Striping
+// can aggregate bandwidth — but all of a client's paths share its access
 // link, so the gain collapses exactly where the paper's penalties live.
 
 // MultipathParams configures the comparison.
 type MultipathParams struct {
-	Seed       uint64
-	Scenario   topo.Params
-	Clients    []string // default: one per category
-	Rounds     int      // default 60
-	Candidates int      // relays striped over (default 2, best pairs)
-	ChunkBytes int64    // striping granularity (default 500 KB)
-	Config     Config
+	Seed    uint64
+	Clients []string // default: one per category
+	Rounds  int      // default 60
+	Workers int      // parallel campaigns (0 = GOMAXPROCS)
 }
 
-func (p MultipathParams) withDefaults() MultipathParams {
-	if p.Scenario.Seed == 0 {
-		p.Scenario.Seed = p.Seed
-	}
-	if len(p.Clients) == 0 {
-		p.Clients = []string{"India", "Sweden", "Canada"}
-	}
-	if p.Rounds == 0 {
-		p.Rounds = 60
-	}
-	if p.Candidates == 0 {
-		p.Candidates = 2
-	}
-	if p.ChunkBytes == 0 {
-		p.ChunkBytes = 500_000
-	}
-	if p.Config.Period == 0 {
-		p.Config.Period = 120
-	}
-	return p
-}
+// multipathCandidates is how many of the client's best overlay pairs
+// both strategies use.
+const multipathCandidates = 2
 
 // MultipathResult compares the strategies for one client.
 type MultipathResult struct {
@@ -64,81 +43,59 @@ type MultipathResult struct {
 	Rounds           int
 }
 
-// RunMultipath executes the comparison per client.
+// RunMultipath executes the comparison, one campaign pair per client.
 func RunMultipath(p MultipathParams) []MultipathResult {
-	p = p.withDefaults()
-	scen := topo.NewScenario(p.Scenario)
-	server := scen.FindServer("eBay")
-	must(server != nil, "eBay server missing")
+	if len(p.Clients) == 0 {
+		p.Clients = []string{"India", "Sweden", "Canada"}
+	}
+	if p.Rounds == 0 {
+		p.Rounds = 60
+	}
+	scen := topo.NewScenario(topo.Params{Seed: p.Seed})
 
-	var out []MultipathResult
-	for _, name := range p.Clients {
+	out := make([]MultipathResult, len(p.Clients))
+	// spreads[i] holds client i's relay byte share, one per round.
+	spreads := make([][]float64, len(p.Clients))
+	var specs []CampaignSpec
+	for i, name := range p.Clients {
 		client := scen.FindClient(name)
 		must(client != nil, "unknown client %q", name)
-		out = append(out, runMultipathClient(p, scen, client, server))
+		out[i] = MultipathResult{Client: name, SharedBottleneck: scen.ClientNet(client).SharedBottleneck, Rounds: p.Rounds}
+		spread := &spreads[i]
+		specs = append(specs, pairedSpecs(scen, client, bestPairs(scen, client, multipathCandidates),
+			campaignSeed(p.Seed, label("multipath", name)), p.Rounds,
+			func(ctx context.Context, t core.Transport, obj core.Object, cands []string) func() core.Outcome {
+				return func() core.Outcome {
+					mp := core.MultipathDownloader{Transport: t}
+					r, err := mp.Download(ctx, obj, cands)
+					var indirect, total int64
+					for _, sh := range r.Shares {
+						total += sh.Bytes
+						if !sh.Path.IsDirect() {
+							indirect += sh.Bytes
+						}
+					}
+					share := 0.0
+					if total > 0 {
+						share = float64(indirect) / float64(total)
+					}
+					*spread = append(*spread, share)
+					return core.Outcome{Object: obj, Start: r.Start, End: r.End, Err: err}
+				}
+			})...)
+	}
+	results := RunAll(specs, p.Workers)
+
+	for i := range out {
+		var share []float64
+		for j, r := range results[2*i+1].Records {
+			if r.Err == nil {
+				share = append(share, spreads[i][j])
+			}
+		}
+		out[i].SelectAvg = summarizeRounds("", results[2*i].Records).AvgImprovement
+		out[i].StripeAvg = summarizeRounds("", results[2*i+1].Records).AvgImprovement
+		out[i].StripeSpread = stats.Mean(share)
 	}
 	return out
-}
-
-func runMultipathClient(p MultipathParams, scen *topo.Scenario, client, server *topo.Node) MultipathResult {
-	cfg := p.Config.withDefaults()
-	inters := bestPairs(scen, client, p.Candidates)
-	world, obj, _ := newWorld(scen, campaignSeed(p.Seed, label("multipath", client.Name)), cfg,
-		client, server, inters)
-	defer world.Inst.Close()
-	eng := world.Inst.Net.Engine()
-
-	cands := make([]string, len(inters))
-	for i, in := range inters {
-		cands[i] = in.Name
-	}
-	mp := &core.MultipathDownloader{Transport: world, ChunkBytes: p.ChunkBytes}
-
-	res := MultipathResult{
-		Client:           client.Name,
-		Rounds:           p.Rounds,
-		SharedBottleneck: scen.ClientNet(client).SharedBottleneck,
-	}
-	var selImps, strImps, spreads []float64
-
-	for i := 0; i < p.Rounds; i++ {
-		start := world.Now()
-
-		// Single-path selection with its control.
-		ctrl := world.Start(obj, core.Path{}, 0, obj.Size)
-		sel := core.SelectAndFetch(context.Background(), world, obj, cands,
-			core.Config{ProbeBytes: cfg.ProbeBytes, Rule: cfg.Rule})
-		world.Wait(ctrl)
-		if sel.Err == nil && ctrl.Result().Err == nil {
-			selImps = append(selImps,
-				core.Improvement(sel.Throughput(), ctrl.Result().Throughput()))
-		}
-		eng.RunUntil(world.Now() + 10)
-
-		// Multipath striping with its control.
-		ctrl2 := world.Start(obj, core.Path{}, 0, obj.Size)
-		str, err := mp.Download(context.Background(), obj, cands)
-		world.Wait(ctrl2)
-		if err == nil && ctrl2.Result().Err == nil {
-			strImps = append(strImps,
-				core.Improvement(str.Throughput(), ctrl2.Result().Throughput()))
-			var indirect, total int64
-			for _, sh := range str.Shares {
-				total += sh.Bytes
-				if !sh.Path.IsDirect() {
-					indirect += sh.Bytes
-				}
-			}
-			if total > 0 {
-				spreads = append(spreads, float64(indirect)/float64(total))
-			}
-		}
-
-		nextRound(world, start, cfg.Period)
-	}
-
-	res.SelectAvg = stats.Mean(selImps)
-	res.StripeAvg = stats.Mean(strImps)
-	res.StripeSpread = stats.Mean(spreads)
-	return res
 }
