@@ -6,6 +6,10 @@
 //
 //	origind -listen 127.0.0.1:8080 -object large.bin=4000000 -object small.bin=200000
 //
+// Each accepted connection's send buffer is fixed at 256 KiB (the kernel
+// reports it doubled), which caps one connection at about 512 KiB per
+// round trip: 20-40 Mb/s on a 100 ms path.
+//
 // With -metrics set, live counters (bytes served, connections handled)
 // are served as JSON on /debug/vars, Prometheus text format on /metrics
 // (including the request-latency histogram and per-object serving-health

@@ -68,16 +68,18 @@ func (e idleConn) expired(now time.Time) bool {
 
 // take pops the path's most recently parked connection, dropping expired
 // entries it finds on the way. It returns nil (a miss) when nothing
-// usable is parked.
+// usable is parked. A list it empties stays in the map, so the next park
+// on the path appends without allocating; the sweeper deletes it if the
+// path goes quiet.
 func (p *connPool) take(key string) *pooledConn {
 	now := time.Now()
 	var dead []*pooledConn
 	var got *pooledConn
 	p.mu.Lock()
-	if !p.closed {
-		list := p.idle[key]
+	if list, ok := p.idle[key]; ok && !p.closed {
 		for len(list) > 0 && got == nil {
 			e := list[len(list)-1]
+			list[len(list)-1] = idleConn{} // the popped slot keeps no connection reachable
 			list = list[:len(list)-1]
 			if e.expired(now) {
 				dead = append(dead, e.pc)
@@ -85,11 +87,7 @@ func (p *connPool) take(key string) *pooledConn {
 			}
 			got = e.pc
 		}
-		if len(list) == 0 {
-			delete(p.idle, key)
-		} else {
-			p.idle[key] = list
-		}
+		p.idle[key] = list
 	}
 	p.mu.Unlock()
 	for _, pc := range dead {
@@ -138,7 +136,8 @@ func (p *connPool) sweep() {
 	}
 }
 
-// expire drops every parked connection older than the TTL.
+// expire drops every parked connection older than the TTL, and the
+// lists of paths left with none.
 func (p *connPool) expire(now time.Time) {
 	var victims []*pooledConn
 	p.mu.Lock()
@@ -151,6 +150,7 @@ func (p *connPool) expire(now time.Time) {
 				kept = append(kept, e)
 			}
 		}
+		clear(list[len(kept):])
 		if len(kept) == 0 {
 			delete(p.idle, key)
 		} else {

@@ -355,3 +355,35 @@ func TestTakeSkipsExpiredLIFO(t *testing.T) {
 	}
 	p.close()
 }
+
+// TestTakeParkAllocatesNothing pins the warm-fetch round trip through
+// the pool: taking a path's connection and parking it again reuses the
+// path's list, so it allocates nothing. The sweeper then deletes the
+// list of a path that has gone quiet.
+func TestTakeParkAllocatesNothing(t *testing.T) {
+	p := newConnPool()
+	defer p.close()
+	a, b := net.Pipe()
+	defer b.Close()
+	p.park("k", &pooledConn{conn: a, br: bufio.NewReader(a)})
+	if allocs := testing.AllocsPerRun(100, func() { p.park("k", p.take("k")) }); allocs != 0 {
+		t.Fatalf("take+park on one path: %v allocs, want 0", allocs)
+	}
+
+	pc := p.take("k")
+	p.mu.Lock()
+	list, kept := p.idle["k"]
+	stale := cap(list) > 0 && list[:1][0].pc != nil
+	p.mu.Unlock()
+	if pc == nil || !kept || stale {
+		t.Fatalf("after the last take: conn %v, list kept %v, popped slot still set %v", pc, kept, stale)
+	}
+	p.expire(time.Now())
+	p.mu.Lock()
+	_, kept = p.idle["k"]
+	p.mu.Unlock()
+	if kept {
+		t.Fatal("expire left an empty path list in the pool")
+	}
+	pc.close()
+}

@@ -11,8 +11,10 @@ import (
 // forward pump and the cached-miss tee. With the content kernels in
 // vector code, the syscalls per chunk are most of what a served byte
 // costs. At 128 KiB a bulk_select operation (an 8 MiB selected fetch;
-// client, relays and origin in one process) makes 228 read and 142
-// write syscalls, against 423 and 539 at 32 KiB. 256 KiB measured the
+// client, relays and origin in one process) made 228 read and 142
+// write syscalls, against 423 and 539 at 32 KiB; since the origin
+// bounds its send buffer (originSendBuffer) the relay reads smaller
+// pieces, and it makes 273 and 174, in less time. 256 KiB measured the
 // same as 128 KiB. 1 MiB was slower, and raised the benchmark's peak
 // resident set by 17 %.
 const streamChunk = 128 << 10
