@@ -80,7 +80,8 @@ fuzz-smoke:
 
 # The chaos tier: the fault-injection regression tests under the race
 # detector (packet faults on the simulator, connection faults on the
-# shaper's listener, the bug-sweep regressions they pinned), then the
+# shaper's listener, the bug-sweep regressions they pinned, the live
+# classes giving one scorecard per seed on their logical clock), then the
 # full nine-class campaign with its JSON scorecard and the anomaly
 # debug bundles the flight trigger engine captured per live fault
 # class (archived as a CI artifact).
@@ -90,6 +91,7 @@ chaos-smoke:
 	$(GO) test -race -count=1 ./internal/relay/ ./internal/realnet/ ./internal/obs/ \
 		-run 'WarmFetch|Forward|Taxonomy|FillForward|CachedRelay'
 	$(GO) test -race -count=1 . -run 'Chaos'
+	$(GO) test -race -count=1 ./internal/experiment/ -run 'LiveChaosDeterministic'
 	$(GO) run ./cmd/indirectlab -exp chaos -scale quick -chaos-json chaos.json -chaos-bundle-dir chaos-bundles
 
 # The observability tier: the fetch -fleet e2e (a live registry and
@@ -109,12 +111,13 @@ obs-smoke:
 # under the race detector (ring rotation and the tail rule's eviction,
 # trigger rate limiting, bundle assembly, the span archive golden), the
 # realnet and relay wide-event integrations, the
-# health-transition callback that fires the bundles, and the daemon debug
+# health-transition callback that fires the bundles and the reads that
+# must not commit a transition (and so fire one), and the daemon debug
 # surfaces (/debug/requests, /debug/active, /debug/bundle, /debug/stack).
 flight-smoke:
 	$(GO) test -race -count=1 ./internal/obs/flight/
 	$(GO) test -race -count=1 ./internal/realnet/ ./internal/relay/ -run 'Flight'
-	$(GO) test -race -count=1 ./internal/obs/ -run 'HealthOnTransition'
+	$(GO) test -race -count=1 ./internal/obs/ -run 'HealthOnTransition|HealthReadsCommitNothing'
 	$(GO) test -race -count=1 ./internal/daemon/ -run 'AllDaemonMetricsPagesLint'
 
 # The determinism tier: the packages whose tests read what a request

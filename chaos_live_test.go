@@ -52,6 +52,10 @@ func TestChaosClientRoutesAroundFaultyRelay(t *testing.T) {
 		repro.WithTimeout(3*time.Second),
 		repro.WithHealthMonitor(hm))
 
+	state := func(path string) repro.HealthState {
+		ph, _ := hm.PathHealth(path)
+		return ph.State
+	}
 	obj := repro.Object{Server: "origin", Name: "big.bin", Size: 96_000}
 	round := func() time.Duration {
 		start := time.Now()
@@ -71,7 +75,7 @@ func TestChaosClientRoutesAroundFaultyRelay(t *testing.T) {
 	// Fault phase: keep operating until the monitor walks the chaotic
 	// relay out of service.
 	deadline := time.Now().Add(15 * time.Second)
-	for hm.State("r") != repro.HealthDown {
+	for state("r") != repro.HealthDown {
 		if time.Now().After(deadline) {
 			ph, _ := hm.PathHealth("r")
 			t.Fatalf("relay path never went down under resets: %+v", ph)
@@ -85,15 +89,15 @@ func TestChaosClientRoutesAroundFaultyRelay(t *testing.T) {
 	if ph.Ok != 0 {
 		t.Fatalf("mid-stream resets folded %d OK samples on the relay path", ph.Ok)
 	}
-	if hm.State("direct") != repro.HealthHealthy {
-		t.Fatalf("direct path state = %v while carrying every fetch", hm.State("direct"))
+	if st := state("direct"); st != repro.HealthHealthy {
+		t.Fatalf("direct path state = %v while carrying every fetch", st)
 	}
 
 	// Heal: the relay's connections run clean again; continued operation
 	// must recover the verdict within a few windows.
 	rl.SetFaults()
 	deadline = time.Now().Add(15 * time.Second)
-	for hm.State("r") != repro.HealthHealthy {
+	for state("r") != repro.HealthHealthy {
 		if time.Now().After(deadline) {
 			ph, _ := hm.PathHealth("r")
 			t.Fatalf("relay path never recovered after heal: %+v", ph)

@@ -211,7 +211,7 @@ func TestPromOMClassicByteCompatible(t *testing.T) {
 		}
 		// A debug bundle's metrics snapshot is the same page: Close
 		// drains the trigger before the bundle is read.
-		d.Bundles.Fire("test", s.originAddr, "")
+		d.Bundles.FireHealth(s.originAddr, obs.HealthTransition{To: obs.HealthDown})
 		d.Bundles.Close()
 		infos := d.Bundles.Bundles()
 		if len(infos) != 1 {

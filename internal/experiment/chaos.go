@@ -5,6 +5,7 @@ import (
 	"io"
 	"net"
 	"path/filepath"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/httpx"
@@ -140,12 +141,31 @@ func RunChaos(p ChaosParams) ChaosResult {
 		res.Entries = append(res.Entries, runSimChaos(s.name, s.prof, p))
 	}
 
-	lives := []struct {
-		name   string
-		expect []obs.HealthState
-		drive  func(ln *shaper.Listener) (heal func())
-		cache  bool
-	}{
+	for _, l := range liveClasses(p) {
+		res.Entries = append(res.Entries, runLiveChaos(l, p))
+	}
+
+	for _, e := range res.Entries {
+		res.AllVerdictsOK = res.AllVerdictsOK && e.VerdictOK
+		res.AllRecovered = res.AllRecovered && e.Recovered
+		res.TotalDeadlineExceeded += e.DeadlineExceeded
+		res.TotalCorruptDeliveries += e.CorruptDeliveries
+	}
+	return res
+}
+
+// liveClass is one connection-fault class: the verdicts it may produce,
+// the fault its drive installs on the origin's listener (returning the
+// heal), and whether the relay caches.
+type liveClass struct {
+	name   string
+	expect []obs.HealthState
+	drive  func(ln *shaper.Listener) (heal func())
+	cache  bool
+}
+
+func liveClasses(p ChaosParams) []liveClass {
+	return []liveClass{
 		{"partition", []obs.HealthState{obs.HealthDown},
 			func(ln *shaper.Listener) func() {
 				ln.Sever()
@@ -155,6 +175,9 @@ func RunChaos(p ChaosParams) ChaosResult {
 			func(ln *shaper.Listener) func() {
 				return faults(flap(ln.Accepted()+1, 4*p.Transfers)...)(ln)
 			}, false},
+		// The one class whose outcome rests on wall time: each fetch
+		// stalls until the relay's 300 ms upstream-stall guard gives up,
+		// well inside the client's deadline.
 		{"slow-loris", []obs.HealthState{obs.HealthDown},
 			faults(shaper.Fault{At: 4096, Do: shaper.Stall, Dur: 30 * time.Second}), false},
 		{"mid-stream-reset", []obs.HealthState{obs.HealthDown},
@@ -166,17 +189,6 @@ func RunChaos(p ChaosParams) ChaosResult {
 		{"corrupted-range", []obs.HealthState{obs.HealthHealthy},
 			faults(shaper.Fault{At: 1024, Do: shaper.Corrupt, Len: 512}), true},
 	}
-	for _, l := range lives {
-		res.Entries = append(res.Entries, runLiveChaos(l.name, p, l.expect, l.drive, l.cache))
-	}
-
-	for _, e := range res.Entries {
-		res.AllVerdictsOK = res.AllVerdictsOK && e.VerdictOK
-		res.AllRecovered = res.AllRecovered && e.Recovered
-		res.TotalDeadlineExceeded += e.DeadlineExceeded
-		res.TotalCorruptDeliveries += e.CorruptDeliveries
-	}
-	return res
 }
 
 // faults installs fs on the origin's listener; heal clears them.
@@ -267,18 +279,24 @@ func runSimChaos(class string, prof simnet.FaultProfile, p ChaosParams) ChaosEnt
 		}
 		e.Transfers++
 	}
-	state := mon.State(route)
+	state := verdict(mon, route)
 	e.Verdict = state.String()
 	e.VerdictOK = state == obs.HealthDegraded || state == obs.HealthDown
 	faults.Stop()
 
 	// Recovery: clean transfers until the verdict heals (bounded by a
 	// few windows of virtual time).
-	for i := 0; i < 60 && mon.State(route) != obs.HealthHealthy; i++ {
+	for i := 0; i < 60 && verdict(mon, route) != obs.HealthHealthy; i++ {
 		transfer(0)
 	}
-	e.Recovered = mon.State(route) == obs.HealthHealthy
+	e.Recovered = verdict(mon, route) == obs.HealthHealthy
 	return e
+}
+
+// verdict is the state the monitor's folds committed for key.
+func verdict(mon *obs.HealthMonitor, key string) obs.HealthState {
+	ph, _ := mon.PathHealth(key)
+	return ph.State
 }
 
 // --- Live classes -----------------------------------------------------
@@ -324,11 +342,22 @@ func chaosFetch(relayAddr, originAddr, name string, size int64, deadline time.Du
 	return f
 }
 
+// chaosStep is the seconds of health-monitor time one live fetch
+// takes: on the monitor's 2 s window of 0.5 s buckets, the 1 s dwell is
+// 20 fetches. healFetches bounds the heal phase at four windows.
+const (
+	chaosStep   = 0.05
+	healFetches = 160
+)
+
 // runLiveChaos drives one connection-fault class on loopback TCP: an
 // origin whose listener runs the faults, and a relay in front of it with
-// its own health monitor as the instrument under test.
-func runLiveChaos(class string, p ChaosParams, expect []obs.HealthState, drive func(ln *shaper.Listener) func(), withCache bool) ChaosEntry {
-	e := ChaosEntry{Class: class, Mode: "live"}
+// its own health monitor as the instrument under test. The monitor runs
+// on a logical clock that moves one chaosStep per fetch, after the fetch
+// has folded and any bundle it fired is built, so every column but
+// MaxTransfer is a function of the fault pattern alone.
+func runLiveChaos(class liveClass, p ChaosParams) ChaosEntry {
+	e := ChaosEntry{Class: class.name, Mode: "live"}
 
 	origin := relay.NewOriginServer()
 	origin.Put("warm.bin", p.ObjectSize)
@@ -347,13 +376,15 @@ func runLiveChaos(class string, p ChaosParams, expect []obs.HealthState, drive f
 	var engine *flight.Engine
 	rec := flight.NewRecorder(256, true)
 
+	var ticks atomic.Int64
 	mon := obs.NewHealthMonitor(obs.HealthConfig{
-		Clock: obs.WallClock(), Window: 2, Buckets: 4,
+		Clock:  func() float64 { return chaosStep * float64(ticks.Load()) },
+		Window: 2, Buckets: 4,
 		OnTransition: func(path string, tr obs.HealthTransition) { engine.FireHealth(path, tr) },
 	})
 	bundleDir := ""
 	if p.BundleDir != "" {
-		bundleDir = filepath.Join(p.BundleDir, class)
+		bundleDir = filepath.Join(p.BundleDir, class.name)
 	}
 	engine = flight.NewEngine(flight.TriggerConfig{
 		Recorder: rec,
@@ -364,7 +395,7 @@ func runLiveChaos(class string, p ChaosParams, expect []obs.HealthState, drive f
 		relay.WithFlight(rec),
 		relay.WithUpstreamStall(300 * time.Millisecond),
 	}
-	if withCache {
+	if class.cache {
 		opts = append(opts, relay.WithCache(4<<20), relay.WithVerifier(relay.VerifyRange))
 	}
 	r := relay.New(opts...)
@@ -373,9 +404,21 @@ func runLiveChaos(class string, p ChaosParams, expect []obs.HealthState, drive f
 	defer rl.Close()
 	relayAddr := rl.Addr().String()
 
-	state := func() obs.HealthState { return mon.State(originAddr) }
+	// fetch runs one fetch and lets everything it set in motion land —
+	// the relay's fold, then the bundle a →down edge fired — before the
+	// clock moves on.
+	fetch := func(name string) liveFetch {
+		f := chaosFetch(relayAddr, originAddr, name, p.ObjectSize, p.Deadline)
+		r.WaitIdle()
+		for s := engine.Stats(); s.Built < s.Fired; s = engine.Stats() {
+			time.Sleep(time.Millisecond)
+		}
+		ticks.Add(1)
+		return f
+	}
+	state := func() obs.HealthState { return verdict(mon, originAddr) }
 	isExpected := func(s obs.HealthState) bool {
-		for _, want := range expect {
+		for _, want := range class.expect {
 			if s == want {
 				return true
 			}
@@ -387,24 +430,18 @@ func runLiveChaos(class string, p ChaosParams, expect []obs.HealthState, drive f
 	// corrupted-range class fetches a different object here than under
 	// fault, so its cache fill happens during the fault phase.
 	for i := 0; i < 6 || state() != obs.HealthHealthy; i++ {
-		must(i < 100, "%s: baseline never reached healthy", class)
-		f := chaosFetch(relayAddr, originAddr, "warm.bin", p.ObjectSize, p.Deadline)
-		must(f.ok, "%s: clean baseline fetch failed", class)
-		time.Sleep(40 * time.Millisecond)
+		must(i < 100, "%s: baseline never reached healthy", class.name)
+		must(fetch("warm.bin").ok, "%s: clean baseline fetch failed", class.name)
 	}
 
-	heal := drive(ln)
+	heal := class.drive(ln)
 
 	// Fault phase: keep fetching (each fetch folds an outcome, and only
 	// folds advance the verdict machinery) until the monitor converges
-	// on an expected state, bounded by a few windows of wall time.
-	budget := time.Now().Add(8 * time.Second)
+	// on an expected state, bounded by four times the minimum.
 	var maxElapsed time.Duration
-	for e.Transfers < p.Transfers || (!isExpected(state()) && time.Now().Before(budget)) {
-		if e.Transfers >= 4*p.Transfers {
-			break
-		}
-		f := chaosFetch(relayAddr, originAddr, "chaos.bin", p.ObjectSize, p.Deadline)
+	for e.Transfers < p.Transfers || (!isExpected(state()) && e.Transfers < 4*p.Transfers) {
+		f := fetch("chaos.bin")
 		e.Transfers++
 		if !f.ok {
 			e.Failures++
@@ -418,7 +455,6 @@ func runLiveChaos(class string, p ChaosParams, expect []obs.HealthState, drive f
 		if f.elapsed > p.Deadline+500*time.Millisecond {
 			e.DeadlineExceeded++
 		}
-		time.Sleep(60 * time.Millisecond)
 	}
 	e.MaxTransfer = maxElapsed.Seconds()
 	st := state()
@@ -429,18 +465,16 @@ func runLiveChaos(class string, p ChaosParams, expect []obs.HealthState, drive f
 	// corrupted-range class keeps fetching the object whose cached span
 	// was poisoned — those fetches must come back verified-clean.
 	heal()
-	budget = time.Now().Add(8 * time.Second)
-	for state() != obs.HealthHealthy && time.Now().Before(budget) {
-		chaosFetch(relayAddr, originAddr, "chaos.bin", p.ObjectSize, p.Deadline)
-		time.Sleep(60 * time.Millisecond)
+	for i := 0; i < healFetches && state() != obs.HealthHealthy; i++ {
+		fetch("chaos.bin")
 	}
 	e.Recovered = state() == obs.HealthHealthy
 	if e.Recovered {
-		f := chaosFetch(relayAddr, originAddr, "chaos.bin", p.ObjectSize, p.Deadline)
+		f := fetch("chaos.bin")
 		if f.full && !f.verified && f.cacheHit {
 			e.CorruptDeliveries++
 		}
-		must(f.ok, "%s: healed fetch still failing", class)
+		must(f.ok, "%s: healed fetch still failing", class.name)
 	}
 
 	// Close drains the engine's build queue, so every fired trigger has

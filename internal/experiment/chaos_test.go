@@ -87,3 +87,30 @@ func TestRunChaos(t *testing.T) {
 			res.TotalDeadlineExceeded, res.TotalCorruptDeliveries)
 	}
 }
+
+// TestLiveChaosDeterministic: the live classes run their monitor on a
+// logical clock, so one seed gives one scorecard — every column but
+// MaxTransfer, which is wall time. Slow-loris is left out: its stall
+// runs against the relay's wall-clock guard (and costs 300 ms a fetch).
+func TestLiveChaosDeterministic(t *testing.T) {
+	p := ChaosParams{Seed: 7, ObjectSize: 48 << 10, Transfers: 8}.withDefaults()
+	run := func() []ChaosEntry {
+		var out []ChaosEntry
+		for _, l := range liveClasses(p) {
+			if l.name == "slow-loris" {
+				continue
+			}
+			e := runLiveChaos(l, p)
+			e.MaxTransfer = 0
+			out = append(out, e)
+		}
+		return out
+	}
+	first, second := run(), run()
+	for i := range first {
+		t.Logf("%+v", first[i])
+		if first[i] != second[i] {
+			t.Errorf("%s: runs differ:\n%+v\n%+v", first[i].Class, first[i], second[i])
+		}
+	}
+}

@@ -4,7 +4,9 @@
 // profiles that explain a transition are all in bounded rings that will
 // have rotated by the time a human asks.
 //
-// The one anomaly signal is the health monitor's →down edge. Triggers
+// The one anomaly signal is the health monitor's →down edge, and the
+// engine keeps no clock of its own: it rate-limits on, and stamps
+// bundles with, the transition's time on the monitor's clock. Triggers
 // are rate-limited per path (a path that goes down twice inside the
 // window yields one bundle), and the bundle build runs on a dedicated
 // goroutine behind a bounded queue: a fire from the transfer path is a
@@ -41,13 +43,10 @@ type TriggerConfig struct {
 	// Dir, when set, persists each bundle as JSON on disk (created if
 	// missing). Empty keeps bundles in memory only.
 	Dir string
-	// Window is the per-path rate-limit in seconds: after a bundle
-	// fires for a path, further triggers on it are suppressed for this
-	// long (default 60).
+	// Window is the per-path rate-limit in seconds on the health
+	// monitor's clock: after a bundle fires for a path, further
+	// triggers on it are suppressed for this long (default 60).
 	Window float64
-	// Clock supplies "now" in seconds for rate limiting (default: wall
-	// seconds since the engine was built).
-	Clock func() float64
 }
 
 // A bundle captures at most bundleEvents wide events and bundleTraces
@@ -66,10 +65,6 @@ func (c TriggerConfig) withDefaults() TriggerConfig {
 	if c.Window <= 0 {
 		c.Window = 60
 	}
-	if c.Clock == nil {
-		start := time.Now()
-		c.Clock = func() float64 { return time.Since(start).Seconds() }
-	}
 	return c
 }
 
@@ -79,14 +74,14 @@ type Bundle struct {
 	// Name is the bundle's identity ("bundle-000001-health-down"), also
 	// its file name (with .json) when persisted.
 	Name string `json:"name"`
-	// Reason is the trigger taxonomy entry: "health-down".
+	// Reason is the trigger's reason, always "health-down".
 	Reason string `json:"reason"`
 	// Path is the path key that fired; Detail the trigger's free-form
 	// context (the transition and its score).
 	Path   string `json:"path"`
 	Detail string `json:"detail,omitempty"`
-	// At is the trigger time on the engine clock; Wall the build time,
-	// Unix nanoseconds.
+	// At is the transition's time on the health monitor's clock; Wall
+	// the build time, Unix nanoseconds.
 	At   float64 `json:"at"`
 	Wall int64   `json:"wall_ns"`
 
@@ -129,9 +124,12 @@ type EngineStats struct {
 	Built uint64 `json:"built"`
 }
 
+// healthDown is the one trigger reason: a path's →down transition.
+const healthDown = "health-down"
+
 type trigger struct {
-	reason, path, detail string
-	at                   float64
+	path string
+	tr   obs.HealthTransition
 }
 
 // Engine watches for anomaly triggers and snapshots debug bundles.
@@ -141,7 +139,7 @@ type Engine struct {
 	cfg TriggerConfig
 
 	mu      sync.Mutex
-	last    map[string]float64 // path -> last fired, engine clock
+	last    map[string]float64 // path -> last fired, monitor clock
 	bundles []*Bundle          // oldest first
 	seq     uint64
 
@@ -173,39 +171,29 @@ func (e *Engine) Close() {
 	<-e.done
 }
 
-// Fire requests a bundle for path. The call never blocks: inside the
-// path's rate-limit window it is suppressed, and with the build queue
-// full it is dropped — both counted. Nil-safe.
-func (e *Engine) Fire(reason, path, detail string) {
-	if e == nil {
-		return
-	}
-	now := e.cfg.Clock()
-	e.mu.Lock()
-	if last, ok := e.last[path]; ok && now-last < e.cfg.Window {
-		e.mu.Unlock()
-		e.suppressed.Add(1)
-		return
-	}
-	e.last[path] = now
-	e.mu.Unlock()
-	select {
-	case e.queue <- trigger{reason: reason, path: path, detail: detail, at: now}:
-		e.fired.Add(1)
-	default:
-		e.dropped.Add(1)
-	}
-}
-
 // FireHealth adapts obs.HealthConfig.OnTransition: only →down
-// transitions trigger (a degraded path still delivers; recovery is good
-// news). Nil-safe.
+// transitions request a bundle (a degraded path still delivers; recovery
+// is good news). The call never blocks: within Window of the path's last
+// bundle, measured on tr.Time, it is suppressed, and with the build
+// queue full it is dropped — both counted. Nil-safe.
 func (e *Engine) FireHealth(path string, tr obs.HealthTransition) {
 	if e == nil || tr.To != obs.HealthDown {
 		return
 	}
-	e.Fire("health-down", path,
-		fmt.Sprintf("%s->%s score=%.3f", tr.From, tr.To, tr.Score))
+	e.mu.Lock()
+	if last, ok := e.last[path]; ok && tr.Time-last < e.cfg.Window {
+		e.mu.Unlock()
+		e.suppressed.Add(1)
+		return
+	}
+	e.last[path] = tr.Time
+	e.mu.Unlock()
+	select {
+	case e.queue <- trigger{path: path, tr: tr}:
+		e.fired.Add(1)
+	default:
+		e.dropped.Add(1)
+	}
 }
 
 // Stats returns the engine's decision counters. Nil-safe.
@@ -272,11 +260,11 @@ func (e *Engine) build(trig trigger) {
 	e.mu.Unlock()
 
 	b := &Bundle{
-		Name:   fmt.Sprintf("bundle-%06d-%s", seq, trig.reason),
-		Reason: trig.reason,
+		Name:   fmt.Sprintf("bundle-%06d-%s", seq, healthDown),
+		Reason: healthDown,
 		Path:   trig.path,
-		Detail: trig.detail,
-		At:     trig.at,
+		Detail: fmt.Sprintf("%s->%s score=%.3f", trig.tr.From, trig.tr.To, trig.tr.Score),
+		At:     trig.tr.Time,
 		Wall:   time.Now().UnixNano(),
 		Events: e.cfg.Recorder.Events(Filter{Path: trig.path, N: bundleEvents}),
 	}

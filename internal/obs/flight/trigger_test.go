@@ -11,22 +11,10 @@ import (
 	"repro/internal/obs"
 )
 
-// fakeClock is a settable engine clock.
-type fakeClock struct {
-	mu  sync.Mutex
-	now float64
-}
-
-func (c *fakeClock) Now() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-func (c *fakeClock) Advance(d float64) {
-	c.mu.Lock()
-	c.now += d
-	c.mu.Unlock()
+// down is a →down transition at time at on the monitor's clock: the
+// engine rate-limits on, and stamps bundles with, the time it carries.
+func down(at float64) obs.HealthTransition {
+	return obs.HealthTransition{From: obs.HealthDegraded, To: obs.HealthDown, Time: at, Score: 0.12}
 }
 
 // waitStats polls until the engine has built want bundles (the worker
@@ -44,37 +32,36 @@ func waitBuilt(t *testing.T, e *Engine, want uint64) {
 }
 
 func TestTriggerRateLimitWindow(t *testing.T) {
-	clock := &fakeClock{}
 	rec := NewRecorder(8, false)
-	e := NewEngine(TriggerConfig{Recorder: rec, Window: 60, Clock: clock.Now})
+	e := NewEngine(TriggerConfig{Recorder: rec, Window: 60})
 	defer e.Close()
 
-	e.Fire("health-down", "pathA", "")
-	e.Fire("health-down", "pathA", "") // inside the window: suppressed
-	clock.Advance(59)
-	e.Fire("manual", "pathA", "") // still inside, whatever the reason
-	clock.Advance(2)
-	e.Fire("health-down", "pathA", "") // window elapsed: fires
+	e.FireHealth("pathA", down(0))
+	e.FireHealth("pathA", down(0))  // inside the window: suppressed
+	e.FireHealth("pathA", down(59)) // still inside
+	e.FireHealth("pathA", down(61)) // window elapsed: fires
 
 	s := e.Stats()
 	if s.Fired != 2 || s.Suppressed != 2 {
 		t.Fatalf("stats = %+v, want 2 fired / 2 suppressed", s)
 	}
 	waitBuilt(t, e, 2)
+	// Each bundle is stamped with its transition's time.
+	if b := e.Bundles(); b[0].At != 61 || b[1].At != 0 {
+		t.Fatalf("bundles at %v and %v, want 61 and 0", b[0].At, b[1].At)
+	}
 }
 
-func TestTriggerOverlappingReasonsSamePathCollapse(t *testing.T) {
-	clock := &fakeClock{}
+func TestTriggerRateLimitIsPerPath(t *testing.T) {
 	rec := NewRecorder(8, false)
-	e := NewEngine(TriggerConfig{Recorder: rec, Window: 60, Clock: clock.Now})
+	e := NewEngine(TriggerConfig{Recorder: rec, Window: 60})
 	defer e.Close()
 
-	// The rate limit is keyed by path, not reason: a second trigger with
-	// another reason on a path that just fired collapses into its bundle.
-	e.FireHealth("pathA", obs.HealthTransition{From: obs.HealthDegraded, To: obs.HealthDown})
-	e.Fire("manual", "pathA", "operator request")
-	// A different path rate-limits independently.
-	e.Fire("manual", "pathB", "operator request")
+	// A second →down on a path that just fired collapses into its
+	// bundle; a different path rate-limits independently.
+	e.FireHealth("pathA", down(0))
+	e.FireHealth("pathA", down(1))
+	e.FireHealth("pathB", down(1))
 
 	s := e.Stats()
 	if s.Fired != 2 || s.Suppressed != 1 {
@@ -85,8 +72,8 @@ func TestTriggerOverlappingReasonsSamePathCollapse(t *testing.T) {
 	if len(bundles) != 2 {
 		t.Fatalf("retained %d bundles, want 2", len(bundles))
 	}
-	// Newest first: pathB's manual bundle, then pathA's health bundle.
-	if bundles[0].Path != "pathB" || bundles[0].Reason != "manual" {
+	// Newest first: pathB's bundle, then pathA's.
+	if bundles[0].Path != "pathB" || bundles[0].Name != "bundle-000002-health-down" {
 		t.Fatalf("newest bundle = %+v", bundles[0])
 	}
 	if bundles[1].Path != "pathA" || bundles[1].Reason != "health-down" {
@@ -118,12 +105,12 @@ func TestBundleWriteFailureNeverBlocks(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		e.Fire("health-down", "pathA", "")
+		e.FireHealth("pathA", down(0))
 	}()
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Fire blocked on an unwritable bundle dir")
+		t.Fatal("FireHealth blocked on an unwritable bundle dir")
 	}
 	waitBuilt(t, e, 1)
 	if s := e.Stats(); s.WriteFailures != 1 {
@@ -154,13 +141,13 @@ func TestFireNeverBlocksOnFullQueue(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < queueLen+4; i++ {
-			e.Fire("health-down", string(rune('a'+i)), "")
+			e.FireHealth(string(rune('a'+i)), down(0))
 		}
 	}()
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Fire blocked on a full bundle queue")
+		t.Fatal("FireHealth blocked on a full bundle queue")
 	}
 	if s := e.Stats(); s.Dropped == 0 {
 		t.Fatalf("stats = %+v, want drops with a wedged worker", s)
@@ -197,7 +184,7 @@ func TestBundleContentAndStitchedTraces(t *testing.T) {
 		Metrics:  func() []byte { return []byte("# metrics\n") },
 	})
 	defer e.Close()
-	e.Fire("health-down", "pathA", "degraded->down score=0.120")
+	e.FireHealth("pathA", down(0))
 	waitBuilt(t, e, 1)
 
 	name := e.Bundles()[0].Name
@@ -220,19 +207,20 @@ func TestBundleContentAndStitchedTraces(t *testing.T) {
 	if b.Metrics != "# metrics\n" {
 		t.Fatalf("bundle metrics = %q", b.Metrics)
 	}
+	if b.Detail != "degraded->down score=0.120" {
+		t.Fatalf("bundle detail = %q", b.Detail)
+	}
 }
 
 func TestBundlePersistAndEviction(t *testing.T) {
 	dir := t.TempDir()
-	clock := &fakeClock{}
 	rec := NewRecorder(8, false)
-	e := NewEngine(TriggerConfig{Recorder: rec, Dir: dir, Window: 1, Clock: clock.Now})
+	e := NewEngine(TriggerConfig{Recorder: rec, Dir: dir, Window: 1})
 	defer e.Close()
 
 	// One build at a time: the queue holds fewer than maxBundles.
 	for i := 0; i < maxBundles+1; i++ {
-		e.Fire("health-down", "pathA", "")
-		clock.Advance(2)
+		e.FireHealth("pathA", down(2*float64(i)))
 		waitBuilt(t, e, uint64(i+1))
 	}
 	if n := len(e.Bundles()); n != maxBundles {
@@ -257,8 +245,7 @@ func TestBundlePersistAndEviction(t *testing.T) {
 
 func TestNilEngineNoOp(t *testing.T) {
 	var e *Engine
-	e.Fire("health-down", "p", "")
-	e.FireHealth("p", obs.HealthTransition{To: obs.HealthDown})
+	e.FireHealth("p", down(0))
 	if e.Stats() != (EngineStats{}) || e.Bundles() != nil {
 		t.Fatal("nil engine reported state")
 	}

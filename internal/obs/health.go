@@ -16,6 +16,11 @@
 // score with hysteresis, so the healthy → degraded → down transitions
 // are damped rather than flapping with every sample.
 //
+// Folds are the one writer: a transition commits only when a sample is
+// folded in, and every read (Snapshot, PathHealth) is a view that
+// commits nothing. A path gone quiet keeps its last verdict until its
+// next fold, while its score and last-success age still show it aging.
+//
 // Time is float64 seconds throughout, matching transport timestamps:
 // fed operation records the monitor runs on their time (which keeps it
 // deterministic on the virtual-time simulator), while daemons that feed
@@ -102,7 +107,8 @@ type HealthConfig struct {
 	// OnTransition, when set, is called for every committed state change
 	// with the path key and the transition. It runs after the monitor's
 	// lock is released, so the callback may call back into the monitor
-	// (State, Snapshot); slow callbacks still delay the folding caller.
+	// (Snapshot, PathHealth); slow callbacks still delay the folding
+	// caller.
 	OnTransition func(path string, tr HealthTransition)
 }
 
@@ -131,7 +137,7 @@ const (
 )
 
 // The transition damping: a new state must win hysteresis consecutive
-// evaluations before it commits, and a state holds at least dwellBuckets
+// folds before it commits, and a state holds at least dwellBuckets
 // bucket widths before the next transition. A transition demanded before
 // the dwell expires is suppressed and counted as a damped flap.
 const (
@@ -205,8 +211,6 @@ type pathHealth struct {
 	transitions     int64
 	flapsSuppressed int64
 	history         []HealthTransition
-
-	score float64
 }
 
 // HealthMonitor folds transfer outcomes into per-path rolling windows
@@ -220,31 +224,6 @@ type HealthMonitor struct {
 	mu      sync.Mutex
 	paths   map[string]*pathHealth
 	hiwater float64 // newest event time seen (event-time "now")
-
-	// notices queues committed transitions for OnTransition while m.mu is
-	// held; every path that calls evaluate drains it after unlocking.
-	notices []healthNotice
-}
-
-// healthNotice is one queued OnTransition delivery.
-type healthNotice struct {
-	path string
-	tr   HealthTransition
-}
-
-// takeNotices detaches the queued transition notices. Caller holds m.mu.
-func (m *HealthMonitor) takeNotices() []healthNotice {
-	n := m.notices
-	m.notices = nil
-	return n
-}
-
-// fireNotices delivers queued transitions. Caller must NOT hold m.mu:
-// the callback is allowed to read the monitor.
-func (m *HealthMonitor) fireNotices(notices []healthNotice) {
-	for _, n := range notices {
-		m.cfg.OnTransition(n.path, n.tr)
-	}
 }
 
 // NewHealthMonitor returns a monitor with cfg's gaps filled by defaults.
@@ -281,9 +260,6 @@ func (m *HealthMonitor) path(key string) *pathHealth {
 
 // bucket returns the bucket covering time t, resetting a stale slot.
 func (m *HealthMonitor) bucket(p *pathHealth, t float64) *healthBucket {
-	if t < 0 {
-		t = 0
-	}
 	num := int64(t / m.bucketWidth())
 	b := &p.buckets[num%int64(len(p.buckets))]
 	if b.num != num {
@@ -293,9 +269,13 @@ func (m *HealthMonitor) bucket(p *pathHealth, t float64) *healthBucket {
 }
 
 // fold is the single write path: it records one outcome sample at time t
-// and re-evaluates the path's state.
+// (t < 0: at the monitor's clock, read under the same lock) and
+// re-evaluates the path's state at the monitor's clock.
 func (m *HealthMonitor) fold(key string, t float64, class ErrClass, latency float64, bytes int64, retry bool) {
 	m.mu.Lock()
+	if t < 0 {
+		t = m.now()
+	}
 	if t > m.hiwater {
 		m.hiwater = t
 	}
@@ -324,11 +304,14 @@ func (m *HealthMonitor) fold(key string, t float64, class ErrClass, latency floa
 	default:
 		b.fail++
 	}
-	m.evaluate(key, p, m.now())
-	notices := m.takeNotices()
+	tr, moved := m.evaluate(p, m.now())
 	m.mu.Unlock()
-	// Notices run unlocked: OnTransition may read back into this monitor.
-	m.fireNotices(notices)
+	// The callback runs unlocked: OnTransition may read back into this
+	// monitor. It gets its own copy of the key, so a key read out of a
+	// caller's record never makes that record escape (see Fold).
+	if moved && m.cfg.OnTransition != nil {
+		m.cfg.OnTransition(strings.Clone(key), tr)
+	}
 }
 
 func (m *HealthMonitor) foldEWMA(p *pathHealth, mbps float64) {
@@ -439,23 +422,24 @@ func (m *HealthMonitor) target(score float64) HealthState {
 	return HealthDegraded
 }
 
-// evaluate recomputes the path's score and applies the hysteresis state
-// machine: a new target state must win hysteresis consecutive
-// evaluations, and no transition commits before dwellBuckets bucket
-// widths in the current state — demanded-but-dwelling transitions count
-// as suppressed flaps.
-func (m *HealthMonitor) evaluate(key string, p *pathHealth, now float64) {
-	p.score = m.scoreOf(p, m.window(p, now), now)
-	want := m.target(p.score)
+// evaluate scores the path at now and applies the hysteresis state
+// machine, reporting the transition it committed, if any: a new target
+// state must win hysteresis consecutive folds, and no transition commits
+// before dwellBuckets bucket widths in the current state —
+// demanded-but-dwelling transitions count as suppressed flaps. Only fold
+// calls it.
+func (m *HealthMonitor) evaluate(p *pathHealth, now float64) (HealthTransition, bool) {
+	score := m.scoreOf(p, m.window(p, now), now)
+	want := m.target(score)
 	if p.state == HealthUnknown {
 		// First sample: adopt the observed state directly.
 		p.state = want
 		p.stateSince = now
-		return
+		return HealthTransition{}, false
 	}
 	if want == p.state {
 		p.pendingN = 0
-		return
+		return HealthTransition{}, false
 	}
 	if want == p.pending {
 		p.pendingN++
@@ -464,13 +448,13 @@ func (m *HealthMonitor) evaluate(key string, p *pathHealth, now float64) {
 		p.pendingN = 1
 	}
 	if p.pendingN < hysteresis {
-		return
+		return HealthTransition{}, false
 	}
 	if now-p.stateSince < dwellBuckets*m.bucketWidth() {
 		p.flapsSuppressed++
-		return
+		return HealthTransition{}, false
 	}
-	tr := HealthTransition{From: p.state, To: want, Time: now, Score: p.score}
+	tr := HealthTransition{From: p.state, To: want, Time: now, Score: score}
 	p.history = append(p.history, tr)
 	if len(p.history) > healthHistoryCap {
 		p.history = p.history[len(p.history)-healthHistoryCap:]
@@ -479,9 +463,7 @@ func (m *HealthMonitor) evaluate(key string, p *pathHealth, now float64) {
 	p.stateSince = now
 	p.transitions++
 	p.pendingN = 0
-	if m.cfg.OnTransition != nil {
-		m.notices = append(m.notices, healthNotice{path: strings.Clone(key), tr: tr})
-	}
+	return tr, true
 }
 
 // --- Operation feeding ----------------------------------------------
@@ -507,10 +489,7 @@ func (m *HealthMonitor) Fold(op *Op) {
 // feeds forward outcomes per origin, the origin serve outcomes per
 // object. latency in seconds; bytes feed the throughput EWMA.
 func (m *HealthMonitor) Observe(key string, class ErrClass, latency float64, bytes int64) {
-	m.mu.Lock()
-	t := m.now()
-	m.mu.Unlock()
-	m.fold(key, t, class, latency, bytes, false)
+	m.fold(key, -1, class, latency, bytes, false)
 }
 
 // --- Snapshots --------------------------------------------------------
@@ -573,20 +552,20 @@ func (s HealthSnapshot) Path(key string) (PathHealth, bool) {
 	return PathHealth{}, false
 }
 
-// Snapshot captures every path's current health, re-evaluating each
-// state first so aging alone (a path gone quiet) is reflected without
-// waiting for its next sample.
+// Snapshot captures every path's health as a view that commits nothing:
+// the state and history the folds committed, and the score, window
+// counts and last-success age aged to the monitor's clock, so a path
+// gone quiet shows its decay before its next fold moves the verdict.
 func (m *HealthMonitor) Snapshot() HealthSnapshot {
 	m.mu.Lock()
 	now := m.now()
 	s := HealthSnapshot{Time: now, Paths: make([]PathHealth, 0, len(m.paths))}
 	for key, p := range m.paths {
-		m.evaluate(key, p, now)
 		w := m.window(p, now)
 		ph := PathHealth{
 			Path:            key,
 			State:           p.state,
-			Score:           p.score,
+			Score:           m.scoreOf(p, w, now),
 			Ok:              w.ok,
 			Failed:          w.fail,
 			Retries:         w.retry,
@@ -611,48 +590,15 @@ func (m *HealthMonitor) Snapshot() HealthSnapshot {
 		}
 		s.Paths = append(s.Paths, ph)
 	}
-	notices := m.takeNotices()
 	m.mu.Unlock()
-	m.fireNotices(notices)
 	sort.Slice(s.Paths, func(i, j int) bool { return s.Paths[i].Path < s.Paths[j].Path })
 	return s
 }
 
-// PathHealth returns one path's current health view.
+// PathHealth returns one path's current health view (a zero view, state
+// HealthUnknown, and false if the path was never sampled).
 func (m *HealthMonitor) PathHealth(key string) (PathHealth, bool) {
 	return m.Snapshot().Path(key)
-}
-
-// State returns a path's damped state (HealthUnknown if never seen).
-func (m *HealthMonitor) State(key string) HealthState {
-	m.mu.Lock()
-	p := m.paths[key]
-	if p == nil {
-		m.mu.Unlock()
-		return HealthUnknown
-	}
-	m.evaluate(key, p, m.now())
-	state := p.state
-	notices := m.takeNotices()
-	m.mu.Unlock()
-	m.fireNotices(notices)
-	return state
-}
-
-// Score returns a path's current score (0 if never seen).
-func (m *HealthMonitor) Score(key string) float64 {
-	m.mu.Lock()
-	p := m.paths[key]
-	if p == nil {
-		m.mu.Unlock()
-		return 0
-	}
-	m.evaluate(key, p, m.now())
-	score := p.score
-	notices := m.takeNotices()
-	m.mu.Unlock()
-	m.fireNotices(notices)
-	return score
 }
 
 // WriteProm renders the health view as Prometheus gauges under prefix:

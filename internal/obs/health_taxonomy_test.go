@@ -68,7 +68,7 @@ func TestFoldTaxonomySequence(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		m.fold("p", float64(i), ClassOK, 0.05, 64<<10, false)
 	}
-	if st := m.State("p"); st != HealthHealthy {
+	if st := view(m, "p").State; st != HealthHealthy {
 		t.Fatalf("state after clean traffic = %v, want healthy", st)
 	}
 	before, _ := m.PathHealth("p")
@@ -85,7 +85,7 @@ func TestFoldTaxonomySequence(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		m.fold("p", 21+float64(i), ClassFailed, 0, 0, false)
 	}
-	if st := m.State("p"); st == HealthHealthy {
+	if st := view(m, "p").State; st == HealthHealthy {
 		t.Fatal("reset burst left the path healthy")
 	}
 	ph, _ := m.PathHealth("p")

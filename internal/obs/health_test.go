@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -10,6 +11,12 @@ import (
 // 10 buckets, so 2-sample hysteresis and a 2 s dwell.
 func testHealthCfg() HealthConfig {
 	return HealthConfig{Window: 10, Buckets: 10}
+}
+
+// view is one path's health as a read sees it.
+func view(m *HealthMonitor, key string) PathHealth {
+	ph, _ := m.PathHealth(key)
+	return ph
 }
 
 // feedOK folds n successes at 1 s spacing starting at t0, each moving
@@ -24,8 +31,8 @@ func feedOK(m *HealthMonitor, key string, t0 float64, n int, lat float64, bytes 
 func TestHealthHealthyUnderSteadySuccess(t *testing.T) {
 	m := NewHealthMonitor(testHealthCfg())
 	feedOK(m, "relay-a", 0, 8, 0.05, 64<<10)
-	if got := m.State("relay-a"); got != HealthHealthy {
-		t.Fatalf("state = %v, want healthy (score %.3f)", got, m.Score("relay-a"))
+	if got := view(m, "relay-a"); got.State != HealthHealthy {
+		t.Fatalf("state = %v, want healthy (score %.3f)", got.State, got.Score)
 	}
 	ph, ok := m.PathHealth("relay-a")
 	if !ok {
@@ -58,8 +65,8 @@ func TestHealthDegradesOnThroughputCollapseThenDown(t *testing.T) {
 	m := NewHealthMonitor(testHealthCfg())
 	// Establish a healthy baseline: fast transfers.
 	now := feedOK(m, "p", 0, 6, 0.05, 1<<20)
-	if m.State("p") != HealthHealthy {
-		t.Fatalf("baseline state = %v, want healthy", m.State("p"))
+	if got := view(m, "p").State; got != HealthHealthy {
+		t.Fatalf("baseline state = %v, want healthy", got)
 	}
 	// Throughput collapses ~100x but requests still succeed: the fast
 	// EWMA dives, the slow one remembers the norm, and the score floors
@@ -68,16 +75,16 @@ func TestHealthDegradesOnThroughputCollapseThenDown(t *testing.T) {
 		m.fold("p", now+float64(i), ClassOK, 5.0, 1<<20, false)
 	}
 	now += 8
-	if got := m.State("p"); got != HealthDegraded {
-		t.Fatalf("after collapse state = %v (score %.3f), want degraded", got, m.Score("p"))
+	if got := view(m, "p"); got.State != HealthDegraded {
+		t.Fatalf("after collapse state = %v (score %.3f), want degraded", got.State, got.Score)
 	}
 	// Then the path starts failing outright: availability drives the
 	// score under downScore.
 	for i := 0; i < 10; i++ {
 		m.fold("p", now+float64(i), ClassFailed, 0, 0, false)
 	}
-	if got := m.State("p"); got != HealthDown {
-		t.Fatalf("after failures state = %v (score %.3f), want down", got, m.Score("p"))
+	if got := view(m, "p"); got.State != HealthDown {
+		t.Fatalf("after failures state = %v (score %.3f), want down", got.State, got.Score)
 	}
 	// The committed trajectory is exactly healthy→degraded→down.
 	ph, _ := m.PathHealth("p")
@@ -92,9 +99,9 @@ func TestHealthHysteresisDampsFlapping(t *testing.T) {
 	// 5 s buckets: the 10 s dwell covers the failure burst below.
 	m := NewHealthMonitor(HealthConfig{Window: 30, Buckets: 6})
 	now := feedOK(m, "p", 0, 5, 0.05, 1<<20)
-	// One isolated failure is not enough evaluations to transition.
+	// One isolated failure is not enough folds to transition.
 	m.fold("p", now, ClassFailed, 0, 0, false)
-	if got := m.State("p"); got != HealthHealthy {
+	if got := view(m, "p").State; got != HealthHealthy {
 		t.Fatalf("one failure flipped state to %v", got)
 	}
 	// A burst of failures inside the dwell period demands the transition
@@ -113,30 +120,24 @@ func TestHealthHysteresisDampsFlapping(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		m.fold("p", now+7+float64(i), ClassFailed, 0, 0, false)
 	}
-	if got := m.State("p"); got == HealthHealthy {
-		t.Fatalf("state still healthy after sustained post-dwell failures (score %.3f)", m.Score("p"))
+	if got := view(m, "p"); got.State == HealthHealthy {
+		t.Fatalf("state still healthy after sustained post-dwell failures (score %.3f)", got.Score)
 	}
 
-	// Past the dwell, hysteresis alone holds a state: the first evaluation
-	// that scores below healthy leaves the path healthy, the next commits.
-	// Read without evaluating: State and Score are evaluations too.
+	// Past the dwell, hysteresis alone holds a state: the first fold that
+	// scores below healthy leaves the path healthy, the next commits.
 	m = NewHealthMonitor(HealthConfig{Window: 30, Buckets: 6})
-	peek := func() (float64, HealthState) {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		return m.paths["q"].score, m.paths["q"].state
-	}
 	now = feedOK(m, "q", 0, 12, 0.05, 1<<20)
 	demands := 0
 	for i := 0; i < 10 && demands < 2; i++ {
 		m.fold("q", now+float64(i)*0.1, ClassFailed, 0, 0, false)
-		score, state := peek()
-		if score >= healthyScore {
+		got := view(m, "q")
+		if got.Score >= healthyScore {
 			continue
 		}
 		demands++
-		if want := [...]HealthState{HealthHealthy, HealthDegraded}[demands-1]; state != want {
-			t.Fatalf("evaluation %d below healthy (score %.3f): state %v, want %v", demands, score, state, want)
+		if want := [...]HealthState{HealthHealthy, HealthDegraded}[demands-1]; got.State != want {
+			t.Fatalf("fold %d below healthy (score %.3f): state %v, want %v", demands, got.Score, got.State, want)
 		}
 	}
 	if demands < 2 {
@@ -152,14 +153,56 @@ func TestHealthStalenessDrivesScoreDown(t *testing.T) {
 	m := NewHealthMonitor(cfg)
 	feedOK(m, "p", 0, 5, 0.05, 1<<20) // last success at t=4
 	clock = 9                         // a full MaxSuccessAge after it
-	if s := m.Score("p"); s > 0.3 {
+	if s := view(m, "p").Score; s > 0.3 {
 		t.Fatalf("score after silence = %.3f, want near 0", s)
 	}
-	clock = 20 // evaluations outlast the dwell; state decays without events
-	m.Score("p")
-	clock = 25
-	if got := m.State("p"); got != HealthDown {
-		t.Fatalf("stale path state = %v, want down", got)
+	// Silence alone commits nothing: long past the dwell, the path keeps
+	// the verdict its last fold committed, while its view shows the age.
+	clock = 20
+	if got := view(m, "p"); got.State != HealthHealthy || got.Transitions != 0 || got.LastSuccessAge != 16 {
+		t.Fatalf("silent path = %+v, want still healthy, no transitions, last success 16 s ago", got)
+	}
+	// The next folds commit the aged verdict: hysteresis takes two.
+	for _, at := range []float64{20, 21} {
+		clock = at
+		m.fold("p", at, ClassFailed, 0, 0, false)
+	}
+	if got := view(m, "p"); got.State != HealthDown || len(got.History) != 1 || got.History[0].Time != 21 {
+		t.Fatalf("stale path after two folds = %+v, want down, committed at t=21", got)
+	}
+}
+
+// TestHealthReadsCommitNothing: reads are views. One fold sequence —
+// a healthy baseline, a failure burst, a recovery — commits the same
+// transitions, at the same times, and notifies the same ones whether
+// or not Snapshot and PathHealth read the monitor between its folds.
+func TestHealthReadsCommitNothing(t *testing.T) {
+	run := func(reads int) (history, notified []HealthTransition) {
+		m := NewHealthMonitor(HealthConfig{Window: 30, Buckets: 6,
+			OnTransition: func(_ string, tr HealthTransition) { notified = append(notified, tr) }})
+		for i := 0; i < 60; i++ {
+			class := ClassOK
+			if i >= 12 && i < 24 {
+				class = ClassFailed
+			}
+			m.fold("p", float64(i), class, 0.05, 1<<20, false)
+			for j := 0; j < reads; j++ {
+				m.Snapshot()
+				m.PathHealth("p")
+			}
+		}
+		return view(m, "p").History, notified
+	}
+	history, notified := run(0)
+	if len(history) < 2 || history[len(history)-1].To != HealthHealthy {
+		t.Fatalf("fold sequence committed %v, want a drop and a recovery", history)
+	}
+	for _, reads := range []int{1, 3} {
+		h, n := run(reads)
+		if !reflect.DeepEqual(h, history) || !reflect.DeepEqual(n, notified) {
+			t.Fatalf("%d reads between folds: history %v, notified %v; without reads %v, %v",
+				reads, h, n, history, notified)
+		}
 	}
 }
 
@@ -276,7 +319,7 @@ func TestHealthOnTransitionCallback(t *testing.T) {
 	cfg.OnTransition = func(path string, tr HealthTransition) {
 		// The callback runs after the monitor lock is released, so
 		// calling back into the monitor must not deadlock.
-		_ = m.State(path)
+		_ = view(m, path).State
 		calls = append(calls, seen{path, tr})
 	}
 	m = NewHealthMonitor(cfg)
