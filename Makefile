@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet cross test race bench-smoke relay-bench-smoke registry-bench-smoke obs-bench-smoke bench-pair doc-check fuzz-smoke chaos-smoke obs-smoke flight-smoke stress verify
+.PHONY: build vet cross test race examples-smoke bench-smoke relay-bench-smoke registry-bench-smoke obs-bench-smoke bench-pair doc-check fuzz-smoke chaos-smoke obs-smoke flight-smoke stress verify
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,17 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Each example built and run once: quickstart, planetlab and adaptive on
+# the simulator, realrelay and multipath on loopback TCP (~11 s in all on
+# a 2-vCPU machine, most of it the two loopback ones). Nothing else runs
+# them, so this is what notices an example that no longer runs.
+EXAMPLES = quickstart planetlab adaptive realrelay multipath
+examples-smoke:
+	@for e in $(EXAMPLES); do \
+		echo "== examples/$$e"; \
+		$(GO) run ./examples/$$e || exit 1; \
+	done
 
 # The repo benchmark's own smoke test (1/50 of the fixed work, ~3 s).
 # bench/ is a nested module that `go build ./... && go test ./...` does

@@ -57,37 +57,47 @@ func summarizeRounds(lbl string, recs []Record) AblationPoint {
 
 // AblationParams configures all ablation sweeps.
 type AblationParams struct {
-	Seed     uint64
-	Scenario topo.Params
+	Seed uint64
 	// Clients are the subjects; default: one client per category.
 	Clients []string
 	Rounds  int // default 80 per configuration per client
-	Config  Config
 	Workers int
 }
 
+// categoryClients are the default subjects of the ablations and of the
+// monitor and multipath extensions: one client per throughput category
+// (Low, Medium, High).
+var categoryClients = []string{"India", "Sweden", "Canada"}
+
+// ablationPeriod is the virtual time between an ablation campaign's
+// rounds.
+const ablationPeriod = 60
+
 func (p AblationParams) withDefaults() AblationParams {
-	if p.Scenario.Seed == 0 {
-		p.Scenario.Seed = p.Seed
-	}
 	if len(p.Clients) == 0 {
-		p.Clients = []string{"India", "Sweden", "Canada"} // Low, Medium, High
+		p.Clients = categoryClients
 	}
 	if p.Rounds == 0 {
 		p.Rounds = 80
 	}
-	if p.Config.Period == 0 {
-		p.Config.Period = 60
-	}
 	return p
 }
 
-// sec4Config applies the Section 4 methodology flags used by the
-// set-based ablations.
-func sec4Config(c Config) Config {
-	c.SequentialProbes = true
-	c.ExcludeProbePhase = true
-	return c
+// staticSpec is the campaign an ablation runs for one client of scen:
+// the client's static intermediate under cfg, seeded from lbl.
+func (p AblationParams) staticSpec(scen *topo.Scenario, name string, cfg Config, lbl string) CampaignSpec {
+	client := findClient(scen, name)
+	inter := staticIntermediate(scen, client)
+	return CampaignSpec{
+		Scenario:  scen,
+		Client:    client,
+		Server:    focus(scen),
+		Inters:    []*topo.Node{inter},
+		Policy:    core.StaticPolicy{Intermediate: inter.Name},
+		Transfers: p.Rounds,
+		Seed:      campaignSeed(p.Seed, lbl),
+		Config:    cfg,
+	}
 }
 
 // AblateProbeSize sweeps the probe size x and reports how prediction
@@ -99,29 +109,13 @@ func AblateProbeSize(p AblationParams, sizes []int64) []AblationPoint {
 	if len(sizes) == 0 {
 		sizes = []int64{10_000, 25_000, 50_000, 100_000, 250_000, 500_000, 1_000_000}
 	}
-	scen := topo.NewScenario(p.Scenario)
-	server := scen.FindServer("eBay")
-	must(server != nil, "eBay server missing")
-
+	scen := topo.NewScenario(topo.Params{Seed: p.Seed})
 	var specs []CampaignSpec
 	var labels []string
 	for _, x := range sizes {
-		cfg := p.Config
-		cfg.ProbeBytes = x
+		cfg := Config{Period: ablationPeriod, ProbeBytes: x}
 		for _, name := range p.Clients {
-			client := scen.FindClient(name)
-			must(client != nil, "unknown client %q", name)
-			inter := staticIntermediate(scen, client)
-			specs = append(specs, CampaignSpec{
-				Scenario:  scen,
-				Client:    client,
-				Server:    server,
-				Inters:    []*topo.Node{inter},
-				Policy:    core.StaticPolicy{Intermediate: inter.Name},
-				Transfers: p.Rounds,
-				Seed:      campaignSeed(p.Seed, label("probe", strconv.FormatInt(x, 10), name)),
-				Config:    cfg,
-			})
+			specs = append(specs, p.staticSpec(scen, name, cfg, label("probe", strconv.FormatInt(x, 10), name)))
 			labels = append(labels, "x="+strconv.FormatInt(x, 10))
 		}
 	}
@@ -133,29 +127,13 @@ func AblateProbeSize(p AblationParams, sizes []int64) []AblationPoint {
 // max-measured-throughput selection on identical campaigns.
 func AblateSelectionRule(p AblationParams) []AblationPoint {
 	p = p.withDefaults()
-	scen := topo.NewScenario(p.Scenario)
-	server := scen.FindServer("eBay")
-	must(server != nil, "eBay server missing")
-
+	scen := topo.NewScenario(topo.Params{Seed: p.Seed})
 	var specs []CampaignSpec
 	var labels []string
 	for _, rule := range []core.Rule{core.FirstFinished, core.MaxThroughput} {
-		cfg := p.Config
-		cfg.Rule = rule
+		cfg := Config{Period: ablationPeriod, Rule: rule}
 		for _, name := range p.Clients {
-			client := scen.FindClient(name)
-			must(client != nil, "unknown client %q", name)
-			inter := staticIntermediate(scen, client)
-			specs = append(specs, CampaignSpec{
-				Scenario:  scen,
-				Client:    client,
-				Server:    server,
-				Inters:    []*topo.Node{inter},
-				Policy:    core.StaticPolicy{Intermediate: inter.Name},
-				Transfers: p.Rounds,
-				Seed:      campaignSeed(p.Seed, label("rule", rule.String(), name)),
-				Config:    cfg,
-			})
+			specs = append(specs, p.staticSpec(scen, name, cfg, label("rule", rule.String(), name)))
 			labels = append(labels, rule.String())
 		}
 	}
@@ -165,23 +143,20 @@ func AblateSelectionRule(p AblationParams) []AblationPoint {
 
 // AblateWeightedPolicy compares the uniform random set against the
 // utilization-weighted random set the paper proposes in Section 6, at the
-// same set size.
+// same set size, under the Section 4 methodology.
 func AblateWeightedPolicy(p AblationParams, setSize int) []AblationPoint {
 	p = p.withDefaults()
 	if setSize == 0 {
 		setSize = 5
 	}
-	scenP := p.Scenario
-	scenP.NumIntermediates = 35
-	scen := topo.NewScenario(scenP)
-	server := scen.FindServer("eBay")
-	must(server != nil, "eBay server missing")
+	scen := sec4Scenario(p.Seed)
+	server := focus(scen)
+	cfg := Config{Period: ablationPeriod, Section4: true}
 
 	var specs []CampaignSpec
 	var labels []string
 	for _, name := range p.Clients {
-		client := scen.FindClient(name)
-		must(client != nil, "unknown client %q", name)
+		client := findClient(scen, name)
 
 		specs = append(specs, CampaignSpec{
 			Scenario:  scen,
@@ -191,7 +166,7 @@ func AblateWeightedPolicy(p AblationParams, setSize int) []AblationPoint {
 			Policy:    core.UniformRandomPolicy{K: setSize},
 			Transfers: p.Rounds,
 			Seed:      campaignSeed(p.Seed, label("policy", "uniform", name)),
-			Config:    sec4Config(p.Config),
+			Config:    cfg,
 		})
 		labels = append(labels, "uniform")
 
@@ -204,7 +179,7 @@ func AblateWeightedPolicy(p AblationParams, setSize int) []AblationPoint {
 			Policy:    core.WeightedRandomPolicy{K: setSize, Metrics: m},
 			Transfers: p.Rounds,
 			Seed:      campaignSeed(p.Seed, label("policy", "weighted", name)),
-			Config:    sec4Config(p.Config),
+			Config:    cfg,
 			Metrics:   m,
 		})
 		labels = append(labels, "weighted")
@@ -223,27 +198,11 @@ func AblateSharedBottleneck(p AblationParams, fracs []float64) []AblationPoint {
 	}
 	var out []AblationPoint
 	for _, f := range fracs {
-		scenP := p.Scenario
-		scenP.SharedBottleneckFrac = f
-		scen := topo.NewScenario(scenP)
-		server := scen.FindServer("eBay")
-		must(server != nil, "eBay server missing")
-
+		scen := topo.NewScenario(topo.Params{Seed: p.Seed, SharedBottleneckFrac: f})
 		var specs []CampaignSpec
 		for _, name := range p.Clients {
-			client := scen.FindClient(name)
-			must(client != nil, "unknown client %q", name)
-			inter := staticIntermediate(scen, client)
-			specs = append(specs, CampaignSpec{
-				Scenario:  scen,
-				Client:    client,
-				Server:    server,
-				Inters:    []*topo.Node{inter},
-				Policy:    core.StaticPolicy{Intermediate: inter.Name},
-				Transfers: p.Rounds,
-				Seed:      campaignSeed(p.Seed, label("shared", strconv.FormatFloat(f, 'g', -1, 64), name)),
-				Config:    p.Config,
-			})
+			specs = append(specs, p.staticSpec(scen, name, Config{Period: ablationPeriod},
+				label("shared", strconv.FormatFloat(f, 'g', -1, 64), name)))
 		}
 		results := RunAll(specs, p.Workers)
 		var recs []Record
@@ -310,29 +269,13 @@ func AblateObjectSize(p AblationParams, sizes []int64) []AblationPoint {
 	if len(sizes) == 0 {
 		sizes = []int64{250_000, 500_000, 1_000_000, 2_000_000, 4_000_000, 8_000_000}
 	}
-	scen := topo.NewScenario(p.Scenario)
-	server := scen.FindServer("eBay")
-	must(server != nil, "eBay server missing")
-
+	scen := topo.NewScenario(topo.Params{Seed: p.Seed})
 	var specs []CampaignSpec
 	var labels []string
 	for _, size := range sizes {
-		cfg := p.Config
-		cfg.ObjectBytes = size
+		cfg := Config{Period: ablationPeriod, ObjectBytes: size}
 		for _, name := range p.Clients {
-			client := scen.FindClient(name)
-			must(client != nil, "unknown client %q", name)
-			inter := staticIntermediate(scen, client)
-			specs = append(specs, CampaignSpec{
-				Scenario:  scen,
-				Client:    client,
-				Server:    server,
-				Inters:    []*topo.Node{inter},
-				Policy:    core.StaticPolicy{Intermediate: inter.Name},
-				Transfers: p.Rounds,
-				Seed:      campaignSeed(p.Seed, label("objsize", strconv.FormatInt(size, 10), name)),
-				Config:    cfg,
-			})
+			specs = append(specs, p.staticSpec(scen, name, cfg, label("objsize", strconv.FormatInt(size, 10), name)))
 			labels = append(labels, "size="+strconv.FormatInt(size, 10))
 		}
 	}

@@ -14,12 +14,11 @@ import (
 // adaptive Downloader (1 MB segments, a re-race after every segment) on
 // each client's static intermediate.
 
-// AdaptiveParams configures the comparison.
+// AdaptiveParams configures the comparison, run on the first four
+// variable (regime-switching) clients, where adaptation should matter
+// most.
 type AdaptiveParams struct {
-	Seed uint64
-	// Clients defaults to the first four variable (regime-switching)
-	// clients, where adaptation should matter most.
-	Clients []string
+	Seed    uint64
 	Rounds  int // per client; default 60
 	Workers int // parallel campaigns (0 = GOMAXPROCS)
 }
@@ -48,15 +47,13 @@ func RunAdaptive(p AdaptiveParams) []AdaptiveResult {
 		p.Rounds = 60
 	}
 	scen := topo.NewScenario(topo.Params{Seed: p.Seed})
-	clients := p.Clients
-	if len(clients) == 0 {
-		for _, c := range scen.Clients {
-			if scen.ClientNet(c).Variable {
-				clients = append(clients, c.Name)
-			}
-			if len(clients) == 4 {
-				break
-			}
+	var clients []string
+	for _, c := range scen.Clients {
+		if scen.ClientNet(c).Variable {
+			clients = append(clients, c.Name)
+		}
+		if len(clients) == 4 {
+			break
 		}
 	}
 
@@ -64,8 +61,7 @@ func RunAdaptive(p AdaptiveParams) []AdaptiveResult {
 	switches := make([][]int, len(clients))
 	var specs []CampaignSpec
 	for i, name := range clients {
-		client := scen.FindClient(name)
-		must(client != nil, "unknown client %q", name)
+		client := findClient(scen, name)
 		sw := &switches[i]
 		specs = append(specs, pairedSpecs(scen, client, []*topo.Node{staticIntermediate(scen, client)},
 			campaignSeed(p.Seed, label("adaptive", name)), p.Rounds,

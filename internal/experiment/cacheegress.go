@@ -20,30 +20,27 @@ import (
 
 // CacheEgressParams configures the egress comparison.
 type CacheEgressParams struct {
-	// Clients is the number of concurrent clients fetching the catalog
-	// (default 10).
-	Clients int
 	// Objects is the catalog size (default 8).
 	Objects int
 	// ObjectSize is each object's size in bytes (default 128 KB).
 	ObjectSize int64
-	// CacheBytes is the cached relay's capacity (default 64 MB — the
-	// whole catalog fits, isolating the sharing effect from eviction).
-	CacheBytes int64
 }
 
+const (
+	// egressClients is the number of concurrent clients fetching the
+	// catalog.
+	egressClients = 10
+	// egressCacheBytes is the cached relay's capacity: the whole catalog
+	// fits, isolating the sharing effect from eviction.
+	egressCacheBytes = 64 << 20
+)
+
 func (p CacheEgressParams) withDefaults() CacheEgressParams {
-	if p.Clients == 0 {
-		p.Clients = 10
-	}
 	if p.Objects == 0 {
 		p.Objects = 8
 	}
 	if p.ObjectSize == 0 {
 		p.ObjectSize = 128 << 10
-	}
-	if p.CacheBytes == 0 {
-		p.CacheBytes = 64 << 20
 	}
 	return p
 }
@@ -83,7 +80,7 @@ func RunCacheEgress(p CacheEgressParams) CacheEgressResult {
 	defer ol.Close()
 	originAddr := ol.Addr().String()
 
-	res := CacheEgressResult{Clients: p.Clients, Objects: p.Objects, ObjectSize: p.ObjectSize}
+	res := CacheEgressResult{Clients: egressClients, Objects: p.Objects, ObjectSize: p.ObjectSize}
 
 	// fetchAll drives the workload through one relay: every client
 	// fetches the whole catalog concurrently, each starting at a
@@ -98,7 +95,7 @@ func RunCacheEgress(p CacheEgressParams) CacheEgressResult {
 
 		before := origin.BytesServed.Load()
 		var wg sync.WaitGroup
-		for c := 0; c < p.Clients; c++ {
+		for c := 0; c < egressClients; c++ {
 			wg.Add(1)
 			go func(c int) {
 				defer wg.Done()
@@ -116,7 +113,7 @@ func RunCacheEgress(p CacheEgressParams) CacheEgressResult {
 	}
 
 	res.BaselineEgress = fetchAll(relay.New())
-	cached := relay.New(relay.WithCache(p.CacheBytes), relay.WithVerifier(relay.VerifyRange))
+	cached := relay.New(relay.WithCache(egressCacheBytes), relay.WithVerifier(relay.VerifyRange))
 	res.CachedEgress = fetchAll(cached)
 	res.CacheStats = cached.Cache().Stats()
 	if res.CachedEgress > 0 {

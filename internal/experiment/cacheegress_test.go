@@ -7,11 +7,10 @@ import "testing"
 // egress at least 5x against the cacheless baseline.
 func TestCacheEgressReduction(t *testing.T) {
 	r := RunCacheEgress(CacheEgressParams{
-		Clients:    10,
 		Objects:    4,
 		ObjectSize: 32 << 10, // small objects keep the live-TCP run fast
 	})
-	wantBaseline := int64(10 * 4 * (32 << 10))
+	wantBaseline := int64(egressClients * 4 * (32 << 10))
 	if r.BaselineEgress != wantBaseline {
 		t.Fatalf("baseline egress = %d, want %d (every fetch billed to the origin)", r.BaselineEgress, wantBaseline)
 	}

@@ -27,7 +27,7 @@ import (
 	"repro/internal/topo"
 )
 
-// Config holds the transfer-level parameters shared by all experiments.
+// Config holds the transfer-level parameters a campaign varies.
 type Config struct {
 	// ObjectBytes is the download size (the paper uses multi-megabyte
 	// files, at least 2 MB). Default 4 MB.
@@ -39,53 +39,40 @@ type Config struct {
 	// Period is the virtual time between transfer starts (the paper's
 	// Section 3 schedule is one transfer every 6 minutes). Default 360 s.
 	Period float64
-	// Warmup is the virtual time the stochastic link drivers run before
-	// the first transfer. Default 600 s.
-	Warmup float64
-	// SequentialProbes probes candidates one at a time (Section 4's
-	// per-candidate "preliminary download tests") instead of racing them
-	// concurrently. Implies max-throughput selection.
-	SequentialProbes bool
-	// ExcludeProbePhase computes the selecting process's throughput over
-	// the remainder transfer only, leaving the probing overhead out of
-	// the improvement metric (used by the Section 4 analyses, where the
-	// probing phase grows with the candidate-set size).
-	ExcludeProbePhase bool
-	// SetupRTTs is the per-transfer connection-establishment cost in
-	// RTTs (default 1.5: TCP handshake + request; < 0 disables).
-	SetupRTTs float64
+	// Section4 applies the paper's Section 4 methodology: candidates are
+	// probed one at a time (its per-candidate "preliminary download
+	// tests", which implies max-throughput selection) instead of raced
+	// concurrently, and the selecting process's throughput is taken over
+	// the remainder transfer only, leaving the probing overhead, which
+	// grows with the candidate-set size, out of the improvement metric.
+	Section4 bool
 }
 
-// DefaultConfig returns the paper-faithful transfer configuration.
-func DefaultConfig() Config {
-	return Config{
-		ObjectBytes: 4_000_000,
-		ProbeBytes:  core.DefaultProbeBytes,
-		Rule:        core.FirstFinished,
-		Period:      360,
-		Warmup:      600,
-	}
-}
+// objectBytes is the default download size.
+const objectBytes = 4_000_000
+
+// sec3Period is the paper's Section 3 schedule, one transfer every 6
+// minutes, and the default Config.Period.
+const sec3Period = 360
+
+// warmup is the virtual time the stochastic link drivers run before a
+// campaign's first transfer (this repo's choice: long enough for link
+// conditions to decorrelate from their means).
+const warmup = 600
+
+// setupRTTs is each transfer's connection-establishment cost in RTTs
+// (this repo's choice: the TCP handshake plus the request).
+const setupRTTs = 1.5
 
 func (c Config) withDefaults() Config {
-	d := DefaultConfig()
 	if c.ObjectBytes == 0 {
-		c.ObjectBytes = d.ObjectBytes
+		c.ObjectBytes = objectBytes
 	}
 	if c.ProbeBytes == 0 {
-		c.ProbeBytes = d.ProbeBytes
+		c.ProbeBytes = core.DefaultProbeBytes
 	}
 	if c.Period == 0 {
-		c.Period = d.Period
-	}
-	if c.Warmup == 0 {
-		c.Warmup = d.Warmup
-	}
-	switch {
-	case c.SetupRTTs == 0:
-		c.SetupRTTs = 1.5
-	case c.SetupRTTs < 0:
-		c.SetupRTTs = 0
+		c.Period = sec3Period
 	}
 	return c
 }
@@ -170,27 +157,45 @@ type CampaignResult struct {
 // objectName is the synthetic large file every server exposes.
 const objectName = "large.bin"
 
+// focusServer is the web server the per-pair, Section 4 and extension
+// experiments download from: eBay, the paper's focus dataset.
+const focusServer = "eBay"
+
+// focus returns scen's focus server.
+func focus(scen *topo.Scenario) *topo.Node {
+	s := scen.FindServer(focusServer)
+	must(s != nil, "%s server missing", focusServer)
+	return s
+}
+
+// findClient returns scen's client called name.
+func findClient(scen *topo.Scenario, name string) *topo.Node {
+	c := scen.FindClient(name)
+	must(c != nil, "unknown client %q", name)
+	return c
+}
+
 // newWorld builds the simulated world every driver runs in: a fresh
 // engine and network, the scenario instantiated for one client, server
-// and intermediate set from the seeded RNG, the study's object on the
-// server, and the stochastic link drivers warmed up. cfg has its defaults
-// applied. The caller closes world.Inst.
-func newWorld(scen *topo.Scenario, seed uint64, cfg Config, client, server *topo.Node, inters []*topo.Node) (*httpsim.World, core.Object, *randx.RNG) {
+// and intermediate set from the seeded RNG, a size-byte object on the
+// server, and the stochastic link drivers warmed up. The caller closes
+// world.Inst.
+func newWorld(scen *topo.Scenario, seed uint64, size int64, client, server *topo.Node, inters []*topo.Node) (*httpsim.World, core.Object, *randx.RNG) {
 	net := simnet.NewNetwork(simnet.NewEngine())
 	rng := randx.New(seed)
 	inst := scen.Instantiate(net, rng.Fork("instance"), client, []*topo.Node{server}, inters)
 	world := httpsim.NewWorld(inst, []*topo.Node{server}, inters)
-	world.SetupRTTs = cfg.SetupRTTs
-	world.Put(server.Name, objectName, cfg.ObjectBytes)
-	inst.Warmup(cfg.Warmup)
-	return world, core.Object{Server: server.Name, Name: objectName, Size: cfg.ObjectBytes}, rng
+	world.SetupRTTs = setupRTTs
+	world.Put(server.Name, objectName, size)
+	inst.Warmup(warmup)
+	return world, core.Object{Server: server.Name, Name: objectName, Size: size}, rng
 }
 
 // RunCampaign executes one campaign to completion and returns its records.
 // It is deterministic in spec.Seed.
 func RunCampaign(spec CampaignSpec) CampaignResult {
 	cfg := spec.Config.withDefaults()
-	world, obj, rng := newWorld(spec.Scenario, spec.Seed, cfg, spec.Client, spec.Server, spec.Inters)
+	world, obj, rng := newWorld(spec.Scenario, spec.Seed, cfg.ObjectBytes, spec.Client, spec.Server, spec.Inters)
 	defer world.Inst.Close()
 	polRng := rng.Fork("policy")
 	m := spec.Metrics
@@ -205,7 +210,7 @@ func RunCampaign(spec CampaignSpec) CampaignResult {
 	if sel == nil {
 		// The paper's selecting process is the engine itself, reporting
 		// into m.
-		engine := core.Config{ProbeBytes: cfg.ProbeBytes, Rule: cfg.Rule, Sequential: cfg.SequentialProbes, Metrics: m}
+		engine := core.Config{ProbeBytes: cfg.ProbeBytes, Rule: cfg.Rule, Sequential: cfg.Section4, Metrics: m}
 		sel = func(ctx context.Context, t core.Transport, obj core.Object, cands []string) func() core.Outcome {
 			return core.Race(ctx, t, obj, cands, engine).Fetch
 		}
@@ -222,7 +227,7 @@ func RunCampaign(spec CampaignSpec) CampaignResult {
 		// while losing probes drain alongside, contending for bandwidth
 		// as in the real deployment.
 		finish := sel(context.Background(), world, obj, cands)
-		ctrl := world.Start(obj, core.Path{Via: core.Direct}, 0, obj.Size)
+		ctrl := world.StartCtx(context.Background(), obj, core.Path{Via: core.Direct}, 0, obj.Size)
 		out := finish()
 		world.Wait(ctrl)
 
@@ -241,7 +246,7 @@ func RunCampaign(spec CampaignSpec) CampaignResult {
 			rec.ProbeDirectTp = out.Probes[0].Throughput()
 		}
 		switch {
-		case !cfg.ExcludeProbePhase:
+		case !cfg.Section4:
 			rec.SelectedTp = out.Throughput()
 		case out.Remainder.Bytes > 0:
 			rec.SelectedTp = out.Remainder.Throughput()

@@ -110,13 +110,13 @@ func TestRunCampaignDirectSelectionNearZeroImprovement(t *testing.T) {
 }
 
 // TestRunCampaignPathTallyMatchesRecords checks the campaign's
-// utilization table against its records, raced and with sequential
-// probes: every intermediate was probed once per round that offered it
+// utilization table against its records, raced and under the Section 4
+// methodology's sequential probes: every intermediate was probed once per round that offered it
 // and selected once per round it won.
 func TestRunCampaignPathTallyMatchesRecords(t *testing.T) {
 	for _, sequential := range []bool{false, true} {
 		spec := raceSpec()
-		spec.Config.SequentialProbes = sequential
+		spec.Config.Section4 = sequential
 		res := RunCampaign(spec)
 		won := 0
 		for _, in := range spec.Inters {
@@ -143,8 +143,7 @@ func TestRunCampaignPathTallyMatchesRecords(t *testing.T) {
 
 func TestRunCampaignSequentialProbes(t *testing.T) {
 	spec := smallSpec(6, 10)
-	spec.Config.SequentialProbes = true
-	spec.Config.ExcludeProbePhase = true
+	spec.Config.Section4 = true
 	res := RunCampaign(spec)
 	for i, r := range res.Records {
 		if r.Err != nil {
@@ -161,7 +160,7 @@ func TestCampaignThroughputsAreNumbers(t *testing.T) {
 	for _, cfg := range []Config{
 		{Rule: core.FirstFinished},
 		{Rule: core.MaxThroughput},
-		{SequentialProbes: true, ExcludeProbePhase: true},
+		{Section4: true},
 	} {
 		spec := smallSpec(3, 10)
 		spec.Config = cfg
@@ -321,11 +320,11 @@ func TestConfigDefaultsApplied(t *testing.T) {
 	if cfg.ObjectBytes != 4_000_000 || cfg.ProbeBytes != core.DefaultProbeBytes {
 		t.Fatalf("defaults wrong: %+v", cfg)
 	}
-	if cfg.Period != 360 || cfg.Warmup != 600 {
+	if cfg.Period != 360 {
 		t.Fatalf("schedule defaults wrong: %+v", cfg)
 	}
-	over := Config{ObjectBytes: 123, ProbeBytes: 7, Period: 1, Warmup: 2}.withDefaults()
-	if over.ObjectBytes != 123 || over.ProbeBytes != 7 || over.Period != 1 || over.Warmup != 2 {
+	over := Config{ObjectBytes: 123, ProbeBytes: 7, Period: 1}.withDefaults()
+	if over.ObjectBytes != 123 || over.ProbeBytes != 7 || over.Period != 1 {
 		t.Fatalf("overrides lost: %+v", over)
 	}
 }

@@ -36,12 +36,6 @@ type ChaosParams struct {
 	ObjectSize int64
 	// Transfers is the minimum fetches per live fault phase (default 16).
 	Transfers int
-	// Deadline is the per-fetch client deadline on live classes
-	// (default 2 s). No fetch may run past it.
-	Deadline time.Duration
-	// SimBytes is each simulated transfer's size (default 1 MB over an
-	// 8 Mb/s link, ~1 s clean).
-	SimBytes int64
 	// SimTransfers is the number of simulated transfers per fault phase
 	// (default 24).
 	SimTransfers int
@@ -50,6 +44,14 @@ type ChaosParams struct {
 	// Empty keeps bundles in memory only.
 	BundleDir string
 }
+
+// chaosDeadline is the per-fetch client deadline on live classes. No
+// fetch may run past it.
+const chaosDeadline = 2 * time.Second
+
+// simBytes is each simulated transfer's size: 1 MB over an 8 Mb/s link,
+// ~1 s clean.
+const simBytes = 1 << 20
 
 func (p ChaosParams) withDefaults() ChaosParams {
 	if p.Seed == 0 {
@@ -60,12 +62,6 @@ func (p ChaosParams) withDefaults() ChaosParams {
 	}
 	if p.Transfers == 0 {
 		p.Transfers = 16
-	}
-	if p.Deadline == 0 {
-		p.Deadline = 2 * time.Second
-	}
-	if p.SimBytes == 0 {
-		p.SimBytes = 1 << 20
 	}
 	if p.SimTransfers == 0 {
 		p.SimTransfers = 24
@@ -234,7 +230,7 @@ func runSimChaos(class string, prof simnet.FaultProfile, p ChaosParams) ChaosEnt
 	transfer := func(deadline float64) (dur float64, timedOut bool) {
 		done := false
 		fl := net.StartFlow(simnet.FlowSpec{
-			Label: class, Links: []*simnet.Link{link}, Bytes: p.SimBytes,
+			Label: class, Links: []*simnet.Link{link}, Bytes: simBytes,
 			OnComplete: func(*simnet.Flow) { done = true },
 		})
 		if deadline > 0 {
@@ -247,7 +243,7 @@ func runSimChaos(class string, prof simnet.FaultProfile, p ChaosParams) ChaosEnt
 			defer tm.Cancel()
 		}
 		eng.RunWhile(func() bool { return !done && !timedOut })
-		leg := obs.Leg{Route: route, Start: fl.Start(), End: eng.Now(), Bytes: p.SimBytes}
+		leg := obs.Leg{Route: route, Start: fl.Start(), End: eng.Now(), Bytes: simBytes}
 		if timedOut {
 			leg.Class, leg.Aborted = obs.ClassTimeout, true
 		}
@@ -408,7 +404,7 @@ func runLiveChaos(class liveClass, p ChaosParams) ChaosEntry {
 	// the relay's fold, then the bundle a →down edge fired — before the
 	// clock moves on.
 	fetch := func(name string) liveFetch {
-		f := chaosFetch(relayAddr, originAddr, name, p.ObjectSize, p.Deadline)
+		f := chaosFetch(relayAddr, originAddr, name, p.ObjectSize, chaosDeadline)
 		r.WaitIdle()
 		for s := engine.Stats(); s.Built < s.Fired; s = engine.Stats() {
 			time.Sleep(time.Millisecond)
@@ -452,7 +448,7 @@ func runLiveChaos(class liveClass, p ChaosParams) ChaosEntry {
 		if f.elapsed > maxElapsed {
 			maxElapsed = f.elapsed
 		}
-		if f.elapsed > p.Deadline+500*time.Millisecond {
+		if f.elapsed > chaosDeadline+500*time.Millisecond {
 			e.DeadlineExceeded++
 		}
 	}

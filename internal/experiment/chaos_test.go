@@ -3,7 +3,6 @@ package experiment
 import (
 	"path/filepath"
 	"testing"
-	"time"
 )
 
 // TestRunChaos drives the whole campaign at test scale and asserts the
@@ -16,8 +15,6 @@ func TestRunChaos(t *testing.T) {
 		Seed:         7,
 		ObjectSize:   48 << 10,
 		Transfers:    10,
-		Deadline:     2 * time.Second,
-		SimBytes:     1 << 20,
 		SimTransfers: 12,
 		BundleDir:    dir,
 	})

@@ -25,12 +25,10 @@ const extensionPeriod = 120
 // paper's race first, ext second.
 func pairedSpecs(scen *topo.Scenario, client *topo.Node, inters []*topo.Node, seed uint64, rounds int,
 	ext func(ctx context.Context, t core.Transport, obj core.Object, cands []string) func() core.Outcome) []CampaignSpec {
-	server := scen.FindServer("eBay")
-	must(server != nil, "eBay server missing")
 	paper := CampaignSpec{
 		Scenario:  scen,
 		Client:    client,
-		Server:    server,
+		Server:    focus(scen),
 		Inters:    inters,
 		Policy:    core.UniformRandomPolicy{K: len(inters)},
 		Transfers: rounds,

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"strconv"
 	"time"
 
@@ -24,69 +25,27 @@ import (
 // ListRanked(K) as the candidate set, and measures it against uniform
 // random K-sets under the Section 4 methodology.
 
-// HealthRankParams configures the comparison.
+// HealthRankParams configures the comparison. The measuring client is
+// Duke, the set size K = 10, and the campaigns run under the Section 4
+// setup, as in Table III.
 type HealthRankParams struct {
-	Seed     uint64
-	Scenario topo.Params
-
-	// Client is the measuring client (default "Duke (client)").
-	Client string
-
-	// K is the candidate-set size under test (default 10, the paper's
-	// knee).
-	K int
-
-	// SeedTransfers is how many observation transfers per intermediate
-	// seed the health monitor (default 2).
-	SeedTransfers int
-	// SeedBytes is the size of each observation transfer (default 500 KB
-	// — large enough that delivered throughput dominates setup cost).
-	SeedBytes int64
-
-	// EvalTransfers is the rounds per evaluation campaign (default 40).
+	Seed uint64
+	// EvalTransfers is the rounds per evaluation campaign (default 80).
 	EvalTransfers int
-	// RandomSets is how many independent random K-sets form the baseline
-	// mean (default 3).
-	RandomSets int
-
-	Config  Config
-	Workers int
+	Workers       int
 }
 
-func (p HealthRankParams) withDefaults() HealthRankParams {
-	if p.Scenario.Seed == 0 {
-		p.Scenario.Seed = p.Seed
-	}
-	if p.Scenario.NumIntermediates == 0 {
-		p.Scenario.NumIntermediates = 35
-	}
-	if p.Client == "" {
-		p.Client = "Duke (client)"
-	}
-	if p.K == 0 {
-		p.K = 10
-	}
-	if p.SeedTransfers == 0 {
-		p.SeedTransfers = 2
-	}
-	if p.SeedBytes == 0 {
-		p.SeedBytes = 500_000
-	}
-	if p.EvalTransfers == 0 {
-		p.EvalTransfers = 80
-	}
-	if p.RandomSets == 0 {
-		p.RandomSets = 3
-	}
-	if p.Config.Period == 0 {
-		p.Config.Period = 30
-	}
-	// Section 4 methodology, as in Fig6: per-candidate preliminary tests,
-	// improvement measured on the selected transfer itself.
-	p.Config.SequentialProbes = true
-	p.Config.ExcludeProbePhase = true
-	return p
-}
+const (
+	// seedTransfers is how many observation transfers per intermediate
+	// seed the health monitor.
+	seedTransfers = 2
+	// seedBytes is the size of each observation transfer: large enough
+	// that delivered throughput dominates setup cost.
+	seedBytes = 500_000
+	// randomSets is how many independent random K-sets form the baseline
+	// mean.
+	randomSets = 3
+)
 
 // HealthRankResult is the comparison outcome.
 type HealthRankResult struct {
@@ -112,16 +71,15 @@ type HealthRankResult struct {
 // live registry for the healthiest K, and races that set against uniform
 // random K-sets.
 func RunHealthRank(p HealthRankParams) HealthRankResult {
-	p = p.withDefaults()
-	cfg := p.Config.withDefaults()
-	scen := topo.NewScenario(p.Scenario)
-	server := scen.FindServer("eBay")
-	must(server != nil, "eBay server missing")
-	client := scen.FindClient(p.Client)
-	must(client != nil, "unknown client %q", p.Client)
+	if p.EvalTransfers == 0 {
+		p.EvalTransfers = 80
+	}
+	scen := sec4Scenario(p.Seed)
+	server := focus(scen)
+	client := findClient(scen, duke)
 
-	res := HealthRankResult{Client: p.Client, K: p.K}
-	res.Health = seedHealth(p, cfg, scen, client, server)
+	res := HealthRankResult{Client: duke, K: kneeK}
+	res.Health = seedHealth(p.Seed, scen, client, server)
 
 	// Publish to a live registry the way relayd self-reports, then take
 	// its health-ranked list as the candidate set. Registry names must be
@@ -134,35 +92,36 @@ func RunHealthRank(p HealthRankParams) HealthRankResult {
 			"register %q", in.Domain)
 	}
 	var ranked []*topo.Node
-	for _, e := range reg.ListRanked(p.K) {
+	for _, e := range reg.ListRanked(kneeK) {
 		in := byDomain[e.Name]
 		must(in != nil, "registry returned unknown relay %q", e.Name)
 		ranked = append(ranked, in)
 		res.Ranked = append(res.Ranked, in.Name)
 	}
 
-	// Evaluation campaigns: the ranked set plus RandomSets uniform draws,
+	// Evaluation campaigns: the ranked set plus randomSets uniform draws,
 	// each a fixed candidate set probed in full every round.
-	rng := randx.New(campaignSeed(p.Seed, label("healthrank", p.Client, "draws")))
+	cfg := Config{Period: sec4Period, Section4: true}
+	rng := randx.New(campaignSeed(p.Seed, label("healthrank", duke, "draws")))
 	specs := []CampaignSpec{{
 		Scenario: scen, Client: client, Server: server,
 		Inters: ranked, Policy: core.UniformRandomPolicy{K: len(ranked)},
 		Transfers: p.EvalTransfers,
-		Seed:      campaignSeed(p.Seed, label("healthrank", p.Client, "ranked")),
-		Config:    p.Config,
+		Seed:      campaignSeed(p.Seed, label("healthrank", duke, "ranked")),
+		Config:    cfg,
 	}}
-	for i := 0; i < p.RandomSets; i++ {
+	for i := 0; i < randomSets; i++ {
 		perm := rng.Perm(len(scen.Intermediates))
-		subset := make([]*topo.Node, 0, p.K)
-		for _, idx := range perm[:p.K] {
+		subset := make([]*topo.Node, 0, kneeK)
+		for _, idx := range perm[:kneeK] {
 			subset = append(subset, scen.Intermediates[idx])
 		}
 		specs = append(specs, CampaignSpec{
 			Scenario: scen, Client: client, Server: server,
 			Inters: subset, Policy: core.UniformRandomPolicy{K: len(subset)},
 			Transfers: p.EvalTransfers,
-			Seed:      campaignSeed(p.Seed, label("healthrank", p.Client, "random", strconv.Itoa(i))),
-			Config:    p.Config,
+			Seed:      campaignSeed(p.Seed, label("healthrank", duke, "random", strconv.Itoa(i))),
+			Config:    cfg,
 		})
 	}
 	results := RunAll(specs, p.Workers)
@@ -175,7 +134,7 @@ func RunHealthRank(p HealthRankParams) HealthRankResult {
 	return res
 }
 
-// seedHealth runs the observation phase: SeedTransfers fetches over every
+// seedHealth runs the observation phase: seedTransfers fetches over every
 // intermediate path in one shared world, folded into a HealthMonitor on
 // the simulator's clock, then collapsed into the scalar each relay would
 // publish. The registry stores one float in [0,1], and among all-healthy
@@ -184,8 +143,8 @@ func RunHealthRank(p HealthRankParams) HealthRankResult {
 // the published value scales the score by the path's throughput EWMA
 // normalized against the best peer — mirroring how an operator would
 // derive a ranking signal from /debug/paths.
-func seedHealth(p HealthRankParams, cfg Config, scen *topo.Scenario, client, server *topo.Node) map[string]float64 {
-	world, obj, _ := newWorld(scen, campaignSeed(p.Seed, label("healthrank", p.Client, "seed")), cfg,
+func seedHealth(seed uint64, scen *topo.Scenario, client, server *topo.Node) map[string]float64 {
+	world, obj, _ := newWorld(scen, campaignSeed(seed, label("healthrank", duke, "seed")), objectBytes,
 		client, server, scen.Intermediates)
 	defer world.Inst.Close()
 
@@ -195,9 +154,9 @@ func seedHealth(p HealthRankParams, cfg Config, scen *topo.Scenario, client, ser
 		Window: 1e6, Buckets: 64, MaxSuccessAge: 1e6,
 		Clock: world.Now,
 	})
-	for round := 0; round < p.SeedTransfers; round++ {
+	for round := 0; round < seedTransfers; round++ {
 		for _, in := range scen.Intermediates {
-			h := world.Start(obj, core.Path{Via: in.Name}, 0, p.SeedBytes)
+			h := world.StartCtx(context.Background(), obj, core.Path{Via: in.Name}, 0, seedBytes)
 			world.Wait(h)
 			r := h.Result()
 			mon.Observe(in.Name, core.ErrClassOf(r.Err), r.Duration(), r.Bytes)

@@ -8,6 +8,9 @@ import "testing"
 // sampling noise — "matches or beats", not "dominates").
 func TestHealthRankedBeatsRandom(t *testing.T) {
 	r := RunHealthRank(HealthRankParams{Seed: 42})
+	if r.Client != "Duke (client)" || r.K != 10 {
+		t.Errorf("compared %s at K=%d, want Duke (client) at K=10", r.Client, r.K)
+	}
 	if len(r.Ranked) != 10 {
 		t.Fatalf("ranked set has %d entries, want 10: %v", len(r.Ranked), r.Ranked)
 	}
@@ -37,15 +40,22 @@ func TestHealthRankedBeatsRandom(t *testing.T) {
 	t.Logf("ranked %.1f%% vs random %.1f%% (draws %v)", r.RankedAvg, r.RandomAvg, r.RandomAvgs)
 }
 
+// TestHealthRankDefaults pins the fixed setup the comparison runs under:
+// Duke measuring the eBay focus server at K = 10 among the 35 Section 4
+// intermediates, seeded by 2 observation transfers per relay and judged
+// against 3 random draws.
 func TestHealthRankDefaults(t *testing.T) {
-	p := HealthRankParams{Seed: 1}.withDefaults()
-	if p.K != 10 || p.Scenario.NumIntermediates != 35 {
-		t.Errorf("defaults K=%d inters=%d, want 10 of 35", p.K, p.Scenario.NumIntermediates)
+	scen := sec4Scenario(1)
+	if kneeK != 10 || len(scen.Intermediates) != 35 {
+		t.Errorf("K=%d inters=%d, want 10 of 35", kneeK, len(scen.Intermediates))
 	}
-	if p.Client != "Duke (client)" {
-		t.Errorf("default client %q", p.Client)
+	if scen.FindClient(duke) == nil || duke != "Duke (client)" {
+		t.Errorf("client %q missing from the Section 4 scenario", duke)
 	}
-	if !p.Config.SequentialProbes || !p.Config.ExcludeProbePhase {
-		t.Error("healthrank must use Section 4 methodology flags")
+	if focus(scen) == nil {
+		t.Error("Section 4 scenario has no focus server")
+	}
+	if seedTransfers != 2 || randomSets != 3 {
+		t.Errorf("seedTransfers=%d randomSets=%d, want 2 and 3", seedTransfers, randomSets)
 	}
 }

@@ -15,11 +15,11 @@ import (
 // overhead) — the design-space neighbor the paper's related-work section
 // positions against.
 
-// MonitoredParams configures the comparison.
+// MonitoredParams configures the comparison, run on one client per
+// throughput category (India, Sweden, Canada).
 type MonitoredParams struct {
-	Seed    uint64
-	Clients []string // default: one per category
-	Rounds  int      // default 80
+	Seed   uint64
+	Rounds int // default 80
 	// RefreshEvery is how many rounds pass between background refreshes
 	// of the monitor's table (default 5; 1 = refresh before every
 	// transfer).
@@ -53,9 +53,6 @@ type MonitoredResult struct {
 // The monitored process refreshes its table before the round's transfer,
 // so its control starts when the refresh is done.
 func RunMonitored(p MonitoredParams) []MonitoredResult {
-	if len(p.Clients) == 0 {
-		p.Clients = []string{"India", "Sweden", "Canada"}
-	}
 	if p.Rounds == 0 {
 		p.Rounds = 80
 	}
@@ -65,9 +62,8 @@ func RunMonitored(p MonitoredParams) []MonitoredResult {
 	scen := topo.NewScenario(topo.Params{Seed: p.Seed})
 
 	var specs []CampaignSpec
-	for _, name := range p.Clients {
-		client := scen.FindClient(name)
-		must(client != nil, "unknown client %q", name)
+	for _, name := range categoryClients {
+		client := findClient(scen, name)
 		mon, round := core.NewMonitor(), 0
 		specs = append(specs, pairedSpecs(scen, client, bestPairs(scen, client, monitoredCandidates),
 			campaignSeed(p.Seed, label("monitored", name, strconv.Itoa(p.RefreshEvery))), p.Rounds,
@@ -81,8 +77,8 @@ func RunMonitored(p MonitoredParams) []MonitoredResult {
 	}
 	results := RunAll(specs, p.Workers)
 
-	out := make([]MonitoredResult, len(p.Clients))
-	for i, name := range p.Clients {
+	out := make([]MonitoredResult, len(categoryClients))
+	for i, name := range categoryClients {
 		probing, monitored := results[2*i].Records, results[2*i+1].Records
 		pr, mr := summarizeRounds("", probing), summarizeRounds("", monitored)
 		out[i] = MonitoredResult{

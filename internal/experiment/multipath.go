@@ -46,7 +46,7 @@ type MultipathResult struct {
 // RunMultipath executes the comparison, one campaign pair per client.
 func RunMultipath(p MultipathParams) []MultipathResult {
 	if len(p.Clients) == 0 {
-		p.Clients = []string{"India", "Sweden", "Canada"}
+		p.Clients = categoryClients
 	}
 	if p.Rounds == 0 {
 		p.Rounds = 60
@@ -58,8 +58,7 @@ func RunMultipath(p MultipathParams) []MultipathResult {
 	spreads := make([][]float64, len(p.Clients))
 	var specs []CampaignSpec
 	for i, name := range p.Clients {
-		client := scen.FindClient(name)
-		must(client != nil, "unknown client %q", name)
+		client := findClient(scen, name)
 		out[i] = MultipathResult{Client: name, SharedBottleneck: scen.ClientNet(client).SharedBottleneck, Rounds: p.Rounds}
 		spread := &spreads[i]
 		specs = append(specs, pairedSpecs(scen, client, bestPairs(scen, client, multipathCandidates),

@@ -11,26 +11,11 @@ import (
 // PairStudyParams configures the per-(client, intermediate) campaigns that
 // back Table II, Figure 3, and Figure 5: every client is paired with every
 // intermediate in turn as a static indirect path.
+// Every campaign downloads from the focus server.
 type PairStudyParams struct {
 	Seed             uint64
-	Scenario         topo.Params
-	TransfersPerPair int    // default 30
-	Server           string // default "eBay" (the paper's focus dataset)
-	Config           Config
+	TransfersPerPair int // default 30
 	Workers          int
-}
-
-func (p PairStudyParams) withDefaults() PairStudyParams {
-	if p.Scenario.Seed == 0 {
-		p.Scenario.Seed = p.Seed
-	}
-	if p.TransfersPerPair == 0 {
-		p.TransfersPerPair = 30
-	}
-	if p.Server == "" {
-		p.Server = "eBay"
-	}
-	return p
 }
 
 // PairStudyResult is the per-pair dataset.
@@ -44,10 +29,11 @@ type PairStudyResult struct {
 
 // RunPairStudy executes one campaign per (client, intermediate) pair.
 func RunPairStudy(p PairStudyParams) *PairStudyResult {
-	p = p.withDefaults()
-	scen := topo.NewScenario(p.Scenario)
-	server := scen.FindServer(p.Server)
-	must(server != nil, "unknown server %q", p.Server)
+	if p.TransfersPerPair == 0 {
+		p.TransfersPerPair = 30
+	}
+	scen := topo.NewScenario(topo.Params{Seed: p.Seed})
+	server := focus(scen)
 
 	var specs []CampaignSpec
 	for _, c := range scen.Clients {
@@ -60,7 +46,6 @@ func RunPairStudy(p PairStudyParams) *PairStudyResult {
 				Policy:    core.StaticPolicy{Intermediate: in.Name},
 				Transfers: p.TransfersPerPair,
 				Seed:      campaignSeed(p.Seed, label("pair", c.Name, in.Name)),
-				Config:    p.Config,
 			})
 		}
 	}
@@ -68,7 +53,7 @@ func RunPairStudy(p PairStudyParams) *PairStudyResult {
 
 	out := &PairStudyResult{
 		Scenario: scen,
-		Server:   p.Server,
+		Server:   focusServer,
 		PerPair:  make(map[string]map[string][]Record),
 	}
 	for i, r := range results {

@@ -11,26 +11,15 @@ import (
 // statistic, plus pairwise KS tests on the improvement distributions.
 
 // SeedSweepParams configures the sweep.
+// It runs seeds 41..45, and each study downloads from the focus server
+// only.
 type SeedSweepParams struct {
-	Seeds              []uint64 // default 41..45
-	TransfersPerClient int      // default 40
-	Servers            []string // default eBay only (faster)
-	Config             Config
+	TransfersPerClient int // default 40
 	Workers            int
 }
 
-func (p SeedSweepParams) withDefaults() SeedSweepParams {
-	if len(p.Seeds) == 0 {
-		p.Seeds = []uint64{41, 42, 43, 44, 45}
-	}
-	if p.TransfersPerClient == 0 {
-		p.TransfersPerClient = 40
-	}
-	if len(p.Servers) == 0 {
-		p.Servers = []string{"eBay"}
-	}
-	return p
-}
+// sweepSeeds are the study seeds the sweep reruns.
+var sweepSeeds = []uint64{41, 42, 43, 44, 45}
 
 // SeedPoint is one seed's headline numbers.
 type SeedPoint struct {
@@ -62,17 +51,18 @@ type SeedSweepResult struct {
 
 // SeedSweep reruns the Section 3 study per seed and aggregates.
 func SeedSweep(p SeedSweepParams) SeedSweepResult {
-	p = p.withDefaults()
+	if p.TransfersPerClient == 0 {
+		p.TransfersPerClient = 40
+	}
 	var res SeedSweepResult
 	var avgA, medA, penA, utilA stats.Acc
-	samples := make([][]float64, 0, len(p.Seeds))
+	samples := make([][]float64, 0, len(sweepSeeds))
 
-	for _, seed := range p.Seeds {
+	for _, seed := range sweepSeeds {
 		study := RunStudy(StudyParams{
 			Seed:               seed,
 			TransfersPerClient: p.TransfersPerClient,
-			Servers:            p.Servers,
-			Config:             p.Config,
+			Servers:            []string{focusServer},
 			Workers:            p.Workers,
 		})
 		f1 := Fig1(study)

@@ -6,11 +6,8 @@ import "testing"
 // are seed-robust: every seed must land in the qualitative bands, and the
 // improvement distributions across seeds must not be wildly different.
 func TestSeedSweepStability(t *testing.T) {
-	res := SeedSweep(SeedSweepParams{
-		Seeds:              []uint64{41, 42, 43},
-		TransfersPerClient: 25,
-	})
-	if len(res.Points) != 3 {
+	res := SeedSweep(SeedSweepParams{TransfersPerClient: 15})
+	if len(res.Points) != 5 {
 		t.Fatalf("points = %d", len(res.Points))
 	}
 	for _, pt := range res.Points {

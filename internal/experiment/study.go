@@ -13,21 +13,9 @@ import (
 // indirect path, 100 times per pairing in the paper.
 type StudyParams struct {
 	Seed               uint64
-	Scenario           topo.Params
 	TransfersPerClient int      // per (client, server); default 100
 	Servers            []string // server names; default all four sites
-	Config             Config
 	Workers            int
-}
-
-func (p StudyParams) withDefaults() StudyParams {
-	if p.Scenario.Seed == 0 {
-		p.Scenario.Seed = p.Seed
-	}
-	if p.TransfersPerClient == 0 {
-		p.TransfersPerClient = 100
-	}
-	return p
 }
 
 // StudyResult is the Section 3 dataset.
@@ -64,8 +52,10 @@ func staticIntermediate(s *topo.Scenario, client *topo.Node) *topo.Node {
 // RunStudy executes the Section 3 study and computes the post-hoc
 // per-client statistics.
 func RunStudy(p StudyParams) *StudyResult {
-	p = p.withDefaults()
-	scen := topo.NewScenario(p.Scenario)
+	if p.TransfersPerClient == 0 {
+		p.TransfersPerClient = 100
+	}
+	scen := topo.NewScenario(topo.Params{Seed: p.Seed})
 
 	servers := scen.Servers
 	if len(p.Servers) > 0 {
@@ -91,7 +81,6 @@ func RunStudy(p StudyParams) *StudyResult {
 				Policy:    core.StaticPolicy{Intermediate: inter.Name},
 				Transfers: p.TransfersPerClient,
 				Seed:      campaignSeed(p.Seed, label("study", c.Name, sv.Name)),
-				Config:    p.Config,
 			})
 		}
 	}

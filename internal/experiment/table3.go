@@ -5,45 +5,16 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/stats"
-	"repro/internal/topo"
 )
 
 // Table3Params configures the utilization-vs-improvement analysis of the
-// paper's Table III: one client (Duke) runs a long random-set campaign
-// over the 35-node full set, and every intermediate is scored by how often
-// it wins when offered and by how much improvement it delivers.
+// paper's Table III: Duke runs a long campaign of random K = 10 sets over
+// the 35-node full set under the Section 4 setup, and every intermediate
+// is scored by how often it wins when offered and by how much improvement
+// it delivers.
 type Table3Params struct {
-	Seed     uint64
-	Scenario topo.Params
-	Client   string // default "Duke (client)"
-	SetSize  int    // default 10 (the Figure 6 knee)
-	Rounds   int    // default 500
-	Config   Config
-}
-
-func (p Table3Params) withDefaults() Table3Params {
-	if p.Scenario.Seed == 0 {
-		p.Scenario.Seed = p.Seed
-	}
-	if p.Scenario.NumIntermediates == 0 {
-		p.Scenario.NumIntermediates = 35
-	}
-	if p.Client == "" {
-		p.Client = "Duke (client)"
-	}
-	if p.SetSize == 0 {
-		p.SetSize = 10
-	}
-	if p.Rounds == 0 {
-		p.Rounds = 500
-	}
-	if p.Config.Period == 0 {
-		p.Config.Period = 30
-	}
-	// Same Section 4 methodology as Figure 6.
-	p.Config.SequentialProbes = true
-	p.Config.ExcludeProbePhase = true
-	return p
+	Seed   uint64
+	Rounds int // default 500
 }
 
 // Table3Row is one intermediate's line in Table III.
@@ -70,22 +41,19 @@ type Table3Result struct {
 
 // Table3 runs the campaign and derives the correlation table.
 func Table3(p Table3Params) Table3Result {
-	p = p.withDefaults()
-	scen := topo.NewScenario(p.Scenario)
-	client := scen.FindClient(p.Client)
-	must(client != nil, "unknown client %q", p.Client)
-	server := scen.FindServer("eBay")
-	must(server != nil, "eBay server missing")
-
+	if p.Rounds == 0 {
+		p.Rounds = 500
+	}
+	scen := sec4Scenario(p.Seed)
 	result := RunCampaign(CampaignSpec{
 		Scenario:  scen,
-		Client:    client,
-		Server:    server,
+		Client:    findClient(scen, duke),
+		Server:    focus(scen),
 		Inters:    scen.Intermediates,
-		Policy:    core.UniformRandomPolicy{K: p.SetSize},
+		Policy:    core.UniformRandomPolicy{K: kneeK},
 		Transfers: p.Rounds,
-		Seed:      campaignSeed(p.Seed, label("table3", p.Client)),
-		Config:    p.Config,
+		Seed:      campaignSeed(p.Seed, label("table3", duke)),
+		Config:    Config{Period: sec4Period, Section4: true},
 	})
 
 	perInter := make(map[string][]float64)
@@ -95,7 +63,7 @@ func Table3(p Table3Params) Table3Result {
 		}
 	}
 
-	res := Table3Result{Client: p.Client}
+	res := Table3Result{Client: duke}
 	snap := result.Metrics.Snapshot()
 	for _, name := range snap.PathLabels() {
 		ps := snap.Paths[name]

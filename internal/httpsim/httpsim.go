@@ -122,12 +122,6 @@ func (w *World) failed(obj core.Object, path core.Path, off, n int64, err error)
 	}
 }
 
-// Start begins a cold range transfer of [off, off+n) of obj over path,
-// under no context: what a driver's control process uses.
-func (w *World) Start(obj core.Object, path core.Path, off, n int64) core.Handle {
-	return w.start(context.Background(), obj, path, off, n, false)
-}
-
 // StartCtx begins a range transfer of [off, off+n) of obj over path on a
 // fresh connection. See start for how the request and ctx are treated.
 func (w *World) StartCtx(ctx context.Context, obj core.Object, path core.Path, off, n int64) core.Handle {

@@ -30,7 +30,7 @@ func buildWorld(t *testing.T, seed uint64) (*World, *topo.Scenario) {
 func TestDirectFetchCompletes(t *testing.T) {
 	w, s := buildWorld(t, 1)
 	obj := core.Object{Server: s.Servers[0].Name, Name: "big.bin", Size: 4_000_000}
-	h := w.Start(obj, core.Path{}, 0, 1_000_000)
+	h := w.StartCtx(context.Background(), obj, core.Path{}, 0, 1_000_000)
 	if h.Done() {
 		t.Fatal("transfer done before any time passed")
 	}
@@ -50,7 +50,7 @@ func TestDirectFetchCompletes(t *testing.T) {
 func TestIndirectFetchCompletes(t *testing.T) {
 	w, s := buildWorld(t, 2)
 	obj := core.Object{Server: s.Servers[0].Name, Name: "big.bin", Size: 4_000_000}
-	h := w.Start(obj, core.Path{Via: s.Intermediates[0].Name}, 0, 500_000)
+	h := w.StartCtx(context.Background(), obj, core.Path{Via: s.Intermediates[0].Name}, 0, 500_000)
 	w.Wait(h)
 	if err := h.Result().Err; err != nil {
 		t.Fatalf("indirect fetch error: %v", err)
@@ -60,9 +60,9 @@ func TestIndirectFetchCompletes(t *testing.T) {
 func TestConcurrentProbesIndependentTimes(t *testing.T) {
 	w, s := buildWorld(t, 3)
 	obj := core.Object{Server: s.Servers[0].Name, Name: "big.bin", Size: 4_000_000}
-	d := w.Start(obj, core.Path{}, 0, 100_000)
-	i1 := w.Start(obj, core.Path{Via: s.Intermediates[0].Name}, 0, 100_000)
-	i2 := w.Start(obj, core.Path{Via: s.Intermediates[1].Name}, 0, 100_000)
+	d := w.StartCtx(context.Background(), obj, core.Path{}, 0, 100_000)
+	i1 := w.StartCtx(context.Background(), obj, core.Path{Via: s.Intermediates[0].Name}, 0, 100_000)
+	i2 := w.StartCtx(context.Background(), obj, core.Path{Via: s.Intermediates[1].Name}, 0, 100_000)
 	w.Wait(d, i1, i2)
 	ends := []float64{d.Result().End, i1.Result().End, i2.Result().End}
 	for _, e := range ends {
@@ -95,7 +95,7 @@ func TestRangeValidation(t *testing.T) {
 		{"bad relay", core.Object{Server: srv, Name: "big.bin"}, core.Path{Via: "Atlantis"}, 0, 10, ErrNoSuchIntermediate},
 	}
 	for _, c := range cases {
-		h := w.Start(c.obj, c.path, c.off, c.n)
+		h := w.StartCtx(context.Background(), c.obj, c.path, c.off, c.n)
 		if !h.Done() {
 			t.Fatalf("%s: invalid request not immediately done", c.name)
 		}
@@ -108,7 +108,7 @@ func TestRangeValidation(t *testing.T) {
 func TestExactRangeToEndOK(t *testing.T) {
 	w, s := buildWorld(t, 5)
 	obj := core.Object{Server: s.Servers[0].Name, Name: "big.bin", Size: 4_000_000}
-	h := w.Start(obj, core.Path{}, 3_900_000, 100_000)
+	h := w.StartCtx(context.Background(), obj, core.Path{}, 3_900_000, 100_000)
 	w.Wait(h)
 	if err := h.Result().Err; err != nil {
 		t.Fatalf("tail range rejected: %v", err)
@@ -176,7 +176,7 @@ func TestVirtualTimeMonotone(t *testing.T) {
 	w, s := buildWorld(t, 10)
 	obj := core.Object{Server: s.Servers[0].Name, Name: "big.bin", Size: 4_000_000}
 	t0 := w.Now()
-	h := w.Start(obj, core.Path{}, 0, 200_000)
+	h := w.StartCtx(context.Background(), obj, core.Path{}, 0, 200_000)
 	w.Wait(h)
 	t1 := w.Now()
 	if t1 <= t0 {
@@ -189,12 +189,12 @@ func TestSetupDelayChargesRTTs(t *testing.T) {
 	obj := core.Object{Server: s.Servers[0].Name, Name: "big.bin", Size: 4_000_000}
 	// Measure a tiny transfer with and without setup cost; the setup
 	// variant must take measurably longer.
-	h := w.Start(obj, core.Path{}, 0, 10_000)
+	h := w.StartCtx(context.Background(), obj, core.Path{}, 0, 10_000)
 	w.Wait(h)
 	base := h.Result().Duration()
 
 	w.SetupRTTs = 1.5
-	h2 := w.Start(obj, core.Path{}, 0, 10_000)
+	h2 := w.StartCtx(context.Background(), obj, core.Path{}, 0, 10_000)
 	w.Wait(h2)
 	withSetup := h2.Result().Duration()
 	if withSetup <= base {

@@ -2,6 +2,8 @@ package realnet
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -72,16 +74,27 @@ func TestDirectTransfer(t *testing.T) {
 	}
 }
 
+// TestSelectionPicksFastRelay races 300 KB probes. Each path's bucket
+// lets its first 64 KiB through unshaped, so a 100 KB probe put only
+// ~52 ms of wall time between the fast relay (~17 ms) and direct
+// (~69 ms), which one scheduling stall under -race on a loaded host
+// could close; the shaped 234 KB of a 300 KB probe put ~350 ms there
+// (~117 ms against ~469 ms).
 func TestSelectionPicksFastRelay(t *testing.T) {
 	tr, cleanup := testbed(t)
 	defer cleanup()
 	obj := core.Object{Server: "origin", Name: "big.bin", Size: 600_000}
-	out := core.SelectAndFetch(context.Background(), tr, obj, []string{"slow", "fast"}, core.Config{ProbeBytes: 100_000})
+	out := core.SelectAndFetch(context.Background(), tr, obj, []string{"slow", "fast"}, core.Config{ProbeBytes: 300_000})
 	if out.Err != nil {
 		t.Fatal(out.Err)
 	}
 	if out.Selected.Via != "fast" {
-		t.Fatalf("selected %v, want via fast (16 Mb/s vs 4 direct vs 1 slow)", out.Selected)
+		var probes strings.Builder
+		for _, p := range out.Probes {
+			fmt.Fprintf(&probes, "\n  %v: started +%.1f ms, took %.1f ms, err %v",
+				p.Path, (p.Start-out.Start)*1e3, p.Duration()*1e3, p.Err)
+		}
+		t.Fatalf("selected %v, want via fast (16 Mb/s vs 4 direct vs 1 slow); probes:%s", out.Selected, probes.String())
 	}
 	if out.Throughput() <= 0 {
 		t.Fatal("no overall throughput")
