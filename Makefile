@@ -8,12 +8,15 @@ build:
 vet:
 	$(GO) vet ./...
 
-# The non-amd64 build: the content kernels' scalar fallback
-# (content_other.go) and everything else compile, and vet, where the
-# AVX-512 assembly is not built.
+# The other builds: the non-amd64 one, where the content kernels'
+# scalar fallback (content_other.go) and everything else compile, and
+# vet, without the AVX-512 assembly; and the non-Linux ones, where the
+# object cache's span buffers fall back to the heap (mmap_other.go).
 cross:
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=386 $(GO) build ./...
+	GOOS=windows $(GO) build ./...
+	GOOS=darwin $(GO) vet ./...
 
 test:
 	$(GO) test ./...

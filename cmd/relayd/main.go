@@ -14,7 +14,8 @@
 // fetch, and cached content is re-verified against the synthetic
 // catalog before every serve. Cache warmth folds into the health score
 // self-reported to the registry, so its ranked listing puts warm relays
-// first.
+// first. On Linux the cached bytes live outside the Go heap, so a relay
+// with -cache-bytes N keeps about N resident plus the runtime's own.
 //
 // With -metrics set, live counters (requests handled, bytes relayed —
 // the raw material of the paper's §V utilization analysis) are served

@@ -24,6 +24,12 @@ func TestCacheEgressReduction(t *testing.T) {
 	if s.FillBytes != r.CachedEgress {
 		t.Fatalf("cache fill bytes %d != origin egress %d", s.FillBytes, r.CachedEgress)
 	}
+	// Each request is exactly one of the three, however the clients
+	// interleave.
+	if got, want := s.Hits+s.SharedFills+s.Fills, int64(egressClients*4); got != want {
+		t.Fatalf("hits %d + shared fills %d + fills %d = %d, want one per request, %d",
+			s.Hits, s.SharedFills, s.Fills, got, want)
+	}
 	if s.Hits+s.SharedFills == 0 {
 		t.Fatalf("no cache sharing recorded: %+v", s)
 	}

@@ -14,10 +14,22 @@
 // so a span Get has served is never recycled: the reader keeps that
 // buffer alive and the cache merely forgets it. When
 // the cache drops a span nobody pins and Get never served — eviction,
-// trim, TTL expiry, a failed verify, a merge — its buffer goes onto a
-// small free list, and Buffer gives it to the next fill of exactly its
-// length. A miss that evicts therefore allocates nothing in proportion
-// to its size.
+// trim, TTL expiry, a failed verify, a merge — its buffer is recycled:
+// a heap buffer goes onto a small free list, and Buffer gives it to the
+// next fill of exactly its length; a buffer of the cache's region
+// (below) gives its pages back to the region, where the next buffer of
+// any length can take them. A miss that evicts therefore allocates
+// nothing in proportion to its size.
+//
+// The buffers the cache allocates itself, from 64 KiB up, live outside
+// the Go heap on Linux, in one anonymous mapping per cache that is
+// unmapped when the cache itself is collected. The GC then neither scans
+// them nor lets the heap grow by their size before its next cycle, so a
+// cache of N bytes keeps about N resident plus the runtime's own, not
+// about 1.5·N. Get moves a span in the region to the heap the first time
+// it serves it. Smaller buffers, buffers a caller made and handed to
+// Complete, and every buffer under the race detector or off Linux are
+// heap buffers.
 //
 // Because cached content may sit in memory for a long time, serving can
 // be paranoid: an optional Verify hook re-checks every span before Get
@@ -91,10 +103,10 @@ type object struct {
 // SizeUnknown marks an object whose full size no fill has revealed yet.
 const SizeUnknown = -1
 
-// freeBuffers bounds the free list. At steady state each miss that
-// evicts frees one buffer and the next fill takes it back, so a few
-// cover concurrent fills; the cache holds at most this many buffers
-// beyond MaxBytes.
+// freeBuffers bounds the free list of heap buffers. At steady state each
+// miss that evicts frees one buffer and the next fill takes it back, so
+// a few cover concurrent fills; the cache holds at most this many heap
+// buffers beyond MaxBytes.
 const freeBuffers = 4
 
 // Cache is the bounded range-aware object cache. All methods are safe
@@ -107,7 +119,8 @@ type Cache struct {
 	lru     *list.List // front = most recently used
 	bytes   int64
 	flights map[string]*Flight
-	free    [][]byte // empty buffers of dropped spans nobody reads, oldest first
+	free    [][]byte // empty heap buffers of dropped spans nobody reads, oldest first
+	arena   *arena   // the region the larger buffers it allocated live in
 
 	hits, misses, fills         int64
 	hitBytes, fillBytes         int64
@@ -127,6 +140,7 @@ func New(cfg Config) *Cache {
 		objects: make(map[string]*object),
 		lru:     list.New(),
 		flights: make(map[string]*Flight),
+		arena:   newArena(cfg.MaxBytes),
 	}
 }
 
@@ -197,9 +211,15 @@ func (c *Cache) releaseLocked(s *span) {
 	}
 }
 
-// freeLocked keeps b for a later fill of its capacity, pushing out the
-// oldest free buffer when the list is full. Callers hold c.mu.
+// freeLocked recycles b, a buffer nobody reads any longer: a buffer of
+// the region gives its pages back to it, and a heap buffer is kept for a
+// later fill of its capacity, pushing out the oldest free one when the
+// list is full. Callers hold c.mu.
 func (c *Cache) freeLocked(b []byte) {
+	if c.arena.mapped(b) {
+		c.arena.release(b)
+		return
+	}
 	if len(c.free) == freeBuffers {
 		c.free = slices.Delete(c.free, 0, 1)
 	}
@@ -219,17 +239,23 @@ func (c *Cache) takeLocked(n int64) []byte {
 }
 
 // Buffer returns an empty buffer of capacity n for a fill the caller
-// will hand over with Flight.Complete: a buffer of a span the cache
-// dropped and nobody reads any longer when one of exactly that capacity
-// is free, a new one otherwise.
+// will hand over with Flight.Complete, whether the fill lands or fails:
+// a heap buffer of a span the cache dropped and nobody reads any longer
+// when one of exactly that capacity is free, else pages of the region,
+// which recycles the pages of such spans whatever their length, else a
+// new heap buffer. A buffer larger than the whole cache, which it will
+// not keep, is a heap buffer.
 func (c *Cache) Buffer(n int64) []byte {
 	c.mu.Lock()
 	b := c.takeLocked(n)
 	c.mu.Unlock()
-	if b == nil {
-		b = make([]byte, 0, n)
+	switch {
+	case b != nil:
+		return b
+	case n > c.cfg.MaxBytes:
+		return make([]byte, 0, n)
 	}
-	return b
+	return c.arena.alloc(n)
 }
 
 // evictSpanLocked drops s for capacity. Callers hold c.mu.
@@ -277,12 +303,16 @@ func (c *Cache) trimLocked(o *object, fresh *span) {
 }
 
 // Get returns the cached bytes of [off, off+n) of the object named key,
-// or reports a miss. A hit is served zero-copy from the single span
-// covering the range (coalescing guarantees there is exactly one); the
-// returned slice must be treated as read-only and stays valid across
-// concurrent eviction, because the cache never recycles a span Get
-// served. With a Verify hook configured, the span is re-checked first
-// and dropped on mismatch (the lookup then misses).
+// or reports a miss. A hit is served from the single span covering the
+// range (coalescing guarantees there is exactly one); the returned
+// slice must be treated as read-only and stays valid across concurrent
+// eviction, because the cache never recycles a span Get served. A span
+// in the cache's region is first moved to the heap, once, so that it can
+// outlive the region; every later Get of it is zero-copy. That move
+// copies the whole span, which a merge of range fills can grow to
+// MaxBytes, with the cache's lock held: Read is the call for serving.
+// With a Verify hook configured, the span is re-checked first and
+// dropped on mismatch (the lookup then misses).
 func (c *Cache) Get(key string, off, n int64) ([]byte, bool) {
 	s, data := c.lookup(key, off, n, true)
 	return data, s != nil
@@ -307,10 +337,11 @@ func (c *Cache) Read(key string, off, n int64, fn func([]byte)) bool {
 }
 
 // lookup finds the span covering [off, off+n) of key and counts the
-// lookup. A hit comes back marked got (for Get) or pinned (for Read)
-// before anyone else can drop it. With a Verify hook the span is
-// pinned across the check, which runs unlocked; a span that fails is
-// dropped if it is still indexed, and the lookup counts as a miss.
+// lookup. A hit comes back marked got (for Get, on the heap) or pinned
+// (for Read) before anyone else can drop it. With a Verify hook the
+// span is pinned across the check, which runs unlocked; a span that
+// fails is dropped if it is still indexed, and the lookup counts as a
+// miss.
 func (c *Cache) lookup(key string, off, n int64, get bool) (*span, []byte) {
 	if n <= 0 {
 		return nil, nil
@@ -347,11 +378,32 @@ func (c *Cache) lookup(key string, off, n int64, get bool) (*span, []byte) {
 	c.hitBytes += n
 	c.lru.MoveToFront(o.elem) // a no-op if o was evicted meanwhile
 	if get {
-		s.got = true
-		s.pins-- // never recycled now, so there is nothing to release
+		pinned := s
+		if !s.got {
+			s = c.gotLocked(o, s)
+			data = s.data[off-s.off : off-s.off+n : off-s.off+n]
+		}
+		c.unpinLocked(pinned) // a span moved to the heap is released here once unread
 	}
 	c.mu.Unlock()
 	return s, data
+}
+
+// gotLocked marks s as served by Get, never to be recycled. A span in
+// the region is replaced by a heap copy, put in its place in o if it is
+// still there; s is dropped, and its pages go back once its pins drain.
+// Callers hold c.mu.
+func (c *Cache) gotLocked(o *object, s *span) *span {
+	if !c.arena.mapped(s.data) {
+		s.got = true
+		return s
+	}
+	h := &span{off: s.off, data: slices.Clone(s.data), filled: s.filled, got: true}
+	if i := slices.Index(o.spans, s); i >= 0 {
+		o.spans[i] = h
+		s.dropped = true // its bytes are h's now: the count stays
+	}
+	return h
 }
 
 // findLocked returns key's object and its span covering [off, off+n),
@@ -441,7 +493,7 @@ func (c *Cache) putLocked(key string, off int64, p []byte, now time.Time, owned 
 	buf := p
 	if !owned || len(merge) > 0 {
 		if buf = c.takeLocked(hi - lo); buf == nil {
-			buf = make([]byte, hi-lo)
+			buf = c.arena.alloc(hi - lo)
 		}
 		buf = buf[:hi-lo]
 		for _, s := range merge {

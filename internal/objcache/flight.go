@@ -57,22 +57,31 @@ func (c *Cache) StartFlight(key string, off, n int64) (f *Flight, leader bool) {
 
 // Complete publishes the leader's fill: on success the cache takes
 // ownership of data — kept as the span itself, or coalesced as any Put
-// does, after which data goes back to the free list — and every waiter
+// does, after which data is recycled — and every waiter
 // is served from the span holding it, pinned for them in the same step;
 // on error the waiters are released with the error and fall back to
-// their own fetches. Complete must be called exactly once, and only by
-// the leader, who must not touch data afterwards.
+// their own fetches. Either way data is the cache's again, and a buffer
+// from Buffer must come back this way, failed fill or not: a fill that
+// ends with nothing stored releases it. Complete must be called exactly
+// once, and only by the leader, who must not touch data afterwards.
 func (f *Flight) Complete(data []byte, err error) {
 	c := f.c
 	now := c.now()
 	c.mu.Lock()
+	var s *span
 	if err == nil {
 		f.data = data
-		if s := c.putLocked(f.key, f.off, data, now, true, f.waiters); s != nil {
+		if s = c.putLocked(f.key, f.off, data, now, true, f.waiters); s != nil {
 			f.span = s
 			at := f.off - s.off
 			f.data = s.data[at : at+int64(len(data)) : at+int64(len(data))]
 		}
+	}
+	if s == nil {
+		// Nothing was stored. A buffer of the region is empty here, as
+		// Buffer takes none larger than the cache from it, so no waiter
+		// reads it.
+		c.arena.release(data)
 	}
 	f.err = err
 	f.landed = true

@@ -179,9 +179,18 @@ func TestVerifyRunsOutsideTheLock(t *testing.T) {
 
 // Readers, leaders, waiters and Puts churn four cache slots over eight
 // objects; every reader re-checks its bytes after yielding, so a buffer
-// recycled under it shows as another object's content.
+// recycled under it shows as another object's content. At 4 KiB every
+// buffer is a heap buffer; at 128 KiB the fills, and the 64 KiB halves
+// that merge with them, take the pages of the cache's region that one
+// another give back, except under the race detector.
 func TestConcurrentReadersNeverSeeRecycledBytes(t *testing.T) {
-	const objects, size, workers, ops = 8, 4096, 8, 500
+	for _, size := range []int64{4 << 10, 2 * mapMin} {
+		t.Run(fmt.Sprintf("%dKiB", size>>10), func(t *testing.T) { churn(t, size) })
+	}
+}
+
+func churn(t *testing.T, size int64) {
+	const objects, workers, ops = 8, 8, 500
 	c := New(Config{MaxBytes: 4 * size})
 	keys := make([]string, objects)
 	contents := make([][]byte, objects)
@@ -206,7 +215,7 @@ func TestConcurrentReadersNeverSeeRecycledBytes(t *testing.T) {
 						t.Errorf("%s: served bytes were rewritten", key)
 					}
 				}
-				switch rng.Intn(4) {
+				switch rng.Intn(5) {
 				case 0:
 					c.Read(key, 0, size, check)
 				case 1:
@@ -216,23 +225,44 @@ func TestConcurrentReadersNeverSeeRecycledBytes(t *testing.T) {
 				case 2:
 					fl, leader := c.StartFlight(key, 0, size)
 					if !leader {
-						if err := fl.Wait(context.Background(), check); err != nil {
+						if err := fl.Wait(context.Background(), check); err != nil && !errors.Is(err, errCut) {
 							t.Error(err)
 						}
 						continue
 					}
 					fill := append(c.Buffer(size), want[:size/2]...)
 					runtime.Gosched()
+					if rng.Intn(4) == 0 {
+						fl.Complete(fill, errCut)
+						continue
+					}
 					fl.Complete(append(fill, want[size/2:]...), nil)
 				case 3:
 					c.Put(key, 0, want)
+				case 4:
+					c.Put(key, size/2, want[size/2:]) // merges with a cached head
 				}
 			}
 		}(rand.New(rand.NewSource(int64(w))))
 	}
 	wg.Wait()
-	if s := c.Stats(); s.BytesCached > c.Capacity() || s.BytesCached != int64(s.Spans)*size {
-		t.Fatalf("accounting after churn: %+v", s)
+	s := c.Stats()
+	held, free := int64(0), int64(0)
+	c.mu.Lock()
+	for _, o := range c.objects {
+		for _, sp := range o.spans {
+			held += int64(len(sp.data))
+		}
+	}
+	for _, b := range c.free {
+		free += int64(cap(b))
+	}
+	c.mu.Unlock()
+	if s.BytesCached > c.Capacity() || s.BytesCached != held {
+		t.Fatalf("accounting after churn: %+v, spans hold %d bytes", s, held)
+	}
+	if m := mappedBy(c); m > s.BytesCached+free {
+		t.Fatalf("%d bytes mapped, more than the %d cached plus the %d free", m, s.BytesCached, free)
 	}
 	for k, key := range keys {
 		c.Read(key, 0, size, func(data []byte) {

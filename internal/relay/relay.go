@@ -150,29 +150,35 @@ func (r *Relay) serve(conn net.Conn, req *httpx.Request, rec *flight.Record, up 
 // request leads. Whichever comes first completes it, once — the last
 // upstream byte landing in buf, or forward returning without it.
 type fill struct {
-	fl   *objcache.Flight
-	key  string
-	off  int64
-	buf  []byte // the teed body, the cache's once complete; nil until learn finds it cacheable
+	fl  *objcache.Flight
+	key string
+	off int64
+	// buf is the teed body, in a buffer from the cache's Buffer: nil
+	// until learn finds the body cacheable, and again once complete has
+	// handed it back.
+	buf  []byte
 	done bool
 }
 
 // teeing reports whether the body being streamed is also filling f.
 func (f *fill) teeing() bool { return f != nil && f.buf != nil }
 
-func (f *fill) complete(data []byte, err error) {
+// complete hands buf back to the cache with the fill's outcome: the
+// whole body on success, and on failure a buffer the cache must release.
+func (f *fill) complete(err error) {
 	if f == nil || f.done {
 		return
 	}
 	f.done = true
-	f.fl.Complete(data, err)
+	f.fl.Complete(f.buf, err)
+	f.buf = nil
 }
 
 // badGateway answers a request whose upstream leg failed before any
 // response byte reached the client; the connection stays usable.
 func badGateway(conn net.Conn, rec *flight.Record, f *fill, err error) bool {
 	rec.Outcome(obs.ClassFailed, err.Error())
-	f.complete(nil, err)
+	f.complete(err)
 	httpx.WriteResponseHead(conn, 502, "Bad Gateway",
 		map[string]string{"content-length": "0"})
 	return true
@@ -267,7 +273,7 @@ func (r *Relay) forward(conn net.Conn, req *httpx.Request, rec *flight.Record, u
 	rec.FoldKey(upstreamAddr)
 	if f != nil {
 		rec.SetCache("miss")
-		defer f.complete(nil, errUncacheable)
+		defer f.complete(errUncacheable)
 	}
 	keep := false
 	defer func() {
@@ -409,7 +415,7 @@ func (r *Relay) copyStream(dst, upstream net.Conn, resp *httpx.Response, rec *fl
 			if f.teeing() {
 				f.buf = append(f.buf, buf[head:head+nr]...)
 				if got == resp.ContentLength {
-					f.complete(f.buf, nil)
+					f.complete(nil)
 				}
 			}
 			if werr == nil {

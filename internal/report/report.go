@@ -439,8 +439,10 @@ func CacheEgress(w io.Writer, r experiment.CacheEgressResult) {
 		{"cached", fmt.Sprintf("%d", r.CachedEgress>>10)},
 	})
 	s := r.CacheStats
-	fmt.Fprintf(w, "  egress reduction %.1fx; cache: %d hits, %d shared fills, %d fills, hit rate %.2f, warmth %.2f\n",
-		r.Reduction, s.Hits, s.SharedFills, s.Fills, s.HitRate(), s.Warmth())
+	fmt.Fprintf(w, "  egress reduction %.1fx; cache: %d requests, each a hit, a shared fill or one of %d fills\n",
+		r.Reduction, s.Hits+s.SharedFills+s.Fills, s.Fills)
+	fmt.Fprintf(w, "  hits against shared fills (timing-dependent): %d hits, %d shared fills, hit rate %.2f, warmth %.2f\n",
+		s.Hits, s.SharedFills, s.HitRate(), s.Warmth())
 	fmt.Fprintln(w, "  each object leaves the origin once; every later request is served from relay memory")
 }
 
