@@ -30,6 +30,7 @@ func TestQuickReportGolden(t *testing.T) {
 	for _, tc := range []struct{ exp, golden string }{
 		{"all", "testdata/quick_seed42.golden"},
 		{"seeds", "testdata/quick_seeds.golden"},
+		{"topo", "testdata/topo_seed42.golden"},
 	} {
 		want, err := os.ReadFile(tc.golden)
 		if err != nil {
