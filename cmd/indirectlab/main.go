@@ -112,7 +112,6 @@ func lab(args []string, w, stderr io.Writer) int {
 		outTrace     = fs.String("out", "", "archive the Section 3 study records to this JSONL file")
 		outCSV       = fs.String("csv", "", "export the Section 3 study records to this CSV file")
 		plotDir      = fs.String("plotdata", "", "write gnuplot-ready TSV series for each produced figure/table into this directory")
-		scenarioPath = fs.String("scenario", "", "JSON scenario config (see topo.ScenarioConfig); used by -exp topo")
 		chaosJSON    = fs.String("chaos-json", "", "write the chaos campaign result as JSON to this file")
 		chaosBundles = fs.String("chaos-bundle-dir", "", "persist each live fault class's anomaly debug bundles under this directory (CI artifact)")
 	)
@@ -346,30 +345,7 @@ func lab(args []string, w, stderr io.Writer) int {
 		fmt.Fprintln(w)
 	}
 	if want["topo"] {
-		var scen *topo.Scenario
-		if *scenarioPath != "" {
-			f, err := os.Open(*scenarioPath)
-			if err != nil {
-				fmt.Fprintf(stderr, "scenario: %v\n", err)
-				return 1
-			}
-			cfg, err := topo.LoadConfig(f)
-			f.Close()
-			if err != nil {
-				fmt.Fprintf(stderr, "scenario: %v\n", err)
-				return 1
-			}
-			if cfg.Seed == 0 {
-				cfg.Seed = *seed
-			}
-			if scen, err = cfg.Build(); err != nil {
-				fmt.Fprintf(stderr, "scenario: %v\n", err)
-				return 1
-			}
-		} else {
-			scen = topo.NewScenario(topo.Params{Seed: *seed})
-		}
-		scen.Describe(w)
+		topo.NewScenario(topo.Params{Seed: *seed}).Describe(w)
 		fmt.Fprintln(w)
 	}
 	if all || want["adaptive"] {

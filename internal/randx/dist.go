@@ -2,38 +2,6 @@ package randx
 
 import "math"
 
-// Dist is a one-dimensional probability distribution that can be sampled
-// with an explicit RNG, keeping all randomness caller-controlled.
-type Dist interface {
-	// Sample draws one variate.
-	Sample(r *RNG) float64
-	// Mean returns the distribution's analytic mean.
-	Mean() float64
-}
-
-// Uniform is the continuous uniform distribution on [Lo, Hi).
-type Uniform struct {
-	Lo, Hi float64
-}
-
-// Sample draws a uniform variate.
-func (u Uniform) Sample(r *RNG) float64 { return u.Lo + (u.Hi-u.Lo)*r.Float64() }
-
-// Mean returns (Lo+Hi)/2.
-func (u Uniform) Mean() float64 { return (u.Lo + u.Hi) / 2 }
-
-// Normal is the Gaussian distribution with mean Mu and standard deviation
-// Sigma.
-type Normal struct {
-	Mu, Sigma float64
-}
-
-// Sample draws a normal variate.
-func (n Normal) Sample(r *RNG) float64 { return n.Mu + n.Sigma*r.NormFloat64() }
-
-// Mean returns Mu.
-func (n Normal) Mean() float64 { return n.Mu }
-
 // LogNormal is the log-normal distribution: exp(N(Mu, Sigma²)).
 // Throughput samples in the simulator are log-normal, matching the heavy
 // right tail of wide-area TCP throughput measurements.
@@ -43,94 +11,3 @@ type LogNormal struct {
 
 // Sample draws a log-normal variate.
 func (l LogNormal) Sample(r *RNG) float64 { return math.Exp(l.Mu + l.Sigma*r.NormFloat64()) }
-
-// Mean returns exp(Mu + Sigma²/2).
-func (l LogNormal) Mean() float64 { return math.Exp(l.Mu + l.Sigma*l.Sigma/2) }
-
-// LogNormalFromMean builds a LogNormal with the given linear-space mean and
-// the given sigma of the underlying normal. This is the natural way to say
-// "average 1.2 Mb/s with multiplicative spread sigma".
-func LogNormalFromMean(mean, sigma float64) LogNormal {
-	if mean <= 0 {
-		panic("randx: LogNormalFromMean requires mean > 0")
-	}
-	return LogNormal{Mu: math.Log(mean) - sigma*sigma/2, Sigma: sigma}
-}
-
-// Exponential is the exponential distribution with the given Rate (λ).
-type Exponential struct {
-	Rate float64
-}
-
-// Sample draws an exponential variate.
-func (e Exponential) Sample(r *RNG) float64 { return r.ExpFloat64() / e.Rate }
-
-// Mean returns 1/Rate.
-func (e Exponential) Mean() float64 { return 1 / e.Rate }
-
-// Pareto is the Pareto (type I) distribution with scale Xm and shape Alpha.
-// Used for heavy-tailed cross-traffic burst sizes.
-type Pareto struct {
-	Xm, Alpha float64
-}
-
-// Sample draws a Pareto variate.
-func (p Pareto) Sample(r *RNG) float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return p.Xm / math.Pow(u, 1/p.Alpha)
-		}
-	}
-}
-
-// Mean returns Alpha*Xm/(Alpha-1) for Alpha > 1, and +Inf otherwise.
-func (p Pareto) Mean() float64 {
-	if p.Alpha <= 1 {
-		return math.Inf(1)
-	}
-	return p.Alpha * p.Xm / (p.Alpha - 1)
-}
-
-// Constant is a degenerate distribution that always returns Value. It lets
-// deterministic parameters flow through APIs that accept a Dist.
-type Constant struct {
-	Value float64
-}
-
-// Sample returns Value.
-func (c Constant) Sample(*RNG) float64 { return c.Value }
-
-// Mean returns Value.
-func (c Constant) Mean() float64 { return c.Value }
-
-// Clamped wraps a distribution and clamps its samples to [Lo, Hi].
-type Clamped struct {
-	D      Dist
-	Lo, Hi float64
-}
-
-// Sample draws from D and clamps the result.
-func (c Clamped) Sample(r *RNG) float64 {
-	v := c.D.Sample(r)
-	if v < c.Lo {
-		return c.Lo
-	}
-	if v > c.Hi {
-		return c.Hi
-	}
-	return v
-}
-
-// Mean returns the wrapped distribution's mean clamped to [Lo, Hi]; this is
-// an approximation of the true clamped mean, adequate for reporting.
-func (c Clamped) Mean() float64 {
-	m := c.D.Mean()
-	if m < c.Lo {
-		return c.Lo
-	}
-	if m > c.Hi {
-		return c.Hi
-	}
-	return m
-}

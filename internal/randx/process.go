@@ -113,31 +113,8 @@ func (p *Regime) Value() float64 { return p.Level[p.state] }
 // State returns the current regime index (0 or 1).
 func (p *Regime) State() int { return p.state }
 
-// Diurnal is a deterministic sinusoidal modulation with the given Period
-// and Amplitude around 1.0: value = 1 + Amplitude*sin(2π t/Period + Phase).
-// It models time-of-day load on transit links.
-type Diurnal struct {
-	Period    float64
-	Amplitude float64
-	Phase     float64
-
-	t float64
-}
-
-// Step advances time by dt and returns the modulation factor.
-func (p *Diurnal) Step(_ *RNG, dt float64) float64 {
-	p.t += dt
-	return p.Value()
-}
-
-// Value returns the current modulation factor.
-func (p *Diurnal) Value() float64 {
-	return 1 + p.Amplitude*math.Sin(2*math.Pi*p.t/p.Period+p.Phase)
-}
-
 // Product composes processes multiplicatively; its value is the product of
-// the component values. Typical composition: OU base load × regime jumps ×
-// diurnal modulation.
+// the component values. Typical composition: OU base load × regime jumps.
 type Product struct {
 	Parts []Process
 }

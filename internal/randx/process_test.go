@@ -116,38 +116,15 @@ func TestRegimeSwitches(t *testing.T) {
 	}
 }
 
-func TestDiurnalPeriodicity(t *testing.T) {
-	p := &Diurnal{Period: 86400, Amplitude: 0.3}
-	r := New(8)
-	v0 := p.Value()
-	for i := 0; i < 24; i++ {
-		p.Step(r, 3600)
-	}
-	if math.Abs(p.Value()-v0) > 1e-9 {
-		t.Fatalf("diurnal not periodic: %v vs %v", p.Value(), v0)
-	}
-}
-
-func TestDiurnalBounds(t *testing.T) {
-	p := &Diurnal{Period: 100, Amplitude: 0.4}
-	r := New(9)
-	for i := 0; i < 1000; i++ {
-		v := p.Step(r, 1)
-		if v < 0.6-1e-9 || v > 1.4+1e-9 {
-			t.Fatalf("diurnal out of [0.6,1.4]: %v", v)
-		}
-	}
-}
-
 func TestProductComposes(t *testing.T) {
-	a := NewRegime(2, 2, 10, 10) // constant 2
-	b := &Diurnal{Period: 100, Amplitude: 0}
+	a := NewRegime(2, 2, 10, 10)     // constant 2
+	b := NewRegime(1.5, 1.5, 10, 10) // constant 1.5
 	p := &Product{Parts: []Process{a, b}}
 	r := New(10)
-	if v := p.Step(r, 1); math.Abs(v-2) > 1e-12 {
-		t.Fatalf("product value %v, want 2", v)
+	if v := p.Step(r, 1); math.Abs(v-3) > 1e-12 {
+		t.Fatalf("product value %v, want 3", v)
 	}
-	if v := p.Value(); math.Abs(v-2) > 1e-12 {
-		t.Fatalf("product Value %v, want 2", v)
+	if v := p.Value(); math.Abs(v-3) > 1e-12 {
+		t.Fatalf("product Value %v, want 3", v)
 	}
 }

@@ -1,5 +1,5 @@
 // Package randx provides deterministic pseudo-random number generation,
-// probability distributions, and stochastic processes for the indirect
+// the log-normal distribution, and stochastic processes for the indirect
 // routing simulator.
 //
 // Everything in this package is reproducible: the same seed always yields

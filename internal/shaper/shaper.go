@@ -150,7 +150,10 @@ func (c *Conn) Close() error {
 	return c.Conn.Close()
 }
 
-// PathProfile describes the emulated path for one dial target.
+// PathProfile describes the emulated path for one dial target. Each
+// rate is a token bucket that starts full with a 64 KiB burst, so the
+// first 64 KiB of a dialed connection pass unshaped: a probe of that
+// size or less is not held to the rate at all.
 type PathProfile struct {
 	DownloadBps float64 // download direction rate, bits/sec (0 = unlimited)
 	UploadBps   float64 // upload direction rate, bits/sec (0 = unlimited)
@@ -193,7 +196,8 @@ func (d *Dialer) Dial(network, addr string) (net.Conn, error) {
 }
 
 // shape wraps a client's conn with the profile's rate limits and
-// latency. Profiles give rates in bits/sec; buckets meter bytes.
+// latency. Profiles give rates in bits/sec; buckets meter bytes. Both
+// buckets start full, so each direction's first 64 KiB is a burst.
 func shape(conn net.Conn, p PathProfile) *Conn {
 	c := &Conn{Conn: conn, lat: p.Latency}
 	if p.DownloadBps > 0 {

@@ -32,32 +32,8 @@ const (
 
 // Params are the TCP-relevant properties of one end-to-end path.
 type Params struct {
-	RTT       float64 // round-trip time, seconds
-	Loss      float64 // end-to-end packet loss probability
-	MSS       int     // segment size, bytes (0 = DefaultMSS)
-	MaxWindow int     // max window, bytes (0 = DefaultMaxWindow)
-	InitSegs  int     // initial window, segments (0 = DefaultInitSegs)
-}
-
-func (p Params) mss() float64 {
-	if p.MSS > 0 {
-		return float64(p.MSS)
-	}
-	return DefaultMSS
-}
-
-func (p Params) maxWindow() float64 {
-	if p.MaxWindow > 0 {
-		return float64(p.MaxWindow)
-	}
-	return DefaultMaxWindow
-}
-
-func (p Params) initSegs() float64 {
-	if p.InitSegs > 0 {
-		return float64(p.InitSegs)
-	}
-	return DefaultInitSegs
+	RTT  float64 // round-trip time, seconds
+	Loss float64 // end-to-end packet loss probability
 }
 
 // InitialRate returns the slow-start starting rate in bits/sec: the
@@ -66,16 +42,16 @@ func (p Params) InitialRate() float64 {
 	if p.RTT <= 0 {
 		return math.Inf(1)
 	}
-	return p.initSegs() * p.mss() * 8 / p.RTT
+	return DefaultInitSegs * DefaultMSS * 8 / p.RTT
 }
 
 // WindowCeiling returns the receive/congestion-window rate limit in
-// bits/sec: MaxWindow per RTT.
+// bits/sec: DefaultMaxWindow per RTT.
 func (p Params) WindowCeiling() float64 {
 	if p.RTT <= 0 {
 		return math.Inf(1)
 	}
-	return p.maxWindow() * 8 / p.RTT
+	return DefaultMaxWindow * 8 / p.RTT
 }
 
 // LossCeiling returns the Mathis steady-state throughput ceiling
@@ -84,7 +60,7 @@ func (p Params) LossCeiling() float64 {
 	if p.Loss <= 0 || p.RTT <= 0 {
 		return math.Inf(1)
 	}
-	return p.mss() * 8 / (p.RTT * math.Sqrt(2*p.Loss/3))
+	return DefaultMSS * 8 / (p.RTT * math.Sqrt(2*p.Loss/3))
 }
 
 // Ceiling returns the steady-state rate cap: the lesser of the window and

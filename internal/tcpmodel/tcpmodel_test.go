@@ -133,9 +133,9 @@ func TestSlowStartBytes(t *testing.T) {
 func TestAttachRampsToCeiling(t *testing.T) {
 	e := simnet.NewEngine()
 	n := simnet.NewNetwork(e)
-	l := n.NewLink("l", 100e6, 0.025, 0) // RTT 0.052 via FromLinks
+	l := n.NewLink("l", 1e9, 0.025, 0) // RTT 0.052 via FromLinks
 	p := FromLinks([]*simnet.Link{l})
-	p.MaxWindow = 64 << 10 // 64 KB window -> ceiling ~10 Mb/s
+	// 1 MiB window -> ceiling ~161 Mb/s, well under the link.
 	f := n.StartFlow(simnet.FlowSpec{Links: []*simnet.Link{l}, Bytes: 50_000_000})
 	Attach(n, f, p)
 	if f.Rate() >= p.Ceiling() {
@@ -154,7 +154,6 @@ func TestAttachFluidMatchesAnalytic(t *testing.T) {
 	n := simnet.NewNetwork(e)
 	l := n.NewLink("l", 1e9, 0.04, 0)
 	p := FromLinks([]*simnet.Link{l})
-	p.MaxWindow = 128 << 10
 	var fin float64
 	f := n.StartFlow(simnet.FlowSpec{Links: []*simnet.Link{l}, Bytes: 5_000_000,
 		OnComplete: func(f *simnet.Flow) { fin = f.Finish() }})

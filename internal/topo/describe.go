@@ -13,7 +13,7 @@ func (s *Scenario) Describe(w io.Writer) {
 	fmt.Fprintf(w, "Scenario seed=%d: %d clients, %d intermediates, %d servers\n",
 		s.P.Seed, len(s.Clients), len(s.Intermediates), len(s.Servers))
 	fmt.Fprintf(w, "  overlay base = %.2f * m^%.2f Mb/s (cap %.2fx), direct theta=1/%.0fs\n",
-		s.P.OverlayA, s.P.OverlayGamma, s.P.PairCapFactor, 1/s.P.DirectTheta)
+		overlayA, overlayGamma, pairCapFactor, 1/directTheta)
 
 	fmt.Fprintln(w, "clients:")
 	for _, c := range append(append([]*Node{}, s.Clients...), s.Sec4Clients...) {

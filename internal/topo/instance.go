@@ -38,7 +38,6 @@ func (s *Scenario) Instantiate(net *simnet.Network, rng *randx.RNG, client *Node
 		usTransit: make(map[string]*simnet.Link),
 		serverAcc: make(map[string]*simnet.Link),
 	}
-	iv := s.P.DriveInterval
 
 	// Client access link: fixed capacity. For shared-bottleneck clients it
 	// sits barely above the direct mean, so it throttles indirect paths
@@ -48,25 +47,18 @@ func (s *Scenario) Instantiate(net *simnet.Network, rng *randx.RNG, client *Node
 	// Direct international transit per server: OU base with regime
 	// congestion episodes. This is the paper's "highly variable direct
 	// path".
-	theta := s.P.DirectTheta
+	theta := directTheta
 	if cn.DirectTheta > 0 {
 		theta = cn.DirectTheta
 	}
 	for _, sv := range servers {
 		mean := cn.DirectMean[sv.Name]
 		l := net.NewLink("direct/"+client.Name+"->"+sv.Name, mean, cn.TransitLatency, cn.TransitLoss)
-		parts := []randx.Process{
+		proc := &randx.Product{Parts: []randx.Process{
 			randx.NewOU(mean, theta, cn.DirectSigma),
 			randx.NewRegime(1.0, cn.BusyLevel, cn.QuietHold, cn.BusyHold),
-		}
-		if s.P.DiurnalAmplitude > 0 {
-			phase := 2 * 3.141592653589793 * rng.Fork("phase/"+client.Name).Float64()
-			parts = append(parts, &randx.Diurnal{
-				Period: 86400, Amplitude: s.P.DiurnalAmplitude, Phase: phase,
-			})
-		}
-		proc := &randx.Product{Parts: parts}
-		stop := l.Drive(proc, iv, 1.0, rng.Fork("direct/"+client.Name+"/"+sv.Name))
+		}}
+		stop := l.Drive(proc, driveInterval, 1.0, rng.Fork("direct/"+client.Name+"/"+sv.Name))
 		in.direct[sv.Name] = l
 		in.stops = append(in.stops, stop)
 	}
@@ -80,13 +72,13 @@ func (s *Scenario) Instantiate(net *simnet.Network, rng *randx.RNG, client *Node
 		lat := s.pairLatency[client.Name+"|"+inter.Name]
 		l := net.NewLink("overlay/"+client.Name+"->"+inter.Name, mean, lat, 5e-5)
 		proc := &randx.Product{Parts: []randx.Process{
-			randx.NewOU(mean, 1.0/600, s.P.OverlaySigma),
+			randx.NewOU(mean, 1.0/600, overlaySigma),
 			// Rare, short collapses: the paper attributes the residual
 			// penalties on low-variability clients to indirect-path
 			// throughput drops after the route decision is made.
 			randx.NewRegime(1.0, 0.35, 7200, 120),
 		}}
-		stop := l.Drive(proc, iv, 1.0, rng.Fork("overlay/"+client.Name+"/"+inter.Name))
+		stop := l.Drive(proc, driveInterval, 1.0, rng.Fork("overlay/"+client.Name+"/"+inter.Name))
 		in.overlay[inter.Name] = l
 		in.stops = append(in.stops, stop)
 
@@ -95,7 +87,7 @@ func (s *Scenario) Instantiate(net *simnet.Network, rng *randx.RNG, client *Node
 		// client–intermediate hop dominates).
 		usMean := (30 + 50*s.InterQuality(inter)) * mbps
 		ul := net.NewLink("us/"+inter.Name, usMean, s.interLatency[inter.Name], 1e-5)
-		ustop := ul.Drive(randx.NewOU(usMean, 1.0/600, 0.10), iv, 1.0,
+		ustop := ul.Drive(randx.NewOU(usMean, 1.0/600, 0.10), driveInterval, 1.0,
 			rng.Fork("us/"+client.Name+"/"+inter.Name))
 		in.usTransit[inter.Name] = ul
 		in.stops = append(in.stops, ustop)

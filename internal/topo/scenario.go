@@ -7,84 +7,70 @@ import (
 	"repro/internal/randx"
 )
 
-// Params are the scenario-generation knobs. The defaults (see
-// DefaultParams) are calibrated so that the headline statistics of the
-// paper emerge: ~45% indirect-path utilization, conditional improvements
-// averaging in the 33–49% band, and ~10–15% penalties concentrated on
-// high-throughput, high-variability clients.
+// Params are the scenario settings a program turns: the seed, the size of
+// the intermediate set (Figure 6) and the shared-bottleneck fraction (the
+// ablation). Every other property of the world is a model constant of
+// this package.
 type Params struct {
 	Seed uint64
 
 	// NumIntermediates bounds the intermediate set (21 for the Section 3
-	// study, 35 for the Section 4 full set).
+	// study, 35 for the Section 4 full set). Zero means 21.
 	NumIntermediates int
 
-	// OverlayA and OverlayGamma set the typical overlay bottleneck
+	// SharedBottleneckFrac is the fraction of clients whose access link
+	// is barely above their direct mean, so direct and indirect paths
+	// share a bottleneck (a paper-identified penalty source). Zero means
+	// 0.12.
+	SharedBottleneckFrac float64
+}
+
+// The model constants, calibrated so that the headline statistics of the
+// paper emerge: ~45% indirect-path utilization, conditional improvements
+// averaging in the 33–49% band, and ~10–15% penalties concentrated on
+// high-throughput, high-variability clients. Direct links carry no
+// time-of-day term: the paper's methodology "minimizes time-of-day
+// effects" by comparing concurrent transfers.
+const (
+	defaultIntermediates        = 21
+	defaultSharedBottleneckFrac = 0.12
+
+	// overlayA and overlayGamma set the typical overlay bottleneck
 	// capacity for a client with direct mean m (in Mb/s):
-	// overlayBase = OverlayA * m^OverlayGamma (Mb/s). Gamma < 1 makes
+	// overlayBase = overlayA * m^overlayGamma (Mb/s). Gamma < 1 makes
 	// overlay quality grow sublinearly with client quality, which is why
 	// low-throughput clients benefit most (paper §3.3).
-	OverlayA     float64
-	OverlayGamma float64
+	overlayA     = 0.96
+	overlayGamma = 0.75
 
-	// InterQualitySigma is the log-sigma of the per-intermediate quality
+	// interQualitySigma is the log-sigma of the per-intermediate quality
 	// multiplier: large values create the "popular intermediates" overlap
 	// of Table II.
-	InterQualitySigma float64
+	interQualitySigma = 0.22
 
-	// PairNoiseSigma is the log-sigma of the per-(client,intermediate)
+	// pairNoiseSigma is the log-sigma of the per-(client,intermediate)
 	// pair multiplier.
-	PairNoiseSigma float64
+	pairNoiseSigma = 0.18
 
-	// PairCapFactor bounds any overlay pair at PairCapFactor × the
+	// pairCapFactor bounds any overlay pair at pairCapFactor × the
 	// client's OverlayBase: however good the intermediate, the overlay
 	// hop still crosses the client's international transit
 	// infrastructure. The cap flattens the top tier of pairs, which is
 	// what makes the paper's Figure 6 level off near a random set of 10
 	// instead of improving all the way to the full set.
-	PairCapFactor float64
+	pairCapFactor = 1.30
 
-	// DirectTheta is the OU mean-reversion rate of direct-path available
-	// bandwidth (1/seconds); 1/DirectTheta is the burst decay time.
-	DirectTheta float64
+	// directTheta is the OU mean-reversion rate of direct-path available
+	// bandwidth (1/seconds); 1/directTheta is the burst decay time.
+	directTheta = 1.0 / 100
 
-	// OverlaySigma is the OU log-sigma of overlay links (small: the paper
+	// overlaySigma is the OU log-sigma of overlay links (small: the paper
 	// observes indirect-path throughput is comparatively stable).
-	OverlaySigma float64
+	overlaySigma = 0.09
 
-	// SharedBottleneckFrac is the fraction of clients whose access link
-	// is barely above their direct mean, so direct and indirect paths
-	// share a bottleneck (a paper-identified penalty source).
-	SharedBottleneckFrac float64
-
-	// DiurnalAmplitude adds a time-of-day modulation (+/- this fraction,
-	// 24 h period, random phase per client) to direct transit links.
-	// The default 0 disables it: the paper's methodology deliberately
-	// "minimizes time-of-day effects" by comparing concurrent transfers,
-	// and the experiments follow suit — the knob exists to study what
-	// happens when that assumption is dropped.
-	DiurnalAmplitude float64
-
-	// DriveInterval is the virtual-time spacing of link-capacity updates.
-	DriveInterval float64
-}
-
-// DefaultParams returns the calibrated defaults used by the experiments.
-func DefaultParams(seed uint64) Params {
-	return Params{
-		Seed:                 seed,
-		NumIntermediates:     21,
-		OverlayA:             0.96,
-		OverlayGamma:         0.75,
-		InterQualitySigma:    0.22,
-		PairNoiseSigma:       0.18,
-		PairCapFactor:        1.30,
-		DirectTheta:          1.0 / 100,
-		OverlaySigma:         0.09,
-		SharedBottleneckFrac: 0.12,
-		DriveInterval:        15,
-	}
-}
+	// driveInterval is the virtual-time spacing of link-capacity updates.
+	driveInterval = 15
+)
 
 const mbps = 1e6
 
@@ -151,45 +137,14 @@ type Scenario struct {
 	pairLatency  map[string]float64 // one-way client->intermediate
 }
 
-// NewScenario derives a scenario from params. Unset (zero) fields of p are
-// filled from DefaultParams.
-func NewScenario(p Params) *Scenario { return NewScenarioWithClients(p, nil) }
-
-// NewScenarioWithClients derives a scenario with a custom client set in
-// place of the paper's Table IV (nil keeps the paper's clients). Custom
-// clients receive deterministic personalities exactly like the built-in
-// ones.
-func NewScenarioWithClients(p Params, customClients []clientSpec) *Scenario {
-	d := DefaultParams(p.Seed)
+// NewScenario derives a scenario from params. A zero NumIntermediates or
+// SharedBottleneckFrac takes its default.
+func NewScenario(p Params) *Scenario {
 	if p.NumIntermediates == 0 {
-		p.NumIntermediates = d.NumIntermediates
-	}
-	if p.OverlayA == 0 {
-		p.OverlayA = d.OverlayA
-	}
-	if p.OverlayGamma == 0 {
-		p.OverlayGamma = d.OverlayGamma
-	}
-	if p.InterQualitySigma == 0 {
-		p.InterQualitySigma = d.InterQualitySigma
-	}
-	if p.PairNoiseSigma == 0 {
-		p.PairNoiseSigma = d.PairNoiseSigma
-	}
-	if p.PairCapFactor == 0 {
-		p.PairCapFactor = d.PairCapFactor
-	}
-	if p.DirectTheta == 0 {
-		p.DirectTheta = d.DirectTheta
-	}
-	if p.OverlaySigma == 0 {
-		p.OverlaySigma = d.OverlaySigma
+		p.NumIntermediates = defaultIntermediates
 	}
 	if p.SharedBottleneckFrac == 0 {
-		p.SharedBottleneckFrac = d.SharedBottleneckFrac
-	}
-	if p.DriveInterval == 0 {
-		p.DriveInterval = d.DriveInterval
+		p.SharedBottleneckFrac = defaultSharedBottleneckFrac
 	}
 	if p.NumIntermediates < 1 || p.NumIntermediates > len(interSpecs) {
 		panic(fmt.Sprintf("topo: NumIntermediates must be in [1, %d]", len(interSpecs)))
@@ -205,11 +160,7 @@ func NewScenarioWithClients(p Params, customClients []clientSpec) *Scenario {
 	}
 	root := randx.New(p.Seed)
 
-	activeClients := clientSpecs
-	if customClients != nil {
-		activeClients = customClients
-	}
-	for _, cs := range activeClients {
+	for _, cs := range clientSpecs {
 		s.Clients = append(s.Clients, &Node{Name: cs.name, Domain: cs.domain, Role: RoleClient, Category: cs.cat})
 	}
 	for _, is := range interSpecs[:p.NumIntermediates] {
@@ -225,7 +176,7 @@ func NewScenarioWithClients(p Params, customClients []clientSpec) *Scenario {
 	// Per-intermediate quality and latency-to-servers.
 	for _, in := range s.Intermediates {
 		r := root.Fork("inter/" + in.Name)
-		s.interQuality[in.Name] = randx.LogNormal{Mu: 0, Sigma: p.InterQualitySigma}.Sample(r)
+		s.interQuality[in.Name] = randx.LogNormal{Mu: 0, Sigma: interQualitySigma}.Sample(r)
 		// Intermediates are US nodes with "superior connectivity to the
 		// destination Web servers" (paper §2.2): the i->server hop is
 		// short, so the indirect path's RTT is dominated by the overlay
@@ -264,9 +215,9 @@ func NewScenarioWithClients(p Params, customClients []clientSpec) *Scenario {
 		cn := s.clientNets[c.Name]
 		for _, in := range s.Intermediates {
 			r := root.Fork("pair/" + c.Name + "|" + in.Name)
-			noise := randx.LogNormal{Mu: 0, Sigma: p.PairNoiseSigma}.Sample(r)
+			noise := randx.LogNormal{Mu: 0, Sigma: pairNoiseSigma}.Sample(r)
 			pm := cn.OverlayBase * s.interQuality[in.Name] * noise
-			if hi := cn.OverlayBase * p.PairCapFactor; pm > hi {
+			if hi := cn.OverlayBase * pairCapFactor; pm > hi {
 				pm = hi
 			}
 			s.pairMean[c.Name+"|"+in.Name] = pm
@@ -337,7 +288,7 @@ func (s *Scenario) deriveClient(root *randx.RNG, c *Node) *ClientNet {
 	cn.TransitLoss = 2e-5 + 1.8e-4*r.Float64()
 
 	baseMbps := base / mbps
-	cn.OverlayBase = s.P.OverlayA * math.Pow(baseMbps, s.P.OverlayGamma) * mbps
+	cn.OverlayBase = overlayA * math.Pow(baseMbps, overlayGamma) * mbps
 	return cn
 }
 

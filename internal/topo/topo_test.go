@@ -111,7 +111,7 @@ func TestCategoryMeansInBand(t *testing.T) {
 }
 
 func TestOverlaySublinearInClientQuality(t *testing.T) {
-	// The calibrated OverlayGamma < 1 means overlay/direct ratio falls as
+	// The calibrated overlayGamma < 1 means overlay/direct ratio falls as
 	// direct mean rises: high-throughput clients gain less (paper §3.3).
 	s := NewScenario(Params{Seed: 4})
 	var lowRatio, highRatio []float64
@@ -308,43 +308,6 @@ func TestOverlayStabilityVsDirect(t *testing.T) {
 	cvOverlay := cv(inst.OverlayLink(inter))
 	if cvOverlay >= cvDirect {
 		t.Fatalf("overlay CV %.3f >= direct CV %.3f; want overlay more stable", cvOverlay, cvDirect)
-	}
-}
-
-func TestDiurnalModulation(t *testing.T) {
-	// With a strong diurnal term, direct capacity averaged over opposite
-	// half-days must differ; without it, the halves should be similar.
-	sample := func(amp float64) (am, pm float64) {
-		s := NewScenario(Params{Seed: 21, DiurnalAmplitude: amp})
-		eng := simnet.NewEngine()
-		net := simnet.NewNetwork(eng)
-		inst := s.Instantiate(net, randx.New(9), s.Clients[0], []*Node{s.Servers[0]}, s.Intermediates[:1])
-		defer inst.Close()
-		link := inst.DirectLink(s.Servers[0])
-		var sums [2]float64
-		var counts [2]int
-		for i := 0; i < 24*4; i++ { // two days, hourly, split by half-day
-			inst.Warmup(3600)
-			half := (i / 12) % 2
-			sums[half] += link.Capacity()
-			counts[half]++
-		}
-		return sums[0] / float64(counts[0]), sums[1] / float64(counts[1])
-	}
-	am, pm := sample(0.5)
-	ratio := am / pm
-	if ratio < 1 {
-		ratio = 1 / ratio
-	}
-	if ratio < 1.15 {
-		t.Fatalf("diurnal modulation invisible: half-day means ratio %.3f", ratio)
-	}
-}
-
-func TestDiurnalDefaultOff(t *testing.T) {
-	s := NewScenario(Params{Seed: 22})
-	if s.P.DiurnalAmplitude != 0 {
-		t.Fatal("diurnal modulation must default to off (paper methodology)")
 	}
 }
 
