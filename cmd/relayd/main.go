@@ -1,6 +1,9 @@
 // Command relayd runs an indirect-routing relay: the intermediate-node
 // forwarding service that accepts absolute-form HTTP GETs, contacts the
-// origin, and splices the (ranged) response back to the client.
+// origin, and splices the (ranged) response back to the client. On
+// Linux a body longer than 128 KiB that the cache does not keep moves
+// socket to socket with splice(2), without a copy through the relay's
+// own buffers.
 //
 // Usage:
 //

@@ -174,21 +174,28 @@ func TestNowMonotone(t *testing.T) {
 func TestConcurrentProbesWallClock(t *testing.T) {
 	tr, cleanup := testbed(t)
 	defer cleanup()
+	// Both relays at 1 Mb/s. A Dialer connection's buckets start full
+	// with a 64 KiB burst (shaper.PathProfile), so each 200 KB probe is
+	// held to its path's rate for the rest: ~1.08 s. Run together, the
+	// race takes about one probe's time; one after the other, the sum.
+	const bps, probe, burst = 1e6, 200_000, 64 << 10
+	d := shaper.NewDialer()
+	for _, addr := range tr.Relays {
+		d.SetProfile(addr, shaper.PathProfile{DownloadBps: bps})
+	}
+	tr.Dial = d.Dial
+	one := time.Duration((probe - burst) * 8 / bps * float64(time.Second))
 	obj := core.Object{Server: "origin", Name: "big.bin", Size: 2_000_000}
 	start := time.Now()
-	probes := core.Probe(context.Background(), tr, obj, []string{"fast", "slow"}, core.Config{ProbeBytes: 50_000})
+	probes := core.Probe(context.Background(), tr, obj, []string{"fast", "slow"}, core.Config{ProbeBytes: probe})
 	elapsed := time.Since(start)
 	for _, p := range probes {
 		if p.Err != nil {
 			t.Fatalf("probe %v failed: %v", p.Path, p.Err)
 		}
 	}
-	// Each 50 KB probe fits inside its connection's 64 KiB initial burst
-	// (see shaper.PathProfile), so neither is held to its path's rate
-	// and both finish in loopback time. The bound catches a probe race
-	// that stalls, not one that is merely sequential.
-	if elapsed > 3*time.Second {
-		t.Fatalf("probe race took %v; not concurrent?", elapsed)
+	if elapsed < one || elapsed >= 2*one {
+		t.Fatalf("probe race took %v; want at least one probe's %v and less than both in turn", elapsed, one)
 	}
 }
 

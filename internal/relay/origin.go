@@ -2,7 +2,10 @@
 // system: an origin server that serves synthetic ranged objects, and the
 // relay daemon that forwards client requests to origins — the
 // intermediate-node software of the paper. Both speak the httpx protocol
-// subset over plain net.Conn.
+// subset over plain net.Conn. On Linux the relay splices a body longer
+// than one chunk from its upstream socket to the client's with
+// splice(2), when both are plain TCP connections and no cache fill tees
+// it; every other body is copied through a buffer.
 package relay
 
 import (

@@ -44,10 +44,11 @@ type Relay struct {
 	Flight *flight.Recorder
 
 	// UpstreamStall bounds how long the upstream may go silent while a
-	// response streams through: each upstream read re-arms a deadline of
-	// this length, so a slow-loris origin fails the request instead of
-	// wedging the handler goroutine (and the client) forever. Between
-	// requests no deadline is armed. Zero disables the guard.
+	// response streams through: each upstream read, or splice drain,
+	// re-arms a deadline of this length, so a slow-loris origin fails the
+	// request instead of wedging the handler goroutine (and the client)
+	// forever. Between requests no deadline is armed. Zero disables the
+	// guard.
 	UpstreamStall time.Duration
 
 	// BytesRelayed counts response-body bytes forwarded to clients.
@@ -346,7 +347,7 @@ func (r *Relay) forward(conn net.Conn, req *httpx.Request, rec *flight.Record, u
 	var upErr error
 	if clientErr == nil || f.teeing() {
 		rec.Phase("stream")
-		got, clientErr, upErr = r.copyStream(conn, up.conn, resp, rec, f, *bp, len(head), clientErr)
+		got, clientErr, upErr = r.stream(conn, up, resp, rec, f, *bp, len(head), clientErr)
 		if rec.Tracing() {
 			rec.PhaseAttr("bytes", strconv.FormatInt(rec.Bytes(), 10))
 		}
@@ -380,6 +381,24 @@ func (r *Relay) forward(conn net.Conn, req *httpx.Request, rec *flight.Record, u
 	keep = again && resp.Header["connection"] != "close" &&
 		(r.UpstreamStall <= 0 || up.conn.SetReadDeadline(time.Time{}) == nil)
 	return again
+}
+
+// stream moves the upstream body to the client: with spliceStream when
+// no fill tees it, both connections are plain TCP and more than one
+// chunk is left past what the leg's reader holds, and with copyStream
+// otherwise. A body of one chunk or less takes one read and one write
+// either way, and a pipe would only add to its cost.
+func (r *Relay) stream(conn net.Conn, up *leg, resp *httpx.Response, rec *flight.Record, f *fill, buf []byte, head int, headErr error) (got int64, werr, rerr error) {
+	buffered := up.br.Buffered()
+	if !f.teeing() && headErr == nil && resp.ContentLength-int64(buffered) > streamChunk {
+		_, plainClient := conn.(*net.TCPConn)
+		if src, plainUp := up.conn.(*net.TCPConn); plainClient && plainUp {
+			if got, werr, rerr, ok := r.spliceStream(conn, src, resp, rec, buf, head, buffered); ok {
+				return got, werr, rerr
+			}
+		}
+	}
+	return r.copyStream(conn, up.conn, resp, rec, f, buf, head, headErr)
 }
 
 // copyStream pumps the upstream body to the client through buf, whose

@@ -6,7 +6,8 @@
 # build cache), the two sides alternate — parent first on even pairs,
 # change first on odd ones — over seeds 41, 42, ..., and every end-to-end
 # metric is reported as median [first .. third quartile] per side, with
-# the pairs the change won and the metric's BENCHMARK.json bound. A last
+# the pairs the change won, the metric's BENCHMARK.json bound and a
+# verdict on the two (gain, worse, unresolved or within). A last
 # `failed` row sums each side's failed and attempted operations over all
 # its runs: a change may not fail more operations than its parent.
 #
@@ -56,6 +57,12 @@ for ((i = 0; i < pairs; i++)); do
 done
 
 echo "$workload: $pairs alternating pairs, seeds 41..$((40 + pairs)), median [quartiles]"
+# The verdict applies the claim rule: "gain" when the change won at least
+# 9/10 of the pairs and the medians differ, its way, by more than the
+# parent's interquartile range (IQR); "worse" when the change's median is
+# past the metric's bound; "unresolved" when the parent's IQR is wider
+# than the bound, unless every change run beat every parent run;
+# "within" otherwise.
 awk '
 function quantile(a, n, p,    pos, lo) {
 	pos = 1 + (n - 1) * p; lo = int(pos)
@@ -64,13 +71,23 @@ function quantile(a, n, p,    pos, lo) {
 function summary(m, side,    n, i, j, t, a) {
 	for (n = 0; (m, side, n) in v; n++) a[n + 1] = v[m, side, n]
 	for (i = 2; i <= n; i++) for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
-	med[side] = quantile(a, n, 0.5)
-	return sprintf("%.4g [%.4g..%.4g]", med[side], quantile(a, n, 0.25), quantile(a, n, 0.75))
+	med[side] = quantile(a, n, 0.5); q1[side] = quantile(a, n, 0.25); q3[side] = quantile(a, n, 0.75)
+	lo[side] = a[1]; hi[side] = a[n]
+	return sprintf("%.4g [%.4g..%.4g]", med[side], q1[side], q3[side])
+}
+function verdict(m, wins,    sign, gap, spread) {
+	sign = better[m] == "higher" ? 1 : -1
+	gap = sign * (med["change"] - med["parent"]); spread = q3["parent"] - q1["parent"]
+	if (10 * wins >= 9 * pairs && gap > spread) return "gain"
+	if (gap < -bound[m] * med["parent"]) return "worse"
+	if (spread > bound[m] * med["parent"] &&
+		!(sign > 0 ? lo["change"] > hi["parent"] : hi["change"] < lo["parent"])) return "unresolved"
+	return "within"
 }
 FILENAME == ARGV[1] { order[++metrics] = $1; better[$1] = $2; bound[$1] = $3; next }
 { v[$1, $2, $3] = $4; if ($3 + 1 > pairs) pairs = $3 + 1 }
 END {
-	printf "%-16s %-30s %-30s %8s %6s  %s\n", "metric", "parent", "change", "change/p", "wins", "bound"
+	printf "%-16s %-30s %-30s %8s %6s  %-10s %s\n", "metric", "parent", "change", "change/p", "wins", "verdict", "bound"
 	for (k = 1; k <= metrics; k++) {
 		m = order[k]; wins = 0
 		for (i = 0; i < pairs; i++) {
@@ -78,8 +95,8 @@ END {
 			if ((better[m] == "higher" && d > 0) || (better[m] == "lower" && d < 0)) wins++
 		}
 		p = summary(m, "parent"); c = summary(m, "change")
-		printf "%-16s %-30s %-30s %8.3f %3d/%-2d  %s is better, may worsen %g%%\n",
-			m, p, c, med["parent"] ? med["change"] / med["parent"] : 0, wins, pairs, better[m], bound[m] * 100
+		printf "%-16s %-30s %-30s %8.3f %3d/%-2d  %-10s %s is better, may worsen %g%%\n",
+			m, p, c, med["parent"] ? med["change"] / med["parent"] : 0, wins, pairs, verdict(m, wins), better[m], bound[m] * 100
 	}
 }' "$work/metrics" "$work/rows"
 awk '{ f[$1] += $2; a[$1] += $3 }
