@@ -73,7 +73,8 @@ bench-pair:
 
 # Every `make <target>`, cmd/<x>, examples/<x>, Test…/Fuzz… function and
 # package-qualified Go name (repro.X, obs.X, …) the documents name
-# exists, and every name in a -run pattern below still matches a test.
+# exists, as does every such Go name a comment line outside bench/ names,
+# and every name in a -run pattern below still matches a test.
 doc-check:
 	bash scripts/doccheck.sh
 

@@ -84,13 +84,12 @@ func main() {
 	// engine is assigned before the listener starts, so the nil-safe
 	// closure can never race a live transition.
 	var engine *flight.Engine
-	origin := relay.NewOriginServer(
-		relay.WithHealthMonitor(obs.NewHealthMonitor(obs.HealthConfig{
-			Clock:        obs.WallClock(),
-			OnTransition: func(path string, tr obs.HealthTransition) { engine.FireHealth(path, tr) },
-		})),
-		relay.WithFlight(rec),
-	)
+	origin := relay.NewOriginServer()
+	origin.Flight = rec
+	origin.Health = obs.NewHealthMonitor(obs.HealthConfig{
+		Clock:        obs.WallClock(),
+		OnTransition: func(path string, tr obs.HealthTransition) { engine.FireHealth(path, tr) },
+	})
 	if len(objects) == 0 {
 		objects = objectList{"large.bin=4000000"}
 	}

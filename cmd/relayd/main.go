@@ -8,7 +8,7 @@
 // Usage:
 //
 //	relayd -listen 127.0.0.1:8081 -metrics 127.0.0.1:9081 \
-//	       -cache-bytes 268435456 -cache-ttl 10m
+//	       -cache-bytes 268435456
 //
 // With -cache-bytes set, the relay keeps a bounded range-aware object
 // cache: response ranges fill it as they stream through, repeat
@@ -80,7 +80,6 @@ func main() {
 	bundleDir := flag.String("bundle-dir", "", "persist anomaly debug bundles here (empty = in-memory only)")
 	bundleWindow := flag.Duration("bundle-window", time.Minute, "per-path rate limit between debug bundles")
 	cacheBytes := flag.Int64("cache-bytes", 0, "object cache capacity in bytes (0 = caching off)")
-	cacheTTL := flag.Duration("cache-ttl", 0, "expire cached spans this long after fill (0 = keep until evicted)")
 	upstreamStall := flag.Duration("upstream-stall", 30*time.Second, "fail a forward whose origin goes silent this long mid-response (0 = no guard)")
 	mkProf := daemon.ProfilerFlags()
 	mkLog := daemon.LogFlags()
@@ -109,17 +108,16 @@ func main() {
 	r := relay.New(
 		relay.WithHealthMonitor(mon),
 		relay.WithCache(*cacheBytes),
-		relay.WithCacheTTL(*cacheTTL),
 		relay.WithVerifier(relay.VerifyRange),
 		relay.WithUpstreamStall(*upstreamStall),
 		relay.WithFlight(rec),
 	)
 	if *cacheBytes > 0 {
-		logger.Info("cache enabled", "capacity_bytes", *cacheBytes, "ttl", *cacheTTL)
+		logger.Info("cache enabled", "capacity_bytes", *cacheBytes)
 	}
 	// The metrics half of the introspection surface exists before the
 	// engine does: a debug bundle snapshots the page /metrics serves.
-	d := &daemon.Daemon{Prefix: "relay", Prom: r.WriteProm, Health: r.Health}
+	d := &daemon.Daemon{Prefix: "relay", Prom: r.WriteProm, Health: mon}
 	if rec != nil {
 		engine = flight.NewEngine(flight.TriggerConfig{
 			Recorder: rec,
@@ -157,7 +155,7 @@ func main() {
 		// list the registry (fetch -fleet, -bundle) can reach this
 		// relay's debug pages.
 		hb, err = rc.StartHeartbeat(ctx, *name, l.Addr().String(), *metrics, *ttl,
-			aggregateHealth(r.Health, r.Cache()))
+			aggregateHealth(mon, r.Cache()))
 		if err != nil {
 			logger.Error("registration failed", "registry", *regAddr, "err", err)
 			os.Exit(1)

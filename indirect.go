@@ -174,14 +174,14 @@ func NewMetrics() *Metrics { return obs.NewMetrics() }
 // NewRecorder returns a tracing store holding the last capacity finished
 // transfers (512 when capacity <= 0); when it is full, errored and slow
 // traces are overwritten last. Read its spans with Recorder.Spans. Wire
-// it into a client with WithSpans, or into daemons via the Relay/Origin
-// Flight fields.
+// it into a client with WithSpans, a relay with relay.WithFlight, or an
+// origin through its Flight field.
 func NewRecorder(capacity int) *Recorder { return flight.NewRecorder(capacity, true) }
 
 // NewHealthMonitor returns a path-health monitor with cfg's gaps filled
 // by defaults (60 s window, 12 buckets, 2-evaluation hysteresis). Wire
-// it into a client with WithHealthMonitor, or feed daemons through the
-// Relay/Origin Health fields.
+// it into a client with WithHealthMonitor, a relay with
+// relay.WithHealthMonitor, or an origin through its Health field.
 func NewHealthMonitor(cfg HealthConfig) *HealthMonitor { return obs.NewHealthMonitor(cfg) }
 
 // HealthWallClock returns a wall clock (seconds since now) for

@@ -74,10 +74,9 @@ type surfaces struct {
 // pushes three direct and three relayed fetches of obj.bin through.
 func startSurfaces(t *testing.T) *surfaces {
 	t.Helper()
-	origin := relay.NewOriginServer(
-		relay.WithHealthMonitor(obs.NewHealthMonitor(obs.HealthConfig{Window: 10, Buckets: 10, Clock: obs.WallClock()})),
-		relay.WithFlight(flight.NewRecorder(0, true)),
-	)
+	origin := relay.NewOriginServer()
+	origin.Health = obs.NewHealthMonitor(obs.HealthConfig{Window: 10, Buckets: 10, Clock: obs.WallClock()})
+	origin.Flight = flight.NewRecorder(0, true)
 	origin.Put("obj.bin", 1<<20)
 	ol, err := origin.ServeAddr("127.0.0.1:0")
 	if err != nil {
@@ -86,8 +85,9 @@ func startSurfaces(t *testing.T) *surfaces {
 	t.Cleanup(func() { ol.Close() })
 
 	relayFlight := flight.NewRecorder(64, true)
+	relayHealth := obs.NewHealthMonitor(obs.HealthConfig{Window: 10, Buckets: 10, Clock: obs.WallClock()})
 	r := relay.New(
-		relay.WithHealthMonitor(obs.NewHealthMonitor(obs.HealthConfig{Window: 10, Buckets: 10, Clock: obs.WallClock()})),
+		relay.WithHealthMonitor(relayHealth),
 		relay.WithCache(16<<20),
 		relay.WithVerifier(relay.VerifyRange),
 		relay.WithFlight(relayFlight),
@@ -114,7 +114,7 @@ func startSurfaces(t *testing.T) *surfaces {
 			return map[string]any{"requests": r.Requests.Load(), "bytes_relayed": r.BytesRelayed.Load()}
 		},
 		Prom:   r.WriteProm,
-		Health: r.Health,
+		Health: relayHealth,
 		Cache:  func() any { return r.Cache().Stats() },
 		Flight: relayFlight,
 	}
@@ -250,7 +250,7 @@ func diffSkeleton(t *testing.T, what string, page, golden []byte) {
 // /debug/paths, and /debug/registry must parse as JSON alongside.
 func TestAllDaemonMetricsPagesLint(t *testing.T) {
 	s := startSurfaces(t)
-	r, ol := s.relay, s.originAddr
+	ol := s.originAddr
 	// One relayed failure (unknown object) so error counters move.
 	if _, err := relay.FetchVia(nil, s.relayAddr, s.originAddr, "missing.bin", 0, 10); err == nil {
 		t.Fatal("fetch of missing object succeeded")
@@ -373,7 +373,7 @@ func TestAllDaemonMetricsPagesLint(t *testing.T) {
 	}
 
 	// The relay health monitor keyed its single upstream path.
-	hs := r.Health.Snapshot()
+	hs := s.daemons["relayd"].Health.Snapshot()
 	if _, ok := hs.Path(ol); !ok {
 		t.Fatalf("relay health has no entry for origin %s: %+v", ol, hs.Paths)
 	}

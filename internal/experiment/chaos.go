@@ -32,8 +32,6 @@ import (
 type ChaosParams struct {
 	// Seed drives the simulator-side fault chains (default 1).
 	Seed uint64
-	// ObjectSize is the live-transfer object size (default 96 KB).
-	ObjectSize int64
 	// Transfers is the minimum fetches per live fault phase (default 16).
 	Transfers int
 	// SimTransfers is the number of simulated transfers per fault phase
@@ -49,6 +47,9 @@ type ChaosParams struct {
 // fetch may run past it.
 const chaosDeadline = 2 * time.Second
 
+// chaosObjectSize is each live transfer's object size.
+const chaosObjectSize = 96 << 10
+
 // simBytes is each simulated transfer's size: 1 MB over an 8 Mb/s link,
 // ~1 s clean.
 const simBytes = 1 << 20
@@ -56,9 +57,6 @@ const simBytes = 1 << 20
 func (p ChaosParams) withDefaults() ChaosParams {
 	if p.Seed == 0 {
 		p.Seed = 1
-	}
-	if p.ObjectSize == 0 {
-		p.ObjectSize = 96 << 10
 	}
 	if p.Transfers == 0 {
 		p.Transfers = 16
@@ -356,8 +354,8 @@ func runLiveChaos(class liveClass, p ChaosParams) ChaosEntry {
 	e := ChaosEntry{Class: class.name, Mode: "live"}
 
 	origin := relay.NewOriginServer()
-	origin.Put("warm.bin", p.ObjectSize)
-	origin.Put("chaos.bin", p.ObjectSize)
+	origin.Put("warm.bin", chaosObjectSize)
+	origin.Put("chaos.bin", chaosObjectSize)
 	ln, err := shaper.Listen("127.0.0.1:0")
 	must(err == nil, "origin listen: %v", err)
 	defer ln.Close()
@@ -404,7 +402,7 @@ func runLiveChaos(class liveClass, p ChaosParams) ChaosEntry {
 	// the relay's fold, then the bundle a →down edge fired — before the
 	// clock moves on.
 	fetch := func(name string) liveFetch {
-		f := chaosFetch(relayAddr, originAddr, name, p.ObjectSize, chaosDeadline)
+		f := chaosFetch(relayAddr, originAddr, name, chaosObjectSize, chaosDeadline)
 		r.WaitIdle()
 		for s := engine.Stats(); s.Built < s.Fired; s = engine.Stats() {
 			time.Sleep(time.Millisecond)

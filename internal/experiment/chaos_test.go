@@ -13,7 +13,6 @@ func TestRunChaos(t *testing.T) {
 	dir := t.TempDir()
 	res := RunChaos(ChaosParams{
 		Seed:         7,
-		ObjectSize:   48 << 10,
 		Transfers:    10,
 		SimTransfers: 12,
 		BundleDir:    dir,
@@ -90,7 +89,7 @@ func TestRunChaos(t *testing.T) {
 // MaxTransfer, which is wall time. Slow-loris is left out: its stall
 // runs against the relay's wall-clock guard (and costs 300 ms a fetch).
 func TestLiveChaosDeterministic(t *testing.T) {
-	p := ChaosParams{Seed: 7, ObjectSize: 48 << 10, Transfers: 8}.withDefaults()
+	p := ChaosParams{Seed: 7, Transfers: 8}.withDefaults()
 	run := func() []ChaosEntry {
 		var out []ChaosEntry
 		for _, l := range liveClasses(p) {

@@ -151,7 +151,7 @@ func seedHealth(seed uint64, scen *topo.Scenario, client, server *topo.Node) map
 	// The window must span the whole observation phase: the monitor ranks
 	// on everything seen, not a recent slice.
 	mon := obs.NewHealthMonitor(obs.HealthConfig{
-		Window: 1e6, Buckets: 64, MaxSuccessAge: 1e6,
+		Window: 1e6, Buckets: 64,
 		Clock: world.Now,
 	})
 	for round := 0; round < seedTransfers; round++ {

@@ -1,9 +1,11 @@
 // Package objcache is the bounded, range-aware object cache behind the
 // relay caching tier: byte ranges of named objects are stored as
 // coalesced contiguous spans, the whole cache is bounded by total bytes
-// with least-recently-used objects evicted first, entries can expire on
-// a TTL, and concurrent misses for the same object/range collapse into a
-// single upstream fill through the singleflight Flight API.
+// with least-recently-used objects evicted first, and concurrent misses
+// for the same object/range collapse into a single upstream fill through
+// the singleflight Flight API. Spans never expire: an object's bytes are
+// a function of its name and offset, so age never makes a span wrong. A
+// span leaves the cache only by eviction, a merge, or a failed verify.
 //
 // No buffer is rewritten while anyone it was handed to can still read
 // it. A span's bytes are written once, at insertion: Put copies, and a
@@ -14,7 +16,7 @@
 // so a span Get has served is never recycled: the reader keeps that
 // buffer alive and the cache merely forgets it. When
 // the cache drops a span nobody pins and Get never served — eviction,
-// trim, TTL expiry, a failed verify, a merge — its buffer is recycled:
+// trim, a failed verify, a merge — its buffer is recycled:
 // a heap buffer goes onto a small free list, and Buffer gives it to the
 // next fill of exactly its length; a buffer of the cache's region
 // (below) gives its pages back to the region, where the next buffer of
@@ -42,7 +44,6 @@ import (
 	"container/list"
 	"slices"
 	"sync"
-	"time"
 )
 
 // VerifyFunc re-checks cached bytes at serve time: it reports whether
@@ -56,11 +57,6 @@ type Config struct {
 	// MaxBytes bounds the total cached payload; Put keeps evicting
 	// least-recently-used objects until the cache fits. Required > 0.
 	MaxBytes int64
-	// TTL expires spans this long after their fill (0 = never).
-	TTL time.Duration
-	// Clock returns the current time (nil = time.Now); injectable for
-	// expiry tests.
-	Clock func() time.Time
 	// Verify, when set, re-checks every span before Get or Read serves
 	// it and every shared fill before Flight.Wait hands it to a waiter;
 	// a failing span is dropped and the lookup degrades to a miss, a
@@ -76,9 +72,8 @@ type Config struct {
 // lets Get serve any fully-covered range from exactly one span,
 // zero-copy.
 type span struct {
-	off    int64
-	data   []byte
-	filled time.Time
+	off  int64
+	data []byte
 
 	// pins counts readers inside a Read or Wait callback, plus waiters
 	// of a landed fill that have not reached theirs yet. got marks a
@@ -122,12 +117,11 @@ type Cache struct {
 	free    [][]byte // empty heap buffers of dropped spans nobody reads, oldest first
 	arena   *arena   // the region the larger buffers it allocated live in
 
-	hits, misses, fills         int64
-	hitBytes, fillBytes         int64
-	evictions, evictedBytes     int64
-	expirations, verifyFailures int64
-	sharedFills, canceledWaits  int64
-	flightWaiters               int64
+	hits, misses, fills           int64
+	hitBytes, fillBytes           int64
+	evictions, evictedBytes       int64
+	verifyFailures, flightWaiters int64
+	sharedFills, canceledWaits    int64
 }
 
 // New returns an empty cache bounded by cfg.MaxBytes.
@@ -147,13 +141,6 @@ func New(cfg Config) *Cache {
 // Capacity returns the configured byte bound.
 func (c *Cache) Capacity() int64 { return c.cfg.MaxBytes }
 
-func (c *Cache) now() time.Time {
-	if c.cfg.Clock != nil {
-		return c.cfg.Clock()
-	}
-	return time.Now()
-}
-
 // obj returns the tracked object for key, creating it when create is
 // set. Callers hold c.mu.
 func (c *Cache) obj(key string, create bool) *object {
@@ -164,28 +151,6 @@ func (c *Cache) obj(key string, create bool) *object {
 		c.objects[key] = o
 	}
 	return o
-}
-
-// lapsed reports whether s outlived the TTL by now.
-func (c *Cache) lapsed(s *span, now time.Time) bool {
-	return c.cfg.TTL > 0 && now.Sub(s.filled) > c.cfg.TTL
-}
-
-// expireLocked drops o's spans whose TTL lapsed. Callers hold c.mu.
-func (c *Cache) expireLocked(o *object, now time.Time) {
-	if c.cfg.TTL <= 0 {
-		return
-	}
-	kept := o.spans[:0]
-	for _, s := range o.spans {
-		if c.lapsed(s, now) {
-			c.expirations++
-			c.dropSpanLocked(s)
-			continue
-		}
-		kept = append(kept, s)
-	}
-	o.spans = kept
 }
 
 // dropSpanLocked stops counting a span the caller has just unindexed
@@ -346,9 +311,8 @@ func (c *Cache) lookup(key string, off, n int64, get bool) (*span, []byte) {
 	if n <= 0 {
 		return nil, nil
 	}
-	now := c.now()
 	c.mu.Lock()
-	o, s := c.findLocked(key, off, n, now)
+	o, s := c.findLocked(key, off, n)
 	if s == nil {
 		c.misses++
 		c.mu.Unlock()
@@ -398,7 +362,7 @@ func (c *Cache) gotLocked(o *object, s *span) *span {
 		s.got = true
 		return s
 	}
-	h := &span{off: s.off, data: slices.Clone(s.data), filled: s.filled, got: true}
+	h := &span{off: s.off, data: slices.Clone(s.data), got: true}
 	if i := slices.Index(o.spans, s); i >= 0 {
 		o.spans[i] = h
 		s.dropped = true // its bytes are h's now: the count stays
@@ -406,15 +370,13 @@ func (c *Cache) gotLocked(o *object, s *span) *span {
 	return h
 }
 
-// findLocked returns key's object and its span covering [off, off+n),
-// expiring lapsed spans first; nil when there is none. Callers hold
-// c.mu.
-func (c *Cache) findLocked(key string, off, n int64, now time.Time) (*object, *span) {
+// findLocked returns key's object and its span covering [off, off+n);
+// nil when there is none. Callers hold c.mu.
+func (c *Cache) findLocked(key string, off, n int64) (*object, *span) {
 	o := c.obj(key, false)
 	if o == nil {
 		return nil, nil
 	}
-	c.expireLocked(o, now)
 	for _, s := range o.spans {
 		if s.off <= off && off+n <= s.end() {
 			return o, s
@@ -423,22 +385,13 @@ func (c *Cache) findLocked(key string, off, n int64, now time.Time) (*object, *s
 	return o, nil
 }
 
-// Contains reports whether [off, off+n) is fully cached and unexpired,
-// without touching counters, verification, recency, or the spans.
+// Contains reports whether [off, off+n) is fully cached, without
+// touching counters, verification, recency, or the spans.
 func (c *Cache) Contains(key string, off, n int64) bool {
-	now := c.now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	o := c.obj(key, false)
-	if o == nil {
-		return false
-	}
-	for _, s := range o.spans {
-		if s.off <= off && off+n <= s.end() && !c.lapsed(s, now) {
-			return true
-		}
-	}
-	return false
+	_, s := c.findLocked(key, off, n)
+	return s != nil
 }
 
 // Put inserts p as the content of [off, off+len(p)) of the object named
@@ -448,22 +401,20 @@ func (c *Cache) Contains(key string, off, n int64) bool {
 // Fills larger than the whole cache are ignored. Put evicts
 // least-recently-used objects until the cache fits again.
 func (c *Cache) Put(key string, off int64, p []byte) {
-	now := c.now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.putLocked(key, off, p, now, false, 0)
+	c.putLocked(key, off, p, false, 0)
 }
 
 // putLocked inserts p as Put describes, keeping p itself when owned and
 // nothing merges, and returns the span now holding p's bytes, created
 // with pins already on it; nil when p is empty or larger than the whole
 // cache and nothing was stored. Callers hold c.mu.
-func (c *Cache) putLocked(key string, off int64, p []byte, now time.Time, owned bool, pins int) *span {
+func (c *Cache) putLocked(key string, off int64, p []byte, owned bool, pins int) *span {
 	if len(p) == 0 || int64(len(p)) > c.cfg.MaxBytes {
 		return nil
 	}
 	o := c.obj(key, true)
-	c.expireLocked(o, now)
 
 	// Spans are sorted, disjoint and non-adjacent, so the ones p overlaps
 	// or touches are one run, o.spans[i:j].
@@ -507,7 +458,7 @@ func (c *Cache) putLocked(key string, off int64, p []byte, now time.Time, owned 
 			c.freeLocked(p)
 		}
 	}
-	fresh := &span{off: lo, data: buf, filled: now, pins: pins}
+	fresh := &span{off: lo, data: buf, pins: pins}
 	o.spans = slices.Replace(o.spans, i, j, fresh)
 	c.bytes += int64(len(buf))
 	c.fills++
@@ -564,12 +515,10 @@ type Stats struct {
 	FillBytes int64 `json:"fill_bytes"`
 
 	// Evictions/EvictedBytes count spans dropped for capacity,
-	// Expirations spans dropped by TTL, VerifyFailures spans dropped
-	// and shared fills refused because serve-time re-verification
-	// caught corruption.
+	// VerifyFailures spans dropped and shared fills refused because
+	// serve-time re-verification caught corruption.
 	Evictions      int64 `json:"evictions"`
 	EvictedBytes   int64 `json:"evicted_bytes"`
-	Expirations    int64 `json:"expirations"`
 	VerifyFailures int64 `json:"verify_failures"`
 
 	// ActiveFlights and FlightWaiters gauge the singleflight state;
@@ -606,15 +555,12 @@ func (s Stats) Warmth() float64 {
 	return (fullness + s.HitRate()) / 2
 }
 
-// Stats snapshots the cache's counters and gauges. TTL expiry is
-// applied first so the byte gauge never reports lapsed spans.
+// Stats snapshots the cache's counters and gauges.
 func (c *Cache) Stats() Stats {
-	now := c.now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	spans := 0
 	for _, o := range c.objects {
-		c.expireLocked(o, now)
 		spans += len(o.spans)
 	}
 	return Stats{
@@ -630,7 +576,6 @@ func (c *Cache) Stats() Stats {
 		FillBytes:      c.fillBytes,
 		Evictions:      c.evictions,
 		EvictedBytes:   c.evictedBytes,
-		Expirations:    c.expirations,
 		VerifyFailures: c.verifyFailures,
 		ActiveFlights:  len(c.flights),
 		FlightWaiters:  c.flightWaiters,

@@ -3,7 +3,6 @@ package objcache
 import (
 	"bytes"
 	"testing"
-	"time"
 )
 
 // pattern fills a deterministic byte pattern for [off, off+n) so tests
@@ -114,26 +113,6 @@ func TestEvictionMidRead(t *testing.T) {
 	// The reader's view is unaffected: the buffer outlives the entry.
 	if !bytes.Equal(got, pattern(0, 150)) {
 		t.Fatal("evicted span's bytes changed under a live reader")
-	}
-}
-
-func TestTTLExpiry(t *testing.T) {
-	now := time.Unix(1000, 0)
-	c := New(Config{MaxBytes: 1 << 20, TTL: time.Minute, Clock: func() time.Time { return now }})
-	c.Put("o", 0, pattern(0, 100))
-	wantRange(t, c, "o", 0, 100)
-	if !c.Contains("o", 0, 100) {
-		t.Fatal("Contains missed a live span")
-	}
-
-	now = now.Add(2 * time.Minute)
-	if c.Contains("o", 0, 100) {
-		t.Fatal("Contains reported a lapsed span as cached")
-	}
-	wantMiss(t, c, "o", 0, 100)
-	s := c.Stats()
-	if s.Expirations != 1 || s.BytesCached != 0 {
-		t.Fatalf("expiry counters: %+v", s)
 	}
 }
 

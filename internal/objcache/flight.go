@@ -66,12 +66,11 @@ func (c *Cache) StartFlight(key string, off, n int64) (f *Flight, leader bool) {
 // once, and only by the leader, who must not touch data afterwards.
 func (f *Flight) Complete(data []byte, err error) {
 	c := f.c
-	now := c.now()
 	c.mu.Lock()
 	var s *span
 	if err == nil {
 		f.data = data
-		if s = c.putLocked(f.key, f.off, data, now, true, f.waiters); s != nil {
+		if s = c.putLocked(f.key, f.off, data, true, f.waiters); s != nil {
 			f.span = s
 			at := f.off - s.off
 			f.data = s.data[at : at+int64(len(data)) : at+int64(len(data))]

@@ -16,7 +16,6 @@ func (s Stats) WriteProm(p *obs.Prom, prefix string) {
 	p.Counter(pre+"shared_fills_total", "Waiters served by another request's in-flight fill.", float64(s.SharedFills))
 	p.Counter(pre+"evictions_total", "Objects evicted by capacity pressure.", float64(s.Evictions))
 	p.Counter(pre+"evicted_bytes_total", "Bytes evicted by capacity pressure.", float64(s.EvictedBytes))
-	p.Counter(pre+"expirations_total", "Objects expired by TTL.", float64(s.Expirations))
 	p.Counter(pre+"verify_failures_total", "Cached spans dropped by serve-time verification.", float64(s.VerifyFailures))
 	p.Counter(pre+"canceled_waits_total", "Flight waiters canceled while the fill continued.", float64(s.CanceledWaits))
 	p.Gauge(pre+"capacity_bytes", "Configured cache capacity.", float64(s.CapacityBytes))

@@ -89,15 +89,13 @@ func (s *HealthState) UnmarshalJSON(b []byte) error {
 // fast loopback runs shrink Window to observe transitions quickly.
 type HealthConfig struct {
 	// Window is how many seconds of history fold into the score
-	// (default 60). Samples older than Window rotate out of the ring.
+	// (default 60). Samples older than Window rotate out of the ring,
+	// and Window seconds without a success drive the freshness factor
+	// (and with it the score) to zero.
 	Window float64
 	// Buckets is the ring granularity (default 12, i.e. 5 s buckets at
 	// the default window).
 	Buckets int
-
-	// MaxSuccessAge is how many seconds without a success drive the
-	// freshness factor (and with it the score) to zero (default Window).
-	MaxSuccessAge float64
 
 	// Clock supplies "now" in seconds for direct Observe calls and
 	// snapshot aging. Nil means record time: the monitor's high-water
@@ -118,9 +116,6 @@ func (c HealthConfig) withDefaults() HealthConfig {
 	}
 	if c.Buckets <= 0 {
 		c.Buckets = 12
-	}
-	if c.MaxSuccessAge <= 0 {
-		c.MaxSuccessAge = c.Window
 	}
 	return c
 }
@@ -378,7 +373,7 @@ func latQuantile(bins [healthLatBins]int64, q float64) float64 {
 //
 //	availability a = ok / (ok + fail + retry/2)   (1 with no samples)
 //	throughput   r = clamp(fast/slow, 0, 1)       (1 before any EWMA)
-//	freshness    f = clamp(1 − successAge/MaxSuccessAge, 0, 1)
+//	freshness    f = clamp(1 − successAge/Window, 0, 1)
 //	score          = a · (0.5 + 0.5·r) · f
 //
 // The multiplicative form means hard failure (a→0) or staleness (f→0)
@@ -401,7 +396,7 @@ func (m *HealthMonitor) scoreOf(p *pathHealth, w windowStats, now float64) float
 	}
 	fresh := 0.0
 	if p.everSuccess {
-		fresh = 1 - (now-p.lastSuccess)/m.cfg.MaxSuccessAge
+		fresh = 1 - (now-p.lastSuccess)/m.cfg.Window
 		if fresh < 0 {
 			fresh = 0
 		}

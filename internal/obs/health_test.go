@@ -147,12 +147,11 @@ func TestHealthHysteresisDampsFlapping(t *testing.T) {
 
 func TestHealthStalenessDrivesScoreDown(t *testing.T) {
 	cfg := testHealthCfg()
-	cfg.MaxSuccessAge = 5
 	clock := 0.0
 	cfg.Clock = func() float64 { return clock }
 	m := NewHealthMonitor(cfg)
 	feedOK(m, "p", 0, 5, 0.05, 1<<20) // last success at t=4
-	clock = 9                         // a full MaxSuccessAge after it
+	clock = 14                        // a full Window after it
 	if s := view(m, "p").Score; s > 0.3 {
 		t.Fatalf("score after silence = %.3f, want near 0", s)
 	}

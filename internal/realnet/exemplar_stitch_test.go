@@ -29,7 +29,8 @@ import (
 // exact request that caused it.
 func TestExemplarResolvesToStitchedTrace(t *testing.T) {
 	originSpans := flight.NewRecorder(256, true)
-	origin := relay.NewOriginServer(relay.WithFlight(originSpans))
+	origin := relay.NewOriginServer()
+	origin.Flight = originSpans
 	const smallSize, largeSize = int64(8 << 10), int64(2 << 20)
 	origin.Put("small.bin", smallSize)
 	origin.Put("large.bin", largeSize)
@@ -44,10 +45,9 @@ func TestExemplarResolvesToStitchedTrace(t *testing.T) {
 	// second — landing its trace alone in a tail bucket of the relay's
 	// [0,20)s latency histogram (1s coarse buckets on /metrics).
 	relaySpans := flight.NewRecorder(256, true)
-	r := relay.New(relay.WithFlight(relaySpans))
 	sh := shaper.NewDialer()
 	sh.SetProfile(ol.Addr().String(), shaper.PathProfile{DownloadBps: 12e6})
-	r.Dial = sh.Dial
+	r := relay.New(relay.WithFlight(relaySpans), relay.WithDialer(sh.Dial))
 	rl, err := r.ServeAddr("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

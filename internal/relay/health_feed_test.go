@@ -37,7 +37,8 @@ func TestClientDisconnectIsNotPathFailure(t *testing.T) {
 	defer ol.Close()
 	up := ol.Addr().String()
 
-	r := &Relay{Health: obs.NewHealthMonitor(obs.HealthConfig{Clock: obs.WallClock()})}
+	mon := obs.NewHealthMonitor(obs.HealthConfig{Clock: obs.WallClock()})
+	r := New(WithHealthMonitor(mon))
 	rl, err := r.ServeAddr("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +68,7 @@ func TestClientDisconnectIsNotPathFailure(t *testing.T) {
 	// entry at all — nothing for the relay's self-reported health to
 	// average in.
 	r.WaitIdle()
-	if ph, ok := r.Health.PathHealth(up); ok {
+	if ph, ok := mon.PathHealth(up); ok {
 		t.Fatalf("client disconnect left a health entry: %+v", ph)
 	}
 
@@ -75,7 +76,7 @@ func TestClientDisconnectIsNotPathFailure(t *testing.T) {
 	if _, err := FetchVia(nil, rl.Addr().String(), up, "big.bin", 0, 4096); err != nil {
 		t.Fatal(err)
 	}
-	ph := foldedHealth(t, r, r.Health, up)
+	ph := foldedHealth(t, r, mon, up)
 	if ph.Ok != 1 || ph.Failed != 0 || ph.State != obs.HealthHealthy {
 		t.Fatalf("successful fetch: %+v, want 1 ok / healthy", ph)
 	}
@@ -85,7 +86,7 @@ func TestClientDisconnectIsNotPathFailure(t *testing.T) {
 	if _, err := FetchVia(nil, rl.Addr().String(), up, "big.bin", 0, 4096); err == nil {
 		t.Fatal("fetch through dead origin succeeded")
 	}
-	ph = foldedHealth(t, r, r.Health, up)
+	ph = foldedHealth(t, r, mon, up)
 	if ph.Failed != 1 || ph.Ok != 1 {
 		t.Fatalf("after upstream death: %+v, want the earlier ok preserved", ph)
 	}
@@ -97,7 +98,8 @@ func TestClientDisconnectIsNotPathFailure(t *testing.T) {
 // failure of the object, or every abandoned fetch would walk its health
 // toward down.
 func TestOriginClientHangUpIsNotObjectFailure(t *testing.T) {
-	origin := NewOriginServer(WithHealthMonitor(obs.NewHealthMonitor(obs.HealthConfig{Clock: obs.WallClock()})))
+	origin := NewOriginServer()
+	origin.Health = obs.NewHealthMonitor(obs.HealthConfig{Clock: obs.WallClock()})
 	origin.Put("big.bin", 64<<20) // far more than the socket buffers hold
 	ol, err := origin.ServeAddr("127.0.0.1:0")
 	if err != nil {

@@ -10,34 +10,30 @@ import (
 	"repro/internal/obs/flight"
 )
 
-// This file is the options-first construction API for the relay tier,
-// mirroring the repro.Client facade: one constructor per component
-// (New for relays, NewOriginServer for origins), configured entirely
-// through With<Noun> options so new capabilities land as new options
-// instead of new constructor signatures. Direct struct construction
-// (&Relay{...}) still works for the exported wiring fields and remains
-// common in tests, but the cache can only be attached through New —
-// its internals are deliberately unexported.
+// This file is the construction API for the relay tier. A Relay is
+// configured only through New's With<Noun> options, which fill the
+// options struct it embeds; the zero Relay is what New builds without
+// any. An Origin has no options: NewOriginServer builds an empty one, and
+// its Flight and Health fields are its only settings.
 
 // VerifyFunc checks a served byte range against the canonical content
 // of the named object; VerifyRange is the canonical implementation for
 // this repo's synthetic objects.
 type VerifyFunc func(name string, off int64, p []byte) bool
 
-// options collects everything the relay-tier constructors accept. One
-// shared bag keeps option names uniform across New and NewOriginServer;
-// each constructor applies the subset that concerns it.
+// options is a Relay's settings, one field per option. The zero value
+// is a plain forwarding relay: net.Dial upstream, no cache, no stall
+// guard, and no telemetry.
 type options struct {
 	dial          func(network, addr string) (net.Conn, error)
 	health        *obs.HealthMonitor
-	cacheBytes    int64
-	cacheTTL      time.Duration
-	verify        VerifyFunc
-	upstreamStall time.Duration
 	flight        *flight.Recorder
+	upstreamStall time.Duration
+	cacheBytes    int64
+	verify        VerifyFunc
 }
 
-// Option configures a relay-tier constructor.
+// Option configures a Relay built by New.
 type Option func(*options)
 
 // WithDialer sets the upstream dialer (nil means net.Dial). Tests and
@@ -48,9 +44,9 @@ func WithDialer(dial func(network, addr string) (net.Conn, error)) Option {
 }
 
 // WithHealthMonitor attaches a path-health monitor: one outcome per
-// request folds into it (keyed by upstream address on the relay, by
-// object on the origin), feeding /debug/paths and the health score
-// self-reported to the registry.
+// forwarded request folds into it, keyed by the upstream address,
+// feeding /debug/paths and the health score self-reported to the
+// registry. Nil (the default) costs nothing.
 func WithHealthMonitor(h *obs.HealthMonitor) Option {
 	return func(o *options) { o.health = h }
 }
@@ -66,12 +62,6 @@ func WithCache(bytes int64) Option {
 	return func(o *options) { o.cacheBytes = bytes }
 }
 
-// WithCacheTTL expires cached spans this long after their fill; 0 (the
-// default) keeps them until evicted. Only meaningful with WithCache.
-func WithCacheTTL(ttl time.Duration) Option {
-	return func(o *options) { o.cacheTTL = ttl }
-}
-
 // WithVerifier re-verifies cached content at serve time: before the
 // cache serves a span, v checks it against the canonical object
 // content, and a failing span is dropped and refetched from the origin
@@ -80,18 +70,23 @@ func WithVerifier(v VerifyFunc) Option {
 	return func(o *options) { o.verify = v }
 }
 
-// WithFlight attaches the store of finished transfers (Relay.Flight,
-// Origin.Flight): one row per request, and with a tracing store its
-// spans. Nil (the default) costs nothing.
+// WithFlight attaches the store every forwarded request's record
+// finishes into, keyed like the health monitor by the upstream address.
+// A tracing store makes each row a "forward" span continuing the
+// client's x-trace (or rooting a fresh trace) with dial/ttfb/stream
+// children, and the forwarded request carries the forward span's context
+// so the origin's serve span nests beneath it. Nil (the default) costs
+// nothing.
 func WithFlight(rec *flight.Recorder) Option {
 	return func(o *options) { o.flight = rec }
 }
 
 // WithUpstreamStall bounds upstream silence while a response streams
-// through the relay: each upstream read re-arms a deadline of d, so a
-// slow-loris origin fails the request (and folds as a path failure)
-// instead of wedging the handler goroutine forever. Zero (the default)
-// disables the guard.
+// through the relay: each upstream read, or splice drain, re-arms a
+// deadline of d, so a slow-loris origin fails the request (and folds as
+// a path failure) instead of wedging the handler goroutine forever.
+// Between requests no deadline is armed. Zero (the default) disables
+// the guard.
 func WithUpstreamStall(d time.Duration) Option {
 	return func(o *options) { o.upstreamStall = d }
 }
@@ -100,7 +95,6 @@ func WithUpstreamStall(d time.Duration) Option {
 //
 //	r := relay.New(
 //	    relay.WithCache(256<<20),
-//	    relay.WithCacheTTL(10*time.Minute),
 //	    relay.WithVerifier(relay.VerifyRange),
 //	    relay.WithHealthMonitor(mon),
 //	)
@@ -108,33 +102,23 @@ func WithUpstreamStall(d time.Duration) Option {
 // Without options it is equivalent to &Relay{}: a plain forwarding
 // relay with no cache, tracing, or health telemetry.
 func New(opts ...Option) *Relay {
-	var o options
+	r := &Relay{}
 	for _, opt := range opts {
-		opt(&o)
+		opt(&r.options)
 	}
-	r := &Relay{Dial: o.dial, Health: o.health, UpstreamStall: o.upstreamStall, Flight: o.flight}
-	if o.cacheBytes > 0 {
+	if r.cacheBytes > 0 {
 		r.cache = objcache.New(objcache.Config{
-			MaxBytes: o.cacheBytes,
-			TTL:      o.cacheTTL,
-			Verify:   keyVerifier(o.verify),
+			MaxBytes: r.cacheBytes,
+			Verify:   keyVerifier(r.verify),
 		})
 	}
 	return r
 }
 
-// NewOriginServer constructs an empty origin server from options
-// (WithFlight, WithHealthMonitor; the others do not apply to origins).
-func NewOriginServer(opts ...Option) *Origin {
-	var o options
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return &Origin{
-		objects: make(map[string]int64),
-		Flight:  o.flight,
-		Health:  o.health,
-	}
+// NewOriginServer constructs an empty origin server. Set its Flight and
+// Health fields before it serves.
+func NewOriginServer() *Origin {
+	return &Origin{objects: make(map[string]int64)}
 }
 
 // Cache returns the relay's object cache, or nil when the relay was

@@ -24,41 +24,16 @@ import (
 // — and splices the response back to the client: the overlay proxy of
 // the paper's methodology.
 type Relay struct {
-	// Dial opens upstream connections; nil means net.Dial. Tests and the
-	// loopback example inject a shaping dialer here to emulate the
-	// intermediate-to-origin path.
-	Dial func(network, addr string) (net.Conn, error)
-
-	// Health, when set, receives one outcome per forwarded request keyed
-	// by the upstream address — the relay's view of its origin paths,
-	// feeding /debug/paths and the health score it self-reports to the
-	// registry. Nil costs nothing.
-	Health *obs.HealthMonitor
-
-	// Flight, when set, is the store every forwarded request's record
-	// finishes into, keyed like Health by the upstream address. A tracing
-	// store makes each row a "forward" span continuing the client's
-	// x-trace (or rooting a fresh trace) with dial/ttfb/stream children,
-	// and the forwarded request carries the forward span's context so the
-	// origin's serve span nests beneath it. Nil costs nothing.
-	Flight *flight.Recorder
-
-	// UpstreamStall bounds how long the upstream may go silent while a
-	// response streams through: each upstream read, or splice drain,
-	// re-arms a deadline of this length, so a slow-loris origin fails the
-	// request instead of wedging the handler goroutine (and the client)
-	// forever. Between requests no deadline is armed. Zero disables the
-	// guard.
-	UpstreamStall time.Duration
-
 	// BytesRelayed counts response-body bytes forwarded to clients.
 	BytesRelayed atomic.Int64
 	// Requests counts requests handled (including failures).
 	Requests atomic.Int64
 
+	options // what New's options set
+
 	// cache, when non-nil, is the bounded range-aware object cache the
 	// forwarding path consults before dialing upstream. Only relay.New
-	// with WithCache sets it; a zero Relay forwards exactly as before.
+	// with WithCache sets it; a zero Relay forwards without one.
 	cache *objcache.Cache
 
 	lat  obs.LatencyRecorder
@@ -70,7 +45,7 @@ type Relay struct {
 func (r *Relay) WriteProm(p *obs.Prom) {
 	p.Counter("relay_requests_total", "Requests handled, including failures.", float64(r.Requests.Load()))
 	p.Counter("relay_bytes_relayed_total", "Response-body bytes forwarded to clients.", float64(r.BytesRelayed.Load()))
-	r.Flight.WriteProm(p, "relay")
+	r.flight.WriteProm(p, "relay")
 	p.Histogram("relay_forward_latency_seconds", "Request forwarding times.", r.lat.Snapshot())
 	if r.cache != nil {
 		r.cache.Stats().WriteProm(p, "relay")
@@ -118,7 +93,7 @@ func (r *Relay) forwardOne(conn net.Conn, req *httpx.Request, up *leg) bool {
 	parent, _ := obs.ParseTraceHeader(req.Header[obs.TraceHeader])
 	var rec flight.Record
 	rec.Start(flight.Spec{
-		Flight: r.Flight, Latency: &r.lat, Health: r.Health,
+		Flight: r.flight, Latency: &r.lat, Health: r.health,
 		Service: "relay", Phase: "forward", Path: upstreamAddr, Object: object, Parent: parent})
 	rec.SetAttr("target", req.Target)
 	var again bool
@@ -221,7 +196,7 @@ func (r *Relay) roundTrip(up *leg, addr string, fwd *httpx.Request, rec *flight.
 	}
 	for {
 		if up.conn == nil {
-			dial := r.Dial
+			dial := r.dial
 			if dial == nil {
 				dial = net.Dial
 			}
@@ -236,11 +211,11 @@ func (r *Relay) roundTrip(up *leg, addr string, fwd *httpx.Request, rec *flight.
 		rec.Phase("ttfb")
 		err := fwd.Write(up.conn)
 		if err == nil {
-			if r.UpstreamStall > 0 {
+			if r.upstreamStall > 0 {
 				// The guard also covers time-to-first-byte: a server that
 				// accepts and never answers is the same pathology as one
 				// that stalls mid-body.
-				up.conn.SetReadDeadline(time.Now().Add(r.UpstreamStall))
+				up.conn.SetReadDeadline(time.Now().Add(r.upstreamStall))
 			}
 			var resp *httpx.Response
 			if resp, err = httpx.ReadResponse(up.br); err == nil {
@@ -379,7 +354,7 @@ func (r *Relay) forward(conn net.Conn, req *httpx.Request, rec *flight.Record, u
 	// The leg parks with no deadline armed: the stall guard times reads,
 	// not the wait for this client's next request.
 	keep = again && resp.Header["connection"] != "close" &&
-		(r.UpstreamStall <= 0 || up.conn.SetReadDeadline(time.Time{}) == nil)
+		(r.upstreamStall <= 0 || up.conn.SetReadDeadline(time.Time{}) == nil)
 	return again
 }
 
@@ -418,15 +393,15 @@ func (r *Relay) stream(conn net.Conn, up *leg, resp *httpx.Response, rec *flight
 // gone (headErr, or a failed write); without one a lost client ends the
 // copy.
 //
-// With UpstreamStall set, every read re-arms a deadline on the upstream
+// With upstreamStall set, every read re-arms a deadline on the upstream
 // connection: progress resets the clock, silence longer than that
 // surfaces as a timeout from the read. A stall detector, not a transfer
 // cap — an arbitrarily large body is fine as long as bytes keep arriving.
 func (r *Relay) copyStream(dst, upstream net.Conn, resp *httpx.Response, rec *flight.Record, f *fill, buf []byte, head int, headErr error) (got int64, werr, rerr error) {
 	werr = headErr
 	for {
-		if r.UpstreamStall > 0 {
-			upstream.SetReadDeadline(time.Now().Add(r.UpstreamStall))
+		if r.upstreamStall > 0 {
+			upstream.SetReadDeadline(time.Now().Add(r.upstreamStall))
 		}
 		nr, err := resp.Body.Read(buf[head:])
 		if nr > 0 {

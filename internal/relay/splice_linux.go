@@ -35,7 +35,7 @@ const spliceNonblock = 0x2
 // truncation against the upstream as it does the copy loop's. Every
 // drained chunk is counted, into BytesRelayed and rec, before the pump
 // that releases it, and a short pump takes the unsent part back. With
-// UpstreamStall set, every drain re-arms the upstream's read deadline,
+// upstreamStall set, every drain re-arms the upstream's read deadline,
 // which the netpoller's wait for a readable socket honours as a read
 // does.
 func (r *Relay) spliceStream(dst net.Conn, src *net.TCPConn, resp *httpx.Response, rec *flight.Record, buf []byte, head, buffered int) (got int64, werr, rerr error, ok bool) {
@@ -94,8 +94,8 @@ func (r *Relay) spliceStream(dst net.Conn, src *net.TCPConn, resp *httpx.Respons
 		return s.err != syscall.EAGAIN
 	}
 	for got < resp.ContentLength {
-		if r.UpstreamStall > 0 {
-			src.SetReadDeadline(time.Now().Add(r.UpstreamStall))
+		if r.upstreamStall > 0 {
+			src.SetReadDeadline(time.Now().Add(r.upstreamStall))
 		}
 		s.want = int(min(resp.ContentLength-got, streamChunk))
 		if err := rd.Read(drain); err != nil {

@@ -101,7 +101,7 @@ func TestRelayForwardsExtensionHeaders(t *testing.T) {
 func TestRelayRewritesTraceWhenTracing(t *testing.T) {
 	originAddr, got := captureOrigin(t)
 	spans := flight.NewRecorder(16, true)
-	r := &Relay{Flight: spans}
+	r := New(WithFlight(spans))
 	l, err := r.ServeAddr("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +152,7 @@ func TestRelayRewritesTraceWhenTracing(t *testing.T) {
 func TestRelaySpanPhases(t *testing.T) {
 	_, originAddr := startOrigin(t)
 	spans := flight.NewRecorder(16, true)
-	r := &Relay{Flight: spans}
+	r := New(WithFlight(spans))
 	l, err := r.ServeAddr("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -13,14 +13,15 @@
 # pattern naming a deleted or moved test fails here instead of silently
 # matching nothing. No doc cites a ROADMAP item by number: items are
 # renumbered as they land, so a doc names the question or metric. Every
-# repro.X they name is declared in a non-test root *.go file (a func,
-# type, const or var, or an `X =` line of a grouped block), and every
-# <pkg>.X they name, for a package under internal/ (pkg is the
-# directory's last element), is declared in that package's non-test files
-# (a func, type, const or var, or a name opening a line of a grouped
-# const/var/type block; a method is not a package-level name). A trailing
-# * (relay.With*) asks only that some declared name start so. A deleted
-# option, type or facade name cannot linger in a snippet. ROADMAP.md and
+# repro.X named in a doc or on a comment line of a .go file outside
+# bench/ is declared in a non-test root *.go file (a func, type, const
+# or var, or an `X =` line of a grouped block), and every <pkg>.X named
+# there, for a package under internal/ (pkg is the directory's last
+# element), is declared in that package's non-test files (a func, type,
+# const or var, or a name opening a line of a grouped const/var/type
+# block; a method is not a package-level name). A trailing * (relay.With*)
+# asks only that some declared name start so. A deleted option, type or
+# facade name cannot linger in a snippet or a comment. ROADMAP.md and
 # CHANGES.md are history and are not scanned; bench/README.md joins when
 # a benchmark PR (the only kind that edits bench/) drops its sentence
 # about the make target this repo no longer has.
@@ -47,11 +48,6 @@ for doc in "${docs[@]}"; do
       grep -oE '(^|[[:space:]])-[a-z][a-z0-9-]*' | sed -E 's/^[[:space:]]*-//' | sort -u); do
     grep -qx -- "$name" <<<"$flags" || { echo "$doc: -$name: no such flag"; bad=1; }
   done
-  for ref in $(grep -ohE '\brepro\.[A-Z][A-Za-z0-9_]*' "$doc" | sort -u); do
-    name=${ref#repro.}
-    grep -qE --exclude='*_test.go' "^((func|type|const|var) $name\b|"$'\t'"$name[[:space:]]*=)" ./*.go ||
-      { echo "$doc: $ref: not declared in package repro"; bad=1; }
-  done
   for name in $(grep -ohE '\b(Test|Fuzz)[A-Z][A-Za-z0-9_]*' "$doc" | sort -u); do
     grep -q "^$name" <<<"$testfuncs" || { echo "$doc: $name: no such test"; bad=1; }
   done
@@ -59,6 +55,24 @@ for doc in "${docs[@]}"; do
   tr '\n' ' ' <"$doc" | grep -qE 'ROADMAP[[:space:]]+item' &&
     { echo "$doc: cites a ROADMAP item number; name the question or metric"; bad=1; }
 done
+# Every "file pkg.X" (or pkg.X*) that a line of the docs or a comment
+# line of a Go file outside bench/ names, once.
+refs=$(find . \( -path ./bench -o -name '.?*' \) -prune -o -name '*.go' -print0 | xargs -0 awk '
+  FNR == 1 { f = FILENAME; sub(/^\.\//, "", f); code = f ~ /\.go$/ }
+  code && !/^[[:space:]]*\/\// { next }
+  {
+    t = $0
+    while (match(t, /(^|[^A-Za-z0-9_])[a-z][a-z0-9]*\.[A-Z][A-Za-z0-9_]*\*?/)) {
+      r = substr(t, RSTART, RLENGTH); sub(/^[^a-z]/, "", r); print f, r
+      t = substr(t, RSTART + RLENGTH)
+    }
+  }' "${docs[@]}" | sort -u)
+while read -r file ref; do
+  name=${ref#repro.}
+  name=${name%\*}
+  grep -qE --exclude='*_test.go' "^((func|type|const|var) $name\b|"$'\t'"$name[[:space:]]*=)" ./*.go ||
+    { echo "$file: $ref: not declared in package repro"; bad=1; }
+done < <(grep ' repro\.' <<<"$refs")
 # The exported package-level names the given Go files declare.
 declared() {
   awk '
@@ -70,15 +84,14 @@ declared() {
 }
 for dir in $(find internal -name '*.go' ! -name '*_test.go' -exec dirname {} + | sort -u); do
   pkg=${dir##*/}
-  refs=$(grep -ohE "\b$pkg\.[A-Z][A-Za-z0-9_]*\*?" "${docs[@]}" /dev/null | sort -u) || continue
   names=$(declared $(ls "$dir"/*.go | grep -v '_test\.go$'))
-  for ref in $refs; do
+  while read -r file ref; do
     name=${ref#*.}
     case $name in
     *\*) grep -q "^${name%\*}" <<<"$names" ;;
     *) grep -qx "$name" <<<"$names" ;;
-    esac || { echo "$(grep -lF "$ref" "${docs[@]}" | paste -sd ' '): $ref: not declared in $dir"; bad=1; }
-  done
+    esac || { echo "$file: $ref: not declared in $dir"; bad=1; }
+  done < <(grep " $pkg\\." <<<"$refs")
 done
 # Recipe lines, continuations joined; the packages are the ./ arguments.
 while IFS= read -r line; do

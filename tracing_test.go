@@ -31,7 +31,7 @@ func TestCrossProcessTraceStitches(t *testing.T) {
 	defer ol.Close()
 
 	relaySpans := repro.NewRecorder(256)
-	r := &relay.Relay{Flight: relaySpans}
+	r := relay.New(relay.WithFlight(relaySpans))
 	rl, err := r.ServeAddr("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
