@@ -46,8 +46,6 @@ type Client struct {
 	timeout   time.Duration
 	retries   int
 	backoff   time.Duration
-	spans     *Recorder
-	health    *obs.HealthMonitor
 }
 
 // Option configures a Client.
@@ -57,26 +55,19 @@ type Option func(*Client)
 // reproduces the paper's defaults: 100 KB probes, first-finished rule,
 // no timeout, no retry.
 //
-// Every Client carries a Metrics collector — Metrics and Snapshot read
-// it — that folds each finished operation: its own, or the one a
-// WithConfig Config names. Nothing needs wiring into the transport.
+// Every Client carries its own Metrics collector — Metrics and Snapshot
+// read it — that folds each finished operation. Nothing needs wiring
+// into the transport.
 func New(t Transport, opts ...Option) *Client {
-	c := &Client{transport: t}
+	c := &Client{transport: t, cfg: core.Config{Metrics: obs.NewMetrics()}}
 	for _, o := range opts {
 		o(c)
-	}
-	if c.cfg.Metrics == nil {
-		c.cfg.Metrics = obs.NewMetrics()
-	}
-	if c.health != nil {
-		c.cfg.Metrics.Health = c.health
 	}
 	// Tracing wires one store through both layers: the engine's records
 	// are the root spans, the real transport's the per-phase children and
 	// the wire header.
-	c.cfg.Flight = c.spans
-	if rt, ok := t.(*realnet.Transport); ok && c.spans != nil {
-		rt.Flight = c.spans
+	if rt, ok := t.(*realnet.Transport); ok && c.cfg.Flight != nil {
+		rt.Flight = c.cfg.Flight
 	}
 	return c
 }
@@ -92,22 +83,15 @@ func WithRule(r Rule) Option {
 	return func(c *Client) { c.cfg.Rule = r }
 }
 
-// WithConfig replaces the whole selection configuration at once; later
-// options still apply on top. A Config that names a Metrics makes that
-// collector the client's.
-func WithConfig(cfg Config) Option {
-	return func(c *Client) { c.cfg = cfg }
-}
-
 // WithHealthMonitor attaches a path-health monitor to the client: it is
 // linked to the client's Metrics (Metrics.Health), so every finished
 // operation folds into the monitor's per-path rolling windows, and
-// Client.PathHealth/HealthMonitor read the damped health view. A nil
-// monitor is ignored.
+// Client.PathHealth reads the damped health view. A nil monitor is
+// ignored.
 func WithHealthMonitor(h *HealthMonitor) Option {
 	return func(c *Client) {
 		if h != nil {
-			c.health = h
+			c.cfg.Metrics.Health = h
 		}
 	}
 }
@@ -119,7 +103,7 @@ func WithHealthMonitor(h *HealthMonitor) Option {
 // the trace. Spans carry wall-clock times; on the virtual-time simulator
 // the option only records engine spans and should generally be left off.
 func WithSpans(rec *Recorder) Option {
-	return func(c *Client) { c.spans = rec }
+	return func(c *Client) { c.cfg.Flight = rec }
 }
 
 // WithTimeout bounds each operation attempt: the attempt's context gets
@@ -143,13 +127,6 @@ func WithRetry(n int, backoff time.Duration) Option {
 			c.backoff = 100 * time.Millisecond
 		}
 	}
-}
-
-func (c *Client) probeBytes() int64 {
-	if c.cfg.ProbeBytes > 0 {
-		return c.cfg.ProbeBytes
-	}
-	return DefaultProbeBytes
 }
 
 // attemptCtx derives one attempt's context from the caller's.
@@ -203,61 +180,6 @@ func (c *Client) SelectAndFetch(ctx context.Context, obj Object, candidates []st
 	}
 }
 
-// Probe races an x-sized range request (the client's configured probe
-// size) on the direct path and every candidate concurrently.
-func (c *Client) Probe(ctx context.Context, obj Object, candidates []string) []ProbeResult {
-	return core.Probe(ctx, c.transport, obj, candidates, c.cfg)
-}
-
-// ProbeSequential probes the direct path and each candidate one at a
-// time, contention-free.
-func (c *Client) ProbeSequential(ctx context.Context, obj Object, candidates []string) []ProbeResult {
-	return core.ProbeSequential(ctx, c.transport, obj, candidates, c.cfg)
-}
-
-// Download fetches obj adaptively (segmented fetches, periodic re-races,
-// failover) under ctx. With WithRetry, a download that failed outright
-// is retried from the beginning with backoff.
-func (c *Client) Download(ctx context.Context, obj Object, candidates []string) (DownloadResult, error) {
-	dl := &core.Downloader{
-		Transport:  c.transport,
-		ProbeBytes: c.cfg.ProbeBytes,
-		Rule:       c.cfg.Rule,
-		Metrics:    c.cfg.Metrics,
-	}
-	for attempt := 0; ; attempt++ {
-		actx, cancel := c.attemptCtx(ctx)
-		res, err := dl.Download(actx, obj, candidates)
-		cancel()
-		if err == nil || attempt >= c.retries || !retryable(ctx, err) {
-			return res, err
-		}
-		if !c.sleepBackoff(ctx, attempt+1) {
-			return res, err
-		}
-	}
-}
-
-// Multipath stripes obj across the direct path and all candidates
-// concurrently (Bullet-style work stealing) under ctx.
-func (c *Client) Multipath(ctx context.Context, obj Object, candidates []string) (MultipathResult, error) {
-	mp := &core.MultipathDownloader{Transport: c.transport, Metrics: c.cfg.Metrics}
-	actx, cancel := c.attemptCtx(ctx)
-	defer cancel()
-	return mp.Download(actx, obj, candidates)
-}
-
-// SelectMonitored performs a probe-free transfer under ctx using the
-// monitor's path table, feeding the outcome back into it.
-func (c *Client) SelectMonitored(ctx context.Context, obj Object, candidates []string, m *Monitor) Outcome {
-	actx, cancel := c.attemptCtx(ctx)
-	defer cancel()
-	return core.SelectMonitored(actx, c.transport, obj, candidates, m, c.cfg)
-}
-
-// Transport returns the transport the client is bound to.
-func (c *Client) Transport() Transport { return c.transport }
-
 // Metrics returns the client's metrics collector, live: it keeps
 // accumulating as the client runs. A downloader constructed outside the
 // client records into the same tally (and health monitor) when given it
@@ -269,20 +191,12 @@ func (c *Client) Metrics() *Metrics { return c.cfg.Metrics }
 // metric), latency/throughput histograms — ready for JSON rendering.
 func (c *Client) Snapshot() MetricsSnapshot { return c.cfg.Metrics.Snapshot() }
 
-// Spans returns the store installed with WithSpans, or nil when tracing
-// is off.
-func (c *Client) Spans() *Recorder { return c.spans }
-
-// HealthMonitor returns the monitor installed with WithHealthMonitor,
-// or nil when health tracking is off.
-func (c *Client) HealthMonitor() *HealthMonitor { return c.health }
-
 // PathHealth captures the damped per-path health view — rolling-window
 // success/latency/throughput aggregates, score, and state — for every
 // path the client has exercised. Empty when no monitor is attached.
 func (c *Client) PathHealth() HealthSnapshot {
-	if c.health == nil {
+	if c.cfg.Metrics.Health == nil {
 		return HealthSnapshot{}
 	}
-	return c.health.Snapshot()
+	return c.cfg.Metrics.Health.Snapshot()
 }

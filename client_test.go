@@ -116,18 +116,25 @@ func TestClientDoesNotRetryCanceledOperations(t *testing.T) {
 func TestClientProbeBytesOption(t *testing.T) {
 	tr := &fakeTransport{rate: 1e6}
 	c := repro.New(tr, repro.WithProbeBytes(12_345))
-	probes := c.Probe(context.Background(), repro.Object{Server: "s", Name: "o", Size: 1_000_000}, nil)
-	if len(probes) != 1 {
-		t.Fatalf("%d probes, want 1 (direct only)", len(probes))
+	out := c.SelectAndFetch(context.Background(), repro.Object{Server: "s", Name: "o", Size: 1_000_000}, []string{"r"})
+	if out.Err != nil {
+		t.Fatal(out.Err)
 	}
-	if tr.lastBytes != 12_345 {
-		t.Fatalf("probe size %d, want 12345", tr.lastBytes)
+	// The direct path and the candidate are both probed at the configured
+	// size, and the remainder starts where the probes stopped.
+	if len(out.Probes) != 2 {
+		t.Fatalf("%d probes, want 2 (direct and r)", len(out.Probes))
 	}
-	// The sequential form probes direct and every candidate, one at a
-	// time, at the same configured size.
-	seq := c.ProbeSequential(context.Background(), repro.Object{Server: "s", Name: "o", Size: 1_000_000}, []string{"r"})
-	if len(seq) != 2 || tr.lastBytes != 12_345 {
-		t.Fatalf("%d sequential probe results of %d bytes, want 2 of 12345", len(seq), tr.lastBytes)
+	for _, p := range out.Probes {
+		if p.Offset != 0 || p.Bytes != 12_345 {
+			t.Fatalf("probe on %v covered [%d +%d], want [0 +12345]", p.Path, p.Offset, p.Bytes)
+		}
+	}
+	if out.Probes[0].Path.Via == out.Probes[1].Path.Via {
+		t.Fatalf("both probes ran on %v", out.Probes[0].Path)
+	}
+	if out.Remainder.Offset != 12_345 || out.Remainder.Bytes != 1_000_000-12_345 {
+		t.Fatalf("remainder [%d +%d], want [12345 +%d]", out.Remainder.Offset, out.Remainder.Bytes, 1_000_000-12_345)
 	}
 }
 

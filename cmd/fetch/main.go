@@ -344,7 +344,7 @@ func main() {
 	adaptive := flag.Bool("adaptive", false, "download adaptively: segmented fetches with periodic re-races and failover")
 	segment := flag.Int64("segment", 1_000_000, "adaptive mode: segment size in bytes")
 	timeout := flag.Duration("timeout", 0, "overall transfer deadline (0 = none)")
-	retries := flag.Int("retries", 0, "retry a transfer that delivered nothing up to N times")
+	retries := flag.Int("retries", 0, "select mode: retry a transfer that delivered nothing up to N times")
 	regAddr := flag.String("registry", "", "discover relays from this registry; comma-separate several to fail over (in addition to -relay flags)")
 	regTimeout := flag.Duration("registry-timeout", 5*time.Second, "per-request registry deadline")
 	topK := flag.Int("top", 0, "discover only the K healthiest relays, ranked by the registry (0 = all)")
@@ -515,7 +515,13 @@ func main() {
 			SegmentBytes: *segment,
 			Metrics:      client.Metrics(),
 		}
-		res, err := dl.Download(ctx, obj, candidates)
+		dctx := ctx
+		if *timeout > 0 {
+			var cancel context.CancelFunc
+			dctx, cancel = context.WithTimeout(ctx, *timeout)
+			defer cancel()
+		}
+		res, err := dl.Download(dctx, obj, candidates)
 		if err != nil {
 			fatal("adaptive download failed", "err", err)
 		}

@@ -47,8 +47,6 @@ type (
 	Object = core.Object
 	// Path identifies the direct route or a relay by name.
 	Path = core.Path
-	// Config parameterizes probing and selection.
-	Config = core.Config
 	// Outcome describes one select-and-fetch operation.
 	Outcome = core.Outcome
 	// Transport moves object ranges over paths (simulated or real).
@@ -61,15 +59,6 @@ type (
 	FetchResult = core.FetchResult
 	// Rule selects the probe winner.
 	Rule = core.Rule
-	// Policy chooses candidate intermediates per transfer.
-	Policy = core.Policy
-
-	// StaticPolicy always proposes one fixed intermediate.
-	StaticPolicy = core.StaticPolicy
-	// UniformRandomPolicy proposes a uniform random subset of size K.
-	UniformRandomPolicy = core.UniformRandomPolicy
-	// WeightedRandomPolicy samples candidates by their utilization.
-	WeightedRandomPolicy = core.WeightedRandomPolicy
 
 	// Downloader fetches adaptively: segments, periodic re-races,
 	// failover.
@@ -78,10 +67,6 @@ type (
 	DownloadResult = core.DownloadResult
 	// Segment is one contiguous fetch within an adaptive download.
 	Segment = core.Segment
-
-	// Monitor keeps RON-style background path estimates for probe-free
-	// selection.
-	Monitor = core.Monitor
 
 	// MultipathDownloader stripes an object across paths concurrently.
 	MultipathDownloader = core.MultipathDownloader
@@ -167,8 +152,7 @@ const (
 )
 
 // NewMetrics returns an empty standalone metrics collector (every Client
-// already carries one; this is for wiring into Config.Metrics or
-// downloaders directly).
+// already carries one; this is for wiring into a downloader directly).
 func NewMetrics() *Metrics { return obs.NewMetrics() }
 
 // NewRecorder returns a tracing store holding the last capacity finished
@@ -215,11 +199,6 @@ const Direct = core.Direct
 // DefaultProbeBytes is the paper's probe size x (100 KB).
 const DefaultProbeBytes = core.DefaultProbeBytes
 
-// Choose applies the selection rule to probe results.
-func Choose(probes []ProbeResult, rule Rule) Path {
-	return core.Choose(probes, rule)
-}
-
 // Improvement returns the paper's improvement metric in percent.
 func Improvement(selected, direct float64) float64 {
 	return core.Improvement(selected, direct)
@@ -229,6 +208,3 @@ func Improvement(selected, direct float64) float64 {
 func Penalty(selected, direct float64) float64 {
 	return core.Penalty(selected, direct)
 }
-
-// NewMonitor returns an empty background path monitor.
-func NewMonitor() *Monitor { return core.NewMonitor() }

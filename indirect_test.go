@@ -116,18 +116,6 @@ func TestFacadeMultipath(t *testing.T) {
 	}
 }
 
-func TestFacadeMonitor(t *testing.T) {
-	m := repro.NewMonitor()
-	m.Observe("origin", repro.Path{Via: "A"}, 5e6)
-	if v, ok := m.Estimate("origin", repro.Path{Via: "A"}); !ok || v != 5e6 {
-		t.Fatalf("monitor facade: %v %v", v, ok)
-	}
-	best, ok := m.Best("origin", []string{"A"})
-	if !ok || best.Via != "A" {
-		t.Fatalf("best = %v", best)
-	}
-}
-
 func TestFacadeDownloader(t *testing.T) {
 	origin := relay.NewOriginServer()
 	origin.Put("large.bin", 500_000)

@@ -1,10 +1,9 @@
 package experiment
 
 import (
-	"bufio"
-	"io"
-	"net"
+	"context"
 	"path/filepath"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -308,31 +307,16 @@ type liveFetch struct {
 
 func chaosFetch(relayAddr, originAddr, name string, size int64, deadline time.Duration) liveFetch {
 	start := time.Now()
-	f := liveFetch{}
-	conn, err := net.Dial("tcp", relayAddr)
-	if err != nil {
-		f.elapsed = time.Since(start)
+	status, header, body, err := httpx.Get(context.Background(), nil, relayAddr,
+		"http://"+originAddr+"/"+name, map[string]string{"range": "bytes=0-" + strconv.FormatInt(size-1, 10)}, deadline)
+	f := liveFetch{elapsed: time.Since(start)}
+	if err != nil || (status != 200 && status != 206) {
 		return f
 	}
-	defer conn.Close()
-	conn.SetDeadline(start.Add(deadline))
-	req := httpx.NewGet("http://"+originAddr+"/"+name, originAddr)
-	req.SetRange(0, size)
-	if err := req.Write(conn); err != nil {
-		f.elapsed = time.Since(start)
-		return f
-	}
-	resp, err := httpx.ReadResponse(bufio.NewReader(conn))
-	if err != nil || (resp.Status != 200 && resp.Status != 206) {
-		f.elapsed = time.Since(start)
-		return f
-	}
-	f.cacheHit = resp.Header["x-cache"] == "hit"
-	body, err := io.ReadAll(resp.Body)
-	f.elapsed = time.Since(start)
+	f.cacheHit = header["x-cache"] == "hit"
 	f.full = int64(len(body)) == size
 	f.verified = relay.VerifyRange(name, 0, body)
-	f.ok = err == nil && f.full && f.verified
+	f.ok = f.full && f.verified
 	return f
 }
 

@@ -124,8 +124,9 @@ func TestClientSnapshotMatchesOutcomes(t *testing.T) {
 }
 
 // simOutcome builds the quickstart's deterministic simulated world and
-// runs one select-and-fetch through it, recording into m.
-func simOutcome(m *repro.Metrics) repro.Outcome {
+// runs one select-and-fetch through it on a client built with opts,
+// returning the outcome and the client.
+func simOutcome(opts ...repro.Option) (repro.Outcome, *repro.Client) {
 	scen := topo.NewScenario(topo.Params{Seed: 2007})
 	client := scen.FindClient("Korea")
 	server := scen.FindServer("eBay")
@@ -141,19 +142,17 @@ func simOutcome(m *repro.Metrics) repro.Outcome {
 	inst.Warmup(300)
 
 	obj := repro.Object{Server: "eBay", Name: "large.bin", Size: 4_000_000}
-	cfg := repro.Config{ProbeBytes: repro.DefaultProbeBytes, Metrics: m}
-	return repro.New(world, repro.WithConfig(cfg)).SelectAndFetch(context.Background(), obj, []string{"Berkeley", "Princeton"})
+	c := repro.New(world, opts...)
+	return c.SelectAndFetch(context.Background(), obj, []string{"Berkeley", "Princeton"}), c
 }
 
 // TestSimulatorDeterministicUnderObservation asserts observation is
 // passive: two identically seeded virtual-time runs — one folding into
-// the client's own collector, one into a collector with a health monitor
-// linked — produce byte-identical outcomes.
+// the client's own collector, one with a health monitor linked to it —
+// produce byte-identical outcomes.
 func TestSimulatorDeterministicUnderObservation(t *testing.T) {
-	bare := simOutcome(nil)
-	m := repro.NewMetrics()
-	m.Health = repro.NewHealthMonitor(repro.HealthConfig{})
-	observed := simOutcome(m)
+	bare, _ := simOutcome()
+	observed, c := simOutcome(repro.WithHealthMonitor(repro.NewHealthMonitor(repro.HealthConfig{})))
 
 	if got, want := fmt.Sprintf("%+v", observed), fmt.Sprintf("%+v", bare); got != want {
 		t.Fatalf("observed run diverged from bare run:\n got %s\nwant %s", got, want)
@@ -162,12 +161,12 @@ func TestSimulatorDeterministicUnderObservation(t *testing.T) {
 		t.Fatalf("sim run failed: %v", bare.Err)
 	}
 	// And the observation actually happened.
-	if s := m.Snapshot(); s.Selections != 1 || s.ProbesStarted != 3 {
+	if s := c.Snapshot(); s.Selections != 1 || s.ProbesStarted != 3 {
 		t.Fatalf("metrics missed the run: %+v", s)
 	}
 	// The record carries exact simulator times, not wall-clock: the
 	// health monitor, on record time, reads the post-warmup instant.
-	if hs := m.Health.Snapshot(); len(hs.Paths) == 0 || hs.Time < 300 {
+	if hs := c.PathHealth(); len(hs.Paths) == 0 || hs.Time < 300 {
 		t.Fatalf("health snapshot %+v, want paths folded at t>=300s virtual", hs)
 	}
 }

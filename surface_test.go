@@ -1,0 +1,93 @@
+package repro_test
+
+import (
+	"flag"
+	"go/ast"
+	"go/doc"
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// The facade's exported surface is pinned as a golden list: every
+// package-level name the root package declares and every exported
+// method of its types, one per line. A new option, method or re-export
+// is then a visible edit of testdata/surface.golden, so a twin of an
+// existing entry point cannot slip in unseen. `go test . -run
+// FacadeSurface -update` rewrites the golden from the tree.
+var update = flag.Bool("update", false, "rewrite testdata/surface.golden from the facade in the tree")
+
+func TestFacadeSurface(t *testing.T) {
+	got := facadeSurface(t)
+	golden := filepath.Join("testdata", "surface.golden")
+	if *update {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("facade surface differs from %s (rerun with -update if the change is meant):\n got:\n%s\nwant:\n%s",
+			golden, got, want)
+	}
+}
+
+// facadeSurface lists the root package's exported names from its
+// non-test source, sorted: "const X", "var X", "func X", "type X", and
+// "method T.M" for each exported method of an exported type.
+func facadeSurface(t *testing.T) string {
+	paths, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	var files []*ast.File
+	for _, p := range paths {
+		if strings.HasSuffix(p, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	pkg, err := doc.NewFromFiles(fset, files, "repro")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	values := func(kind string, vs []*doc.Value) {
+		for _, v := range vs {
+			for _, n := range v.Names {
+				lines = append(lines, kind+" "+n)
+			}
+		}
+	}
+	funcs := func(fs []*doc.Func) {
+		for _, f := range fs {
+			lines = append(lines, "func "+f.Name)
+		}
+	}
+	values("const", pkg.Consts)
+	values("var", pkg.Vars)
+	funcs(pkg.Funcs)
+	for _, typ := range pkg.Types {
+		lines = append(lines, "type "+typ.Name)
+		values("const", typ.Consts)
+		values("var", typ.Vars)
+		funcs(typ.Funcs)
+		for _, m := range typ.Methods {
+			lines = append(lines, "method "+typ.Name+"."+m.Name)
+		}
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n") + "\n"
+}

@@ -230,8 +230,8 @@ func phaseKeys(m map[string][]repro.Span) []string {
 }
 
 // TestTracingDisabledRecordsNothing pins the opt-out: a client without
-// WithSpans must leave every collector untouched and expose a nil
-// Spans() accessor, keeping the hot path span-free.
+// WithSpans installs no store in its transport, keeping the hot path
+// span-free.
 func TestTracingDisabledRecordsNothing(t *testing.T) {
 	origin := relay.NewOriginServer()
 	origin.Put("o.bin", 64_000)
@@ -249,8 +249,8 @@ func TestTracingDisabledRecordsNothing(t *testing.T) {
 	defer tr.Close()
 
 	client := repro.New(tr, repro.WithProbeBytes(16_000))
-	if client.Spans() != nil {
-		t.Fatal("untraced client exposes a collector")
+	if tr.Flight != nil {
+		t.Fatal("untraced client installed a store in its transport")
 	}
 	out := client.SelectAndFetch(context.Background(),
 		repro.Object{Server: "origin", Name: "o.bin", Size: 64_000}, nil)
