@@ -146,8 +146,11 @@ func TestProbeSequentialCtxStopsOnCancel(t *testing.T) {
 	defer cancel()
 	tr.onWait = cancel // dies after the first probe completes
 
-	probes := ProbeSequential(ctx, tr, Object{Server: "s", Name: "o", Size: 500_000},
-		[]string{"a", "b"}, Config{ProbeBytes: 100_000})
+	m := obs.NewMetrics()
+	c := Race(ctx, tr, Object{Server: "s", Name: "o", Size: 500_000},
+		[]string{"a", "b"}, Config{ProbeBytes: 100_000, Rule: Sequential, Metrics: m})
+	out := c.Fetch()
+	probes := out.Probes
 	if len(probes) != 3 {
 		t.Fatalf("%d probe results, want 3 (one per path)", len(probes))
 	}
@@ -159,9 +162,20 @@ func TestProbeSequentialCtxStopsOnCancel(t *testing.T) {
 			t.Fatalf("probe %d after cancel: err = %v, want ErrCanceled", i+1, p.Err)
 		}
 	}
-	// Only the first probe was actually issued.
+	// Only the first probe was actually issued, and neither the later
+	// probes nor the remainder went out afterwards.
 	if tr.starts != 1 {
 		t.Fatalf("%d transfers started after cancellation, want 1", tr.starts)
+	}
+	if !errors.Is(out.Err, ErrCanceled) {
+		t.Fatalf("outcome err = %v, want the context's", out.Err)
+	}
+	// The un-issued probes are no legs of the operation's record.
+	if legs := c.record(nil).Legs; len(legs) != 1 || legs[0].Route != "direct" {
+		t.Fatalf("record legs = %+v, want the direct probe alone", legs)
+	}
+	if s := m.Snapshot(); s.ProbesStarted != 1 || s.Paths["a"].Probed != 0 || s.Paths["b"].Probed != 0 {
+		t.Fatalf("metrics probes started %d, paths %+v: want the direct probe alone", s.ProbesStarted, s.Paths)
 	}
 }
 
@@ -291,7 +305,8 @@ func TestProbeDeadlineOnStuckTransport(t *testing.T) {
 
 	done := make(chan []ProbeResult, 1)
 	go func() {
-		done <- Probe(ctx, tr, Object{Server: "s", Name: "o", Size: 500_000}, nil, Config{ProbeBytes: 100_000})
+		probes, _ := fetchAll(ctx, tr, Object{Server: "s", Name: "o", Size: 500_000}, probePaths(nil), 0, 100_000, false)
+		done <- probes
 	}()
 	select {
 	case probes := <-done:

@@ -29,9 +29,6 @@ type Downloader struct {
 	// disables re-racing).
 	RefreshEvery int
 
-	// Rule picks race winners (FirstFinished when unset).
-	Rule Rule
-
 	// Metrics folds the download's operations: every race as one (its
 	// probes and the selection), and every segment as one transfer. Nil
 	// records nothing.
@@ -208,9 +205,10 @@ func (d *Downloader) Download(ctx context.Context, obj Object, candidates []stri
 }
 
 // race fetches [off, off+n) concurrently on every live path and returns
-// the winning path. The winner's fetch is recorded as a raced segment; the
-// losers' duplicate bytes are measurement overhead, exactly like the
-// paper's probes. Paths whose race fetch fails are marked dead.
+// the path that finished first. The winner's fetch is recorded as a
+// raced segment; the losers' duplicate bytes are measurement overhead,
+// exactly like the paper's probes. Paths whose race fetch fails are
+// marked dead.
 func (d *Downloader) race(ctx context.Context, obj Object, off, n int64, paths []Path, alive map[Path]bool, res *DownloadResult) (Path, int64, error) {
 	t := d.Transport
 	var racers []Path
@@ -225,10 +223,7 @@ func (d *Downloader) race(ctx context.Context, obj Object, off, n int64, paths [
 	if n <= 0 {
 		return racers[0], 0, nil
 	}
-	handles := launch(ctx, t, obj, racers, off, n, nil)
-	t.Wait(handles...)
-
-	probes := collect(handles)
+	probes, _ := fetchAll(ctx, t, obj, racers, off, n, false)
 	okCount := 0
 	for i := range probes {
 		if probes[i].Err != nil {
@@ -244,7 +239,7 @@ func (d *Downloader) race(ctx context.Context, obj Object, off, n int64, paths [
 		}
 		return Path{}, 0, fmt.Errorf("%w: race at offset %d", ErrAllPathsFailed, off)
 	}
-	winner := Choose(probes, d.Rule)
+	winner := choose(probes, FirstFinished)
 	fold(d.Metrics, &winner, probes, nil)
 	for _, p := range probes {
 		if p.Path == winner && p.Err == nil {

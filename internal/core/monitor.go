@@ -74,9 +74,11 @@ func (m *Monitor) Best(server string, candidates []string) (best Path, ok bool) 
 // monitor. This is the background maintenance a monitored client runs
 // between transfers. An abandoned refresh simply contributes no samples
 // for the probes that did not complete, and cfg's Metrics folds the
-// refresh probes like any others.
+// refresh probes as one operation that selected nothing.
 func (m *Monitor) Refresh(ctx context.Context, t Transport, obj Object, candidates []string, cfg Config) {
-	for _, p := range Probe(ctx, t, obj, candidates, cfg) {
+	probes, _ := fetchAll(ctx, t, obj, probePaths(candidates), 0, cfg.probeSize(obj), false)
+	fold(cfg.Metrics, nil, probes, nil)
+	for _, p := range probes {
 		if p.Err == nil {
 			m.Observe(obj.Server, p.Path, p.Throughput())
 		}

@@ -21,11 +21,6 @@ type MultipathDownloader struct {
 	// chunks balance better; large chunks amortize per-request overhead.
 	ChunkBytes int64
 
-	// MaxFailures bounds how many chunk failures the download tolerates
-	// before giving up (default 8). A path whose chunk fails is retired;
-	// its chunk is requeued for the surviving paths.
-	MaxFailures int
-
 	// Metrics folds the download as one operation with a transfer per
 	// chunk issued. Nil records nothing.
 	Metrics *obs.Metrics
@@ -65,12 +60,10 @@ func (d *MultipathDownloader) chunkBytes() int64 {
 	return 500_000
 }
 
-func (d *MultipathDownloader) maxFailures() int {
-	if d.MaxFailures > 0 {
-		return d.MaxFailures
-	}
-	return 8
-}
+// maxChunkFailures bounds how many chunk failures a download tolerates
+// before giving up. A path whose chunk fails is retired; its chunk is
+// requeued for the surviving paths.
+const maxChunkFailures = 8
 
 // chunk is one contiguous piece of the object.
 type chunk struct {
@@ -161,7 +154,7 @@ func (d *MultipathDownloader) Download(ctx context.Context, obj Object, candidat
 				return res, err
 			}
 			res.Failures++
-			if res.Failures > d.maxFailures() {
+			if res.Failures > maxChunkFailures {
 				res.End = t.Now()
 				return res, fmt.Errorf("%w: chunk at %d: %v", ErrAllPathsFailed, done.c.off, r.Err)
 			}

@@ -91,7 +91,7 @@ func TestMultipathAllPathsDead(t *testing.T) {
 		scheduledChange{at: 0.5, path: Direct, kill: true},
 		scheduledChange{at: 0.5, path: "A", kill: true},
 	)
-	d := &MultipathDownloader{Transport: tr, ChunkBytes: 300_000, MaxFailures: 3}
+	d := &MultipathDownloader{Transport: tr, ChunkBytes: 300_000}
 	obj := Object{Server: "s", Name: "o", Size: 8_000_000}
 	_, err := d.Download(context.Background(), obj, []string{"A"})
 	if !errors.Is(err, ErrAllPathsFailed) {

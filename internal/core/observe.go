@@ -7,14 +7,8 @@ import (
 	"repro/internal/obs"
 )
 
-// label is the route name records aggregate by: the relay name, or
-// "direct" for the default route (obs.PathID.Label).
-func (p Path) label() string {
-	if p.IsDirect() {
-		return "direct"
-	}
-	return p.Via
-}
+// label is the route name records aggregate by (obs.PathID.Label).
+func (p Path) label() string { return obs.PathID{Via: p.Via}.Label() }
 
 // Classer is implemented by error types that know their own observability
 // class — e.g. the real transport's status-line error reports

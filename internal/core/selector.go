@@ -16,9 +16,17 @@ type Rule int
 // requests the remainder over whichever path returned the probe range
 // first. MaxThroughput compares measured probe throughputs instead; with
 // equal probe sizes the two agree unless probes start at different times.
+// Sequential is the paper's Section 4 variant, its per-candidate
+// "preliminary download tests": the paths are probed one at a time,
+// direct first, so each measurement has the client's access link to
+// itself (with many candidates, concurrent probes contend there and stop
+// discriminating paths) at the cost of a longer probing phase. It
+// chooses by throughput, since finish order means nothing for staggered
+// starts.
 const (
 	FirstFinished Rule = iota
 	MaxThroughput
+	Sequential
 )
 
 func (r Rule) String() string {
@@ -27,6 +35,8 @@ func (r Rule) String() string {
 		return "first-finished"
 	case MaxThroughput:
 		return "max-throughput"
+	case Sequential:
+		return "sequential"
 	}
 	return "unknown"
 }
@@ -43,14 +53,6 @@ type Config struct {
 	ProbeBytes int64
 	// Rule picks the probe winner (FirstFinished when unset).
 	Rule Rule
-	// Sequential probes candidates one at a time instead of racing them
-	// all concurrently. With large candidate sets, concurrent probes
-	// contend on the client's access link and can no longer discriminate
-	// paths; sequential "preliminary download tests" (the paper's
-	// Section 4 wording) keep each measurement clean at the cost of a
-	// longer probing phase. Sequential probing implies the MaxThroughput
-	// rule, since finish order is meaningless for staggered starts.
-	Sequential bool
 
 	// Metrics folds the record of each finished operation (obs.Op): the
 	// probes and the remainder it issued, and the route it committed to.
@@ -175,22 +177,31 @@ func collect(handles []Handle) []ProbeResult {
 	return probes
 }
 
-// Probe fetches the first x bytes of obj (cfg's probe size) concurrently
-// over the direct path and over each candidate indirect path, returning
-// the per-path results: index 0 is the direct probe, then one entry per
-// candidate. Cancellation or deadline expiry of ctx fails the outstanding
-// probes instead of waiting them out; cfg's Metrics folds the probes as
-// one operation that selected nothing.
-func Probe(ctx context.Context, t Transport, obj Object, candidates []string, cfg Config) []ProbeResult {
-	probes := probe(ctx, t, obj, candidates, cfg)
-	fold(cfg.Metrics, nil, probes, nil)
-	return probes
-}
-
-func probe(ctx context.Context, t Transport, obj Object, candidates []string, cfg Config) []ProbeResult {
-	handles := launch(ctx, t, obj, probePaths(candidates), 0, cfg.probeSize(obj), nil)
-	t.Wait(handles...)
-	return collect(handles)
+// fetchAll fetches [off, off+n) of obj on each path and waits every
+// fetch out: concurrently, or with seq one at a time in path order. A
+// sequential fetch issues nothing more once ctx dies; each path it did
+// not reach gets an entry carrying the typed error, starting and ending
+// at that moment. issued counts the fetches that went out, which are
+// the first entries.
+func fetchAll(ctx context.Context, t Transport, obj Object, paths []Path, off, n int64, seq bool) (res []ProbeResult, issued int) {
+	if !seq {
+		handles := launch(ctx, t, obj, paths, off, n, nil)
+		t.Wait(handles...)
+		return collect(handles), len(paths)
+	}
+	res = make([]ProbeResult, len(paths))
+	for i, p := range paths {
+		if err := CtxErr(ctx); err != nil {
+			now := t.Now()
+			res[i] = ProbeResult{FetchResult{Path: p, Offset: off, Bytes: n, Start: now, End: now, Err: err}}
+			continue
+		}
+		h := t.StartCtx(ctx, obj, p, off, n)
+		t.Wait(h)
+		res[i] = ProbeResult{h.Result()}
+		issued++
+	}
+	return res, issued
 }
 
 // awaitFirstSuccess blocks until a probe completes without error,
@@ -231,10 +242,11 @@ func awaitFirstSuccess(t Transport, hs []Handle) (winner int, losers []int) {
 	}
 }
 
-// Choose applies the selection rule to probe results, returning the
-// winning path. Failed probes never win; if every probe failed, the direct
-// path is returned as a fallback.
-func Choose(probes []ProbeResult, rule Rule) Path {
+// choose applies rule to finished probes, returning the winning path:
+// the earliest to finish under FirstFinished, the fastest under
+// MaxThroughput and Sequential. Failed probes never win; if every probe
+// failed, the direct path is returned as a fallback.
+func choose(probes []ProbeResult, rule Rule) Path {
 	best := -1
 	for i, p := range probes {
 		if p.Err != nil {
@@ -249,7 +261,7 @@ func Choose(probes []ProbeResult, rule Rule) Path {
 			if p.End < probes[best].End {
 				best = i
 			}
-		case MaxThroughput:
+		case MaxThroughput, Sequential:
 			if p.Throughput() > probes[best].Throughput() {
 				best = i
 			}
@@ -261,39 +273,6 @@ func Choose(probes []ProbeResult, rule Rule) Path {
 		return Path{Via: Direct}
 	}
 	return probes[best].Path
-}
-
-// ProbeSequential fetches the first x bytes of obj over each path one at
-// a time: first the direct path, then each candidate in order. Each probe
-// gets the path to itself, so measurements do not contend with each other.
-// Result order matches Probe: direct first, then candidates. Once ctx
-// dies the remaining probes are not issued: their results carry the typed
-// cancellation error instead, so the slice still has one entry per path,
-// and cfg's Metrics folds only the probes that were issued.
-func ProbeSequential(ctx context.Context, t Transport, obj Object, candidates []string, cfg Config) []ProbeResult {
-	probes, issued := probeSequential(ctx, t, obj, candidates, cfg)
-	fold(cfg.Metrics, nil, probes[:issued], nil)
-	return probes
-}
-
-// probeSequential is ProbeSequential unrecorded; the probes it issued
-// are the first issued entries.
-func probeSequential(ctx context.Context, t Transport, obj Object, candidates []string, cfg Config) (probes []ProbeResult, issued int) {
-	x := cfg.probeSize(obj)
-	paths := probePaths(candidates)
-	probes = make([]ProbeResult, len(paths))
-	for i, p := range paths {
-		if err := CtxErr(ctx); err != nil {
-			now := t.Now()
-			probes[i] = ProbeResult{FetchResult{Path: p, Bytes: x, Start: now, End: now, Err: err}}
-			continue
-		}
-		h := launch(ctx, t, obj, paths[i:i+1], 0, x, nil)
-		t.Wait(h...)
-		probes[i] = collect(h)[0]
-		issued++
-	}
-	return probes, issued
 }
 
 // SelectAndFetch runs the paper's full client operation: probe the direct
@@ -320,7 +299,7 @@ type Commit struct {
 	won bool // the remainder is worth requesting
 
 	// issued counts the probes that went out (all of them, unless a
-	// sequential race outlived its ctx), and rem is whether the remainder
+	// Sequential race outlived its ctx), and rem is whether the remainder
 	// did: what the operation's record holds.
 	issued int
 	rem    bool
@@ -340,7 +319,7 @@ type Commit struct {
 // that tears transfers down closes their connections within a round
 // trip; on the virtual-time simulator they drain, contending for
 // bandwidth exactly as the paper's real probes did). Under MaxThroughput
-// (and sequential probing) all probes are measured before the decision.
+// and Sequential every probe is measured before the decision.
 //
 // Race is a shell around race so that it inlines: in SelectAndFetch the
 // Commit then never leaves the stack.
@@ -373,7 +352,7 @@ func (c *Commit) race(ctx context.Context, obj Object, candidates []string) {
 	c.ctx = ctx
 
 	paths := probePaths(candidates)
-	if !cfg.Sequential && cfg.Rule == FirstFinished {
+	if cfg.Rule == FirstFinished {
 		c.cancels = make([]context.CancelFunc, len(paths))
 		c.handles = launch(raceCtx, t, obj, paths, 0, cfg.probeSize(obj), c.cancels)
 		c.issued = len(paths)
@@ -383,16 +362,10 @@ func (c *Commit) race(ctx context.Context, obj Object, candidates []string) {
 			o.Selected = paths[win]
 		}
 	} else {
-		if cfg.Sequential {
-			o.Probes, c.issued = probeSequential(raceCtx, t, obj, candidates, *cfg)
-			cfg.Rule = MaxThroughput
-		} else {
-			o.Probes = probe(raceCtx, t, obj, candidates, *cfg)
-			c.issued = len(paths)
-		}
-		// With every probe failed Choose falls back to the direct path,
+		o.Probes, c.issued = fetchAll(raceCtx, t, obj, paths, 0, cfg.probeSize(obj), cfg.Rule == Sequential)
+		// With every probe failed choose falls back to the direct path,
 		// and the remainder is still tried there.
-		o.Selected, c.won = Choose(o.Probes, cfg.Rule), true
+		o.Selected, c.won = choose(o.Probes, cfg.Rule), true
 	}
 	o.ProbeEnd = t.Now()
 	if cfg.Flight != nil {
@@ -417,7 +390,7 @@ func (c *Commit) race(ctx context.Context, obj Object, candidates []string) {
 // returns the Outcome. When the operation's ctx died during the race —
 // a stalled probe waited out under MaxThroughput — no remainder is
 // requested: Outcome.Remainder carries the typed error, starting and
-// ending at that moment, as ProbeSequential's un-issued probes do.
+// ending at that moment, as a Sequential race's un-issued probes do.
 func (c *Commit) Fetch() Outcome {
 	t, cfg, o, ctx := c.t, &c.cfg, &c.out, c.ctx
 	obj := o.Object

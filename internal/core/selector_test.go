@@ -12,14 +12,20 @@ func TestProbeOrderAndTiming(t *testing.T) {
 	tr.rate["A"] = 2e6
 	tr.rate["B"] = 0.5e6
 	obj := Object{Server: "s", Name: "o", Size: 4_000_000}
-	probes := Probe(context.Background(), tr, obj, []string{"A", "B"}, Config{ProbeBytes: 100_000})
-	if len(probes) != 3 {
-		t.Fatalf("probes = %d, want 3 (direct + 2)", len(probes))
+	probes, issued := fetchAll(context.Background(), tr, obj, probePaths([]string{"A", "B"}), 0, 100_000, false)
+	if len(probes) != 3 || issued != 3 {
+		t.Fatalf("probes = %d, issued %d, want 3 (direct + 2)", len(probes), issued)
 	}
 	if !probes[0].Path.IsDirect() || probes[1].Path.Via != "A" || probes[2].Path.Via != "B" {
 		t.Fatal("probe order must be direct, then candidates in order")
 	}
-	// A is fastest: 100KB at 2 Mb/s = 0.4s.
+	// The probes run together: A, the fastest, takes 100KB at 2 Mb/s =
+	// 0.4s from the common start.
+	for _, p := range probes {
+		if p.Start != 0 {
+			t.Fatalf("%v probe started at %v, want 0", p.Path, p.Start)
+		}
+	}
 	if math.Abs(probes[1].End-0.4) > 1e-9 {
 		t.Fatalf("A probe end = %v, want 0.4", probes[1].End)
 	}
@@ -28,9 +34,12 @@ func TestProbeOrderAndTiming(t *testing.T) {
 func TestProbeClampsToObjectSize(t *testing.T) {
 	tr := newFake(1e6)
 	obj := Object{Server: "s", Name: "o", Size: 50_000}
-	probes := Probe(context.Background(), tr, obj, nil, Config{ProbeBytes: 100_000})
-	if probes[0].Bytes != 50_000 {
-		t.Fatalf("probe bytes = %d, want clamped to 50000", probes[0].Bytes)
+	out := Race(context.Background(), tr, obj, nil, Config{ProbeBytes: 100_000, Rule: MaxThroughput}).Fetch()
+	if out.Probes[0].Bytes != 50_000 {
+		t.Fatalf("probe bytes = %d, want clamped to 50000", out.Probes[0].Bytes)
+	}
+	if out.Err != nil || out.Remainder.Bytes != 0 {
+		t.Fatalf("outcome err %v, remainder %d bytes; the probe is the whole object", out.Err, out.Remainder.Bytes)
 	}
 }
 
@@ -39,9 +48,8 @@ func TestChooseFirstFinished(t *testing.T) {
 	tr.rate["fast"] = 3e6
 	tr.rate["slow"] = 0.2e6
 	obj := Object{Server: "s", Name: "o", Size: 4_000_000}
-	probes := Probe(context.Background(), tr, obj, []string{"slow", "fast"}, Config{ProbeBytes: 100_000})
-	sel := Choose(probes, FirstFinished)
-	if sel.Via != "fast" {
+	probes, _ := fetchAll(context.Background(), tr, obj, probePaths([]string{"slow", "fast"}), 0, 100_000, false)
+	if sel := choose(probes, FirstFinished); sel.Via != "fast" {
 		t.Fatalf("selected %q, want fast", sel.Via)
 	}
 }
@@ -50,8 +58,8 @@ func TestChooseMaxThroughput(t *testing.T) {
 	tr := newFake(2e6)
 	tr.rate["meh"] = 1e6
 	obj := Object{Server: "s", Name: "o", Size: 4_000_000}
-	probes := Probe(context.Background(), tr, obj, []string{"meh"}, Config{ProbeBytes: 100_000})
-	if sel := Choose(probes, MaxThroughput); !sel.IsDirect() {
+	probes, _ := fetchAll(context.Background(), tr, obj, probePaths([]string{"meh"}), 0, 100_000, false)
+	if sel := choose(probes, MaxThroughput); !sel.IsDirect() {
 		t.Fatalf("selected %v, want direct (it is faster)", sel)
 	}
 }
@@ -61,9 +69,9 @@ func TestChooseSkipsFailedProbes(t *testing.T) {
 	tr.rate["good"] = 0.5e6
 	tr.fail["bad"] = errors.New("relay down")
 	obj := Object{Server: "s", Name: "o", Size: 4_000_000}
-	probes := Probe(context.Background(), tr, obj, []string{"bad", "good"}, Config{ProbeBytes: 100_000})
+	probes, _ := fetchAll(context.Background(), tr, obj, probePaths([]string{"bad", "good"}), 0, 100_000, false)
 	// bad "finishes" instantly but with an error; it must not win.
-	if sel := Choose(probes, FirstFinished); sel.Via == "bad" {
+	if sel := choose(probes, FirstFinished); sel.Via == "bad" {
 		t.Fatal("failed probe won the race")
 	}
 }
@@ -72,14 +80,30 @@ func TestChooseAllFailedFallsBackToDirect(t *testing.T) {
 	probes := []ProbeResult{
 		{FetchResult{Path: Path{Via: "x"}, Err: errors.New("boom")}},
 	}
-	if sel := Choose(probes, FirstFinished); !sel.IsDirect() {
+	if sel := choose(probes, FirstFinished); !sel.IsDirect() {
 		t.Fatal("all-failed race must fall back to direct")
 	}
 }
 
 func TestChooseEmptyIsDirect(t *testing.T) {
-	if sel := Choose(nil, FirstFinished); !sel.IsDirect() {
+	if sel := choose(nil, FirstFinished); !sel.IsDirect() {
 		t.Fatal("empty probe set must select direct")
+	}
+}
+
+// TestChooseSequential gives the rule probes run one at a time, direct
+// first: the fastest path finished last, and throughput, not finish
+// order, picks it.
+func TestChooseSequential(t *testing.T) {
+	var probes []ProbeResult
+	for _, p := range []struct {
+		via        string
+		start, end float64
+	}{{"", 0, 0.8}, {"A", 0.8, 1.2}, {"B", 1.2, 2.8}} {
+		probes = append(probes, ProbeResult{FetchResult{Path: Path{Via: p.via}, Bytes: 100_000, Start: p.start, End: p.end}})
+	}
+	if sel := choose(probes, Sequential); sel.Via != "A" {
+		t.Fatalf("selected %v, want via A", sel)
 	}
 }
 
@@ -193,7 +217,8 @@ func TestPathString(t *testing.T) {
 }
 
 func TestRuleString(t *testing.T) {
-	if FirstFinished.String() != "first-finished" || MaxThroughput.String() != "max-throughput" {
+	if FirstFinished.String() != "first-finished" || MaxThroughput.String() != "max-throughput" ||
+		Sequential.String() != "sequential" {
 		t.Error("rule strings wrong")
 	}
 	if Rule(99).String() != "unknown" {
@@ -343,9 +368,13 @@ func TestSelectAndFetchAllProbesFailed(t *testing.T) {
 
 func TestProbeSequentialOrderAndStagger(t *testing.T) {
 	tr := newFake(1e6)
-	tr.rate["A"] = 1e6
+	tr.rate["A"] = 2e6
 	obj := Object{Server: "s", Name: "o", Size: 1_000_000}
-	probes := ProbeSequential(context.Background(), tr, obj, []string{"A"}, Config{ProbeBytes: 100_000})
+	out := Race(context.Background(), tr, obj, []string{"A"}, Config{ProbeBytes: 100_000, Rule: Sequential}).Fetch()
+	if out.Err != nil {
+		t.Fatal(out.Err)
+	}
+	probes := out.Probes
 	if len(probes) != 2 {
 		t.Fatalf("probes = %d", len(probes))
 	}
@@ -356,5 +385,10 @@ func TestProbeSequentialOrderAndStagger(t *testing.T) {
 	// first ends.
 	if probes[1].Start < probes[0].End {
 		t.Fatalf("probes overlap: %v < %v", probes[1].Start, probes[0].End)
+	}
+	// A finished last but ran twice as fast: the rule picks it by
+	// throughput, and the remainder follows from there.
+	if out.Selected.Via != "A" || out.Remainder.Start != probes[1].End {
+		t.Fatalf("selected %v, remainder from %v; want A from %v", out.Selected, out.Remainder.Start, probes[1].End)
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"io"
 	"log/slog"
 	"net"
+	"net/url"
 	"os"
 	"strings"
 	"sync/atomic"
@@ -130,7 +131,12 @@ func (d *Daemon) Mux() *httpx.Mux {
 	}
 	if d.Bundles != nil {
 		mux.Handle("/debug/bundle", func(req *httpx.Request) (int, map[string]string, []byte) {
-			if name := queryValue(req, "name"); name != "" {
+			var q url.Values
+			if req != nil {
+				_, query, _ := strings.Cut(req.Target, "?")
+				q, _ = url.ParseQuery(query)
+			}
+			if name := q.Get("name"); name != "" {
 				b, found := d.Bundles.Bundle(name)
 				if !found {
 					return 404, map[string]string{"content-type": "text/plain; charset=utf-8"},
@@ -154,23 +160,6 @@ func jsonPage(v any) (int, map[string]string, []byte) {
 		return 500, nil, []byte(err.Error() + "\n")
 	}
 	return 200, map[string]string{"content-type": "application/json"}, append(b, '\n')
-}
-
-// queryValue extracts one ?key= value from a request target.
-func queryValue(req *httpx.Request, key string) string {
-	if req == nil {
-		return ""
-	}
-	_, query, ok := strings.Cut(req.Target, "?")
-	if !ok {
-		return ""
-	}
-	for _, kv := range strings.Split(query, "&") {
-		if k, v, ok := strings.Cut(kv, "="); ok && k == key {
-			return v
-		}
-	}
-	return ""
 }
 
 // ServeMetrics starts the debug server on addr in the background,

@@ -151,7 +151,7 @@ func AblateWeightedPolicy(p AblationParams, setSize int) []AblationPoint {
 	}
 	scen := sec4Scenario(p.Seed)
 	server := focus(scen)
-	cfg := Config{Period: ablationPeriod, Section4: true}
+	cfg := Config{Period: ablationPeriod, Rule: core.Sequential}
 
 	var specs []CampaignSpec
 	var labels []string

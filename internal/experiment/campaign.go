@@ -34,18 +34,15 @@ type Config struct {
 	ObjectBytes int64
 	// ProbeBytes is the initial range-request size x. Default 100 KB.
 	ProbeBytes int64
-	// Rule selects the probe winner. Default FirstFinished.
+	// Rule selects the probe winner. Default FirstFinished. Under
+	// core.Sequential, the paper's Section 4 methodology, the selecting
+	// process's throughput is also taken over the remainder transfer
+	// only, leaving the probing overhead, which grows with the
+	// candidate-set size, out of the improvement metric.
 	Rule core.Rule
 	// Period is the virtual time between transfer starts (the paper's
 	// Section 3 schedule is one transfer every 6 minutes). Default 360 s.
 	Period float64
-	// Section4 applies the paper's Section 4 methodology: candidates are
-	// probed one at a time (its per-candidate "preliminary download
-	// tests", which implies max-throughput selection) instead of raced
-	// concurrently, and the selecting process's throughput is taken over
-	// the remainder transfer only, leaving the probing overhead, which
-	// grows with the candidate-set size, out of the improvement metric.
-	Section4 bool
 }
 
 // objectBytes is the default download size.
@@ -210,7 +207,7 @@ func RunCampaign(spec CampaignSpec) CampaignResult {
 	if sel == nil {
 		// The paper's selecting process is the engine itself, reporting
 		// into m.
-		engine := core.Config{ProbeBytes: cfg.ProbeBytes, Rule: cfg.Rule, Sequential: cfg.Section4, Metrics: m}
+		engine := core.Config{ProbeBytes: cfg.ProbeBytes, Rule: cfg.Rule, Metrics: m}
 		sel = func(ctx context.Context, t core.Transport, obj core.Object, cands []string) func() core.Outcome {
 			return core.Race(ctx, t, obj, cands, engine).Fetch
 		}
@@ -246,7 +243,7 @@ func RunCampaign(spec CampaignSpec) CampaignResult {
 			rec.ProbeDirectTp = out.Probes[0].Throughput()
 		}
 		switch {
-		case !cfg.Section4:
+		case cfg.Rule != core.Sequential:
 			rec.SelectedTp = out.Throughput()
 		case out.Remainder.Bytes > 0:
 			rec.SelectedTp = out.Remainder.Throughput()

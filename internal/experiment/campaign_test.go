@@ -111,12 +111,12 @@ func TestRunCampaignDirectSelectionNearZeroImprovement(t *testing.T) {
 
 // TestRunCampaignPathTallyMatchesRecords checks the campaign's
 // utilization table against its records, raced and under the Section 4
-// methodology's sequential probes: every intermediate was probed once per round that offered it
-// and selected once per round it won.
+// methodology's sequential probes: every intermediate was probed once
+// per round that offered it and selected once per round it won.
 func TestRunCampaignPathTallyMatchesRecords(t *testing.T) {
-	for _, sequential := range []bool{false, true} {
+	for _, rule := range []core.Rule{core.FirstFinished, core.Sequential} {
 		spec := raceSpec()
-		spec.Config.Section4 = sequential
+		spec.Config.Rule = rule
 		res := RunCampaign(spec)
 		won := 0
 		for _, in := range spec.Inters {
@@ -131,19 +131,19 @@ func TestRunCampaignPathTallyMatchesRecords(t *testing.T) {
 			}
 			won += selected
 			if ps := res.Metrics.Path(in.Name); ps.Probed != int64(offered) || ps.Selected != int64(selected) {
-				t.Errorf("sequential=%v %s: tally probed %d, selected %d; records say %d, %d",
-					sequential, in.Name, ps.Probed, ps.Selected, offered, selected)
+				t.Errorf("%v %s: tally probed %d, selected %d; records say %d, %d",
+					rule, in.Name, ps.Probed, ps.Selected, offered, selected)
 			}
 		}
 		if won == 0 {
-			t.Errorf("sequential=%v: no round selected an intermediate", sequential)
+			t.Errorf("%v: no round selected an intermediate", rule)
 		}
 	}
 }
 
 func TestRunCampaignSequentialProbes(t *testing.T) {
 	spec := smallSpec(6, 10)
-	spec.Config.Section4 = true
+	spec.Config.Rule = core.Sequential
 	res := RunCampaign(spec)
 	for i, r := range res.Records {
 		if r.Err != nil {
@@ -160,7 +160,7 @@ func TestCampaignThroughputsAreNumbers(t *testing.T) {
 	for _, cfg := range []Config{
 		{Rule: core.FirstFinished},
 		{Rule: core.MaxThroughput},
-		{Section4: true},
+		{Rule: core.Sequential},
 	} {
 		spec := smallSpec(3, 10)
 		spec.Config = cfg

@@ -32,7 +32,7 @@ type Fig6Params struct {
 
 // The Section 4 analyses (Figure 6, Table III and the health-ranked
 // comparison) share the paper's Section 4 setup: the 35-node full
-// intermediate set, one transfer every 30 s under Config.Section4, the
+// intermediate set, one transfer every 30 s under core.Sequential, the
 // focus server, and Duke as the Table III client, offered a K = 10 set
 // (the Figure 6 knee) where the set size is not what is swept.
 const (
@@ -130,7 +130,7 @@ func Fig6(p Fig6Params) Fig6Result {
 				Policy:    core.UniformRandomPolicy{K: k},
 				Transfers: p.TransfersPerSize,
 				Seed:      campaignSeed(p.Seed, label("fig6", name, strconv.Itoa(k))),
-				Config:    Config{Period: sec4Period, Section4: true},
+				Config:    Config{Period: sec4Period, Rule: core.Sequential},
 			})
 			keys = append(keys, key{name, k})
 		}

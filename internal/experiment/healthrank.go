@@ -101,7 +101,7 @@ func RunHealthRank(p HealthRankParams) HealthRankResult {
 
 	// Evaluation campaigns: the ranked set plus randomSets uniform draws,
 	// each a fixed candidate set probed in full every round.
-	cfg := Config{Period: sec4Period, Section4: true}
+	cfg := Config{Period: sec4Period, Rule: core.Sequential}
 	rng := randx.New(campaignSeed(p.Seed, label("healthrank", duke, "draws")))
 	specs := []CampaignSpec{{
 		Scenario: scen, Client: client, Server: server,

@@ -53,7 +53,7 @@ func Table3(p Table3Params) Table3Result {
 		Policy:    core.UniformRandomPolicy{K: kneeK},
 		Transfers: p.Rounds,
 		Seed:      campaignSeed(p.Seed, label("table3", duke)),
-		Config:    Config{Period: sec4Period, Section4: true},
+		Config:    Config{Period: sec4Period, Rule: core.Sequential},
 	})
 
 	perInter := make(map[string][]float64)

@@ -32,6 +32,7 @@
 package flight
 
 import (
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -242,36 +243,14 @@ type Filter struct {
 }
 
 // ParseQuery builds a Filter from a request target's query string
-// ("/debug/requests?path=direct&class=failed&n=20"). Unknown keys are
-// ignored; a missing or malformed query yields the match-all filter.
+// ("/debug/requests?path=direct&class=failed&n=20"), URL-decoding the
+// values. Unknown keys and malformed pairs are ignored; a missing query
+// yields the match-all filter.
 func ParseQuery(target string) Filter {
-	var f Filter
-	_, query, ok := strings.Cut(target, "?")
-	if !ok {
-		return f
-	}
-	for _, kv := range strings.Split(query, "&") {
-		k, v, ok := strings.Cut(kv, "=")
-		if !ok {
-			continue
-		}
-		switch k {
-		case "path":
-			f.Path = v
-		case "class":
-			f.Class = v
-		case "object":
-			f.Object = v
-		case "trace":
-			f.Trace = v
-		case "n", "name":
-			// "name" doubles for /debug/bundle?name=; harmless here.
-			if n, err := strconv.Atoi(v); err == nil {
-				f.N = n
-			}
-		}
-	}
-	return f
+	_, query, _ := strings.Cut(target, "?")
+	q, _ := url.ParseQuery(query)
+	n, _ := strconv.Atoi(q.Get("n"))
+	return Filter{Path: q.Get("path"), Class: q.Get("class"), Object: q.Get("object"), Trace: q.Get("trace"), N: n}
 }
 
 func (f Filter) match(ev *Event) bool {

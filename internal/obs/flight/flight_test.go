@@ -152,6 +152,10 @@ func TestParseQuery(t *testing.T) {
 	if f := ParseQuery("/debug/requests?bogus=1&n=x"); f != (Filter{}) {
 		t.Fatalf("unknown keys and bad ints should be ignored, got %+v", f)
 	}
+	// name is /debug/bundle's key, unknown here: it bounds no listing.
+	if f := ParseQuery("/debug/requests?name=5"); f != (Filter{}) {
+		t.Fatalf("?name= should be ignored, got %+v", f)
+	}
 }
 
 func TestNilRecorderAndTransferNoOp(t *testing.T) {

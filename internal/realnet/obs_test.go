@@ -71,7 +71,7 @@ func TestRetryEventsMatchCounter(t *testing.T) {
 // TestAbortEventMatchesCanceledCounter asserts a context-death teardown
 // ends the transfer with the context's typed error, and that the engine
 // records that leg as one abort of class canceled — already in the
-// collector when the probe returns.
+// collector when the operation returns.
 func TestAbortEventMatchesCanceledCounter(t *testing.T) {
 	origin := relay.NewOriginServer()
 	origin.Put("big.bin", 8_000_000)
@@ -92,9 +92,9 @@ func TestAbortEventMatchesCanceledCounter(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	obj := core.Object{Server: "origin", Name: "big.bin", Size: 8_000_000}
 	time.AfterFunc(50*time.Millisecond, cancel)
-	probes := core.Probe(ctx, tr, obj, nil, core.Config{ProbeBytes: 8_000_000, Metrics: m})
+	out := core.Race(ctx, tr, obj, nil, core.Config{ProbeBytes: 8_000_000, Rule: core.MaxThroughput, Metrics: m}).Fetch()
 
-	if err := probes[0].Err; !errors.Is(err, core.ErrCanceled) || !errors.Is(err, context.Canceled) {
+	if err := out.Probes[0].Err; !errors.Is(err, core.ErrCanceled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want ErrCanceled from the context", err)
 	}
 	s := m.Snapshot()

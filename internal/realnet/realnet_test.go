@@ -177,7 +177,9 @@ func TestConcurrentProbesWallClock(t *testing.T) {
 	// Both relays at 1 Mb/s. A Dialer connection's buckets start full
 	// with a 64 KiB burst (shaper.PathProfile), so each 200 KB probe is
 	// held to its path's rate for the rest: ~1.08 s. Run together, the
-	// race takes about one probe's time; one after the other, the sum.
+	// probing phase takes about one probe's time; one after the other,
+	// the sum. Every probe is measured under MaxThroughput, and the
+	// unshaped direct path wins, so the remainder is quick.
 	const bps, probe, burst = 1e6, 200_000, 64 << 10
 	d := shaper.NewDialer()
 	for _, addr := range tr.Relays {
@@ -186,14 +188,17 @@ func TestConcurrentProbesWallClock(t *testing.T) {
 	tr.Dial = d.Dial
 	one := time.Duration((probe - burst) * 8 / bps * float64(time.Second))
 	obj := core.Object{Server: "origin", Name: "big.bin", Size: 2_000_000}
-	start := time.Now()
-	probes := core.Probe(context.Background(), tr, obj, []string{"fast", "slow"}, core.Config{ProbeBytes: probe})
-	elapsed := time.Since(start)
-	for _, p := range probes {
+	out := core.Race(context.Background(), tr, obj, []string{"fast", "slow"},
+		core.Config{ProbeBytes: probe, Rule: core.MaxThroughput}).Fetch()
+	if out.Err != nil {
+		t.Fatal(out.Err)
+	}
+	for _, p := range out.Probes {
 		if p.Err != nil {
 			t.Fatalf("probe %v failed: %v", p.Path, p.Err)
 		}
 	}
+	elapsed := time.Duration((out.ProbeEnd - out.Start) * float64(time.Second))
 	if elapsed < one || elapsed >= 2*one {
 		t.Fatalf("probe race took %v; want at least one probe's %v and less than both in turn", elapsed, one)
 	}

@@ -1,9 +1,10 @@
-// Package traceio persists measurement records so campaigns can be
-// archived and re-analyzed without rerunning the simulator — the
-// equivalent of the paper's two-month measurement logs. Records are
-// stored as JSON Lines (one record per line, stream-appendable) with a
-// small header line carrying schema metadata, plus a CSV export for
-// spreadsheet analysis.
+// Package traceio writes archives. A campaign's measurement records —
+// the equivalent of the paper's two-month measurement logs — go out as
+// JSON Lines (a small header line carrying schema metadata, then one
+// record per line, stream-appendable) or as CSV for spreadsheet
+// analysis; nothing in this repository reads a record archive back.
+// Span archives (spans.go) share the header convention and are read
+// back, merged across processes.
 package traceio
 
 import (
@@ -11,18 +12,16 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"strconv"
 
 	"repro/internal/experiment"
-	"repro/internal/topo"
 )
 
 // SchemaVersion identifies the record layout; bump on breaking changes.
 const SchemaVersion = 1
 
-// Errors surfaced by the decoder.
+// Errors surfaced by ReadSpans.
 var (
 	ErrBadHeader = errors.New("traceio: missing or malformed header")
 	ErrBadSchema = errors.New("traceio: unsupported schema version")
@@ -72,35 +71,6 @@ func toJSON(r experiment.Record) jsonRecord {
 	return j
 }
 
-func fromJSON(j jsonRecord) (experiment.Record, error) {
-	r := experiment.Record{
-		Client:        j.Client,
-		Server:        j.Server,
-		Time:          j.Time,
-		Candidates:    j.Candidates,
-		Selected:      j.Selected,
-		DirectTp:      j.DirectTp,
-		SelectedTp:    j.SelectedTp,
-		ProbeDirectTp: j.ProbeDirectTp,
-		ProbeBestTp:   j.ProbeBestTp,
-		Improvement:   j.Improvement,
-	}
-	switch j.Category {
-	case "Low":
-		r.Category = topo.Low
-	case "Medium":
-		r.Category = topo.Medium
-	case "High":
-		r.Category = topo.High
-	default:
-		return r, fmt.Errorf("traceio: unknown category %q", j.Category)
-	}
-	if j.Err != "" {
-		r.Err = errors.New(j.Err)
-	}
-	return r, nil
-}
-
 // Write streams records to w as JSONL with a header line. comment is
 // free-form provenance (seed, scale, date).
 func Write(w io.Writer, comment string, records []experiment.Record) error {
@@ -115,34 +85,6 @@ func Write(w io.Writer, comment string, records []experiment.Record) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// Read loads a JSONL trace written by Write, returning the records and
-// the header comment.
-func Read(r io.Reader) ([]experiment.Record, string, error) {
-	dec := json.NewDecoder(bufio.NewReader(r))
-	var h header
-	if err := dec.Decode(&h); err != nil {
-		return nil, "", fmt.Errorf("%w: %v", ErrBadHeader, err)
-	}
-	if h.Schema != SchemaVersion || h.Kind != "records" {
-		return nil, "", fmt.Errorf("%w: schema=%d kind=%q", ErrBadSchema, h.Schema, h.Kind)
-	}
-	var out []experiment.Record
-	for {
-		var j jsonRecord
-		if err := dec.Decode(&j); err != nil {
-			if errors.Is(err, io.EOF) {
-				return out, h.Comment, nil
-			}
-			return nil, "", err
-		}
-		rec, err := fromJSON(j)
-		if err != nil {
-			return nil, "", err
-		}
-		out = append(out, rec)
-	}
 }
 
 // csvHeader is the column layout of WriteCSV.

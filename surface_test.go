@@ -13,37 +13,44 @@ import (
 	"testing"
 )
 
-// The facade's exported surface is pinned as a golden list: every
-// package-level name the root package declares and every exported
-// method of its types, one per line. A new option, method or re-export
-// is then a visible edit of testdata/surface.golden, so a twin of an
-// existing entry point cannot slip in unseen. `go test . -run
-// FacadeSurface -update` rewrites the golden from the tree.
-var update = flag.Bool("update", false, "rewrite testdata/surface.golden from the facade in the tree")
+// The exported surfaces of the facade and of the selection engine
+// (internal/core) are pinned as golden lists: every package-level name
+// the package declares and every exported method of its types, one per
+// line. A new option, method, re-export or entry point is then a
+// visible edit of testdata/surface.golden or
+// testdata/surface_core.golden, so a twin of an existing one cannot
+// slip in unseen. `go test . -run FacadeSurface -update` rewrites both
+// goldens from the tree.
+var update = flag.Bool("update", false, "rewrite testdata/surface*.golden from the packages in the tree")
 
 func TestFacadeSurface(t *testing.T) {
-	got := facadeSurface(t)
-	golden := filepath.Join("testdata", "surface.golden")
-	if *update {
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+	for _, c := range []struct{ dir, golden string }{
+		{".", "surface.golden"},
+		{filepath.Join("internal", "core"), "surface_core.golden"},
+	} {
+		got := surface(t, c.dir)
+		golden := filepath.Join("testdata", c.golden)
+		if *update {
+			if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != string(want) {
-		t.Fatalf("facade surface differs from %s (rerun with -update if the change is meant):\n got:\n%s\nwant:\n%s",
-			golden, got, want)
+		if got != string(want) {
+			t.Errorf("%s surface differs from %s (rerun with -update if the change is meant):\n got:\n%s\nwant:\n%s",
+				c.dir, golden, got, want)
+		}
 	}
 }
 
-// facadeSurface lists the root package's exported names from its
+// surface lists the exported names of the package in dir from its
 // non-test source, sorted: "const X", "var X", "func X", "type X", and
 // "method T.M" for each exported method of an exported type.
-func facadeSurface(t *testing.T) string {
-	paths, err := filepath.Glob("*.go")
+func surface(t *testing.T, dir string) string {
+	paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +66,7 @@ func facadeSurface(t *testing.T) string {
 		}
 		files = append(files, f)
 	}
-	pkg, err := doc.NewFromFiles(fset, files, "repro")
+	pkg, err := doc.NewFromFiles(fset, files, "repro/"+dir)
 	if err != nil {
 		t.Fatal(err)
 	}
